@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	brokerd [-addr host:port] [-topic name] [-partitions N] [-json-only]
+//	brokerd [-addr host:port] [-topic name] [-partitions N]
 //	        [-data-dir path] [-fsync always|interval|none] [-fsync-every d]
 //	        [-segment-records N]
 //	        [-node-id id -peers id=host:port,id=host:port,...]
@@ -20,9 +20,6 @@
 // Observability section).
 //
 // The daemon pre-creates the given topic and serves until interrupted.
-// -json-only disables the binary wire codec (clients fall back to the
-// legacy JSON lockstep protocol), an escape hatch for debugging wire
-// issues or emulating a pre-codec broker.
 //
 // With -data-dir the partition logs are DURABLE: segmented append-only
 // files with CRC-framed records, fsynced per -fsync, recovered (with
@@ -94,7 +91,6 @@ func run() error {
 	addr := flag.String("addr", "127.0.0.1:9092", "listen address")
 	topic := flag.String("topic", "stream", "topic to pre-create")
 	partitions := flag.Int("partitions", 4, "partition count for the topic")
-	jsonOnly := flag.Bool("json-only", false, "disable the binary wire codec (legacy JSON protocol only)")
 	dataDir := flag.String("data-dir", "", "directory for durable partition logs (empty: in-memory)")
 	fsyncFlag := flag.String("fsync", "always", "fsync policy for appended records: always, interval or none")
 	fsyncEvery := flag.Duration("fsync-every", 50*time.Millisecond, "flush period with -fsync interval")
@@ -149,11 +145,6 @@ func run() error {
 
 	var node *broker.ClusterNode
 	if *nodeID != "" {
-		if *jsonOnly {
-			// Replication runs over the binary codec; a JSON-only member
-			// would look alive (pings work) yet fail every replicate.
-			return fmt.Errorf("-json-only cannot be combined with cluster mode (-node-id)")
-		}
 		peers, err := parsePeers(*peersFlag)
 		if err != nil {
 			return err
@@ -191,7 +182,6 @@ func run() error {
 	}
 
 	srv, err := broker.ServeWithOptions(b, *addr, broker.ServerOptions{
-		JSONOnly:     *jsonOnly,
 		Node:         node,
 		Metrics:      b.Metrics(),
 		Log:          logger,
@@ -223,15 +213,11 @@ func run() error {
 		logger.Info("admin listening", "addr", ln.Addr().String())
 	}
 
-	codec := "binary+json"
-	if *jsonOnly {
-		codec = "json-only"
-	}
 	store := "in-memory"
 	if *dataDir != "" {
 		store = fmt.Sprintf("durable %s (fsync %s)", *dataDir, policy)
 	}
-	kv := []any{"addr", srv.Addr(), "topic", *topic, "partitions", *partitions, "wire", codec, "storage", store}
+	kv := []any{"addr", srv.Addr(), "topic", *topic, "partitions", *partitions, "storage", store}
 	if node != nil {
 		kv = append(kv, "node", *nodeID, "replicas", *replicas)
 	}

@@ -29,6 +29,7 @@ import (
 	"streamapprox/internal/faults"
 	"streamapprox/internal/obs"
 	"streamapprox/internal/server"
+	"streamapprox/internal/xrand"
 )
 
 // e2e cluster tuning: short deadlines everywhere — recovery time is
@@ -310,11 +311,7 @@ func runE2EScenario(scenario string, events, batch, parts int) (benchE2EScenario
 		return out, err
 	}
 
-	evs := benchServerEvents(events)
-	recs := make([]broker.Record, len(evs))
-	for i, e := range evs {
-		recs[i] = broker.FromEvent(e)
-	}
+	recs := e2eRecords(events)
 
 	// Produce in batches, injecting the scenario's fault halfway; the
 	// first produce AFTER the fault times the recovery (the routing
@@ -383,7 +380,7 @@ func runE2EScenario(scenario string, events, batch, parts int) (benchE2EScenario
 	covered := 0
 	for _, w := range results {
 		var exact float64
-		for _, e := range evs {
+		for _, e := range recs {
 			if !e.Time.Before(w.Start) && e.Time.Before(w.Start.Add(window)) {
 				exact += e.Value
 			}
@@ -462,4 +459,20 @@ func fetchResults(srv *server.Server, id string) ([]server.MergedWindow, error) 
 		return nil, fmt.Errorf("results: %w", err)
 	}
 	return out, nil
+}
+
+// e2eRecords builds the deterministic chaos workload: ms-spaced gaussian
+// values over 16 strata, the shape the server tests use.
+func e2eRecords(n int) []broker.Record {
+	rng := xrand.New(7)
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	out := make([]broker.Record, n)
+	for i := range out {
+		out[i] = broker.Record{
+			Key:   fmt.Sprintf("s%02d", i%16),
+			Value: rng.Gaussian(100, 15),
+			Time:  base.Add(time.Duration(i) * time.Millisecond),
+		}
+	}
+	return out
 }

@@ -38,10 +38,6 @@ func run(args []string) error {
 		return list()
 	case "run":
 		return runFigures(args[1:])
-	case "bench-broker":
-		return runBenchBroker(args[1:])
-	case "bench-server":
-		return runBenchServer(args[1:])
 	case "bench-cluster":
 		return runBenchCluster(args[1:])
 	case "bench-e2e":
@@ -62,13 +58,6 @@ func usage() {
   saprox list                                  list available figure ids
   saprox run <id>... [flags]                   regenerate figures
   saprox run all [flags]                       regenerate everything
-  saprox bench-broker [flags]                  benchmark the broker wire path
-                                               (JSON vs binary codec) and record
-                                               the result as JSON
-  saprox bench-server [flags]                  benchmark serving-tier query
-                                               concurrency (shared ingest plane
-                                               vs per-query baseline) and record
-                                               the result as JSON
   saprox bench-cluster [flags]                 benchmark 1 vs 3 replicated
                                                brokers through the routing
                                                client, plus failover recovery
@@ -91,22 +80,6 @@ run flags:
   -scale N     dataset scale multiplier (default 1.0)
   -seed N      RNG seed (default 42)
   -workers N   engine parallelism (default 4)
-
-bench-broker flags:
-  -records N       records per measurement (default 200000)
-  -batch N         records per produce request (default 1000)
-  -fetchers N      concurrent fetchers on the shared connection (default 4)
-  -out FILE        result file (default BENCH_broker.json; "-" for stdout only)
-
-bench-server flags:
-  -events N        events per measurement (default 40000, min 20000:
-                   the 3 windows each case waits on need ~20s of
-                   ms-spaced event time)
-  -partitions N    topic partitions = shards per query (default 4)
-  -out FILE        result file (default BENCH_server.json; "-" for stdout only)
-  -baseline FILE   gate items/s per (mode, queries) case against this
-                   recorded result file (default: no gate)
-  -max-regress F   max fractional items/s regression vs -baseline (default 0.30)
 
 bench-cluster flags:
   -records N       records per measurement (default 100000)

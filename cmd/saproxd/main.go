@@ -9,7 +9,7 @@
 //	saproxd [-addr host:port] [-broker host:port | -brokers h1,h2,...]
 //	        [-topic name]
 //	        [-group name] [-checkpoint-dir dir] [-checkpoint-every d]
-//	        [-budget items/s] [-schedule-every d] [-per-query-ingest]
+//	        [-budget items/s] [-schedule-every d]
 //	        [-connect-wait d]
 //
 // The initial broker connection is retried with capped backoff (forever
@@ -83,7 +83,6 @@ func run() error {
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Second, "checkpoint interval")
 	globalBudget := flag.Float64("budget", 0, "global sample budget in items/s across all queries (0 disables the scheduler)")
 	scheduleEvery := flag.Duration("schedule-every", 2*time.Second, "budget scheduler control interval")
-	perQueryIngest := flag.Bool("per-query-ingest", false, "one private consumer set per query instead of the shared ingest plane (baseline mode)")
 	connectWait := flag.Duration("connect-wait", 0, "keep retrying the initial broker connection for this long before giving up (0: forever)")
 	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
 	flag.Parse()
@@ -170,7 +169,6 @@ func run() error {
 		CheckpointEvery: *checkpointEvery,
 		GlobalBudget:    *globalBudget,
 		ScheduleEvery:   *scheduleEvery,
-		PerQueryIngest:  *perQueryIngest,
 		Logf:            logger.Logf,
 	})
 	if err != nil {
@@ -195,16 +193,12 @@ func run() error {
 			errc <- err
 		}
 	}()
-	mode := "shared ingest plane"
-	if *perQueryIngest {
-		mode = "per-query ingest (baseline)"
-	}
 	brokerDesc := *brokerAddr
 	if *brokersFlag != "" {
 		brokerDesc = "cluster " + *brokersFlag
 	}
 	logger.Info("serving", "addr", *addr, "broker", brokerDesc, "topic", *topic,
-		"partitions", srv.Partitions(), "mode", mode)
+		"partitions", srv.Partitions())
 	if *globalBudget > 0 {
 		logger.Info("budget scheduler enabled", "items_per_s", *globalBudget, "reapportion_every", *scheduleEvery)
 	}

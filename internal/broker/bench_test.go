@@ -9,10 +9,8 @@ import (
 	"streamapprox/internal/broker/storage"
 )
 
-// Microbenchmarks for the broker data plane. The json/binary pairs
-// measure the same TCP operation through the legacy lockstep JSON
-// protocol and the pipelined binary codec — the items/s ratio is the
-// wire-format win the bench-broker runner records in BENCH_broker.json.
+// Microbenchmarks for the broker data plane: one TCP operation each
+// through the pipelined frame codec.
 //
 //	go test ./internal/broker -bench Wire -benchtime 2s
 
@@ -31,8 +29,8 @@ func benchRecords(n int) []Record {
 	return out
 }
 
-// benchDial starts a server and connects with the requested codec.
-func benchDial(b *testing.B, mode string) (*Broker, *Client) {
+// benchDial starts a server and connects a client to it.
+func benchDial(b *testing.B) (*Broker, *Client) {
 	b.Helper()
 	bk := New()
 	srv, err := Serve(bk, "127.0.0.1:0")
@@ -40,12 +38,7 @@ func benchDial(b *testing.B, mode string) (*Broker, *Client) {
 		b.Fatal(err)
 	}
 	b.Cleanup(srv.Close)
-	var cli *Client
-	if mode == "json" {
-		cli, err = DialJSON(srv.Addr())
-	} else {
-		cli, err = Dial(srv.Addr())
-	}
+	cli, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,127 +47,110 @@ func benchDial(b *testing.B, mode string) (*Broker, *Client) {
 }
 
 func BenchmarkWireProduce(b *testing.B) {
-	for _, mode := range []string{"json", "binary"} {
-		b.Run(mode, func(b *testing.B) {
-			_, cli := benchDial(b, mode)
-			if err := cli.CreateTopic("bench", 1); err != nil {
-				b.Fatal(err)
-			}
-			batch := benchRecords(benchBatch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cli.Produce("bench", batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportItems(b, int64(b.N)*benchBatch)
-		})
+	_, cli := benchDial(b)
+	if err := cli.CreateTopic("bench", 1); err != nil {
+		b.Fatal(err)
 	}
+	batch := benchRecords(benchBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cli.Produce("bench", batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	reportItems(b, int64(b.N)*benchBatch)
 }
 
 func BenchmarkWireFetch(b *testing.B) {
-	for _, mode := range []string{"json", "binary"} {
-		b.Run(mode, func(b *testing.B) {
-			bk, cli := benchDial(b, mode)
-			if err := bk.CreateTopic("bench", 1); err != nil {
-				b.Fatal(err)
-			}
-			const preload = 64 * benchBatch
-			if _, err := bk.Produce("bench", benchRecords(preload)); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				off := int64(i%64) * benchBatch
-				recs, err := cli.Fetch("bench", 0, off, benchBatch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(recs) != benchBatch {
-					b.Fatalf("fetched %d of %d", len(recs), benchBatch)
-				}
-			}
-			reportItems(b, int64(b.N)*benchBatch)
-		})
+	bk, cli := benchDial(b)
+	if err := bk.CreateTopic("bench", 1); err != nil {
+		b.Fatal(err)
 	}
+	const preload = 64 * benchBatch
+	if _, err := bk.Produce("bench", benchRecords(preload)); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := int64(i%64) * benchBatch
+		recs, err := cli.Fetch("bench", 0, off, benchBatch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) != benchBatch {
+			b.Fatalf("fetched %d of %d", len(recs), benchBatch)
+		}
+	}
+	reportItems(b, int64(b.N)*benchBatch)
 }
 
 // BenchmarkWireRoundTrip produces a batch and fetches it back — the
 // full data-plane round trip one shard iteration costs.
 func BenchmarkWireRoundTrip(b *testing.B) {
-	for _, mode := range []string{"json", "binary"} {
-		b.Run(mode, func(b *testing.B) {
-			_, cli := benchDial(b, mode)
-			if err := cli.CreateTopic("bench", 1); err != nil {
-				b.Fatal(err)
-			}
-			batch := benchRecords(benchBatch)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cli.Produce("bench", batch); err != nil {
-					b.Fatal(err)
-				}
-				recs, err := cli.Fetch("bench", 0, int64(i)*benchBatch, benchBatch)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(recs) != benchBatch {
-					b.Fatalf("fetched %d of %d", len(recs), benchBatch)
-				}
-			}
-			reportItems(b, 2*int64(b.N)*benchBatch)
-		})
+	_, cli := benchDial(b)
+	if err := cli.CreateTopic("bench", 1); err != nil {
+		b.Fatal(err)
 	}
+	batch := benchRecords(benchBatch)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cli.Produce("bench", batch); err != nil {
+			b.Fatal(err)
+		}
+		recs, err := cli.Fetch("bench", 0, int64(i)*benchBatch, benchBatch)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(recs) != benchBatch {
+			b.Fatalf("fetched %d of %d", len(recs), benchBatch)
+		}
+	}
+	reportItems(b, 2*int64(b.N)*benchBatch)
 }
 
 // BenchmarkWirePipelinedFetch measures concurrent fetches sharing one
-// connection: the pipelined binary client keeps them all in flight,
-// the JSON client serializes them behind its mutex.
+// connection: the pipelined client keeps them all in flight.
 func BenchmarkWirePipelinedFetch(b *testing.B) {
-	for _, mode := range []string{"json", "binary"} {
-		b.Run(mode, func(b *testing.B) {
-			bk, cli := benchDial(b, mode)
-			if err := bk.CreateTopic("bench", 1); err != nil {
-				b.Fatal(err)
-			}
-			const preload = 64 * benchBatch
-			if _, err := bk.Produce("bench", benchRecords(preload)); err != nil {
-				b.Fatal(err)
-			}
-			const workers = 4
-			b.ReportAllocs()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			var firstErr error
-			per := b.N/workers + 1
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						off := int64((w*per+i)%64) * benchBatch
-						if _, err := cli.Fetch("bench", 0, off, benchBatch); err != nil {
-							mu.Lock()
-							if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if firstErr != nil {
-				b.Fatal(firstErr)
-			}
-			reportItems(b, int64(workers)*int64(per)*benchBatch)
-		})
+	bk, cli := benchDial(b)
+	if err := bk.CreateTopic("bench", 1); err != nil {
+		b.Fatal(err)
 	}
+	const preload = 64 * benchBatch
+	if _, err := bk.Produce("bench", benchRecords(preload)); err != nil {
+		b.Fatal(err)
+	}
+	const workers = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var firstErr error
+	per := b.N/workers + 1
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				off := int64((w*per+i)%64) * benchBatch
+				if _, err := cli.Fetch("bench", 0, off, benchBatch); err != nil {
+					mu.Lock()
+					if firstErr == nil {
+						firstErr = err
+					}
+					mu.Unlock()
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if firstErr != nil {
+		b.Fatal(firstErr)
+	}
+	reportItems(b, int64(workers)*int64(per)*benchBatch)
 }
 
 // BenchmarkLogAppend measures the chunked partition log's in-memory

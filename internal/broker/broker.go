@@ -502,29 +502,11 @@ func (b *Broker) ProduceFrames(topicName string, frames []byte, count int) (int,
 	return total, nil
 }
 
-// producePartition appends records to one explicit partition, bypassing
-// key routing — the data path of a routing client that partitions on its
-// side and sends each batch straight to the partition leader. It returns
+// producePartitionFrames appends a pre-validated frame chunk to one
+// explicit partition, bypassing key routing — the data path of a routing
+// client that partitions on its side and sends each batch straight to
+// the partition leader. The bytes land in the log verbatim; it returns
 // the base offset of the appended batch.
-func (b *Broker) producePartition(topicName string, partition int, recs []Record) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return 0, ErrBadPartition
-	}
-	batch := make([]Record, len(recs))
-	for i, r := range recs {
-		r.Topic = topicName
-		r.Partition = partition
-		batch[i] = r
-	}
-	return t.partitions[partition].append(batch)
-}
-
-// producePartitionFrames is producePartition for a pre-validated frame
-// chunk: the bytes land in the log verbatim.
 func (b *Broker) producePartitionFrames(topicName string, partition int, frames []byte, count int) (int64, error) {
 	t, err := b.topic(topicName)
 	if err != nil {
@@ -536,48 +518,13 @@ func (b *Broker) producePartitionFrames(topicName string, partition int, frames 
 	return t.partitions[partition].appendFrames(frames, count)
 }
 
-// replicateAppend applies a leader's replicated batch at an exact base
-// offset. It is idempotent and gap-safe: a batch already covered by the
-// local log is skipped, an overlapping batch has its duplicate prefix
-// trimmed, and a batch starting beyond the local high watermark appends
-// nothing (the caller backfills from the returned watermark). It always
+// replicateAppendFrames applies a leader's replicated chunk at an exact
+// base offset. It is idempotent and gap-safe: a chunk already covered by
+// the local log is skipped, an overlapping chunk has its duplicate
+// prefix trimmed at frame boundaries, and a chunk starting beyond the
+// local high watermark appends nothing (the caller backfills from the
+// returned watermark). The remainder is appended verbatim. It always
 // returns the partition's resulting high watermark.
-func (b *Broker) replicateAppend(topicName string, partition int, base int64, recs []Record) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return 0, ErrBadPartition
-	}
-	p := t.partitions[partition]
-	p.appendMu.Lock()
-	defer p.appendMu.Unlock()
-	hwm := p.log.HighWatermark()
-	if base > hwm {
-		return hwm, nil // gap: leader must resend from our watermark
-	}
-	if skip := hwm - base; skip >= int64(len(recs)) {
-		return hwm, nil // fully duplicate batch
-	} else if skip > 0 {
-		recs = recs[skip:]
-	}
-	batch := make([]Record, len(recs))
-	for i, r := range recs {
-		r.Topic = topicName
-		r.Partition = partition
-		batch[i] = r
-	}
-	if _, err := p.log.Append(batch); err != nil {
-		return hwm, err
-	}
-	return p.log.HighWatermark(), nil
-}
-
-// replicateAppendFrames is replicateAppend for a pre-validated frame
-// chunk: same idempotence and gap safety, with the duplicate prefix
-// trimmed at frame boundaries instead of slicing records, and the
-// remainder appended verbatim.
 func (b *Broker) replicateAppendFrames(topicName string, partition int, base int64, frames []byte, count int) (int64, error) {
 	t, err := b.topic(topicName)
 	if err != nil {
@@ -607,11 +554,10 @@ func (b *Broker) replicateAppendFrames(topicName string, partition int, base int
 	return p.log.HighWatermark(), nil
 }
 
-// replicateAppendSections applies a coalesced multi-partition replicate
-// batch — the follower half of group-commit replication: every
-// section's chunk lands through the same idempotent gap-safe append as
-// a lone replicate, in batch order, returning the resulting high
-// watermark per section. Sections of the same partition arrive
+// replicateAppendSections applies a replicate batch — the follower half
+// of group-commit replication: every section's chunk lands through the
+// idempotent gap-safe append, in batch order, returning the resulting
+// high watermark per section. Sections of the same partition arrive
 // contiguous (the leader merges them), so later sections see the
 // watermark earlier ones produced.
 func (b *Broker) replicateAppendSections(secs []replSection) ([]int64, error) {

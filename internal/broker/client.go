@@ -7,36 +7,27 @@ import (
 	"fmt"
 	"net"
 	"os"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/stream"
 )
 
 // Client is a TCP client for a broker Server. Methods mirror Broker's.
 // It is safe for concurrent use.
 //
-// On dial the client negotiates the binary codec with a "hello" control
-// op. Against a binary-capable server the client runs pipelined: every
-// request carries a correlation ID, a dedicated reader goroutine
-// matches responses back to waiters, and any number of goroutines can
-// have requests in flight on the one connection. Against an older
-// JSON-only server the client falls back to the legacy lockstep
-// protocol, serializing one round-trip at a time under a mutex.
+// The client runs pipelined: every request carries a correlation ID, a
+// dedicated reader goroutine matches responses back to waiters, and any
+// number of goroutines can have requests in flight on the one
+// connection. On dial it confirms the peer's wire version with a "hello"
+// control op.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
 
-	binary bool // negotiated at dial; immutable afterwards
-	v2     bool // peer accepts trace-carrying v2 request headers
-	frames bool // peer accepts the raw-frame (zero-copy) ops
-	batch  bool // peer accepts the multi-partition replicate batch op
-
-	// trace is the ID stamped on every subsequent binary request (0 =
+	// trace is the ID stamped on every subsequent request (0 =
 	// untraced). Connection-scoped on purpose: the ingest plane owns a
 	// dedicated connection per partition pipeline, so the stamp follows
 	// the pipeline without widening every method signature.
@@ -47,12 +38,11 @@ type Client struct {
 	// bound (heartbeat probes) pass an explicit override.
 	reqTimeout atomic.Int64
 
-	// mu serializes whole round-trips in lockstep mode, and just the
-	// write+flush of a frame in pipelined mode.
+	// mu serializes the write+flush of a frame.
 	mu sync.Mutex
 
-	// Pipelined-mode state: pending maps in-flight correlation IDs to
-	// their waiters. The reader goroutine owns c.br.
+	// pending maps in-flight correlation IDs to their waiters. The
+	// reader goroutine owns c.br.
 	pendMu  sync.Mutex
 	pending map[uint64]chan *frameBuf
 	nextID  uint64
@@ -104,64 +94,39 @@ func (o ClientOptions) requestTimeout() time.Duration {
 	return o.RequestTimeout
 }
 
-// Dial connects to a broker server with default options, negotiating
-// the fastest protocol the server supports.
+// Dial connects to a broker server with default options.
 func Dial(addr string) (*Client, error) {
 	return DialWithOptions(addr, ClientOptions{})
 }
 
-// DialWithOptions is Dial with explicit timeouts.
+// DialWithOptions is Dial with explicit timeouts. A peer whose hello
+// answers a different wire version is refused.
 func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
-	c, err := dial(addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(&wireRequest{Op: opHello})
-	switch {
-	case err == nil && resp.N >= int(binVersion):
-		c.binary = true
-		c.v2 = resp.N >= int(binVersion2)
-		c.frames = resp.N >= helloFrames
-		c.batch = resp.N >= helloBatch
-		c.pending = make(map[uint64]chan *frameBuf)
-		go c.readLoop()
-	case err != nil && isUnknownOp(err):
-		// Pre-codec server: stay on the JSON lockstep protocol.
-	case err != nil:
-		_ = c.conn.Close()
-		return nil, fmt.Errorf("broker hello: %w", err)
-	}
-	return c, nil
-}
-
-// DialJSON connects using only the legacy JSON lockstep protocol, even
-// to a binary-capable server. It exists for talking to very old peers
-// explicitly and for benchmarking the binary codec against its JSON
-// baseline in the same run.
-func DialJSON(addr string) (*Client, error) { return dial(addr, ClientOptions{}) }
-
-func dial(addr string, opts ClientOptions) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, opts.dialTimeout())
 	if err != nil {
 		return nil, fmt.Errorf("broker dial: %w", err)
 	}
 	c := &Client{
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
+		conn:    conn,
+		br:      bufio.NewReaderSize(conn, 64<<10),
+		bw:      bufio.NewWriterSize(conn, 64<<10),
+		pending: make(map[uint64]chan *frameBuf),
 	}
 	c.reqTimeout.Store(int64(opts.requestTimeout()))
+	go c.readLoop()
+	resp, err := c.controlRoundTrip(&wireRequest{Op: opHello})
+	if err == nil && resp.N != int(wireVersion) {
+		err = fmt.Errorf("peer speaks wire version %d, this client %d", resp.N, wireVersion)
+	}
+	if err != nil {
+		_ = c.Close()
+		return nil, fmt.Errorf("broker hello: %w", err)
+	}
 	return c, nil
 }
 
-// isUnknownOp reports whether err is a server rejecting an op it does
-// not know — the signature of a pre-codec peer answering hello.
-func isUnknownOp(err error) bool { return strings.Contains(err.Error(), "unknown op") }
-
 // SetTraceID stamps id on every subsequent request sent over this
-// connection (0 clears it). Against a peer that has not negotiated the
-// v2 header the stamp is kept locally but never put on the wire, so
-// old servers keep decoding every frame.
+// connection (0 clears it).
 func (c *Client) SetTraceID(id uint64) { c.trace.Store(id) }
 
 // SetRequestTimeout replaces the connection's per-request deadline for
@@ -185,15 +150,6 @@ func errTimeout(what string, d time.Duration) error {
 	return fmt.Errorf("broker: %s timed out after %v: %w", what, d, os.ErrDeadlineExceeded)
 }
 
-// traceFor returns the trace ID to encode into the next frame: the
-// connection's stamp when the peer speaks v2, zero otherwise.
-func (c *Client) traceFor() uint64 {
-	if !c.v2 {
-		return 0
-	}
-	return c.trace.Load()
-}
-
 // checkTopic guards the binary encoding's uint16 topic-length field.
 func checkTopic(topic string) error {
 	if len(topic) > 1<<16-1 {
@@ -206,54 +162,13 @@ func checkTopic(topic string) error {
 // underlying cause is unknown.
 var errClientClosed = errors.New("broker: client closed")
 
-// Close closes the connection. In pipelined mode the reader goroutine
-// fails any in-flight requests and exits.
+// Close closes the connection. The reader goroutine fails any in-flight
+// requests and exits.
 func (c *Client) Close() error {
 	c.pendMu.Lock()
 	c.closed = true
 	c.pendMu.Unlock()
 	return c.conn.Close()
-}
-
-// roundTrip performs one lockstep JSON request/response under the
-// connection's default deadline. It is the only I/O path in JSON mode,
-// and carries the hello during dial.
-func (c *Client) roundTrip(req *wireRequest) (*wireResponse, error) {
-	return c.roundTripT(c.timeout(), req)
-}
-
-// roundTripT is roundTrip with an explicit deadline covering the whole
-// round-trip. A deadline error poisons the lockstep stream (a partial
-// frame may sit half-read), so the connection is closed: fail fast
-// beats decoding garbage.
-func (c *Client) roundTripT(timeout time.Duration, req *wireRequest) (*wireResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if timeout > 0 {
-		_ = c.conn.SetDeadline(time.Now().Add(timeout))
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	fail := func(err error) (*wireResponse, error) {
-		if errors.Is(err, os.ErrDeadlineExceeded) {
-			_ = c.conn.Close()
-			return nil, errTimeout("request", timeout)
-		}
-		return nil, err
-	}
-	if err := writeFrame(c.bw, req); err != nil {
-		return fail(err)
-	}
-	if err := c.bw.Flush(); err != nil {
-		return fail(err)
-	}
-	var resp wireResponse
-	if err := readFrame(c.br, &resp); err != nil {
-		return fail(err)
-	}
-	if resp.Err != "" {
-		return nil, &remoteError{msg: resp.Err}
-	}
-	return &resp, nil
 }
 
 // callBinary sends one binary request under the connection's default
@@ -377,10 +292,9 @@ func (c *Client) failPending(err error) {
 	c.pendMu.Unlock()
 }
 
-// controlRoundTrip routes a rare control op: a plain JSON round-trip in
-// lockstep mode, or a JSON document inside the binary envelope on a
-// pipelined connection (so control ops never block behind the mutex-free
-// data path, and one codec version byte governs the whole dialect).
+// controlRoundTrip sends a rare control op as a JSON document inside the
+// binary envelope, so it shares the pipelined connection and one version
+// byte governs the whole dialect.
 func (c *Client) controlRoundTrip(req *wireRequest) (*wireResponse, error) {
 	return c.controlRoundTripT(c.timeout(), req)
 }
@@ -389,15 +303,12 @@ func (c *Client) controlRoundTrip(req *wireRequest) (*wireResponse, error) {
 // the per-op override used by heartbeat probes, which need a bound far
 // tighter than the connection default.
 func (c *Client) controlRoundTripT(timeout time.Duration, req *wireRequest) (*wireResponse, error) {
-	if !c.binary {
-		return c.roundTripT(timeout, req)
-	}
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
 	}
 	fb, err := c.callBinaryT(timeout, func(fb *frameBuf, corr uint64) {
-		encodeJSONReq(fb, corr, c.traceFor(), payload)
+		encodeJSONReq(fb, corr, c.trace.Load(), payload)
 	})
 	if err != nil {
 		return nil, err
@@ -423,28 +334,9 @@ func (c *Client) CreateTopic(name string, partitions int) error {
 	return err
 }
 
-// Produce appends records to a remote topic.
-func (c *Client) Produce(topicName string, recs []Record) (int, error) {
-	if !c.binary {
-		resp, err := c.roundTrip(&wireRequest{Op: opProduce, Topic: topicName, Records: recs})
-		if err != nil {
-			return 0, err
-		}
-		return resp.N, nil
-	}
-	if err := checkTopic(topicName); err != nil {
-		return 0, err
-	}
-	// Against a frames-capable server the batch is encoded as CRC
-	// frames right here — the only encode the records will ever get:
-	// the broker appends, replicates and serves these exact bytes.
-	enc := encodeProduceReq
-	if c.frames {
-		enc = encodeProduceFramesReq
-	}
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		enc(fb, corr, c.traceFor(), topicName, recs)
-	})
+// callCount performs one request answered with a record count.
+func (c *Client) callCount(encode func(fb *frameBuf, corr uint64)) (int, error) {
+	fb, err := c.callBinary(encode)
 	if err != nil {
 		return 0, err
 	}
@@ -453,129 +345,96 @@ func (c *Client) Produce(topicName string, recs []Record) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := int(cur.u32())
-	if cur.err != nil {
-		return 0, cur.err
+	return int(cur.u32()), cur.err
+}
+
+// callWatermark performs one request answered with an int64 watermark.
+func (c *Client) callWatermark(encode func(fb *frameBuf, corr uint64)) (int64, error) {
+	fb, err := c.callBinary(encode)
+	if err != nil {
+		return 0, err
 	}
-	return n, nil
+	defer putFrame(fb)
+	cur, err := decodeRespHeader(fb)
+	if err != nil {
+		return 0, err
+	}
+	return int64(cur.u64()), cur.err
+}
+
+// callFrames performs one fetch-family request and hands the answered
+// chunk — CRC-verified here, exactly once — to use. The frames are a
+// view into the response buffer, recycled when use returns.
+func (c *Client) callFrames(encode func(fb *frameBuf, corr uint64), use func(base int64, count int, frames []byte)) error {
+	fb, err := c.callBinary(encode)
+	if err != nil {
+		return err
+	}
+	defer putFrame(fb)
+	cur, err := decodeRespHeader(fb)
+	if err != nil {
+		return err
+	}
+	base, count, frames, err := decodeFramesResp(cur)
+	if err != nil {
+		return err
+	}
+	use(base, count, frames)
+	return nil
+}
+
+// Produce appends records to a remote topic. The batch is encoded as CRC
+// frames right here — the only encode the records will ever get: the
+// broker appends, replicates and serves these exact bytes.
+func (c *Client) Produce(topicName string, recs []Record) (int, error) {
+	if err := checkTopic(topicName); err != nil {
+		return 0, err
+	}
+	return c.callCount(func(fb *frameBuf, corr uint64) {
+		encodeProduceFramesReq(fb, corr, c.trace.Load(), topicName, recs)
+	})
+}
+
+// fetchFrames is the one fetch call behind Fetch and FetchBatch.
+func (c *Client) fetchFrames(topicName string, partition int, offset int64, max int, use func(base int64, count int, frames []byte)) error {
+	if err := checkTopic(topicName); err != nil {
+		return err
+	}
+	return c.callFrames(func(fb *frameBuf, corr uint64) {
+		encodeFetchFramesReq(fb, corr, c.trace.Load(), topicName, partition, offset, max)
+	}, use)
 }
 
 // Fetch reads records from a remote partition.
 func (c *Client) Fetch(topicName string, partition int, offset int64, max int) ([]Record, error) {
-	if !c.binary {
-		resp, err := c.roundTrip(&wireRequest{
-			Op: opFetch, Topic: topicName, Partition: partition, Offset: offset, Max: max,
-		})
-		if err != nil {
-			return nil, err
+	var recs []Record
+	err := c.fetchFrames(topicName, partition, offset, max, func(base int64, count int, frames []byte) {
+		if count > 0 {
+			recs = framesToRecords(frames, count, topicName, partition, base)
 		}
-		return resp.Records, nil
-	}
-	if err := checkTopic(topicName); err != nil {
-		return nil, err
-	}
-	if c.frames {
-		// Frame fetch: the server ships raw storage bytes; the records
-		// are decoded (and their CRCs verified) exactly once, here.
-		fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-			encodeFetchFramesReq(fb, corr, c.traceFor(), topicName, partition, offset, max)
-		})
-		if err != nil {
-			return nil, err
-		}
-		defer putFrame(fb)
-		cur, err := decodeRespHeader(fb)
-		if err != nil {
-			return nil, err
-		}
-		return decodeFetchFramesResp(cur, topicName, partition)
-	}
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		encodeFetchReq(fb, corr, c.traceFor(), topicName, partition, offset, max)
 	})
-	if err != nil {
-		return nil, err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFetchResp(cur, topicName, partition)
+	return recs, err
 }
 
 // FetchBatch reads records from a remote partition directly into a
-// columnar batch. Against a frames-capable peer the response's frame
-// chunk is CRC-verified once and decoded column-wise — no intermediate
-// []Record is materialized; against older peers it falls back to the
-// record fetch and converts, so callers can use the batch surface
-// unconditionally.
+// columnar batch: the response's frame chunk is decoded column-wise, no
+// intermediate []Record is materialized.
 func (c *Client) FetchBatch(topicName string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
-	if !c.binary || !c.frames {
-		recs, err := c.Fetch(topicName, partition, offset, max)
-		if err != nil {
-			return 0, err
-		}
-		return recordsToBatch(recs, offset, b), nil
-	}
-	if err := checkTopic(topicName); err != nil {
-		return 0, err
-	}
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		encodeFetchFramesReq(fb, corr, c.traceFor(), topicName, partition, offset, max)
+	var n int
+	err := c.fetchFrames(topicName, partition, offset, max, func(base int64, _ int, frames []byte) {
+		n = framesToBatch(frames, base, b)
 	})
-	if err != nil {
-		return 0, err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return 0, err
-	}
-	base := int64(cur.u64())
-	count := int(cur.u32())
-	if cur.err != nil {
-		return 0, cur.err
-	}
-	frames := cur.rest()
-	n, err := storage.ValidateFrames(frames)
-	if err != nil {
-		return 0, err
-	}
-	if n != count {
-		return 0, errTruncatedFrame
-	}
-	return framesToBatch(frames, base, b), nil
+	return n, err
 }
 
 // HighWatermark returns the remote partition's next write offset.
 func (c *Client) HighWatermark(topicName string, partition int) (int64, error) {
-	if !c.binary {
-		resp, err := c.roundTrip(&wireRequest{Op: opHWM, Topic: topicName, Partition: partition})
-		if err != nil {
-			return 0, err
-		}
-		return resp.Offset, nil
-	}
 	if err := checkTopic(topicName); err != nil {
 		return 0, err
 	}
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		encodeHWMReq(fb, corr, c.traceFor(), topicName, partition)
+	return c.callWatermark(func(fb *frameBuf, corr uint64) {
+		encodeHWMReq(fb, corr, c.trace.Load(), topicName, partition)
 	})
-	if err != nil {
-		return 0, err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return 0, err
-	}
-	hwm := int64(cur.u64())
-	if cur.err != nil {
-		return 0, cur.err
-	}
-	return hwm, nil
 }
 
 // Commit persists a group offset remotely.
@@ -632,71 +491,28 @@ func (c *Client) ping(timeout time.Duration, node string, epoch int64, view map[
 	return resp.Epoch, resp.View, nil
 }
 
-// replicaFetch reads committed records from a fellow cluster member
-// regardless of partition leadership — the rejoin catch-up surface.
-func (c *Client) replicaFetch(sender, topic string, partition int, offset int64, max int) ([]Record, error) {
-	resp, err := c.controlRoundTrip(&wireRequest{
-		Op: opRFetch, Node: sender, Topic: topic, Partition: partition, Offset: offset, Max: max,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Records, nil
-}
-
-// replicaFetchFrames is replicaFetch on the binary raw-frame dialect:
-// the catch-up chunk arrives as validated CRC frames appended onto buf,
-// ready for replicateAppendFrames verbatim — a rejoining replica pulls
-// committed history at memcpy speed instead of through two JSON codecs.
-// The caller must check supportsFrames first.
+// replicaFetchFrames reads committed records from a fellow cluster
+// member regardless of partition leadership — the rejoin catch-up
+// surface. The chunk arrives as validated CRC frames appended onto buf,
+// ready for replicateAppendFrames verbatim: a rejoining replica pulls
+// committed history at memcpy speed.
 func (c *Client) replicaFetchFrames(sender, topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		encodeRFetchReq(fb, corr, c.traceFor(), sender, topic, partition, offset, max)
+	var n int
+	err := c.callFrames(func(fb *frameBuf, corr uint64) {
+		encodeRFetchReq(fb, corr, c.trace.Load(), sender, topic, partition, offset, max)
+	}, func(_ int64, count int, frames []byte) { // base echoes the requested offset
+		buf, n = append(buf, frames...), count
 	})
-	if err != nil {
-		return buf, 0, err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return buf, 0, err
-	}
-	_ = cur.u64() // base echoes the requested offset
-	count := int(cur.u32())
-	if cur.err != nil {
-		return buf, 0, cur.err
-	}
-	frames := cur.rest()
-	n, err := storage.ValidateFrames(frames)
-	if err != nil {
-		return buf, 0, err
-	}
-	if n != count {
-		return buf, 0, errTruncatedFrame
-	}
-	return append(buf, frames...), count, nil
+	return buf, n, err
 }
 
-// supportsFrames reports whether the peer negotiated the raw-frame ops.
-func (c *Client) supportsFrames() bool { return c.frames }
-
-// supportsBatchReplicate reports whether the peer negotiated the
-// multi-partition replicate batch op.
-func (c *Client) supportsBatchReplicate() bool { return c.batch }
-
-// replicateMF ships one coalesced batch of per-partition frame chunks
-// to a follower in a single RPC and returns the follower's resulting
-// high watermark per section, in request order. Callers check
-// supportsBatchReplicate first; peers below helloBatch take the
-// per-partition replicate fallback instead, producing identical logs at
-// one round-trip per chunk.
+// replicateMF ships one batch of per-partition frame chunks to a
+// follower in a single RPC and returns the follower's resulting high
+// watermark per section, in request order. The explicit trace parameter
+// forwards the producer request's trace across the leader→follower hop
+// (the connection stamp would attribute every chunk to whichever request
+// dialed first).
 func (c *Client) replicateMF(trace uint64, epoch int64, sender string, secs []replSection) ([]int64, error) {
-	if !c.batch {
-		return nil, errors.New("broker: peer does not support batched replicate")
-	}
-	if !c.v2 {
-		trace = 0
-	}
 	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
 		encodeReplicateMFReq(fb, corr, trace, epoch, sender, secs)
 	})
@@ -723,34 +539,11 @@ func (c *Client) replicateMF(trace uint64, epoch int64, sender string, secs []re
 }
 
 // replicaHWM reads a member's known committed watermark for a
-// partition, leadership-independent. Frames-capable peers answer the
-// compact binary op; older peers the JSON control dialect.
+// partition, leadership-independent.
 func (c *Client) replicaHWM(sender, topic string, partition int) (int64, error) {
-	if c.frames {
-		fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-			encodeRHWMReq(fb, corr, c.traceFor(), sender, topic, partition)
-		})
-		if err != nil {
-			return 0, err
-		}
-		defer putFrame(fb)
-		cur, err := decodeRespHeader(fb)
-		if err != nil {
-			return 0, err
-		}
-		hwm := int64(cur.u64())
-		if cur.err != nil {
-			return 0, cur.err
-		}
-		return hwm, nil
-	}
-	resp, err := c.controlRoundTrip(&wireRequest{
-		Op: opRHWM, Node: sender, Topic: topic, Partition: partition,
+	return c.callWatermark(func(fb *frameBuf, corr uint64) {
+		encodeRHWMReq(fb, corr, c.trace.Load(), sender, topic, partition)
 	})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Offset, nil
 }
 
 // commitRep replicates a consumer-group commit from a partition leader
@@ -768,104 +561,22 @@ func (c *Client) commitRep(epoch int64, sender, group, topic string, partition i
 // disables deduplication). Against a cluster member this must reach the
 // partition leader; non-leaders answer with a NotLeader redirect.
 func (c *Client) ProducePartition(topicName string, partition int, pid, seq uint64, recs []Record) (int, error) {
-	if !c.binary {
-		resp, err := c.roundTrip(&wireRequest{
-			Op: opProducePart, Topic: topicName, Partition: partition,
-			PID: pid, Seq: seq, Records: recs,
-		})
-		if err != nil {
-			return 0, err
-		}
-		return resp.N, nil
-	}
 	if err := checkTopic(topicName); err != nil {
 		return 0, err
 	}
-	enc := encodeProducePartReq
-	if c.frames {
-		enc = encodeProducePartFramesReq
-	}
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		enc(fb, corr, c.traceFor(), topicName, partition, pid, seq, recs)
+	return c.callCount(func(fb *frameBuf, corr uint64) {
+		encodeProducePartFramesReq(fb, corr, c.trace.Load(), topicName, partition, pid, seq, recs)
 	})
-	if err != nil {
-		return 0, err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return 0, err
-	}
-	n := int(cur.u32())
-	if cur.err != nil {
-		return 0, cur.err
-	}
-	return n, nil
 }
 
 // producePartitionFrames forwards an already-validated frame chunk to a
 // partition leader — the node→node hop of a routed produce, shipping
-// the producer's bytes verbatim. Falls back to the record encoding
-// against a peer that has not negotiated the frame ops.
+// the producer's bytes verbatim.
 func (c *Client) producePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (int, error) {
-	if !c.frames {
-		return c.ProducePartition(topicName, partition, pid, seq, framesToRecords(frames, count, topicName, partition, 0))
-	}
 	if err := checkTopic(topicName); err != nil {
 		return 0, err
 	}
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		encodeProducePartFwdReq(fb, corr, c.traceFor(), topicName, partition, pid, seq, frames, count)
+	return c.callCount(func(fb *frameBuf, corr uint64) {
+		encodeProducePartFwdReq(fb, corr, c.trace.Load(), topicName, partition, pid, seq, frames, count)
 	})
-	if err != nil {
-		return 0, err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return 0, err
-	}
-	n := int(cur.u32())
-	if cur.err != nil {
-		return 0, cur.err
-	}
-	return n, nil
-}
-
-// replicate streams one leader-appended chunk to a follower as the
-// verbatim frame bytes the leader holds, returning the follower's
-// resulting high watermark. Cluster peers always speak the binary
-// codec; against a peer that has not negotiated the frame ops the chunk
-// is decoded once and sent in the record encoding. The explicit trace
-// parameter forwards the producer request's trace across the
-// leader→follower hop (the connection stamp would attribute every chunk
-// to whichever request dialed first).
-func (c *Client) replicate(trace uint64, epoch int64, sender, topic string, partition int, base, committed int64, metas []batchMeta, frames []byte, count int) (int64, error) {
-	if !c.binary {
-		return 0, errors.New("broker: replicate requires the binary codec")
-	}
-	if !c.v2 {
-		trace = 0
-	}
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		if c.frames {
-			encodeReplicateFramesReq(fb, corr, trace, epoch, sender, topic, partition, base, committed, metas, frames, count)
-		} else {
-			recs := framesToRecords(frames, count, topic, partition, base)
-			encodeReplicateReq(fb, corr, trace, epoch, sender, topic, partition, base, committed, metas, recs)
-		}
-	})
-	if err != nil {
-		return 0, err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return 0, err
-	}
-	hwm := int64(cur.u64())
-	if cur.err != nil {
-		return 0, cur.err
-	}
-	return hwm, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"streamapprox/internal/broker/storage"
 )
 
 // ---- in-process cluster harness ----
@@ -62,6 +64,9 @@ func startCluster(t *testing.T, n int, tune func(*NodeConfig)) *testCluster {
 		node.Start()
 	}
 	t.Cleanup(tc.stopAll)
+	// A joining member defers leadership and refuses replication; tests
+	// that address a leader directly (no routing retry) need it settled.
+	waitNotJoining(t, tc)
 	return tc
 }
 
@@ -541,7 +546,7 @@ func TestBackfillCarriesOtherProducersDedup(t *testing.T) {
 	// Producer A's batch lands in the LEADER's log + journal only — as
 	// if the push to the follower failed transiently mid-produce.
 	batchA := keylessRecs(0, 10)
-	if _, err := tc.brokers[li].producePartition("t", 0, batchA); err != nil {
+	if _, err := tc.brokers[li].producePartitionFrames("t", 0, storage.AppendRecordFrames(nil, batchA), len(batchA)); err != nil {
 		t.Fatal(err)
 	}
 	tc.nodes[li].noteBatch(tpKey("t", 0), batchMeta{pid: 11, seq: 1, base: 0, end: 10})

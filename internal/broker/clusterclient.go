@@ -94,8 +94,7 @@ func laneKey(addr string, lane int) string {
 }
 
 // SetTraceID stamps a trace ID on every current and future member
-// connection, so all wire requests this routing client issues carry it
-// (on peers that negotiated the v2 header).
+// connection, so all wire requests this routing client issues carry it.
 func (cc *ClusterClient) SetTraceID(id uint64) {
 	cc.mu.Lock()
 	cc.trace = id

@@ -1,28 +1,27 @@
 package broker
 
-// Binary wire codec (version 1) for the broker's hot data-plane ops.
+// The wire codec. Every message is a TCP frame "4-byte big-endian length
+// + payload"; the payload is a compact binary message carrying a
+// correlation ID, so many requests can be in flight on one connection
+// (see client.go). Record batches travel as chunks of CRC frames in the
+// storage engine's segment layout (storage/frames.go): a chunk is
+// validated once — structure + CRC — where it enters the process, then
+// appended to the log, forwarded leader→follower, and served back to
+// consumers verbatim; no hop re-encodes a record. The rare control ops
+// (create/parts/commit/committed/meta/ping/commitrep/hello) ride through
+// as JSON documents wrapped in the same binary envelope, so one version
+// byte governs the whole dialect.
 //
-// The TCP framing stays "4-byte big-endian length + payload", but the
-// payload's first byte now selects the codec: '{' (a JSON document) is
-// the legacy lockstep protocol, binVersion introduces a compact binary
-// message. Binary messages carry a correlation ID so many requests can
-// be in flight on one connection (see client.go); the hot ops
-// (produce/fetch/hwm) encode records as fixed fields — length-prefixed
-// key, float64 value bits, int64 unix-nano time — while the rare
-// control ops (create/parts/commit/committed) ride through as JSON
-// documents wrapped in a binary envelope, so only one wire dialect
-// needs versioning.
+//	request  = [1]version [1]op [8]corrID [8]traceID  op-specific-body
+//	response = [1]version [1]op [8]corrID [1]status   body
+//	chunk    = [4]count frame*          frame = storage/frames.go layout
 //
-//	request  = [1]version [1]op [8]corrID  op-specific-body
-//	response = [1]version [1]op [8]corrID [1]status  body
-//	record   = [4]keyLen key [8]float64-bits(value) [8]unixNanos(time)
-//
-// status 0 is success; any other status means the body is an error
-// message. The zero time.Time is encoded as the math.MinInt64 sentinel
-// (its UnixNano is undefined); NaN and ±Inf values round-trip exactly
-// via their bit patterns, which the JSON codec cannot represent at all.
-// Times outside the int64 unix-nano range (years ≲1678 or ≳2262) are
-// not representable; stream timestamps are always inside it.
+// traceID 0 means untraced. status 0 is success; any other status means
+// the body is an error message. The zero time.Time is encoded as the
+// math.MinInt64 sentinel (its UnixNano is undefined); NaN and ±Inf
+// values round-trip exactly via their bit patterns. Times outside the
+// int64 unix-nano range (years ≲1678 or ≳2262) are not representable;
+// stream timestamps are always inside it.
 
 import (
 	"encoding/binary"
@@ -38,78 +37,37 @@ import (
 	"streamapprox/internal/stream"
 )
 
-// binVersion is the codec version byte opening every binary frame. It
-// must never collide with '{' (0x7B), the first byte of a JSON frame.
-const binVersion byte = 0x01
+// wireVersion opens every frame in both directions and is what the hello
+// op answers; a client refuses a peer answering anything else. It never
+// equals a version byte or hello level of the retired dialects (1–4), nor
+// '{' (0x7B), the first byte of a retired JSON lockstep frame, so the
+// server's version check rejects all of them.
+const wireVersion byte = 5
 
-// binVersion2 extends the request header with an 8-byte trace ID after
-// the correlation ID — the wire leg of cross-process request tracing.
-// A client only sends v2 frames to a peer whose hello answered with
-// version >= 2, and only for requests that actually carry a non-zero
-// trace, so old peers never see a header they cannot parse. Responses
-// stay v1: the client correlates them by ID and already knows the
-// trace it stamped on the request.
-const binVersion2 byte = 0x02
-
-// Binary op codes.
+// Op codes. 1, 2, 5, 6 and 9 belonged to the retired record-dialect and
+// per-partition replicate ops and stay unassigned: the decoder rejects
+// them like any unknown op.
 const (
-	binOpProduce byte = 1
-	binOpFetch   byte = 2
-	binOpHWM     byte = 3
-	binOpJSON    byte = 4 // JSON control request wrapped in a binary envelope
-	// binOpProducePart appends to one explicit partition: the cluster
-	// routing client partitions on its side and sends each batch to the
-	// partition leader, carrying a producer id + sequence number so a
-	// retried batch after a leader failover is deduplicated.
-	binOpProducePart byte = 5
-	// binOpReplicate is the leader→follower hot op: an appended chunk
-	// streamed at an explicit base offset, answered with the follower's
-	// resulting high watermark (short answers drive backfill).
-	binOpReplicate byte = 6
-
-	// Raw-frame ("F") ops: the record batch travels as a chunk of CRC
-	// frames in the storage engine's segment layout (storage/frames.go)
-	// instead of the bare record encoding above. The chunk is validated
-	// once — structure + CRC — where it enters the process, then
-	// appended to the log, forwarded leader→follower, and served back to
-	// consumers verbatim; no hop re-encodes a record. Clients use them
-	// against peers whose hello answered version >= helloFrames and fall
-	// back to the record ops otherwise.
+	binOpHWM          byte = 3
+	binOpJSON         byte = 4  // JSON control request wrapped in the binary envelope
 	binOpProduceF     byte = 7  // produce, key-routed frame chunk
 	binOpProducePartF byte = 8  // partitioned produce with pid/seq dedup
-	binOpReplicateF   byte = 9  // leader→follower verbatim chunk
 	binOpFetchF       byte = 10 // fetch answered as a frame chunk
 	binOpRFetchF      byte = 11 // replica catch-up fetch, frame chunk
-	binOpRHWMB        byte = 12 // replica high watermark (binary form)
+	binOpRHWMB        byte = 12 // replica high watermark
 
-	// binOpReplicateMF is the group-commit replication op: one leader→
-	// follower RPC carrying the pending frame chunks of SEVERAL
-	// partitions as length-prefixed sections (each section the exact
-	// body of a binOpReplicateF — the frames still travel verbatim, the
-	// batch only amortizes the round-trip), answered with one batched
+	// binOpReplicateMF is the leader→follower replication op: one RPC
+	// carrying the pending frame chunks of one or SEVERAL partitions as
+	// length-prefixed sections (group commit — the batch amortizes the
+	// round-trip, the frames still travel verbatim), answered with one
 	// ack of per-section high watermarks.
 	binOpReplicateMF byte = 13
 )
 
-// helloFrames is the feature level advertised by the hello op: 1 =
-// binary codec, 2 = trace-carrying v2 request headers, 3 = raw-frame
-// ops. The request/response header versions stay binVersion/binVersion2
-// — frames change the BODY encoding, not the header.
-const helloFrames = 3
-
-// helloBatch is the feature level adding the multi-partition replicate
-// batch op (binOpReplicateMF): a leader may coalesce pending chunks for
-// every partition it leads to one follower into a single RPC. Peers
-// answering a lower level get per-partition binOpReplicateF instead —
-// same resulting logs, one round-trip per chunk.
-const helloBatch = 4
-
 const (
-	binReqHdrLen        = 10 // version + op + corrID
-	binReqHdrLenV2      = 18 // version + op + corrID + traceID
-	binRespHdrLen       = 11 // version + op + corrID + status
-	binStatusOK    byte = 0
-	binStatusErr   byte = 1
+	binRespHdrLen      = 11 // version + op + corrID + status
+	binStatusOK   byte = 0
+	binStatusErr  byte = 1
 )
 
 // minWireRecord is the smallest encoded record (empty key), used to
@@ -134,8 +92,7 @@ func nanosToTime(n int64) time.Time {
 	if n == zeroTimeNanos {
 		return time.Time{}
 	}
-	// Normalize to UTC: the wire carries an instant, not a zone, and
-	// the JSON codec's RFC3339 "Z" timestamps also decode to UTC.
+	// Normalize to UTC: the wire carries an instant, not a zone.
 	return time.Unix(0, n).UTC()
 }
 
@@ -293,49 +250,10 @@ func (c *wireCursor) remaining() int { return len(c.b) - c.off }
 
 // ---- request encoding (client side) ----
 
-// appendBinReqHeader emits the smallest header that carries the
-// request's metadata: the v1 form when there is no trace to propagate,
-// the v2 form (with the trace ID after the correlation ID) otherwise.
-// Callers guarantee trace is zero when the peer has not negotiated v2.
 func appendBinReqHeader(b []byte, op byte, corr, trace uint64) []byte {
-	if trace == 0 {
-		b = append(b, binVersion, op)
-		return appendU64(b, corr)
-	}
-	b = append(b, binVersion2, op)
+	b = append(b, wireVersion, op)
 	b = appendU64(b, corr)
 	return appendU64(b, trace)
-}
-
-func appendRecord(b []byte, r *Record) []byte {
-	b = appendU32(b, uint32(len(r.Key)))
-	b = append(b, r.Key...)
-	b = appendU64(b, math.Float64bits(r.Value))
-	return appendU64(b, uint64(timeToNanos(r.Time)))
-}
-
-// encodeProduceReq encodes a produce request. Only key/value/time are
-// shipped: the server routes and stamps topic, partition and offset.
-func encodeProduceReq(fb *frameBuf, corr, trace uint64, topic string, recs []Record) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpProduce, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(len(recs)))
-	for i := range recs {
-		fb.b = appendRecord(fb.b, &recs[i])
-	}
-}
-
-func encodeFetchReq(fb *frameBuf, corr, trace uint64, topic string, partition int, offset int64, max int) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpFetch, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-	fb.b = appendU64(fb.b, uint64(offset))
-	if max < 0 {
-		max = 0
-	}
-	fb.b = appendU32(fb.b, uint32(max))
 }
 
 func encodeHWMReq(fb *frameBuf, corr, trace uint64, topic string, partition int) {
@@ -352,53 +270,7 @@ func encodeJSONReq(fb *frameBuf, corr, trace uint64, payload []byte) {
 	fb.b = append(fb.b, payload...)
 }
 
-// encodeProducePartReq encodes a partitioned produce: explicit target
-// partition plus the producer id / sequence pair for idempotent retries
-// (pid 0 disables deduplication).
-func encodeProducePartReq(fb *frameBuf, corr, trace uint64, topic string, partition int, pid, seq uint64, recs []Record) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpProducePart, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-	fb.b = appendU64(fb.b, pid)
-	fb.b = appendU64(fb.b, seq)
-	fb.b = appendU32(fb.b, uint32(len(recs)))
-	for i := range recs {
-		fb.b = appendRecord(fb.b, &recs[i])
-	}
-}
-
-// encodeReplicateReq encodes one leader→follower replicated chunk. The
-// sender id and epoch fence stale leaders; base is the exact offset the
-// chunk starts at in the leader's log; committed is the leader's
-// committed watermark (the follower persists it as its restart
-// truncation point); metas are the producer-batch journal entries
-// covering the chunk's range, so the follower can adopt dedup state
-// for every producer whose records it receives.
-func encodeReplicateReq(fb *frameBuf, corr, trace uint64, epoch int64, sender, topic string, partition int, base, committed int64, metas []batchMeta, recs []Record) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpReplicate, corr, trace)
-	fb.b = appendU64(fb.b, uint64(epoch))
-	fb.b = appendU16(fb.b, uint16(len(sender)))
-	fb.b = append(fb.b, sender...)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-	fb.b = appendU64(fb.b, uint64(base))
-	fb.b = appendU64(fb.b, uint64(committed))
-	fb.b = appendU32(fb.b, uint32(len(metas)))
-	for _, bm := range metas {
-		fb.b = appendU64(fb.b, bm.pid)
-		fb.b = appendU64(fb.b, bm.seq)
-		fb.b = appendU64(fb.b, uint64(bm.base))
-		fb.b = appendU64(fb.b, uint64(bm.end))
-	}
-	fb.b = appendU32(fb.b, uint32(len(recs)))
-	for i := range recs {
-		fb.b = appendRecord(fb.b, &recs[i])
-	}
-}
-
-// ---- raw-frame request encoding (client side) ----
+// ---- frame-chunk request encoding (client side) ----
 
 // appendFrameChunk emits a count-prefixed raw frame chunk verbatim —
 // the forwarding form, used when the sender already holds validated
@@ -420,7 +292,8 @@ func appendRecFrameChunk(b []byte, recs []Record) []byte {
 	return b
 }
 
-// encodeProduceFramesReq is encodeProduceReq in the raw-frame dialect.
+// encodeProduceFramesReq encodes a key-routed produce. Only key/value/time
+// are shipped: the server routes and assigns partition and offset.
 func encodeProduceFramesReq(fb *frameBuf, corr, trace uint64, topic string, recs []Record) {
 	fb.b = appendBinReqHeader(fb.b[:0], binOpProduceF, corr, trace)
 	fb.b = appendU16(fb.b, uint16(len(topic)))
@@ -428,8 +301,9 @@ func encodeProduceFramesReq(fb *frameBuf, corr, trace uint64, topic string, recs
 	fb.b = appendRecFrameChunk(fb.b, recs)
 }
 
-// encodeProducePartFramesReq is encodeProducePartReq in the raw-frame
-// dialect.
+// encodeProducePartFramesReq encodes a partitioned produce: explicit
+// target partition plus the producer id / sequence pair for idempotent
+// retries (pid 0 disables deduplication).
 func encodeProducePartFramesReq(fb *frameBuf, corr, trace uint64, topic string, partition int, pid, seq uint64, recs []Record) {
 	fb.b = appendBinReqHeader(fb.b[:0], binOpProducePartF, corr, trace)
 	fb.b = appendU16(fb.b, uint16(len(topic)))
@@ -452,34 +326,14 @@ func encodeProducePartFwdReq(fb *frameBuf, corr, trace uint64, topic string, par
 	fb.b = appendFrameChunk(fb.b, frames, count)
 }
 
-// encodeReplicateFramesReq is encodeReplicateReq with the chunk shipped
-// as the verbatim frames the leader appended — the tentpole hop: what
-// the producer encoded is what the follower's disk receives.
-func encodeReplicateFramesReq(fb *frameBuf, corr, trace uint64, epoch int64, sender, topic string, partition int, base, committed int64, metas []batchMeta, frames []byte, count int) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpReplicateF, corr, trace)
-	fb.b = appendU64(fb.b, uint64(epoch))
-	fb.b = appendU16(fb.b, uint16(len(sender)))
-	fb.b = append(fb.b, sender...)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-	fb.b = appendU64(fb.b, uint64(base))
-	fb.b = appendU64(fb.b, uint64(committed))
-	fb.b = appendU32(fb.b, uint32(len(metas)))
-	for _, bm := range metas {
-		fb.b = appendU64(fb.b, bm.pid)
-		fb.b = appendU64(fb.b, bm.seq)
-		fb.b = appendU64(fb.b, uint64(bm.base))
-		fb.b = appendU64(fb.b, uint64(bm.end))
-	}
-	fb.b = appendFrameChunk(fb.b, frames, count)
-}
-
 // replSection is one partition's contiguous frame chunk inside a
-// multi-partition replicate batch (binOpReplicateMF): the same fields a
-// per-partition replicate carries, minus epoch and sender, which are
-// hoisted to the batch header — one fencing decision covers the whole
-// batch.
+// replicate batch (binOpReplicateMF). base is the exact offset the chunk
+// starts at in the leader's log; committed is the leader's committed
+// watermark (the follower persists it as its restart truncation point);
+// metas are the producer-batch journal entries covering the chunk's
+// range, so the follower can adopt dedup state for every producer whose
+// records it receives. The sender id and epoch that fence stale leaders
+// sit in the batch header — one fencing decision covers the whole batch.
 type replSection struct {
 	topic     string
 	partition int
@@ -490,10 +344,9 @@ type replSection struct {
 	count     int
 }
 
-// encodeReplicateMFReq encodes a coalesced multi-partition replicate:
-// epoch + sender once, then each section with an explicit frame byte
-// length (sections are concatenated, so unlike a lone replicate the
-// chunk cannot simply run to the payload's end).
+// encodeReplicateMFReq encodes a replicate batch: epoch + sender once,
+// then each section with an explicit frame byte length (sections are
+// concatenated, so a chunk cannot simply run to the payload's end).
 func encodeReplicateMFReq(fb *frameBuf, corr, trace uint64, epoch int64, sender string, secs []replSection) {
 	fb.b = appendBinReqHeader(fb.b[:0], binOpReplicateMF, corr, trace)
 	fb.b = appendU64(fb.b, uint64(epoch))
@@ -533,9 +386,9 @@ func encodeFetchFramesReq(fb *frameBuf, corr, trace uint64, topic string, partit
 	fb.b = appendU32(fb.b, uint32(max))
 }
 
-// encodeRFetchReq is the binary form of the "rfetch" replica catch-up
-// op: like a fetch but carrying the requesting replica's id (clamping
-// is by replica rules, not consumer rules) and answered as frames.
+// encodeRFetchReq asks for a replica catch-up fetch: like a fetch but
+// carrying the requesting replica's id (clamping is by replica rules,
+// not consumer rules).
 func encodeRFetchReq(fb *frameBuf, corr, trace uint64, sender, topic string, partition int, offset int64, max int) {
 	fb.b = appendBinReqHeader(fb.b[:0], binOpRFetchF, corr, trace)
 	fb.b = appendU16(fb.b, uint16(len(sender)))
@@ -550,7 +403,7 @@ func encodeRFetchReq(fb *frameBuf, corr, trace uint64, sender, topic string, par
 	fb.b = appendU32(fb.b, uint32(max))
 }
 
-// encodeRHWMReq is the binary form of the "rhwm" replica watermark op.
+// encodeRHWMReq asks a member for its committed watermark of a partition.
 func encodeRHWMReq(fb *frameBuf, corr, trace uint64, sender, topic string, partition int) {
 	fb.b = appendBinReqHeader(fb.b[:0], binOpRHWMB, corr, trace)
 	fb.b = appendU16(fb.b, uint16(len(sender)))
@@ -565,90 +418,45 @@ func encodeRHWMReq(fb *frameBuf, corr, trace uint64, sender, topic string, parti
 type binRequest struct {
 	op        byte
 	corr      uint64
-	trace     uint64 // request trace ID (0 = untraced / v1 frame)
+	trace     uint64 // request trace ID (0 = untraced)
 	topic     string
 	partition int
 	offset    int64
 	max       int
-	recs      []Record
 	jsonBody  []byte
 
-	// Raw-frame ops: the validated chunk (a view into the request
-	// buffer, valid until the next read on the connection) and its
-	// frame count. Whatever reaches a handler here has passed
-	// ValidateFrames — structure and CRC — so it is safe to append and
-	// forward verbatim.
+	// Produce ops: the validated chunk (a view into the request buffer,
+	// valid until the next read on the connection) and its frame count.
+	// Whatever reaches a handler here has passed ValidateFrames —
+	// structure and CRC — so it is safe to append and forward verbatim.
 	frames []byte
 	count  int
 
-	// Cluster fields (producePart / replicate).
-	pid       uint64
-	seq       uint64
-	epoch     int64
-	sender    string
-	base      int64
-	committed int64
-	metas     []batchMeta
+	// Cluster fields (producePart / replicate / replica reads).
+	pid    uint64
+	seq    uint64
+	epoch  int64
+	sender string
 
-	// Multi-partition replicate batch (binOpReplicateMF): each
-	// section's frames are a view into the request buffer and have
-	// passed ValidateFrames, like the single-partition frames field.
+	// Replicate batch (binOpReplicateMF): each section's frames are a
+	// view into the request buffer and have passed ValidateFrames, like
+	// the frames field.
 	sections []replSection
 }
 
 func decodeBinRequest(payload []byte) (binRequest, error) {
 	cur := &wireCursor{b: payload}
 	var req binRequest
-	ver := cur.u8()
-	if ver != binVersion && ver != binVersion2 {
-		return req, errors.New("broker: bad binary version")
+	if ver := cur.u8(); cur.err != nil || ver != wireVersion {
+		return req, fmt.Errorf("broker: unsupported wire version %d (want %d)", ver, wireVersion)
 	}
 	req.op = cur.u8()
 	req.corr = cur.u64()
-	if ver == binVersion2 {
-		req.trace = cur.u64()
-	}
+	req.trace = cur.u64()
 	switch req.op {
-	case binOpProduce:
-		req.topic = cur.str(int(cur.u16()))
-		req.recs = decodeRecordBatch(cur)
-	case binOpFetch:
-		req.topic = cur.str(int(cur.u16()))
-		req.partition = int(int32(cur.u32()))
-		req.offset = int64(cur.u64())
-		req.max = int(cur.u32())
 	case binOpHWM:
 		req.topic = cur.str(int(cur.u16()))
 		req.partition = int(int32(cur.u32()))
-	case binOpProducePart:
-		req.topic = cur.str(int(cur.u16()))
-		req.partition = int(int32(cur.u32()))
-		req.pid = cur.u64()
-		req.seq = cur.u64()
-		req.recs = decodeRecordBatch(cur)
-	case binOpReplicate:
-		req.epoch = int64(cur.u64())
-		req.sender = cur.str(int(cur.u16()))
-		req.topic = cur.str(int(cur.u16()))
-		req.partition = int(int32(cur.u32()))
-		req.base = int64(cur.u64())
-		req.committed = int64(cur.u64())
-		nmetas := int(cur.u32())
-		if cur.err == nil && nmetas*32 > cur.remaining() {
-			return req, errTruncatedFrame
-		}
-		if cur.err == nil && nmetas > 0 {
-			req.metas = make([]batchMeta, nmetas)
-			for i := range req.metas {
-				req.metas[i] = batchMeta{
-					pid:  cur.u64(),
-					seq:  cur.u64(),
-					base: int64(cur.u64()),
-					end:  int64(cur.u64()),
-				}
-			}
-		}
-		req.recs = decodeRecordBatch(cur)
 	case binOpJSON:
 		req.jsonBody = cur.rest()
 	case binOpProduceF:
@@ -659,29 +467,6 @@ func decodeBinRequest(payload []byte) (binRequest, error) {
 		req.partition = int(int32(cur.u32()))
 		req.pid = cur.u64()
 		req.seq = cur.u64()
-		req.count, req.frames = decodeFrameChunk(cur)
-	case binOpReplicateF:
-		req.epoch = int64(cur.u64())
-		req.sender = cur.str(int(cur.u16()))
-		req.topic = cur.str(int(cur.u16()))
-		req.partition = int(int32(cur.u32()))
-		req.base = int64(cur.u64())
-		req.committed = int64(cur.u64())
-		nmetas := int(cur.u32())
-		if cur.err == nil && nmetas*32 > cur.remaining() {
-			return req, errTruncatedFrame
-		}
-		if cur.err == nil && nmetas > 0 {
-			req.metas = make([]batchMeta, nmetas)
-			for i := range req.metas {
-				req.metas[i] = batchMeta{
-					pid:  cur.u64(),
-					seq:  cur.u64(),
-					base: int64(cur.u64()),
-					end:  int64(cur.u64()),
-				}
-			}
-		}
 		req.count, req.frames = decodeFrameChunk(cur)
 	case binOpReplicateMF:
 		req.epoch = int64(cur.u64())
@@ -787,10 +572,8 @@ func decodeFrameChunk(cur *wireCursor) (int, []byte) {
 }
 
 // framesToRecords decodes a validated frame chunk of count records —
-// the consumer end of a frames fetch, and the compatibility bridge used
-// when a peer has not negotiated the frame ops and must be sent the
-// record encoding instead. Repeated keys are interned so a hot key
-// costs one allocation per chunk.
+// the consumer end of a record-form fetch. Repeated keys are interned so
+// a hot key costs one allocation per chunk.
 func framesToRecords(frames []byte, count int, topic string, partition int, base int64) []Record {
 	recs := make([]Record, 0, count)
 	var intern map[string]string
@@ -839,46 +622,10 @@ func framesToBatch(frames []byte, base int64, b *stream.EventBatch) int {
 	return n
 }
 
-// decodeRecordBatch decodes a count-prefixed record batch, leaving the
-// cursor's error set on truncation.
-func decodeRecordBatch(cur *wireCursor) []Record {
-	count := int(cur.u32())
-	if cur.err != nil {
-		return nil
-	}
-	if count*minWireRecord > cur.remaining() {
-		cur.err = errTruncatedFrame
-		return nil
-	}
-	recs := make([]Record, count)
-	intern := make(map[string]string, 8)
-	for i := range recs {
-		decodeRecordInto(cur, &recs[i], intern)
-	}
-	return recs
-}
-
-// decodeRecordInto decodes one record, interning its key through the
-// per-batch map: stream keys are stratum ids drawn from a small set, so
-// a batch of thousands of records costs a handful of string
-// allocations instead of one each.
-func decodeRecordInto(cur *wireCursor, r *Record, intern map[string]string) {
-	kb := cur.bytes(int(cur.u32()))
-	if s, ok := intern[string(kb)]; ok { // no alloc: compiler-optimized map lookup
-		r.Key = s
-	} else {
-		s = string(kb)
-		intern[s] = s
-		r.Key = s
-	}
-	r.Value = math.Float64frombits(cur.u64())
-	r.Time = nanosToTime(int64(cur.u64()))
-}
-
 // ---- response encoding (server side) ----
 
 func appendBinRespHeader(b []byte, op byte, corr uint64, status byte) []byte {
-	b = append(b, binVersion, op)
+	b = append(b, wireVersion, op)
 	b = appendU64(b, corr)
 	return append(b, status)
 }
@@ -888,58 +635,24 @@ func encodeErrResp(fb *frameBuf, op byte, corr uint64, msg string) {
 	fb.b = append(fb.b, msg...)
 }
 
-func encodeProduceResp(fb *frameBuf, corr uint64, n int) {
-	fb.b = appendBinRespHeader(fb.b[:0], binOpProduce, corr, binStatusOK)
-	fb.b = appendU32(fb.b, uint32(n))
-}
-
-func encodeProducePartResp(fb *frameBuf, corr uint64, n int) {
-	fb.b = appendBinRespHeader(fb.b[:0], binOpProducePart, corr, binStatusOK)
-	fb.b = appendU32(fb.b, uint32(n))
-}
-
-// encodeReplicateResp carries the follower's high watermark after
-// applying (or skipping) the chunk; a watermark short of the chunk's
-// base tells the leader to backfill from there.
-func encodeReplicateResp(fb *frameBuf, corr uint64, hwm int64) {
-	fb.b = appendBinRespHeader(fb.b[:0], binOpReplicate, corr, binStatusOK)
-	fb.b = appendU64(fb.b, uint64(hwm))
-}
-
-// encodeFetchResp encodes the fetched records. Offsets in a fetch are
-// consecutive from the request offset, so only the base is shipped and
-// the client reconstructs topic/partition/offset per record.
-func encodeFetchResp(fb *frameBuf, corr uint64, base int64, recs []Record) {
-	fb.b = appendBinRespHeader(fb.b[:0], binOpFetch, corr, binStatusOK)
-	fb.b = appendU64(fb.b, uint64(base))
-	fb.b = appendU32(fb.b, uint32(len(recs)))
-	for i := range recs {
-		fb.b = appendRecord(fb.b, &recs[i])
-	}
-}
-
-func encodeHWMResp(fb *frameBuf, corr uint64, hwm int64) {
-	fb.b = appendBinRespHeader(fb.b[:0], binOpHWM, corr, binStatusOK)
-	fb.b = appendU64(fb.b, uint64(hwm))
-}
-
 // encodeCountResp answers any produce-family op with the record count.
 func encodeCountResp(fb *frameBuf, op byte, corr uint64, n int) {
 	fb.b = appendBinRespHeader(fb.b[:0], op, corr, binStatusOK)
 	fb.b = appendU32(fb.b, uint32(n))
 }
 
-// encodeWatermarkResp answers any watermark-carrying op (replicateF,
-// rhwm) with an int64 watermark.
+// encodeWatermarkResp answers any watermark-carrying op (hwm, rhwm) with
+// an int64 watermark.
 func encodeWatermarkResp(fb *frameBuf, op byte, corr uint64, hwm int64) {
 	fb.b = appendBinRespHeader(fb.b[:0], op, corr, binStatusOK)
 	fb.b = appendU64(fb.b, uint64(hwm))
 }
 
-// encodeReplicateMFResp answers a multi-partition replicate batch with
-// the follower's resulting high watermark per section, in request order
-// — the single batched ack whose arrival wakes every producer parked on
-// the round (group commit).
+// encodeReplicateMFResp answers a replicate batch with the follower's
+// resulting high watermark per section, in request order — the single
+// batched ack whose arrival wakes every producer parked on the round
+// (group commit). A watermark short of a section's end tells the leader
+// to backfill from there.
 func encodeReplicateMFResp(fb *frameBuf, corr uint64, hwms []int64) {
 	fb.b = appendBinRespHeader(fb.b[:0], binOpReplicateMF, corr, binStatusOK)
 	fb.b = appendU32(fb.b, uint32(len(hwms)))
@@ -999,7 +712,7 @@ func isRemoteErr(err error) bool {
 // cursor positioned at the body. A non-OK status is surfaced as the
 // remote error carried in the body.
 func decodeRespHeader(fb *frameBuf) (*wireCursor, error) {
-	if len(fb.b) < binRespHdrLen || fb.b[0] != binVersion {
+	if len(fb.b) < binRespHdrLen || fb.b[0] != wireVersion {
 		return nil, errors.New("broker: malformed binary response")
 	}
 	cur := &wireCursor{b: fb.b, off: binRespHdrLen}
@@ -1009,60 +722,34 @@ func decodeRespHeader(fb *frameBuf) (*wireCursor, error) {
 	return cur, nil
 }
 
-// corrIDOf extracts the correlation ID from an encoded binary frame of
-// either codec version (the ID sits at the same offset in both).
+// corrIDOf extracts the correlation ID from an encoded frame (request
+// and response headers carry it at the same offset).
 func corrIDOf(payload []byte) (uint64, bool) {
-	if len(payload) < binReqHdrLen || (payload[0] != binVersion && payload[0] != binVersion2) {
+	if len(payload) < binRespHdrLen || payload[0] != wireVersion {
 		return 0, false
 	}
 	return binary.BigEndian.Uint64(payload[2:10]), true
 }
 
-func decodeFetchResp(cur *wireCursor, topic string, partition int) ([]Record, error) {
-	base := int64(cur.u64())
-	count := int(cur.u32())
-	if cur.err == nil && count*minWireRecord > cur.remaining() {
-		return nil, errTruncatedFrame
-	}
+// decodeFramesResp decodes a frame-chunk fetch response, re-verifying
+// every frame's CRC — the consumer end of the end-to-end integrity
+// story: the CRC computed by the producing client is checked against the
+// bytes that came off the leader's storage, so corruption at ANY hop (or
+// on disk) surfaces as an error here rather than as silently wrong
+// values. The returned frames are a view into the response buffer.
+func decodeFramesResp(cur *wireCursor) (base int64, count int, frames []byte, err error) {
+	base = int64(cur.u64())
+	count = int(cur.u32())
 	if cur.err != nil {
-		return nil, cur.err
+		return 0, 0, nil, cur.err
 	}
-	if count == 0 {
-		return nil, nil
-	}
-	recs := make([]Record, count)
-	intern := make(map[string]string, 8)
-	for i := range recs {
-		decodeRecordInto(cur, &recs[i], intern)
-		recs[i].Topic = topic
-		recs[i].Partition = partition
-		recs[i].Offset = base + int64(i)
-	}
-	return recs, cur.err
-}
-
-// decodeFetchFramesResp decodes a raw-frame fetch response into
-// records, re-verifying every frame's CRC — the consumer end of the
-// end-to-end integrity story: the CRC computed by the producing client
-// is checked against the bytes that came off the leader's storage, so
-// corruption at ANY hop (or on disk) surfaces as an error here rather
-// than as silently wrong values.
-func decodeFetchFramesResp(cur *wireCursor, topic string, partition int) ([]Record, error) {
-	base := int64(cur.u64())
-	count := int(cur.u32())
-	if cur.err != nil {
-		return nil, cur.err
-	}
-	frames := cur.rest()
+	frames = cur.rest()
 	n, err := storage.ValidateFrames(frames)
 	if err != nil {
-		return nil, err
+		return 0, 0, nil, err
 	}
 	if n != count {
-		return nil, errTruncatedFrame
+		return 0, 0, nil, errTruncatedFrame
 	}
-	if count == 0 {
-		return nil, nil
-	}
-	return framesToRecords(frames, count, topic, partition, base), nil
+	return base, count, frames, nil
 }

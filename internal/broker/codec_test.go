@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/xrand"
 )
 
@@ -16,15 +17,15 @@ func encodeDecodeProduce(t *testing.T, topic string, in []Record) []Record {
 	t.Helper()
 	fb := getFrame()
 	defer putFrame(fb)
-	encodeProduceReq(fb, 42, 0, topic, in)
+	encodeProduceFramesReq(fb, 42, 0, topic, in)
 	req, err := decodeBinRequest(fb.b)
 	if err != nil {
 		t.Fatalf("decode produce: %v", err)
 	}
-	if req.op != binOpProduce || req.corr != 42 || req.topic != topic {
-		t.Fatalf("decoded header (op=%d corr=%d topic=%q)", req.op, req.corr, req.topic)
+	if req.op != binOpProduceF || req.corr != 42 || req.topic != topic || req.count != len(in) {
+		t.Fatalf("decoded header (op=%d corr=%d topic=%q count=%d)", req.op, req.corr, req.topic, req.count)
 	}
-	return req.recs
+	return framesToRecords(req.frames, req.count, topic, 0, 0)
 }
 
 // sameRecord compares the wire-carried fields, treating NaN as equal to
@@ -110,35 +111,29 @@ func FuzzBinaryRecordCodec(f *testing.F) {
 		in := Record{Key: key, Value: value, Time: when}
 
 		// produce path
-		fb := getFrame()
-		encodeProduceReq(fb, 7, 0, "fuzz", []Record{in})
-		req, err := decodeBinRequest(fb.b)
-		putFrame(fb)
-		if err != nil {
-			t.Fatalf("produce decode: %v", err)
-		}
-		if len(req.recs) != 1 || !sameRecord(in, req.recs[0]) {
-			t.Fatalf("produce round trip: %+v -> %+v", in, req.recs)
+		if got := encodeDecodeProduce(t, "fuzz", []Record{in}); len(got) != 1 || !sameRecord(in, got[0]) {
+			t.Fatalf("produce round trip: %+v -> %+v", in, got)
 		}
 
-		// fetch path (offsets stamped server-side)
-		stamped := in
-		stamped.Topic, stamped.Partition, stamped.Offset = "fuzz", 3, 17
-		fb = getFrame()
-		encodeFetchResp(fb, 7, 17, []Record{stamped})
+		// fetch path (topic, partition and offsets stamped client-side
+		// from the request and the response's base)
+		fb := getFrame()
+		defer putFrame(fb)
+		at := beginFetchFramesResp(fb, binOpFetchF, 7, 17)
+		fb.b = storage.AppendFrame(fb.b, &in)
+		patchFrameCount(fb, at, 1)
 		cur, err := decodeRespHeader(fb)
 		if err != nil {
-			putFrame(fb)
 			t.Fatalf("fetch header: %v", err)
 		}
-		out, err := decodeFetchResp(cur, "fuzz", 3)
-		putFrame(fb)
+		base, count, frames, err := decodeFramesResp(cur)
 		if err != nil {
 			t.Fatalf("fetch decode: %v", err)
 		}
+		out := framesToRecords(frames, count, "fuzz", 3, base)
 		if len(out) != 1 || !sameRecord(in, out[0]) || out[0].Offset != 17 ||
 			out[0].Topic != "fuzz" || out[0].Partition != 3 {
-			t.Fatalf("fetch round trip: %+v -> %+v", stamped, out)
+			t.Fatalf("fetch round trip: %+v -> %+v", in, out)
 		}
 	})
 }
@@ -148,66 +143,25 @@ func FuzzBinaryRecordCodec(f *testing.F) {
 // over-read.
 func FuzzBinaryRequestDecode(f *testing.F) {
 	fb := getFrame()
-	encodeProduceReq(fb, 1, 0, "t", recs("k", 3))
+	encodeProduceFramesReq(fb, 1, 0, "t", recs("k", 3))
 	f.Add(append([]byte(nil), fb.b...))
-	encodeFetchReq(fb, 2, 0, "t", 0, 0, 10)
+	encodeFetchFramesReq(fb, 2, 0, "t", 0, 0, 10)
 	f.Add(append([]byte(nil), fb.b...))
 	putFrame(fb)
-	f.Add([]byte{binVersion, binOpProduce})
+	f.Add([]byte{wireVersion, binOpProduceF})
 	f.Add([]byte{})
+	for _, c := range wireGateCases() {
+		f.Add(c.payload)
+	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		_, _ = decodeBinRequest(payload) // must not panic
 	})
 }
 
-// TestBinaryClientFallsBackToJSONOnlyServer proves the mixed-version
-// path: a codec-negotiating client against a pre-codec (JSON-only)
-// server lands on the legacy protocol and every op still works.
-func TestBinaryClientFallsBackToJSONOnlyServer(t *testing.T) {
-	b := New()
-	srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{JSONOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatalf("dial against JSON-only server: %v", err)
-	}
-	defer cli.Close()
-	if cli.binary {
-		t.Fatal("client negotiated binary against a JSON-only server")
-	}
-	exerciseAllOps(t, cli)
-}
-
-// TestJSONClientAgainstBinaryServer proves the other mixed-version
-// direction: a legacy JSON client against a binary-capable server.
-func TestJSONClientAgainstBinaryServer(t *testing.T) {
-	srv, _ := startServer(t)
-	cli, err := DialJSON(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if cli.binary {
-		t.Fatal("DialJSON negotiated binary")
-	}
-	exerciseAllOps(t, cli)
-}
-
 // TestBinaryClientNegotiates sanity-checks that Dial against a current
-// server does pick the binary codec and all ops work over it.
+// server passes the hello version check and all ops work over it.
 func TestBinaryClientNegotiates(t *testing.T) {
-	srv, _ := startServer(t)
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if !cli.binary {
-		t.Fatal("client did not negotiate the binary codec")
-	}
+	_, cli := startServer(t)
 	exerciseAllOps(t, cli)
 }
 
@@ -281,9 +235,6 @@ func TestPipelinedClientConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if !cli.binary {
-		t.Fatal("stress test needs the pipelined client")
-	}
 	const goroutines = 16
 	const rounds = 50
 	var wg sync.WaitGroup
@@ -364,32 +315,25 @@ func TestPipelinedClientServerClose(t *testing.T) {
 	}
 }
 
-func TestCodecV2TraceRoundTrip(t *testing.T) {
-	fb := getFrame()
-	defer putFrame(fb)
-	encodeProduceReq(fb, 99, 0xdeadbeefcafe, "traced", recs("k", 2))
-	if fb.b[0] != binVersion2 {
-		t.Fatalf("version byte = %#x, want v2", fb.b[0])
-	}
-	if got, ok := corrIDOf(fb.b); !ok || got != 99 {
-		t.Fatalf("corrIDOf = %d, %v", got, ok)
-	}
-	req, err := decodeBinRequest(fb.b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if req.trace != 0xdeadbeefcafe {
-		t.Fatalf("trace = %#x, want 0xdeadbeefcafe", req.trace)
-	}
-	if req.corr != 99 || req.topic != "traced" || len(req.recs) != 2 {
-		t.Fatalf("bad decode: %+v", req)
-	}
-
-	// trace == 0 must stay on the v1 header so old peers keep decoding.
-	fb2 := getFrame()
-	defer putFrame(fb2)
-	encodeFetchReq(fb2, 7, 0, "t", 0, 0, 10)
-	if fb2.b[0] != binVersion {
-		t.Fatalf("version byte = %#x, want v1 when trace is zero", fb2.b[0])
+// TestCodecTraceRoundTrip pins the one request header: the trace ID
+// always rides after the correlation ID, zero meaning untraced.
+func TestCodecTraceRoundTrip(t *testing.T) {
+	for _, trace := range []uint64{0xdeadbeefcafe, 0} {
+		fb := getFrame()
+		encodeProduceFramesReq(fb, 99, trace, "traced", recs("k", 2))
+		if fb.b[0] != wireVersion {
+			t.Fatalf("version byte = %#x, want %#x", fb.b[0], wireVersion)
+		}
+		if got, ok := corrIDOf(fb.b); !ok || got != 99 {
+			t.Fatalf("corrIDOf = %d, %v", got, ok)
+		}
+		req, err := decodeBinRequest(fb.b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.trace != trace || req.corr != 99 || req.topic != "traced" || req.count != 2 {
+			t.Fatalf("trace %#x: bad decode: %+v", trace, req)
+		}
+		putFrame(fb)
 	}
 }

@@ -42,7 +42,7 @@ func expectDeadline(t *testing.T, err error, took, bound time.Duration) {
 	}
 }
 
-// TestClientTimeoutPipelined blackholes a binary-codec connection and
+// TestClientTimeoutPipelined blackholes a connection and
 // asserts the RPC fails with the deadline error within its budget
 // instead of blocking forever.
 func TestClientTimeoutPipelined(t *testing.T) {
@@ -52,9 +52,6 @@ func TestClientTimeoutPipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if !cli.binary {
-		t.Fatal("expected binary codec")
-	}
 	if err := cli.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -73,26 +70,6 @@ func TestClientTimeoutPipelined(t *testing.T) {
 	} else if took := time.Since(start); took > time.Second {
 		t.Fatalf("call on dead connection took %v", took)
 	}
-}
-
-// TestClientTimeoutLockstep covers the JSON lockstep protocol, where
-// the deadline is a raw connection deadline.
-func TestClientTimeoutLockstep(t *testing.T) {
-	p := proxiedServer(t)
-	cli, err := DialJSON(p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	cli.SetRequestTimeout(250 * time.Millisecond)
-	if err := cli.CreateTopic("t", 1); err != nil {
-		t.Fatal(err)
-	}
-
-	p.Set(faults.Both, faults.Faults{Blackhole: true})
-	start := time.Now()
-	_, err = cli.HighWatermark("t", 0)
-	expectDeadline(t, err, time.Since(start), 2*time.Second)
 }
 
 // TestPingProbeTimeout exercises the per-op override: a heartbeat probe

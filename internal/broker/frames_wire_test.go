@@ -67,9 +67,6 @@ func TestCorruptProduceRejectedBeforeAppend(t *testing.T) {
 	if err := cli.CreateTopic("in", 1); err != nil {
 		t.Fatal(err)
 	}
-	if !cli.frames {
-		t.Fatal("client did not negotiate the frame ops")
-	}
 	batch := recs("crc", 10)
 	_, err := cli.callBinary(func(fb *frameBuf, corr uint64) {
 		encodeProduceFramesReq(fb, corr, 0, "in", batch)

@@ -971,10 +971,8 @@ func (n *ClusterNode) truncateDivergence(t string, p int, ldr string, committed 
 
 // pullCommitted drains the committed records this replica is missing
 // from a peer via replica-fetch, applying them through the idempotent
-// replicated-append path. Against a frames-dialect peer the rounds run
-// over the binary rfetch op: raw frame chunks, one buffer reused across
-// rounds, appended verbatim. The JSON control-dialect fetch remains as
-// the fallback for catch-up from an old peer.
+// replicated-append path: raw frame chunks over the rfetch op, one
+// buffer reused across rounds, appended verbatim.
 func (n *ClusterNode) pullCommitted(ldr, t string, p int) error {
 	cli, err := n.peerClient(ldr)
 	if err != nil {
@@ -987,21 +985,11 @@ func (n *ClusterNode) pullCommitted(ldr, t string, p int) error {
 		if err != nil {
 			return err
 		}
-		var frames []byte
-		var count int
-		if cli.supportsFrames() {
-			// replicaFetch always serves from the requested offset, so the
-			// chunk's base is `local` — frames carry no offsets of their own.
-			frames, count, err = cli.replicaFetchFrames(n.cfg.ID, t, p, local, 4096, buf[:0])
-			if err != nil {
-				return err
-			}
-		} else {
-			recs, err := cli.replicaFetch(n.cfg.ID, t, p, local, 4096)
-			if err != nil {
-				return err
-			}
-			frames, count = storage.AppendRecordFrames(buf[:0], recs), len(recs)
+		// replicaFetch always serves from the requested offset, so the
+		// chunk's base is `local` — frames carry no offsets of their own.
+		frames, count, err := cli.replicaFetchFrames(n.cfg.ID, t, p, local, 4096, buf[:0])
+		if err != nil {
+			return err
 		}
 		buf = frames[:0]
 		if count == 0 {
@@ -1221,13 +1209,6 @@ func (n *ClusterNode) metasInRange(tp string, from, to int64) []batchMeta {
 		}
 	}
 	return out
-}
-
-// producePart is the record-typed produce-partition entry point; it
-// encodes the batch into wire/disk frames once and delegates to the
-// frame-blind primary path below.
-func (n *ClusterNode) producePart(trace uint64, topic string, partition int, pid, seq uint64, recs []Record) (int, error) {
-	return n.producePartFrames(trace, topic, partition, pid, seq, storage.AppendRecordFrames(nil, recs), len(recs))
 }
 
 // producePartFrames is the leader-side handling of a partitioned
@@ -1596,24 +1577,18 @@ func (n *ClusterNode) sendBatch(s *replSess, batch []*replItem) {
 	}
 }
 
-// shipBatch delivers the sections to one follower: a single replicateMF
-// round-trip against a batch-capable peer (with per-section
-// backfill-converge repairs when the batched ack reports a section
-// short), or sequential per-partition replicate calls against an older
-// peer — the resulting logs are identical either way, only the
-// round-trip count differs. Returns one error slot per section.
+// shipBatch delivers the sections to one follower in a single
+// replicateMF round-trip, repairing any section the batched ack reports
+// short through convergeSection. Each section ships the journal entries
+// covering its range, so the follower's dedup table tracks every
+// producer whose records it receives, plus the leader's committed
+// watermark, which the follower persists as its restart truncation
+// point. Returns one error slot per section.
 func (n *ClusterNode) shipBatch(cli *Client, id string, secs []*sendSection) []error {
 	n.mu.Lock()
 	epoch := n.epoch
 	n.mu.Unlock()
 	errs := make([]error, len(secs))
-	if !cli.supportsBatchReplicate() {
-		for i, sec := range secs {
-			end := sec.sec.base + int64(sec.sec.count)
-			errs[i] = n.pushSection(cli, id, epoch, sec.pl, sec.trace, sec.sec.topic, sec.sec.partition, sec.sec.base, end, sec.sec.frames)
-		}
-		return errs
-	}
 	wire := make([]replSection, len(secs))
 	for i, sec := range secs {
 		sec.sec.committed = sec.pl.committed.Load()
@@ -1630,60 +1605,44 @@ func (n *ClusterNode) shipBatch(cli *Client, id string, secs []*sendSection) []e
 		return errs
 	}
 	for i, sec := range secs {
-		end := sec.sec.base + int64(sec.sec.count)
-		tp := tpKey(sec.sec.topic, sec.sec.partition)
-		n.noteFollowerHWM(tp, id, hwms[i])
-		if hwms[i] < end {
-			errs[i] = n.convergeSection(cli, id, epoch, sec.pl, sec.trace, sec.sec.topic, sec.sec.partition, hwms[i], end)
+		n.noteFollowerHWM(tpKey(sec.sec.topic, sec.sec.partition), id, hwms[i])
+		if hwms[i] < sec.sec.base+int64(sec.sec.count) {
+			errs[i] = n.convergeSection(cli, id, epoch, sec, hwms[i])
 		}
 	}
 	return errs
 }
 
-// convergeSection repairs one short-acked section of a batch: re-read
-// the missing range from the local log and drive the per-partition
-// converge loop from the follower's acked watermark.
-func (n *ClusterNode) convergeSection(cli *Client, id string, epoch int64, pl *partLead, trace uint64, topic string, partition int, hwm, end int64) error {
-	fill, fn, err := n.b.FetchFrames(topic, partition, hwm, int(end-hwm), nil)
-	if err != nil {
-		return err
-	}
-	if int64(fn) < end-hwm {
-		return fmt.Errorf("broker: backfill short read at %d", hwm)
-	}
-	return n.pushSection(cli, id, epoch, pl, trace, topic, partition, hwm, end, fill)
-}
-
-// pushSection replicates one partition's chunk covering [base, end) to
-// one follower, backfilling from the follower's own watermark when it
-// is behind (restart, missed round, or interleaved batches) — the
+// convergeSection repairs one short-acked section: the follower is
+// behind the chunk's base (restart, missed round, or interleaved
+// batches), so it is backfilled from its own acked watermark hwm with
+// one-section replicate batches until it holds the section's end. The
 // backfill bytes are read straight out of the local segment chunks,
-// never decoded into records. Each chunk ships the journal entries
-// covering its range, so the follower's dedup table tracks every
-// producer whose records it receives, plus the leader's committed
-// watermark, which the follower persists as its restart truncation
-// point.
-func (n *ClusterNode) pushSection(cli *Client, id string, epoch int64, pl *partLead, trace uint64, topic string, partition int, base, end int64, frames []byte) error {
-	tp := tpKey(topic, partition)
-	count := int(end - base)
+// never decoded into records.
+func (n *ClusterNode) convergeSection(cli *Client, id string, epoch int64, sec *sendSection, hwm int64) error {
+	s := sec.sec
+	end := s.base + int64(s.count)
+	tp := tpKey(s.topic, s.partition)
 	for tries := 0; tries < 8; tries++ {
-		metas := n.metasInRange(tp, base, end)
-		hwm, err := cli.replicate(trace, epoch, n.cfg.ID, topic, partition, base, pl.committed.Load(), metas, frames, count)
-		if err != nil {
-			return err
-		}
-		n.noteFollowerHWM(tp, id, hwm)
-		if hwm >= end {
-			return nil
-		}
-		fill, fn, err := n.b.FetchFrames(topic, partition, hwm, int(end-hwm), nil)
+		fill, fn, err := n.b.FetchFrames(s.topic, s.partition, hwm, int(end-hwm), nil)
 		if err != nil {
 			return err
 		}
 		if int64(fn) < end-hwm {
 			return fmt.Errorf("broker: backfill short read at %d", hwm)
 		}
-		base, frames, count = hwm, fill, fn
+		s.base, s.frames, s.count = hwm, fill, fn
+		s.committed = sec.pl.committed.Load()
+		s.metas = n.metasInRange(tp, hwm, end)
+		hwms, err := cli.replicateMF(sec.trace, epoch, n.cfg.ID, []replSection{s})
+		if err != nil {
+			return err
+		}
+		hwm = hwms[0]
+		n.noteFollowerHWM(tp, id, hwm)
+		if hwm >= end {
+			return nil
+		}
 	}
 	return fmt.Errorf("broker: replication to %s did not converge", id)
 }
@@ -1928,55 +1887,13 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 	}
 }
 
-// produceRouted handles a legacy key-routed produce arriving at any
-// cluster node: it partitions locally and forwards each batch to its
-// partition leader, so old producers keep working pointed at any one
-// broker. Without a producer id this path is at-least-once under
-// retries; ClusterClient's partitioned produce is the exactly-once one.
-func (n *ClusterNode) produceRouted(trace uint64, topicName string, recs []Record) (int, error) {
-	t, err := n.b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	byPart := make([][]Record, len(t.partitions))
-	for _, r := range recs {
-		p := t.partitionFor(r.Key)
-		byPart[p] = append(byPart[p], r)
-	}
-	total := 0
-	for p, batch := range byPart {
-		if len(batch) == 0 {
-			continue
-		}
-		ldr := n.leaderFor(topicName, p)
-		switch {
-		case ldr == "":
-			return total, ErrNoReplica
-		case ldr == n.cfg.ID:
-			if _, err := n.producePart(trace, topicName, p, 0, 0, batch); err != nil {
-				return total, err
-			}
-		default:
-			cli, err := n.peerClient(ldr)
-			if err != nil {
-				return total, err
-			}
-			if _, err := cli.ProducePartition(topicName, p, 0, 0, batch); err != nil {
-				if !isRemoteErr(err) {
-					n.dropConn(ldr, cli)
-				}
-				return total, err
-			}
-		}
-		total += len(batch)
-	}
-	return total, nil
-}
-
-// produceRoutedFrames is the frames-dialect routed produce: frames are
-// split at their structural boundaries by the key read in place, and
+// produceRoutedFrames handles a key-routed produce arriving at any
+// cluster node, so a producer pointed at any one broker works: frames
+// are split at their structural boundaries by the key read in place, and
 // each partition's chunk travels to its leader verbatim — locally as a
-// frame append, remotely over the frame-blind produce-partition op.
+// frame append, remotely over the produce-partition op. Without a
+// producer id this path is at-least-once under retries; ClusterClient's
+// partitioned produce is the exactly-once one.
 func (n *ClusterNode) produceRoutedFrames(trace uint64, topicName string, frames []byte, count int) (int, error) {
 	t, err := n.b.topic(topicName)
 	if err != nil {
@@ -2030,33 +1947,10 @@ func (n *ClusterNode) routeChunk(trace uint64, topic string, p int, frames []byt
 	}
 }
 
-// fetch serves a consumer read: leaders only, and only up to the
+// fetchFrames serves a consumer read: leaders only, and only up to the
 // committed watermark, so no consumer can observe records a failover
-// might lose.
-func (n *ClusterNode) fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
-	pl, err := n.leaderState(topic, partition)
-	if err != nil {
-		return nil, err
-	}
-	committed := pl.committed.Load()
-	if offset >= committed {
-		if offset < 0 {
-			return nil, ErrOffsetOutOfRange
-		}
-		return nil, nil
-	}
-	if max <= 0 {
-		max = 1024
-	}
-	if int64(max) > committed-offset {
-		max = int(committed - offset)
-	}
-	return n.b.Fetch(topic, partition, offset, max)
-}
-
-// fetchFrames is fetch for a frames-dialect consumer: the committed
-// clamp is identical, but the payload is appended onto buf straight
-// from the log's segment chunks — no record is materialized.
+// might lose. The payload is appended onto buf straight from the log's
+// segment chunks — no record is materialized.
 func (n *ClusterNode) fetchFrames(topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
 	pl, err := n.leaderState(topic, partition)
 	if err != nil {
@@ -2141,39 +2035,12 @@ func (n *ClusterNode) replicaCommitted(topic string, partition int) int64 {
 	return n.knownCommittedLocked(tpKey(topic, partition))
 }
 
-// replicaFetch serves committed records to a fellow cluster member
-// regardless of leadership — the pull side of rejoin catch-up and of
-// the leadership-takeover handshake, where the interim leader has
-// already deferred and would answer a normal fetch with NotLeader.
-func (n *ClusterNode) replicaFetch(sender, topic string, partition int, offset int64, max int) ([]Record, error) {
-	if _, ok := n.cfg.Peers[sender]; !ok {
-		return nil, fmt.Errorf("broker: replica fetch from non-member %q", sender)
-	}
-	if parts, err := n.b.Partitions(topic); err != nil {
-		return nil, err
-	} else if partition < 0 || partition >= parts {
-		return nil, ErrBadPartition
-	}
-	committed := n.replicaCommitted(topic, partition)
-	if offset >= committed {
-		if offset < 0 {
-			return nil, ErrOffsetOutOfRange
-		}
-		return nil, nil
-	}
-	if max <= 0 {
-		max = 1024
-	}
-	if int64(max) > committed-offset {
-		max = int(committed - offset)
-	}
-	return n.b.Fetch(topic, partition, offset, max)
-}
-
-// replicaFetchFrames is replicaFetch over the binary rfetch framing:
-// catch-up bytes ship verbatim from the serving replica's segments,
-// CRC-checked by the puller at its wire decode before they are
-// re-appended.
+// replicaFetchFrames serves committed records to a fellow cluster
+// member regardless of leadership — the pull side of rejoin catch-up and
+// of the leadership-takeover handshake, where the interim leader has
+// already deferred and would answer a normal fetch with NotLeader. The
+// bytes ship verbatim from the serving replica's segments, CRC-checked
+// by the puller at its wire decode before they are re-appended.
 func (n *ClusterNode) replicaFetchFrames(sender, topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
 	if _, ok := n.cfg.Peers[sender]; !ok {
 		return buf, 0, fmt.Errorf("broker: replica fetch from non-member %q", sender)
@@ -2213,28 +2080,8 @@ func (n *ClusterNode) replicaHWM(sender, topic string, partition int) (int64, er
 	return n.replicaCommitted(topic, partition), nil
 }
 
-// applyReplicate is the record-typed replicate entry point (old-dialect
-// leaders); it encodes the batch into frames once and delegates.
-func (n *ClusterNode) applyReplicate(epoch int64, sender, topic string, partition int, base, committed int64, metas []batchMeta, recs []Record) (int64, error) {
-	return n.applyReplicateFrames(epoch, sender, topic, partition, base, committed, metas, storage.AppendRecordFrames(nil, recs), len(recs))
-}
-
-// applyReplicateFrames is the follower-side handling of a replicated
-// frame chunk — a one-section batch through the group-commit apply
-// path, so both dialects share the same fencing and bookkeeping.
-func (n *ClusterNode) applyReplicateFrames(epoch int64, sender, topic string, partition int, base, committed int64, metas []batchMeta, frames []byte, count int) (int64, error) {
-	hwms, err := n.applyReplicateBatch(epoch, sender, []replSection{{
-		topic: topic, partition: partition, base: base,
-		committed: committed, metas: metas, frames: frames, count: count,
-	}})
-	if err != nil {
-		return 0, err
-	}
-	return hwms[0], nil
-}
-
-// fenceReplicate runs the follower-side admission checks shared by both
-// replicate dialects: a (re)joining node and a deposed sender refuse
+// fenceReplicate runs the follower-side admission checks of a replicate
+// batch: a (re)joining node and a deposed sender refuse
 // replication, and every partition records the highest epoch an inbound
 // replicate has carried — a chunk at a LOWER epoch than that is fenced
 // off, so a stale session that went quiet before a takeover cannot
@@ -2269,13 +2116,11 @@ func (n *ClusterNode) fenceReplicate(epoch int64, sender string, tps []string) e
 	return nil
 }
 
-// applyReplicateBatch is the follower side of a coalesced replicate:
-// one fence decision for the whole batch, then every section lands in
-// its log through the same idempotent gap-safe append a per-partition
-// replicate uses — a mixed-version replica pair produces identical
-// logs, only the RPC count differs. The answer is one high watermark
-// per section; a failing section fails the whole batch (the leader
-// re-drives per item).
+// applyReplicateBatch is the follower side of replication: one fence
+// decision for the whole batch, then every section lands in its log
+// through the idempotent gap-safe append. The answer is one high
+// watermark per section; a failing section fails the whole batch (the
+// leader re-drives per item).
 func (n *ClusterNode) applyReplicateBatch(epoch int64, sender string, secs []replSection) ([]int64, error) {
 	if len(secs) == 0 {
 		return nil, errors.New("broker: empty replicate batch")

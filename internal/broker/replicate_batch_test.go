@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -11,9 +12,9 @@ import (
 )
 
 // Tests for the group-commit replication path: the multi-partition
-// replicate codec, per-partition epoch fencing on the follower, the
-// per-partition fallback against pre-batch peers, and batch re-drive
-// when a follower blackholes mid-batch.
+// replicate codec, per-partition epoch fencing on the follower, batch
+// re-drive when a follower blackholes mid-batch, and the one-section
+// backfill of a short-acked section.
 
 // ---- codec ----
 
@@ -86,7 +87,6 @@ func TestClusterReplicateMFCodecRoundTrip(t *testing.T) {
 
 func TestClusterBatchFencesStaleEpoch(t *testing.T) {
 	tc := startCluster(t, 2, nil)
-	waitNotJoining(t, tc)
 	cc := tc.dialCluster()
 	if err := cc.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
@@ -130,12 +130,11 @@ func TestClusterBatchFencesStaleEpoch(t *testing.T) {
 	}
 }
 
-// ---- mixed-version fallback ----
+// ---- pair harness ----
 
-// pairCluster is a bespoke 2-member cluster where each member's server
-// options and peer address map can differ — the knobs startCluster does
-// not expose (mixed hello levels, a fault proxy on one replication
-// direction).
+// pairCluster is a bespoke 2-member cluster where each member's peer
+// address map can differ — the knob startCluster does not expose (a
+// fault proxy on one replication direction).
 type pairCluster struct {
 	brokers [2]*Broker
 	servers [2]*Server
@@ -145,7 +144,6 @@ type pairCluster struct {
 }
 
 type pairOpts struct {
-	helloLevel1 int  // caps member 1's advertised hello level (0 = newest)
 	proxyN0toN1 bool // route n0's peer traffic to n1 through a fault proxy
 	tune        func(*NodeConfig)
 }
@@ -155,11 +153,7 @@ func startPair(t *testing.T, o pairOpts) *pairCluster {
 	pc := &pairCluster{}
 	for i := 0; i < 2; i++ {
 		b := New()
-		opts := ServerOptions{}
-		if i == 1 {
-			opts.HelloLevel = o.helloLevel1
-		}
-		srv, err := ServeWithOptions(b, "127.0.0.1:0", opts)
+		srv, err := Serve(b, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,8 +243,9 @@ func waitNotJoining(t *testing.T, tc *testCluster) {
 	}
 }
 
-// assertLogsIdentical compares two brokers' raw partition logs record
-// by record: same high watermark, same values at the same offsets.
+// assertLogsIdentical compares two brokers' raw partition logs: same
+// high watermark and byte-identical frames — what verbatim replication
+// promises, whichever path (batch, re-drive, backfill) carried them.
 func assertLogsIdentical(t *testing.T, a, b *Broker, topic string, partition int) {
 	t.Helper()
 	ha, err := a.HighWatermark(topic, partition)
@@ -264,76 +259,16 @@ func assertLogsIdentical(t *testing.T, a, b *Broker, topic string, partition int
 	if ha != hb {
 		t.Fatalf("p%d: high watermarks differ: %d vs %d", partition, ha, hb)
 	}
-	ra, err := a.Fetch(topic, partition, 0, int(ha))
+	fa, na, err := a.FetchFrames(topic, partition, 0, int(ha), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.Fetch(topic, partition, 0, int(hb))
+	fb, nb, err := b.FetchFrames(topic, partition, 0, int(hb), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ra) != len(rb) {
-		t.Fatalf("p%d: %d vs %d records", partition, len(ra), len(rb))
-	}
-	for i := range ra {
-		if ra[i].Offset != rb[i].Offset || ra[i].Value != rb[i].Value {
-			t.Fatalf("p%d record %d differs: %+v vs %+v", partition, i, ra[i], rb[i])
-		}
-	}
-}
-
-func TestClusterMixedVersionReplicateFallback(t *testing.T) {
-	// Member 1 advertises the pre-batch frames level, so member 0's
-	// leaders must fall back to per-partition replicate toward it while
-	// member 1's leaders still batch toward member 0.
-	pc := startPair(t, pairOpts{helloLevel1: helloFrames})
-	cc := pc.dial(t)
-	if err := cc.CreateTopic("t", 8); err != nil {
-		t.Fatal(err)
-	}
-	const total = 4000
-	for off := 0; off < total; off += 500 {
-		if _, err := cc.Produce("t", keylessRecs(off, 500)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Negotiation check: n0 sees n1 as pre-batch, n1 sees n0 as batch.
-	toOld, err := pc.nodes[0].peerClient("n1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if toOld.supportsBatchReplicate() {
-		t.Fatal("n0 negotiated batch replicate against a hello-capped peer")
-	}
-	toNew, err := pc.nodes[1].peerClient("n0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !toNew.supportsBatchReplicate() {
-		t.Fatal("n1 failed to negotiate batch replicate against an uncapped peer")
-	}
-
-	// MinISR=2 means every acked batch reached both members before the
-	// producer returned: the dialects must have produced identical logs.
-	got := make(map[float64]int)
-	for p := 0; p < 8; p++ {
-		assertLogsIdentical(t, pc.brokers[0], pc.brokers[1], "t", p)
-		recs, err := pc.brokers[0].Fetch("t", p, 0, total)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range recs {
-			got[r.Value]++
-		}
-	}
-	if len(got) != total {
-		t.Fatalf("%d distinct values across partitions, want %d", len(got), total)
-	}
-	for v, n := range got {
-		if n != 1 {
-			t.Fatalf("value %v appears %d times", v, n)
-		}
+	if int64(na) != ha || na != nb || !bytes.Equal(fa, fb) {
+		t.Fatalf("p%d: logs differ: %d records/%d bytes vs %d records/%d bytes", partition, na, len(fa), nb, len(fb))
 	}
 }
 
@@ -436,14 +371,31 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 		}
 	}
 
+	// The short-ack case: slip a chunk into the leader's log that
+	// replication never saw (a push that failed mid-produce), then
+	// produce normally. The next chunk's base is past the follower's
+	// watermark, the follower acks short, and the leader must backfill
+	// the hole with a one-section replicate batch.
+	for _, p := range mine {
+		hole := keylessRecs(p*1000+20, 10)
+		base, err := pc.brokers[0].producePartitionFrames("t", p, storage.AppendRecordFrames(nil, hole), len(hole))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc.nodes[0].noteBatch(tpKey("t", p), batchMeta{pid: 8888, seq: 1, base: base, end: base + 10})
+		if _, err := cli.ProducePartition("t", p, pid, 3, keylessRecs(p*1000+30, 10)); err != nil {
+			t.Fatalf("produce p%d over the hole: %v", p, err)
+		}
+	}
+
 	for _, p := range mine {
 		assertLogsIdentical(t, pc.brokers[0], pc.brokers[1], "t", p)
 		recs, err := pc.brokers[0].Fetch("t", p, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 20 {
-			t.Fatalf("p%d holds %d records, want 20 (10 warmup + 10 retried)", p, len(recs))
+		if len(recs) != 40 {
+			t.Fatalf("p%d holds %d records, want 40 (10 warmup + 10 retried + 10 hole + 10 after)", p, len(recs))
 		}
 		seen := make(map[float64]int)
 		for _, r := range recs {

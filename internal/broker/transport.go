@@ -2,11 +2,9 @@ package broker
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -17,63 +15,58 @@ import (
 )
 
 // The wire protocol frames every message as a 4-byte big-endian length
-// followed by a payload. The payload's first byte selects the codec:
-// '{' opens a legacy JSON document (lockstep request/response), while
-// binVersion opens a compact binary message with a correlation ID (see
-// codec.go) so many requests can be pipelined on one connection. A
-// client discovers binary support with the "hello" control op; servers
-// that predate the codec answer it with an unknown-op error and the
-// client stays on JSON. Max frame size guards against corrupt length
-// prefixes.
+// followed by a binary payload carrying a correlation ID (see codec.go),
+// so many requests can be pipelined on one connection. A client confirms
+// the peer's wire version with the "hello" control op at dial. Max frame
+// size guards against corrupt length prefixes.
 const maxFrame = 64 << 20
 
-// request operations (JSON dialect; binary uses the op codes in codec.go).
+// Control ops travel as a JSON document inside the binary envelope
+// (binOpJSON) and are named by these strings. The data-plane ops have
+// binary op codes (codec.go); their strings here are only the metric
+// and log labels binOpName maps them to.
 const (
 	opCreate    = "create"
-	opProduce   = "produce"
-	opFetch     = "fetch"
-	opHWM       = "hwm"
 	opCommit    = "commit"
 	opCommitted = "committed"
 	opParts     = "parts"
-	opHello     = "hello" // codec negotiation: response N carries the binary version
+	opHello     = "hello" // version check: response N carries wireVersion
 	// Cluster control ops. "meta" is answered by plain servers too (a
 	// synthetic single-member view), so the routing client works
 	// unchanged against a solo brokerd.
-	opMeta        = "meta"
-	opPing        = "ping"
-	opProducePart = "producep"  // JSON fallback of binOpProducePart
-	opCommitRep   = "commitrep" // leader→follower replicated group commit
-	// Replica catch-up ops: committed reads between cluster members,
-	// not gated on leadership (rejoin pulls, takeover handshake).
+	opMeta      = "meta"
+	opPing      = "ping"
+	opCommitRep = "commitrep" // leader→follower replicated group commit
+
+	opProduce     = "produce"
+	opFetch       = "fetch"
+	opHWM         = "hwm"
+	opProducePart = "producep"
+	opReplicate   = "replicate"
+	// Replica catch-up reads between cluster members, not gated on
+	// leadership (rejoin pulls, takeover handshake).
 	opRFetch = "rfetch"
 	opRHWM   = "rhwm"
 )
 
 type wireRequest struct {
-	Op         string   `json:"op"`
-	Topic      string   `json:"topic,omitempty"`
-	Partitions int      `json:"partitions,omitempty"`
-	Partition  int      `json:"partition,omitempty"`
-	Offset     int64    `json:"offset,omitempty"`
-	Max        int      `json:"max,omitempty"`
-	Group      string   `json:"group,omitempty"`
-	Records    []Record `json:"records,omitempty"`
+	Op         string `json:"op"`
+	Topic      string `json:"topic,omitempty"`
+	Partitions int    `json:"partitions,omitempty"`
+	Partition  int    `json:"partition,omitempty"`
+	Offset     int64  `json:"offset,omitempty"`
+	Group      string `json:"group,omitempty"`
 
-	// Cluster fields: ping carries the sender's versioned status view;
-	// producep the idempotent-producer identity.
+	// Cluster fields: ping carries the sender's versioned status view.
 	Node  string                `json:"node,omitempty"`
 	Epoch int64                 `json:"epoch,omitempty"`
 	View  map[string]PeerStatus `json:"view,omitempty"`
-	PID   uint64                `json:"pid,omitempty"`
-	Seq   uint64                `json:"seq,omitempty"`
 }
 
 type wireResponse struct {
-	Err     string   `json:"err,omitempty"`
-	N       int      `json:"n,omitempty"`
-	Offset  int64    `json:"offset,omitempty"`
-	Records []Record `json:"records,omitempty"`
+	Err    string `json:"err,omitempty"`
+	N      int    `json:"n,omitempty"`
+	Offset int64  `json:"offset,omitempty"`
 
 	// Cluster fields.
 	Meta  *ClusterMeta          `json:"meta,omitempty"`
@@ -81,48 +74,8 @@ type wireResponse struct {
 	View  map[string]PeerStatus `json:"view,omitempty"`
 }
 
-func writeFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("marshal frame: %w", err)
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err = w.Write(payload)
-	return err
-}
-
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return fmt.Errorf("frame of %d bytes exceeds limit", n)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return err
-	}
-	return json.Unmarshal(payload, v)
-}
-
 // ServerOptions tunes a broker server.
 type ServerOptions struct {
-	// JSONOnly disables the binary codec, emulating a pre-codec peer:
-	// hello is answered with an unknown-op error and every frame is
-	// parsed as JSON. Used for mixed-version testing and as an escape
-	// hatch against codec bugs.
-	JSONOnly bool
-	// HelloLevel caps the feature level the hello op advertises (0 =
-	// newest, currently helloBatch). Mixed-version tests pin a server at
-	// an older level so negotiation fallbacks stay exercised against a
-	// peer that genuinely refuses the newer ops.
-	HelloLevel int
 	// Node, when set, makes this server a cluster member: produce and
 	// fetch are gated by partition leadership and replicated, and the
 	// meta/ping/replicate ops are served. Can also be attached after
@@ -178,10 +131,6 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// opReplicate names binOpReplicate in metric labels; it has no JSON
-// dialect equivalent.
-const opReplicate = "replicate"
-
 // errNotClusterMember rejects cluster-only ops on a solo server.
 var errNotClusterMember = errors.New("broker: not a cluster member")
 
@@ -228,22 +177,18 @@ func (si *serverInstruments) observe(op string, start time.Time) {
 	si.lat[op].Observe(time.Since(start).Seconds())
 }
 
-// binOpName maps a binary op code to its metric/log label. The
-// raw-frame ops share their record-op labels on purpose: they are the
-// same logical operation in a faster encoding, and keeping the label
-// set stable keeps dashboards and rate() queries comparable across the
-// codec migration.
+// binOpName maps a binary op code to its metric/log label.
 func binOpName(op byte) string {
 	switch op {
-	case binOpProduce, binOpProduceF:
+	case binOpProduceF:
 		return opProduce
-	case binOpFetch, binOpFetchF:
+	case binOpFetchF:
 		return opFetch
 	case binOpHWM:
 		return opHWM
-	case binOpProducePart, binOpProducePartF:
+	case binOpProducePartF:
 		return opProducePart
-	case binOpReplicate, binOpReplicateF, binOpReplicateMF:
+	case binOpReplicateMF:
 		return opReplicate
 	case binOpRFetchF:
 		return opRFetch
@@ -375,13 +320,7 @@ func (s *Server) handle(conn net.Conn) {
 		if wt > 0 {
 			_ = conn.SetWriteDeadline(time.Now().Add(wt))
 		}
-		var err error
-		if !s.opts.JSONOnly && len(fb.b) > 0 && (fb.b[0] == binVersion || fb.b[0] == binVersion2) {
-			err = s.handleBinary(fb.b, bw)
-		} else {
-			err = s.handleJSON(fb.b, bw)
-		}
-		if err != nil {
+		if err := s.handleBinary(fb.b, bw); err != nil {
 			return
 		}
 		// Don't let one oversized frame pin its buffer for the
@@ -400,19 +339,11 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// handleJSON serves one legacy JSON frame.
-func (s *Server) handleJSON(payload []byte, bw *bufio.Writer) error {
-	var req wireRequest
-	if err := json.Unmarshal(payload, &req); err != nil {
-		return err
-	}
-	resp := s.dispatch(&req)
-	return writeFrame(bw, resp)
-}
-
-// handleBinary serves one binary frame, echoing its correlation ID.
-// Broker-level failures become error responses; protocol-level garbage
-// closes the connection.
+// handleBinary serves one request frame, echoing its correlation ID.
+// Broker-level failures become error responses. Anything the decoder
+// cannot parse — an unknown version byte, a retired or unknown op code,
+// a '{'-prefixed lockstep frame, a corrupt chunk — closes the connection
+// with nothing appended.
 func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 	req, err := decodeBinRequest(payload)
 	if err != nil {
@@ -423,146 +354,75 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 	defer putFrame(out)
 	node := s.clusterNode()
 	switch req.op {
-	case binOpProduce:
-		var n int
-		var err error
-		if node != nil {
-			n, err = node.produceRouted(req.trace, req.topic, req.recs)
-		} else {
-			n, err = s.broker.Produce(req.topic, req.recs)
-		}
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
-		} else {
-			encodeProduceResp(out, req.corr, n)
-		}
-	case binOpProducePart:
-		n, err := s.producePart(node, &req)
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
-		} else {
-			encodeProducePartResp(out, req.corr, n)
-		}
-	case binOpReplicate:
-		if node == nil {
-			encodeErrResp(out, req.op, req.corr, "broker: not a cluster member")
-			break
-		}
-		hwm, err := node.applyReplicate(req.epoch, req.sender, req.topic, req.partition, req.base, req.committed, req.metas, req.recs)
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
-		} else {
-			encodeReplicateResp(out, req.corr, hwm)
-		}
-	case binOpFetch:
-		var recs []Record
-		var err error
-		if node != nil {
-			recs, err = node.fetch(req.topic, req.partition, req.offset, req.max)
-		} else {
-			recs, err = s.broker.Fetch(req.topic, req.partition, req.offset, req.max)
-		}
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
-		} else {
-			encodeFetchResp(out, req.corr, req.offset, recs)
-		}
 	case binOpHWM:
 		var hwm int64
-		var err error
 		if node != nil {
 			hwm, err = node.hwm(req.topic, req.partition)
 		} else {
 			hwm, err = s.broker.HighWatermark(req.topic, req.partition)
 		}
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
-		} else {
-			encodeHWMResp(out, req.corr, hwm)
+		if err == nil {
+			encodeWatermarkResp(out, req.op, req.corr, hwm)
 		}
 	case binOpProduceF:
 		var n int
-		var err error
 		if node != nil {
 			n, err = node.produceRoutedFrames(req.trace, req.topic, req.frames, req.count)
 		} else {
 			n, err = s.broker.ProduceFrames(req.topic, req.frames, req.count)
 		}
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
-		} else {
+		if err == nil {
 			encodeCountResp(out, req.op, req.corr, n)
 		}
 	case binOpProducePartF:
-		var n int
-		var err error
+		n := req.count
 		if node != nil {
 			n, err = node.producePartFrames(req.trace, req.topic, req.partition, req.pid, req.seq, req.frames, req.count)
-		} else if _, err = s.broker.producePartitionFrames(req.topic, req.partition, req.frames, req.count); err == nil {
-			n = req.count
-		}
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
 		} else {
+			_, err = s.broker.producePartitionFrames(req.topic, req.partition, req.frames, req.count)
+		}
+		if err == nil {
 			encodeCountResp(out, req.op, req.corr, n)
 		}
-	case binOpReplicateF:
-		if node == nil {
-			encodeErrResp(out, req.op, req.corr, "broker: not a cluster member")
-			break
-		}
-		hwm, err := node.applyReplicateFrames(req.epoch, req.sender, req.topic, req.partition, req.base, req.committed, req.metas, req.frames, req.count)
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
-		} else {
-			encodeWatermarkResp(out, req.op, req.corr, hwm)
-		}
 	case binOpReplicateMF:
+		var hwms []int64
 		if node == nil {
-			encodeErrResp(out, req.op, req.corr, "broker: not a cluster member")
-			break
-		}
-		hwms, err := node.applyReplicateBatch(req.epoch, req.sender, req.sections)
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
+			err = errNotClusterMember
 		} else {
+			hwms, err = node.applyReplicateBatch(req.epoch, req.sender, req.sections)
+		}
+		if err == nil {
 			encodeReplicateMFResp(out, req.corr, hwms)
 		}
 	case binOpFetchF, binOpRFetchF:
-		// The scatter path of the tentpole: the response is assembled
-		// directly in the pooled output buffer — header and base first,
-		// then the log's ReadFrames appends the raw segment bytes onto
-		// it, then the count placeholder is patched. No record structs,
-		// no intermediate buffer, no re-encoding.
+		// The response is assembled directly in the pooled output buffer
+		// — header and base first, then the log's ReadFrames appends the
+		// raw segment bytes onto it, then the count placeholder is
+		// patched. No record structs, no intermediate buffer, no
+		// re-encoding.
 		at := beginFetchFramesResp(out, req.op, req.corr, req.offset)
 		var n int
-		var err error
 		switch {
+		case req.op == binOpRFetchF && node == nil:
+			err = errNotClusterMember
 		case req.op == binOpRFetchF:
-			if node == nil {
-				err = errNotClusterMember
-			} else {
-				out.b, n, err = node.replicaFetchFrames(req.sender, req.topic, req.partition, req.offset, req.max, out.b)
-			}
+			out.b, n, err = node.replicaFetchFrames(req.sender, req.topic, req.partition, req.offset, req.max, out.b)
 		case node != nil:
 			out.b, n, err = node.fetchFrames(req.topic, req.partition, req.offset, req.max, out.b)
 		default:
 			out.b, n, err = s.broker.FetchFrames(req.topic, req.partition, req.offset, req.max, out.b)
 		}
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
-		} else {
+		if err == nil {
 			patchFrameCount(out, at, n)
 		}
 	case binOpRHWMB:
+		var hwm int64
 		if node == nil {
-			encodeErrResp(out, req.op, req.corr, "broker: not a cluster member")
-			break
-		}
-		hwm, err := node.replicaHWM(req.sender, req.topic, req.partition)
-		if err != nil {
-			encodeErrResp(out, req.op, req.corr, err.Error())
+			err = errNotClusterMember
 		} else {
+			hwm, err = node.replicaHWM(req.sender, req.topic, req.partition)
+		}
+		if err == nil {
 			encodeWatermarkResp(out, req.op, req.corr, hwm)
 		}
 	case binOpJSON:
@@ -575,7 +435,10 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 			return err
 		}
 	}
-	// dispatch instruments the wrapped JSON op itself; observing the
+	if err != nil {
+		encodeErrResp(out, req.op, req.corr, err.Error())
+	}
+	// dispatch instruments the wrapped control op itself; observing the
 	// envelope too would double-count the request.
 	if req.op != binOpJSON {
 		s.instr.observe(binOpName(req.op), start)
@@ -584,22 +447,9 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 		s.log.Debug("wire request",
 			"op", binOpName(req.op), "trace", obs.TraceHex(req.trace),
 			"topic", req.topic, "partition", req.partition,
-			"records", len(req.recs)+req.count, "dur_us", time.Since(start).Microseconds())
+			"records", req.count, "dur_us", time.Since(start).Microseconds())
 	}
 	return writeRawFrame(bw, out.b)
-}
-
-// producePart serves a partitioned produce: via the cluster node when
-// attached (leadership + replication), straight to the local partition
-// log otherwise.
-func (s *Server) producePart(node *ClusterNode, req *binRequest) (int, error) {
-	if node != nil {
-		return node.producePart(req.trace, req.topic, req.partition, req.pid, req.seq, req.recs)
-	}
-	if _, err := s.broker.producePartition(req.topic, req.partition, req.recs); err != nil {
-		return 0, err
-	}
-	return len(req.recs), nil
 }
 
 // soloMeta synthesizes a single-member metadata view for a server
@@ -623,8 +473,8 @@ func (s *Server) soloMeta() *ClusterMeta {
 	return m
 }
 
-// dispatch serves one JSON-dialect request, instrumenting it under its
-// op string (shared with the binary envelope via binOpJSON).
+// dispatch serves one control request (the JSON body of a binOpJSON
+// envelope), instrumenting it under its op string.
 func (s *Server) dispatch(req *wireRequest) wireResponse {
 	start := time.Now()
 	resp := s.dispatchOp(req)
@@ -640,49 +490,6 @@ func (s *Server) dispatchOp(req *wireRequest) wireResponse {
 			return wireResponse{Err: err.Error()}
 		}
 		return wireResponse{}
-	case opProduce:
-		var n int
-		var err error
-		if node != nil {
-			n, err = node.produceRouted(0, req.Topic, req.Records)
-		} else {
-			n, err = s.broker.Produce(req.Topic, req.Records)
-		}
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{N: n}
-	case opProducePart:
-		breq := binRequest{topic: req.Topic, partition: req.Partition, pid: req.PID, seq: req.Seq, recs: req.Records}
-		n, err := s.producePart(node, &breq)
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{N: n}
-	case opFetch:
-		var recs []Record
-		var err error
-		if node != nil {
-			recs, err = node.fetch(req.Topic, req.Partition, req.Offset, req.Max)
-		} else {
-			recs, err = s.broker.Fetch(req.Topic, req.Partition, req.Offset, req.Max)
-		}
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{Records: recs, N: len(recs)}
-	case opHWM:
-		var hwm int64
-		var err error
-		if node != nil {
-			hwm, err = node.hwm(req.Topic, req.Partition)
-		} else {
-			hwm, err = s.broker.HighWatermark(req.Topic, req.Partition)
-		}
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{Offset: hwm}
 	case opMeta:
 		if node != nil {
 			return wireResponse{Meta: node.meta()}
@@ -690,7 +497,7 @@ func (s *Server) dispatchOp(req *wireRequest) wireResponse {
 		return wireResponse{Meta: s.soloMeta()}
 	case opPing:
 		if node == nil {
-			return wireResponse{Err: "broker: not a cluster member"}
+			return wireResponse{Err: errNotClusterMember.Error()}
 		}
 		epoch, view := node.handlePing(req.Node, req.Epoch, req.View)
 		return wireResponse{Epoch: epoch, View: view}
@@ -710,7 +517,7 @@ func (s *Server) dispatchOp(req *wireRequest) wireResponse {
 		return wireResponse{}
 	case opCommitRep:
 		if node == nil {
-			return wireResponse{Err: "broker: not a cluster member"}
+			return wireResponse{Err: errNotClusterMember.Error()}
 		}
 		if err := node.applyGroupCommit(req.Epoch, req.Node, req.Group, req.Topic, req.Partition, req.Offset); err != nil {
 			return wireResponse{Err: err.Error()}
@@ -728,24 +535,6 @@ func (s *Server) dispatchOp(req *wireRequest) wireResponse {
 			return wireResponse{Err: err.Error()}
 		}
 		return wireResponse{Offset: off}
-	case opRFetch:
-		if node == nil {
-			return wireResponse{Err: "broker: not a cluster member"}
-		}
-		recs, err := node.replicaFetch(req.Node, req.Topic, req.Partition, req.Offset, req.Max)
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{Records: recs, N: len(recs)}
-	case opRHWM:
-		if node == nil {
-			return wireResponse{Err: "broker: not a cluster member"}
-		}
-		hwm, err := node.replicaHWM(req.Node, req.Topic, req.Partition)
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{Offset: hwm}
 	case opParts:
 		n, err := s.broker.Partitions(req.Topic)
 		if err != nil {
@@ -753,15 +542,7 @@ func (s *Server) dispatchOp(req *wireRequest) wireResponse {
 		}
 		return wireResponse{N: n}
 	case opHello:
-		if s.opts.JSONOnly {
-			// Mimic a pre-codec server so negotiating clients fall back.
-			return wireResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
-		}
-		n := helloBatch
-		if s.opts.HelloLevel > 0 && s.opts.HelloLevel < n {
-			n = s.opts.HelloLevel
-		}
-		return wireResponse{N: n}
+		return wireResponse{N: int(wireVersion)}
 	default:
 		return wireResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}

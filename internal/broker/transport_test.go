@@ -1,6 +1,9 @@
 package broker
 
 import (
+	"bufio"
+	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -144,5 +147,109 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	srv.Close()
 	if _, err := cli.Produce("in", recs("k", 1)); err == nil {
 		t.Error("produce after server close should fail")
+	}
+}
+
+// wireGateCase is one request payload the server must refuse.
+type wireGateCase struct {
+	name    string
+	payload []byte
+}
+
+// wireGateCases are the byte strings of every retired dialect: a JSON
+// lockstep frame, each retired op code under the current header, and
+// well-formed produces under the retired version bytes. Shared with
+// FuzzBinaryRequestDecode's seed corpus.
+func wireGateCases() []wireGateCase {
+	cases := []wireGateCase{{
+		name:    "json lockstep frame",
+		payload: []byte(`{"op":"produce","topic":"in","records":[{"key":"k","value":1}]}`),
+	}}
+	fb := getFrame()
+	defer putFrame(fb)
+	for _, op := range []byte{1, 2, 5, 6, 9} {
+		// A produce body under the retired op code: were the op still
+		// served, this would append.
+		encodeProduceFramesReq(fb, 1, 0, "in", recs("k", 3))
+		payload := append([]byte(nil), fb.b...)
+		payload[1] = op
+		cases = append(cases, wireGateCase{name: fmt.Sprintf("retired op %d", op), payload: payload})
+	}
+	for _, ver := range []byte{1, 2, wireVersion + 1} {
+		encodeProduceFramesReq(fb, 1, 0, "in", recs("k", 3))
+		payload := append([]byte(nil), fb.b...)
+		payload[0] = ver
+		cases = append(cases, wireGateCase{name: fmt.Sprintf("version byte %d", ver), payload: payload})
+	}
+	return cases
+}
+
+// TestWireGateRejectsRetiredDialects sends each retired-dialect payload
+// to a live server: the answer is an error response or a closed
+// connection, nothing is appended, and the server keeps serving.
+func TestWireGateRejectsRetiredDialects(t *testing.T) {
+	srv, cli := startServer(t)
+	if err := cli.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range wireGateCases() {
+		t.Run(c.name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if err := writeRawFrame(conn, c.payload); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			fb := getFrame()
+			defer putFrame(fb)
+			if err := readFrameInto(conn, fb); err == nil {
+				if len(fb.b) < binRespHdrLen || fb.b[10] == binStatusOK {
+					t.Fatalf("server answered OK: % x", fb.b)
+				}
+			} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+				t.Fatal("server neither answered nor closed the connection")
+			}
+			if hwm, err := cli.HighWatermark("in", 0); err != nil || hwm != 0 {
+				t.Fatalf("watermark after rejected frame = %d, %v; want 0", hwm, err)
+			}
+		})
+	}
+}
+
+// TestDialRejectsWireVersionMismatch dials a listener whose hello
+// answers a different wire version: the dial fails naming both.
+func TestDialRejectsWireVersionMismatch(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const theirs = int(wireVersion) + 1
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fb := getFrame()
+		defer putFrame(fb)
+		if err := readFrameInto(bufio.NewReader(conn), fb); err != nil {
+			return
+		}
+		corr, _ := corrIDOf(fb.b)
+		if err := encodeJSONResp(fb, corr, &wireResponse{N: theirs}); err == nil {
+			_ = writeRawFrame(conn, fb.b)
+		}
+	}()
+	cli, err := Dial(ln.Addr().String())
+	if err == nil {
+		_ = cli.Close()
+		t.Fatal("dial against a mismatched peer succeeded")
+	}
+	if want := fmt.Sprintf("wire version %d, this client %d", theirs, wireVersion); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name both versions (%q)", err, want)
 	}
 }

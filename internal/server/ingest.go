@@ -19,9 +19,9 @@ type traceSetter interface{ SetTraceID(uint64) }
 
 // The shared ingest plane: exactly one prefetching consumer per
 // (topic, partition) regardless of how many queries are registered.
-// Each partition loop fetches a batch once, decodes it once, and fans
-// the (event-time sorted, read-only) records out to every attached
-// query's per-shard Session sink. Broker fetch work is O(partitions),
+// Each partition loop fetches a batch once, decodes it once into a
+// columnar EventBatch, and fans the (event-time sorted, read-only) batch
+// out by reference to every attached query's per-shard Session sink. Broker fetch work is O(partitions),
 // not O(queries × partitions) — the property that lets one middle tier
 // serve thousands of concurrent queries over a single topic read.
 //
@@ -80,9 +80,9 @@ const watchdogAfter = 5
 // broker and single-connection clients have nothing to refresh.
 type metaRefresher interface{ Refresh() error }
 
-// The per-query, per-partition delivery target is *shard: consume
-// applies one batch of event-time sorted records ending at offset next
-// (exclusive; the slice is shared across queries and treated as
+// The per-query, per-partition delivery target is *shard: consumeBatch
+// applies one event-time sorted EventBatch ending at offset next
+// (exclusive; the batch is shared across queries and treated as
 // read-only), idleAdvance is the idle-partition punctuation.
 
 // ingest is one plane: a set of partition loops over one topic.
@@ -121,14 +121,11 @@ type subQueue struct {
 	shed       *metrics.Counter
 }
 
-// planeDelivery is one fan-out unit: a shared columnar batch (the
-// plane's hot path), a shared record slice (catch-up and compatibility
-// deliveries), or an idle punctuation marker. A batch delivery carries
-// one reference per enqueued sub; the drainer Releases it after
-// applying.
+// planeDelivery is one fan-out unit: a shared columnar batch or an idle
+// punctuation marker. A batch delivery carries one reference per
+// enqueued sub; the drainer Releases it after applying.
 type planeDelivery struct {
 	batch   *stream.EventBatch
-	recs    []broker.Record
 	next    int64
 	hwm     int64
 	haveHWM bool
@@ -165,13 +162,12 @@ type partIngest struct {
 
 // newIngest builds a plane with one (not yet started) partition loop
 // per partition. When dial is non-nil each partition gets a dedicated
-// broker connection, closed on stop. extra labels distinguish private
-// per-query planes from the shared one in /metrics. queueDepth bounds
-// each query's per-partition delivery queue (in batches) and
-// catchupWorkers the simultaneous catch-up consumers.
+// broker connection, closed on stop. queueDepth bounds each query's
+// per-partition delivery queue (in batches) and catchupWorkers the
+// simultaneous catch-up consumers.
 func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	topic, group string, parts int, backoff time.Duration, queueDepth, catchupWorkers int,
-	logf func(string, ...any), reg *metrics.Registry, extra metrics.Labels) (*ingest, error) {
+	logf func(string, ...any), reg *metrics.Registry) (*ingest, error) {
 	if queueDepth < 1 {
 		queueDepth = 64
 	}
@@ -183,7 +179,7 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 		reg: reg, queueDepth: queueDepth,
 		catchupSem: make(chan struct{}, catchupWorkers),
 		catchupActive: reg.Gauge("saproxd_catchup_active",
-			"late-registration catch-up consumers currently running", extra),
+			"late-registration catch-up consumers currently running", nil),
 	}
 	for p := 0; p < parts; p++ {
 		pc := cluster
@@ -206,9 +202,6 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 			}
 		}
 		l := metrics.Labels{"partition": strconv.Itoa(p)}
-		for k, v := range extra {
-			l[k] = v
-		}
 		pi := &partIngest{
 			ing:     ing,
 			idx:     p,
@@ -310,14 +303,11 @@ func (pi *partIngest) register(sub *subQueue) {
 func (pi *partIngest) drain(sub *subQueue) {
 	for d := range sub.ch {
 		sub.depth.Set(float64(len(sub.ch)))
-		switch {
-		case d.idle:
+		if d.idle {
 			sub.sh.idleAdvance()
-		case d.batch != nil:
+		} else {
 			sub.sh.consumeBatch(d.batch, d.next, d.hwm, d.haveHWM)
 			d.batch.Release()
-		default:
-			sub.sh.consume(d.recs, d.next, d.hwm, d.haveHWM)
 		}
 	}
 	resume := sub.overflowAt // safe: written before close(sub.ch)
@@ -557,54 +547,19 @@ func (pi *partIngest) reroute(old *broker.Consumer) *broker.Consumer {
 	return cons
 }
 
-// deliver fans one batch out to every attached query's delivery queue
-// and advances the plane position. It runs under pi.mu so catch-up
-// splices are atomic, but never blocks: the enqueue is a slice ref, and
-// a query whose bounded queue is full is shed — detached here, with its
+// deliverBatch fans one pooled EventBatch out by reference to every
+// attached query's delivery queue and advances the plane position. It
+// runs under pi.mu so catch-up splices are atomic, but never blocks: a
+// query whose bounded queue is full is shed — detached here, with its
 // drainer re-entering through the catch-up path at the offset where
 // delivery stopped — so one slow query cannot stall the partition loop
-// or its peers.
-func (pi *partIngest) deliver(recs []broker.Record, hwm int64, haveHWM bool) {
-	n := int64(len(recs))
-	pi.recordsMetric.Add(float64(n))
-	pi.throughput.Mark(n)
-	pi.mu.Lock()
-	base := pi.next
-	next := base + n
-	pi.next = next
-	d := planeDelivery{recs: recs, next: next, hwm: hwm, haveHWM: haveHWM}
-	for sh, sub := range pi.subs {
-		select {
-		case sub.ch <- d:
-			sub.depth.Set(float64(len(sub.ch)))
-		default:
-			// Queue full: shed this query. Its drainer has applied (or
-			// still holds queued) everything below base, so base is
-			// exactly where its catch-up must resume.
-			delete(pi.subs, sh)
-			sub.overflowAt = base
-			sub.j.wg.Add(1) // the drainer's catch-up continuation
-			close(sub.ch)
-			sub.shed.Inc()
-			pi.queriesGauge.Set(float64(len(pi.subs)))
-			pi.ing.logf("query %s partition %d: delivery queue full at offset %d; shedding to catch-up",
-				sub.j.id, pi.idx, base)
-		}
-	}
-	pi.mu.Unlock()
-	if haveHWM {
-		pi.lagGauge.Set(float64(hwm - next))
-	}
-}
-
-// deliverBatch is deliver's columnar form: one pooled EventBatch fans
-// out by reference to every attached query. The batch's Base is stamped
-// with the plane offset before the first enqueue (the channel send is
-// the memory barrier), each successful enqueue carries one Retained
-// reference the drainer Releases after applying, a shed sub's reference
-// is returned immediately, and the loop's own reference from PollBatch
-// is dropped once fan-out finishes — so the batch goes back to the pool
-// the moment the last drainer is done with it.
+// or its peers. The batch's Base is stamped with the plane offset before
+// the first enqueue (the channel send is the memory barrier), each
+// successful enqueue carries one Retained reference the drainer Releases
+// after applying, a shed sub's reference is returned immediately, and
+// the loop's own reference from PollBatch is dropped once fan-out
+// finishes — so the batch goes back to the pool the moment the last
+// drainer is done with it.
 func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool) {
 	n := int64(b.Len())
 	pi.recordsMetric.Add(float64(n))
@@ -733,8 +688,8 @@ func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
 			max = int(target - pos)
 		}
 		cons.SetFetchMax(max)
-		recs, err := cons.Poll() // returned in event-time order
-		if err != nil || len(recs) == 0 {
+		b, err := cons.PollBatch() // returned in event-time order
+		if err != nil || b == nil {
 			if err != nil {
 				pi.ing.logf("catch-up %s partition %d: poll: %v", j.id, pi.idx, err)
 			}
@@ -743,7 +698,8 @@ func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
 			}
 			continue
 		}
-		pos += int64(len(recs))
-		sh.consume(recs, pos, -1, false)
+		pos += int64(b.Len())
+		sh.consumeBatch(b, pos, -1, false)
+		b.Release()
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -8,6 +9,8 @@ import (
 
 	"streamapprox/internal/broker"
 	"streamapprox/internal/metrics"
+	"streamapprox/internal/stream"
+	"streamapprox/internal/xrand"
 )
 
 // countingCluster wraps a Cluster and counts broker fetch operations —
@@ -49,7 +52,7 @@ func waitJobRecords(t *testing.T, j *job, want int64, deadline time.Duration) {
 // fetchOpsForQueries runs n identical queries over the same produced
 // topic until all have consumed everything, and returns the broker
 // fetch-op count at that point.
-func fetchOpsForQueries(t *testing.T, n int, perQuery bool) int64 {
+func fetchOpsForQueries(t *testing.T, n int) int64 {
 	t.Helper()
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 2); err != nil {
@@ -60,7 +63,7 @@ func fetchOpsForQueries(t *testing.T, n int, perQuery bool) int64 {
 		t.Fatal(err)
 	}
 	cc := &countingCluster{Cluster: bk}
-	s, err := New(Config{Cluster: cc, Topic: "in", PollBackoff: 2 * time.Millisecond, PerQueryIngest: perQuery})
+	s, err := New(Config{Cluster: cc, Topic: "in", PollBackoff: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,23 +84,67 @@ func fetchOpsForQueries(t *testing.T, n int, perQuery bool) int64 {
 	return cc.fetches.Load()
 }
 
-// TestSharedPlaneAmortizesFetches is the tentpole property: broker
+// TestSharedPlaneAmortizesFetches is the shared plane's property: broker
 // fetch work must not scale with the query count. Eight concurrent
-// queries on the shared plane must cost a small multiple of one
-// query's fetches (catch-up reads and idle-poll timing account for the
-// slack), and far less than the per-query-consumer baseline spends for
-// the same work.
+// queries must cost a small multiple of one query's fetches (catch-up
+// reads and idle-poll timing account for the slack).
 func TestSharedPlaneAmortizesFetches(t *testing.T) {
-	one := fetchOpsForQueries(t, 1, false)
-	shared := fetchOpsForQueries(t, 8, false)
-	baseline := fetchOpsForQueries(t, 8, true)
-	t.Logf("fetch ops: 1 query %d, 8 queries shared %d, 8 queries per-query %d", one, shared, baseline)
+	one := fetchOpsForQueries(t, 1)
+	shared := fetchOpsForQueries(t, 8)
+	t.Logf("fetch ops: 1 query %d, 8 queries %d", one, shared)
 	if shared > 3*one+100 {
 		t.Errorf("shared plane fetches scale with queries: 1 query %d, 8 queries %d", one, shared)
 	}
-	if shared*2 > baseline {
-		t.Errorf("shared plane (%d fetches) not clearly cheaper than per-query baseline (%d)", shared, baseline)
+}
+
+// makeSwappedEvents is makeEvents with every adjacent pair of events
+// sharing a stratum and exchanged in time, so each partition's log — and
+// each fetched batch — is out of event-time order within every produce
+// batch. A pair is never split: both halves go to one partition, every
+// even-length produce leaves every partition's log even, and every fetch
+// (the plane's, and a catch-up round clamped to the even plane position)
+// is even-sized, so no half arrives behind the watermark and is dropped
+// as late.
+func makeSwappedEvents(seed uint64, n int) []stream.Event {
+	rng := xrand.New(seed)
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	events := make([]stream.Event, n)
+	for i := range events {
+		events[i^1] = stream.Event{
+			Stratum: fmt.Sprintf("s%02d", (i/2)%16),
+			Value:   rng.Gaussian(100, 15),
+			Time:    base.Add(time.Duration(i) * time.Millisecond),
+		}
 	}
+	return events
+}
+
+// catchUpInput is one topic a catch-up test replays. Besides its own
+// ordered stream each test takes a time-permuted one long enough that
+// catching up half of it takes several fetchMax rounds per partition.
+type catchUpInput struct {
+	name   string
+	events []stream.Event
+}
+
+// shardRecordsTotal sums saproxd_shard_records_total over a query's
+// shards — what /metrics reports the query consumed.
+func shardRecordsTotal(s *Server, j *job) int64 {
+	var n float64
+	for p := range j.shards {
+		n += s.reg.Counter("saproxd_shard_records_total", "records consumed per shard",
+			metrics.Labels{"query": j.id, "shard": strconv.Itoa(p)}).Value()
+	}
+	return int64(n)
+}
+
+// windowItems maps a query's served windows to their item counts.
+func windowItems(j *job) map[time.Time]int64 {
+	out := map[time.Time]int64{}
+	for _, r := range j.resultsSince(-1) {
+		out[r.Start] = r.Items
+	}
+	return out
 }
 
 // TestLateRegistrationCatchesUpAndSplices registers a second query
@@ -107,11 +154,19 @@ func TestSharedPlaneAmortizesFetches(t *testing.T) {
 // counts per window must match the early query's exactly — a duplicate
 // or lost record would show up as a diverging count.
 func TestLateRegistrationCatchesUpAndSplices(t *testing.T) {
+	for _, in := range []catchUpInput{
+		{"ordered", makeEvents(31, 16000)},
+		{"pair-swapped", makeSwappedEvents(31, 64000)},
+	} {
+		t.Run(in.name, func(t *testing.T) { lateRegistrationCatchesUp(t, in.events) })
+	}
+}
+
+func lateRegistrationCatchesUp(t *testing.T, events []stream.Event) {
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 2); err != nil {
 		t.Fatal(err)
 	}
-	events := makeEvents(31, 16000)
 	half := len(events) / 2
 	if _, err := broker.ProduceEvents(bk, "in", events[:half]); err != nil {
 		t.Fatal(err)
@@ -154,21 +209,21 @@ func TestLateRegistrationCatchesUpAndSplices(t *testing.T) {
 	if n := jobRecords(j2); n != int64(len(events)) {
 		t.Errorf("late query consumed %d records, want exactly %d (catch-up lost or duplicated)", n, len(events))
 	}
+	if n := shardRecordsTotal(s, j2); n != int64(len(events)) {
+		t.Errorf("late query's saproxd_shard_records_total = %d, want %d", n, len(events))
+	}
 
 	// Per-window item counts must agree between the two queries.
-	items1 := map[time.Time]int64{}
-	for _, r := range j1.resultsSince(-1) {
-		items1[r.Start] = r.Items
-	}
+	items1 := windowItems(j1)
 	compared := 0
-	for _, r := range j2.resultsSince(-1) {
-		want, ok := items1[r.Start]
+	for start, got := range windowItems(j2) {
+		want, ok := items1[start]
 		if !ok {
 			continue
 		}
 		compared++
-		if r.Items != want {
-			t.Errorf("window %v: late query saw %d items, early query %d", r.Start, r.Items, want)
+		if got != want {
+			t.Errorf("window %v: late query saw %d items, early query %d", start, got, want)
 		}
 	}
 	if compared < 4 {
@@ -223,11 +278,19 @@ func TestFromLatestSkipsBacklog(t *testing.T) {
 // cycle must still deliver every record to every query exactly once,
 // and the shed counter must show the path actually ran.
 func TestSlowQuerySheddingNoLossNoDup(t *testing.T) {
+	for _, in := range []catchUpInput{
+		{"ordered", makeEvents(29, 40000)},
+		{"pair-swapped", makeSwappedEvents(29, 64000)},
+	} {
+		t.Run(in.name, func(t *testing.T) { slowQueryShedding(t, in.events) })
+	}
+}
+
+func slowQueryShedding(t *testing.T, events []stream.Event) {
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 2); err != nil {
 		t.Fatal(err)
 	}
-	events := makeEvents(29, 40000)
 	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +321,29 @@ func TestSlowQuerySheddingNoLossNoDup(t *testing.T) {
 	for _, j := range jobs {
 		if n := jobRecords(j); n != int64(len(events)) {
 			t.Fatalf("query %s consumed %d of %d records", j.id, n, len(events))
+		}
+		if n := shardRecordsTotal(s, j); n != int64(len(events)) {
+			t.Fatalf("query %s: saproxd_shard_records_total = %d, want %d", j.id, n, len(events))
+		}
+	}
+	// Every query is shed at its own moments, so their catch-up rounds
+	// cut the log differently — yet each served window must hold exactly
+	// the items an always-attached query sees: the events inside it.
+	ones := make([]stream.Event, len(events))
+	for i, e := range events {
+		e.Value = 1
+		ones[i] = e
+	}
+	exact := exactWindowSums(ones, 2*time.Second, time.Second)
+	for _, j := range jobs {
+		items := windowItems(j)
+		if len(items) < 4 {
+			t.Fatalf("query %s served only %d windows", j.id, len(items))
+		}
+		for start, got := range items {
+			if float64(got) != exact[start] {
+				t.Errorf("query %s window %v: %d items, want %v", j.id, start, got, exact[start])
+			}
 		}
 	}
 	// The depth-1 queue over a 40k backlog must actually have shed; a

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"streamapprox"
-	"streamapprox/internal/broker"
 	"streamapprox/internal/metrics"
 	"streamapprox/internal/stream"
 )
@@ -25,11 +24,8 @@ type job struct {
 	spec Spec
 	srv  *Server
 
-	// plane is the ingest plane the shards attach to: the server's
-	// shared plane, or a private one under Config.PerQueryIngest (the
-	// pre-shared-plane execution model, kept as a benchmark baseline).
-	plane   *ingest
-	private bool // plane is owned by this job
+	// plane is the server's shared ingest plane the shards attach to.
+	plane *ingest
 
 	shards []*shard
 	done   chan struct{}
@@ -123,17 +119,6 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		target = defaultSchedTarget
 	}
 	j.targetGauge.Set(target)
-	if srv.cfg.PerQueryIngest {
-		plane, err := newIngest(srv.cfg.Cluster, srv.cfg.DialShard, srv.cfg.Topic,
-			j.group()+"-ingest", srv.parts, srv.cfg.PollBackoff,
-			srv.cfg.QueueDepth, srv.cfg.CatchUpWorkers, srv.cfg.Logf,
-			srv.reg, metrics.Labels{"query": id})
-		if err != nil {
-			return nil, fmt.Errorf("private ingest: %w", err)
-		}
-		j.plane = plane
-		j.private = true
-	}
 	j.merger = newMerger(&j.spec, srv.parts, nil)
 	for p := 0; p < srv.parts; p++ {
 		sh := &shard{job: j, idx: p}
@@ -151,7 +136,6 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 
 	if restore != nil {
 		if err := j.restore(restore); err != nil {
-			j.stopPrivatePlane()
 			return nil, err
 		}
 		return j, nil
@@ -168,7 +152,6 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 			sh.offset, err = srv.cfg.Cluster.Committed(j.group(), srv.cfg.Topic, sh.idx)
 		}
 		if err != nil {
-			j.stopPrivatePlane()
 			return nil, fmt.Errorf("shard %d start offset: %w", sh.idx, err)
 		}
 	}
@@ -219,7 +202,6 @@ func (j *job) stop(flush bool) {
 		j.plane.detach(sh)
 	}
 	j.wg.Wait()
-	j.stopPrivatePlane()
 	if flush {
 		for _, sh := range j.shards {
 			sh.mu.Lock()
@@ -238,13 +220,6 @@ func (j *job) stop(flush bool) {
 		delete(j.subs, id)
 	}
 	j.mu.Unlock()
-}
-
-// stopPrivatePlane stops a per-query plane (no-op for the shared one).
-func (j *job) stopPrivatePlane() {
-	if j.private {
-		j.plane.stop()
-	}
 }
 
 // setFraction pushes a scheduler-granted sampling fraction into every
@@ -306,16 +281,17 @@ func (j *job) isStopped() bool {
 }
 
 // resultsSince returns served results with Seq > since, oldest first.
+// The ring is seq-ordered and callers mostly ask for the newest window
+// or two, so the suffix is found from the tail and copied at its exact
+// size (never nil: /results must encode an empty answer as []).
 func (j *job) resultsSince(since int64) []MergedWindow {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]MergedWindow, 0, len(j.results))
-	for _, r := range j.results {
-		if r.Seq > since {
-			out = append(out, r)
-		}
+	i := len(j.results)
+	for i > 0 && j.results[i-1].Seq > since {
+		i--
 	}
-	return out
+	return append(make([]MergedWindow, 0, len(j.results)-i), j.results[i:]...)
 }
 
 // subscribe registers a live result channel; the returned cancel
@@ -365,66 +341,19 @@ func (sh *shard) setSkip(offset int64) {
 	sh.mu.Unlock()
 }
 
-// consume implements ingestSink: apply one event-time sorted batch to
-// the session and hand completed windows to the merger. The batch
-// slice is shared with other queries' sinks and is never mutated. The
-// whole application (push + watermark advance + merger delivery) runs
-// under one sh.mu hold, so a checkpoint observes either all of a batch
-// or none of it (no torn checkpoint).
-func (sh *shard) consume(recs []broker.Record, next int64, hwm int64, haveHWM bool) {
-	sh.mu.Lock()
-	delivered := 0
-	for i := range recs {
-		r := &recs[i]
-		if r.Offset < sh.skipUntil {
-			continue
-		}
-		_ = sh.sess.Push(streamapprox.Event(broker.ToEvent(*r)))
-		if r.Time.After(sh.watermark) {
-			sh.watermark = r.Time
-		}
-		delivered++
-	}
-	sh.offset = next
-	if sh.offset < sh.skipUntil {
-		// Still skipping ahead to the requested start: the watermark to
-		// resume from after a restart is the start, not the plane position.
-		sh.offset = sh.skipUntil
-	}
-	if delivered > 0 {
-		sh.records.Add(int64(delivered))
-		sh.recordsMetric.Add(float64(delivered))
-		sh.lateMetric.Set(float64(sh.sess.Late()))
-		sh.sess.Advance(sh.watermark)
-		sh.deliver(sh.sess.Poll(), sh.watermark)
-	}
-	offset := sh.offset
-	sh.mu.Unlock()
-	if haveHWM {
-		lag := hwm - offset
-		if lag < 0 {
-			lag = 0
-		}
-		sh.lag.Store(lag)
-		sh.lagMetric.Set(float64(lag))
-		var total int64
-		for _, peer := range sh.job.shards {
-			total += peer.lag.Load()
-		}
-		sh.job.lagGauge.Set(float64(total))
-	}
-}
-
-// consumeBatch is consume's columnar form: the shared, read-only
-// EventBatch flows into the session's vectorized PushBatch instead of
-// one Push per record. The skip-ahead clamp uses the batch's Base
-// (plane offsets are consecutive within a batch): it drops exactly
-// skipUntil-Base records, which is the same SET of records consume's
-// per-offset check drops whenever the batch is in offset order — the
-// overwhelmingly common case, since producers append in event-time
-// order and a time sort then never permutes. A time-permuted batch can
-// swap individual records across the attach boundary within the one
-// straddling batch; counts, offsets and watermarks stay exact.
+// consumeBatch applies one event-time sorted EventBatch to the session
+// through its vectorized PushBatch and hands completed windows to the
+// merger. The batch is shared with other queries' sinks and is never
+// mutated. The whole application (push + watermark advance + merger
+// delivery) runs under one sh.mu hold, so a checkpoint observes either
+// all of a batch or none of it (no torn checkpoint). The skip-ahead
+// clamp uses the batch's Base (offsets are consecutive within a batch):
+// it drops exactly skipUntil-Base records, which are the records below
+// skipUntil whenever the batch is in offset order — the overwhelmingly
+// common case, since producers append in event-time order and a time
+// sort then never permutes. A time-permuted batch can swap individual
+// records across the attach boundary within the one straddling batch;
+// counts, offsets and watermarks stay exact.
 func (sh *shard) consumeBatch(b *stream.EventBatch, next int64, hwm int64, haveHWM bool) {
 	n := b.Len()
 	sh.mu.Lock()
@@ -472,7 +401,7 @@ func (sh *shard) consumeBatch(b *stream.EventBatch, next int64, hwm int64, haveH
 	}
 }
 
-// idleAdvance implements ingestSink: push an idle shard's session
+// idleAdvance pushes an idle shard's session
 // forward to the job-wide maximum watermark, flushing windows a
 // sparsely keyed partition would otherwise hold back forever.
 func (sh *shard) idleAdvance() {

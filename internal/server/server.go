@@ -74,10 +74,6 @@ type Config struct {
 	GlobalBudget float64
 	// ScheduleEvery is the scheduler control interval (default 2s).
 	ScheduleEvery time.Duration
-	// PerQueryIngest reverts to one private ingest plane per query —
-	// the pre-shared-plane execution model, where broker work scales
-	// O(queries × partitions). Kept as a benchmark baseline.
-	PerQueryIngest bool
 	// Logf, when set, receives operational log lines.
 	Logf func(format string, args ...any)
 }
@@ -88,7 +84,7 @@ type Server struct {
 	parts int
 	reg   *metrics.Registry
 	mux   *http.ServeMux
-	ing   *ingest    // shared ingest plane (nil under PerQueryIngest)
+	ing   *ingest    // shared ingest plane
 	sched *scheduler // cross-query budget scheduler (nil without GlobalBudget)
 
 	mu      sync.Mutex
@@ -143,24 +139,20 @@ func New(cfg Config) (*Server, error) {
 	s.checkpoints = s.reg.Counter("saproxd_checkpoints_total", "successful checkpoints", nil)
 	s.checkpointErrs = s.reg.Counter("saproxd_checkpoint_errors_total", "failed checkpoints", nil)
 	s.buildMux()
-	if !cfg.PerQueryIngest {
-		s.ing, err = newIngest(cfg.Cluster, cfg.DialShard, cfg.Topic, cfg.Group+"-ingest",
-			parts, cfg.PollBackoff, cfg.QueueDepth, cfg.CatchUpWorkers, cfg.Logf, s.reg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("server: ingest plane: %w", err)
-		}
+	s.ing, err = newIngest(cfg.Cluster, cfg.DialShard, cfg.Topic, cfg.Group+"-ingest",
+		parts, cfg.PollBackoff, cfg.QueueDepth, cfg.CatchUpWorkers, cfg.Logf, s.reg)
+	if err != nil {
+		return nil, fmt.Errorf("server: ingest plane: %w", err)
 	}
 
 	// fail releases everything the constructor has already stood up —
-	// plane connections and restored (unstarted) jobs with their
-	// private planes — so an error return leaks nothing.
+	// plane connections and restored (unstarted) jobs — so an error
+	// return leaks nothing.
 	fail := func(err error) (*Server, error) {
 		for _, j := range s.queries {
 			j.stop(false)
 		}
-		if s.ing != nil {
-			s.ing.stop()
-		}
+		s.ing.stop()
 		return nil, err
 	}
 
@@ -171,13 +163,11 @@ func New(cfg Config) (*Server, error) {
 		// Re-position the shared plane before any query attaches, so
 		// restored queries splice against the checkpointed offsets
 		// instead of re-deciding them.
-		if s.ing != nil {
-			offsets, err := loadIngestState(cfg.CheckpointDir, cfg.Topic)
-			if err != nil {
-				return fail(fmt.Errorf("server: load ingest state: %w", err))
-			}
-			s.ing.position(offsets)
+		offsets, err := loadIngestState(cfg.CheckpointDir, cfg.Topic)
+		if err != nil {
+			return fail(fmt.Errorf("server: load ingest state: %w", err))
 		}
+		s.ing.position(offsets)
 		cfs, err := loadCheckpoints(cfg.CheckpointDir)
 		if err != nil {
 			return fail(fmt.Errorf("server: load checkpoints: %w", err))
@@ -347,9 +337,7 @@ func (s *Server) Close() {
 	s.mu.Unlock()
 	close(s.done)
 	s.wg.Wait()
-	if s.ing != nil {
-		s.ing.stop()
-	}
+	s.ing.stop()
 	for _, j := range s.jobs() {
 		j.stop(false)
 	}
@@ -380,13 +368,11 @@ func (s *Server) checkpointAll() {
 	s.mu.Lock()
 	closing := s.closed
 	s.mu.Unlock()
-	if s.ing != nil {
-		if err := saveIngestState(s.cfg.CheckpointDir, s.cfg.Topic, s.ing.offsets()); err != nil {
-			s.checkpointErrs.Inc()
-			s.cfg.Logf("checkpoint ingest state: %v", err)
-		}
-		s.ing.commit()
+	if err := saveIngestState(s.cfg.CheckpointDir, s.cfg.Topic, s.ing.offsets()); err != nil {
+		s.checkpointErrs.Inc()
+		s.cfg.Logf("checkpoint ingest state: %v", err)
 	}
+	s.ing.commit()
 	for _, j := range s.jobs() {
 		if j.isStopped() && !closing {
 			continue // being deregistered; don't resurrect its file
@@ -576,6 +562,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown query %q", r.PathValue("id"))
 		return
 	}
+	since, haveSince := int64(-1), false
+	if v := r.URL.Query().Get("since"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "since: %v", err)
+			return
+		}
+		since, haveSince = n, true
+	}
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
@@ -603,12 +598,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	// between the two; send dedups by seq.
 	ch, cancel := j.subscribe()
 	defer cancel()
-	since := int64(-1)
-	if v := r.URL.Query().Get("since"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			since = n
-		}
-	} else {
+	if !haveSince {
 		j.mu.Lock()
 		since = j.seq - 1
 		j.mu.Unlock()

@@ -326,6 +326,17 @@ func TestStreamEndpointDeliversLiveResults(t *testing.T) {
 
 	qi := postQuery(t, ts.URL, `{"kind":"mean","window":"2s","slide":"1s","fraction":0.8}`)
 
+	// A malformed ?since is refused like /results refuses it, not
+	// silently replayed as since=-1.
+	bad, err := http.Get(ts.URL + "/v1/queries/" + qi.ID + "/stream?since=abc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = bad.Body.Close()
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/stream?since=abc: status %d, want 400", bad.StatusCode)
+	}
+
 	resp, err := http.Get(ts.URL + "/v1/queries/" + qi.ID + "/stream?since=-1")
 	if err != nil {
 		t.Fatal(err)
