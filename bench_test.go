@@ -12,9 +12,11 @@
 package streamapprox
 
 import (
+	"fmt"
 	"os"
 	"strconv"
 	"testing"
+	"time"
 
 	"streamapprox/internal/experiment"
 )
@@ -117,5 +119,54 @@ func BenchmarkSessionPush(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Push(events[i%len(events)])
+	}
+}
+
+// BenchmarkSessionWindows is the pane path's micro-number beside
+// bench/: one op pushes 40 one-second slides of 2000 events (three
+// strata) through PushBatch and polls the windows, for the three
+// summary shapes (moments only, groups, bucket counts) at two
+// window/slide ratios and two sampling fractions.
+func BenchmarkSessionWindows(b *testing.B) {
+	const segments, perSegment = 40, 2000
+	batch := NewEventBatch()
+	defer batch.Release()
+	ids := []int32{batch.Intern("a"), batch.Intern("b"), batch.Intern("c")}
+	for i := 0; i < segments*perSegment; i++ {
+		batch.Append(ids[i%3], float64(i%251), 0)
+	}
+	for _, q := range []struct {
+		name string
+		kind Query
+	}{{"sum", Sum}, {"groupby-mean", GroupByMean}, {"histogram", Histogram}} {
+		for _, ratio := range []int{2, 5} {
+			for _, fraction := range []float64{0.1, 0.8} {
+				b.Run(fmt.Sprintf("%s/ws%d/f%.0f", q.name, ratio, 100*fraction), func(b *testing.B) {
+					s := NewSession(SessionConfig{
+						Query: q.kind, WindowSize: time.Duration(ratio) * time.Second, WindowSlide: time.Second,
+						Fraction: fraction, HistogramEdges: []float64{0, 50, 100, 150, 200, 256},
+					})
+					epoch := int64(1 << 60)
+					windows := 0
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for j := range batch.Times {
+							batch.Times[j] = epoch + int64(j)*int64(time.Second)/perSegment
+						}
+						epoch += segments * int64(time.Second)
+						if err := s.PushBatch(batch, 0, batch.Len()); err != nil {
+							b.Fatal(err)
+						}
+						windows += len(s.Poll())
+					}
+					b.StopTimer()
+					if windows == 0 {
+						b.Fatal("no windows")
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segments*perSegment), "ns/item")
+				})
+			}
+		}
 	}
 }

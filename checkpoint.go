@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"streamapprox/internal/adaptive"
+	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
-	"streamapprox/internal/window"
 	"streamapprox/internal/xrand"
 )
 
@@ -40,19 +41,26 @@ type sessionState struct {
 	Late      int64                `json:"late"`
 	Sampler   *sampling.OASRSState `json:"sampler,omitempty"`
 
-	Pending map[string]pendingSample `json:"pending"`
-	Ready   []WindowResult           `json:"ready,omitempty"`
+	// Version 2: the finished segments' summaries and the completeness
+	// mark (see Session.panes).
+	Panes []pane    `json:"panes,omitempty"`
+	Fired time.Time `json:"fired"`
+	// Version 1, read only: every unfired window's sampled rows, keyed
+	// by window start.
+	Pending map[string]pendingSample `json:"pending,omitempty"`
+
+	Ready []WindowResult `json:"ready,omitempty"`
 }
 
-// pendingSample is a window's accumulated sub-samples.
+// pendingSample is a version-1 window's accumulated sub-samples.
 type pendingSample struct {
 	Strata []sampling.StratumSample `json:"strata"`
 }
 
-const snapshotVersion = 1
+const snapshotVersion = 2
 
 // Snapshot serializes the session's full state — in-flight segment
-// sampler, pending window samples, adaptive-controller position, RNG —
+// sampler, finished segments' summaries, adaptive-controller position, RNG —
 // so processing can resume after a crash via RestoreSession. The session
 // remains usable after Snapshot.
 func (s *Session) Snapshot() ([]byte, error) {
@@ -77,15 +85,13 @@ func (s *Session) Snapshot() ([]byte, error) {
 		LastCount:       s.lastCount,
 		Watermark:       s.watermark,
 		Late:            s.late,
-		Pending:         make(map[string]pendingSample, len(s.pending)),
+		Panes:           s.panes,
+		Fired:           s.fired,
 		Ready:           s.ready,
 	}
 	if s.sampler != nil {
 		samplerState := s.sampler.State()
 		st.Sampler = &samplerState
-	}
-	for start, sample := range s.pending {
-		st.Pending[start.Format(time.RFC3339Nano)] = pendingSample{Strata: sample.Strata}
 	}
 	return json.Marshal(st)
 }
@@ -93,13 +99,14 @@ func (s *Session) Snapshot() ([]byte, error) {
 // RestoreSession rebuilds a session from a Snapshot. The restored
 // session continues the event-time stream where the snapshot left off:
 // pending windows, the in-flight segment's reservoirs, the watermark and
-// the adaptive fraction are all recovered.
+// the adaptive fraction are all recovered. Version-1 snapshots, which
+// carry each pending window's sampled rows, are summarised on load.
 func RestoreSession(data []byte) (*Session, error) {
 	var st sessionState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("streamapprox: decode snapshot: %w", err)
 	}
-	if st.Version != snapshotVersion {
+	if st.Version != 1 && st.Version != snapshotVersion {
 		return nil, fmt.Errorf("streamapprox: unsupported snapshot version %d", st.Version)
 	}
 	// The latency cost model (if any) is rebuilt empty: it re-fits from
@@ -131,15 +138,59 @@ func RestoreSession(data []byte) (*Session, error) {
 	if st.Sampler != nil {
 		s.sampler = sampling.RestoreOASRS(*st.Sampler, nil, s.rng)
 	}
-	for key, ps := range st.Pending {
+	if st.Version == 1 {
+		if err := s.adoptV1Pending(st.Pending); err != nil {
+			return nil, err
+		}
+		return s, nil
+	}
+	if h, ok := s.q.(*query.Histogram); ok {
+		for i := range st.Panes {
+			if !h.Fits(&st.Panes[i].Summary) {
+				return nil, fmt.Errorf("streamapprox: pane %s: bucket counts do not match its strata",
+					st.Panes[i].Start.Format(time.RFC3339Nano))
+			}
+		}
+	}
+	s.panes, s.fired = st.Panes, st.Fired
+	return s, nil
+}
+
+// adoptV1Pending rebuilds the panes from a version-1 snapshot's pending
+// windows. Every pending window covered all finished segments from its
+// start on, in time order, so each window's strata end with the next
+// window's: what it has beyond them is the segment it starts at (empty
+// when no event fell there). The windows before the earliest pending one
+// had all fired.
+func (s *Session) adoptV1Pending(pending map[string]pendingSample) error {
+	type window struct {
+		start  time.Time
+		strata []sampling.StratumSample
+	}
+	wins := make([]window, 0, len(pending))
+	for key, ps := range pending {
 		start, err := time.Parse(time.RFC3339Nano, key)
 		if err != nil {
-			return nil, fmt.Errorf("streamapprox: bad pending-window key %q: %w", key, err)
+			return fmt.Errorf("streamapprox: bad pending-window key %q: %w", key, err)
 		}
-		s.pending[start] = &sampling.Sample{Strata: ps.Strata}
+		wins = append(wins, window{start, ps.Strata})
 	}
-	// Defensive: the assigner is cheap to rebuild and guards against a
-	// zero-window config slipping through.
-	s.assigner = window.NewAssigner(s.cfg.WindowSize, s.cfg.WindowSlide)
-	return s, nil
+	if len(wins) == 0 {
+		return nil
+	}
+	sort.Slice(wins, func(i, j int) bool { return wins[i].start.Before(wins[j].start) })
+	for i, w := range wins {
+		own := len(w.strata)
+		if i+1 < len(wins) {
+			own -= len(wins[i+1].strata)
+		}
+		if own < 0 {
+			return fmt.Errorf("streamapprox: pending window %s holds fewer strata than its successor",
+				w.start.Format(time.RFC3339Nano))
+		}
+		sum := s.q.Summarize(&sampling.Sample{Strata: w.strata[:own]})
+		s.panes = append(s.panes, pane{Start: w.start, Summary: sum})
+	}
+	s.fired = wins[0].start.Add(s.assigner.Size() - s.assigner.Slide())
+	return nil
 }

@@ -1,0 +1,100 @@
+package streamapprox
+
+import (
+	"encoding/json"
+	"math/rand"
+	"os"
+	"testing"
+	"time"
+)
+
+// testdata/session_v1.json was written at commit 82a61bd — the last one
+// whose sessions kept sample rows per pending window (snapshot version
+// 1) — by pushing goldenStream through goldenPush: per query kind, the
+// snapshot taken after goldenCut chunks (mid-segment, two windows
+// pending) and every window that parent run produced afterwards. It
+// pins two things across the format change: a v1 snapshot still
+// restores, and the pane path continues it to the numbers the row path
+// produced.
+
+const (
+	goldenChunk = 37 // events per PushBatch; straddles segment boundaries
+	goldenCut   = 6  // chunks pushed before the snapshot (t ≈ 11.1 s, inside segment [10 s, 12 s))
+)
+
+type goldenCase struct {
+	Snapshot json.RawMessage `json:"snapshot"`
+	Windows  []WindowResult  `json:"windows"`
+}
+
+var goldenKinds = map[string]Query{"sum": Sum, "groupby-mean": GroupByMean, "histogram": Histogram}
+
+func goldenConfig(q Query) SessionConfig {
+	return SessionConfig{
+		Query: q, WindowSize: 6 * time.Second, WindowSlide: 2 * time.Second,
+		Fraction: 0.5, Seed: 7, HistogramEdges: []float64{0, 50, 100, 150, 250},
+	}
+}
+
+// goldenStream is 20 s of three strata at 20 events/s.
+func goldenStream() []Event {
+	rng := rand.New(rand.NewSource(14))
+	strata := []string{"a", "b", "c"}
+	events := make([]Event, 400)
+	for i := range events {
+		k := rng.Intn(3)
+		events[i] = Event{
+			Stratum: strata[k],
+			Value:   float64(50*(k+1)) + 20*rng.NormFloat64(),
+			Time:    batchBase.Add(time.Duration(i) * 50 * time.Millisecond),
+		}
+	}
+	return events
+}
+
+// goldenPush feeds chunks [from, to) of the stream and returns the
+// windows they complete.
+func goldenPush(t *testing.T, s *Session, events []Event, from, to int) []WindowResult {
+	t.Helper()
+	var out []WindowResult
+	for c := from; c < to && c*goldenChunk < len(events); c++ {
+		b := batchOf(events[c*goldenChunk : min((c+1)*goldenChunk, len(events))])
+		if err := s.PushBatch(b, 0, b.Len()); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		out = append(out, s.Poll()...)
+	}
+	return out
+}
+
+func TestRestoreV1Golden(t *testing.T) {
+	data, err := os.ReadFile("testdata/session_v1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]goldenCase
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	events := goldenStream()
+	chunks := (len(events) + goldenChunk - 1) / goldenChunk
+	for name, q := range goldenKinds {
+		gc, ok := golden[name]
+		if !ok {
+			t.Fatalf("golden has no %q case", name)
+		}
+		restored, err := RestoreSession(gc.Snapshot)
+		if err != nil {
+			t.Fatalf("%s: restore v1: %v", name, err)
+		}
+		got := append(goldenPush(t, restored, events, goldenCut, chunks), restored.Close()...)
+		requireSameWindows(t, name+" vs parent", got, gc.Windows)
+
+		// And the same windows as a run that was never interrupted.
+		whole := NewSession(goldenConfig(q))
+		goldenPush(t, whole, events, 0, goldenCut)
+		want := append(goldenPush(t, whole, events, goldenCut, chunks), whole.Close()...)
+		requireSameWindows(t, name+" vs uninterrupted", got, want)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/stream"
 )
 
@@ -561,17 +562,15 @@ func (c *Client) commitRep(epoch int64, sender, group, topic string, partition i
 // disables deduplication). Against a cluster member this must reach the
 // partition leader; non-leaders answer with a NotLeader redirect.
 func (c *Client) ProducePartition(topicName string, partition int, pid, seq uint64, recs []Record) (int, error) {
-	if err := checkTopic(topicName); err != nil {
-		return 0, err
-	}
-	return c.callCount(func(fb *frameBuf, corr uint64) {
-		encodeProducePartFramesReq(fb, corr, c.trace.Load(), topicName, partition, pid, seq, recs)
-	})
+	fb := getFrame()
+	defer putFrame(fb)
+	fb.b = storage.AppendRecordFrames(fb.b, recs)
+	return c.producePartitionFrames(topicName, partition, pid, seq, fb.b, len(recs))
 }
 
-// producePartitionFrames forwards an already-validated frame chunk to a
-// partition leader — the node→node hop of a routed produce, shipping
-// the producer's bytes verbatim.
+// producePartitionFrames ships a frame chunk to a partition leader
+// verbatim: a producing client's freshly encoded records, or the
+// node→node hop of a routed produce forwarding validated bytes.
 func (c *Client) producePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (int, error) {
 	if err := checkTopic(topicName); err != nil {
 		return 0, err

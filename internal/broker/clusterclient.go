@@ -24,6 +24,7 @@ import (
 	"sync"
 	"time"
 
+	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/stream"
 )
 
@@ -481,26 +482,27 @@ func (cc *ClusterClient) produceLock(tp string) *sync.Mutex {
 // Produce partitions records by key and sends each batch to its
 // partition leader with an idempotent (pid, seq) identity: a batch
 // retried across redirects or a failover is appended exactly once.
-// Per-partition batches go out concurrently — paired with the leaders'
-// pipelined replication, the produce cost of one call is the slowest
-// single partition, not the sum over partitions.
+// Each record is encoded once, straight into its partition's pooled
+// frame buffer. Per-partition batches go out concurrently — paired with
+// the leaders' pipelined replication, the produce cost of one call is
+// the slowest single partition, not the sum over partitions.
 func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 	parts, err := cc.Partitions(topicName)
 	if err != nil {
 		return 0, err
 	}
-	byPart := make([][]Record, parts)
-	if parts == 1 {
-		byPart[0] = recs
-	} else {
-		per := len(recs)/parts + len(recs)/(parts*4) + 1 // headroom over an even spread
-		for _, r := range recs {
-			p := cc.partitionForKey(r.Key, parts)
-			if byPart[p] == nil {
-				byPart[p] = make([]Record, 0, per)
-			}
-			byPart[p] = append(byPart[p], r)
+	bufs := make([]*frameBuf, parts)
+	counts := make([]int, parts)
+	for i := range recs {
+		p := 0
+		if parts > 1 {
+			p = cc.partitionForKey(recs[i].Key, parts)
 		}
+		if bufs[p] == nil {
+			bufs[p] = getFrame()
+		}
+		bufs[p].b = storage.AppendFrame(bufs[p].b, &recs[i])
+		counts[p]++
 	}
 	var (
 		wg       sync.WaitGroup
@@ -508,32 +510,33 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 		total    int
 		firstErr error
 	)
-	for p, batch := range byPart {
-		if len(batch) == 0 {
+	for p, fb := range bufs {
+		if fb == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(p int, batch []Record) {
+		go func(p int, fb *frameBuf) {
 			defer wg.Done()
-			err := cc.producePartition(topicName, p, batch)
+			err := cc.producePartitionFrames(topicName, p, fb.b, counts[p])
+			putFrame(fb) // only now: every retry above shipped these bytes
 			mu.Lock()
 			if err != nil {
 				if firstErr == nil {
 					firstErr = err
 				}
 			} else {
-				total += len(batch)
+				total += counts[p]
 			}
 			mu.Unlock()
-		}(p, batch)
+		}(p, fb)
 	}
 	wg.Wait()
 	return total, firstErr
 }
 
-// producePartition sends one partition's batch under the partition's
-// produce lock with a fresh sequence number.
-func (cc *ClusterClient) producePartition(topicName string, partition int, batch []Record) error {
+// producePartitionFrames sends one partition's frame chunk under the
+// partition's produce lock with a fresh sequence number.
+func (cc *ClusterClient) producePartitionFrames(topicName string, partition int, frames []byte, count int) error {
 	tp := tpKey(topicName, partition)
 	mu := cc.produceLock(tp)
 	mu.Lock()
@@ -543,7 +546,7 @@ func (cc *ClusterClient) producePartition(topicName string, partition int, batch
 	seq := cc.seqs[tp]
 	cc.mu.Unlock()
 	return cc.withLeaderRetry(topicName, partition, func(cli *Client) error {
-		_, err := cli.ProducePartition(topicName, partition, cc.pid, seq, batch)
+		_, err := cli.producePartitionFrames(topicName, partition, cc.pid, seq, frames, count)
 		return err
 	})
 }

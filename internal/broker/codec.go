@@ -301,21 +301,9 @@ func encodeProduceFramesReq(fb *frameBuf, corr, trace uint64, topic string, recs
 	fb.b = appendRecFrameChunk(fb.b, recs)
 }
 
-// encodeProducePartFramesReq encodes a partitioned produce: explicit
-// target partition plus the producer id / sequence pair for idempotent
-// retries (pid 0 disables deduplication).
-func encodeProducePartFramesReq(fb *frameBuf, corr, trace uint64, topic string, partition int, pid, seq uint64, recs []Record) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpProducePartF, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-	fb.b = appendU64(fb.b, pid)
-	fb.b = appendU64(fb.b, seq)
-	fb.b = appendRecFrameChunk(fb.b, recs)
-}
-
-// encodeProducePartFwdReq forwards an already-validated frame chunk to
-// a partition leader (the routed-produce hop between nodes).
+// encodeProducePartFwdReq encodes a partitioned produce of an encoded
+// frame chunk: explicit target partition plus the producer id /
+// sequence pair for idempotent retries (pid 0 disables deduplication).
 func encodeProducePartFwdReq(fb *frameBuf, corr, trace uint64, topic string, partition int, pid, seq uint64, frames []byte, count int) {
 	fb.b = appendBinReqHeader(fb.b[:0], binOpProducePartF, corr, trace)
 	fb.b = appendU16(fb.b, uint16(len(topic)))

@@ -81,119 +81,171 @@ func (e Estimate) Contains(v float64) bool {
 	return v >= lo && v <= hi
 }
 
-// stratumStats holds the per-stratum sufficient statistics.
-type stratumStats struct {
-	ci     float64 // total items observed
-	yi     float64 // items sampled
-	sum    float64 // Σ sampled values
-	mean   float64
-	s2     float64 // sample variance (Eq. 7)
-	weight float64
+// Moments holds one stratum's sufficient statistics for one sampling
+// interval: everything Eqs. 2–9 read from the stratum's sampled items.
+// Because Eq. 6 and Eq. 9 are sums of independent per-stratum terms, a
+// window spanning several intervals is estimated from the intervals'
+// Moments alone — no sampled row is needed once they are taken.
+type Moments struct {
+	Count  int64   `json:"c"`   // Ci: items observed
+	N      int64   `json:"n"`   // Yi: items sampled
+	Sum    float64 `json:"sum"` // Σ sampled values
+	S2     float64 `json:"s2"`  // sample variance of the sampled values (Eq. 7)
+	Weight float64 `json:"w"`   // Wi (Eq. 1)
 }
 
-func statsFor(st *sampling.StratumSample) stratumStats {
-	yi := float64(len(st.Items))
+// MomentsOf reduces a stratum's sampled values to Moments; count is Ci
+// and weight Wi. The variance is the two-pass Σ(v−mean)²/(Yi−1).
+func MomentsOf(count int64, weight float64, values []float64) Moments {
 	var sum float64
-	for _, it := range st.Items {
-		sum += it.Value
-	}
-	mean := 0.0
-	if yi > 0 {
-		mean = sum / yi
+	for _, v := range values {
+		sum += v
 	}
 	var s2 float64
-	if yi > 1 {
-		for _, it := range st.Items {
-			d := it.Value - mean
+	if yi := float64(len(values)); yi > 1 {
+		mean := sum / yi
+		for _, v := range values {
+			d := v - mean
 			s2 += d * d
 		}
 		s2 /= yi - 1
 	}
-	return stratumStats{
-		ci:     float64(st.Count),
-		yi:     yi,
-		sum:    sum,
-		mean:   mean,
-		s2:     s2,
-		weight: st.Weight,
-	}
+	return Moments{Count: count, N: int64(len(values)), Sum: sum, S2: s2, Weight: weight}
 }
 
-// Sum returns the approximate weighted sum of all items received from all
-// sub-streams (Eqs. 2–3) with its error bound (Eq. 6).
-func Sum(s *sampling.Sample, conf Confidence) Estimate {
-	var value, variance float64
+// RowMoments is MomentsOf over a stratum's sampled rows, read in place.
+func RowMoments(st *sampling.StratumSample) Moments {
+	var sum float64
+	for i := range st.Items {
+		sum += st.Items[i].Value
+	}
+	var s2 float64
+	if yi := float64(len(st.Items)); yi > 1 {
+		mean := sum / yi
+		for i := range st.Items {
+			d := st.Items[i].Value - mean
+			s2 += d * d
+		}
+		s2 /= yi - 1
+	}
+	return Moments{Count: st.Count, N: int64(len(st.Items)), Sum: sum, S2: s2, Weight: st.Weight}
+}
+
+// IndicatorMoments is MomentsOf for an indicator query in closed form:
+// of n sampled items, hits have value 1 and the rest 0, so with p =
+// hits/n the squared deviations sum to hits·(1−p)² + (n−hits)·p².
+func IndicatorMoments(count int64, weight float64, n, hits int64) Moments {
+	m := Moments{Count: count, N: n, Sum: float64(hits), Weight: weight}
+	if n > 1 {
+		p := float64(hits) / float64(n)
+		m.S2 = (float64(hits)*(1-p)*(1-p) + float64(n-hits)*p*p) / float64(n-1)
+	}
+	return m
+}
+
+// CountMoments is RowMoments without the passes over the rows: the
+// counts and the weight, all a COUNT or an indicator query reads.
+func CountMoments(st *sampling.StratumSample) Moments {
+	return Moments{Count: st.Count, N: int64(len(st.Items)), Weight: st.Weight}
+}
+
+// sampleMoments applies of to every stratum of the sample.
+func sampleMoments(s *sampling.Sample, of func(*sampling.StratumSample) Moments) []Moments {
+	ms := make([]Moments, len(s.Strata))
 	for i := range s.Strata {
-		st := statsFor(&s.Strata[i])
-		value += st.sum * st.weight // SUMi = (Σ Ii,j) · Wi      (Eq. 2)
-		if st.yi > 0 {
-			variance += st.ci * (st.ci - st.yi) * st.s2 / st.yi // (Eq. 6)
+		ms[i] = of(&s.Strata[i])
+	}
+	return ms
+}
+
+// SumOf returns the approximate weighted sum of all items received from
+// all sub-streams (Eqs. 2–3) with its error bound (Eq. 6). The entries
+// may span several intervals; each is an independent stratum sample.
+func SumOf(ms []Moments, conf Confidence) Estimate {
+	var value, variance float64
+	for i := range ms {
+		m := &ms[i]
+		value += m.Sum * m.Weight // SUMi = (Σ Ii,j) · Wi      (Eq. 2)
+		if m.N > 0 {
+			ci, yi := float64(m.Count), float64(m.N)
+			variance += ci * (ci - yi) * m.S2 / yi // (Eq. 6)
 		}
 	}
 	return finish(value, variance, conf)
 }
 
-// Mean returns the approximate mean of all items (Eq. 4) with its error
-// bound (Eq. 9).
-func Mean(s *sampling.Sample, conf Confidence) Estimate {
-	total := float64(s.TotalCount())
+// MeanOf returns the approximate mean of all items (Eq. 4) with its
+// error bound (Eq. 9).
+func MeanOf(ms []Moments, conf Confidence) Estimate {
+	total := float64(totalCount(ms))
 	if total == 0 {
 		return Estimate{Confidence: conf}
 	}
 	var value, variance float64
-	for i := range s.Strata {
-		st := statsFor(&s.Strata[i])
-		if st.ci == 0 {
+	for i := range ms {
+		m := &ms[i]
+		if m.Count == 0 {
 			continue
 		}
-		omega := st.ci / total
-		value += omega * st.mean // MEAN = Σ ωi·MEANi          (Eq. 8)
-		if st.yi > 0 {
-			fpc := (st.ci - st.yi) / st.ci
-			variance += omega * omega * (st.s2 / st.yi) * fpc // (Eq. 9)
+		ci, yi := float64(m.Count), float64(m.N)
+		omega := ci / total
+		if m.N > 0 {
+			value += omega * (m.Sum / yi) // MEAN = Σ ωi·MEANi          (Eq. 8)
+			fpc := (ci - yi) / ci
+			variance += omega * omega * (m.S2 / yi) * fpc // (Eq. 9)
 		}
 	}
 	return finish(value, variance, conf)
 }
 
-// Count returns the estimated total number of items (exact for OASRS and
-// STS since counters track arrivals; the bound is therefore zero).
+// CountOf returns the estimated total number of items (exact for OASRS
+// and STS since counters track arrivals; the bound is therefore zero).
+func CountOf(ms []Moments, conf Confidence) Estimate {
+	return Estimate{Value: float64(totalCount(ms)), Confidence: conf}
+}
+
+func totalCount(ms []Moments) int64 {
+	var total int64
+	for i := range ms {
+		total += ms[i].Count
+	}
+	return total
+}
+
+// Sum is SumOf over a sample's rows.
+func Sum(s *sampling.Sample, conf Confidence) Estimate {
+	return SumOf(sampleMoments(s, RowMoments), conf)
+}
+
+// Mean is MeanOf over a sample's rows.
+func Mean(s *sampling.Sample, conf Confidence) Estimate {
+	return MeanOf(sampleMoments(s, RowMoments), conf)
+}
+
+// Count is CountOf over a sample's rows.
 func Count(s *sampling.Sample, conf Confidence) Estimate {
-	return Estimate{Value: float64(s.TotalCount()), Confidence: conf}
+	return CountOf(sampleMoments(s, CountMoments), conf)
 }
 
 // LinearFunc estimates Σ f(item) over the original stream: a generic
 // linear query (§3.2 "OASRS supports any types of approximate linear
-// queries"). The variance formula is Eq. 6 applied to the transformed
-// values.
+// queries") — SumOf applied to the transformed values.
 func LinearFunc(s *sampling.Sample, f func(v float64) float64, conf Confidence) Estimate {
-	var value, variance float64
+	ms := make([]Moments, len(s.Strata))
+	most := 0
+	for i := range s.Strata {
+		most = max(most, len(s.Strata[i].Items))
+	}
+	vals := make([]float64, 0, most) // one buffer for every stratum
 	for i := range s.Strata {
 		st := &s.Strata[i]
-		yi := float64(len(st.Items))
-		if yi == 0 {
-			continue
+		vals = vals[:0]
+		for j := range st.Items {
+			vals = append(vals, f(st.Items[j].Value))
 		}
-		var sum float64
-		vals := make([]float64, len(st.Items))
-		for j, it := range st.Items {
-			vals[j] = f(it.Value)
-			sum += vals[j]
-		}
-		mean := sum / yi
-		var s2 float64
-		if yi > 1 {
-			for _, v := range vals {
-				d := v - mean
-				s2 += d * d
-			}
-			s2 /= yi - 1
-		}
-		ci := float64(st.Count)
-		value += sum * st.Weight
-		variance += ci * (ci - yi) * s2 / yi
+		ms[i] = MomentsOf(st.Count, st.Weight, vals)
 	}
-	return finish(value, variance, conf)
+	return SumOf(ms, conf)
 }
 
 func finish(value, variance float64, conf Confidence) Estimate {

@@ -232,3 +232,57 @@ func BenchmarkSum(b *testing.B) {
 		Sum(s, Conf95)
 	}
 }
+
+// The estimators over Moments are the estimators: concatenating two
+// intervals' moments is the window estimate, float for float the one the
+// concatenated rows give.
+func TestMomentsOfIntervalsMatchConcatenatedRows(t *testing.T) {
+	rng := xrand.New(5)
+	var rows sampling.Sample
+	var ms []Moments
+	for interval := 0; interval < 3; interval++ {
+		o := sampling.NewOASRS(60, nil, rng)
+		for i := 0; i < 900; i++ {
+			o.Add(stream.Event{Stratum: string(rune('a' + i%3)), Value: rng.Gaussian(float64(100*(i%3+1)), 20)})
+		}
+		s := o.Finish()
+		rows.Strata = append(rows.Strata, s.Strata...)
+		for i := range s.Strata {
+			ms = append(ms, RowMoments(&s.Strata[i]))
+		}
+	}
+	if got, want := SumOf(ms, Conf95), Sum(&rows, Conf95); got != want {
+		t.Errorf("SumOf = %+v, rows give %+v", got, want)
+	}
+	if got, want := MeanOf(ms, Conf95), Mean(&rows, Conf95); got != want {
+		t.Errorf("MeanOf = %+v, rows give %+v", got, want)
+	}
+	if got := CountOf(ms, Conf95); got.Value != 2700 || got.Bound != 0 {
+		t.Errorf("CountOf = %+v", got)
+	}
+}
+
+func TestRowMomentsMatchMomentsOf(t *testing.T) {
+	s := sampleFrom(map[string][]float64{"a": {3, 1, 4, 1, 5, 9, 2, 6}}, map[string]int64{"a": 80})
+	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+	if got, want := RowMoments(&s.Strata[0]), MomentsOf(80, 10, vals); got != want {
+		t.Errorf("RowMoments = %+v, MomentsOf = %+v", got, want)
+	}
+	if got := MomentsOf(5, 1, nil); got != (Moments{Count: 5, Weight: 1}) {
+		t.Errorf("MomentsOf(no values) = %+v", got)
+	}
+}
+
+func TestIndicatorMomentsClosedForm(t *testing.T) {
+	for _, tc := range []struct{ n, hits int }{{0, 0}, {1, 0}, {1, 1}, {2, 1}, {7, 0}, {7, 7}, {1000, 137}} {
+		vals := make([]float64, tc.n)
+		for i := 0; i < tc.hits; i++ {
+			vals[i] = 1
+		}
+		got, want := IndicatorMoments(5000, 2.5, int64(tc.n), int64(tc.hits)), MomentsOf(5000, 2.5, vals)
+		if got.Count != want.Count || got.N != want.N || got.Sum != want.Sum || got.Weight != want.Weight ||
+			math.Abs(got.S2-want.S2) > 1e-12*want.S2 {
+			t.Errorf("n=%d hits=%d: closed form %+v, two-pass %+v", tc.n, tc.hits, got, want)
+		}
+	}
+}

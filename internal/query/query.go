@@ -5,16 +5,21 @@
 //
 // A Query is evaluated once per sliding-window interval (Algorithm 2):
 // the engine samples the interval's items, and the query turns the
-// weighted sample into a Result.
+// weighted sample into a Result — in two steps. Summarize reduces one
+// interval's sample to per-stratum sufficient statistics; Combine
+// estimates from the summaries of however many consecutive intervals a
+// window spans. Eq. 6 and Eq. 9 are sums of independent per-stratum
+// terms, so both a one-shot Evaluate and a sliding window assembled from
+// slide-sized intervals run the same estimator over the same numbers.
 package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"streamapprox/internal/estimate"
 	"streamapprox/internal/sampling"
-	"streamapprox/internal/stream"
 )
 
 // Kind enumerates the built-in aggregate kinds.
@@ -54,12 +59,100 @@ type Result struct {
 	Buckets []HistogramBucket
 }
 
-// Query evaluates an aggregate over one interval's weighted sample.
+// Summary is one interval's weighted sample reduced to what Combine
+// reads. It holds numbers and stratum keys only — no sampled row.
+type Summary struct {
+	// Strata has one entry per sample entry, in the sample's order. SUM
+	// and MEAN kinds fill every moment; COUNT kinds and histograms only
+	// the counts and the weight.
+	Strata []StratumSummary `json:"strata"`
+	// Groups is set only by a group-by over a sample with mixed-strata
+	// entries (a stratum-blind sampler): the entries regrouped by row
+	// stratum. When nil, Strata are the groups.
+	Groups []StratumSummary `json:"groups,omitempty"`
+	// Hits is set only by Histogram: for entry i, Hits[i*B : (i+1)*B]
+	// counts its sampled rows per bucket (B buckets).
+	Hits []int32 `json:"hits,omitempty"`
+}
+
+// StratumSummary is one stratum entry's sufficient statistics.
+type StratumSummary struct {
+	Stratum string `json:"k"`
+	estimate.Moments
+}
+
+// TotalCount returns ΣCi over the summarised sample.
+func (s *Summary) TotalCount() int64 {
+	var total int64
+	for i := range s.Strata {
+		total += s.Strata[i].Count
+	}
+	return total
+}
+
+// SampledCount returns ΣYi over the summarised sample.
+func (s *Summary) SampledCount() int {
+	var total int64
+	for i := range s.Strata {
+		total += s.Strata[i].N
+	}
+	return int(total)
+}
+
+// Query evaluates an aggregate over weighted samples.
 type Query interface {
 	// Name identifies the query in logs and experiment output.
 	Name() string
-	// Evaluate computes the approximate result for the sample.
+	// Summarize reduces one interval's sample to its Summary. It keeps
+	// no reference to the sample or its rows.
+	Summarize(s *sampling.Sample) Summary
+	// Combine computes the approximate result over consecutive
+	// intervals' summaries, given in time order.
+	Combine(sums []Summary) Result
+	// Evaluate computes the approximate result for one sample:
+	// Combine(Summarize(s)).
 	Evaluate(s *sampling.Sample) Result
+}
+
+// summarize builds the per-entry statistics a kind reads.
+func summarize(kind Kind, s *sampling.Sample) []StratumSummary {
+	out := make([]StratumSummary, len(s.Strata))
+	for i := range s.Strata {
+		st := &s.Strata[i]
+		out[i].Stratum = st.Stratum
+		if kind == KindSum || kind == KindMean {
+			out[i].Moments = estimate.RowMoments(st)
+		} else {
+			out[i].Moments = estimate.CountMoments(st)
+		}
+	}
+	return out
+}
+
+// moments lines the summaries' entries up in order.
+func moments(sums []Summary) []estimate.Moments {
+	n := 0
+	for i := range sums {
+		n += len(sums[i].Strata)
+	}
+	ms := make([]estimate.Moments, 0, n)
+	for i := range sums {
+		for j := range sums[i].Strata {
+			ms = append(ms, sums[i].Strata[j].Moments)
+		}
+	}
+	return ms
+}
+
+func estimateOf(kind Kind, ms []estimate.Moments, conf estimate.Confidence) estimate.Estimate {
+	switch kind {
+	case KindSum:
+		return estimate.SumOf(ms, conf)
+	case KindMean:
+		return estimate.MeanOf(ms, conf)
+	default:
+		return estimate.CountOf(ms, conf)
+	}
 }
 
 // Aggregate is a whole-stream aggregate (SUM/COUNT/MEAN over all items
@@ -83,18 +176,19 @@ var _ Query = (*Aggregate)(nil)
 // Name implements Query.
 func (a *Aggregate) Name() string { return a.kind.String() }
 
+// Summarize implements Query.
+func (a *Aggregate) Summarize(s *sampling.Sample) Summary {
+	return Summary{Strata: summarize(a.kind, s)}
+}
+
+// Combine implements Query.
+func (a *Aggregate) Combine(sums []Summary) Result {
+	return Result{Kind: a.kind, Overall: estimateOf(a.kind, moments(sums), a.conf)}
+}
+
 // Evaluate implements Query.
 func (a *Aggregate) Evaluate(s *sampling.Sample) Result {
-	var est estimate.Estimate
-	switch a.kind {
-	case KindSum:
-		est = estimate.Sum(s, a.conf)
-	case KindCount:
-		est = estimate.Count(s, a.conf)
-	default:
-		est = estimate.Mean(s, a.conf)
-	}
-	return Result{Kind: a.kind, Overall: est}
+	return a.Combine([]Summary{a.Summarize(s)})
 }
 
 // GroupBy aggregates per stratum: e.g. "total traffic size per protocol"
@@ -119,7 +213,7 @@ var _ Query = (*GroupBy)(nil)
 // Name implements Query.
 func (g *GroupBy) Name() string { return "groupby-" + g.kind.String() }
 
-// Evaluate implements Query.
+// Summarize implements Query.
 //
 // Groups are formed from the *items'* strata, not from the sample-entry
 // keys. For stratified samplers the two coincide, but a stratum-blind
@@ -128,71 +222,74 @@ func (g *GroupBy) Name() string { return "groupby-" + g.kind.String() }
 // estimated by the expansion estimator (weight × items seen in the
 // group), which is exactly why SRS group estimates are noisier and can
 // miss rare groups entirely (§5.7).
-//
-// A sample may carry several entries with the same stratum key (one per
-// micro-batch or slide segment); all entries of a key are evaluated
-// together as independent sub-samples of that group.
-func (g *GroupBy) Evaluate(s *sampling.Sample) Result {
-	byKey := make(map[string][]sampling.StratumSample, len(s.Strata))
+func (g *GroupBy) Summarize(s *sampling.Sample) Summary {
+	sum := Summary{Strata: summarize(g.kind, s)}
+	if !slices.ContainsFunc(s.Strata, mixedStrata) {
+		return sum
+	}
 	for i := range s.Strata {
 		st := &s.Strata[i]
-		if itemsMatchKey(st) {
-			byKey[st.Stratum] = append(byKey[st.Stratum], *st)
+		if !mixedStrata(*st) {
+			sum.Groups = append(sum.Groups, sum.Strata[i])
 			continue
 		}
 		// Mixed-strata entry: explode by item stratum with expansion
 		// counts.
-		for key, items := range groupItems(st.Items) {
-			byKey[key] = append(byKey[key], sampling.StratumSample{
-				Stratum: key,
-				Items:   items,
-				Count:   int64(st.Weight*float64(len(items)) + 0.5),
-				Weight:  st.Weight,
-			})
+		byKey := make(map[string][]float64)
+		for j := range st.Items {
+			byKey[st.Items[j].Stratum] = append(byKey[st.Items[j].Stratum], st.Items[j].Value)
+		}
+		keys := make([]string, 0, len(byKey))
+		for key := range byKey {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		for _, key := range keys {
+			vals := byKey[key]
+			count := int64(st.Weight*float64(len(vals)) + 0.5)
+			sum.Groups = append(sum.Groups, StratumSummary{key, estimate.MomentsOf(count, st.Weight, vals)})
+		}
+	}
+	return sum
+}
+
+// mixedStrata reports whether some item in the entry belongs to another
+// stratum than the entry's key (never true for stratified samplers).
+func mixedStrata(st sampling.StratumSample) bool {
+	for i := range st.Items {
+		if st.Items[i].Stratum != st.Stratum {
+			return true
+		}
+	}
+	return false
+}
+
+// Combine implements Query.
+//
+// The summaries may carry several entries with the same stratum key (one
+// per micro-batch or slide segment); all entries of a key are estimated
+// together as independent sub-samples of that group.
+func (g *GroupBy) Combine(sums []Summary) Result {
+	byKey := make(map[string][]estimate.Moments)
+	for i := range sums {
+		entries := sums[i].Groups
+		if entries == nil {
+			entries = sums[i].Strata
+		}
+		for j := range entries {
+			byKey[entries[j].Stratum] = append(byKey[entries[j].Stratum], entries[j].Moments)
 		}
 	}
 	groups := make(map[string]estimate.Estimate, len(byKey))
-	for key, strata := range byKey {
-		sub := &sampling.Sample{Strata: strata}
-		switch g.kind {
-		case KindSum:
-			groups[key] = estimate.Sum(sub, g.conf)
-		case KindCount:
-			groups[key] = estimate.Count(sub, g.conf)
-		default:
-			groups[key] = estimate.Mean(sub, g.conf)
-		}
+	for key, ms := range byKey {
+		groups[key] = estimateOf(g.kind, ms, g.conf)
 	}
-	var overall estimate.Estimate
-	switch g.kind {
-	case KindSum:
-		overall = estimate.Sum(s, g.conf)
-	case KindCount:
-		overall = estimate.Count(s, g.conf)
-	default:
-		overall = estimate.Mean(s, g.conf)
-	}
-	return Result{Kind: g.kind, Overall: overall, Groups: groups}
+	return Result{Kind: g.kind, Overall: estimateOf(g.kind, moments(sums), g.conf), Groups: groups}
 }
 
-// itemsMatchKey reports whether every item in the entry belongs to the
-// entry's stratum key (true for stratified samplers).
-func itemsMatchKey(st *sampling.StratumSample) bool {
-	for i := range st.Items {
-		if st.Items[i].Stratum != st.Stratum {
-			return false
-		}
-	}
-	return true
-}
-
-// groupItems partitions items by their stratum.
-func groupItems(items []stream.Event) map[string][]stream.Event {
-	out := make(map[string][]stream.Event)
-	for _, it := range items {
-		out[it.Stratum] = append(out[it.Stratum], it)
-	}
-	return out
+// Evaluate implements Query.
+func (g *GroupBy) Evaluate(s *sampling.Sample) Result {
+	return g.Combine([]Summary{g.Summarize(s)})
 }
 
 // HistogramBucket is one bucket of an approximate histogram.
@@ -222,34 +319,76 @@ var _ Query = (*Histogram)(nil)
 // Name implements Query.
 func (h *Histogram) Name() string { return "histogram" }
 
-// Evaluate implements Query: the overall estimate is the total COUNT and
-// Buckets carries the per-bucket counts.
-func (h *Histogram) Evaluate(s *sampling.Sample) Result {
-	return Result{
-		Kind:    KindHistogram,
-		Overall: estimate.Count(s, h.conf),
-		Buckets: h.Buckets(s),
-	}
+// buckets returns the number of buckets the edges define.
+func (h *Histogram) buckets() int { return max(len(h.edges)-1, 0) }
+
+// Fits reports whether a summary (one read back from a snapshot, say)
+// carries the bucket counts Combine indexes.
+func (h *Histogram) Fits(sum *Summary) bool {
+	return len(sum.Hits) == len(sum.Strata)*h.buckets()
 }
 
-// Buckets estimates per-bucket item counts in the original stream.
-func (h *Histogram) Buckets(s *sampling.Sample) []HistogramBucket {
-	if len(h.edges) < 2 {
-		return nil
-	}
-	out := make([]HistogramBucket, len(h.edges)-1)
-	for i := range out {
-		lo, hi := h.edges[i], h.edges[i+1]
-		out[i] = HistogramBucket{
-			Lo: lo,
-			Hi: hi,
-			Count: estimate.LinearFunc(s, func(v float64) float64 {
-				if v >= lo && v < hi {
-					return 1
-				}
-				return 0
-			}, h.conf),
+// Summarize implements Query: one pass over the rows finds every row's
+// bucket.
+func (h *Histogram) Summarize(s *sampling.Sample) Summary {
+	nb := h.buckets()
+	sum := Summary{Strata: summarize(KindHistogram, s), Hits: make([]int32, len(s.Strata)*nb)}
+	for i := range s.Strata {
+		hits := sum.Hits[i*nb : (i+1)*nb]
+		for _, it := range s.Strata[i].Items {
+			if b := h.bucketOf(it.Value); b >= 0 {
+				hits[b]++
+			}
 		}
 	}
-	return out
+	return sum
+}
+
+// bucketOf returns the bucket holding v (the last edge at or below v
+// opens it), or -1 when v lies outside every bucket.
+func (h *Histogram) bucketOf(v float64) int {
+	lo, hi := 0, len(h.edges) // edges[:lo] <= v < edges[hi:]
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if h.edges[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(h.edges) {
+		return -1 // at or past the last edge (or no edges); before the first, lo-1 is -1 too
+	}
+	return lo - 1
+}
+
+// Combine implements Query: the overall estimate is the total COUNT and
+// Buckets carries the per-bucket counts. A bucket's count is the linear
+// query Σ 1[lo <= v < hi]; an entry's moments for it follow in closed
+// form from its hit count, so no row is revisited.
+func (h *Histogram) Combine(sums []Summary) Result {
+	ms := moments(sums)
+	res := Result{Kind: KindHistogram, Overall: estimate.CountOf(ms, h.conf)}
+	nb := h.buckets()
+	if nb == 0 {
+		return res
+	}
+	res.Buckets = make([]HistogramBucket, nb)
+	indicator := make([]estimate.Moments, len(ms))
+	for b := range res.Buckets {
+		k := 0
+		for i := range sums {
+			for j := range sums[i].Strata {
+				indicator[k] = estimate.IndicatorMoments(ms[k].Count, ms[k].Weight, ms[k].N, int64(sums[i].Hits[j*nb+b]))
+				k++
+			}
+		}
+		res.Buckets[b] = HistogramBucket{Lo: h.edges[b], Hi: h.edges[b+1], Count: estimate.SumOf(indicator, h.conf)}
+	}
+	return res
+}
+
+// Evaluate implements Query.
+func (h *Histogram) Evaluate(s *sampling.Sample) Result {
+	return h.Combine([]Summary{h.Summarize(s)})
 }

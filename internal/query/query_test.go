@@ -105,7 +105,7 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("Name = %q", h.Name())
 	}
 	s := fullSample(map[string][]float64{"a": {1, 5, 15, 25, 25}})
-	buckets := h.Buckets(s)
+	buckets := h.Evaluate(s).Buckets
 	if len(buckets) != 3 {
 		t.Fatalf("buckets = %d, want 3", len(buckets))
 	}
@@ -119,7 +119,7 @@ func TestHistogram(t *testing.T) {
 
 func TestHistogramUnsortedEdges(t *testing.T) {
 	h := NewHistogram([]float64{30, 0, 10}, estimate.Conf95)
-	buckets := h.Buckets(fullSample(map[string][]float64{"a": {5}}))
+	buckets := h.Evaluate(fullSample(map[string][]float64{"a": {5}})).Buckets
 	if len(buckets) != 2 || buckets[0].Lo != 0 {
 		t.Errorf("edges not sorted: %+v", buckets)
 	}
@@ -127,7 +127,7 @@ func TestHistogramUnsortedEdges(t *testing.T) {
 
 func TestHistogramDegenerateEdges(t *testing.T) {
 	h := NewHistogram([]float64{1}, estimate.Conf95)
-	if got := h.Buckets(fullSample(map[string][]float64{"a": {5}})); got != nil {
+	if got := h.Evaluate(fullSample(map[string][]float64{"a": {5}})).Buckets; got != nil {
 		t.Errorf("single-edge histogram should be nil, got %v", got)
 	}
 }

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"sort"
+
 	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
 )
@@ -83,6 +85,12 @@ type OASRS struct {
 	// batch-local dictionary ID, so a batch's records resolve their
 	// stratum through the map once per distinct stratum per call.
 	dense []*Reservoir
+
+	// free holds the previous intervals' emptied reservoirs; resolve
+	// reuses their row buffers instead of allocating one per stratum per
+	// interval. view is Drain's reusable sample header.
+	free []*Reservoir
+	view Sample
 }
 
 // NewOASRS returns an OASRS sampler with the given total sample-size
@@ -142,7 +150,13 @@ func (o *OASRS) resolve(stratum string) *Reservoir {
 		if o.expected > n {
 			n = o.expected
 		}
-		res = NewReservoir(o.policy.StratumSize(o.budget, n), o.rng)
+		size := o.policy.StratumSize(o.budget, n)
+		if k := len(o.free); k > 0 {
+			res, o.free = o.free[k-1], o.free[:k-1]
+			res.resize(size)
+		} else {
+			res = NewReservoir(size, o.rng)
+		}
 		o.reservoirs[stratum] = res
 		o.order = append(o.order, stratum)
 	}
@@ -186,28 +200,52 @@ func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 	}
 }
 
-// Finish returns the weighted sample for the interval and resets the
-// sampler for the next one. Reservoir sizes are re-derived at the start of
-// the next interval, so arrival-rate changes and budget changes are picked
-// up automatically.
-func (o *OASRS) Finish() *Sample {
-	strata := make([]StratumSample, 0, len(o.order))
+// Drain ends the interval: it calls visit with the interval's weighted
+// sample — strata in key order, weights per Equation 1, rows read in
+// place from the reservoirs — and then resets the sampler for the next
+// interval, keeping the emptied reservoirs for reuse. The sample and its
+// rows are only valid until visit returns; a caller that keeps rows
+// copies them (Finish does). Reservoir sizes are re-derived as strata
+// reappear, so arrival-rate changes and budget changes are picked up
+// automatically.
+func (o *OASRS) Drain(visit func(s *Sample)) {
+	sort.Strings(o.order)
+	strata := o.view.Strata[:0]
 	for _, key := range o.order {
 		res := o.reservoirs[key]
-		items := res.Items()
 		strata = append(strata, StratumSample{
 			Stratum: key,
-			Items:   items,
-			Count:   res.Seen(),
-			Weight:  weightFor(res.Seen(), len(items)),
+			Items:   res.items,
+			Count:   res.seen,
+			Weight:  weightFor(res.seen, len(res.items)),
 		})
 	}
-	sortStrata(strata)
+	o.view.Strata = strata
+	visit(&o.view)
+	for _, key := range o.order {
+		res := o.reservoirs[key]
+		res.Reset()
+		o.free = append(o.free, res)
+	}
+	clear(o.reservoirs)
 	o.expected = len(o.order)
-	o.reservoirs = make(map[string]*Reservoir)
 	o.order = o.order[:0]
 	o.lastKey, o.lastRes = "", nil
-	return &Sample{Strata: strata}
+}
+
+// Finish returns the weighted sample for the interval and resets the
+// sampler for the next one: Drain, with each stratum's rows copied out.
+func (o *OASRS) Finish() *Sample {
+	out := &Sample{}
+	o.Drain(func(s *Sample) {
+		out.Strata = make([]StratumSample, len(s.Strata))
+		for i, st := range s.Strata {
+			st.Items = make([]stream.Event, len(st.Items))
+			copy(st.Items, s.Strata[i].Items)
+			out.Strata[i] = st
+		}
+	})
+	return out
 }
 
 // SampleBatch implements BatchSampler by feeding the whole batch through

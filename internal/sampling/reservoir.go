@@ -23,13 +23,20 @@ type Reservoir struct {
 // NewReservoir returns a reservoir holding at most capacity items.
 // capacity must be positive.
 func NewReservoir(capacity int, rng *xrand.Rand) *Reservoir {
+	r := &Reservoir{rng: rng}
+	r.resize(capacity)
+	return r
+}
+
+// resize sets an empty reservoir's capacity, keeping its row buffer
+// when that is already large enough.
+func (r *Reservoir) resize(capacity int) {
 	if capacity <= 0 {
 		capacity = 1
 	}
-	return &Reservoir{
-		capacity: capacity,
-		items:    make([]stream.Event, 0, capacity),
-		rng:      rng,
+	r.capacity = capacity
+	if cap(r.items) < capacity {
+		r.items = make([]stream.Event, 0, capacity)
 	}
 }
 

@@ -67,6 +67,13 @@ const idleAdvanceAfter = 10
 // accuracy under faults.
 const idleAdvanceFloor = 250 * time.Millisecond
 
+// hwmEvery bounds how often a busy partition loop asks the broker for
+// the committed high watermark. Delivered batches carry it only to feed
+// the three lag gauges (ingest, shard, query), which nobody reads at
+// batch rate — and one RPC per batch is a fifth of a saturated
+// pipeline's requests.
+const hwmEvery = 100 * time.Millisecond
+
 // watchdogAfter is the number of consecutive failed polls after which a
 // partition loop declares its consumer stalled and reroutes: refresh
 // the routing client's metadata, rebuild the consumer at the plane's
@@ -304,7 +311,7 @@ func (pi *partIngest) drain(sub *subQueue) {
 	for d := range sub.ch {
 		sub.depth.Set(float64(len(sub.ch)))
 		if d.idle {
-			sub.sh.idleAdvance()
+			sub.sh.idleAdvance(d.hwm)
 		} else {
 			sub.sh.consumeBatch(d.batch, d.next, d.hwm, d.haveHWM)
 			d.batch.Release()
@@ -442,7 +449,7 @@ func (pi *partIngest) loop(start int64) {
 	pi.mu.Unlock()
 
 	idle, fails := 0, 0
-	var idleSince time.Time
+	var idleSince, hwmAt time.Time
 	for {
 		select {
 		case <-pi.done:
@@ -491,9 +498,10 @@ func (pi *partIngest) loop(start int64) {
 			// there is nothing committed left to read. The drain check
 			// costs one RPC, so it runs every idleAdvanceAfter polls,
 			// not every poll.
-			if idle%idleAdvanceAfter == 0 &&
-				time.Since(idleSince) >= idleAdvanceFloor && pi.drained() {
-				pi.idleAdvance()
+			if idle%idleAdvanceAfter == 0 && time.Since(idleSince) >= idleAdvanceFloor {
+				if hwm, ok := pi.drained(); ok {
+					pi.idleAdvance(hwm)
+				}
 			}
 			if !sleepOrDone(pi.done, pi.ing.backoff) {
 				return
@@ -501,10 +509,15 @@ func (pi *partIngest) loop(start int64) {
 			continue
 		}
 		idle = 0
-		// One high-watermark read per shared batch (best effort), where
-		// the per-query model paid one per query per batch.
-		hwm, herr := pi.cluster.HighWatermark(pi.ing.topic, pi.idx)
-		pi.deliverBatch(b, hwm, herr == nil)
+		// A high-watermark read (best effort) for the lag gauges, at most
+		// every hwmEvery; an idle partition's drain check refreshes them.
+		hwm, haveHWM := int64(0), false
+		if now := time.Now(); now.Sub(hwmAt) >= hwmEvery {
+			hwmAt = now
+			h, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx)
+			hwm, haveHWM = h, err == nil
+		}
+		pi.deliverBatch(b, hwm, haveHWM)
 	}
 }
 
@@ -599,30 +612,32 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 }
 
 // drained reports whether the plane has delivered every record the
-// broker will currently serve: the committed high watermark has not
-// moved past the delivered offset. Best effort — an unreachable broker
-// (failover in progress) reads as NOT drained, which is exactly when
-// punctuating would be wrong.
-func (pi *partIngest) drained() bool {
+// broker will currently serve: the committed high watermark, which it
+// returns, has not moved past the delivered offset. Best effort — an
+// unreachable broker (failover in progress) reads as NOT drained, which
+// is exactly when punctuating would be wrong.
+func (pi *partIngest) drained() (hwm int64, ok bool) {
 	hwm, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx)
 	if err != nil {
-		return false
+		return 0, false
 	}
 	pi.mu.Lock()
 	next := pi.next
 	pi.mu.Unlock()
-	return next >= hwm
+	pi.lagGauge.Set(float64(hwm - next))
+	return hwm, next >= hwm
 }
 
 // idleAdvance enqueues an idle punctuation for every attached query,
 // pushing event-time watermarks forward on a quiet partition so windows
-// a sparsely keyed partition would hold back still merge. Best effort:
-// a full queue skips the marker (the next one fires again).
-func (pi *partIngest) idleAdvance() {
+// a sparsely keyed partition would hold back still merge, and carrying
+// the drain check's high watermark so the queries' lag gauges settle.
+// Best effort: a full queue skips the marker (the next one fires again).
+func (pi *partIngest) idleAdvance(hwm int64) {
 	pi.mu.Lock()
 	for _, sub := range pi.subs {
 		select {
-		case sub.ch <- planeDelivery{idle: true}:
+		case sub.ch <- planeDelivery{idle: true, hwm: hwm}:
 		default:
 		}
 	}

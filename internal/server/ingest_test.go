@@ -426,3 +426,57 @@ func TestCatchUpPoolBoundsConcurrency(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// hwmCountingCluster counts high-watermark reads.
+type hwmCountingCluster struct {
+	broker.Cluster
+	hwms atomic.Int64
+}
+
+func (c *hwmCountingCluster) HighWatermark(topic string, partition int) (int64, error) {
+	c.hwms.Add(1)
+	return c.Cluster.HighWatermark(topic, partition)
+}
+
+// The partition loop reads the broker's high watermark at most every
+// hwmEvery while batches flow — it only feeds the lag gauges — and the
+// idle drain check brings all three gauges to zero once the partition is
+// consumed, however stale the last in-flow reading was.
+func TestLagGaugesSettleWithThrottledHighWatermark(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(31, 20*fetchMax)
+	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	cc := &hwmCountingCluster{Cluster: bk}
+	s, err := New(Config{Cluster: cc, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	start := time.Now()
+	id, err := s.Register(Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.job(id)
+	waitJobRecords(t, j, int64(len(events)), 10*time.Second)
+	pi := s.ing.parts[0]
+	batches := int64(pi.batchHist.Count())
+	// One read per hwmEvery of delivery plus the loop's first, against
+	// one per batch before.
+	if reads, most := cc.hwms.Load(), int64(time.Since(start)/hwmEvery)+2; batches < 20 || reads > most {
+		t.Errorf("%d high-watermark reads over %d batches in %v, want at most %d", reads, batches, time.Since(start), most)
+	}
+	stop := time.Now().Add(10 * time.Second)
+	for pi.lagGauge.Value() != 0 || j.shards[0].lagMetric.Value() != 0 || j.lagGauge.Value() != 0 {
+		if time.Now().After(stop) {
+			t.Fatalf("idle partition still reports lag: ingest %v, shard %v, query %v",
+				pi.lagGauge.Value(), j.shards[0].lagMetric.Value(), j.lagGauge.Value())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

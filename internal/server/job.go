@@ -387,33 +387,40 @@ func (sh *shard) consumeBatch(b *stream.EventBatch, next int64, hwm int64, haveH
 	offset := sh.offset
 	sh.mu.Unlock()
 	if haveHWM {
-		lag := hwm - offset
-		if lag < 0 {
-			lag = 0
-		}
-		sh.lag.Store(lag)
-		sh.lagMetric.Set(float64(lag))
-		var total int64
-		for _, peer := range sh.job.shards {
-			total += peer.lag.Load()
-		}
-		sh.job.lagGauge.Set(float64(total))
+		sh.setLag(hwm - offset)
 	}
+}
+
+// setLag publishes the shard's distance behind the partition's
+// committed high watermark, and the query's total.
+func (sh *shard) setLag(lag int64) {
+	if lag < 0 {
+		lag = 0
+	}
+	sh.lag.Store(lag)
+	sh.lagMetric.Set(float64(lag))
+	var total int64
+	for _, peer := range sh.job.shards {
+		total += peer.lag.Load()
+	}
+	sh.job.lagGauge.Set(float64(total))
 }
 
 // idleAdvance pushes an idle shard's session
 // forward to the job-wide maximum watermark, flushing windows a
-// sparsely keyed partition would otherwise hold back forever.
-func (sh *shard) idleAdvance() {
+// sparsely keyed partition would otherwise hold back forever. hwm is
+// the partition's committed high watermark as the drain check read it.
+func (sh *shard) idleAdvance(hwm int64) {
 	mark := sh.job.maxWatermark()
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if !mark.After(sh.watermark) {
-		return
+	if mark.After(sh.watermark) {
+		sh.watermark = mark
+		sh.sess.Advance(mark)
+		sh.deliver(sh.sess.Poll(), mark)
 	}
-	sh.watermark = mark
-	sh.sess.Advance(mark)
-	sh.deliver(sh.sess.Poll(), mark)
+	offset := sh.offset
+	sh.mu.Unlock()
+	sh.setLag(hwm - offset)
 }
 
 // deliver hands window results and the shard's watermark to the merger

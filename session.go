@@ -56,7 +56,10 @@ type SessionConfig struct {
 // event-time order, collect completed windows from Poll (or all of them
 // from Close). Each slide segment is sampled on-the-fly with OASRS; the
 // per-segment budget follows the previous segment's arrival count times
-// the current sampling fraction.
+// the current sampling fraction. A finished segment is reduced at once
+// to a pane — the per-stratum sufficient statistics of its sample — and
+// a window is estimated from the panes it covers, so no sampled row
+// outlives its segment.
 //
 // Session is not safe for concurrent use.
 type Session struct {
@@ -74,7 +77,12 @@ type Session struct {
 	segStart  time.Time
 	segCount  int
 	lastCount int
-	pending   map[time.Time]*sampling.Sample
+	// panes holds the finished segments some unfired window still
+	// covers, oldest first (at most ⌈size/slide⌉ of them); every window
+	// ending at or before fired has been emitted.
+	panes     []pane
+	fired     time.Time
+	sums      []query.Summary // fireWindow's argument buffer
 	ready     []WindowResult
 	watermark time.Time
 	late      int64
@@ -88,6 +96,12 @@ type Session struct {
 	segStartN   int64
 	segEndN     int64
 	segBoundsOK bool
+}
+
+// pane is one finished slide segment: its sample's summary.
+type pane struct {
+	Start   time.Time     `json:"start"`
+	Summary query.Summary `json:"summary"`
 }
 
 // ErrClosedSession is returned by Push after Close.
@@ -118,7 +132,6 @@ func NewSession(cfg SessionConfig) *Session {
 		q:        cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
 		assigner: window.NewAssigner(cfg.WindowSize, cfg.WindowSlide),
 		rng:      xrand.New(cfg.Seed),
-		pending:  make(map[time.Time]*sampling.Sample),
 	}
 	if cfg.TargetError > 0 {
 		s.controller = adaptive.NewController(cfg.TargetError, cfg.Fraction)
@@ -364,16 +377,7 @@ func (s *Session) Advance(now time.Time) {
 	// Events in the current segment [seg, seg+slide) may still belong to
 	// windows ending inside it, so only windows ending at or before seg
 	// are complete.
-	fired := false
-	for start := range s.pending {
-		if !start.Add(s.cfg.WindowSize).After(seg) {
-			s.fireWindow(start)
-			fired = true
-		}
-	}
-	if fired {
-		sortWindowResults(s.ready)
-	}
+	s.fire(seg)
 }
 
 // Close flushes the in-progress segment and all pending windows and
@@ -386,10 +390,10 @@ func (s *Session) Close() []WindowResult {
 	if !s.segStart.IsZero() {
 		s.finishSegment()
 	}
-	for start := range s.pending {
-		s.fireWindow(start)
+	if n := len(s.panes); n > 0 {
+		// Through the end of the last window that covers a pane.
+		s.fire(s.panes[n-1].Start.Add(s.assigner.Size()))
 	}
-	sortWindowResults(s.ready)
 	out := s.ready
 	s.ready = nil
 	return out
@@ -430,68 +434,96 @@ func (s *Session) cacheSegBounds() {
 }
 
 func (s *Session) finishSegment() {
-	sample := s.sampler.Finish()
+	var sum query.Summary
+	s.sampler.Drain(func(sample *sampling.Sample) { sum = s.q.Summarize(sample) })
 	if s.latency != nil && s.segCount > 0 && s.segWork > 0 {
 		s.latency.Observe(s.segCount, s.segWork)
 		s.segWork = 0
 	}
 	s.lastCount = s.segCount
-	for _, win := range s.assigner.Assign(s.segStart) {
-		agg, ok := s.pending[win.Start]
-		if !ok {
-			agg = &sampling.Sample{}
-			s.pending[win.Start] = agg
-		}
-		agg.Strata = append(agg.Strata, sample.Strata...)
-	}
-	// Fire every pending window that ended at or before the segment end.
-	segEnd := s.segStart.Add(s.cfg.WindowSlide)
-	for start := range s.pending {
-		if !start.Add(s.cfg.WindowSize).After(segEnd) {
-			s.fireWindow(start)
-		}
-	}
-	sortWindowResults(s.ready)
+	s.panes = append(s.panes, pane{Start: s.segStart, Summary: sum})
+	// Every window that ended at or before the segment end is complete.
+	s.fire(s.segStart.Add(s.cfg.WindowSlide))
 }
 
-func (s *Session) fireWindow(start time.Time) {
-	agg := s.pending[start]
-	delete(s.pending, start)
-	res := s.q.Evaluate(agg)
-	wr := WindowResult{
-		Start:   start,
-		End:     start.Add(s.cfg.WindowSize),
-		Overall: fromInternalEstimate(res.Overall),
-		Items:   agg.TotalCount(),
-		Sampled: agg.SampledCount(),
+// fire emits, in start order, every window that ends in (fired, limit]
+// and covers at least one pane, then drops the panes that no unfired
+// window covers.
+func (s *Session) fire(limit time.Time) {
+	if !limit.After(s.fired) {
+		return
 	}
+	size, slide := s.assigner.Size(), s.assigner.Slide()
+	// A pane's earliest window starts this far before it.
+	back := time.Duration(s.assigner.WindowsPerEvent()-1) * slide
+	var start time.Time
+	for lo := 0; lo < len(s.panes); {
+		p := s.panes[lo].Start
+		if p.Before(start) {
+			lo++
+			continue
+		}
+		if first := p.Add(-back); first.After(start) {
+			start = first // an event-time gap: the windows before cover no pane
+		}
+		end := start.Add(size)
+		if end.After(limit) {
+			break
+		}
+		if end.After(s.fired) {
+			hi := lo + 1
+			for hi < len(s.panes) && s.panes[hi].Start.Before(end) {
+				hi++
+			}
+			s.fireWindow(start, s.panes[lo:hi])
+		}
+		start = start.Add(slide)
+	}
+	s.fired = limit
+	done := 0
+	for done < len(s.panes) && !s.panes[done].Start.Add(size).After(limit) {
+		done++
+	}
+	if done > 0 {
+		n := copy(s.panes, s.panes[done:])
+		clear(s.panes[n:])
+		s.panes = s.panes[:n]
+	}
+}
+
+func (s *Session) fireWindow(start time.Time, panes []pane) {
+	wr := WindowResult{Start: start, End: start.Add(s.cfg.WindowSize)}
+	s.sums = s.sums[:0]
+	for i := range panes {
+		s.sums = append(s.sums, panes[i].Summary)
+		wr.Items += panes[i].Summary.TotalCount()
+		wr.Sampled += panes[i].Summary.SampledCount()
+	}
+	res := s.q.Combine(s.sums)
+	clear(s.sums)
+	wr.Overall = fromInternalEstimate(res.Overall)
 	if len(res.Groups) > 0 {
 		wr.Groups = make(map[string]Estimate, len(res.Groups))
 		for k, v := range res.Groups {
 			wr.Groups[k] = fromInternalEstimate(v)
 		}
-		wr.GroupItems = make(map[string]int64, len(agg.Strata))
-		for i := range agg.Strata {
-			wr.GroupItems[agg.Strata[i].Stratum] += agg.Strata[i].Count
+		wr.GroupItems = make(map[string]int64, len(res.Groups))
+		for i := range panes {
+			for _, st := range panes[i].Summary.Strata {
+				wr.GroupItems[st.Stratum] += st.Count
+			}
 		}
 	}
-	for _, b := range res.Buckets {
-		wr.Buckets = append(wr.Buckets, HistogramBucket{
-			Lo: b.Lo, Hi: b.Hi, Count: fromInternalEstimate(b.Count),
-		})
+	if len(res.Buckets) > 0 {
+		wr.Buckets = make([]HistogramBucket, len(res.Buckets))
+		for i, b := range res.Buckets {
+			wr.Buckets[i] = HistogramBucket{Lo: b.Lo, Hi: b.Hi, Count: fromInternalEstimate(b.Count)}
+		}
 	}
 	s.ready = append(s.ready, wr)
 	// Adaptive feedback: grow the fraction when the bound is too loose,
 	// decay it when comfortably tight (§4.2.1).
 	if s.controller != nil {
 		s.controller.Observe(wr.Overall.RelativeError())
-	}
-}
-
-func sortWindowResults(rs []WindowResult) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Start.Before(rs[j-1].Start); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
 	}
 }
