@@ -179,14 +179,35 @@ func (c *Client) callBinary(encode func(fb *frameBuf, corr uint64)) (*frameBuf, 
 	return c.callBinaryT(c.timeout(), encode)
 }
 
-// callBinaryT is callBinary with an explicit deadline. The deadline
-// covers the frame write AND the wait for the matched response. A
-// write failure aborts the whole connection — a half-written frame
-// corrupts the pipelined stream for every other in-flight request. A
-// response timeout only abandons this request's waiter: the stream is
-// intact, a late response is dropped as a stray by correlation ID.
+// callBinaryT is callBinary with an explicit deadline: start, then
+// await — the one request path.
 func (c *Client) callBinaryT(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (*frameBuf, error) {
-	ch := make(chan *frameBuf, 1)
+	f, err := c.start(timeout, encode)
+	if err != nil {
+		return nil, err
+	}
+	return c.await(f)
+}
+
+// flight is one started request: written and flushed, its reply not yet
+// awaited. The reply channel is the flight's own (never pooled), so a
+// reply that arrives after its await timed out has nowhere to go but
+// the reader's stray drop.
+type flight struct {
+	corr     uint64
+	ch       chan *frameBuf
+	timeout  time.Duration
+	deadline time.Time // zero when timeout is 0
+}
+
+// start registers a correlation ID, encodes and writes the request and
+// returns without waiting for the reply, so one goroutine can put
+// requests on several connections before it blocks on any. The deadline
+// runs from here and covers the frame write AND await's wait. A write
+// failure aborts the whole connection — a half-written frame corrupts
+// the pipelined stream for every other in-flight request.
+func (c *Client) start(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (flight, error) {
+	f := flight{ch: make(chan *frameBuf, 1), timeout: timeout}
 	c.pendMu.Lock()
 	if c.closed || c.readErr != nil {
 		err := c.readErr
@@ -194,18 +215,19 @@ func (c *Client) callBinaryT(timeout time.Duration, encode func(fb *frameBuf, co
 		if err == nil {
 			err = errClientClosed
 		}
-		return nil, err
+		return flight{}, err
 	}
-	corr := c.nextID
+	f.corr = c.nextID
 	c.nextID++
-	c.pending[corr] = ch
+	c.pending[f.corr] = f.ch
 	c.pendMu.Unlock()
 
 	fb := getFrame()
-	encode(fb, corr)
+	encode(fb, f.corr)
 	c.mu.Lock()
 	if timeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Now().Add(timeout))
+		f.deadline = time.Now().Add(timeout)
+		_ = c.conn.SetWriteDeadline(f.deadline)
 	}
 	err := writeRawFrame(c.bw, fb.b)
 	if err == nil {
@@ -222,34 +244,48 @@ func (c *Client) callBinaryT(timeout time.Duration, encode func(fb *frameBuf, co
 		}
 		_ = c.conn.Close()
 		c.failPending(err)
+		return flight{}, err
+	}
+	return f, nil
+}
+
+// await blocks for a started request's reply or its deadline. A timeout
+// only abandons this flight's waiter: the stream is intact, a late
+// response is dropped as a stray by correlation ID. The returned frame
+// is owned by the caller, who must putFrame it.
+func (c *Client) await(f flight) (*frameBuf, error) {
+	var resp *frameBuf
+	var ok bool
+	select {
+	case resp, ok = <-f.ch:
+		// Already answered while the caller awaited an earlier flight: a
+		// reply that beat its deadline must not race an expired timer.
+	default:
+		var expired <-chan time.Time
+		if f.timeout > 0 {
+			timer := time.NewTimer(time.Until(f.deadline))
+			expired = timer.C
+			defer timer.Stop()
+		}
+		select {
+		case resp, ok = <-f.ch:
+		case <-expired:
+			c.pendMu.Lock()
+			delete(c.pending, f.corr)
+			c.pendMu.Unlock()
+			return nil, errTimeout("request", f.timeout)
+		}
+	}
+	if !ok {
+		c.pendMu.Lock()
+		err := c.readErr
+		c.pendMu.Unlock()
+		if err == nil {
+			err = errClientClosed
+		}
 		return nil, err
 	}
-
-	var timer *time.Timer
-	var expired <-chan time.Time
-	if timeout > 0 {
-		timer = time.NewTimer(timeout)
-		expired = timer.C
-		defer timer.Stop()
-	}
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.pendMu.Lock()
-			err := c.readErr
-			c.pendMu.Unlock()
-			if err == nil {
-				err = errClientClosed
-			}
-			return nil, err
-		}
-		return resp, nil
-	case <-expired:
-		c.pendMu.Lock()
-		delete(c.pending, corr)
-		c.pendMu.Unlock()
-		return nil, errTimeout("request", timeout)
-	}
+	return resp, nil
 }
 
 // readLoop is the pipelined reader: it owns c.br, matches each response
@@ -337,7 +373,16 @@ func (c *Client) CreateTopic(name string, partitions int) error {
 
 // callCount performs one request answered with a record count.
 func (c *Client) callCount(encode func(fb *frameBuf, corr uint64)) (int, error) {
-	fb, err := c.callBinary(encode)
+	f, err := c.start(c.timeout(), encode)
+	if err != nil {
+		return 0, err
+	}
+	return c.awaitCount(f)
+}
+
+// awaitCount awaits a started request answered with a record count.
+func (c *Client) awaitCount(f flight) (int, error) {
+	fb, err := c.await(f)
 	if err != nil {
 		return 0, err
 	}
@@ -572,10 +617,20 @@ func (c *Client) ProducePartition(topicName string, partition int, pid, seq uint
 // verbatim: a producing client's freshly encoded records, or the
 // node→node hop of a routed produce forwarding validated bytes.
 func (c *Client) producePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (int, error) {
-	if err := checkTopic(topicName); err != nil {
+	f, err := c.startProducePartitionFrames(topicName, partition, pid, seq, frames, count)
+	if err != nil {
 		return 0, err
 	}
-	return c.callCount(func(fb *frameBuf, corr uint64) {
+	return c.awaitCount(f)
+}
+
+// startProducePartitionFrames is the send half of
+// producePartitionFrames; awaitCount is the other.
+func (c *Client) startProducePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (flight, error) {
+	if err := checkTopic(topicName); err != nil {
+		return flight{}, err
+	}
+	return c.start(c.timeout(), func(fb *frameBuf, corr uint64) {
 		encodeProducePartFwdReq(fb, corr, c.trace.Load(), topicName, partition, pid, seq, frames, count)
 	})
 }

@@ -13,7 +13,7 @@ import (
 // testCluster is N broker servers with attached cluster nodes, all on
 // loopback listeners.
 type testCluster struct {
-	t       *testing.T
+	t       testing.TB
 	brokers []*Broker
 	servers []*Server
 	nodes   []*ClusterNode
@@ -24,7 +24,7 @@ type testCluster struct {
 
 // startCluster boots an n-member cluster. All nodes are attached before
 // any starts heartbeating, mirroring how the daemons come up.
-func startCluster(t *testing.T, n int, tune func(*NodeConfig)) *testCluster {
+func startCluster(t testing.TB, n int, tune func(*NodeConfig)) *testCluster {
 	t.Helper()
 	tc := &testCluster{t: t, killed: make([]bool, n)}
 	peers := make(map[string]string, n)

@@ -17,7 +17,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	mrand "math/rand/v2"
 	"strconv"
 	"strings"
@@ -66,9 +65,8 @@ type ClusterClient struct {
 
 	mu     sync.Mutex
 	meta   *ClusterMeta
-	conns  map[string]*Client // by lane key (address, or address#lane)
-	seqs   map[string]uint64  // topic/partition -> last assigned seq
-	prodMu map[string]*sync.Mutex
+	conns  map[string]*Client       // by lane key (address, or address#lane)
+	prod   map[string]*partProducer // by topic/partition
 	rr     uint64
 	trace  uint64 // trace ID stamped on every member connection
 	closed bool
@@ -133,14 +131,13 @@ func DialClusterWithOptions(addrs []string, opts ClusterClientOptions) (*Cluster
 		return nil, fmt.Errorf("broker: producer id: %w", err)
 	}
 	cc := &ClusterClient{
-		opts:   opts,
-		seeds:  append([]string(nil), addrs...),
-		pid:    binary.BigEndian.Uint64(b[:]) | 1, // never 0 (0 = dedup off)
-		done:   make(chan struct{}),
-		rng:    mrand.New(mrand.NewPCG(mrand.Uint64(), mrand.Uint64())),
-		conns:  make(map[string]*Client),
-		seqs:   make(map[string]uint64),
-		prodMu: make(map[string]*sync.Mutex),
+		opts:  opts,
+		seeds: append([]string(nil), addrs...),
+		pid:   binary.BigEndian.Uint64(b[:]) | 1, // never 0 (0 = dedup off)
+		done:  make(chan struct{}),
+		rng:   mrand.New(mrand.NewPCG(mrand.Uint64(), mrand.Uint64())),
+		conns: make(map[string]*Client),
+		prod:  make(map[string]*partProducer),
 	}
 	if err := cc.refreshMeta(); err != nil {
 		cc.Close()
@@ -405,31 +402,39 @@ func isPermanent(err error) bool {
 // immediately, without a backoff round), broken connections, and
 // transient under-replication until the retry budget runs out.
 func (cc *ClusterClient) withLeaderRetry(topic string, partition int, op func(cli *Client) error) error {
+	return cc.leaderRetry(topic, partition, "", nil, op)
+}
+
+// leaderRetry is the loop behind withLeaderRetry. A non-nil err is
+// attempt 0, already made by the caller and failed on lane — Produce
+// starts every partition's request before awaiting any, so its attempt
+// 0 runs outside the loop; the loop classifies that failure exactly as
+// its own and carries on from attempt 1.
+func (cc *ClusterClient) leaderRetry(topic string, partition int, lane string, err error, op func(cli *Client) error) error {
 	backoff := cc.opts.Backoff
-	var lastErr error
 	hint := ""
 	followedHint := false
-	for attempt := 0; attempt <= cc.opts.Retries; attempt++ {
-		if attempt > 0 && hint == "" {
-			if !cc.sleep(cc.jitter(backoff)) {
-				return errClientClosed
+	for n := 0; n <= cc.opts.Retries; n++ {
+		if n > 0 || err == nil {
+			if n > 0 && hint == "" {
+				if !cc.sleep(cc.jitter(backoff)) {
+					return errClientClosed
+				}
+				if backoff < 2*time.Second {
+					backoff *= 2
+				}
+				_ = cc.refreshMeta() // a stale cache may still route correctly
 			}
-			if backoff < 2*time.Second {
-				backoff *= 2
+			var cli *Client
+			cli, lane, err = cc.leaderConn(topic, partition, hint)
+			followedHint = hint != ""
+			hint = ""
+			if err == nil {
+				if err = op(cli); err == nil {
+					return nil
+				}
 			}
-			_ = cc.refreshMeta() // a stale cache may still route correctly
 		}
-		cli, addr, err := cc.leaderConn(topic, partition, hint)
-		followedHint = hint != ""
-		hint = ""
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err = op(cli); err == nil {
-			return nil
-		}
-		lastErr = err
 		if isPermanent(err) {
 			return err
 		}
@@ -442,12 +447,13 @@ func (cc *ClusterClient) withLeaderRetry(topic string, partition int, op func(cl
 			}
 		} else if !isRemoteErr(err) {
 			// Transport failure: the connection is suspect; reconnect
-			// next round. Answered rejections (e.g. transient
-			// under-replication) keep the healthy connection.
-			cc.dropConn(addr)
+			// next round (a no-op when none was made). Answered
+			// rejections (e.g. transient under-replication) keep the
+			// healthy connection.
+			cc.dropConn(lane)
 		}
 	}
-	return lastErr
+	return err
 }
 
 // partitionForKey mirrors the broker's keyed routing (FNV-32a), with a
@@ -460,32 +466,63 @@ func (cc *ClusterClient) partitionForKey(key string, parts int) int {
 		cc.mu.Unlock()
 		return p
 	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32()) % parts
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return int(h) % parts
 }
 
-// produceLock returns the per-partition mutex serializing produce
-// batches, which keeps producer sequence numbers arriving in order —
-// the invariant the leader's dedup table relies on.
-func (cc *ClusterClient) produceLock(tp string) *sync.Mutex {
+// partProducer is one partition's produce state. mu serializes batches
+// from sequence assignment to final outcome, which keeps producer
+// sequence numbers arriving at the leader in order — the invariant its
+// dedup table relies on (a seq below the newest reads as a duplicate).
+type partProducer struct {
+	mu  sync.Mutex
+	seq uint64 // last assigned; guarded by mu
+}
+
+func (cc *ClusterClient) producer(tp string) *partProducer {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	mu, ok := cc.prodMu[tp]
+	pp, ok := cc.prod[tp]
 	if !ok {
-		mu = &sync.Mutex{}
-		cc.prodMu[tp] = mu
+		pp = &partProducer{}
+		cc.prod[tp] = pp
 	}
-	return mu
+	return pp
+}
+
+// produceFlight is one partition's share of a Produce call.
+type produceFlight struct {
+	partition int
+	pp        *partProducer // locked until the outcome is final
+	seq       uint64
+	fb        *frameBuf
+	count     int
+	cli       *Client
+	lane      string // attempt 0's lane and outcome
+	call      flight
+	err       error
 }
 
 // Produce partitions records by key and sends each batch to its
 // partition leader with an idempotent (pid, seq) identity: a batch
 // retried across redirects or a failover is appended exactly once.
 // Each record is encoded once, straight into its partition's pooled
-// frame buffer. Per-partition batches go out concurrently — paired with
-// the leaders' pipelined replication, the produce cost of one call is
-// the slowest single partition, not the sum over partitions.
+// frame buffer.
+//
+// It is send-all-then-await on the caller's goroutine: in ascending
+// partition order it takes each partition's produce lock, assigns the
+// seq and writes the request to the cached leader's lane; only then
+// does it await the replies, releasing each lock as its outcome
+// becomes final. Paired with the leaders' pipelined replication the
+// cost of one call is the slowest single partition, not the sum — with
+// no goroutine hand-off between the caller and the connections'
+// readers. A partition whose request could not be sent or was not
+// acked keeps its lock and its seq and goes through leaderRetry, its
+// failure being that loop's attempt 0. Locks are only ever taken in
+// ascending partition order, so concurrent callers cannot deadlock.
 func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 	parts, err := cc.Partitions(topicName)
 	if err != nil {
@@ -504,51 +541,52 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 		bufs[p].b = storage.AppendFrame(bufs[p].b, &recs[i])
 		counts[p]++
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		total    int
-		firstErr error
-	)
+	flights := make([]produceFlight, 0, parts)
 	for p, fb := range bufs {
 		if fb == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(p int, fb *frameBuf) {
-			defer wg.Done()
-			err := cc.producePartitionFrames(topicName, p, fb.b, counts[p])
-			putFrame(fb) // only now: every retry above shipped these bytes
-			mu.Lock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-			} else {
-				total += counts[p]
-			}
-			mu.Unlock()
-		}(p, fb)
+		f := produceFlight{partition: p, pp: cc.producer(tpKey(topicName, p)), fb: fb, count: counts[p]}
+		f.pp.mu.Lock()
+		f.pp.seq++
+		f.seq = f.pp.seq
+		if f.cli, f.lane, f.err = cc.leaderConn(topicName, p, ""); f.err == nil {
+			f.call, f.err = f.cli.startProducePartitionFrames(topicName, p, cc.pid, f.seq, fb.b, f.count)
+		}
+		flights = append(flights, f)
 	}
-	wg.Wait()
+	total := 0
+	for i := range flights {
+		f := &flights[i]
+		if f.err == nil {
+			_, f.err = f.cli.awaitCount(f.call)
+		}
+		if f.err == nil {
+			f.pp.mu.Unlock()
+			putFrame(f.fb)
+			total += f.count
+		}
+	}
+	// Every flight has been awaited; only now retry the failures.
+	var firstErr error
+	for i := range flights {
+		f := &flights[i]
+		if f.err == nil {
+			continue
+		}
+		err := cc.leaderRetry(topicName, f.partition, f.lane, f.err, func(cli *Client) error {
+			_, err := cli.producePartitionFrames(topicName, f.partition, cc.pid, f.seq, f.fb.b, f.count)
+			return err
+		})
+		f.pp.mu.Unlock()
+		putFrame(f.fb) // only now: every retry above shipped these bytes
+		if err == nil {
+			total += f.count
+		} else if firstErr == nil {
+			firstErr = err
+		}
+	}
 	return total, firstErr
-}
-
-// producePartitionFrames sends one partition's frame chunk under the
-// partition's produce lock with a fresh sequence number.
-func (cc *ClusterClient) producePartitionFrames(topicName string, partition int, frames []byte, count int) error {
-	tp := tpKey(topicName, partition)
-	mu := cc.produceLock(tp)
-	mu.Lock()
-	defer mu.Unlock()
-	cc.mu.Lock()
-	cc.seqs[tp]++
-	seq := cc.seqs[tp]
-	cc.mu.Unlock()
-	return cc.withLeaderRetry(topicName, partition, func(cli *Client) error {
-		_, err := cli.producePartitionFrames(topicName, partition, cc.pid, seq, frames, count)
-		return err
-	})
 }
 
 // Fetch reads records from the partition leader.

@@ -74,9 +74,6 @@ type Consumer struct {
 	offsets map[int]int64
 
 	pre *prefetcher
-	// batchMode switches the prefetcher to columnar rounds
-	// (fetchAllBatch/PollBatch); set by StartBatchPrefetch.
-	batchMode bool
 }
 
 // prefetcher is the background double-buffer: one batch queued in ch,
@@ -90,13 +87,11 @@ type prefetcher struct {
 
 // prefetchBatch carries one fetched round plus the per-partition
 // positions after it, applied to the consumer's offsets on delivery so
-// Commit never covers records the caller has not yet seen. Exactly one
-// of recs/batch is set, matching the consumer's prefetch mode.
+// Commit never covers records the caller has not yet seen.
 type prefetchBatch struct {
-	recs  []Record
-	batch *stream.EventBatch
-	pos   map[int]int64
-	err   error
+	recs []Record
+	pos  map[int]int64
+	err  error
 }
 
 // NewConsumer returns a consumer for member `member` of `members` total in
@@ -131,9 +126,9 @@ func NewConsumer(b Cluster, group, topicName string, member, members int) (*Cons
 
 // NewPartitionConsumer returns a consumer pinned to exactly one
 // partition of a topic — the attach surface of a shared ingest plane,
-// where one prefetching consumer per (topic, partition) serves every
-// registered query. Offsets resume from the group's committed position
-// for that partition; use Seek to override before StartPrefetch.
+// where one consumer per (topic, partition) serves every registered
+// query. Offsets resume from the group's committed position for that
+// partition; use Seek to override.
 func NewPartitionConsumer(b Cluster, group, topicName string, partition int) (*Consumer, error) {
 	n, err := b.Partitions(topicName)
 	if err != nil {
@@ -323,31 +318,15 @@ func (c *Consumer) Poll() ([]Record, error) {
 	return recs, nil
 }
 
-// PollBatch is Poll's columnar form: it returns the next fetch round as
-// a pooled EventBatch (nil when no new records are available) and
+// PollBatch is Poll's columnar form: it fetches the next round as a
+// pooled EventBatch (nil when no new records are available) and
 // advances the consumer's offsets. The caller owns the batch's
 // reference and must Release it (after Retaining for any further
 // consumers it fans the batch out to). Only single-partition consumers
 // support PollBatch — a batch's offsets are consecutive from its Base.
-// With a batch prefetcher running (StartBatchPrefetch) the batch was
-// fetched, decoded, and time-ordered ahead of time.
+// It is always synchronous — the fetch happens now, never ahead of the
+// caller's own pacing sleep — and must not be mixed with StartPrefetch.
 func (c *Consumer) PollBatch() (*stream.EventBatch, error) {
-	if c.pre != nil {
-		select {
-		case pb := <-c.pre.ch:
-			if pb.err != nil {
-				return nil, pb.err
-			}
-			c.mu.Lock()
-			for p, off := range pb.pos {
-				c.offsets[p] = off
-			}
-			c.mu.Unlock()
-			return pb.batch, nil
-		case <-c.pre.done:
-			return nil, ErrClosed
-		}
-	}
 	if len(c.parts) != 1 {
 		return nil, ErrBadPartition
 	}
@@ -388,23 +367,6 @@ func (c *Consumer) StartPrefetch() {
 	go c.prefetchLoop(c.pre, pos)
 }
 
-// StartBatchPrefetch launches the background prefetcher in columnar
-// mode: rounds are fetched and decoded into pooled EventBatches for
-// PollBatch. Valid only for single-partition consumers; a no-op if a
-// prefetcher is already running.
-func (c *Consumer) StartBatchPrefetch() {
-	if len(c.parts) != 1 {
-		c.StartPrefetch()
-		return
-	}
-	c.mu.Lock()
-	if c.pre == nil {
-		c.batchMode = true
-	}
-	c.mu.Unlock()
-	c.StartPrefetch()
-}
-
 // prefetchLoop owns pos, the fetch frontier, which runs ahead of
 // c.offsets by the batches still queued. An empty or failed round is
 // still delivered (the caller's poll cadence paces retries — the loop
@@ -420,11 +382,7 @@ func (c *Consumer) prefetchLoop(pre *prefetcher, pos map[int]int64) {
 		default:
 		}
 		var pb prefetchBatch
-		if c.batchMode {
-			pb.batch, pb.err = c.fetchAllBatch(pos)
-		} else {
-			pb.recs, pb.err = c.fetchAll(pos)
-		}
+		pb.recs, pb.err = c.fetchAll(pos)
 		snap := make(map[int]int64, len(pos))
 		for p, off := range pos {
 			snap[p] = off
@@ -433,9 +391,6 @@ func (c *Consumer) prefetchLoop(pre *prefetcher, pos map[int]int64) {
 		select {
 		case pre.ch <- pb:
 		case <-pre.done:
-			if pb.batch != nil {
-				pb.batch.Release()
-			}
 			return
 		}
 	}

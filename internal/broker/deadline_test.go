@@ -1,7 +1,9 @@
 package broker
 
 import (
+	"bufio"
 	"errors"
+	"net"
 	"os"
 	"testing"
 	"time"
@@ -108,5 +110,85 @@ func TestClientTimeoutIsTransportError(t *testing.T) {
 	}
 	if isRemoteErr(err) {
 		t.Fatalf("timeout classified as remote (answered) error: %v", err)
+	}
+}
+
+// TestClientAwaitDeadlineAbandonsOnlyItsWaiter pins the start/await
+// contract Produce is built on. Three requests are started on ONE
+// connection; the peer sits on the first. Its await times out at the
+// deadline set when it was started; the other two replies — which
+// arrived in the meantime, and whose own deadlines have passed by the
+// time they are awaited — are still consumed; the late reply is dropped
+// by correlation ID and the stream stays usable.
+func TestClientAwaitDeadlineAbandonsOnlyItsWaiter(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	release := make(chan struct{}) // closed to let the held reply go out
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		in, out, held := getFrame(), getFrame(), getFrame()
+		for {
+			if err := readFrameInto(br, in); err != nil {
+				return
+			}
+			req, err := decodeBinRequest(in.b)
+			if err != nil {
+				return
+			}
+			switch {
+			case req.op == binOpJSON: // the dial's hello
+				_ = encodeJSONResp(out, req.corr, &wireResponse{N: int(wireVersion)})
+			case req.partition == 0: // sat on until released
+				encodeWatermarkResp(held, req.op, req.corr, 0)
+				continue
+			default:
+				encodeWatermarkResp(out, req.op, req.corr, int64(req.partition))
+			}
+			if req.partition == 3 { // the probe after the timeout: late reply first
+				<-release
+				_ = writeRawFrame(conn, held.b)
+			}
+			if writeRawFrame(conn, out.b) != nil {
+				return
+			}
+		}
+	}()
+
+	const timeout = 200 * time.Millisecond
+	cli, err := DialWithOptions(ln.Addr().String(), ClientOptions{RequestTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	hwm := func(p int) func(fb *frameBuf, corr uint64) {
+		return func(fb *frameBuf, corr uint64) { encodeHWMReq(fb, corr, 0, "t", p) }
+	}
+	begin := time.Now()
+	var flights [3]flight
+	for p := range flights {
+		if flights[p], err = cli.start(timeout, hwm(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = cli.await(flights[0])
+	expectDeadline(t, err, time.Since(begin), timeout+time.Second)
+	for p := 1; p < 3; p++ {
+		fb, err := cli.await(flights[p]) // its deadline has passed; its reply has not
+		if err != nil {
+			t.Fatalf("await of answered flight %d after a sibling timed out: %v", p, err)
+		}
+		putFrame(fb)
+	}
+	close(release)
+	if got, err := cli.HighWatermark("t", 3); err != nil || got != 3 {
+		t.Fatalf("call after an abandoned flight: hwm %d, %v (stream corrupted?)", got, err)
 	}
 }

@@ -1332,6 +1332,16 @@ type replSess struct {
 	wait     []*replItem
 	closed   bool
 	inflight int // drains currently holding a send slot
+
+	// instr is the session's metric handles, resolved on the first drain
+	// after a registry is attached.
+	instr atomic.Pointer[replInstruments]
+}
+
+// replInstruments is one follower's replication series.
+type replInstruments struct {
+	partitions, bytes *metrics.Histogram
+	wakeups, batches  *metrics.Counter
 }
 
 // enqueue parks one chunk on the session, reporting false if the
@@ -1566,7 +1576,7 @@ func (n *ClusterNode) sendBatch(s *replSess, batch []*replItem) {
 	case answered:
 		n.markAlive(s.id)
 	}
-	n.observeBatch(s.id, secs, len(batch))
+	n.observeBatch(s, secs, len(batch))
 	// The group-commit wakeup: one pass over the round's producers.
 	// After a done send an item's frames belong to its producer again —
 	// nothing may touch them past this point.
@@ -1649,22 +1659,33 @@ func (n *ClusterNode) convergeSection(cli *Client, id string, epoch int64, sec *
 
 // observeBatch records one drain's coalescing metrics: distinct
 // partition sections and payload bytes per batched RPC, and the
-// producers woken by its single ack pass. A registry lock per drain is
-// noise next to the RPC the drain just paid for.
-func (n *ClusterNode) observeBatch(id string, secs []*sendSection, woken int) {
-	reg := n.reg.Load()
-	if reg == nil {
-		return
+// producers woken by its single ack pass. The handles are looked up in
+// the registry once per session, not per drain (concurrent first drains
+// resolve the same series, so either store wins harmlessly).
+func (n *ClusterNode) observeBatch(s *replSess, secs []*sendSection, woken int) {
+	in := s.instr.Load()
+	if in == nil {
+		reg := n.reg.Load()
+		if reg == nil {
+			return
+		}
+		lbl := metrics.Labels{"follower": s.id}
+		in = &replInstruments{
+			partitions: reg.Histogram("broker_replicate_batch_partitions", "partition sections coalesced into one replicate batch", lbl),
+			bytes:      reg.Histogram("broker_replicate_batch_bytes", "frame payload bytes shipped in one replicate batch", lbl),
+			wakeups:    reg.Counter("broker_replicate_group_wakeups_total", "producers woken by batched replication acks", lbl),
+			batches:    reg.Counter("broker_replicate_batches_total", "replication batches drained", lbl),
+		}
+		s.instr.Store(in)
 	}
-	lbl := metrics.Labels{"follower": id}
 	bytes := 0
 	for _, sec := range secs {
 		bytes += len(sec.sec.frames)
 	}
-	reg.Histogram("broker_replicate_batch_partitions", "partition sections coalesced into one replicate batch", lbl).Observe(float64(len(secs)))
-	reg.Histogram("broker_replicate_batch_bytes", "frame payload bytes shipped in one replicate batch", lbl).Observe(float64(bytes))
-	reg.Counter("broker_replicate_group_wakeups_total", "producers woken by batched replication acks", lbl).Add(float64(woken))
-	reg.Counter("broker_replicate_batches_total", "replication batches drained", lbl).Inc()
+	in.partitions.Observe(float64(len(secs)))
+	in.bytes.Observe(float64(bytes))
+	in.wakeups.Add(float64(woken))
+	in.batches.Inc()
 }
 
 // replicateOut parks the frame chunk covering [base, end) on the

@@ -223,7 +223,7 @@ func (pc *pairCluster) dial(t *testing.T) *ClusterClient {
 	return cc
 }
 
-func waitNotJoining(t *testing.T, tc *testCluster) {
+func waitNotJoining(t testing.TB, tc *testCluster) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -17,8 +17,8 @@ import (
 // *broker.ClusterClient; the in-process broker has no wire and no-ops).
 type traceSetter interface{ SetTraceID(uint64) }
 
-// The shared ingest plane: exactly one prefetching consumer per
-// (topic, partition) regardless of how many queries are registered.
+// The shared ingest plane: exactly one consumer per (topic, partition)
+// regardless of how many queries are registered.
 // Each partition loop fetches a batch once, decodes it once into a
 // columnar EventBatch, and fans the (event-time sorted, read-only) batch
 // out by reference to every attached query's per-shard Session sink. Broker fetch work is O(partitions),
@@ -43,8 +43,8 @@ type traceSetter interface{ SetTraceID(uint64) }
 // itself runs under a small semaphore, so a burst of late
 // registrations cannot open unbounded private consumers.
 
-// fetchMax bounds one catch-up fetch's record count; the plane's
-// consumers use the same batch size internally.
+// fetchMax bounds one fetch round's record count, on the plane's
+// consumers and the catch-up consumers alike.
 const fetchMax = 4096
 
 // idleAdvanceAfter is the number of consecutive empty polls after which
@@ -75,9 +75,8 @@ const idleAdvanceFloor = 250 * time.Millisecond
 const hwmEvery = 100 * time.Millisecond
 
 // watchdogAfter is the number of consecutive failed polls after which a
-// partition loop declares its consumer stalled and reroutes: refresh
-// the routing client's metadata, rebuild the consumer at the plane's
-// delivered offset. Polls already fail fast (the broker client's
+// partition loop declares its path stalled and reroutes: refresh the
+// routing client's metadata. Polls already fail fast (the broker client's
 // per-request deadlines), so this bounds how long a partition pipeline
 // keeps retrying a path the cluster has failed away from.
 const watchdogAfter = 5
@@ -156,7 +155,6 @@ type partIngest struct {
 	positioned bool  // next is meaningful (restored or first attach)
 	started    bool
 	stopped    bool
-	cons       *broker.Consumer // set by the loop; closed by stop to unblock Poll
 	done       chan struct{}
 
 	recordsMetric *metrics.Counter
@@ -372,8 +370,8 @@ func (ing *ingest) detach(sh *shard) {
 	}
 }
 
-// stop halts every partition loop, drains every attached queue, and
-// closes dedicated connections. Attached shards receive no further
+// stop halts every partition loop, closes dedicated connections, and
+// drains every attached queue. Attached shards receive no further
 // plane deliveries once stop returns (catch-up goroutines are the
 // job's, stopped by job.stop).
 func (ing *ingest) stop() {
@@ -383,12 +381,11 @@ func (ing *ingest) stop() {
 			pi.stopped = true
 			close(pi.done)
 		}
-		cons := pi.cons
 		pi.mu.Unlock()
-		if cons != nil {
-			_ = cons.Close() // unblock a Poll stuck on the prefetcher
-		}
 	}
+	// Closing a loop's own connection fails the fetch it may be blocked
+	// in, so stopping never waits out a request deadline or retry budget.
+	ing.closeConns()
 	ing.wg.Wait()
 	// With the loops stopped nothing enqueues anymore; close the queues
 	// and wait out the drainers so every delivered batch is applied.
@@ -406,7 +403,6 @@ func (ing *ingest) stop() {
 	for _, sub := range waits {
 		<-sub.done
 	}
-	ing.closeConns()
 }
 
 func (ing *ingest) closeConns() {
@@ -418,11 +414,15 @@ func (ing *ingest) closeConns() {
 	}
 }
 
-// loop is the partition's single consumer: a prefetching
-// broker.Consumer seeked to the plane position, double-buffering batch
-// N+1 while batch N fans out. With no sinks attached the loop idles
-// without advancing, so a future attacher at the current offset joins
-// seamlessly.
+// loop is the partition's single consumer: a broker.Consumer seeked to
+// the plane position, polled synchronously. The poll interval belongs
+// to this loop: a round that filled fetchMax is followed by the next
+// fetch at once (catch-up runs at full speed), a round that drained the
+// partition — short or empty — by exactly one back-off, and nothing is
+// ever fetched ahead of a sleep, so a fetched round is never older than
+// the fetch itself and a record waits at most one back-off. With no
+// sinks attached the loop idles without advancing, so a future attacher
+// at the current offset joins seamlessly.
 func (pi *partIngest) loop(start int64) {
 	defer pi.ing.wg.Done()
 	var cons *broker.Consumer
@@ -438,15 +438,7 @@ func (pi *partIngest) loop(start int64) {
 		}
 	}
 	cons.Seek(pi.idx, start)
-	cons.StartBatchPrefetch()
-	defer func() { _ = cons.Close() }()
-	pi.mu.Lock()
-	if pi.stopped {
-		pi.mu.Unlock()
-		return
-	}
-	pi.cons = cons
-	pi.mu.Unlock()
+	cons.SetFetchMax(fetchMax) // the "round filled" test below compares against it
 
 	idle, fails := 0, 0
 	var idleSince, hwmAt time.Time
@@ -478,9 +470,7 @@ func (pi *partIngest) loop(start int64) {
 			fails++
 			if fails >= watchdogAfter {
 				fails = 0
-				if nc := pi.reroute(cons); nc != nil {
-					cons = nc
-				}
+				pi.reroute()
 			}
 			if !sleepOrDone(pi.done, pi.ing.backoff) {
 				return
@@ -517,47 +507,28 @@ func (pi *partIngest) loop(start int64) {
 			h, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx)
 			hwm, haveHWM = h, err == nil
 		}
+		short := b.Len() < fetchMax
 		pi.deliverBatch(b, hwm, haveHWM)
+		if short && !sleepOrDone(pi.done, pi.ing.backoff) {
+			return
+		}
 	}
 }
 
 // reroute is the partition watchdog's action: force a cluster-metadata
-// refresh (so the routing layer learns about a failover the stalled
-// path masked), then rebuild the consumer at the plane's delivered
-// offset. Returns the replacement consumer, or nil when the rebuild
-// failed or the partition is stopping (the old, now-closed consumer
-// stays in place; its fast-failing polls bring the loop back here).
-func (pi *partIngest) reroute(old *broker.Consumer) *broker.Consumer {
-	if r, ok := pi.cluster.(metaRefresher); ok {
-		if err := r.Refresh(); err != nil {
-			pi.ing.logf("ingest partition %d: watchdog refresh: %v", pi.idx, err)
-		}
+// refresh, so the routing layer learns about a failover the stalled
+// path masked. The consumer holds no route and nothing fetched ahead,
+// so there is nothing of it to rebuild.
+func (pi *partIngest) reroute() {
+	r, ok := pi.cluster.(metaRefresher)
+	if !ok {
+		return
 	}
-	pi.mu.Lock()
-	at := pi.next
-	stopped := pi.stopped
-	pi.mu.Unlock()
-	if stopped {
-		return nil
+	if err := r.Refresh(); err != nil {
+		pi.ing.logf("ingest partition %d: watchdog refresh: %v", pi.idx, err)
+		return
 	}
-	_ = old.Close()
-	cons, err := broker.NewPartitionConsumer(pi.cluster, pi.ing.group, pi.ing.topic, pi.idx)
-	if err != nil {
-		pi.ing.logf("ingest partition %d: watchdog rebuild: %v", pi.idx, err)
-		return nil
-	}
-	cons.Seek(pi.idx, at)
-	cons.StartBatchPrefetch()
-	pi.mu.Lock()
-	if pi.stopped {
-		pi.mu.Unlock()
-		_ = cons.Close()
-		return nil
-	}
-	pi.cons = cons
-	pi.mu.Unlock()
-	pi.ing.logf("ingest partition %d: watchdog rerouted consumer at offset %d", pi.idx, at)
-	return cons
+	pi.ing.logf("ingest partition %d: watchdog refreshed routing", pi.idx)
 }
 
 // deliverBatch fans one pooled EventBatch out by reference to every

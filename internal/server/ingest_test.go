@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -478,5 +479,122 @@ func TestLagGaugesSettleWithThrottledHighWatermark(t *testing.T) {
 				pi.lagGauge.Value(), j.shards[0].lagMetric.Value(), j.lagGauge.Value())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// fetchLogCluster records every fetch the plane issues: when it
+// returned and how many records it carried. It does not forward
+// FetchBatch, so the consumer's one fetch per round comes through here.
+type fetchLogCluster struct {
+	broker.Cluster
+	mu      sync.Mutex
+	fetches []loggedFetch
+}
+
+type loggedFetch struct {
+	at time.Time
+	n  int
+}
+
+func (c *fetchLogCluster) Fetch(topic string, partition int, offset int64, max int) ([]broker.Record, error) {
+	recs, err := c.Cluster.Fetch(topic, partition, offset, max)
+	c.mu.Lock()
+	c.fetches = append(c.fetches, loggedFetch{at: time.Now(), n: len(recs)})
+	c.mu.Unlock()
+	return recs, err
+}
+
+func (c *fetchLogCluster) log() []loggedFetch {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]loggedFetch(nil), c.fetches...)
+}
+
+// startPacedPlane serves one sum query over a one-partition topic
+// holding events, through a fetch-logging cluster.
+func startPacedPlane(t *testing.T, events []stream.Event, backoff time.Duration) (*broker.Broker, *fetchLogCluster, *job) {
+	t.Helper()
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	fl := &fetchLogCluster{Cluster: bk}
+	s, err := New(Config{Cluster: fl, Topic: "in", PollBackoff: backoff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	id, err := s.Register(Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.job(id)
+	return bk, fl, j
+}
+
+// The poll interval belongs to the fetch loop. A backlog is drained in
+// full-fetchMax rounds with no pause between them; the short round that
+// ends it is followed by one back-off; and because nothing is fetched
+// ahead of that sleep, a record produced into the drained partition is
+// delivered by the very next fetch — one back-off away at most, where a
+// loop that prefetches before sleeping hands over two stale empty
+// rounds first.
+func TestFetchLoopDrainsBacklogThenWaitsOneBackoff(t *testing.T) {
+	const backoff = 200 * time.Millisecond
+	events := makeEvents(41, 40000) // 9 full rounds and a short one
+	bk, fl, j := startPacedPlane(t, events, backoff)
+	waitJobRecords(t, j, int64(len(events)), 10*time.Second)
+	rounds := fl.log()
+	full := len(events) / fetchMax
+	if len(rounds) < full+1 {
+		t.Fatalf("backlog drained in %d fetches, want %d", len(rounds), full+1)
+	}
+	for i, r := range rounds[:full+1] {
+		if i < full && r.n != fetchMax {
+			t.Errorf("backlog round %d carried %d records, want a full %d", i, r.n, fetchMax)
+		}
+		if i > 0 {
+			if gap := r.at.Sub(rounds[i-1].at); gap >= backoff/2 {
+				t.Errorf("%v between backlog rounds %d and %d: the loop slept while behind", gap, i-1, i)
+			}
+		}
+	}
+
+	// The loop is now inside the back-off that followed the short round.
+	late := events[len(events)-1]
+	late.Time = late.Time.Add(time.Millisecond)
+	produced := time.Now()
+	if _, err := broker.ProduceEvents(bk, "in", []stream.Event{late}); err != nil {
+		t.Fatal(err)
+	}
+	waitJobRecords(t, j, int64(len(events))+1, 10*time.Second)
+	if took := time.Since(produced); took > backoff*3/2 {
+		t.Errorf("record into a drained partition delivered after %v, want within one %v back-off", took, backoff)
+	}
+}
+
+// On a drained partition the loop issues one fetch per back-off, never
+// more: each round is fetched when the previous sleep ends.
+func TestFetchLoopIdleIssuesOneFetchPerBackoff(t *testing.T) {
+	const backoff, intervals = 10 * time.Millisecond, 50
+	_, fl, j := startPacedPlane(t, makeEvents(43, 100), backoff)
+	waitJobRecords(t, j, 100, 10*time.Second)
+	from := time.Now()
+	time.Sleep(intervals * backoff)
+	elapsed := time.Since(from)
+	n := 0
+	for _, r := range fl.log() {
+		if r.at.After(from) {
+			if r.n != 0 {
+				t.Fatalf("fetch on a drained partition returned %d records", r.n)
+			}
+			n++
+		}
+	}
+	if most := int(float64(elapsed/backoff)*1.2) + 1; n > most || n < intervals/4 {
+		t.Errorf("%d fetches over %v of idling at a %v back-off, want at most %d (and the loop alive)", n, elapsed, backoff, most)
 	}
 }
