@@ -1,6 +1,6 @@
 // Command saproxd runs the sharded, multi-tenant approximate-query
 // service: a shared ingest plane consumes a brokerd topic with exactly
-// one prefetching consumer per partition — however many queries are
+// one positioned reader per partition — however many queries are
 // registered — fans every batch out to all of them, and serves each
 // query's merged per-window "result ± error" stream over HTTP.
 //

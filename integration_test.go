@@ -12,10 +12,62 @@ import (
 	"streamapprox/internal/xrand"
 )
 
+// member is a test's stand-in for one member of a consumer group: a
+// positioned reader per owned partition, polled round by round, each
+// round's batches merged into one time-ordered batch — the order a
+// time-synchronized aggregator delivers and a Session expects.
+type member struct {
+	parts []int
+	cons  []*broker.Consumer
+	next  []int64 // offset each reader has reached
+}
+
+// newMember positions one reader per partition at start(partition).
+func newMember(cl broker.Cluster, parts []int, start func(p int) (int64, error)) (*member, error) {
+	m := &member{parts: parts}
+	for _, p := range parts {
+		at, err := start(p)
+		if err != nil {
+			return nil, err
+		}
+		m.cons = append(m.cons, broker.NewPartitionConsumer(cl, "stream", p, at))
+		m.next = append(m.next, at)
+	}
+	return m, nil
+}
+
+// poll returns the next merged round, nil once every partition is
+// drained. The caller Releases it.
+func (m *member) poll() (*EventBatch, error) {
+	merged := NewEventBatch()
+	for i, c := range m.cons {
+		b, err := c.PollBatch(4096)
+		if err != nil {
+			merged.Release()
+			return nil, err
+		}
+		if b == nil {
+			continue
+		}
+		m.next[i] = b.Base + int64(b.Len())
+		for j := 0; j < b.Len(); j++ {
+			merged.AppendEvent(b.EventAt(j))
+		}
+		b.Release()
+	}
+	if merged.Len() == 0 {
+		merged.Release()
+		return nil, nil
+	}
+	merged.SortByTime()
+	return merged, nil
+}
+
 // TestEndToEndBrokerToSession exercises the full Figure-1 path: events
-// are produced to the Kafka-like aggregator over TCP, consumed by a
-// consumer group, pushed through an OASRS Session, and the per-window
-// estimates are checked against ground truth.
+// are produced to the Kafka-like aggregator over TCP, read back by
+// positioned partition readers as columnar batches, pushed through an
+// OASRS Session, and the per-window estimates are checked against
+// ground truth.
 func TestEndToEndBrokerToSession(t *testing.T) {
 	b := broker.New()
 	if err := b.CreateTopic("stream", 4); err != nil {
@@ -50,24 +102,27 @@ func TestEndToEndBrokerToSession(t *testing.T) {
 		}
 	}
 
-	// Consume (in-process consumer against the same broker) and stream
-	// into a Session.
-	consumer, err := broker.NewConsumer(b, "analytics", "stream", 0, 1)
+	// Consume (in-process readers against the same broker, from the
+	// start of every partition) and stream into a Session.
+	reader, err := newMember(b, []int{0, 1, 2, 3}, func(int) (int64, error) { return 0, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := broker.NewEventSource(consumer, 2, 0)
 	session := NewSession(SessionConfig{Fraction: 0.5, Seed: 3})
 	consumed := 0
 	for {
-		e, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := session.Push(Event(e)); err != nil {
+		round, err := reader.poll()
+		if err != nil {
 			t.Fatal(err)
 		}
-		consumed++
+		if round == nil {
+			break
+		}
+		if err := session.PushBatch(round, 0, round.Len()); err != nil {
+			t.Fatal(err)
+		}
+		consumed += round.Len()
+		round.Release()
 	}
 	if consumed != len(events) {
 		t.Fatalf("consumed %d of %d produced events", consumed, len(events))
@@ -114,9 +169,10 @@ func toPublic(in []stream.Event) []Event {
 // TestTCPConsumerGroupRebalanceFeedsTwoShards exercises the broker TCP
 // transport end to end through a consumer-group "rebalance": a single
 // member consumes part of a 4-partition topic and commits, then the
-// group is re-formed as two members — each over its own TCP client —
-// which resume from the committed offsets and feed two concurrent shard
-// Sessions. No record may be lost or read twice across the rebalance.
+// group is re-formed as two members — each over its own TCP client and
+// an explicit partition list — which resume from the committed offsets
+// and feed two concurrent shard Sessions. No record may be lost or read
+// twice across the rebalance.
 func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 	b := broker.New()
 	if err := b.CreateTopic("stream", 4); err != nil {
@@ -169,12 +225,12 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 		off  int64
 	}
 	seen := make(map[key]bool)
-	record := func(recs []broker.Record) {
+	record := func(part int, from, to int64) {
 		t.Helper()
-		for _, r := range recs {
-			k := key{r.Partition, r.Offset}
+		for off := from; off < to; off++ {
+			k := key{part, off}
 			if seen[k] {
-				t.Fatalf("record (p=%d, off=%d) read twice across rebalance", r.Partition, r.Offset)
+				t.Fatalf("record (p=%d, off=%d) read twice across rebalance", part, off)
 			}
 			seen[k] = true
 		}
@@ -188,27 +244,33 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cli1.Close() }()
-	solo, err := broker.NewConsumer(cli1, "shards", "stream", 0, 1)
+	committed := func(cl broker.Cluster) func(p int) (int64, error) {
+		return func(p int) (int64, error) { return cl.Committed("shards", "stream", p) }
+	}
+	solo, err := newMember(cli1, []int{0, 1, 2, 3}, committed(cli1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen1 := 0
 	for {
-		recs, err := solo.Poll()
+		round, err := solo.poll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) == 0 {
+		if round == nil {
 			break
 		}
-		record(recs)
-		gen1 += len(recs)
+		gen1 += round.Len()
+		round.Release()
 	}
 	if gen1 != 3000 {
 		t.Fatalf("generation 1 consumed %d of 3000", gen1)
 	}
-	if err := solo.Commit(); err != nil {
-		t.Fatal(err)
+	for i, p := range solo.parts {
+		record(p, 0, solo.next[i])
+		if err := cli1.Commit("shards", "stream", p, solo.next[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Rebalance: the group re-forms as two members, each on its own TCP
@@ -216,76 +278,83 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 	// concurrent shard Session.
 	produce(producer, events[3000:])
 	type shardOut struct {
-		recs    []broker.Record
-		windows int
-		err     error
+		m        *member
+		consumed int
+		windows  int
+		err      error
 	}
 	outs := make([]shardOut, 2)
 	var wg sync.WaitGroup
-	for member := 0; member < 2; member++ {
+	for i, parts := range [][]int{{0, 2}, {1, 3}} {
 		wg.Add(1)
-		go func(member int) {
+		go func(out *shardOut, parts []int, seed uint64) {
 			defer wg.Done()
-			out := &outs[member]
 			cli, err := broker.Dial(srv.Addr())
 			if err != nil {
 				out.err = err
 				return
 			}
 			defer func() { _ = cli.Close() }()
-			cons, err := broker.NewConsumer(cli, "shards", "stream", member, 2)
-			if err != nil {
-				out.err = err
+			if out.m, out.err = newMember(cli, parts, committed(cli)); out.err != nil {
 				return
 			}
 			sess := NewSession(SessionConfig{
 				WindowSize:  2 * time.Second,
 				WindowSlide: time.Second,
 				Fraction:    0.5,
-				Seed:        uint64(member + 1),
+				Seed:        seed,
 			})
-			src := broker.NewEventSource(cons, 3, 0)
 			for {
-				e, ok := src.Next()
-				if !ok {
+				round, err := out.m.poll()
+				if err != nil {
+					out.err = err
+					return
+				}
+				if round == nil {
 					break
 				}
-				if err := sess.Push(Event(e)); err != nil {
+				err = sess.PushBatch(round, 0, round.Len())
+				out.consumed += round.Len()
+				round.Release()
+				if err != nil {
 					out.err = err
 					return
 				}
 			}
 			out.windows = len(sess.Close())
-			// Re-read the consumed span (committed gen-1 position up to
-			// the final offset) for the exactly-once check.
-			offs := cons.Offsets()
-			for _, p := range cons.Partitions() {
-				start, err := b.Committed("shards", "stream", p)
-				if err != nil {
-					out.err = err
-					return
-				}
-				recs, err := b.Fetch("stream", p, start, int(offs[p]-start))
-				if err != nil {
-					out.err = err
-					return
-				}
-				out.recs = append(out.recs, recs...)
-			}
-		}(member)
+		}(&outs[i], parts, uint64(i+1))
 	}
 	wg.Wait()
 
 	gen2 := 0
-	for member, out := range outs {
+	for i, out := range outs {
 		if out.err != nil {
-			t.Fatalf("member %d: %v", member, out.err)
+			t.Fatalf("member %d: %v", i, out.err)
 		}
 		if out.windows == 0 {
-			t.Errorf("member %d produced no windows", member)
+			t.Errorf("member %d produced no windows", i)
 		}
-		record(out.recs)
-		gen2 += len(out.recs)
+		// Re-read the consumed span (committed gen-1 position up to the
+		// final offset) for the exactly-once check.
+		reread := 0
+		for j, p := range out.m.parts {
+			start, err := b.Committed("shards", "stream", p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, err := b.Fetch("stream", p, start, int(out.m.next[j]-start))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				record(r.Partition, r.Offset, r.Offset+1)
+			}
+			reread += len(recs)
+		}
+		if reread != out.consumed {
+			t.Errorf("member %d pushed %d records but its offsets span %d", i, out.consumed, reread)
+		}
+		gen2 += reread
 	}
 	if gen1+gen2 != len(events) {
 		t.Fatalf("consumed %d + %d records, want %d total (lost across rebalance)",

@@ -159,11 +159,11 @@ func BenchmarkLogAppend(b *testing.B) {
 	for _, batch := range []int{16, 256, 4096} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			p := storage.NewMemLog()
-			recs := benchRecords(batch)
+			chunk := storage.AppendRecordFrames(nil, benchRecords(batch))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Append(recs); err != nil {
+				if _, err := p.AppendFrames(chunk, batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -176,19 +176,22 @@ func BenchmarkLogAppend(b *testing.B) {
 func BenchmarkLogRead(b *testing.B) {
 	p := storage.NewMemLog()
 	const loaded = 1 << 18
+	chunk := storage.AppendRecordFrames(nil, benchRecords(4096))
 	for i := 0; i < loaded/4096; i++ {
-		if _, err := p.Append(benchRecords(4096)); err != nil {
+		if _, err := p.AppendFrames(chunk, 4096); err != nil {
 			b.Fatal(err)
 		}
 	}
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := int64((i * 7919) % (loaded - benchBatch))
-		recs, err := p.Read(off, benchBatch)
-		if err != nil || len(recs) != benchBatch {
-			b.Fatalf("read %d records, %v", len(recs), err)
+		frames, n, err := p.ReadFrames(off, benchBatch, buf[:0])
+		if err != nil || n != benchBatch {
+			b.Fatalf("read %d records, %v", n, err)
 		}
+		buf = frames
 	}
 	reportItems(b, int64(b.N)*benchBatch)
 }

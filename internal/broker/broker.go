@@ -5,8 +5,11 @@
 //
 // The model follows Kafka's essentials: named topics split into
 // partitions; producers append records (partitioned by key hash or round
-// robin); consumers fetch by (partition, offset); consumer groups share
-// the partitions of a topic and track committed offsets. Two transports
+// robin); readers fetch by (partition, offset), and a group's progress
+// is one committed offset per partition. Partition logs hold CRC frames
+// and nothing else: records are encoded once on the way in (Produce) and
+// decoded once on the way out (Fetch) — or never, when a reader takes
+// the frames straight into a columnar batch (FetchBatch). Two transports
 // are provided: direct in-process calls (this file) and a length-prefixed
 // TCP protocol (transport.go) served by cmd/brokerd.
 //
@@ -20,7 +23,6 @@ package broker
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
@@ -281,11 +283,9 @@ func (b *Broker) Close() {
 // newLog builds the storage for one partition per the broker's config.
 func (b *Broker) newLog(topicName string, p int) (storage.Log, error) {
 	if b.scfg.Dir == "" {
-		return storage.NewMemLogFor(topicName, p), nil
+		return storage.NewMemLog(), nil
 	}
 	return storage.OpenFileLog(b.PartitionDir(topicName, p), storage.FileConfig{
-		Topic:          topicName,
-		Partition:      p,
 		SegmentRecords: b.scfg.SegmentRecords,
 		Policy:         b.scfg.Policy,
 		SyncEvery:      b.scfg.SyncEvery,
@@ -373,26 +373,23 @@ func (b *Broker) topic(name string) (*topic, error) {
 	return t, nil
 }
 
-// partitionFor picks the partition for a record: FNV hash of the key, or
-// round-robin when the key is empty. Keyed partitioning keeps each
-// sub-stream on a stable partition, the property DistributedOASRS uses to
-// pin strata to workers.
-func (t *topic) partitionFor(key string) int {
-	if key == "" {
-		t.rrMu.Lock()
-		defer t.rrMu.Unlock()
-		p := int(t.rr % uint64(len(t.partitions)))
-		t.rr++
-		return p
+// keyPartition is the key → partition function of the whole tier:
+// 32-bit FNV-1a of the key bytes, modulo the partition count. The
+// broker routes frames with it and ClusterClient routes records with
+// it, so a key lands on the same partition whichever side partitions —
+// the property that pins each stratum to one ingest shard. Inlined
+// rather than hash/fnv so neither key form allocates.
+func keyPartition[K string | []byte](key K, parts int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
 	}
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32()) % len(t.partitions)
+	return int(h % uint32(parts))
 }
 
-// partitionForBytes is partitionFor for a byte-slice key — the routing
-// used when splitting a raw frame chunk, where the key is a view into
-// the frame and must not be copied into a string just to hash it.
+// partitionForBytes picks the partition for a frame by its key, read in
+// place (a view into the frame, never copied into a string just to hash
+// it); keyless frames go round-robin on the topic's own cursor.
 func (t *topic) partitionForBytes(key []byte) int {
 	if len(key) == 0 {
 		t.rrMu.Lock()
@@ -401,17 +398,7 @@ func (t *topic) partitionForBytes(key []byte) int {
 		t.rr++
 		return p
 	}
-	h := fnv.New32a()
-	_, _ = h.Write(key)
-	return int(h.Sum32()) % len(t.partitions)
-}
-
-// append stamps topic/partition onto a caller-owned batch and appends
-// it under the partition's append mutex, returning the base offset.
-func (p *partition) append(batch []Record) (int64, error) {
-	p.appendMu.Lock()
-	defer p.appendMu.Unlock()
-	return p.log.Append(batch)
+	return keyPartition(key, len(t.partitions))
 }
 
 // appendFrames appends a pre-validated frame chunk under the
@@ -422,51 +409,27 @@ func (p *partition) appendFrames(frames []byte, count int) (int64, error) {
 	return p.log.AppendFrames(frames, count)
 }
 
-// Produce appends records to a topic, routing each by its key. It returns
-// the number of records appended.
+// Produce appends records to a topic, routing each by its key — where
+// in-process records enter the frame path: the batch is encoded once
+// into a pooled buffer and appended by ProduceFrames, exactly as the
+// wire's produce op does with a client's bytes. Only key, value and
+// time are stored; the caller's slice is not touched. Like
+// ProduceFrames it returns the number of records appended, which on an
+// append failure counts the partitions that landed before it.
 func (b *Broker) Produce(topicName string, recs []Record) (int, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	// Copy into per-partition batches (append stamps offsets in
-	// place, so the caller's slice must stay untouched), then append
-	// each batch in one bulk operation.
-	if len(t.partitions) == 1 {
-		batch := make([]Record, len(recs))
-		for i, r := range recs {
-			r.Topic = topicName
-			r.Partition = 0
-			batch[i] = r
-		}
-		if _, err := t.partitions[0].append(batch); err != nil {
-			return 0, err
-		}
-		return len(recs), nil
-	}
-	byPart := make([][]Record, len(t.partitions))
-	for _, r := range recs {
-		r.Topic = topicName
-		p := t.partitionFor(r.Key)
-		r.Partition = p
-		byPart[p] = append(byPart[p], r)
-	}
-	for p, batch := range byPart {
-		if len(batch) > 0 {
-			if _, err := t.partitions[p].append(batch); err != nil {
-				return 0, err
-			}
-		}
-	}
-	return len(recs), nil
+	fb := getFrame()
+	defer putFrame(fb)
+	fb.b = storage.AppendRecordFrames(fb.b, recs)
+	return b.ProduceFrames(topicName, fb.b, len(recs))
 }
 
 // ProduceFrames appends a pre-validated frame chunk to a topic, routing
-// each frame by the key read in place — the zero-copy form of Produce:
-// no record is ever materialized, the single-partition fast path is one
-// memcpy (or one WriteAt), and the multi-partition path splits frames
-// at their structural boundaries. Returns the number of records
-// appended.
+// each frame by the key read in place: no record is ever materialized,
+// the single-partition fast path is one memcpy (or one WriteAt), and
+// the multi-partition path splits frames at their structural
+// boundaries. It returns the number of records appended and the first
+// append failure; partitions appended before the failure stay appended
+// and are counted, so a caller must not retry the whole batch on error.
 func (b *Broker) ProduceFrames(topicName string, frames []byte, count int) (int, error) {
 	t, err := b.topic(topicName)
 	if err != nil {
@@ -590,25 +553,24 @@ func (b *Broker) truncatePartition(topicName string, partition int, hwm int64) e
 	return p.log.TruncateTo(hwm)
 }
 
-// Fetch reads up to max records from one partition starting at offset.
+// Fetch reads up to max records from one partition starting at offset —
+// where frames leave for the record world: a FetchFrames into a pooled
+// buffer, decoded by the same framesToRecords the TCP client uses.
 func (b *Broker) Fetch(topicName string, partition int, offset int64, max int) ([]Record, error) {
-	t, err := b.topic(topicName)
+	fb := getFrame()
+	defer putFrame(fb)
+	frames, count, err := b.FetchFrames(topicName, partition, offset, max, fb.b)
+	fb.b = frames
 	if err != nil {
 		return nil, err
 	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return nil, ErrBadPartition
-	}
-	if max <= 0 {
-		max = 1024
-	}
-	return t.partitions[partition].log.Read(offset, max)
+	return framesToRecords(frames, count, topicName, partition, offset), nil
 }
 
 // FetchFrames reads up to max records from one partition as a raw frame
 // chunk appended onto buf, returning the extended buffer and the record
-// count — the zero-copy form of Fetch, used to assemble fetch responses
-// directly into the server's pooled write buffer.
+// count — used to assemble fetch responses directly into the server's
+// pooled write buffer.
 func (b *Broker) FetchFrames(topicName string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
 	t, err := b.topic(topicName)
 	if err != nil {

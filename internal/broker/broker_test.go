@@ -2,10 +2,15 @@ package broker
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"streamapprox/internal/broker/storage"
+	"streamapprox/internal/faults"
 	"streamapprox/internal/stream"
 )
 
@@ -196,6 +201,88 @@ func TestClosedBroker(t *testing.T) {
 	}
 }
 
+// partFS sends the files under one directory through a second
+// filesystem — how a test breaks a single partition's disk.
+type partFS struct {
+	storage.FS
+	dir string
+	bad storage.FS
+}
+
+func (f partFS) OpenFile(name string, flag int, perm os.FileMode) (storage.File, error) {
+	if strings.HasPrefix(name, f.dir) {
+		return f.bad.OpenFile(name, flag, perm)
+	}
+	return f.FS.OpenFile(name, flag, perm)
+}
+
+// TestProducePartialAppendReported: when one partition's append fails,
+// Produce reports how many records DID land (the partitions appended
+// before it), not zero — a caller that retried the whole batch on
+// "0, err" would duplicate them. The failed partition rolls back whole.
+func TestProducePartialAppendReported(t *testing.T) {
+	const parts = 3
+	dir := t.TempDir()
+	disk := faults.NewDisk(nil)
+	b, err := Open(StorageConfig{
+		Dir: dir, Policy: storage.SyncNone,
+		FS: partFS{FS: storage.OSFS, dir: filepath.Join(dir, "in", "1") + string(filepath.Separator), bad: disk},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.CreateTopic("in", parts); err != nil {
+		t.Fatal(err)
+	}
+	// 5 records for partition 0, 4 for 1, 3 for 2.
+	keys := keysByPartition(&ClusterClient{}, parts)
+	var batch []Record
+	for p, key := range keys {
+		for i := 0; i < 5-p; i++ {
+			batch = append(batch, Record{Key: key, Value: float64(len(batch))})
+		}
+	}
+	if n, err := b.Produce("in", batch); err != nil || n != len(batch) {
+		t.Fatalf("healthy produce = %d, %v", n, err)
+	}
+	disk.Set(faults.DiskFaults{FailWrites: true, TornBytes: 9})
+	n, err := b.Produce("in", batch)
+	if !errors.Is(err, faults.ErrNoSpace) {
+		t.Fatalf("produce onto a full disk: err = %v, want ENOSPC", err)
+	}
+	disk.Set(faults.DiskFaults{})
+	// Appends go in partition order: 0 landed (every record now stored
+	// twice), 1 failed and rolled back, 2 was never tried.
+	landed := 0
+	for p, copies := range []int{2, 1, 1} {
+		hwm, _ := b.HighWatermark("in", p)
+		landed += int(hwm) - (5 - p)
+		got, err := b.Fetch("in", p, 0, 100)
+		if err != nil || int64(len(got)) != hwm {
+			t.Fatalf("partition %d: fetched %d of %d records, %v", p, len(got), hwm, err)
+		}
+		seen := map[float64]int{}
+		for _, r := range got {
+			if r.Key != keys[p] {
+				t.Errorf("partition %d holds key %q", p, r.Key)
+			}
+			seen[r.Value]++
+		}
+		if len(seen) != 5-p {
+			t.Errorf("partition %d holds %d distinct records, want %d", p, len(seen), 5-p)
+		}
+		for v, c := range seen {
+			if c != copies {
+				t.Errorf("partition %d: record %v stored %d times, want %d", p, v, c, copies)
+			}
+		}
+	}
+	if n != landed || n != 5 {
+		t.Errorf("Produce returned n = %d; %d records landed (want 5: partition 0's share)", n, landed)
+	}
+}
+
 func TestConcurrentProducers(t *testing.T) {
 	b := New()
 	_ = b.CreateTopic("in", 4)
@@ -223,89 +310,15 @@ func TestConcurrentProducers(t *testing.T) {
 	}
 }
 
-func TestConsumerGroupPartitionAssignment(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 4)
-	c0, err := NewConsumer(b, "g", "in", 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, _ := NewConsumer(b, "g", "in", 1, 2)
-	p0, p1 := c0.Partitions(), c1.Partitions()
-	if len(p0)+len(p1) != 4 {
-		t.Fatalf("assignments %v + %v do not cover 4 partitions", p0, p1)
-	}
-	seen := map[int]bool{}
-	for _, p := range append(p0, p1...) {
-		if seen[p] {
-			t.Fatalf("partition %d assigned twice", p)
-		}
-		seen[p] = true
-	}
-}
-
-func TestConsumerPollAndLag(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 2)
-	_, _ = b.Produce("in", recs("a", 10))
-	_, _ = b.Produce("in", recs("b", 10))
-	c, err := NewConsumer(b, "g", "in", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lag, _ := c.Lag(); lag != 20 {
-		t.Errorf("lag = %d, want 20", lag)
-	}
-	got, err := c.Poll()
-	if err != nil || len(got) != 20 {
-		t.Fatalf("poll = %d, %v", len(got), err)
-	}
-	// Poll output must be time-ordered.
-	for i := 1; i < len(got); i++ {
-		if got[i].Time.Before(got[i-1].Time) {
-			t.Fatal("poll output not time-ordered")
-		}
-	}
-	if lag, _ := c.Lag(); lag != 0 {
-		t.Errorf("post-poll lag = %d", lag)
-	}
-	if again, _ := c.Poll(); len(again) != 0 {
-		t.Errorf("second poll returned %d records", len(again))
-	}
-}
-
-func TestConsumerCommitResume(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 1)
-	_, _ = b.Produce("in", recs("a", 10))
-	c, _ := NewConsumer(b, "g", "in", 0, 1)
-	if _, err := c.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	// A new consumer in the same group resumes past the committed offset.
-	c2, _ := NewConsumer(b, "g", "in", 0, 1)
-	got, _ := c2.Poll()
-	if len(got) != 0 {
-		t.Errorf("resumed consumer re-read %d records", len(got))
-	}
-}
-
 func TestEventConversion(t *testing.T) {
 	e := stream.Event{Stratum: "tcp", Value: 42, Time: time.Unix(100, 0)}
 	r := FromEvent(e)
 	if r.Key != "tcp" || r.Value != 42 || !r.Time.Equal(e.Time) {
 		t.Errorf("FromEvent = %+v", r)
 	}
-	back := ToEvent(r)
-	if back != e {
-		t.Errorf("round trip = %+v, want %+v", back, e)
-	}
 }
 
-func TestProduceEventsAndEventSource(t *testing.T) {
+func TestProduceEvents(t *testing.T) {
 	b := New()
 	_ = b.CreateTopic("in", 2)
 	events := make([]stream.Event, 100)
@@ -316,10 +329,21 @@ func TestProduceEventsAndEventSource(t *testing.T) {
 	if n, err := ProduceEvents(b, "in", events); err != nil || n != 100 {
 		t.Fatalf("ProduceEvents = %d, %v", n, err)
 	}
-	c, _ := NewConsumer(b, "g", "in", 0, 1)
-	src := NewEventSource(c, 2, 0)
-	drained := stream.Drain(src)
-	if len(drained) != 100 {
-		t.Errorf("drained %d events, want 100", len(drained))
+	// One key, so one partition holds all 100, in produce order.
+	total := 0
+	for p := 0; p < 2; p++ {
+		got, err := b.Fetch("in", p, 0, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(got)
+		for i, r := range got {
+			if r.Key != "s" || r.Value != float64(i) || !r.Time.Equal(events[i].Time) {
+				t.Fatalf("record %d = %+v, want event %+v", i, r, events[i])
+			}
+		}
+	}
+	if total != 100 {
+		t.Fatalf("fetched %d records, want 100", total)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/stream"
 )
 
@@ -34,10 +33,10 @@ type Client struct {
 	// the pipeline without widening every method signature.
 	trace atomic.Uint64
 
-	// reqTimeout is the connection's default per-request deadline in
-	// nanoseconds (0 = none); cluster-internal ops that need a tighter
-	// bound (heartbeat probes) pass an explicit override.
-	reqTimeout atomic.Int64
+	// reqTimeout is the connection's default per-request deadline
+	// (0 = none), fixed at dial; cluster-internal ops that need a
+	// tighter bound (heartbeat probes) pass an explicit override.
+	reqTimeout time.Duration
 
 	// mu serializes the write+flush of a frame.
 	mu sync.Mutex
@@ -108,12 +107,12 @@ func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 		return nil, fmt.Errorf("broker dial: %w", err)
 	}
 	c := &Client{
-		conn:    conn,
-		br:      bufio.NewReaderSize(conn, 64<<10),
-		bw:      bufio.NewWriterSize(conn, 64<<10),
-		pending: make(map[uint64]chan *frameBuf),
+		conn:       conn,
+		br:         bufio.NewReaderSize(conn, 64<<10),
+		bw:         bufio.NewWriterSize(conn, 64<<10),
+		pending:    make(map[uint64]chan *frameBuf),
+		reqTimeout: opts.requestTimeout(),
 	}
-	c.reqTimeout.Store(int64(opts.requestTimeout()))
 	go c.readLoop()
 	resp, err := c.controlRoundTrip(&wireRequest{Op: opHello})
 	if err == nil && resp.N != int(wireVersion) {
@@ -129,19 +128,6 @@ func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 // SetTraceID stamps id on every subsequent request sent over this
 // connection (0 clears it).
 func (c *Client) SetTraceID(id uint64) { c.trace.Store(id) }
-
-// SetRequestTimeout replaces the connection's per-request deadline for
-// every subsequent RPC (d <= 0 disables it) — the per-op override for
-// callers that own the connection, mirroring SetTraceID.
-func (c *Client) SetRequestTimeout(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	c.reqTimeout.Store(int64(d))
-}
-
-// timeout returns the connection's current per-request deadline.
-func (c *Client) timeout() time.Duration { return time.Duration(c.reqTimeout.Load()) }
 
 // errTimeout builds the deadline error for one timed-out request. It
 // wraps os.ErrDeadlineExceeded so callers can distinguish "peer
@@ -176,7 +162,7 @@ func (c *Client) Close() error {
 // deadline. encode must fill fb with a complete frame carrying corr.
 // The returned frame is owned by the caller, who must putFrame it.
 func (c *Client) callBinary(encode func(fb *frameBuf, corr uint64)) (*frameBuf, error) {
-	return c.callBinaryT(c.timeout(), encode)
+	return c.callBinaryT(c.reqTimeout, encode)
 }
 
 // callBinaryT is callBinary with an explicit deadline: start, then
@@ -333,7 +319,7 @@ func (c *Client) failPending(err error) {
 // binary envelope, so it shares the pipelined connection and one version
 // byte governs the whole dialect.
 func (c *Client) controlRoundTrip(req *wireRequest) (*wireResponse, error) {
-	return c.controlRoundTripT(c.timeout(), req)
+	return c.controlRoundTripT(c.reqTimeout, req)
 }
 
 // controlRoundTripT is controlRoundTrip with an explicit deadline —
@@ -373,7 +359,7 @@ func (c *Client) CreateTopic(name string, partitions int) error {
 
 // callCount performs one request answered with a record count.
 func (c *Client) callCount(encode func(fb *frameBuf, corr uint64)) (int, error) {
-	f, err := c.start(c.timeout(), encode)
+	f, err := c.start(c.reqTimeout, encode)
 	if err != nil {
 		return 0, err
 	}
@@ -451,7 +437,8 @@ func (c *Client) fetchFrames(topicName string, partition int, offset int64, max 
 	}, use)
 }
 
-// Fetch reads records from a remote partition.
+// Fetch reads records from a remote partition: the fetched frame chunk
+// decoded by framesToRecords, the tier's one frames → records step.
 func (c *Client) Fetch(topicName string, partition int, offset int64, max int) ([]Record, error) {
 	var recs []Record
 	err := c.fetchFrames(topicName, partition, offset, max, func(base int64, count int, frames []byte) {
@@ -602,17 +589,6 @@ func (c *Client) commitRep(epoch int64, sender, group, topic string, partition i
 	return err
 }
 
-// ProducePartition appends records to one explicit partition, carrying
-// a producer id + sequence number for idempotent retries (pid 0
-// disables deduplication). Against a cluster member this must reach the
-// partition leader; non-leaders answer with a NotLeader redirect.
-func (c *Client) ProducePartition(topicName string, partition int, pid, seq uint64, recs []Record) (int, error) {
-	fb := getFrame()
-	defer putFrame(fb)
-	fb.b = storage.AppendRecordFrames(fb.b, recs)
-	return c.producePartitionFrames(topicName, partition, pid, seq, fb.b, len(recs))
-}
-
 // producePartitionFrames ships a frame chunk to a partition leader
 // verbatim: a producing client's freshly encoded records, or the
 // node→node hop of a routed produce forwarding validated bytes.
@@ -630,7 +606,7 @@ func (c *Client) startProducePartitionFrames(topicName string, partition int, pi
 	if err := checkTopic(topicName); err != nil {
 		return flight{}, err
 	}
-	return c.start(c.timeout(), func(fb *frameBuf, corr uint64) {
+	return c.start(c.reqTimeout, func(fb *frameBuf, corr uint64) {
 		encodeProducePartFwdReq(fb, corr, c.trace.Load(), topicName, partition, pid, seq, frames, count)
 	})
 }

@@ -456,8 +456,8 @@ func (cc *ClusterClient) leaderRetry(topic string, partition int, lane string, e
 	return err
 }
 
-// partitionForKey mirrors the broker's keyed routing (FNV-32a), with a
-// client-local round-robin cursor for keyless records.
+// partitionForKey routes a keyed record with the broker's own
+// keyPartition, and keyless ones on a client-local round-robin cursor.
 func (cc *ClusterClient) partitionForKey(key string, parts int) int {
 	if key == "" {
 		cc.mu.Lock()
@@ -466,11 +466,7 @@ func (cc *ClusterClient) partitionForKey(key string, parts int) int {
 		cc.mu.Unlock()
 		return p
 	}
-	h := uint32(2166136261)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint32(key[i])) * 16777619
-	}
-	return int(h) % parts
+	return keyPartition(key, parts)
 }
 
 // partProducer is one partition's produce state. mu serializes batches

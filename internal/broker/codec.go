@@ -31,7 +31,6 @@ import (
 	"io"
 	"math"
 	"sync"
-	"time"
 
 	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/stream"
@@ -77,24 +76,6 @@ const minWireRecord = 4 + 8 + 8
 // minWireFrame is the smallest CRC frame (empty key): the 8-byte
 // length+CRC header plus the minimal payload.
 const minWireFrame = 8 + minWireRecord
-
-// zeroTimeNanos marks the zero time.Time on the wire.
-const zeroTimeNanos = math.MinInt64
-
-func timeToNanos(t time.Time) int64 {
-	if t.IsZero() {
-		return zeroTimeNanos
-	}
-	return t.UnixNano()
-}
-
-func nanosToTime(n int64) time.Time {
-	if n == zeroTimeNanos {
-		return time.Time{}
-	}
-	// Normalize to UTC: the wire carries an instant, not a zone.
-	return time.Unix(0, n).UTC()
-}
 
 // frameBuf is a pooled frame encode/decode buffer. Steady-state
 // produce/fetch reuses these, so the per-record wire cost is a copy
@@ -286,10 +267,7 @@ func appendFrameChunk(b []byte, frames []byte, count int) []byte {
 // hop ships these exact bytes.
 func appendRecFrameChunk(b []byte, recs []Record) []byte {
 	b = appendU32(b, uint32(len(recs)))
-	for i := range recs {
-		b = storage.AppendFrame(b, &recs[i])
-	}
-	return b
+	return storage.AppendRecordFrames(b, recs)
 }
 
 // encodeProduceFramesReq encodes a key-routed produce. Only key/value/time
@@ -560,8 +538,10 @@ func decodeFrameChunk(cur *wireCursor) (int, []byte) {
 }
 
 // framesToRecords decodes a validated frame chunk of count records —
-// the consumer end of a record-form fetch. Repeated keys are interned so
-// a hot key costs one allocation per chunk.
+// the one place frames become Records, behind Broker.Fetch and
+// Client.Fetch alike. Topic, partition and offset are not in a frame;
+// they are stamped from where the chunk was read. Repeated keys are
+// interned so a hot key costs one allocation per chunk.
 func framesToRecords(frames []byte, count int, topic string, partition int, base int64) []Record {
 	recs := make([]Record, 0, count)
 	var intern map[string]string
@@ -586,7 +566,7 @@ func framesToRecords(frames []byte, count int, topic string, partition int, base
 			Offset:    base + int64(i),
 			Key:       key,
 			Value:     math.Float64frombits(bits),
-			Time:      nanosToTime(nanos),
+			Time:      storage.TimeFromNanos(nanos),
 		})
 	}
 	return recs

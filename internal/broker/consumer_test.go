@@ -1,0 +1,234 @@
+package broker
+
+import (
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"streamapprox/internal/stream"
+)
+
+// drainValues polls c until a round comes back empty, counting each
+// record's value into seen, and returns the offset c has reached.
+func drainValues(t *testing.T, c *Consumer, seen map[float64]int) int64 {
+	t.Helper()
+	for {
+		b, err := c.PollBatch(4096)
+		if err != nil {
+			t.Fatalf("poll: %v", err)
+		}
+		if b == nil {
+			return c.offset
+		}
+		for _, v := range b.Values {
+			seen[v]++
+		}
+		b.Release()
+	}
+}
+
+func TestConsumerPollBatch(t *testing.T) {
+	b := New()
+	_ = b.CreateTopic("in", 1)
+	in := recs("a", 10)
+	in[2].Time, in[7].Time = in[7].Time, in[2].Time // unordered within both rounds below
+	in[5].Time = time.Time{}
+	if _, err := b.Produce("in", in); err != nil {
+		t.Fatal(err)
+	}
+	c := NewPartitionConsumer(b, "in", 0, -7) // negative reads as 0
+	for _, round := range []struct {
+		max, n int
+		base   int64
+	}{{8, 8, 0}, {100, 2, 8}} {
+		got, err := c.PollBatch(round.max)
+		if err != nil || got.Len() != round.n || got.Base != round.base {
+			t.Fatalf("PollBatch(%d) = %d records at %d, %v; want %d at %d", round.max, got.Len(), got.Base, err, round.n, round.base)
+		}
+		if !got.TimeOrdered() {
+			t.Fatalf("PollBatch(%d) not in event-time order: %v", round.max, got.Times)
+		}
+		got.Release()
+	}
+	if again, err := c.PollBatch(100); again != nil || err != nil {
+		t.Fatalf("poll of a drained partition = %v, %v; want nil, nil", again, err)
+	}
+}
+
+func TestConsumerCommitResume(t *testing.T) {
+	b := New()
+	_ = b.CreateTopic("in", 1)
+	_, _ = b.Produce("in", recs("a", 10))
+	at, _ := b.Committed("g", "in", 0)
+	next := drainValues(t, NewPartitionConsumer(b, "in", 0, at), map[float64]int{})
+	if err := b.Commit("g", "in", 0, next); err != nil {
+		t.Fatal(err)
+	}
+	// A new reader in the same group resumes past the committed offset.
+	_, _ = b.Produce("in", recs("a", 3))
+	at, _ = b.Committed("g", "in", 0)
+	seen := map[float64]int{}
+	if end := drainValues(t, NewPartitionConsumer(b, "in", 0, at), seen); at != 10 || end != 13 || len(seen) != 3 {
+		t.Errorf("resumed at %d, read %d records up to %d; want 3 from 10 to 13", at, len(seen), end)
+	}
+}
+
+func TestTwoGroupsSeeIndependentOffsets(t *testing.T) {
+	b := New()
+	_ = b.CreateTopic("in", 1)
+	_, _ = b.Produce("in", recs("a", 10))
+	var read [2]int
+	for i, group := range []string{"group-1", "group-2"} {
+		at, err := b.Committed(group, "in", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[float64]int{}
+		next := drainValues(t, NewPartitionConsumer(b, "in", 0, at), seen)
+		if err := b.Commit(group, "in", 0, next); err != nil {
+			t.Fatal(err)
+		}
+		read[i] = len(seen)
+	}
+	if read != [2]int{10, 10} {
+		t.Errorf("groups interfered: read %v, want 10 each", read)
+	}
+}
+
+// bridged hides a Cluster's native FetchBatch, so a Consumer over it
+// reads through Fetch and recordsToBatch.
+type bridged struct{ Cluster }
+
+// flakyCluster fails every third Fetch with a transient error.
+type flakyCluster struct {
+	Cluster
+	n int
+}
+
+var errFlaky = errors.New("transient fetch failure")
+
+func (f *flakyCluster) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
+	f.n++
+	if f.n%3 == 0 {
+		return nil, errFlaky
+	}
+	return f.Cluster.Fetch(topic, partition, offset, max)
+}
+
+// TestConsumerFailedFetchKeepsOffset: a failed fetch leaves the reader
+// where it was, so the retry returns the round the failure would have —
+// every record exactly once, in offset order, across the failures.
+func TestConsumerFailedFetchKeepsOffset(t *testing.T) {
+	b := New()
+	_ = b.CreateTopic("in", 1)
+	const total = 20000
+	if _, err := b.Produce("in", recs("k", total)); err != nil {
+		t.Fatal(err)
+	}
+	c := NewPartitionConsumer(&flakyCluster{Cluster: b}, "in", 0, 0)
+	failures := 0
+	for next := int64(0); next < total; {
+		got, err := c.PollBatch(1000)
+		if err != nil {
+			if !errors.Is(err, errFlaky) || got != nil || c.offset != next {
+				t.Fatalf("failed poll = %v, %v with the reader at %d; want nil, errFlaky, %d", got, err, c.offset, next)
+			}
+			failures++
+			continue
+		}
+		if got.Base != next || got.Len() != 1000 || got.Values[0] != float64(next) {
+			t.Fatalf("round after %d failures = %d records at %d (first value %v); want 1000 at %d",
+				failures, got.Len(), got.Base, got.Values[0], next)
+		}
+		next += int64(got.Len())
+		got.Release()
+	}
+	if failures == 0 {
+		t.Fatal("no fetch failed; the test exercised nothing")
+	}
+}
+
+func TestConsumerErrorOnClosedBroker(t *testing.T) {
+	for name, wrap := range map[string]func(*Broker) Cluster{
+		"native": func(b *Broker) Cluster { return b },
+		"bridge": func(b *Broker) Cluster { return bridged{b} },
+	} {
+		b := New()
+		_ = b.CreateTopic("in", 1)
+		_, _ = b.Produce("in", recs("a", 10))
+		c := NewPartitionConsumer(wrap(b), "in", 0, 0)
+		b.Close()
+		if got, err := c.PollBatch(10); !errors.Is(err, ErrClosed) || got != nil || c.offset != 0 {
+			t.Errorf("%s: poll on a closed broker = %v, %v with the reader at %d; want nil, ErrClosed, 0", name, got, err, c.offset)
+		}
+	}
+	// A reader needs no broker call to exist, so a bad partition is the
+	// first poll's error, not the constructor's.
+	b := New()
+	_ = b.CreateTopic("in", 1)
+	if _, err := NewPartitionConsumer(b, "in", 3, 0).PollBatch(10); !errors.Is(err, ErrBadPartition) {
+		t.Errorf("poll of a missing partition: %v", err)
+	}
+}
+
+// TestConsumerBridgeMatchesNative: over the in-process broker and over
+// TCP, a Cluster without FetchBatch delivers the very batches a native
+// one does — columns, dictionary, base and order.
+func TestConsumerBridgeMatchesNative(t *testing.T) {
+	b := New()
+	_ = b.CreateTopic("in", 1)
+	in := append(append(recs("tcp", 700), recs("", 300)...), recs("ключ", 500)...)
+	in[10].Time = time.Time{}
+	if _, err := b.Produce("in", in); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cli.Close() }()
+
+	type round struct {
+		Strata []int32
+		Values []float64
+		Times  []int64
+		Dict   []string
+		Base   int64
+	}
+	readAll := func(cl Cluster) []round {
+		var out []round
+		c := NewPartitionConsumer(cl, "in", 0, 0)
+		for {
+			eb, err := c.PollBatch(400)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eb == nil {
+				return out
+			}
+			out = append(out, round{
+				append([]int32(nil), eb.Strata...), append([]float64(nil), eb.Values...),
+				append([]int64(nil), eb.Times...), append([]string(nil), eb.Dict...), eb.Base,
+			})
+			eb.Release()
+		}
+	}
+	want := readAll(b)
+	if n := len(want); n != 4 || want[3].Base != 1200 {
+		t.Fatalf("native in-process read = %d rounds, want 4 ending at base 1200", n)
+	}
+	if want[0].Times[0] != stream.ZeroTimeNanos {
+		t.Fatalf("zero-time record not sorted first: %v", want[0].Times[:3])
+	}
+	for name, cl := range map[string]Cluster{"in-process bridge": bridged{b}, "tcp native": cli, "tcp bridge": bridged{cli}} {
+		if got := readAll(cl); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: batches differ from the native in-process read", name)
+		}
+	}
+}

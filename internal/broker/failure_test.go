@@ -3,52 +3,10 @@ package broker
 import (
 	"testing"
 	"time"
-
-	"streamapprox/internal/stream"
 )
 
 // Failure-injection tests: the system must degrade cleanly, not hang or
 // panic, when parts of the aggregator tier disappear mid-stream.
-
-func TestEventSourceStopsOnBrokerClose(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 1)
-	_, _ = b.Produce("in", recs("a", 10))
-	c, err := NewConsumer(b, "g", "in", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := NewEventSource(c, 3, 0)
-	// Drain the first event, then kill the broker under the source.
-	if _, ok := src.Next(); !ok {
-		t.Fatal("no first event")
-	}
-	b.Close()
-	// The source's buffered records may still drain, but after that it
-	// must report end-of-stream instead of spinning or panicking.
-	for i := 0; i < 100; i++ {
-		if _, ok := src.Next(); !ok {
-			return
-		}
-	}
-	t.Fatal("source kept yielding events after broker close")
-}
-
-func TestConsumerPollErrorOnClosedBroker(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 1)
-	c, err := NewConsumer(b, "g", "in", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-	if _, err := c.Poll(); err == nil {
-		t.Error("poll on closed broker succeeded")
-	}
-	if _, err := c.Lag(); err == nil {
-		t.Error("lag on closed broker succeeded")
-	}
-}
 
 func TestClientErrorsAfterServerClose(t *testing.T) {
 	b := New()
@@ -74,54 +32,11 @@ func TestClientErrorsAfterServerClose(t *testing.T) {
 	}
 }
 
-func TestTwoGroupsSeeIndependentOffsets(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 1)
-	_, _ = b.Produce("in", recs("a", 10))
-
-	c1, _ := NewConsumer(b, "group-1", "in", 0, 1)
-	c2, _ := NewConsumer(b, "group-2", "in", 0, 1)
-	r1, _ := c1.Poll()
-	_ = c1.Commit()
-	r2, _ := c2.Poll()
-	if len(r1) != 10 || len(r2) != 10 {
-		t.Errorf("groups interfered: %d / %d", len(r1), len(r2))
-	}
-}
-
-func TestGroupMembersSplitWorkWithoutOverlap(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 4)
-	var events []stream.Event
-	for i := 0; i < 400; i++ {
-		events = append(events, stream.Event{Stratum: string(rune('a' + i%7)), Value: float64(i)})
-	}
-	if _, err := ProduceEvents(b, "in", events); err != nil {
-		t.Fatal(err)
-	}
-	c0, _ := NewConsumer(b, "g", "in", 0, 2)
-	c1, _ := NewConsumer(b, "g", "in", 1, 2)
-	r0, _ := c0.Poll()
-	r1, _ := c1.Poll()
-	if len(r0)+len(r1) != 400 {
-		t.Fatalf("members read %d + %d, want 400 total", len(r0), len(r1))
-	}
-	seen := map[int64]map[int]bool{}
-	for _, r := range append(r0, r1...) {
-		if seen[r.Offset] == nil {
-			seen[r.Offset] = map[int]bool{}
-		}
-		if seen[r.Offset][r.Partition] {
-			t.Fatalf("record (p=%d, off=%d) read twice", r.Partition, r.Offset)
-		}
-		seen[r.Offset][r.Partition] = true
-	}
-}
-
-// TestConsumerResumesAcrossLeaderFailover drives the consumer-group
-// machinery through the routing client while the partition leader dies
-// mid-stream: polls must keep delivering every record exactly once,
-// resuming against the promoted follower from committed offsets.
+// TestConsumerResumesAcrossLeaderFailover drives a positioned reader
+// and the group commit through the routing client while the partition
+// leader dies mid-stream: polls must keep delivering every record
+// exactly once, and a reader constructed at the group's committed
+// offset resumes against the promoted follower.
 func TestConsumerResumesAcrossLeaderFailover(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	cc := tc.dialCluster()
@@ -131,31 +46,14 @@ func TestConsumerResumesAcrossLeaderFailover(t *testing.T) {
 	if _, err := cc.Produce("in", keylessRecs(0, 3000)); err != nil {
 		t.Fatal(err)
 	}
-	cons, err := NewConsumer(cc, "g", "in", 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cons := NewPartitionConsumer(cc, "in", 0, 0)
 	seen := map[float64]int{}
-	drain := func() {
-		for {
-			recs, err := cons.Poll()
-			if err != nil {
-				t.Fatalf("poll: %v", err)
-			}
-			if len(recs) == 0 {
-				return
-			}
-			for _, r := range recs {
-				seen[r.Value]++
-			}
-		}
-	}
-	drain()
-	if err := cons.Commit(); err != nil {
+	next := drainValues(t, cons, seen)
+	if err := cc.Commit("g", "in", 0, next); err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 3000 {
-		t.Fatalf("pre-failover: saw %d records", len(seen))
+	if len(seen) != 3000 || next != 3000 {
+		t.Fatalf("pre-failover: saw %d records up to offset %d", len(seen), next)
 	}
 
 	m, _ := cc.Meta()
@@ -164,11 +62,11 @@ func TestConsumerResumesAcrossLeaderFailover(t *testing.T) {
 	if _, err := cc.Produce("in", keylessRecs(3000, 2000)); err != nil {
 		t.Fatalf("produce after leader death: %v", err)
 	}
-	// The same consumer object keeps polling; the routing client under
-	// it redirects to the promoted follower.
+	// The same reader keeps polling; the routing client under it
+	// redirects to the promoted follower.
 	deadline := time.Now().Add(10 * time.Second)
 	for len(seen) < 5000 && time.Now().Before(deadline) {
-		drain()
+		drainValues(t, cons, seen)
 	}
 	if len(seen) != 5000 {
 		t.Fatalf("post-failover: saw %d distinct records, want 5000", len(seen))
@@ -178,14 +76,20 @@ func TestConsumerResumesAcrossLeaderFailover(t *testing.T) {
 			t.Fatalf("record %v delivered %d times", v, c)
 		}
 	}
-	// A fresh consumer in the same group resumes from the committed
-	// offset, which survived the leader's death via commit fan-out.
-	cons2, err := NewConsumer(cc, "g", "in", 0, 1)
-	if err != nil {
-		t.Fatal(err)
+	// The committed offset survived the leader's death via commit
+	// fan-out, and a fresh reader constructed there reads exactly the
+	// records produced after it.
+	committed, err := cc.Committed("g", "in", 0)
+	if err != nil || committed != 3000 {
+		t.Fatalf("committed offset = %d, %v; want 3000 (committed before failover)", committed, err)
 	}
-	offs := cons2.Offsets()
-	if offs[0] != 3000 {
-		t.Fatalf("resumed offset = %d, want 3000 (committed before failover)", offs[0])
+	resumed := map[float64]int{}
+	if end := drainValues(t, NewPartitionConsumer(cc, "in", 0, committed), resumed); end != 5000 || len(resumed) != 2000 {
+		t.Fatalf("resumed reader saw %d records up to offset %d, want 2000 up to 5000", len(resumed), end)
+	}
+	for v := range resumed {
+		if v < 3000 {
+			t.Fatalf("resumed reader re-read record %v from below the committed offset", v)
+		}
 	}
 }

@@ -549,20 +549,6 @@ func (n *ClusterNode) viewCopy() (int64, map[string]PeerStatus) {
 	return n.epoch, out
 }
 
-// viewSnapshot returns the current epoch and dead-member list.
-func (n *ClusterNode) viewSnapshot() (int64, []string) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	var dead []string
-	for id, st := range n.view {
-		if st.Dead {
-			dead = append(dead, id)
-		}
-	}
-	sort.Strings(dead)
-	return n.epoch, dead
-}
-
 // mergeView folds a peer's view into ours: per-member entries with a
 // higher status version win; epochs take the max. One exception: a
 // dead→alive transition is never adopted on hearsay — it parks in

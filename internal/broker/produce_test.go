@@ -12,38 +12,90 @@ import (
 
 // ---- ClusterClient.Produce: send everything, then wait ----
 
-// TestPartitionForKeyMatchesBroker pins the client's inlined FNV-1a to
-// the broker's keyed routing: a keyed record must land on the partition
-// a plain (broker-routed) produce would have picked.
-func TestPartitionForKeyMatchesBroker(t *testing.T) {
-	keys := []string{"a", "k", "tcp", "udp", "icmp", "manhattan", "staten-island", "ewr",
-		"ключ", "鍵", "🗝️", "naïve key with spaces"}
+// TestKeyRoutingAgrees: whichever side partitions, a key lands on the
+// same partition — the in-process Broker.Produce, a wire Client.Produce
+// (the server's ProduceFrames) and ClusterClient.Produce (client-side
+// split, straight to the partition) all route with keyPartition. It is
+// what lets the serving tier treat "stratum" and "partition's ingest
+// shard" as one assignment no matter how the data was produced.
+func TestKeyRoutingAgrees(t *testing.T) {
+	keys := []string{"a", "k", "ключ", "鍵", "🗝️", "naïve key with spaces",
+		// internal/workload's netflow protocols and taxi boroughs (that
+		// package imports this one, so the names are repeated here).
+		"tcp", "udp", "icmp", "manhattan", "brooklyn", "queens", "bronx", "staten-island", "ewr"}
 	for k := 0; k < 16; k++ {
-		keys = append(keys, fmt.Sprintf("s%02d", k)) // the benchmark's strata
+		keys = append(keys, fmt.Sprintf("s%02d", k)) // bench/'s strata
 	}
-	cc := &ClusterClient{}
 	for _, parts := range []int{1, 3, 4, 7} {
-		b := New()
-		if err := b.CreateTopic("t", parts); err != nil {
-			t.Fatal(err)
+		batch := make([]Record, 0, len(keys)+2*parts)
+		for i, key := range keys {
+			batch = append(batch, Record{Key: key, Value: float64(i)})
 		}
-		tp, err := b.topic("t")
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, key := range keys {
-			if got, want := cc.partitionForKey(key, parts), tp.partitionFor(key); got != want {
-				t.Errorf("%d partitions, key %q: client routes to %d, broker to %d", parts, key, got, want)
+		batch = append(batch, keylessRecs(0, 2*parts)...)
+
+		// One broker per produce path, so each starts its own keyless
+		// round-robin cursor at partition 0.
+		var brokers [3]*Broker
+		for i := range brokers {
+			brokers[i] = New()
+			defer brokers[i].Close()
+			if err := brokers[i].CreateTopic("t", parts); err != nil {
+				t.Fatal(err)
 			}
 		}
-		// Keyless records round-robin from partition 0 on both sides.
-		for i := 0; i < 2*parts; i++ {
-			if got, want := cc.partitionForKey("", parts), tp.partitionFor(""); got != want || got != i%parts {
-				t.Errorf("%d partitions, keyless #%d: client %d, broker %d", parts, i, got, want)
+		produce := [3]func([]Record) (int, error){
+			func(recs []Record) (int, error) { return brokers[0].Produce("t", recs) },
+		}
+		for i := 1; i < 3; i++ {
+			srv, err := Serve(brokers[i], "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if i == 1 {
+				cli, err := Dial(srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = cli.Close() }()
+				produce[i] = func(recs []Record) (int, error) { return cli.Produce("t", recs) }
+			} else {
+				cc, err := DialCluster([]string{srv.Addr()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer func() { _ = cc.Close() }()
+				produce[i] = func(recs []Record) (int, error) { return cc.Produce("t", recs) }
 			}
 		}
-		cc.rr = 0
-		b.Close()
+		for i, name := range []string{"Broker.Produce", "Client.Produce", "ClusterClient.Produce"} {
+			if n, err := produce[i](batch); err != nil || n != len(batch) {
+				t.Fatalf("%d partitions, %s = %d, %v", parts, name, n, err)
+			}
+			keyless, total := make([]int, parts), 0
+			for p := 0; p < parts; p++ {
+				got, err := brokers[i].Fetch("t", p, 0, len(batch))
+				if err != nil {
+					t.Fatal(err)
+				}
+				total += len(got)
+				for _, r := range got {
+					if r.Key == "" {
+						keyless[p]++
+					} else if want := keyPartition(r.Key, parts); p != want || want != keyPartition([]byte(r.Key), parts) {
+						t.Errorf("%d partitions, %s: key %q on partition %d, keyPartition says %d", parts, name, r.Key, p, want)
+					}
+				}
+			}
+			if total != len(batch) {
+				t.Errorf("%d partitions, %s: %d records stored, %d produced", parts, name, total, len(batch))
+			}
+			for p, n := range keyless {
+				if n != 2 {
+					t.Errorf("%d partitions, %s: partition %d got %d of the %d keyless records, want 2 (round robin)", parts, name, p, n, 2*parts)
+				}
+			}
+		}
 	}
 }
 

@@ -324,7 +324,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 	for _, p := range mine {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if _, err := cli.ProducePartition("t", p, pid, 1, keylessRecs(p*1000, 10)); err == nil {
+			if _, err := producePart(cli, "t", p, pid, 1, keylessRecs(p*1000, 10)); err == nil {
 				break
 			} else if time.Now().After(deadline) {
 				t.Fatalf("warmup produce p%d: %v", p, err)
@@ -344,7 +344,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 		wg.Add(1)
 		go func(i, p int) {
 			defer wg.Done()
-			_, errs[i] = cli.ProducePartition("t", p, pid, 2, keylessRecs(p*1000+10, 10))
+			_, errs[i] = producePart(cli, "t", p, pid, 2, keylessRecs(p*1000+10, 10))
 		}(i, p)
 	}
 	wg.Wait()
@@ -362,7 +362,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 	for _, p := range mine {
 		deadline := time.Now().Add(10 * time.Second)
 		for {
-			if _, err := cli.ProducePartition("t", p, pid, 2, keylessRecs(p*1000+10, 10)); err == nil {
+			if _, err := producePart(cli, "t", p, pid, 2, keylessRecs(p*1000+10, 10)); err == nil {
 				break
 			} else if time.Now().After(deadline) {
 				t.Fatalf("retry produce p%d: %v", p, err)
@@ -383,7 +383,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 			t.Fatal(err)
 		}
 		pc.nodes[0].noteBatch(tpKey("t", p), batchMeta{pid: 8888, seq: 1, base: base, end: base + 10})
-		if _, err := cli.ProducePartition("t", p, pid, 3, keylessRecs(p*1000+30, 10)); err != nil {
+		if _, err := producePart(cli, "t", p, pid, 3, keylessRecs(p*1000+30, 10)); err != nil {
 			t.Fatalf("produce p%d over the hole: %v", p, err)
 		}
 	}

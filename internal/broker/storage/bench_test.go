@@ -39,11 +39,11 @@ func BenchmarkFileLogAppend(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer func() { _ = l.Close() }()
-			recs := benchRecs(batch)
+			chunk := AppendRecordFrames(nil, benchRecs(batch))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := l.Append(recs); err != nil {
+				if _, err := l.AppendFrames(chunk, batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -60,19 +60,22 @@ func BenchmarkFileLogRead(b *testing.B) {
 	}
 	defer func() { _ = l.Close() }()
 	const loaded = 1 << 17
+	chunk := AppendRecordFrames(nil, benchRecs(4096))
 	for i := 0; i < loaded/4096; i++ {
-		if _, err := l.Append(benchRecs(4096)); err != nil {
+		if _, err := l.AppendFrames(chunk, 4096); err != nil {
 			b.Fatal(err)
 		}
 	}
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		off := int64((i * 7919) % (loaded - batch))
-		recs, err := l.Read(off, batch)
-		if err != nil || len(recs) != batch {
-			b.Fatalf("read %d records, %v", len(recs), err)
+		frames, n, err := l.ReadFrames(off, batch, buf[:0])
+		if err != nil || n != batch {
+			b.Fatalf("read %d records, %v", n, err)
 		}
+		buf = frames
 	}
 	reportItems(b, int64(b.N)*batch)
 }
@@ -85,8 +88,9 @@ func BenchmarkFileLogRecover(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			chunk := AppendRecordFrames(nil, benchRecs(4096))
 			for i := 0; i < segs; i++ {
-				if _, err := l.Append(benchRecs(4096)); err != nil {
+				if _, err := l.AppendFrames(chunk, 4096); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -114,10 +114,6 @@ func (p SyncPolicy) String() string {
 
 // FileConfig tunes a FileLog.
 type FileConfig struct {
-	// Topic and Partition are stamped onto records returned by Read
-	// (they are implied by the directory, not stored per record).
-	Topic     string
-	Partition int
 	// SegmentRecords is the record capacity of one segment file
 	// (default 4096, mirroring the in-memory chunk size).
 	SegmentRecords int
@@ -305,25 +301,6 @@ func scanSegment(f File, seg *segment) (int64, error) {
 	}
 }
 
-// encodeFrame appends one record's frame to b.
-func encodeFrame(b []byte, r *Record) []byte {
-	plen := 4 + len(r.Key) + 16
-	b = binary.BigEndian.AppendUint32(b, uint32(plen))
-	crcAt := len(b)
-	b = binary.BigEndian.AppendUint32(b, 0) // CRC placeholder
-	payloadAt := len(b)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Key)))
-	b = append(b, r.Key...)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.Value))
-	nanos := int64(zeroTimeNanos)
-	if !r.Time.IsZero() {
-		nanos = r.Time.UnixNano()
-	}
-	b = binary.BigEndian.AppendUint64(b, uint64(nanos))
-	binary.BigEndian.PutUint32(b[crcAt:], crc32.ChecksumIEEE(b[payloadAt:]))
-	return b
-}
-
 // decodePayload decodes one frame payload into r, returning false on a
 // structurally invalid payload.
 func decodePayload(buf []byte, r *Record) bool {
@@ -345,72 +322,11 @@ func decodePayload(buf []byte, r *Record) bool {
 	return true
 }
 
-// Append implements Log: encode the batch, write it segment by segment
-// (rolling to a fresh segment at capacity), fsync per policy.
-func (l *FileLog) Append(recs []Record) (int64, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return 0, ErrLogClosed
-	}
-	base := l.n
-	for i := range recs {
-		recs[i].Offset = base + int64(i)
-	}
-	for rest := recs; len(rest) > 0; {
-		seg := l.tailSegment()
-		if seg == nil || seg.count >= l.cfg.SegmentRecords {
-			var err error
-			if seg, err = l.newSegment(l.n); err != nil {
-				return 0, err
-			}
-		}
-		take := l.cfg.SegmentRecords - seg.count
-		if take > len(rest) {
-			take = len(rest)
-		}
-		var buf []byte
-		pos := seg.size
-		for i := 0; i < take; i++ {
-			if seg.count%indexEvery == 0 {
-				seg.index = append(seg.index, pos+int64(len(buf)))
-			}
-			buf = encodeFrame(buf, &rest[i])
-			seg.count++
-		}
-		if _, err := seg.f.WriteAt(buf, pos); err != nil {
-			// Roll back the failed chunk's bookkeeping, then cut the log
-			// back to the pre-append watermark: a batch that spanned a
-			// segment roll must not leave its first chunk behind, or a
-			// producer retry of the whole batch would duplicate it.
-			seg.count -= take
-			for len(seg.index) > 0 && seg.index[len(seg.index)-1] >= pos {
-				seg.index = seg.index[:len(seg.index)-1]
-			}
-			werr := fmt.Errorf("storage: append: %w", err)
-			if rbErr := l.truncateToLocked(base); rbErr != nil {
-				return 0, fmt.Errorf("%w (rollback also failed: %v)", werr, rbErr)
-			}
-			return 0, werr
-		}
-		seg.size = pos + int64(len(buf))
-		seg.dirty = true
-		l.n += int64(take)
-		rest = rest[take:]
-	}
-	l.dirty = true
-	if l.cfg.Policy == SyncAlways {
-		if err := l.syncLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return base, nil
-}
-
 // AppendFrames implements Log: write the pre-validated frame chunk
-// verbatim, segment by segment — the frame layout IS the segment
-// layout, so replication lands follower appends with zero re-encoding,
-// just header walks for the sparse index and one WriteAt per segment.
+// verbatim, segment by segment (rolling to a fresh segment at
+// capacity), fsync per policy — the frame layout IS the segment layout,
+// so an append is header walks for the sparse index and one WriteAt per
+// segment, on a leader and a follower alike.
 func (l *FileLog) AppendFrames(frames []byte, count int) (int64, error) {
 	if err := checkFrameCount(frames, count); err != nil {
 		return 0, err
@@ -443,9 +359,10 @@ func (l *FileLog) AppendFrames(frames []byte, count int) (int64, error) {
 			seg.count++
 		}
 		if _, err := seg.f.WriteAt(rest[:nbytes], pos); err != nil {
-			// Same rollback contract as Append: cut back to the
-			// pre-append watermark so a retry cannot duplicate the
-			// chunk's first records.
+			// Roll back the failed chunk's bookkeeping, then cut the log
+			// back to the pre-append watermark: a batch that spanned a
+			// segment roll must not leave its first chunk behind, or a
+			// producer retry of the whole batch would duplicate it.
 			seg.count -= take
 			for len(seg.index) > 0 && seg.index[len(seg.index)-1] >= pos {
 				seg.index = seg.index[:len(seg.index)-1]
@@ -486,91 +403,6 @@ func (l *FileLog) newSegment(base int64) (*segment, error) {
 	seg := &segment{base: base, f: f}
 	l.segs = append(l.segs, seg)
 	return seg, nil
-}
-
-// Read implements Log.
-func (l *FileLog) Read(offset int64, max int) ([]Record, error) {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if l.closed {
-		return nil, ErrLogClosed
-	}
-	if offset < 0 || offset > l.n {
-		return nil, ErrOffsetOutOfRange
-	}
-	end := offset + int64(max)
-	if end > l.n {
-		end = l.n
-	}
-	if offset == end {
-		return []Record{}, nil
-	}
-	if len(l.segs) == 0 || offset < l.segs[0].base {
-		return nil, ErrOffsetOutOfRange // truncated-away prefix
-	}
-	out := make([]Record, 0, end-offset)
-	// Locate the segment holding offset: the last one with base <= offset.
-	si := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].base > offset }) - 1
-	for at := offset; at < end; si++ {
-		seg := l.segs[si]
-		recs, err := seg.read(at, end)
-		if err != nil {
-			return nil, err
-		}
-		for i := range recs {
-			recs[i].Topic = l.cfg.Topic
-			recs[i].Partition = l.cfg.Partition
-		}
-		out = append(out, recs...)
-		at = seg.base + int64(seg.count)
-	}
-	return out, nil
-}
-
-// read returns the records of [offset, end) that live in this segment
-// (the caller continues into the next segment for the rest).
-func (s *segment) read(offset, end int64) ([]Record, error) {
-	stop := s.base + int64(s.count)
-	if end < stop {
-		stop = end
-	}
-	rel := offset - s.base
-	ie := rel / indexEvery
-	if ie >= int64(len(s.index)) {
-		return nil, fmt.Errorf("storage: sparse index short for offset %d", offset)
-	}
-	pos := s.index[ie]
-	skip := rel % indexEvery
-	br := bufio.NewReaderSize(io.NewSectionReader(s.f, pos, s.size-pos), 32<<10)
-	out := make([]Record, 0, stop-offset)
-	var hdr [frameHdrLen]byte
-	payload := make([]byte, 0, 64)
-	for at := offset - skip; at < stop; at++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return nil, fmt.Errorf("storage: read frame at %d: %w", at, err)
-		}
-		plen := int(binary.BigEndian.Uint32(hdr[:4]))
-		if plen > maxFramePayload {
-			return nil, fmt.Errorf("storage: corrupt frame length at %d", at)
-		}
-		if cap(payload) < plen {
-			payload = make([]byte, plen)
-		}
-		buf := payload[:plen]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, fmt.Errorf("storage: read frame at %d: %w", at, err)
-		}
-		if at < offset {
-			continue // skipping from the sparse-index anchor
-		}
-		var r Record
-		if !decodePayload(buf, &r) {
-			return nil, fmt.Errorf("storage: corrupt frame at %d", at)
-		}
-		r.Offset = at
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // ReadFrames implements Log: append the requested records' frames onto

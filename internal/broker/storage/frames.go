@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"time"
 )
 
@@ -42,15 +43,33 @@ var (
 )
 
 // AppendFrame appends one record's CRC frame to b and returns the
-// extended slice. The inverse of FrameFields.
-func AppendFrame(b []byte, r *Record) []byte { return encodeFrame(b, r) }
+// extended slice — the one encoder: every frame in a log, on the wire
+// or on disk was written here. Only key, value and time are framed (a
+// record's topic, partition and offset are where it is stored). The
+// inverse of FrameFields.
+func AppendFrame(b []byte, r *Record) []byte {
+	plen := 4 + len(r.Key) + 16
+	b = binary.BigEndian.AppendUint32(b, uint32(plen))
+	crcAt := len(b)
+	b = binary.BigEndian.AppendUint32(b, 0) // CRC placeholder
+	payloadAt := len(b)
+	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Key)))
+	b = append(b, r.Key...)
+	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.Value))
+	nanos := int64(zeroTimeNanos)
+	if !r.Time.IsZero() {
+		nanos = r.Time.UnixNano()
+	}
+	b = binary.BigEndian.AppendUint64(b, uint64(nanos))
+	binary.BigEndian.PutUint32(b[crcAt:], crc32.ChecksumIEEE(b[payloadAt:]))
+	return b
+}
 
 // AppendRecordFrames encodes a whole record batch as one frame chunk
-// appended to b — the bridge from the decoded-record world (JSON
-// dialect, pre-frames peers) into the raw-frame path.
+// appended to b — where records enter the frame path.
 func AppendRecordFrames(b []byte, recs []Record) []byte {
 	for i := range recs {
-		b = encodeFrame(b, &recs[i])
+		b = AppendFrame(b, &recs[i])
 	}
 	return b
 }

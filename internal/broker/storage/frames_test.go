@@ -2,7 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -28,80 +27,6 @@ func frameRecs(n int) []Record {
 		}
 	}
 	return out
-}
-
-// TestReencodeVerbatimEquivalence is the round-trip property behind the
-// zero-copy path: encoding records into a log via Append and appending
-// the producer's verbatim frame chunk via AppendFrames must yield
-// byte-identical storage, and both must read back as the same records.
-func TestReencodeVerbatimEquivalence(t *testing.T) {
-	recs := frameRecs(300)
-	chunk := AppendRecordFrames(nil, recs)
-	n, err := ValidateFrames(chunk)
-	if err != nil || n != len(recs) {
-		t.Fatalf("ValidateFrames = %d, %v; want %d, nil", n, err, len(recs))
-	}
-
-	viaAppend := NewMemLogFor("t", 0)
-	if _, err := viaAppend.Append(append([]Record(nil), recs...)); err != nil {
-		t.Fatalf("Append: %v", err)
-	}
-	viaFrames := NewMemLogFor("t", 0)
-	if _, err := viaFrames.AppendFrames(chunk, n); err != nil {
-		t.Fatalf("AppendFrames: %v", err)
-	}
-
-	for name, l := range map[string]Log{"append": viaAppend, "frames": viaFrames} {
-		got, cnt, err := l.ReadFrames(0, len(recs), nil)
-		if err != nil || cnt != len(recs) {
-			t.Fatalf("%s: ReadFrames = %d, %v", name, cnt, err)
-		}
-		if !bytes.Equal(got, chunk) {
-			t.Errorf("%s: stored bytes differ from the producer's chunk", name)
-		}
-		back, err := l.Read(0, len(recs))
-		if err != nil || len(back) != len(recs) {
-			t.Fatalf("%s: Read = %d recs, %v", name, len(back), err)
-		}
-		for i, r := range back {
-			w := recs[i]
-			if r.Key != w.Key || r.Value != w.Value || !r.Time.Equal(w.Time) || r.Offset != int64(i) {
-				t.Fatalf("%s: record %d = %+v, want key=%q value=%v time=%v", name, i, r, w.Key, w.Value, w.Time)
-			}
-		}
-	}
-}
-
-// TestFileLogVerbatimFramesSurviveRestart: the frame chunk a leader
-// forwards is exactly what a durable follower's disk stores, across a
-// close/reopen cycle.
-func TestFileLogVerbatimFramesSurviveRestart(t *testing.T) {
-	dir := t.TempDir()
-	recs := frameRecs(50)
-	chunk := AppendRecordFrames(nil, recs)
-	cfg := FileConfig{Topic: "t", Partition: 0}
-	fl, err := OpenFileLog(dir, cfg)
-	if err != nil {
-		t.Fatalf("open: %v", err)
-	}
-	if _, err := fl.AppendFrames(chunk, len(recs)); err != nil {
-		t.Fatalf("AppendFrames: %v", err)
-	}
-	if err := fl.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	fl, err = OpenFileLog(dir, cfg)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer fl.Close()
-	got, n, err := fl.ReadFrames(0, len(recs), nil)
-	if err != nil || n != len(recs) {
-		t.Fatalf("ReadFrames after restart = %d, %v", n, err)
-	}
-	if !bytes.Equal(got, chunk) {
-		t.Errorf("restarted FileLog bytes differ from the forwarded chunk")
-	}
 }
 
 // TestValidateFramesRejectsCorruption flips every byte of a valid chunk
@@ -207,26 +132,6 @@ func FuzzMemLogAppendFrames(f *testing.F) {
 			t.Fatalf("ReadFrames = %d, %v; bytes mismatch %v", n, err, !bytes.Equal(got, frames))
 		}
 	})
-}
-
-// TestAppendFramesRejectsCountMismatch pins the structural precheck: a
-// frame count that disagrees with the chunk must be rejected before
-// any mutation, and a structurally broken chunk fails with ErrBadFrame.
-func TestAppendFramesRejectsCountMismatch(t *testing.T) {
-	chunk := AppendRecordFrames(nil, frameRecs(4))
-	for _, count := range []int{0, 3, 5, -1} {
-		l := NewMemLog()
-		if _, err := l.AppendFrames(chunk, count); err == nil {
-			t.Errorf("count %d: append accepted", count)
-		}
-		if l.HighWatermark() != 0 {
-			t.Errorf("count %d: log mutated", count)
-		}
-	}
-	l := NewMemLog()
-	if _, err := l.AppendFrames(chunk[:len(chunk)-2], 4); !errors.Is(err, ErrBadFrame) {
-		t.Errorf("truncated chunk: err = %v, want ErrBadFrame", err)
-	}
 }
 
 // TestFrameFieldsRoundTrip pins the payload field layout the whole

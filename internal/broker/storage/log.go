@@ -1,25 +1,23 @@
 // Package storage is the partition-log storage engine under the broker
-// tier: an append-only record log addressed by offset, behind a Log
-// interface with two implementations — the chunked in-memory MemLog the
-// broker always had, and the segmented on-disk FileLog that makes a
+// tier: an append-only log of CRC frames addressed by offset, behind a
+// Log interface with two implementations — the chunked in-memory MemLog
+// the broker always had, and the segmented on-disk FileLog that makes a
 // broker restartable (recover segments, truncate a torn tail, rejoin
 // the cluster).
 //
-// The storage layer owns the Record type; the broker package aliases it
-// so the public API is unchanged. A Log stamps consecutive offsets onto
-// appended records — a record's offset IS its position, so reads never
-// scan — and supports truncation from the tail, which the cluster layer
-// uses to discard a rejoining replica's divergent uncommitted records.
-//
-// Both implementations store records as CRC frames in the segment
-// layout (see FileLog and frames.go), so the raw-frame surface —
-// AppendFrames / ReadFrames — is a straight memcpy against storage: the
-// zero-copy produce/replicate/fetch paths ship those bytes verbatim.
+// A log stores frames and nothing else (layout in frames.go): a
+// record's offset IS its position, so it is never stored and reads
+// never scan, and the bytes a producer encoded are the bytes appended,
+// replicated and fetched — every hop is a memcpy. Record is the edge
+// type: AppendFrame/AppendRecordFrames encode it on the way in, and the
+// broker package (which aliases the type) decodes frames back into it
+// on the way out. Logs support truncation from the tail, which the
+// cluster layer uses to discard a rejoining replica's divergent
+// uncommitted records.
 package storage
 
 import (
 	"errors"
-	"math"
 	"sync"
 	"time"
 )
@@ -40,27 +38,22 @@ var (
 	ErrLogClosed        = errors.New("broker: log closed")
 )
 
-// Log is one partition's append-only record log.
+// Log is one partition's append-only log of CRC frames.
 //
-// Append stamps consecutive offsets onto recs (which the caller must
-// own) and returns the base offset. Read returns up to max records
-// starting at offset. HighWatermark is the next offset to be written.
-// TruncateTo discards every record at offset >= hwm (a no-op when the
-// log is already shorter); the next append continues at hwm. Sync
-// forces buffered appends to stable storage (a no-op for MemLog).
-//
-// The raw-frame surface is the zero-copy fast path. AppendFrames
-// appends a chunk of count CRC-framed records verbatim; the caller
-// vouches for the CRCs (ValidateFrames at the wire boundary), and the
-// log re-walks only the structure to find record boundaries, so a
+// AppendFrames appends a chunk of count frames verbatim at consecutive
+// offsets and returns the base offset; the caller vouches for the CRCs
+// (ValidateFrames at the wire boundary, or its own AppendFrame), and
+// the log re-walks only the structure to find record boundaries, so a
 // structurally corrupt chunk is rejected whole before any mutation.
-// ReadFrames appends up to max records' frames onto buf and returns the
-// extended buffer and the record count — the bytes are exactly what
-// AppendFrames (or Append) stored, CRCs included.
+// ReadFrames appends up to max records' frames starting at offset onto
+// buf and returns the extended buffer and the record count — the bytes
+// are exactly what AppendFrames stored, CRCs included. HighWatermark is
+// the next offset to be written. TruncateTo discards every record at
+// offset >= hwm (a no-op when the log is already shorter); the next
+// append continues at hwm. Sync forces buffered appends to stable
+// storage (a no-op for MemLog).
 type Log interface {
-	Append(recs []Record) (int64, error)
 	AppendFrames(frames []byte, count int) (int64, error)
-	Read(offset int64, max int) ([]Record, error)
 	ReadFrames(offset int64, max int, buf []byte) ([]byte, int, error)
 	HighWatermark() int64
 	TruncateTo(hwm int64) error
@@ -86,29 +79,17 @@ type memChunk struct {
 // growing slice), and reads that locate their chunk by division. It is
 // the implementation behind broker.New() and `brokerd -data-dir ""`.
 //
-// Storing frames rather than Record structs is what makes the raw-frame
-// surface zero-copy in memory too: AppendFrames and ReadFrames are
-// memcpys, and a fetch response is assembled without touching a Record.
+// Storing frames rather than Record structs is what makes the log
+// zero-copy in memory too: AppendFrames and ReadFrames are memcpys, and
+// a fetch response is assembled without touching a Record.
 type MemLog struct {
 	mu     sync.RWMutex
 	chunks []*memChunk
 	n      int64 // total records; the high watermark
-
-	// topic/partition are stamped onto records decoded by Read,
-	// mirroring FileConfig.Topic/Partition (frames don't store them).
-	topic     string
-	partition int
 }
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog { return &MemLog{} }
-
-// NewMemLogFor returns an empty in-memory log that stamps topic and
-// partition onto records returned by Read, like FileLog does from its
-// FileConfig (the frames themselves never store either).
-func NewMemLogFor(topic string, partition int) *MemLog {
-	return &MemLog{topic: topic, partition: partition}
-}
 
 // tailChunk returns the chunk accepting the next append (mu held). A
 // fresh chunk preallocates its frame buffer to the size the previous
@@ -124,22 +105,6 @@ func (m *MemLog) tailChunk() *memChunk {
 		m.chunks = append(m.chunks, &memChunk{buf: make([]byte, 0, hint), ends: make([]int, 0, memChunkSize)})
 	}
 	return m.chunks[len(m.chunks)-1]
-}
-
-// Append implements Log: encode each record as a CRC frame into the
-// tail chunk, rolling to a fresh chunk at capacity.
-func (m *MemLog) Append(recs []Record) (int64, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	base := m.n
-	for i := range recs {
-		recs[i].Offset = base + int64(i)
-		c := m.tailChunk()
-		c.buf = encodeFrame(c.buf, &recs[i])
-		c.ends = append(c.ends, len(c.buf))
-	}
-	m.n = base + int64(len(recs))
-	return base, nil
 }
 
 // AppendFrames implements Log: memcpy the pre-validated chunk into the
@@ -172,63 +137,6 @@ func (m *MemLog) AppendFrames(frames []byte, count int) (int64, error) {
 	}
 	m.n = base + int64(count)
 	return base, nil
-}
-
-// Read implements Log: decode the requested frames back into records,
-// interning repeated keys so a hot key costs one allocation per read.
-func (m *MemLog) Read(offset int64, max int) ([]Record, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if offset < 0 || offset > m.n {
-		return nil, ErrOffsetOutOfRange
-	}
-	end := offset + int64(max)
-	if end > m.n {
-		end = m.n
-	}
-	// The log's base is m.n minus the records actually held: after a
-	// truncate-to-zero followed by appends at a non-zero watermark the
-	// first chunk starts at that watermark, not offset 0.
-	base := m.base()
-	if offset < base {
-		return nil, ErrOffsetOutOfRange
-	}
-	out := make([]Record, 0, end-offset)
-	var intern map[string]string
-	for at := offset; at < end; {
-		rel := at - base
-		c := m.chunks[rel/memChunkSize]
-		for ri := int(rel % memChunkSize); ri < len(c.ends) && at < end; ri++ {
-			start := 0
-			if ri > 0 {
-				start = c.ends[ri-1]
-			}
-			payload := c.buf[start+frameHdrLen : c.ends[ri]]
-			kb, bits, nanos := FrameFields(payload)
-			key := ""
-			if len(kb) > 0 {
-				if intern == nil {
-					intern = make(map[string]string, 8)
-				}
-				s, ok := intern[string(kb)]
-				if !ok {
-					s = string(kb)
-					intern[s] = s
-				}
-				key = s
-			}
-			out = append(out, Record{
-				Topic:     m.topic,
-				Partition: m.partition,
-				Offset:    at,
-				Key:       key,
-				Value:     math.Float64frombits(bits),
-				Time:      TimeFromNanos(nanos),
-			})
-			at++
-		}
-	}
-	return out, nil
 }
 
 // ReadFrames implements Log: bulk-copy the requested frames onto buf —

@@ -45,13 +45,6 @@ func MergeSums(parts []Estimate) Estimate {
 	return finish(value, variance, conf)
 }
 
-// MergeCounts combines per-shard COUNT estimates. Counts are exact for
-// OASRS (arrival counters track every item), so the merged bound stays
-// zero unless a part carries variance.
-func MergeCounts(parts []Estimate) Estimate {
-	return MergeSums(parts)
-}
-
 // MergeMeans combines per-shard MEAN estimates over disjoint
 // sub-populations, weighting each part by its population size
 // (the shard's observed item count):

@@ -414,10 +414,12 @@ func (ing *ingest) closeConns() {
 	}
 }
 
-// loop is the partition's single consumer: a broker.Consumer seeked to
-// the plane position, polled synchronously. The poll interval belongs
-// to this loop: a round that filled fetchMax is followed by the next
-// fetch at once (catch-up runs at full speed), a round that drained the
+// loop is the partition's single reader: a broker.Consumer positioned
+// at the plane offset (constructing it costs no broker call — an
+// unreachable broker shows up as a failed poll, which the loop already
+// retries), polled synchronously. The poll interval belongs to this
+// loop: a round that filled fetchMax is followed by the next fetch at
+// once (catch-up runs at full speed), a round that drained the
 // partition — short or empty — by exactly one back-off, and nothing is
 // ever fetched ahead of a sleep, so a fetched round is never older than
 // the fetch itself and a record waits at most one back-off. With no
@@ -425,21 +427,7 @@ func (ing *ingest) closeConns() {
 // at the current offset joins seamlessly.
 func (pi *partIngest) loop(start int64) {
 	defer pi.ing.wg.Done()
-	var cons *broker.Consumer
-	for {
-		var err error
-		cons, err = broker.NewPartitionConsumer(pi.cluster, pi.ing.group, pi.ing.topic, pi.idx)
-		if err == nil {
-			break
-		}
-		pi.ing.logf("ingest partition %d: consumer: %v", pi.idx, err)
-		if !sleepOrDone(pi.done, pi.ing.backoff) {
-			return
-		}
-	}
-	cons.Seek(pi.idx, start)
-	cons.SetFetchMax(fetchMax) // the "round filled" test below compares against it
-
+	cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, start)
 	idle, fails := 0, 0
 	var idleSince, hwmAt time.Time
 	for {
@@ -459,7 +447,7 @@ func (pi *partIngest) loop(start int64) {
 			continue
 		}
 		t0 := time.Now()
-		b, err := cons.PollBatch()
+		b, err := cons.PollBatch(fetchMax)
 		pi.decodeHist.Observe(time.Since(t0).Seconds())
 		if err != nil {
 			select {
@@ -634,22 +622,7 @@ func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
 		pi.ing.catchupActive.Add(-1)
 		<-pi.ing.catchupSem
 	}()
-	var cons *broker.Consumer
-	for {
-		var err error
-		cons, err = broker.NewPartitionConsumer(pi.ing.cluster, j.group(), pi.ing.topic, pi.idx)
-		if err == nil {
-			break
-		}
-		// Transient broker trouble must not strand the shard detached
-		// forever (its merger would wait on the missing part for every
-		// window) — retry like the plane loop does, until the job stops.
-		pi.ing.logf("catch-up %s partition %d: %v", j.id, pi.idx, err)
-		if !sleepOrDone(j.done, pi.ing.backoff) {
-			return
-		}
-	}
-	cons.Seek(pi.idx, from)
+	cons := broker.NewPartitionConsumer(pi.ing.cluster, pi.ing.topic, pi.idx, from)
 	pos := from
 	for {
 		select {
@@ -673,10 +646,12 @@ func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
 		if int64(max) > target-pos {
 			max = int(target - pos)
 		}
-		cons.SetFetchMax(max)
-		b, err := cons.PollBatch() // returned in event-time order
+		b, err := cons.PollBatch(max) // returned in event-time order
 		if err != nil || b == nil {
 			if err != nil {
+				// Transient broker trouble must not strand the shard
+				// detached forever (its merger would wait on the missing
+				// part for every window): retry until the job stops.
 				pi.ing.logf("catch-up %s partition %d: poll: %v", j.id, pi.idx, err)
 			}
 			if !sleepOrDone(j.done, pi.ing.backoff) {

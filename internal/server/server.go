@@ -6,7 +6,7 @@
 // package makes that computation a long-running, horizontally sharded
 // service. Clients register queries (aggregate kind, sliding window,
 // sampling budget) over HTTP/JSON. A SHARED INGEST PLANE owns exactly
-// one prefetching consumer per (topic, partition) regardless of query
+// one positioned reader per (topic, partition) regardless of query
 // count: each batch is fetched and decoded once and fanned out to
 // every registered query's per-shard OASRS Session — the paper's
 // synchronization-free parallel sampling with the broker read
