@@ -41,12 +41,12 @@ type sessionState struct {
 	Late      int64                `json:"late"`
 	Sampler   *sampling.OASRSState `json:"sampler,omitempty"`
 
-	// Version 2: the finished segments' summaries and the completeness
-	// mark (see Session.panes).
+	// Version 2 on: the finished segments' summaries and the
+	// completeness mark (see Session.panes).
 	Panes []pane    `json:"panes,omitempty"`
 	Fired time.Time `json:"fired"`
-	// Version 1, read only: every unfired window's sampled rows, keyed
-	// by window start.
+	// Version 1, read only: every unfired window's sub-samples, keyed by
+	// window start.
 	Pending map[string]pendingSample `json:"pending,omitempty"`
 
 	Ready []WindowResult `json:"ready,omitempty"`
@@ -57,7 +57,60 @@ type pendingSample struct {
 	Strata []sampling.StratumSample `json:"strata"`
 }
 
-const snapshotVersion = 2
+// snapshotVersion 3 writes every sample as a value column ("values").
+// Versions 1 and 2 wrote {stratum, value, time} rows ("items").
+const snapshotVersion = 3
+
+// legacyRows is what a version-1 or -2 snapshot holds that sessionState
+// no longer decodes: the sampled rows, of which only the value was ever
+// read. Everything else in those snapshots still decodes as is.
+type legacyRows struct {
+	Sampler *struct {
+		Reservoirs map[string]legacyItems `json:"reservoirs"`
+	} `json:"sampler"`
+	Pending map[string]struct {
+		Strata []legacyItems `json:"strata"`
+	} `json:"pending"`
+}
+
+type legacyItems struct {
+	Items []struct {
+		Value float64 `json:"value"`
+	} `json:"items"`
+}
+
+func (l legacyItems) values() []float64 {
+	vals := make([]float64, len(l.Items))
+	for i, it := range l.Items {
+		vals[i] = it.Value
+	}
+	return vals
+}
+
+// upgradeRows fills the value columns of a version-1 or -2 state from
+// the snapshot's rows, in row order.
+func upgradeRows(data []byte, st *sessionState) error {
+	var rows legacyRows
+	if err := json.Unmarshal(data, &rows); err != nil {
+		return fmt.Errorf("streamapprox: decode snapshot rows: %w", err)
+	}
+	if st.Sampler != nil && rows.Sampler != nil {
+		for key, res := range st.Sampler.Reservoirs {
+			res.Values = rows.Sampler.Reservoirs[key].values()
+			st.Sampler.Reservoirs[key] = res
+		}
+	}
+	for key, ps := range st.Pending {
+		legacy := rows.Pending[key].Strata
+		if len(legacy) != len(ps.Strata) {
+			return fmt.Errorf("streamapprox: pending window %s: rows do not match its strata", key)
+		}
+		for i := range ps.Strata {
+			ps.Strata[i].Values = legacy[i].values()
+		}
+	}
+	return nil
+}
 
 // Snapshot serializes the session's full state — in-flight segment
 // sampler, finished segments' summaries, adaptive-controller position, RNG —
@@ -99,15 +152,22 @@ func (s *Session) Snapshot() ([]byte, error) {
 // RestoreSession rebuilds a session from a Snapshot. The restored
 // session continues the event-time stream where the snapshot left off:
 // pending windows, the in-flight segment's reservoirs, the watermark and
-// the adaptive fraction are all recovered. Version-1 snapshots, which
-// carry each pending window's sampled rows, are summarised on load.
+// the adaptive fraction are all recovered. Older snapshots are upgraded
+// here, once: versions 1 and 2 keep each sampled row's value, and
+// version 1, which carries each pending window's sub-samples, is
+// summarised on load.
 func RestoreSession(data []byte) (*Session, error) {
 	var st sessionState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("streamapprox: decode snapshot: %w", err)
 	}
-	if st.Version != 1 && st.Version != snapshotVersion {
+	if st.Version < 1 || st.Version > snapshotVersion {
 		return nil, fmt.Errorf("streamapprox: unsupported snapshot version %d", st.Version)
+	}
+	if st.Version < 3 {
+		if err := upgradeRows(data, &st); err != nil {
+			return nil, err
+		}
 	}
 	// The latency cost model (if any) is rebuilt empty: it re-fits from
 	// the first post-restore segment, which is cheap and avoids

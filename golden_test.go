@@ -98,3 +98,63 @@ func TestRestoreV1Golden(t *testing.T) {
 		requireSameWindows(t, name+" vs uninterrupted", got, want)
 	}
 }
+
+// testdata/session_v2.json was written the same way at commit ada15d9 —
+// the last one whose reservoirs and snapshots held {stratum, value, time}
+// rows (snapshot version 2: panes, plus the in-flight segment's rows). It
+// pins that a v2 snapshot restores into value-column reservoirs and
+// continues to the numbers the row reservoirs produced, and that what
+// the restored session writes back is version 3.
+func TestRestoreV2Golden(t *testing.T) {
+	data, err := os.ReadFile("testdata/session_v2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]goldenCase
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	events := goldenStream()
+	chunks := (len(events) + goldenChunk - 1) / goldenChunk
+	for name, q := range goldenKinds {
+		gc, ok := golden[name]
+		if !ok {
+			t.Fatalf("golden has no %q case", name)
+		}
+		if v := snapshotVersionOf(t, gc.Snapshot); v != 2 {
+			t.Fatalf("%s: fixture is version %d, want 2", name, v)
+		}
+		restored, err := RestoreSession(gc.Snapshot)
+		if err != nil {
+			t.Fatalf("%s: restore v2: %v", name, err)
+		}
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := snapshotVersionOf(t, again); v != 3 {
+			t.Errorf("%s: restored session snapshots as version %d, want 3", name, v)
+		}
+		if len(again) >= len(gc.Snapshot) {
+			t.Errorf("%s: value-column snapshot is %d bytes, the row snapshot was %d", name, len(again), len(gc.Snapshot))
+		}
+		got := append(goldenPush(t, restored, events, goldenCut, chunks), restored.Close()...)
+		requireSameWindows(t, name+" vs parent", got, gc.Windows)
+
+		whole := NewSession(goldenConfig(q))
+		goldenPush(t, whole, events, 0, goldenCut)
+		want := append(goldenPush(t, whole, events, goldenCut, chunks), whole.Close()...)
+		requireSameWindows(t, name+" vs uninterrupted", got, want)
+	}
+}
+
+func snapshotVersionOf(t *testing.T, snap []byte) int {
+	t.Helper()
+	var head struct {
+		Version int `json:"version"`
+	}
+	if err := json.Unmarshal(snap, &head); err != nil {
+		t.Fatal(err)
+	}
+	return head.Version
+}

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -441,16 +442,36 @@ func (b *Broker) ProduceFrames(topicName string, frames []byte, count int) (int,
 		}
 		return count, nil
 	}
-	byPart := make([][]byte, len(t.partitions))
+	// Route every frame once (keyless frames advance the round-robin
+	// cursor, so a frame's partition cannot be asked for twice), sizing
+	// each partition's share; then carve one pooled buffer of len(frames)
+	// into the shares and copy each frame into its own.
+	route := make([]int32, 0, count)
+	sizes := make([]int, len(t.partitions))
 	counts := make([]int, len(t.partitions))
 	it := storage.IterFrames(frames)
 	for it.Next() {
 		p := t.partitionForBytes(storage.FrameKey(it.Payload()))
-		byPart[p] = append(byPart[p], it.Frame()...)
+		route = append(route, int32(p))
+		sizes[p] += len(it.Frame())
 		counts[p]++
 	}
 	if err := it.Err(); err != nil {
 		return 0, err
+	}
+	fb := getFrame()
+	defer putFrame(fb)
+	fb.b = slices.Grow(fb.b, len(frames))
+	byPart := make([][]byte, len(t.partitions))
+	off := 0
+	for p, size := range sizes {
+		byPart[p] = fb.b[off : off : off+size]
+		off += size
+	}
+	it = storage.IterFrames(frames)
+	for _, p := range route {
+		it.Next()
+		byPart[p] = append(byPart[p], it.Frame()...)
 	}
 	total := 0
 	for p, chunk := range byPart {

@@ -76,8 +76,10 @@ type memChunk struct {
 // MemLog is the in-memory Log: fixed-capacity chunks of ENCODED frames
 // (the same CRC framing FileLog writes to disk), bulk appends into the
 // tail chunk (never reallocating earlier history, unlike a single
-// growing slice), and reads that locate their chunk by division. It is
-// the implementation behind broker.New() and `brokerd -data-dir ""`.
+// growing slice), and reads that locate their chunk by division:
+// nothing is ever dropped from the head, so every chunk but the last is
+// full and record i sits in chunk i/memChunkSize. It is the
+// implementation behind broker.New() and `brokerd -data-dir ""`.
 //
 // Storing frames rather than Record structs is what makes the log
 // zero-copy in memory too: AppendFrames and ReadFrames are memcpys, and
@@ -154,15 +156,10 @@ func (m *MemLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, err
 	if end > m.n {
 		end = m.n
 	}
-	base := m.base()
-	if offset < base {
-		return buf, 0, ErrOffsetOutOfRange
-	}
 	count := 0
 	for at := offset; at < end; {
-		rel := at - base
-		c := m.chunks[rel/memChunkSize]
-		ri := int(rel % memChunkSize)
+		c := m.chunks[at/memChunkSize]
+		ri := int(at % memChunkSize)
 		take := len(c.ends) - ri
 		if int64(take) > end-at {
 			take = int(end - at)
@@ -176,15 +173,6 @@ func (m *MemLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, err
 		at += int64(take)
 	}
 	return buf, count, nil
-}
-
-// base returns the offset of the first held record (mu held).
-func (m *MemLog) base() int64 {
-	held := int64(0)
-	for _, c := range m.chunks {
-		held += int64(len(c.ends))
-	}
-	return m.n - held
 }
 
 // HighWatermark implements Log.
@@ -204,15 +192,8 @@ func (m *MemLog) TruncateTo(hwm int64) error {
 	if hwm >= m.n {
 		return nil
 	}
-	base := m.base()
-	if hwm <= base {
-		m.chunks = nil
-		m.n = hwm
-		return nil
-	}
-	keep := hwm - base
-	full := int(keep / memChunkSize)
-	rem := int(keep % memChunkSize)
+	full := int(hwm / memChunkSize)
+	rem := int(hwm % memChunkSize)
 	chunks := m.chunks[:full]
 	if rem > 0 {
 		tail := m.chunks[full]

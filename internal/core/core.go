@@ -194,9 +194,13 @@ func exactSample(events []stream.Event) *sampling.Sample {
 	groups := stream.PartitionByStratum(events)
 	s := &sampling.Sample{Strata: make([]sampling.StratumSample, 0, len(groups))}
 	for stratum, items := range groups {
+		values := make([]float64, len(items))
+		for i, e := range items {
+			values[i] = e.Value
+		}
 		s.Strata = append(s.Strata, sampling.StratumSample{
 			Stratum: stratum,
-			Items:   items,
+			Values:  values,
 			Count:   int64(len(items)),
 			Weight:  1,
 		})

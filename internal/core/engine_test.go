@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -64,9 +65,12 @@ func TestSampleSRSOnDatasetFractionAndWeight(t *testing.T) {
 		t.Errorf("SRS fraction = %.3f", got)
 	}
 	st := s.Strata[0]
-	if int64(st.Weight*float64(len(st.Items))+0.5) != st.Count {
+	if int64(st.Weight*float64(len(st.Values))+0.5) != st.Count {
 		t.Errorf("weight does not reconstruct count: W=%v Y=%d C=%d",
-			st.Weight, len(st.Items), st.Count)
+			st.Weight, len(st.Values), st.Count)
+	}
+	if len(st.Keys) != len(st.Values) {
+		t.Errorf("merged SRS sample has %d keys for %d values", len(st.Keys), len(st.Values))
 	}
 }
 
@@ -84,8 +88,8 @@ func TestSampleSTSOnDatasetPerStratum(t *testing.T) {
 		if st.Count != 1000 {
 			t.Errorf("stratum %s count %d", st.Stratum, st.Count)
 		}
-		if len(st.Items) != 500 { // exact mode
-			t.Errorf("stratum %s sampled %d, want 500", st.Stratum, len(st.Items))
+		if len(st.Values) != 500 { // exact mode
+			t.Errorf("stratum %s sampled %d, want 500", st.Stratum, len(st.Values))
 		}
 	}
 }
@@ -169,7 +173,7 @@ func TestWindowAccumulatorAssignsToOverlappingWindows(t *testing.T) {
 	base := time.Date(2017, 12, 11, 0, 0, 10, 0, time.UTC)
 	s := &sampling.Sample{Strata: []sampling.StratumSample{{
 		Stratum: "a", Count: 4, Weight: 1,
-		Items: []stream.Event{{Stratum: "a", Value: 1}},
+		Values: []float64{1},
 	}}}
 	acc.add(base, s)
 	// The segment at t=10s belongs to windows [5,15) and [10,20).
@@ -202,14 +206,14 @@ func TestWindowAccumulatorDrainCutoff(t *testing.T) {
 }
 
 func TestRecordCostDeterministic(t *testing.T) {
-	e := stream.Event{Stratum: "tcp", Value: 123.456, Time: time.Unix(1, 0)}
-	if recordCost(e) != recordCost(e) {
+	if recordCost("tcp", 123.456) != recordCost("tcp", 123.456) {
 		t.Error("recordCost not deterministic")
 	}
-	e2 := e
-	e2.Value = 123.457
-	if recordCost(e) == recordCost(e2) {
+	if recordCost("tcp", 123.456) == recordCost("tcp", 123.457) {
 		t.Error("recordCost ignores the value")
+	}
+	if recordCost("tcp", 123.456) == recordCost("udp", 123.456) {
+		t.Error("recordCost ignores the stratum")
 	}
 }
 
@@ -224,8 +228,15 @@ func TestRunJobCountsEverything(t *testing.T) {
 	if res.sum == 0 || res.checksum == 0 {
 		t.Error("job result fields not populated")
 	}
-	serial := runJobSerial(ds.Collect())
-	if serial.count != res.count || serial.sum != res.sum {
+	var serial jobResult
+	for stratum, items := range stream.PartitionByStratum(ds.Collect()) {
+		values := make([]float64, len(items))
+		for i, e := range items {
+			values[i] = e.Value
+		}
+		serial = serial.merge(runJobSerial(stratum, values))
+	}
+	if serial.count != res.count || math.Abs(serial.sum-res.sum) > 1e-9*res.sum || serial.checksum != res.checksum {
 		t.Errorf("serial job disagrees: %+v vs %+v", serial, res)
 	}
 }

@@ -167,7 +167,7 @@ func (o *samplingOperator) finishSegment() {
 	// native system). The operator chain is already one parallel replica,
 	// so the job runs serially here.
 	for i := range s.Strata {
-		_ = runJobSerial(s.Strata[i].Items)
+		_ = runJobSerial(s.Strata[i].Stratum, s.Strata[i].Values)
 	}
 	o.collector.push(o.segStart, s)
 }

@@ -14,20 +14,21 @@ import (
 // record (de)serialization and Flink's network-buffer serialization).
 // This cost is what makes sampling profitable — the entire premise of
 // approximate computing is that processing an item downstream costs much
-// more than deciding whether to keep it (§1).
-func recordCost(e stream.Event) uint64 {
+// more than deciding whether to keep it (§1). A record is its (stratum,
+// value) pair: that is all a sample keeps of an item, so it is all the
+// job is charged for, sampled or not.
+func recordCost(stratum string, value float64) uint64 {
 	// Encode the record (what the engine pays to ship it to a task)...
 	var buf [48]byte
-	b := strconv.AppendFloat(buf[:0], e.Value, 'g', -1, 64)
+	b := strconv.AppendFloat(buf[:0], value, 'g', -1, 64)
 	mark := len(b)
 	b = append(b, '|')
-	b = append(b, e.Stratum...)
-	b = strconv.AppendInt(b, e.Time.UnixNano(), 10)
+	b = append(b, stratum...)
 	h := fnv.New64a()
 	_, _ = h.Write(b)
 	// ...and decode it on the task side.
 	v, err := strconv.ParseFloat(string(b[:mark]), 64)
-	if err != nil || v != e.Value {
+	if err != nil || v != value {
 		// Round-trip corruption is a programming error; fold it into the
 		// checksum rather than panicking in a hot loop.
 		return h.Sum64() ^ 1
@@ -58,7 +59,7 @@ func runJob(ds *batch.Dataset) jobResult {
 		func() jobResult { return jobResult{} },
 		func(acc jobResult, e stream.Event) jobResult {
 			acc.sum += e.Value
-			acc.checksum ^= recordCost(e)
+			acc.checksum ^= recordCost(e.Stratum, e.Value)
 			acc.count++
 			return acc
 		},
@@ -66,14 +67,14 @@ func runJob(ds *batch.Dataset) jobResult {
 	)
 }
 
-// runJobSerial executes the same per-record work single-threaded — the
-// form used inside a pipelined operator, which is already one parallel
-// replica of the chain.
-func runJobSerial(events []stream.Event) jobResult {
+// runJobSerial executes the same per-record work single-threaded over
+// one stratum's values — the form used inside a pipelined operator, which
+// is already one parallel replica of the chain.
+func runJobSerial(stratum string, values []float64) jobResult {
 	var acc jobResult
-	for _, e := range events {
-		acc.sum += e.Value
-		acc.checksum ^= recordCost(e)
+	for _, v := range values {
+		acc.sum += v
+		acc.checksum ^= recordCost(stratum, v)
 		acc.count++
 	}
 	return acc

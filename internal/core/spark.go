@@ -98,16 +98,17 @@ func sampleSRSOnDataset(cfg Config, pool *batch.Pool, rng *xrand.Rand, events []
 	ds.ForeachPartition(func(i int, part []stream.Event) {
 		partSamples[i] = sampling.NewRandomSortSRS(cfg.Fraction, rngs[i]).SampleBatch(part)
 	})
-	// Merge the per-partition uniform samples: counts add, items concat,
-	// one pseudo-stratum with weight totalC/totalY.
+	// Merge the per-partition uniform samples: counts add, value and key
+	// columns concat, one pseudo-stratum with weight totalC/totalY.
 	merged := &sampling.StratumSample{Stratum: sampling.SRSPseudoStratum}
 	for _, ps := range partSamples {
 		for _, st := range ps.Strata {
-			merged.Items = append(merged.Items, st.Items...)
+			merged.Values = append(merged.Values, st.Values...)
+			merged.Keys = append(merged.Keys, st.Keys...)
 			merged.Count += st.Count
 		}
 	}
-	if y := len(merged.Items); y > 0 && merged.Count > int64(y) {
+	if y := len(merged.Values); y > 0 && merged.Count > int64(y) {
 		merged.Weight = float64(merged.Count) / float64(y)
 	} else {
 		merged.Weight = 1
@@ -140,11 +141,19 @@ func nativeDatasetSample(pool *batch.Pool, events []stream.Event) *sampling.Samp
 	return exactSample(ds.Collect())
 }
 
-// sampledEvents flattens a sample's items.
+// sampledEvents flattens a sample into the (stratum, value) records the
+// engine dataset holds.
 func sampledEvents(s *sampling.Sample) []stream.Event {
 	out := make([]stream.Event, 0, s.SampledCount())
 	for i := range s.Strata {
-		out = append(out, s.Strata[i].Items...)
+		st := &s.Strata[i]
+		for j, v := range st.Values {
+			key := st.Stratum
+			if st.Keys != nil {
+				key = st.Keys[j]
+			}
+			out = append(out, stream.Event{Stratum: key, Value: v})
+		}
 	}
 	return out
 }

@@ -113,24 +113,6 @@ func MomentsOf(count int64, weight float64, values []float64) Moments {
 	return Moments{Count: count, N: int64(len(values)), Sum: sum, S2: s2, Weight: weight}
 }
 
-// RowMoments is MomentsOf over a stratum's sampled rows, read in place.
-func RowMoments(st *sampling.StratumSample) Moments {
-	var sum float64
-	for i := range st.Items {
-		sum += st.Items[i].Value
-	}
-	var s2 float64
-	if yi := float64(len(st.Items)); yi > 1 {
-		mean := sum / yi
-		for i := range st.Items {
-			d := st.Items[i].Value - mean
-			s2 += d * d
-		}
-		s2 /= yi - 1
-	}
-	return Moments{Count: st.Count, N: int64(len(st.Items)), Sum: sum, S2: s2, Weight: st.Weight}
-}
-
 // IndicatorMoments is MomentsOf for an indicator query in closed form:
 // of n sampled items, hits have value 1 and the rest 0, so with p =
 // hits/n the squared deviations sum to hits·(1−p)² + (n−hits)·p².
@@ -143,10 +125,15 @@ func IndicatorMoments(count int64, weight float64, n, hits int64) Moments {
 	return m
 }
 
-// CountMoments is RowMoments without the passes over the rows: the
+// ValueMoments is MomentsOf over a stratum entry's value column.
+func ValueMoments(st *sampling.StratumSample) Moments {
+	return MomentsOf(st.Count, st.Weight, st.Values)
+}
+
+// CountMoments is ValueMoments without the passes over the values: the
 // counts and the weight, all a COUNT or an indicator query reads.
 func CountMoments(st *sampling.StratumSample) Moments {
-	return Moments{Count: st.Count, N: int64(len(st.Items)), Weight: st.Weight}
+	return Moments{Count: st.Count, N: int64(len(st.Values)), Weight: st.Weight}
 }
 
 // sampleMoments applies of to every stratum of the sample.
@@ -212,17 +199,17 @@ func totalCount(ms []Moments) int64 {
 	return total
 }
 
-// Sum is SumOf over a sample's rows.
+// Sum is SumOf over a sample's values.
 func Sum(s *sampling.Sample, conf Confidence) Estimate {
-	return SumOf(sampleMoments(s, RowMoments), conf)
+	return SumOf(sampleMoments(s, ValueMoments), conf)
 }
 
-// Mean is MeanOf over a sample's rows.
+// Mean is MeanOf over a sample's values.
 func Mean(s *sampling.Sample, conf Confidence) Estimate {
-	return MeanOf(sampleMoments(s, RowMoments), conf)
+	return MeanOf(sampleMoments(s, ValueMoments), conf)
 }
 
-// Count is CountOf over a sample's rows.
+// Count is CountOf over a sample's counters.
 func Count(s *sampling.Sample, conf Confidence) Estimate {
 	return CountOf(sampleMoments(s, CountMoments), conf)
 }
@@ -232,16 +219,12 @@ func Count(s *sampling.Sample, conf Confidence) Estimate {
 // queries") — SumOf applied to the transformed values.
 func LinearFunc(s *sampling.Sample, f func(v float64) float64, conf Confidence) Estimate {
 	ms := make([]Moments, len(s.Strata))
-	most := 0
-	for i := range s.Strata {
-		most = max(most, len(s.Strata[i].Items))
-	}
-	vals := make([]float64, 0, most) // one buffer for every stratum
+	var vals []float64 // one buffer for every stratum
 	for i := range s.Strata {
 		st := &s.Strata[i]
 		vals = vals[:0]
-		for j := range st.Items {
-			vals = append(vals, f(st.Items[j].Value))
+		for _, v := range st.Values {
+			vals = append(vals, f(v))
 		}
 		ms[i] = MomentsOf(st.Count, st.Weight, vals)
 	}

@@ -13,17 +13,13 @@ import (
 func sampleFrom(items map[string][]float64, counts map[string]int64) *sampling.Sample {
 	var s sampling.Sample
 	for stratum, vals := range items {
-		evs := make([]stream.Event, len(vals))
-		for i, v := range vals {
-			evs[i] = stream.Event{Stratum: stratum, Value: v}
-		}
 		ci := counts[stratum]
 		w := 1.0
 		if ci > int64(len(vals)) && len(vals) > 0 {
 			w = float64(ci) / float64(len(vals))
 		}
 		s.Strata = append(s.Strata, sampling.StratumSample{
-			Stratum: stratum, Items: evs, Count: ci, Weight: w,
+			Stratum: stratum, Values: vals, Count: ci, Weight: w,
 		})
 	}
 	return &s
@@ -235,8 +231,8 @@ func BenchmarkSum(b *testing.B) {
 
 // The estimators over Moments are the estimators: concatenating two
 // intervals' moments is the window estimate, float for float the one the
-// concatenated rows give.
-func TestMomentsOfIntervalsMatchConcatenatedRows(t *testing.T) {
+// concatenated samples give.
+func TestMomentsOfIntervalsMatchConcatenatedSamples(t *testing.T) {
 	rng := xrand.New(5)
 	var rows sampling.Sample
 	var ms []Moments
@@ -248,7 +244,7 @@ func TestMomentsOfIntervalsMatchConcatenatedRows(t *testing.T) {
 		s := o.Finish()
 		rows.Strata = append(rows.Strata, s.Strata...)
 		for i := range s.Strata {
-			ms = append(ms, RowMoments(&s.Strata[i]))
+			ms = append(ms, ValueMoments(&s.Strata[i]))
 		}
 	}
 	if got, want := SumOf(ms, Conf95), Sum(&rows, Conf95); got != want {
@@ -262,11 +258,12 @@ func TestMomentsOfIntervalsMatchConcatenatedRows(t *testing.T) {
 	}
 }
 
-func TestRowMomentsMatchMomentsOf(t *testing.T) {
+func TestMomentsOfByHand(t *testing.T) {
 	s := sampleFrom(map[string][]float64{"a": {3, 1, 4, 1, 5, 9, 2, 6}}, map[string]int64{"a": 80})
-	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	if got, want := RowMoments(&s.Strata[0]), MomentsOf(80, 10, vals); got != want {
-		t.Errorf("RowMoments = %+v, MomentsOf = %+v", got, want)
+	// Σv = 31, Σv² = 173, so Σ(v−mean)² = 173 − 31²/8 = 52.875 over Yi−1 = 7.
+	got := ValueMoments(&s.Strata[0])
+	if got.Count != 80 || got.N != 8 || got.Sum != 31 || got.Weight != 10 || math.Abs(got.S2-52.875/7) > 1e-12 {
+		t.Errorf("ValueMoments = %+v", got)
 	}
 	if got := MomentsOf(5, 1, nil); got != (Moments{Count: 5, Weight: 1}) {
 		t.Errorf("MomentsOf(no values) = %+v", got)

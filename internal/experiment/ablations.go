@@ -89,8 +89,8 @@ func AblationWeighting(o Options) (*Table, error) {
 	weighted := estimate.Sum(s, estimate.Conf95).Value
 	var unweighted float64
 	for i := range s.Strata {
-		for _, it := range s.Strata[i].Items {
-			unweighted += it.Value
+		for _, v := range s.Strata[i].Values {
+			unweighted += v
 		}
 	}
 	// Naive scale-up: multiply the unweighted sum by the global inverse
@@ -164,7 +164,7 @@ func AblationReservoirSkip(o Options) (*Table, error) {
 		r := sampling.NewReservoir(capN, rng.Split())
 		sw := metrics.Start()
 		for _, e := range events {
-			r.Add(e)
+			r.Add(e.Value)
 		}
 		sw.Add(int64(n))
 		t.Rows = append(t.Rows, []string{"algorithm-r", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})
@@ -172,7 +172,7 @@ func AblationReservoirSkip(o Options) (*Table, error) {
 		sk := sampling.NewSkipReservoir(capN, rng.Split())
 		sw = metrics.Start()
 		for _, e := range events {
-			sk.Add(e)
+			sk.Add(e.Value)
 		}
 		sw.Add(int64(n))
 		t.Rows = append(t.Rows, []string{"algorithm-l", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})

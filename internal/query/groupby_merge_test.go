@@ -6,7 +6,6 @@ import (
 
 	"streamapprox/internal/estimate"
 	"streamapprox/internal/sampling"
-	"streamapprox/internal/stream"
 )
 
 // When a window combines several per-batch sub-samples, the same stratum
@@ -15,17 +14,17 @@ func TestGroupByMergesDuplicateStrata(t *testing.T) {
 	s := &sampling.Sample{Strata: []sampling.StratumSample{
 		{
 			Stratum: "tcp",
-			Items:   []stream.Event{{Stratum: "tcp", Value: 10}},
+			Values:  []float64{10},
 			Count:   2, Weight: 2,
 		},
 		{
 			Stratum: "tcp",
-			Items:   []stream.Event{{Stratum: "tcp", Value: 30}},
+			Values:  []float64{30},
 			Count:   3, Weight: 3,
 		},
 		{
 			Stratum: "udp",
-			Items:   []stream.Event{{Stratum: "udp", Value: 5}},
+			Values:  []float64{5},
 			Count:   1, Weight: 1,
 		},
 	}}

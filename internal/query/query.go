@@ -121,7 +121,7 @@ func summarize(kind Kind, s *sampling.Sample) []StratumSummary {
 		st := &s.Strata[i]
 		out[i].Stratum = st.Stratum
 		if kind == KindSum || kind == KindMean {
-			out[i].Moments = estimate.RowMoments(st)
+			out[i].Moments = estimate.ValueMoments(st)
 		} else {
 			out[i].Moments = estimate.CountMoments(st)
 		}
@@ -216,12 +216,12 @@ func (g *GroupBy) Name() string { return "groupby-" + g.kind.String() }
 // Summarize implements Query.
 //
 // Groups are formed from the *items'* strata, not from the sample-entry
-// keys. For stratified samplers the two coincide, but a stratum-blind
-// sampler (simple random sampling) reports one pseudo-stratum holding a
-// mixed-strata sample; its per-group population counts are unknown and
-// estimated by the expansion estimator (weight × items seen in the
-// group), which is exactly why SRS group estimates are noisier and can
-// miss rare groups entirely (§5.7).
+// keys. For stratified samplers the two coincide (Keys is nil), but a
+// stratum-blind sampler (simple random sampling) reports one
+// pseudo-stratum holding a mixed-strata sample; its per-group population
+// counts are unknown and estimated by the expansion estimator (weight ×
+// items seen in the group), which is exactly why SRS group estimates are
+// noisier and can miss rare groups entirely (§5.7).
 func (g *GroupBy) Summarize(s *sampling.Sample) Summary {
 	sum := Summary{Strata: summarize(g.kind, s)}
 	if !slices.ContainsFunc(s.Strata, mixedStrata) {
@@ -236,8 +236,8 @@ func (g *GroupBy) Summarize(s *sampling.Sample) Summary {
 		// Mixed-strata entry: explode by item stratum with expansion
 		// counts.
 		byKey := make(map[string][]float64)
-		for j := range st.Items {
-			byKey[st.Items[j].Stratum] = append(byKey[st.Items[j].Stratum], st.Items[j].Value)
+		for j, key := range st.Keys {
+			byKey[key] = append(byKey[key], st.Values[j])
 		}
 		keys := make([]string, 0, len(byKey))
 		for key := range byKey {
@@ -253,16 +253,9 @@ func (g *GroupBy) Summarize(s *sampling.Sample) Summary {
 	return sum
 }
 
-// mixedStrata reports whether some item in the entry belongs to another
-// stratum than the entry's key (never true for stratified samplers).
-func mixedStrata(st sampling.StratumSample) bool {
-	for i := range st.Items {
-		if st.Items[i].Stratum != st.Stratum {
-			return true
-		}
-	}
-	return false
-}
+// mixedStrata reports whether the entry's items carry their own strata
+// (never true for stratified samplers).
+func mixedStrata(st sampling.StratumSample) bool { return st.Keys != nil }
 
 // Combine implements Query.
 //
@@ -328,15 +321,15 @@ func (h *Histogram) Fits(sum *Summary) bool {
 	return len(sum.Hits) == len(sum.Strata)*h.buckets()
 }
 
-// Summarize implements Query: one pass over the rows finds every row's
-// bucket.
+// Summarize implements Query: one pass over the values finds every
+// value's bucket.
 func (h *Histogram) Summarize(s *sampling.Sample) Summary {
 	nb := h.buckets()
 	sum := Summary{Strata: summarize(KindHistogram, s), Hits: make([]int32, len(s.Strata)*nb)}
 	for i := range s.Strata {
 		hits := sum.Hits[i*nb : (i+1)*nb]
-		for _, it := range s.Strata[i].Items {
-			if b := h.bucketOf(it.Value); b >= 0 {
+		for _, v := range s.Strata[i].Values {
+			if b := h.bucketOf(v); b >= 0 {
 				hits[b]++
 			}
 		}

@@ -6,18 +6,13 @@ import (
 
 	"streamapprox/internal/estimate"
 	"streamapprox/internal/sampling"
-	"streamapprox/internal/stream"
 )
 
 func fullSample(strata map[string][]float64) *sampling.Sample {
 	var s sampling.Sample
 	for key, vals := range strata {
-		evs := make([]stream.Event, len(vals))
-		for i, v := range vals {
-			evs[i] = stream.Event{Stratum: key, Value: v}
-		}
 		s.Strata = append(s.Strata, sampling.StratumSample{
-			Stratum: key, Items: evs, Count: int64(len(vals)), Weight: 1,
+			Stratum: key, Values: vals, Count: int64(len(vals)), Weight: 1,
 		})
 	}
 	return &s
@@ -84,11 +79,9 @@ func TestGroupByWeightedSample(t *testing.T) {
 	// 2 items sampled out of 10, weight 5: group sum estimate must scale.
 	s := &sampling.Sample{Strata: []sampling.StratumSample{{
 		Stratum: "a",
-		Items: []stream.Event{
-			{Stratum: "a", Value: 4}, {Stratum: "a", Value: 6},
-		},
-		Count:  10,
-		Weight: 5,
+		Values:  []float64{4, 6},
+		Count:   10,
+		Weight:  5,
 	}}}
 	res := NewGroupBySum(estimate.Conf95).Evaluate(s)
 	if res.Groups["a"].Value != 50 {

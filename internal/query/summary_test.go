@@ -2,6 +2,7 @@ package query
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamapprox/internal/estimate"
@@ -10,8 +11,22 @@ import (
 	"streamapprox/internal/xrand"
 )
 
+// rowsOf rebuilds the {stratum, value} rows a sample entry stood for
+// when samples held rows.
+func rowsOf(st sampling.StratumSample) []stream.Event {
+	rows := make([]stream.Event, len(st.Values))
+	for i, v := range st.Values {
+		rows[i] = stream.Event{Stratum: st.Stratum, Value: v}
+		if st.Keys != nil {
+			rows[i].Stratum = st.Keys[i]
+		}
+	}
+	return rows
+}
+
 // rowGroupBy is the group-by evaluation over rows that Summarize and
-// Combine replaced, kept as the reference: mixed-strata entries are
+// Combine replaced, kept as the reference: an entry is mixed when some
+// row's stratum differs from the entry's, mixed-strata entries are
 // exploded by row stratum with expansion counts, each group is estimated
 // over its rows, the overall over the sample as given.
 func rowGroupBy(kind Kind, s *sampling.Sample) Result {
@@ -27,18 +42,19 @@ func rowGroupBy(kind Kind, s *sampling.Sample) Result {
 	}
 	byKey := make(map[string][]sampling.StratumSample)
 	for _, st := range s.Strata {
-		if !mixedStrata(st) {
+		rows := rowsOf(st)
+		if !slices.ContainsFunc(rows, func(r stream.Event) bool { return r.Stratum != st.Stratum }) {
 			byKey[st.Stratum] = append(byKey[st.Stratum], st)
 			continue
 		}
-		rows := make(map[string][]stream.Event)
-		for _, it := range st.Items {
-			rows[it.Stratum] = append(rows[it.Stratum], it)
+		values := make(map[string][]float64)
+		for _, r := range rows {
+			values[r.Stratum] = append(values[r.Stratum], r.Value)
 		}
-		for key, items := range rows {
+		for key, vals := range values {
 			byKey[key] = append(byKey[key], sampling.StratumSample{
-				Stratum: key, Items: items, Weight: st.Weight,
-				Count: int64(st.Weight*float64(len(items)) + 0.5),
+				Stratum: key, Values: vals, Weight: st.Weight,
+				Count: int64(st.Weight*float64(len(vals)) + 0.5),
 			})
 		}
 	}
@@ -99,7 +115,7 @@ func TestHistogramSummaryMatchesIndicatorPasses(t *testing.T) {
 		o.Add(stream.Event{Stratum: string(rune('a' + i%3)), Value: rng.Gaussian(50, 30)})
 	}
 	s := o.Finish()
-	s.Strata[0].Items[0].Value = 25 // exactly on an edge
+	s.Strata[0].Values[0] = 25 // exactly on an edge
 	h := NewHistogram([]float64{0, 25, 50, 75, 100}, estimate.Conf95)
 	res := h.Evaluate(s)
 	if res.Overall.Value != 5000 || len(res.Buckets) != 4 {

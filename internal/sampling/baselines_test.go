@@ -51,7 +51,7 @@ func TestSRSWeightReconstructsPopulation(t *testing.T) {
 	if st.Stratum != SRSPseudoStratum {
 		t.Errorf("stratum = %q", st.Stratum)
 	}
-	if got := st.Weight * float64(len(st.Items)); math.Abs(got-1000) > 1e-9 {
+	if got := st.Weight * float64(len(st.Values)); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("Wi*Yi = %v, want 1000", got)
 	}
 }
@@ -65,8 +65,8 @@ func TestSRSUniformity(t *testing.T) {
 	events := mkEvents("a", n)
 	for trial := 0; trial < trials; trial++ {
 		s := NewRandomSortSRS(fraction, rng.Split())
-		for _, it := range s.SampleBatch(events).Strata[0].Items {
-			counts[int(it.Value)]++
+		for _, v := range s.SampleBatch(events).Strata[0].Values {
+			counts[int(v)]++
 		}
 	}
 	want := fraction * trials
@@ -103,8 +103,8 @@ func TestSRSCanMissRareStratum(t *testing.T) {
 		s := NewRandomSortSRS(0.1, rng.Split())
 		sample := s.SampleBatch(events)
 		rare := 0
-		for _, it := range sample.Strata[0].Items {
-			if it.Stratum == "rare" {
+		for _, key := range sample.Strata[0].Keys {
+			if key == "rare" {
 				rare++
 			}
 		}
@@ -126,7 +126,7 @@ func TestSTSSamplesEveryStratumProportionally(t *testing.T) {
 	}
 	wants := map[string]int{"a": 500, "b": 50, "c": 5}
 	for _, st := range sample.Strata {
-		if got := len(st.Items); got != wants[st.Stratum] {
+		if got := len(st.Values); got != wants[st.Stratum] {
 			t.Errorf("stratum %s: sampled %d, want %d (exact mode)", st.Stratum, got, wants[st.Stratum])
 		}
 	}
@@ -139,7 +139,7 @@ func TestSTSCountsAndWeights(t *testing.T) {
 	if st == nil || st.Count != 1000 {
 		t.Fatalf("stratum x: %+v", st)
 	}
-	if got := st.Weight * float64(len(st.Items)); math.Abs(got-1000) > 1e-9 {
+	if got := st.Weight * float64(len(st.Values)); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("Wi*Yi = %v, want 1000", got)
 	}
 }
@@ -219,14 +219,14 @@ func TestDistributedOASRSMergesCounters(t *testing.T) {
 	}
 	// 4 workers x 10 per-worker budget (EqualShare with 1-2 strata varies);
 	// just require sane bounds and exact reconstruction.
-	if len(a.Items) == 0 || int64(len(a.Items)) > a.Count {
-		t.Errorf("a sampled %d of %d", len(a.Items), a.Count)
+	if len(a.Values) == 0 || int64(len(a.Values)) > a.Count {
+		t.Errorf("a sampled %d of %d", len(a.Values), a.Count)
 	}
-	if math.Abs(a.Weight*float64(len(a.Items))-1000) > 1e-9 {
-		t.Errorf("weight does not reconstruct population: W=%v Yi=%d", a.Weight, len(a.Items))
+	if math.Abs(a.Weight*float64(len(a.Values))-1000) > 1e-9 {
+		t.Errorf("weight does not reconstruct population: W=%v Yi=%d", a.Weight, len(a.Values))
 	}
 	b := sample.Stratum("b")
-	if b == nil || b.Count != 8 || len(b.Items) != 8 || b.Weight != 1 {
+	if b == nil || b.Count != 8 || len(b.Values) != 8 || b.Weight != 1 {
 		t.Errorf("rare stratum b mishandled: %+v", b)
 	}
 }
@@ -282,8 +282,8 @@ func TestDistributedOASRSStatisticalAgreement(t *testing.T) {
 		sample := d.Finish()
 		for _, st := range sample.Strata {
 			var s float64
-			for _, it := range st.Items {
-				s += it.Value
+			for _, v := range st.Values {
+				s += v
 			}
 			est += s * st.Weight
 		}
@@ -321,5 +321,35 @@ func BenchmarkOASRSSampleBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		NewOASRS(60000, nil, rng).SampleBatch(events)
+	}
+}
+
+// The SRS sample's Keys column says which stratum each sampled value
+// came from; stratified samplers leave it nil, and so does an SRS that
+// sampled nothing.
+func TestSRSKeysFollowValues(t *testing.T) {
+	strata := []string{"a", "b", "c"}
+	events := make([]stream.Event, 3000)
+	for i := range events {
+		events[i] = stream.Event{Stratum: strata[i%3], Value: float64(i)}
+	}
+	for _, fraction := range []float64{0.3, 1} {
+		st := NewRandomSortSRS(fraction, xrand.New(11)).SampleBatch(events).Strata[0]
+		if len(st.Keys) != len(st.Values) || len(st.Values) != int(fraction*3000) {
+			t.Fatalf("fraction %v: %d keys for %d values", fraction, len(st.Keys), len(st.Values))
+		}
+		for i, v := range st.Values {
+			if st.Keys[i] != strata[int(v)%3] {
+				t.Fatalf("fraction %v: value %v keyed %q", fraction, v, st.Keys[i])
+			}
+		}
+	}
+	if st := NewRandomSortSRS(0, xrand.New(12)).SampleBatch(events).Strata[0]; st.Keys != nil || st.Count != 3000 {
+		t.Errorf("empty SRS sample: keys %v, count %d", st.Keys, st.Count)
+	}
+	for _, st := range NewStratifiedSTS(0.3, 2, true, xrand.New(13)).SampleBatch(events).Strata {
+		if st.Keys != nil {
+			t.Errorf("STS stratum %s carries keys", st.Stratum)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -38,32 +39,127 @@ func feedBatches(o *OASRS, events []stream.Event, rng *xrand.Rand) {
 }
 
 func TestReservoirAddBatchBookkeepingMatchesAdd(t *testing.T) {
-	events := mkEvents("a", 5000)
-	b := batchOf(events)
-	defer b.Release()
+	values := mkValues(5000)
 
 	ra := NewReservoir(64, xrand.New(1))
-	for _, e := range events {
-		ra.Add(e)
+	for _, v := range values {
+		ra.Add(v)
 	}
 	rb := NewReservoir(64, xrand.New(2))
-	rb.AddBatch(b, 0, b.Len())
+	rb.AddBatch(values)
 
 	if ra.Seen() != rb.Seen() {
 		t.Errorf("Seen: Add %d, AddBatch %d", ra.Seen(), rb.Seen())
 	}
-	if len(ra.Items()) != len(rb.Items()) {
-		t.Errorf("sample size: Add %d, AddBatch %d", len(ra.Items()), len(rb.Items()))
+	if len(ra.Values()) != len(rb.Values()) {
+		t.Errorf("sample size: Add %d, AddBatch %d", len(ra.Values()), len(rb.Values()))
 	}
-	// Below capacity both paths are fully deterministic: every item kept
-	// in arrival order.
-	small := batchOf(events[:10])
-	defer small.Release()
+	// Below capacity both paths are fully deterministic: every value kept
+	// in arrival order — also when the bulk fill arrives in pieces and
+	// its last piece runs past capacity.
 	rs := NewReservoir(64, xrand.New(3))
-	rs.AddBatch(small, 0, small.Len())
-	for i, it := range rs.Items() {
-		if it != events[i] {
-			t.Fatalf("fill phase reordered items: got %+v at %d", it, i)
+	rs.AddBatch(values[:10])
+	rs.AddBatch(values[10:40])
+	if got := rs.Values(); !slices.Equal(got, values[:40]) {
+		t.Fatalf("fill phase reordered values: %v", got)
+	}
+	rs.AddBatch(values[40:100])
+	if rs.Seen() != 100 || len(rs.Values()) != 64 {
+		t.Fatalf("fill across capacity: seen %d, kept %d", rs.Seen(), len(rs.Values()))
+	}
+	kept := 0
+	for i, v := range rs.Values() {
+		if v == values[i] {
+			kept++
+		} else if v < 64 {
+			t.Errorf("slot %d holds %v, a value the fill phase put elsewhere", i, v)
+		}
+	}
+	if kept < 64-36 {
+		t.Errorf("36 offers past capacity replaced %d slots", 64-kept)
+	}
+}
+
+// TestReservoirAddBatchAgreesWithAddOnValues compares the two paths'
+// samples with each other rather than with theory: over many trials of a
+// skewed value column, the per-position selection counts and the mean of
+// the sampled values must agree within sampling noise.
+func TestReservoirAddBatchAgreesWithAddOnValues(t *testing.T) {
+	const n, capN, trials = 120, 12, 20000
+	values := make([]float64, n)
+	gen := xrand.New(46)
+	for i := range values {
+		values[i] = math.Exp(gen.Gaussian(0, 1.5)) + float64(i)/1e6 // distinct, heavy-tailed
+	}
+	position := make(map[float64]int, n)
+	for i, v := range values {
+		position[v] = i
+	}
+	var counts [2][n]int
+	var sums [2]float64
+	rngs := [2]*xrand.Rand{xrand.New(47), xrand.New(48)}
+	split := xrand.New(49)
+	for trial := 0; trial < trials; trial++ {
+		scalar := NewReservoir(capN, rngs[0])
+		for _, v := range values {
+			scalar.Add(v)
+		}
+		batched := NewReservoir(capN, rngs[1])
+		for i := 0; i < n; {
+			j := min(i+1+split.Intn(23), n)
+			batched.AddBatch(values[i:j])
+			i = j
+		}
+		for k, r := range [2]*Reservoir{scalar, batched} {
+			for _, v := range r.vals {
+				counts[k][position[v]]++
+				sums[k] += v
+			}
+		}
+	}
+	p := float64(capN) / n
+	sd := math.Sqrt(2 * trials * p * (1 - p)) // of the difference of two counts
+	for i := range values {
+		if d := float64(counts[0][i] - counts[1][i]); math.Abs(d) > 6*sd {
+			t.Errorf("position %d: Add selected it %d times, AddBatch %d (6σ = %.0f)", i, counts[0][i], counts[1][i], 6*sd)
+		}
+	}
+	var mean, m2 float64
+	for _, v := range values {
+		mean += v / n
+	}
+	for _, v := range values {
+		m2 += (v - mean) * (v - mean) / n
+	}
+	meanSD := math.Sqrt(2 * m2 / (trials * capN))
+	if a, b := sums[0]/(trials*capN), sums[1]/(trials*capN); math.Abs(a-b) > 6*meanSD {
+		t.Errorf("mean sampled value: Add %.4f, AddBatch %.4f (population %.4f, 6σ = %.4f)", a, b, mean, 6*meanSD)
+	}
+}
+
+// OASRS.AddBatch samples records [from, to) of the batch and reads
+// nothing of the value column outside that range.
+func TestOASRSAddBatchHonoursRange(t *testing.T) {
+	b := stream.GetEventBatch()
+	defer b.Release()
+	ids := []int32{b.Intern("a"), b.Intern("b")}
+	for i := 0; i < 600; i++ {
+		b.Append(ids[(i/50)%2], float64(i), int64(i))
+	}
+	o := NewOASRS(80, nil, xrand.New(50))
+	o.AddBatch(b, 125, 475)
+	s := o.Finish()
+	if s.TotalCount() != 350 {
+		t.Fatalf("offered 350 records, counted %d", s.TotalCount())
+	}
+	for _, st := range s.Strata {
+		for _, v := range st.Values {
+			if v < 125 || v >= 475 {
+				t.Errorf("stratum %s sampled %v from outside [125, 475)", st.Stratum, v)
+			}
+			if want := []string{"a", "b"}[(int(v)/50)%2]; st.Stratum != want {
+				t.Errorf("value %v of stratum %s sampled into %s", v, want, st.Stratum)
+			}
 		}
 	}
 }
@@ -78,21 +174,16 @@ func TestReservoirAddBatchUniformity(t *testing.T) {
 	counts := make([]int, n)
 	rng := xrand.New(44)
 	split := xrand.New(45)
-	events := mkEvents("a", n)
+	values := mkValues(n)
 	for trial := 0; trial < trials; trial++ {
 		r := NewReservoir(capN, rng)
 		for i := 0; i < n; {
-			j := i + 1 + split.Intn(17)
-			if j > n {
-				j = n
-			}
-			b := batchOf(events[i:j])
-			r.AddBatch(b, 0, b.Len())
-			b.Release()
+			j := min(i+1+split.Intn(17), n)
+			r.AddBatch(values[i:j])
 			i = j
 		}
-		for _, it := range r.Items() {
-			counts[int(it.Value)]++
+		for _, v := range r.Values() {
+			counts[int(v)]++
 		}
 	}
 	want := float64(trials) * capN / n
@@ -141,8 +232,8 @@ func TestOASRSAddBatchBookkeepingMatchesAdd(t *testing.T) {
 		if a.Count != b.Count {
 			t.Errorf("stratum %q count: Add %d, AddBatch %d", a.Stratum, a.Count, b.Count)
 		}
-		if len(a.Items) != len(b.Items) {
-			t.Errorf("stratum %q sample size: Add %d, AddBatch %d", a.Stratum, len(a.Items), len(b.Items))
+		if len(a.Values) != len(b.Values) {
+			t.Errorf("stratum %q sample size: Add %d, AddBatch %d", a.Stratum, len(a.Values), len(b.Values))
 		}
 		if a.Weight != b.Weight {
 			t.Errorf("stratum %q weight: Add %g, AddBatch %g", a.Stratum, a.Weight, b.Weight)
@@ -167,8 +258,8 @@ func TestOASRSAddBatchUnbiasedEstimates(t *testing.T) {
 		est := func(s *Sample) float64 {
 			var sum float64
 			for _, st := range s.Strata {
-				for _, it := range st.Items {
-					sum += st.Weight * it.Value
+				for _, v := range st.Values {
+					sum += st.Weight * v
 				}
 			}
 			return sum

@@ -102,14 +102,14 @@ func (d *DistributedOASRS) Finish() *Sample {
 				merged[ls.Stratum] = g
 				order = append(order, ls.Stratum)
 			}
-			g.Items = append(g.Items, ls.Items...)
+			g.Values = append(g.Values, ls.Values...)
 			g.Count += ls.Count
 		}
 	}
 	strata := make([]StratumSample, 0, len(order))
 	for _, key := range order {
 		g := merged[key]
-		g.Weight = weightFor(g.Count, len(g.Items))
+		g.Weight = weightFor(g.Count, len(g.Values))
 		strata = append(strata, *g)
 	}
 	sortStrata(strata)

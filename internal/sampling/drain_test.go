@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"streamapprox/internal/stream"
@@ -13,7 +14,7 @@ func drainCopy(o *OASRS) *Sample {
 	out := &Sample{}
 	o.Drain(func(s *Sample) {
 		for _, st := range s.Strata {
-			st.Items = append([]stream.Event(nil), st.Items...)
+			st.Values = slices.Clone(st.Values)
 			out.Strata = append(out.Strata, st)
 		}
 	})
@@ -36,7 +37,7 @@ func interval(o *OASRS, n int, strata ...string) {
 // Recycled reservoirs must behave as fresh ones: the capacity follows
 // each interval's budget down and up, the previous interval's stratum
 // count still sizes the first arrivals, a stratum that sits an interval
-// out comes back, and the rows are exactly those a sampler that
+// out comes back, and the values are exactly those a sampler that
 // reallocates every interval (Finish, on an identically seeded twin)
 // returns.
 func TestDrainRecyclesReservoirs(t *testing.T) {
@@ -65,9 +66,9 @@ func TestDrainRecyclesReservoirs(t *testing.T) {
 			t.Fatalf("interval %d: %d strata, want %d", i, len(got.Strata), len(step.sizes))
 		}
 		for _, st := range got.Strata {
-			if len(st.Items) != step.sizes[st.Stratum] || st.Count != 500 {
+			if len(st.Values) != step.sizes[st.Stratum] || st.Count != 500 {
 				t.Errorf("interval %d stratum %s: %d of %d sampled, want %d of 500",
-					i, st.Stratum, len(st.Items), st.Count, step.sizes[st.Stratum])
+					i, st.Stratum, len(st.Values), st.Count, step.sizes[st.Stratum])
 			}
 			if want := weightFor(500, step.sizes[st.Stratum]); st.Weight != want {
 				t.Errorf("interval %d stratum %s: weight %v, want %v", i, st.Stratum, st.Weight, want)

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"slices"
 	"sort"
 
 	"streamapprox/internal/stream"
@@ -87,8 +88,8 @@ type OASRS struct {
 	dense []*Reservoir
 
 	// free holds the previous intervals' emptied reservoirs; resolve
-	// reuses their row buffers instead of allocating one per stratum per
-	// interval. view is Drain's reusable sample header.
+	// reuses their value buffers instead of allocating one per stratum
+	// per interval. view is Drain's reusable sample header.
 	free []*Reservoir
 	view Sample
 }
@@ -131,12 +132,12 @@ func (o *OASRS) Budget() int { return o.budget }
 // Add offers one item to the sampler.
 func (o *OASRS) Add(e stream.Event) {
 	if o.lastRes != nil && e.Stratum == o.lastKey {
-		o.lastRes.Add(e)
+		o.lastRes.Add(e.Value)
 		return
 	}
 	res := o.resolve(e.Stratum)
 	o.lastKey, o.lastRes = e.Stratum, res
-	res.Add(e)
+	res.Add(e.Value)
 }
 
 // resolve returns the stratum's reservoir, creating it on first sight
@@ -195,17 +196,17 @@ func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 			res = o.resolve(b.Dict[id])
 			dense[id] = res
 		}
-		res.AddBatch(b, i, j)
+		res.AddBatch(b.Values[i:j])
 		i = j
 	}
 }
 
 // Drain ends the interval: it calls visit with the interval's weighted
-// sample — strata in key order, weights per Equation 1, rows read in
-// place from the reservoirs — and then resets the sampler for the next
-// interval, keeping the emptied reservoirs for reuse. The sample and its
-// rows are only valid until visit returns; a caller that keeps rows
-// copies them (Finish does). Reservoir sizes are re-derived as strata
+// sample — strata in key order, weights per Equation 1, value columns
+// read in place from the reservoirs — and then resets the sampler for
+// the next interval, keeping the emptied reservoirs for reuse. The sample
+// and its values are only valid until visit returns; a caller that keeps
+// them copies them (Finish does). Reservoir sizes are re-derived as strata
 // reappear, so arrival-rate changes and budget changes are picked up
 // automatically.
 func (o *OASRS) Drain(visit func(s *Sample)) {
@@ -215,9 +216,9 @@ func (o *OASRS) Drain(visit func(s *Sample)) {
 		res := o.reservoirs[key]
 		strata = append(strata, StratumSample{
 			Stratum: key,
-			Items:   res.items,
+			Values:  res.vals,
 			Count:   res.seen,
-			Weight:  weightFor(res.seen, len(res.items)),
+			Weight:  weightFor(res.seen, len(res.vals)),
 		})
 	}
 	o.view.Strata = strata
@@ -234,15 +235,13 @@ func (o *OASRS) Drain(visit func(s *Sample)) {
 }
 
 // Finish returns the weighted sample for the interval and resets the
-// sampler for the next one: Drain, with each stratum's rows copied out.
+// sampler for the next one: Drain, with each stratum's values copied out.
 func (o *OASRS) Finish() *Sample {
 	out := &Sample{}
 	o.Drain(func(s *Sample) {
-		out.Strata = make([]StratumSample, len(s.Strata))
-		for i, st := range s.Strata {
-			st.Items = make([]stream.Event, len(st.Items))
-			copy(st.Items, s.Strata[i].Items)
-			out.Strata[i] = st
+		out.Strata = slices.Clone(s.Strata)
+		for i := range out.Strata {
+			out.Strata[i].Values = slices.Clone(out.Strata[i].Values)
 		}
 	})
 	return out

@@ -26,7 +26,7 @@ func TestOASRSKeepsEveryStratum(t *testing.T) {
 		t.Fatalf("got %d strata, want 3", len(sample.Strata))
 	}
 	rare := sample.Stratum("rare")
-	if rare == nil || len(rare.Items) != 3 {
+	if rare == nil || len(rare.Values) != 3 {
 		t.Errorf("rare stratum not fully kept: %+v", rare)
 	}
 }
@@ -44,14 +44,14 @@ func TestOASRSWeightsEquation1(t *testing.T) {
 	if got, want := a.Weight, 10.0; got != want {
 		t.Errorf("weight(a) = %v, want %v", got, want)
 	}
-	if a.Count != 100 || len(a.Items) != 10 {
-		t.Errorf("a: Count=%d Items=%d", a.Count, len(a.Items))
+	if a.Count != 100 || len(a.Values) != 10 {
+		t.Errorf("a: Count=%d Values=%d", a.Count, len(a.Values))
 	}
 
 	b := sample.Stratum("b")
 	// Ci=5 <= Ni=10 -> Wi = 1, all items kept.
-	if b.Weight != 1 || len(b.Items) != 5 {
-		t.Errorf("b: weight=%v items=%d, want weight 1 and all 5 items", b.Weight, len(b.Items))
+	if b.Weight != 1 || len(b.Values) != 5 {
+		t.Errorf("b: weight=%v items=%d, want weight 1 and all 5 items", b.Weight, len(b.Values))
 	}
 }
 
@@ -71,7 +71,7 @@ func TestOASRSEqualShareBudgetSplit(t *testing.T) {
 	sample := feed(o, events)
 	sizes := map[string]int{}
 	for _, st := range sample.Strata {
-		sizes[st.Stratum] = len(st.Items)
+		sizes[st.Stratum] = len(st.Values)
 	}
 	if sizes["a"] != 30 || sizes["b"] != 15 || sizes["c"] != 10 {
 		t.Errorf("reservoir sizes = %v, want a:30 b:15 c:10", sizes)
@@ -112,7 +112,7 @@ func TestOASRSSetBudget(t *testing.T) {
 		t.Errorf("negative budget should clamp to 1, got %d", o.Budget())
 	}
 	sample := feed(o, mkEvents("a", 100))
-	if got := len(sample.Stratum("a").Items); got != 1 {
+	if got := len(sample.Stratum("a").Values); got != 1 {
 		t.Errorf("budget 1 should keep 1 item, got %d", got)
 	}
 }
@@ -144,7 +144,7 @@ func TestOASRSInvariants(t *testing.T) {
 			if st.Count != want[st.Stratum] {
 				return false
 			}
-			yi := len(st.Items)
+			yi := len(st.Values)
 			if int64(yi) > st.Count {
 				return false
 			}
@@ -185,8 +185,8 @@ func TestOASRSUnbiasedSumEstimate(t *testing.T) {
 		sample := feed(o, events)
 		for _, st := range sample.Strata {
 			var s float64
-			for _, it := range st.Items {
-				s += it.Value
+			for _, v := range st.Values {
+				s += v
 			}
 			estSum += s * st.Weight
 		}
@@ -210,8 +210,8 @@ func TestOASRSSampleBatch(t *testing.T) {
 
 func TestSampleAccessors(t *testing.T) {
 	s := &Sample{Strata: []StratumSample{
-		{Stratum: "a", Items: mkEvents("a", 2), Count: 10, Weight: 5},
-		{Stratum: "b", Items: mkEvents("b", 3), Count: 3, Weight: 1},
+		{Stratum: "a", Values: mkValues(2), Count: 10, Weight: 5},
+		{Stratum: "b", Values: mkValues(3), Count: 3, Weight: 1},
 	}}
 	if s.TotalCount() != 13 {
 		t.Errorf("TotalCount = %d", s.TotalCount())

@@ -2,20 +2,22 @@ package sampling
 
 import (
 	"math"
+	"slices"
 
-	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
 )
 
 // Reservoir maintains a uniform random sample of fixed capacity over a
 // stream of unknown length (paper Algorithm 1; Vitter's Algorithm R).
 // After observing i items, every item has probability min(1, N/i) of being
-// in the reservoir.
+// in the reservoir. A slot holds the item's value and nothing else: the
+// stratum is the reservoir's owner's to know, and no query reads a
+// sampled item's time.
 //
 // Reservoir is not safe for concurrent use.
 type Reservoir struct {
 	capacity int
-	items    []stream.Event
+	vals     []float64
 	seen     int64
 	rng      *xrand.Rand
 }
@@ -28,66 +30,67 @@ func NewReservoir(capacity int, rng *xrand.Rand) *Reservoir {
 	return r
 }
 
-// resize sets an empty reservoir's capacity, keeping its row buffer
+// resize sets an empty reservoir's capacity, keeping its value buffer
 // when that is already large enough.
 func (r *Reservoir) resize(capacity int) {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	r.capacity = capacity
-	if cap(r.items) < capacity {
-		r.items = make([]stream.Event, 0, capacity)
+	if cap(r.vals) < capacity {
+		r.vals = make([]float64, 0, capacity)
 	}
 }
 
-// Add offers one item to the reservoir.
-func (r *Reservoir) Add(e stream.Event) {
+// Add offers one item's value to the reservoir.
+func (r *Reservoir) Add(v float64) {
 	r.seen++
-	if len(r.items) < r.capacity {
-		r.items = append(r.items, e)
+	if len(r.vals) < r.capacity {
+		r.vals = append(r.vals, v)
 		return
 	}
 	// Accept the i-th item with probability N/i, then replace a uniformly
 	// random victim.
 	j := r.rng.Uint64n(uint64(r.seen))
 	if j < uint64(r.capacity) {
-		r.items[j] = e
+		r.vals[j] = v
 	}
 }
 
-// AddBatch offers records [from, to) of a columnar batch — a run of
-// equal-stratum records resolved once by OASRS.AddBatch. The fill phase
-// copies rows directly; past fill it uses multiplicative skip-sampling
-// (Vitter-style inversion): one uniform draw v per ACCEPTED item, then a
+// AddBatch offers a run of one stratum's values — a slice of a columnar
+// batch's value column, resolved once by OASRS.AddBatch. The fill phase
+// is one bulk append; past fill it uses multiplicative skip-sampling
+// (Vitter-style inversion): one uniform draw u per ACCEPTED item, then a
 // running product p of the per-item rejection probabilities 1 - N/i
-// until p <= v. Because P(p_k <= v | p_{k-1} > v) = N/(seen+k), each
+// until p <= u. Because P(p_k <= u | p_{k-1} > u) = N/(seen+k), each
 // item is accepted with exactly Algorithm R's probability N/i — the
 // sampled distribution is identical, but a rejected record costs one
 // multiply and compare instead of an RNG draw. A skip chain left
 // unfinished at the batch boundary is simply discarded: the per-item
 // acceptance events are independent, so restarting fresh next batch
 // changes nothing.
-func (r *Reservoir) AddBatch(b *stream.EventBatch, from, to int) {
-	i := from
-	for i < to && len(r.items) < r.capacity {
-		r.seen++
-		r.items = append(r.items, b.EventAt(i))
-		i++
+func (r *Reservoir) AddBatch(values []float64) {
+	i := 0
+	if room := r.capacity - len(r.vals); room > 0 {
+		i = min(len(values), room)
+		r.vals = append(r.vals, values[:i]...)
+		r.seen += int64(i)
 	}
-	capF := float64(r.capacity)
-	for i < to {
-		v := nonZeroFloat(r.rng)
+	capF, seen := float64(r.capacity), r.seen
+	for i < len(values) {
+		u := nonZeroFloat(r.rng)
 		p := 1.0
-		for i < to {
-			r.seen++
-			p *= 1 - capF/float64(r.seen)
+		for i < len(values) {
+			seen++
+			p *= 1 - capF/float64(seen)
 			i++
-			if p <= v {
-				r.items[r.rng.Intn(r.capacity)] = b.EventAt(i - 1)
+			if p <= u {
+				r.vals[r.rng.Intn(r.capacity)] = values[i-1]
 				break
 			}
 		}
 	}
+	r.seen = seen
 }
 
 // Seen returns the number of items offered so far.
@@ -96,17 +99,13 @@ func (r *Reservoir) Seen() int64 { return r.seen }
 // Capacity returns the maximum sample size N.
 func (r *Reservoir) Capacity() int { return r.capacity }
 
-// Items returns the current sample. The returned slice is a copy, so the
-// caller may retain it across Reset.
-func (r *Reservoir) Items() []stream.Event {
-	out := make([]stream.Event, len(r.items))
-	copy(out, r.items)
-	return out
-}
+// Values returns the current sample's values. The returned slice is a
+// copy, so the caller may retain it across Reset.
+func (r *Reservoir) Values() []float64 { return slices.Clone(r.vals) }
 
 // Reset clears the reservoir for the next interval, keeping capacity.
 func (r *Reservoir) Reset() {
-	r.items = r.items[:0]
+	r.vals = r.vals[:0]
 	r.seen = 0
 }
 
@@ -120,7 +119,7 @@ func (r *Reservoir) Reset() {
 // replacement).
 type SkipReservoir struct {
 	capacity int
-	items    []stream.Event
+	vals     []float64
 	seen     int64
 	next     int64 // index (1-based) of the next item to admit
 	w        float64
@@ -134,7 +133,7 @@ func NewSkipReservoir(capacity int, rng *xrand.Rand) *SkipReservoir {
 	}
 	s := &SkipReservoir{
 		capacity: capacity,
-		items:    make([]stream.Event, 0, capacity),
+		vals:     make([]float64, 0, capacity),
 		rng:      rng,
 		w:        1,
 	}
@@ -161,19 +160,19 @@ func nonZeroFloat(r *xrand.Rand) float64 {
 	}
 }
 
-// Add offers one item.
-func (s *SkipReservoir) Add(e stream.Event) {
+// Add offers one item's value.
+func (s *SkipReservoir) Add(v float64) {
 	s.seen++
-	if len(s.items) < s.capacity {
-		s.items = append(s.items, e)
-		if len(s.items) == s.capacity {
+	if len(s.vals) < s.capacity {
+		s.vals = append(s.vals, v)
+		if len(s.vals) == s.capacity {
 			s.next = s.seen
 			s.advance()
 		}
 		return
 	}
 	if s.seen == s.next {
-		s.items[s.rng.Intn(s.capacity)] = e
+		s.vals[s.rng.Intn(s.capacity)] = v
 		s.advance()
 	}
 }
@@ -181,16 +180,12 @@ func (s *SkipReservoir) Add(e stream.Event) {
 // Seen returns the number of items offered so far.
 func (s *SkipReservoir) Seen() int64 { return s.seen }
 
-// Items returns a copy of the current sample.
-func (s *SkipReservoir) Items() []stream.Event {
-	out := make([]stream.Event, len(s.items))
-	copy(out, s.items)
-	return out
-}
+// Values returns a copy of the current sample's values.
+func (s *SkipReservoir) Values() []float64 { return slices.Clone(s.vals) }
 
 // Reset clears the reservoir for the next interval.
 func (s *SkipReservoir) Reset() {
-	s.items = s.items[:0]
+	s.vals = s.vals[:0]
 	s.seen = 0
 	s.next = 0
 	s.w = 1

@@ -22,21 +22,28 @@ import (
 	"streamapprox/internal/stream"
 )
 
-// StratumSample is the per-stratum portion of a sample: the selected items,
-// the total number of items observed in the stratum during the interval
-// (Ci), and the weight Wi each selected item carries (Equation 1):
+// StratumSample is the per-stratum portion of a sample: the selected
+// items' values as one column, the total number of items observed in the
+// stratum during the interval (Ci), and the weight Wi each selected item
+// carries (Equation 1):
 //
 //	Wi = Ci/Ni  if Ci > Ni   (each selected item represents Ci/Ni originals)
 //	Wi = 1      if Ci <= Ni  (every item was kept)
+//
+// Every query is a linear query over sampled values, so a value is all a
+// sampled item keeps. Keys is nil for stratified samplers — every value
+// belongs to Stratum. A stratum-blind sampler (RandomSortSRS) reports one
+// pseudo-stratum and sets Keys[i] to the stratum Values[i] came from.
 type StratumSample struct {
-	Stratum string         `json:"stratum"`
-	Items   []stream.Event `json:"items"`
-	Count   int64          `json:"count"`
-	Weight  float64        `json:"weight"`
+	Stratum string    `json:"stratum"`
+	Values  []float64 `json:"values"`
+	Keys    []string  `json:"keys,omitempty"`
+	Count   int64     `json:"count"`
+	Weight  float64   `json:"weight"`
 }
 
 // SampledCount returns Yi, the number of items actually selected.
-func (s *StratumSample) SampledCount() int { return len(s.Items) }
+func (s *StratumSample) SampledCount() int { return len(s.Values) }
 
 // Sample is the output of one sampling interval: one StratumSample per
 // sub-stream, ordered by stratum key for determinism.
@@ -58,7 +65,7 @@ func (s *Sample) TotalCount() int64 {
 func (s *Sample) SampledCount() int {
 	total := 0
 	for i := range s.Strata {
-		total += len(s.Strata[i].Items)
+		total += len(s.Strata[i].Values)
 	}
 	return total
 }

@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"math"
-	"sort"
 
 	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
@@ -18,7 +17,8 @@ import (
 // costs Spark pays.
 //
 // SRS is oblivious to strata: the resulting Sample has a single pseudo
-// stratum with a uniform weight n/k. That is precisely why SRS "loses the
+// stratum with a uniform weight n/k, whose Keys column says which stratum
+// each sampled value came from. That is precisely why SRS "loses the
 // capability of considering each sub-stream fairly" (§5.2) — rare but
 // significant sub-streams may not be represented at all.
 type RandomSortSRS struct {
@@ -60,9 +60,10 @@ func (s *RandomSortSRS) thresholds(n int) (lo, hi float64) {
 	return lo, hi
 }
 
+// keyed is a random sort key and the input position it was drawn for.
 type keyed struct {
 	key float64
-	ev  stream.Event
+	i   int
 }
 
 // SampleBatch selects ceil(fraction*len(events)) items via bounded random
@@ -70,54 +71,49 @@ type keyed struct {
 func (s *RandomSortSRS) SampleBatch(events []stream.Event) *Sample {
 	n := len(events)
 	k := int(math.Ceil(s.fraction * float64(n)))
-	if k >= n {
-		items := make([]stream.Event, n)
-		copy(items, events)
-		return &Sample{Strata: []StratumSample{{
-			Stratum: SRSPseudoStratum, Items: items, Count: int64(n), Weight: 1,
-		}}}
-	}
+	st := StratumSample{Stratum: SRSPseudoStratum, Count: int64(n), Weight: 1}
 	if k == 0 {
-		return &Sample{Strata: []StratumSample{{
-			Stratum: SRSPseudoStratum, Count: int64(n), Weight: 1,
-		}}}
+		return &Sample{Strata: []StratumSample{st}}
+	}
+	size := min(k, n)
+	st.Values, st.Keys = make([]float64, 0, size), make([]string, 0, size)
+	accept := func(e stream.Event) {
+		st.Values = append(st.Values, e.Value)
+		st.Keys = append(st.Keys, e.Stratum)
+	}
+	if k >= n {
+		for _, e := range events {
+			accept(e)
+		}
+		return &Sample{Strata: []StratumSample{st}}
 	}
 
 	lo, hi := s.thresholds(n)
-	accepted := make([]stream.Event, 0, k)
 	waitlist := make([]keyed, 0, n/16+8)
-	for _, e := range events {
+	for i, e := range events {
 		key := s.rng.Float64()
 		switch {
 		case key < lo:
-			accepted = append(accepted, e)
+			accept(e)
 		case key < hi:
-			waitlist = append(waitlist, keyed{key: key, ev: e})
+			waitlist = append(waitlist, keyed{key: key, i: i})
 		}
 	}
-	if len(accepted) < k {
+	if len(st.Values) < k {
 		// Sort only the waitlist — this is the step whose cost Spark's
 		// thresholds bound but cannot eliminate.
-		sort.Slice(waitlist, func(i, j int) bool { return waitlist[i].key < waitlist[j].key })
-		need := k - len(accepted)
-		if need > len(waitlist) {
-			need = len(waitlist)
+		sortKeyed(waitlist)
+		for _, w := range waitlist[:min(k-len(st.Values), len(waitlist))] {
+			accept(events[w.i])
 		}
-		for i := 0; i < need; i++ {
-			accepted = append(accepted, waitlist[i].ev)
-		}
-	} else if len(accepted) > k {
+	} else if len(st.Values) > k {
 		// Thresholding overshot (probability <= delta); trim uniformly.
-		s.rng.Shuffle(len(accepted), func(i, j int) {
-			accepted[i], accepted[j] = accepted[j], accepted[i]
+		s.rng.Shuffle(len(st.Values), func(i, j int) {
+			st.Values[i], st.Values[j] = st.Values[j], st.Values[i]
+			st.Keys[i], st.Keys[j] = st.Keys[j], st.Keys[i]
 		})
-		accepted = accepted[:k]
+		st.Values, st.Keys = st.Values[:k], st.Keys[:k]
 	}
-
-	return &Sample{Strata: []StratumSample{{
-		Stratum: SRSPseudoStratum,
-		Items:   accepted,
-		Count:   int64(n),
-		Weight:  weightFor(int64(n), len(accepted)),
-	}}}
+	st.Weight = weightFor(st.Count, len(st.Values))
+	return &Sample{Strata: []StratumSample{st}}
 }

@@ -1,9 +1,6 @@
 package sampling
 
-import (
-	"streamapprox/internal/stream"
-	"streamapprox/internal/xrand"
-)
+import "streamapprox/internal/xrand"
 
 // This file provides checkpoint/restore state for the samplers, the
 // basis of the public Session.Snapshot fault-tolerance API. States are
@@ -13,24 +10,21 @@ import (
 
 // ReservoirState is a Reservoir's serializable state.
 type ReservoirState struct {
-	Capacity int            `json:"capacity"`
-	Seen     int64          `json:"seen"`
-	Items    []stream.Event `json:"items"`
+	Capacity int       `json:"capacity"`
+	Seen     int64     `json:"seen"`
+	Values   []float64 `json:"values"`
 }
 
 // State captures the reservoir's contents and counters.
 func (r *Reservoir) State() ReservoirState {
-	return ReservoirState{Capacity: r.capacity, Seen: r.seen, Items: r.Items()}
+	return ReservoirState{Capacity: r.capacity, Seen: r.seen, Values: r.Values()}
 }
 
 // RestoreReservoir rebuilds a reservoir from a state.
 func RestoreReservoir(st ReservoirState, rng *xrand.Rand) *Reservoir {
 	r := NewReservoir(st.Capacity, rng)
 	r.seen = st.Seen
-	r.items = append(r.items[:0], st.Items...)
-	if len(r.items) > r.capacity {
-		r.items = r.items[:r.capacity]
-	}
+	r.vals = append(r.vals, st.Values[:min(len(st.Values), r.capacity)]...)
 	return r
 }
 

@@ -11,11 +11,11 @@ import (
 func TestReservoirStateRoundTrip(t *testing.T) {
 	rng := xrand.New(1)
 	r := NewReservoir(5, rng)
-	for _, e := range mkEvents("a", 100) {
-		r.Add(e)
+	for _, v := range mkValues(100) {
+		r.Add(v)
 	}
 	st := r.State()
-	if st.Capacity != 5 || st.Seen != 100 || len(st.Items) != 5 {
+	if st.Capacity != 5 || st.Seen != 100 || len(st.Values) != 5 {
 		t.Fatalf("state = %+v", st)
 	}
 
@@ -25,11 +25,11 @@ func TestReservoirStateRoundTrip(t *testing.T) {
 	rngA, rngB := xrand.New(seed), xrand.New(seed)
 	restored := RestoreReservoir(st, rngB)
 	contA := RestoreReservoir(st, rngA) // fresh twin of the original state
-	for _, e := range mkEvents("a", 500) {
-		contA.Add(e)
-		restored.Add(e)
+	for _, v := range mkValues(500) {
+		contA.Add(v)
+		restored.Add(v)
 	}
-	a, b := contA.Items(), restored.Items()
+	a, b := contA.Values(), restored.Values()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("restored reservoir diverged at %d", i)
@@ -37,11 +37,11 @@ func TestReservoirStateRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReservoirStateClampsOversizedItems(t *testing.T) {
-	st := ReservoirState{Capacity: 2, Seen: 10, Items: mkEvents("a", 5)}
+func TestReservoirStateClampsOversizedValues(t *testing.T) {
+	st := ReservoirState{Capacity: 2, Seen: 10, Values: mkValues(5)}
 	r := RestoreReservoir(st, xrand.New(2))
-	if len(r.Items()) != 2 {
-		t.Errorf("restored %d items into capacity 2", len(r.Items()))
+	if len(r.Values()) != 2 {
+		t.Errorf("restored %d values into capacity 2", len(r.Values()))
 	}
 }
 
@@ -73,7 +73,7 @@ func TestOASRSStateRoundTripJSON(t *testing.T) {
 		t.Fatalf("stratum a lost in round trip: %+v", a)
 	}
 	b := sample.Stratum("b")
-	if b == nil || b.Count != 5 || len(b.Items) != 5 || b.Weight != 1 {
+	if b == nil || b.Count != 5 || len(b.Values) != 5 || b.Weight != 1 {
 		t.Fatalf("stratum b lost in round trip: %+v", b)
 	}
 }
@@ -99,7 +99,7 @@ func TestOASRSStatePreservesExpected(t *testing.T) {
 		restored.Add(stream.Event{Stratum: "a", Value: float64(i)})
 	}
 	sample := restored.Finish()
-	if got := len(sample.Stratum("a").Items); got != 15 {
+	if got := len(sample.Stratum("a").Values); got != 15 {
 		t.Errorf("restored first-stratum reservoir = %d, want 15 (= 30/2)", got)
 	}
 }

@@ -128,35 +128,36 @@ func (s *StratifiedSTS) SampleBatch(events []stream.Event) *Sample {
 func (s *StratifiedSTS) sampleStratum(stratum string, items []stream.Event, rng *xrand.Rand) StratumSample {
 	ci := int64(len(items))
 	k := int(math.Ceil(s.fraction * float64(len(items))))
-	if k >= len(items) {
-		kept := make([]stream.Event, len(items))
-		copy(kept, items)
-		return StratumSample{Stratum: stratum, Items: kept, Count: ci, Weight: 1}
-	}
-	var selected []stream.Event
-	if s.exact {
+	var selected []float64
+	switch {
+	case k >= len(items):
+		selected = make([]float64, len(items))
+		for i, e := range items {
+			selected[i] = e.Value
+		}
+	case s.exact:
 		// sampleByKeyExact: assign keys, fully sort, take the k smallest.
 		ks := make([]keyed, len(items))
-		for i, e := range items {
-			ks[i] = keyed{key: rng.Float64(), ev: e}
+		for i := range items {
+			ks[i] = keyed{key: rng.Float64(), i: i}
 		}
 		sortKeyed(ks)
-		selected = make([]stream.Event, 0, k)
-		for i := 0; i < k; i++ {
-			selected = append(selected, ks[i].ev)
+		selected = make([]float64, k)
+		for i := range selected {
+			selected[i] = items[ks[i].i].Value
 		}
-	} else {
+	default:
 		// sampleByKey: independent Bernoulli(fraction) per item.
-		selected = make([]stream.Event, 0, k+k/4+1)
+		selected = make([]float64, 0, k+k/4+1)
 		for _, e := range items {
 			if rng.Bool(s.fraction) {
-				selected = append(selected, e)
+				selected = append(selected, e.Value)
 			}
 		}
 	}
 	return StratumSample{
 		Stratum: stratum,
-		Items:   selected,
+		Values:  selected,
 		Count:   ci,
 		Weight:  weightFor(ci, len(selected)),
 	}

@@ -109,7 +109,7 @@ func (q *QuantileStratifier) Edges() []float64 {
 
 // Assign implements Stratifier.
 func (q *QuantileStratifier) Assign(e stream.Event) string {
-	q.reservoir.Add(e)
+	q.reservoir.Add(e.Value)
 	q.seen++
 	if q.edges == nil || q.seen%q.refreshEvery == 0 {
 		q.refresh()
@@ -142,7 +142,7 @@ func (q *QuantileStratifier) AssignBatch(b *stream.EventBatch, from, to int) {
 	}
 	fill()
 	for i := from; i < to; i++ {
-		q.reservoir.Add(b.EventAt(i))
+		q.reservoir.Add(b.Values[i])
 		q.seen++
 		if q.edges == nil || q.seen%q.refreshEvery == 0 {
 			bands := len(q.edges)
@@ -168,13 +168,9 @@ func (q *QuantileStratifier) AssignBatch(b *stream.EventBatch, from, to int) {
 // refresh re-estimates the k-1 interior quantile edges from the
 // bootstrap reservoir.
 func (q *QuantileStratifier) refresh() {
-	items := q.reservoir.Items()
-	if len(items) < q.k {
+	vals := q.reservoir.Values()
+	if len(vals) < q.k {
 		return
-	}
-	vals := make([]float64, len(items))
-	for i, it := range items {
-		vals[i] = it.Value
 	}
 	sort.Float64s(vals)
 	edges := make([]float64, 0, q.k-1)

@@ -1,8 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,6 +37,14 @@ type EventBatch struct {
 
 	intern map[string]int32
 	refs   atomic.Int32
+
+	// SortByTime's scratch, kept with the pooled batch so an unsorted
+	// fetch round allocates nothing once the pool is warm: the index
+	// permutation and a spare of each column to gather into.
+	perm        []int32
+	spareStrata []int32
+	spareValues []float64
+	spareTimes  []int64
 }
 
 // ZeroTimeNanos marks the zero time.Time in a batch's Times column,
@@ -180,27 +189,31 @@ func (b *EventBatch) TimeOrdered() bool {
 	return true
 }
 
-// SortByTime stable-sorts the batch's records by time in place. Only
-// the owner of a batch (refs not yet shared) may call it.
+// SortByTime stable-sorts the batch's records by time. Only the owner
+// of a batch (refs not yet shared) may call it: the sorted columns are
+// gathered into the batch's spare columns, which then trade places with
+// the unsorted ones.
 func (b *EventBatch) SortByTime() {
 	if b.TimeOrdered() {
 		return
 	}
 	n := b.Len()
-	perm := make([]int, n)
+	perm := slices.Grow(b.perm[:0], n)[:n]
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
-	sort.SliceStable(perm, func(i, j int) bool { return b.Times[perm[i]] < b.Times[perm[j]] })
-	strata := make([]int32, n)
-	values := make([]float64, n)
-	times := make([]int64, n)
+	times := b.Times
+	slices.SortStableFunc(perm, func(i, j int32) int { return cmp.Compare(times[i], times[j]) })
+	strata := slices.Grow(b.spareStrata[:0], n)[:n]
+	values := slices.Grow(b.spareValues[:0], n)[:n]
+	sorted := slices.Grow(b.spareTimes[:0], n)[:n]
 	for i, p := range perm {
 		strata[i] = b.Strata[p]
 		values[i] = b.Values[p]
-		times[i] = b.Times[p]
+		sorted[i] = times[p]
 	}
-	copy(b.Strata, strata)
-	copy(b.Values, values)
-	copy(b.Times, times)
+	b.perm = perm
+	b.Strata, b.spareStrata = strata, b.Strata
+	b.Values, b.spareValues = values, b.Values
+	b.Times, b.spareTimes = sorted, b.Times
 }

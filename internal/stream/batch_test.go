@@ -113,6 +113,36 @@ func TestEventBatchSortByTime(t *testing.T) {
 	}
 }
 
+// Once a batch has sorted a round of the size, sorting another allocates
+// nothing: the permutation and the gathered columns live on the batch.
+func TestEventBatchSortByTimeAllocatesNothingWhenWarm(t *testing.T) {
+	b := GetEventBatch()
+	defer b.Release()
+	rng := rand.New(rand.NewSource(12))
+	id := b.Intern("a")
+	fill := func() {
+		b.Strata, b.Values, b.Times = b.Strata[:0], b.Values[:0], b.Times[:0]
+		for i := 0; i < 1000; i++ {
+			b.Append(id, float64(i), int64(rng.Intn(64)))
+		}
+	}
+	// Two warm-up rounds: the columns and their spares trade places on
+	// every sort, so both sets must have reached the size.
+	for i := 0; i < 2; i++ {
+		fill()
+		b.SortByTime()
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		fill()
+		b.SortByTime()
+		if !b.TimeOrdered() {
+			t.Fatal("batch not time-ordered after SortByTime")
+		}
+	}); allocs != 0 {
+		t.Errorf("%.0f allocations per sorted round", allocs)
+	}
+}
+
 // stableSortEvents is an insertion sort — trivially stable, fine at
 // test sizes — used as the oracle for SortByTime.
 func stableSortEvents(rows []Event) {
