@@ -11,7 +11,10 @@
 // instance (see Split).
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a deterministic pseudo-random number generator.
 type Rand struct {
@@ -99,7 +102,9 @@ func (r *Rand) Int63() int64 {
 }
 
 // Uint64n returns a uniform uint64 in [0, n) using Lemire's multiply-shift
-// rejection method (unbiased).
+// rejection method (unbiased). The rejection threshold -n mod n is below
+// n, so a draw whose low product word is at least n is accepted without
+// the 64-bit division that computing the threshold costs.
 func (r *Rand) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("xrand: Uint64n called with zero n")
@@ -108,29 +113,13 @@ func (r *Rand) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return r.Uint64() & (n - 1)
 	}
-	threshold := -n % n
-	for {
-		v := r.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(r.Uint64(), n)
+	if lo < n {
+		for threshold := -n % n; lo < threshold; {
+			hi, lo = bits.Mul64(r.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t & mask32
-	w2 := t >> 32
-	w1 += x0 * y1
-	hi = x1*y1 + w2 + w1>>32
-	lo = x * y
-	return hi, lo
+	return hi
 }
 
 // Perm returns a random permutation of [0, n) (Fisher-Yates).

@@ -264,21 +264,45 @@ func TestExpFloat64Mean(t *testing.T) {
 	}
 }
 
-func TestMul64(t *testing.T) {
-	cases := []struct {
-		x, y, hi, lo uint64
-	}{
-		{0, 0, 0, 0},
-		{1, 1, 0, 1},
-		{math.MaxUint64, 2, 1, math.MaxUint64 - 1},
-		{1 << 32, 1 << 32, 1, 0},
-	}
-	for _, c := range cases {
-		hi, lo := mul64(c.x, c.y)
-		if hi != c.hi || lo != c.lo {
-			t.Errorf("mul64(%d,%d) = (%d,%d), want (%d,%d)", c.x, c.y, hi, lo, c.hi, c.lo)
+// Uint64n must draw what the algorithm it replaced drew — the threshold
+// computed up front on every call, the 128-bit product from 32-bit limbs —
+// value for value and with the same generator consumption, so no seeded
+// stream anywhere in the repository moves.
+func TestUint64nMatchesEagerThreshold(t *testing.T) {
+	eager := func(r *Rand, n uint64) uint64 {
+		threshold := -n % n
+		for {
+			x := r.Uint64()
+			const mask32 = 1<<32 - 1
+			x0, x1 := x&mask32, x>>32
+			n0, n1 := n&mask32, n>>32
+			mid := x1*n0 + (x0*n0)>>32
+			hi := x1*n1 + mid>>32 + (mid&mask32+x0*n1)>>32
+			if lo := x * n; lo >= threshold {
+				return hi
+			}
 		}
 	}
+	for _, n := range []uint64{3, 6, 1000, 16666, 1<<32 + 1, 1<<63 + 1} {
+		got, want := New(n), New(n)
+		for i := 0; i < 100000; i++ {
+			if g, w := got.Uint64n(n), eager(want, n); g != w {
+				t.Fatalf("n=%d draw %d: %d, want %d", n, i, g, w)
+			}
+		}
+		if got.Uint64() != want.Uint64() {
+			t.Errorf("n=%d: generators diverged after 100000 draws", n)
+		}
+	}
+}
+
+func BenchmarkUint64n(b *testing.B) {
+	r := New(1)
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		sink += r.Uint64n(16666)
+	}
+	_ = sink
 }
 
 func BenchmarkUint64(b *testing.B) {
