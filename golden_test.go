@@ -1,7 +1,9 @@
 package streamapprox
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"testing"
@@ -145,6 +147,104 @@ func TestRestoreV2Golden(t *testing.T) {
 		goldenPush(t, whole, events, 0, goldenCut)
 		want := append(goldenPush(t, whole, events, goldenCut, chunks), whole.Close()...)
 		requireSameWindows(t, name+" vs uninterrupted", got, want)
+	}
+}
+
+// testdata/session_v3.json was written at commit 9cc0368 — the last one
+// whose samplers sized every stratum at an equal share of the budget,
+// whatever it could fill — by pushing goldenSkewStream through goldenPush:
+// per query kind, the snapshot after skewCut chunks (t ≈ 11.1 s, inside
+// segment [10 s, 12 s)) and the windows that parent run went on to
+// produce, which sampled 0.14 of their items at Fraction 0.2. The
+// snapshot carries no per-stratum history, and needs none to restore:
+// the in-flight segment keeps its reservoirs and completes the parent's
+// window to the digit, the next is sized as a sampler's first interval,
+// and from then on the rare stratum's unused slots are spent.
+const skewCut = 60
+
+// goldenSkewStream is 20 s of three strata at 200 events/s, 80/19/1 %.
+func goldenSkewStream() []Event {
+	rng := rand.New(rand.NewSource(15))
+	strata := []string{"a", "b", "c"}
+	events := make([]Event, 4000)
+	for i := range events {
+		k := 0
+		if u := rng.Intn(100); u >= 99 {
+			k = 2
+		} else if u >= 80 {
+			k = 1
+		}
+		events[i] = Event{
+			Stratum: strata[k],
+			Value:   float64(50*(k+1)) + 20*rng.NormFloat64(),
+			Time:    batchBase.Add(time.Duration(i) * 5 * time.Millisecond),
+		}
+	}
+	return events
+}
+
+func TestRestoreV3Golden(t *testing.T) {
+	data, err := os.ReadFile("testdata/session_v3.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]goldenCase
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	events := goldenSkewStream()
+	exact := make(map[int64]float64) // sum of the values per 2 s segment
+	for _, e := range events {
+		exact[e.Time.Unix()/2*2] += e.Value
+	}
+	for name := range goldenKinds {
+		gc, ok := golden[name]
+		if !ok {
+			t.Fatalf("golden has no %q case", name)
+		}
+		if v := snapshotVersionOf(t, gc.Snapshot); v != 3 {
+			t.Fatalf("%s: fixture is version %d, want 3", name, v)
+		}
+		restored, err := RestoreSession(gc.Snapshot)
+		if err != nil {
+			t.Fatalf("%s: restore v3: %v", name, err)
+		}
+		// Same format, same decoder: what was read is what is written,
+		// in-flight reservoir capacities included.
+		again, err := restored.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, gc.Snapshot) {
+			t.Errorf("%s: the restored session snapshots differently:\n%s\n%s", name, again, gc.Snapshot)
+		}
+		chunks := (len(events) + goldenChunk - 1) / goldenChunk
+		got := append(goldenPush(t, restored, events, skewCut, chunks), restored.Close()...)
+		if len(got) != len(gc.Windows) {
+			t.Fatalf("%s: %d windows, the parent produced %d", name, len(got), len(gc.Windows))
+		}
+		requireSameWindows(t, name+" in-flight segment vs parent", got[:1], gc.Windows[:1])
+		for i, w := range got {
+			parent := gc.Windows[i]
+			if w.Items != parent.Items || w.Sampled < parent.Sampled {
+				t.Errorf("%s window %d: %d of %d sampled, the parent sampled %d of %d", name, i, w.Sampled, w.Items, parent.Sampled, parent.Items)
+			}
+			if name != "sum" {
+				continue
+			}
+			var truth float64
+			for at := w.Start.Unix(); at < w.End.Unix(); at += 2 {
+				truth += exact[at]
+			}
+			if math.Abs(w.Overall.Value-truth) > w.Overall.Bound {
+				t.Errorf("sum window %d: %.0f ± %.0f, exact %.0f", i, w.Overall.Value, w.Overall.Bound, truth)
+			}
+		}
+		// The window over [14 s, 20 s) is the first to cover only segments
+		// planned from their predecessor's counts.
+		if w := got[4]; float64(w.Sampled) < 0.195*float64(w.Items) {
+			t.Errorf("%s: window ending %v sampled %d of %d, want 0.2", name, w.End, w.Sampled, w.Items)
+		}
 	}
 }
 

@@ -305,7 +305,7 @@ func TestOASRSScalarRunCacheResetsOnFinish(t *testing.T) {
 // dictionary IDs are batch-local, so ID 0 meaning "a" in one batch and
 // "b" in the next must still route records to the right reservoirs.
 func TestOASRSAddBatchDictCollisionAcrossBatches(t *testing.T) {
-	o := NewOASRS(100, FixedPerStratum{N: 50}, xrand.New(32))
+	o := NewOASRS(100, nil, xrand.New(32))
 	b1 := batchOf(mkEvents("a", 7))
 	o.AddBatch(b1, 0, b1.Len())
 	b1.Release()

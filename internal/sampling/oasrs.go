@@ -8,9 +8,11 @@ import (
 	"streamapprox/internal/xrand"
 )
 
-// SizePolicy determines the per-stratum reservoir size Ni given the total
+// SizePolicy determines a stratum's base reservoir size Ni given the total
 // sample-size budget from the cost function and the set of strata seen so
 // far in the interval (the paper's getSampleSize step in Algorithm 3).
+// OASRS never sizes a stratum below it, and raises it for a stratum that
+// can use what others cannot (see OASRS).
 type SizePolicy interface {
 	// StratumSize returns Ni for a (possibly new) stratum when numStrata
 	// sub-streams have been observed in the current interval.
@@ -18,9 +20,10 @@ type SizePolicy interface {
 }
 
 // EqualShare divides the total budget equally among the strata observed so
-// far, with a floor of one item per stratum. This is the paper's default:
-// each sub-stream gets a fixed-size reservoir regardless of its arrival
-// rate, which is exactly what makes OASRS cheaper than proportional STS.
+// far, with a floor of one item per stratum. This is the paper's default,
+// and the capacity no sub-stream is ever sized below, however rare: a
+// stratum with fewer arrivals than its share keeps them all, and the slots
+// it leaves empty are what OASRS hands to the strata that overflow theirs.
 type EqualShare struct{}
 
 // StratumSize implements SizePolicy.
@@ -35,19 +38,6 @@ func (EqualShare) StratumSize(totalBudget, numStrata int) int {
 	return n
 }
 
-// FixedPerStratum gives every stratum the same constant reservoir size,
-// ignoring the total budget. Useful when the budget is expressed directly
-// as "keep N items per sub-stream".
-type FixedPerStratum struct{ N int }
-
-// StratumSize implements SizePolicy.
-func (f FixedPerStratum) StratumSize(int, int) int {
-	if f.N < 1 {
-		return 1
-	}
-	return f.N
-}
-
 // OASRS implements Online Adaptive Stratified Reservoir Sampling (paper
 // Algorithm 3). It stratifies the input stream by Event.Stratum, runs an
 // independent reservoir per stratum, counts arrivals per stratum (Ci), and
@@ -58,6 +48,13 @@ func (f FixedPerStratum) StratumSize(int, int) int {
 // no advance knowledge of sub-stream statistics is needed; sampling is
 // on-the-fly (no batch materialization); and the algorithm adapts to
 // fluctuating arrival rates because Ci is re-counted every interval.
+//
+// The budget is spent, not just offered: a stratum that had fewer arrivals
+// in the previous interval than its share of the budget hands the rest
+// back, and the strata that overflowed theirs split it (see plan). Every
+// stratum keeps at least its SizePolicy share as capacity, so the sample
+// only exceeds the budget — for one interval, and by at most the slots
+// the under-full strata left empty — when those strata suddenly grow.
 //
 // OASRS is not safe for concurrent use; for parallel execution see
 // DistributedOASRS.
@@ -75,6 +72,14 @@ type OASRS struct {
 	// budget/|S| after the first interval instead of over-allocating the
 	// first-seen stratum.
 	expected int
+
+	// prev is the previous interval's arrival count per stratum and big
+	// the reservoir size this interval's budget affords each stratum that
+	// overflowed its share then; negative until the interval's first new
+	// stratum draws the plan. counts is plan's scratch.
+	prev   map[string]int64
+	big    int
+	counts []int64
 
 	// lastKey/lastRes short-circuit the reservoirs map probe for the
 	// scalar Add path: sub-streams arrive in runs, so consecutive events
@@ -109,6 +114,8 @@ func NewOASRS(budget int, policy SizePolicy, rng *xrand.Rand) *OASRS {
 		policy:     policy,
 		rng:        rng,
 		reservoirs: make(map[string]*Reservoir),
+		prev:       make(map[string]int64),
+		big:        -1,
 	}
 }
 
@@ -117,13 +124,16 @@ var _ BatchSampler = (*OASRS)(nil)
 
 // SetBudget adjusts the total sample-size budget. It takes effect for
 // strata first seen after the call (existing reservoirs keep their size
-// until the next interval), mirroring the paper's per-interval budget
-// re-evaluation (Algorithm 2: the cost function runs once per interval).
+// until the next interval) — the split of the new budget over the strata
+// is drawn at the first such arrival — mirroring the paper's per-interval
+// budget re-evaluation (Algorithm 2: the cost function runs once per
+// interval).
 func (o *OASRS) SetBudget(budget int) {
 	if budget < 1 {
 		budget = 1
 	}
 	o.budget = budget
+	o.big = -1
 }
 
 // Budget returns the current total sample-size budget.
@@ -143,15 +153,18 @@ func (o *OASRS) Add(e stream.Event) {
 // resolve returns the stratum's reservoir, creating it on first sight
 // per Algorithm 3: a new sub-stream Si gets its sample size Ni
 // adaptively, assuming at least as many strata as the previous interval
-// saw.
+// saw — and, when it overflowed that share in the previous interval, the
+// larger size the plan affords it.
 func (o *OASRS) resolve(stratum string) *Reservoir {
 	res, ok := o.reservoirs[stratum]
 	if !ok {
-		n := len(o.order) + 1
-		if o.expected > n {
-			n = o.expected
+		size := o.policy.StratumSize(o.budget, max(len(o.order)+1, o.expected))
+		if o.big < 0 {
+			o.plan()
 		}
-		size := o.policy.StratumSize(o.budget, n)
+		if o.prev[stratum] > int64(size) && o.big > size {
+			size = o.big
+		}
 		if k := len(o.free); k > 0 {
 			res, o.free = o.free[k-1], o.free[:k-1]
 			res.resize(size)
@@ -162,6 +175,32 @@ func (o *OASRS) resolve(stratum string) *Reservoir {
 		o.order = append(o.order, stratum)
 	}
 	return res
+}
+
+// plan water-fills the budget over the previous interval's arrival
+// counts, smallest first: a stratum with fewer arrivals than an equal part
+// of what is left is charged only those, and big is the equal part of what
+// the rest — at least the largest stratum — are left with. Should the
+// counts repeat, min(size, count) summed over the strata is the budget.
+func (o *OASRS) plan() {
+	counts := o.counts[:0]
+	for _, c := range o.prev {
+		counts = append(counts, c)
+	}
+	slices.Sort(counts)
+	o.counts = counts
+	left, k := int64(o.budget), int64(len(counts))
+	for _, c := range counts {
+		if k == 1 || c*k >= left {
+			break
+		}
+		left -= c
+		k--
+	}
+	o.big = 0
+	if k > 0 {
+		o.big = int(left / k)
+	}
 }
 
 // AddBatch offers records [from, to) of a columnar batch. Records are
@@ -207,8 +246,9 @@ func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 // the next interval, keeping the emptied reservoirs for reuse. The sample
 // and its values are only valid until visit returns; a caller that keeps
 // them copies them (Finish does). Reservoir sizes are re-derived as strata
-// reappear, so arrival-rate changes and budget changes are picked up
-// automatically.
+// reappear — from the budget then in force and the arrival counts this
+// interval ends with — so arrival-rate changes and budget changes are
+// picked up automatically, one interval behind.
 func (o *OASRS) Drain(visit func(s *Sample)) {
 	sort.Strings(o.order)
 	strata := o.view.Strata[:0]
@@ -223,12 +263,15 @@ func (o *OASRS) Drain(visit func(s *Sample)) {
 	}
 	o.view.Strata = strata
 	visit(&o.view)
+	clear(o.prev)
 	for _, key := range o.order {
 		res := o.reservoirs[key]
+		o.prev[key] = res.seen
 		res.Reset()
 		o.free = append(o.free, res)
 	}
 	clear(o.reservoirs)
+	o.big = -1
 	o.expected = len(o.order)
 	o.order = o.order[:0]
 	o.lastKey, o.lastRes = "", nil

@@ -32,7 +32,7 @@ func TestOASRSKeepsEveryStratum(t *testing.T) {
 }
 
 func TestOASRSWeightsEquation1(t *testing.T) {
-	o := NewOASRS(20, FixedPerStratum{N: 10}, xrand.New(2))
+	o := NewOASRS(10, nil, xrand.New(2)) // a, seen first, is sized 10/1; b 10/2
 	events := append(mkEvents("a", 100), mkEvents("b", 5)...)
 	sample := feed(o, events)
 
@@ -49,7 +49,7 @@ func TestOASRSWeightsEquation1(t *testing.T) {
 	}
 
 	b := sample.Stratum("b")
-	// Ci=5 <= Ni=10 -> Wi = 1, all items kept.
+	// Ci=5 <= Ni=5 -> Wi = 1, all items kept.
 	if b.Weight != 1 || len(b.Values) != 5 {
 		t.Errorf("b: weight=%v items=%d, want weight 1 and all 5 items", b.Weight, len(b.Values))
 	}
@@ -90,7 +90,7 @@ func TestOASRSFinishResets(t *testing.T) {
 func TestOASRSAdaptsToArrivalRateChange(t *testing.T) {
 	// Interval 1: stratum a dominant. Interval 2: stratum a nearly gone.
 	// The weights must track the per-interval counts, with no memory.
-	o := NewOASRS(10, FixedPerStratum{N: 5}, xrand.New(5))
+	o := NewOASRS(5, nil, xrand.New(5))
 	s1 := feed(o, mkEvents("a", 1000))
 	s2 := feed(o, mkEvents("a", 2))
 	if w := s1.Stratum("a").Weight; w != 200 {

@@ -1,6 +1,10 @@
 package sampling
 
-import "streamapprox/internal/xrand"
+import (
+	"maps"
+
+	"streamapprox/internal/xrand"
+)
 
 // This file provides checkpoint/restore state for the samplers, the
 // basis of the public Session.Snapshot fault-tolerance API. States are
@@ -34,6 +38,11 @@ type OASRSState struct {
 	Expected   int                       `json:"expected"`
 	Order      []string                  `json:"order"`
 	Reservoirs map[string]ReservoirState `json:"reservoirs"`
+	// Prev is the previous interval's arrival count per stratum, which
+	// sizes the strata still to appear in this one. A state written before
+	// it existed has none and restores with no history to plan from, like
+	// a sampler in its first interval: each such stratum gets its share.
+	Prev map[string]int64 `json:"prev,omitempty"`
 }
 
 // State captures the sampler's per-stratum reservoirs and counters.
@@ -43,6 +52,7 @@ func (o *OASRS) State() OASRSState {
 		Expected:   o.expected,
 		Order:      append([]string(nil), o.order...),
 		Reservoirs: make(map[string]ReservoirState, len(o.reservoirs)),
+		Prev:       maps.Clone(o.prev),
 	}
 	for key, res := range o.reservoirs {
 		st.Reservoirs[key] = res.State()
@@ -56,6 +66,7 @@ func RestoreOASRS(st OASRSState, policy SizePolicy, rng *xrand.Rand) *OASRS {
 	o := NewOASRS(st.Budget, policy, rng)
 	o.expected = st.Expected
 	o.order = append(o.order[:0], st.Order...)
+	maps.Copy(o.prev, st.Prev)
 	for key, rs := range st.Reservoirs {
 		o.reservoirs[key] = RestoreReservoir(rs, rng)
 	}

@@ -55,8 +55,14 @@ type SessionConfig struct {
 // Session processes an unbounded stream incrementally: Push events in
 // event-time order, collect completed windows from Poll (or all of them
 // from Close). Each slide segment is sampled on-the-fly with OASRS; the
-// per-segment budget follows the previous segment's arrival count times
-// the current sampling fraction. A finished segment is reduced at once
+// per-segment budget is the previous segment's arrival count times the
+// current sampling fraction, and it is spent: every stratum gets an equal
+// share of it as capacity, and what a stratum with fewer arrivals than
+// that left unused in the previous segment goes to the strata that
+// overflowed theirs. While per-stratum arrivals repeat from one segment
+// to the next, Sampled/Items of a window is the fraction; when the small
+// strata of one segment grow in the next, that segment samples up to the
+// slots they had left empty more. A finished segment is reduced at once
 // to a pane — the per-stratum sufficient statistics of its sample — and
 // a window is estimated from the panes it covers, so no sampled row
 // outlives its segment.
@@ -159,7 +165,8 @@ func (s *Session) Fraction() float64 {
 }
 
 // SetFraction overrides the sampling fraction from outside the session,
-// taking effect at the next slide segment. It is the control surface an
+// taking effect at the next slide segment, which then samples f of what
+// the segment before it saw arrive. It is the control surface an
 // external budget scheduler uses to apportion a shared sampling budget
 // across many sessions; with TargetError set, the adaptive controller is
 // re-based at f and keeps adjusting from there. Values outside (0, 1]
