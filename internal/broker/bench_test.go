@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streamapprox/internal/broker/storage"
+	"streamapprox/internal/stream"
 )
 
 // Microbenchmarks for the broker data plane: one TCP operation each
@@ -153,47 +154,26 @@ func BenchmarkWirePipelinedFetch(b *testing.B) {
 	reportItems(b, int64(workers)*int64(per)*benchBatch)
 }
 
-// BenchmarkLogAppend measures the chunked partition log's in-memory
-// append path (no wire) at several batch sizes.
-func BenchmarkLogAppend(b *testing.B) {
-	for _, batch := range []int{16, 256, 4096} {
-		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			p := storage.NewMemLog()
-			chunk := storage.AppendRecordFrames(nil, benchRecords(batch))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.AppendFrames(chunk, batch); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportItems(b, int64(b.N)*int64(batch))
-		})
+// BenchmarkFramesToBatch is the consumer's decode: a 4096-record fetch
+// of 125-record frames, four keys each, into a pooled columnar batch.
+func BenchmarkFramesToBatch(b *testing.B) {
+	recs := benchRecords(4096)
+	for i := range recs {
+		recs[i].Key = fmt.Sprintf("s%02d", i%4)
 	}
-}
-
-// BenchmarkLogRead measures chunked random reads from a loaded log.
-func BenchmarkLogRead(b *testing.B) {
-	p := storage.NewMemLog()
-	const loaded = 1 << 18
-	chunk := storage.AppendRecordFrames(nil, benchRecords(4096))
-	for i := 0; i < loaded/4096; i++ {
-		if _, err := p.AppendFrames(chunk, 4096); err != nil {
-			b.Fatal(err)
-		}
+	var chunk []byte
+	for at := 0; at < len(recs); at += 125 {
+		chunk = storage.AppendRecordFrames(chunk, recs[at:min(at+125, len(recs))])
 	}
-	var buf []byte
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		off := int64((i * 7919) % (loaded - benchBatch))
-		frames, n, err := p.ReadFrames(off, benchBatch, buf[:0])
-		if err != nil || n != benchBatch {
-			b.Fatalf("read %d records, %v", n, err)
+	for b.Loop() {
+		eb := stream.GetEventBatch()
+		if n, err := framesToBatch(chunk, 0, eb); err != nil || n != len(recs) {
+			b.Fatalf("decoded %d records, %v", n, err)
 		}
-		buf = frames
+		eb.Release()
 	}
-	reportItems(b, int64(b.N)*benchBatch)
+	reportItems(b, int64(b.N)*int64(len(recs)))
 }
 
 // BenchmarkClusterProduce is the produce ack chain on its own: one

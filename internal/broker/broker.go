@@ -6,12 +6,13 @@
 // The model follows Kafka's essentials: named topics split into
 // partitions; producers append records (partitioned by key hash or round
 // robin); readers fetch by (partition, offset), and a group's progress
-// is one committed offset per partition. Partition logs hold CRC frames
-// and nothing else: records are encoded once on the way in (Produce) and
-// decoded once on the way out (Fetch) — or never, when a reader takes
-// the frames straight into a columnar batch (FetchBatch). Two transports
-// are provided: direct in-process calls (this file) and a length-prefixed
-// TCP protocol (transport.go) served by cmd/brokerd.
+// is one committed offset per partition. Partition logs hold batch
+// frames and nothing else: records are framed once on the way in
+// (Produce, one columnar frame per partition) and decoded once on the
+// way out — into records (Fetch) or, column for column, into a columnar
+// batch (FetchBatch). Two transports are provided: direct in-process
+// calls (this file) and a length-prefixed TCP protocol (transport.go)
+// served by cmd/brokerd.
 //
 // Partition logs live behind the storage engine in internal/broker/
 // storage: in-memory chunked logs by default (broker.New), segmented
@@ -25,7 +26,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -388,10 +388,9 @@ func keyPartition[K string | []byte](key K, parts int) int {
 	return int(h % uint32(parts))
 }
 
-// partitionForBytes picks the partition for a frame by its key, read in
-// place (a view into the frame, never copied into a string just to hash
-// it); keyless frames go round-robin on the topic's own cursor.
-func (t *topic) partitionForBytes(key []byte) int {
+// routeKey picks the partition for a key; keyless records go round-robin
+// on the topic's own cursor.
+func routeKey[K string | []byte](t *topic, key K) int {
 	if len(key) == 0 {
 		t.rrMu.Lock()
 		defer t.rrMu.Unlock()
@@ -411,67 +410,64 @@ func (p *partition) appendFrames(frames []byte, count int) (int64, error) {
 }
 
 // Produce appends records to a topic, routing each by its key — where
-// in-process records enter the frame path: the batch is encoded once
-// into a pooled buffer and appended by ProduceFrames, exactly as the
-// wire's produce op does with a client's bytes. Only key, value and
-// time are stored; the caller's slice is not touched. Like
-// ProduceFrames it returns the number of records appended, which on an
-// append failure counts the partitions that landed before it.
+// in-process records enter the frame path: a pooled column builder
+// frames each partition's share straight from the slice (one key lookup
+// per record, one CRC per partition), and each frame is appended as the
+// wire's produce op appends a client's bytes. Only key, value and time
+// are stored; the caller's slice is not touched. Like ProduceFrames it
+// returns the number of records appended, which on an append failure
+// counts the partitions that landed before it.
 func (b *Broker) Produce(topicName string, recs []Record) (int, error) {
-	fb := getFrame()
-	defer putFrame(fb)
-	fb.b = storage.AppendRecordFrames(fb.b, recs)
-	return b.ProduceFrames(topicName, fb.b, len(recs))
+	t, err := b.topic(topicName)
+	if err != nil {
+		return 0, err
+	}
+	bb := storage.GetBatchBuilder(len(t.partitions), func(key string) int { return routeKey(t, key) })
+	defer bb.Release()
+	for i := range recs {
+		bb.Add(&recs[i])
+	}
+	total := 0
+	for p, part := range t.partitions {
+		frames, count := bb.Frames(p)
+		if count == 0 {
+			continue
+		}
+		if _, err := part.appendFrames(frames, count); err != nil {
+			return total, err
+		}
+		total += count
+	}
+	return total, nil
+}
+
+// splitFrames routes a pre-validated chunk of count records by key —
+// once per dictionary entry, keys read in place — into one re-framed
+// chunk per partition. A frame whose keys share a partition, and any
+// chunk for a single-partition topic, passes through as the same bytes.
+func (t *topic) splitFrames(frames []byte, count int) (byPart [][]byte, counts []int, err error) {
+	byPart, counts = make([][]byte, len(t.partitions)), make([]int, len(t.partitions))
+	if len(t.partitions) == 1 {
+		byPart[0], counts[0] = frames, count
+		return byPart, counts, nil
+	}
+	err = storage.SplitFrames(frames, func(key []byte) int { return routeKey(t, key) }, byPart, counts)
+	return byPart, counts, err
 }
 
 // ProduceFrames appends a pre-validated frame chunk to a topic, routing
-// each frame by the key read in place: no record is ever materialized,
-// the single-partition fast path is one memcpy (or one WriteAt), and
-// the multi-partition path splits frames at their structural
-// boundaries. It returns the number of records appended and the first
-// append failure; partitions appended before the failure stay appended
-// and are counted, so a caller must not retry the whole batch on error.
+// its records by key (see splitFrames): no record is ever materialized.
+// It returns the number of records appended and the first append
+// failure; partitions appended before the failure stay appended and are
+// counted, so a caller must not retry the whole batch on error.
 func (b *Broker) ProduceFrames(topicName string, frames []byte, count int) (int, error) {
 	t, err := b.topic(topicName)
 	if err != nil {
 		return 0, err
 	}
-	if len(t.partitions) == 1 {
-		if _, err := t.partitions[0].appendFrames(frames, count); err != nil {
-			return 0, err
-		}
-		return count, nil
-	}
-	// Route every frame once (keyless frames advance the round-robin
-	// cursor, so a frame's partition cannot be asked for twice), sizing
-	// each partition's share; then carve one pooled buffer of len(frames)
-	// into the shares and copy each frame into its own.
-	route := make([]int32, 0, count)
-	sizes := make([]int, len(t.partitions))
-	counts := make([]int, len(t.partitions))
-	it := storage.IterFrames(frames)
-	for it.Next() {
-		p := t.partitionForBytes(storage.FrameKey(it.Payload()))
-		route = append(route, int32(p))
-		sizes[p] += len(it.Frame())
-		counts[p]++
-	}
-	if err := it.Err(); err != nil {
+	byPart, counts, err := t.splitFrames(frames, count)
+	if err != nil {
 		return 0, err
-	}
-	fb := getFrame()
-	defer putFrame(fb)
-	fb.b = slices.Grow(fb.b, len(frames))
-	byPart := make([][]byte, len(t.partitions))
-	off := 0
-	for p, size := range sizes {
-		byPart[p] = fb.b[off : off : off+size]
-		off += size
-	}
-	it = storage.IterFrames(frames)
-	for _, p := range route {
-		it.Next()
-		byPart[p] = append(byPart[p], it.Frame()...)
 	}
 	total := 0
 	for p, chunk := range byPart {
@@ -527,7 +523,7 @@ func (b *Broker) replicateAppendFrames(topicName string, partition int, base int
 	if skip := hwm - base; skip >= int64(count) {
 		return hwm, nil // fully duplicate batch
 	} else if skip > 0 {
-		if frames, err = storage.SkipFrames(frames, int(skip)); err != nil {
+		if frames, err = storage.SliceFrames(nil, frames, int(skip), count); err != nil {
 			return hwm, err
 		}
 		count -= int(skip)
@@ -609,7 +605,7 @@ func (b *Broker) FetchFrames(topicName string, partition int, offset int64, max 
 // FetchBatch reads up to max records from one partition directly into a
 // columnar batch — the in-process form of the vectorized fetch path.
 // The partition log's frames were validated when they entered the
-// process, so the decode is a structural walk plus column appends.
+// process, so the decode is a structural walk plus column copies.
 func (b *Broker) FetchBatch(topicName string, partition int, offset int64, max int, eb *stream.EventBatch) (int, error) {
 	fb := getFrame()
 	defer putFrame(fb)
@@ -618,7 +614,7 @@ func (b *Broker) FetchBatch(topicName string, partition int, offset int64, max i
 	if err != nil {
 		return 0, err
 	}
-	return framesToBatch(frames, offset, eb), nil
+	return framesToBatch(frames, offset, eb)
 }
 
 // HighWatermark returns the next offset to be written in a partition.

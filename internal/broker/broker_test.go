@@ -318,7 +318,7 @@ func TestEventConversion(t *testing.T) {
 	}
 }
 
-func TestProduceEvents(t *testing.T) {
+func TestProduceFromEvents(t *testing.T) {
 	b := New()
 	_ = b.CreateTopic("in", 2)
 	events := make([]stream.Event, 100)
@@ -326,8 +326,12 @@ func TestProduceEvents(t *testing.T) {
 	for i := range events {
 		events[i] = stream.Event{Stratum: "s", Value: float64(i), Time: base.Add(time.Duration(i) * time.Millisecond)}
 	}
-	if n, err := ProduceEvents(b, "in", events); err != nil || n != 100 {
-		t.Fatalf("ProduceEvents = %d, %v", n, err)
+	recs := make([]Record, len(events))
+	for i, e := range events {
+		recs[i] = FromEvent(e)
+	}
+	if n, err := b.Produce("in", recs); err != nil || n != 100 {
+		t.Fatalf("Produce = %d, %v", n, err)
 	}
 	// One key, so one partition holds all 100, in produce order.
 	total := 0

@@ -415,9 +415,10 @@ func (c *Client) callFrames(encode func(fb *frameBuf, corr uint64), use func(bas
 	return nil
 }
 
-// Produce appends records to a remote topic. The batch is encoded as CRC
-// frames right here — the only encode the records will ever get: the
-// broker appends, replicates and serves these exact bytes.
+// Produce appends records to a remote topic, key-routed by the server:
+// the batch travels as one frame, and the broker re-frames it per
+// partition before appending (ClusterClient.Produce, which partitions on
+// its own side, is the path whose bytes are stored verbatim).
 func (c *Client) Produce(topicName string, recs []Record) (int, error) {
 	if err := checkTopic(topicName); err != nil {
 		return 0, err
@@ -454,9 +455,13 @@ func (c *Client) Fetch(topicName string, partition int, offset int64, max int) (
 // intermediate []Record is materialized.
 func (c *Client) FetchBatch(topicName string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
 	var n int
+	var derr error
 	err := c.fetchFrames(topicName, partition, offset, max, func(base int64, _ int, frames []byte) {
-		n = framesToBatch(frames, base, b)
+		n, derr = framesToBatch(frames, base, b)
 	})
+	if err == nil {
+		err = derr
+	}
 	return n, err
 }
 

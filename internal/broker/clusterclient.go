@@ -494,7 +494,7 @@ type produceFlight struct {
 	partition int
 	pp        *partProducer // locked until the outcome is final
 	seq       uint64
-	fb        *frameBuf
+	frames    []byte // a view into the call's batch builder
 	count     int
 	cli       *Client
 	lane      string // attempt 0's lane and outcome
@@ -505,8 +505,8 @@ type produceFlight struct {
 // Produce partitions records by key and sends each batch to its
 // partition leader with an idempotent (pid, seq) identity: a batch
 // retried across redirects or a failover is appended exactly once.
-// Each record is encoded once, straight into its partition's pooled
-// frame buffer.
+// A pooled column builder frames each partition's share straight from
+// the slice; those bytes are what every replica stores.
 //
 // It is send-all-then-await on the caller's goroutine: in ascending
 // partition order it takes each partition's produce lock, assigns the
@@ -524,30 +524,23 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	bufs := make([]*frameBuf, parts)
-	counts := make([]int, parts)
+	bb := storage.GetBatchBuilder(parts, func(key string) int { return cc.partitionForKey(key, parts) })
+	defer bb.Release() // only then: every retry below ships the builder's bytes
 	for i := range recs {
-		p := 0
-		if parts > 1 {
-			p = cc.partitionForKey(recs[i].Key, parts)
-		}
-		if bufs[p] == nil {
-			bufs[p] = getFrame()
-		}
-		bufs[p].b = storage.AppendFrame(bufs[p].b, &recs[i])
-		counts[p]++
+		bb.Add(&recs[i])
 	}
 	flights := make([]produceFlight, 0, parts)
-	for p, fb := range bufs {
-		if fb == nil {
+	for p := 0; p < parts; p++ {
+		f := produceFlight{partition: p}
+		if f.frames, f.count = bb.Frames(p); f.count == 0 {
 			continue
 		}
-		f := produceFlight{partition: p, pp: cc.producer(tpKey(topicName, p)), fb: fb, count: counts[p]}
+		f.pp = cc.producer(tpKey(topicName, p))
 		f.pp.mu.Lock()
 		f.pp.seq++
 		f.seq = f.pp.seq
 		if f.cli, f.lane, f.err = cc.leaderConn(topicName, p, ""); f.err == nil {
-			f.call, f.err = f.cli.startProducePartitionFrames(topicName, p, cc.pid, f.seq, fb.b, f.count)
+			f.call, f.err = f.cli.startProducePartitionFrames(topicName, p, cc.pid, f.seq, f.frames, f.count)
 		}
 		flights = append(flights, f)
 	}
@@ -559,7 +552,6 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 		}
 		if f.err == nil {
 			f.pp.mu.Unlock()
-			putFrame(f.fb)
 			total += f.count
 		}
 	}
@@ -571,11 +563,10 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 			continue
 		}
 		err := cc.leaderRetry(topicName, f.partition, f.lane, f.err, func(cli *Client) error {
-			_, err := cli.producePartitionFrames(topicName, f.partition, cc.pid, f.seq, f.fb.b, f.count)
+			_, err := cli.producePartitionFrames(topicName, f.partition, cc.pid, f.seq, f.frames, f.count)
 			return err
 		})
 		f.pp.mu.Unlock()
-		putFrame(f.fb) // only now: every retry above shipped these bytes
 		if err == nil {
 			total += f.count
 		} else if firstErr == nil {

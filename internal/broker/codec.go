@@ -3,8 +3,9 @@ package broker
 // The wire codec. Every message is a TCP frame "4-byte big-endian length
 // + payload"; the payload is a compact binary message carrying a
 // correlation ID, so many requests can be in flight on one connection
-// (see client.go). Record batches travel as chunks of CRC frames in the
-// storage engine's segment layout (storage/frames.go): a chunk is
+// (see client.go). Record batches travel as chunks of batch frames —
+// one columnar, CRC-32C-checked frame per produce batch per partition,
+// the storage engine's segment layout (storage/frames.go): a chunk is
 // validated once — structure + CRC — where it enters the process, then
 // appended to the log, forwarded leader→follower, and served back to
 // consumers verbatim; no hop re-encodes a record. The rare control ops
@@ -14,10 +15,11 @@ package broker
 //
 //	request  = [1]version [1]op [8]corrID [8]traceID  op-specific-body
 //	response = [1]version [1]op [8]corrID [1]status   body
-//	chunk    = [4]count frame*          frame = storage/frames.go layout
+//	chunk    = [4]records frame*        frame = storage/frames.go layout
 //
-// traceID 0 means untraced. status 0 is success; any other status means
-// the body is an error message. The zero time.Time is encoded as the
+// The envelope is big-endian; a frame is little-endian inside. traceID 0
+// means untraced. status 0 is success; any other status means the body
+// is an error message. The zero time.Time is encoded as the
 // math.MinInt64 sentinel (its UnixNano is undefined); NaN and ±Inf
 // values round-trip exactly via their bit patterns. Times outside the
 // int64 unix-nano range (years ≲1678 or ≳2262) are not representable;
@@ -29,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sync"
 
 	"streamapprox/internal/broker/storage"
@@ -38,10 +39,11 @@ import (
 
 // wireVersion opens every frame in both directions and is what the hello
 // op answers; a client refuses a peer answering anything else. It never
-// equals a version byte or hello level of the retired dialects (1–4), nor
-// '{' (0x7B), the first byte of a retired JSON lockstep frame, so the
-// server's version check rejects all of them.
-const wireVersion byte = 5
+// equals a version byte or hello level of the retired dialects (1–5; 5
+// carried one CRC frame per record), nor '{' (0x7B), the first byte of a
+// retired JSON lockstep frame, so the server's version check rejects all
+// of them.
+const wireVersion byte = 6
 
 // Op codes. 1, 2, 5, 6 and 9 belonged to the retired record-dialect and
 // per-partition replicate ops and stay unassigned: the decoder rejects
@@ -69,13 +71,15 @@ const (
 	binStatusErr  byte = 1
 )
 
-// minWireRecord is the smallest encoded record (empty key), used to
-// sanity-check record counts before allocating.
-const minWireRecord = 4 + 8 + 8
-
-// minWireFrame is the smallest CRC frame (empty key): the 8-byte
-// length+CRC header plus the minimal payload.
-const minWireFrame = 8 + minWireRecord
+// minWireRecord is what every record adds to a batch frame — a one-byte
+// dictionary id, the value and the time — and minWireFrame the smallest
+// frame there is: header, count + ndict, one empty key, one record.
+// Together they bound the bytes a declared record count needs, which is
+// checked before anything is sized by that count.
+const (
+	minWireRecord = 1 + 8 + 8
+	minWireFrame  = 8 + 4 + 2 + 4 + minWireRecord
+)
 
 // frameBuf is a pooled frame encode/decode buffer. Steady-state
 // produce/fetch reuses these, so the per-record wire cost is a copy
@@ -253,7 +257,7 @@ func encodeJSONReq(fb *frameBuf, corr, trace uint64, payload []byte) {
 
 // ---- frame-chunk request encoding (client side) ----
 
-// appendFrameChunk emits a count-prefixed raw frame chunk verbatim —
+// appendFrameChunk emits a record-count-prefixed frame chunk verbatim —
 // the forwarding form, used when the sender already holds validated
 // frames (leader→follower replication, node→leader routing).
 func appendFrameChunk(b []byte, frames []byte, count int) []byte {
@@ -261,10 +265,9 @@ func appendFrameChunk(b []byte, frames []byte, count int) []byte {
 	return append(b, frames...)
 }
 
-// appendRecFrameChunk encodes a record batch as a count-prefixed frame
-// chunk — the producing client's entry into the zero-copy path: the
-// frames (CRCs included) are computed HERE, once, and every subsequent
-// hop ships these exact bytes.
+// appendRecFrameChunk encodes a record batch as a count-prefixed chunk of
+// one frame — the key-routed producer's entry into the frame path; the
+// server re-frames it per partition.
 func appendRecFrameChunk(b []byte, recs []Record) []byte {
 	b = appendU32(b, uint32(len(recs)))
 	return storage.AppendRecordFrames(b, recs)
@@ -519,7 +522,7 @@ func decodeFrameChunk(cur *wireCursor) (int, []byte) {
 	if cur.err != nil {
 		return 0, nil
 	}
-	if declared*minWireFrame > cur.remaining() {
+	if declared > 0 && minWireFrame+(declared-1)*minWireRecord > cur.remaining() {
 		cur.err = errTruncatedFrame
 		return 0, nil
 	}
@@ -539,55 +542,46 @@ func decodeFrameChunk(cur *wireCursor) (int, []byte) {
 
 // framesToRecords decodes a validated frame chunk of count records —
 // the one place frames become Records, behind Broker.Fetch and
-// Client.Fetch alike. Topic, partition and offset are not in a frame;
-// they are stamped from where the chunk was read. Repeated keys are
-// interned so a hot key costs one allocation per chunk.
+// Client.Fetch alike: the columnar decode, read back row by row. Topic,
+// partition and offset are not in a frame; they are stamped from where
+// the chunk was read. A key costs one string per chunk however many
+// records carry it.
 func framesToRecords(frames []byte, count int, topic string, partition int, base int64) []Record {
+	eb := stream.GetEventBatch()
+	defer eb.Release()
+	_, _ = framesToBatch(frames, base, eb) // a validated chunk decodes whole
 	recs := make([]Record, 0, count)
-	var intern map[string]string
-	it := storage.IterFrames(frames)
-	for i := 0; it.Next(); i++ {
-		kb, bits, nanos := storage.FrameFields(it.Payload())
-		key := ""
-		if len(kb) > 0 {
-			if intern == nil {
-				intern = make(map[string]string, 8)
-			}
-			s, ok := intern[string(kb)]
-			if !ok {
-				s = string(kb)
-				intern[s] = s
-			}
-			key = s
-		}
+	for i, id := range eb.Strata {
 		recs = append(recs, Record{
 			Topic:     topic,
 			Partition: partition,
 			Offset:    base + int64(i),
-			Key:       key,
-			Value:     math.Float64frombits(bits),
-			Time:      storage.TimeFromNanos(nanos),
+			Key:       eb.Dict[id],
+			Value:     eb.Values[i],
+			Time:      stream.TimeFromNanos(eb.Times[i]),
 		})
 	}
 	return recs
 }
 
 // framesToBatch decodes a validated frame chunk straight into a
-// columnar batch — the vectorized consumer end of a frames fetch. The
-// frame time field uses the same zero-time sentinel as the batch's
-// Times column, so nanos copy through unconverted, and stratum keys are
-// dictionary-interned by the batch (one string allocation per distinct
-// key per batch).
-func framesToBatch(frames []byte, base int64, b *stream.EventBatch) int {
-	n := 0
-	it := storage.IterFrames(frames)
-	for it.Next() {
-		kb, bits, nanos := storage.FrameFields(it.Payload())
-		b.Append(b.InternBytes(kb), math.Float64frombits(bits), nanos)
-		n++
-	}
+// columnar batch — the vectorized consumer end of a frames fetch: per
+// frame, one intern per dictionary KEY, then the three columns copied
+// across (the times column uses the batch's own zero-time sentinel, so
+// nanos copy through unconverted). It returns the records decoded.
+func framesToBatch(frames []byte, base int64, b *stream.EventBatch) (int, error) {
 	b.Base = base
-	return n
+	n := 0
+	for f, err := range storage.Frames(frames) {
+		if err == nil {
+			b.Strata, b.Values, b.Times, err = f.Decode(b.Strata, b.Values, b.Times, b.InternBytes)
+		}
+		if err != nil {
+			return n, err
+		}
+		n += f.Count
+	}
+	return n, nil
 }
 
 // ---- response encoding (server side) ----
@@ -700,24 +694,13 @@ func corrIDOf(payload []byte) (uint64, bool) {
 }
 
 // decodeFramesResp decodes a frame-chunk fetch response, re-verifying
-// every frame's CRC — the consumer end of the end-to-end integrity
-// story: the CRC computed by the producing client is checked against the
+// every batch's CRC — the consumer end of the end-to-end integrity
+// story: the CRC computed where the batch was framed is checked against the
 // bytes that came off the leader's storage, so corruption at ANY hop (or
 // on disk) surfaces as an error here rather than as silently wrong
 // values. The returned frames are a view into the response buffer.
 func decodeFramesResp(cur *wireCursor) (base int64, count int, frames []byte, err error) {
 	base = int64(cur.u64())
-	count = int(cur.u32())
-	if cur.err != nil {
-		return 0, 0, nil, cur.err
-	}
-	frames = cur.rest()
-	n, err := storage.ValidateFrames(frames)
-	if err != nil {
-		return 0, 0, nil, err
-	}
-	if n != count {
-		return 0, 0, nil, errTruncatedFrame
-	}
-	return base, count, frames, nil
+	count, frames = decodeFrameChunk(cur)
+	return base, count, frames, cur.err
 }

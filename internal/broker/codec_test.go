@@ -120,7 +120,7 @@ func FuzzBinaryRecordCodec(f *testing.F) {
 		fb := getFrame()
 		defer putFrame(fb)
 		at := beginFetchFramesResp(fb, binOpFetchF, 7, 17)
-		fb.b = storage.AppendFrame(fb.b, &in)
+		fb.b = storage.AppendRecordFrames(fb.b, []Record{in})
 		patchFrameCount(fb, at, 1)
 		cur, err := decodeRespHeader(fb)
 		if err != nil {

@@ -109,13 +109,3 @@ func (c *Consumer) PollBatch(max int) (*stream.EventBatch, error) {
 func FromEvent(e stream.Event) Record {
 	return Record{Key: e.Stratum, Value: e.Value, Time: e.Time}
 }
-
-// ProduceEvents is a convenience producer: it converts events to records
-// and appends them to the topic.
-func ProduceEvents(b *Broker, topicName string, events []stream.Event) (int, error) {
-	recs := make([]Record, len(events))
-	for i, e := range events {
-		recs[i] = FromEvent(e)
-	}
-	return b.Produce(topicName, recs)
-}

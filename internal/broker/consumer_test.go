@@ -56,6 +56,34 @@ func TestConsumerPollBatch(t *testing.T) {
 	}
 }
 
+// TestConsumerConstructedMidBatch: offsets count records, not frames, so
+// a reader positioned inside a produce batch starts at exactly that
+// record, on the in-process path and over the wire alike.
+func TestConsumerConstructedMidBatch(t *testing.T) {
+	srv, cli := startServer(t)
+	if err := cli.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]Record{keylessRecs(0, 10), keylessRecs(10, 7)} {
+		if _, err := srv.broker.Produce("in", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, from := range map[string]Cluster{"broker": srv.broker, "client": cli} {
+		c := NewPartitionConsumer(from, "in", 0, 4)
+		for _, round := range []struct {
+			max  int
+			want []float64
+		}{{3, []float64{4, 5, 6}}, {100, []float64{7, 8, 9, 10, 11, 12, 13, 14, 15, 16}}} {
+			got, err := c.PollBatch(round.max)
+			if err != nil || got.Base != int64(round.want[0]) || !reflect.DeepEqual(got.Values, round.want) {
+				t.Fatalf("%s: PollBatch(%d) = %v at %d, %v; want %v", name, round.max, got.Values, got.Base, err, round.want)
+			}
+			got.Release()
+		}
+	}
+}
+
 func TestConsumerCommitResume(t *testing.T) {
 	b := New()
 	_ = b.CreateTopic("in", 1)

@@ -1895,29 +1895,19 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 }
 
 // produceRoutedFrames handles a key-routed produce arriving at any
-// cluster node, so a producer pointed at any one broker works: frames
-// are split at their structural boundaries by the key read in place, and
-// each partition's chunk travels to its leader verbatim — locally as a
-// frame append, remotely over the produce-partition op. Without a
-// producer id this path is at-least-once under retries; ClusterClient's
-// partitioned produce is the exactly-once one.
+// cluster node, so a producer pointed at any one broker works: the chunk
+// is split by key exactly as Broker.ProduceFrames splits it, and each
+// partition's chunk travels to its leader verbatim — locally as a frame
+// append, remotely over the produce-partition op. Without a producer id
+// this path is at-least-once under retries; ClusterClient's partitioned
+// produce is the exactly-once one.
 func (n *ClusterNode) produceRoutedFrames(trace uint64, topicName string, frames []byte, count int) (int, error) {
 	t, err := n.b.topic(topicName)
 	if err != nil {
 		return 0, err
 	}
-	if len(t.partitions) == 1 {
-		return n.routeChunk(trace, topicName, 0, frames, count)
-	}
-	byPart := make([][]byte, len(t.partitions))
-	counts := make([]int, len(t.partitions))
-	it := storage.IterFrames(frames)
-	for it.Next() {
-		p := t.partitionForBytes(storage.FrameKey(it.Payload()))
-		byPart[p] = append(byPart[p], it.Frame()...)
-		counts[p]++
-	}
-	if err := it.Err(); err != nil {
+	byPart, counts, err := t.splitFrames(frames, count)
+	if err != nil {
 		return 0, err
 	}
 	total := 0

@@ -7,10 +7,7 @@ package broker
 // duplicated across the whole episode.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -450,18 +447,10 @@ func TestBrokerCrashRecoveryProperty(t *testing.T) {
 }
 
 // validFramePrefix is a torn write: the first bytes of a well-formed
-// record frame (length + CRC + partial payload), as a crash mid-write
+// batch frame (length + CRC + partial body), as a crash mid-write
 // leaves behind.
 func validFramePrefix(rng *rand.Rand) []byte {
-	payload := make([]byte, 0, 24)
-	key := "torn"
-	payload = binary.BigEndian.AppendUint32(payload, uint32(len(key)))
-	payload = append(payload, key...)
-	payload = binary.BigEndian.AppendUint64(payload, math.Float64bits(99))
-	payload = binary.BigEndian.AppendUint64(payload, uint64(time.Now().UnixNano()))
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	frame = append(frame, payload...)
+	frame := storage.AppendRecordFrames(nil, []Record{{Key: "torn", Value: 99, Time: time.Now()}})
 	return frame[:1+rng.Intn(len(frame)-1)]
 }
 

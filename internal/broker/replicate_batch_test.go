@@ -83,6 +83,38 @@ func TestClusterReplicateMFCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplicateAppendTrimsPrefixMidBatch: a section overlapping what the
+// follower already holds is trimmed at the RECORD the follower's log ends
+// at, wherever in a batch that falls; the rest lands at the right offsets.
+func TestReplicateAppendTrimsPrefixMidBatch(t *testing.T) {
+	b := New()
+	defer b.Close()
+	if err := b.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.producePartitionFrames("t", 0, storage.AppendRecordFrames(nil, keylessRecs(0, 7)), 7); err != nil {
+		t.Fatal(err)
+	}
+	// Base 3: records 3..6 are duplicates, and the first batch (3..12)
+	// straddles the follower's watermark.
+	section := storage.AppendRecordFrames(storage.AppendRecordFrames(nil, keylessRecs(3, 10)), keylessRecs(13, 5))
+	for _, again := range []bool{false, true} { // the second delivery is wholly duplicate
+		hwm, err := b.replicateAppendFrames("t", 0, 3, section, 15)
+		if err != nil || hwm != 18 {
+			t.Fatalf("replicateAppendFrames (redelivery %v) = hwm %d, %v; want 18", again, hwm, err)
+		}
+	}
+	got, err := b.Fetch("t", 0, 0, 100)
+	if err != nil || len(got) != 18 {
+		t.Fatalf("fetched %d records, %v", len(got), err)
+	}
+	for i, r := range got {
+		if r.Offset != int64(i) || r.Value != float64(i) {
+			t.Fatalf("record %d = %+v", i, r)
+		}
+	}
+}
+
 // ---- follower-side fencing ----
 
 func TestClusterBatchFencesStaleEpoch(t *testing.T) {

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -33,31 +32,35 @@ type Instruments struct {
 	SegmentsDropped *metrics.Counter
 }
 
-// FileLog is the durable Log: an append-only sequence of fixed-capacity
-// segment files mirroring MemLog's 4096-record chunks.
+// FileLog is the durable Log: an append-only sequence of segment files.
 //
 // Layout: the directory holds files named by the offset of their first
 // record, `<base>.seg` with base zero-padded to 20 digits so the
-// lexical order is the offset order. Each segment is a sequence of
-// CRC-framed records reusing the wire codec's field layout:
+// lexical order is the offset order. A segment is a 16-byte header —
 //
-//	frame   = [4]payloadLen [4]crc32(payload) payload
-//	payload = [4]keyLen key [8]float64-bits(value) [8]unixNanos(time)
+//	[4]"SASG" [2]format version [2]checksum kind [8]base offset   (little-endian)
 //
-// A record's offset is its position (segment base + index within the
-// segment), so nothing but the fields is stored; a per-segment sparse
-// index (file position of every 64th record) keeps reads from scanning
-// whole segments. The zero time.Time uses the math.MinInt64 sentinel,
-// exactly as on the wire.
+// — followed by whole batch frames exactly as they arrived (layout in
+// frames.go). A frame never spans segments: a segment rolls BEFORE the
+// frame that would start at or past SegmentRecords, so it may end a
+// little over. A record's offset is its position (segment base + index
+// within the segment), so nothing but the frames is stored; a
+// per-segment sparse index (file position of a frame at least every
+// indexEvery records) keeps reads from scanning whole segments.
 //
-// Crash recovery: opening a log scans every segment, validating frame
-// lengths and CRCs. A torn tail — a partial or corrupt frame from an
-// append cut short by a crash — is truncated at the last valid record,
-// and any later segments (unreachable without the torn one's records)
-// are deleted. What survives is exactly the durable prefix.
+// Crash recovery: opening a log scans every segment, validating each
+// batch whole (structure + CRC). A torn tail — a partial or corrupt
+// batch from an append cut short by a crash — is dropped whole (it was
+// never acked) by truncating the file at the last valid batch, and any
+// later segments (unreachable without the torn one's records) are
+// deleted. What survives is exactly the durable prefix.
+//
+// A segment without the header is one written before the header
+// existed, one CRC-32(IEEE) frame per record. It is upgraded once, at
+// open, by upgradeSegment; nothing else reads that layout.
 //
 // Durability is governed by the sync policy: SyncAlways fsyncs after
-// every append (an acked record survives kill -9), SyncInterval batches
+// every append (an acked batch survives kill -9), SyncInterval batches
 // fsyncs on a timer, SyncNone leaves flushing to the OS.
 type FileLog struct {
 	dir string
@@ -128,19 +131,28 @@ type FileConfig struct {
 	FS FS
 }
 
-// indexEvery is the sparse-index stride: one file position kept per
-// this many records.
+// indexEvery is the sparse-index stride: a frame is indexed when it
+// starts at least this many records past the last indexed one.
 const indexEvery = 64
 
-// frameHdrLen is the per-record on-disk overhead: length + CRC.
-const frameHdrLen = 8
+// Segment header fields.
+const (
+	segMagic   = "SASG"
+	segVersion = 1
+	segCRC32C  = 1 // checksum kind: CRC-32C (Castagnoli) per batch frame
+	segHdrLen  = 16
+)
 
-// maxFramePayload guards recovery against a corrupt length prefix.
-const maxFramePayload = 64 << 20
+func appendSegHeader(b []byte, base int64) []byte {
+	b = append(b, segMagic...)
+	b = le.AppendUint16(b, segVersion)
+	b = le.AppendUint16(b, segCRC32C)
+	return le.AppendUint64(b, uint64(base))
+}
 
-// zeroTimeNanos marks the zero time.Time on disk (math.MinInt64, the
-// same sentinel the wire codec uses).
-const zeroTimeNanos = math.MinInt64
+// segIndex anchors a scan: the frame starting at record offset first
+// sits at file position pos.
+type segIndex struct{ first, pos int64 }
 
 // segment is one open segment file.
 type segment struct {
@@ -148,16 +160,24 @@ type segment struct {
 	count int   // records held
 	size  int64 // file size in bytes
 	f     File
-	index []int64 // file position of records base, base+64, base+128, ...
-	dirty bool    // has writes (or a truncation) not yet fsynced
+	index []segIndex
+	dirty bool // has writes (or a truncation) not yet fsynced
 }
 
 func segName(base int64) string { return fmt.Sprintf("%020d.seg", base) }
 
+// noteFrame records that a frame starting at record offset first was
+// written at pos, indexing it when the stride says so.
+func (s *segment) noteFrame(first, pos int64) {
+	if k := len(s.index); k == 0 || first-s.index[k-1].first >= indexEvery {
+		s.index = append(s.index, segIndex{first, pos})
+	}
+}
+
 // OpenFileLog opens (creating or recovering) the log stored in dir.
 func OpenFileLog(dir string, cfg FileConfig) (*FileLog, error) {
 	if cfg.SegmentRecords <= 0 {
-		cfg.SegmentRecords = memChunkSize
+		cfg.SegmentRecords = 4096
 	}
 	if cfg.SyncEvery <= 0 {
 		cfg.SyncEvery = 50 * time.Millisecond
@@ -180,9 +200,10 @@ func OpenFileLog(dir string, cfg FileConfig) (*FileLog, error) {
 	return l, nil
 }
 
-// recover scans the segment files in offset order, validating every
-// frame, building the sparse indexes, and truncating at the first torn
-// or corrupt frame (dropping any segments past it).
+// recover scans the segment files in offset order, upgrading any
+// headerless one, validating every batch, building the sparse indexes,
+// and truncating at the first torn or corrupt batch (dropping any
+// segments past it).
 func (l *FileLog) recover() error {
 	entries, err := l.cfg.FS.ReadDir(l.dir)
 	if err != nil {
@@ -191,6 +212,12 @@ func (l *FileLog) recover() error {
 	var bases []int64
 	for _, e := range entries {
 		name := e.Name()
+		if strings.HasSuffix(name, upgradeSuffix) {
+			// An upgrade cut short before its rename: the old segment is
+			// still whole and is upgraded again below.
+			_ = l.cfg.FS.Remove(filepath.Join(l.dir, name))
+			continue
+		}
 		if e.IsDir() || !strings.HasSuffix(name, ".seg") {
 			continue
 		}
@@ -202,46 +229,70 @@ func (l *FileLog) recover() error {
 	}
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 	torn := false
+	drop := func(path string) {
+		_ = l.cfg.FS.Remove(path)
+		if c := l.cfg.Instruments.SegmentsDropped; c != nil {
+			c.Inc()
+		}
+	}
 	for _, base := range bases {
 		path := filepath.Join(l.dir, segName(base))
 		if torn {
 			// Unreachable past a torn segment: offsets would be
 			// discontiguous. Drop it.
-			_ = l.cfg.FS.Remove(path)
-			if c := l.cfg.Instruments.SegmentsDropped; c != nil {
-				c.Inc()
-			}
+			drop(path)
 			continue
 		}
 		f, err := l.cfg.FS.OpenFile(path, os.O_RDWR, 0o644)
 		if err != nil {
 			return fmt.Errorf("storage: %w", err)
 		}
+		var data []byte
+		if st, err := f.Stat(); err == nil {
+			data = make([]byte, st.Size())
+			_, err = f.ReadAt(data, 0)
+		}
+		if err != nil && err != io.EOF {
+			_ = f.Close()
+			return fmt.Errorf("storage: %w", err)
+		}
+		if len(data) < segHdrLen {
+			// Cut short while being created: it never held a batch.
+			_ = f.Close()
+			drop(path)
+			continue
+		}
+		if string(data[:len(segMagic)]) != segMagic {
+			_ = f.Close()
+			if data, torn, err = l.upgradeSegment(path, base, data); err != nil {
+				return err
+			}
+			if f, err = l.cfg.FS.OpenFile(path, os.O_RDWR, 0o644); err != nil {
+				return fmt.Errorf("storage: %w", err)
+			}
+		}
 		seg := &segment{base: base, f: f}
-		validSize, err := scanSegment(f, seg)
-		if err != nil {
+		if err := seg.scan(data); err != nil {
 			_ = f.Close()
 			return err
 		}
-		if st, err := f.Stat(); err == nil && st.Size() > validSize {
-			// Torn tail: cut the file back to the last whole record.
-			if err := f.Truncate(validSize); err != nil {
+		if seg.size < int64(len(data)) {
+			// Torn tail: cut the file back to the last whole batch.
+			if err := f.Truncate(seg.size); err != nil {
 				_ = f.Close()
 				return fmt.Errorf("storage: truncate torn tail: %w", err)
 			}
 			torn = true
+		}
+		if torn {
 			if c := l.cfg.Instruments.TornTails; c != nil {
 				c.Inc()
 			}
 		}
-		seg.size = validSize
 		if seg.count == 0 && torn {
-			// The torn frame was the segment's only content.
+			// The torn batch was the segment's only content.
 			_ = f.Close()
-			_ = l.cfg.FS.Remove(path)
-			if c := l.cfg.Instruments.SegmentsDropped; c != nil {
-				c.Inc()
-			}
+			drop(path)
 			continue
 		}
 		if len(l.segs) > 0 {
@@ -257,75 +308,90 @@ func (l *FileLog) recover() error {
 	return nil
 }
 
-// scanSegment walks a segment file frame by frame, filling count and
-// the sparse index, and returns the size of the valid prefix. A short
-// or corrupt frame ends the scan without error — the caller truncates.
-func scanSegment(f File, seg *segment) (int64, error) {
-	r := bufio.NewReaderSize(f, 64<<10)
-	scratch := make([]byte, 0, 4096)
-	pos := int64(0)
-	var hdr [frameHdrLen]byte
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return pos, nil
-			}
-			return 0, fmt.Errorf("storage: %w", err)
-		}
-		plen := binary.BigEndian.Uint32(hdr[:4])
-		want := binary.BigEndian.Uint32(hdr[4:])
-		if plen > maxFramePayload {
-			return pos, nil
-		}
-		if cap(scratch) < int(plen) {
-			scratch = make([]byte, plen)
-		}
-		buf := scratch[:plen]
-		if _, err := io.ReadFull(r, buf); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return pos, nil
-			}
-			return 0, fmt.Errorf("storage: %w", err)
-		}
-		if crc32.ChecksumIEEE(buf) != want {
-			return pos, nil
-		}
-		if !decodePayload(buf, &Record{}) {
-			return pos, nil
-		}
-		if seg.count%indexEvery == 0 {
-			seg.index = append(seg.index, pos)
-		}
-		seg.count++
-		pos += frameHdrLen + int64(plen)
+// scan checks the header of the segment whose file holds data, then
+// walks it batch by batch, validating each whole and filling count, the
+// sparse index and size — the end of the valid prefix: a short or
+// corrupt batch ends the scan without error, and the caller truncates.
+// A header this build cannot read is an error: the file is left alone
+// rather than cut.
+func (s *segment) scan(data []byte) error {
+	if want := appendSegHeader(nil, s.base); string(data[:segHdrLen]) != string(want) {
+		return fmt.Errorf("storage: segment %s: header %x is not format %d / checksum %d / base %d",
+			s.f.Name(), data[:segHdrLen], segVersion, segCRC32C, s.base)
 	}
+	s.size = segHdrLen
+	for f, err := range Frames(data[segHdrLen:]) {
+		if err != nil || f.check() != nil {
+			break
+		}
+		s.noteFrame(s.base+int64(s.count), s.size)
+		s.count += f.Count
+		s.size += int64(len(f.Raw))
+	}
+	return nil
 }
 
-// decodePayload decodes one frame payload into r, returning false on a
-// structurally invalid payload.
-func decodePayload(buf []byte, r *Record) bool {
-	if len(buf) < 20 {
-		return false
+// upgradeSuffix marks the temporary file of a segment upgrade.
+const upgradeSuffix = ".seg.upgrade"
+
+// upgradeSegment rewrites a headerless segment — old holds its bytes,
+// in the format before the segment header existed, one frame per record:
+//
+//	frame   = [4]payloadLen [4]crc32-IEEE(payload) payload          (big-endian)
+//	payload = [4]keyLen key [8]float64-bits(value) [8]unixNanos(time)
+//
+// — in the current format, once: the valid records are re-framed as one
+// batch into a temporary file, which is fsynced and renamed over the
+// segment, so at every instant the segment is either the whole old file
+// or the whole new one. It returns the new file's bytes and whether the
+// old one ended in a torn or corrupt frame (whose records, never acked,
+// are not carried over).
+func (l *FileLog) upgradeSegment(path string, base int64, old []byte) (data []byte, torn bool, err error) {
+	var recs []Record
+	for len(old) >= 8 {
+		plen := int(binary.BigEndian.Uint32(old))
+		if plen < 20 || plen > len(old)-8 || crc32.ChecksumIEEE(old[8:8+plen]) != binary.BigEndian.Uint32(old[4:]) {
+			break
+		}
+		payload := old[8 : 8+plen]
+		klen := int(binary.BigEndian.Uint32(payload))
+		if klen != plen-20 {
+			break
+		}
+		r := Record{Key: string(payload[4 : 4+klen]), Value: math.Float64frombits(binary.BigEndian.Uint64(payload[4+klen:]))}
+		if nanos := int64(binary.BigEndian.Uint64(payload[12+klen:])); nanos != zeroTimeNanos {
+			r.Time = time.Unix(0, nanos).UTC()
+		}
+		recs = append(recs, r)
+		old = old[8+plen:]
 	}
-	klen := int(binary.BigEndian.Uint32(buf))
-	if klen < 0 || 4+klen+16 != len(buf) {
-		return false
+	data = AppendRecordFrames(appendSegHeader(nil, base), recs)
+	tmp := strings.TrimSuffix(path, ".seg") + upgradeSuffix
+	f, err := l.cfg.FS.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		if _, err = f.WriteAt(data, 0); err == nil {
+			err = f.Sync()
+		}
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err == nil {
+			err = l.cfg.FS.Rename(tmp, path)
+		}
+		if err != nil {
+			_ = l.cfg.FS.Remove(tmp)
+		}
 	}
-	r.Key = string(buf[4 : 4+klen])
-	r.Value = math.Float64frombits(binary.BigEndian.Uint64(buf[4+klen:]))
-	nanos := int64(binary.BigEndian.Uint64(buf[4+klen+8:]))
-	if nanos == zeroTimeNanos {
-		r.Time = time.Time{}
-	} else {
-		r.Time = time.Unix(0, nanos).UTC()
+	if err != nil {
+		return nil, false, fmt.Errorf("storage: upgrade %s: %w", path, err)
 	}
-	return true
+	return data, len(old) > 0, nil
 }
 
-// AppendFrames implements Log: write the pre-validated frame chunk
-// verbatim, segment by segment (rolling to a fresh segment at
-// capacity), fsync per policy — the frame layout IS the segment layout,
-// so an append is header walks for the sparse index and one WriteAt per
+// AppendFrames implements Log: write the pre-validated chunk verbatim,
+// whole frames per segment (rolling to a fresh segment at capacity),
+// fsync per policy — the frame layout IS the segment layout, so an
+// append is a header walk for the sparse index and one WriteAt per
 // segment, on a leader and a follower alike.
 func (l *FileLog) AppendFrames(frames []byte, count int) (int64, error) {
 	if err := checkFrameCount(frames, count); err != nil {
@@ -337,47 +403,33 @@ func (l *FileLog) AppendFrames(frames []byte, count int) (int64, error) {
 		return 0, ErrLogClosed
 	}
 	base := l.n
-	for rest, remaining := frames, count; remaining > 0; {
+	for rest := frames; len(rest) > 0; {
 		seg := l.tailSegment()
 		if seg == nil || seg.count >= l.cfg.SegmentRecords {
 			var err error
 			if seg, err = l.newSegment(l.n); err != nil {
-				return 0, err
+				return 0, l.rollback(base, err)
 			}
 		}
-		take := l.cfg.SegmentRecords - seg.count
-		if take > remaining {
-			take = remaining
-		}
-		pos := seg.size
-		nbytes := 0
-		for i := 0; i < take; i++ {
-			if seg.count%indexEvery == 0 {
-				seg.index = append(seg.index, pos+int64(nbytes))
+		nindex, nbytes, took := len(seg.index), 0, 0
+		for f := range Frames(rest) { // structure checked above
+			if seg.count+took >= l.cfg.SegmentRecords {
+				break
 			}
-			nbytes += frameHdrLen + int(binary.BigEndian.Uint32(rest[nbytes:]))
-			seg.count++
+			seg.noteFrame(l.n+int64(took), seg.size+int64(nbytes))
+			nbytes += len(f.Raw)
+			took += f.Count
 		}
-		if _, err := seg.f.WriteAt(rest[:nbytes], pos); err != nil {
-			// Roll back the failed chunk's bookkeeping, then cut the log
-			// back to the pre-append watermark: a batch that spanned a
-			// segment roll must not leave its first chunk behind, or a
-			// producer retry of the whole batch would duplicate it.
-			seg.count -= take
-			for len(seg.index) > 0 && seg.index[len(seg.index)-1] >= pos {
-				seg.index = seg.index[:len(seg.index)-1]
-			}
-			werr := fmt.Errorf("storage: append: %w", err)
-			if rbErr := l.truncateToLocked(base); rbErr != nil {
-				return 0, fmt.Errorf("%w (rollback also failed: %v)", werr, rbErr)
-			}
-			return 0, werr
+		if _, err := seg.f.WriteAt(rest[:nbytes], seg.size); err != nil {
+			seg.index = seg.index[:nindex]
+			_ = seg.f.Truncate(seg.size) // whatever part of the write landed
+			return 0, l.rollback(base, fmt.Errorf("storage: append: %w", err))
 		}
-		seg.size = pos + int64(nbytes)
+		seg.size += int64(nbytes)
+		seg.count += took
 		seg.dirty = true
-		l.n += int64(take)
+		l.n += int64(took)
 		rest = rest[nbytes:]
-		remaining -= take
 	}
 	l.dirty = true
 	if l.cfg.Policy == SyncAlways {
@@ -388,6 +440,17 @@ func (l *FileLog) AppendFrames(frames []byte, count int) (int64, error) {
 	return base, nil
 }
 
+// rollback cuts the log back to the pre-append watermark after a failed
+// append and returns the failure: a batch that spanned a segment roll
+// must not leave its first chunk behind, or a producer retry of the
+// whole batch would duplicate it.
+func (l *FileLog) rollback(base int64, werr error) error {
+	if err := l.truncateToLocked(base); err != nil {
+		return fmt.Errorf("%w (rollback also failed: %v)", werr, err)
+	}
+	return werr
+}
+
 func (l *FileLog) tailSegment() *segment {
 	if len(l.segs) == 0 {
 		return nil
@@ -396,20 +459,27 @@ func (l *FileLog) tailSegment() *segment {
 }
 
 func (l *FileLog) newSegment(base int64) (*segment, error) {
-	f, err := l.cfg.FS.OpenFile(filepath.Join(l.dir, segName(base)), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	path := filepath.Join(l.dir, segName(base))
+	f, err := l.cfg.FS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
-	seg := &segment{base: base, f: f}
+	if _, err := f.WriteAt(appendSegHeader(nil, base), 0); err != nil {
+		_ = f.Close()
+		_ = l.cfg.FS.Remove(path)
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	seg := &segment{base: base, size: segHdrLen, f: f, dirty: true}
 	l.segs = append(l.segs, seg)
 	return seg, nil
 }
 
-// ReadFrames implements Log: append the requested records' frames onto
-// buf exactly as stored — header, CRC, payload — without decoding. The
-// CRC is NOT re-verified here; it rides along for the consumer (or the
-// rejoining follower) to verify at its own decode boundary, so disk
-// corruption is caught end to end rather than trusted after one hop.
+// ReadFrames implements Log: frames wholly inside the range are
+// appended onto buf exactly as stored — header, CRC, body — and a frame
+// the range cuts through is re-encoded. A stored CRC is NOT re-verified
+// here; it rides along for the consumer (or the rejoining follower) to
+// verify at its own decode boundary, so disk corruption is caught end
+// to end rather than trusted after one hop.
 func (l *FileLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, error) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -432,63 +502,48 @@ func (l *FileLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, er
 	if len(l.segs) == 0 || offset < l.segs[0].base {
 		return buf, 0, ErrOffsetOutOfRange // truncated-away prefix
 	}
-	count := 0
 	si := sort.Search(len(l.segs), func(i int) bool { return l.segs[i].base > offset }) - 1
 	for at := offset; at < end; si++ {
 		seg := l.segs[si]
-		var n int
+		stop := min(end, seg.base+int64(seg.count))
 		var err error
-		buf, n, err = seg.readFrames(at, end, buf)
-		if err != nil {
-			return buf, count, err
+		if buf, err = seg.readFrames(at, stop, buf); err != nil {
+			return buf, 0, err
 		}
-		count += n
-		at = seg.base + int64(seg.count)
+		at = stop
 	}
-	return buf, count, nil
+	return buf, int(end - offset), nil
 }
 
-// readFrames appends the frames of [offset, end) that live in this
-// segment onto buf, returning the extended buffer and the frame count.
-func (s *segment) readFrames(offset, end int64, buf []byte) ([]byte, int, error) {
-	stop := s.base + int64(s.count)
-	if end < stop {
-		stop = end
+// load reads the stored frames around records [offset, stop) — from the
+// index anchor at or before offset to the anchor at or after stop (the
+// end of the segment when there is none) — and returns them with the
+// record offset and file position they start at.
+func (s *segment) load(offset, stop int64) (stored []byte, first, pos int64, err error) {
+	k := sort.Search(len(s.index), func(i int) bool { return s.index[i].first > offset }) - 1
+	if k < 0 {
+		return nil, 0, 0, fmt.Errorf("storage: sparse index short for offset %d", offset)
 	}
-	rel := offset - s.base
-	ie := rel / indexEvery
-	if ie >= int64(len(s.index)) {
-		return buf, 0, fmt.Errorf("storage: sparse index short for offset %d", offset)
+	end := s.size
+	if e := sort.Search(len(s.index), func(i int) bool { return s.index[i].first >= stop }); e < len(s.index) {
+		end = s.index[e].pos
 	}
-	pos := s.index[ie]
-	skip := rel % indexEvery
-	br := bufio.NewReaderSize(io.NewSectionReader(s.f, pos, s.size-pos), 32<<10)
-	count := 0
-	var hdr [frameHdrLen]byte
-	for at := offset - skip; at < stop; at++ {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return buf, count, fmt.Errorf("storage: read frame at %d: %w", at, err)
-		}
-		plen := int(binary.BigEndian.Uint32(hdr[:4]))
-		if plen > maxFramePayload {
-			return buf, count, fmt.Errorf("storage: corrupt frame length at %d", at)
-		}
-		if at < offset {
-			// Skipping from the sparse-index anchor.
-			if _, err := br.Discard(plen); err != nil {
-				return buf, count, fmt.Errorf("storage: read frame at %d: %w", at, err)
-			}
-			continue
-		}
-		buf = append(buf, hdr[:]...)
-		fill := len(buf)
-		buf = growBytes(buf, plen)
-		if _, err := io.ReadFull(br, buf[fill:]); err != nil {
-			return buf[:fill-frameHdrLen], count, fmt.Errorf("storage: read frame at %d: %w", at, err)
-		}
-		count++
+	first, pos = s.index[k].first, s.index[k].pos
+	stored = make([]byte, end-pos)
+	if _, err := s.f.ReadAt(stored, pos); err != nil {
+		return nil, 0, 0, fmt.Errorf("storage: read frames at %d: %w", offset, err)
 	}
-	return buf, count, nil
+	return stored, first, pos, nil
+}
+
+// readFrames appends records [offset, stop), all of which live in this
+// segment, onto buf.
+func (s *segment) readFrames(offset, stop int64, buf []byte) ([]byte, error) {
+	stored, first, _, err := s.load(offset, stop)
+	if err != nil {
+		return buf, err
+	}
+	return SliceFrames(buf, stored, int(offset-first), int(stop-first))
 }
 
 // HighWatermark implements Log.
@@ -511,7 +566,9 @@ func (l *FileLog) Stats() (segments int, bytes int64) {
 
 // TruncateTo implements Log: discard every record at offset >= hwm.
 // Whole segments past the point are deleted; the segment containing it
-// is cut at the record boundary. The next append continues at hwm.
+// is cut at the frame boundary, or — when hwm falls inside a frame —
+// that frame is rewritten holding only its records below hwm. The next
+// append continues at hwm.
 func (l *FileLog) TruncateTo(hwm int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -547,21 +604,8 @@ func (l *FileLog) truncateToLocked(hwm int64) error {
 				return fmt.Errorf("storage: truncate: %w", err)
 			}
 		default:
-			// Cut inside this segment: find the file position of hwm by
-			// walking frames from the nearest index anchor.
-			pos, err := seg.posOf(hwm)
-			if err != nil {
+			if err := seg.truncateTo(hwm); err != nil {
 				return err
-			}
-			if err := seg.f.Truncate(pos); err != nil {
-				return fmt.Errorf("storage: truncate: %w", err)
-			}
-			seg.count = int(hwm - seg.base)
-			seg.size = pos
-			seg.dirty = true
-			ie := (hwm - seg.base + indexEvery - 1) / indexEvery
-			if ie < int64(len(seg.index)) {
-				seg.index = seg.index[:ie]
 			}
 			keep = append(keep, seg)
 		}
@@ -572,22 +616,48 @@ func (l *FileLog) truncateToLocked(hwm int64) error {
 	return nil
 }
 
-// posOf returns the file position of the record at offset (mu held).
-func (s *segment) posOf(offset int64) (int64, error) {
-	rel := offset - s.base
-	ie := rel / indexEvery
-	if ie >= int64(len(s.index)) {
-		return 0, fmt.Errorf("storage: sparse index short for offset %d", offset)
+// truncateTo cuts the segment (base < hwm < base+count) back to hwm.
+// A cut inside a frame overwrites that frame with its re-encoded prefix
+// before truncating; a crash between the two leaves a torn tail that
+// recovery drops, and the records of the cut frame with it — a rejoin
+// re-fetches them from the leader, which is the only caller that cuts
+// inside a frame.
+func (s *segment) truncateTo(hwm int64) error {
+	stored, at, pos, err := s.load(hwm-1, hwm)
+	if err != nil {
+		return err
 	}
-	pos := s.index[ie]
-	var hdr [4]byte
-	for at := ie * indexEvery; at < rel; at++ {
-		if _, err := s.f.ReadAt(hdr[:], pos); err != nil {
-			return 0, fmt.Errorf("storage: %w", err)
+	for f, err := range Frames(stored) {
+		if err != nil {
+			return err
 		}
-		pos += frameHdrLen + int64(binary.BigEndian.Uint32(hdr[:]))
+		if at+int64(f.Count) <= hwm { // kept whole
+			at, pos = at+int64(f.Count), pos+int64(len(f.Raw))
+			continue
+		}
+		if at < hwm { // holds hwm inside: rewritten with only its records below it
+			cut, err := SliceFrames(nil, f.Raw, 0, int(hwm-at))
+			if err != nil {
+				return err
+			}
+			if _, err := s.f.WriteAt(cut, pos); err != nil {
+				return fmt.Errorf("storage: truncate: %w", err)
+			}
+			at, pos = hwm, pos+int64(len(cut))
+		}
+		break
 	}
-	return pos, nil
+	if at != hwm {
+		return fmt.Errorf("storage: truncate: segment %d ends at offset %d, before %d", s.base, at, hwm)
+	}
+	if err := s.f.Truncate(pos); err != nil {
+		return fmt.Errorf("storage: truncate: %w", err)
+	}
+	s.count, s.size, s.dirty = int(hwm-s.base), pos, true
+	for k := len(s.index); k > 0 && s.index[k-1].first >= hwm; k-- {
+		s.index = s.index[:k-1]
+	}
+	return nil
 }
 
 // Sync implements Log: fsync every segment with unflushed writes.

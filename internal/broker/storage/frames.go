@@ -1,236 +1,533 @@
 package storage
 
-// Raw-frame chunk helpers: the zero-copy currency of the data plane.
+// Batch frames: the one currency of the data plane, on the wire, in a
+// log and on disk.
 //
-// A "frame chunk" is a byte slice holding consecutive CRC-framed records
-// in exactly the segment file layout (see FileLog):
+// A frame is one produce batch of one partition, columnar and
+// little-endian throughout:
 //
-//	frame   = [4]payloadLen [4]crc32(payload) payload
-//	payload = [4]keyLen key [8]float64-bits(value) [8]unixNanos(time)
+//	frame = [4]bodyLen [4]crc32c(body) body
+//	body  = [4]count [2]ndict {[4]klen key}×ndict ids[count] values[count] times[count]
 //
-// Because the wire codec's record batch uses the same field layout, a
-// chunk validated once at the wire decode boundary can be appended to a
-// log, forwarded leader→follower, and served back to consumers without
-// ever being re-encoded — every hop is a memcpy. Offsets are never part
-// of a frame (a record's offset is its position in the log), which is
-// what makes verbatim forwarding possible: the same bytes are valid at
-// any base offset.
+// ids index the frame's own key dictionary (first-seen order, every
+// entry used) and are one byte each, two when ndict > 256; values are
+// float64 bits and times unix nanos (zeroTimeNanos marks the zero
+// time.Time), eight bytes each. A "chunk" is any run of consecutive
+// frames. Decoding a frame is one dictionary lookup per KEY and three
+// column copies, and the one checksum covers the whole batch.
 //
-// Trust model: ValidateFrames is the one full check (structure + CRC);
-// it runs where bytes enter the process. Everything downstream —
-// AppendFrames, SkipFrames, FrameIter, FrameFields — re-walks structure
-// only (cheap: header arithmetic), so corrupt lengths can never walk out
-// of bounds, while the CRC is carried along untouched for the next
-// process to verify.
+// Offsets are never part of a frame (a record's offset is its position
+// in the log), so the same bytes are valid at any base offset: a chunk
+// validated once where it enters the process is appended, forwarded
+// leader→follower and served to consumers verbatim. Only a frame cut by
+// the edge of a requested record range is ever re-encoded (SliceFrames).
+//
+// Trust model: ValidateFrames is the one full check (structure, id
+// range, CRC) and runs where bytes enter the process. Everything
+// downstream re-walks structure only — headers and dictionaries, never
+// the columns — so corrupt lengths can never walk out of bounds, while
+// the CRC is carried along untouched for the next process to verify.
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"iter"
 	"math"
-	"time"
+	"slices"
+	"sync"
 )
 
-// minFramePayload is the payload size of a record with an empty key:
-// keyLen + value bits + time nanos.
-const minFramePayload = 4 + 8 + 8
+const (
+	// frameHdrLen is the per-frame overhead ahead of the body: length
+	// + CRC.
+	frameHdrLen = 8
+	// bodyFixedLen is the fixed head of a frame body: count + ndict.
+	bodyFixedLen = 6
+	// maxFramePayload bounds a frame body, guarding every reader
+	// against a corrupt length prefix.
+	maxFramePayload = 64 << 20
+	// maxFrameRecords is where the builder closes a frame and opens the
+	// next; it also keeps ndict inside its two bytes.
+	maxFrameRecords = 1 << 15
+
+	// zeroTimeNanos marks the zero time.Time in a times column
+	// (math.MinInt64, the sentinel stream.EventBatch uses too).
+	zeroTimeNanos = math.MinInt64
+)
+
+var (
+	le         = binary.LittleEndian
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
 
 // Frame chunk errors.
 var (
-	ErrBadFrame = errors.New("storage: malformed record frame")
-	ErrFrameCRC = errors.New("storage: record frame CRC mismatch")
+	ErrBadFrame = errors.New("storage: malformed batch frame")
+	ErrFrameCRC = errors.New("storage: batch frame CRC mismatch")
 )
 
-// AppendFrame appends one record's CRC frame to b and returns the
-// extended slice — the one encoder: every frame in a log, on the wire
-// or on disk was written here. Only key, value and time are framed (a
-// record's topic, partition and offset are where it is stored). The
-// inverse of FrameFields.
-func AppendFrame(b []byte, r *Record) []byte {
-	plen := 4 + len(r.Key) + 16
-	b = binary.BigEndian.AppendUint32(b, uint32(plen))
-	crcAt := len(b)
-	b = binary.BigEndian.AppendUint32(b, 0) // CRC placeholder
-	payloadAt := len(b)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Key)))
-	b = append(b, r.Key...)
-	b = binary.BigEndian.AppendUint64(b, math.Float64bits(r.Value))
-	nanos := int64(zeroTimeNanos)
-	if !r.Time.IsZero() {
-		nanos = r.Time.UnixNano()
-	}
-	b = binary.BigEndian.AppendUint64(b, uint64(nanos))
-	binary.BigEndian.PutUint32(b[crcAt:], crc32.ChecksumIEEE(b[payloadAt:]))
-	return b
+// Frame is a structurally checked view of one batch frame.
+type Frame struct {
+	Raw   []byte // the whole frame, header and CRC included
+	Count int    // records held
+
+	ndict  int
+	dict   []byte // ndict × {[4]klen key}
+	ids    []byte // Count ids, one byte each (two when ndict > 256)
+	values []byte // Count × float64 bits
+	times  []byte // Count × unix nanos
 }
 
-// AppendRecordFrames encodes a whole record batch as one frame chunk
-// appended to b — where records enter the frame path.
-func AppendRecordFrames(b []byte, recs []Record) []byte {
-	for i := range recs {
-		b = AppendFrame(b, &recs[i])
-	}
-	return b
-}
-
-// ValidateFrames fully checks a frame chunk — header bounds, payload
-// shape, and CRC of every frame — and returns the frame count. This is
-// the single validation gate of the zero-copy path: bytes that pass it
-// are safe to append and forward verbatim.
-func ValidateFrames(b []byte) (int, error) {
-	count := 0
-	for off := 0; off < len(b); {
-		if len(b)-off < frameHdrLen {
-			return count, ErrBadFrame
-		}
-		plen := int(binary.BigEndian.Uint32(b[off:]))
-		want := binary.BigEndian.Uint32(b[off+4:])
-		if plen < minFramePayload || plen > maxFramePayload || len(b)-off-frameHdrLen < plen {
-			return count, ErrBadFrame
-		}
-		payload := b[off+frameHdrLen : off+frameHdrLen+plen]
-		if crc32.ChecksumIEEE(payload) != want {
-			return count, ErrFrameCRC
-		}
-		if klen := int(binary.BigEndian.Uint32(payload)); klen < 0 || 4+klen+16 != plen {
-			return count, ErrBadFrame
-		}
-		count++
-		off += frameHdrLen + plen
-	}
-	return count, nil
-}
-
-// CountFrames walks a chunk's frame structure (no CRC work) and returns
-// the frame count. Logs use it to pre-check boundaries before mutating,
-// so a structurally corrupt chunk is rejected without partial appends.
-func CountFrames(b []byte) (int, error) {
-	count := 0
-	for off := 0; off < len(b); {
-		n := frameSize(b[off:])
-		if n < 0 {
-			return count, ErrBadFrame
-		}
-		count++
-		off += n
-	}
-	return count, nil
-}
-
-// SkipFrames returns b with its first n frames removed — how the
-// replicate path trims an already-applied duplicate prefix at frame
-// boundaries without decoding.
-func SkipFrames(b []byte, n int) ([]byte, error) {
-	for ; n > 0; n-- {
-		sz := frameSize(b)
-		if sz < 0 {
-			return nil, ErrBadFrame
-		}
-		b = b[sz:]
-	}
-	return b, nil
-}
-
-// frameSize returns the byte length of the frame opening b, or -1 when
-// the header is short or out of bounds.
-func frameSize(b []byte) int {
-	if len(b) < frameHdrLen {
-		return -1
-	}
-	plen := int(binary.BigEndian.Uint32(b))
-	if plen < minFramePayload || plen > maxFramePayload || len(b)-frameHdrLen < plen {
-		return -1
-	}
-	return frameHdrLen + plen
-}
-
-// FrameIter iterates a frame chunk structurally, exposing each whole
-// frame (header included, for verbatim forwarding) and its payload (for
-// field access). Zero value is done; construct with IterFrames.
-type FrameIter struct {
-	rest    []byte
-	frame   []byte
-	payload []byte
-	err     error
-}
-
-// IterFrames returns an iterator over the frames of b.
-func IterFrames(b []byte) FrameIter { return FrameIter{rest: b} }
-
-// Next advances to the next frame, returning false at the end of the
-// chunk or on structural corruption (check Err to tell apart).
-func (it *FrameIter) Next() bool {
-	if it.err != nil || len(it.rest) == 0 {
+// parse checks the structure of the frame opening b — header bounds,
+// dictionary walk, column lengths against count — and makes f its view.
+// The columns themselves (id range, CRC) are not examined.
+func (f *Frame) parse(b []byte) bool {
+	if len(b) < frameHdrLen+bodyFixedLen {
 		return false
 	}
-	sz := frameSize(it.rest)
-	if sz < 0 {
-		it.err = ErrBadFrame
+	blen := int(le.Uint32(b))
+	if blen < bodyFixedLen || blen > maxFramePayload || blen > len(b)-frameHdrLen {
 		return false
 	}
-	it.frame = it.rest[:sz]
-	it.payload = it.frame[frameHdrLen:]
-	it.rest = it.rest[sz:]
+	body := b[frameHdrLen : frameHdrLen+blen]
+	count, ndict := int(le.Uint32(body)), int(le.Uint16(body[4:]))
+	rest := body[bodyFixedLen:]
+	idw := 1
+	if ndict > 256 {
+		idw = 2
+	}
+	if ndict == 0 || ndict > count || count > len(rest)/(idw+16) {
+		return false
+	}
+	dictLen := len(rest) - count*(idw+16)
+	pos := 0
+	for i := 0; i < ndict; i++ {
+		if dictLen-pos < 4 {
+			return false
+		}
+		klen := int(le.Uint32(rest[pos:]))
+		if klen > dictLen-pos-4 {
+			return false
+		}
+		pos += 4 + klen
+	}
+	if pos != dictLen {
+		return false
+	}
+	f.Raw, f.Count, f.ndict = b[:frameHdrLen+blen], count, ndict
+	f.dict, rest = rest[:dictLen], rest[dictLen:]
+	f.ids, f.values, f.times = rest[:count*idw], rest[count*idw:count*(idw+8)], rest[count*(idw+8):]
 	return true
 }
 
-// Frame returns the current whole frame, header and CRC included.
-func (it *FrameIter) Frame() []byte { return it.frame }
-
-// Payload returns the current frame's payload.
-func (it *FrameIter) Payload() []byte { return it.payload }
-
-// Err returns the structural error that stopped iteration, if any.
-func (it *FrameIter) Err() error { return it.err }
-
-// FrameKey returns the key bytes of a structurally valid frame payload
-// (as produced by FrameIter) — enough for partition routing without
-// allocating a string.
-func FrameKey(payload []byte) []byte {
-	klen := int(binary.BigEndian.Uint32(payload))
-	return payload[4 : 4+klen]
-}
-
-// FrameFields splits a structurally valid frame payload into its raw
-// fields: key bytes, float64 value bits, and the time-nanos sentinel
-// form (see TimeFromNanos).
-func FrameFields(payload []byte) (key []byte, valueBits uint64, nanos int64) {
-	klen := int(binary.BigEndian.Uint32(payload))
-	return payload[4 : 4+klen],
-		binary.BigEndian.Uint64(payload[4+klen:]),
-		int64(binary.BigEndian.Uint64(payload[4+klen+8:]))
-}
-
-// TimeFromNanos converts a frame's time field to a time.Time, mapping
-// the math.MinInt64 sentinel back to the zero time.
-func TimeFromNanos(nanos int64) time.Time {
-	if nanos == zeroTimeNanos {
-		return time.Time{}
+// id returns record i's dictionary index.
+func (f *Frame) id(i int) int {
+	if f.ndict > 256 {
+		return int(le.Uint16(f.ids[2*i:]))
 	}
-	return time.Unix(0, nanos).UTC()
+	return int(f.ids[i])
 }
 
-// growBytes extends b by n bytes (reallocating as needed) and returns
-// the extended slice — the caller fills b[len(b)-n:] in place.
-func growBytes(b []byte, n int) []byte {
-	if len(b)+n <= cap(b) {
-		return b[:len(b)+n]
+// keys iterates the dictionary: where each entry starts in f.dict, and
+// its key as a view into the frame.
+func (f *Frame) keys() iter.Seq2[int, []byte] {
+	return func(yield func(int, []byte) bool) {
+		for pos := 0; pos < len(f.dict); {
+			klen := int(le.Uint32(f.dict[pos:]))
+			if !yield(pos, f.dict[pos+4:pos+4+klen]) {
+				return
+			}
+			pos += 4 + klen
+		}
 	}
-	nb := make([]byte, len(b)+n, 2*(len(b)+n))
-	copy(nb, b)
-	return nb
 }
 
-// checkFrameCount verifies a chunk's structure and that it holds exactly
-// count frames — the shared precondition of every AppendFrames.
+// Decode appends the frame's records to three columns: per record the
+// caller's id for its key (intern is asked once per dictionary entry,
+// with a view into the frame), its value, and its time as unix nanos
+// with the zero time.Time as math.MinInt64. An id outside the
+// dictionary — impossible in a frame that passed ValidateFrames — is
+// ErrBadFrame, never an out-of-range read.
+func (f *Frame) Decode(ids []int32, values []float64, times []int64, intern func(key []byte) int32) ([]int32, []float64, []int64, error) {
+	var buf [64]int32
+	remap := buf[:0]
+	for _, key := range f.keys() {
+		remap = append(remap, intern(key))
+	}
+	n, nv, nt := len(ids), len(values), len(times)
+	ids, values, times = slices.Grow(ids, f.Count), slices.Grow(values, f.Count), slices.Grow(times, f.Count)
+	for i := 0; i < f.Count; i++ {
+		id := f.id(i)
+		if id >= len(remap) {
+			return ids[:n], values, times, ErrBadFrame
+		}
+		ids = append(ids, remap[id])
+	}
+	values, times = values[:nv+f.Count], times[:nt+f.Count]
+	for i := 0; i < f.Count; i++ {
+		values[nv+i] = math.Float64frombits(le.Uint64(f.values[8*i:]))
+		times[nt+i] = int64(le.Uint64(f.times[8*i:]))
+	}
+	return ids, values, times, nil
+}
+
+// encodeFrame appends the frame of the given columns to dst.
+func encodeFrame(dst []byte, ndict int, dict []byte, ids []uint16, values, times []byte) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, frameHdrLen+bodyFixedLen+len(dict)+len(ids)*(2+16))
+	dst = append(dst, make([]byte, frameHdrLen)...)
+	dst = le.AppendUint32(dst, uint32(len(ids)))
+	dst = le.AppendUint16(dst, uint16(ndict))
+	dst = append(dst, dict...)
+	for _, id := range ids {
+		if ndict > 256 {
+			dst = le.AppendUint16(dst, id)
+		} else {
+			dst = append(dst, byte(id))
+		}
+	}
+	dst = append(append(dst, values...), times...)
+	sealFrame(dst[at:])
+	return dst
+}
+
+// sealFrame fills in the length and CRC of the frame filling b.
+func sealFrame(b []byte) {
+	le.PutUint32(b, uint32(len(b)-frameHdrLen))
+	le.PutUint32(b[4:], crc32.Checksum(b[frameHdrLen:], castagnoli))
+}
+
+// check is the part of validation parse leaves to it: the CRC and the
+// range of every id.
+func (f *Frame) check() error {
+	if crc32.Checksum(f.Raw[frameHdrLen:], castagnoli) != le.Uint32(f.Raw[4:]) {
+		return ErrFrameCRC
+	}
+	for i := 0; i < f.Count; i++ {
+		if f.id(i) >= f.ndict {
+			return ErrBadFrame
+		}
+	}
+	return nil
+}
+
+// Frames iterates the frames of a chunk structurally (no column or CRC
+// work); each frame is valid until the next. A chunk that stops parsing
+// ends the iteration with ErrBadFrame.
+func Frames(b []byte) iter.Seq2[*Frame, error] {
+	return func(yield func(*Frame, error) bool) {
+		var f Frame
+		for len(b) > 0 {
+			if !f.parse(b) {
+				yield(nil, ErrBadFrame)
+				return
+			}
+			b = b[len(f.Raw):]
+			if !yield(&f, nil) {
+				return
+			}
+		}
+	}
+}
+
+// ValidateFrames fully checks a chunk — structure, id range and CRC of
+// every frame — and returns the number of RECORDS it holds. This is the
+// single validation gate of the zero-copy path: bytes that pass it are
+// safe to append, forward and decode.
+func ValidateFrames(b []byte) (int, error) {
+	records := 0
+	for f, err := range Frames(b) {
+		if err != nil {
+			return records, err
+		}
+		if err := f.check(); err != nil {
+			return records, err
+		}
+		records += f.Count
+	}
+	return records, nil
+}
+
+// checkFrameCount walks a chunk's structure and verifies it holds
+// exactly count records — the shared precondition of every AppendFrames,
+// checked before mutating so a corrupt chunk is rejected whole.
 func checkFrameCount(frames []byte, count int) error {
-	n, err := CountFrames(frames)
-	if err != nil {
-		return err
+	n := 0
+	for f, err := range Frames(frames) {
+		if err != nil {
+			return err
+		}
+		n += f.Count
 	}
 	if n != count {
 		return fmt.Errorf("storage: frame chunk holds %d records, caller declared %d", n, count)
 	}
 	return nil
+}
+
+// SliceFrames appends to dst a chunk holding exactly records
+// [from, to) of chunk. Frames wholly inside the range are copied as they
+// are; a frame the range cuts through is re-encoded with its dictionary
+// compacted to the keys the kept records use, in first-seen order —
+// byte for byte the frame AppendRecordFrames builds from those records.
+// It is how a log serves, and truncates to, a record offset that falls
+// inside a batch, and how a replica trims a duplicate prefix.
+func SliceFrames(dst, chunk []byte, from, to int) ([]byte, error) {
+	if from < 0 || from > to {
+		return dst, ErrBadFrame
+	}
+	at := 0
+	for f, err := range Frames(chunk) {
+		if err != nil {
+			return dst, err
+		}
+		lo, hi := max(from-at, 0), min(to-at, f.Count)
+		switch {
+		case lo >= hi: // outside the range
+		case lo == 0 && hi == f.Count:
+			dst = append(dst, f.Raw...)
+		default:
+			if dst, err = f.appendSubset(dst, lo, hi, hi-lo, nil, 0); err != nil {
+				return dst, err
+			}
+		}
+		if at += f.Count; at >= to {
+			return dst, nil
+		}
+	}
+	if at < to {
+		return dst, ErrBadFrame // the range runs past the chunk
+	}
+	return dst, nil
+}
+
+// appendSubset appends to dst the frame holding, in order, the n records
+// i of [from, to) with sel[i] == want (all of the range when sel is nil).
+func (f *Frame) appendSubset(dst []byte, from, to, n int, sel []int32, want int32) ([]byte, error) {
+	remap := make([]int32, f.ndict)    // old id → new id + 1, 0 while unseen
+	keyAt := make([]int, 0, f.ndict+1) // where old id's dictionary entry starts
+	for pos := range f.keys() {
+		keyAt = append(keyAt, pos)
+	}
+	keyAt = append(keyAt, len(f.dict))
+	ids, values, times := make([]uint16, 0, n), make([]byte, 0, 8*n), make([]byte, 0, 8*n)
+	var dict []byte
+	ndict := 0
+	for i := from; i < to; i++ {
+		if sel != nil && sel[i] != want {
+			continue
+		}
+		id := f.id(i)
+		if id >= f.ndict {
+			return dst, ErrBadFrame
+		}
+		if remap[id] == 0 {
+			ndict++
+			remap[id] = int32(ndict)
+			dict = append(dict, f.dict[keyAt[id]:keyAt[id+1]]...)
+		}
+		ids = append(ids, uint16(remap[id]-1))
+		values = append(values, f.values[8*i:8*i+8]...)
+		times = append(times, f.times[8*i:8*i+8]...)
+	}
+	return encodeFrame(dst, ndict, dict, ids, values, times), nil
+}
+
+// SplitFrames routes the records of a chunk by key and appends each
+// partition's share, re-framed, to dst[partition], adding its record
+// count to counts[partition]. route is asked once per dictionary entry
+// — once per RECORD for the empty key, so a round-robin router spreads
+// keyless records exactly as it would one by one — and a frame whose
+// keys all land on one partition is forwarded verbatim.
+func SplitFrames(b []byte, route func(key []byte) int, dst [][]byte, counts []int) error {
+	var part, sel []int32
+	share := make([]int, len(dst))
+	for f, err := range Frames(b) {
+		if err != nil {
+			return err
+		}
+		part = part[:0]
+		same := true
+		for _, key := range f.keys() {
+			p := int32(-1) // the empty key: routed per record below
+			if len(key) > 0 {
+				p = int32(route(key))
+			}
+			part = append(part, p)
+			same = same && p >= 0 && p == part[0]
+		}
+		if same {
+			dst[part[0]] = append(dst[part[0]], f.Raw...)
+			counts[part[0]] += f.Count
+			continue
+		}
+		sel = sel[:0]
+		clear(share)
+		for i := 0; i < f.Count; i++ {
+			id := f.id(i)
+			if id >= len(part) {
+				return ErrBadFrame
+			}
+			p := part[id]
+			if p < 0 {
+				p = int32(route(nil))
+			}
+			sel = append(sel, p)
+			share[p]++
+		}
+		for p, n := range share {
+			if n == 0 {
+				continue
+			}
+			if dst[p], err = f.appendSubset(dst[p], 0, f.Count, n, sel, int32(p)); err != nil {
+				return err
+			}
+			counts[p] += n
+		}
+	}
+	return nil
+}
+
+// BatchBuilder turns records into batch frames, one chunk per
+// partition: the column builder behind every produce entry point. Each
+// record costs one map lookup (none when its key repeats the previous
+// record's) and three column appends.
+type BatchBuilder struct {
+	route func(key string) int
+	parts []partFrame
+	// index maps a non-empty key to its partition and its id in that
+	// partition's open frame, packed partition<<32 | id.
+	index   map[string]uint64
+	lastKey string
+	last    uint64
+	open    int // records in the open frames
+}
+
+// partFrame is one partition's closed frames plus the columns of its
+// open one.
+type partFrame struct {
+	out     []byte
+	count   int // records in out and in the open frame
+	dict    []byte
+	ndict   int
+	emptyID int // id of the empty key in the open frame, -1 when unseen
+	ids     []uint16
+	values  []byte
+	times   []byte
+}
+
+var builderPool = sync.Pool{New: func() any { return &BatchBuilder{index: make(map[string]uint64, 64)} }}
+
+// GetBatchBuilder returns an empty pooled builder for parts partitions;
+// Release it once its chunks are no longer referenced. route picks a
+// key's partition — asked once per distinct key, once per record for
+// the empty key; nil sends everything to partition 0.
+func GetBatchBuilder(parts int, route func(key string) int) *BatchBuilder {
+	bb := builderPool.Get().(*BatchBuilder)
+	bb.route = route
+	bb.parts = slices.Grow(bb.parts[:0], parts)[:parts]
+	for i := range bb.parts {
+		pf := &bb.parts[i]
+		pf.out, pf.count = pf.out[:0], 0
+		pf.reset()
+	}
+	return bb
+}
+
+// Release returns the builder, and every chunk it handed out, to the pool.
+func (bb *BatchBuilder) Release() {
+	clear(bb.index)
+	bb.route, bb.lastKey, bb.open = nil, "", 0
+	builderPool.Put(bb)
+}
+
+func (pf *partFrame) reset() {
+	pf.dict, pf.ndict, pf.emptyID = pf.dict[:0], 0, -1
+	pf.ids, pf.values, pf.times = pf.ids[:0], pf.values[:0], pf.times[:0]
+}
+
+func (pf *partFrame) addKey(key string) int {
+	pf.dict = append(le.AppendUint32(pf.dict, uint32(len(key))), key...)
+	pf.ndict++
+	return pf.ndict - 1
+}
+
+// Add appends one record's key, value and time to its partition's open
+// frame (topic, partition and offset are where a record is stored).
+func (bb *BatchBuilder) Add(r *Record) {
+	var at uint64 // partition<<32 | id
+	switch {
+	case r.Key == "":
+		p := 0
+		if bb.route != nil {
+			p = bb.route("")
+		}
+		pf := &bb.parts[p]
+		if pf.emptyID < 0 {
+			pf.emptyID = pf.addKey("")
+		}
+		at = uint64(p)<<32 | uint64(pf.emptyID)
+	case r.Key == bb.lastKey:
+		at = bb.last
+	default:
+		var known bool
+		if at, known = bb.index[r.Key]; !known {
+			p := 0
+			if bb.route != nil {
+				p = bb.route(r.Key)
+			}
+			pf := &bb.parts[p]
+			at = uint64(p)<<32 | uint64(pf.addKey(r.Key))
+			bb.index[r.Key] = at
+		}
+		bb.lastKey, bb.last = r.Key, at
+	}
+	pf := &bb.parts[at>>32]
+	pf.ids = append(pf.ids, uint16(at))
+	pf.values = le.AppendUint64(pf.values, math.Float64bits(r.Value))
+	nanos := int64(zeroTimeNanos)
+	if !r.Time.IsZero() {
+		nanos = r.Time.UnixNano()
+	}
+	pf.times = le.AppendUint64(pf.times, uint64(nanos))
+	pf.count++
+	if bb.open++; bb.open == maxFrameRecords {
+		bb.closeFrames()
+	}
+}
+
+// closeFrames encodes every partition's open frame onto its chunk. All
+// partitions close together because they share one key index.
+func (bb *BatchBuilder) closeFrames() {
+	for i := range bb.parts {
+		if pf := &bb.parts[i]; len(pf.ids) > 0 {
+			pf.out = encodeFrame(pf.out, pf.ndict, pf.dict, pf.ids, pf.values, pf.times)
+			pf.reset()
+		}
+	}
+	clear(bb.index)
+	bb.lastKey, bb.open = "", 0
+}
+
+// Frames returns partition p's chunk and its record count. The bytes
+// belong to the builder: they are valid until Release.
+func (bb *BatchBuilder) Frames(p int) ([]byte, int) {
+	if bb.open > 0 {
+		bb.closeFrames()
+	}
+	return bb.parts[p].out, bb.parts[p].count
+}
+
+// AppendRecordFrames appends a record batch to b as one frame (one per
+// maxFrameRecords) — where records enter the frame path unpartitioned.
+func AppendRecordFrames(b []byte, recs []Record) []byte {
+	bb := GetBatchBuilder(1, nil)
+	defer bb.Release()
+	for i := range recs {
+		bb.Add(&recs[i])
+	}
+	frames, _ := bb.Frames(0)
+	return append(b, frames...)
 }

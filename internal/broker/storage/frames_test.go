@@ -2,7 +2,10 @@ package storage
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -29,67 +32,396 @@ func frameRecs(n int) []Record {
 	return out
 }
 
+// decodeFrames is the test's own frames → records walk over the exported
+// Frame surface (the broker's decoder cannot be imported from here).
+func decodeFrames(t testing.TB, frames []byte) []Record {
+	t.Helper()
+	var out []Record
+	for f, err := range Frames(frames) {
+		if err != nil {
+			t.Fatalf("frames do not iterate: %v", err)
+		}
+		var keys []string
+		ids, values, times, err := f.Decode(nil, nil, nil, func(k []byte) int32 {
+			keys = append(keys, string(k))
+			return int32(len(keys) - 1)
+		})
+		if err != nil || len(ids) != f.Count || len(values) != f.Count || len(times) != f.Count {
+			t.Fatalf("frame of %d records decoded %d/%d/%d columns, %v", f.Count, len(ids), len(values), len(times), err)
+		}
+		for i, id := range ids {
+			r := Record{Key: keys[id], Value: values[i]}
+			if times[i] != zeroTimeNanos {
+				r.Time = time.Unix(0, times[i]).UTC()
+			}
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// sameRecords compares key, value BITS and instant (zero time included).
+func sameRecords(t testing.TB, what string, got, want []Record) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d records, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.Key != w.Key || math.Float64bits(g.Value) != math.Float64bits(w.Value) ||
+			!g.Time.Equal(w.Time) || g.Time.IsZero() != w.Time.IsZero() {
+			t.Fatalf("%s: record %d = %+v, want %+v", what, i, g, w)
+		}
+	}
+}
+
+// randomBatch draws n records over keys distinct keys (one of them
+// empty, one multi-byte), with the value and time shapes the codec must
+// carry bit for bit.
+func randomBatch(rng *rand.Rand, n, keys int) []Record {
+	names := make([]string, keys)
+	for k := range names {
+		names[k] = fmt.Sprintf("key-%d", k)
+	}
+	if keys > 1 {
+		names[1] = "ключ-鍵-🗝️"
+	}
+	if keys > 2 {
+		names[2] = ""
+	}
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		math.Float64frombits(0x7ff8000000000001)} // a second NaN payload
+	out := make([]Record, n)
+	for i := range out {
+		k := i // the first `keys` records introduce every key once
+		if i >= keys {
+			k = rng.Intn(keys)
+		}
+		r := Record{Key: names[k], Value: math.Float64frombits(rng.Uint64()), Time: time.Unix(0, rng.Int63()-rng.Int63()).UTC()}
+		switch rng.Intn(8) {
+		case 0:
+			r.Value = specials[rng.Intn(len(specials))]
+		case 1:
+			r.Time = time.Time{}
+		}
+		out[i] = r
+	}
+	return out
+}
+
+// TestFrameRoundTripProperty: records → frame → records is the identity
+// across the id-width switch (256 keys is the last one-byte dictionary),
+// and every frame built validates.
+func TestFrameRoundTripProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, keys := range []int{1, 2, 3, 17, 256, 257, 700} {
+		for trial := 0; trial < 5; trial++ {
+			recs := randomBatch(rng, keys+rng.Intn(300), keys)
+			chunk := AppendRecordFrames([]byte("prefix"), recs)
+			if !bytes.HasPrefix(chunk, []byte("prefix")) {
+				t.Fatal("AppendRecordFrames must append")
+			}
+			chunk = chunk[len("prefix"):]
+			if n, err := ValidateFrames(chunk); err != nil || n != len(recs) {
+				t.Fatalf("%d keys: ValidateFrames = %d, %v; want %d", keys, n, err, len(recs))
+			}
+			if err := checkFrameCount(chunk, len(recs)); err != nil {
+				t.Fatalf("%d keys: checkFrameCount: %v", keys, err)
+			}
+			idw := 1
+			if keys > 256 {
+				idw = 2
+			}
+			var f Frame
+			if ok := f.parse(chunk); !ok || len(f.Raw) != len(chunk) || f.ndict != keys || len(f.ids) != f.Count*idw {
+				t.Fatalf("%d keys: one frame expected, got ok=%v ndict=%d of %d bytes", keys, ok, f.ndict, len(chunk))
+			}
+			sameRecords(t, fmt.Sprintf("%d keys", keys), decodeFrames(t, chunk), recs)
+		}
+	}
+	if got := AppendRecordFrames(nil, nil); len(got) != 0 {
+		t.Fatalf("no records must frame to nothing, got %x", got)
+	}
+}
+
+// TestBuilderClosesFramesAtCapacity: a batch larger than one frame may
+// hold comes out as several, none over the cap, in order.
+func TestBuilderClosesFramesAtCapacity(t *testing.T) {
+	recs := randomBatch(rand.New(rand.NewSource(3)), 2*maxFrameRecords+10, 5)
+	chunk := AppendRecordFrames(nil, recs)
+	var sizes []int
+	for f := range Frames(chunk) {
+		sizes = append(sizes, f.Count)
+	}
+	if fmt.Sprint(sizes) != fmt.Sprint([]int{maxFrameRecords, maxFrameRecords, 10}) {
+		t.Fatalf("frame sizes = %v", sizes)
+	}
+	if n, err := ValidateFrames(chunk); err != nil || n != len(recs) {
+		t.Fatalf("ValidateFrames = %d, %v", n, err)
+	}
+	sameRecords(t, "multi-frame", decodeFrames(t, chunk), recs)
+}
+
+// TestBatchBuilderPartitions: one pass over a mixed slice yields, per
+// partition, exactly the frame its records alone would build, with the
+// router asked once per distinct key and once per keyless record.
+func TestBatchBuilderPartitions(t *testing.T) {
+	recs := randomBatch(rand.New(rand.NewSource(5)), 400, 9)
+	const parts = 3
+	asked := map[string]int{}
+	rr := 0
+	route := func(key string) int {
+		asked[key]++
+		if key == "" {
+			rr++
+			return rr % parts
+		}
+		return len(key) % parts
+	}
+	bb := GetBatchBuilder(parts, route)
+	want := make([][]Record, parts)
+	wrr := 0
+	for i := range recs {
+		bb.Add(&recs[i])
+		p := len(recs[i].Key) % parts
+		if recs[i].Key == "" {
+			wrr++
+			p = wrr % parts
+		}
+		want[p] = append(want[p], recs[i])
+	}
+	for p := 0; p < parts; p++ {
+		frames, count := bb.Frames(p)
+		if count != len(want[p]) || !bytes.Equal(frames, AppendRecordFrames(nil, want[p])) {
+			t.Fatalf("partition %d: %d records framed, want %d; bytes equal: %v", p, count, len(want[p]), false)
+		}
+	}
+	bb.Release()
+	for key, n := range asked {
+		if key != "" && n != 1 {
+			t.Errorf("router asked %d times for %q", n, key)
+		}
+	}
+	if asked[""] != wrr {
+		t.Errorf("router asked %d times for the empty key, want once per keyless record (%d)", asked[""], wrr)
+	}
+}
+
+// TestSliceFramesIsTheBuiltFrame: every record range of a frame,
+// re-encoded, is byte for byte the frame built from those records — so a
+// cut read is indistinguishable from a batch produced that way.
+func TestSliceFramesIsTheBuiltFrame(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, keys := range []int{1, 6, 300} {
+		recs := randomBatch(rng, keys+40, keys)
+		frame := AppendRecordFrames(nil, recs)
+		for from := 0; from < len(recs); from += 1 + from/8 {
+			for to := from + 1; to <= len(recs); to += 1 + (to-from)/8 {
+				got, err := SliceFrames([]byte("x"), frame, from, to)
+				if err != nil || !bytes.Equal(got[1:], AppendRecordFrames(nil, recs[from:to])) {
+					t.Fatalf("%d keys: SliceFrames[%d:%d] differs from the built frame (%v)", keys, from, to, err)
+				}
+			}
+		}
+	}
+}
+
+// TestSliceFramesOverAChunk: a range over several frames keeps the whole
+// ones as they are, re-encodes the cut ends, and holds exactly the
+// records asked for; a range the chunk does not cover is an error.
+func TestSliceFramesOverAChunk(t *testing.T) {
+	recs := frameRecs(30)
+	chunk := AppendRecordFrames(AppendRecordFrames(AppendRecordFrames(nil, recs[:10]), recs[10:11]), recs[11:])
+	for from := 0; from <= len(recs); from++ {
+		for to := from; to <= len(recs); to++ {
+			got, err := SliceFrames(nil, chunk, from, to)
+			if n, verr := ValidateFrames(got); err != nil || verr != nil || n != to-from {
+				t.Fatalf("SliceFrames[%d:%d] = %d records, %v, %v", from, to, n, err, verr)
+			}
+			sameRecords(t, fmt.Sprintf("[%d:%d]", from, to), decodeFrames(t, got), recs[from:to])
+		}
+	}
+	if got, _ := SliceFrames(nil, chunk, 0, 11); !bytes.Equal(got, chunk[:len(got)]) {
+		t.Fatal("frames wholly inside the range must be copied as stored")
+	}
+	for _, bad := range [][2]int{{-1, 2}, {4, 2}, {0, len(recs) + 1}, {len(recs) + 1, len(recs) + 2}} {
+		if _, err := SliceFrames(nil, chunk, bad[0], bad[1]); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("SliceFrames[%d:%d] = %v, want ErrBadFrame", bad[0], bad[1], err)
+		}
+	}
+}
+
+// TestSplitFrames: routing is per dictionary entry (per record for the
+// empty key), every partition's share is the frame its records alone
+// would build, and a frame that needs no split is forwarded as is.
+func TestSplitFrames(t *testing.T) {
+	recs := randomBatch(rand.New(rand.NewSource(13)), 500, 16)
+	const parts = 4
+	rr := 0
+	route := func(key []byte) int {
+		if len(key) == 0 {
+			rr++
+			return rr % parts
+		}
+		return int(key[len(key)-1]) % parts
+	}
+	chunk := AppendRecordFrames(AppendRecordFrames(nil, recs[:200]), recs[200:])
+	dst, counts := make([][]byte, parts), make([]int, parts)
+	if err := SplitFrames(chunk, route, dst, counts); err != nil {
+		t.Fatal(err)
+	}
+	rr = 0
+	want := make([][]Record, parts)
+	for _, r := range recs {
+		p := route([]byte(r.Key))
+		want[p] = append(want[p], r)
+	}
+	for p := range dst {
+		if n, err := ValidateFrames(dst[p]); err != nil || n != counts[p] || n != len(want[p]) {
+			t.Fatalf("partition %d: %d records valid, %d counted, %d wanted (%v)", p, n, counts[p], len(want[p]), err)
+		}
+		sameRecords(t, fmt.Sprintf("partition %d", p), decodeFrames(t, dst[p]), want[p])
+	}
+	one := AppendRecordFrames(nil, []Record{{Key: "a", Value: 1}, {Key: "e", Value: 2}}) // 'a', 'e' ≡ 1 mod 4
+	dst, counts = make([][]byte, parts), make([]int, parts)
+	if err := SplitFrames(one, route, dst, counts); err != nil || counts[1] != 2 || !bytes.Equal(dst[1], one) {
+		t.Fatalf("single-partition frame not forwarded verbatim: %v, counts %v", err, counts)
+	}
+}
+
+// corruptionChunk is three frames that between them use every layout
+// variant: a one-byte-id batch, a single record, a two-byte-id batch.
+func corruptionChunk() []byte {
+	rng := rand.New(rand.NewSource(17))
+	chunk := AppendRecordFrames(nil, frameRecs(7))
+	chunk = AppendRecordFrames(chunk, frameRecs(1))
+	return AppendRecordFrames(chunk, randomBatch(rng, 270, 260))
+}
+
+func frameBounds(chunk []byte) map[int]bool {
+	bounds := map[int]bool{0: true}
+	off := 0
+	for f := range Frames(chunk) {
+		off += len(f.Raw)
+		bounds[off] = true
+	}
+	return bounds
+}
+
 // TestValidateFramesRejectsCorruption flips every byte of a valid chunk
 // in turn and truncates it at every non-boundary length: each mutation
-// must fail validation, so a corrupted forward can never pass the wire
-// gate. (A flip in a length header breaks structure; anywhere else it
-// breaks the CRC.)
+// must fail validation with one of the two frame errors — never a
+// panic, never an out-of-range read — so a corrupted forward can never
+// pass the wire gate.
 func TestValidateFramesRejectsCorruption(t *testing.T) {
-	recs := frameRecs(7)
-	chunk := AppendRecordFrames(nil, recs)
+	chunk := corruptionChunk()
 	for i := range chunk {
 		mut := append([]byte(nil), chunk...)
 		mut[i] ^= 0x40
-		if _, err := ValidateFrames(mut); err == nil {
-			t.Fatalf("flip at byte %d validated", i)
+		if _, err := ValidateFrames(mut); !errors.Is(err, ErrFrameCRC) && !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("flip at byte %d: err = %v", i, err)
 		}
 	}
-	bounds := map[int]bool{0: true}
-	off := 0
-	for off < len(chunk) {
-		off += frameSize(chunk[off:])
-		bounds[off] = true
-	}
+	bounds := frameBounds(chunk)
 	for cut := 0; cut < len(chunk); cut++ {
 		n, err := ValidateFrames(chunk[:cut])
 		if bounds[cut] {
 			if err != nil {
 				t.Fatalf("boundary truncation at %d: %v", cut, err)
 			}
-		} else if err == nil {
-			t.Fatalf("truncation at %d validated %d frames", cut, n)
+		} else if !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("truncation at %d validated %d records (%v)", cut, n, err)
 		}
 	}
 }
 
+// TestValidateFramesRejectsBadStructure: shapes a CRC cannot catch,
+// because the checksum was computed over them.
+func TestValidateFramesRejectsBadStructure(t *testing.T) {
+	recs := []Record{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Value: 3}}
+	reseal := func(mutate func(f []byte) []byte) []byte {
+		f := mutate(AppendRecordFrames(nil, recs))
+		sealFrame(f)
+		return f
+	}
+	idsAt := frameHdrLen + bodyFixedLen + 2*(4+1)
+	cases := map[string][]byte{
+		"id beyond the dictionary": reseal(func(f []byte) []byte { f[idsAt+1] = 2; return f }),
+		"count above the columns":  reseal(func(f []byte) []byte { le.PutUint32(f[frameHdrLen:], 4); return f }),
+		"count below the columns":  reseal(func(f []byte) []byte { le.PutUint32(f[frameHdrLen:], 2); return f }),
+		"count zero":               reseal(func(f []byte) []byte { le.PutUint32(f[frameHdrLen:], 0); return f }),
+		"empty dictionary":         reseal(func(f []byte) []byte { le.PutUint16(f[frameHdrLen+4:], 0); return f }),
+		"more keys than records":   reseal(func(f []byte) []byte { le.PutUint16(f[frameHdrLen+4:], 4); return f }),
+		"key length past the body": reseal(func(f []byte) []byte { le.PutUint32(f[frameHdrLen+bodyFixedLen:], 1<<31); return f }),
+		"column byte missing":      reseal(func(f []byte) []byte { return f[:len(f)-1] }),
+		"column byte extra":        reseal(func(f []byte) []byte { return append(f, 0) }),
+	}
+	over := AppendRecordFrames(nil, recs)
+	le.PutUint32(over, maxFramePayload+1) // a body length no reader may size a slice by
+	cases["body over the cap"] = over
+	for name, frame := range cases {
+		if n, err := ValidateFrames(frame); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("%s: ValidateFrames = %d, %v; want ErrBadFrame", name, n, err)
+		}
+		if _, err := NewMemLog().AppendFrames(frame, len(recs)); err == nil && name != "id beyond the dictionary" {
+			t.Errorf("%s: a log accepted the frame", name)
+		}
+	}
+	// The one shape only the full check sees must still never index out
+	// of range downstream: a cut read of it is an error, not a panic.
+	l := NewMemLog()
+	if _, err := l.AppendFrames(cases["id beyond the dictionary"], len(recs)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := l.ReadFrames(1, 2, nil); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("cut read of an out-of-range id: %v", err)
+	}
+}
+
 // FuzzValidateFrames drives arbitrary bytes through the validation
-// gate. Whatever passes must be structurally coherent end to end:
-// CountFrames agrees, iteration reassembles the exact input, and a
-// MemLog accepts and round-trips it byte for byte.
+// gate. Whatever passes must be coherent end to end: the structure walk
+// agrees, iteration reassembles the exact input, the columns decode,
+// every cut re-encodes to a valid frame, and a MemLog accepts and
+// round-trips it byte for byte.
 func FuzzValidateFrames(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(AppendRecordFrames(nil, frameRecs(1)))
 	f.Add(AppendRecordFrames(nil, frameRecs(5)))
-	f.Add([]byte{0, 0, 0, 20, 1, 2, 3, 4})
+	f.Add(corruptionChunk())
+	f.Add([]byte{20, 0, 0, 0, 1, 2, 3, 4})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	f.Fuzz(func(t *testing.T, b []byte) {
 		n, err := ValidateFrames(b)
 		if err != nil {
+			if !errors.Is(err, ErrBadFrame) && !errors.Is(err, ErrFrameCRC) {
+				t.Fatalf("ValidateFrames: unexpected error %v", err)
+			}
 			return
 		}
-		if cn, cerr := CountFrames(b); cerr != nil || cn != n {
-			t.Fatalf("CountFrames = %d, %v after ValidateFrames = %d", cn, cerr, n)
+		if cerr := checkFrameCount(b, n); cerr != nil {
+			t.Fatalf("checkFrameCount after ValidateFrames = %d: %v", n, cerr)
 		}
 		var rejoined []byte
-		it := IterFrames(b)
-		for it.Next() {
-			rejoined = append(rejoined, it.Frame()...)
-		}
-		if it.Err() != nil {
-			t.Fatalf("IterFrames: %v", it.Err())
+		for f, ferr := range Frames(b) {
+			if ferr != nil {
+				t.Fatalf("Frames: %v", ferr)
+			}
+			rejoined = append(rejoined, f.Raw...)
+			for _, cut := range [][2]int{{0, 1}, {f.Count - 1, f.Count}, {f.Count / 2, f.Count}} {
+				s, serr := SliceFrames(nil, f.Raw, cut[0], cut[1])
+				if serr != nil {
+					t.Fatalf("SliceFrames%v of a valid frame: %v", cut, serr)
+				}
+				if sn, verr := ValidateFrames(s); verr != nil || sn != cut[1]-cut[0] {
+					t.Fatalf("SliceFrames%v re-encoded %d records, %v", cut, sn, verr)
+				}
+			}
 		}
 		if !bytes.Equal(rejoined, b) {
 			t.Fatal("iterated frames do not reassemble the chunk")
+		}
+		if got := decodeFrames(t, b); len(got) != n {
+			t.Fatalf("decoded %d of %d records", len(got), n)
 		}
 		l := NewMemLog()
 		if _, aerr := l.AppendFrames(b, n); aerr != nil {
@@ -105,7 +437,8 @@ func FuzzValidateFrames(f *testing.F) {
 // FuzzMemLogAppendFrames feeds arbitrary (frames, count) pairs to the
 // raw append surface: it must never panic or partially mutate — either
 // the chunk is rejected whole or the watermark advances by count and
-// the bytes read back verbatim.
+// the bytes read back verbatim — and a cut read of whatever it took in
+// answers or errors, but never reads out of range.
 func FuzzMemLogAppendFrames(f *testing.F) {
 	valid := AppendRecordFrames(nil, frameRecs(3))
 	f.Add(valid, 3)
@@ -125,25 +458,16 @@ func FuzzMemLogAppendFrames(f *testing.F) {
 			return
 		}
 		if hwm := l.HighWatermark(); hwm != int64(count) {
-			t.Fatalf("watermark %d after appending %d frames", hwm, count)
+			t.Fatalf("watermark %d after appending %d records", hwm, count)
 		}
 		got, n, err := l.ReadFrames(0, count, nil)
 		if err != nil || n != count || !bytes.Equal(got, frames) {
 			t.Fatalf("ReadFrames = %d, %v; bytes mismatch %v", n, err, !bytes.Equal(got, frames))
 		}
+		if count > 1 {
+			if _, n, err := l.ReadFrames(1, count, nil); err == nil && n != count-1 {
+				t.Fatalf("cut read = %d records, want %d", n, count-1)
+			}
+		}
 	})
-}
-
-// TestFrameFieldsRoundTrip pins the payload field layout the whole
-// zero-copy path relies on, including NaN value bits surviving intact.
-func TestFrameFieldsRoundTrip(t *testing.T) {
-	r := Record{Key: "k1", Value: math.NaN(), Time: time.Unix(0, 42).UTC()}
-	frame := AppendFrame(nil, &r)
-	if n, err := ValidateFrames(frame); n != 1 || err != nil {
-		t.Fatalf("ValidateFrames = %d, %v", n, err)
-	}
-	key, bits, nanos := FrameFields(frame[frameHdrLen:])
-	if string(key) != "k1" || bits != math.Float64bits(math.NaN()) || nanos != 42 {
-		t.Fatalf("FrameFields = %q, %x, %d", key, bits, nanos)
-	}
 }

@@ -1,23 +1,23 @@
 // Package storage is the partition-log storage engine under the broker
-// tier: an append-only log of CRC frames addressed by offset, behind a
-// Log interface with two implementations — the chunked in-memory MemLog
-// the broker always had, and the segmented on-disk FileLog that makes a
-// broker restartable (recover segments, truncate a torn tail, rejoin
-// the cluster).
+// tier: an append-only log of batch frames addressed by record offset,
+// behind a Log interface with two implementations — the chunked
+// in-memory MemLog the broker always had, and the segmented on-disk
+// FileLog that makes a broker restartable (recover segments, drop a
+// torn tail, rejoin the cluster).
 //
 // A log stores frames and nothing else (layout in frames.go): a
-// record's offset IS its position, so it is never stored and reads
-// never scan, and the bytes a producer encoded are the bytes appended,
-// replicated and fetched — every hop is a memcpy. Record is the edge
-// type: AppendFrame/AppendRecordFrames encode it on the way in, and the
-// broker package (which aliases the type) decodes frames back into it
-// on the way out. Logs support truncation from the tail, which the
-// cluster layer uses to discard a rejoining replica's divergent
-// uncommitted records.
+// record's offset IS its position, so it is never stored, and the bytes
+// a producer encoded are the bytes appended, replicated and fetched —
+// every hop is a memcpy. Record is the edge type: BatchBuilder and
+// AppendRecordFrames encode it on the way in, and the broker package
+// (which aliases the type) decodes frames back into it on the way out.
+// Logs support truncation from the tail, which the cluster layer uses
+// to discard a rejoining replica's divergent uncommitted records.
 package storage
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"time"
 )
@@ -38,20 +38,23 @@ var (
 	ErrLogClosed        = errors.New("broker: log closed")
 )
 
-// Log is one partition's append-only log of CRC frames.
+// Log is one partition's append-only log of batch frames. Offsets count
+// records, not frames.
 //
-// AppendFrames appends a chunk of count frames verbatim at consecutive
-// offsets and returns the base offset; the caller vouches for the CRCs
-// (ValidateFrames at the wire boundary, or its own AppendFrame), and
-// the log re-walks only the structure to find record boundaries, so a
-// structurally corrupt chunk is rejected whole before any mutation.
-// ReadFrames appends up to max records' frames starting at offset onto
-// buf and returns the extended buffer and the record count — the bytes
-// are exactly what AppendFrames stored, CRCs included. HighWatermark is
-// the next offset to be written. TruncateTo discards every record at
-// offset >= hwm (a no-op when the log is already shorter); the next
-// append continues at hwm. Sync forces buffered appends to stable
-// storage (a no-op for MemLog).
+// AppendFrames appends a chunk holding count records verbatim at
+// consecutive offsets and returns the base offset; the caller vouches
+// for the CRCs (ValidateFrames at the wire boundary, or its own
+// builder), and the log re-walks only the structure to find frame
+// boundaries, so a structurally corrupt chunk is rejected whole before
+// any mutation. ReadFrames appends onto buf a chunk holding EXACTLY the
+// records [offset, offset+min(max, hwm-offset)) and returns the
+// extended buffer and that record count: frames wholly inside the
+// range are the stored bytes, CRCs included; a frame cut by either end
+// of the range is re-encoded by SliceFrames. HighWatermark is the next
+// offset to be written. TruncateTo discards every record at offset >=
+// hwm (a no-op when the log is already shorter), re-encoding the frame
+// the cut lands in; the next append continues at hwm. Sync forces
+// buffered appends to stable storage (a no-op for MemLog).
 type Log interface {
 	AppendFrames(frames []byte, count int) (int64, error)
 	ReadFrames(offset int64, max int, buf []byte) ([]byte, int, error)
@@ -61,58 +64,40 @@ type Log interface {
 	Close() error
 }
 
-// memChunkSize is the record capacity of one in-memory log chunk,
-// mirrored by FileLog's default segment capacity.
-const memChunkSize = 4096
+// memChunkBytes is the byte capacity of one in-memory log chunk. A
+// frame larger than that gets a chunk of its own.
+const memChunkBytes = 256 << 10
 
-// memChunk is one fixed-capacity chunk of encoded frames: buf holds up
-// to memChunkSize consecutive frames, ends[i] is the byte offset in buf
-// just past frame i (so frame i spans buf[ends[i-1]:ends[i]]).
-type memChunk struct {
-	buf  []byte
-	ends []int
+// memFrame locates one stored frame: records [first, first+n) are the
+// bytes [start, end) of chunk.
+type memFrame struct {
+	first      int64
+	n          int32
+	chunk      int32
+	start, end int32
 }
 
-// MemLog is the in-memory Log: fixed-capacity chunks of ENCODED frames
-// (the same CRC framing FileLog writes to disk), bulk appends into the
-// tail chunk (never reallocating earlier history, unlike a single
-// growing slice), and reads that locate their chunk by division:
-// nothing is ever dropped from the head, so every chunk but the last is
-// full and record i sits in chunk i/memChunkSize. It is the
-// implementation behind broker.New() and `brokerd -data-dir ""`.
+// MemLog is the in-memory Log: fixed-capacity byte chunks holding whole
+// frames (a frame never spans chunks, and appends never reallocate
+// earlier history, unlike a single growing slice) plus one index entry
+// per FRAME, binary-searched by offset. It is the implementation behind
+// broker.New() and `brokerd -data-dir ""`.
 //
 // Storing frames rather than Record structs is what makes the log
 // zero-copy in memory too: AppendFrames and ReadFrames are memcpys, and
 // a fetch response is assembled without touching a Record.
 type MemLog struct {
 	mu     sync.RWMutex
-	chunks []*memChunk
+	chunks [][]byte
+	frames []memFrame
 	n      int64 // total records; the high watermark
 }
 
 // NewMemLog returns an empty in-memory log.
 func NewMemLog() *MemLog { return &MemLog{} }
 
-// tailChunk returns the chunk accepting the next append (mu held). A
-// fresh chunk preallocates its frame buffer to the size the previous
-// chunk ended at — under a steady record shape the buffer never
-// regrows, so appends are single memcpys instead of repeated
-// reallocation copies.
-func (m *MemLog) tailChunk() *memChunk {
-	if k := len(m.chunks); k == 0 || len(m.chunks[k-1].ends) == memChunkSize {
-		hint := 0
-		if k > 0 {
-			hint = len(m.chunks[k-1].buf)
-		}
-		m.chunks = append(m.chunks, &memChunk{buf: make([]byte, 0, hint), ends: make([]int, 0, memChunkSize)})
-	}
-	return m.chunks[len(m.chunks)-1]
-}
-
-// AppendFrames implements Log: memcpy the pre-validated chunk into the
-// tail chunks — one bulk copy per run of frames landing in the same
-// chunk (a per-frame append would pay a slice regrow on every record),
-// with a cheap header walk to record the frame boundaries.
+// AppendFrames implements Log: memcpy each frame of the pre-validated
+// chunk into the tail chunk and index it.
 func (m *MemLog) AppendFrames(frames []byte, count int) (int64, error) {
 	if err := checkFrameCount(frames, count); err != nil {
 		return 0, err
@@ -120,29 +105,24 @@ func (m *MemLog) AppendFrames(frames []byte, count int) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	base := m.n
-	rest := frames
-	for remaining := count; remaining > 0; {
-		c := m.tailChunk()
-		take := memChunkSize - len(c.ends)
-		if take > remaining {
-			take = remaining
+	for f := range Frames(frames) { // structure checked above
+		k := len(m.chunks) - 1
+		if k < 0 || len(f.Raw) > cap(m.chunks[k])-len(m.chunks[k]) {
+			m.chunks = append(m.chunks, make([]byte, 0, max(memChunkBytes, len(f.Raw))))
+			k++
 		}
-		off := len(c.buf)
-		nbytes := 0
-		for i := 0; i < take; i++ {
-			nbytes += frameSize(rest[nbytes:])
-			c.ends = append(c.ends, off+nbytes)
-		}
-		c.buf = append(c.buf, rest[:nbytes]...)
-		rest = rest[nbytes:]
-		remaining -= take
+		start := len(m.chunks[k])
+		m.chunks[k] = append(m.chunks[k], f.Raw...)
+		m.frames = append(m.frames, memFrame{
+			first: m.n, n: int32(f.Count), chunk: int32(k), start: int32(start), end: int32(start + len(f.Raw)),
+		})
+		m.n += int64(f.Count)
 	}
-	m.n = base + int64(count)
 	return base, nil
 }
 
-// ReadFrames implements Log: bulk-copy the requested frames onto buf —
-// whole runs per chunk, no per-record work at all.
+// ReadFrames implements Log: whole frames are copied as stored, a frame
+// the range cuts through is re-encoded.
 func (m *MemLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -156,23 +136,22 @@ func (m *MemLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, err
 	if end > m.n {
 		end = m.n
 	}
-	count := 0
-	for at := offset; at < end; {
-		c := m.chunks[at/memChunkSize]
-		ri := int(at % memChunkSize)
-		take := len(c.ends) - ri
-		if int64(take) > end-at {
-			take = int(end - at)
+	i := sort.Search(len(m.frames), func(i int) bool { return m.frames[i].first > offset }) - 1
+	for at := offset; at < end; i++ {
+		fr := m.frames[i]
+		raw := m.chunks[fr.chunk][fr.start:fr.end]
+		lo, hi := int(at-fr.first), int(min(end-fr.first, int64(fr.n)))
+		if lo == 0 && hi == int(fr.n) {
+			buf = append(buf, raw...)
+		} else {
+			var err error
+			if buf, err = SliceFrames(buf, raw, lo, hi); err != nil {
+				return buf, int(at - offset), err
+			}
 		}
-		start := 0
-		if ri > 0 {
-			start = c.ends[ri-1]
-		}
-		buf = append(buf, c.buf[start:c.ends[ri+take-1]]...)
-		count += take
-		at += int64(take)
+		at = fr.first + int64(hi)
 	}
-	return buf, count, nil
+	return buf, int(end - offset), nil
 }
 
 // HighWatermark implements Log.
@@ -192,16 +171,27 @@ func (m *MemLog) TruncateTo(hwm int64) error {
 	if hwm >= m.n {
 		return nil
 	}
-	full := int(hwm / memChunkSize)
-	rem := int(hwm % memChunkSize)
-	chunks := m.chunks[:full]
-	if rem > 0 {
-		tail := m.chunks[full]
-		tail.buf = tail.buf[:tail.ends[rem-1]]
-		tail.ends = tail.ends[:rem]
-		chunks = append(chunks, tail)
+	// keep counts the frames that survive; the last of them may straddle
+	// the cut, and then keeps only its records below hwm.
+	keep := sort.Search(len(m.frames), func(i int) bool { return m.frames[i].first >= hwm })
+	nchunks := 0
+	if keep > 0 {
+		fr := &m.frames[keep-1]
+		c := m.chunks[fr.chunk]
+		if fr.first+int64(fr.n) > hwm {
+			cut, err := SliceFrames(nil, c[fr.start:fr.end], 0, int(hwm-fr.first))
+			if err != nil {
+				return err
+			}
+			// Never longer than the frame it replaces, so it fits in place.
+			c = append(c[:fr.start], cut...)
+			fr.n, fr.end = int32(hwm-fr.first), int32(len(c))
+		}
+		m.chunks[fr.chunk], nchunks = c[:fr.end], int(fr.chunk)+1
 	}
-	m.chunks = chunks
+	clear(m.chunks[nchunks:])
+	m.chunks = m.chunks[:nchunks]
+	m.frames = m.frames[:keep]
 	m.n = hwm
 	return nil
 }

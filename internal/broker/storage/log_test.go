@@ -44,22 +44,6 @@ func edgeRecs() []Record {
 	}
 }
 
-// decodeFrames is the test's own frames → records walk (the broker's
-// decoder cannot be imported from here).
-func decodeFrames(t *testing.T, frames []byte) []Record {
-	t.Helper()
-	var out []Record
-	it := IterFrames(frames)
-	for it.Next() {
-		k, bits, nanos := FrameFields(it.Payload())
-		out = append(out, Record{Key: string(k), Value: math.Float64frombits(bits), Time: TimeFromNanos(nanos)})
-	}
-	if it.Err() != nil {
-		t.Fatalf("stored frames do not iterate: %v", it.Err())
-	}
-	return out
-}
-
 func mustAppend(t *testing.T, l Log, wantBase int64, recs []Record) {
 	t.Helper()
 	base, err := l.AppendFrames(AppendRecordFrames(nil, recs), len(recs))
@@ -68,27 +52,36 @@ func mustAppend(t *testing.T, l Log, wantBase int64, recs []Record) {
 	}
 }
 
+// readExactly reads (offset, max) and checks the answer against the
+// record-level model: the chunk validates, holds exactly the records
+// testRecs puts at [offset, offset+want), and the count says so.
+func readExactly(t *testing.T, l Log, offset int64, max, want int) []byte {
+	t.Helper()
+	got, n, err := l.ReadFrames(offset, max, nil)
+	if err != nil || n != want {
+		t.Fatalf("ReadFrames(%d, %d) = %d records, %v; want %d", offset, max, n, err, want)
+	}
+	if vn, err := ValidateFrames(got); err != nil || vn != want {
+		t.Fatalf("ReadFrames(%d, %d): chunk validates as %d records, %v", offset, max, vn, err)
+	}
+	sameRecords(t, fmt.Sprintf("ReadFrames(%d, %d)", offset, max), decodeFrames(t, got), testRecs(int(offset), want))
+	return got
+}
+
 // verifyRange reads [lo, hwm) in mixed-size pages and checks every page
-// is byte-identical to the frames of testRecs at those offsets.
+// holds exactly the records of testRecs at those offsets (the
+// record-at-a-time pass covers the 300 offsets at either end).
 func verifyRange(t *testing.T, l Log, lo, hwm int64) {
 	t.Helper()
 	if got := l.HighWatermark(); got != hwm {
 		t.Fatalf("hwm = %d, want %d", got, hwm)
 	}
 	for _, step := range []int{1, 7, 100, 5000} {
-		for off := lo; off < hwm; {
-			want := step
-			if int64(want) > hwm-off {
-				want = int(hwm - off)
+		for off := lo; off < hwm; off += int64(step) {
+			if step == 1 && off >= lo+300 && off < hwm-300 {
+				continue
 			}
-			got, n, err := l.ReadFrames(off, step, nil)
-			if err != nil || n != want {
-				t.Fatalf("ReadFrames(%d, %d) = %d frames, %v; want %d", off, step, n, err, want)
-			}
-			if !bytes.Equal(got, AppendRecordFrames(nil, testRecs(int(off), n))) {
-				t.Fatalf("ReadFrames(%d, %d): bytes differ from what was appended", off, step)
-			}
-			off += int64(n)
+			readExactly(t, l, off, step, int(min(int64(step), hwm-off)))
 		}
 	}
 }
@@ -103,11 +96,27 @@ func openFileLog(t *testing.T, dir string, cfg FileConfig) *FileLog {
 	return l
 }
 
+// appendBatches appends testRecs in batches of the given sizes, one
+// frame each, starting at the log's watermark, and returns the new one.
+func appendBatches(t *testing.T, l Log, sizes ...int) int64 {
+	t.Helper()
+	at := l.HighWatermark()
+	for _, n := range sizes {
+		mustAppend(t, l, at, testRecs(int(at), n))
+		at += int64(n)
+	}
+	return at
+}
+
 func TestLogConformance(t *testing.T) {
 	impls := map[string]func(t *testing.T) Log{
 		"MemLog": func(*testing.T) Log { return NewMemLog() },
-		// Default 4096-record segments, the same boundary as a MemLog chunk.
+		// Default 4096-record segments.
 		"FileLog": func(t *testing.T) Log { return openFileLog(t, t.TempDir(), FileConfig{Policy: SyncNone}) },
+		// Segments so small every batch rolls one.
+		"FileLog-tiny-segments": func(t *testing.T) Log {
+			return openFileLog(t, t.TempDir(), FileConfig{Policy: SyncNone, SegmentRecords: 3})
+		},
 	}
 	for name, open := range impls {
 		t.Run(name, func(t *testing.T) {
@@ -132,23 +141,16 @@ func TestLogConformance(t *testing.T) {
 				if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], chunk) {
 					t.Fatal("ReadFrames must append the stored bytes, verbatim, onto buf")
 				}
-				for i, r := range decodeFrames(t, got[len(prefix):]) {
-					w := recs[i]
-					if r.Key != w.Key || math.Float64bits(r.Value) != math.Float64bits(w.Value) ||
-						!r.Time.Equal(w.Time) || r.Time.IsZero() != w.Time.IsZero() {
-						t.Errorf("record %d = %+v, want %+v", i, r, w)
-					}
+				sameRecords(t, "edge records", decodeFrames(t, got[len(prefix):]), recs)
+				// A read of both batches is both frames, as stored.
+				if got, n, err = l.ReadFrames(0, 100, nil); err != nil || n != 2*len(recs) || !bytes.Equal(got, append(append([]byte(nil), chunk...), chunk...)) {
+					t.Fatalf("two whole frames: %d records, %v", n, err)
 				}
 			})
 
 			t.Run("pagination and clipping", func(t *testing.T) {
 				l := open(t)
-				total := 0
-				for _, n := range []int{1, 99, 3990, 12, 5898} { // the 12 straddles offset 4096
-					mustAppend(t, l, int64(total), testRecs(total, n))
-					total += n
-				}
-				hwm := int64(total)
+				hwm := appendBatches(t, l, 1, 99, 3990, 12, 5898) // the 12 straddles offset 4096
 				verifyRange(t, l, 0, hwm)
 				for _, c := range []struct {
 					off  int64
@@ -157,13 +159,11 @@ func TestLogConformance(t *testing.T) {
 				}{
 					{4090, 12, 12}, {hwm - 3, 10, 3}, {hwm, 10, 0}, {0, 0, 0}, {5, -1, 0},
 				} {
-					got, n, err := l.ReadFrames(c.off, c.max, nil)
-					if err != nil || n != c.want {
-						t.Errorf("ReadFrames(%d, %d) = %d frames, %v; want %d", c.off, c.max, n, err, c.want)
-					}
-					if !bytes.Equal(got, AppendRecordFrames(nil, testRecs(int(c.off), c.want))) {
-						t.Errorf("ReadFrames(%d, %d): wrong bytes", c.off, c.max)
-					}
+					readExactly(t, l, c.off, c.max, c.want)
+				}
+				// A range inside one batch is the frame those records build.
+				if got := readExactly(t, l, 200, 50, 50); !bytes.Equal(got, AppendRecordFrames(nil, testRecs(200, 50))) {
+					t.Error("a cut read must be the frame built from the records it holds")
 				}
 				buf := []byte("kept")
 				for _, off := range []int64{-1, hwm + 1} {
@@ -174,11 +174,30 @@ func TestLogConformance(t *testing.T) {
 				}
 			})
 
+			// The exact-range rule, against the record-level model: every
+			// offset, with maxes around every batch size in the log.
+			t.Run("every offset, unaligned ranges", func(t *testing.T) {
+				l := open(t)
+				hwm := appendBatches(t, l, 1, 2, 125, 1000, 2, 1, 125)
+				maxes := []int{1, 2, 3, 124, 125, 126, 1000, 1001, int(hwm)}
+				if testing.Short() {
+					maxes = []int{1, 126, 1001}
+				}
+				for off := int64(0); off <= hwm; off++ {
+					for _, max := range maxes {
+						readExactly(t, l, off, max, int(min(int64(max), hwm-off)))
+					}
+				}
+				// max smaller than the first batch it lands in.
+				readExactly(t, l, 3, 10, 10)
+				readExactly(t, l, 128, 1, 1)
+			})
+
 			t.Run("bad chunk rejected whole", func(t *testing.T) {
 				l := open(t)
 				mustAppend(t, l, 0, testRecs(0, 10))
 				chunk := AppendRecordFrames(nil, testRecs(10, 4))
-				for _, count := range []int{0, 3, 5, -1} {
+				for _, count := range []int{0, 1, 3, 5, -1} {
 					if _, err := l.AppendFrames(chunk, count); err == nil {
 						t.Errorf("chunk of 4 declared as %d: accepted", count)
 					}
@@ -192,11 +211,11 @@ func TestLogConformance(t *testing.T) {
 
 			t.Run("truncate then re-append", func(t *testing.T) {
 				l := open(t)
-				mustAppend(t, l, 0, testRecs(0, 10000))
+				appendBatches(t, l, 4000, 200, 5800)
 				if err := l.TruncateTo(20000); err != nil || l.HighWatermark() != 10000 {
 					t.Fatalf("truncate above the watermark must be a no-op: hwm %d, %v", l.HighWatermark(), err)
 				}
-				if err := l.TruncateTo(4100); err != nil { // inside the second chunk/segment
+				if err := l.TruncateTo(4100); err != nil { // inside the second batch
 					t.Fatal(err)
 				}
 				verifyRange(t, l, 0, 4100)
@@ -205,15 +224,46 @@ func TestLogConformance(t *testing.T) {
 				}
 				mustAppend(t, l, 4100, testRecs(4100, 5900))
 				verifyRange(t, l, 0, 10000)
-				if err := l.TruncateTo(4096); err != nil { // exactly on the boundary
+				if err := l.TruncateTo(4000); err != nil { // exactly on a batch boundary
 					t.Fatal(err)
 				}
-				verifyRange(t, l, 0, 4096)
+				verifyRange(t, l, 0, 4000)
 				if err := l.TruncateTo(-3); err != nil || l.HighWatermark() != 0 { // negative reads as zero
 					t.Fatalf("truncate to zero: hwm %d, %v", l.HighWatermark(), err)
 				}
 				mustAppend(t, l, 0, testRecs(0, 5))
 				verifyRange(t, l, 0, 5)
+			})
+
+			// The rejoin divergence cut lands wherever the leader's
+			// committed watermark is: at every point of a small log, cut,
+			// check, append on, check again.
+			t.Run("truncate mid-batch at every offset", func(t *testing.T) {
+				for cut := int64(0); cut <= 16; cut++ {
+					l := open(t)
+					appendBatches(t, l, 1, 7, 2, 6)
+					if err := l.TruncateTo(cut); err != nil {
+						t.Fatalf("TruncateTo(%d): %v", cut, err)
+					}
+					verifyRange(t, l, 0, cut)
+					verifyRange(t, l, 0, appendBatches(t, l, 5, 1))
+				}
+			})
+
+			// A replicate section overlapping what the follower already
+			// holds: the duplicate prefix ends mid-batch, the rest lands.
+			t.Run("duplicate prefix ending mid-batch", func(t *testing.T) {
+				l := open(t)
+				hwm := appendBatches(t, l, 10, 10)
+				section := AppendRecordFrames(AppendRecordFrames(nil, testRecs(5, 20)), testRecs(25, 10)) // base 5
+				rest, err := SliceFrames(nil, section, int(hwm-5), 30)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if base, err := l.AppendFrames(rest, 30-int(hwm-5)); err != nil || base != hwm {
+					t.Fatalf("append of the trimmed section: base %d, %v", base, err)
+				}
+				verifyRange(t, l, 0, 35)
 			})
 		})
 	}
@@ -225,7 +275,7 @@ func TestFileLogReopenRecovers(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustAppend(t, l, int64(i*100), testRecs(i*100, 100))
 	}
-	if err := l.TruncateTo(777); err != nil { // a cut inside a segment must survive too
+	if err := l.TruncateTo(777); err != nil { // a cut inside a batch must survive too
 		t.Fatal(err)
 	}
 	mustAppend(t, l, 777, testRecs(777, 223))
@@ -244,81 +294,209 @@ func TestFileLogReopenRecovers(t *testing.T) {
 	verifyRange(t, re, 0, 1005)
 }
 
-// TestFileLogOpensParentWrittenSegments pins the on-disk format: these
-// two segment files were written by the record-typed FileLog.Append
-// this package used to have (SegmentRecords 2; a keyed record, an
-// empty-key zero-time one, a multi-byte key). They must open, recover
-// and be served byte for byte — and AppendFrame must still produce
-// exactly these bytes.
-func TestFileLogOpensParentWrittenSegments(t *testing.T) {
-	segs := map[int64]string{
-		0: "000000165bce6174000000026b313ff8000000000000000000000000002a" +
-			"000000142e6d055900000000c0000000000000008000000000000000",
-		2: "00000017181b050400000003e98db5400800000000000017979cfe362a0000",
-	}
-	recs := []Record{
-		{Key: "k1", Value: 1.5, Time: time.Unix(0, 42).UTC()},
-		{Key: "", Value: -2},
-		{Key: "鍵", Value: 3, Time: time.Unix(1700000000, 0).UTC()},
-	}
+// TestFileLogSegmentsHoldWholeFrames pins the segment layout: a header,
+// then whole frames; a segment rolls before the frame that would start
+// at or past SegmentRecords, never inside one.
+func TestFileLogSegmentsHoldWholeFrames(t *testing.T) {
 	dir := t.TempDir()
-	var all []byte
-	for _, base := range []int64{0, 2} {
-		raw, err := hex.DecodeString(segs[base])
+	l := openFileLog(t, dir, FileConfig{SegmentRecords: 100, Policy: SyncNone})
+	appendBatches(t, l, 60, 60, 60, 100, 1) // segments: 0 (120 records), 120 (160), 280 (1)
+	wantBases := []int64{0, 120, 280}
+	if n, _ := l.Stats(); n != len(wantBases) {
+		t.Fatalf("%d segments, want %d", n, len(wantBases))
+	}
+	_ = l.Close()
+	for i, base := range wantBases {
+		data, err := os.ReadFile(filepath.Join(dir, segName(base)))
+		if err != nil {
+			t.Fatalf("segment %d: %v", base, err)
+		}
+		if !bytes.Equal(data[:segHdrLen], appendSegHeader(nil, base)) {
+			t.Fatalf("segment %d header = %x", base, data[:segHdrLen])
+		}
+		end := int64(281)
+		if i+1 < len(wantBases) {
+			end = wantBases[i+1]
+		}
+		if n, err := ValidateFrames(data[segHdrLen:]); err != nil || int64(n) != end-base {
+			t.Fatalf("segment %d holds %d records (%v), want %d whole-frame records", base, n, err, end-base)
+		}
+	}
+}
+
+// renameCountingFS counts renames: the trace a segment upgrade leaves.
+type renameCountingFS struct {
+	FS
+	renames int
+}
+
+func (c *renameCountingFS) Rename(o, n string) error {
+	c.renames++
+	return c.FS.Rename(o, n)
+}
+
+// parentSegments are two segment files written by the FileLog of the
+// commit before segments had a header and frames held batches
+// (SegmentRecords 2; a keyed record, an empty-key zero-time one, a
+// multi-byte key): one big-endian [4]len [4]crc32-IEEE frame per record.
+var parentSegments = map[int64]string{
+	0: "000000165bce6174000000026b313ff8000000000000000000000000002a" +
+		"000000142e6d055900000000c0000000000000008000000000000000",
+	2: "00000017181b050400000003e98db5400800000000000017979cfe362a0000",
+}
+
+var parentRecords = []Record{
+	{Key: "k1", Value: 1.5, Time: time.Unix(0, 42).UTC()},
+	{Key: "", Value: -2},
+	{Key: "鍵", Value: 3, Time: time.Unix(1700000000, 0).UTC()},
+}
+
+func writeParentSegments(t *testing.T, dir string) {
+	t.Helper()
+	for base, h := range parentSegments {
+		raw, err := hex.DecodeString(h)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(dir, segName(base)), raw, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		all = append(all, raw...)
-	}
-	if got := AppendRecordFrames(nil, recs); !bytes.Equal(got, all) {
-		t.Fatalf("AppendFrame no longer writes the segment format:\n got %x\nwant %x", got, all)
-	}
-	l := openFileLog(t, dir, FileConfig{SegmentRecords: 2})
-	got, n, err := l.ReadFrames(0, 10, nil)
-	if err != nil || n != 3 || !bytes.Equal(got, all) {
-		t.Fatalf("ReadFrames = %d frames, %v, %x", n, err, got)
-	}
-	mustAppend(t, l, 3, recs[:1]) // lands in the recovered second segment
-	all = AppendFrame(all, &recs[0])
-	got, n, err = l.ReadFrames(0, 10, nil)
-	if nsegs, size := l.Stats(); err != nil || n != 4 || !bytes.Equal(got, all) || nsegs != 2 || size != int64(len(all)) {
-		t.Fatalf("after append: %d frames, %v, %d segments, %d bytes", n, err, nsegs, size)
 	}
 }
 
-func TestFileLogTornTailTruncatedOnOpen(t *testing.T) {
+// TestFileLogOpensParentWrittenSegments is the golden upgrade: the
+// headerless per-record segments open, are rewritten once in the
+// current format, serve the same three records, take appends — and the
+// second open finds nothing left to upgrade.
+func TestFileLogOpensParentWrittenSegments(t *testing.T) {
+	dir := t.TempDir()
+	writeParentSegments(t, dir)
+	fs := &renameCountingFS{FS: OSFS}
+	l := openFileLog(t, dir, FileConfig{SegmentRecords: 2, FS: fs})
+	if fs.renames != len(parentSegments) {
+		t.Fatalf("first open renamed %d files, want one upgrade per segment (%d)", fs.renames, len(parentSegments))
+	}
+	got, n, err := l.ReadFrames(0, 10, nil)
+	if err != nil || n != 3 {
+		t.Fatalf("ReadFrames = %d records, %v", n, err)
+	}
+	sameRecords(t, "upgraded", decodeFrames(t, got), parentRecords)
+	mustAppend(t, l, 3, parentRecords[:1]) // lands in the upgraded second segment
+	if nsegs, _ := l.Stats(); nsegs != 2 {
+		t.Fatalf("%d segments after the append, want 2", nsegs)
+	}
+	_ = l.Close()
+	for base := range parentSegments {
+		data, err := os.ReadFile(filepath.Join(dir, segName(base)))
+		if err != nil || !bytes.Equal(data[:segHdrLen], appendSegHeader(nil, base)) {
+			t.Fatalf("segment %d after upgrade: %v, starts %x", base, err, data[:min(len(data), segHdrLen)])
+		}
+	}
+	fs.renames = 0
+	re := openFileLog(t, dir, FileConfig{SegmentRecords: 2, FS: fs})
+	if fs.renames != 0 {
+		t.Fatalf("second open upgraded again (%d renames)", fs.renames)
+	}
+	got, n, err = re.ReadFrames(0, 10, nil)
+	if err != nil || n != 4 {
+		t.Fatalf("reopened: %d records, %v", n, err)
+	}
+	sameRecords(t, "reopened", decodeFrames(t, got), append(append([]Record(nil), parentRecords...), parentRecords[0]))
+	entries, _ := os.ReadDir(dir)
+	if len(entries) != 2 {
+		t.Fatalf("directory holds %d files after the upgrade, want the 2 segments", len(entries))
+	}
+}
+
+// TestFileLogUpgradeDropsTornLegacyTail: a headerless segment ending in
+// a half-written record upgrades to its valid prefix, and — as with any
+// torn tail — the segments past it go.
+func TestFileLogUpgradeDropsTornLegacyTail(t *testing.T) {
+	dir := t.TempDir()
+	writeParentSegments(t, dir)
+	seg0 := filepath.Join(dir, segName(0))
+	raw, _ := os.ReadFile(seg0)
+	if err := os.WriteFile(seg0, raw[:len(raw)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := openFileLog(t, dir, FileConfig{SegmentRecords: 2})
+	got, n, err := l.ReadFrames(0, 10, nil)
+	if err != nil || n != 1 {
+		t.Fatalf("ReadFrames = %d records, %v; want the one whole record", n, err)
+	}
+	sameRecords(t, "valid prefix", decodeFrames(t, got), parentRecords[:1])
+	if _, err := os.Stat(filepath.Join(dir, segName(2))); !os.IsNotExist(err) {
+		t.Fatalf("segment past the torn one not deleted: %v", err)
+	}
+}
+
+// TestFileLogRefusesUnknownSegmentHeader: a header naming a format this
+// build does not know is an error, and the file is left as it was.
+func TestFileLogRefusesUnknownSegmentHeader(t *testing.T) {
+	dir := t.TempDir()
+	l := openFileLog(t, dir, FileConfig{})
+	mustAppend(t, l, 0, testRecs(0, 10))
+	_ = l.Close()
+	seg := filepath.Join(dir, segName(0))
+	data, _ := os.ReadFile(seg)
+	data[4] = 9 // format version
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if l, err := OpenFileLog(dir, FileConfig{}); err == nil {
+		_ = l.Close()
+		t.Fatal("a segment of an unknown format version opened")
+	}
+	if after, _ := os.ReadFile(seg); !bytes.Equal(after, data) {
+		t.Fatal("refusing a segment must not modify it")
+	}
+}
+
+// TestFileLogTornBatchDroppedWhole cuts the segment at every byte of
+// its last batch: recovery drops that batch whole — it was never acked
+// — keeps everything before it, and appends go on from there.
+func TestFileLogTornBatchDroppedWhole(t *testing.T) {
 	dir := t.TempDir()
 	l := openFileLog(t, dir, FileConfig{SegmentRecords: 1 << 20})
-	mustAppend(t, l, 0, testRecs(0, 500))
+	appendBatches(t, l, 300, 200)
 	_ = l.Close()
-	// Tear the tail: append half of a valid frame to the segment file.
 	seg := filepath.Join(dir, segName(0))
-	frame := AppendFrame(nil, &Record{Key: "torn", Value: 42})
-	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0o644)
+	whole, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(frame[:len(frame)-5]); err != nil {
+	last := len(AppendRecordFrames(nil, testRecs(300, 200)))
+	for cut := len(whole) - last; cut < len(whole); cut++ {
+		if err := os.WriteFile(seg, whole[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re := openFileLog(t, dir, FileConfig{SegmentRecords: 1 << 20})
+		if st, err := os.Stat(seg); err != nil || st.Size() != int64(len(whole)-last) || re.HighWatermark() != 300 {
+			t.Fatalf("cut at %d: hwm %d, %d bytes on disk; want 300 records and the torn bytes gone", cut, re.HighWatermark(), st.Size())
+		}
+		if cut%211 == 0 { // the full check, and appending on, at a sample of the cuts
+			verifyRange(t, re, 0, 300)
+			mustAppend(t, re, 300, testRecs(300, 10))
+			verifyRange(t, re, 0, 310)
+		}
+		_ = re.Close()
+	}
+	// A garbage tail (not a prefix of any frame) goes the same way.
+	if err := os.WriteFile(seg, append(append([]byte(nil), whole...), 0, 0, 0, 42, 1, 2, 3), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_ = f.Close()
-	re := openFileLog(t, dir, FileConfig{SegmentRecords: 1 << 20})
-	verifyRange(t, re, 0, 500)
-	// The torn bytes are gone from disk; appending works again.
-	mustAppend(t, re, 500, testRecs(500, 10))
-	verifyRange(t, re, 0, 510)
+	verifyRange(t, openFileLog(t, dir, FileConfig{SegmentRecords: 1 << 20}), 0, 500)
 }
 
 func TestFileLogCorruptMiddleDropsSuffixSegments(t *testing.T) {
 	dir := t.TempDir()
 	l := openFileLog(t, dir, FileConfig{SegmentRecords: 100})
-	mustAppend(t, l, 0, testRecs(0, 350)) // segments 0,100,200,300
+	for i := 0; i < 35; i++ {
+		mustAppend(t, l, int64(i*10), testRecs(i*10, 10)) // segments 0,100,200,300
+	}
 	_ = l.Close()
 	// Flip a byte mid-way through segment 100: recovery must cut that
-	// segment at the corruption and delete segments 200 and 300.
+	// segment at the corrupt batch and delete segments 200 and 300.
 	seg := filepath.Join(dir, segName(100))
 	data, err := os.ReadFile(seg)
 	if err != nil {
@@ -330,8 +508,8 @@ func TestFileLogCorruptMiddleDropsSuffixSegments(t *testing.T) {
 	}
 	re := openFileLog(t, dir, FileConfig{SegmentRecords: 100})
 	hwm := re.HighWatermark()
-	if hwm <= 100 || hwm >= 200 {
-		t.Fatalf("hwm after mid-corruption = %d, want inside (100, 200)", hwm)
+	if hwm <= 100 || hwm >= 200 || hwm%10 != 0 {
+		t.Fatalf("hwm after mid-corruption = %d, want a batch boundary inside (100, 200)", hwm)
 	}
 	verifyRange(t, re, 0, hwm)
 	if _, err := os.Stat(filepath.Join(dir, segName(200))); !os.IsNotExist(err) {
@@ -344,7 +522,7 @@ func TestFileLogCorruptMiddleDropsSuffixSegments(t *testing.T) {
 func TestFileLogMissingPrefixIsOutOfRange(t *testing.T) {
 	dir := t.TempDir()
 	l := openFileLog(t, dir, FileConfig{SegmentRecords: 100})
-	mustAppend(t, l, 0, testRecs(0, 250))
+	appendBatches(t, l, 100, 100, 50)
 	_ = l.Close()
 	if err := os.Remove(filepath.Join(dir, segName(0))); err != nil {
 		t.Fatal(err)

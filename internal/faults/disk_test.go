@@ -2,9 +2,14 @@ package faults
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"math"
 	mrand "math/rand/v2"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -76,7 +81,7 @@ func TestDiskFaultsAckedExactlyOnce(t *testing.T) {
 	}
 
 	// One clean append after the storm must still work.
-	tail := storage.AppendFrame(nil, &storage.Record{Key: "tail", Value: 1})
+	tail := storage.AppendRecordFrames(nil, []storage.Record{storage.Record{Key: "tail", Value: 1}})
 	tailBase, err := log.AppendFrames(tail, 1)
 	if err != nil {
 		t.Fatalf("append after clearing faults: %v", err)
@@ -128,7 +133,7 @@ func TestDiskFaultsTornTailRecovered(t *testing.T) {
 	const ackedRecs = 10
 	var ackedFrames []byte
 	for i := 0; i < ackedRecs; i++ {
-		frame := storage.AppendFrame(nil, &storage.Record{Key: fmt.Sprintf("ok%d", i), Value: float64(i)})
+		frame := storage.AppendRecordFrames(nil, []storage.Record{storage.Record{Key: fmt.Sprintf("ok%d", i), Value: float64(i)}})
 		if _, err := log.AppendFrames(frame, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +145,7 @@ func TestDiskFaultsTornTailRecovered(t *testing.T) {
 	// up after itself. To leave a REAL torn tail we write garbage
 	// straight into the tail file.
 	disk.Set(DiskFaults{FailWrites: true, TornBytes: 7})
-	_, err = log.AppendFrames(storage.AppendFrame(nil, &storage.Record{Key: "torn", Value: 99}), 1)
+	_, err = log.AppendFrames(storage.AppendRecordFrames(nil, []storage.Record{storage.Record{Key: "torn", Value: 99}}), 1)
 	if err == nil {
 		t.Fatal("append through FailWrites succeeded")
 	}
@@ -171,4 +176,104 @@ func TestDiskFaultsTornTailRecovered(t *testing.T) {
 	if err != nil || n != ackedRecs || !bytes.Equal(got, ackedFrames) {
 		t.Fatalf("recovered %d records, %v: bytes differ from the acked appends", n, err)
 	}
+}
+
+// legacySegment encodes records the way segments were written before
+// they had a header and frames held batches: one big-endian
+// [4]len [4]crc32-IEEE [4]klen key [8]value [8]nanos frame per record.
+func legacySegment(recs []storage.Record) []byte {
+	var b []byte
+	for _, r := range recs {
+		p := binary.BigEndian.AppendUint32(nil, uint32(len(r.Key)))
+		p = append(p, r.Key...)
+		p = binary.BigEndian.AppendUint64(p, math.Float64bits(r.Value))
+		p = binary.BigEndian.AppendUint64(p, uint64(r.Time.UnixNano()))
+		b = binary.BigEndian.AppendUint32(b, uint32(len(p)))
+		b = binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(p))
+		b = append(b, p...)
+	}
+	return b
+}
+
+// TestSegmentUpgradeInterruptedAtEveryStep fails the one-time rewrite of
+// a headerless segment at each of its steps — the write of the new file
+// (torn at several lengths), its fsync, the rename over the old one. The
+// open fails, the old segments are untouched byte for byte, and the next
+// clean open finishes the job and serves every record; a directory left
+// half upgraded (one segment new, one old) opens the same way.
+func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
+	at := time.Unix(1700000000, 0).UTC()
+	recs := []storage.Record{
+		{Key: "k1", Value: 1.5, Time: at}, {Key: "", Value: -2, Time: at.Add(1)}, {Key: "鍵", Value: 3, Time: at.Add(2)},
+	}
+	segs := map[string][]byte{
+		"00000000000000000000.seg": legacySegment(recs[:2]),
+		"00000000000000000002.seg": legacySegment(recs[2:]),
+	}
+	served := func(t *testing.T, dir string) {
+		t.Helper()
+		l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2})
+		if err != nil {
+			t.Fatalf("clean open: %v", err)
+		}
+		defer l.Close()
+		got, n, err := l.ReadFrames(0, 10, nil)
+		if err != nil || n != len(recs) || !bytes.Equal(got, append(storage.AppendRecordFrames(nil, recs[:2]), storage.AppendRecordFrames(nil, recs[2:])...)) {
+			t.Fatalf("after the upgrade: %d records, %v", n, err)
+		}
+		entries, _ := os.ReadDir(dir)
+		if len(entries) != len(segs) {
+			t.Fatalf("%d files left in the directory, want the %d segments", len(entries), len(segs))
+		}
+	}
+	steps := map[string]DiskFaults{
+		"write refused":      {FailWrites: true},
+		"write torn at 5":    {FailWrites: true, TornBytes: 5},
+		"write torn at 16":   {FailWrites: true, TornBytes: 16},
+		"write torn at 40":   {FailWrites: true, TornBytes: 40},
+		"fsync fails":        {SyncErr: errors.New("injected fsync failure")},
+		"rename never lands": {RenameErr: errors.New("injected rename failure")},
+	}
+	for name, f := range steps {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			for seg, data := range segs {
+				if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			disk := NewDisk(nil)
+			disk.Set(f)
+			if l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2, FS: disk}); err == nil {
+				_ = l.Close()
+				t.Fatal("open succeeded through the fault")
+			}
+			for seg, data := range segs {
+				if got, err := os.ReadFile(filepath.Join(dir, seg)); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("%s after the interrupted upgrade: %v, %d bytes (was %d)", seg, err, len(got), len(data))
+				}
+			}
+			served(t, dir)
+		})
+	}
+	t.Run("half upgraded", func(t *testing.T) {
+		dir := t.TempDir()
+		first, second := "00000000000000000000.seg", "00000000000000000002.seg"
+		if err := os.WriteFile(filepath.Join(dir, first), segs[first], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = l.Close()
+		// ...and a rewrite of the second that died before its rename.
+		if err := os.WriteFile(filepath.Join(dir, second), segs[second], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "00000000000000000002.seg.upgrade"), []byte("half a new segment"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		served(t, dir)
+	})
 }

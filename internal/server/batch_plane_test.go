@@ -22,7 +22,7 @@ func TestBatchPlaneSharesOneBatchAcrossQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeEvents(41, 20000)
-	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})

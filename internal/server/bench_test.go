@@ -29,7 +29,7 @@ func BenchmarkShardedWindowThroughput(b *testing.B) {
 				if err := bk.CreateTopic("in", shards); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+				if _, err := produceEvents(bk, "in", events); err != nil {
 					b.Fatal(err)
 				}
 				s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: 100 * time.Microsecond})
@@ -115,7 +115,7 @@ func BenchmarkQueryConcurrency(b *testing.B) {
 					jobs = append(jobs, j)
 				}
 				b.StartTimer()
-				if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+				if _, err := produceEvents(bk, "in", events); err != nil {
 					b.Fatal(err)
 				}
 				deadline := time.Now().Add(60 * time.Second)

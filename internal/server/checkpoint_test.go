@@ -22,7 +22,7 @@ func TestCheckpointRestartResumes(t *testing.T) {
 	}
 	events := makeEvents(19, 16000) // 16s of data
 	half := len(events) / 2
-	if _, err := broker.ProduceEvents(b, "in", events[:half]); err != nil {
+	if _, err := produceEvents(b, "in", events[:half]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -79,7 +79,7 @@ func TestCheckpointRestartResumes(t *testing.T) {
 	if j2.spec.Kind != "sum" || j2.spec.Window != 2*time.Second {
 		t.Fatalf("restored spec = %+v", j2.spec)
 	}
-	if _, err := broker.ProduceEvents(b, "in", events[half:]); err != nil {
+	if _, err := produceEvents(b, "in", events[half:]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -156,7 +156,7 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 	}
 	events := makeEvents(47, 16000) // 16s of data
 	half := len(events) / 2
-	if _, err := broker.ProduceEvents(b, "in", events[:half]); err != nil {
+	if _, err := produceEvents(b, "in", events[:half]); err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{
@@ -229,7 +229,7 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 			t.Fatalf("query %s not restored", id)
 		}
 	}
-	if _, err := broker.ProduceEvents(b, "in", events[half:]); err != nil {
+	if _, err := produceEvents(b, "in", events[half:]); err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range ids {
@@ -343,7 +343,7 @@ func TestCheckpointSurvivesEmptyPartition(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		events = append(events, stream.Event{Stratum: "only", Value: 1, Time: base.Add(time.Duration(i) * time.Millisecond)})
 	}
-	if _, err := broker.ProduceEvents(b, "in", events); err != nil {
+	if _, err := produceEvents(b, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	cfg := Config{Cluster: b, Topic: "in", CheckpointDir: dir,

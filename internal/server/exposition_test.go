@@ -28,7 +28,7 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeEvents(3, 6000)
-	if _, err := broker.ProduceEvents(b, "in", events); err != nil {
+	if _, err := produceEvents(b, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Cluster: b, Topic: "in", PollBackoff: time.Millisecond})

@@ -60,7 +60,7 @@ func fetchOpsForQueries(t *testing.T, n int) int64 {
 		t.Fatal(err)
 	}
 	events := makeEvents(23, 12000)
-	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	cc := &countingCluster{Cluster: bk}
@@ -169,7 +169,7 @@ func lateRegistrationCatchesUp(t *testing.T, events []stream.Event) {
 		t.Fatal(err)
 	}
 	half := len(events) / 2
-	if _, err := broker.ProduceEvents(bk, "in", events[:half]); err != nil {
+	if _, err := produceEvents(bk, "in", events[:half]); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
@@ -197,7 +197,7 @@ func lateRegistrationCatchesUp(t *testing.T, events []stream.Event) {
 
 	// Feed the rest: the late query must receive it via the shared
 	// plane after its splice.
-	if _, err := broker.ProduceEvents(bk, "in", events[half:]); err != nil {
+	if _, err := produceEvents(bk, "in", events[half:]); err != nil {
 		t.Fatal(err)
 	}
 	waitJobRecords(t, j1, int64(len(events)), 15*time.Second)
@@ -243,7 +243,7 @@ func TestFromLatestSkipsBacklog(t *testing.T) {
 	}
 	events := makeEvents(37, 12000)
 	half := len(events) / 2
-	if _, err := broker.ProduceEvents(bk, "in", events[:half]); err != nil {
+	if _, err := produceEvents(bk, "in", events[:half]); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
@@ -263,7 +263,7 @@ func TestFromLatestSkipsBacklog(t *testing.T) {
 	}
 	j2, _ := s.job(id2)
 
-	if _, err := broker.ProduceEvents(bk, "in", events[half:]); err != nil {
+	if _, err := produceEvents(bk, "in", events[half:]); err != nil {
 		t.Fatal(err)
 	}
 	waitJobRecords(t, j1, int64(len(events)), 15*time.Second)
@@ -292,7 +292,7 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 	if err := bk.CreateTopic("in", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
@@ -371,7 +371,7 @@ func TestCatchUpPoolBoundsConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeEvents(31, 30000)
-	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
@@ -449,7 +449,7 @@ func TestLagGaugesSettleWithThrottledHighWatermark(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeEvents(31, 20*fetchMax)
-	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	cc := &hwmCountingCluster{Cluster: bk}
@@ -518,7 +518,7 @@ func startPacedPlane(t *testing.T, events []stream.Event, backoff time.Duration)
 	if err := bk.CreateTopic("in", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	fl := &fetchLogCluster{Cluster: bk}
@@ -567,7 +567,7 @@ func TestFetchLoopDrainsBacklogThenWaitsOneBackoff(t *testing.T) {
 	late := events[len(events)-1]
 	late.Time = late.Time.Add(time.Millisecond)
 	produced := time.Now()
-	if _, err := broker.ProduceEvents(bk, "in", []stream.Event{late}); err != nil {
+	if _, err := produceEvents(bk, "in", []stream.Event{late}); err != nil {
 		t.Fatal(err)
 	}
 	waitJobRecords(t, j, int64(len(events))+1, 10*time.Second)

@@ -66,7 +66,7 @@ func TestSchedulerEnforcesGlobalBudget(t *testing.T) {
 			if end > len(events) {
 				end = len(events)
 			}
-			_, _ = broker.ProduceEvents(bk, "in", events[chunk:end])
+			_, _ = produceEvents(bk, "in", events[chunk:end])
 			time.Sleep(15 * time.Millisecond)
 		}
 	}()
@@ -180,7 +180,7 @@ func TestSchedulerGrowsStarvedQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeEvents(43, 30000)
-	if _, err := broker.ProduceEvents(bk, "in", events); err != nil {
+	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{

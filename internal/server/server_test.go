@@ -33,6 +33,15 @@ func makeEvents(seed uint64, n int) []stream.Event {
 	return events
 }
 
+// produceEvents appends events to the topic as records keyed by stratum.
+func produceEvents(b *broker.Broker, topic string, events []stream.Event) (int, error) {
+	recs := make([]broker.Record, len(events))
+	for i, e := range events {
+		recs[i] = broker.FromEvent(e)
+	}
+	return b.Produce(topic, recs)
+}
+
 // exactWindowSums computes the ground-truth sliding-window sums.
 func exactWindowSums(events []stream.Event, size, slide time.Duration) map[time.Time]float64 {
 	out := make(map[time.Time]float64)
@@ -102,7 +111,7 @@ func TestServedSumQueryMergesShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeEvents(11, 20000) // 20s of data
-	if _, err := broker.ProduceEvents(b, "in", events); err != nil {
+	if _, err := produceEvents(b, "in", events); err != nil {
 		t.Fatal(err)
 	}
 
@@ -233,7 +242,7 @@ func TestServedGroupByMeanMergesGroups(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeEvents(13, 12000)
-	if _, err := broker.ProduceEvents(b, "in", events); err != nil {
+	if _, err := produceEvents(b, "in", events); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{Cluster: b, Topic: "in", PollBackoff: time.Millisecond})
@@ -296,7 +305,7 @@ func TestResultsLongPollWakesOnMerge(t *testing.T) {
 		done <- out
 	}()
 	time.Sleep(50 * time.Millisecond) // let the poller park
-	if _, err := broker.ProduceEvents(b, "in", makeEvents(29, 6000)); err != nil {
+	if _, err := produceEvents(b, "in", makeEvents(29, 6000)); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -344,7 +353,7 @@ func TestStreamEndpointDeliversLiveResults(t *testing.T) {
 	defer func() { _ = resp.Body.Close() }()
 
 	// Produce after the stream is open.
-	if _, err := broker.ProduceEvents(b, "in", makeEvents(17, 8000)); err != nil {
+	if _, err := produceEvents(b, "in", makeEvents(17, 8000)); err != nil {
 		t.Fatal(err)
 	}
 
