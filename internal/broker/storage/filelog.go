@@ -200,10 +200,10 @@ func OpenFileLog(dir string, cfg FileConfig) (*FileLog, error) {
 	return l, nil
 }
 
-// recover scans the segment files in offset order, upgrading any
-// headerless one, validating every batch, building the sparse indexes,
-// and truncating at the first torn or corrupt batch (dropping any
-// segments past it).
+// recover opens the segment files in offset order — upgrading any
+// headerless one, validating every batch, building the sparse indexes —
+// and stops at the first torn or corrupt batch, which openSegment cuts
+// away along with every segment past it.
 func (l *FileLog) recover() error {
 	entries, err := l.cfg.FS.ReadDir(l.dir)
 	if err != nil {
@@ -228,92 +228,110 @@ func (l *FileLog) recover() error {
 		bases = append(bases, base)
 	}
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
-	torn := false
-	drop := func(path string) {
-		_ = l.cfg.FS.Remove(path)
-		if c := l.cfg.Instruments.SegmentsDropped; c != nil {
+	for i, base := range bases {
+		seg, torn, err := l.openSegment(base, bases[i+1:])
+		if err != nil {
+			return err
+		}
+		if seg != nil {
+			if base != l.n && len(l.segs) > 0 {
+				_ = seg.f.Close()
+				return fmt.Errorf("storage: segment %d leaves a gap after offset %d", base, l.n)
+			}
+			l.segs = append(l.segs, seg)
+			l.n = base + int64(seg.count)
+		}
+		if torn {
+			break
+		}
+	}
+	return nil
+}
+
+func (l *FileLog) segPath(base int64) string { return filepath.Join(l.dir, segName(base)) }
+
+// dropSegment deletes a segment file recovery found unreachable.
+func (l *FileLog) dropSegment(base int64) {
+	_ = l.cfg.FS.Remove(l.segPath(base))
+	if c := l.cfg.Instruments.SegmentsDropped; c != nil {
+		c.Inc()
+	}
+}
+
+// openSegment opens the segment file at base and validates it whole,
+// upgrading a headerless one first. A torn tail — the file ends in a
+// partial or corrupt batch — is cut away, but only after every segment
+// in later (unreachable without the torn records: offsets would be
+// discontiguous) is deleted, so a crash in between still finds the torn
+// tail at the next open rather than a gap. seg is nil when nothing of
+// the file survives. A read error or a header this build cannot read
+// fails the open and leaves every file as it was.
+func (l *FileLog) openSegment(base int64, later []int64) (seg *segment, torn bool, err error) {
+	path := l.segPath(base)
+	f, err := l.cfg.FS.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, false, fmt.Errorf("storage: %w", err)
+	}
+	defer func() {
+		if seg == nil || seg.f != f {
+			_ = f.Close()
+		}
+	}()
+	var data []byte
+	st, err := f.Stat()
+	if err == nil {
+		data = make([]byte, st.Size())
+		_, err = io.ReadFull(io.NewSectionReader(f, 0, st.Size()), data)
+	}
+	if err != nil {
+		return nil, false, fmt.Errorf("storage: read %s: %w", path, err)
+	}
+	if len(data) < segHdrLen {
+		// Cut short while being created: it never held a batch.
+		l.dropSegment(base)
+		return nil, false, nil
+	}
+	s := &segment{base: base, f: f}
+	var recs []Record
+	legacy := string(data[:len(segMagic)]) != segMagic
+	if legacy {
+		recs, torn = decodeLegacySegment(data)
+	} else if err := s.scan(data); err != nil {
+		return nil, false, err
+	} else {
+		torn = s.size < int64(len(data))
+	}
+	if torn {
+		for _, b := range later {
+			l.dropSegment(b)
+		}
+		if c := l.cfg.Instruments.TornTails; c != nil {
 			c.Inc()
 		}
 	}
-	for _, base := range bases {
-		path := filepath.Join(l.dir, segName(base))
-		if torn {
-			// Unreachable past a torn segment: offsets would be
-			// discontiguous. Drop it.
-			drop(path)
-			continue
+	switch {
+	case legacy && len(recs) > 0:
+		if err := l.upgradeSegment(path, base, recs); err != nil {
+			return nil, false, err
 		}
-		f, err := l.cfg.FS.OpenFile(path, os.O_RDWR, 0o644)
-		if err != nil {
-			return fmt.Errorf("storage: %w", err)
+		seg, _, err = l.openSegment(base, nil)
+		return seg, torn, err
+	case legacy || torn && s.count == 0:
+		// The torn batch was the segment's only content.
+		l.dropSegment(base)
+		return nil, true, nil
+	case torn:
+		if err := f.Truncate(s.size); err != nil {
+			return nil, false, fmt.Errorf("storage: truncate torn tail: %w", err)
 		}
-		var data []byte
-		if st, err := f.Stat(); err == nil {
-			data = make([]byte, st.Size())
-			_, err = f.ReadAt(data, 0)
-		}
-		if err != nil && err != io.EOF {
-			_ = f.Close()
-			return fmt.Errorf("storage: %w", err)
-		}
-		if len(data) < segHdrLen {
-			// Cut short while being created: it never held a batch.
-			_ = f.Close()
-			drop(path)
-			continue
-		}
-		if string(data[:len(segMagic)]) != segMagic {
-			_ = f.Close()
-			if data, torn, err = l.upgradeSegment(path, base, data); err != nil {
-				return err
-			}
-			if f, err = l.cfg.FS.OpenFile(path, os.O_RDWR, 0o644); err != nil {
-				return fmt.Errorf("storage: %w", err)
-			}
-		}
-		seg := &segment{base: base, f: f}
-		if err := seg.scan(data); err != nil {
-			_ = f.Close()
-			return err
-		}
-		if seg.size < int64(len(data)) {
-			// Torn tail: cut the file back to the last whole batch.
-			if err := f.Truncate(seg.size); err != nil {
-				_ = f.Close()
-				return fmt.Errorf("storage: truncate torn tail: %w", err)
-			}
-			torn = true
-		}
-		if torn {
-			if c := l.cfg.Instruments.TornTails; c != nil {
-				c.Inc()
-			}
-		}
-		if seg.count == 0 && torn {
-			// The torn batch was the segment's only content.
-			_ = f.Close()
-			drop(path)
-			continue
-		}
-		if len(l.segs) > 0 {
-			prev := l.segs[len(l.segs)-1]
-			if base != prev.base+int64(prev.count) {
-				_ = f.Close()
-				return fmt.Errorf("storage: segment %d leaves a gap after %d+%d", base, prev.base, prev.count)
-			}
-		}
-		l.segs = append(l.segs, seg)
-		l.n = base + int64(seg.count)
 	}
-	return nil
+	return s, torn, nil
 }
 
 // scan checks the header of the segment whose file holds data, then
 // walks it batch by batch, validating each whole and filling count, the
 // sparse index and size — the end of the valid prefix: a short or
 // corrupt batch ends the scan without error, and the caller truncates.
-// A header this build cannot read is an error: the file is left alone
-// rather than cut.
 func (s *segment) scan(data []byte) error {
 	if want := appendSegHeader(nil, s.base); string(data[:segHdrLen]) != string(want) {
 		return fmt.Errorf("storage: segment %s: header %x is not format %d / checksum %d / base %d",
@@ -334,20 +352,15 @@ func (s *segment) scan(data []byte) error {
 // upgradeSuffix marks the temporary file of a segment upgrade.
 const upgradeSuffix = ".seg.upgrade"
 
-// upgradeSegment rewrites a headerless segment — old holds its bytes,
-// in the format before the segment header existed, one frame per record:
+// decodeLegacySegment reads a headerless segment — the format before
+// the segment header existed, one frame per record:
 //
 //	frame   = [4]payloadLen [4]crc32-IEEE(payload) payload          (big-endian)
 //	payload = [4]keyLen key [8]float64-bits(value) [8]unixNanos(time)
 //
-// — in the current format, once: the valid records are re-framed as one
-// batch into a temporary file, which is fsynced and renamed over the
-// segment, so at every instant the segment is either the whole old file
-// or the whole new one. It returns the new file's bytes and whether the
-// old one ended in a torn or corrupt frame (whose records, never acked,
-// are not carried over).
-func (l *FileLog) upgradeSegment(path string, base int64, old []byte) (data []byte, torn bool, err error) {
-	var recs []Record
+// — and returns its valid records and whether it ended in a torn or
+// corrupt frame (whose record, never acked, is not carried over).
+func decodeLegacySegment(old []byte) (recs []Record, torn bool) {
 	for len(old) >= 8 {
 		plen := int(binary.BigEndian.Uint32(old))
 		if plen < 20 || plen > len(old)-8 || crc32.ChecksumIEEE(old[8:8+plen]) != binary.BigEndian.Uint32(old[4:]) {
@@ -365,11 +378,18 @@ func (l *FileLog) upgradeSegment(path string, base int64, old []byte) (data []by
 		recs = append(recs, r)
 		old = old[8+plen:]
 	}
-	data = AppendRecordFrames(appendSegHeader(nil, base), recs)
+	return recs, len(old) > 0
+}
+
+// upgradeSegment rewrites a headerless segment in the current format,
+// once: its records are re-framed as one batch into a temporary file,
+// which is fsynced and renamed over the segment, so at every instant
+// the segment is either the whole old file or the whole new one.
+func (l *FileLog) upgradeSegment(path string, base int64, recs []Record) error {
 	tmp := strings.TrimSuffix(path, ".seg") + upgradeSuffix
 	f, err := l.cfg.FS.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err == nil {
-		if _, err = f.WriteAt(data, 0); err == nil {
+		if _, err = f.WriteAt(AppendRecordFrames(appendSegHeader(nil, base), recs), 0); err == nil {
 			err = f.Sync()
 		}
 		if cerr := f.Close(); err == nil {
@@ -383,9 +403,9 @@ func (l *FileLog) upgradeSegment(path string, base int64, old []byte) (data []by
 		}
 	}
 	if err != nil {
-		return nil, false, fmt.Errorf("storage: upgrade %s: %w", path, err)
+		return fmt.Errorf("storage: upgrade %s: %w", path, err)
 	}
-	return data, len(old) > 0, nil
+	return nil
 }
 
 // AppendFrames implements Log: write the pre-validated chunk verbatim,
@@ -394,7 +414,9 @@ func (l *FileLog) upgradeSegment(path string, base int64, old []byte) (data []by
 // append is a header walk for the sparse index and one WriteAt per
 // segment, on a leader and a follower alike.
 func (l *FileLog) AppendFrames(frames []byte, count int) (int64, error) {
-	if err := checkFrameCount(frames, count); err != nil {
+	var buf [8]span
+	spans, err := frameSpans(buf[:0], frames, count)
+	if err != nil {
 		return 0, err
 	}
 	l.mu.Lock()
@@ -403,24 +425,24 @@ func (l *FileLog) AppendFrames(frames []byte, count int) (int64, error) {
 		return 0, ErrLogClosed
 	}
 	base := l.n
-	for rest := frames; len(rest) > 0; {
-		seg := l.tailSegment()
+	for len(spans) > 0 {
+		var seg *segment // the tail
+		if k := len(l.segs); k > 0 {
+			seg = l.segs[k-1]
+		}
 		if seg == nil || seg.count >= l.cfg.SegmentRecords {
-			var err error
 			if seg, err = l.newSegment(l.n); err != nil {
 				return 0, l.rollback(base, err)
 			}
 		}
 		nindex, nbytes, took := len(seg.index), 0, 0
-		for f := range Frames(rest) { // structure checked above
-			if seg.count+took >= l.cfg.SegmentRecords {
-				break
-			}
+		for len(spans) > 0 && seg.count+took < l.cfg.SegmentRecords {
 			seg.noteFrame(l.n+int64(took), seg.size+int64(nbytes))
-			nbytes += len(f.Raw)
-			took += f.Count
+			nbytes += spans[0].bytes
+			took += spans[0].count
+			spans = spans[1:]
 		}
-		if _, err := seg.f.WriteAt(rest[:nbytes], seg.size); err != nil {
+		if _, err := seg.f.WriteAt(frames[:nbytes], seg.size); err != nil {
 			seg.index = seg.index[:nindex]
 			_ = seg.f.Truncate(seg.size) // whatever part of the write landed
 			return 0, l.rollback(base, fmt.Errorf("storage: append: %w", err))
@@ -429,7 +451,7 @@ func (l *FileLog) AppendFrames(frames []byte, count int) (int64, error) {
 		seg.count += took
 		seg.dirty = true
 		l.n += int64(took)
-		rest = rest[nbytes:]
+		frames = frames[nbytes:]
 	}
 	l.dirty = true
 	if l.cfg.Policy == SyncAlways {
@@ -451,15 +473,8 @@ func (l *FileLog) rollback(base int64, werr error) error {
 	return werr
 }
 
-func (l *FileLog) tailSegment() *segment {
-	if len(l.segs) == 0 {
-		return nil
-	}
-	return l.segs[len(l.segs)-1]
-}
-
 func (l *FileLog) newSegment(base int64) (*segment, error) {
-	path := filepath.Join(l.dir, segName(base))
+	path := l.segPath(base)
 	f, err := l.cfg.FS.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
@@ -486,18 +501,9 @@ func (l *FileLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, er
 	if l.closed {
 		return buf, 0, ErrLogClosed
 	}
-	if offset < 0 || offset > l.n {
-		return buf, 0, ErrOffsetOutOfRange
-	}
-	if max < 0 {
-		max = 0
-	}
-	end := offset + int64(max)
-	if end > l.n {
-		end = l.n
-	}
-	if offset == end {
-		return buf, 0, nil
+	end, err := readEnd(offset, max, l.n)
+	if err != nil || offset == end {
+		return buf, 0, err
 	}
 	if len(l.segs) == 0 || offset < l.segs[0].base {
 		return buf, 0, ErrOffsetOutOfRange // truncated-away prefix
@@ -506,8 +512,11 @@ func (l *FileLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, er
 	for at := offset; at < end; si++ {
 		seg := l.segs[si]
 		stop := min(end, seg.base+int64(seg.count))
-		var err error
-		if buf, err = seg.readFrames(at, stop, buf); err != nil {
+		stored, first, _, err := seg.load(at, stop)
+		if err == nil {
+			buf, err = SliceFrames(buf, stored, int(at-first), int(stop-first))
+		}
+		if err != nil {
 			return buf, 0, err
 		}
 		at = stop
@@ -534,16 +543,6 @@ func (s *segment) load(offset, stop int64) (stored []byte, first, pos int64, err
 		return nil, 0, 0, fmt.Errorf("storage: read frames at %d: %w", offset, err)
 	}
 	return stored, first, pos, nil
-}
-
-// readFrames appends records [offset, stop), all of which live in this
-// segment, onto buf.
-func (s *segment) readFrames(offset, stop int64, buf []byte) ([]byte, error) {
-	stored, first, _, err := s.load(offset, stop)
-	if err != nil {
-		return buf, err
-	}
-	return SliceFrames(buf, stored, int(offset-first), int(stop-first))
 }
 
 // HighWatermark implements Log.
@@ -616,44 +615,29 @@ func (l *FileLog) truncateToLocked(hwm int64) error {
 	return nil
 }
 
-// truncateTo cuts the segment (base < hwm < base+count) back to hwm.
-// A cut inside a frame overwrites that frame with its re-encoded prefix
-// before truncating; a crash between the two leaves a torn tail that
-// recovery drops, and the records of the cut frame with it — a rejoin
-// re-fetches them from the leader, which is the only caller that cuts
-// inside a frame.
+// truncateTo cuts the segment (base < hwm < base+count) back to hwm:
+// the frames from the index anchor before hwm are written back holding
+// only the records below it — the same bytes, but for a frame hwm falls
+// inside, which is re-encoded — and the file ends there. A crash between
+// the write and the cut leaves a torn tail that recovery drops, and the
+// records of the cut frame with it: a rejoin, the only caller that cuts
+// inside a frame, re-fetches them from the leader.
 func (s *segment) truncateTo(hwm int64) error {
-	stored, at, pos, err := s.load(hwm-1, hwm)
+	stored, first, pos, err := s.load(hwm-1, hwm)
 	if err != nil {
 		return err
 	}
-	for f, err := range Frames(stored) {
-		if err != nil {
-			return err
-		}
-		if at+int64(f.Count) <= hwm { // kept whole
-			at, pos = at+int64(f.Count), pos+int64(len(f.Raw))
-			continue
-		}
-		if at < hwm { // holds hwm inside: rewritten with only its records below it
-			cut, err := SliceFrames(nil, f.Raw, 0, int(hwm-at))
-			if err != nil {
-				return err
-			}
-			if _, err := s.f.WriteAt(cut, pos); err != nil {
-				return fmt.Errorf("storage: truncate: %w", err)
-			}
-			at, pos = hwm, pos+int64(len(cut))
-		}
-		break
+	kept, err := SliceFrames(nil, stored, 0, int(hwm-first))
+	if err != nil {
+		return err
 	}
-	if at != hwm {
-		return fmt.Errorf("storage: truncate: segment %d ends at offset %d, before %d", s.base, at, hwm)
+	if _, err = s.f.WriteAt(kept, pos); err == nil {
+		err = s.f.Truncate(pos + int64(len(kept)))
 	}
-	if err := s.f.Truncate(pos); err != nil {
+	if err != nil {
 		return fmt.Errorf("storage: truncate: %w", err)
 	}
-	s.count, s.size, s.dirty = int(hwm-s.base), pos, true
+	s.count, s.size, s.dirty = int(hwm-s.base), pos+int64(len(kept)), true
 	for k := len(s.index); k > 0 && s.index[k-1].first >= hwm; k-- {
 		s.index = s.index[:k-1]
 	}

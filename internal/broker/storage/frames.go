@@ -74,10 +74,11 @@ type Frame struct {
 	Count int    // records held
 
 	ndict  int
-	dict   []byte // ndict × {[4]klen key}
-	ids    []byte // Count ids, one byte each (two when ndict > 256)
-	values []byte // Count × float64 bits
-	times  []byte // Count × unix nanos
+	dict   []byte  // ndict × {[4]klen key}
+	keyAt  []int32 // where each entry starts in dict, then len(dict)
+	ids    []byte  // Count ids, one byte each (two when ndict > 256)
+	values []byte  // Count × float64 bits
+	times  []byte  // Count × unix nanos
 }
 
 // parse checks the structure of the frame opening b — header bounds,
@@ -102,6 +103,10 @@ func (f *Frame) parse(b []byte) bool {
 		return false
 	}
 	dictLen := len(rest) - count*(idw+16)
+	if cap(f.keyAt) <= ndict {
+		f.keyAt = make([]int32, ndict+1)
+	}
+	f.keyAt = f.keyAt[:ndict+1]
 	pos := 0
 	for i := 0; i < ndict; i++ {
 		if dictLen-pos < 4 {
@@ -111,11 +116,13 @@ func (f *Frame) parse(b []byte) bool {
 		if klen > dictLen-pos-4 {
 			return false
 		}
+		f.keyAt[i] = int32(pos)
 		pos += 4 + klen
 	}
 	if pos != dictLen {
 		return false
 	}
+	f.keyAt[ndict] = int32(pos)
 	f.Raw, f.Count, f.ndict = b[:frameHdrLen+blen], count, ndict
 	f.dict, rest = rest[:dictLen], rest[dictLen:]
 	f.ids, f.values, f.times = rest[:count*idw], rest[count*idw:count*(idw+8)], rest[count*(idw+8):]
@@ -130,19 +137,8 @@ func (f *Frame) id(i int) int {
 	return int(f.ids[i])
 }
 
-// keys iterates the dictionary: where each entry starts in f.dict, and
-// its key as a view into the frame.
-func (f *Frame) keys() iter.Seq2[int, []byte] {
-	return func(yield func(int, []byte) bool) {
-		for pos := 0; pos < len(f.dict); {
-			klen := int(le.Uint32(f.dict[pos:]))
-			if !yield(pos, f.dict[pos+4:pos+4+klen]) {
-				return
-			}
-			pos += 4 + klen
-		}
-	}
-}
+// key returns dictionary entry id's key, a view into the frame.
+func (f *Frame) key(id int) []byte { return f.dict[f.keyAt[id]+4 : f.keyAt[id+1]] }
 
 // Decode appends the frame's records to three columns: per record the
 // caller's id for its key (intern is asked once per dictionary entry,
@@ -153,8 +149,8 @@ func (f *Frame) keys() iter.Seq2[int, []byte] {
 func (f *Frame) Decode(ids []int32, values []float64, times []int64, intern func(key []byte) int32) ([]int32, []float64, []int64, error) {
 	var buf [64]int32
 	remap := buf[:0]
-	for _, key := range f.keys() {
-		remap = append(remap, intern(key))
+	for id := 0; id < f.ndict; id++ {
+		remap = append(remap, intern(f.key(id)))
 	}
 	n, nv, nt := len(ids), len(values), len(times)
 	ids, values, times = slices.Grow(ids, f.Count), slices.Grow(values, f.Count), slices.Grow(times, f.Count)
@@ -171,32 +167,6 @@ func (f *Frame) Decode(ids []int32, values []float64, times []int64, intern func
 		times[nt+i] = int64(le.Uint64(f.times[8*i:]))
 	}
 	return ids, values, times, nil
-}
-
-// encodeFrame appends the frame of the given columns to dst.
-func encodeFrame(dst []byte, ndict int, dict []byte, ids []uint16, values, times []byte) []byte {
-	at := len(dst)
-	dst = slices.Grow(dst, frameHdrLen+bodyFixedLen+len(dict)+len(ids)*(2+16))
-	dst = append(dst, make([]byte, frameHdrLen)...)
-	dst = le.AppendUint32(dst, uint32(len(ids)))
-	dst = le.AppendUint16(dst, uint16(ndict))
-	dst = append(dst, dict...)
-	for _, id := range ids {
-		if ndict > 256 {
-			dst = le.AppendUint16(dst, id)
-		} else {
-			dst = append(dst, byte(id))
-		}
-	}
-	dst = append(append(dst, values...), times...)
-	sealFrame(dst[at:])
-	return dst
-}
-
-// sealFrame fills in the length and CRC of the frame filling b.
-func sealFrame(b []byte) {
-	le.PutUint32(b, uint32(len(b)-frameHdrLen))
-	le.PutUint32(b[4:], crc32.Checksum(b[frameHdrLen:], castagnoli))
 }
 
 // check is the part of validation parse leaves to it: the CRC and the
@@ -218,7 +188,7 @@ func (f *Frame) check() error {
 // ends the iteration with ErrBadFrame.
 func Frames(b []byte) iter.Seq2[*Frame, error] {
 	return func(yield func(*Frame, error) bool) {
-		var f Frame
+		f := Frame{keyAt: make([]int32, 0, 32)} // on the stack while the dictionary is small
 		for len(b) > 0 {
 			if !f.parse(b) {
 				yield(nil, ErrBadFrame)
@@ -250,19 +220,58 @@ func ValidateFrames(b []byte) (int, error) {
 	return records, nil
 }
 
-// checkFrameCount walks a chunk's structure and verifies it holds
-// exactly count records — the shared precondition of every AppendFrames,
-// checked before mutating so a corrupt chunk is rejected whole.
-func checkFrameCount(frames []byte, count int) error {
+// span is one frame of a chunk: its length in bytes and in records.
+type span struct{ bytes, count int }
+
+// frameSpans walks a chunk's structure once, appending each frame's
+// span to buf, and verifies the chunk holds exactly count records — the
+// shared first step of every AppendFrames, done before mutating so a
+// corrupt chunk is rejected whole.
+func frameSpans(buf []span, frames []byte, count int) ([]span, error) {
 	n := 0
 	for f, err := range Frames(frames) {
 		if err != nil {
-			return err
+			return nil, err
 		}
+		buf = append(buf, span{len(f.Raw), f.Count})
 		n += f.Count
 	}
 	if n != count {
-		return fmt.Errorf("storage: frame chunk holds %d records, caller declared %d", n, count)
+		return nil, fmt.Errorf("storage: frame chunk holds %d records, caller declared %d", n, count)
+	}
+	return buf, nil
+}
+
+// carve stages records [from, to) of f onto the open frames of parts:
+// record i goes to parts[part[id]] for its key id — every record to
+// parts[0] when part is nil, and a record whose part is negative (the
+// empty key) wherever route(nil) sends it, asked per record. Each open
+// frame gains the keys it needs in first-seen order, so what it encodes
+// is byte for byte the frame BatchBuilder builds from those records.
+func (f *Frame) carve(parts []partFrame, from, to int, part []int32, route func([]byte) int) error {
+	var buf [64]int32
+	remap := append(buf[:0], make([]int32, f.ndict)...) // key's id in its open frame + 1; 0 while unseen
+	for i := from; i < to; i++ {
+		id, p := f.id(i), 0
+		if id >= f.ndict {
+			return ErrBadFrame
+		}
+		if part != nil {
+			if p = int(part[id]); p < 0 {
+				p = route(nil)
+			}
+		}
+		pf, key := &parts[p], f.key(id)
+		slot := &remap[id]
+		if len(key) == 0 {
+			slot = &pf.empty
+		}
+		if *slot == 0 {
+			*slot = addKey(pf, key)
+		}
+		pf.ids = append(pf.ids, uint16(*slot-1))
+		pf.values = append(pf.values, f.values[8*i:8*i+8]...)
+		pf.times = append(pf.times, f.times[8*i:8*i+8]...)
 	}
 	return nil
 }
@@ -270,10 +279,9 @@ func checkFrameCount(frames []byte, count int) error {
 // SliceFrames appends to dst a chunk holding exactly records
 // [from, to) of chunk. Frames wholly inside the range are copied as they
 // are; a frame the range cuts through is re-encoded with its dictionary
-// compacted to the keys the kept records use, in first-seen order —
-// byte for byte the frame AppendRecordFrames builds from those records.
-// It is how a log serves, and truncates to, a record offset that falls
-// inside a batch, and how a replica trims a duplicate prefix.
+// compacted to the keys the kept records use. It is how a log serves,
+// and truncates to, a record offset that falls inside a batch, and how a
+// replica trims a duplicate prefix.
 func SliceFrames(dst, chunk []byte, from, to int) ([]byte, error) {
 	if from < 0 || from > to {
 		return dst, ErrBadFrame
@@ -289,7 +297,12 @@ func SliceFrames(dst, chunk []byte, from, to int) ([]byte, error) {
 		case lo == 0 && hi == f.Count:
 			dst = append(dst, f.Raw...)
 		default:
-			if dst, err = f.appendSubset(dst, lo, hi, hi-lo, nil, 0); err != nil {
+			bb := GetBatchBuilder(1, nil)
+			if err = f.carve(bb.parts, lo, hi, nil, nil); err == nil {
+				dst = bb.parts[0].encode(dst)
+			}
+			bb.Release()
+			if err != nil {
 				return dst, err
 			}
 		}
@@ -303,38 +316,6 @@ func SliceFrames(dst, chunk []byte, from, to int) ([]byte, error) {
 	return dst, nil
 }
 
-// appendSubset appends to dst the frame holding, in order, the n records
-// i of [from, to) with sel[i] == want (all of the range when sel is nil).
-func (f *Frame) appendSubset(dst []byte, from, to, n int, sel []int32, want int32) ([]byte, error) {
-	remap := make([]int32, f.ndict)    // old id → new id + 1, 0 while unseen
-	keyAt := make([]int, 0, f.ndict+1) // where old id's dictionary entry starts
-	for pos := range f.keys() {
-		keyAt = append(keyAt, pos)
-	}
-	keyAt = append(keyAt, len(f.dict))
-	ids, values, times := make([]uint16, 0, n), make([]byte, 0, 8*n), make([]byte, 0, 8*n)
-	var dict []byte
-	ndict := 0
-	for i := from; i < to; i++ {
-		if sel != nil && sel[i] != want {
-			continue
-		}
-		id := f.id(i)
-		if id >= f.ndict {
-			return dst, ErrBadFrame
-		}
-		if remap[id] == 0 {
-			ndict++
-			remap[id] = int32(ndict)
-			dict = append(dict, f.dict[keyAt[id]:keyAt[id+1]]...)
-		}
-		ids = append(ids, uint16(remap[id]-1))
-		values = append(values, f.values[8*i:8*i+8]...)
-		times = append(times, f.times[8*i:8*i+8]...)
-	}
-	return encodeFrame(dst, ndict, dict, ids, values, times), nil
-}
-
 // SplitFrames routes the records of a chunk by key and appends each
 // partition's share, re-framed, to dst[partition], adding its record
 // count to counts[partition]. route is asked once per dictionary entry
@@ -342,17 +323,18 @@ func (f *Frame) appendSubset(dst []byte, from, to, n int, sel []int32, want int3
 // keyless records exactly as it would one by one — and a frame whose
 // keys all land on one partition is forwarded verbatim.
 func SplitFrames(b []byte, route func(key []byte) int, dst [][]byte, counts []int) error {
-	var part, sel []int32
-	share := make([]int, len(dst))
+	bb := GetBatchBuilder(len(dst), nil)
+	defer bb.Release()
+	var part []int32
 	for f, err := range Frames(b) {
 		if err != nil {
 			return err
 		}
 		part = part[:0]
 		same := true
-		for _, key := range f.keys() {
-			p := int32(-1) // the empty key: routed per record below
-			if len(key) > 0 {
+		for id := 0; id < f.ndict; id++ {
+			p := int32(-1) // the empty key: routed per record by carve
+			if key := f.key(id); len(key) > 0 {
 				p = int32(route(key))
 			}
 			part = append(part, p)
@@ -363,28 +345,14 @@ func SplitFrames(b []byte, route func(key []byte) int, dst [][]byte, counts []in
 			counts[part[0]] += f.Count
 			continue
 		}
-		sel = sel[:0]
-		clear(share)
-		for i := 0; i < f.Count; i++ {
-			id := f.id(i)
-			if id >= len(part) {
-				return ErrBadFrame
-			}
-			p := part[id]
-			if p < 0 {
-				p = int32(route(nil))
-			}
-			sel = append(sel, p)
-			share[p]++
+		if err := f.carve(bb.parts, 0, f.Count, part, route); err != nil {
+			return err
 		}
-		for p, n := range share {
-			if n == 0 {
-				continue
+		for p := range bb.parts {
+			if pf := &bb.parts[p]; len(pf.ids) > 0 {
+				counts[p] += len(pf.ids)
+				dst[p] = pf.encode(dst[p])
 			}
-			if dst[p], err = f.appendSubset(dst[p], 0, f.Count, n, sel, int32(p)); err != nil {
-				return err
-			}
-			counts[p] += n
 		}
 	}
 	return nil
@@ -408,14 +376,14 @@ type BatchBuilder struct {
 // partFrame is one partition's closed frames plus the columns of its
 // open one.
 type partFrame struct {
-	out     []byte
-	count   int // records in out and in the open frame
-	dict    []byte
-	ndict   int
-	emptyID int // id of the empty key in the open frame, -1 when unseen
-	ids     []uint16
-	values  []byte
-	times   []byte
+	out    []byte
+	count  int // records Added: those in out and in the open frame
+	dict   []byte
+	ndict  int
+	empty  int32 // id of the empty key in the open frame + 1; 0 while unseen
+	ids    []uint16
+	values []byte
+	times  []byte
 }
 
 var builderPool = sync.Pool{New: func() any { return &BatchBuilder{index: make(map[string]uint64, 64)} }}
@@ -444,14 +412,39 @@ func (bb *BatchBuilder) Release() {
 }
 
 func (pf *partFrame) reset() {
-	pf.dict, pf.ndict, pf.emptyID = pf.dict[:0], 0, -1
+	pf.dict, pf.ndict, pf.empty = pf.dict[:0], 0, 0
 	pf.ids, pf.values, pf.times = pf.ids[:0], pf.values[:0], pf.times[:0]
 }
 
-func (pf *partFrame) addKey(key string) int {
+// addKey appends key to the open frame's dictionary and returns its
+// id + 1.
+func addKey[K string | []byte](pf *partFrame, key K) int32 {
 	pf.dict = append(le.AppendUint32(pf.dict, uint32(len(key))), key...)
 	pf.ndict++
-	return pf.ndict - 1
+	return int32(pf.ndict)
+}
+
+// encode appends the open frame to dst, sealed with its length and CRC,
+// and opens an empty one.
+func (pf *partFrame) encode(dst []byte) []byte {
+	at := len(dst)
+	dst = slices.Grow(dst, frameHdrLen+bodyFixedLen+len(pf.dict)+len(pf.ids)*(2+16))
+	dst = append(dst, make([]byte, frameHdrLen)...)
+	dst = le.AppendUint32(dst, uint32(len(pf.ids)))
+	dst = le.AppendUint16(dst, uint16(pf.ndict))
+	dst = append(dst, pf.dict...)
+	for _, id := range pf.ids {
+		if pf.ndict > 256 {
+			dst = le.AppendUint16(dst, id)
+		} else {
+			dst = append(dst, byte(id))
+		}
+	}
+	dst = append(append(dst, pf.values...), pf.times...)
+	le.PutUint32(dst[at:], uint32(len(dst)-at-frameHdrLen))
+	le.PutUint32(dst[at+4:], crc32.Checksum(dst[at+frameHdrLen:], castagnoli))
+	pf.reset()
+	return dst
 }
 
 // Add appends one record's key, value and time to its partition's open
@@ -465,10 +458,10 @@ func (bb *BatchBuilder) Add(r *Record) {
 			p = bb.route("")
 		}
 		pf := &bb.parts[p]
-		if pf.emptyID < 0 {
-			pf.emptyID = pf.addKey("")
+		if pf.empty == 0 {
+			pf.empty = addKey(pf, "")
 		}
-		at = uint64(p)<<32 | uint64(pf.emptyID)
+		at = uint64(p)<<32 | uint64(pf.empty-1)
 	case r.Key == bb.lastKey:
 		at = bb.last
 	default:
@@ -478,8 +471,7 @@ func (bb *BatchBuilder) Add(r *Record) {
 			if bb.route != nil {
 				p = bb.route(r.Key)
 			}
-			pf := &bb.parts[p]
-			at = uint64(p)<<32 | uint64(pf.addKey(r.Key))
+			at = uint64(p)<<32 | uint64(addKey(&bb.parts[p], r.Key)-1)
 			bb.index[r.Key] = at
 		}
 		bb.lastKey, bb.last = r.Key, at
@@ -503,8 +495,7 @@ func (bb *BatchBuilder) Add(r *Record) {
 func (bb *BatchBuilder) closeFrames() {
 	for i := range bb.parts {
 		if pf := &bb.parts[i]; len(pf.ids) > 0 {
-			pf.out = encodeFrame(pf.out, pf.ndict, pf.dict, pf.ids, pf.values, pf.times)
-			pf.reset()
+			pf.out = pf.encode(pf.out)
 		}
 	}
 	clear(bb.index)

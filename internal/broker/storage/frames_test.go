@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,8 +126,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			if n, err := ValidateFrames(chunk); err != nil || n != len(recs) {
 				t.Fatalf("%d keys: ValidateFrames = %d, %v; want %d", keys, n, err, len(recs))
 			}
-			if err := checkFrameCount(chunk, len(recs)); err != nil {
-				t.Fatalf("%d keys: checkFrameCount: %v", keys, err)
+			if _, err := frameSpans(nil, chunk, len(recs)); err != nil {
+				t.Fatalf("%d keys: frameSpans: %v", keys, err)
 			}
 			idw := 1
 			if keys > 256 {
@@ -341,7 +342,8 @@ func TestValidateFramesRejectsBadStructure(t *testing.T) {
 	recs := []Record{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Value: 3}}
 	reseal := func(mutate func(f []byte) []byte) []byte {
 		f := mutate(AppendRecordFrames(nil, recs))
-		sealFrame(f)
+		le.PutUint32(f, uint32(len(f)-frameHdrLen))
+		le.PutUint32(f[4:], crc32.Checksum(f[frameHdrLen:], castagnoli))
 		return f
 	}
 	idsAt := frameHdrLen + bodyFixedLen + 2*(4+1)
@@ -398,8 +400,8 @@ func FuzzValidateFrames(f *testing.F) {
 			}
 			return
 		}
-		if cerr := checkFrameCount(b, n); cerr != nil {
-			t.Fatalf("checkFrameCount after ValidateFrames = %d: %v", n, cerr)
+		if _, cerr := frameSpans(nil, b, n); cerr != nil {
+			t.Fatalf("frameSpans after ValidateFrames = %d: %v", n, cerr)
 		}
 		var rejoined []byte
 		for f, ferr := range Frames(b) {

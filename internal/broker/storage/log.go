@@ -64,6 +64,15 @@ type Log interface {
 	Close() error
 }
 
+// readEnd resolves a ReadFrames request against the high watermark: the
+// offset one past the last record to return.
+func readEnd(offset int64, n int, hwm int64) (int64, error) {
+	if offset < 0 || offset > hwm {
+		return 0, ErrOffsetOutOfRange
+	}
+	return offset + min(int64(max(n, 0)), hwm-offset), nil
+}
+
 // memChunkBytes is the byte capacity of one in-memory log chunk. A
 // frame larger than that gets a chunk of its own.
 const memChunkBytes = 256 << 10
@@ -99,24 +108,27 @@ func NewMemLog() *MemLog { return &MemLog{} }
 // AppendFrames implements Log: memcpy each frame of the pre-validated
 // chunk into the tail chunk and index it.
 func (m *MemLog) AppendFrames(frames []byte, count int) (int64, error) {
-	if err := checkFrameCount(frames, count); err != nil {
+	var buf [8]span
+	spans, err := frameSpans(buf[:0], frames, count)
+	if err != nil {
 		return 0, err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	base := m.n
-	for f := range Frames(frames) { // structure checked above
+	for _, sp := range spans {
 		k := len(m.chunks) - 1
-		if k < 0 || len(f.Raw) > cap(m.chunks[k])-len(m.chunks[k]) {
-			m.chunks = append(m.chunks, make([]byte, 0, max(memChunkBytes, len(f.Raw))))
+		if k < 0 || sp.bytes > cap(m.chunks[k])-len(m.chunks[k]) {
+			m.chunks = append(m.chunks, make([]byte, 0, max(memChunkBytes, sp.bytes)))
 			k++
 		}
 		start := len(m.chunks[k])
-		m.chunks[k] = append(m.chunks[k], f.Raw...)
+		m.chunks[k] = append(m.chunks[k], frames[:sp.bytes]...)
 		m.frames = append(m.frames, memFrame{
-			first: m.n, n: int32(f.Count), chunk: int32(k), start: int32(start), end: int32(start + len(f.Raw)),
+			first: m.n, n: int32(sp.count), chunk: int32(k), start: int32(start), end: int32(start + sp.bytes),
 		})
-		m.n += int64(f.Count)
+		m.n += int64(sp.count)
+		frames = frames[sp.bytes:]
 	}
 	return base, nil
 }
@@ -126,15 +138,9 @@ func (m *MemLog) AppendFrames(frames []byte, count int) (int64, error) {
 func (m *MemLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if offset < 0 || offset > m.n {
-		return buf, 0, ErrOffsetOutOfRange
-	}
-	if max < 0 {
-		max = 0
-	}
-	end := offset + int64(max)
-	if end > m.n {
-		end = m.n
+	end, err := readEnd(offset, max, m.n)
+	if err != nil {
+		return buf, 0, err
 	}
 	i := sort.Search(len(m.frames), func(i int) bool { return m.frames[i].first > offset }) - 1
 	for at := offset; at < end; i++ {
@@ -144,7 +150,6 @@ func (m *MemLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, err
 		if lo == 0 && hi == int(fr.n) {
 			buf = append(buf, raw...)
 		} else {
-			var err error
 			if buf, err = SliceFrames(buf, raw, lo, hi); err != nil {
 				return buf, int(at - offset), err
 			}

@@ -26,6 +26,10 @@ type DiskFaults struct {
 	SyncErr error
 	// SlowSync delays every Sync — a saturated or degraded disk.
 	SlowSync time.Duration
+	// ReadErr makes every ReadAt fail after filling in only the first
+	// ReadBytes bytes — a medium error (EIO) part way through a file.
+	ReadErr   error
+	ReadBytes int
 	// RenameErr makes every Rename fail — a crash (or a full directory)
 	// just before a rewritten file would have replaced the old one.
 	RenameErr error
@@ -92,9 +96,9 @@ func (d *Disk) ReadDir(name string) ([]os.DirEntry, error) { return d.inner.Read
 // MkdirAll implements storage.FS.
 func (d *Disk) MkdirAll(path string, perm os.FileMode) error { return d.inner.MkdirAll(path, perm) }
 
-// faultFile applies the Disk's current faults to one file. Reads and
-// truncates pass through untouched: the faults modeled are the write
-// path's (full disk, torn write, slow/failed fsync).
+// faultFile applies the Disk's current faults to one file: the write
+// path's (full disk, torn write, slow/failed fsync) and a failing read.
+// Truncates pass through untouched.
 type faultFile struct {
 	storage.File
 	disk *Disk
@@ -124,6 +128,20 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 		}
 	}
 	return n, werr
+}
+
+// ReadAt injects failing reads: under ReadErr only the first ReadBytes
+// bytes are read and the caller sees the error.
+func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	f := ff.disk.Faults()
+	if f.ReadErr == nil {
+		return ff.File.ReadAt(p, off)
+	}
+	n, err := ff.File.ReadAt(p[:min(f.ReadBytes, len(p))], off)
+	if err != nil {
+		return n, err
+	}
+	return n, f.ReadErr
 }
 
 // Sync injects slow and failing fsyncs.

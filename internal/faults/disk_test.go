@@ -10,6 +10,8 @@ import (
 	mrand "math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
+	"syscall"
 	"testing"
 	"time"
 
@@ -276,4 +278,119 @@ func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
 		}
 		served(t, dir)
 	})
+}
+
+// TestOpenReadErrorLeavesFilesAlone: a read that fails part way through
+// a segment (EIO) fails the open — it is not mistaken for a torn tail.
+// No file is cut, dropped or rewritten, whether the segments are current
+// or headerless, and a clean open afterwards serves every acked record.
+func TestOpenReadErrorLeavesFilesAlone(t *testing.T) {
+	const total = 20
+	var recs []storage.Record
+	for i := 0; i < total; i++ {
+		recs = append(recs, storage.Record{Key: fmt.Sprintf("k%d", i%3), Value: float64(i), Time: time.Unix(int64(i), 0).UTC()})
+	}
+	current := t.TempDir()
+	l, err := storage.OpenFileLog(current, storage.FileConfig{SegmentRecords: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := 0; at < total; at += 4 {
+		if _, err := l.AppendFrames(storage.AppendRecordFrames(nil, recs[at:at+4]), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	headerless := t.TempDir()
+	for at := 0; at < total; at += 10 {
+		if err := os.WriteFile(filepath.Join(headerless, fmt.Sprintf("%020d.seg", at)), legacySegment(recs[at:at+10]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, dir := range map[string]string{"current": current, "headerless": headerless} {
+		t.Run(name, func(t *testing.T) {
+			before := readDirFiles(t, dir)
+			for _, readBytes := range []int{0, 20, 200} {
+				disk := NewDisk(nil)
+				disk.Set(DiskFaults{ReadErr: syscall.EIO, ReadBytes: readBytes})
+				if l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 8, FS: disk}); !errors.Is(err, syscall.EIO) {
+					if err == nil {
+						_ = l.Close()
+					}
+					t.Fatalf("open through a read failing after %d bytes: %v, want EIO", readBytes, err)
+				}
+				if after := readDirFiles(t, dir); !reflect.DeepEqual(after, before) {
+					t.Fatalf("files changed by an open that failed on a read after %d bytes", readBytes)
+				}
+			}
+			l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if _, n, err := l.ReadFrames(0, total+1, nil); err != nil || n != total || l.HighWatermark() != total {
+				t.Fatalf("clean open after the read faults: %d records, hwm %d, %v; want %d", n, l.HighWatermark(), err, total)
+			}
+		})
+	}
+}
+
+func readDirFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestTornSegmentDropsSuffixBeforeItIsRepaired: when a segment ends in a
+// torn batch the segments after it go first and the repair (the cut, or
+// the upgrade of a headerless segment) second, so a crash in between
+// reopens to the same torn tail, never to a repaired segment followed by
+// a gap the log would refuse to open over.
+func TestTornSegmentDropsSuffixBeforeItIsRepaired(t *testing.T) {
+	at := time.Unix(1700000000, 0).UTC()
+	recs := []storage.Record{{Key: "a", Value: 1, Time: at}, {Key: "b", Value: 2, Time: at}, {Key: "c", Value: 3, Time: at}, {Key: "d", Value: 4, Time: at}}
+	torn := legacySegment(recs[:3])
+	torn = torn[:len(torn)-5] // the third record never fully landed
+	dir := t.TempDir()
+	first, second := filepath.Join(dir, "00000000000000000000.seg"), filepath.Join(dir, "00000000000000000003.seg")
+	if err := os.WriteFile(first, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(second, legacySegment(recs[3:]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	disk := NewDisk(nil)
+	disk.Set(DiskFaults{RenameErr: errors.New("crashed before the rename")})
+	if l, err := storage.OpenFileLog(dir, storage.FileConfig{FS: disk}); err == nil {
+		_ = l.Close()
+		t.Fatal("open succeeded although the upgrade could not land")
+	}
+	if got, err := os.ReadFile(first); err != nil || !bytes.Equal(got, torn) {
+		t.Fatalf("torn segment after the interrupted upgrade: %v, %d bytes (was %d)", err, len(got), len(torn))
+	}
+	if _, err := os.Stat(second); !os.IsNotExist(err) {
+		t.Fatalf("segment past the torn one survived the interrupted open: %v", err)
+	}
+	l, err := storage.OpenFileLog(dir, storage.FileConfig{})
+	if err != nil {
+		t.Fatalf("clean open: %v", err)
+	}
+	defer l.Close()
+	got, n, err := l.ReadFrames(0, 10, nil)
+	if err != nil || n != 2 || !bytes.Equal(got, storage.AppendRecordFrames(nil, recs[:2])) {
+		t.Fatalf("after the repair: %d records, %v; want the 2 before the torn one", n, err)
+	}
 }
