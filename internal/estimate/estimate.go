@@ -12,11 +12,19 @@
 // with s²i the sample variance of stratum i's sampled items (Eq. 7).
 // The (Ci−Yi)/Ci term is the finite-population correction: strata sampled
 // exhaustively (Yi = Ci) contribute zero variance.
+//
+// A window sums these terms over its (pane, stratum) cells, and a cell
+// that sampled one item of several has no s² of its own: it borrows its
+// stratum's variance pooled over the window (Pool). The bound multiplies
+// √Var by the Student-t quantile at the variance's Welch–Satterthwaite
+// degrees of freedom (student.go), which is 1, 2 or 3 in the large-sample
+// limit of the 68-95-99.7 rule.
 package estimate
 
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"streamapprox/internal/sampling"
 )
@@ -59,8 +67,12 @@ func (c Confidence) String() string {
 // the true value lies in [Value−Bound, Value+Bound] with probability
 // Confidence (under the CLT assumptions of §7).
 type Estimate struct {
-	Value      float64
-	Variance   float64
+	Value    float64
+	Variance float64
+	// DF is the Welch–Satterthwaite degrees of freedom of Variance; 0
+	// stands for the normal limit (no term estimated from a finite
+	// sample), where Bound is Sigmas()·√Variance.
+	DF         float64
 	Bound      float64
 	Confidence Confidence
 }
@@ -145,30 +157,114 @@ func sampleMoments(s *sampling.Sample, of func(*sampling.StratumSample) Moments)
 	return ms
 }
 
+// borrows reports whether the cell sampled one item of several: its own
+// s² is undefined, and the window's pooled one stands in for it.
+func (m *Moments) borrows() bool { return m.N == 1 && m.Count > 1 }
+
+// Pool is one stratum's sampled values pooled over the cells of a window
+// — their count, mean and squared deviations, combined from each cell's
+// (N, Sum, S2) alone — and the Eq. 6 weight Σ Ci(Ci−1) of the cells that
+// borrow its variance. Every borrowing cell shares the one pooled s², so
+// together they are a single Welch–Satterthwaite term with ΣN−1 degrees of
+// freedom.
+type Pool struct {
+	n, mean, ss float64
+	borrowed    float64 // Σ Ci(Ci−1) over the borrowing cells
+}
+
+// add folds one cell into the pool (Chan et al.'s pairwise update).
+func (p *Pool) add(m *Moments) {
+	if m.N == 0 {
+		return
+	}
+	n := float64(m.N)
+	mean, ss := m.Sum/n, m.S2*(n-1)
+	if p.n == 0 {
+		p.n, p.mean, p.ss = n, mean, ss
+	} else {
+		total := p.n + n
+		d := mean - p.mean
+		p.mean += d * n / total
+		p.ss += ss + d*d*p.n*n/total
+		p.n = total
+	}
+	if m.borrows() {
+		ci := float64(m.Count)
+		p.borrowed += ci * (ci - 1)
+	}
+}
+
+// term returns the borrowing cells' Eq. 6 variance and its degrees of
+// freedom; zero while the pool holds fewer than two values.
+func (p *Pool) term() (v, df float64) {
+	if p.n < 2 || p.borrowed == 0 {
+		return 0, 0
+	}
+	return p.borrowed * p.ss / (p.n - 1), p.n - 1
+}
+
+// PoolStrata pools a window's cells per stratum, key(i) naming cell i's:
+// one Pool for each stratum with a borrowing cell, in order of first
+// borrower. It returns nil, and allocates nothing, when no cell borrows.
+func PoolStrata(ms []Moments, key func(int) string) []Pool {
+	first := slices.IndexFunc(ms, func(m Moments) bool { return m.borrows() })
+	if first < 0 {
+		return nil
+	}
+	slot := make(map[string]int) // stratum → 1 + its pool's index
+	var pools []Pool
+	for i := first; i < len(ms); i++ {
+		if !ms[i].borrows() {
+			continue
+		}
+		if k := key(i); slot[k] == 0 {
+			pools = append(pools, Pool{})
+			slot[k] = len(pools)
+		}
+	}
+	for i := range ms {
+		if p := slot[key(i)]; p > 0 {
+			pools[p-1].add(&ms[i])
+		}
+	}
+	return pools
+}
+
+// strataOf keys a sample's moments by its entries' strata.
+func strataOf(s *sampling.Sample) func(int) string {
+	return func(i int) string { return s.Strata[i].Stratum }
+}
+
 // SumOf returns the approximate weighted sum of all items received from
 // all sub-streams (Eqs. 2–3) with its error bound (Eq. 6). The entries
-// may span several intervals; each is an independent stratum sample.
-func SumOf(ms []Moments, conf Confidence) Estimate {
-	var value, variance float64
+// may span several intervals; each is an independent stratum sample, and
+// pools (PoolStrata over ms) give the variance of those that borrow.
+func SumOf(ms []Moments, pools []Pool, conf Confidence) Estimate {
+	var value float64
+	var w welch
 	for i := range ms {
 		m := &ms[i]
 		value += m.Sum * m.Weight // SUMi = (Σ Ii,j) · Wi      (Eq. 2)
 		if m.N > 0 {
 			ci, yi := float64(m.Count), float64(m.N)
-			variance += ci * (ci - yi) * m.S2 / yi // (Eq. 6)
+			w.add(ci*(ci-yi)*m.S2/yi, yi-1) // (Eq. 6)
 		}
 	}
-	return finish(value, variance, conf)
+	for i := range pools {
+		w.add(pools[i].term())
+	}
+	return finish(value, w, conf)
 }
 
 // MeanOf returns the approximate mean of all items (Eq. 4) with its
-// error bound (Eq. 9).
-func MeanOf(ms []Moments, conf Confidence) Estimate {
+// error bound (Eq. 9); pools as for SumOf.
+func MeanOf(ms []Moments, pools []Pool, conf Confidence) Estimate {
 	total := float64(totalCount(ms))
 	if total == 0 {
 		return Estimate{Confidence: conf}
 	}
-	var value, variance float64
+	var value float64
+	var w welch
 	for i := range ms {
 		m := &ms[i]
 		if m.Count == 0 {
@@ -179,10 +275,15 @@ func MeanOf(ms []Moments, conf Confidence) Estimate {
 		if m.N > 0 {
 			value += omega * (m.Sum / yi) // MEAN = Σ ωi·MEANi          (Eq. 8)
 			fpc := (ci - yi) / ci
-			variance += omega * omega * (m.S2 / yi) * fpc // (Eq. 9)
+			w.add(omega*omega*(m.S2/yi)*fpc, yi-1) // (Eq. 9)
 		}
 	}
-	return finish(value, variance, conf)
+	// A one-item cell's Eq. 9 term is its Eq. 6 term over (ΣC)².
+	for i := range pools {
+		v, df := pools[i].term()
+		w.add(v/(total*total), df)
+	}
+	return finish(value, w, conf)
 }
 
 // CountOf returns the estimated total number of items (exact for OASRS
@@ -199,14 +300,16 @@ func totalCount(ms []Moments) int64 {
 	return total
 }
 
-// Sum is SumOf over a sample's values.
+// Sum is SumOf over a sample's values, pooled per stratum.
 func Sum(s *sampling.Sample, conf Confidence) Estimate {
-	return SumOf(sampleMoments(s, ValueMoments), conf)
+	ms := sampleMoments(s, ValueMoments)
+	return SumOf(ms, PoolStrata(ms, strataOf(s)), conf)
 }
 
-// Mean is MeanOf over a sample's values.
+// Mean is MeanOf over a sample's values, pooled per stratum.
 func Mean(s *sampling.Sample, conf Confidence) Estimate {
-	return MeanOf(sampleMoments(s, ValueMoments), conf)
+	ms := sampleMoments(s, ValueMoments)
+	return MeanOf(ms, PoolStrata(ms, strataOf(s)), conf)
 }
 
 // Count is CountOf over a sample's counters.
@@ -228,20 +331,22 @@ func LinearFunc(s *sampling.Sample, f func(v float64) float64, conf Confidence) 
 		}
 		ms[i] = MomentsOf(st.Count, st.Weight, vals)
 	}
-	return SumOf(ms, conf)
+	return SumOf(ms, PoolStrata(ms, strataOf(s)), conf)
 }
 
-func finish(value, variance float64, conf Confidence) Estimate {
-	if variance < 0 {
-		variance = 0
+func finish(value float64, w welch, conf Confidence) Estimate {
+	if w.variance < 0 {
+		w.variance = 0
 	}
 	if conf == 0 {
 		conf = Conf95
 	}
+	df := w.df()
 	return Estimate{
 		Value:      value,
-		Variance:   variance,
-		Bound:      conf.Sigmas() * math.Sqrt(variance),
+		Variance:   w.variance,
+		DF:         df,
+		Bound:      conf.multiplier(df) * math.Sqrt(w.variance),
 		Confidence: conf,
 	}
 }

@@ -60,14 +60,35 @@ func TestSumWeighted(t *testing.T) {
 func TestSumVarianceEquation6(t *testing.T) {
 	// Hand-computed: values {0, 2}, Ci=10, Yi=2.
 	// mean=1, s² = ((0-1)²+(2-1)²)/(2-1) = 2.
-	// Var = Ci(Ci-Yi)s²/Yi = 10*8*2/2 = 80.
+	// Var = Ci(Ci-Yi)s²/Yi = 10*8*2/2 = 80, with Yi−1 = 1 degree of
+	// freedom: the bound is √80 times the ν = 1 (Cauchy) quantile of the
+	// ±2σ coverage, tan(π·erf(√2)/2) ≈ 13.97.
 	s := sampleFrom(map[string][]float64{"a": {0, 2}}, map[string]int64{"a": 10})
 	got := Sum(s, Conf95)
-	if math.Abs(got.Variance-80) > 1e-9 {
-		t.Errorf("Variance = %v, want 80", got.Variance)
+	if math.Abs(got.Variance-80) > 1e-9 || math.Abs(got.DF-1) > 1e-9 {
+		t.Errorf("Variance = %v on %v df, want 80 on 1", got.Variance, got.DF)
 	}
-	if math.Abs(got.Bound-2*math.Sqrt(80)) > 1e-9 {
-		t.Errorf("Bound = %v, want 2*sqrt(80)", got.Bound)
+	if want := math.Tan(math.Pi*math.Erf(math.Sqrt2)/2) * math.Sqrt(80); math.Abs(got.Bound-want) > 1e-9*want {
+		t.Errorf("Bound = %v, want tan(π·erf(√2)/2)·√80 = %v", got.Bound, want)
+	}
+}
+
+// TestSumVarianceEquation6LargeN is the large-sample twin: with ten
+// thousand values on ten thousand degrees of freedom the bound is the
+// 68-95-99.7 rule's 2σ to within 0.02 %.
+func TestSumVarianceEquation6LargeN(t *testing.T) {
+	vals := make([]float64, 10000)
+	for i := range vals {
+		vals[i] = float64(i % 2 * 2) // half 0, half 2
+	}
+	s := sampleFrom(map[string][]float64{"a": vals}, map[string]int64{"a": 50000})
+	got := Sum(s, Conf95)
+	s2 := 10000.0 / 9999 // Σ(v−1)²/(Yi−1)
+	if want := 50000 * 40000 * s2 / 10000; math.Abs(got.Variance-want) > 1e-9*want || math.Abs(got.DF-9999) > 1e-6 {
+		t.Errorf("Variance = %v on %v df, want %v on 9999", got.Variance, got.DF, want)
+	}
+	if ratio := got.Bound / math.Sqrt(got.Variance); ratio < 2 || ratio > 2*1.0002 {
+		t.Errorf("Bound/σ = %v, want 2 within 0.02 %%", ratio)
 	}
 }
 
@@ -130,6 +151,9 @@ func TestLinearFuncTransform(t *testing.T) {
 	}
 }
 
+// TestConfidenceLevels: at n = 2 (one degree of freedom) each level's
+// bound is √80 times the Cauchy quantile of its normal coverage,
+// tan(π·erf(k/√2)/2) for ±kσ — 1.84, 13.97 and 235.8.
 func TestConfidenceLevels(t *testing.T) {
 	s := sampleFrom(map[string][]float64{"a": {0, 2}}, map[string]int64{"a": 10})
 	b68 := Sum(s, Conf68).Bound
@@ -138,14 +162,47 @@ func TestConfidenceLevels(t *testing.T) {
 	if !(b68 < b95 && b95 < b997) {
 		t.Errorf("bounds not ordered: %v %v %v", b68, b95, b997)
 	}
-	if math.Abs(b95/b68-2) > 1e-9 || math.Abs(b997/b68-3) > 1e-9 {
-		t.Errorf("sigma multipliers wrong: %v %v %v", b68, b95, b997)
+	for k, got := range map[float64]float64{1: b68, 2: b95, 3: b997} {
+		if want := math.Tan(math.Pi*math.Erf(k/math.Sqrt2)/2) * math.Sqrt(80); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("±%vσ bound at one degree of freedom = %v, want %v", k, got, want)
+		}
 	}
 	if Conf68.String() != "68%" || Conf95.String() != "95%" || Conf997.String() != "99.7%" {
 		t.Error("confidence String() wrong")
 	}
 	if Confidence(0).Sigmas() != 2 {
 		t.Error("zero confidence should default to 2 sigmas")
+	}
+}
+
+// TestConfidenceLevelsLargeN keeps the 68-95-99.7 rule's exact 1/2/3σ
+// ratios: in the normal limit (DF 0, as for estimates merged from
+// normal-limit bounds) exactly, and on a hundred thousand values to
+// within 0.01 %.
+func TestConfidenceLevelsLargeN(t *testing.T) {
+	for _, parts := range [][]Estimate{
+		{{Value: 1, Variance: 80}},
+		{{Value: 1, Variance: 30}, {Value: 2, Variance: 50}},
+	} {
+		var bounds [3]float64
+		for i, conf := range []Confidence{Conf68, Conf95, Conf997} {
+			for j := range parts {
+				parts[j].Confidence = conf
+			}
+			bounds[i] = MergeSums(parts).Bound
+		}
+		if bounds[0] != math.Sqrt(80) || bounds[1] != 2*math.Sqrt(80) || bounds[2] != 3*math.Sqrt(80) {
+			t.Errorf("normal-limit bounds %v, want exactly 1, 2, 3 × √80", bounds)
+		}
+	}
+	vals := make([]float64, 100000)
+	for i := range vals {
+		vals[i] = float64(i % 7)
+	}
+	s := sampleFrom(map[string][]float64{"a": vals}, map[string]int64{"a": 1000000})
+	b68, b95, b997 := Sum(s, Conf68).Bound, Sum(s, Conf95).Bound, Sum(s, Conf997).Bound
+	if math.Abs(b95/b68-2) > 2e-4 || math.Abs(b997/b68-3) > 3e-4 {
+		t.Errorf("sigma multipliers at n = 1e5: %v %v %v", b68, b95, b997)
 	}
 }
 
@@ -247,10 +304,11 @@ func TestMomentsOfIntervalsMatchConcatenatedSamples(t *testing.T) {
 			ms = append(ms, ValueMoments(&s.Strata[i]))
 		}
 	}
-	if got, want := SumOf(ms, Conf95), Sum(&rows, Conf95); got != want {
+	pools := PoolStrata(ms, strataOf(&rows))
+	if got, want := SumOf(ms, pools, Conf95), Sum(&rows, Conf95); got != want {
 		t.Errorf("SumOf = %+v, rows give %+v", got, want)
 	}
-	if got, want := MeanOf(ms, Conf95), Mean(&rows, Conf95); got != want {
+	if got, want := MeanOf(ms, pools, Conf95), Mean(&rows, Conf95); got != want {
 		t.Errorf("MeanOf = %+v, rows give %+v", got, want)
 	}
 	if got := CountOf(ms, Conf95); got.Value != 2700 || got.Bound != 0 {

@@ -7,12 +7,13 @@ package estimate
 // their populations are disjoint, variances are additive for totals and
 // combine with squared population weights for means — the same algebra
 // the paper applies across strata (Eqs. 6 and 9), lifted one level up to
-// shards.
+// shards. Each part carries its variance's degrees of freedom, and the
+// merged ones are the Welch–Satterthwaite combination of the parts'.
 
 // FromBound reconstructs an Estimate from a (value, bound, confidence)
 // triple, recovering the variance from the bound via the 68-95-99.7
-// rule. It is the inverse of finish for consumers that only see public
-// bounds (e.g. merged WindowResults) and need variance algebra.
+// rule, with DF 0 (the normal limit). It inverts only a normal-limit
+// bound: a part that carries its Variance and DF merges as it is.
 func FromBound(value, bound float64, conf Confidence) Estimate {
 	if conf == 0 {
 		conf = Conf95
@@ -33,16 +34,17 @@ func FromBound(value, bound float64, conf Confidence) Estimate {
 // The confidence level of the first part is kept (parts are expected to
 // share one level). Merging zero parts yields a zero estimate.
 func MergeSums(parts []Estimate) Estimate {
-	var value, variance float64
+	var value float64
+	var w welch
 	var conf Confidence
 	for _, p := range parts {
 		value += p.Value
-		variance += p.Variance
+		w.add(p.Variance, p.DF)
 		if conf == 0 {
 			conf = p.Confidence
 		}
 	}
-	return finish(value, variance, conf)
+	return finish(value, w, conf)
 }
 
 // MergeMeans combines per-shard MEAN estimates over disjoint
@@ -69,16 +71,17 @@ func MergeMeans(parts []Estimate, counts []int64) Estimate {
 		}
 	}
 	if total == 0 {
-		return finish(0, 0, conf)
+		return finish(0, welch{}, conf)
 	}
-	var value, variance float64
+	var value float64
+	var w welch
 	for i, p := range parts {
 		if i >= len(counts) || counts[i] <= 0 {
 			continue
 		}
 		omega := float64(counts[i]) / total
 		value += omega * p.Value
-		variance += omega * omega * p.Variance
+		w.add(omega*omega*p.Variance, p.DF)
 	}
-	return finish(value, variance, conf)
+	return finish(value, w, conf)
 }

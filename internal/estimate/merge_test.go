@@ -150,7 +150,7 @@ func TestMergeAgreesWithSampleLevelMerge(t *testing.T) {
 
 // TestFromBoundRoundTrip checks variance recovery from public bounds.
 func TestFromBoundRoundTrip(t *testing.T) {
-	orig := finish(42, 9, Conf95)
+	orig := finish(42, welch{variance: 9}, Conf95)
 	back := FromBound(orig.Value, orig.Bound, orig.Confidence)
 	if math.Abs(back.Variance-orig.Variance) > 1e-12 {
 		t.Errorf("variance round trip: %v vs %v", back.Variance, orig.Variance)

@@ -129,13 +129,25 @@ func summarize(kind Kind, s *sampling.Sample) []StratumSummary {
 	return out
 }
 
-// moments lines the summaries' entries up in order.
-func moments(sums []Summary) []estimate.Moments {
+// cellRoom is how many of a window's cells Combine lines up in a stack
+// buffer; a window with more allocates them.
+const cellRoom = 32
+
+// room returns n cells, in buf when they fit.
+func room(n int, buf *[cellRoom]estimate.Moments) []estimate.Moments {
+	if n > cellRoom {
+		return make([]estimate.Moments, n)
+	}
+	return buf[:n]
+}
+
+// moments lines the summaries' entries up in order, in buf when they fit.
+func moments(sums []Summary, buf *[cellRoom]estimate.Moments) []estimate.Moments {
 	n := 0
 	for i := range sums {
 		n += len(sums[i].Strata)
 	}
-	ms := make([]estimate.Moments, 0, n)
+	ms := room(n, buf)[:0]
 	for i := range sums {
 		for j := range sums[i].Strata {
 			ms = append(ms, sums[i].Strata[j].Moments)
@@ -144,12 +156,30 @@ func moments(sums []Summary) []estimate.Moments {
 	return ms
 }
 
-func estimateOf(kind Kind, ms []estimate.Moments, conf estimate.Confidence) estimate.Estimate {
+// strataOf keys the entries moments(sums) lines up by their strata.
+func strataOf(sums []Summary) func(int) string {
+	return func(k int) string {
+		for i := range sums {
+			if k < len(sums[i].Strata) {
+				return sums[i].Strata[k].Stratum
+			}
+			k -= len(sums[i].Strata)
+		}
+		return ""
+	}
+}
+
+// oneStratum keys cells that all belong to one group.
+func oneStratum(int) string { return "" }
+
+// estimateOf estimates a kind over a window's cells, key naming each
+// cell's stratum for pooling.
+func estimateOf(kind Kind, ms []estimate.Moments, key func(int) string, conf estimate.Confidence) estimate.Estimate {
 	switch kind {
 	case KindSum:
-		return estimate.SumOf(ms, conf)
+		return estimate.SumOf(ms, estimate.PoolStrata(ms, key), conf)
 	case KindMean:
-		return estimate.MeanOf(ms, conf)
+		return estimate.MeanOf(ms, estimate.PoolStrata(ms, key), conf)
 	default:
 		return estimate.CountOf(ms, conf)
 	}
@@ -183,7 +213,8 @@ func (a *Aggregate) Summarize(s *sampling.Sample) Summary {
 
 // Combine implements Query.
 func (a *Aggregate) Combine(sums []Summary) Result {
-	return Result{Kind: a.kind, Overall: estimateOf(a.kind, moments(sums), a.conf)}
+	var buf [cellRoom]estimate.Moments
+	return Result{Kind: a.kind, Overall: estimateOf(a.kind, moments(sums, &buf), strataOf(sums), a.conf)}
 }
 
 // Evaluate implements Query.
@@ -261,23 +292,45 @@ func mixedStrata(st sampling.StratumSample) bool { return st.Keys != nil }
 //
 // The summaries may carry several entries with the same stratum key (one
 // per micro-batch or slide segment); all entries of a key are estimated
-// together as independent sub-samples of that group.
+// together as independent sub-samples of that group, lined up
+// contiguously and in time order in one buffer.
 func (g *GroupBy) Combine(sums []Summary) Result {
-	byKey := make(map[string][]estimate.Moments)
+	entries := func(i int) []StratumSummary {
+		if sums[i].Groups != nil {
+			return sums[i].Groups
+		}
+		return sums[i].Strata
+	}
+	span := make(map[string][2]int) // key → its entries' offset in cells and their count
+	n := 0
 	for i := range sums {
-		entries := sums[i].Groups
-		if entries == nil {
-			entries = sums[i].Strata
-		}
-		for j := range entries {
-			byKey[entries[j].Stratum] = append(byKey[entries[j].Stratum], entries[j].Moments)
+		for _, e := range entries(i) {
+			sp := span[e.Stratum]
+			sp[1]++
+			span[e.Stratum] = sp
+			n++
 		}
 	}
-	groups := make(map[string]estimate.Estimate, len(byKey))
-	for key, ms := range byKey {
-		groups[key] = estimateOf(g.kind, ms, g.conf)
+	at := 0
+	for key, sp := range span {
+		span[key] = [2]int{at, 0}
+		at += sp[1]
 	}
-	return Result{Kind: g.kind, Overall: estimateOf(g.kind, moments(sums), g.conf), Groups: groups}
+	var cellBuf, overallBuf [cellRoom]estimate.Moments
+	cells := room(n, &cellBuf)
+	for i := range sums {
+		for _, e := range entries(i) {
+			sp := span[e.Stratum]
+			cells[sp[0]+sp[1]] = e.Moments
+			sp[1]++
+			span[e.Stratum] = sp
+		}
+	}
+	groups := make(map[string]estimate.Estimate, len(span))
+	for key, sp := range span {
+		groups[key] = estimateOf(g.kind, cells[sp[0]:sp[0]+sp[1]], oneStratum, g.conf)
+	}
+	return Result{Kind: g.kind, Overall: estimateOf(g.kind, moments(sums, &overallBuf), strataOf(sums), g.conf), Groups: groups}
 }
 
 // Evaluate implements Query.
@@ -360,14 +413,15 @@ func (h *Histogram) bucketOf(v float64) int {
 // query Σ 1[lo <= v < hi]; an entry's moments for it follow in closed
 // form from its hit count, so no row is revisited.
 func (h *Histogram) Combine(sums []Summary) Result {
-	ms := moments(sums)
+	var buf, indicatorBuf [cellRoom]estimate.Moments
+	ms := moments(sums, &buf)
 	res := Result{Kind: KindHistogram, Overall: estimate.CountOf(ms, h.conf)}
 	nb := h.buckets()
 	if nb == 0 {
 		return res
 	}
 	res.Buckets = make([]HistogramBucket, nb)
-	indicator := make([]estimate.Moments, len(ms))
+	indicator := room(len(ms), &indicatorBuf)
 	for b := range res.Buckets {
 		k := 0
 		for i := range sums {
@@ -376,7 +430,7 @@ func (h *Histogram) Combine(sums []Summary) Result {
 				k++
 			}
 		}
-		res.Buckets[b] = HistogramBucket{Lo: h.edges[b], Hi: h.edges[b+1], Count: estimate.SumOf(indicator, h.conf)}
+		res.Buckets[b] = HistogramBucket{Lo: h.edges[b], Hi: h.edges[b+1], Count: estimateOf(KindSum, indicator, strataOf(sums), h.conf)}
 	}
 	return res
 }

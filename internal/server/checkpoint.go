@@ -29,7 +29,9 @@ import (
 // -9 restart neither loses nor duplicates records for any query, even
 // when the crash tore between the shared and per-query files.
 
-const checkpointVersion = 2
+// checkpointVersion 3 writes each pending part's estimates with their
+// Variance and DF; versions 1 and 2 held value and bound only.
+const checkpointVersion = 3
 
 // ingestStateFile holds the shared half; the leading underscore keeps
 // it out of the per-query checkpoint glob.
@@ -166,17 +168,24 @@ func (j *job) restore(cf *checkpointFile) error {
 		sh.offset = sc.Offset
 	}
 	j.seq = cf.Seq
+	j.merger.restore(cf)
+	return nil
+}
+
+// restore rebuilds the merger's fired windows, shard watermarks and
+// partially merged windows from a checkpoint.
+func (m *merger) restore(cf *checkpointFile) {
 	for _, start := range cf.Fired {
-		j.merger.fired[start] = true
+		m.fired[start] = true
 	}
 	for i, mark := range cf.Marks {
-		if i < len(j.merger.marks) {
-			j.merger.marks[i] = mark
+		if i < len(m.marks) {
+			m.marks[i] = mark
 		}
 	}
 	for _, pc := range cf.Pending {
 		pm := &pendingMerge{
-			parts:   make([]*streamapprox.WindowResult, j.srv.parts),
+			parts:   make([]*streamapprox.WindowResult, m.shards),
 			firstAt: pc.FirstAt,
 		}
 		for i, p := range pc.Parts {
@@ -188,9 +197,37 @@ func (j *job) restore(cf *checkpointFile) error {
 				pm.got++
 			}
 		}
-		j.merger.pending[pc.Start] = pm
+		m.pending[pc.Start] = pm
 	}
-	return nil
+}
+
+// upgradeParts gives the pending parts of a version-1 or -2 checkpoint,
+// written before parts carried a variance, the one the merger of that
+// time recovered from each bound: (Bound/z)² with DF 0, the normal limit.
+// A restored window then merges exactly as its writer would have merged
+// it.
+func upgradeParts(cf *checkpointFile) {
+	z := internalConfidence(cf.Spec.confidence()).Sigmas()
+	fill := func(e *streamapprox.Estimate) {
+		sd := e.Bound / z
+		e.Variance, e.DF = sd*sd, 0
+	}
+	for _, pc := range cf.Pending {
+		for _, p := range pc.Parts {
+			if p == nil {
+				continue
+			}
+			fill(&p.Overall)
+			for k, g := range p.Groups {
+				fill(&g)
+				p.Groups[k] = g
+			}
+			for i := range p.Buckets {
+				fill(&p.Buckets[i].Count)
+			}
+		}
+	}
+	cf.Version = checkpointVersion
 }
 
 // checkpointPath is dir/<id>.json.
@@ -284,8 +321,11 @@ func loadCheckpoints(dir string) ([]*checkpointFile, error) {
 		}
 		// v1 (per-query consumer offsets) restores as v2: the offset
 		// fields carry the same "next offset this query needs" meaning.
-		if cf.Version != checkpointVersion && cf.Version != 1 {
+		if cf.Version < 1 || cf.Version > checkpointVersion {
 			return nil, fmt.Errorf("checkpoint %s: unsupported version %d", e.Name(), cf.Version)
+		}
+		if cf.Version < 3 {
+			upgradeParts(&cf)
 		}
 		out = append(out, &cf)
 	}

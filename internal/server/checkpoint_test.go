@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"testing"
@@ -379,4 +380,50 @@ func TestCheckpointSurvivesEmptyPartition(t *testing.T) {
 		t.Error("query not restored")
 	}
 	s2.Close()
+}
+
+// testdata/checkpoint_v2 was written at commit c8be5b8, the last whose
+// merger recovered each part's variance from its bound, by a server over
+// four partitions of which the fourth fell silent at 3 s, closed as soon
+// as every record was consumed: each of its four queries (sum, mean,
+// groupby-mean, histogram at f = 0.05) checkpointed three windows holding
+// three parts. checkpoint_v2_served.json holds the windows that commit's
+// merger served from them on flush. Their parts carry no variance; the
+// one-time upgrade on load must make them merge to the same windows, bit
+// for bit.
+func TestRestoreV2CheckpointServesParentWindows(t *testing.T) {
+	cfs, err := loadCheckpoints("testdata/checkpoint_v2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("testdata/checkpoint_v2_served.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served map[string][]MergedWindow
+	if err := json.Unmarshal(data, &served); err != nil {
+		t.Fatal(err)
+	}
+	if len(cfs) != 4 {
+		t.Fatalf("%d checkpoints, want 4", len(cfs))
+	}
+	for _, cf := range cfs {
+		if cf.Version != checkpointVersion {
+			t.Errorf("%s: loaded as version %d, want %d", cf.ID, cf.Version, checkpointVersion)
+		}
+		if err := cf.Spec.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		m := newMerger(&cf.Spec, 4, nil)
+		m.restore(cf)
+		var got []MergedWindow
+		for _, fw := range m.flush() {
+			got = append(got, fw.result)
+		}
+		gotJSON, _ := json.Marshal(got)
+		wantJSON, _ := json.Marshal(served[cf.ID])
+		if len(served[cf.ID]) != 3 || !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s (%s): served\n%s\nwant\n%s", cf.ID, cf.Spec.Kind, gotJSON, wantJSON)
+		}
+	}
 }

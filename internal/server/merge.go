@@ -11,8 +11,9 @@ import (
 // The merger combines per-shard window results into one served result
 // per window. Shards own disjoint partitions, so their windows cover
 // disjoint slices of the stream and merge with the disjoint-population
-// algebra of internal/estimate: totals add values and variances, means
-// weight parts by observed item counts (estimate.MergeSums/MergeMeans).
+// algebra of internal/estimate on the variance and degrees of freedom
+// each part carries: totals add values and variances, means weight parts
+// by observed item counts (estimate.MergeSums/MergeMeans).
 //
 // A window fires as soon as every shard has contributed, or — for idle
 // or sparsely keyed partitions that will never contribute — once every
@@ -267,10 +268,10 @@ func (m *merger) mergeParts(start time.Time, parts []*streamapprox.WindowResult)
 	return out
 }
 
-// toInternal recovers an internal estimate (with variance) from a public
-// one via its bound.
+// toInternal is the internal form of a shard's estimate: the variance and
+// degrees of freedom it carries, which the merge algebra combines.
 func toInternal(e streamapprox.Estimate, conf estimate.Confidence) estimate.Estimate {
-	return estimate.FromBound(e.Value, e.Bound, conf)
+	return estimate.Estimate{Value: e.Value, Variance: e.Variance, DF: e.DF, Bound: e.Bound, Confidence: conf}
 }
 
 // internalConfidence converts the public confidence enum.

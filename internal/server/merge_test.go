@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamapprox"
+	"streamapprox/internal/estimate"
 )
 
 func testSpec(t *testing.T, kind string) *Spec {
@@ -22,6 +23,12 @@ func testSpec(t *testing.T, kind string) *Spec {
 
 var t0 = time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
 
+// normal is a part's estimate in the normal limit (DF 0): its variance
+// is (bound/2)² at 95 %.
+func normal(value, bound float64) streamapprox.Estimate {
+	return streamapprox.Estimate{Value: value, Bound: bound, Confidence: streamapprox.Confidence95, Variance: bound * bound / 4}
+}
+
 func TestMergePartsSum(t *testing.T) {
 	sp := testSpec(t, "sum")
 	m := newMerger(sp, 2, nil)
@@ -29,7 +36,7 @@ func TestMergePartsSum(t *testing.T) {
 	// 2.25, merged 150 ± 2·√6.25 = 150 ± 5.
 	fw := m.offer(0, streamapprox.WindowResult{
 		Start: t0, End: t0.Add(sp.Window),
-		Overall: streamapprox.Estimate{Value: 100, Bound: 4, Confidence: streamapprox.Confidence95},
+		Overall: normal(100, 4),
 		Items:   80, Sampled: 40,
 	})
 	if fw != nil {
@@ -37,7 +44,7 @@ func TestMergePartsSum(t *testing.T) {
 	}
 	fired := m.offer(1, streamapprox.WindowResult{
 		Start: t0, End: t0.Add(sp.Window),
-		Overall: streamapprox.Estimate{Value: 50, Bound: 3, Confidence: streamapprox.Confidence95},
+		Overall: normal(50, 3),
 		Items:   40, Sampled: 20,
 	})
 	if len(fired) != 1 {
@@ -61,12 +68,12 @@ func TestMergePartsMeanWeightsByItems(t *testing.T) {
 	m := newMerger(sp, 2, nil)
 	m.offer(0, streamapprox.WindowResult{
 		Start:   t0,
-		Overall: streamapprox.Estimate{Value: 10, Bound: 2, Confidence: streamapprox.Confidence95},
+		Overall: normal(10, 2),
 		Items:   100,
 	})
 	fired := m.offer(1, streamapprox.WindowResult{
 		Start:   t0,
-		Overall: streamapprox.Estimate{Value: 20, Bound: 2, Confidence: streamapprox.Confidence95},
+		Overall: normal(20, 2),
 		Items:   300,
 	})
 	if len(fired) != 1 {
@@ -88,12 +95,12 @@ func TestMergePartsGroupsAndBuckets(t *testing.T) {
 	m := newMerger(sp, 2, nil)
 	m.offer(0, streamapprox.WindowResult{
 		Start:      t0,
-		Groups:     map[string]streamapprox.Estimate{"tcp": {Value: 7, Bound: 2}},
+		Groups:     map[string]streamapprox.Estimate{"tcp": normal(7, 2)},
 		GroupItems: map[string]int64{"tcp": 10},
 	})
 	fired := m.offer(1, streamapprox.WindowResult{
 		Start:      t0,
-		Groups:     map[string]streamapprox.Estimate{"tcp": {Value: 3, Bound: 2}, "udp": {Value: 5, Bound: 1}},
+		Groups:     map[string]streamapprox.Estimate{"tcp": normal(3, 2), "udp": normal(5, 1)},
 		GroupItems: map[string]int64{"tcp": 4, "udp": 6},
 	})
 	if len(fired) != 1 {
@@ -115,15 +122,15 @@ func TestMergePartsGroupsAndBuckets(t *testing.T) {
 	hm.offer(0, streamapprox.WindowResult{
 		Start: t0,
 		Buckets: []streamapprox.HistogramBucket{
-			{Lo: 0, Hi: 10, Count: streamapprox.Estimate{Value: 4, Bound: 2}},
-			{Lo: 10, Hi: 20, Count: streamapprox.Estimate{Value: 1, Bound: 0}},
+			{Lo: 0, Hi: 10, Count: normal(4, 2)},
+			{Lo: 10, Hi: 20, Count: normal(1, 0)},
 		},
 	})
 	hfired := hm.offer(1, streamapprox.WindowResult{
 		Start: t0,
 		Buckets: []streamapprox.HistogramBucket{
-			{Lo: 0, Hi: 10, Count: streamapprox.Estimate{Value: 6, Bound: 2}},
-			{Lo: 10, Hi: 20, Count: streamapprox.Estimate{Value: 2, Bound: 0}},
+			{Lo: 0, Hi: 10, Count: normal(6, 2)},
+			{Lo: 10, Hi: 20, Count: normal(2, 0)},
 		},
 	})
 	if len(hfired) != 1 {
@@ -138,6 +145,35 @@ func TestMergePartsGroupsAndBuckets(t *testing.T) {
 	}
 	if buckets[1].Count.Value != 3 || buckets[1].Count.Error != 0 {
 		t.Errorf("bucket 1 = %+v", buckets[1])
+	}
+}
+
+// TestMergePartsCarryVarianceAndDF: parts merge on the variance and
+// degrees of freedom they carry, never on their bounds. A one-item shard
+// whose t bound is seven times its σ must not inflate a window dominated
+// by a large shard, as inverting every bound with z = 2 did.
+func TestMergePartsCarryVarianceAndDF(t *testing.T) {
+	sp := testSpec(t, "sum")
+	m := newMerger(sp, 2, nil)
+	small := streamapprox.Estimate{Value: 10, Variance: 1, DF: 1, Bound: 13.97, Confidence: streamapprox.Confidence95}
+	large := normal(1000, 20)
+	m.offer(0, streamapprox.WindowResult{Start: t0, Overall: small, Items: 10})
+	fired := m.offer(1, streamapprox.WindowResult{Start: t0, Overall: large, Items: 10000})
+	if len(fired) != 1 {
+		t.Fatalf("fired %d windows", len(fired))
+	}
+	got := fired[0].result
+	want := estimate.MergeSums([]estimate.Estimate{
+		{Value: 10, Variance: 1, DF: 1, Confidence: estimate.Conf95},
+		{Value: 1000, Variance: 100, Confidence: estimate.Conf95},
+	})
+	if got.Value != 1010 || got.Error != want.Bound {
+		t.Errorf("merged %v ± %v, want 1010 ± %v", got.Value, got.Error, want.Bound)
+	}
+	// Variance 101 on ≈ 10⁴ degrees of freedom: 2·√101 to 0.05 %; the
+	// bound-inverting merge served 2·√(100 + (13.97/2)²) ≈ 24.4.
+	if z := 2 * math.Sqrt(101); got.Error < z || got.Error > z*1.0005 {
+		t.Errorf("merged bound %v, want 2·√101 = %v", got.Error, z)
 	}
 }
 
