@@ -115,10 +115,16 @@ func upgradeRows(data []byte, st *sessionState) error {
 // Snapshot serializes the session's full state — in-flight segment
 // sampler, finished segments' summaries, adaptive-controller position, RNG —
 // so processing can resume after a crash via RestoreSession. The session
-// remains usable after Snapshot.
+// remains usable after Snapshot. A follower (see Follow) writes the
+// private session it would be with a copy of its leader's sampler and
+// random state.
 func (s *Session) Snapshot() ([]byte, error) {
 	if s.stratifier != nil {
 		return nil, ErrSnapshotUnsupported
+	}
+	src := s // whose sampler and random state s samples with
+	if s.leader != nil {
+		src = s.leader
 	}
 	st := sessionState{
 		Version:         snapshotVersion,
@@ -131,7 +137,7 @@ func (s *Session) Snapshot() ([]byte, error) {
 		Confidence:      s.cfg.Confidence,
 		HistogramEdges:  s.cfg.HistogramEdges,
 		Seed:            s.cfg.Seed,
-		RNG:             s.rng.State(),
+		RNG:             src.rng.State(),
 		ControllerFrac:  s.Fraction(),
 		SegStart:        s.segStart,
 		SegCount:        s.segCount,
@@ -142,8 +148,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 		Fired:           s.fired,
 		Ready:           s.ready,
 	}
-	if s.sampler != nil {
-		samplerState := s.sampler.State()
+	if src.sampler != nil {
+		samplerState := src.sampler.State()
 		st.Sampler = &samplerState
 	}
 	return json.Marshal(st)

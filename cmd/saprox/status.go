@@ -240,7 +240,9 @@ func renderPartitions(brokers []*brokerScrape) {
 // renderIngest shows the shared plane's per-partition batch shape: how
 // many records each columnar fetch round carried (the vectorization's
 // leverage — bigger batches amortize more per-record work) and how long
-// the partition loop blocked per fetch+decode round.
+// the partition loop blocked per fetch+decode round — and the attached
+// queries against the samplers they run, fewer when sampling groups
+// share one.
 func renderIngest(addr string, sc *metrics.Scrape) {
 	parts := make(map[string]bool)
 	for _, s := range sc.Select("saproxd_ingest_records_total", nil) {
@@ -258,10 +260,12 @@ func renderIngest(addr string, sc *metrics.Scrape) {
 	sort.Strings(keys)
 	fmt.Printf("INGEST PLANE (%s)\n", addr)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "PARTITION\tRECORDS\tITEMS/S\tLAG\tBATCH avg/p99\tDECODE p50/p99")
+	fmt.Fprintln(w, "PARTITION\tQUERIES/SAMPLERS\tRECORDS\tITEMS/S\tLAG\tBATCH avg/p99\tDECODE p50/p99")
 	for _, p := range keys {
 		m := metrics.Labels{"partition": p}
 		records, _ := sc.Value("saproxd_ingest_records_total", m)
+		queries, _ := sc.Value("saproxd_ingest_queries", m)
+		samplers, _ := sc.Value("saproxd_ingest_samplers", m)
 		rate := "-"
 		if v, ok := sc.Value("saproxd_ingest_throughput_items_per_s", m); ok {
 			rate = fmt.Sprintf("%.0f", v)
@@ -286,7 +290,7 @@ func renderIngest(addr string, sc *metrics.Scrape) {
 		if ok50 || ok99 {
 			decode = fmtDur(p50d, ok50) + "/" + fmtDur(p99d, ok99)
 		}
-		fmt.Fprintf(w, "%s\t%.0f\t%s\t%s\t%s\t%s\n", p, records, rate, lag, batch, decode)
+		fmt.Fprintf(w, "%s\t%.0f/%.0f\t%.0f\t%s\t%s\t%s\t%s\n", p, queries, samplers, records, rate, lag, batch, decode)
 	}
 	w.Flush()
 	fmt.Println()

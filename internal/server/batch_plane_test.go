@@ -11,7 +11,7 @@ import (
 
 // TestBatchPlaneSharesOneBatchAcrossQueries is the vectorized plane's
 // aliasing test, meant to run under -race: the partition loop hands ONE
-// pooled columnar batch to eight queries' drainers, which apply it to
+// pooled columnar batch to eight sampling groups' drainers, which apply it to
 // their sessions concurrently while the loop Releases its own
 // reference. A write to a shared batch, a premature pool return, or a
 // missed Retain shows up as a race report or as diverging per-window
@@ -34,8 +34,9 @@ func TestBatchPlaneSharesOneBatchAcrossQueries(t *testing.T) {
 	const queries = 8
 	var jobs []*job
 	for i := 0; i < queries; i++ {
+		// A fraction each: eight sampling groups, eight drainers.
 		id, err := s.Register(Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second,
-			Fraction: 0.5, Seed: uint64(i + 1)})
+			Fraction: 0.3 + 0.05*float64(i), Seed: uint64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
 		}

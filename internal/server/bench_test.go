@@ -144,3 +144,65 @@ func BenchmarkQueryConcurrency(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPlaneFanout serves fanout-mixed's query shape in process: 16
+// queries, four kinds × two slides × two fractions, over one 4-partition
+// topic — four sampling groups per partition. items/s counts every
+// record delivered to every query.
+//
+//	go test ./internal/server -bench PlaneFanout -benchtime 3x
+func BenchmarkPlaneFanout(b *testing.B) {
+	events := makeEvents(5, 40000)
+	edges := []float64{40, 70, 85, 100, 115, 130, 160}
+	var specs []Spec
+	for _, kind := range []string{"sum", "mean", "groupby-mean", "histogram"} {
+		for _, slide := range []time.Duration{time.Second, 5 * time.Second} {
+			for _, f := range []float64{0.1, 0.8} {
+				specs = append(specs, Spec{Kind: kind, Window: 2 * slide, Slide: slide, Fraction: f,
+					HistogramEdges: edges, Seed: uint64(len(specs) + 1)})
+			}
+		}
+	}
+	var items int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		bk := broker.New()
+		if err := bk.CreateTopic("in", 4); err != nil {
+			b.Fatal(err)
+		}
+		s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: 100 * time.Microsecond})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var jobs []*job
+		for _, sp := range specs {
+			id, err := s.Register(sp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			j, _ := s.job(id)
+			jobs = append(jobs, j)
+		}
+		b.StartTimer()
+		if _, err := produceEvents(bk, "in", events); err != nil {
+			b.Fatal(err)
+		}
+		deadline := time.Now().Add(60 * time.Second)
+		for _, j := range jobs {
+			for jobRecords(j) < int64(len(events)) {
+				if time.Now().After(deadline) {
+					b.Fatalf("query %s consumed %d of %d within deadline", j.id, jobRecords(j), len(events))
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+		}
+		items += int64(len(specs)) * int64(len(events))
+		b.StopTimer()
+		s.Close()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(items)/elapsed, "items/s")
+	}
+}

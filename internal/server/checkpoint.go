@@ -80,8 +80,10 @@ type pendingCheckpoint struct {
 	Parts   []*streamapprox.WindowResult `json:"parts"`
 }
 
-// checkpoint captures the job's state. Shard locks and the job lock are
-// taken one at a time, never nested, so the data path stays unblocked.
+// checkpoint captures the job's state, one shard at a time and then the
+// merger. A follower's snapshot reads its leader's sampler, so its
+// leader's lock is taken before its own, the order of the data path; the
+// job lock is never held with a shard's.
 func (j *job) checkpoint() (*checkpointFile, error) {
 	cf := &checkpointFile{
 		Version: checkpointVersion,
@@ -89,27 +91,22 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 		Spec:    j.spec,
 	}
 	for _, sh := range j.shards {
-		sh.mu.Lock()
+		unlock := sh.lockWithLeader()
 		snap, err := sh.sess.Snapshot()
+		// The counters are read in the hold that fixes the offset: a batch
+		// applied after it is replayed on restore, so counting it here
+		// would count it twice.
+		sc := shardCheckpoint{Partition: sh.idx, Offset: sh.offset, Watermark: sh.watermark,
+			Records: sh.records.Load(), Sampled: sh.sampled.Load(), Session: snap}
+		unlock()
 		if err != nil {
-			sh.mu.Unlock()
 			return nil, fmt.Errorf("shard %d snapshot: %w", sh.idx, err)
 		}
-		offset := sh.offset
-		wm := sh.watermark
-		sh.mu.Unlock()
-		cf.Shards = append(cf.Shards, shardCheckpoint{
-			Partition: sh.idx,
-			Offset:    offset,
-			Watermark: wm,
-			Records:   sh.records.Load(),
-			Sampled:   sh.sampled.Load(),
-			Session:   snap,
-		})
+		cf.Shards = append(cf.Shards, sc)
 		// Best effort, outside sh.mu (it is a network round trip):
 		// mirror the delivery watermark into the query's broker group so
 		// per-query lag is observable with broker tooling.
-		_ = j.srv.cfg.Cluster.Commit(j.group(), j.srv.cfg.Topic, sh.idx, offset)
+		_ = j.srv.cfg.Cluster.Commit(j.group(), j.srv.cfg.Topic, sh.idx, sc.Offset)
 	}
 	j.mu.Lock()
 	cf.Seq = j.seq

@@ -175,6 +175,8 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 		{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5},
 		{Kind: "mean", Window: 3 * time.Second, Slide: time.Second, Fraction: 0.6},
 		{Kind: "count", Window: 2 * time.Second, Slide: 2 * time.Second, Fraction: 0.4},
+		// The sum's same-config peer: the two share a sampler when cut.
+		{Kind: "count", Window: 3 * time.Second, Slide: time.Second, Fraction: 0.5, Seed: 3},
 	}
 	var ids []string
 	for _, sp := range specs {
@@ -247,10 +249,15 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 	// overshoot the record counters; a re-served window would reuse a
 	// window start across the two runs.
 	time.Sleep(100 * time.Millisecond)
+	// The restored private sessions regroup: one sampler per key.
+	waitGauges(t, s2, float64(len(ids)), 3)
 	for _, id := range ids {
 		j, _ := s2.job(id)
 		if n := jobRecords(j); n != int64(len(events)) {
 			t.Errorf("query %s consumed %d records across runs, want exactly %d", id, n, len(events))
+		}
+		if n := shardRecordsTotal(s2, j); n != int64(len(events)) {
+			t.Errorf("query %s: saproxd_shard_records_total = %d across runs, want %d", id, n, len(events))
 		}
 		seen := map[time.Time]int64{}
 		var maxSeq int64 = -1

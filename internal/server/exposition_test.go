@@ -68,6 +68,8 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"saproxd_shard_records_total":      "counter",
 		"saproxd_ingest_records_total":     "counter",
 		"saproxd_delivery_queue_depth":     "gauge",
+		"saproxd_ingest_queries":           "gauge",
+		"saproxd_ingest_samplers":          "gauge",
 	}
 	for fam, typ := range wantTypes {
 		if got := sc.Types[fam]; got != typ {
@@ -86,6 +88,9 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		`(?m)^saproxd_window_merge_seconds_bucket\{le="\+Inf",query="` + qi.ID + `"\} \d+$`,
 		`(?m)^saproxd_window_merge_seconds_count\{query="` + qi.ID + `"\} \d+$`,
 		`(?m)^saproxd_window_merge_seconds_sum\{query="` + qi.ID + `"\} `,
+		// One adaptive query: it samples alone on each partition.
+		`(?m)^saproxd_ingest_queries\{partition="1"\} 1$`,
+		`(?m)^saproxd_ingest_samplers\{partition="1"\} 1$`,
 	} {
 		if !regexp.MustCompile(re).MatchString(text) {
 			t.Errorf("exposition missing line matching %s", re)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -33,14 +34,21 @@ type traceSetter interface{ SetTraceID(uint64) }
 // of the plane (From "latest") rides the plane immediately and drops
 // records below its requested start per-sub.
 //
-// Fan-out is decoupled from the partition loop by a BOUNDED per-query
+// On each partition the shards whose sessions would run interchangeable
+// samplers — the same slide and the same fixed fraction — form one
+// SAMPLING GROUP: one delivery queue, one drainer, one sampler, and
+// every member's pane taken from that one sample through the member's
+// own query (streamapprox.Session.Follow). A shard that cannot share
+// (adaptive fraction, global budget) is a group of one.
+//
+// Fan-out is decoupled from the partition loop by a BOUNDED per-group
 // delivery queue: the loop enqueues each batch (a cheap slice ref) and
-// a per-(query, partition) drainer applies it to the Session. A query
+// the group's drainer applies it to the members' Sessions. A group
 // whose drainer falls a full queue behind is SHED — detached on the
-// spot and re-attached through the catch-up path once its drainer
-// empties — so one slow query rereads its backlog from the broker
-// instead of stalling every peer on the partition loop. Catch-up work
-// itself runs under a small semaphore, so a burst of late
+// spot, and each member re-attached through the catch-up path once the
+// drainer empties — so one slow group rereads its backlog from the
+// broker instead of stalling every peer on the partition loop. Catch-up
+// work itself runs under a small semaphore, so a burst of late
 // registrations cannot open unbounded private consumers.
 
 // fetchMax bounds one fetch round's record count, on the plane's
@@ -86,10 +94,10 @@ const watchdogAfter = 5
 // broker and single-connection clients have nothing to refresh.
 type metaRefresher interface{ Refresh() error }
 
-// The per-query, per-partition delivery target is *shard: consumeBatch
+// The per-query, per-partition delivery target is *shard: consumeLocked
 // applies one event-time sorted EventBatch ending at offset next
 // (exclusive; the batch is shared across queries and treated as
-// read-only), idleAdvance is the idle-partition punctuation.
+// read-only), idleLocked is the idle-partition punctuation.
 
 // ingest is one plane: a set of partition loops over one topic.
 type ingest struct {
@@ -111,20 +119,32 @@ type ingest struct {
 	wg    sync.WaitGroup
 }
 
-// subQueue is one query shard's bounded delivery queue on one
-// partition: the plane loop enqueues, the drainer goroutine applies.
+// subQueue is one sampling group's bounded delivery queue on one
+// partition: the plane loop enqueues, the drainer goroutine applies each
+// batch to every member. The leader samples it; a follower takes its
+// panes from that sample; a private member (out of step with the leader)
+// samples for itself until it stands at the leader's point, then follows.
 type subQueue struct {
-	j  *job
-	sh *shard
-	ch chan planeDelivery
+	key groupKey // zero: a group of one, never joined
+	// mu guards members and is held across each delivery's application,
+	// so shards join and leave between batches.
+	mu      sync.Mutex
+	members []*shard // members[0] leads
+	ch      chan planeDelivery
 	// overflowAt is the resume offset recorded when the queue overflows
 	// (-1 otherwise). Written under the partition lock before ch is
 	// closed; the drainer reads it after draining, so the close is the
 	// memory barrier.
 	overflowAt int64
-	done       chan struct{} // closed when the drainer has fully exited
-	depth      *metrics.Gauge
-	shed       *metrics.Counter
+	done       chan struct{}  // closed when the drainer has fully exited
+	samplers   *metrics.Gauge // the partition's saproxd_ingest_samplers
+}
+
+// groupKey is what makes two shards' samplers interchangeable on a
+// partition: the slide and the fixed fraction of their sessions.
+type groupKey struct {
+	slide    time.Duration
+	fraction float64
 }
 
 // planeDelivery is one fan-out unit: a shared columnar batch or an idle
@@ -146,11 +166,12 @@ type partIngest struct {
 	cluster broker.Cluster // dedicated connection when DialShard is set
 	conn    io.Closer      // nil when sharing the control connection
 
-	// mu guards subs and next. Enqueueing happens with mu held so a
-	// catch-up splice (pos == next, attach) is atomic against the loop
+	// mu guards subs, groups and next. Enqueueing happens with mu held so
+	// a catch-up splice (pos == next, attach) is atomic against the loop
 	// advancing next; the enqueue itself never blocks.
 	mu         sync.Mutex
-	subs       map[*shard]*subQueue
+	subs       map[*shard]*subQueue // every attached shard's group
+	groups     []*subQueue
 	next       int64 // next offset the plane will deliver
 	positioned bool  // next is meaningful (restored or first attach)
 	started    bool
@@ -159,6 +180,7 @@ type partIngest struct {
 
 	recordsMetric *metrics.Counter
 	queriesGauge  *metrics.Gauge
+	samplersGauge *metrics.Gauge // group members sampling for themselves
 	lagGauge      *metrics.Gauge
 	throughput    *metrics.Meter
 	batchHist     *metrics.Histogram // records per delivered columnar batch
@@ -218,6 +240,8 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 				"records fetched once and fanned out to all queries, per partition", l),
 			queriesGauge: reg.Gauge("saproxd_ingest_queries",
 				"queries attached to the partition's shared plane", l),
+			samplersGauge: reg.Gauge("saproxd_ingest_samplers",
+				"samplers the partition's attached queries run: one per sampling group plus its private members", l),
 			lagGauge: reg.Gauge("saproxd_ingest_lag_records",
 				"records between the plane position and the partition high watermark", l),
 			batchHist: reg.Histogram("saproxd_ingest_batch_records",
@@ -277,49 +301,67 @@ func (ing *ingest) commit() {
 	}
 }
 
-// newSub builds a shard's bounded delivery queue (not yet registered).
-func (pi *partIngest) newSub(j *job, sh *shard) *subQueue {
-	labels := metrics.Labels{"query": j.id, "partition": strconv.Itoa(pi.idx)}
-	return &subQueue{
-		j:          j,
-		sh:         sh,
-		ch:         make(chan planeDelivery, pi.ing.queueDepth),
-		overflowAt: -1,
-		done:       make(chan struct{}),
-		depth: pi.ing.reg.Gauge("saproxd_delivery_queue_depth",
-			"batches queued between the partition loop and the query's drainer", labels),
-		shed: pi.ing.reg.Counter("saproxd_delivery_shed_total",
-			"times the query overflowed its delivery queue and was shed to catch-up", labels),
+// join attaches sh to the partition (callers hold pi.mu): into the
+// sampling group its job's key names — following the leader when it
+// stands at the leader's point of the stream, as a private member
+// otherwise — or into a new group of its own. Batches already queued
+// below the shard's offset are skipped for it.
+func (pi *partIngest) join(sh *shard) {
+	sh.skipToOffset()
+	pi.samplersGauge.Add(1)
+	key := sh.job.groupKey()
+	i := slices.IndexFunc(pi.groups, func(sub *subQueue) bool { return key != groupKey{} && sub.key == key })
+	if i < 0 {
+		sub := &subQueue{key: key, members: []*shard{sh}, samplers: pi.samplersGauge,
+			ch: make(chan planeDelivery, pi.ing.queueDepth), overflowAt: -1, done: make(chan struct{})}
+		pi.groups = append(pi.groups, sub)
+		pi.subs[sh] = sub
+		go pi.drain(sub)
+	} else {
+		sub := pi.groups[i]
+		pi.subs[sh] = sub
+		sub.mu.Lock()
+		sub.members = append(sub.members, sh)
+		sub.lockAll()
+		sub.tryFollow(sh)
+		sub.unlockAll()
+		sub.mu.Unlock()
 	}
-}
-
-// register adds a sub to the partition (callers hold pi.mu) and starts
-// its drainer.
-func (pi *partIngest) register(sub *subQueue) {
-	pi.subs[sub.sh] = sub
 	pi.queriesGauge.Set(float64(len(pi.subs)))
-	go pi.drain(sub)
 }
 
-// drain is the per-(query, partition) delivery worker: it applies
-// queued batches to the shard's Session in order. If the sub was shed
-// on overflow, the drainer finishes the queued prefix and then replays
-// the rest through the catch-up path, re-splicing into the live plane.
+// drain is the group's delivery worker: it applies queued batches to
+// the members in order. When the queue closes the group dissolves, every
+// member keeping a sampler of its own; a shed group's members then
+// replay the rest through the catch-up path, each re-splicing into the
+// live plane.
 func (pi *partIngest) drain(sub *subQueue) {
 	for d := range sub.ch {
-		sub.depth.Set(float64(len(sub.ch)))
 		if d.idle {
-			sub.sh.idleAdvance(d.hwm)
+			sub.idle(d.hwm)
 		} else {
-			sub.sh.consumeBatch(d.batch, d.next, d.hwm, d.haveHWM)
+			sub.apply(d)
 			d.batch.Release()
 		}
 	}
 	resume := sub.overflowAt // safe: written before close(sub.ch)
+	sub.mu.Lock()
+	members := sub.members
+	sub.lockAll()
+	for _, sh := range members {
+		sub.unfollow(sh)
+		sub.samplers.Add(-1)
+	}
+	sub.unlockAll()
+	sub.members = nil
+	sub.mu.Unlock()
 	close(sub.done)
 	if resume >= 0 {
-		// j.wg.Add happened at shed time, under pi.mu; catchUp calls Done.
-		pi.catchUp(sub.j, sub.sh, resume)
+		for _, sh := range members {
+			sh.shed.Inc()
+			// j.wg.Add happened at shed time, under pi.mu; catchUp calls Done.
+			go pi.catchUp(sh.job, sh, resume)
+		}
 	}
 }
 
@@ -341,8 +383,7 @@ func (ing *ingest) attach(j *job, sh *shard, from int64) {
 		go pi.loop(pi.next)
 	}
 	if from >= pi.next {
-		sh.setSkip(from)
-		pi.register(pi.newSub(j, sh))
+		pi.join(sh)
 		pi.mu.Unlock()
 		return
 	}
@@ -351,21 +392,32 @@ func (ing *ingest) attach(j *job, sh *shard, from int64) {
 	go pi.catchUp(j, sh, from)
 }
 
-// detach removes a shard's queue and waits for its drainer, so no
-// consume call can follow detach. A shard mid-catch-up (or shed) has no
-// registered queue; its goroutine is tracked by the job's WaitGroup and
-// aborts on the job's done channel.
+// detach takes a shard out of its group, so no consume call can follow
+// detach. The last member closes the group's queue and waits out its
+// drainer, which applies what is queued first. A shard mid-catch-up (or
+// shed) has no group; its goroutine is tracked by the job's WaitGroup
+// and aborts on the job's done channel.
 func (ing *ingest) detach(sh *shard) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
 	sub, ok := pi.subs[sh]
-	if ok {
-		delete(pi.subs, sh)
-		pi.queriesGauge.Set(float64(len(pi.subs)))
-		close(sub.ch)
+	if !ok {
+		pi.mu.Unlock()
+		return
 	}
+	delete(pi.subs, sh)
+	pi.queriesGauge.Set(float64(len(pi.subs)))
+	sub.mu.Lock()
+	last := len(sub.members) == 1
+	if last {
+		pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })
+		close(sub.ch)
+	} else {
+		sub.remove(sh)
+	}
+	sub.mu.Unlock()
 	pi.mu.Unlock()
-	if ok {
+	if last {
 		<-sub.done
 	}
 }
@@ -392,11 +444,12 @@ func (ing *ingest) stop() {
 	var waits []*subQueue
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
-		for sh, sub := range pi.subs {
-			delete(pi.subs, sh)
+		for _, sub := range pi.groups {
 			close(sub.ch)
 			waits = append(waits, sub)
 		}
+		pi.groups = nil
+		clear(pi.subs)
 		pi.queriesGauge.Set(0)
 		pi.mu.Unlock()
 	}
@@ -520,15 +573,15 @@ func (pi *partIngest) reroute() {
 }
 
 // deliverBatch fans one pooled EventBatch out by reference to every
-// attached query's delivery queue and advances the plane position. It
+// sampling group's delivery queue and advances the plane position. It
 // runs under pi.mu so catch-up splices are atomic, but never blocks: a
-// query whose bounded queue is full is shed — detached here, with its
-// drainer re-entering through the catch-up path at the offset where
-// delivery stopped — so one slow query cannot stall the partition loop
-// or its peers. The batch's Base is stamped with the plane offset before
-// the first enqueue (the channel send is the memory barrier), each
+// group whose bounded queue is full is shed — detached here, with its
+// drainer sending every member through the catch-up path at the offset
+// where delivery stopped — so one slow group cannot stall the partition
+// loop or its peers. The batch's Base is stamped with the plane offset
+// before the first enqueue (the channel send is the memory barrier), each
 // successful enqueue carries one Retained reference the drainer Releases
-// after applying, a shed sub's reference is returned immediately, and
+// after applying, a shed group's reference is returned immediately, and
 // the loop's own reference from PollBatch is dropped once fan-out
 // finishes — so the batch goes back to the pool the moment the last
 // drainer is done with it.
@@ -543,26 +596,33 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 	pi.next = next
 	b.Base = base // shards compute skip positions relative to Base
 	d := planeDelivery{batch: b, next: next, hwm: hwm, haveHWM: haveHWM}
-	for sh, sub := range pi.subs {
+	kept := pi.groups[:0]
+	for _, sub := range pi.groups {
 		b.Retain()
 		select {
 		case sub.ch <- d:
-			sub.depth.Set(float64(len(sub.ch)))
+			kept = append(kept, sub)
+			continue
 		default:
-			// Queue full: shed this query. Its drainer has applied (or
-			// still holds queued) everything below base, so base is
-			// exactly where its catch-up must resume.
-			b.Release() // the shed sub never takes its reference
-			delete(pi.subs, sh)
-			sub.overflowAt = base
-			sub.j.wg.Add(1) // the drainer's catch-up continuation
-			close(sub.ch)
-			sub.shed.Inc()
-			pi.queriesGauge.Set(float64(len(pi.subs)))
-			pi.ing.logf("query %s partition %d: delivery queue full at offset %d; shedding to catch-up",
-				sub.j.id, pi.idx, base)
 		}
+		// Queue full: shed the group. Its drainer has applied (or still
+		// holds queued) everything below base, so base is exactly where
+		// every member's catch-up must resume.
+		b.Release() // the shed group never takes its reference
+		sub.overflowAt = base
+		for sh, of := range pi.subs {
+			if of == sub {
+				delete(pi.subs, sh)
+				sh.job.wg.Add(1) // the drainer's catch-up continuation
+				pi.ing.logf("query %s partition %d: delivery queue full at offset %d; shedding to catch-up",
+					sh.job.id, pi.idx, base)
+			}
+		}
+		close(sub.ch)
+		pi.queriesGauge.Set(float64(len(pi.subs)))
 	}
+	clear(pi.groups[len(kept):])
+	pi.groups = kept
 	pi.mu.Unlock()
 	b.Release() // the loop's reference from PollBatch
 	if haveHWM {
@@ -587,14 +647,14 @@ func (pi *partIngest) drained() (hwm int64, ok bool) {
 	return hwm, next >= hwm
 }
 
-// idleAdvance enqueues an idle punctuation for every attached query,
+// idleAdvance enqueues an idle punctuation for every sampling group,
 // pushing event-time watermarks forward on a quiet partition so windows
 // a sparsely keyed partition would hold back still merge, and carrying
 // the drain check's high watermark so the queries' lag gauges settle.
 // Best effort: a full queue skips the marker (the next one fires again).
 func (pi *partIngest) idleAdvance(hwm int64) {
 	pi.mu.Lock()
-	for _, sub := range pi.subs {
+	for _, sub := range pi.groups {
 		select {
 		case sub.ch <- planeDelivery{idle: true, hwm: hwm}:
 		default:
@@ -634,7 +694,7 @@ func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
 		target := pi.next
 		if pos >= target {
 			if !j.isStopped() {
-				pi.register(pi.newSub(j, sh))
+				pi.join(sh)
 			}
 			pi.mu.Unlock()
 			return
@@ -660,7 +720,9 @@ func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
 			continue
 		}
 		pos += int64(b.Len())
-		sh.consumeBatch(b, pos, -1, false)
+		sh.mu.Lock()
+		sh.consumeLocked(b, pos)
+		sh.mu.Unlock()
 		b.Release()
 	}
 }

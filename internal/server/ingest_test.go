@@ -183,6 +183,13 @@ func lateRegistrationCatchesUp(t *testing.T, events []stream.Event) {
 		t.Fatal(err)
 	}
 	j1, _ := s.job(id1)
+	// A same-config peer of another kind: the early queries share one
+	// sampler per partition, and the late one joins them.
+	peer, err := s.Register(Spec{Kind: "mean", Window: 3 * time.Second, Slide: time.Second, Fraction: 0.5, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jPeer, _ := s.job(peer)
 	waitJobRecords(t, j1, int64(half), 15*time.Second)
 
 	// The plane is now at the end of the backlog; a late query from
@@ -202,6 +209,11 @@ func lateRegistrationCatchesUp(t *testing.T, events []stream.Event) {
 	}
 	waitJobRecords(t, j1, int64(len(events)), 15*time.Second)
 	waitJobRecords(t, j2, int64(len(events)), 15*time.Second)
+	waitJobRecords(t, jPeer, int64(len(events)), 15*time.Second)
+	// (d) The late query, spliced as a private member, follows the group's
+	// sampler by the first slide boundary of the new records.
+	waitGauges(t, s, 3, 1)
+	checkWindowsOnce(t, jPeer, events)
 	// Settle, then check exact counts: an over-delivery would overshoot.
 	time.Sleep(50 * time.Millisecond)
 	if n := jobRecords(j1); n != int64(len(events)) {
@@ -306,8 +318,8 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 	}
 	defer s.Close()
 	var jobs []*job
-	for i := 0; i < 3; i++ {
-		id, err := s.Register(Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second,
+	for i, kind := range []string{"sum", "sum", "sum", "count"} { // one group per partition
+		id, err := s.Register(Spec{Kind: kind, Window: 2 * time.Second, Slide: time.Second,
 			Fraction: 0.5, Seed: uint64(i + 1)})
 		if err != nil {
 			t.Fatal(err)
@@ -327,8 +339,8 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 			t.Fatalf("query %s: saproxd_shard_records_total = %d, want %d", j.id, n, len(events))
 		}
 	}
-	// Every query is shed at its own moments, so their catch-up rounds
-	// cut the log differently — yet each served window must hold exactly
+	// Every query is shed with its group and catches up on its own, so
+	// their catch-up rounds cut the log differently — yet each served window must hold exactly
 	// the items an always-attached query sees: the events inside it.
 	ones := make([]stream.Event, len(events))
 	for i, e := range events {

@@ -15,10 +15,11 @@ import (
 
 // A job is one registered query: one OASRS Session sink per partition
 // fed by the shared ingest plane, and one merger fanning shard windows
-// into the served result stream. Shards share nothing on the data path
-// — the paper's synchronization-free parallel sampling — and the plane
-// delivers every partition batch to all queries from a single topic
-// read.
+// into the served result stream. Shards of one query share nothing on
+// the data path — the paper's synchronization-free parallel sampling —
+// and the plane delivers every partition batch to all queries from a
+// single topic read; on one partition, queries with interchangeable
+// samplers share one (see subQueue).
 type job struct {
 	id   string
 	spec Spec
@@ -65,11 +66,14 @@ type shard struct {
 	job *job
 	idx int // shard index == partition
 
-	// mu guards sess, offset, skipUntil and the watermark against the
-	// checkpointer. records/sampled/lag are atomic so the merge path
-	// and lag aggregation never nest shard and job locks.
-	mu        sync.Mutex
-	sess      *streamapprox.Session
+	// mu guards sess, lead, offset, skipUntil and the watermark against
+	// the checkpointer. records/sampled/lag are atomic so lag aggregation
+	// and the progress counters need no lock.
+	mu   sync.Mutex
+	sess *streamapprox.Session
+	// lead is the group member whose session sess follows (nil while sess
+	// samples for itself); it changes under both shards' locks.
+	lead      *shard
 	offset    int64 // delivery watermark: next offset to apply
 	skipUntil int64 // drop plane records below this offset (late attach ahead of plane)
 	watermark time.Time
@@ -81,6 +85,8 @@ type shard struct {
 	sampledMetric *metrics.Counter
 	lateMetric    *metrics.Gauge
 	lagMetric     *metrics.Gauge
+	depth         *metrics.Gauge   // the group's delivery queue, as this query sees it
+	shed          *metrics.Counter // times the query's group was shed to catch-up
 }
 
 // newJob builds a job and its shards. When restore is non-nil the
@@ -131,6 +137,11 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 			"late events dropped per shard", labels)
 		sh.lagMetric = srv.reg.Gauge("saproxd_shard_lag_records",
 			"records between shard position and partition high watermark", labels)
+		queue := metrics.Labels{"query": id, "partition": strconv.Itoa(p)}
+		sh.depth = srv.reg.Gauge("saproxd_delivery_queue_depth",
+			"batches queued between the partition loop and the query's drainer", queue)
+		sh.shed = srv.reg.Counter("saproxd_delivery_shed_total",
+			"times the query overflowed its delivery queue and was shed to catch-up", queue)
 		j.shards = append(j.shards, sh)
 	}
 
@@ -168,6 +179,17 @@ func (j *job) sessionConfig(shard int) streamapprox.SessionConfig {
 		cfg.TargetError = 0
 	}
 	return cfg
+}
+
+// groupKey is the sampling-group key of the job's shards, read from the
+// config their sessions are built with — zero when they must sample
+// alone: under an adaptive fraction or the global budget scheduler,
+// whose fractions move per query.
+func (j *job) groupKey() groupKey {
+	if cfg := j.sessionConfig(0); cfg.TargetError == 0 && j.srv.cfg.GlobalBudget == 0 {
+		return groupKey{cfg.WindowSlide, cfg.Fraction}
+	}
+	return groupKey{}
 }
 
 // group is the job's consumer-group name on the broker (delivery
@@ -330,23 +352,24 @@ func (j *job) maxWatermark() time.Time {
 	return max
 }
 
-// setSkip arms the shard to drop plane records below offset — the
-// From "latest" attach path, where the query joins the plane behind
-// its requested start.
-func (sh *shard) setSkip(offset int64) {
+// skipToOffset arms the shard to drop plane records below its offset —
+// a query joining a queue that may still hold batches it has applied
+// (a catch-up splice), or that the plane delivers behind its requested
+// start (From "latest").
+func (sh *shard) skipToOffset() {
 	sh.mu.Lock()
-	if offset > sh.skipUntil {
-		sh.skipUntil = offset
-	}
+	sh.skipUntil = max(sh.skipUntil, sh.offset)
 	sh.mu.Unlock()
 }
 
-// consumeBatch applies one event-time sorted EventBatch to the session
+// consumeLocked applies one event-time sorted EventBatch to the session
 // through its vectorized PushBatch and hands completed windows to the
 // merger. The batch is shared with other queries' sinks and is never
 // mutated. The whole application (push + watermark advance + merger
 // delivery) runs under one sh.mu hold, so a checkpoint observes either
-// all of a batch or none of it (no torn checkpoint). The skip-ahead
+// all of a batch or none of it (no torn checkpoint). A follower pushes
+// nothing: its leader, applied first under the follower's lock too,
+// sampled the batch for it and fired its windows. The skip-ahead
 // clamp uses the batch's Base (offsets are consecutive within a batch):
 // it drops exactly skipUntil-Base records, which are the records below
 // skipUntil whenever the batch is in offset order — the overwhelmingly
@@ -354,9 +377,8 @@ func (sh *shard) setSkip(offset int64) {
 // sort then never permutes. A time-permuted batch can swap individual
 // records across the attach boundary within the one straddling batch;
 // counts, offsets and watermarks stay exact.
-func (sh *shard) consumeBatch(b *stream.EventBatch, next int64, hwm int64, haveHWM bool) {
+func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 	n := b.Len()
-	sh.mu.Lock()
 	from := 0
 	if sh.skipUntil > b.Base {
 		from = int(sh.skipUntil - b.Base)
@@ -366,7 +388,9 @@ func (sh *shard) consumeBatch(b *stream.EventBatch, next int64, hwm int64, haveH
 	}
 	delivered := n - from
 	if delivered > 0 {
-		_ = sh.sess.PushBatch(b, from, n)
+		if sh.lead == nil {
+			_ = sh.sess.PushBatch(b, from, n)
+		}
 		if mark := b.MaxTime(from, n); mark.After(sh.watermark) {
 			sh.watermark = mark
 		}
@@ -381,13 +405,10 @@ func (sh *shard) consumeBatch(b *stream.EventBatch, next int64, hwm int64, haveH
 		sh.records.Add(int64(delivered))
 		sh.recordsMetric.Add(float64(delivered))
 		sh.lateMetric.Set(float64(sh.sess.Late()))
-		sh.sess.Advance(sh.watermark)
+		if sh.lead == nil {
+			sh.sess.Advance(sh.watermark)
+		}
 		sh.deliver(sh.sess.Poll(), sh.watermark)
-	}
-	offset := sh.offset
-	sh.mu.Unlock()
-	if haveHWM {
-		sh.setLag(hwm - offset)
 	}
 }
 
@@ -406,28 +427,24 @@ func (sh *shard) setLag(lag int64) {
 	sh.job.lagGauge.Set(float64(total))
 }
 
-// idleAdvance pushes an idle shard's session
-// forward to the job-wide maximum watermark, flushing windows a
+// idleLocked pushes an idle shard's session
+// forward to mark, its job's maximum watermark, flushing windows a
 // sparsely keyed partition would otherwise hold back forever. hwm is
 // the partition's committed high watermark as the drain check read it.
-func (sh *shard) idleAdvance(hwm int64) {
-	mark := sh.job.maxWatermark()
-	sh.mu.Lock()
+// Callers hold sh.mu, and a follower's leader's, advanced first.
+func (sh *shard) idleLocked(mark time.Time, hwm int64) {
 	if mark.After(sh.watermark) {
 		sh.watermark = mark
 		sh.sess.Advance(mark)
 		sh.deliver(sh.sess.Poll(), mark)
 	}
-	offset := sh.offset
-	sh.mu.Unlock()
-	sh.setLag(hwm - offset)
+	sh.setLag(hwm - sh.offset)
 }
 
 // deliver hands window results and the shard's watermark to the merger
 // and publishes whatever fires. Callers hold sh.mu; deliver nests j.mu
-// inside it (the lock order is plane → shard → job, and the
-// checkpointer takes shard and job locks one at a time, so the order
-// stays acyclic).
+// inside it, the last lock of the one order plane → group → leader
+// shard → member shard → member job.
 func (sh *shard) deliver(results []streamapprox.WindowResult, mark time.Time) {
 	j := sh.job
 	j.mu.Lock()

@@ -114,19 +114,17 @@ func (m *merger) offer(shard int, wr streamapprox.WindowResult) []firedWindow {
 // advance records a shard's event-time watermark and fires every pending
 // window that no shard can still contribute to: end + slide at or before
 // the minimum watermark (one slide of slack because a session only emits
-// a window once event time enters a later segment).
+// a window once event time enters a later segment). Only a move of that
+// minimum can fire or prune anything, so the pending windows are walked
+// only then.
 func (m *merger) advance(shard int, mark time.Time) []firedWindow {
 	if !mark.After(m.marks[shard]) {
 		return nil
 	}
+	prev := m.minMark()
 	m.marks[shard] = mark
-	min := m.marks[0]
-	for _, t := range m.marks[1:] {
-		if t.Before(min) {
-			min = t
-		}
-	}
-	if min.IsZero() {
+	min := m.minMark()
+	if min.IsZero() || !min.After(prev) {
 		return nil
 	}
 	var out []firedWindow
@@ -138,6 +136,17 @@ func (m *merger) advance(shard int, mark time.Time) []firedWindow {
 	sort.Slice(out, func(i, j int) bool { return out[i].result.Start.Before(out[j].result.Start) })
 	m.prune(min)
 	return out
+}
+
+// minMark is the lowest shard watermark.
+func (m *merger) minMark() time.Time {
+	min := m.marks[0]
+	for _, t := range m.marks[1:] {
+		if t.Before(min) {
+			min = t
+		}
+	}
+	return min
 }
 
 // flush fires every pending window regardless of completeness — the

@@ -2,6 +2,7 @@ package streamapprox
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"streamapprox/internal/adaptive"
@@ -102,6 +103,12 @@ type Session struct {
 	segStartN   int64
 	segEndN     int64
 	segBoundsOK bool
+
+	// leader is the session whose sampler this one follows (nil while it
+	// samples for itself); followers are the sessions following this one.
+	leader    *Session
+	followers []*Session
+	lateOff   int64 // a follower's late drops beyond its leader's
 }
 
 // pane is one finished slide segment: its sample's summary.
@@ -175,6 +182,9 @@ func (s *Session) SetFraction(f float64) {
 	if f <= 0 || f > 1 {
 		return
 	}
+	if f != s.cfg.Fraction {
+		s.leave()
+	}
 	s.cfg.Fraction = f
 	if s.controller != nil {
 		s.controller.SetFraction(f)
@@ -198,12 +208,78 @@ func (s *Session) DisableAdaptive() {
 // Late returns the number of dropped late events.
 func (s *Session) Late() int64 { return s.late }
 
+// Follow makes s sample through leader: every record pushed to leader
+// reaches s too, sampled once, and each segment leader finishes becomes a
+// pane of s through s's own query. It reports whether s follows: only
+// sessions with the same slide and fixed fraction (no TargetError,
+// TargetLatency or Stratify), open, not chained, and at the same point of
+// the stream — watermark, segment start, segment count, previous segment
+// count — can, and s must follow nobody yet. A follower is the session
+// it would be with a copy of its leader's sampler (what Snapshot writes
+// and Unfollow makes it); its own sampler and seed go unused. Each query
+// keeps its marginal distribution and bound, but the two are no longer
+// independent. Pushing, closing or advancing a follower past its leader
+// unfollows it first.
+func (s *Session) Follow(leader *Session) bool {
+	l := leader
+	if l == nil || l == s || l.leader != nil || s.leader != nil || len(s.followers) > 0 || s.closed || l.closed ||
+		!s.fixed() || !l.fixed() || s.cfg.WindowSlide != l.cfg.WindowSlide || s.cfg.Fraction != l.cfg.Fraction ||
+		!s.watermark.Equal(l.watermark) || !s.segStart.Equal(l.segStart) ||
+		s.segCount != l.segCount || s.lastCount != l.lastCount {
+		return false
+	}
+	s.leader, s.sampler, s.lateOff = l, nil, s.late-l.late
+	l.followers = append(l.followers, s)
+	return true
+}
+
+// Unfollow ends Follow: s gets a sampler of its own, a copy of its
+// leader's with the leader's random state, and samples for itself from
+// the same point on. It does nothing to a session that follows nobody.
+func (s *Session) Unfollow() {
+	l := s.leader
+	if l == nil {
+		return
+	}
+	l.followers = slices.DeleteFunc(l.followers, func(f *Session) bool { return f == s })
+	s.leader = nil
+	s.rng.SetState(l.rng.State())
+	if l.sampler != nil {
+		s.sampler = sampling.RestoreOASRS(l.sampler.State(), nil, s.rng)
+	}
+	s.cacheSegBounds()
+}
+
+// leave makes s and every session following it sample for themselves.
+func (s *Session) leave() {
+	s.Unfollow()
+	for len(s.followers) > 0 {
+		s.followers[0].Unfollow()
+	}
+}
+
+// fixed reports whether s's sampler is all its sampling state.
+func (s *Session) fixed() bool {
+	return s.controller == nil && s.stratifier == nil && s.latency == nil
+}
+
+// lead brings s's followers to s's point of the stream after a call that
+// moved it.
+func (s *Session) lead() {
+	for _, f := range s.followers {
+		f.watermark, f.segStart, f.segCount, f.lastCount = s.watermark, s.segStart, s.segCount, s.lastCount
+		f.late = s.late + f.lateOff
+	}
+}
+
 // Push offers one event. Events must arrive in non-decreasing event-time
 // order; events behind the watermark are counted and dropped.
 func (s *Session) Push(e Event) error {
 	if s.closed {
 		return ErrClosedSession
 	}
+	s.Unfollow()
+	defer s.lead()
 	if e.Time.Before(s.watermark) {
 		s.late++
 		return nil
@@ -263,6 +339,8 @@ func (s *Session) PushBatch(b *EventBatch, from, to int) error {
 	if s.closed {
 		return ErrClosedSession
 	}
+	s.Unfollow()
+	defer s.lead()
 	if from < 0 {
 		from = 0
 	}
@@ -374,6 +452,7 @@ func (s *Session) Advance(now time.Time) {
 		return
 	}
 	if now.After(s.watermark) {
+		s.Unfollow() // a follower cannot move its leader
 		s.watermark = now
 	}
 	seg := now.Truncate(s.cfg.WindowSlide)
@@ -385,14 +464,21 @@ func (s *Session) Advance(now time.Time) {
 	// windows ending inside it, so only windows ending at or before seg
 	// are complete.
 	s.fire(seg)
+	s.lead()
+	for _, f := range s.followers {
+		f.fire(seg)
+	}
 }
 
 // Close flushes the in-progress segment and all pending windows and
-// returns every remaining result. Further Push calls fail.
+// returns every remaining result. Further Push calls fail. A leader's
+// followers first get samplers of their own (Unfollow), so closing it
+// leaves their windows untouched.
 func (s *Session) Close() []WindowResult {
 	if s.closed {
 		return nil
 	}
+	s.leave()
 	s.closed = true
 	if !s.segStart.IsZero() {
 		s.finishSegment()
@@ -440,9 +526,16 @@ func (s *Session) cacheSegBounds() {
 		time.Unix(0, s.segStartN).Equal(seg) && time.Unix(0, s.segEndN).Equal(end)
 }
 
+// finishSegment drains the segment's sample into a pane of s and, through
+// each follower's own query, a pane of every follower.
 func (s *Session) finishSegment() {
 	var sum query.Summary
-	s.sampler.Drain(func(sample *sampling.Sample) { sum = s.q.Summarize(sample) })
+	s.sampler.Drain(func(sample *sampling.Sample) {
+		sum = s.q.Summarize(sample)
+		for _, f := range s.followers {
+			f.panes = append(f.panes, pane{Start: s.segStart, Summary: f.q.Summarize(sample)})
+		}
+	})
 	if s.latency != nil && s.segCount > 0 && s.segWork > 0 {
 		s.latency.Observe(s.segCount, s.segWork)
 		s.segWork = 0
@@ -450,7 +543,11 @@ func (s *Session) finishSegment() {
 	s.lastCount = s.segCount
 	s.panes = append(s.panes, pane{Start: s.segStart, Summary: sum})
 	// Every window that ended at or before the segment end is complete.
-	s.fire(s.segStart.Add(s.cfg.WindowSlide))
+	end := s.segStart.Add(s.cfg.WindowSlide)
+	s.fire(end)
+	for _, f := range s.followers {
+		f.fire(end)
+	}
 }
 
 // fire emits, in start order, every window that ends in (fired, limit]
