@@ -1,40 +1,42 @@
 package streamapprox
 
 import (
-	"streamapprox/internal/stream"
-
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
+
+	"streamapprox/internal/stream"
 )
 
 // These tests pin Session.PushBatch to Push: the vectorized
 // window/stratum run segmentation must make exactly the scalar path's
-// decisions — same segments, same late drops, same per-window item and
-// sample counts — on any input, including late, duplicate-time, and
-// zero-time records.
+// decisions — same segments, same late drops — on any input, including
+// late, duplicate-time, and zero-time records; and since every reservoir
+// keeps its skip chain across calls, the two paths sample the same items
+// too: equal windows, equal snapshots.
 
 var batchBase = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// collect drains both sessions completely and returns their windows.
-func runBoth(t *testing.T, cfg SessionConfig, events []Event, chunk func(i int) int) (scalar, batch []WindowResult, s1, s2 *Session) {
+// requireSameRun pushes events through Push into one session and through
+// PushBatch in chunks of chunk(i) records into another, polling both
+// after every chunk, and requires equal windows, late drops and — taken
+// before Close — snapshots.
+func requireSameRun(t *testing.T, cfg SessionConfig, events []Event, chunk func(i int) int) {
 	t.Helper()
-	s1 = NewSession(cfg)
+	s1 := NewSession(cfg)
 	for _, e := range events {
 		if err := s1.Push(e); err != nil {
 			t.Fatalf("Push: %v", err)
 		}
 	}
-	s2 = NewSession(cfg)
+	s2 := NewSession(cfg)
+	var scalar, batch []WindowResult
 	for i := 0; i < len(events); {
-		j := i + chunk(i)
-		if j <= i {
-			j = i + 1
-		}
-		if j > len(events) {
-			j = len(events)
-		}
+		j := min(max(i+chunk(i), i+1), len(events))
 		b := NewEventBatch()
 		for _, e := range events[i:j] {
 			b.AppendEvent(stream.Event(e))
@@ -47,29 +49,18 @@ func runBoth(t *testing.T, cfg SessionConfig, events []Event, chunk func(i int) 
 		batch = append(batch, s2.Poll()...)
 		i = j
 	}
+	if s1.Late() != s2.Late() {
+		t.Errorf("late drops: scalar %d, batch %d", s1.Late(), s2.Late())
+	}
+	snap1, err1 := s1.Snapshot()
+	snap2, err2 := s2.Snapshot()
+	if !bytes.Equal(snap1, snap2) || err1 != err2 {
+		t.Errorf("snapshots differ:\nscalar %s (%v)\nbatch  %s (%v)", snap1, err1, snap2, err2)
+	}
 	scalar = append(scalar, s1.Close()...)
 	batch = append(batch, s2.Close()...)
-	return scalar, batch, s1, s2
-}
-
-// checkStructure compares the deterministic observables of two window
-// streams (everything except which sampled items survived eviction).
-func checkStructure(t *testing.T, scalar, batch []WindowResult) {
-	t.Helper()
-	if len(scalar) != len(batch) {
-		t.Fatalf("window count: scalar %d, batch %d", len(scalar), len(batch))
-	}
-	for i := range scalar {
-		a, b := scalar[i], batch[i]
-		if !a.Start.Equal(b.Start) || !a.End.Equal(b.End) {
-			t.Errorf("window %d bounds: scalar [%v,%v), batch [%v,%v)", i, a.Start, a.End, b.Start, b.End)
-		}
-		if a.Items != b.Items {
-			t.Errorf("window %d items: scalar %d, batch %d", i, a.Items, b.Items)
-		}
-		if a.Sampled != b.Sampled {
-			t.Errorf("window %d sampled: scalar %d, batch %d", i, a.Sampled, b.Sampled)
-		}
+	if !reflect.DeepEqual(scalar, batch) {
+		t.Errorf("windows differ:\nscalar %+v\nbatch  %+v", scalar, batch)
 	}
 }
 
@@ -104,18 +95,12 @@ func TestPushBatchMatchesPushStructure(t *testing.T) {
 	cfg := SessionConfig{WindowSize: 2 * time.Second, WindowSlide: time.Second, Fraction: 0.5}
 	for trial := 0; trial < 30; trial++ {
 		events := randomEvents(rng, 1500)
-		scalar, batch, s1, s2 := runBoth(t, cfg, events, func(int) int { return 1 + rng.Intn(300) })
-		checkStructure(t, scalar, batch)
-		if s1.Late() != s2.Late() {
-			t.Errorf("trial %d: late drops: scalar %d, batch %d", trial, s1.Late(), s2.Late())
-		}
+		requireSameRun(t, cfg, events, func(int) int { return 1 + rng.Intn(300) })
 	}
 }
 
-// TestPushBatchExactWhenNothingEvicted removes the one source of
-// randomness — reservoir eviction — by keeping every segment under the
-// sampler's budget. The two paths must then produce byte-identical
-// windows, estimates and groups included.
+// TestPushBatchExactWhenNothingEvicted keeps every segment under the
+// sampler's budget, so no reservoir ever draws a number.
 func TestPushBatchExactWhenNothingEvicted(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := SessionConfig{
@@ -133,10 +118,7 @@ func TestPushBatchExactWhenNothingEvicted(t *testing.T) {
 			})
 		}
 	}
-	scalar, batch, _, _ := runBoth(t, cfg, events, func(int) int { return 1 + rng.Intn(97) })
-	if !reflect.DeepEqual(scalar, batch) {
-		t.Fatalf("windows diverged:\nscalar %+v\nbatch  %+v", scalar, batch)
-	}
+	requireSameRun(t, cfg, events, func(int) int { return 1 + rng.Intn(97) })
 }
 
 func TestPushBatchZeroTimeEvents(t *testing.T) {
@@ -150,24 +132,20 @@ func TestPushBatchZeroTimeEvents(t *testing.T) {
 		{Stratum: "a", Value: 4},
 		{Stratum: "a", Value: 5, Time: batchBase.Add(time.Second)},
 	}
-	scalar, batch, s1, s2 := runBoth(t, cfg, events, func(int) int { return len(events) })
-	checkStructure(t, scalar, batch)
-	if s1.Late() != s2.Late() {
-		t.Errorf("late drops: scalar %d, batch %d", s1.Late(), s2.Late())
-	}
+	requireSameRun(t, cfg, events, func(int) int { return len(events) })
 }
 
 func TestPushBatchStratifiedFallback(t *testing.T) {
 	// Sessions with a stratifier take the per-record path inside
-	// PushBatch; the observable behavior must still match Push exactly.
+	// PushBatch; the observable behavior must still match Push exactly
+	// (neither can snapshot).
 	rng := rand.New(rand.NewSource(3))
 	cfg := SessionConfig{
 		WindowSize: 2 * time.Second, WindowSlide: time.Second,
 		Stratify: StratifyQuantile, StratifyK: 3, Seed: 5,
 	}
 	events := randomEvents(rng, 800)
-	scalar, batch, _, _ := runBoth(t, cfg, events, func(int) int { return 1 + rng.Intn(100) })
-	checkStructure(t, scalar, batch)
+	requireSameRun(t, cfg, events, func(int) int { return 1 + rng.Intn(100) })
 }
 
 func TestPushBatchRangeClamping(t *testing.T) {
@@ -203,8 +181,7 @@ func TestPushBatchClosedSession(t *testing.T) {
 }
 
 // FuzzPushBatchSegmentation feeds arbitrary byte-derived event streams
-// through both paths and requires the deterministic observables to
-// agree. Each input byte pair becomes one event: a signed time step (so
+// through both paths and requires them to agree. Each input byte pair becomes one event: a signed time step (so
 // the fuzzer reaches late-drop and duplicate-time interleavings) and a
 // value/stratum selector.
 func FuzzPushBatchSegmentation(f *testing.F) {
@@ -232,10 +209,80 @@ func FuzzPushBatchSegmentation(f *testing.F) {
 		}
 		cfg := SessionConfig{WindowSize: 2 * time.Second, WindowSlide: time.Second, Fraction: 0.4}
 		chunk := 1 + int(chunkSeed)%64
-		scalar, batch, s1, s2 := runBoth(t, cfg, events, func(int) int { return chunk })
-		checkStructure(t, scalar, batch)
-		if s1.Late() != s2.Late() {
-			t.Errorf("late drops: scalar %d, batch %d", s1.Late(), s2.Late())
-		}
+		requireSameRun(t, cfg, events, func(int) int { return chunk })
 	})
+}
+
+// TestSampleInvariantToChunking: a session's sample is a function of its
+// records and its seed, not of how they were batched. The skew stream
+// pushed record by record through Push and in batches of 1, 7, 67 and
+// 1000 through PushBatch gives the same windows and, at the cut, the same
+// snapshot bytes; that snapshot, taken with skip chains in flight,
+// restores and continues to the uninterrupted session's windows.
+func TestSampleInvariantToChunking(t *testing.T) {
+	events := goldenSkewStream()
+	const cut = 2221 // t ≈ 11.1 s: mid-segment, a skip chain in flight
+	push := func(s *Session, evs []Event, chunk int) []WindowResult {
+		for i := 0; i < len(evs); i += max(chunk, 1) {
+			if chunk == 0 {
+				if err := s.Push(evs[i]); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			b := batchOf(evs[i:min(i+chunk, len(evs))])
+			if err := s.PushBatch(b, 0, b.Len()); err != nil {
+				t.Fatal(err)
+			}
+			b.Release()
+		}
+		return s.Poll()
+	}
+	for name, q := range goldenKinds {
+		cfg := goldenConfig(q)
+		cfg.Fraction = 0.2
+		var wantWins []WindowResult
+		var wantSnap []byte
+		for _, chunk := range []int{0, 1, 7, 67, 1000} { // 0: Push
+			label := fmt.Sprintf("%s in batches of %d", name, chunk)
+			s := NewSession(cfg)
+			wins := push(s, events[:cut], chunk)
+			snap, err := s.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st sessionState
+			if err := json.Unmarshal(snap, &st); err != nil {
+				t.Fatal(err)
+			}
+			inFlight := 0
+			for _, rs := range st.Sampler.Reservoirs {
+				if rs.P != 0 {
+					inFlight++
+				}
+			}
+			if inFlight == 0 {
+				t.Fatalf("%s: no skip chain in flight at the cut", label)
+			}
+			resumed, err := RestoreSession(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rest := append(push(s, events[cut:], chunk), s.Close()...)
+			wins = append(wins, rest...)
+			if got := append(push(resumed, events[cut:], chunk), resumed.Close()...); !reflect.DeepEqual(got, rest) {
+				t.Errorf("%s: restored at the cut, the session continues to\n%+v\nnot\n%+v", label, got, rest)
+			}
+			if chunk == 0 {
+				wantWins, wantSnap = wins, snap
+				continue
+			}
+			if !bytes.Equal(snap, wantSnap) {
+				t.Errorf("%s: snapshot at the cut differs from Push's:\n%s\n%s", label, snap, wantSnap)
+			}
+			if !reflect.DeepEqual(wins, wantWins) {
+				t.Errorf("%s: windows differ from Push's:\n%+v\n%+v", label, wins, wantWins)
+			}
+		}
+	}
 }

@@ -113,7 +113,8 @@ func upgradeRows(data []byte, st *sessionState) error {
 }
 
 // Snapshot serializes the session's full state — in-flight segment
-// sampler, finished segments' summaries, adaptive-controller position, RNG —
+// sampler with its skip chains, finished segments' summaries,
+// adaptive-controller position, RNG —
 // so processing can resume after a crash via RestoreSession. The session
 // remains usable after Snapshot. A follower (see Follow) writes the
 // private session it would be with a copy of its leader's sampler and
@@ -161,7 +162,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 // the adaptive fraction are all recovered. Older snapshots are upgraded
 // here, once: versions 1 and 2 keep each sampled row's value, and
 // version 1, which carries each pending window's sub-samples, is
-// summarised on load.
+// summarised on load. A reservoir no sampler could have written (see
+// sampling.ReservoirState.Validate) fails the restore.
 func RestoreSession(data []byte) (*Session, error) {
 	var st sessionState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -202,6 +204,11 @@ func RestoreSession(data []byte) (*Session, error) {
 	s.late = st.Late
 	s.ready = st.Ready
 	if st.Sampler != nil {
+		for key, rs := range st.Sampler.Reservoirs {
+			if err := rs.Validate(); err != nil {
+				return nil, fmt.Errorf("streamapprox: reservoir %q: %w", key, err)
+			}
+		}
 		s.sampler = sampling.RestoreOASRS(*st.Sampler, nil, s.rng)
 	}
 	if st.Version == 1 {

@@ -1,10 +1,13 @@
 package streamapprox
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"testing"
 	"time"
+
+	"streamapprox/internal/sampling"
 )
 
 func TestSnapshotRestoreMidStream(t *testing.T) {
@@ -140,5 +143,68 @@ func TestSnapshotCarriesPendingResults(t *testing.T) {
 	}
 	if got := r.Poll(); len(got) == 0 {
 		t.Error("ready window results lost in snapshot")
+	}
+}
+
+// TestRestoreRejectsCorruptReservoirs: a reservoir no sampler could have
+// written — more values than its capacity or than it saw, or a skip chain
+// outside its domain, which would never accept again — fails the restore
+// instead of being truncated or running silently.
+func TestRestoreRejectsCorruptReservoirs(t *testing.T) {
+	cfg := goldenConfig(Sum)
+	cfg.Fraction = 0.2
+	s := NewSession(cfg)
+	for _, e := range goldenSkewStream()[:2221] {
+		if err := s.Push(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st sessionState
+	if err := json.Unmarshal(snap, &st); err != nil {
+		t.Fatal(err)
+	}
+	key := ""
+	for k, rs := range st.Sampler.Reservoirs {
+		if rs.P != 0 {
+			key = k
+		}
+	}
+	if key == "" {
+		t.Fatal("precondition: no skip chain in flight")
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(rs *sampling.ReservoirState)
+		ok      bool
+	}{
+		{"as written", func(*sampling.ReservoirState) {}, true},
+		{"no chain", func(rs *sampling.ReservoirState) { rs.U, rs.P = 0, 0 }, true},
+		{"more values than capacity", func(rs *sampling.ReservoirState) { rs.Capacity-- }, false},
+		{"more values than seen", func(rs *sampling.ReservoirState) { rs.Seen = int64(len(rs.Values)) - 1 }, false},
+		{"u without p", func(rs *sampling.ReservoirState) { rs.P = 0 }, false},
+		{"p without u", func(rs *sampling.ReservoirState) { rs.U = 0 }, false},
+		{"negative u", func(rs *sampling.ReservoirState) { rs.U = -rs.U }, false},
+		{"u at p", func(rs *sampling.ReservoirState) { rs.U = rs.P }, false},
+		{"p above one", func(rs *sampling.ReservoirState) { rs.P = 1.5 }, false},
+		{"chain before fill", func(rs *sampling.ReservoirState) { rs.Values = rs.Values[1:] }, false},
+	} {
+		var bad sessionState
+		if err := json.Unmarshal(snap, &bad); err != nil {
+			t.Fatal(err)
+		}
+		rs := bad.Sampler.Reservoirs[key]
+		tc.corrupt(&rs)
+		bad.Sampler.Reservoirs[key] = rs
+		data, err := json.Marshal(bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RestoreSession(data); (err == nil) != tc.ok {
+			t.Errorf("%s: RestoreSession error = %v", tc.name, err)
+		}
 	}
 }

@@ -145,37 +145,41 @@ func AblationDistributedOASRS(o Options) (*Table, error) {
 	return t, nil
 }
 
-// AblationReservoirSkip compares Algorithm R against the skip-based
-// Algorithm L reservoir at several sampling ratios.
+// AblationReservoirSkip compares two ways of drawing Algorithm R's
+// acceptances at several sampling ratios: a coin flip per item past fill
+// (one RNG draw each) against Reservoir's multiplicative skip chain (one
+// multiply per rejected item, two draws per accepted one).
 func AblationReservoirSkip(o Options) (*Table, error) {
 	o = o.withDefaults()
 	rng := xrand.New(o.Seed)
 	n := o.scaled(2000000)
-	events := make([]stream.Event, n)
-	for i := range events {
-		events[i] = stream.Event{Stratum: "s", Value: float64(i)}
+	values := make([]float64, n)
+	for i := range values {
+		values[i] = float64(i)
 	}
 	t := &Table{
 		ID:      "abl-skip",
-		Title:   "Reservoir Algorithm R vs skip-based Algorithm L",
+		Title:   "Reservoir: a coin flip per item vs the skip chain",
 		Columns: []string{"algorithm", "reservoir-size", "throughput(items/s)"},
 	}
 	for _, capN := range []int{100, 10000} {
-		r := sampling.NewReservoir(capN, rng.Split())
+		coin, vals := rng.Split(), make([]float64, 0, capN)
 		sw := metrics.Start()
-		for _, e := range events {
-			r.Add(e.Value)
+		for i, v := range values {
+			if len(vals) < capN {
+				vals = append(vals, v)
+			} else if j := coin.Uint64n(uint64(i + 1)); j < uint64(capN) {
+				vals[j] = v
+			}
 		}
 		sw.Add(int64(n))
 		t.Rows = append(t.Rows, []string{"algorithm-r", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})
 
-		sk := sampling.NewSkipReservoir(capN, rng.Split())
+		r := sampling.NewReservoir(capN, rng.Split())
 		sw = metrics.Start()
-		for _, e := range events {
-			sk.Add(e.Value)
-		}
+		r.AddBatch(values)
 		sw.Add(int64(n))
-		t.Rows = append(t.Rows, []string{"algorithm-l", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})
+		t.Rows = append(t.Rows, []string{"skip-chain", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})
 	}
 	return t, nil
 }

@@ -314,13 +314,15 @@ func BenchmarkSTSSampleBatch(b *testing.B) {
 	}
 }
 
+// BenchmarkOASRSSampleBatch samples the materialized batch the SRS and
+// STS benchmarks sample, one event at a time as OASRS does.
 func BenchmarkOASRSSampleBatch(b *testing.B) {
 	events := mkEvents("a", 100000)
 	rng := xrand.New(1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NewOASRS(60000, nil, rng).SampleBatch(events)
+		feed(NewOASRS(60000, nil, rng), events)
 	}
 }
 

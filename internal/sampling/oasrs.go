@@ -120,7 +120,6 @@ func NewOASRS(budget int, policy SizePolicy, rng *xrand.Rand) *OASRS {
 }
 
 var _ Sampler = (*OASRS)(nil)
-var _ BatchSampler = (*OASRS)(nil)
 
 // SetBudget adjusts the total sample-size budget. It takes effect for
 // strata first seen after the call (existing reservoirs keep their size
@@ -208,8 +207,8 @@ func (o *OASRS) plan() {
 // reservoir once (through a dense table indexed by the batch-local
 // dictionary ID, so even alternating strata cost one map probe per
 // distinct stratum per call) and is bulk-offered via Reservoir.AddBatch.
-// The sampled distribution is identical to feeding each record through
-// Add in order.
+// The sample is the one feeding each record through Add in order would
+// draw, number for number: the reservoirs' skip chains outlive the runs.
 func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 	if from >= to {
 		return
@@ -288,15 +287,4 @@ func (o *OASRS) Finish() *Sample {
 		}
 	})
 	return out
-}
-
-// SampleBatch implements BatchSampler by feeding the whole batch through
-// Add and finishing. It exists so OASRS can slot into batch-style engines
-// for comparison, although its real advantage is sampling before batch
-// formation.
-func (o *OASRS) SampleBatch(events []stream.Event) *Sample {
-	for _, e := range events {
-		o.Add(e)
-	}
-	return o.Finish()
 }

@@ -197,17 +197,6 @@ func TestOASRSUnbiasedSumEstimate(t *testing.T) {
 	}
 }
 
-func TestOASRSSampleBatch(t *testing.T) {
-	o := NewOASRS(10, nil, xrand.New(8))
-	sample := o.SampleBatch(mkEvents("a", 100))
-	if sample.TotalCount() != 100 {
-		t.Errorf("TotalCount = %d", sample.TotalCount())
-	}
-	if sample.SampledCount() != 10 {
-		t.Errorf("SampledCount = %d", sample.SampledCount())
-	}
-}
-
 func TestSampleAccessors(t *testing.T) {
 	s := &Sample{Strata: []StratumSample{
 		{Stratum: "a", Values: mkValues(2), Count: 10, Weight: 5},

@@ -1,25 +1,36 @@
 package sampling
 
 import (
-	"math"
 	"slices"
 
 	"streamapprox/internal/xrand"
 )
 
 // Reservoir maintains a uniform random sample of fixed capacity over a
-// stream of unknown length (paper Algorithm 1; Vitter's Algorithm R).
-// After observing i items, every item has probability min(1, N/i) of being
-// in the reservoir. A slot holds the item's value and nothing else: the
-// stratum is the reservoir's owner's to know, and no query reads a
-// sampled item's time.
+// stream of unknown length (paper Algorithm 1). After observing i items,
+// every item has probability min(1, N/i) of being in the reservoir. A
+// slot holds the item's value and nothing else: the stratum is the
+// reservoir's owner's to know, and no query reads a sampled item's time.
+//
+// Past fill it runs one loop, a multiplicative skip chain (see AddBatch),
+// and the chain in flight is part of the reservoir's state: it survives
+// the call that started it, State and RestoreReservoir carry it, and only
+// Reset ends it. So the sample is a function of the offered values and
+// the random stream alone — offering them one at a time through Add or in
+// runs of any length through AddBatch draws the same numbers at the same
+// items and keeps the same ones.
 //
 // Reservoir is not safe for concurrent use.
 type Reservoir struct {
 	capacity int
 	vals     []float64
 	seen     int64
-	rng      *xrand.Rand
+	// u is the skip chain's uniform draw and p the running product of the
+	// rejection probabilities of the items it has passed over; p == 0
+	// (with u == 0) means no chain is in flight, and the next item offered
+	// past fill starts one.
+	u, p float64
+	rng  *xrand.Rand
 }
 
 // NewReservoir returns a reservoir holding at most capacity items.
@@ -31,44 +42,32 @@ func NewReservoir(capacity int, rng *xrand.Rand) *Reservoir {
 }
 
 // resize sets an empty reservoir's capacity, keeping its value buffer
-// when that is already large enough.
+// when that is already large enough, and ends any skip chain.
 func (r *Reservoir) resize(capacity int) {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	r.capacity = capacity
+	r.u, r.p = 0, 0
 	if cap(r.vals) < capacity {
 		r.vals = make([]float64, 0, capacity)
 	}
 }
 
-// Add offers one item's value to the reservoir.
-func (r *Reservoir) Add(v float64) {
-	r.seen++
-	if len(r.vals) < r.capacity {
-		r.vals = append(r.vals, v)
-		return
-	}
-	// Accept the i-th item with probability N/i, then replace a uniformly
-	// random victim.
-	j := r.rng.Uint64n(uint64(r.seen))
-	if j < uint64(r.capacity) {
-		r.vals[j] = v
-	}
-}
+// Add offers one item's value to the reservoir: AddBatch of one value.
+func (r *Reservoir) Add(v float64) { r.AddBatch([]float64{v}) }
 
-// AddBatch offers a run of one stratum's values — a slice of a columnar
-// batch's value column, resolved once by OASRS.AddBatch. The fill phase
-// is one bulk append; past fill it uses multiplicative skip-sampling
-// (Vitter-style inversion): one uniform draw u per ACCEPTED item, then a
-// running product p of the per-item rejection probabilities 1 - N/i
-// until p <= u. Because P(p_k <= u | p_{k-1} > u) = N/(seen+k), each
-// item is accepted with exactly Algorithm R's probability N/i — the
-// sampled distribution is identical, but a rejected record costs one
-// multiply and compare instead of an RNG draw. A skip chain left
-// unfinished at the batch boundary is simply discarded: the per-item
-// acceptance events are independent, so restarting fresh next batch
-// changes nothing.
+// AddBatch offers values in order — a run of one stratum's values, a
+// slice of a columnar batch's value column resolved once by
+// OASRS.AddBatch. The fill phase is one bulk append; past fill it uses
+// multiplicative skip-sampling (Vitter-style inversion): one uniform draw
+// u per ACCEPTED item, then a running product p of the per-item rejection
+// probabilities 1 - N/i until p <= u, which accepts that item into a
+// uniformly random slot. Because P(p_k <= u | p_{k-1} > u) = N/(seen+k),
+// each item is accepted with exactly Algorithm R's probability N/i, yet a
+// rejected item costs one multiply and compare instead of an RNG draw. A
+// chain still running when the values end is kept, and the next call
+// continues it.
 func (r *Reservoir) AddBatch(values []float64) {
 	i := 0
 	if room := r.capacity - len(r.vals); room > 0 {
@@ -76,78 +75,23 @@ func (r *Reservoir) AddBatch(values []float64) {
 		r.vals = append(r.vals, values[:i]...)
 		r.seen += int64(i)
 	}
-	capF, seen := float64(r.capacity), r.seen
+	capF, seen, u, p := float64(r.capacity), r.seen, r.u, r.p
 	for i < len(values) {
-		u := nonZeroFloat(r.rng)
-		p := 1.0
+		if p == 0 {
+			u, p = nonZeroFloat(r.rng), 1
+		}
 		for i < len(values) {
 			seen++
 			p *= 1 - capF/float64(seen)
 			i++
 			if p <= u {
 				r.vals[r.rng.Intn(r.capacity)] = values[i-1]
+				u, p = 0, 0
 				break
 			}
 		}
 	}
-	r.seen = seen
-}
-
-// Seen returns the number of items offered so far.
-func (r *Reservoir) Seen() int64 { return r.seen }
-
-// Capacity returns the maximum sample size N.
-func (r *Reservoir) Capacity() int { return r.capacity }
-
-// Values returns the current sample's values. The returned slice is a
-// copy, so the caller may retain it across Reset.
-func (r *Reservoir) Values() []float64 { return slices.Clone(r.vals) }
-
-// Reset clears the reservoir for the next interval, keeping capacity.
-func (r *Reservoir) Reset() {
-	r.vals = r.vals[:0]
-	r.seen = 0
-}
-
-// SkipReservoir is a reservoir sampler using Li's Algorithm L: instead of
-// flipping a coin per item, it draws the number of items to skip before
-// the next replacement from the correct geometric-like distribution. For
-// low sampling fractions it touches the RNG O(N log(i/N)) times instead of
-// O(i), which is the ablation `abl-skip` quantifies.
-//
-// The sampled distribution is identical to Reservoir's (uniform without
-// replacement).
-type SkipReservoir struct {
-	capacity int
-	vals     []float64
-	seen     int64
-	next     int64 // index (1-based) of the next item to admit
-	w        float64
-	rng      *xrand.Rand
-}
-
-// NewSkipReservoir returns a skip-based reservoir of the given capacity.
-func NewSkipReservoir(capacity int, rng *xrand.Rand) *SkipReservoir {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	s := &SkipReservoir{
-		capacity: capacity,
-		vals:     make([]float64, 0, capacity),
-		rng:      rng,
-		w:        1,
-	}
-	return s
-}
-
-func (s *SkipReservoir) advance() {
-	// W *= U^(1/N); skip ~ floor(log(U)/log(1-W)).
-	s.w *= math.Exp(math.Log(nonZeroFloat(s.rng)) / float64(s.capacity))
-	skip := int64(math.Floor(math.Log(nonZeroFloat(s.rng))/math.Log(1-s.w))) + 1
-	if skip < 1 {
-		skip = 1
-	}
-	s.next += skip
+	r.seen, r.u, r.p = seen, u, p
 }
 
 // nonZeroFloat returns a uniform float in (0, 1).
@@ -160,33 +104,20 @@ func nonZeroFloat(r *xrand.Rand) float64 {
 	}
 }
 
-// Add offers one item's value.
-func (s *SkipReservoir) Add(v float64) {
-	s.seen++
-	if len(s.vals) < s.capacity {
-		s.vals = append(s.vals, v)
-		if len(s.vals) == s.capacity {
-			s.next = s.seen
-			s.advance()
-		}
-		return
-	}
-	if s.seen == s.next {
-		s.vals[s.rng.Intn(s.capacity)] = v
-		s.advance()
-	}
-}
-
 // Seen returns the number of items offered so far.
-func (s *SkipReservoir) Seen() int64 { return s.seen }
+func (r *Reservoir) Seen() int64 { return r.seen }
 
-// Values returns a copy of the current sample's values.
-func (s *SkipReservoir) Values() []float64 { return slices.Clone(s.vals) }
+// Capacity returns the maximum sample size N.
+func (r *Reservoir) Capacity() int { return r.capacity }
 
-// Reset clears the reservoir for the next interval.
-func (s *SkipReservoir) Reset() {
-	s.vals = s.vals[:0]
-	s.seen = 0
-	s.next = 0
-	s.w = 1
+// Values returns the current sample's values. The returned slice is a
+// copy, so the caller may retain it across Reset.
+func (r *Reservoir) Values() []float64 { return slices.Clone(r.vals) }
+
+// Reset clears the reservoir for the next interval, keeping capacity and
+// ending any skip chain.
+func (r *Reservoir) Reset() {
+	r.vals = r.vals[:0]
+	r.seen = 0
+	r.u, r.p = 0, 0
 }

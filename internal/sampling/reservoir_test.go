@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"streamapprox/internal/stream"
@@ -110,81 +111,104 @@ func TestReservoirValuesIsACopy(t *testing.T) {
 	}
 }
 
+// offerInChunks offers values to r in runs of random length up to max.
+func offerInChunks(r *Reservoir, values []float64, split *xrand.Rand, max int) {
+	for i := 0; i < len(values); {
+		j := min(i+1+split.Intn(max), len(values))
+		r.AddBatch(values[i:j])
+		i = j
+	}
+}
+
+// The tests named SkipReservoir pin the reservoir's skip regime — past
+// fill, where the chain draws the acceptances — as it runs across calls.
+
 func TestSkipReservoirMatchesSemantics(t *testing.T) {
-	s := NewSkipReservoir(10, xrand.New(6))
-	for _, v := range mkValues(10000) {
-		s.Add(v)
+	r := NewReservoir(10, xrand.New(6))
+	offerInChunks(r, mkValues(10000), xrand.New(9), 300)
+	if r.Seen() != 10000 {
+		t.Errorf("Seen = %d", r.Seen())
 	}
-	if got := len(s.Values()); got != 10 {
-		t.Errorf("got %d values, want 10", got)
+	got := r.Values()
+	if len(got) != 10 {
+		t.Fatalf("got %d values, want 10", len(got))
 	}
-	if s.Seen() != 10000 {
-		t.Errorf("Seen = %d", s.Seen())
+	kept := map[float64]bool{}
+	for _, v := range got {
+		if v != math.Trunc(v) || v < 0 || v >= 10000 || kept[v] {
+			t.Fatalf("sample %v holds a value never offered, or one twice", got)
+		}
+		kept[v] = true
 	}
 }
 
+// Below capacity nothing is random: every value is kept in order and no
+// number is drawn.
 func TestSkipReservoirUnderfill(t *testing.T) {
-	s := NewSkipReservoir(10, xrand.New(7))
-	for _, v := range mkValues(4) {
-		s.Add(v)
+	rng := xrand.New(7)
+	before := rng.State()
+	r := NewReservoir(10, rng)
+	r.AddBatch(mkValues(3))
+	r.Add(3)
+	if got := r.Values(); !slices.Equal(got, mkValues(4)) {
+		t.Errorf("got %v, want all 4 in order", got)
 	}
-	if got := len(s.Values()); got != 4 {
-		t.Errorf("got %d values, want all 4", got)
+	if rng.State() != before || r.State().P != 0 {
+		t.Error("an underfull reservoir drew from its random stream")
 	}
 }
 
-// TestSkipReservoirUniformity checks Algorithm L yields the same uniform
-// marginal selection probabilities as Algorithm R.
+// TestSkipReservoirUniformity pins the skip chain at the edges of the
+// sampling ratio: one slot, and half the stream. Every position is kept
+// with probability N/n.
 func TestSkipReservoirUniformity(t *testing.T) {
-	const n, capN, trials = 100, 10, 20000
-	counts := make([]int, n)
-	rng := xrand.New(43)
+	const n, trials = 100, 20000
+	rng, split := xrand.New(43), xrand.New(44)
 	values := mkValues(n)
-	for trial := 0; trial < trials; trial++ {
-		s := NewSkipReservoir(capN, rng)
-		for _, v := range values {
-			s.Add(v)
+	for _, capN := range []int{1, 50} {
+		counts := make([]int, n)
+		for trial := 0; trial < trials; trial++ {
+			r := NewReservoir(capN, rng)
+			offerInChunks(r, values, split, 9)
+			for _, v := range r.Values() {
+				counts[int(v)]++
+			}
 		}
-		for _, v := range s.Values() {
-			counts[int(v)]++
-		}
-	}
-	want := float64(trials) * capN / n
-	sd := math.Sqrt(want * (1 - float64(capN)/n))
-	for i, c := range counts {
-		if math.Abs(float64(c)-want) > 6*sd {
-			t.Errorf("item %d selected %d times, want %.0f±%.0f", i, c, want, 3*sd)
+		p := float64(capN) / n
+		want, sd := trials*p, math.Sqrt(trials*p*(1-p))
+		for i, c := range counts {
+			if math.Abs(float64(c)-want) > 6*sd {
+				t.Errorf("capacity %d: item %d selected %d times, want %.0f±%.0f", capN, i, c, want, 6*sd)
+			}
 		}
 	}
 }
 
+// Reset ends the skip chain in flight: the reset reservoir samples what a
+// new one would from the same random state.
 func TestSkipReservoirReset(t *testing.T) {
-	s := NewSkipReservoir(5, xrand.New(8))
-	for _, v := range mkValues(100) {
-		s.Add(v)
+	rng := xrand.New(8)
+	r := NewReservoir(5, rng)
+	r.AddBatch(mkValues(100))
+	if r.State().P == 0 {
+		t.Fatal("precondition: no chain in flight after 100 offers")
 	}
-	s.Reset()
-	if s.Seen() != 0 || len(s.Values()) != 0 {
-		t.Error("Reset did not clear state")
+	r.Reset()
+	if st := r.State(); st.Seen != 0 || len(st.Values) != 0 || st.U != 0 || st.P != 0 {
+		t.Fatalf("Reset left %+v", st)
 	}
-	for _, v := range mkValues(100) {
-		s.Add(v)
-	}
-	if len(s.Values()) != 5 {
-		t.Error("skip reservoir broken after Reset")
+	twin := xrand.New(0)
+	twin.SetState(rng.State())
+	fresh := NewReservoir(5, twin)
+	r.AddBatch(mkValues(100))
+	fresh.AddBatch(mkValues(100))
+	if !slices.Equal(r.Values(), fresh.Values()) {
+		t.Errorf("after Reset %v, a new reservoir %v", r.Values(), fresh.Values())
 	}
 }
 
 func BenchmarkReservoirAdd(b *testing.B) {
 	r := NewReservoir(1000, xrand.New(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Add(1)
-	}
-}
-
-func BenchmarkSkipReservoirAdd(b *testing.B) {
-	r := NewSkipReservoir(1000, xrand.New(1))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Add(1)

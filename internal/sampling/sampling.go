@@ -1,8 +1,10 @@
 // Package sampling implements the sampling algorithms evaluated in the
 // StreamApprox paper:
 //
-//   - Reservoir: classic reservoir sampling (paper Algorithm 1 / Vitter's
-//     Algorithm R), plus the skip-based Algorithm L variant.
+//   - Reservoir: reservoir sampling (paper Algorithm 1) with Algorithm R's
+//     per-item acceptance probability, drawn by one multiplicative skip
+//     chain that outlives the call, so a sample does not depend on how
+//     its values were batched.
 //   - OASRS: Online Adaptive Stratified Reservoir Sampling (paper
 //     Algorithm 3, §3.2) — the paper's primary contribution.
 //   - DistributedOASRS: the synchronization-free parallel extension of

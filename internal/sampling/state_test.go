@@ -2,37 +2,68 @@ package sampling
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
 
 	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
 )
 
+// A state taken mid-chain, through JSON, continues to the reservoir the
+// uninterrupted one becomes, however the rest arrives.
 func TestReservoirStateRoundTrip(t *testing.T) {
 	rng := xrand.New(1)
 	r := NewReservoir(5, rng)
-	for _, v := range mkValues(100) {
-		r.Add(v)
-	}
+	r.AddBatch(mkValues(100))
 	st := r.State()
-	if st.Capacity != 5 || st.Seen != 100 || len(st.Values) != 5 {
-		t.Fatalf("state = %+v", st)
+	if st.Capacity != 5 || st.Seen != 100 || len(st.Values) != 5 || st.P == 0 {
+		t.Fatalf("state = %+v, want a full reservoir with a chain in flight", st)
 	}
-
-	// Continue both the original and a restored copy with identical RNG
-	// streams: they must stay in lockstep.
-	seed := rng.Uint64()
-	rngA, rngB := xrand.New(seed), xrand.New(seed)
-	restored := RestoreReservoir(st, rngB)
-	contA := RestoreReservoir(st, rngA) // fresh twin of the original state
-	for _, v := range mkValues(500) {
-		contA.Add(v)
+	data, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back ReservoirState
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	twin := xrand.New(0)
+	twin.SetState(rng.State())
+	restored := RestoreReservoir(back, twin)
+	rest := mkValues(600)[100:]
+	r.AddBatch(rest)
+	for _, v := range rest {
 		restored.Add(v)
 	}
-	a, b := contA.Values(), restored.Values()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("restored reservoir diverged at %d", i)
+	if a, b := r.State(), restored.State(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("restored reservoir diverged: %+v, uninterrupted %+v", b, a)
+	}
+}
+
+func TestReservoirStateValidate(t *testing.T) {
+	full := mkValues(3)
+	for _, tc := range []struct {
+		name string
+		st   ReservoirState
+		ok   bool
+	}{
+		{"no chain", ReservoirState{Capacity: 3, Seen: 9, Values: full}, true},
+		{"underfull", ReservoirState{Capacity: 3, Seen: 2, Values: full[:2]}, true},
+		{"chain in flight", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.2, P: 0.5}, true},
+		{"fresh chain", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.2, P: 1}, true},
+		{"more values than capacity", ReservoirState{Capacity: 2, Seen: 9, Values: full}, false},
+		{"more values than seen", ReservoirState{Capacity: 3, Seen: 2, Values: full}, false},
+		{"u without p", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.2}, false},
+		{"p without u", ReservoirState{Capacity: 3, Seen: 9, Values: full, P: 0.5}, false},
+		{"negative u", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: -0.2, P: 0.5}, false},
+		{"u at p", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.5, P: 0.5}, false},
+		{"p above one", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.2, P: 1.5}, false},
+		{"NaN", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: math.NaN(), P: 0.5}, false},
+		{"chain before fill", ReservoirState{Capacity: 3, Seen: 2, Values: full[:2], U: 0.2, P: 0.5}, false},
+	} {
+		if err := tc.st.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate() = %v", tc.name, err)
 		}
 	}
 }

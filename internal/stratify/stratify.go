@@ -42,18 +42,6 @@ type Stratifier interface {
 	Assign(e stream.Event) string
 }
 
-// BatchStratifier is a Stratifier that can observe and re-label a whole
-// columnar batch at once, rewriting b.Strata[from:to] (and the batch
-// dictionary) in place with the assigned strata. Only the OWNER of a
-// batch may use it — a batch fanned out to several consumers is
-// read-only. The assignments are identical to calling Assign per record
-// in order; batching hoists the per-record bookkeeping (refresh-due
-// checks, label interning) out of the loop.
-type BatchStratifier interface {
-	Stratifier
-	AssignBatch(b *stream.EventBatch, from, to int)
-}
-
 // QuantileStratifier bins events into k strata by value quantiles. The
 // quantile edges are estimated from a reservoir sample ("bootstrap
 // sample") and refreshed every refreshEvery observations, so the
@@ -97,8 +85,6 @@ func NewQuantile(k int, reservoirCap int, refreshEvery int64, rng *xrand.Rand) *
 	}
 }
 
-var _ BatchStratifier = (*QuantileStratifier)(nil)
-
 // Edges returns the current quantile edges (nil before the first
 // refresh).
 func (q *QuantileStratifier) Edges() []float64 {
@@ -126,43 +112,6 @@ func (q *QuantileStratifier) Assign(e stream.Event) string {
 		}
 	}
 	return q.labels[lo]
-}
-
-// AssignBatch implements BatchStratifier: identical assignments to the
-// scalar Assign loop (including the exact refresh schedule), with the
-// band labels interned into the batch dictionary once per refresh
-// instead of hashed per record.
-func (q *QuantileStratifier) AssignBatch(b *stream.EventBatch, from, to int) {
-	ids := make([]int32, 0, q.k)
-	fill := func() {
-		ids = ids[:0]
-		for i := 0; i <= len(q.edges); i++ {
-			ids = append(ids, b.Intern(q.labels[i]))
-		}
-	}
-	fill()
-	for i := from; i < to; i++ {
-		q.reservoir.Add(b.Values[i])
-		q.seen++
-		if q.edges == nil || q.seen%q.refreshEvery == 0 {
-			bands := len(q.edges)
-			q.refresh()
-			if len(q.edges) != bands {
-				fill()
-			}
-		}
-		v := b.Values[i]
-		lo, hi := 0, len(q.edges)
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if q.edges[mid] <= v {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		b.Strata[i] = ids[lo]
-	}
 }
 
 // refresh re-estimates the k-1 interior quantile edges from the
@@ -234,8 +183,6 @@ func NewKMeans(k int, rng *xrand.Rand) *KMeansStratifier {
 	}
 }
 
-var _ BatchStratifier = (*KMeansStratifier)(nil)
-
 // Centroids returns a copy of the seeded centroids, in cluster order.
 func (m *KMeansStratifier) Centroids() []float64 {
 	out := make([]float64, 0, len(m.centroids))
@@ -265,47 +212,6 @@ func (m *KMeansStratifier) Assign(e stream.Event) string {
 	idx := m.nearest(e.Value)
 	m.update(idx, e.Value)
 	return m.labels[idx]
-}
-
-// AssignBatch implements BatchStratifier: the same per-record clustering
-// as Assign (pre-labeled records still pin their named cluster, read
-// from the batch's existing strata), with cluster labels interned into
-// the batch dictionary lazily once each.
-func (m *KMeansStratifier) AssignBatch(b *stream.EventBatch, from, to int) {
-	ids := make([]int32, len(m.labels))
-	for i := range ids {
-		ids[i] = -1
-	}
-	id := func(idx int) int32 {
-		if ids[idx] < 0 {
-			ids[idx] = b.Intern(m.labels[idx])
-		}
-		return ids[idx]
-	}
-	for i := from; i < to; i++ {
-		v := b.Values[i]
-		if idx, ok := m.byLabel[b.Dict[b.Strata[i]]]; ok {
-			m.seed(idx, v)
-			m.update(idx, v)
-			b.Strata[i] = id(idx)
-			continue
-		}
-		assigned := false
-		for idx := range m.centroids {
-			if !m.seeded[idx] {
-				m.seed(idx, v)
-				b.Strata[i] = id(idx)
-				assigned = true
-				break
-			}
-		}
-		if assigned {
-			continue
-		}
-		idx := m.nearest(v)
-		m.update(idx, v)
-		b.Strata[i] = id(idx)
-	}
 }
 
 func (m *KMeansStratifier) seed(idx int, v float64) {
@@ -346,19 +252,4 @@ func (m *KMeansStratifier) update(idx int, v float64) {
 		rate = 1e-4
 	}
 	m.centroids[idx] += rate * (v - m.centroids[idx])
-}
-
-// Passthrough is the identity stratifier: it trusts the event's existing
-// stratum, mapping empty strata to "default". It is the behaviour of the
-// system when the input stream is already stratified by source (§2.3).
-type Passthrough struct{}
-
-var _ Stratifier = Passthrough{}
-
-// Assign implements Stratifier.
-func (Passthrough) Assign(e stream.Event) string {
-	if e.Stratum == "" {
-		return "default"
-	}
-	return e.Stratum
 }

@@ -160,13 +160,3 @@ func TestKMeansAdaptsToDrift(t *testing.T) {
 		t.Errorf("centroid did not follow drift: %v", cs)
 	}
 }
-
-func TestPassthrough(t *testing.T) {
-	var p Passthrough
-	if got := p.Assign(stream.Event{Stratum: "tcp"}); got != "tcp" {
-		t.Errorf("Assign = %q", got)
-	}
-	if got := p.Assign(stream.Event{}); got != "default" {
-		t.Errorf("empty stratum = %q", got)
-	}
-}
