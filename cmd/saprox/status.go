@@ -1,6 +1,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"net/http"
@@ -14,12 +15,12 @@ import (
 )
 
 // saprox status: scrape every broker admin endpoint and (optionally)
-// saproxd's /metrics, and render a one-screen cluster view — leaders
-// and ISR per partition, per-follower replication lag, per-op wire
-// latency quantiles, and each query's observed error against its
-// budget. Pure read path: everything shown is reconstructed from the
-// Prometheus text expositions, so it works against any live cluster
-// with no side channel.
+// saproxd's /metrics, and render a one-screen cluster view — leaders,
+// ISR and log bytes per record per partition, per-follower replication
+// lag, per-op wire latency quantiles, and each query's observed error
+// against its budget. Pure read path: everything shown is reconstructed
+// from the Prometheus text expositions, so it works against any live
+// cluster with no side channel.
 
 type brokerScrape struct {
 	addr string
@@ -178,6 +179,7 @@ func renderPartitions(brokers []*brokerScrape) {
 		isr         float64
 		logEnd      float64
 		committed   float64
+		perRecord   string   // log bytes per record, from the leader's scrape
 		lag         []string // follower=records, from the leader's scrape
 	}
 	rows := make(map[string]*partRow)
@@ -202,6 +204,9 @@ func renderPartitions(brokers []*brokerScrape) {
 			r.isr, _ = b.sc.Value("broker_partition_isr_size", s.Labels)
 			r.committed, _ = b.sc.Value("broker_partition_committed_offset", s.Labels)
 			r.logEnd, _ = b.sc.Value("broker_partition_log_end_offset", s.Labels)
+			if bytes, ok := b.sc.Value("broker_log_bytes", s.Labels); ok && r.logEnd > 0 {
+				r.perRecord = fmt.Sprintf("%.1f", bytes/r.logEnd)
+			}
 			r.lag = r.lag[:0]
 			for _, ls := range b.sc.Select("broker_replication_lag_records",
 				metrics.Labels{"topic": t, "partition": p}) {
@@ -219,7 +224,7 @@ func renderPartitions(brokers []*brokerScrape) {
 	}
 	sort.Strings(keys)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "PARTITION\tLEADER\tISR\tLOG-END\tCOMMITTED\tFOLLOWER LAG")
+	fmt.Fprintln(w, "PARTITION\tLEADER\tISR\tLOG-END\tB/REC\tCOMMITTED\tFOLLOWER LAG")
 	for _, k := range keys {
 		r := rows[k]
 		leader := r.leader
@@ -230,8 +235,8 @@ func renderPartitions(brokers []*brokerScrape) {
 		if lag == "" {
 			lag = "-"
 		}
-		fmt.Fprintf(w, "%s/%s\t%s\t%.0f\t%.0f\t%.0f\t%s\n",
-			r.topic, r.part, leader, r.isr, r.logEnd, r.committed, lag)
+		fmt.Fprintf(w, "%s/%s\t%s\t%.0f\t%.0f\t%s\t%.0f\t%s\n",
+			r.topic, r.part, leader, r.isr, r.logEnd, cmp.Or(r.perRecord, "-"), r.committed, lag)
 	}
 	w.Flush()
 	fmt.Println()

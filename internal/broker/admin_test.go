@@ -166,10 +166,18 @@ func TestAdminEndToEndSmoke(t *testing.T) {
 			"broker_info", "broker_cluster_epoch", "broker_joining",
 			"broker_peer_alive", "broker_partition_leader",
 			"broker_partition_isr_size", "broker_partition_committed_offset",
-			"broker_partition_log_end_offset",
+			"broker_partition_log_end_offset", "broker_log_segments", "broker_log_bytes",
 		} {
 			if len(sc.Select(fam, nil)) == 0 {
 				t.Errorf("node %d: family %s missing", i, fam)
+			}
+		}
+		// The in-memory logs report their frames' bytes: 100 records a
+		// partition, 1 ms apart, in frames of 4-byte time offsets.
+		for _, s := range sc.Select("broker_partition_log_end_offset", metrics.Labels{"topic": "smoke"}) {
+			bytes, _ := sc.Value("broker_log_bytes", s.Labels)
+			if s.Value > 0 && (bytes <= 0 || bytes/s.Value >= 1+8+8) {
+				t.Errorf("node %d %v: %.0f log bytes for %.0f records", i, s.Labels, bytes, s.Value)
 			}
 		}
 		if sc.Types["broker_request_seconds"] != "histogram" {

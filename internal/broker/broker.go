@@ -119,9 +119,9 @@ func New() *Broker {
 // to the same registry so one /metrics endpoint covers the process.
 func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 
-// scrapeLogs publishes the per-partition log gauges: log-end offset
-// for every partition, plus segment count and disk bytes for durable
-// logs (any log implementing Stats).
+// scrapeLogs publishes the per-partition log gauges: log-end offset,
+// segment count and the bytes the log's frames occupy, in memory or on
+// disk.
 func (b *Broker) scrapeLogs() {
 	for _, name := range b.TopicsSorted() {
 		t, err := b.topic(name)
@@ -132,13 +132,11 @@ func (b *Broker) scrapeLogs() {
 			lbl := metrics.Labels{"topic": name, "partition": strconv.Itoa(p)}
 			b.reg.Gauge("broker_partition_log_end_offset",
 				"next offset to be written in the partition log", lbl).Set(float64(part.log.HighWatermark()))
-			if st, ok := part.log.(interface{ Stats() (int, int64) }); ok {
-				segs, bytes := st.Stats()
-				b.reg.Gauge("broker_log_segments",
-					"segment files held by the partition log", lbl).Set(float64(segs))
-				b.reg.Gauge("broker_log_disk_bytes",
-					"bytes on disk held by the partition log", lbl).Set(float64(bytes))
-			}
+			segs, bytes := part.log.Stats()
+			b.reg.Gauge("broker_log_segments",
+				"segment files (in-memory chunks) held by the partition log", lbl).Set(float64(segs))
+			b.reg.Gauge("broker_log_bytes",
+				"bytes held by the partition log, in memory or on disk", lbl).Set(float64(bytes))
 		}
 	}
 }

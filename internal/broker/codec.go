@@ -39,11 +39,11 @@ import (
 
 // wireVersion opens every frame in both directions and is what the hello
 // op answers; a client refuses a peer answering anything else. It never
-// equals a version byte or hello level of the retired dialects (1–5; 5
-// carried one CRC frame per record), nor '{' (0x7B), the first byte of a
-// retired JSON lockstep frame, so the server's version check rejects all
-// of them.
-const wireVersion byte = 6
+// equals a version byte or hello level of the retired dialects (1–6; 5
+// carried one CRC frame per record, 6 frames without time codes), nor
+// '{' (0x7B), the first byte of a retired JSON lockstep frame, so the
+// server's version check rejects all of them.
+const wireVersion byte = 7
 
 // Op codes. 1, 2, 5, 6 and 9 belonged to the retired record-dialect and
 // per-partition replicate ops and stay unassigned: the decoder rejects
@@ -72,13 +72,14 @@ const (
 )
 
 // minWireRecord is what every record adds to a batch frame — a one-byte
-// dictionary id, the value and the time — and minWireFrame the smallest
-// frame there is: header, count + ndict, one empty key, one record.
-// Together they bound the bytes a declared record count needs, which is
-// checked before anything is sized by that count.
+// dictionary id and the value (its time offset may take no bytes) — and
+// minWireFrame the smallest frame there is: header, word + ndict, one
+// empty key, one record and eight time bytes (tbase, or the time
+// itself). Together they bound the bytes a declared record count needs,
+// which is checked before anything is sized by that count.
 const (
-	minWireRecord = 1 + 8 + 8
-	minWireFrame  = 8 + 4 + 2 + 4 + minWireRecord
+	minWireRecord = 1 + 8
+	minWireFrame  = 8 + 4 + 2 + 4 + minWireRecord + 8
 )
 
 // frameBuf is a pooled frame encode/decode buffer. Steady-state
@@ -568,7 +569,7 @@ func framesToRecords(frames []byte, count int, topic string, partition int, base
 // columnar batch — the vectorized consumer end of a frames fetch: per
 // frame, one intern per dictionary KEY, then the three columns copied
 // across (the times column uses the batch's own zero-time sentinel, so
-// nanos copy through unconverted). It returns the records decoded.
+// nanos decode straight into it). It returns the records decoded.
 func framesToBatch(frames []byte, base int64, b *stream.EventBatch) (int, error) {
 	b.Base = base
 	n := 0

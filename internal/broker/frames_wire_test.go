@@ -1,7 +1,13 @@
 package broker
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"streamapprox/internal/broker/storage"
 )
@@ -53,6 +59,72 @@ func TestDecodeFrameChunkRejectsCorruption(t *testing.T) {
 		cur := &wireCursor{b: mut}
 		if _, _ = decodeFrameChunk(cur); cur.err == nil {
 			t.Fatalf("count lie %d decoded cleanly", declared)
+		}
+	}
+}
+
+// parentProduceRequest is a partitioned produce (topic "in", partition 0,
+// pid 9, seq 1) as the wire-version-6 client of the commit before frames
+// had time codes encoded it: two frames of tcode 0 holding
+// parentProduceRecords.
+const parentProduceRequest = "0608000000000000000500000000000000000002696e0000000000000000000000090000000000000001000000054a0000009e3b4132030000000300020000006b310000000003000000e98db5000102000000000000f83f00000000000000c0000000000000084015cd853dfe9c971700000000000000801570674ffe9c971735000000b83b539502000000020003000000e98db5020000006b3100010000000000001140000000000000e0bf15972079fe9c971715972079fe9c9717"
+
+var parentProduceRecords = []Record{
+	{Key: "k1", Value: 1.5, Time: time.Unix(1700000000, 123456789).UTC()},
+	{Key: "", Value: -2},
+	{Key: "鍵", Value: 3, Time: time.Unix(1700000000, 423456789).UTC()},
+	{Key: "鍵", Value: 4.25, Time: time.Unix(1700000001, 123456789).UTC()},
+	{Key: "k1", Value: -0.5, Time: time.Unix(1700000001, 123456789).UTC()},
+}
+
+// TestParentWrittenProduceChunk: the version-6 request is refused whole
+// at the wire gate, naming both versions, and nothing is appended; its
+// frame chunk, carried under the current version byte, is valid as it
+// is — stored and served verbatim, record for record.
+func TestParentWrittenProduceChunk(t *testing.T) {
+	raw, err := hex.DecodeString(parentProduceRequest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeBinRequest(raw); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version 6 (want %d)", wireVersion)) {
+		t.Fatalf("decoding a version-6 request: %v", err)
+	}
+	srv, cli := startServer(t)
+	if err := cli.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.callBinary(func(fb *frameBuf, corr uint64) { fb.b = append(fb.b[:0], raw...) }); err == nil {
+		t.Fatal("the server took a version-6 request")
+	}
+	if hwm, err := srv.broker.HighWatermark("in", 0); err != nil || hwm != 0 {
+		t.Fatalf("watermark after the refused request = %d, %v", hwm, err)
+	}
+	raw[0] = wireVersion
+	req, err := decodeBinRequest(raw)
+	if err != nil || req.count != len(parentProduceRecords) {
+		t.Fatalf("the parent's chunk under the current version decodes as %d records, %v", req.count, err)
+	}
+	cli, err = Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.callBinary(func(fb *frameBuf, corr uint64) {
+		fb.b = append(fb.b[:0], raw...)
+		binary.BigEndian.PutUint64(fb.b[2:], corr)
+	}); err != nil {
+		t.Fatalf("producing the parent's chunk: %v", err)
+	}
+	if stored, n, err := srv.broker.FetchFrames("in", 0, 0, 10, nil); err != nil || n != 5 || !bytes.Equal(stored, req.frames) {
+		t.Fatalf("stored %d records, %v; want the parent's frames verbatim", n, err)
+	}
+	got, err := cli.Fetch("in", 0, 0, 10)
+	if err != nil || len(got) != len(parentProduceRecords) {
+		t.Fatalf("fetched %d records, %v", len(got), err)
+	}
+	for i, want := range parentProduceRecords {
+		if !sameRecord(got[i], want) {
+			t.Fatalf("record %d = %+v, want %+v", i, got[i], want)
 		}
 	}
 }

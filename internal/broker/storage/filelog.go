@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -57,7 +58,11 @@ type Instruments struct {
 //
 // A segment without the header is one written before the header
 // existed, one CRC-32(IEEE) frame per record. It is upgraded once, at
-// open, by upgradeSegment; nothing else reads that layout.
+// open, by upgradeSegment; nothing else reads that layout. A version-1
+// header is one written before frames had time codes: its frames are all
+// tcode 0 and stay as they are, and scan bumps the header to version 2
+// in place at open — so a build that knows only version 1 refuses the
+// segment instead of reading narrow frames as a torn tail.
 //
 // Durability is governed by the sync policy: SyncAlways fsyncs after
 // every append (an acked batch survives kill -9), SyncInterval batches
@@ -138,7 +143,7 @@ const indexEvery = 64
 // Segment header fields.
 const (
 	segMagic   = "SASG"
-	segVersion = 1
+	segVersion = 2 // 1: every frame tcode 0
 	segCRC32C  = 1 // checksum kind: CRC-32C (Castagnoli) per batch frame
 	segHdrLen  = 16
 )
@@ -328,12 +333,25 @@ func (l *FileLog) openSegment(base int64, later []int64) (seg *segment, torn boo
 	return s, torn, nil
 }
 
-// scan checks the header of the segment whose file holds data, then
-// walks it batch by batch, validating each whole and filling count, the
-// sparse index and size — the end of the valid prefix: a short or
-// corrupt batch ends the scan without error, and the caller truncates.
+// scan checks the header of the segment whose file holds data — writing
+// a version-1 header's version in place (one byte changes, then fsync)
+// before anything else touches the file — then walks it batch by batch,
+// validating each whole and filling count, the sparse index and size —
+// the end of the valid prefix: a short or corrupt batch ends the scan
+// without error, and the caller truncates.
 func (s *segment) scan(data []byte) error {
-	if want := appendSegHeader(nil, s.base); string(data[:segHdrLen]) != string(want) {
+	want := appendSegHeader(nil, s.base)
+	if v1 := slices.Concat(want[:4], []byte{1, 0}, want[6:]); string(data[:segHdrLen]) == string(v1) {
+		_, err := s.f.WriteAt(want[4:6], 4)
+		if err == nil {
+			err = s.f.Sync()
+		}
+		if err != nil {
+			return fmt.Errorf("storage: upgrade %s header: %w", s.f.Name(), err)
+		}
+		copy(data, want)
+	}
+	if string(data[:segHdrLen]) != string(want) {
 		return fmt.Errorf("storage: segment %s: header %x is not format %d / checksum %d / base %d",
 			s.f.Name(), data[:segHdrLen], segVersion, segCRC32C, s.base)
 	}
@@ -552,8 +570,7 @@ func (l *FileLog) HighWatermark() int64 {
 	return l.n
 }
 
-// Stats reports the log's segment count and total bytes on disk — the
-// scrape-time source of the broker's per-partition disk gauges.
+// Stats implements Log: the segment files and their bytes on disk.
 func (l *FileLog) Stats() (segments int, bytes int64) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()

@@ -7,12 +7,19 @@ package storage
 // little-endian throughout:
 //
 //	frame = [4]bodyLen [4]crc32c(body) body
-//	body  = [4]count [2]ndict {[4]klen key}×ndict ids[count] values[count] times[count]
+//	body  = [4]word [2]ndict {[4]klen key}×ndict ids[count] values[count] [8]tbase toff[count]
+//	word  = count | tcode<<24
 //
 // ids index the frame's own key dictionary (first-seen order, every
 // entry used) and are one byte each, two when ndict > 256; values are
-// float64 bits and times unix nanos (zeroTimeNanos marks the zero
-// time.Time), eight bytes each. A "chunk" is any run of consecutive
+// float64 bits, eight bytes each. Times are unix nanos (zeroTimeNanos
+// marks the zero time.Time) stored frame-of-reference: tbase is the
+// frame's earliest time and each toff its record's time − tbase in the
+// narrowest width that holds the frame's span — tcode 1, 2, 3, 4 for
+// 0, 1, 2, 4 bytes. tcode 0 has no tbase and eight-byte toffs, the
+// times themselves: the layout of every frame written before time codes
+// existed, and of any frame whose span needs more than four bytes (a
+// zero time among real ones). A "chunk" is any run of consecutive
 // frames. Decoding a frame is one dictionary lookup per KEY and three
 // column copies, and the one checksum covers the whole batch.
 //
@@ -43,7 +50,7 @@ const (
 	// frameHdrLen is the per-frame overhead ahead of the body: length
 	// + CRC.
 	frameHdrLen = 8
-	// bodyFixedLen is the fixed head of a frame body: count + ndict.
+	// bodyFixedLen is the fixed head of a frame body: word + ndict.
 	bodyFixedLen = 6
 	// maxFramePayload bounds a frame body, guarding every reader
 	// against a corrupt length prefix.
@@ -60,6 +67,8 @@ const (
 var (
 	le         = binary.LittleEndian
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+	// timeWidth is the bytes per toff of each tcode.
+	timeWidth = [...]int{8, 0, 1, 2, 4}
 )
 
 // Frame chunk errors.
@@ -78,12 +87,14 @@ type Frame struct {
 	keyAt  []int32 // where each entry starts in dict, then len(dict)
 	ids    []byte  // Count ids, one byte each (two when ndict > 256)
 	values []byte  // Count × float64 bits
-	times  []byte  // Count × unix nanos
+	tbase  int64   // added to every toff; 0 under tcode 0
+	tw     int     // bytes per toff: 8, 0, 1, 2 or 4
+	times  []byte  // Count toffs
 }
 
 // parse checks the structure of the frame opening b — header bounds,
-// dictionary walk, column lengths against count — and makes f its view.
-// The columns themselves (id range, CRC) are not examined.
+// time code, dictionary walk, column lengths against count — and makes
+// f its view. The columns themselves (id range, CRC) are not examined.
 func (f *Frame) parse(b []byte) bool {
 	if len(b) < frameHdrLen+bodyFixedLen {
 		return false
@@ -93,16 +104,23 @@ func (f *Frame) parse(b []byte) bool {
 		return false
 	}
 	body := b[frameHdrLen : frameHdrLen+blen]
-	count, ndict := int(le.Uint32(body)), int(le.Uint16(body[4:]))
-	rest := body[bodyFixedLen:]
+	word, ndict := le.Uint32(body), int(le.Uint16(body[4:]))
+	count, tcode := int(word&(1<<24-1)), int(word>>24)
+	if tcode >= len(timeWidth) {
+		return false
+	}
+	rest, tw, tbaseLen := body[bodyFixedLen:], timeWidth[tcode], 8
+	if tcode == 0 {
+		tbaseLen = 0
+	}
 	idw := 1
 	if ndict > 256 {
 		idw = 2
 	}
-	if ndict == 0 || ndict > count || count > len(rest)/(idw+16) {
+	if ndict == 0 || ndict > count || count > (len(rest)-tbaseLen)/(idw+8+tw) {
 		return false
 	}
-	dictLen := len(rest) - count*(idw+16)
+	dictLen := len(rest) - tbaseLen - count*(idw+8+tw)
 	if cap(f.keyAt) <= ndict {
 		f.keyAt = make([]int32, ndict+1)
 	}
@@ -125,8 +143,28 @@ func (f *Frame) parse(b []byte) bool {
 	f.keyAt[ndict] = int32(pos)
 	f.Raw, f.Count, f.ndict = b[:frameHdrLen+blen], count, ndict
 	f.dict, rest = rest[:dictLen], rest[dictLen:]
-	f.ids, f.values, f.times = rest[:count*idw], rest[count*idw:count*(idw+8)], rest[count*(idw+8):]
+	f.ids, f.values, rest = rest[:count*idw], rest[count*idw:count*(idw+8)], rest[count*(idw+8):]
+	f.tbase, f.tw = 0, tw
+	if tbaseLen > 0 {
+		f.tbase, rest = int64(le.Uint64(rest)), rest[8:]
+	}
+	f.times = rest
 	return true
+}
+
+// time returns record i's time in unix nanos.
+func (f *Frame) time(i int) int64 {
+	switch f.tw {
+	case 0:
+		return f.tbase
+	case 1:
+		return f.tbase + int64(f.times[i])
+	case 2:
+		return f.tbase + int64(le.Uint16(f.times[2*i:]))
+	case 4:
+		return f.tbase + int64(le.Uint32(f.times[4*i:]))
+	}
+	return int64(le.Uint64(f.times[8*i:]))
 }
 
 // id returns record i's dictionary index.
@@ -162,9 +200,30 @@ func (f *Frame) Decode(ids []int32, values []float64, times []int64, intern func
 		ids = append(ids, remap[id])
 	}
 	values, times = values[:nv+f.Count], times[:nt+f.Count]
-	for i := 0; i < f.Count; i++ {
-		values[nv+i] = math.Float64frombits(le.Uint64(f.values[8*i:]))
-		times[nt+i] = int64(le.Uint64(f.times[8*i:]))
+	vs, ts, col, base := values[nv:], times[nt:], f.times, f.tbase
+	ts = ts[:len(vs)]
+	switch f.tw { // one loop per width: no per-record switch
+	case 0:
+		for i := range vs {
+			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base
+		}
+	case 1:
+		col = col[:len(vs)]
+		for i := range vs {
+			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(col[i])
+		}
+	case 2:
+		for i := range vs {
+			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(le.Uint16(col[2*i:]))
+		}
+	case 4:
+		for i := range vs {
+			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(le.Uint32(col[4*i:]))
+		}
+	default:
+		for i := range vs {
+			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), int64(le.Uint64(col[8*i:]))
+		}
 	}
 	return ids, values, times, nil
 }
@@ -271,7 +330,7 @@ func (f *Frame) carve(parts []partFrame, from, to int, part []int32, route func(
 		}
 		pf.ids = append(pf.ids, uint16(*slot-1))
 		pf.values = append(pf.values, f.values[8*i:8*i+8]...)
-		pf.times = append(pf.times, f.times[8*i:8*i+8]...)
+		pf.addTime(f.time(i))
 	}
 	return nil
 }
@@ -279,7 +338,9 @@ func (f *Frame) carve(parts []partFrame, from, to int, part []int32, route func(
 // SliceFrames appends to dst a chunk holding exactly records
 // [from, to) of chunk. Frames wholly inside the range are copied as they
 // are; a frame the range cuts through is re-encoded with its dictionary
-// compacted to the keys the kept records use. It is how a log serves,
+// compacted to the keys the kept records use and its times re-based on
+// theirs — never longer than the frame it came from, as fewer records
+// span no more time. It is how a log serves,
 // and truncates to, a record offset that falls inside a batch, and how a
 // replica trims a duplicate prefix.
 func SliceFrames(dst, chunk []byte, from, to int) ([]byte, error) {
@@ -383,7 +444,10 @@ type partFrame struct {
 	empty  int32 // id of the empty key in the open frame + 1; 0 while unseen
 	ids    []uint16
 	values []byte
-	times  []byte
+	times  []int64
+	// tmin and tmax bound the open frame's times, so encode picks its
+	// time code without a scan.
+	tmin, tmax int64
 }
 
 var builderPool = sync.Pool{New: func() any { return &BatchBuilder{index: make(map[string]uint64, 64)} }}
@@ -414,6 +478,12 @@ func (bb *BatchBuilder) Release() {
 func (pf *partFrame) reset() {
 	pf.dict, pf.ndict, pf.empty = pf.dict[:0], 0, 0
 	pf.ids, pf.values, pf.times = pf.ids[:0], pf.values[:0], pf.times[:0]
+	pf.tmin, pf.tmax = math.MaxInt64, math.MinInt64
+}
+
+func (pf *partFrame) addTime(t int64) {
+	pf.times = append(pf.times, t)
+	pf.tmin, pf.tmax = min(pf.tmin, t), max(pf.tmax, t)
 }
 
 // addKey appends key to the open frame's dictionary and returns its
@@ -425,22 +495,61 @@ func addKey[K string | []byte](pf *partFrame, key K) int32 {
 }
 
 // encode appends the open frame to dst, sealed with its length and CRC,
-// and opens an empty one.
+// and opens an empty one. Its time code is the narrowest that holds the
+// frame's span, computed unsigned.
 func (pf *partFrame) encode(dst []byte) []byte {
+	tcode := 0
+	switch span := uint64(pf.tmax - pf.tmin); {
+	case span == 0:
+		tcode = 1
+	case span <= math.MaxUint8:
+		tcode = 2
+	case span <= math.MaxUint16:
+		tcode = 3
+	case span <= math.MaxUint32:
+		tcode = 4
+	}
 	at := len(dst)
-	dst = slices.Grow(dst, frameHdrLen+bodyFixedLen+len(pf.dict)+len(pf.ids)*(2+16))
+	dst = slices.Grow(dst, frameHdrLen+bodyFixedLen+len(pf.dict)+len(pf.ids)*(2+16)+8)
 	dst = append(dst, make([]byte, frameHdrLen)...)
-	dst = le.AppendUint32(dst, uint32(len(pf.ids)))
+	dst = le.AppendUint32(dst, uint32(len(pf.ids))|uint32(tcode)<<24)
 	dst = le.AppendUint16(dst, uint16(pf.ndict))
 	dst = append(dst, pf.dict...)
-	for _, id := range pf.ids {
-		if pf.ndict > 256 {
+	if pf.ndict > 256 {
+		for _, id := range pf.ids {
 			dst = le.AppendUint16(dst, id)
-		} else {
+		}
+	} else {
+		for _, id := range pf.ids {
 			dst = append(dst, byte(id))
 		}
 	}
-	dst = append(append(dst, pf.values...), pf.times...)
+	dst = append(dst, pf.values...)
+	base := pf.tmin
+	if tcode > 0 {
+		dst = le.AppendUint64(dst, uint64(base))
+	}
+	// The toffs are written in place, within the capacity grown above.
+	col := dst[len(dst) : len(dst)+len(pf.times)*timeWidth[tcode]]
+	switch tcode { // one loop per width: no per-record switch
+	case 0:
+		for i, t := range pf.times {
+			le.PutUint64(col[8*i:], uint64(t))
+		}
+	case 2:
+		for i, t := range pf.times {
+			col[i] = byte(t - base)
+		}
+	case 3:
+		for i, t := range pf.times {
+			le.PutUint16(col[2*i:], uint16(t-base))
+		}
+	case 4:
+		for i, t := range pf.times {
+			le.PutUint32(col[4*i:], uint32(t-base))
+		}
+	}
+	dst = dst[:len(dst)+len(col)]
 	le.PutUint32(dst[at:], uint32(len(dst)-at-frameHdrLen))
 	le.PutUint32(dst[at+4:], crc32.Checksum(dst[at+frameHdrLen:], castagnoli))
 	pf.reset()
@@ -483,7 +592,7 @@ func (bb *BatchBuilder) Add(r *Record) {
 	if !r.Time.IsZero() {
 		nanos = r.Time.UnixNano()
 	}
-	pf.times = le.AppendUint64(pf.times, uint64(nanos))
+	pf.addTime(nanos)
 	pf.count++
 	if bb.open++; bb.open == maxFrameRecords {
 		bb.closeFrames()

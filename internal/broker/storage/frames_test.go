@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -110,14 +111,90 @@ func randomBatch(rng *rand.Rand, n, keys int) []Record {
 	return out
 }
 
+// timeShape is a times column of n ≥ 2 records and the time code the
+// builder must pick for it.
+type timeShape struct {
+	name  string
+	tcode int
+	times func(rng *rand.Rand, n int) []int64 // zeroTimeNanos is the zero time
+}
+
+// spanShape draws times over [base, base+span], both ends included, at
+// random positions.
+func spanShape(span uint64, tcode int) timeShape {
+	return timeShape{fmt.Sprintf("span %d", span), tcode, func(rng *rand.Rand, n int) []int64 {
+		base := int64(1700000000000000000) + rng.Int63n(1e12)
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = base + int64(rng.Uint64()%(span+1))
+		}
+		lo := rng.Intn(n)
+		hi := (lo + 1 + rng.Intn(n-1)) % n
+		out[lo], out[hi] = base, base+int64(span)
+		return out
+	}}
+}
+
+// timeShapes reach every time code and both sides of every width's
+// limit.
+var timeShapes = []timeShape{
+	{"all equal", 1, func(_ *rand.Rand, n int) []int64 {
+		return slices.Repeat([]int64{1700000000123456789}, n)
+	}},
+	{"all zero", 1, func(_ *rand.Rand, n int) []int64 { return slices.Repeat([]int64{zeroTimeNanos}, n) }},
+	spanShape(1<<8-1, 2), spanShape(1<<8, 3),
+	spanShape(1<<16-1, 3), spanShape(1<<16, 4),
+	spanShape(1<<32-1, 4), spanShape(1<<32, 0),
+	{"zero time among real ones", 0, func(rng *rand.Rand, n int) []int64 {
+		out := spanShape(3, 2).times(rng, n)
+		out[rng.Intn(n)] = zeroTimeNanos
+		return out
+	}},
+	{"MinInt64+1 with MaxInt64", 0, func(rng *rand.Rand, n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = rng.Int63() - rng.Int63()
+		}
+		out[0], out[n-1] = math.MaxInt64, math.MinInt64+1
+		return out
+	}},
+	{"pair-swapped", 3, func(_ *rand.Rand, n int) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = 1700000000000000000 + int64(i*(1<<16-1)/(n-1))
+		}
+		for i := 0; i+1 < n; i += 2 {
+			out[i], out[i+1] = out[i+1], out[i]
+		}
+		return out
+	}},
+}
+
+// withTimes sets the records' times to nanos.
+func withTimes(recs []Record, nanos []int64) []Record {
+	for i, ns := range nanos {
+		recs[i].Time = time.Time{}
+		if ns != zeroTimeNanos {
+			recs[i].Time = time.Unix(0, ns).UTC()
+		}
+	}
+	return recs
+}
+
+// tcodeOf is the time code of the frame opening b.
+func tcodeOf(b []byte) int { return int(b[frameHdrLen+3]) }
+
 // TestFrameRoundTripProperty: records → frame → records is the identity
-// across the id-width switch (256 keys is the last one-byte dictionary),
-// and every frame built validates.
+// across the id-width switch (256 keys is the last one-byte dictionary)
+// and every time code, the builder picks the narrowest code for the
+// frame's span, and every frame built validates.
 func TestFrameRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, keys := range []int{1, 2, 3, 17, 256, 257, 700} {
-		for trial := 0; trial < 5; trial++ {
-			recs := randomBatch(rng, keys+rng.Intn(300), keys)
+		for trial := 0; trial < 5*len(timeShapes); trial++ {
+			shape := timeShapes[trial%len(timeShapes)]
+			recs := randomBatch(rng, keys+1+rng.Intn(300), keys)
+			recs = withTimes(recs, shape.times(rng, len(recs)))
 			chunk := AppendRecordFrames([]byte("prefix"), recs)
 			if !bytes.HasPrefix(chunk, []byte("prefix")) {
 				t.Fatal("AppendRecordFrames must append")
@@ -137,7 +214,15 @@ func TestFrameRoundTripProperty(t *testing.T) {
 			if ok := f.parse(chunk); !ok || len(f.Raw) != len(chunk) || f.ndict != keys || len(f.ids) != f.Count*idw {
 				t.Fatalf("%d keys: one frame expected, got ok=%v ndict=%d of %d bytes", keys, ok, f.ndict, len(chunk))
 			}
-			sameRecords(t, fmt.Sprintf("%d keys", keys), decodeFrames(t, chunk), recs)
+			tw, tbase := timeWidth[shape.tcode], 8
+			if shape.tcode == 0 {
+				tbase = 0
+			}
+			if got := tcodeOf(chunk); got != shape.tcode || len(f.times) != f.Count*tw ||
+				len(chunk) != frameHdrLen+bodyFixedLen+len(f.dict)+f.Count*(idw+8+tw)+tbase {
+				t.Fatalf("%d keys, %s: time code %d with %d time bytes, want code %d", keys, shape.name, got, len(f.times), shape.tcode)
+			}
+			sameRecords(t, fmt.Sprintf("%d keys, %s", keys, shape.name), decodeFrames(t, chunk), recs)
 		}
 	}
 	if got := AppendRecordFrames(nil, nil); len(got) != 0 {
@@ -290,6 +375,93 @@ func TestSplitFrames(t *testing.T) {
 	}
 }
 
+// TestCutsKeepTimesExact: for a frame of every time shape, each cut a
+// log makes — SliceFrames over every record range, SplitFrames by key,
+// MemLog and FileLog TruncateTo at every record boundary — keeps the
+// times bit for bit and is never longer than its source frame.
+func TestCutsKeepTimesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	const n = 12
+	for _, shape := range timeShapes {
+		recs := withTimes(randomBatch(rng, n, 4), shape.times(rng, n))
+		frame := AppendRecordFrames(nil, recs)
+		if got := tcodeOf(frame); got != shape.tcode {
+			t.Fatalf("%s: time code %d, want %d", shape.name, got, shape.tcode)
+		}
+		for from := 0; from < n; from++ {
+			for to := from + 1; to <= n; to++ {
+				cut, err := SliceFrames(nil, frame, from, to)
+				if err != nil || len(cut) > len(frame) {
+					t.Fatalf("%s: SliceFrames[%d:%d] = %d bytes of %d, %v", shape.name, from, to, len(cut), len(frame), err)
+				}
+				sameRecords(t, fmt.Sprintf("%s [%d:%d]", shape.name, from, to), decodeFrames(t, cut), recs[from:to])
+			}
+		}
+
+		route := func(key []byte) int { return len(key) % 3 }
+		dst, counts := make([][]byte, 3), make([]int, 3)
+		if err := SplitFrames(frame, route, dst, counts); err != nil {
+			t.Fatal(err)
+		}
+		for p := range dst {
+			var want []Record
+			for _, r := range recs {
+				if route([]byte(r.Key)) == p {
+					want = append(want, r)
+				}
+			}
+			if len(dst[p]) > len(frame) {
+				t.Fatalf("%s: partition %d's share is %d bytes, its source %d", shape.name, p, len(dst[p]), len(frame))
+			}
+			sameRecords(t, fmt.Sprintf("%s partition %d", shape.name, p), decodeFrames(t, dst[p]), want)
+		}
+
+		for hwm := 0; hwm <= n; hwm++ {
+			dir := t.TempDir()
+			logs := map[string]Log{"MemLog": NewMemLog(), "FileLog": openFileLog(t, dir, FileConfig{Policy: SyncNone})}
+			header := map[string]int{"MemLog": 0, "FileLog": segHdrLen}
+			for name, l := range logs {
+				if _, err := l.AppendFrames(frame, n); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.TruncateTo(int64(hwm)); err != nil {
+					t.Fatalf("%s %s: TruncateTo(%d): %v", name, shape.name, hwm, err)
+				}
+				got, _, err := l.ReadFrames(0, n, nil)
+				if _, bytes := l.Stats(); err != nil || int(bytes) > len(frame)+header[name] {
+					t.Fatalf("%s %s: cut to %d holds %d bytes, its source %d (%v)", name, shape.name, hwm, bytes, len(frame), err)
+				}
+				sameRecords(t, fmt.Sprintf("%s %s cut to %d", name, shape.name, hwm), decodeFrames(t, got), recs[:hwm])
+			}
+			_ = logs["FileLog"].Close()
+			re := openFileLog(t, dir, FileConfig{Policy: SyncNone})
+			got, _, err := re.ReadFrames(0, n, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRecords(t, fmt.Sprintf("reopened %s cut to %d", shape.name, hwm), decodeFrames(t, got), recs[:hwm])
+		}
+	}
+}
+
+// framePerCode holds one single-frame chunk of each time code, in code
+// order, and one resealed with code 5, which no reader may accept.
+func framePerCode() (frames [][]byte, code5 []byte) {
+	rng := rand.New(rand.NewSource(23))
+	for code := 0; code < len(timeWidth); code++ {
+		for _, shape := range timeShapes {
+			if shape.tcode == code {
+				frames = append(frames, AppendRecordFrames(nil, withTimes(randomBatch(rng, 6, 3), shape.times(rng, 6))))
+				break
+			}
+		}
+	}
+	code5 = append([]byte(nil), frames[4]...)
+	code5[frameHdrLen+3] = 5
+	le.PutUint32(code5[4:], crc32.Checksum(code5[frameHdrLen:], castagnoli))
+	return frames, code5
+}
+
 // corruptionChunk is three frames that between them use every layout
 // variant: a one-byte-id batch, a single record, a two-byte-id batch.
 func corruptionChunk() []byte {
@@ -358,6 +530,7 @@ func TestValidateFramesRejectsBadStructure(t *testing.T) {
 		"column byte missing":      reseal(func(f []byte) []byte { return f[:len(f)-1] }),
 		"column byte extra":        reseal(func(f []byte) []byte { return append(f, 0) }),
 	}
+	_, cases["time code 5"] = framePerCode()
 	over := AppendRecordFrames(nil, recs)
 	le.PutUint32(over, maxFramePayload+1) // a body length no reader may size a slice by
 	cases["body over the cap"] = over
@@ -392,6 +565,11 @@ func FuzzValidateFrames(f *testing.F) {
 	f.Add(corruptionChunk())
 	f.Add([]byte{20, 0, 0, 0, 1, 2, 3, 4})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	perCode, code5 := framePerCode()
+	for _, frame := range perCode {
+		f.Add(frame)
+	}
+	f.Add(code5)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		n, err := ValidateFrames(b)
 		if err != nil {
@@ -448,6 +626,11 @@ func FuzzMemLogAppendFrames(f *testing.F) {
 	f.Add(valid[:len(valid)-1], 3)
 	f.Add([]byte{}, 0)
 	f.Add(bytes.Repeat([]byte{7}, 40), 1)
+	perCode, code5 := framePerCode()
+	for _, frame := range perCode {
+		f.Add(frame, 6)
+	}
+	f.Add(code5, 6)
 	f.Fuzz(func(t *testing.T, frames []byte, count int) {
 		if count < 0 || count > 1<<16 {
 			return

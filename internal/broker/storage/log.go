@@ -54,7 +54,9 @@ var (
 // offset to be written. TruncateTo discards every record at offset >=
 // hwm (a no-op when the log is already shorter), re-encoding the frame
 // the cut lands in; the next append continues at hwm. Sync forces
-// buffered appends to stable storage (a no-op for MemLog).
+// buffered appends to stable storage (a no-op for MemLog). Stats reports
+// the log's footprint: its segment files (MemLog: chunks) and the bytes
+// they hold.
 type Log interface {
 	AppendFrames(frames []byte, count int) (int64, error)
 	ReadFrames(offset int64, max int, buf []byte) ([]byte, int, error)
@@ -62,6 +64,7 @@ type Log interface {
 	TruncateTo(hwm int64) error
 	Sync() error
 	Close() error
+	Stats() (segments int, bytes int64)
 }
 
 // readEnd resolves a ReadFrames request against the high watermark: the
@@ -199,6 +202,16 @@ func (m *MemLog) TruncateTo(hwm int64) error {
 	m.frames = m.frames[:keep]
 	m.n = hwm
 	return nil
+}
+
+// Stats implements Log: the chunks held and the frame bytes in them.
+func (m *MemLog) Stats() (segments int, bytes int64) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for _, c := range m.chunks {
+		bytes += int64(len(c))
+	}
+	return len(m.chunks), bytes
 }
 
 // Sync implements Log (no-op in memory).

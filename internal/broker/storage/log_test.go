@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -324,15 +325,94 @@ func TestFileLogSegmentsHoldWholeFrames(t *testing.T) {
 	}
 }
 
-// renameCountingFS counts renames: the trace a segment upgrade leaves.
-type renameCountingFS struct {
+// countingFS counts renames and writes: the traces a segment upgrade
+// leaves.
+type countingFS struct {
 	FS
-	renames int
+	renames, writes int
 }
 
-func (c *renameCountingFS) Rename(o, n string) error {
+func (c *countingFS) Rename(o, n string) error {
 	c.renames++
 	return c.FS.Rename(o, n)
+}
+
+func (c *countingFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{File: f, fs: c}, nil
+}
+
+type countingFile struct {
+	File
+	fs *countingFS
+}
+
+func (f *countingFile) WriteAt(p []byte, off int64) (int, error) {
+	f.fs.writes++
+	return f.File.WriteAt(p, off)
+}
+
+// parentV1Segment is a segment the FileLog of the commit before frames
+// had time codes wrote: a version-1 header, then two frames of tcode 0
+// holding parentV1Records.
+const parentV1Segment = "534153470100010000000000000000004a0000009e3b4132030000000300020000006b310000000003000000e98db5000102000000000000f83f00000000000000c0000000000000084015cd853dfe9c971700000000000000801570674ffe9c971735000000b83b539502000000020003000000e98db5020000006b3100010000000000001140000000000000e0bf15972079fe9c971715972079fe9c9717"
+
+var parentV1Records = []Record{
+	{Key: "k1", Value: 1.5, Time: time.Unix(1700000000, 123456789).UTC()},
+	{Key: "", Value: -2},
+	{Key: "鍵", Value: 3, Time: time.Unix(1700000000, 423456789).UTC()},
+	{Key: "鍵", Value: 4.25, Time: time.Unix(1700000001, 123456789).UTC()},
+	{Key: "k1", Value: -0.5, Time: time.Unix(1700000001, 123456789).UTC()},
+}
+
+// TestFileLogOpensV1Segment: a version-1 segment opens with its header
+// bumped to version 2 in place — one write, the frames untouched — serves
+// the same records, takes narrow frames after them, and a second open
+// writes nothing.
+func TestFileLogOpensV1Segment(t *testing.T) {
+	dir := t.TempDir()
+	old, err := hex.DecodeString(parentV1Segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, segName(0))
+	if err := os.WriteFile(seg, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := &countingFS{FS: OSFS}
+	l := openFileLog(t, dir, FileConfig{FS: fs})
+	if fs.writes != 1 || fs.renames != 0 {
+		t.Fatalf("first open: %d writes, %d renames; want the one header write", fs.writes, fs.renames)
+	}
+	upgraded, _ := os.ReadFile(seg)
+	if !bytes.Equal(upgraded[:segHdrLen], appendSegHeader(nil, 0)) || !bytes.Equal(upgraded[segHdrLen:], old[segHdrLen:]) {
+		t.Fatalf("after the first open the segment starts %x; want a version-2 header over the same frames", upgraded[:segHdrLen])
+	}
+	got, n, err := l.ReadFrames(0, 10, nil)
+	if err != nil || n != len(parentV1Records) || !bytes.Equal(got, old[segHdrLen:]) {
+		t.Fatalf("ReadFrames = %d records, %v; want the stored frames verbatim", n, err)
+	}
+	sameRecords(t, "version 1", decodeFrames(t, got), parentV1Records)
+	mustAppend(t, l, 5, parentV1Records[2:])
+	_ = l.Close()
+	appended, _ := os.ReadFile(seg)
+
+	fs.writes = 0
+	re := openFileLog(t, dir, FileConfig{FS: fs})
+	if fs.writes != 0 || fs.renames != 0 {
+		t.Fatalf("second open: %d writes, %d renames; want none", fs.writes, fs.renames)
+	}
+	if after, _ := os.ReadFile(seg); !bytes.Equal(after, appended) {
+		t.Fatal("second open changed the segment")
+	}
+	got, _, err = re.ReadFrames(0, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "reopened", decodeFrames(t, got), append(slices.Clone(parentV1Records), parentV1Records[2:]...))
 }
 
 // parentSegments are two segment files written by the FileLog of the
@@ -371,7 +451,7 @@ func writeParentSegments(t *testing.T, dir string) {
 func TestFileLogOpensParentWrittenSegments(t *testing.T) {
 	dir := t.TempDir()
 	writeParentSegments(t, dir)
-	fs := &renameCountingFS{FS: OSFS}
+	fs := &countingFS{FS: OSFS}
 	l := openFileLog(t, dir, FileConfig{SegmentRecords: 2, FS: fs})
 	if fs.renames != len(parentSegments) {
 		t.Fatalf("first open renamed %d files, want one upgrade per segment (%d)", fs.renames, len(parentSegments))

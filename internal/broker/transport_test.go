@@ -175,7 +175,7 @@ func wireGateCases() []wireGateCase {
 		payload[1] = op
 		cases = append(cases, wireGateCase{name: fmt.Sprintf("retired op %d", op), payload: payload})
 	}
-	for _, ver := range []byte{1, 2, wireVersion + 1} {
+	for _, ver := range []byte{1, 2, wireVersion - 1, wireVersion + 1} {
 		encodeProduceFramesReq(fb, 1, 0, "in", recs("k", 3))
 		payload := append([]byte(nil), fb.b...)
 		payload[0] = ver
@@ -220,14 +220,20 @@ func TestWireGateRejectsRetiredDialects(t *testing.T) {
 }
 
 // TestDialRejectsWireVersionMismatch dials a listener whose hello
-// answers a different wire version: the dial fails naming both.
+// answers a different wire version — the one before this build's (frames
+// without time codes) or the one after: the dial fails naming both.
 func TestDialRejectsWireVersionMismatch(t *testing.T) {
+	for _, theirs := range []int{6, int(wireVersion) + 1} {
+		t.Run(fmt.Sprintf("version %d", theirs), func(t *testing.T) { dialMismatchedPeer(t, theirs) })
+	}
+}
+
+func dialMismatchedPeer(t *testing.T, theirs int) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	const theirs = int(wireVersion) + 1
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {

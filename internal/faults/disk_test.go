@@ -197,10 +197,31 @@ func legacySegment(recs []storage.Record) []byte {
 	return b
 }
 
-// TestSegmentUpgradeInterruptedAtEveryStep fails the one-time rewrite of
-// a headerless segment at each of its steps — the write of the new file
-// (torn at several lengths), its fsync, the rename over the old one. The
-// open fails, the old segments are untouched byte for byte, and the next
+// versionOneSegment encodes records the way segments were written before
+// frames had time codes: a version-1 header, then one frame per batch,
+// each of tcode 0 (every batch holds a zero time among real ones).
+func versionOneSegment(t *testing.T, base int64, batches ...[]storage.Record) []byte {
+	b := binary.LittleEndian.AppendUint16(append([]byte(nil), "SASG"...), 1)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = binary.LittleEndian.AppendUint64(b, uint64(base))
+	for _, recs := range batches {
+		frame := storage.AppendRecordFrames(nil, recs)
+		if frame[11] != 0 {
+			t.Fatalf("batch %v framed with time code %d, want 0", recs, frame[11])
+		}
+		b = append(b, frame...)
+	}
+	return b
+}
+
+// TestSegmentUpgradeInterruptedAtEveryStep fails the one-time upgrades
+// at open at each of their steps. A headerless segment's rewrite: the
+// write of the new file (torn at several lengths), its fsync, the rename
+// over the old one — the open fails and the old segments are untouched
+// byte for byte. A version-1 segment's header bump: the in-place write of
+// its version, its fsync — the open fails and each segment is the old
+// file or the old file with version 2, nothing between (the bump renames
+// nothing, so a failing rename does not stop it). Either way the next
 // clean open finishes the job and serves every record; a directory left
 // half upgraded (one segment new, one old) opens the same way.
 func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
@@ -208,11 +229,26 @@ func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
 	recs := []storage.Record{
 		{Key: "k1", Value: 1.5, Time: at}, {Key: "", Value: -2, Time: at.Add(1)}, {Key: "鍵", Value: 3, Time: at.Add(2)},
 	}
-	segs := map[string][]byte{
-		"00000000000000000000.seg": legacySegment(recs[:2]),
-		"00000000000000000002.seg": legacySegment(recs[2:]),
+	v1recs := []storage.Record{
+		{Key: "k1", Value: 1.5, Time: at}, {Key: "", Value: -2}, {Key: "鍵", Value: 3, Time: at.Add(2)}, {Key: "k2", Value: 4},
 	}
-	served := func(t *testing.T, dir string) {
+	kinds := []struct {
+		prefix string // of the subtest names
+		recs   []storage.Record
+		segs   map[string][]byte
+		served []byte // what the upgraded log serves
+		bumped bool   // whether an interrupted open may leave version 2 behind
+	}{
+		{"", recs, map[string][]byte{
+			"00000000000000000000.seg": legacySegment(recs[:2]),
+			"00000000000000000002.seg": legacySegment(recs[2:]),
+		}, append(storage.AppendRecordFrames(nil, recs[:2]), storage.AppendRecordFrames(nil, recs[2:])...), false},
+		{"version 1/", v1recs, map[string][]byte{
+			"00000000000000000000.seg": versionOneSegment(t, 0, v1recs[:2]),
+			"00000000000000000002.seg": versionOneSegment(t, 2, v1recs[2:]),
+		}, append(storage.AppendRecordFrames(nil, v1recs[:2]), storage.AppendRecordFrames(nil, v1recs[2:])...), true},
+	}
+	served := func(t *testing.T, dir string, want []byte, nrecs, nsegs int) {
 		t.Helper()
 		l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2})
 		if err != nil {
@@ -220,46 +256,60 @@ func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
 		}
 		defer l.Close()
 		got, n, err := l.ReadFrames(0, 10, nil)
-		if err != nil || n != len(recs) || !bytes.Equal(got, append(storage.AppendRecordFrames(nil, recs[:2]), storage.AppendRecordFrames(nil, recs[2:])...)) {
+		if err != nil || n != nrecs || !bytes.Equal(got, want) {
 			t.Fatalf("after the upgrade: %d records, %v", n, err)
 		}
 		entries, _ := os.ReadDir(dir)
-		if len(entries) != len(segs) {
-			t.Fatalf("%d files left in the directory, want the %d segments", len(entries), len(segs))
+		if len(entries) != nsegs {
+			t.Fatalf("%d files left in the directory, want the %d segments", len(entries), nsegs)
+		}
+		for _, e := range entries {
+			if data, _ := os.ReadFile(filepath.Join(dir, e.Name())); string(data[:4]) != "SASG" || data[4] != 2 {
+				t.Fatalf("%s after the upgrade starts %x, want a version-2 header", e.Name(), data[:min(len(data), 16)])
+			}
 		}
 	}
 	steps := map[string]DiskFaults{
 		"write refused":      {FailWrites: true},
+		"write torn at 1":    {FailWrites: true, TornBytes: 1},
 		"write torn at 5":    {FailWrites: true, TornBytes: 5},
 		"write torn at 16":   {FailWrites: true, TornBytes: 16},
 		"write torn at 40":   {FailWrites: true, TornBytes: 40},
 		"fsync fails":        {SyncErr: errors.New("injected fsync failure")},
 		"rename never lands": {RenameErr: errors.New("injected rename failure")},
 	}
-	for name, f := range steps {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			for seg, data := range segs {
-				if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
-					t.Fatal(err)
+	for _, kind := range kinds {
+		for name, f := range steps {
+			t.Run(kind.prefix+name, func(t *testing.T) {
+				dir := t.TempDir()
+				for seg, data := range kind.segs {
+					if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			disk := NewDisk(nil)
-			disk.Set(f)
-			if l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2, FS: disk}); err == nil {
-				_ = l.Close()
-				t.Fatal("open succeeded through the fault")
-			}
-			for seg, data := range segs {
-				if got, err := os.ReadFile(filepath.Join(dir, seg)); err != nil || !bytes.Equal(got, data) {
-					t.Fatalf("%s after the interrupted upgrade: %v, %d bytes (was %d)", seg, err, len(got), len(data))
+				disk := NewDisk(nil)
+				disk.Set(f)
+				l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2, FS: disk})
+				if err == nil {
+					_ = l.Close()
+					if !kind.bumped || f.RenameErr == nil {
+						t.Fatal("open succeeded through the fault")
+					}
 				}
-			}
-			served(t, dir)
-		})
+				for seg, data := range kind.segs {
+					got, err := os.ReadFile(filepath.Join(dir, seg))
+					bumped := kind.bumped && err == nil && len(got) == len(data) && got[4] == 2 &&
+						bytes.Equal(got[:4], data[:4]) && bytes.Equal(got[5:], data[5:])
+					if err != nil || !bytes.Equal(got, data) && !bumped {
+						t.Fatalf("%s after the interrupted upgrade: %v, %d bytes (was %d)", seg, err, len(got), len(data))
+					}
+				}
+				served(t, dir, kind.served, len(kind.recs), len(kind.segs))
+			})
+		}
 	}
 	t.Run("half upgraded", func(t *testing.T) {
-		dir := t.TempDir()
+		dir, segs := t.TempDir(), kinds[0].segs
 		first, second := "00000000000000000000.seg", "00000000000000000002.seg"
 		if err := os.WriteFile(filepath.Join(dir, first), segs[first], 0o644); err != nil {
 			t.Fatal(err)
@@ -276,7 +326,7 @@ func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, "00000000000000000002.seg.upgrade"), []byte("half a new segment"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		served(t, dir)
+		served(t, dir, kinds[0].served, len(recs), len(segs))
 	})
 }
 
@@ -312,7 +362,14 @@ func TestOpenReadErrorLeavesFilesAlone(t *testing.T) {
 	for name, dir := range map[string]string{"current": current, "headerless": headerless} {
 		t.Run(name, func(t *testing.T) {
 			before := readDirFiles(t, dir)
-			for _, readBytes := range []int{0, 20, 200} {
+			// Cut points from the segments' real sizes, so each read fails
+			// short of the file: at once, inside the 16-byte header (or the
+			// first legacy frame), half way through the smallest segment.
+			smallest := math.MaxInt
+			for _, data := range before {
+				smallest = min(smallest, len(data))
+			}
+			for _, readBytes := range []int{0, 8, smallest / 2} {
 				disk := NewDisk(nil)
 				disk.Set(DiskFaults{ReadErr: syscall.EIO, ReadBytes: readBytes})
 				if l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 8, FS: disk}); !errors.Is(err, syscall.EIO) {
