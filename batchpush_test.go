@@ -135,19 +135,6 @@ func TestPushBatchZeroTimeEvents(t *testing.T) {
 	requireSameRun(t, cfg, events, func(int) int { return len(events) })
 }
 
-func TestPushBatchStratifiedFallback(t *testing.T) {
-	// Sessions with a stratifier take the per-record path inside
-	// PushBatch; the observable behavior must still match Push exactly
-	// (neither can snapshot).
-	rng := rand.New(rand.NewSource(3))
-	cfg := SessionConfig{
-		WindowSize: 2 * time.Second, WindowSlide: time.Second,
-		Stratify: StratifyQuantile, StratifyK: 3, Seed: 5,
-	}
-	events := randomEvents(rng, 800)
-	requireSameRun(t, cfg, events, func(int) int { return 1 + rng.Intn(100) })
-}
-
 func TestPushBatchRangeClamping(t *testing.T) {
 	s := NewSession(SessionConfig{})
 	b := NewEventBatch()

@@ -2,7 +2,6 @@ package streamapprox
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -13,26 +12,21 @@ import (
 	"streamapprox/internal/xrand"
 )
 
-// ErrSnapshotUnsupported is returned by Snapshot for sessions using
-// auto-stratification, whose stratifier state is not checkpointable yet.
-var ErrSnapshotUnsupported = errors.New("streamapprox: snapshot of auto-stratified sessions is not supported")
-
 // sessionState is the serialized form of a Session, versioned so the
 // format can evolve.
 type sessionState struct {
 	Version int `json:"version"`
 
-	Query           Query       `json:"query"`
-	WindowSizeNS    int64       `json:"windowSizeNs"`
-	WindowSlideNS   int64       `json:"windowSlideNs"`
-	Fraction        float64     `json:"fraction"`
-	TargetError     float64     `json:"targetError"`
-	TargetLatencyNS int64       `json:"targetLatencyNs,omitempty"`
-	Confidence      Confidence  `json:"confidence"`
-	HistogramEdges  []float64   `json:"histogramEdges,omitempty"`
-	Seed            uint64      `json:"seed"`
-	RNG             xrand.State `json:"rng"`
-	ControllerFrac  float64     `json:"controllerFraction"`
+	Query          Query       `json:"query"`
+	WindowSizeNS   int64       `json:"windowSizeNs"`
+	WindowSlideNS  int64       `json:"windowSlideNs"`
+	Fraction       float64     `json:"fraction"`
+	TargetError    float64     `json:"targetError"`
+	Confidence     Confidence  `json:"confidence"`
+	HistogramEdges []float64   `json:"histogramEdges,omitempty"`
+	Seed           uint64      `json:"seed"`
+	RNG            xrand.State `json:"rng"`
+	ControllerFrac float64     `json:"controllerFraction"`
 
 	SegStart  time.Time            `json:"segStart"`
 	SegCount  int                  `json:"segCount"`
@@ -120,34 +114,30 @@ func upgradeRows(data []byte, st *sessionState) error {
 // private session it would be with a copy of its leader's sampler and
 // random state.
 func (s *Session) Snapshot() ([]byte, error) {
-	if s.stratifier != nil {
-		return nil, ErrSnapshotUnsupported
-	}
 	src := s // whose sampler and random state s samples with
 	if s.leader != nil {
 		src = s.leader
 	}
 	st := sessionState{
-		Version:         snapshotVersion,
-		Query:           s.cfg.Query,
-		WindowSizeNS:    int64(s.cfg.WindowSize),
-		WindowSlideNS:   int64(s.cfg.WindowSlide),
-		Fraction:        s.cfg.Fraction,
-		TargetError:     s.cfg.TargetError,
-		TargetLatencyNS: int64(s.cfg.TargetLatency),
-		Confidence:      s.cfg.Confidence,
-		HistogramEdges:  s.cfg.HistogramEdges,
-		Seed:            s.cfg.Seed,
-		RNG:             src.rng.State(),
-		ControllerFrac:  s.Fraction(),
-		SegStart:        s.segStart,
-		SegCount:        s.segCount,
-		LastCount:       s.lastCount,
-		Watermark:       s.watermark,
-		Late:            s.late,
-		Panes:           s.panes,
-		Fired:           s.fired,
-		Ready:           s.ready,
+		Version:        snapshotVersion,
+		Query:          s.cfg.Query,
+		WindowSizeNS:   int64(s.cfg.WindowSize),
+		WindowSlideNS:  int64(s.cfg.WindowSlide),
+		Fraction:       s.cfg.Fraction,
+		TargetError:    s.cfg.TargetError,
+		Confidence:     s.cfg.Confidence,
+		HistogramEdges: s.cfg.HistogramEdges,
+		Seed:           s.cfg.Seed,
+		RNG:            src.rng.State(),
+		ControllerFrac: s.Fraction(),
+		SegStart:       s.segStart,
+		SegCount:       s.segCount,
+		LastCount:      s.lastCount,
+		Watermark:      s.watermark,
+		Late:           s.late,
+		Panes:          s.panes,
+		Fired:          s.fired,
+		Ready:          s.ready,
 	}
 	if src.sampler != nil {
 		samplerState := src.sampler.State()
@@ -162,8 +152,10 @@ func (s *Session) Snapshot() ([]byte, error) {
 // the adaptive fraction are all recovered. Older snapshots are upgraded
 // here, once: versions 1 and 2 keep each sampled row's value, and
 // version 1, which carries each pending window's sub-samples, is
-// summarised on load. A reservoir no sampler could have written (see
-// sampling.ReservoirState.Validate) fails the restore.
+// summarised on load. A snapshot's targetLatencyNs, written by sessions
+// that could cap a segment's sample at a latency target, is ignored: the
+// session runs without the cap. A reservoir no sampler could have
+// written (see sampling.ReservoirState.Validate) fails the restore.
 func RestoreSession(data []byte) (*Session, error) {
 	var st sessionState
 	if err := json.Unmarshal(data, &st); err != nil {
@@ -177,16 +169,12 @@ func RestoreSession(data []byte) (*Session, error) {
 			return nil, err
 		}
 	}
-	// The latency cost model (if any) is rebuilt empty: it re-fits from
-	// the first post-restore segment, which is cheap and avoids
-	// serializing a wall-clock-dependent model.
 	s := NewSession(SessionConfig{
 		Query:          st.Query,
 		WindowSize:     time.Duration(st.WindowSizeNS),
 		WindowSlide:    time.Duration(st.WindowSlideNS),
 		Fraction:       st.Fraction,
 		TargetError:    st.TargetError,
-		TargetLatency:  time.Duration(st.TargetLatencyNS),
 		Confidence:     st.Confidence,
 		HistogramEdges: st.HistogramEdges,
 		Seed:           st.Seed,

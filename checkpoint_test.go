@@ -2,7 +2,6 @@ package streamapprox
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
 	"testing"
 	"time"
@@ -107,14 +106,6 @@ func TestSnapshotPreservesAdaptiveFraction(t *testing.T) {
 	}
 	if math.Abs(r.Fraction()-grown) > 1e-12 {
 		t.Errorf("restored fraction %v, want %v", r.Fraction(), grown)
-	}
-}
-
-func TestSnapshotAutoStratifiedUnsupported(t *testing.T) {
-	s := NewSession(SessionConfig{Stratify: StratifyQuantile, Seed: 3})
-	_ = s.Push(Event{Stratum: "", Value: 1, Time: time.Now()})
-	if _, err := s.Snapshot(); !errors.Is(err, ErrSnapshotUnsupported) {
-		t.Errorf("Snapshot on auto-stratified session: %v", err)
 	}
 }
 

@@ -228,7 +228,6 @@ func TestFollowRefusesUnlikeSessions(t *testing.T) {
 		"fraction":     {Query: Sum, WindowSize: 2 * time.Second, WindowSlide: time.Second, Fraction: 0.4},
 		"slide":        {Query: Sum, WindowSize: 2 * time.Second, WindowSlide: 2 * time.Second, Fraction: 0.5},
 		"target error": {Query: Sum, WindowSize: 2 * time.Second, WindowSlide: time.Second, Fraction: 0.5, TargetError: 0.05},
-		"stratify":     {Query: Sum, WindowSize: 2 * time.Second, WindowSlide: time.Second, Fraction: 0.5, Stratify: StratifyQuantile},
 	} {
 		if NewSession(cfg).Follow(NewSession(base)) || NewSession(base).Follow(NewSession(cfg)) {
 			t.Errorf("%s: unlike sessions followed", name)

@@ -224,6 +224,49 @@ func TestRestoreV3Golden(t *testing.T) {
 	}
 }
 
+// testdata/session_v3_latency.json was written at commit 2bf0212, the last
+// one whose sessions could cap a segment's sample at a latency target: a
+// Sum session of goldenConfig with a 5 ms target, snapshotted after
+// goldenCut chunks of goldenStream (mid-segment), and the windows that
+// writer's restore produced afterwards. Sessions no longer carry the cap:
+// the snapshot's targetLatencyNs is ignored, so the fixture continues to
+// the windows of the same bytes without that key, and those are the
+// windows recorded.
+func TestRestoreTargetLatencySnapshot(t *testing.T) {
+	data, err := os.ReadFile("testdata/session_v3_latency.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gc goldenCase
+	if err := json.Unmarshal(data, &gc); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(gc.Snapshot, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if string(fields["targetLatencyNs"]) != "5000000" {
+		t.Fatalf("fixture's targetLatencyNs is %s, want 5000000", fields["targetLatencyNs"])
+	}
+	delete(fields, "targetLatencyNs")
+	stripped, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := goldenStream()
+	chunks := (len(events) + goldenChunk - 1) / goldenChunk
+	run := func(snap []byte) []WindowResult {
+		s, err := RestoreSession(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(goldenPush(t, s, events, goldenCut, chunks), s.Close()...)
+	}
+	got := run(gc.Snapshot)
+	requireSameWindows(t, "latency snapshot vs recorded", got, gc.Windows)
+	requireSameWindows(t, "latency snapshot vs without the key", got, run(stripped))
+}
+
 func snapshotVersionOf(t *testing.T, snap []byte) int {
 	t.Helper()
 	var head struct {

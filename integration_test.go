@@ -408,48 +408,3 @@ func TestHistogramQuery(t *testing.T) {
 		}
 	}
 }
-
-// TestSessionAutoStratify checks that k-means auto-stratification keeps
-// estimates sane on an unlabeled bimodal stream: the clustering isolates
-// the rare huge-value mode into its own stratum, which OASRS then never
-// overlooks. (Quantile binning cannot isolate a 2% tail — its edges sit
-// inside the bulk — so this workload specifically wants k-means.)
-func TestSessionAutoStratify(t *testing.T) {
-	rng := xrand.New(31)
-	s := NewSession(SessionConfig{
-		Fraction:  0.3,
-		Stratify:  StratifyKMeans,
-		StratifyK: 2,
-		Seed:      6,
-	})
-	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
-	var trueTotal float64
-	var events []Event
-	for ms := 0; ms < 30000; ms++ {
-		v := rng.Gaussian(10, 2)
-		if ms%50 == 0 {
-			v = rng.Gaussian(100000, 500) // rare huge values
-		}
-		e := Event{Value: v, Time: base.Add(time.Duration(ms) * time.Millisecond)}
-		events = append(events, e)
-		trueTotal += v
-	}
-	for _, e := range events {
-		if err := s.Push(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	results := s.Close()
-	if len(results) == 0 {
-		t.Fatal("no windows")
-	}
-	// Sum the tumbling-equivalent: every event is in exactly 2 windows,
-	// so Σ window sums = 2 × total (modulo stream edges).
-	var estTotal float64
-	for _, r := range results {
-		estTotal += r.Overall.Value
-	}
-	if rel := math.Abs(estTotal/2-trueTotal) / trueTotal; rel > 0.05 {
-		t.Errorf("auto-stratified total = %v, true %v (rel %.3f)", estTotal/2, trueTotal, rel)
-	}
-}

@@ -6,91 +6,41 @@
 //
 // Controller is a bounded multiplicative-increase / additive-decrease
 // loop over the sampling fraction: when the observed relative error bound
-// exceeds the target, the fraction grows by GrowFactor; when it is
-// comfortably below target (under Slack·target), the fraction decays by
-// ShrinkStep to reclaim throughput.
+// exceeds the target, the fraction grows by a factor of 1.5; when it is
+// comfortably below target (under half of it), the fraction decays by
+// 0.05 to reclaim throughput. The fraction stays within [0.01, 1]. A
+// Session with a TargetError and the server's budget scheduler are its
+// two users, and both run it with these constants.
 package adaptive
+
+// The controller's fixed tunables.
+const (
+	minFraction = 0.01
+	maxFraction = 1.0
+	growFactor  = 1.5
+	shrinkStep  = 0.05
+	slack       = 0.5 // shrink when the error is under slack × target
+)
 
 // Controller re-tunes the sampling fraction from observed error bounds.
 // The zero value is not usable; construct with NewController.
 type Controller struct {
-	target     float64
-	minFrac    float64
-	maxFrac    float64
-	growFactor float64
-	shrinkStep float64
-	slack      float64
-
-	fraction    float64
-	adjustments int
-}
-
-// Option configures a Controller.
-type Option func(*Controller)
-
-// WithBounds clamps the fraction to [min, max].
-func WithBounds(minFrac, maxFrac float64) Option {
-	return func(c *Controller) {
-		c.minFrac = minFrac
-		c.maxFrac = maxFrac
-	}
-}
-
-// WithGrowFactor sets the multiplicative increase applied when the error
-// exceeds the target (default 1.5).
-func WithGrowFactor(f float64) Option {
-	return func(c *Controller) {
-		if f > 1 {
-			c.growFactor = f
-		}
-	}
-}
-
-// WithShrinkStep sets the additive decrease applied when the error is
-// comfortably below target (default 0.05).
-func WithShrinkStep(s float64) Option {
-	return func(c *Controller) {
-		if s > 0 {
-			c.shrinkStep = s
-		}
-	}
-}
-
-// WithSlack sets the fraction of the target below which the controller
-// starts shrinking (default 0.5: shrink when error < target/2).
-func WithSlack(s float64) Option {
-	return func(c *Controller) {
-		if s > 0 && s < 1 {
-			c.slack = s
-		}
-	}
+	target   float64
+	fraction float64
 }
 
 // NewController returns a controller targeting the given relative error
 // bound (e.g. 0.01 for 1%), starting at the initial sampling fraction.
-func NewController(targetError, initialFraction float64, opts ...Option) *Controller {
-	c := &Controller{
-		target:     targetError,
-		minFrac:    0.01,
-		maxFrac:    1.0,
-		growFactor: 1.5,
-		shrinkStep: 0.05,
-		slack:      0.5,
-		fraction:   initialFraction,
-	}
-	for _, opt := range opts {
-		opt(c)
-	}
-	c.fraction = c.clamp(c.fraction)
-	return c
+func NewController(targetError, initialFraction float64) *Controller {
+	return &Controller{target: targetError, fraction: clamp(initialFraction)}
 }
 
-func (c *Controller) clamp(f float64) float64 {
-	if f < c.minFrac {
-		return c.minFrac
+func clamp(f float64) float64 {
+	if f < minFraction {
+		return minFraction
 	}
-	if f > c.maxFrac {
-		return c.maxFrac
+	if f > maxFraction {
+		return maxFraction
 	}
 	return f
 }
@@ -98,19 +48,15 @@ func (c *Controller) clamp(f float64) float64 {
 // Fraction returns the current sampling fraction.
 func (c *Controller) Fraction() float64 { return c.fraction }
 
-// SetFraction overrides the current fraction (clamped to the
-// controller's bounds) without counting an adjustment. An external
-// scheduler apportioning a shared budget across many controllers uses
-// this to re-base each one at its granted share every control interval,
-// so the local feedback loop continues from the granted operating point
-// instead of fighting the global allocation.
-func (c *Controller) SetFraction(f float64) { c.fraction = c.clamp(f) }
+// SetFraction overrides the current fraction (clamped to [0.01, 1]). An
+// external scheduler apportioning a shared budget across many
+// controllers uses this to re-base each one at its granted share every
+// control interval, so the local feedback loop continues from the
+// granted operating point instead of fighting the global allocation.
+func (c *Controller) SetFraction(f float64) { c.fraction = clamp(f) }
 
 // Target returns the target relative error.
 func (c *Controller) Target() float64 { return c.target }
-
-// Adjustments returns how many times the fraction changed.
-func (c *Controller) Adjustments() int { return c.adjustments }
 
 // Observe feeds the relative error bound of the last interval
 // (bound/|value|) and returns the fraction to use next interval.
@@ -118,15 +64,11 @@ func (c *Controller) Observe(relativeError float64) float64 {
 	if relativeError < 0 {
 		return c.fraction
 	}
-	old := c.fraction
 	switch {
 	case relativeError > c.target:
-		c.fraction = c.clamp(c.fraction * c.growFactor)
-	case relativeError < c.target*c.slack:
-		c.fraction = c.clamp(c.fraction - c.shrinkStep)
-	}
-	if c.fraction != old {
-		c.adjustments++
+		c.fraction = clamp(c.fraction * growFactor)
+	case relativeError < c.target*slack:
+		c.fraction = clamp(c.fraction - shrinkStep)
 	}
 	return c.fraction
 }

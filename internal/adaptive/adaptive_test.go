@@ -12,9 +12,6 @@ func TestGrowOnHighError(t *testing.T) {
 	if next <= 0.2 {
 		t.Errorf("fraction did not grow: %v", next)
 	}
-	if c.Adjustments() != 1 {
-		t.Errorf("Adjustments = %d", c.Adjustments())
-	}
 }
 
 func TestShrinkOnLowError(t *testing.T) {
@@ -31,43 +28,41 @@ func TestDeadBandHolds(t *testing.T) {
 	if next := c.Observe(0.008); next != 0.5 {
 		t.Errorf("fraction changed inside dead band: %v", next)
 	}
-	if c.Adjustments() != 0 {
-		t.Errorf("Adjustments = %d", c.Adjustments())
-	}
 }
 
 func TestSetFractionRebases(t *testing.T) {
-	c := NewController(0.01, 0.5, WithBounds(0.1, 0.9))
+	c := NewController(0.01, 0.5)
 	c.SetFraction(0.3)
 	if c.Fraction() != 0.3 {
 		t.Errorf("Fraction = %v after SetFraction(0.3)", c.Fraction())
 	}
-	if c.Adjustments() != 0 {
-		t.Errorf("SetFraction counted as adjustment: %d", c.Adjustments())
+	// Clamped to [0.01, 1], and the local loop continues from the new base.
+	c.SetFraction(2)
+	if c.Fraction() != 1 {
+		t.Errorf("SetFraction above max gave %v, want 1", c.Fraction())
 	}
-	// Clamped to bounds, and the local loop continues from the new base.
-	c.SetFraction(0.01)
-	if c.Fraction() != 0.1 {
-		t.Errorf("SetFraction below min gave %v, want 0.1", c.Fraction())
+	c.SetFraction(0.001)
+	if c.Fraction() != 0.01 {
+		t.Errorf("SetFraction below min gave %v, want 0.01", c.Fraction())
 	}
-	if next := c.Observe(0.05); next <= 0.1 {
-		t.Errorf("controller stuck after rebase: %v", next)
+	if next := c.Observe(0.05); math.Abs(next-0.015) > 1e-12 {
+		t.Errorf("controller after rebase at 0.01 grew to %v, want 0.015", next)
 	}
 }
 
 func TestBoundsRespected(t *testing.T) {
-	c := NewController(0.01, 0.9, WithBounds(0.1, 0.95))
+	c := NewController(0.01, 0.9)
 	for i := 0; i < 20; i++ {
 		c.Observe(1.0) // always over target
 	}
-	if c.Fraction() > 0.95 {
-		t.Errorf("fraction exceeded max: %v", c.Fraction())
+	if c.Fraction() != 1 {
+		t.Errorf("fraction under constant over-target error: %v, want max 1", c.Fraction())
 	}
 	for i := 0; i < 100; i++ {
 		c.Observe(0)
 	}
-	if c.Fraction() < 0.1 {
-		t.Errorf("fraction fell below min: %v", c.Fraction())
+	if c.Fraction() != 0.01 {
+		t.Errorf("fraction under constant zero error: %v, want min 0.01", c.Fraction())
 	}
 }
 
@@ -85,24 +80,25 @@ func TestNegativeErrorIgnored(t *testing.T) {
 	}
 }
 
-func TestOptions(t *testing.T) {
-	c := NewController(0.01, 0.2,
-		WithGrowFactor(3),
-		WithShrinkStep(0.2),
-		WithSlack(0.9),
-	)
-	if got := c.Observe(0.05); math.Abs(got-0.6) > 1e-12 {
-		t.Errorf("grow factor 3: got %v, want 0.6", got)
-	}
-	if got := c.Observe(0.008); math.Abs(got-0.4) > 1e-12 { // below 0.9*0.01 -> shrink 0.2
-		t.Errorf("shrink step 0.2: got %v, want 0.4", got)
-	}
-}
-
-func TestInvalidOptionsIgnored(t *testing.T) {
-	c := NewController(0.01, 0.2, WithGrowFactor(0.5), WithShrinkStep(-1), WithSlack(2))
-	if got := c.Observe(1.0); math.Abs(got-0.3) > 1e-12 {
-		t.Errorf("default grow factor should apply: %v", got)
+// TestFixedSteps pins the controller's constants, which the session and
+// the budget scheduler both run with: grow by 1.5 over the target, shrink
+// by 0.05 under half of it, hold in between.
+func TestFixedSteps(t *testing.T) {
+	for _, tc := range []struct {
+		from, err, want float64
+	}{
+		{0.2, 0.05, 0.3},    // over target
+		{0.8, 0.004, 0.75},  // under half the target
+		{0.5, 0.006, 0.5},   // dead band
+		{0.5, 0.01, 0.5},    // at the target
+		{0.5, 0.005, 0.5},   // at half the target
+		{0.8, 0.02, 1},      // grown past the max
+		{0.04, 0.001, 0.01}, // shrunk past the min
+	} {
+		c := NewController(0.01, tc.from)
+		if got := c.Observe(tc.err); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("from %v at error %v: got %v, want %v", tc.from, tc.err, got, tc.want)
+		}
 	}
 }
 
@@ -116,10 +112,10 @@ func TestTargetAccessor(t *testing.T) {
 // error sequence.
 func TestFractionAlwaysBounded(t *testing.T) {
 	if err := quick.Check(func(errs []float64) bool {
-		c := NewController(0.01, 0.5, WithBounds(0.05, 1.0))
+		c := NewController(0.01, 0.5)
 		for _, e := range errs {
 			f := c.Observe(e)
-			if f < 0.05 || f > 1.0 {
+			if f < 0.01 || f > 1.0 {
 				return false
 			}
 		}

@@ -1,174 +1,8 @@
-// Package budget implements the virtual cost function of §2.3/§7: it
-// translates a user-specified query budget — a sampling fraction, a
-// desired accuracy (confidence-interval width), a latency target, or an
-// available-resource allowance — into the sample size OASRS should use
-// for the next interval.
-//
-// The paper leaves the cost function abstract and sketches three
-// realizations in §7; all three are implemented here:
-//
-//   - accuracy budget: invert Equation 9 / the 68-95-99.7 rule to find
-//     the per-stratum sample size achieving a desired interval width;
-//   - latency budget: a resource-prediction model fitted online from
-//     observed (items, latency) pairs, as in Conductor/Wieder et al.;
-//   - resource budget: a Pulsar-style multi-resource token bucket where
-//     each item costs tokens and the refill rate is the allowance.
+// Package budget holds the resource side of §7's cost function: a
+// Pulsar-style token bucket where each sampled item costs tokens and the
+// refill rate is the allowance. The server's cross-query scheduler draws
+// its global sample allowance from it.
 package budget
-
-import (
-	"math"
-	"time"
-)
-
-// Budget converts a query budget into a total sample size for one
-// interval, given the interval's expected item count.
-type Budget interface {
-	// SampleSize returns the total number of items to sample out of an
-	// interval expected to carry expectedItems items.
-	SampleSize(expectedItems int) int
-}
-
-// Fraction is the simplest budget: sample a fixed fraction of the input,
-// the knob the paper sweeps in every throughput/accuracy experiment.
-type Fraction float64
-
-var _ Budget = Fraction(0)
-
-// SampleSize implements Budget.
-func (f Fraction) SampleSize(expectedItems int) int {
-	fr := float64(f)
-	if fr < 0 {
-		fr = 0
-	}
-	if fr > 1 {
-		fr = 1
-	}
-	n := int(math.Ceil(fr * float64(expectedItems)))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// Accuracy sizes the sample so the half-width of the confidence interval
-// of the MEAN is at most Target (relative to the mean when Relative is
-// true, absolute otherwise). It inverts the single-stratum simplification
-// of Eq. 9 with the finite-population correction:
-//
-//	bound = z·s/√n·√((C−n)/C)  ≤  target
-//	   n  ≥  1 / (target²/(z²·s²) + 1/C)
-//
-// The population stddev s and (for relative targets) the mean are taken
-// from the previous interval's observations via Observe; until the first
-// observation a conservative default fraction is used.
-type Accuracy struct {
-	Target   float64
-	Relative bool
-	Sigmas   float64 // z: 1, 2 or 3 per the 68-95-99.7 rule
-
-	stddev float64
-	mean   float64
-	seeded bool
-}
-
-var _ Budget = (*Accuracy)(nil)
-
-// NewAccuracy returns an accuracy budget with a z of 2 (95% confidence).
-func NewAccuracy(target float64, relative bool) *Accuracy {
-	return &Accuracy{Target: target, Relative: relative, Sigmas: 2}
-}
-
-// Observe feeds the previous interval's sample statistics.
-func (a *Accuracy) Observe(mean, stddev float64) {
-	a.mean = mean
-	a.stddev = stddev
-	a.seeded = true
-}
-
-// SampleSize implements Budget.
-func (a *Accuracy) SampleSize(expectedItems int) int {
-	if expectedItems < 1 {
-		return 1
-	}
-	if !a.seeded || a.Target <= 0 {
-		// No statistics yet: sample conservatively (60%, the paper's
-		// default operating point) until Observe seeds the model.
-		return Fraction(0.6).SampleSize(expectedItems)
-	}
-	target := a.Target
-	if a.Relative {
-		target *= math.Abs(a.mean)
-	}
-	if target <= 0 || a.stddev <= 0 {
-		return expectedItems
-	}
-	z := a.Sigmas
-	if z <= 0 {
-		z = 2
-	}
-	c := float64(expectedItems)
-	denom := target*target/(z*z*a.stddev*a.stddev) + 1/c
-	n := int(math.Ceil(1 / denom))
-	if n < 1 {
-		n = 1
-	}
-	if n > expectedItems {
-		n = expectedItems
-	}
-	return n
-}
-
-// Latency predicts how many items can be processed within a latency
-// target from a per-item cost model fitted online (exponentially weighted
-// mean of observed per-item processing time), following the
-// resource-prediction approach of §7.
-type Latency struct {
-	Target time.Duration
-
-	perItem float64 // EWMA of seconds per item
-	alpha   float64
-	seeded  bool
-}
-
-var _ Budget = (*Latency)(nil)
-
-// NewLatency returns a latency budget with smoothing factor 0.3.
-func NewLatency(target time.Duration) *Latency {
-	return &Latency{Target: target, alpha: 0.3}
-}
-
-// Observe feeds one interval's measurement: processing `items` items took
-// `elapsed`.
-func (l *Latency) Observe(items int, elapsed time.Duration) {
-	if items <= 0 || elapsed <= 0 {
-		return
-	}
-	sample := elapsed.Seconds() / float64(items)
-	if !l.seeded {
-		l.perItem = sample
-		l.seeded = true
-		return
-	}
-	l.perItem = l.alpha*sample + (1-l.alpha)*l.perItem
-}
-
-// SampleSize implements Budget.
-func (l *Latency) SampleSize(expectedItems int) int {
-	if expectedItems < 1 {
-		return 1
-	}
-	if !l.seeded || l.perItem <= 0 || l.Target <= 0 {
-		return Fraction(0.6).SampleSize(expectedItems)
-	}
-	n := int(l.Target.Seconds() / l.perItem)
-	if n < 1 {
-		n = 1
-	}
-	if n > expectedItems {
-		n = expectedItems
-	}
-	return n
-}
 
 // Tokens is a Pulsar-style resource budget: a token bucket refilled at
 // Rate tokens per interval with capacity Burst; each sampled item costs
@@ -182,8 +16,6 @@ type Tokens struct {
 	balance float64
 }
 
-var _ Budget = (*Tokens)(nil)
-
 // NewTokens returns a token budget starting with a full bucket.
 func NewTokens(rate, burst, costPerItem float64) *Tokens {
 	if costPerItem <= 0 {
@@ -195,11 +27,9 @@ func NewTokens(rate, burst, costPerItem float64) *Tokens {
 	return &Tokens{Rate: rate, Burst: burst, CostPerItem: costPerItem, balance: burst}
 }
 
-// Balance returns the current token balance.
-func (t *Tokens) Balance() float64 { return t.balance }
-
-// SampleSize implements Budget: it spends tokens for the affordable
-// sample and refills the bucket for the next interval.
+// SampleSize returns the number of items to sample out of an interval
+// expected to carry expectedItems items: it spends tokens for the
+// affordable sample and refills the bucket for the next interval.
 func (t *Tokens) SampleSize(expectedItems int) int {
 	if expectedItems < 1 {
 		expectedItems = 1

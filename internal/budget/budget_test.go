@@ -1,120 +1,6 @@
 package budget
 
-import (
-	"testing"
-	"time"
-)
-
-func TestFraction(t *testing.T) {
-	for _, tc := range []struct {
-		f    Fraction
-		n    int
-		want int
-	}{
-		{0.6, 1000, 600},
-		{0.1, 1000, 100},
-		{1.0, 1000, 1000},
-		{0.0, 1000, 1},    // floor of one item
-		{-0.5, 1000, 1},   // clamped
-		{1.5, 1000, 1000}, // clamped
-		{0.5, 7, 4},
-	} {
-		if got := tc.f.SampleSize(tc.n); got != tc.want {
-			t.Errorf("Fraction(%v).SampleSize(%d) = %d, want %d", tc.f, tc.n, got, tc.want)
-		}
-	}
-}
-
-func TestAccuracyUnseededDefaults(t *testing.T) {
-	a := NewAccuracy(0.01, true)
-	if got := a.SampleSize(1000); got != 600 {
-		t.Errorf("unseeded accuracy budget = %d, want conservative 600", got)
-	}
-}
-
-func TestAccuracyShrinksWithLooserTarget(t *testing.T) {
-	tight := NewAccuracy(0.001, true)
-	loose := NewAccuracy(0.1, true)
-	tight.Observe(100, 50)
-	loose.Observe(100, 50)
-	nTight := tight.SampleSize(100000)
-	nLoose := loose.SampleSize(100000)
-	if nTight <= nLoose {
-		t.Errorf("tighter target should need a bigger sample: tight=%d loose=%d", nTight, nLoose)
-	}
-}
-
-func TestAccuracyAbsoluteTarget(t *testing.T) {
-	a := NewAccuracy(1.0, false) // bound mean to ±1 absolute
-	a.Observe(1000, 100)
-	n := a.SampleSize(1000000)
-	// n ≈ z²s²/target² = 4*10000/1 = 40000 (fpc negligible at 1e6).
-	if n < 30000 || n > 50000 {
-		t.Errorf("absolute accuracy sample = %d, want ≈40000", n)
-	}
-}
-
-func TestAccuracyCapsAtPopulation(t *testing.T) {
-	a := NewAccuracy(1e-12, false)
-	a.Observe(100, 50)
-	if got := a.SampleSize(500); got != 500 {
-		t.Errorf("impossible target should sample everything: %d", got)
-	}
-}
-
-func TestAccuracyDegenerateStats(t *testing.T) {
-	a := NewAccuracy(0.01, true)
-	a.Observe(100, 0) // zero variance: everything is exact
-	if got := a.SampleSize(1000); got != 1000 {
-		t.Errorf("zero-stddev population: got %d", got)
-	}
-	if got := a.SampleSize(0); got != 1 {
-		t.Errorf("empty interval: got %d", got)
-	}
-}
-
-func TestLatencyUnseededDefaults(t *testing.T) {
-	l := NewLatency(time.Second)
-	if got := l.SampleSize(1000); got != 600 {
-		t.Errorf("unseeded latency budget = %d, want 600", got)
-	}
-}
-
-func TestLatencyFromObservations(t *testing.T) {
-	l := NewLatency(100 * time.Millisecond)
-	l.Observe(1000, time.Second) // 1ms per item -> 100 items fit in 100ms
-	if got := l.SampleSize(10000); got != 100 {
-		t.Errorf("latency budget = %d, want 100", got)
-	}
-}
-
-func TestLatencyEWMASmoothing(t *testing.T) {
-	l := NewLatency(time.Second)
-	l.Observe(1000, time.Second)          // 1 ms/item
-	l.Observe(1000, 100*time.Millisecond) // burst of speed: 0.1 ms/item
-	got := l.SampleSize(1 << 30)
-	// EWMA(0.3): 0.3*0.1ms + 0.7*1ms = 0.73 ms/item -> ~1369 items/sec.
-	if got < 1200 || got > 1500 {
-		t.Errorf("EWMA sample size = %d, want ≈1369", got)
-	}
-}
-
-func TestLatencyIgnoresBadObservations(t *testing.T) {
-	l := NewLatency(time.Second)
-	l.Observe(0, time.Second)
-	l.Observe(100, 0)
-	if got := l.SampleSize(1000); got != 600 {
-		t.Errorf("bad observations should leave model unseeded: %d", got)
-	}
-}
-
-func TestLatencyCapsAtPopulation(t *testing.T) {
-	l := NewLatency(time.Hour)
-	l.Observe(1000, time.Millisecond)
-	if got := l.SampleSize(500); got != 500 {
-		t.Errorf("latency budget exceeded population: %d", got)
-	}
-}
+import "testing"
 
 func TestTokensSpendAndRefill(t *testing.T) {
 	tk := NewTokens(100, 100, 1)
@@ -151,8 +37,8 @@ func TestTokensFloorOfOne(t *testing.T) {
 	if got := tk.SampleSize(1000); got != 1 {
 		t.Errorf("starved bucket should still sample 1, got %d", got)
 	}
-	if tk.Balance() < 0 {
-		t.Errorf("balance went negative: %v", tk.Balance())
+	if tk.balance < 0 {
+		t.Errorf("balance went negative: %v", tk.balance)
 	}
 }
 

@@ -116,8 +116,7 @@ func (s *scheduler) tick() {
 				target = defaultSchedTarget
 			}
 			st = &schedState{
-				ctrl: adaptive.NewController(target, j.spec.Fraction,
-					adaptive.WithBounds(minSchedFraction, 1)),
+				ctrl: adaptive.NewController(target, j.spec.Fraction),
 				// Seed the arrival baseline at the current counters: a
 				// restored query carries its lifetime total, which must
 				// not read as one interval's phantom demand spike.

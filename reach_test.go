@@ -1,0 +1,172 @@
+package streamapprox
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// deployments are the trees whose code sets the library up for real: the
+// daemons and tools, the examples, the serving tier and the benchmark.
+var deployments = []string{"cmd", "examples", "internal/server", "bench"}
+
+// unreachedAllowed are the exported names of this package that no
+// deployment names, each with the reason it stays.
+var unreachedAllowed = map[string]string{
+	"Engine":           "Run's engine choice; leaves with internal/core",
+	"BatchInterval":    "Run's micro-batch interval; leaves with internal/core",
+	"Batched":          "Run's engine choice; leaves with internal/core",
+	"Pipelined":        "Run's engine choice; leaves with internal/core",
+	"Stratified":       "Run's sampler choice; leaves with internal/core",
+	"None":             "Run's sampler choice; leaves with internal/core",
+	"Report":           "Run's result type, reached only through the returned value",
+	"HistogramBucket":  "a WindowResult field's element type, reached only through returned values",
+	"ErrClosedSession": "a sentinel error callers compare against",
+	"NewEventBatch":    "the only way code outside the module builds PushBatch's argument",
+}
+
+// TestExportedIdentifiersReached fails when an exported name of this
+// package — a top-level identifier, a method of an exported type, a field
+// of an exported struct — appears in no deployment's code as a selector
+// (x.Name) or a composite-literal key (T{Name: ...}), unless the
+// allow-list names it; and when an allow-listed name is reached after all
+// or is no longer declared. It matches by name alone, so an unreached
+// name that collides with a reached one (a field called Fraction, say)
+// goes unnoticed; but a reached name is never reported.
+func TestExportedIdentifiersReached(t *testing.T) {
+	declared := exportedNames(t)
+	reached := make(map[string]bool)
+	for _, dir := range deployments {
+		referencedNames(t, dir, reached)
+	}
+	var unreached []string
+	for name := range declared {
+		if !reached[name] && unreachedAllowed[name] == "" {
+			unreached = append(unreached, name)
+		}
+	}
+	if len(unreached) > 0 {
+		slices.Sort(unreached)
+		t.Errorf("exported but named by no deployment (delete them, or allow-list them with a reason): %s",
+			strings.Join(unreached, ", "))
+	}
+	for name := range unreachedAllowed {
+		switch {
+		case !declared[name]:
+			t.Errorf("allow-listed %s is no longer declared", name)
+		case reached[name]:
+			t.Errorf("allow-listed %s is named by a deployment now", name)
+		}
+	}
+}
+
+// exportedNames collects the exported names the package's non-test files
+// declare.
+func exportedNames(t *testing.T) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names[id.Name] = true
+		}
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil || receiverExported(d.Recv) {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, id := range s.Names {
+							add(id)
+						}
+					case *ast.TypeSpec:
+						add(s.Name)
+						if st, ok := s.Type.(*ast.StructType); ok && s.Name.IsExported() {
+							for _, field := range st.Fields.List {
+								for _, id := range field.Names {
+									add(id)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+func receiverExported(recv *ast.FieldList) bool {
+	typ := recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	id, ok := typ.(*ast.Ident)
+	return ok && id.IsExported()
+}
+
+// referencedNames adds to seen every selector and composite-literal key
+// in the non-test Go files under root.
+func referencedNames(t *testing.T, root string, seen map[string]bool) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				seen[n.Sel.Name] = true
+			case *ast.CompositeLit:
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							seen[id.Name] = true
+						}
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}

@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"streamapprox/internal/adaptive"
-	"streamapprox/internal/budget"
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
-	"streamapprox/internal/stratify"
 	"streamapprox/internal/stream"
 	"streamapprox/internal/window"
 	"streamapprox/internal/xrand"
@@ -31,24 +29,11 @@ type SessionConfig struct {
 	// windows; when comfortably below it, the fraction decays to reclaim
 	// throughput.
 	TargetError float64
-	// TargetLatency, when positive, bounds the *processing* time per
-	// slide segment via the §7 latency cost function: a per-item cost
-	// model is fitted online from observed segment processing times, and
-	// the next segment's sample budget is capped at what fits in the
-	// target. It composes with Fraction/TargetError: the effective
-	// budget is the minimum of the two.
-	TargetLatency time.Duration
 	// Confidence is the error-bound level (default Confidence95).
 	Confidence Confidence
 	// HistogramEdges defines the bucket edges for the Histogram query
 	// (ignored otherwise).
 	HistogramEdges []float64
-	// Stratify selects how strata are assigned when the stream has no
-	// reliable source labels (default: trust Event.Stratum).
-	Stratify Stratify
-	// StratifyK is the number of synthetic strata for StratifyQuantile /
-	// StratifyKMeans (default 4).
-	StratifyK int
 	// Seed makes the session reproducible (default 1).
 	Seed uint64
 }
@@ -76,10 +61,6 @@ type Session struct {
 	sampler    *sampling.OASRS
 	rng        *xrand.Rand
 	controller *adaptive.Controller
-	stratifier stratify.Stratifier
-	latency    *budget.Latency
-	segWork    time.Duration // processing time spent in the current segment
-	now        func() time.Time
 
 	segStart  time.Time
 	segCount  int
@@ -128,7 +109,7 @@ func NewSession(cfg SessionConfig) *Session {
 	if cfg.WindowSlide <= 0 {
 		cfg.WindowSlide = 5 * time.Second
 	}
-	if cfg.Fraction <= 0 || cfg.Fraction > 1 {
+	if !(cfg.Fraction > 0 && cfg.Fraction <= 1) {
 		cfg.Fraction = 0.6
 	}
 	if cfg.Seed == 0 {
@@ -136,9 +117,6 @@ func NewSession(cfg SessionConfig) *Session {
 	}
 	if cfg.Query == 0 {
 		cfg.Query = Sum
-	}
-	if cfg.StratifyK < 2 {
-		cfg.StratifyK = 4
 	}
 	s := &Session{
 		cfg:      cfg,
@@ -148,16 +126,6 @@ func NewSession(cfg SessionConfig) *Session {
 	}
 	if cfg.TargetError > 0 {
 		s.controller = adaptive.NewController(cfg.TargetError, cfg.Fraction)
-	}
-	switch cfg.Stratify {
-	case StratifyQuantile:
-		s.stratifier = stratify.NewQuantile(cfg.StratifyK, 64*cfg.StratifyK, 1024, s.rng.Split())
-	case StratifyKMeans:
-		s.stratifier = stratify.NewKMeans(cfg.StratifyK, s.rng.Split())
-	}
-	if cfg.TargetLatency > 0 {
-		s.latency = budget.NewLatency(cfg.TargetLatency)
-		s.now = time.Now
 	}
 	return s
 }
@@ -176,10 +144,10 @@ func (s *Session) Fraction() float64 {
 // the segment before it saw arrive. It is the control surface an
 // external budget scheduler uses to apportion a shared sampling budget
 // across many sessions; with TargetError set, the adaptive controller is
-// re-based at f and keeps adjusting from there. Values outside (0, 1]
-// are ignored.
+// re-based at f and keeps adjusting from there. Values outside (0, 1],
+// NaN among them, are ignored.
 func (s *Session) SetFraction(f float64) {
-	if f <= 0 || f > 1 {
+	if !(f > 0 && f <= 1) {
 		return
 	}
 	if f != s.cfg.Fraction {
@@ -211,8 +179,8 @@ func (s *Session) Late() int64 { return s.late }
 // Follow makes s sample through leader: every record pushed to leader
 // reaches s too, sampled once, and each segment leader finishes becomes a
 // pane of s through s's own query. It reports whether s follows: only
-// sessions with the same slide and fixed fraction (no TargetError,
-// TargetLatency or Stratify), open, not chained, and at the same point of
+// sessions with the same slide and fixed fraction (no TargetError), open,
+// not chained, and at the same point of
 // the stream — watermark, segment start, segment count, previous segment
 // count — can, and s must follow nobody yet. A follower is the session
 // it would be with a copy of its leader's sampler (what Snapshot writes
@@ -260,7 +228,7 @@ func (s *Session) leave() {
 
 // fixed reports whether s's sampler is all its sampling state.
 func (s *Session) fixed() bool {
-	return s.controller == nil && s.stratifier == nil && s.latency == nil
+	return s.controller == nil
 }
 
 // lead brings s's followers to s's point of the stream after a call that
@@ -297,17 +265,7 @@ func (s *Session) Push(e Event) error {
 		}
 	}
 	s.segCount++
-	ie := stream.Event(e)
-	if s.stratifier != nil {
-		ie.Stratum = s.stratifier.Assign(ie)
-	}
-	if s.latency != nil {
-		start := s.now()
-		s.sampler.Add(ie)
-		s.segWork += s.now().Sub(start)
-	} else {
-		s.sampler.Add(ie)
-	}
+	s.sampler.Add(stream.Event(e))
 	if e.Time.After(s.watermark) {
 		s.watermark = e.Time
 	}
@@ -328,10 +286,7 @@ func NewEventBatch() *EventBatch { return stream.GetEventBatch() }
 // batch is segmented into runs of records that fall inside the current
 // slide segment and ahead of the watermark, so the window-boundary
 // computation happens once per run instead of once per record, and each
-// run is bulk-offered to the sampler via OASRS.AddBatch. Sessions with
-// a stratifier or a latency budget take the per-record path (stratum
-// assignment must not mutate the shared batch; latency timing brackets
-// every add).
+// run is bulk-offered to the sampler via OASRS.AddBatch.
 //
 // The batch is treated as read-only; callers sharing one batch across
 // sessions Retain/Release around the call.
@@ -346,14 +301,6 @@ func (s *Session) PushBatch(b *EventBatch, from, to int) error {
 	}
 	if to > b.Len() {
 		to = b.Len()
-	}
-	if s.stratifier != nil || s.latency != nil {
-		for i := from; i < to; i++ {
-			if err := s.Push(Event(b.EventAt(i))); err != nil {
-				return err
-			}
-		}
-		return nil
 	}
 	// Watermark in unix nanos; the zero watermark (drops nothing) maps
 	// below every representable time.
@@ -500,13 +447,6 @@ func (s *Session) startSegment(seg time.Time) {
 	if size < 1 {
 		size = 64 // bootstrap before any arrival count is known
 	}
-	// The latency cost function caps the budget at what the observed
-	// per-item cost says fits in the target (§7).
-	if s.latency != nil && s.lastCount > 0 {
-		if fit := s.latency.SampleSize(s.lastCount); fit < size {
-			size = fit
-		}
-	}
 	if s.sampler == nil {
 		s.sampler = sampling.NewOASRS(size, nil, s.rng)
 		return
@@ -536,10 +476,6 @@ func (s *Session) finishSegment() {
 			f.panes = append(f.panes, pane{Start: s.segStart, Summary: f.q.Summarize(sample)})
 		}
 	})
-	if s.latency != nil && s.segCount > 0 && s.segWork > 0 {
-		s.latency.Observe(s.segCount, s.segWork)
-		s.segWork = 0
-	}
 	s.lastCount = s.segCount
 	s.panes = append(s.panes, pane{Start: s.segStart, Summary: sum})
 	// Every window that ended at or before the segment end is complete.

@@ -7,9 +7,10 @@
 // sampling each window with Online Adaptive Stratified Reservoir
 // Sampling (OASRS) and returning every result with a rigorous error
 // bound ("output ± error"). The sample size — and thus the
-// throughput/accuracy trade-off — is set by a query budget: a fixed
-// sampling fraction, a target accuracy, a latency target, or a resource
-// allowance.
+// throughput/accuracy trade-off — is set by a sampling fraction, which a
+// session's adaptive feedback loop (§4.2.1) moves toward a target
+// relative error when one is set. Strata are the events' sources, as in
+// the paper's §2.3: Event.Stratum labels each sub-stream.
 //
 // Two entry points are provided:
 //
@@ -200,20 +201,3 @@ type WindowResult struct {
 	// Sampled is the number of items the query actually processed.
 	Sampled int
 }
-
-// Stratify selects how events are assigned to strata when the stream is
-// not already stratified by source (paper §7.II).
-type Stratify int
-
-// Supported stratification modes.
-const (
-	// StratifyBySource trusts Event.Stratum (the default; §2.3's
-	// assumption that the stream is stratified by its sources).
-	StratifyBySource Stratify = iota
-	// StratifyQuantile bins events by value quantiles estimated from a
-	// bootstrap reservoir sample.
-	StratifyQuantile
-	// StratifyKMeans clusters event values online; pre-labeled events
-	// ("c00".."cNN") pin their clusters (semi-supervised).
-	StratifyKMeans
-)

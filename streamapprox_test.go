@@ -201,10 +201,17 @@ func TestSessionSetFractionAndDisableAdaptive(t *testing.T) {
 	if got := s.Fraction(); got != 0.3 {
 		t.Errorf("Fraction after SetFraction = %v, want 0.3", got)
 	}
-	s.SetFraction(0)   // out of range: ignored
-	s.SetFraction(1.5) // out of range: ignored
+	s.SetFraction(0)          // out of range: ignored
+	s.SetFraction(1.5)        // out of range: ignored
+	s.SetFraction(math.NaN()) // not a fraction: ignored
 	if got := s.Fraction(); got != 0.3 {
 		t.Errorf("Fraction after invalid SetFraction = %v, want 0.3", got)
+	}
+	if _, err := s.Snapshot(); err != nil {
+		t.Errorf("Snapshot after invalid SetFraction: %v", err)
+	}
+	if got := NewSession(SessionConfig{Fraction: math.NaN()}).Fraction(); got != 0.6 {
+		t.Errorf("NewSession with a NaN fraction: Fraction = %v, want the default 0.6", got)
 	}
 	s.DisableAdaptive()
 	if got := s.Fraction(); got != 0.3 {
