@@ -170,3 +170,56 @@ func BenchmarkSessionWindows(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkFollowerPanes is one fanout-mixed sampling group in process: a
+// sum leader and seven followers — mean, groupby-mean, a histogram, then a
+// second copy of all four — on a 5 s window sliding by 1 s. One op pushes
+// 40 one-second slides of 2000 events (six strata) through the leader and
+// polls every member, at both of the workload's fractions; ns/pane is the
+// time per finished pane of the group.
+func BenchmarkFollowerPanes(b *testing.B) {
+	const segments, perSegment = 40, 2000
+	batch := NewEventBatch()
+	defer batch.Release()
+	var ids []int32
+	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
+		ids = append(ids, batch.Intern(k))
+	}
+	for i := 0; i < segments*perSegment; i++ {
+		batch.Append(ids[i%len(ids)], float64(i%251), 0)
+	}
+	for _, fraction := range []float64{0.1, 0.8} {
+		b.Run(fmt.Sprintf("f%.0f", 100*fraction), func(b *testing.B) {
+			var group []*Session
+			for i, q := range []Query{Sum, Mean, GroupByMean, Histogram, Sum, Mean, GroupByMean, Histogram} {
+				s := NewSession(SessionConfig{Query: q, WindowSize: 5 * time.Second, WindowSlide: time.Second,
+					Fraction: fraction, HistogramEdges: []float64{0, 50, 100, 150, 200, 256}, Seed: uint64(i + 1)})
+				if i > 0 && !s.Follow(group[0]) {
+					b.Fatalf("member %d refused to follow", i)
+				}
+				group = append(group, s)
+			}
+			epoch := int64(1 << 60)
+			windows := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range batch.Times {
+					batch.Times[j] = epoch + int64(j)*int64(time.Second)/perSegment
+				}
+				epoch += segments * int64(time.Second)
+				if err := group[0].PushBatch(batch, 0, batch.Len()); err != nil {
+					b.Fatal(err)
+				}
+				for _, s := range group {
+					windows += len(s.Poll())
+				}
+			}
+			b.StopTimer()
+			if windows == 0 {
+				b.Fatal("no windows")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segments), "ns/pane")
+		})
+	}
+}

@@ -1,11 +1,13 @@
 package streamapprox
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
 	"streamapprox/internal/stream"
 )
@@ -217,6 +219,128 @@ func TestLeaderCloseLeavesFollowersUntouched(t *testing.T) {
 	got, want = append(got, a.Close()...), append(want, b.Close()...)
 	if len(got) < 50 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("follower of a closed leader served %d windows unlike an open leader's follower (%d)", len(got), len(want))
+	}
+}
+
+// shareConfigs is a leader and eight followers over every kind, at two
+// confidences and two window lengths: two histograms on followEdges, one
+// on other edges.
+func shareConfigs() []SessionConfig {
+	var out []SessionConfig
+	for i, q := range []Query{Sum, Count, Mean, GroupBySum, GroupByMean, GroupByCount, Histogram, Histogram, Histogram} {
+		out = append(out, SessionConfig{Query: q, WindowSize: time.Duration(2+3*(i%2)) * time.Second, WindowSlide: time.Second,
+			Fraction: 0.3, Confidence: []Confidence{Confidence95, Confidence997}[i%2], HistogramEdges: followEdges, Seed: uint64(7*i + 1)})
+	}
+	out[8].HistogramEdges = []float64{50, 100, 150}
+	return out
+}
+
+// summaryShape is what a config's query summarises a pane to.
+func summaryShape(cfg SessionConfig) string {
+	switch cfg.Query {
+	case Count, GroupByCount:
+		return "counts"
+	case Histogram:
+		return fmt.Sprint("hits", cfg.HistogramEdges)
+	default:
+		return "values"
+	}
+}
+
+// sharedPanes checks that two group members' panes of one segment lie on
+// one Strata array exactly when their queries summarise alike, and
+// returns how many pairs of panes do.
+func sharedPanes(t *testing.T, group []*Session, cfgs []SessionConfig) int {
+	t.Helper()
+	n := 0
+	for a := range group {
+		for b := a + 1; b < len(group); b++ {
+			for _, pa := range group[a].panes {
+				for _, pb := range group[b].panes {
+					if !pa.Start.Equal(pb.Start) || len(pa.Summary.Strata) == 0 {
+						continue
+					}
+					same := unsafe.SliceData(pa.Summary.Strata) == unsafe.SliceData(pb.Summary.Strata)
+					if alike := summaryShape(cfgs[a]) == summaryShape(cfgs[b]); same != alike {
+						t.Fatalf("pane %v of members %d and %d: one Strata array %v, alike %v", pa.Start, a, b, same, alike)
+					}
+					if same {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// A group summarises each pane once per distinct shape and shares it:
+// each member's windows are the ones its config gets following a lone
+// leader of the same seed, and a sharing follower's snapshot continues
+// with its windows.
+func TestFollowersShareOneSummaryPerShape(t *testing.T) {
+	cfgs := shareConfigs()
+	batches := followBatches(17, 90)
+	group := make([]*Session, len(cfgs))
+	leads := make([]*Session, len(cfgs))
+	lone := make([]*Session, len(cfgs)) // lone[i] follows leads[i] alone; lone[0] is leads[0]
+	for i, cfg := range cfgs {
+		group[i], leads[i] = NewSession(cfg), NewSession(cfgs[0])
+		lone[i] = leads[i]
+		if i > 0 {
+			lone[i] = NewSession(cfg)
+			if !group[i].Follow(group[0]) || !lone[i].Follow(leads[i]) {
+				t.Fatalf("fresh session %d refused to follow", i)
+			}
+		}
+	}
+	const sharer = 2 // Mean: shares its leader's summaries
+	got := make([][]WindowResult, len(cfgs))
+	want := make([][]WindowResult, len(cfgs))
+	var restored *Session
+	var fromRestored, sharerAfter []WindowResult
+	shared := 0
+	for bi, events := range batches {
+		b := toBatch(events)
+		for _, s := range append([]*Session{group[0]}, leads...) {
+			if err := s.PushBatch(b, 0, b.Len()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if restored != nil {
+			_ = restored.PushBatch(b, 0, b.Len())
+			fromRestored = append(fromRestored, restored.Poll()...)
+		}
+		b.Release()
+		for i := range cfgs {
+			polled := group[i].Poll()
+			got[i] = append(got[i], polled...)
+			want[i] = append(want[i], lone[i].Poll()...)
+			if restored != nil && i == sharer {
+				sharerAfter = append(sharerAfter, polled...)
+			}
+		}
+		shared += sharedPanes(t, group, cfgs)
+		if bi == len(batches)/2 {
+			snap, err := group[sharer].Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored, err = RestoreSession(snap); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two members shared a pane's summary")
+	}
+	for i := range cfgs {
+		if len(got[i]) < 40 || !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("member %d (%s): %d windows unlike the %d it gets following a lone leader", i, summaryShape(cfgs[i]), len(got[i]), len(want[i]))
+		}
+	}
+	if len(fromRestored) < 20 || !reflect.DeepEqual(fromRestored, sharerAfter) {
+		t.Errorf("%d windows from the sharing follower's snapshot differ from its continuation (%d)", len(fromRestored), len(sharerAfter))
 	}
 }
 

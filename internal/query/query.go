@@ -120,13 +120,53 @@ func summarize(kind Kind, s *sampling.Sample) []StratumSummary {
 	for i := range s.Strata {
 		st := &s.Strata[i]
 		out[i].Stratum = st.Stratum
-		if kind == KindSum || kind == KindMean {
+		if kind.values() {
 			out[i].Moments = estimate.ValueMoments(st)
 		} else {
 			out[i].Moments = estimate.CountMoments(st)
 		}
 	}
 	return out
+}
+
+// values reports whether a kind's summary holds value moments, not only
+// counts.
+func (k Kind) values() bool { return k == KindSum || k == KindMean }
+
+// SummarizesAlike reports whether b.Summarize(s) equals a.Summarize(s),
+// so that one Summary of s serves both queries. SUM and MEAN kinds, whole
+// stream or per group, fill value moments; COUNT kinds count moments; a
+// histogram fills count moments and its buckets' hits, so it is alike only
+// with a histogram on equal edges. Confidence enters Combine alone. A
+// sample entry carrying Keys (a stratum-blind sampler's) is regrouped by
+// a GroupBy's summary only, so with one in s no two queries are alike; nor
+// is a Query not built in this package alike with any.
+func SummarizesAlike(a, b Query, s *sampling.Sample) bool {
+	ka, ea := shapeOf(a)
+	kb, eb := shapeOf(b)
+	return ka != 0 && ka == kb && slices.Equal(ea, eb) && !slices.ContainsFunc(s.Strata, mixedStrata)
+}
+
+// shapeOf names what q's Summarize computes from a stratified sample:
+// value moments (KindSum), count moments (KindCount), or count moments and
+// the hits of the buckets edges define (KindHistogram); 0 for a Query not
+// built here.
+func shapeOf(q Query) (Kind, []float64) {
+	var kind Kind
+	switch q := q.(type) {
+	case *Aggregate:
+		kind = q.kind
+	case *GroupBy:
+		kind = q.kind
+	case *Histogram:
+		return KindHistogram, q.edges
+	default:
+		return 0, nil
+	}
+	if kind.values() {
+		return KindSum, nil
+	}
+	return KindCount, nil
 }
 
 // cellRoom is how many of a window's cells Combine lines up in a stack

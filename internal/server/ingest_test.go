@@ -286,6 +286,65 @@ func TestFromLatestSkipsBacklog(t *testing.T) {
 	}
 }
 
+// A shard reads a time-sorted batch's watermark from its last record:
+// with zero-time records at the head and the skip-ahead start inside
+// them or past them, with every record zero-time, and with none, the
+// watermark is the newest time of the records the shard applied.
+func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		name               string
+		zeros, timed, skip int
+	}{
+		{"skip inside the zero-time head", 3, 5, 2},
+		{"skip past the zero-time head", 3, 5, 4},
+		{"every record zero-time", 6, 0, 2},
+		{"no record zero-time", 0, 6, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bk := broker.New()
+			if err := bk.CreateTopic("in", 1); err != nil {
+				t.Fatal(err)
+			}
+			s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			id, err := s.Register(Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, _ := s.job(id)
+			sh := j.shards[0]
+
+			b := stream.GetEventBatch()
+			defer b.Release()
+			b.Base = 100
+			for i := tc.timed - 1; i >= 0; i-- {
+				b.AppendEvent(stream.Event{Stratum: "a", Value: 1, Time: base.Add(time.Duration(i) * time.Millisecond)})
+			}
+			for i := 0; i < tc.zeros; i++ {
+				b.AppendEvent(stream.Event{Stratum: "a", Value: 1})
+			}
+			b.SortByTime()
+			want := b.MaxTime(tc.skip, b.Len())
+			if tc.timed > 0 && want.IsZero() {
+				t.Fatalf("precondition: records %d.. hold no time", tc.skip)
+			}
+
+			sh.mu.Lock()
+			sh.skipUntil = b.Base + int64(tc.skip)
+			sh.consumeLocked(b, b.Base+int64(b.Len()))
+			got, records := sh.watermark, sh.records.Load()
+			sh.mu.Unlock()
+			if !got.Equal(want) || records != int64(b.Len()-tc.skip) {
+				t.Errorf("watermark %v after %d records, want %v after %d", got, records, want, b.Len()-tc.skip)
+			}
+		})
+	}
+}
+
 // TestSlowQuerySheddingNoLossNoDup forces delivery-queue overflows with
 // a depth-1 queue over a large backlog: the shed/catch-up/re-splice
 // cycle must still deliver every record to every query exactly once,

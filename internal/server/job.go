@@ -37,9 +37,9 @@ type job struct {
 	// mu guards the merger and the served result state.
 	mu      sync.Mutex
 	merger  *merger
-	results []MergedWindow // ring of recent results for /results polling
-	seq     int64          // seq of the next merged window
-	subs    map[int]chan MergedWindow
+	results []MergedWindow        // ring of recent results for /results polling
+	seq     int64                 // seq of the next merged window
+	subs    map[int]chan struct{} // wake-ups: a window was appended to results
 	nextSub int
 	stopped bool
 	relErr  float64 // EWMA of merged windows' relative error bound
@@ -100,7 +100,7 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		srv:   srv,
 		plane: srv.ing,
 		done:  make(chan struct{}),
-		subs:  make(map[int]chan MergedWindow),
+		subs:  make(map[int]chan struct{}),
 
 		windowsMerged: srv.reg.Counter("saproxd_windows_merged_total",
 			"windows merged across shards", metrics.Labels{"query": id}),
@@ -289,8 +289,8 @@ func (j *job) emitLocked(fw firedWindow) {
 	}
 	for _, ch := range j.subs {
 		select {
-		case ch <- fw.result:
-		default: // slow subscriber: drop rather than stall the shard path
+		case ch <- struct{}{}:
+		default: // a wake-up is pending already: it covers this window too
 		}
 	}
 }
@@ -316,14 +316,16 @@ func (j *job) resultsSince(since int64) []MergedWindow {
 	return append(make([]MergedWindow, 0, len(j.results)-i), j.results[i:]...)
 }
 
-// subscribe registers a live result channel; the returned cancel
-// unregisters it. The channel is closed when the job stops.
-func (j *job) subscribe() (<-chan MergedWindow, func()) {
+// subscribe registers a wake-up channel: it holds a value whenever a
+// window was emitted since the subscriber last received, which then reads
+// the new windows with resultsSince. The returned cancel unregisters it.
+// The channel is closed when the job stops.
+func (j *job) subscribe() (<-chan struct{}, func()) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	id := j.nextSub
 	j.nextSub++
-	ch := make(chan MergedWindow, 64)
+	ch := make(chan struct{}, 1)
 	if j.stopped {
 		close(ch)
 		return ch, func() {}
@@ -376,7 +378,10 @@ func (sh *shard) skipToOffset() {
 // common case, since producers append in event-time order and a time
 // sort then never permutes. A time-permuted batch can swap individual
 // records across the attach boundary within the one straddling batch;
-// counts, offsets and watermarks stay exact.
+// counts, offsets and watermarks stay exact. The batch must be sorted by
+// time, as Consumer.PollBatch returns every batch that reaches here: then
+// the newest time of [from, n) is its last record's (the zero-time
+// sentinel, math.MinInt64, sorts first).
 func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 	n := b.Len()
 	from := 0
@@ -391,7 +396,7 @@ func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 		if sh.lead == nil {
 			_ = sh.sess.PushBatch(b, from, n)
 		}
-		if mark := b.MaxTime(from, n); mark.After(sh.watermark) {
+		if mark := stream.TimeFromNanos(b.Times[n-1]); mark.After(sh.watermark) {
 			sh.watermark = mark
 		}
 	}

@@ -562,14 +562,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "unknown query %q", r.PathValue("id"))
 		return
 	}
-	since, haveSince := int64(-1), false
+	// last is the Seq of the newest window the client has.
+	var last int64
 	if v := r.URL.Query().Get("since"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "since: %v", err)
 			return
 		}
-		since, haveSince = n, true
+		last = n
+	} else {
+		j.mu.Lock()
+		last = j.seq - 1
+		j.mu.Unlock()
 	}
 	flusher, _ := w.(http.Flusher)
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -579,50 +584,35 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	enc := json.NewEncoder(w)
 
-	last := int64(-1)
-	send := func(mw MergedWindow) bool {
-		if mw.Seq <= last {
-			return true
+	// drain writes every retained window after last, in Seq order, and
+	// flushes them together.
+	drain := func() bool {
+		for _, mw := range j.resultsSince(last) {
+			if err := enc.Encode(mw); err != nil {
+				return false
+			}
+			last = mw.Seq
 		}
-		if err := enc.Encode(mw); err != nil {
-			return false
-		}
-		last = mw.Seq
 		if flusher != nil {
 			flusher.Flush()
 		}
 		return true
 	}
 
-	// Subscribe before draining the backlog so no window is missed
-	// between the two; send dedups by seq.
+	// The position is fixed before subscribing, so a window emitted at any
+	// point after it is in the ring when the backlog or a wake-up drains.
 	ch, cancel := j.subscribe()
 	defer cancel()
-	if !haveSince {
-		j.mu.Lock()
-		since = j.seq - 1
-		j.mu.Unlock()
-	}
-	for _, mw := range j.resultsSince(since) {
-		if !send(mw) {
-			return
-		}
+	if !drain() {
+		return
 	}
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case _, ok := <-ch:
-			if !ok {
+			if !ok || !drain() {
 				return
-			}
-			// The channel is only a wake-up: re-drain from the retained
-			// ring so windows dropped on a full subscriber buffer are
-			// still delivered in order.
-			for _, mw := range j.resultsSince(last) {
-				if !send(mw) {
-					return
-				}
 			}
 		}
 	}

@@ -392,3 +392,74 @@ func TestStreamEndpointDeliversLiveResults(t *testing.T) {
 		t.Fatal("no streamed results within deadline")
 	}
 }
+
+// A stream that falls k windows behind its job — k past what one wake-up
+// could carry — receives all k, in Seq order, and a stream opened without
+// ?since none of the windows from before it opened.
+func TestStreamBehindReceivesEveryWindowInOrder(t *testing.T) {
+	b := broker.New()
+	if err := b.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: b, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	qi := postQuery(t, ts.URL, `{"kind":"sum","window":"2s","slide":"1s","fraction":0.5}`)
+	j, _ := s.job(qi.ID)
+	emit := func(n int) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		for range n {
+			j.emitLocked(firedWindow{result: MergedWindow{Start: time.Unix(j.seq, 0).UTC()}})
+		}
+	}
+
+	const before, k = 5, 300
+	emit(before)
+	resp, err := http.Get(ts.URL + "/v1/queries/" + qi.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	for stop := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		j.mu.Lock()
+		subscribed := len(j.subs) > 0
+		j.mu.Unlock()
+		if subscribed {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatal("the stream never subscribed")
+		}
+	}
+	emit(k)
+
+	got := make(chan error, 1)
+	go func() {
+		dec := json.NewDecoder(resp.Body)
+		for i := range k {
+			var mw MergedWindow
+			if err := dec.Decode(&mw); err != nil {
+				got <- fmt.Errorf("after %d windows: %v", i, err)
+				return
+			}
+			if mw.Seq != int64(before+i) {
+				got <- fmt.Errorf("window %d has seq %d, want %d", i, mw.Seq, before+i)
+				return
+			}
+		}
+		got <- nil
+	}()
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("the stream did not deliver every window within the deadline")
+	}
+}

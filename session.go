@@ -178,16 +178,18 @@ func (s *Session) Late() int64 { return s.late }
 
 // Follow makes s sample through leader: every record pushed to leader
 // reaches s too, sampled once, and each segment leader finishes becomes a
-// pane of s through s's own query. It reports whether s follows: only
-// sessions with the same slide and fixed fraction (no TargetError), open,
-// not chained, and at the same point of
-// the stream — watermark, segment start, segment count, previous segment
-// count — can, and s must follow nobody yet. A follower is the session
-// it would be with a copy of its leader's sampler (what Snapshot writes
-// and Unfollow makes it); its own sampler and seed go unused. Each query
-// keeps its marginal distribution and bound, but the two are no longer
-// independent. Pushing, closing or advancing a follower past its leader
-// unfollows it first.
+// pane of s. A pane's summary is computed once per distinct shape among
+// the group's queries (see query.SummarizesAlike) and shared read-only by
+// every member that summarises alike; the others summarise the sample
+// through their own query. It reports whether s follows: only sessions
+// with the same slide and fixed fraction (no TargetError), open, not
+// chained, and at the same point of the stream — watermark, segment
+// start, segment count, previous segment count — can, and s must follow
+// nobody yet. A follower is the session it would be with a copy of its
+// leader's sampler (what Snapshot writes and Unfollow makes it); its own
+// sampler and seed go unused. Each query keeps its marginal distribution
+// and bound, but the two are no longer independent. Pushing, closing or
+// advancing a follower past its leader unfollows it first.
 func (s *Session) Follow(leader *Session) bool {
 	l := leader
 	if l == nil || l == s || l.leader != nil || s.leader != nil || len(s.followers) > 0 || s.closed || l.closed ||
@@ -466,14 +468,14 @@ func (s *Session) cacheSegBounds() {
 		time.Unix(0, s.segStartN).Equal(seg) && time.Unix(0, s.segEndN).Equal(end)
 }
 
-// finishSegment drains the segment's sample into a pane of s and, through
-// each follower's own query, a pane of every follower.
+// finishSegment drains the segment's sample into a pane of s and a pane of
+// every follower.
 func (s *Session) finishSegment() {
 	var sum query.Summary
 	s.sampler.Drain(func(sample *sampling.Sample) {
 		sum = s.q.Summarize(sample)
-		for _, f := range s.followers {
-			f.panes = append(f.panes, pane{Start: s.segStart, Summary: f.q.Summarize(sample)})
+		for i, f := range s.followers {
+			f.panes = append(f.panes, pane{Start: s.segStart, Summary: s.followerSummary(i, sample, sum)})
 		}
 	})
 	s.lastCount = s.segCount
@@ -484,6 +486,26 @@ func (s *Session) finishSegment() {
 	for _, f := range s.followers {
 		f.fire(end)
 	}
+}
+
+// followerSummary is follower i's summary of the sample s drains, sum
+// being s's own: the summary of the first member before it — s, then the
+// followers in order, whose panes of sample are their last — that
+// summarises sample alike, or its own query's when none does. A summary is
+// shared, not copied: nothing writes into a Summary after Summarize — fire
+// and fireWindow read panes, Snapshot encodes them, RestoreSession decodes
+// fresh ones, and the server's merger sees only WindowResults.
+func (s *Session) followerSummary(i int, sample *sampling.Sample, sum query.Summary) query.Summary {
+	q := s.followers[i].q
+	if query.SummarizesAlike(s.q, q, sample) {
+		return sum
+	}
+	for _, f := range s.followers[:i] {
+		if query.SummarizesAlike(f.q, q, sample) {
+			return f.panes[len(f.panes)-1].Summary
+		}
+	}
+	return q.Summarize(sample)
 }
 
 // fire emits, in start order, every window that ends in (fired, limit]
