@@ -2,11 +2,15 @@ package broker
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,11 +21,11 @@ import (
 // Client is a TCP client for a broker Server. Methods mirror Broker's.
 // It is safe for concurrent use.
 //
-// The client runs pipelined: every request carries a correlation ID, a
-// dedicated reader goroutine matches responses back to waiters, and any
-// number of goroutines can have requests in flight on the one
-// connection. On dial it confirms the peer's wire version with a "hello"
-// control op.
+// The client runs pipelined: every request carries a correlation ID and
+// any number of goroutines can have requests in flight on the one
+// connection. No goroutine is dedicated to reading: a lone caller reads
+// its own reply (see await). On dial it confirms the peer's wire version
+// with a "hello" control op.
 type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -41,8 +45,17 @@ type Client struct {
 	// mu serializes the write+flush of a frame.
 	mu sync.Mutex
 
-	// pending maps in-flight correlation IDs to their waiters. The
-	// reader goroutine owns c.br.
+	// readTok holds a value while no goroutine reads. Only its holder
+	// touches br, rdl and the partly read frame.
+	readTok  chan struct{}
+	rdl      time.Time     // read deadline armed on conn (zero: none)
+	hdr      [4]byte       // the frame's length prefix,
+	hdrN     int           // bytes of it read,
+	body     *frameBuf     // its body once hdr is in,
+	bodyN    int           // bytes of that read
+	handoffs atomic.Uint64 // replies read by a goroutine not their waiter
+
+	// pending maps in-flight correlation IDs to their waiters.
 	pendMu  sync.Mutex
 	pending map[uint64]chan *frameBuf
 	nextID  uint64
@@ -110,10 +123,11 @@ func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 		conn:       conn,
 		br:         bufio.NewReaderSize(conn, 64<<10),
 		bw:         bufio.NewWriterSize(conn, 64<<10),
+		readTok:    make(chan struct{}, 1),
 		pending:    make(map[uint64]chan *frameBuf),
 		reqTimeout: opts.requestTimeout(),
 	}
-	go c.readLoop()
+	c.readTok <- struct{}{}
 	resp, err := c.controlRoundTrip(&wireRequest{Op: opHello})
 	if err == nil && resp.N != int(wireVersion) {
 		err = fmt.Errorf("peer speaks wire version %d, this client %d", resp.N, wireVersion)
@@ -149,8 +163,8 @@ func checkTopic(topic string) error {
 // underlying cause is unknown.
 var errClientClosed = errors.New("broker: client closed")
 
-// Close closes the connection. The reader goroutine fails any in-flight
-// requests and exits.
+// Close closes the connection; whoever reads it next fails every
+// in-flight request.
 func (c *Client) Close() error {
 	c.pendMu.Lock()
 	c.closed = true
@@ -178,7 +192,7 @@ func (c *Client) callBinaryT(timeout time.Duration, encode func(fb *frameBuf, co
 // flight is one started request: written and flushed, its reply not yet
 // awaited. The reply channel is the flight's own (never pooled), so a
 // reply that arrives after its await timed out has nowhere to go but
-// the reader's stray drop.
+// the stray drop.
 type flight struct {
 	corr     uint64
 	ch       chan *frameBuf
@@ -235,72 +249,156 @@ func (c *Client) start(timeout time.Duration, encode func(fb *frameBuf, corr uin
 	return f, nil
 }
 
-// await blocks for a started request's reply or its deadline. A timeout
-// only abandons this flight's waiter: the stream is intact, a late
-// response is dropped as a stray by correlation ID. The returned frame
-// is owned by the caller, who must putFrame it.
+// await blocks for a started request's reply or its deadline: a reply
+// already posted returns at once, else the caller reads for it with the
+// read token, or waits for its reply, the token or its deadline. A late
+// reply is dropped as a stray. The caller must putFrame the frame.
 func (c *Client) await(f flight) (*frameBuf, error) {
-	var resp *frameBuf
-	var ok bool
 	select {
-	case resp, ok = <-f.ch:
-		// Already answered while the caller awaited an earlier flight: a
-		// reply that beat its deadline must not race an expired timer.
+	case resp, ok := <-f.ch:
+		return c.answered(resp, ok)
+	case <-c.readTok:
+		return c.readFor(f)
 	default:
-		var expired <-chan time.Time
-		if f.timeout > 0 {
-			timer := time.NewTimer(time.Until(f.deadline))
-			expired = timer.C
-			defer timer.Stop()
-		}
-		select {
-		case resp, ok = <-f.ch:
-		case <-expired:
-			c.pendMu.Lock()
-			delete(c.pending, f.corr)
-			c.pendMu.Unlock()
-			return nil, errTimeout("request", f.timeout)
-		}
 	}
-	if !ok {
-		c.pendMu.Lock()
-		err := c.readErr
-		c.pendMu.Unlock()
-		if err == nil {
-			err = errClientClosed
-		}
-		return nil, err
+	var expired <-chan time.Time
+	if f.timeout > 0 {
+		timer := time.NewTimer(time.Until(f.deadline))
+		expired = timer.C
+		defer timer.Stop()
 	}
-	return resp, nil
+	select {
+	case resp, ok := <-f.ch:
+		return c.answered(resp, ok)
+	case <-c.readTok:
+		return c.readFor(f)
+	case <-expired:
+		return nil, c.abandon(f)
+	}
 }
 
-// readLoop is the pipelined reader: it owns c.br, matches each response
-// frame to its waiter by correlation ID, and on connection failure
-// fails every in-flight request.
-func (c *Client) readLoop() {
+// answered turns what a flight's channel yielded into await's result: a
+// closed channel means the connection failed, and failPending says why.
+func (c *Client) answered(resp *frameBuf, ok bool) (*frameBuf, error) {
+	if ok {
+		return resp, nil
+	}
+	c.pendMu.Lock()
+	defer c.pendMu.Unlock()
+	return nil, c.readErr
+}
+
+// abandon forgets a timed-out flight, so its reply becomes a stray, and
+// returns its timeout.
+func (c *Client) abandon(f flight) error {
+	c.pendMu.Lock()
+	delete(c.pending, f.corr)
+	c.pendMu.Unlock()
+	return errTimeout("request", f.timeout)
+}
+
+// readFor is await holding the read token. It reads until f's reply is
+// in, then passes the token on: to a helper goroutine while other
+// flights are out, so their replies are read while f's caller gets on
+// with its own. The armed read deadline is moved to f's when it would
+// fire later, or when it fires first (an earlier holder's); if f's
+// passes mid-frame, the next holder resumes the frame.
+func (c *Client) readFor(f flight) (*frameBuf, error) {
+	select {
+	case resp, ok := <-f.ch: // posted by the holder before us
+		c.readTok <- struct{}{}
+		return c.answered(resp, ok)
+	default:
+	}
+	rearm := !f.deadline.IsZero() && (c.rdl.IsZero() || f.deadline.Before(c.rdl))
 	for {
-		fb := getFrame()
-		if err := readFrameInto(c.br, fb); err != nil {
-			putFrame(fb)
-			c.failPending(err)
-			return
+		if rearm {
+			_ = c.conn.SetReadDeadline(f.deadline)
+			c.rdl = f.deadline
 		}
-		corr, ok := corrIDOf(fb.b)
-		if !ok {
-			putFrame(fb)
-			c.failPending(errors.New("broker: malformed binary response"))
-			return
+		fb, more, err := c.readUntil(f.corr)
+		timedOut := errors.Is(err, os.ErrDeadlineExceeded)
+		if rearm = timedOut && (f.deadline.IsZero() || time.Now().Before(f.deadline)); rearm {
+			continue
+		}
+		if more {
+			go func() {
+				_, _, _ = c.readUntil(^uint64(0)) // an ID no request carries
+				c.readTok <- struct{}{}
+			}()
+			runtime.Gosched() // the helper, and the waiters it wakes, first
+			return fb, nil
+		}
+		c.readTok <- struct{}{}
+		switch {
+		case timedOut:
+			return nil, c.abandon(f)
+		case fb == nil: // the connection failed
+			return c.answered(nil, false)
+		}
+		return fb, nil
+	}
+}
+
+// readUntil reads as the token holder, posting replies to their waiters,
+// until own's reply is in — returned, with whether flights are still
+// out — or none is out. A failure but the deadline fails every flight.
+func (c *Client) readUntil(own uint64) (*frameBuf, bool, error) {
+	for {
+		fb, corr, err := c.readReply()
+		if err != nil {
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				c.failPending(err)
+			}
+			return nil, false, err
 		}
 		c.pendMu.Lock()
 		ch, ok := c.pending[corr]
 		delete(c.pending, corr)
+		more := len(c.pending) > 0
 		c.pendMu.Unlock()
-		if !ok {
+		switch {
+		case corr == own:
+			return fb, more, nil
+		case !ok:
 			putFrame(fb) // stray response; drop
-			continue
+		default:
+			c.handoffs.Add(1)
+			ch <- fb
 		}
-		ch <- fb
+		if !more {
+			return nil, false, nil
+		}
 	}
+}
+
+// readReply reads the next response frame and its correlation ID,
+// resuming a frame a timed-out holder left partly read.
+func (c *Client) readReply() (*frameBuf, uint64, error) {
+	if c.body == nil {
+		n, err := io.ReadFull(c.br, c.hdr[c.hdrN:])
+		if c.hdrN += n; err != nil {
+			return nil, 0, err
+		}
+		size := binary.BigEndian.Uint32(c.hdr[:])
+		if size > maxFrame {
+			return nil, 0, fmt.Errorf("frame of %d bytes exceeds limit", size)
+		}
+		c.body = getFrame()
+		c.body.b = slices.Grow(c.body.b[:0], int(size))[:size]
+	}
+	n, err := io.ReadFull(c.br, c.body.b[c.bodyN:])
+	if c.bodyN += n; err != nil {
+		return nil, 0, err
+	}
+	fb := c.body
+	c.hdrN, c.body, c.bodyN = 0, nil, 0
+	corr, ok := corrIDOf(fb.b)
+	if !ok {
+		putFrame(fb)
+		return nil, 0, errors.New("broker: malformed binary response")
+	}
+	return fb, corr, nil
 }
 
 func (c *Client) failPending(err error) {

@@ -513,9 +513,9 @@ type produceFlight struct {
 // seq and writes the request to the cached leader's lane; only then
 // does it await the replies, releasing each lock as its outcome
 // becomes final. Paired with the leaders' pipelined replication the
-// cost of one call is the slowest single partition, not the sum — with
-// no goroutine hand-off between the caller and the connections'
-// readers. A partition whose request could not be sent or was not
+// cost of one call is the slowest single partition, not the sum — and
+// the caller reads each lane's reply off the connection itself, with no
+// goroutine hand-off. A partition whose request could not be sent or was not
 // acked keeps its lock and its seq and goes through leaderRetry, its
 // failure being that loop's attempt 0. Locks are only ever taken in
 // ascending partition order, so concurrent callers cannot deadlock.

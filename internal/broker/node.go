@@ -1718,8 +1718,9 @@ func (n *ClusterNode) replicateOut(trace uint64, pl *partLead, topic string, par
 		runtime.Gosched()
 	}
 	// Drive the sessions we just fed: the last inline (for the common
-	// RF2 single-follower case this is the whole push, zero handoffs),
-	// the rest concurrently so multi-follower fan-out still overlaps.
+	// RF2 single-follower case this is the whole push, and this goroutine
+	// reads the follower's ack itself: zero handoffs), the rest
+	// concurrently so multi-follower fan-out still overlaps.
 	for i, s := range sessions {
 		if i == len(sessions)-1 {
 			n.driveSession(s)
