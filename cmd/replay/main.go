@@ -5,8 +5,15 @@
 //
 // Usage:
 //
-//	replay -dataset netflow|taxi|gaussian [-addr host:port] [-topic name]
-//	       [-items N] [-rate msgs/sec] [-batch items-per-msg] [-seed N]
+//	replay -dataset netflow|taxi|gaussian [-addr h1:port,h2:port,...]
+//	       [-topic name] [-items N] [-rate msgs/sec] [-batch items-per-msg]
+//	       [-seed N]
+//
+// It produces through the routing client: each message is split by key
+// on this side and sent to every partition's leader with a producer id
+// and sequence, so a message retried across a leader failover lands
+// exactly once. -addr takes any reachable members of a cluster, or the
+// one address of a plain brokerd.
 package main
 
 import (
@@ -15,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
@@ -34,7 +42,7 @@ func main() {
 
 func run() error {
 	dataset := flag.String("dataset", "netflow", "dataset: netflow, taxi or gaussian")
-	addr := flag.String("addr", "127.0.0.1:9092", "broker address")
+	addr := flag.String("addr", "127.0.0.1:9092", "comma-separated broker addresses")
 	topic := flag.String("topic", "stream", "target topic")
 	items := flag.Int("items", 400000, "number of items to replay")
 	rate := flag.Int("rate", 2000, "messages per second (0 = full speed)")
@@ -66,7 +74,7 @@ func run() error {
 	runID := obs.NewTraceID()
 	logger := obs.New(os.Stderr, obs.LevelInfo).With("daemon", "replay", "run", obs.TraceHex(runID))
 
-	cli, err := broker.Dial(*addr)
+	cli, err := broker.DialCluster(strings.Split(*addr, ","))
 	if err != nil {
 		return err
 	}

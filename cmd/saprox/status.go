@@ -165,7 +165,7 @@ func renderBrokers(brokers []*brokerScrape) {
 		}
 		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
 			b.node, epoch, state,
-			opQuantiles(b.sc, "produce"), opQuantiles(b.sc, "fetch"), fsync,
+			opQuantiles(b.sc, "producep"), opQuantiles(b.sc, "fetch"), fsync,
 			replCoalesce(b.sc))
 	}
 	w.Flush()

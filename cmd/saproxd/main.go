@@ -6,8 +6,7 @@
 //
 // Usage:
 //
-//	saproxd [-addr host:port] [-broker host:port | -brokers h1,h2,...]
-//	        [-topic name]
+//	saproxd [-addr host:port] [-brokers h1:port,h2:port,...] [-topic name]
 //	        [-group name] [-checkpoint-dir dir] [-checkpoint-every d]
 //	        [-budget items/s] [-schedule-every d]
 //	        [-connect-wait d]
@@ -16,11 +15,11 @@
 // by default; bound it with -connect-wait), so saproxd can be started
 // before its cluster in an ordering-free bring-up.
 //
-// With -brokers the daemon consumes a replicated broker CLUSTER through
-// the routing client: fetches go to each partition's current leader,
-// NotLeader redirects are followed, and a broker failover is absorbed
-// without losing or duplicating any query's windows. A single address
-// works too (including a plain non-clustered brokerd).
+// The daemon consumes the -brokers members through the routing client:
+// fetches go to each partition's current leader, NotLeader redirects are
+// followed, and a broker failover is absorbed without losing or
+// duplicating any query's windows. A single address works too, a plain
+// non-clustered brokerd included.
 //
 // API:
 //
@@ -75,8 +74,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:9090", "HTTP listen address")
-	brokerAddr := flag.String("broker", "127.0.0.1:9092", "brokerd address")
-	brokersFlag := flag.String("brokers", "", "comma-separated broker cluster addresses (overrides -broker)")
+	brokersFlag := flag.String("brokers", "127.0.0.1:9092", "comma-separated broker addresses (cluster members, or one plain brokerd)")
 	topic := flag.String("topic", "stream", "topic to consume")
 	group := flag.String("group", "saproxd", "consumer-group prefix")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for shard checkpoints (empty disables)")
@@ -98,45 +96,17 @@ func run() error {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 
-	// One routing (or plain) client for control + catch-up work, plus a
-	// DialShard factory handing each ingest partition loop its own
-	// connection so partition fetches run in parallel.
-	var (
-		cli       broker.Cluster
-		closeCli  func()
-		dialShard func() (broker.Cluster, error)
-	)
-	dialOnce := func() error {
-		if *brokersFlag != "" {
-			addrs := strings.Split(*brokersFlag, ",")
-			for i := range addrs {
-				addrs[i] = strings.TrimSpace(addrs[i])
-			}
-			cc, err := broker.DialCluster(addrs)
-			if err != nil {
-				return err
-			}
-			cli = cc
-			closeCli = func() { _ = cc.Close() }
-			dialShard = func() (broker.Cluster, error) { return broker.DialCluster(addrs) }
-			return nil
-		}
-		c, err := broker.Dial(*brokerAddr)
-		if err != nil {
-			return err
-		}
-		cli = c
-		closeCli = func() { _ = c.Close() }
-		dialShard = func() (broker.Cluster, error) { return broker.Dial(*brokerAddr) }
-		return nil
+	addrs := strings.Split(*brokersFlag, ",")
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
 	}
 	// Retry the initial connection with capped backoff instead of
 	// exiting: in a compose-style bring-up the cluster may simply not be
 	// listening yet, and start order should not matter.
+	var cli *broker.ClusterClient
 	start := time.Now()
 	for backoff := 250 * time.Millisecond; ; {
-		err := dialOnce()
-		if err == nil {
+		if cli, err = broker.DialCluster(addrs); err == nil {
 			break
 		}
 		if *connectWait > 0 && time.Since(start) >= *connectWait {
@@ -158,11 +128,14 @@ func run() error {
 			}
 		}
 	}
-	defer closeCli()
+	defer func() { _ = cli.Close() }()
 
+	// One routing client for control + catch-up work, plus a DialShard
+	// factory handing each ingest partition loop its own client so
+	// partition fetches run in parallel.
 	srv, err := server.New(server.Config{
 		Cluster:         cli,
-		DialShard:       dialShard,
+		DialShard:       func() (broker.Cluster, error) { return broker.DialCluster(addrs) },
 		Topic:           *topic,
 		Group:           *group,
 		CheckpointDir:   *checkpointDir,
@@ -193,11 +166,7 @@ func run() error {
 			errc <- err
 		}
 	}()
-	brokerDesc := *brokerAddr
-	if *brokersFlag != "" {
-		brokerDesc = "cluster " + *brokersFlag
-	}
-	logger.Info("serving", "addr", *addr, "broker", brokerDesc, "topic", *topic,
+	logger.Info("serving", "addr", *addr, "brokers", *brokersFlag, "topic", *topic,
 		"partitions", srv.Partitions())
 	if *globalBudget > 0 {
 		logger.Info("budget scheduler enabled", "items_per_s", *globalBudget, "reapportion_every", *scheduleEvery)

@@ -8,7 +8,7 @@
 // three daemons (see README.md):
 //
 //	brokerd -addr :9092 -topic stream -partitions 4
-//	saproxd -broker 127.0.0.1:9092 -topic stream -addr :9090
+//	saproxd -brokers 127.0.0.1:9092 -topic stream -addr :9090
 //	replay  -addr 127.0.0.1:9092 -topic stream -dataset netflow
 //
 // and this program's HTTP calls work unchanged against

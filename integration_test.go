@@ -1,6 +1,7 @@
 package streamapprox
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -83,23 +84,13 @@ func TestEndToEndBrokerToSession(t *testing.T) {
 	// 200-item messages.
 	rng := xrand.New(7)
 	events := workload.Generate(rng, 20*time.Second, workload.PaperGaussian(500, 500, 500)...)
-	cli, err := broker.Dial(srv.Addr())
+	cc, err := broker.DialCluster([]string{srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = cli.Close() }()
-	for start := 0; start < len(events); start += 200 {
-		end := start + 200
-		if end > len(events) {
-			end = len(events)
-		}
-		recs := make([]broker.Record, end-start)
-		for i, e := range events[start:end] {
-			recs[i] = broker.FromEvent(e)
-		}
-		if _, err := cli.Produce("stream", recs); err != nil {
-			t.Fatal(err)
-		}
+	defer func() { _ = cc.Close() }()
+	if _, err := (&workload.Replayer{ItemsPerMessage: 200}).Replay(context.Background(), cc, "stream", events); err != nil {
+		t.Fatal(err)
 	}
 
 	// Consume (in-process readers against the same broker, from the
@@ -194,30 +185,19 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 			Time:    base.Add(time.Duration(i) * time.Millisecond),
 		})
 	}
-	produce := func(cli *broker.Client, evs []stream.Event) {
-		t.Helper()
-		for start := 0; start < len(evs); start += 200 {
-			end := start + 200
-			if end > len(evs) {
-				end = len(evs)
-			}
-			recs := make([]broker.Record, end-start)
-			for i, e := range evs[start:end] {
-				recs[i] = broker.FromEvent(e)
-			}
-			if _, err := cli.Produce("stream", recs); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	producer, err := broker.Dial(srv.Addr())
+	producer, err := broker.DialCluster([]string{srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = producer.Close() }()
 	if n, err := producer.Partitions("stream"); err != nil || n != 4 {
 		t.Fatalf("remote partitions = %d, %v", n, err)
+	}
+	produce := func(evs []stream.Event) {
+		t.Helper()
+		if _, err := (&workload.Replayer{ItemsPerMessage: 200}).Replay(context.Background(), producer, "stream", evs); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	type key struct {
@@ -238,7 +218,7 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 
 	// Generation 1: one member over TCP consumes the first batch of
 	// records and commits its offsets.
-	produce(producer, events[:3000])
+	produce(events[:3000])
 	cli1, err := broker.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +256,7 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 	// Rebalance: the group re-forms as two members, each on its own TCP
 	// connection, after more records arrive. Each member feeds its own
 	// concurrent shard Session.
-	produce(producer, events[3000:])
+	produce(events[3000:])
 	type shardOut struct {
 		m        *member
 		consumed int

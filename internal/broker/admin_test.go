@@ -250,7 +250,7 @@ func TestTraceIDReachesBrokerLogs(t *testing.T) {
 
 	const tid = 0xabcdef0123456789
 	cli.SetTraceID(tid)
-	if _, err := cli.Produce("t", keylessRecs(0, 10)); err != nil {
+	if _, err := producePart(cli, "t", 0, 0, 0, keylessRecs(0, 10)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.Fetch("t", 0, 0, 100); err != nil {
@@ -262,13 +262,13 @@ func TestTraceIDReachesBrokerLogs(t *testing.T) {
 	if !strings.Contains(logs, "trace="+want) {
 		t.Fatalf("broker logs do not mention trace %s:\n%s", want, logs)
 	}
-	if !strings.Contains(logs, "op=produce") || !strings.Contains(logs, "op=fetch") {
+	if !strings.Contains(logs, "op=producep") || !strings.Contains(logs, "op=fetch") {
 		t.Errorf("traced ops missing from logs:\n%s", logs)
 	}
 
 	// An untraced connection must leave no trace lines behind.
 	cli.SetTraceID(0)
-	if _, err := cli.Produce("t", keylessRecs(10, 5)); err != nil {
+	if _, err := producePart(cli, "t", 0, 0, 0, keylessRecs(10, 5)); err != nil {
 		t.Fatal(err)
 	}
 	if n := strings.Count(buf.String(), "trace="); n < 2 {

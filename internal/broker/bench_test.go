@@ -47,22 +47,6 @@ func benchDial(b *testing.B) (*Broker, *Client) {
 	return bk, cli
 }
 
-func BenchmarkWireProduce(b *testing.B) {
-	_, cli := benchDial(b)
-	if err := cli.CreateTopic("bench", 1); err != nil {
-		b.Fatal(err)
-	}
-	batch := benchRecords(benchBatch)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cli.Produce("bench", batch); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportItems(b, int64(b.N)*benchBatch)
-}
-
 func BenchmarkWireFetch(b *testing.B) {
 	bk, cli := benchDial(b)
 	if err := bk.CreateTopic("bench", 1); err != nil {
@@ -98,7 +82,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cli.Produce("bench", batch); err != nil {
+		if _, err := producePart(cli, "bench", 0, 0, 0, batch); err != nil {
 			b.Fatal(err)
 		}
 		recs, err := cli.Fetch("bench", 0, int64(i)*benchBatch, benchBatch)

@@ -439,22 +439,12 @@ func (b *Broker) Produce(topicName string, recs []Record) (int, error) {
 	return total, nil
 }
 
-// splitFrames routes a pre-validated chunk of count records by key —
-// once per dictionary entry, keys read in place — into one re-framed
-// chunk per partition. A frame whose keys share a partition, and any
-// chunk for a single-partition topic, passes through as the same bytes.
-func (t *topic) splitFrames(frames []byte, count int) (byPart [][]byte, counts []int, err error) {
-	byPart, counts = make([][]byte, len(t.partitions)), make([]int, len(t.partitions))
-	if len(t.partitions) == 1 {
-		byPart[0], counts[0] = frames, count
-		return byPart, counts, nil
-	}
-	err = storage.SplitFrames(frames, func(key []byte) int { return routeKey(t, key) }, byPart, counts)
-	return byPart, counts, err
-}
-
 // ProduceFrames appends a pre-validated frame chunk to a topic, routing
-// its records by key (see splitFrames): no record is ever materialized.
+// its records by key — once per dictionary entry, keys read in place —
+// into one re-framed chunk per partition: no record is ever
+// materialized. A frame whose keys share a partition, and any chunk for
+// a single-partition topic, passes through as the same bytes. No wire op
+// reaches it; the staged benchmark (bench/staged.go) appends through it.
 // It returns the number of records appended and the first append
 // failure; partitions appended before the failure stay appended and are
 // counted, so a caller must not retry the whole batch on error.
@@ -463,8 +453,10 @@ func (b *Broker) ProduceFrames(topicName string, frames []byte, count int) (int,
 	if err != nil {
 		return 0, err
 	}
-	byPart, counts, err := t.splitFrames(frames, count)
-	if err != nil {
+	byPart, counts := make([][]byte, len(t.partitions)), make([]int, len(t.partitions))
+	if len(t.partitions) == 1 {
+		byPart[0], counts[0] = frames, count
+	} else if err := storage.SplitFrames(frames, func(key []byte) int { return routeKey(t, key) }, byPart, counts); err != nil {
 		return 0, err
 	}
 	total := 0

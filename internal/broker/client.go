@@ -18,8 +18,10 @@ import (
 	"streamapprox/internal/stream"
 )
 
-// Client is a TCP client for a broker Server. Methods mirror Broker's.
-// It is safe for concurrent use.
+// Client is one TCP connection to a broker Server: a lane of the routing
+// client, which produces through it, and a cluster member's link to a
+// peer. Its exported methods mirror Broker's read and control side. It
+// is safe for concurrent use.
 //
 // The client runs pipelined: every request carries a correlation ID and
 // any number of goroutines can have requests in flight on the one
@@ -455,15 +457,6 @@ func (c *Client) CreateTopic(name string, partitions int) error {
 	return err
 }
 
-// callCount performs one request answered with a record count.
-func (c *Client) callCount(encode func(fb *frameBuf, corr uint64)) (int, error) {
-	f, err := c.start(c.reqTimeout, encode)
-	if err != nil {
-		return 0, err
-	}
-	return c.awaitCount(f)
-}
-
 // awaitCount awaits a started request answered with a record count.
 func (c *Client) awaitCount(f flight) (int, error) {
 	fb, err := c.await(f)
@@ -511,19 +504,6 @@ func (c *Client) callFrames(encode func(fb *frameBuf, corr uint64), use func(bas
 	}
 	use(base, count, frames)
 	return nil
-}
-
-// Produce appends records to a remote topic, key-routed by the server:
-// the batch travels as one frame, and the broker re-frames it per
-// partition before appending (ClusterClient.Produce, which partitions on
-// its own side, is the path whose bytes are stored verbatim).
-func (c *Client) Produce(topicName string, recs []Record) (int, error) {
-	if err := checkTopic(topicName); err != nil {
-		return 0, err
-	}
-	return c.callCount(func(fb *frameBuf, corr uint64) {
-		encodeProduceFramesReq(fb, corr, c.trace.Load(), topicName, recs)
-	})
 }
 
 // fetchFrames is the one fetch call behind Fetch and FetchBatch.
@@ -692,9 +672,8 @@ func (c *Client) commitRep(epoch int64, sender, group, topic string, partition i
 	return err
 }
 
-// producePartitionFrames ships a frame chunk to a partition leader
-// verbatim: a producing client's freshly encoded records, or the
-// node→node hop of a routed produce forwarding validated bytes.
+// producePartitionFrames ships a routing client's freshly encoded frame
+// chunk to a partition leader verbatim.
 func (c *Client) producePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (int, error) {
 	f, err := c.startProducePartitionFrames(topicName, partition, pid, seq, frames, count)
 	if err != nil {

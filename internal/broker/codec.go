@@ -45,13 +45,12 @@ import (
 // server's version check rejects all of them.
 const wireVersion byte = 7
 
-// Op codes. 1, 2, 5, 6 and 9 belonged to the retired record-dialect and
-// per-partition replicate ops and stay unassigned: the decoder rejects
-// them like any unknown op.
+// Op codes. 1, 2, 5, 6, 7 and 9 belonged to the retired record-dialect,
+// key-routed produce and per-partition replicate ops and stay
+// unassigned: the decoder rejects them like any unknown op.
 const (
 	binOpHWM          byte = 3
 	binOpJSON         byte = 4  // JSON control request wrapped in the binary envelope
-	binOpProduceF     byte = 7  // produce, key-routed frame chunk
 	binOpProducePartF byte = 8  // partitioned produce with pid/seq dedup
 	binOpFetchF       byte = 10 // fetch answered as a frame chunk
 	binOpRFetchF      byte = 11 // replica catch-up fetch, frame chunk
@@ -258,33 +257,9 @@ func encodeJSONReq(fb *frameBuf, corr, trace uint64, payload []byte) {
 
 // ---- frame-chunk request encoding (client side) ----
 
-// appendFrameChunk emits a record-count-prefixed frame chunk verbatim —
-// the forwarding form, used when the sender already holds validated
-// frames (leader→follower replication, node→leader routing).
-func appendFrameChunk(b []byte, frames []byte, count int) []byte {
-	b = appendU32(b, uint32(count))
-	return append(b, frames...)
-}
-
-// appendRecFrameChunk encodes a record batch as a count-prefixed chunk of
-// one frame — the key-routed producer's entry into the frame path; the
-// server re-frames it per partition.
-func appendRecFrameChunk(b []byte, recs []Record) []byte {
-	b = appendU32(b, uint32(len(recs)))
-	return storage.AppendRecordFrames(b, recs)
-}
-
-// encodeProduceFramesReq encodes a key-routed produce. Only key/value/time
-// are shipped: the server routes and assigns partition and offset.
-func encodeProduceFramesReq(fb *frameBuf, corr, trace uint64, topic string, recs []Record) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpProduceF, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendRecFrameChunk(fb.b, recs)
-}
-
-// encodeProducePartFwdReq encodes a partitioned produce of an encoded
-// frame chunk: explicit target partition plus the producer id /
+// encodeProducePartFwdReq encodes a partitioned produce — the one
+// produce op — of an encoded frame chunk, shipped verbatim behind its
+// record count: explicit target partition plus the producer id /
 // sequence pair for idempotent retries (pid 0 disables deduplication).
 func encodeProducePartFwdReq(fb *frameBuf, corr, trace uint64, topic string, partition int, pid, seq uint64, frames []byte, count int) {
 	fb.b = appendBinReqHeader(fb.b[:0], binOpProducePartF, corr, trace)
@@ -293,7 +268,8 @@ func encodeProducePartFwdReq(fb *frameBuf, corr, trace uint64, topic string, par
 	fb.b = appendU32(fb.b, uint32(int32(partition)))
 	fb.b = appendU64(fb.b, pid)
 	fb.b = appendU64(fb.b, seq)
-	fb.b = appendFrameChunk(fb.b, frames, count)
+	fb.b = appendU32(fb.b, uint32(count))
+	fb.b = append(fb.b, frames...)
 }
 
 // replSection is one partition's contiguous frame chunk inside a
@@ -429,9 +405,6 @@ func decodeBinRequest(payload []byte) (binRequest, error) {
 		req.partition = int(int32(cur.u32()))
 	case binOpJSON:
 		req.jsonBody = cur.rest()
-	case binOpProduceF:
-		req.topic = cur.str(int(cur.u16()))
-		req.count, req.frames = decodeFrameChunk(cur)
 	case binOpProducePartF:
 		req.topic = cur.str(int(cur.u16()))
 		req.partition = int(int32(cur.u32()))

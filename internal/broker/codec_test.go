@@ -11,19 +11,22 @@ import (
 	"streamapprox/internal/xrand"
 )
 
-// encodeDecodeProduce round-trips records through the produce-request
-// encoder, the path every produced record takes.
+// encodeDecodeProduce round-trips records through the batch builder's
+// framing and the produce-request encoder, the path every produced
+// record takes.
 func encodeDecodeProduce(t *testing.T, topic string, in []Record) []Record {
 	t.Helper()
 	fb := getFrame()
 	defer putFrame(fb)
-	encodeProduceFramesReq(fb, 42, 0, topic, in)
+	encodeProducePartFwdReq(fb, 42, 0, topic, 3, 5, 6, storage.AppendRecordFrames(nil, in), len(in))
 	req, err := decodeBinRequest(fb.b)
 	if err != nil {
 		t.Fatalf("decode produce: %v", err)
 	}
-	if req.op != binOpProduceF || req.corr != 42 || req.topic != topic || req.count != len(in) {
-		t.Fatalf("decoded header (op=%d corr=%d topic=%q count=%d)", req.op, req.corr, req.topic, req.count)
+	if req.op != binOpProducePartF || req.corr != 42 || req.topic != topic || req.partition != 3 ||
+		req.pid != 5 || req.seq != 6 || req.count != len(in) {
+		t.Fatalf("decoded header (op=%d corr=%d topic=%q partition=%d pid=%d seq=%d count=%d)",
+			req.op, req.corr, req.topic, req.partition, req.pid, req.seq, req.count)
 	}
 	return framesToRecords(req.frames, req.count, topic, 0, 0)
 }
@@ -143,12 +146,12 @@ func FuzzBinaryRecordCodec(f *testing.F) {
 // over-read.
 func FuzzBinaryRequestDecode(f *testing.F) {
 	fb := getFrame()
-	encodeProduceFramesReq(fb, 1, 0, "t", recs("k", 3))
+	encodeProducePartFwdReq(fb, 1, 0, "t", 0, 1, 1, storage.AppendRecordFrames(nil, recs("k", 3)), 3)
 	f.Add(append([]byte(nil), fb.b...))
 	encodeFetchFramesReq(fb, 2, 0, "t", 0, 0, 10)
 	f.Add(append([]byte(nil), fb.b...))
 	putFrame(fb)
-	f.Add([]byte{wireVersion, binOpProduceF})
+	f.Add([]byte{wireVersion, binOpProducePartF})
 	f.Add([]byte{})
 	for _, c := range wireGateCases() {
 		f.Add(c.payload)
@@ -181,7 +184,7 @@ func exerciseAllOps(t *testing.T, cli *Client) {
 		{Key: "a", Value: -2.5, Time: when.Add(time.Second)},
 		{Key: "b", Value: 3.75, Time: when.Add(2 * time.Second)},
 	}
-	if n, err := cli.Produce("mixed", in); err != nil || n != 3 {
+	if n, err := produceRouted(cli, "mixed", in); err != nil || n != 3 {
 		t.Fatalf("produce = %d, %v", n, err)
 	}
 	var got []Record
@@ -250,7 +253,7 @@ func TestPipelinedClientConcurrentStress(t *testing.T) {
 			}
 			for i := 0; i < rounds; i++ {
 				want := float64(g*rounds + i)
-				if _, err := cli.Produce(topic, []Record{{Key: "k", Value: want}}); err != nil {
+				if _, err := produceRouted(cli, topic, []Record{{Key: "k", Value: want}}); err != nil {
 					errs <- err
 					return
 				}
@@ -307,7 +310,7 @@ func TestPipelinedClientServerClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Close()
-	if _, err := cli.Produce("in", recs("k", 1)); err == nil {
+	if _, err := produceRouted(cli, "in", recs("k", 1)); err == nil {
 		t.Error("produce after server close should fail")
 	}
 	if _, err := cli.Fetch("in", 0, 0, 1); err == nil {
@@ -320,7 +323,7 @@ func TestPipelinedClientServerClose(t *testing.T) {
 func TestCodecTraceRoundTrip(t *testing.T) {
 	for _, trace := range []uint64{0xdeadbeefcafe, 0} {
 		fb := getFrame()
-		encodeProduceFramesReq(fb, 99, trace, "traced", recs("k", 2))
+		encodeProducePartFwdReq(fb, 99, trace, "traced", 0, 0, 0, storage.AppendRecordFrames(nil, recs("k", 2)), 2)
 		if fb.b[0] != wireVersion {
 			t.Fatalf("version byte = %#x, want %#x", fb.b[0], wireVersion)
 		}

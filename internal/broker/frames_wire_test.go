@@ -12,10 +12,10 @@ import (
 	"streamapprox/internal/broker/storage"
 )
 
-// chunkFor encodes a count-prefixed frame chunk the way the producing
-// client does.
+// chunkFor encodes a count-prefixed frame chunk the way a produce
+// request carries it.
 func chunkFor(recs []Record) []byte {
-	return appendRecFrameChunk(nil, recs)
+	return storage.AppendRecordFrames(binary.BigEndian.AppendUint32(nil, uint32(len(recs))), recs)
 }
 
 // TestDecodeFrameChunkRejectsCorruption drives the zero-copy path's
@@ -141,7 +141,7 @@ func TestCorruptProduceRejectedBeforeAppend(t *testing.T) {
 	}
 	batch := recs("crc", 10)
 	_, err := cli.callBinary(func(fb *frameBuf, corr uint64) {
-		encodeProduceFramesReq(fb, corr, 0, "in", batch)
+		encodeProducePartFwdReq(fb, corr, 0, "in", 0, 0, 0, storage.AppendRecordFrames(nil, batch), len(batch))
 		// Corrupt one payload byte of the last frame, after the CRCs
 		// were computed — exactly what line noise on a forward does.
 		fb.b[len(fb.b)-1] ^= 0x01
@@ -158,7 +158,7 @@ func TestCorruptProduceRejectedBeforeAppend(t *testing.T) {
 		t.Fatalf("redial: %v", err)
 	}
 	defer cli2.Close()
-	if n, err := cli2.Produce("in", batch); err != nil || n != len(batch) {
+	if n, err := produceRouted(cli2, "in", batch); err != nil || n != len(batch) {
 		t.Fatalf("clean produce after rejection = %d, %v", n, err)
 	}
 	if hwm, err := srv.broker.HighWatermark("in", 0); err != nil || hwm != int64(len(batch)) {

@@ -93,15 +93,6 @@ type NodeConfig struct {
 	// or replication calls) after which a peer is declared dead
 	// (default 3).
 	FailAfter int
-	// StartupGrace is how long failures against a peer that was NEVER
-	// seen alive are forgiven (default 10s) — cluster members boot at
-	// different times.
-	StartupGrace time.Duration
-	// ReplWindow bounds the chunks one follower-session drain coalesces
-	// into a single multi-partition replicate RPC (default 32). The
-	// session queue itself is unbounded — its natural bound is the
-	// number of produce handlers parked on their acks.
-	ReplWindow int
 	// DialTimeout bounds TCP connect to a peer (default
 	// DefaultDialTimeout). A blackholed peer must not wedge dialers.
 	DialTimeout time.Duration
@@ -117,18 +108,29 @@ type NodeConfig struct {
 	// dead and drops out of the ISR — instead of wedging the leader's
 	// send window forever.
 	RPCTimeout time.Duration
-	// StateFlushEvery is the write-behind interval for the hot-path
-	// state.json rewrites (committed watermark + producer dedup table),
-	// default 25ms: produce and replicated-append mark the partition
-	// dirty and a background loop coalesces the rewrites. Control-plane
-	// transitions (rejoin truncation, takeover) still write
-	// synchronously, and under SyncEvery "always" every state write is
-	// synchronous — the acked-means-durable guarantee needs the
-	// watermark on disk before the ack.
-	StateFlushEvery time.Duration
 	// Logf, when set, receives membership and replication log lines.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// startupGrace is how long failures against a peer that was NEVER
+	// seen alive are forgiven — cluster members boot at different times.
+	startupGrace = 10 * time.Second
+	// replWindow bounds the chunks one follower-session drain coalesces
+	// into a single multi-partition replicate RPC. The session queue
+	// itself is unbounded — its natural bound is the number of produce
+	// handlers parked on their acks.
+	replWindow = 32
+	// stateFlushEvery is the write-behind interval for the hot-path
+	// state.json rewrites (committed watermark + producer dedup table):
+	// produce and replicated-append mark the partition dirty and a
+	// background loop coalesces the rewrites. Control-plane transitions
+	// (rejoin truncation, takeover) still write synchronously, and under
+	// SyncEvery "always" every state write is synchronous — the
+	// acked-means-durable guarantee needs the watermark on disk before
+	// the ack.
+	stateFlushEvery = 25 * time.Millisecond
+)
 
 // prodSeq is the last applied produce of one producer on one partition,
 // kept on every replica so a post-failover retry deduplicates.
@@ -273,12 +275,6 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 	if cfg.FailAfter < 1 {
 		cfg.FailAfter = 3
 	}
-	if cfg.StartupGrace <= 0 {
-		cfg.StartupGrace = 10 * time.Second
-	}
-	if cfg.ReplWindow < 1 {
-		cfg.ReplWindow = 32
-	}
 	if cfg.DialTimeout == 0 {
 		cfg.DialTimeout = DefaultDialTimeout
 	}
@@ -290,9 +286,6 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 	}
 	if cfg.RPCTimeout == 0 {
 		cfg.RPCTimeout = 10 * time.Second
-	}
-	if cfg.StateFlushEvery <= 0 {
-		cfg.StateFlushEvery = 25 * time.Millisecond
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -660,7 +653,7 @@ func (n *ClusterNode) markFailure(id string, err error) {
 	if n.view[id].Dead {
 		return
 	}
-	if !n.seen[id] && time.Since(n.started) < n.cfg.StartupGrace {
+	if !n.seen[id] && time.Since(n.started) < startupGrace {
 		return // peer may simply not have booted yet
 	}
 	n.miss[id]++
@@ -686,7 +679,7 @@ func (n *ClusterNode) markAlive(id string) {
 }
 
 // markSeen records that a peer has demonstrably booted (it contacted
-// us), ending its StartupGrace — without vouching for our ability to
+// us), ending its startupGrace — without vouching for our ability to
 // reach it (see handlePing).
 func (n *ClusterNode) markSeen(id string) {
 	n.mu.Lock()
@@ -1450,7 +1443,7 @@ func (n *ClusterNode) driveSession(s *replSess) {
 		if !s.tryAcquire() {
 			return
 		}
-		batch := s.take(n.cfg.ReplWindow, replBatchMaxBytes)
+		batch := s.take(replWindow, replBatchMaxBytes)
 		if len(batch) > 0 {
 			n.sendBatch(s, batch)
 		}
@@ -1895,56 +1888,6 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 	}
 }
 
-// produceRoutedFrames handles a key-routed produce arriving at any
-// cluster node, so a producer pointed at any one broker works: the chunk
-// is split by key exactly as Broker.ProduceFrames splits it, and each
-// partition's chunk travels to its leader verbatim — locally as a frame
-// append, remotely over the produce-partition op. Without a producer id
-// this path is at-least-once under retries; ClusterClient's partitioned
-// produce is the exactly-once one.
-func (n *ClusterNode) produceRoutedFrames(trace uint64, topicName string, frames []byte, count int) (int, error) {
-	t, err := n.b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	byPart, counts, err := t.splitFrames(frames, count)
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for p := range byPart {
-		if counts[p] == 0 {
-			continue
-		}
-		if _, err := n.routeChunk(trace, topicName, p, byPart[p], counts[p]); err != nil {
-			return total, err
-		}
-		total += counts[p]
-	}
-	return total, nil
-}
-
-// routeChunk delivers one partition's frame chunk to its leader.
-func (n *ClusterNode) routeChunk(trace uint64, topic string, p int, frames []byte, count int) (int, error) {
-	ldr := n.leaderFor(topic, p)
-	switch {
-	case ldr == "":
-		return 0, ErrNoReplica
-	case ldr == n.cfg.ID:
-		return n.producePartFrames(trace, topic, p, 0, 0, frames, count)
-	default:
-		cli, err := n.peerClient(ldr)
-		if err != nil {
-			return 0, err
-		}
-		nn, err := cli.producePartitionFrames(topic, p, 0, 0, frames, count)
-		if err != nil && !isRemoteErr(err) {
-			n.dropConn(ldr, cli)
-		}
-		return nn, err
-	}
-}
-
 // fetchFrames serves a consumer read: leaders only, and only up to the
 // committed watermark, so no consumer can observe records a failover
 // might lose. The payload is appended onto buf straight from the log's
@@ -2316,7 +2259,7 @@ type tpRef struct {
 // noteStateDirty schedules a partition's cluster state for the next
 // write-behind flush: the hot data path (produce acks, replicated
 // appends) marks instead of rewriting state.json per batch, so a burst
-// of watermark advances coalesces into one write per StateFlushEvery.
+// of watermark advances coalesces into one write per stateFlushEvery.
 // Under SyncEvery "always" the write happens inline — there the acked
 // batch must be recoverable, which requires the committed watermark on
 // disk before the ack returns. Control-plane transitions (rejoin
@@ -2352,11 +2295,11 @@ func (n *ClusterNode) flushDirtyState() {
 	}
 }
 
-// stateFlushLoop drains the dirty set every StateFlushEvery, and once
+// stateFlushLoop drains the dirty set every stateFlushEvery, and once
 // more on shutdown so a clean Close loses no watermark advance.
 func (n *ClusterNode) stateFlushLoop() {
 	defer n.wg.Done()
-	t := time.NewTicker(n.cfg.StateFlushEvery)
+	t := time.NewTicker(stateFlushEvery)
 	defer t.Stop()
 	for {
 		select {

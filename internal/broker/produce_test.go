@@ -7,14 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/faults"
 )
 
 // ---- ClusterClient.Produce: send everything, then wait ----
 
 // TestKeyRoutingAgrees: whichever side partitions, a key lands on the
-// same partition — the in-process Broker.Produce, a wire Client.Produce
-// (the server's ProduceFrames) and ClusterClient.Produce (client-side
+// same partition — the in-process Broker.Produce, Broker.ProduceFrames
+// (a frame chunk split in place) and ClusterClient.Produce (client-side
 // split, straight to the partition) all route with keyPartition. It is
 // what lets the serving tier treat "stratum" and "partition's ingest
 // shard" as one assignment no matter how the data was produced.
@@ -43,32 +44,24 @@ func TestKeyRoutingAgrees(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		srv, err := Serve(brokers[2], "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		cc, err := DialCluster([]string{srv.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() { _ = cc.Close() }()
 		produce := [3]func([]Record) (int, error){
 			func(recs []Record) (int, error) { return brokers[0].Produce("t", recs) },
+			func(recs []Record) (int, error) {
+				return brokers[1].ProduceFrames("t", storage.AppendRecordFrames(nil, recs), len(recs))
+			},
+			func(recs []Record) (int, error) { return cc.Produce("t", recs) },
 		}
-		for i := 1; i < 3; i++ {
-			srv, err := Serve(brokers[i], "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer srv.Close()
-			if i == 1 {
-				cli, err := Dial(srv.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() { _ = cli.Close() }()
-				produce[i] = func(recs []Record) (int, error) { return cli.Produce("t", recs) }
-			} else {
-				cc, err := DialCluster([]string{srv.Addr()})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() { _ = cc.Close() }()
-				produce[i] = func(recs []Record) (int, error) { return cc.Produce("t", recs) }
-			}
-		}
-		for i, name := range []string{"Broker.Produce", "Client.Produce", "ClusterClient.Produce"} {
+		for i, name := range []string{"Broker.Produce", "Broker.ProduceFrames", "ClusterClient.Produce"} {
 			if n, err := produce[i](batch); err != nil || n != len(batch) {
 				t.Fatalf("%d partitions, %s = %d, %v", parts, name, n, err)
 			}

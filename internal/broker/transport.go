@@ -38,7 +38,6 @@ const (
 	opPing      = "ping"
 	opCommitRep = "commitrep" // leader→follower replicated group commit
 
-	opProduce     = "produce"
 	opFetch       = "fetch"
 	opHWM         = "hwm"
 	opProducePart = "producep"
@@ -149,7 +148,7 @@ func newServerInstruments(reg *metrics.Registry) *serverInstruments {
 		lat:  make(map[string]*metrics.Histogram),
 	}
 	for _, op := range []string{
-		opCreate, opProduce, opFetch, opHWM, opCommit, opCommitted,
+		opCreate, opFetch, opHWM, opCommit, opCommitted,
 		opParts, opHello, opMeta, opPing, opProducePart, opCommitRep,
 		opRFetch, opRHWM, opReplicate, "other",
 	} {
@@ -180,8 +179,6 @@ func (si *serverInstruments) observe(op string, start time.Time) {
 // binOpName maps a binary op code to its metric/log label.
 func binOpName(op byte) string {
 	switch op {
-	case binOpProduceF:
-		return opProduce
 	case binOpFetchF:
 		return opFetch
 	case binOpHWM:
@@ -363,16 +360,6 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 		}
 		if err == nil {
 			encodeWatermarkResp(out, req.op, req.corr, hwm)
-		}
-	case binOpProduceF:
-		var n int
-		if node != nil {
-			n, err = node.produceRoutedFrames(req.trace, req.topic, req.frames, req.count)
-		} else {
-			n, err = s.broker.ProduceFrames(req.topic, req.frames, req.count)
-		}
-		if err == nil {
-			encodeCountResp(out, req.op, req.corr, n)
 		}
 	case binOpProducePartF:
 		n := req.count

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"streamapprox/internal/broker/storage"
 )
 
 func startServer(t *testing.T) (*Server, *Client) {
@@ -26,12 +28,38 @@ func startServer(t *testing.T) (*Server, *Client) {
 	return srv, cli
 }
 
+// produceRouted produces recs over one connection as the routing client
+// does: split by key on this side, then one partitioned produce per
+// partition the records reach (producer id 0: no dedup).
+func produceRouted(cli *Client, topic string, recs []Record) (int, error) {
+	parts, err := cli.Partitions(topic)
+	if err != nil {
+		return 0, err
+	}
+	bb := storage.GetBatchBuilder(parts, func(key string) int { return keyPartition(key, parts) })
+	defer bb.Release()
+	for i := range recs {
+		bb.Add(&recs[i])
+	}
+	total := 0
+	for p := 0; p < parts; p++ {
+		if frames, count := bb.Frames(p); count > 0 {
+			n, err := cli.producePartitionFrames(topic, p, 0, 0, frames, count)
+			if err != nil {
+				return total, err
+			}
+			total += n
+		}
+	}
+	return total, nil
+}
+
 func TestTCPRoundTrip(t *testing.T) {
 	_, cli := startServer(t)
 	if err := cli.CreateTopic("in", 2); err != nil {
 		t.Fatal(err)
 	}
-	n, err := cli.Produce("in", recs("tcp", 25))
+	n, err := produceRouted(cli, "in", recs("tcp", 25))
 	if err != nil || n != 25 {
 		t.Fatalf("produce = %d, %v", n, err)
 	}
@@ -66,7 +94,7 @@ func TestTCPErrorsPropagate(t *testing.T) {
 func TestTCPHighWatermarkAndOffsets(t *testing.T) {
 	_, cli := startServer(t)
 	_ = cli.CreateTopic("in", 1)
-	_, _ = cli.Produce("in", recs("k", 5))
+	_, _ = produceRouted(cli, "in", recs("k", 5))
 	hwm, err := cli.HighWatermark("in", 0)
 	if err != nil || hwm != 5 {
 		t.Errorf("hwm = %d, %v", hwm, err)
@@ -102,7 +130,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 			}
 			defer cli.Close()
 			for i := 0; i < 50; i++ {
-				if _, err := cli.Produce("in", recs("key", 2)); err != nil {
+				if _, err := produceRouted(cli, "in", recs("key", 2)); err != nil {
 					t.Errorf("produce: %v", err)
 					return
 				}
@@ -127,7 +155,7 @@ func TestTCPRecordFidelity(t *testing.T) {
 	_, cli := startServer(t)
 	_ = cli.CreateTopic("in", 1)
 	when := time.Date(2017, 12, 11, 1, 2, 3, 0, time.UTC)
-	_, err := cli.Produce("in", []Record{{Key: "tcp", Value: 123.456, Time: when}})
+	_, err := produceRouted(cli, "in", []Record{{Key: "tcp", Value: 123.456, Time: when}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +173,7 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	srv, cli := startServer(t)
 	_ = cli.CreateTopic("in", 1)
 	srv.Close()
-	if _, err := cli.Produce("in", recs("k", 1)); err == nil {
+	if _, err := produceRouted(cli, "in", recs("k", 1)); err == nil {
 		t.Error("produce after server close should fail")
 	}
 }
@@ -165,18 +193,21 @@ func wireGateCases() []wireGateCase {
 		name:    "json lockstep frame",
 		payload: []byte(`{"op":"produce","topic":"in","records":[{"key":"k","value":1}]}`),
 	}}
-	fb := getFrame()
-	defer putFrame(fb)
-	for _, op := range []byte{1, 2, 5, 6, 9} {
-		// A produce body under the retired op code: were the op still
-		// served, this would append.
-		encodeProduceFramesReq(fb, 1, 0, "in", recs("k", 3))
-		payload := append([]byte(nil), fb.b...)
-		payload[1] = op
+	for _, op := range []byte{1, 2, 5, 6, 7, 9} {
+		// The retired key-routed produce's body — topic, then a
+		// count-prefixed frame chunk — under the retired op code: were the
+		// op still served, this would append.
+		payload := appendBinReqHeader(nil, op, 1, 0)
+		payload = appendU16(payload, 2)
+		payload = append(payload, "in"...)
+		payload = appendU32(payload, 3)
+		payload = storage.AppendRecordFrames(payload, recs("k", 3))
 		cases = append(cases, wireGateCase{name: fmt.Sprintf("retired op %d", op), payload: payload})
 	}
+	fb := getFrame()
+	defer putFrame(fb)
 	for _, ver := range []byte{1, 2, wireVersion - 1, wireVersion + 1} {
-		encodeProduceFramesReq(fb, 1, 0, "in", recs("k", 3))
+		encodeProducePartFwdReq(fb, 1, 0, "in", 0, 0, 0, storage.AppendRecordFrames(nil, recs("k", 3)), 3)
 		payload := append([]byte(nil), fb.b...)
 		payload[0] = ver
 		cases = append(cases, wireGateCase{name: fmt.Sprintf("version byte %d", ver), payload: payload})

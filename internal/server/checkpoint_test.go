@@ -140,6 +140,63 @@ func TestCheckpointRestartResumes(t *testing.T) {
 	}
 }
 
+// TestNewQueryNeverInheritsDeletedQueryPosition: q-1's checkpoint
+// mirrors its position into its broker group, then q-1 is deleted; after
+// a restart the next registration is q-1 again, and it must read the
+// topic from the start, not from the deleted query's position.
+func TestNewQueryNeverInheritsDeletedQueryPosition(t *testing.T) {
+	b := broker.New()
+	if err := b.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(5, 4000)
+	if _, err := produceEvents(b, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Cluster: b, Topic: "in", CheckpointDir: t.TempDir(),
+		CheckpointEvery: time.Hour, PollBackoff: time.Millisecond}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Kind: "count", Window: time.Second}
+	for _, want := range []string{"q-0", "q-1"} {
+		if id, err := s1.Register(spec); err != nil || id != want {
+			t.Fatalf("registered %q, %v; want %s", id, err, want)
+		}
+	}
+	waitRecords := func(s *Server, id string) int64 {
+		j, _ := s.job(id)
+		for deadline := time.Now().Add(10 * time.Second); jobRecords(j) < int64(len(events)) && time.Now().Before(deadline); {
+			time.Sleep(2 * time.Millisecond)
+		}
+		return jobRecords(j)
+	}
+	if n := waitRecords(s1, "q-1"); n != int64(len(events)) {
+		t.Fatalf("q-1 consumed %d of %d", n, len(events))
+	}
+	s1.checkpointAll()
+	if off, err := b.Committed("saproxd-q-1", "in", 0); err != nil || off == 0 {
+		t.Fatalf("q-1's mirrored position = %d, %v; the premise needs it past 0", off, err)
+	}
+	if err := s1.Deregister("q-1"); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if id, err := s2.Register(spec); err != nil || id != "q-1" {
+		t.Fatalf("registered %q, %v; want the reused id q-1", id, err)
+	}
+	if n := waitRecords(s2, "q-1"); n != int64(len(events)) {
+		t.Fatalf("the new q-1 consumed %d of %d records: it started at the deleted q-1's position", n, len(events))
+	}
+}
+
 // TestSharedPlaneRestartNoLossNoDup is the shared-ingest recovery
 // property: kill a server mid-window with three active queries plus
 // one late-registered query (attached through the catch-up path),

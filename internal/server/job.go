@@ -153,17 +153,11 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 	}
 	for _, sh := range j.shards {
 		sh.sess = streamapprox.NewSession(j.sessionConfig(sh.idx))
-		var err error
-		switch spec.From {
-		case "earliest":
-			sh.offset = 0
-		case "latest":
-			sh.offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx)
-		default: // committed: resume the query's mirrored position (0 for fresh queries)
-			sh.offset, err = srv.cfg.Cluster.Committed(j.group(), srv.cfg.Topic, sh.idx)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("shard %d start offset: %w", sh.idx, err)
+		if spec.From == "latest" {
+			var err error
+			if sh.offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx); err != nil {
+				return nil, fmt.Errorf("shard %d start offset: %w", sh.idx, err)
+			}
 		}
 	}
 	return j, nil

@@ -40,7 +40,8 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Cluster is the broker to consume: the in-process *broker.Broker or
-	// a TCP *broker.Client pointed at brokerd.
+	// the routing *broker.ClusterClient, which reaches a cluster or a
+	// plain brokerd over TCP.
 	Cluster broker.Cluster
 	// DialShard, when set, opens a dedicated broker connection per
 	// ingest partition loop, so partition fetches run concurrently

@@ -30,9 +30,10 @@ type Spec struct {
 	Confidence int
 	// HistogramEdges defines bucket edges for Kind "histogram".
 	HistogramEdges []float64
-	// From selects the starting position in the topic: "committed"
-	// (default; falls back to earliest for a fresh group), "earliest" or
-	// "latest".
+	// From selects the starting position in the topic: "earliest"
+	// (default) or "latest". "committed" is accepted and means earliest:
+	// a new registration never resumes a consumer-group offset, which
+	// could be a deleted query's under a reused id.
 	From string
 	// Seed makes the shard samplers reproducible (default 1); shard i
 	// uses Seed+i.
@@ -168,9 +169,9 @@ func (sp *Spec) normalize() error {
 		return fmt.Errorf("confidence %d not one of 68, 95, 997", sp.Confidence)
 	}
 	switch sp.From {
-	case "":
-		sp.From = "committed"
-	case "committed", "earliest", "latest":
+	case "", "committed":
+		sp.From = "earliest"
+	case "earliest", "latest":
 	default:
 		return fmt.Errorf("from %q not one of committed, earliest, latest", sp.From)
 	}

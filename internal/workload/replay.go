@@ -21,14 +21,14 @@ type Replayer struct {
 	ItemsPerMessage int
 }
 
-// producer abstracts the in-process broker and the TCP client.
+// producer abstracts the in-process broker and the routing client.
 type producer interface {
 	Produce(topic string, recs []broker.Record) (int, error)
 }
 
 var (
 	_ producer = (*broker.Broker)(nil)
-	_ producer = (*broker.Client)(nil)
+	_ producer = (*broker.ClusterClient)(nil)
 )
 
 // Replay produces the events into the topic, pacing message sends to
