@@ -1,13 +1,13 @@
-// Command brokerd runs the Kafka-like stream aggregator as a standalone
-// TCP daemon (Figure 1's stream aggregator tier), standalone or as one
-// member of a replicated multi-broker cluster.
+// Command brokerd runs the Kafka-like stream aggregator as a TCP daemon
+// (Figure 1's stream aggregator tier): one member of a replicated broker
+// cluster, a one-member cluster when run alone.
 //
 // Usage:
 //
 //	brokerd [-addr host:port] [-topic name] [-partitions N]
 //	        [-data-dir path] [-fsync always|interval|none] [-fsync-every d]
 //	        [-segment-records N]
-//	        [-node-id id -peers id=host:port,id=host:port,...]
+//	        [-node-id id] [-peers id=host:port,id=host:port,...]
 //	        [-replicas N] [-min-isr N] [-heartbeat d] [-fail-after N]
 //	        [-dial-timeout d] [-probe-timeout d] [-rpc-timeout d]
 //	        [-idle-timeout d] [-write-timeout d]
@@ -26,7 +26,11 @@
 // torn tails truncated) on the next start. Without it everything is
 // in-memory and dies with the process.
 //
-// With -node-id and -peers the daemon joins a broker cluster: partition
+// Without -peers the daemon is a one-member cluster: its member map is
+// {-node-id: the bound listener address}, with one replica and min-ISR
+// 1, so a retried produce is deduplicated as on any member.
+//
+// With -peers the daemon joins a broker cluster as -node-id: partition
 // placement is rendezvous-hashed over the member list, each partition's
 // leader streams appended chunks to its followers (`-replicas` copies,
 // produce acked after `-min-isr` of them), and when a member dies its
@@ -95,11 +99,11 @@ func run() error {
 	fsyncFlag := flag.String("fsync", "always", "fsync policy for appended records: always, interval or none")
 	fsyncEvery := flag.Duration("fsync-every", 50*time.Millisecond, "flush period with -fsync interval")
 	segRecords := flag.Int("segment-records", 0, "records per segment file (0: default 4096)")
-	nodeID := flag.String("node-id", "", "cluster member id (empty: standalone)")
-	peersFlag := flag.String("peers", "", "full cluster member map id=host:port,... (must include -node-id)")
-	replicas := flag.Int("replicas", 2, "replication factor per partition (cluster mode)")
+	nodeID := flag.String("node-id", "n0", "cluster member id")
+	peersFlag := flag.String("peers", "", "full cluster member map id=host:port,... (must include -node-id; empty: a one-member cluster)")
+	replicas := flag.Int("replicas", 2, "replication factor per partition (with -peers)")
 	minISR := flag.Int("min-isr", 0, "replicas that must ack a produce, counting the leader (0: = -replicas)")
-	heartbeat := flag.Duration("heartbeat", 250*time.Millisecond, "peer heartbeat interval (cluster mode)")
+	heartbeat := flag.Duration("heartbeat", 250*time.Millisecond, "peer heartbeat interval")
 	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before a peer is declared dead")
 	dialTimeout := flag.Duration("dial-timeout", broker.DefaultDialTimeout, "TCP connect bound for node-to-node dials")
 	probeTimeout := flag.Duration("probe-timeout", 0, "deadline for one heartbeat probe RPC (0: 4x -heartbeat, min 1s)")
@@ -143,46 +147,13 @@ func run() error {
 		}
 	}
 
-	var node *broker.ClusterNode
-	if *nodeID != "" {
-		peers, err := parsePeers(*peersFlag)
-		if err != nil {
+	var peers map[string]string
+	if *peersFlag != "" {
+		if peers, err = parsePeers(*peersFlag); err != nil {
 			return err
 		}
-		node, err = broker.NewClusterNode(b, broker.NodeConfig{
-			ID:             *nodeID,
-			Peers:          peers,
-			Replicas:       *replicas,
-			MinISR:         *minISR,
-			HeartbeatEvery: *heartbeat,
-			FailAfter:      *failAfter,
-			DialTimeout:    *dialTimeout,
-			ProbeTimeout:   *probeTimeout,
-			RPCTimeout:     *rpcTimeout,
-			Logf:           logger.With("node", *nodeID).Logf,
-		})
-		if err != nil {
-			return err
-		}
-	} else if *peersFlag != "" {
-		return fmt.Errorf("-peers requires -node-id")
 	}
-
-	// Identity gauge: lets scrapers (saprox status) map a /metrics
-	// endpoint back to a cluster member id.
-	info := "standalone"
-	if *nodeID != "" {
-		info = *nodeID
-	}
-	b.Metrics().Gauge("broker_info",
-		"Always 1; the node label identifies this broker.",
-		metrics.Labels{"node": info}).Set(1)
-	if node != nil {
-		node.RegisterMetrics(b.Metrics())
-	}
-
 	srv, err := broker.ServeWithOptions(b, *addr, broker.ServerOptions{
-		Node:         node,
 		Metrics:      b.Metrics(),
 		Log:          logger,
 		IdleTimeout:  *idleTimeout,
@@ -192,10 +163,34 @@ func run() error {
 		return err
 	}
 	defer srv.Close()
-	if node != nil {
-		node.Start()
-		defer node.Close()
+	if peers == nil {
+		peers = map[string]string{*nodeID: srv.Addr()}
+		*replicas, *minISR = 1, 1
 	}
+	node, err := broker.NewClusterNode(b, broker.NodeConfig{
+		ID:             *nodeID,
+		Peers:          peers,
+		Replicas:       *replicas,
+		MinISR:         *minISR,
+		HeartbeatEvery: *heartbeat,
+		FailAfter:      *failAfter,
+		DialTimeout:    *dialTimeout,
+		ProbeTimeout:   *probeTimeout,
+		RPCTimeout:     *rpcTimeout,
+		Logf:           logger.With("node", *nodeID).Logf,
+	})
+	if err != nil {
+		return err
+	}
+	// Identity gauge: lets scrapers (saprox status) map a /metrics
+	// endpoint back to a cluster member id.
+	b.Metrics().Gauge("broker_info",
+		"Always 1; the node label identifies this broker.",
+		metrics.Labels{"node": *nodeID}).Set(1)
+	node.RegisterMetrics(b.Metrics())
+	srv.AttachNode(node)
+	node.Start()
+	defer node.Close()
 
 	var admin *http.Server
 	if *httpAddr != "" {
@@ -217,11 +212,8 @@ func run() error {
 	if *dataDir != "" {
 		store = fmt.Sprintf("durable %s (fsync %s)", *dataDir, policy)
 	}
-	kv := []any{"addr", srv.Addr(), "topic", *topic, "partitions", *partitions, "storage", store}
-	if node != nil {
-		kv = append(kv, "node", *nodeID, "replicas", *replicas)
-	}
-	logger.Info("listening", kv...)
+	logger.Info("listening", "addr", srv.Addr(), "topic", *topic, "partitions", *partitions,
+		"storage", store, "node", *nodeID, "replicas", *replicas)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

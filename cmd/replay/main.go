@@ -12,8 +12,8 @@
 // It produces through the routing client: each message is split by key
 // on this side and sent to every partition's leader with a producer id
 // and sequence, so a message retried across a leader failover lands
-// exactly once. -addr takes any reachable members of a cluster, or the
-// one address of a plain brokerd.
+// exactly once. -addr takes any reachable members of a cluster; a single
+// brokerd is a one-member cluster with one address.
 package main
 
 import (

@@ -18,8 +18,8 @@
 // The daemon consumes the -brokers members through the routing client:
 // fetches go to each partition's current leader, NotLeader redirects are
 // followed, and a broker failover is absorbed without losing or
-// duplicating any query's windows. A single address works too, a plain
-// non-clustered brokerd included.
+// duplicating any query's windows. A single brokerd is a one-member
+// cluster, reached by its one address.
 //
 // API:
 //
@@ -74,7 +74,7 @@ func main() {
 
 func run() error {
 	addr := flag.String("addr", "127.0.0.1:9090", "HTTP listen address")
-	brokersFlag := flag.String("brokers", "127.0.0.1:9092", "comma-separated broker addresses (cluster members, or one plain brokerd)")
+	brokersFlag := flag.String("brokers", "127.0.0.1:9092", "comma-separated broker addresses (any members of the cluster; one for a single brokerd)")
 	topic := flag.String("topic", "stream", "topic to consume")
 	group := flag.String("group", "saproxd", "consumer-group prefix")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for shard checkpoints (empty disables)")

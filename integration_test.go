@@ -64,6 +64,28 @@ func (m *member) poll() (*EventBatch, error) {
 	return merged, nil
 }
 
+// serveBroker serves b on loopback as a one-member cluster, the way
+// brokerd runs without -peers.
+func serveBroker(t *testing.T, b *broker.Broker) *broker.Server {
+	t.Helper()
+	srv, err := broker.Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	node, err := broker.NewClusterNode(b, broker.NodeConfig{ID: "n0", Peers: map[string]string{"n0": srv.Addr()}, Replicas: 1, MinISR: 1})
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	srv.AttachNode(node)
+	node.Start()
+	t.Cleanup(func() {
+		node.Close()
+		srv.Close()
+	})
+	return srv
+}
+
 // TestEndToEndBrokerToSession exercises the full Figure-1 path: events
 // are produced to the Kafka-like aggregator over TCP, read back by
 // positioned partition readers as columnar batches, pushed through an
@@ -74,11 +96,7 @@ func TestEndToEndBrokerToSession(t *testing.T) {
 	if err := b.CreateTopic("stream", 4); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := broker.Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveBroker(t, b)
 
 	// Produce the synthetic Gaussian workload over TCP in paper-style
 	// 200-item messages.
@@ -169,11 +187,7 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 	if err := b.CreateTopic("stream", 4); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := broker.Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveBroker(t, b)
 
 	rng := xrand.New(23)
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)

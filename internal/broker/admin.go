@@ -7,9 +7,9 @@ import (
 )
 
 // AdminHandler serves the broker's operational plane: Prometheus metrics,
-// an ISR-aware readiness probe, and the standard pprof endpoints. node may
-// be nil for a standalone (non-clustered) broker, in which case /healthz
-// reports ready as long as the broker is open.
+// an ISR-aware readiness probe, and the standard pprof endpoints. node is
+// the broker's cluster member; a single broker is a one-member cluster,
+// ready once it has joined.
 func AdminHandler(b *Broker, node *ClusterNode) http.Handler {
 	mux := http.NewServeMux()
 
@@ -19,12 +19,10 @@ func AdminHandler(b *Broker, node *ClusterNode) http.Handler {
 	})
 
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if node != nil {
-			if err := node.Ready(); err != nil {
-				w.WriteHeader(http.StatusServiceUnavailable)
-				fmt.Fprintf(w, "not ready: %v\n", err)
-				return
-			}
+		if err := node.Ready(); err != nil {
+			w.WriteHeader(http.StatusServiceUnavailable)
+			fmt.Fprintf(w, "not ready: %v\n", err)
+			return
 		}
 		fmt.Fprintln(w, "ok")
 	})

@@ -233,15 +233,10 @@ func TestTraceIDReachesBrokerLogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := &syncBuf{}
-	srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{
+	srv := serveMember(t, b, ServerOptions{
 		Metrics: b.Metrics(),
 		Log:     obs.New(buf, obs.LevelDebug),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

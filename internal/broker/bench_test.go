@@ -30,15 +30,11 @@ func benchRecords(n int) []Record {
 	return out
 }
 
-// benchDial starts a server and connects a client to it.
+// benchDial serves a one-member broker and connects a client to it.
 func benchDial(b *testing.B) (*Broker, *Client) {
 	b.Helper()
 	bk := New()
-	srv, err := Serve(bk, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(srv.Close)
+	srv := serveMember(b, bk, ServerOptions{})
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		b.Fatal(err)

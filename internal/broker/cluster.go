@@ -52,11 +52,6 @@ type ClusterMeta struct {
 	Topics map[string]TopicInfo `json:"topics"`
 }
 
-// soloNodeID is the synthetic member id a non-clustered broker server
-// reports from the "meta" op, so ClusterClient works unchanged against
-// a single plain brokerd.
-const soloNodeID = "_solo"
-
 // replicasFor returns the replica set of (topic, partition): the
 // highest-random-weight `replicas` members of the full (sorted) member
 // list. Rank order is the promotion order — the first LIVE entry leads.

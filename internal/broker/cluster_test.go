@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamapprox/internal/broker/storage"
+	"streamapprox/internal/faults"
 )
 
 // ---- in-process cluster harness ----
@@ -313,16 +314,15 @@ func TestNotLeaderRedirectCarriesHint(t *testing.T) {
 	}
 }
 
-func TestClusterClientWorksAgainstSoloServer(t *testing.T) {
+// TestClusterClientWorksAgainstOneMemberBroker: a single broker is a
+// one-member cluster. The routing client produces, fetches and commits
+// through it, and the member never dials itself.
+func TestClusterClientWorksAgainstOneMemberBroker(t *testing.T) {
 	b := New()
 	if err := b.CreateTopic("t", 2); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := serveMember(t, b, ServerOptions{})
 	cc, err := DialCluster([]string{srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
@@ -340,6 +340,70 @@ func TestClusterClientWorksAgainstSoloServer(t *testing.T) {
 	}
 	if off, err := cc.Committed("g", "t", 0); err != nil || off != 42 {
 		t.Fatalf("committed = %d, %v", off, err)
+	}
+	node := srv.node.Load()
+	node.mu.Lock()
+	conns := len(node.conns)
+	node.mu.Unlock()
+	if conns != 0 {
+		t.Fatalf("one-member node holds %d peer connections, want 0", conns)
+	}
+}
+
+// TestOneMemberBrokerAppendsRetriedProduceOnce puts a fault proxy
+// between the routing client and a one-member broker that advertises its
+// own listener, as brokerd does. The client must stay on the address it
+// dialed, so the blackholed reply really is the produce's; the retry
+// after the cut carries the same producer id and sequence and must not
+// append the batch again.
+func TestOneMemberBrokerAppendsRetriedProduceOnce(t *testing.T) {
+	b := New()
+	srv := serveMember(t, b, ServerOptions{})
+	px, err := faults.NewProxy("127.0.0.1:0", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = px.Close() }()
+	cc, err := DialClusterWithOptions([]string{px.Addr()}, ClusterClientOptions{Retries: 20, Backoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cc.Close() }()
+	if err := cc.CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	px.Set(faults.Downstream, faults.Faults{Blackhole: true})
+	done := make(chan error, 1)
+	go func() {
+		_, err := cc.Produce("t", keylessRecs(0, 10))
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if hwm, _ := b.HighWatermark("t", 0); hwm >= 10 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the produce never reached the broker")
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("produce returned (%v) while its reply was blackholed: the client left the address it dialed", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	px.CutConns() // the held reply dies with the connection
+	px.Heal()
+	if err := <-done; err != nil {
+		t.Fatalf("produce after the cut: %v", err)
+	}
+	if hwm, _ := b.HighWatermark("t", 0); hwm != 10 {
+		t.Fatalf("log holds %d records for 10 produced", hwm)
+	}
+	for v, c := range fetchAllValues(t, cc, "t") {
+		if c != 1 {
+			t.Fatalf("value %v stored %d times", v, c)
+		}
 	}
 }
 

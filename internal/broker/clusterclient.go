@@ -265,13 +265,11 @@ func (cc *ClusterClient) refreshMeta() error {
 			lastErr = err
 			continue
 		}
-		// A solo server reports a synthetic member whose advertised
-		// address may be unroutable (e.g. a 0.0.0.0 listener); the
-		// address we just dialed is authoritative.
-		for i := range m.Nodes {
-			if m.Nodes[i].ID == soloNodeID {
-				m.Nodes[i].Addr = addr
-			}
+		// In a one-member view the address just dialed is authoritative:
+		// a broker advertising an unroutable listener (0.0.0.0, :9092)
+		// stays reachable, and a proxied client stays on its proxy.
+		if len(m.Nodes) == 1 {
+			m.Nodes[0].Addr = addr
 		}
 		if best == nil || m.Epoch > best.Epoch {
 			best = m

@@ -211,12 +211,7 @@ func TestConsumerBridgeMatchesNative(t *testing.T) {
 	if _, err := b.Produce("in", in); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := Dial(serveMember(t, b, ServerOptions{}).Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

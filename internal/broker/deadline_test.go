@@ -15,13 +15,7 @@ import (
 // returns the proxy (dial p.Addr() to go through it).
 func proxiedServer(t *testing.T) *faults.Proxy {
 	t.Helper()
-	b := New()
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	p, err := faults.NewProxy("127.0.0.1:0", srv.Addr())
+	p, err := faults.NewProxy("127.0.0.1:0", serveMember(t, New(), ServerOptions{}).Addr())
 	if err != nil {
 		t.Fatal(err)
 	}

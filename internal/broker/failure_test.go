@@ -9,11 +9,7 @@ import (
 // panic, when parts of the aggregator tier disappear mid-stream.
 
 func TestClientErrorsAfterServerClose(t *testing.T) {
-	b := New()
-	srv, err := Serve(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := serveMember(t, New(), ServerOptions{})
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)

@@ -44,12 +44,7 @@ func TestKeyRoutingAgrees(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		srv, err := Serve(brokers[2], "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer srv.Close()
-		cc, err := DialCluster([]string{srv.Addr()})
+		cc, err := DialCluster([]string{serveMember(t, brokers[2], ServerOptions{}).Addr()})
 		if err != nil {
 			t.Fatal(err)
 		}

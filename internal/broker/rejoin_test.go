@@ -310,9 +310,9 @@ func TestDurableClusterFollowerRestartCatchesUp(t *testing.T) {
 	dc.waitConverged("t", 1)
 }
 
-// TestDurableSoloBrokerRestart pins the standalone durable path: a
-// plain brokerd with -data-dir recovers its topics, records and
-// consumer-group offsets across a restart.
+// TestDurableSoloBrokerRestart pins the single durable broker: its
+// topics, records and consumer-group offsets recover across a restart,
+// in process and served as a one-member cluster.
 func TestDurableSoloBrokerRestart(t *testing.T) {
 	dir := t.TempDir()
 	b, err := Open(StorageConfig{Dir: dir, Policy: storage.SyncAlways})
@@ -368,6 +368,103 @@ func TestDurableSoloBrokerRestart(t *testing.T) {
 	// tolerates this on restart).
 	if err := re.CreateTopic("t", 2); err != ErrTopicExists {
 		t.Fatalf("recreate recovered topic: %v", err)
+	}
+
+	// This directory holds segments and groups.json but no cluster state,
+	// as a broker served without a node left it. A one-member node
+	// adopts it whole: nothing is truncated, every record is served.
+	cc, err := DialCluster([]string{serveMember(t, re, ServerOptions{}).Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cc.Close() }()
+	if got := fetchAllValues(t, cc, "t"); len(got) != 500 {
+		t.Fatalf("served %d distinct values of the 500 written without a node", len(got))
+	}
+	if off, err := cc.Committed("g", "t", 1); err != nil || off != 42 {
+		t.Fatalf("served committed = %d, %v", off, err)
+	}
+
+	t.Run("served", testDurableMemberRestart)
+}
+
+// testDurableMemberRestart produces and commits through the routing
+// client into a durable one-member broker, abandons it without Close as
+// a kill -9 would, and reopens it under a new node: logs, watermarks and
+// group offsets recover, and a retry of the last producer sequence is
+// recognised, not appended again.
+func testDurableMemberRestart(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Server {
+		t.Helper()
+		b, err := Open(StorageConfig{Dir: dir, Policy: storage.SyncAlways})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return serveMember(t, b, ServerOptions{})
+	}
+	srv := open()
+	cc, err := DialCluster([]string{srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.Produce("t", keylessRecs(0, 500)); err != nil {
+		t.Fatal(err)
+	}
+	if err := cc.Commit("g", "t", 1, 42); err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := keylessRecs(500, 10)
+	if _, err := producePart(cli, "t", 0, 99, 1, last); err != nil {
+		t.Fatal(err)
+	}
+	hwm0, err := cc.HighWatermark("t", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = cli.Close()
+	_ = cc.Close()
+	srv.node.Load().Close()
+	srv.Close() // the broker itself is abandoned, not closed
+
+	srv = open()
+	cc, err = DialCluster([]string{srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cc.Close() }()
+	if hwm, err := cc.HighWatermark("t", 0); err != nil || hwm != hwm0 {
+		t.Fatalf("recovered partition 0 watermark = %d, %v; want %d", hwm, err, hwm0)
+	}
+	got := fetchAllValues(t, cc, "t")
+	if len(got) != 510 {
+		t.Fatalf("recovered %d distinct values, want 510", len(got))
+	}
+	for v, c := range got {
+		if c != 1 {
+			t.Fatalf("value %v recovered %d times", v, c)
+		}
+	}
+	if off, err := cc.Committed("g", "t", 1); err != nil || off != 42 {
+		t.Fatalf("recovered committed = %d, %v", off, err)
+	}
+	cli, err = Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cli.Close() }()
+	if _, err := producePart(cli, "t", 0, 99, 1, last); err != nil {
+		t.Fatal(err)
+	}
+	if hwm, err := cc.HighWatermark("t", 0); err != nil || hwm != hwm0 {
+		t.Fatalf("watermark after retrying the last sequence = %d, %v; want %d (appended again)", hwm, err, hwm0)
 	}
 }
 

@@ -75,11 +75,13 @@ type wireResponse struct {
 
 // ServerOptions tunes a broker server.
 type ServerOptions struct {
-	// Node, when set, makes this server a cluster member: produce and
-	// fetch are gated by partition leadership and replicated, and the
-	// meta/ping/replicate ops are served. Can also be attached after
-	// Serve with AttachNode (needed when peer addresses are only known
-	// once every listener is bound).
+	// Node is the cluster member this server fronts — a one-member
+	// cluster for a single broker. Every op but hello goes through it:
+	// produce and fetch are gated by partition leadership, deduplicated
+	// and replicated. It may instead be attached after Serve with
+	// AttachNode (needed when peer addresses are only known once every
+	// listener is bound); until then the server refuses every op but
+	// hello with a retryable error.
 	Node *ClusterNode
 	// Metrics, when set, receives per-op request counters and latency
 	// histograms at the wire-dispatch layer (broker_requests_total,
@@ -130,8 +132,9 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// errNotClusterMember rejects cluster-only ops on a solo server.
-var errNotClusterMember = errors.New("broker: not a cluster member")
+// errNoNode answers every op but hello on a server whose node is not
+// attached yet; clients retry it like any answered rejection.
+var errNoNode = errors.New("broker: no cluster node attached yet")
 
 // serverInstruments is the wire-dispatch instrumentation: one request
 // counter and one latency histogram per op, resolved from the registry
@@ -200,9 +203,6 @@ func binOpName(op byte) string {
 // AttachNode attaches (or replaces) the server's cluster node. Ops
 // observe it on their next dispatch.
 func (s *Server) AttachNode(n *ClusterNode) { s.node.Store(n) }
-
-// clusterNode returns the attached node, nil when the server runs solo.
-func (s *Server) clusterNode() *ClusterNode { return s.node.Load() }
 
 // Serve starts serving the broker on addr (e.g. "127.0.0.1:0") and
 // returns once the listener is bound. Stop the server with Close.
@@ -346,39 +346,37 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 	if err != nil {
 		return err
 	}
+	var jreq *wireRequest // allocated for control ops only
+	if req.op == binOpJSON {
+		jreq = new(wireRequest)
+		if err := json.Unmarshal(req.jsonBody, jreq); err != nil {
+			return err
+		}
+	}
 	start := time.Now()
 	out := getFrame()
 	defer putFrame(out)
-	node := s.clusterNode()
+	node := s.node.Load()
+	if node == nil && (jreq == nil || jreq.Op != opHello) {
+		// Bound before its node is attached: the bare log serves nothing,
+		// so no produce is appended unreplicated or undeduplicated.
+		encodeErrResp(out, req.op, req.corr, errNoNode.Error())
+		return writeRawFrame(bw, out.b)
+	}
 	switch req.op {
 	case binOpHWM:
 		var hwm int64
-		if node != nil {
-			hwm, err = node.hwm(req.topic, req.partition)
-		} else {
-			hwm, err = s.broker.HighWatermark(req.topic, req.partition)
-		}
-		if err == nil {
+		if hwm, err = node.hwm(req.topic, req.partition); err == nil {
 			encodeWatermarkResp(out, req.op, req.corr, hwm)
 		}
 	case binOpProducePartF:
-		n := req.count
-		if node != nil {
-			n, err = node.producePartFrames(req.trace, req.topic, req.partition, req.pid, req.seq, req.frames, req.count)
-		} else {
-			_, err = s.broker.producePartitionFrames(req.topic, req.partition, req.frames, req.count)
-		}
-		if err == nil {
+		var n int
+		if n, err = node.producePartFrames(req.trace, req.topic, req.partition, req.pid, req.seq, req.frames, req.count); err == nil {
 			encodeCountResp(out, req.op, req.corr, n)
 		}
 	case binOpReplicateMF:
 		var hwms []int64
-		if node == nil {
-			err = errNotClusterMember
-		} else {
-			hwms, err = node.applyReplicateBatch(req.epoch, req.sender, req.sections)
-		}
-		if err == nil {
+		if hwms, err = node.applyReplicateBatch(req.epoch, req.sender, req.sections); err == nil {
 			encodeReplicateMFResp(out, req.corr, hwms)
 		}
 	case binOpFetchF, binOpRFetchF:
@@ -389,35 +387,21 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 		// re-encoding.
 		at := beginFetchFramesResp(out, req.op, req.corr, req.offset)
 		var n int
-		switch {
-		case req.op == binOpRFetchF && node == nil:
-			err = errNotClusterMember
-		case req.op == binOpRFetchF:
+		if req.op == binOpRFetchF {
 			out.b, n, err = node.replicaFetchFrames(req.sender, req.topic, req.partition, req.offset, req.max, out.b)
-		case node != nil:
+		} else {
 			out.b, n, err = node.fetchFrames(req.topic, req.partition, req.offset, req.max, out.b)
-		default:
-			out.b, n, err = s.broker.FetchFrames(req.topic, req.partition, req.offset, req.max, out.b)
 		}
 		if err == nil {
 			patchFrameCount(out, at, n)
 		}
 	case binOpRHWMB:
 		var hwm int64
-		if node == nil {
-			err = errNotClusterMember
-		} else {
-			hwm, err = node.replicaHWM(req.sender, req.topic, req.partition)
-		}
-		if err == nil {
+		if hwm, err = node.replicaHWM(req.sender, req.topic, req.partition); err == nil {
 			encodeWatermarkResp(out, req.op, req.corr, hwm)
 		}
 	case binOpJSON:
-		var jreq wireRequest
-		if err := json.Unmarshal(req.jsonBody, &jreq); err != nil {
-			return err
-		}
-		resp := s.dispatch(&jreq)
+		resp := s.dispatch(node, jreq)
 		if err := encodeJSONResp(out, req.corr, &resp); err != nil {
 			return err
 		}
@@ -439,98 +423,49 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 	return writeRawFrame(bw, out.b)
 }
 
-// soloMeta synthesizes a single-member metadata view for a server
-// running without a cluster node, so ClusterClient can route to it.
-func (s *Server) soloMeta() *ClusterMeta {
-	m := &ClusterMeta{
-		Nodes:  []NodeInfo{{ID: soloNodeID, Addr: s.ln.Addr().String(), Alive: true}},
-		Topics: make(map[string]TopicInfo),
-	}
-	for _, t := range s.broker.Topics() {
-		parts, err := s.broker.Partitions(t)
-		if err != nil {
-			continue
-		}
-		ti := TopicInfo{Partitions: make([]PartitionInfo, parts)}
-		for p := range ti.Partitions {
-			ti.Partitions[p] = PartitionInfo{Leader: soloNodeID, Replicas: []string{soloNodeID}}
-		}
-		m.Topics[t] = ti
-	}
-	return m
-}
-
 // dispatch serves one control request (the JSON body of a binOpJSON
 // envelope), instrumenting it under its op string.
-func (s *Server) dispatch(req *wireRequest) wireResponse {
+func (s *Server) dispatch(node *ClusterNode, req *wireRequest) wireResponse {
 	start := time.Now()
-	resp := s.dispatchOp(req)
+	resp := s.dispatchOp(node, req)
 	s.instr.observe(req.Op, start)
 	return resp
 }
 
-func (s *Server) dispatchOp(req *wireRequest) wireResponse {
-	node := s.clusterNode()
+func (s *Server) dispatchOp(node *ClusterNode, req *wireRequest) wireResponse {
+	var err error
 	switch req.Op {
 	case opCreate:
-		if err := s.broker.CreateTopic(req.Topic, req.Partitions); err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{}
+		err = s.broker.CreateTopic(req.Topic, req.Partitions)
 	case opMeta:
-		if node != nil {
-			return wireResponse{Meta: node.meta()}
-		}
-		return wireResponse{Meta: s.soloMeta()}
+		return wireResponse{Meta: node.meta()}
 	case opPing:
-		if node == nil {
-			return wireResponse{Err: errNotClusterMember.Error()}
-		}
 		epoch, view := node.handlePing(req.Node, req.Epoch, req.View)
 		return wireResponse{Epoch: epoch, View: view}
 	case opCommit:
-		// Clustered: group commits route through the partition leader
-		// and replicate to its followers, so Committed is exact and the
-		// offset survives a failover.
-		var err error
-		if node != nil {
-			err = node.commitGroup(req.Group, req.Topic, req.Partition, req.Offset)
-		} else {
-			err = s.broker.Commit(req.Group, req.Topic, req.Partition, req.Offset)
-		}
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{}
+		// Group commits route through the partition leader and replicate
+		// to its followers, so Committed is exact and the offset survives
+		// a failover.
+		err = node.commitGroup(req.Group, req.Topic, req.Partition, req.Offset)
 	case opCommitRep:
-		if node == nil {
-			return wireResponse{Err: errNotClusterMember.Error()}
-		}
-		if err := node.applyGroupCommit(req.Epoch, req.Node, req.Group, req.Topic, req.Partition, req.Offset); err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{}
+		err = node.applyGroupCommit(req.Epoch, req.Node, req.Group, req.Topic, req.Partition, req.Offset)
 	case opCommitted:
 		var off int64
-		var err error
-		if node != nil {
-			off, err = node.committedGroup(req.Group, req.Topic, req.Partition)
-		} else {
-			off, err = s.broker.Committed(req.Group, req.Topic, req.Partition)
+		if off, err = node.committedGroup(req.Group, req.Topic, req.Partition); err == nil {
+			return wireResponse{Offset: off}
 		}
-		if err != nil {
-			return wireResponse{Err: err.Error()}
-		}
-		return wireResponse{Offset: off}
 	case opParts:
-		n, err := s.broker.Partitions(req.Topic)
-		if err != nil {
-			return wireResponse{Err: err.Error()}
+		var n int
+		if n, err = s.broker.Partitions(req.Topic); err == nil {
+			return wireResponse{N: n}
 		}
-		return wireResponse{N: n}
 	case opHello:
 		return wireResponse{N: int(wireVersion)}
 	default:
 		return wireResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+	if err != nil {
+		return wireResponse{Err: err.Error()}
+	}
+	return wireResponse{}
 }

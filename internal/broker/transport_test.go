@@ -12,14 +12,38 @@ import (
 	"streamapprox/internal/broker/storage"
 )
 
-func startServer(t *testing.T) (*Server, *Client) {
+// serveMember serves b as a one-member cluster, the way brokerd runs
+// without -peers: bind, then attach and start a node whose member map
+// is {n0: the bound address}. It returns once the node has joined; the
+// node is srv.node.Load().
+func serveMember(t testing.TB, b *Broker, opts ServerOptions) *Server {
 	t.Helper()
-	b := New()
-	srv, err := Serve(b, "127.0.0.1:0")
+	srv, err := ServeWithOptions(b, "127.0.0.1:0", opts)
 	if err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	t.Cleanup(srv.Close)
+	node, err := NewClusterNode(b, NodeConfig{ID: "n0", Peers: map[string]string{"n0": srv.Addr()}, Replicas: 1, MinISR: 1})
+	if err != nil {
+		srv.Close()
+		t.Fatal(err)
+	}
+	srv.AttachNode(node)
+	node.Start()
+	t.Cleanup(func() {
+		node.Close()
+		srv.Close()
+	})
+	for deadline := time.Now().Add(5 * time.Second); node.isJoining(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("one-member node never joined")
+		}
+	}
+	return srv
+}
+
+func startServer(t *testing.T) (*Server, *Client) {
+	t.Helper()
+	srv := serveMember(t, New(), ServerOptions{})
 	cli, err := Dial(srv.Addr())
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -175,6 +199,63 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 	srv.Close()
 	if _, err := produceRouted(cli, "in", recs("k", 1)); err == nil {
 		t.Error("produce after server close should fail")
+	}
+}
+
+// TestServerRefusesOpsBeforeNodeAttached: a server bound before its
+// node is attached answers hello, so peers can dial it, and refuses
+// produce, fetch, HWM and commit with an answered error — nothing
+// reaches the log. Once the node is attached the same connection is
+// served.
+func TestServerRefusesOpsBeforeNodeAttached(t *testing.T) {
+	b := New()
+	if err := b.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("hello before attach: %v", err)
+	}
+	defer func() { _ = cli.Close() }()
+	refused := func(op string, err error) {
+		t.Helper()
+		if err == nil || !isRemoteErr(err) || !strings.Contains(err.Error(), errNoNode.Error()) {
+			t.Errorf("%s before attach: %v; want the answered %q", op, err, errNoNode)
+		}
+	}
+	_, err = producePart(cli, "in", 0, 7, 1, recs("k", 5))
+	refused("produce", err)
+	_, err = cli.Fetch("in", 0, 0, 10)
+	refused("fetch", err)
+	_, err = cli.HighWatermark("in", 0)
+	refused("hwm", err)
+	refused("commit", cli.Commit("g", "in", 0, 3))
+	if hwm, _ := b.HighWatermark("in", 0); hwm != 0 {
+		t.Fatalf("log holds %d records after refused produces", hwm)
+	}
+	if off, _ := b.Committed("g", "in", 0); off != 0 {
+		t.Fatalf("group offset %d after a refused commit", off)
+	}
+
+	node, err := NewClusterNode(b, NodeConfig{ID: "n0", Peers: map[string]string{"n0": srv.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	srv.AttachNode(node)
+	node.Start()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, err = producePart(cli, "in", 0, 7, 1, recs("k", 5)); err == nil || time.Now().After(deadline) {
+			break
+		}
+	}
+	if hwm, herr := cli.HighWatermark("in", 0); err != nil || herr != nil || hwm != 5 {
+		t.Fatalf("after attach: produce %v, hwm %d, %v; want 5 records", err, hwm, herr)
 	}
 }
 

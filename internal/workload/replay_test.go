@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"streamapprox/internal/broker"
+	"streamapprox/internal/faults"
+	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
 )
 
@@ -106,6 +108,93 @@ func TestReplayFailoverExactlyOnce(t *testing.T) {
 		t.Fatalf("Replay across a leader kill = %d, %v; want %d, nil", n, err, len(events))
 	}
 
+	assertStoredOnce(t, cc, events)
+}
+
+// cutReply is a producer that, at its n-th message, holds the broker's
+// replies in the proxy until the message is in the log, then severs
+// every proxied connection: the routing client retries a produce that
+// already appended.
+type cutReply struct {
+	*broker.ClusterClient
+	n      int
+	px     *faults.Proxy
+	logged func() int64
+	sent   int64
+}
+
+func (c *cutReply) Produce(topic string, recs []broker.Record) (int, error) {
+	c.sent += int64(len(recs))
+	if c.n--; c.n == 0 {
+		c.px.Set(faults.Downstream, faults.Faults{Blackhole: true})
+		go func(want int64) {
+			for deadline := time.Now().Add(5 * time.Second); c.logged() < want && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			c.px.CutConns()
+			c.px.Heal()
+		}(c.sent)
+	}
+	return c.ClusterClient.Produce(topic, recs)
+}
+
+// TestReplayOneMemberBrokerExactlyOnce replays a dataset through a fault
+// proxy into a single broker, served as a one-member cluster the way
+// brokerd runs without -peers, and cuts the connections under one
+// message whose replies were held back: the replay returns no error, and
+// the broker holds every item exactly once.
+func TestReplayOneMemberBrokerExactlyOnce(t *testing.T) {
+	b := broker.New()
+	defer b.Close()
+	srv, err := broker.Serve(b, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	node, err := broker.NewClusterNode(b, broker.NodeConfig{ID: "n0", Peers: map[string]string{"n0": srv.Addr()}, Replicas: 1, MinISR: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	srv.AttachNode(node)
+	node.Start()
+	px, err := faults.NewProxy("127.0.0.1:0", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer px.Close()
+	cc, err := broker.DialClusterWithOptions([]string{px.Addr()}, broker.ClusterClientOptions{Retries: 20, Backoff: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	if err := cc.CreateTopic("in", 4); err != nil {
+		t.Fatal(err)
+	}
+
+	events := TaxiEvents(xrand.New(5), 20000, 20*time.Second)
+	dst := &cutReply{ClusterClient: cc, n: 34, px: px, logged: func() int64 {
+		var n int64
+		for p := 0; p < 4; p++ {
+			hwm, _ := b.HighWatermark("in", p)
+			n += hwm
+		}
+		return n
+	}}
+	n, err := (&Replayer{ItemsPerMessage: 200}).Replay(context.Background(), dst, "in", events)
+	if dst.n > 0 {
+		t.Fatalf("Replay stopped before the cut: %d, %v", n, err)
+	}
+	if err != nil || n != len(events) {
+		t.Fatalf("Replay across a cut = %d, %v; want %d, nil", n, err, len(events))
+	}
+	assertStoredOnce(t, cc, events)
+}
+
+// assertStoredOnce reads every partition of topic "in" back through cc
+// and checks it holds each event exactly once.
+func assertStoredOnce(t *testing.T, cc *broker.ClusterClient, events []stream.Event) {
+	t.Helper()
 	type item struct {
 		key   string
 		value float64
