@@ -7,7 +7,7 @@
 // Usage:
 //
 //	saproxd [-addr host:port] [-brokers h1:port,h2:port,...] [-topic name]
-//	        [-group name] [-checkpoint-dir dir] [-checkpoint-every d]
+//	        [-checkpoint-dir dir] [-checkpoint-every d]
 //	        [-budget items/s] [-schedule-every d]
 //	        [-connect-wait d]
 //
@@ -76,7 +76,6 @@ func run() error {
 	addr := flag.String("addr", "127.0.0.1:9090", "HTTP listen address")
 	brokersFlag := flag.String("brokers", "127.0.0.1:9092", "comma-separated broker addresses (any members of the cluster; one for a single brokerd)")
 	topic := flag.String("topic", "stream", "topic to consume")
-	group := flag.String("group", "saproxd", "consumer-group prefix")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for shard checkpoints (empty disables)")
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Second, "checkpoint interval")
 	globalBudget := flag.Float64("budget", 0, "global sample budget in items/s across all queries (0 disables the scheduler)")
@@ -137,7 +136,6 @@ func run() error {
 		Cluster:         cli,
 		DialShard:       func() (broker.Cluster, error) { return broker.DialCluster(addrs) },
 		Topic:           *topic,
-		Group:           *group,
 		CheckpointDir:   *checkpointDir,
 		CheckpointEvery: *checkpointEvery,
 		GlobalBudget:    *globalBudget,

@@ -13,8 +13,8 @@ import (
 	"streamapprox/internal/xrand"
 )
 
-// member is a test's stand-in for one member of a consumer group: a
-// positioned reader per owned partition, polled round by round, each
+// member is a test's reader of a set of partitions: a positioned
+// reader per owned partition, polled round by round, each
 // round's batches merged into one time-ordered batch — the order a
 // time-synchronized aggregator delivers and a Session expects.
 type member struct {
@@ -23,18 +23,15 @@ type member struct {
 	next  []int64 // offset each reader has reached
 }
 
-// newMember positions one reader per partition at start(partition).
-func newMember(cl broker.Cluster, parts []int, start func(p int) (int64, error)) (*member, error) {
+// newMember positions one reader per partition at start[partition]
+// (0 when absent).
+func newMember(cl broker.Cluster, parts []int, start map[int]int64) *member {
 	m := &member{parts: parts}
 	for _, p := range parts {
-		at, err := start(p)
-		if err != nil {
-			return nil, err
-		}
-		m.cons = append(m.cons, broker.NewPartitionConsumer(cl, "stream", p, at))
-		m.next = append(m.next, at)
+		m.cons = append(m.cons, broker.NewPartitionConsumer(cl, "stream", p, start[p]))
+		m.next = append(m.next, start[p])
 	}
-	return m, nil
+	return m
 }
 
 // poll returns the next merged round, nil once every partition is
@@ -113,10 +110,7 @@ func TestEndToEndBrokerToSession(t *testing.T) {
 
 	// Consume (in-process readers against the same broker, from the
 	// start of every partition) and stream into a Session.
-	reader, err := newMember(b, []int{0, 1, 2, 3}, func(int) (int64, error) { return 0, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
+	reader := newMember(b, []int{0, 1, 2, 3}, nil)
 	session := NewSession(SessionConfig{Fraction: 0.5, Seed: 3})
 	consumed := 0
 	for {
@@ -175,14 +169,13 @@ func toPublic(in []stream.Event) []Event {
 	return out
 }
 
-// TestTCPConsumerGroupRebalanceFeedsTwoShards exercises the broker TCP
-// transport end to end through a consumer-group "rebalance": a single
-// member consumes part of a 4-partition topic and commits, then the
-// group is re-formed as two members — each over its own TCP client and
-// an explicit partition list — which resume from the committed offsets
-// and feed two concurrent shard Sessions. No record may be lost or read
-// twice across the rebalance.
-func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
+// TestTCPPositionHandOffFeedsTwoShards exercises the broker TCP
+// transport end to end through a hand-off of reader positions: a single
+// member consumes part of a 4-partition topic, then two members — each
+// over its own TCP client and an explicit partition list — resume from
+// the positions it reached and feed two concurrent shard Sessions. No
+// record may be lost or read twice across the hand-off.
+func TestTCPPositionHandOffFeedsTwoShards(t *testing.T) {
 	b := broker.New()
 	if err := b.CreateTopic("stream", 4); err != nil {
 		t.Fatal(err)
@@ -224,27 +217,21 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 		for off := from; off < to; off++ {
 			k := key{part, off}
 			if seen[k] {
-				t.Fatalf("record (p=%d, off=%d) read twice across rebalance", part, off)
+				t.Fatalf("record (p=%d, off=%d) read twice across the hand-off", part, off)
 			}
 			seen[k] = true
 		}
 	}
 
 	// Generation 1: one member over TCP consumes the first batch of
-	// records and commits its offsets.
+	// records; the positions it reaches are handed to generation 2.
 	produce(events[:3000])
 	cli1, err := broker.Dial(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = cli1.Close() }()
-	committed := func(cl broker.Cluster) func(p int) (int64, error) {
-		return func(p int) (int64, error) { return cl.Committed("shards", "stream", p) }
-	}
-	solo, err := newMember(cli1, []int{0, 1, 2, 3}, committed(cli1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	solo := newMember(cli1, []int{0, 1, 2, 3}, nil)
 	gen1 := 0
 	for {
 		round, err := solo.poll()
@@ -260,16 +247,15 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 	if gen1 != 3000 {
 		t.Fatalf("generation 1 consumed %d of 3000", gen1)
 	}
+	handOff := make(map[int]int64)
 	for i, p := range solo.parts {
 		record(p, 0, solo.next[i])
-		if err := cli1.Commit("shards", "stream", p, solo.next[i]); err != nil {
-			t.Fatal(err)
-		}
+		handOff[p] = solo.next[i]
 	}
 
-	// Rebalance: the group re-forms as two members, each on its own TCP
-	// connection, after more records arrive. Each member feeds its own
-	// concurrent shard Session.
+	// Hand-off: two members, each on its own TCP connection, take over
+	// the partitions after more records arrive. Each member feeds its
+	// own concurrent shard Session.
 	produce(events[3000:])
 	type shardOut struct {
 		m        *member
@@ -289,9 +275,7 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 				return
 			}
 			defer func() { _ = cli.Close() }()
-			if out.m, out.err = newMember(cli, parts, committed(cli)); out.err != nil {
-				return
-			}
+			out.m = newMember(cli, parts, handOff)
 			sess := NewSession(SessionConfig{
 				WindowSize:  2 * time.Second,
 				WindowSlide: time.Second,
@@ -328,14 +312,11 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 		if out.windows == 0 {
 			t.Errorf("member %d produced no windows", i)
 		}
-		// Re-read the consumed span (committed gen-1 position up to the
+		// Re-read the consumed span (handed-off gen-1 position up to the
 		// final offset) for the exactly-once check.
 		reread := 0
 		for j, p := range out.m.parts {
-			start, err := b.Committed("shards", "stream", p)
-			if err != nil {
-				t.Fatal(err)
-			}
+			start := handOff[p]
 			recs, err := b.Fetch("stream", p, start, int(out.m.next[j]-start))
 			if err != nil {
 				t.Fatal(err)
@@ -351,7 +332,7 @@ func TestTCPConsumerGroupRebalanceFeedsTwoShards(t *testing.T) {
 		gen2 += reread
 	}
 	if gen1+gen2 != len(events) {
-		t.Fatalf("consumed %d + %d records, want %d total (lost across rebalance)",
+		t.Fatalf("consumed %d + %d records, want %d total (lost across the hand-off)",
 			gen1, gen2, len(events))
 	}
 	// Every partition/offset pair must have been covered exactly once.

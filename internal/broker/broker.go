@@ -5,14 +5,13 @@
 //
 // The model follows Kafka's essentials: named topics split into
 // partitions; producers append records (partitioned by key hash or round
-// robin); readers fetch by (partition, offset), and a group's progress
-// is one committed offset per partition. Partition logs hold batch
-// frames and nothing else: records are framed once on the way in
-// (Produce, one columnar frame per partition) and decoded once on the
-// way out — into records (Fetch) or, column for column, into a columnar
-// batch (FetchBatch). Two transports are provided: direct in-process
-// calls (this file) and a length-prefixed TCP protocol (transport.go)
-// served by cmd/brokerd.
+// robin); readers fetch by (partition, offset) and keep their own
+// position. Partition logs hold batch frames and nothing else: records
+// are framed once on the way in (Produce, one columnar frame per
+// partition) and decoded once on the way out — into records (Fetch) or,
+// column for column, into a columnar batch (FetchBatch). Two transports
+// are provided: direct in-process calls (this file) and a
+// length-prefixed TCP protocol (transport.go) served by cmd/brokerd.
 //
 // Partition logs live behind the storage engine in internal/broker/
 // storage: in-memory chunked logs by default (broker.New), segmented
@@ -93,20 +92,12 @@ type Broker struct {
 
 	scfg StorageConfig
 	reg  *metrics.Registry
-
-	groupMu sync.Mutex
-	groups  map[string]*groupState // committed offsets per consumer group
-}
-
-type groupState struct {
-	offsets map[string][]int64 // topic -> per-partition committed offset
 }
 
 // New returns an empty in-memory broker.
 func New() *Broker {
 	b := &Broker{
 		topics: make(map[string]*topic),
-		groups: make(map[string]*groupState),
 		reg:    metrics.NewRegistry(),
 	}
 	b.reg.OnScrape(b.scrapeLogs)
@@ -142,9 +133,11 @@ func (b *Broker) scrapeLogs() {
 }
 
 // Open returns a durable broker backed by cfg.Dir, recovering every
-// topic, partition log (truncating torn tails) and consumer-group
-// offset a previous process left there. With cfg.Dir == "" it is
-// equivalent to New.
+// topic and partition log (truncating torn tails) a previous process
+// left there. It reads only the topic directories: any other file in
+// cfg.Dir (such as the consumer-group offset table an older build kept
+// at its root) is left as it is. With cfg.Dir == "" it is equivalent to
+// New.
 func Open(cfg StorageConfig) (*Broker, error) {
 	b := New()
 	b.scfg = cfg
@@ -173,12 +166,6 @@ func Open(cfg StorageConfig) (*Broker, error) {
 		if err := b.createTopic(name, parts); err != nil {
 			return nil, err
 		}
-	}
-	var jg jsonGroups
-	if ok, err := storage.LoadJSON(b.groupsPath(), &jg); err != nil {
-		return nil, err
-	} else if ok {
-		b.groups = jg.toGroups()
 	}
 	return b, nil
 }
@@ -222,45 +209,6 @@ func (b *Broker) PartitionDir(topicName string, p int) string {
 		return ""
 	}
 	return filepath.Join(b.scfg.Dir, topicName, strconv.Itoa(p))
-}
-
-func (b *Broker) groupsPath() string {
-	return filepath.Join(b.scfg.Dir, "groups.json")
-}
-
-// jsonGroups is the on-disk form of the consumer-group offset table.
-type jsonGroups struct {
-	Groups map[string]map[string][]int64 `json:"groups"` // group -> topic -> offsets
-}
-
-func (jg *jsonGroups) toGroups() map[string]*groupState {
-	out := make(map[string]*groupState, len(jg.Groups))
-	for g, topics := range jg.Groups {
-		gs := &groupState{offsets: make(map[string][]int64, len(topics))}
-		for t, offs := range topics {
-			gs.offsets[t] = append([]int64(nil), offs...)
-		}
-		out[g] = gs
-	}
-	return out
-}
-
-// saveGroupsLocked persists the group table (groupMu held). Best
-// effort off the commit path is not enough: the commit is acked only
-// after the write, so a restart resumes from it.
-func (b *Broker) saveGroupsLocked() error {
-	if b.scfg.Dir == "" {
-		return nil
-	}
-	jg := jsonGroups{Groups: make(map[string]map[string][]int64, len(b.groups))}
-	for g, gs := range b.groups {
-		topics := make(map[string][]int64, len(gs.offsets))
-		for t, offs := range gs.offsets {
-			topics[t] = append([]int64(nil), offs...)
-		}
-		jg.Groups[g] = topics
-	}
-	return storage.SaveJSON(b.groupsPath(), &jg, b.syncAlways())
 }
 
 // Close marks the broker closed and syncs + closes every partition
@@ -617,52 +565,4 @@ func (b *Broker) HighWatermark(topicName string, partition int) (int64, error) {
 		return 0, ErrBadPartition
 	}
 	return t.partitions[partition].log.HighWatermark(), nil
-}
-
-// Commit records a consumer group's committed offset for a partition.
-// On a durable broker the offset table is persisted (atomically) before
-// the commit is acked, so a restarted process resumes from it.
-func (b *Broker) Commit(group, topicName string, partition int, offset int64) error {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return err
-	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return ErrBadPartition
-	}
-	b.groupMu.Lock()
-	defer b.groupMu.Unlock()
-	g, ok := b.groups[group]
-	if !ok {
-		g = &groupState{offsets: make(map[string][]int64)}
-		b.groups[group] = g
-	}
-	offs, ok := g.offsets[topicName]
-	if !ok || len(offs) < len(t.partitions) {
-		grown := make([]int64, len(t.partitions))
-		copy(grown, offs)
-		offs = grown
-		g.offsets[topicName] = offs
-	}
-	offs[partition] = offset
-	return b.saveGroupsLocked()
-}
-
-// Committed returns a consumer group's committed offset for a partition
-// (zero if never committed).
-func (b *Broker) Committed(group, topicName string, partition int) (int64, error) {
-	if _, err := b.topic(topicName); err != nil {
-		return 0, err
-	}
-	b.groupMu.Lock()
-	defer b.groupMu.Unlock()
-	g, ok := b.groups[group]
-	if !ok {
-		return 0, nil
-	}
-	offs, ok := g.offsets[topicName]
-	if !ok || partition >= len(offs) {
-		return 0, nil
-	}
-	return offs[partition], nil
 }

@@ -169,26 +169,6 @@ func TestHighWatermark(t *testing.T) {
 	}
 }
 
-func TestCommitCommitted(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 2)
-	if off, _ := b.Committed("g", "in", 0); off != 0 {
-		t.Errorf("initial committed = %d", off)
-	}
-	if err := b.Commit("g", "in", 0, 42); err != nil {
-		t.Fatal(err)
-	}
-	if off, _ := b.Committed("g", "in", 0); off != 42 {
-		t.Errorf("committed = %d, want 42", off)
-	}
-	if off, _ := b.Committed("g", "in", 1); off != 0 {
-		t.Errorf("other partition committed = %d, want 0", off)
-	}
-	if err := b.Commit("g", "in", 9, 1); !errors.Is(err, ErrBadPartition) {
-		t.Errorf("bad partition commit: %v", err)
-	}
-}
-
 func TestClosedBroker(t *testing.T) {
 	b := New()
 	_ = b.CreateTopic("in", 1)

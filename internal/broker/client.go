@@ -553,14 +553,6 @@ func (c *Client) HighWatermark(topicName string, partition int) (int64, error) {
 	})
 }
 
-// Commit persists a group offset remotely.
-func (c *Client) Commit(group, topicName string, partition int, offset int64) error {
-	_, err := c.controlRoundTrip(&wireRequest{
-		Op: opCommit, Group: group, Topic: topicName, Partition: partition, Offset: offset,
-	})
-	return err
-}
-
 // Partitions returns the remote topic's partition count.
 func (c *Client) Partitions(topicName string) (int, error) {
 	resp, err := c.controlRoundTrip(&wireRequest{Op: opParts, Topic: topicName})
@@ -570,20 +562,7 @@ func (c *Client) Partitions(topicName string) (int, error) {
 	return resp.N, nil
 }
 
-// Committed reads a group's committed offset remotely.
-func (c *Client) Committed(group, topicName string, partition int) (int64, error) {
-	resp, err := c.controlRoundTrip(&wireRequest{
-		Op: opCommitted, Group: group, Topic: topicName, Partition: partition,
-	})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Offset, nil
-}
-
-// Meta fetches the cluster metadata view of the connected broker. A
-// plain (non-clustered) server answers with a synthetic single-member
-// view, so routing clients work against it unchanged.
+// Meta fetches the cluster metadata view of the connected broker.
 func (c *Client) Meta() (*ClusterMeta, error) {
 	resp, err := c.controlRoundTrip(&wireRequest{Op: opMeta})
 	if err != nil {
@@ -660,16 +639,6 @@ func (c *Client) replicaHWM(sender, topic string, partition int) (int64, error) 
 	return c.callWatermark(func(fb *frameBuf, corr uint64) {
 		encodeRHWMReq(fb, corr, c.trace.Load(), sender, topic, partition)
 	})
-}
-
-// commitRep replicates a consumer-group commit from a partition leader
-// to a follower replica.
-func (c *Client) commitRep(epoch int64, sender, group, topic string, partition int, offset int64) error {
-	_, err := c.controlRoundTrip(&wireRequest{
-		Op: opCommitRep, Node: sender, Epoch: epoch,
-		Group: group, Topic: topic, Partition: partition, Offset: offset,
-	})
-	return err
 }
 
 // producePartitionFrames ships a routing client's freshly encoded frame

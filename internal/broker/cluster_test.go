@@ -315,8 +315,8 @@ func TestNotLeaderRedirectCarriesHint(t *testing.T) {
 }
 
 // TestClusterClientWorksAgainstOneMemberBroker: a single broker is a
-// one-member cluster. The routing client produces, fetches and commits
-// through it, and the member never dials itself.
+// one-member cluster. The routing client produces and fetches through
+// it, and the member never dials itself.
 func TestClusterClientWorksAgainstOneMemberBroker(t *testing.T) {
 	b := New()
 	if err := b.CreateTopic("t", 2); err != nil {
@@ -334,12 +334,6 @@ func TestClusterClientWorksAgainstOneMemberBroker(t *testing.T) {
 	got := fetchAllValues(t, cc, "t")
 	if len(got) != 100 {
 		t.Fatalf("fetched %d values, want 100", len(got))
-	}
-	if err := cc.Commit("g", "t", 0, 42); err != nil {
-		t.Fatal(err)
-	}
-	if off, err := cc.Committed("g", "t", 0); err != nil || off != 42 {
-		t.Fatalf("committed = %d, %v", off, err)
 	}
 	node := srv.node.Load()
 	node.mu.Lock()
@@ -440,65 +434,6 @@ func TestProducerDedupAcrossRetries(t *testing.T) {
 	}
 	if hwm, _ = cc.HighWatermark("t", 0); hwm != 20 {
 		t.Fatalf("hwm = %d after seq 2, want 20", hwm)
-	}
-}
-
-// TestLeaderRoutedCommitsExact pins the consumer-group commit path:
-// commits route through the partition leader and replicate to its
-// follower replicas, so Committed is exact (reads at the leader) and
-// survives a leader failover — including a commit that moves
-// BACKWARDS, which the old best-effort max-over-members fan-out could
-// never represent.
-func TestLeaderRoutedCommitsExact(t *testing.T) {
-	tc := startCluster(t, 3, nil)
-	cc := tc.dialCluster()
-	if err := cc.CreateTopic("t", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.Produce("t", keylessRecs(0, 500)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.Commit("g", "t", 0, 400); err != nil {
-		t.Fatal(err)
-	}
-	// A rewind (seek back) must stick: exact semantics, not max.
-	if err := cc.Commit("g", "t", 0, 250); err != nil {
-		t.Fatal(err)
-	}
-	if off, err := cc.Committed("g", "t", 0); err != nil || off != 250 {
-		t.Fatalf("committed = %d, %v (want the rewound 250)", off, err)
-	}
-	// A non-replica answers Committed with a NotLeader redirect rather
-	// than a stale local value.
-	reps := replicasFor("t", 0, tc.ids, 2)
-	for _, id := range tc.ids {
-		if id == reps[0] || id == reps[1] {
-			continue
-		}
-		cli, err := Dial(tc.addrs[tc.indexOf(id)])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cli.Committed("g", "t", 0); !IsNotLeader(err) {
-			t.Fatalf("committed at non-replica: %v, want NotLeader", err)
-		}
-		_ = cli.Close()
-	}
-	// The committed offset survives the leader's death: the promoted
-	// follower holds the replicated copy.
-	m, _ := cc.Meta()
-	leader := m.LeaderOf("t", 0)
-	tc.kill(tc.indexOf(leader))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		off, err := cc.Committed("g", "t", 0)
-		if err == nil && off == 250 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("committed after failover = %d, %v (want 250)", off, err)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 

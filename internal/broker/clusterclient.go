@@ -674,27 +674,3 @@ func (cc *ClusterClient) CreateTopic(name string, partitions int) error {
 	_ = cc.refreshMeta() // pick up the new topic in the cached view
 	return nil
 }
-
-// Commit routes the group offset to the partition leader, which
-// replicates it to the partition's follower replicas exactly like
-// record data — the position survives a failover and Committed is
-// exact, not a best-effort max over members.
-func (cc *ClusterClient) Commit(group, topicName string, partition int, offset int64) error {
-	return cc.withLeaderRetry(topicName, partition, func(cli *Client) error {
-		return cli.Commit(group, topicName, partition, offset)
-	})
-}
-
-// Committed reads the group's committed offset from the partition
-// leader — the authoritative copy.
-func (cc *ClusterClient) Committed(group, topicName string, partition int) (int64, error) {
-	var off int64
-	err := cc.withLeaderRetry(topicName, partition, func(cli *Client) error {
-		o, err := cli.Committed(group, topicName, partition)
-		if err == nil {
-			off = o
-		}
-		return err
-	})
-	return off, err
-}

@@ -1,6 +1,7 @@
 package broker
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -153,7 +154,7 @@ func FuzzBinaryRequestDecode(f *testing.F) {
 	putFrame(fb)
 	f.Add([]byte{wireVersion, binOpProducePartF})
 	f.Add([]byte{})
-	for _, c := range wireGateCases() {
+	for _, c := range append(wireGateCases(), retiredControlOps()...) {
 		f.Add(c.payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
@@ -213,15 +214,13 @@ func exerciseAllOps(t *testing.T, cli *Client) {
 			t.Errorf("record mangled in transit: %+v", r)
 		}
 	}
-	if err := cli.Commit("g", "mixed", 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if off, err := cli.Committed("g", "mixed", 1); err != nil || off != 2 {
-		t.Fatalf("committed = %d, %v", off, err)
-	}
 	if _, err := cli.Fetch("absent", 0, 0, 1); err == nil ||
 		!strings.Contains(err.Error(), "unknown topic") {
 		t.Errorf("error lost in transit: %v", err)
+	}
+	if _, err := cli.Partitions("absent"); err == nil ||
+		!strings.Contains(err.Error(), "unknown topic") {
+		t.Errorf("control-op error lost in transit: %v", err)
 	}
 }
 
@@ -270,8 +269,8 @@ func TestPipelinedClientConcurrentStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				if err := cli.Commit("g", topic, 0, int64(i+1)); err != nil {
-					errs <- err
+				if n, err := cli.Partitions(topic); err != nil || n != 1 {
+					errs <- fmt.Errorf("partitions(%s) = %d, %v", topic, n, err)
 					return
 				}
 			}

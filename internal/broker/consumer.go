@@ -2,22 +2,18 @@ package broker
 
 import "streamapprox/internal/stream"
 
-// Cluster is the read/commit surface of a broker: what a Consumer reads
-// through and where a group's progress is committed. It is satisfied by
-// the in-process *Broker, the TCP *Client and the routing
-// *ClusterClient, so the same reader works against a local aggregator,
-// a remote brokerd and a replicated cluster. Fetch is the record-form
-// read (frames decoded at the edge); the ingest path reads through
-// BatchFetcher when the implementation has it. Commit/Committed keep
-// one offset per (group, topic, partition) — a caller resumes by
-// constructing its Consumer at Committed and calls Commit with the
-// offset it has fully processed.
+// Cluster is the read surface of a broker: what a Consumer reads
+// through. It is satisfied by the in-process *Broker, the TCP *Client
+// and the routing *ClusterClient, so the same reader works against a
+// local aggregator, a remote brokerd and a replicated cluster. Fetch is
+// the record-form read (frames decoded at the edge); the ingest path
+// reads through BatchFetcher when the implementation has it. The broker
+// keeps no reader positions: a caller resumes by constructing its
+// Consumer at an offset it kept itself.
 type Cluster interface {
 	Partitions(topic string) (int, error)
 	Fetch(topic string, partition int, offset int64, max int) ([]Record, error)
 	HighWatermark(topic string, partition int) (int64, error)
-	Commit(group, topic string, partition int, offset int64) error
-	Committed(group, topic string, partition int) (int64, error)
 }
 
 var (

@@ -84,46 +84,6 @@ func TestConsumerConstructedMidBatch(t *testing.T) {
 	}
 }
 
-func TestConsumerCommitResume(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 1)
-	_, _ = b.Produce("in", recs("a", 10))
-	at, _ := b.Committed("g", "in", 0)
-	next := drainValues(t, NewPartitionConsumer(b, "in", 0, at), map[float64]int{})
-	if err := b.Commit("g", "in", 0, next); err != nil {
-		t.Fatal(err)
-	}
-	// A new reader in the same group resumes past the committed offset.
-	_, _ = b.Produce("in", recs("a", 3))
-	at, _ = b.Committed("g", "in", 0)
-	seen := map[float64]int{}
-	if end := drainValues(t, NewPartitionConsumer(b, "in", 0, at), seen); at != 10 || end != 13 || len(seen) != 3 {
-		t.Errorf("resumed at %d, read %d records up to %d; want 3 from 10 to 13", at, len(seen), end)
-	}
-}
-
-func TestTwoGroupsSeeIndependentOffsets(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 1)
-	_, _ = b.Produce("in", recs("a", 10))
-	var read [2]int
-	for i, group := range []string{"group-1", "group-2"} {
-		at, err := b.Committed(group, "in", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[float64]int{}
-		next := drainValues(t, NewPartitionConsumer(b, "in", 0, at), seen)
-		if err := b.Commit(group, "in", 0, next); err != nil {
-			t.Fatal(err)
-		}
-		read[i] = len(seen)
-	}
-	if read != [2]int{10, 10} {
-		t.Errorf("groups interfered: read %v, want 10 each", read)
-	}
-}
-
 // bridged hides a Cluster's native FetchBatch, so a Consumer over it
 // reads through Fetch and recordsToBatch.
 type bridged struct{ Cluster }

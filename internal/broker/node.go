@@ -184,8 +184,6 @@ type stateSaver struct{ mu sync.Mutex }
 // partitionState is the on-disk cluster state of one partition, stored
 // as state.json next to its segments: the committed watermark (the
 // restart truncation point) and the producer dedup table and journal.
-// (Consumer-group offsets live in the broker's groups.json, written
-// durably by Commit itself.)
 type partitionState struct {
 	Committed int64           `json:"committed"`
 	Producers []producerEntry `json:"producers,omitempty"`
@@ -234,9 +232,8 @@ type ClusterNode struct {
 	placeMu sync.RWMutex
 	place   map[string][]string // topic/partition -> cached rendezvous replica set
 
-	commitMus map[string]*sync.Mutex // topic/partition -> group-commit round lock
-	probing   map[string]bool        // dead peers with a slow probe in flight
-	pendAlive map[string]PeerStatus  // gossiped resurrections awaiting probe proof
+	probing   map[string]bool       // dead peers with a slow probe in flight
+	pendAlive map[string]PeerStatus // gossiped resurrections awaiting probe proof
 
 	syncing map[string]bool // topic/partition mid-takeover: no leadership yet
 
@@ -315,7 +312,6 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 		savers:     make(map[string]*stateSaver),
 		stateDirty: make(map[string]tpRef),
 		place:      make(map[string][]string),
-		commitMus:  make(map[string]*sync.Mutex),
 		probing:    make(map[string]bool),
 		pendAlive:  make(map[string]PeerStatus),
 		syncing:    make(map[string]bool),
@@ -2133,121 +2129,6 @@ func (n *ClusterNode) applyReplicateBatch(epoch int64, sender string, secs []rep
 	return hwms, nil
 }
 
-// ---- consumer-group commits ----
-
-// commitGroup is the leader-side handling of a consumer-group commit:
-// store + persist locally, then replicate to every live follower
-// replica, acking under the same shrunk-MinISR rule as produce. Routing
-// commits through the partition leader (instead of best-effort fan-out
-// to all members) makes Committed exact: the leader always answers with
-// the newest acked offset, and a failover inherits it from a replica.
-func (n *ClusterNode) commitGroup(group, topic string, partition int, offset int64) error {
-	if _, err := n.leaderState(topic, partition); err != nil {
-		return err
-	}
-	// One commit round at a time per partition: the local apply and the
-	// follower fan-out happen in the same order, so two racing commits
-	// (e.g. a rewind racing a stale forward commit) cannot leave leader
-	// and follower tables permanently disagreeing.
-	round := n.commitLock(tpKey(topic, partition))
-	round.Lock()
-	defer round.Unlock()
-	if err := n.b.Commit(group, topic, partition, offset); err != nil {
-		return err
-	}
-	reps := n.replicas(topic, partition)
-	n.mu.Lock()
-	epoch := n.epoch
-	n.mu.Unlock()
-	acks, live := 1, 1
-	var firstErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, id := range reps {
-		if id == n.cfg.ID || n.isDead(id) {
-			continue
-		}
-		live++
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			cli, err := n.peerClient(id)
-			if err == nil {
-				err = cli.commitRep(epoch, n.cfg.ID, group, topic, partition, offset)
-			}
-			if err != nil {
-				if isRemoteErr(err) {
-					n.markAlive(id)
-				} else {
-					n.markFailure(id, err)
-				}
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-				return
-			}
-			n.markAlive(id)
-			mu.Lock()
-			acks++
-			mu.Unlock()
-		}(id)
-	}
-	wg.Wait()
-	need := n.cfg.MinISR
-	if live < need {
-		need = live
-	}
-	if acks < need {
-		return fmt.Errorf("%w: commit %d/%d acked: %v", ErrUnderReplicated, acks, need, firstErr)
-	}
-	return nil
-}
-
-// commitLock returns the per-partition mutex serializing group-commit
-// rounds.
-func (n *ClusterNode) commitLock(tp string) *sync.Mutex {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	mu, ok := n.commitMus[tp]
-	if !ok {
-		mu = &sync.Mutex{}
-		n.commitMus[tp] = mu
-	}
-	return mu
-}
-
-// committedGroup answers a Committed query at the partition leader.
-func (n *ClusterNode) committedGroup(group, topic string, partition int) (int64, error) {
-	if _, err := n.leaderState(topic, partition); err != nil {
-		return 0, err
-	}
-	return n.b.Committed(group, topic, partition)
-}
-
-// applyGroupCommit is the follower side of a replicated group commit.
-func (n *ClusterNode) applyGroupCommit(epoch int64, sender, group, topic string, partition int, offset int64) error {
-	n.mu.Lock()
-	if n.joining {
-		n.mu.Unlock()
-		return fmt.Errorf("broker: %s is rejoining; commit replication refused", n.cfg.ID)
-	}
-	if n.view[sender].Dead {
-		ep := n.epoch
-		n.mu.Unlock()
-		return fmt.Errorf("broker: commit from %s rejected: deposed in epoch %d", sender, ep)
-	}
-	if epoch > n.epoch {
-		n.epoch = epoch
-	}
-	n.mu.Unlock()
-	n.markAlive(sender)
-	// b.Commit persists groups.json before returning, so the replicated
-	// offset is durable here once acked.
-	return n.b.Commit(group, topic, partition, offset)
-}
-
 // ---- persisted cluster state ----
 
 // tpRef names one partition in the dirty-state set.
@@ -2324,10 +2205,10 @@ func (n *ClusterNode) saver(tp string) *stateSaver {
 }
 
 // saveClusterState persists one partition's cluster state (committed
-// watermark, producer dedup table + journal, group offsets) next to
-// its segments. No-op on an in-memory broker. Saves of one partition
-// are serialized and always snapshot the freshest state, so a slow
-// older write cannot clobber a newer one.
+// watermark, producer dedup table + journal) next to its segments.
+// No-op on an in-memory broker. Saves of one partition are serialized
+// and always snapshot the freshest state, so a slow older write cannot
+// clobber a newer one.
 func (n *ClusterNode) saveClusterState(topic string, partition int) {
 	dir := n.b.PartitionDir(topic, partition)
 	if dir == "" {

@@ -7,6 +7,7 @@ package broker
 // duplicated across the whole episode.
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -203,12 +204,6 @@ func TestDurableClusterRejoinAfterKill(t *testing.T) {
 	}
 	produce(0, 2000)
 
-	// A consumer-group position committed before the kill must survive
-	// it (leader-routed commits are replicated with the partition).
-	if err := cc.Commit("g", "t", 0, 123); err != nil {
-		t.Fatal(err)
-	}
-
 	m, err := cc.Meta()
 	if err != nil {
 		t.Fatal(err)
@@ -253,11 +248,6 @@ func TestDurableClusterRejoinAfterKill(t *testing.T) {
 	// logs again (MinISR=2 produce above already required the restarted
 	// member's acks).
 	dc.waitConverged("t", 2)
-
-	// The pre-kill commit survived the restart and is exact.
-	if off, err := cc.Committed("g", "t", 0); err != nil || off != 123 {
-		t.Fatalf("committed after rejoin = %d, %v (want 123)", off, err)
-	}
 }
 
 // TestDurableClusterFollowerRestartCatchesUp kills a FOLLOWER, streams
@@ -311,7 +301,7 @@ func TestDurableClusterFollowerRestartCatchesUp(t *testing.T) {
 }
 
 // TestDurableSoloBrokerRestart pins the single durable broker: its
-// topics, records and consumer-group offsets recover across a restart,
+// topics and records recover across a restart,
 // in process and served as a one-member cluster.
 func TestDurableSoloBrokerRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -323,9 +313,6 @@ func TestDurableSoloBrokerRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := b.Produce("t", recs("a", 500)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Commit("g", "t", 1, 42); err != nil {
 		t.Fatal(err)
 	}
 	b.Close()
@@ -361,16 +348,13 @@ func TestDurableSoloBrokerRestart(t *testing.T) {
 	if total != 500 {
 		t.Fatalf("recovered %d records, want 500", total)
 	}
-	if off, err := re.Committed("g", "t", 1); err != nil || off != 42 {
-		t.Fatalf("recovered committed = %d, %v", off, err)
-	}
 	// A topic that exists already is reported as such (brokerd
 	// tolerates this on restart).
 	if err := re.CreateTopic("t", 2); err != ErrTopicExists {
 		t.Fatalf("recreate recovered topic: %v", err)
 	}
 
-	// This directory holds segments and groups.json but no cluster state,
+	// This directory holds segments but no cluster state,
 	// as a broker served without a node left it. A one-member node
 	// adopts it whole: nothing is truncated, every record is served.
 	cc, err := DialCluster([]string{serveMember(t, re, ServerOptions{}).Addr()})
@@ -381,18 +365,15 @@ func TestDurableSoloBrokerRestart(t *testing.T) {
 	if got := fetchAllValues(t, cc, "t"); len(got) != 500 {
 		t.Fatalf("served %d distinct values of the 500 written without a node", len(got))
 	}
-	if off, err := cc.Committed("g", "t", 1); err != nil || off != 42 {
-		t.Fatalf("served committed = %d, %v", off, err)
-	}
 
 	t.Run("served", testDurableMemberRestart)
 }
 
-// testDurableMemberRestart produces and commits through the routing
-// client into a durable one-member broker, abandons it without Close as
-// a kill -9 would, and reopens it under a new node: logs, watermarks and
-// group offsets recover, and a retry of the last producer sequence is
-// recognised, not appended again.
+// testDurableMemberRestart produces through the routing client into a
+// durable one-member broker, abandons it without Close as a kill -9
+// would, and reopens it under a new node: logs and watermarks recover,
+// and a retry of the last producer sequence is recognised, not appended
+// again.
 func testDurableMemberRestart(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {
@@ -412,9 +393,6 @@ func testDurableMemberRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := cc.Produce("t", keylessRecs(0, 500)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cc.Commit("g", "t", 1, 42); err != nil {
 		t.Fatal(err)
 	}
 	cli, err := Dial(srv.Addr())
@@ -451,9 +429,6 @@ func testDurableMemberRestart(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("value %v recovered %d times", v, c)
 		}
-	}
-	if off, err := cc.Committed("g", "t", 1); err != nil || off != 42 {
-		t.Fatalf("recovered committed = %d, %v", off, err)
 	}
 	cli, err = Dial(srv.Addr())
 	if err != nil {
@@ -583,5 +558,109 @@ func tearSegmentTail(t *testing.T, b *Broker, rng *rand.Rand, torn func(*rand.Ra
 	defer func() { _ = f.Close() }()
 	if _, err := f.Write(torn(rng)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// readTree returns every regular file under root, by slash-separated
+// path relative to root.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[filepath.ToSlash(rel)] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestParentDataDirOpensUntouched opens a durable data dir written by an
+// earlier build — one topic of two partitions, four produce batches,
+// each partition's state.json, and the groups.json that build kept
+// consumer-group offsets in — twice, served as a one-member cluster.
+// Every record is served under the persisted committed watermark, and
+// every file, groups.json included, is byte-identical after each open:
+// recovery rewrites a file only when its bytes are bad.
+func TestParentDataDirOpensUntouched(t *testing.T) {
+	want := readTree(t, filepath.Join("testdata", "parent-datadir"))
+	if _, ok := want["groups.json"]; !ok || len(want) != 5 {
+		t.Fatalf("fixture holds %d files; want 5 with groups.json", len(want))
+	}
+	dir := t.TempDir()
+	for name, data := range want {
+		path := filepath.Join(dir, filepath.FromSlash(name))
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for open := 1; open <= 2; open++ {
+		b, err := Open(StorageConfig{Dir: dir, Policy: storage.SyncAlways})
+		if err != nil {
+			t.Fatalf("open %d: %v", open, err)
+		}
+		probe, err := NewClusterNode(b, NodeConfig{ID: "n0", Peers: map[string]string{"n0": "127.0.0.1:0"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 2; p++ {
+			probe.mu.Lock()
+			committed := probe.remoteHWM[tpKey("stream", p)]
+			probe.mu.Unlock()
+			if committed != 12 {
+				t.Fatalf("open %d: partition %d persisted committed watermark = %d, want 12", open, p, committed)
+			}
+		}
+		probe.Close()
+
+		srv := serveMember(t, b, ServerOptions{})
+		cc, err := DialCluster([]string{srv.Addr()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := 0; p < 2; p++ {
+			if hwm, err := cc.HighWatermark("stream", p); err != nil || hwm != 12 {
+				t.Fatalf("open %d: partition %d serves watermark %d, %v; want 12", open, p, hwm, err)
+			}
+		}
+		got := fetchAllValues(t, cc, "stream")
+		for batch := 0; batch < 4; batch++ {
+			for j := 0; j < 6; j++ {
+				if v := float64(batch*10 + j); got[v] != 1 {
+					t.Fatalf("open %d: value %v served %d times, want once", open, v, got[v])
+				}
+			}
+		}
+		if len(got) != 24 {
+			t.Fatalf("open %d: served %d distinct values, want 24", open, len(got))
+		}
+		_ = cc.Close()
+		srv.node.Load().Close()
+		srv.Close()
+		b.Close()
+
+		after := readTree(t, dir)
+		for name, data := range want {
+			if !bytes.Equal(after[name], data) {
+				t.Errorf("open %d: %s changed (%d bytes, was %d)", open, name, len(after[name]), len(data))
+			}
+		}
+		for name := range after {
+			if _, ok := want[name]; !ok {
+				t.Errorf("open %d: left a new file %s", open, name)
+			}
+		}
 	}
 }

@@ -26,17 +26,12 @@ const maxFrame = 64 << 20
 // binary op codes (codec.go); their strings here are only the metric
 // and log labels binOpName maps them to.
 const (
-	opCreate    = "create"
-	opCommit    = "commit"
-	opCommitted = "committed"
-	opParts     = "parts"
-	opHello     = "hello" // version check: response N carries wireVersion
-	// Cluster control ops. "meta" is answered by plain servers too (a
-	// synthetic single-member view), so the routing client works
-	// unchanged against a solo brokerd.
-	opMeta      = "meta"
-	opPing      = "ping"
-	opCommitRep = "commitrep" // leader→follower replicated group commit
+	opCreate = "create"
+	opParts  = "parts"
+	opHello  = "hello" // version check: response N carries wireVersion
+	// Cluster control ops.
+	opMeta = "meta"
+	opPing = "ping"
 
 	opFetch       = "fetch"
 	opHWM         = "hwm"
@@ -53,8 +48,6 @@ type wireRequest struct {
 	Topic      string `json:"topic,omitempty"`
 	Partitions int    `json:"partitions,omitempty"`
 	Partition  int    `json:"partition,omitempty"`
-	Offset     int64  `json:"offset,omitempty"`
-	Group      string `json:"group,omitempty"`
 
 	// Cluster fields: ping carries the sender's versioned status view.
 	Node  string                `json:"node,omitempty"`
@@ -63,9 +56,8 @@ type wireRequest struct {
 }
 
 type wireResponse struct {
-	Err    string `json:"err,omitempty"`
-	N      int    `json:"n,omitempty"`
-	Offset int64  `json:"offset,omitempty"`
+	Err string `json:"err,omitempty"`
+	N   int    `json:"n,omitempty"`
 
 	// Cluster fields.
 	Meta  *ClusterMeta          `json:"meta,omitempty"`
@@ -151,9 +143,8 @@ func newServerInstruments(reg *metrics.Registry) *serverInstruments {
 		lat:  make(map[string]*metrics.Histogram),
 	}
 	for _, op := range []string{
-		opCreate, opFetch, opHWM, opCommit, opCommitted,
-		opParts, opHello, opMeta, opPing, opProducePart, opCommitRep,
-		opRFetch, opRHWM, opReplicate, "other",
+		opCreate, opFetch, opHWM, opParts, opHello, opMeta, opPing,
+		opProducePart, opRFetch, opRHWM, opReplicate, "other",
 	} {
 		si.reqs[op] = reg.Counter("broker_requests_total",
 			"requests served, by wire op", metrics.Labels{"op": op})
@@ -442,18 +433,6 @@ func (s *Server) dispatchOp(node *ClusterNode, req *wireRequest) wireResponse {
 	case opPing:
 		epoch, view := node.handlePing(req.Node, req.Epoch, req.View)
 		return wireResponse{Epoch: epoch, View: view}
-	case opCommit:
-		// Group commits route through the partition leader and replicate
-		// to its followers, so Committed is exact and the offset survives
-		// a failover.
-		err = node.commitGroup(req.Group, req.Topic, req.Partition, req.Offset)
-	case opCommitRep:
-		err = node.applyGroupCommit(req.Epoch, req.Node, req.Group, req.Topic, req.Partition, req.Offset)
-	case opCommitted:
-		var off int64
-		if off, err = node.committedGroup(req.Group, req.Topic, req.Partition); err == nil {
-			return wireResponse{Offset: off}
-		}
 	case opParts:
 		var n int
 		if n, err = s.broker.Partitions(req.Topic); err == nil {

@@ -2,14 +2,18 @@ package broker
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"streamapprox/internal/broker/storage"
+	"streamapprox/internal/metrics"
 )
 
 // serveMember serves b as a one-member cluster, the way brokerd runs
@@ -123,12 +127,9 @@ func TestTCPHighWatermarkAndOffsets(t *testing.T) {
 	if err != nil || hwm != 5 {
 		t.Errorf("hwm = %d, %v", hwm, err)
 	}
-	if err := cli.Commit("g", "in", 0, 3); err != nil {
-		t.Fatal(err)
-	}
-	off, err := cli.Committed("g", "in", 0)
-	if err != nil || off != 3 {
-		t.Errorf("committed = %d, %v", off, err)
+	rs, err := cli.Fetch("in", 0, 3, 10)
+	if err != nil || len(rs) != 2 || rs[0].Offset != 3 || rs[1].Offset != 4 {
+		t.Errorf("fetch from offset 3 = %+v, %v; want offsets 3 and 4", rs, err)
 	}
 }
 
@@ -204,9 +205,8 @@ func TestServerCloseUnblocksClients(t *testing.T) {
 
 // TestServerRefusesOpsBeforeNodeAttached: a server bound before its
 // node is attached answers hello, so peers can dial it, and refuses
-// produce, fetch, HWM and commit with an answered error — nothing
-// reaches the log. Once the node is attached the same connection is
-// served.
+// produce, fetch and HWM with an answered error — nothing reaches the
+// log. Once the node is attached the same connection is served.
 func TestServerRefusesOpsBeforeNodeAttached(t *testing.T) {
 	b := New()
 	if err := b.CreateTopic("in", 1); err != nil {
@@ -234,12 +234,8 @@ func TestServerRefusesOpsBeforeNodeAttached(t *testing.T) {
 	refused("fetch", err)
 	_, err = cli.HighWatermark("in", 0)
 	refused("hwm", err)
-	refused("commit", cli.Commit("g", "in", 0, 3))
 	if hwm, _ := b.HighWatermark("in", 0); hwm != 0 {
 		t.Fatalf("log holds %d records after refused produces", hwm)
-	}
-	if off, _ := b.Committed("g", "in", 0); off != 0 {
-		t.Fatalf("group offset %d after a refused commit", off)
 	}
 
 	node, err := NewClusterNode(b, NodeConfig{ID: "n0", Peers: map[string]string{"n0": srv.Addr()}})
@@ -328,6 +324,106 @@ func TestWireGateRejectsRetiredDialects(t *testing.T) {
 				t.Fatalf("watermark after rejected frame = %d, %v; want 0", hwm, err)
 			}
 		})
+	}
+}
+
+// controlFrame is a control-op request frame carrying body.
+func controlFrame(body string) []byte {
+	fb := getFrame()
+	defer putFrame(fb)
+	encodeJSONReq(fb, 1, 0, []byte(body))
+	return append([]byte(nil), fb.b...)
+}
+
+// retiredControlOps are the control-op bodies an older client or peer
+// sent for consumer-group offsets, which the broker no longer keeps:
+// a commit, a committed read and a leader→follower commit replication.
+func retiredControlOps() []wireGateCase {
+	var cases []wireGateCase
+	for _, body := range []string{
+		`{"op":"commit","topic":"in","offset":3,"group":"g"}`,
+		`{"op":"committed","topic":"in","group":"g"}`,
+		`{"op":"commitrep","topic":"in","offset":3,"group":"g","node":"n0","epoch":1}`,
+	} {
+		cases = append(cases, wireGateCase{name: body, payload: controlFrame(body)})
+	}
+	return cases
+}
+
+// TestRetiredControlOpsChangeNothing sends each retired group-offset op
+// on one connection of a durable one-member broker: each is answered
+// with an unknown-op error counted under op="other", the connection
+// keeps serving, and neither the log, its committed watermark nor the
+// data directory changes.
+func TestRetiredControlOpsChangeNothing(t *testing.T) {
+	dir := t.TempDir()
+	b, err := Open(StorageConfig{Dir: dir, Policy: storage.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	srv := serveMember(t, b, ServerOptions{Metrics: reg})
+	cc, err := DialCluster([]string{srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cc.Close() }()
+	if _, err := cc.Produce("in", recs("k", 5)); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+	fb := getFrame()
+	defer putFrame(fb)
+	// answer sends one control-op frame on the shared connection and
+	// decodes its JSON answer.
+	answer := func(payload []byte) wireResponse {
+		t.Helper()
+		if err := writeRawFrame(conn, payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := readFrameInto(conn, fb); err != nil {
+			t.Fatalf("no answer: %v", err)
+		}
+		cur, err := decodeRespHeader(fb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp wireResponse
+		if err := json.Unmarshal(cur.rest(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	other := reg.Counter("broker_requests_total", "requests served, by wire op", metrics.Labels{"op": "other"})
+	for _, c := range retiredControlOps() {
+		before := other.Value()
+		if resp := answer(c.payload); !strings.Contains(resp.Err, "unknown op") {
+			t.Errorf("%s: answered %+v; want an unknown op error", c.name, resp)
+		}
+		if got := other.Value() - before; got != 1 {
+			t.Errorf("%s: counted %v times under op=\"other\", want once", c.name, got)
+		}
+	}
+	if resp := answer(controlFrame(`{"op":"parts","topic":"in"}`)); resp.Err != "" || resp.N != 1 {
+		t.Fatalf("parts after the retired ops = %+v; want 1 partition", resp)
+	}
+	if hwm, err := b.HighWatermark("in", 0); err != nil || hwm != 5 {
+		t.Fatalf("log end = %d, %v; want 5", hwm, err)
+	}
+	if hwm, err := cc.HighWatermark("in", 0); err != nil || hwm != 5 {
+		t.Fatalf("committed watermark = %d, %v; want 5", hwm, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "groups.json")); !os.IsNotExist(err) {
+		t.Fatalf("groups.json after the retired ops: %v", err)
 	}
 }
 

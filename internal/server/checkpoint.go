@@ -103,10 +103,6 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 			return nil, fmt.Errorf("shard %d snapshot: %w", sh.idx, err)
 		}
 		cf.Shards = append(cf.Shards, sc)
-		// Best effort, outside sh.mu (it is a network round trip):
-		// mirror the delivery watermark into the query's broker group so
-		// per-query lag is observable with broker tooling.
-		_ = j.srv.cfg.Cluster.Commit(j.group(), j.srv.cfg.Topic, sh.idx, sc.Offset)
 	}
 	j.mu.Lock()
 	cf.Seq = j.seq

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -140,10 +141,10 @@ func TestCheckpointRestartResumes(t *testing.T) {
 	}
 }
 
-// TestNewQueryNeverInheritsDeletedQueryPosition: q-1's checkpoint
-// mirrors its position into its broker group, then q-1 is deleted; after
-// a restart the next registration is q-1 again, and it must read the
-// topic from the start, not from the deleted query's position.
+// TestNewQueryNeverInheritsDeletedQueryPosition: q-1 is checkpointed
+// past the start of the topic, then deleted; after a restart the next
+// registration is q-1 again, and it must read the topic from the start,
+// not from the deleted query's position.
 func TestNewQueryNeverInheritsDeletedQueryPosition(t *testing.T) {
 	b := broker.New()
 	if err := b.CreateTopic("in", 2); err != nil {
@@ -176,8 +177,8 @@ func TestNewQueryNeverInheritsDeletedQueryPosition(t *testing.T) {
 		t.Fatalf("q-1 consumed %d of %d", n, len(events))
 	}
 	s1.checkpointAll()
-	if off, err := b.Committed("saproxd-q-1", "in", 0); err != nil || off == 0 {
-		t.Fatalf("q-1's mirrored position = %d, %v; the premise needs it past 0", off, err)
+	if cfs, err := loadCheckpoints(cfg.CheckpointDir); err != nil || len(cfs) != 2 || cfs[1].ID != "q-1" || cfs[1].Shards[0].Offset == 0 {
+		t.Fatalf("checkpoints = %v, %v; the premise needs q-1's position past 0", cfs, err)
 	}
 	if err := s1.Deregister("q-1"); err != nil {
 		t.Fatal(err)
@@ -194,6 +195,73 @@ func TestNewQueryNeverInheritsDeletedQueryPosition(t *testing.T) {
 	}
 	if n := waitRecords(s2, "q-1"); n != int64(len(events)) {
 		t.Fatalf("the new q-1 consumed %d of %d records: it started at the deleted q-1's position", n, len(events))
+	}
+}
+
+// TestCheckpointWithBrokerDownIsPrompt: a checkpoint is local state
+// only. With the one broker of a one-member cluster stopped under
+// routing clients that would retry a broker call for seconds, a
+// checkpoint still returns at once and writes every file, and so does
+// Close. The server is wired as saproxd wires it: each partition loop
+// on a connection of its own, which Close closes under a fetch it may
+// be retrying.
+func TestCheckpointWithBrokerDownIsPrompt(t *testing.T) {
+	bc := startBrokerCluster(t, 1)
+	cc, err := broker.DialCluster(bc.addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cc.Close() }()
+	if err := cc.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(3, 2000)
+	recs := make([]broker.Record, len(events))
+	for i, e := range events {
+		recs[i] = broker.FromEvent(e)
+	}
+	if _, err := cc.Produce("in", recs); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s, err := New(Config{
+		Cluster:         cc,
+		DialShard:       func() (broker.Cluster, error) { return broker.DialCluster(bc.addrs) },
+		Topic:           "in",
+		CheckpointDir:   dir,
+		CheckpointEvery: time.Hour,
+		PollBackoff:     time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s.Register(Spec{Kind: "count", Window: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.job(id)
+	for deadline := time.Now().Add(10 * time.Second); jobRecords(j) < int64(len(events)) && time.Now().Before(deadline); {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if n := jobRecords(j); n != int64(len(events)) {
+		t.Fatalf("consumed %d of %d before stopping the broker", n, len(events))
+	}
+
+	bc.kill(0)
+	start := time.Now()
+	s.checkpointAll()
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("checkpoint with the broker down took %v; want < 1s", took)
+	}
+	for _, name := range []string{ingestStateFile, id + ".json"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Errorf("checkpoint with the broker down: %v", err)
+		}
+	}
+	start = time.Now()
+	s.Close()
+	if took := time.Since(start); took >= time.Second {
+		t.Errorf("Close with the broker down took %v; want < 1s", took)
 	}
 }
 

@@ -103,7 +103,6 @@ type metaRefresher interface{ Refresh() error }
 type ingest struct {
 	cluster    broker.Cluster // control-plane + catch-up connection
 	topic      string
-	group      string // the plane's shared consumer group
 	backoff    time.Duration
 	logf       func(format string, args ...any)
 	reg        *metrics.Registry
@@ -193,7 +192,7 @@ type partIngest struct {
 // per-partition delivery queue (in batches) and catchupWorkers the
 // simultaneous catch-up consumers.
 func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
-	topic, group string, parts int, backoff time.Duration, queueDepth, catchupWorkers int,
+	topic string, parts int, backoff time.Duration, queueDepth, catchupWorkers int,
 	logf func(string, ...any), reg *metrics.Registry) (*ingest, error) {
 	if queueDepth < 1 {
 		queueDepth = 64
@@ -202,7 +201,7 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 		catchupWorkers = 4
 	}
 	ing := &ingest{
-		cluster: cluster, topic: topic, group: group, backoff: backoff, logf: logf,
+		cluster: cluster, topic: topic, backoff: backoff, logf: logf,
 		reg: reg, queueDepth: queueDepth,
 		catchupSem: make(chan struct{}, catchupWorkers),
 		catchupActive: reg.Gauge("saproxd_catchup_active",
@@ -286,19 +285,6 @@ func (ing *ingest) offsets() []int64 {
 		pi.mu.Unlock()
 	}
 	return out
-}
-
-// commit mirrors the plane offsets into its broker consumer group so
-// lag is observable with broker tooling. Best effort.
-func (ing *ingest) commit() {
-	for _, pi := range ing.parts {
-		pi.mu.Lock()
-		off, ok := pi.next, pi.positioned
-		pi.mu.Unlock()
-		if ok {
-			_ = ing.cluster.Commit(ing.group, ing.topic, pi.idx, off)
-		}
-	}
 }
 
 // join attaches sh to the partition (callers hold pi.mu): into the

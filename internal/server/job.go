@@ -186,10 +186,6 @@ func (j *job) groupKey() groupKey {
 	return groupKey{}
 }
 
-// group is the job's consumer-group name on the broker (delivery
-// watermarks are mirrored there for broker-tooling visibility).
-func (j *job) group() string { return j.srv.cfg.Group + "-" + j.id }
-
 // start attaches the shards to the ingest plane.
 func (j *job) start() {
 	for _, sh := range j.shards {

@@ -51,8 +51,6 @@ type Config struct {
 	DialShard func() (broker.Cluster, error)
 	// Topic is the input topic all queries consume.
 	Topic string
-	// Group prefixes the per-query consumer groups (default "saproxd").
-	Group string
 	// CheckpointDir enables periodic shard checkpoints and restart
 	// recovery when non-empty.
 	CheckpointDir string
@@ -110,9 +108,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Topic == "" {
 		return nil, fmt.Errorf("server: empty topic")
 	}
-	if cfg.Group == "" {
-		cfg.Group = "saproxd"
-	}
 	if cfg.CheckpointEvery <= 0 {
 		cfg.CheckpointEvery = 5 * time.Second
 	}
@@ -140,8 +135,7 @@ func New(cfg Config) (*Server, error) {
 	s.checkpoints = s.reg.Counter("saproxd_checkpoints_total", "successful checkpoints", nil)
 	s.checkpointErrs = s.reg.Counter("saproxd_checkpoint_errors_total", "failed checkpoints", nil)
 	s.buildMux()
-	s.ing, err = newIngest(cfg.Cluster, cfg.DialShard, cfg.Topic, cfg.Group+"-ingest",
-		parts, cfg.PollBackoff, cfg.QueueDepth, cfg.CatchUpWorkers, cfg.Logf, s.reg)
+	s.ing, err = newIngest(cfg.Cluster, cfg.DialShard, cfg.Topic, parts, cfg.PollBackoff, cfg.QueueDepth, cfg.CatchUpWorkers, cfg.Logf, s.reg)
 	if err != nil {
 		return nil, fmt.Errorf("server: ingest plane: %w", err)
 	}
@@ -361,7 +355,8 @@ func (s *Server) checkpointLoop() {
 }
 
 // checkpointAll persists every query's state plus the shared plane
-// offsets, and mirrors both into the broker's consumer groups.
+// offsets to the checkpoint directory. It makes no broker call, so a
+// checkpoint taken while the broker is down is as prompt as any other.
 func (s *Server) checkpointAll() {
 	if s.cfg.CheckpointDir == "" {
 		return
@@ -373,7 +368,6 @@ func (s *Server) checkpointAll() {
 		s.checkpointErrs.Inc()
 		s.cfg.Logf("checkpoint ingest state: %v", err)
 	}
-	s.ing.commit()
 	for _, j := range s.jobs() {
 		if j.isStopped() && !closing {
 			continue // being deregistered; don't resurrect its file

@@ -12,7 +12,7 @@ import (
 // Spec is a registered query: the aggregate kind, the sliding window,
 // and the sampling budget. It is the JSON body of POST /v1/queries and
 // the unit of multi-tenancy — every registered Spec gets its own
-// consumer group, shard workers and merged result stream.
+// stream positions, shard workers and merged result stream.
 type Spec struct {
 	// Kind is the aggregate: sum, count, mean, groupby-sum,
 	// groupby-mean, groupby-count or histogram.
@@ -31,9 +31,10 @@ type Spec struct {
 	// HistogramEdges defines bucket edges for Kind "histogram".
 	HistogramEdges []float64
 	// From selects the starting position in the topic: "earliest"
-	// (default) or "latest". "committed" is accepted and means earliest:
-	// a new registration never resumes a consumer-group offset, which
-	// could be a deleted query's under a reused id.
+	// (default) or "latest". "committed" is accepted as a synonym for
+	// earliest, because checkpoints written by older versions carry it;
+	// a new registration always starts at its own From, never at a
+	// position left behind by a deleted query under the same id.
 	From string
 	// Seed makes the shard samplers reproducible (default 1); shard i
 	// uses Seed+i.
