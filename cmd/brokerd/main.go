@@ -15,8 +15,8 @@
 //
 // With -http an admin listener serves /metrics (Prometheus text),
 // /healthz (ISR-aware readiness) and net/http/pprof. Log output is
-// structured key=value lines; -log-level debug additionally logs every
-// traced wire request (see `saprox status` and the README's
+// log/slog text lines on stdout; -log-level debug additionally logs
+// every traced wire request (see `saprox status` and the README's
 // Observability section).
 //
 // The daemon pre-creates the given topic and serves until interrupted.
@@ -47,6 +47,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -58,7 +59,6 @@ import (
 	"streamapprox/internal/broker"
 	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/metrics"
-	"streamapprox/internal/obs"
 )
 
 func main() {
@@ -111,14 +111,11 @@ func run() error {
 	idleTimeout := flag.Duration("idle-timeout", 0, "close client connections idle this long (0: never)")
 	writeTimeout := flag.Duration("write-timeout", broker.DefaultWriteTimeout, "deadline for writing a response burst to a client")
 	httpAddr := flag.String("http", "", "admin listen address for /metrics, /healthz and pprof (empty: disabled)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
+	var level slog.Level
+	flag.TextVar(&level, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		return err
-	}
-	logger := obs.New(os.Stdout, level).With("daemon", "brokerd")
+	logger := slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{Level: level})).With("daemon", "brokerd")
 
 	policy, err := storage.ParseSyncPolicy(*fsyncFlag)
 	if err != nil {
@@ -177,7 +174,7 @@ func run() error {
 		DialTimeout:    *dialTimeout,
 		ProbeTimeout:   *probeTimeout,
 		RPCTimeout:     *rpcTimeout,
-		Logf:           logger.With("node", *nodeID).Logf,
+		Log:            logger,
 	})
 	if err != nil {
 		return err

@@ -20,6 +20,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"os/signal"
 	"strings"
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"streamapprox/internal/broker"
-	"streamapprox/internal/obs"
 	"streamapprox/internal/stream"
 	"streamapprox/internal/workload"
 	"streamapprox/internal/xrand"
@@ -68,11 +68,11 @@ func run() error {
 		return fmt.Errorf("unknown dataset %q", *dataset)
 	}
 
-	// One run ID for the whole replay: stamped on the wire so broker-side
+	// One trace ID for the whole replay: stamped on the wire so broker-side
 	// logs attribute this run's produces, and on every progress line so
 	// the two sides grep together.
-	runID := obs.NewTraceID()
-	logger := obs.New(os.Stderr, obs.LevelInfo).With("daemon", "replay", "run", obs.TraceHex(runID))
+	runID := broker.NewTraceID()
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("daemon", "replay", broker.TraceAttr(runID))
 
 	cli, err := broker.DialCluster(strings.Split(*addr, ","))
 	if err != nil {

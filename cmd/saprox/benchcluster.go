@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -20,7 +21,6 @@ import (
 
 	"streamapprox/internal/broker"
 	"streamapprox/internal/broker/storage"
-	"streamapprox/internal/obs"
 )
 
 type benchClusterMembers struct {
@@ -399,7 +399,7 @@ func runBenchCluster(args []string) error {
 	}
 	// Structured progress on stderr, grep-able by run ID across the
 	// whole benchmark (stdout stays clean JSON).
-	blog := obs.New(os.Stderr, obs.LevelInfo).With("bench", "cluster", "run", obs.TraceHex(obs.NewTraceID()))
+	blog := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("bench", "cluster")
 	blog.Info("paired sides", "mode", mode, "records", *records, "reps", *reps)
 	var err error
 	if res.Single, res.Cluster3, err = measureClusterSides(*records, *batch, *parts, *reps, *durable); err != nil {

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"math"
 	"net/http/httptest"
 	"os"
@@ -27,7 +28,6 @@ import (
 	"streamapprox/internal/broker"
 	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/faults"
-	"streamapprox/internal/obs"
 	"streamapprox/internal/server"
 	"streamapprox/internal/xrand"
 )
@@ -228,7 +228,7 @@ func runBenchE2E(args []string) error {
 		Confidence: 95,
 	}
 	scenarios := []string{"baseline", "leader-kill", "leader-blackhole", "follower-stall", "slow-disk"}
-	blog := obs.New(os.Stderr, obs.LevelInfo).With("bench", "e2e", "run", obs.TraceHex(obs.NewTraceID()))
+	blog := slog.New(slog.NewTextHandler(os.Stderr, nil)).With("bench", "e2e")
 	for _, sc := range scenarios {
 		if *only != "" && sc != *only {
 			continue

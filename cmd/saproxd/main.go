@@ -52,6 +52,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -61,7 +62,6 @@ import (
 	"time"
 
 	"streamapprox/internal/broker"
-	"streamapprox/internal/obs"
 	"streamapprox/internal/server"
 )
 
@@ -81,14 +81,11 @@ func run() error {
 	globalBudget := flag.Float64("budget", 0, "global sample budget in items/s across all queries (0 disables the scheduler)")
 	scheduleEvery := flag.Duration("schedule-every", 2*time.Second, "budget scheduler control interval")
 	connectWait := flag.Duration("connect-wait", 0, "keep retrying the initial broker connection for this long before giving up (0: forever)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn or error")
+	var level slog.Level
+	flag.TextVar(&level, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
 	flag.Parse()
 
-	level, err := obs.ParseLevel(*logLevel)
-	if err != nil {
-		return err
-	}
-	logger := obs.New(os.Stdout, level).With("daemon", "saproxd")
+	logger := slog.New(slog.NewTextHandler(os.Stdout, &slog.HandlerOptions{Level: level})).With("daemon", "saproxd")
 
 	// Catch shutdown signals before the connect loop, so an operator can
 	// interrupt a daemon still waiting for its cluster to come up.
@@ -102,7 +99,10 @@ func run() error {
 	// Retry the initial connection with capped backoff instead of
 	// exiting: in a compose-style bring-up the cluster may simply not be
 	// listening yet, and start order should not matter.
-	var cli *broker.ClusterClient
+	var (
+		cli *broker.ClusterClient
+		err error
+	)
 	start := time.Now()
 	for backoff := 250 * time.Millisecond; ; {
 		if cli, err = broker.DialCluster(addrs); err == nil {
@@ -140,7 +140,7 @@ func run() error {
 		CheckpointEvery: *checkpointEvery,
 		GlobalBudget:    *globalBudget,
 		ScheduleEvery:   *scheduleEvery,
-		Logf:            logger.Logf,
+		Log:             logger,
 	})
 	if err != nil {
 		return err

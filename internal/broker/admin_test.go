@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"streamapprox/internal/metrics"
-	"streamapprox/internal/obs"
 )
 
 // syncBuf is a race-safe log sink for assertions.
@@ -72,7 +73,7 @@ func TestAdminEndToEndSmoke(t *testing.T) {
 		b := New()
 		srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{
 			Metrics: b.Metrics(),
-			Log:     obs.New(io.Discard, obs.LevelInfo),
+			Log:     slog.New(slog.NewTextHandler(io.Discard, nil)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -166,10 +167,16 @@ func TestAdminEndToEndSmoke(t *testing.T) {
 			"broker_info", "broker_cluster_epoch", "broker_joining",
 			"broker_peer_alive", "broker_partition_leader",
 			"broker_partition_isr_size", "broker_partition_committed_offset",
-			"broker_partition_log_end_offset", "broker_log_segments", "broker_log_bytes",
+			"broker_partition_log_end_offset", "broker_log_bytes",
 		} {
 			if len(sc.Select(fam, nil)) == 0 {
 				t.Errorf("node %d: family %s missing", i, fam)
+			}
+		}
+		// A ready member sees every peer alive.
+		for id := range peers {
+			if alive, ok := sc.Value("broker_peer_alive", metrics.Labels{"peer": id}); !ok || alive != 1 {
+				t.Errorf("node %d: broker_peer_alive{peer=%q} = %v (present %v), want 1", i, id, alive, ok)
 			}
 		}
 		// The in-memory logs report their frames' bytes: 100 records a
@@ -183,8 +190,10 @@ func TestAdminEndToEndSmoke(t *testing.T) {
 		if sc.Types["broker_request_seconds"] != "histogram" {
 			t.Errorf("node %d: broker_request_seconds type = %q", i, sc.Types["broker_request_seconds"])
 		}
-		if len(sc.Select("broker_requests_total", nil)) > 0 {
-			sawReq = true
+		for _, s := range sc.Select("broker_request_seconds_count", nil) {
+			if s.Value > 0 {
+				sawReq = true
+			}
 		}
 		if len(sc.Select("broker_request_seconds_bucket", nil)) > 0 {
 			sawHist = true
@@ -226,7 +235,8 @@ func TestAdminEndToEndSmoke(t *testing.T) {
 
 // TestTraceIDReachesBrokerLogs proves the wire-level trace propagation:
 // a trace ID stamped on a client connection shows up in the broker
-// server's structured debug log for the requests it issued.
+// server's structured debug log for the requests it issued, and an
+// untraced connection logs no request at all.
 func TestTraceIDReachesBrokerLogs(t *testing.T) {
 	b := New()
 	if err := b.CreateTopic("t", 1); err != nil {
@@ -235,7 +245,7 @@ func TestTraceIDReachesBrokerLogs(t *testing.T) {
 	buf := &syncBuf{}
 	srv := serveMember(t, b, ServerOptions{
 		Metrics: b.Metrics(),
-		Log:     obs.New(buf, obs.LevelDebug),
+		Log:     slog.New(slog.NewTextHandler(buf, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
 	cli, err := Dial(srv.Addr())
 	if err != nil {
@@ -253,20 +263,59 @@ func TestTraceIDReachesBrokerLogs(t *testing.T) {
 	}
 
 	logs := buf.String()
-	want := obs.TraceHex(tid)
-	if !strings.Contains(logs, "trace="+want) {
-		t.Fatalf("broker logs do not mention trace %s:\n%s", want, logs)
-	}
-	if !strings.Contains(logs, "op=producep") || !strings.Contains(logs, "op=fetch") {
-		t.Errorf("traced ops missing from logs:\n%s", logs)
+	for _, op := range []string{"producep", "fetch"} {
+		line := regexp.MustCompile(`(?m)^time=\S+ level=DEBUG msg="wire request" op=` + op + ` trace=([0-9a-f]{16}) `)
+		if m := line.FindStringSubmatch(logs); m == nil || m[1] != "abcdef0123456789" {
+			t.Errorf("no debug line for op=%s with trace=abcdef0123456789:\n%s", op, logs)
+		}
 	}
 
-	// An untraced connection must leave no trace lines behind.
+	// An untraced connection logs nothing.
 	cli.SetTraceID(0)
 	if _, err := producePart(cli, "t", 0, 0, 0, keylessRecs(10, 5)); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(buf.String(), "trace="); n < 2 {
-		t.Errorf("expected the traced produce+fetch lines only, got %d trace lines", n)
+	if _, err := cli.Fetch("t", 0, 0, 100); err != nil {
+		t.Fatal(err)
+	}
+	if after := buf.String(); after != logs {
+		t.Errorf("untraced requests logged:\n%s", strings.TrimPrefix(after, logs))
+	}
+}
+
+// A server or node given no logger writes nowhere — not even to the
+// process-wide default logger.
+func TestNilLogIsSilent(t *testing.T) {
+	if orDiscard(nil).Enabled(t.Context(), slog.LevelError) {
+		t.Fatal("a nil Log is enabled")
+	}
+}
+
+func TestNewTraceIDNonZeroAndConcurrent(t *testing.T) {
+	seen := make(map[uint64]bool)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				id := NewTraceID()
+				if id == 0 {
+					t.Error("zero trace ID")
+					return
+				}
+				mu.Lock()
+				seen[id] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if len(seen) < 1500 {
+		t.Fatalf("too many collisions: %d unique of 1600", len(seen))
+	}
+	if got := TraceAttr(0xabc).String(); got != "trace=0000000000000abc" {
+		t.Fatalf("TraceAttr = %q, want 16 hex digits", got)
 	}
 }

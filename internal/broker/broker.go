@@ -110,9 +110,8 @@ func New() *Broker {
 // to the same registry so one /metrics endpoint covers the process.
 func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 
-// scrapeLogs publishes the per-partition log gauges: log-end offset,
-// segment count and the bytes the log's frames occupy, in memory or on
-// disk.
+// scrapeLogs publishes the per-partition log gauges: log-end offset and
+// the bytes the log's frames occupy, in memory or on disk.
 func (b *Broker) scrapeLogs() {
 	for _, name := range b.TopicsSorted() {
 		t, err := b.topic(name)
@@ -123,9 +122,7 @@ func (b *Broker) scrapeLogs() {
 			lbl := metrics.Labels{"topic": name, "partition": strconv.Itoa(p)}
 			b.reg.Gauge("broker_partition_log_end_offset",
 				"next offset to be written in the partition log", lbl).Set(float64(part.log.HighWatermark()))
-			segs, bytes := part.log.Stats()
-			b.reg.Gauge("broker_log_segments",
-				"segment files (in-memory chunks) held by the partition log", lbl).Set(float64(segs))
+			_, bytes := part.log.Stats()
 			b.reg.Gauge("broker_log_bytes",
 				"bytes held by the partition log, in memory or on disk", lbl).Set(float64(bytes))
 		}

@@ -9,7 +9,7 @@ package broker
 // validated once — structure + CRC — where it enters the process, then
 // appended to the log, forwarded leader→follower, and served back to
 // consumers verbatim; no hop re-encodes a record. The rare control ops
-// (create/parts/commit/committed/meta/ping/commitrep/hello) ride through
+// (create/parts/meta/ping/hello) ride through
 // as JSON documents wrapped in the same binary envelope, so one version
 // byte governs the whole dialect.
 //

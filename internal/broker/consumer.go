@@ -5,12 +5,13 @@ import "streamapprox/internal/stream"
 // Cluster is the read surface of a broker: what a Consumer reads
 // through. It is satisfied by the in-process *Broker, the TCP *Client
 // and the routing *ClusterClient, so the same reader works against a
-// local aggregator, a remote brokerd and a replicated cluster. Fetch is
-// the record-form read (frames decoded at the edge); the ingest path
-// reads through BatchFetcher when the implementation has it. The broker
+// local aggregator, a remote brokerd and a replicated cluster. A
+// Consumer reads through FetchBatch; Fetch is the record-form read
+// (frames decoded at the edge) for callers that want rows. The broker
 // keeps no reader positions: a caller resumes by constructing its
 // Consumer at an offset it kept itself.
 type Cluster interface {
+	BatchFetcher
 	Partitions(topic string) (int, error)
 	Fetch(topic string, partition int, offset int64, max int) ([]Record, error)
 	HighWatermark(topic string, partition int) (int64, error)
@@ -19,34 +20,14 @@ type Cluster interface {
 var (
 	_ Cluster = (*Broker)(nil)
 	_ Cluster = (*Client)(nil)
+	_ Cluster = (*ClusterClient)(nil)
 )
 
-// BatchFetcher is the native columnar fetch: one partition fetch
-// decoded straight from the frame chunk into an EventBatch, no Record
-// in between. The in-process *Broker, the TCP *Client and the routing
-// *ClusterClient all implement it; a wrapper around a Cluster that does
-// not forward it sends its Consumer through Fetch and the
-// recordsToBatch bridge instead — same batches, one decode dearer.
+// BatchFetcher is the columnar fetch: one partition fetch decoded
+// straight from the frame chunk into an EventBatch, no Record in
+// between.
 type BatchFetcher interface {
 	FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error)
-}
-
-var (
-	_ BatchFetcher = (*Broker)(nil)
-	_ BatchFetcher = (*Client)(nil)
-	_ BatchFetcher = (*ClusterClient)(nil)
-)
-
-// recordsToBatch converts a row-form record slice into a columnar
-// batch — the bridge for a Cluster without a native FetchBatch. base is
-// the offset of recs[0].
-func recordsToBatch(recs []Record, base int64, b *stream.EventBatch) int {
-	for i := range recs {
-		r := &recs[i]
-		b.Append(b.Intern(r.Key), r.Value, stream.TimeToNanos(r.Time))
-	}
-	b.Base = base
-	return len(recs)
 }
 
 // Consumer is a positioned reader of one partition: the offset of the
@@ -80,16 +61,7 @@ func NewPartitionConsumer(b Cluster, topicName string, partition int, offset int
 // to).
 func (c *Consumer) PollBatch(max int) (*stream.EventBatch, error) {
 	b := stream.GetEventBatch()
-	var n int
-	var err error
-	if bf, ok := c.broker.(BatchFetcher); ok {
-		n, err = bf.FetchBatch(c.topic, c.partition, c.offset, max, b)
-	} else {
-		var recs []Record
-		if recs, err = c.broker.Fetch(c.topic, c.partition, c.offset, max); err == nil {
-			n = recordsToBatch(recs, c.offset, b)
-		}
-	}
+	n, err := c.broker.FetchBatch(c.topic, c.partition, c.offset, max, b)
 	if err != nil || n == 0 {
 		b.Release()
 		return nil, err

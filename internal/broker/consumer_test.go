@@ -84,11 +84,7 @@ func TestConsumerConstructedMidBatch(t *testing.T) {
 	}
 }
 
-// bridged hides a Cluster's native FetchBatch, so a Consumer over it
-// reads through Fetch and recordsToBatch.
-type bridged struct{ Cluster }
-
-// flakyCluster fails every third Fetch with a transient error.
+// flakyCluster fails every third FetchBatch with a transient error.
 type flakyCluster struct {
 	Cluster
 	n int
@@ -96,12 +92,12 @@ type flakyCluster struct {
 
 var errFlaky = errors.New("transient fetch failure")
 
-func (f *flakyCluster) Fetch(topic string, partition int, offset int64, max int) ([]Record, error) {
+func (f *flakyCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
 	f.n++
 	if f.n%3 == 0 {
-		return nil, errFlaky
+		return 0, errFlaky
 	}
-	return f.Cluster.Fetch(topic, partition, offset, max)
+	return f.Cluster.FetchBatch(topic, partition, offset, max, b)
 }
 
 // TestConsumerFailedFetchKeepsOffset: a failed fetch leaves the reader
@@ -138,32 +134,27 @@ func TestConsumerFailedFetchKeepsOffset(t *testing.T) {
 }
 
 func TestConsumerErrorOnClosedBroker(t *testing.T) {
-	for name, wrap := range map[string]func(*Broker) Cluster{
-		"native": func(b *Broker) Cluster { return b },
-		"bridge": func(b *Broker) Cluster { return bridged{b} },
-	} {
-		b := New()
-		_ = b.CreateTopic("in", 1)
-		_, _ = b.Produce("in", recs("a", 10))
-		c := NewPartitionConsumer(wrap(b), "in", 0, 0)
-		b.Close()
-		if got, err := c.PollBatch(10); !errors.Is(err, ErrClosed) || got != nil || c.offset != 0 {
-			t.Errorf("%s: poll on a closed broker = %v, %v with the reader at %d; want nil, ErrClosed, 0", name, got, err, c.offset)
-		}
+	b := New()
+	_ = b.CreateTopic("in", 1)
+	_, _ = b.Produce("in", recs("a", 10))
+	c := NewPartitionConsumer(b, "in", 0, 0)
+	b.Close()
+	if got, err := c.PollBatch(10); !errors.Is(err, ErrClosed) || got != nil || c.offset != 0 {
+		t.Errorf("poll on a closed broker = %v, %v with the reader at %d; want nil, ErrClosed, 0", got, err, c.offset)
 	}
 	// A reader needs no broker call to exist, so a bad partition is the
 	// first poll's error, not the constructor's.
-	b := New()
+	b = New()
 	_ = b.CreateTopic("in", 1)
 	if _, err := NewPartitionConsumer(b, "in", 3, 0).PollBatch(10); !errors.Is(err, ErrBadPartition) {
 		t.Errorf("poll of a missing partition: %v", err)
 	}
 }
 
-// TestConsumerBridgeMatchesNative: over the in-process broker and over
-// TCP, a Cluster without FetchBatch delivers the very batches a native
-// one does — columns, dictionary, base and order.
-func TestConsumerBridgeMatchesNative(t *testing.T) {
+// TestConsumerTCPMatchesInProcess: a Consumer over TCP delivers the very
+// batches one over the in-process broker does — columns, dictionary,
+// base and order.
+func TestConsumerTCPMatchesInProcess(t *testing.T) {
 	b := New()
 	_ = b.CreateTopic("in", 1)
 	in := append(append(recs("tcp", 700), recs("", 300)...), recs("ключ", 500)...)
@@ -204,14 +195,12 @@ func TestConsumerBridgeMatchesNative(t *testing.T) {
 	}
 	want := readAll(b)
 	if n := len(want); n != 4 || want[3].Base != 1200 {
-		t.Fatalf("native in-process read = %d rounds, want 4 ending at base 1200", n)
+		t.Fatalf("in-process read = %d rounds, want 4 ending at base 1200", n)
 	}
 	if want[0].Times[0] != stream.ZeroTimeNanos {
 		t.Fatalf("zero-time record not sorted first: %v", want[0].Times[:3])
 	}
-	for name, cl := range map[string]Cluster{"in-process bridge": bridged{b}, "tcp native": cli, "tcp bridge": bridged{cli}} {
-		if got := readAll(cl); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: batches differ from the native in-process read", name)
-		}
+	if got := readAll(cli); !reflect.DeepEqual(got, want) {
+		t.Error("batches over TCP differ from the in-process read")
 	}
 }

@@ -52,6 +52,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"log/slog"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -108,8 +109,9 @@ type NodeConfig struct {
 	// dead and drops out of the ISR — instead of wedging the leader's
 	// send window forever.
 	RPCTimeout time.Duration
-	// Logf, when set, receives membership and replication log lines.
-	Logf func(format string, args ...any)
+	// Log, when set, receives membership and replication log lines,
+	// each carrying node=ID. Nil is silent.
+	Log *slog.Logger
 }
 
 const (
@@ -284,9 +286,7 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 	if cfg.RPCTimeout == 0 {
 		cfg.RPCTimeout = 10 * time.Second
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
+	cfg.Log = orDiscard(cfg.Log).With("node", cfg.ID)
 	members := make([]string, 0, len(cfg.Peers))
 	for id := range cfg.Peers {
 		members = append(members, id)
@@ -365,7 +365,7 @@ func (n *ClusterNode) loadState() error {
 					n.metas[tp] = append(n.metas[tp], batchMeta{pid: pe.PID, seq: pe.Seq, base: pe.Base, end: pe.End})
 				}
 			}
-			n.cfg.Logf("cluster %s: recovered %s committed=%d", n.cfg.ID, tp, st.Committed)
+			n.cfg.Log.Info("recovered partition", "partition", tp, "committed", st.Committed)
 		}
 	}
 	return nil
@@ -520,7 +520,7 @@ func (n *ClusterNode) adoptPendingAlive(id string) {
 	n.epoch++
 	epoch := n.epoch
 	n.mu.Unlock()
-	n.cfg.Logf("cluster %s: %s rejoined (ver %d, probe-verified, epoch %d)", n.cfg.ID, id, st.Ver, epoch)
+	n.cfg.Log.Info("peer rejoined", "peer", id, "ver", st.Ver, "epoch", epoch)
 }
 
 // viewCopy returns the current epoch and a copy of the status view,
@@ -579,7 +579,7 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]PeerStatus) {
 			if st.Dead != cur.Dead {
 				n.epoch++
 				if st.Dead {
-					n.cfg.Logf("cluster %s: learned %s is dead (gossip, ver %d)", n.cfg.ID, id, st.Ver)
+					n.cfg.Log.Info("peer dead by gossip", "peer", id, "ver", st.Ver)
 					if c := n.conns[id]; c != nil {
 						_ = c.Close()
 						delete(n.conns, id)
@@ -596,7 +596,7 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]PeerStatus) {
 		n.probeDeadAsync(id)
 	}
 	if demoted {
-		n.cfg.Logf("cluster %s: deposed by the cluster; demoting to rejoin", n.cfg.ID)
+		n.cfg.Log.Warn("deposed by the cluster; demoting to rejoin")
 		// Leadership is gone: tear down the follower sessions so a
 		// chunk queued under the old reign cannot be delivered after the
 		// takeover handshake (queued producers get an error and retry
@@ -662,7 +662,7 @@ func (n *ClusterNode) markFailure(id string, err error) {
 		_ = c.Close()
 		delete(n.conns, id)
 	}
-	n.cfg.Logf("cluster %s: peer %s declared dead (epoch %d): %v", n.cfg.ID, id, n.epoch, err)
+	n.cfg.Log.Warn("peer declared dead", "peer", id, "epoch", n.epoch, "err", err)
 }
 
 func (n *ClusterNode) markAlive(id string) {
@@ -810,7 +810,7 @@ func (n *ClusterNode) syncAndJoin() {
 		for t, ti := range bestMeta.Topics {
 			if _, err := n.b.Partitions(t); err != nil {
 				if err := n.b.CreateTopic(t, len(ti.Partitions)); err != nil {
-					n.cfg.Logf("cluster %s: rejoin create topic %s: %v", n.cfg.ID, t, err)
+					n.cfg.Log.Error("rejoin: create topic failed", "topic", t, "err", err)
 				}
 			}
 		}
@@ -826,7 +826,7 @@ func (n *ClusterNode) syncAndJoin() {
 	n.epoch++
 	epoch := n.epoch
 	n.mu.Unlock()
-	n.cfg.Logf("cluster %s: joined (ver %d, epoch %d, %d takeovers pending)", n.cfg.ID, ver, epoch, len(takeovers))
+	n.cfg.Log.Info("joined", "ver", ver, "epoch", epoch, "takeovers", len(takeovers))
 	n.finishTakeovers(takeovers)
 }
 
@@ -862,12 +862,12 @@ func (n *ClusterNode) resyncPartitions(m *ClusterMeta) []takeover {
 			}
 			committed, err := n.leaderCommitted(ldr, t, p)
 			if err != nil {
-				n.cfg.Logf("cluster %s: rejoin %s/%d: leader %s unreachable: %v", n.cfg.ID, t, p, ldr, err)
+				n.cfg.Log.Warn("rejoin: leader unreachable", "partition", tpKey(t, p), "leader", ldr, "err", err)
 				continue
 			}
 			n.truncateDivergence(t, p, ldr, committed)
 			if err := n.pullCommitted(ldr, t, p); err != nil {
-				n.cfg.Logf("cluster %s: rejoin pull %s/%d from %s: %v", n.cfg.ID, t, p, ldr, err)
+				n.cfg.Log.Warn("rejoin: pull failed", "partition", tpKey(t, p), "leader", ldr, "err", err)
 			}
 			// Will leadership fall back to us once we are alive again?
 			// (First replica in rendezvous order that is live in our
@@ -910,7 +910,7 @@ func (n *ClusterNode) truncateDivergence(t string, p int, ldr string, committed 
 		return
 	}
 	if err := n.b.truncatePartition(t, p, committed); err != nil {
-		n.cfg.Logf("cluster %s: rejoin truncate %s/%d: %v", n.cfg.ID, t, p, err)
+		n.cfg.Log.Error("rejoin: truncate failed", "partition", tpKey(t, p), "err", err)
 		return
 	}
 	tp := tpKey(t, p)
@@ -940,8 +940,8 @@ func (n *ClusterNode) truncateDivergence(t string, p int, ldr string, committed 
 	n.metas[tp] = kept
 	n.mu.Unlock()
 	n.saveClusterState(t, p)
-	n.cfg.Logf("cluster %s: rejoin truncated %s/%d from %d to leader %s committed %d",
-		n.cfg.ID, t, p, local, ldr, committed)
+	n.cfg.Log.Info("rejoin: truncated divergence", "partition", tp, "from", local,
+		"leader", ldr, "committed", committed)
 }
 
 // pullCommitted drains the committed records this replica is missing
@@ -1016,7 +1016,7 @@ func (n *ClusterNode) finishTakeovers(takeovers []takeover) {
 		delete(n.syncing, tp)
 		n.mu.Unlock()
 		n.saveClusterState(to.topic, to.partition)
-		n.cfg.Logf("cluster %s: took over leadership of %s from %s", n.cfg.ID, tp, to.oldLeader)
+		n.cfg.Log.Info("took over leadership", "partition", tp, "from", to.oldLeader)
 	}
 }
 
@@ -1840,7 +1840,6 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 			alive = 0
 		}
 		reg.Gauge("broker_peer_alive", "1 when the peer is alive in this node's view", metrics.Labels{"peer": id}).Set(alive)
-		reg.Gauge("broker_peer_incarnation", "peer status version (SWIM incarnation)", metrics.Labels{"peer": id}).Set(float64(st.Ver))
 	}
 
 	// Leadership moves between nodes, so stale lag series from a demoted
@@ -2235,6 +2234,6 @@ func (n *ClusterNode) saveClusterState(topic string, partition int) {
 	n.mu.Unlock()
 	sort.Slice(st.Producers, func(i, j int) bool { return st.Producers[i].PID < st.Producers[j].PID })
 	if err := storage.SaveJSON(n.statePath(topic, partition), &st, n.b.syncAlways()); err != nil {
-		n.cfg.Logf("cluster %s: save state %s: %v", n.cfg.ID, tp, err)
+		n.cfg.Log.Error("save state failed", "partition", tp, "err", err)
 	}
 }

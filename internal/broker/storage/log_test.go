@@ -11,6 +11,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"streamapprox/internal/metrics"
 )
 
 // The Log conformance suite: every behaviour the broker relies on,
@@ -586,7 +588,12 @@ func TestFileLogCorruptMiddleDropsSuffixSegments(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	re := openFileLog(t, dir, FileConfig{SegmentRecords: 100})
+	reg := metrics.NewRegistry()
+	in := Instruments{
+		TornTails:       reg.Counter("broker_storage_torn_tails_total", "", nil),
+		SegmentsDropped: reg.Counter("broker_storage_segments_dropped_total", "", nil),
+	}
+	re := openFileLog(t, dir, FileConfig{SegmentRecords: 100, Instruments: in})
 	hwm := re.HighWatermark()
 	if hwm <= 100 || hwm >= 200 || hwm%10 != 0 {
 		t.Fatalf("hwm after mid-corruption = %d, want a batch boundary inside (100, 200)", hwm)
@@ -594,6 +601,9 @@ func TestFileLogCorruptMiddleDropsSuffixSegments(t *testing.T) {
 	verifyRange(t, re, 0, hwm)
 	if _, err := os.Stat(filepath.Join(dir, segName(200))); !os.IsNotExist(err) {
 		t.Fatalf("segment past corruption not deleted: %v", err)
+	}
+	if torn, dropped := in.TornTails.Value(), in.SegmentsDropped.Value(); torn != 1 || dropped != 2 {
+		t.Fatalf("recovery counted %v torn tails and %v dropped segments, want 1 and 2", torn, dropped)
 	}
 }
 

@@ -2,16 +2,18 @@ package broker
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"streamapprox/internal/metrics"
-	"streamapprox/internal/obs"
 )
 
 // The wire protocol frames every message as a 4-byte big-endian length
@@ -75,14 +77,15 @@ type ServerOptions struct {
 	// listener is bound); until then the server refuses every op but
 	// hello with a retryable error.
 	Node *ClusterNode
-	// Metrics, when set, receives per-op request counters and latency
-	// histograms at the wire-dispatch layer (broker_requests_total,
-	// broker_request_seconds). Instruments are resolved once at startup
-	// so the hot path never takes the registry lock.
+	// Metrics, when set, receives a per-op latency histogram at the
+	// wire-dispatch layer (broker_request_seconds; its _count is the
+	// request count). Instruments are resolved once at startup so the
+	// hot path never takes the registry lock.
 	Metrics *metrics.Registry
 	// Log, when set, emits a structured debug line per traced request —
 	// the broker-side leg of following one saproxd pipeline by trace ID.
-	Log *obs.Logger
+	// Nil is silent.
+	Log *slog.Logger
 	// IdleTimeout closes a connection that has not delivered a complete
 	// request for this long. Zero disables it — long-lived consumer and
 	// peer connections idle legitimately between polls and pushes.
@@ -115,7 +118,7 @@ type Server struct {
 	opts   ServerOptions
 	node   atomic.Pointer[ClusterNode]
 	instr  *serverInstruments
-	log    *obs.Logger
+	log    *slog.Logger
 
 	mu        sync.Mutex
 	conns     map[net.Conn]struct{}
@@ -128,26 +131,19 @@ type Server struct {
 // attached yet; clients retry it like any answered rejection.
 var errNoNode = errors.New("broker: no cluster node attached yet")
 
-// serverInstruments is the wire-dispatch instrumentation: one request
-// counter and one latency histogram per op, resolved from the registry
-// once at startup. A nil *serverInstruments is valid and free, so the
-// handlers need no guards.
+// serverInstruments is the wire-dispatch instrumentation: one latency
+// histogram per op, resolved from the registry once at startup. A nil
+// *serverInstruments is valid and free, so the handlers need no guards.
 type serverInstruments struct {
-	reqs map[string]*metrics.Counter
-	lat  map[string]*metrics.Histogram
+	lat map[string]*metrics.Histogram
 }
 
 func newServerInstruments(reg *metrics.Registry) *serverInstruments {
-	si := &serverInstruments{
-		reqs: make(map[string]*metrics.Counter),
-		lat:  make(map[string]*metrics.Histogram),
-	}
+	si := &serverInstruments{lat: make(map[string]*metrics.Histogram)}
 	for _, op := range []string{
 		opCreate, opFetch, opHWM, opParts, opHello, opMeta, opPing,
 		opProducePart, opRFetch, opRHWM, opReplicate, "other",
 	} {
-		si.reqs[op] = reg.Counter("broker_requests_total",
-			"requests served, by wire op", metrics.Labels{"op": op})
 		si.lat[op] = reg.Histogram("broker_request_seconds",
 			"request service latency in seconds, by wire op", metrics.Labels{"op": op})
 	}
@@ -161,13 +157,36 @@ func (si *serverInstruments) observe(op string, start time.Time) {
 	if si == nil {
 		return
 	}
-	c, ok := si.reqs[op]
+	h, ok := si.lat[op]
 	if !ok {
-		op = "other"
-		c = si.reqs[op]
+		h = si.lat["other"]
 	}
-	c.Inc()
-	si.lat[op].Observe(time.Since(start).Seconds())
+	h.Observe(time.Since(start).Seconds())
+}
+
+// NewTraceID returns a random ID for the request header's trace field.
+// It is never zero: zero on the wire means untraced.
+func NewTraceID() uint64 {
+	for {
+		if id := rand.Uint64(); id != 0 {
+			return id
+		}
+	}
+}
+
+// TraceAttr is the log attribute every component spells a trace ID
+// with, trace=<16 hex digits>, so one grep follows a request from
+// saproxd to the partition leader and its followers.
+func TraceAttr(id uint64) slog.Attr {
+	return slog.String("trace", fmt.Sprintf("%016x", id))
+}
+
+// orDiscard returns l, or a logger that writes nothing when l is nil.
+func orDiscard(l *slog.Logger) *slog.Logger {
+	if l == nil {
+		return slog.New(slog.DiscardHandler)
+	}
+	return l
 }
 
 // binOpName maps a binary op code to its metric/log label.
@@ -211,7 +230,7 @@ func ServeWithOptions(b *Broker, addr string, opts ServerOptions) (*Server, erro
 		broker: b,
 		ln:     ln,
 		opts:   opts,
-		log:    opts.Log,
+		log:    orDiscard(opts.Log),
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
 	}
@@ -405,9 +424,9 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 	if req.op != binOpJSON {
 		s.instr.observe(binOpName(req.op), start)
 	}
-	if req.trace != 0 && s.log.Enabled(obs.LevelDebug) {
+	if req.trace != 0 && s.log.Enabled(context.Background(), slog.LevelDebug) {
 		s.log.Debug("wire request",
-			"op", binOpName(req.op), "trace", obs.TraceHex(req.trace),
+			"op", binOpName(req.op), TraceAttr(req.trace),
 			"topic", req.topic, "partition", req.partition,
 			"records", req.count, "dur_us", time.Since(start).Microseconds())
 	}

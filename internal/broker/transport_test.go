@@ -403,13 +403,13 @@ func TestRetiredControlOpsChangeNothing(t *testing.T) {
 		}
 		return resp
 	}
-	other := reg.Counter("broker_requests_total", "requests served, by wire op", metrics.Labels{"op": "other"})
+	other := reg.Histogram("broker_request_seconds", "request service latency in seconds, by wire op", metrics.Labels{"op": "other"})
 	for _, c := range retiredControlOps() {
-		before := other.Value()
+		before := other.Count()
 		if resp := answer(c.payload); !strings.Contains(resp.Err, "unknown op") {
 			t.Errorf("%s: answered %+v; want an unknown op error", c.name, resp)
 		}
-		if got := other.Value() - before; got != 1 {
+		if got := other.Count() - before; got != 1 {
 			t.Errorf("%s: counted %v times under op=\"other\", want once", c.name, got)
 		}
 	}

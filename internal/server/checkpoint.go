@@ -157,7 +157,6 @@ func (j *job) restore(cf *checkpointFile) error {
 		sh.records.Store(sc.Records)
 		sh.recordsMetric.Add(float64(sc.Records))
 		sh.sampled.Store(sc.Sampled)
-		sh.sampledMetric.Add(float64(sc.Sampled))
 		sh.offset = sc.Offset
 	}
 	j.seq = cf.Seq

@@ -2,6 +2,7 @@ package server
 
 import (
 	"io"
+	"log/slog"
 	"slices"
 	"strconv"
 	"sync"
@@ -9,7 +10,6 @@ import (
 
 	"streamapprox/internal/broker"
 	"streamapprox/internal/metrics"
-	"streamapprox/internal/obs"
 	"streamapprox/internal/stream"
 )
 
@@ -77,7 +77,7 @@ const idleAdvanceFloor = 250 * time.Millisecond
 
 // hwmEvery bounds how often a busy partition loop asks the broker for
 // the committed high watermark. Delivered batches carry it only to feed
-// the three lag gauges (ingest, shard, query), which nobody reads at
+// the two lag gauges (ingest, query), which nobody reads at
 // batch rate — and one RPC per batch is a fifth of a saturated
 // pipeline's requests.
 const hwmEvery = 100 * time.Millisecond
@@ -104,7 +104,7 @@ type ingest struct {
 	cluster    broker.Cluster // control-plane + catch-up connection
 	topic      string
 	backoff    time.Duration
-	logf       func(format string, args ...any)
+	log        *slog.Logger
 	reg        *metrics.Registry
 	queueDepth int
 
@@ -193,7 +193,7 @@ type partIngest struct {
 // simultaneous catch-up consumers.
 func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	topic string, parts int, backoff time.Duration, queueDepth, catchupWorkers int,
-	logf func(string, ...any), reg *metrics.Registry) (*ingest, error) {
+	log *slog.Logger, reg *metrics.Registry) (*ingest, error) {
 	if queueDepth < 1 {
 		queueDepth = 64
 	}
@@ -201,7 +201,7 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 		catchupWorkers = 4
 	}
 	ing := &ingest{
-		cluster: cluster, topic: topic, backoff: backoff, logf: logf,
+		cluster: cluster, topic: topic, backoff: backoff, log: log,
 		reg: reg, queueDepth: queueDepth,
 		catchupSem: make(chan struct{}, catchupWorkers),
 		catchupActive: reg.Gauge("saproxd_catchup_active",
@@ -222,9 +222,9 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 			// stamped here follows every fetch the pipeline issues and can
 			// be grepped out of broker-side logs.
 			if ts, ok := pc.(traceSetter); ok {
-				tid := obs.NewTraceID()
+				tid := broker.NewTraceID()
 				ts.SetTraceID(tid)
-				logf("ingest pipeline %s/%d: trace=%s", topic, p, obs.TraceHex(tid))
+				log.Info("ingest pipeline", "topic", topic, "partition", p, broker.TraceAttr(tid))
 			}
 		}
 		l := metrics.Labels{"partition": strconv.Itoa(p)}
@@ -552,10 +552,10 @@ func (pi *partIngest) reroute() {
 		return
 	}
 	if err := r.Refresh(); err != nil {
-		pi.ing.logf("ingest partition %d: watchdog refresh: %v", pi.idx, err)
+		pi.ing.log.Warn("watchdog refresh failed", "partition", pi.idx, "err", err)
 		return
 	}
-	pi.ing.logf("ingest partition %d: watchdog refreshed routing", pi.idx)
+	pi.ing.log.Info("watchdog refreshed routing", "partition", pi.idx)
 }
 
 // deliverBatch fans one pooled EventBatch out by reference to every
@@ -600,8 +600,8 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 			if of == sub {
 				delete(pi.subs, sh)
 				sh.job.wg.Add(1) // the drainer's catch-up continuation
-				pi.ing.logf("query %s partition %d: delivery queue full at offset %d; shedding to catch-up",
-					sh.job.id, pi.idx, base)
+				pi.ing.log.Warn("delivery queue full; shedding to catch-up",
+					"query", sh.job.id, "partition", pi.idx, "offset", base)
 			}
 		}
 		close(sub.ch)
@@ -698,7 +698,7 @@ func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
 				// Transient broker trouble must not strand the shard
 				// detached forever (its merger would wait on the missing
 				// part for every window): retry until the job stops.
-				pi.ing.logf("catch-up %s partition %d: poll: %v", j.id, pi.idx, err)
+				pi.ing.log.Warn("catch-up poll failed", "query", j.id, "partition", pi.idx, "err", err)
 			}
 			if !sleepOrDone(j.done, pi.ing.backoff) {
 				return

@@ -21,9 +21,9 @@ type countingCluster struct {
 	fetches atomic.Int64
 }
 
-func (c *countingCluster) Fetch(topic string, partition int, offset int64, max int) ([]broker.Record, error) {
+func (c *countingCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
 	c.fetches.Add(1)
-	return c.Cluster.Fetch(topic, partition, offset, max)
+	return c.Cluster.FetchBatch(topic, partition, offset, max, b)
 }
 
 // jobRecords sums a query's consumed records across shards.
@@ -544,18 +544,17 @@ func TestLagGaugesSettleWithThrottledHighWatermark(t *testing.T) {
 		t.Errorf("%d high-watermark reads over %d batches in %v, want at most %d", reads, batches, time.Since(start), most)
 	}
 	stop := time.Now().Add(10 * time.Second)
-	for pi.lagGauge.Value() != 0 || j.shards[0].lagMetric.Value() != 0 || j.lagGauge.Value() != 0 {
+	for pi.lagGauge.Value() != 0 || j.shards[0].lag.Load() != 0 || j.lagGauge.Value() != 0 {
 		if time.Now().After(stop) {
 			t.Fatalf("idle partition still reports lag: ingest %v, shard %v, query %v",
-				pi.lagGauge.Value(), j.shards[0].lagMetric.Value(), j.lagGauge.Value())
+				pi.lagGauge.Value(), j.shards[0].lag.Load(), j.lagGauge.Value())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
 // fetchLogCluster records every fetch the plane issues: when it
-// returned and how many records it carried. It does not forward
-// FetchBatch, so the consumer's one fetch per round comes through here.
+// returned and how many records it carried.
 type fetchLogCluster struct {
 	broker.Cluster
 	mu      sync.Mutex
@@ -567,12 +566,12 @@ type loggedFetch struct {
 	n  int
 }
 
-func (c *fetchLogCluster) Fetch(topic string, partition int, offset int64, max int) ([]broker.Record, error) {
-	recs, err := c.Cluster.Fetch(topic, partition, offset, max)
+func (c *fetchLogCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	n, err := c.Cluster.FetchBatch(topic, partition, offset, max, b)
 	c.mu.Lock()
-	c.fetches = append(c.fetches, loggedFetch{at: time.Now(), n: len(recs)})
+	c.fetches = append(c.fetches, loggedFetch{at: time.Now(), n: n})
 	c.mu.Unlock()
-	return recs, err
+	return n, err
 }
 
 func (c *fetchLogCluster) log() []loggedFetch {

@@ -46,7 +46,6 @@ type job struct {
 	relSeen bool
 
 	windowsMerged *metrics.Counter
-	mergeLatency  *metrics.Gauge
 	mergeHist     *metrics.Histogram
 	partsDropped  *metrics.Counter
 	lagGauge      *metrics.Gauge
@@ -67,8 +66,8 @@ type shard struct {
 	idx int // shard index == partition
 
 	// mu guards sess, lead, offset, skipUntil and the watermark against
-	// the checkpointer. records/sampled/lag are atomic so lag aggregation
-	// and the progress counters need no lock.
+	// the checkpointer. records/sampled/lag are atomic so the query's lag
+	// total and the progress counters need no lock.
 	mu   sync.Mutex
 	sess *streamapprox.Session
 	// lead is the group member whose session sess follows (nil while sess
@@ -82,9 +81,7 @@ type shard struct {
 	lag       atomic.Int64
 
 	recordsMetric *metrics.Counter
-	sampledMetric *metrics.Counter
 	lateMetric    *metrics.Gauge
-	lagMetric     *metrics.Gauge
 	depth         *metrics.Gauge   // the group's delivery queue, as this query sees it
 	shed          *metrics.Counter // times the query's group was shed to catch-up
 }
@@ -104,9 +101,6 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 
 		windowsMerged: srv.reg.Counter("saproxd_windows_merged_total",
 			"windows merged across shards", metrics.Labels{"query": id}),
-		mergeLatency: srv.reg.Gauge("saproxd_window_merge_latency_seconds",
-			"wall-clock latency from first shard part to merged emission, last window",
-			metrics.Labels{"query": id}),
 		partsDropped: srv.reg.Counter("saproxd_window_parts_dropped_total",
 			"shard window parts arriving after their window merged", metrics.Labels{"query": id}),
 		lagGauge: srv.reg.Gauge("saproxd_query_lag_records",
@@ -131,12 +125,8 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		labels := metrics.Labels{"query": id, "shard": strconv.Itoa(p)}
 		sh.recordsMetric = srv.reg.Counter("saproxd_shard_records_total",
 			"records consumed per shard", labels)
-		sh.sampledMetric = srv.reg.Counter("saproxd_shard_samples_total",
-			"items sampled into emitted windows per shard", labels)
 		sh.lateMetric = srv.reg.Gauge("saproxd_shard_late_events",
 			"late events dropped per shard", labels)
-		sh.lagMetric = srv.reg.Gauge("saproxd_shard_lag_records",
-			"records between shard position and partition high watermark", labels)
 		queue := metrics.Labels{"query": id, "partition": strconv.Itoa(p)}
 		sh.depth = srv.reg.Gauge("saproxd_delivery_queue_depth",
 			"batches queued between the partition loop and the query's drainer", queue)
@@ -265,7 +255,6 @@ func (j *job) emitLocked(fw firedWindow) {
 		j.results = j.results[len(j.results)-maxKept:]
 	}
 	j.windowsMerged.Inc()
-	j.mergeLatency.Set(fw.latency.Seconds())
 	j.mergeHist.Observe(fw.latency.Seconds())
 	if v := math.Abs(fw.result.Value); v > 0 {
 		re := fw.result.Error / v
@@ -407,14 +396,13 @@ func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 	}
 }
 
-// setLag publishes the shard's distance behind the partition's
-// committed high watermark, and the query's total.
+// setLag records the shard's distance behind the partition's committed
+// high watermark and publishes the query's total.
 func (sh *shard) setLag(lag int64) {
 	if lag < 0 {
 		lag = 0
 	}
 	sh.lag.Store(lag)
-	sh.lagMetric.Set(float64(lag))
 	var total int64
 	for _, peer := range sh.job.shards {
 		total += peer.lag.Load()
@@ -444,7 +432,7 @@ func (sh *shard) deliver(results []streamapprox.WindowResult, mark time.Time) {
 	j := sh.job
 	j.mu.Lock()
 	for _, wr := range results {
-		sh.noteSampled(wr)
+		sh.sampled.Add(int64(wr.Sampled))
 		if j.merger.fired[wr.Start] {
 			j.partsDropped.Inc()
 			continue
@@ -459,12 +447,6 @@ func (sh *shard) deliver(results []streamapprox.WindowResult, mark time.Time) {
 		}
 	}
 	j.mu.Unlock()
-}
-
-// noteSampled accounts a window's sampled items to the shard metrics.
-func (sh *shard) noteSampled(wr streamapprox.WindowResult) {
-	sh.sampled.Add(int64(wr.Sampled))
-	sh.sampledMetric.Add(float64(wr.Sampled))
 }
 
 // sleepOrDone pauses for d, returning false if done closed.

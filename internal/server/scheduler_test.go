@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamapprox/internal/broker"
+	"streamapprox/internal/metrics"
 )
 
 // currentFraction reads a query's live sampling fraction from its
@@ -112,16 +113,24 @@ func TestSchedulerEnforcesGlobalBudget(t *testing.T) {
 		t.Errorf("aggregate window sampling ratio %.3f, want well under the requested 0.8", ratio)
 	}
 
-	// The allocation surface is observable.
-	text := s.Registry().Render()
-	for _, want := range []string{
-		"saproxd_sched_budget_items_per_s 2000",
-		"saproxd_sched_fraction",
-		"saproxd_sched_demand_items",
-		"saproxd_sched_granted_items",
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("metrics missing %q", want)
+	// The allocation surface shows what the scheduler decided. Read after
+	// Close, so demand and grant come from the same control interval: the
+	// grant never exceeds the demand, nor the bucket's burst of two
+	// intervals' budget, and every fraction is a clamped grant.
+	s.Close()
+	sc, err := metrics.ParseText(strings.NewReader(s.Registry().Render()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget, _ := sc.Value("saproxd_sched_budget_items_per_s", nil)
+	demand, _ := sc.Value("saproxd_sched_demand_items", nil)
+	granted, ok := sc.Value("saproxd_sched_granted_items", nil)
+	if burst := 2 * budget * (20 * time.Millisecond).Seconds(); budget != 2000 || !ok || granted > demand || granted > burst {
+		t.Errorf("budget %v: granted %v items of a demand of %v, want at most both and %v", budget, granted, demand, burst)
+	}
+	for _, j := range jobs {
+		if f, ok := sc.Value("saproxd_sched_fraction", metrics.Labels{"query": j.id}); !ok || f < minSchedFraction || f > 1 {
+			t.Errorf("query %s: saproxd_sched_fraction = %v (present %v), want in [%v, 1]", j.id, f, ok, minSchedFraction)
 		}
 	}
 }

@@ -24,6 +24,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"os"
 	"sort"
@@ -34,7 +35,6 @@ import (
 
 	"streamapprox/internal/broker"
 	"streamapprox/internal/metrics"
-	"streamapprox/internal/obs"
 )
 
 // Config configures a Server.
@@ -73,8 +73,8 @@ type Config struct {
 	GlobalBudget float64
 	// ScheduleEvery is the scheduler control interval (default 2s).
 	ScheduleEvery time.Duration
-	// Logf, when set, receives operational log lines.
-	Logf func(format string, args ...any)
+	// Log, when set, receives operational log lines. Nil is silent.
+	Log *slog.Logger
 }
 
 // Server is the multi-tenant approximate-query service.
@@ -94,9 +94,7 @@ type Server struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 
-	activeGauge    *metrics.Gauge
-	checkpoints    *metrics.Counter
-	checkpointErrs *metrics.Counter
+	activeGauge *metrics.Gauge
 }
 
 // New connects to the topic, restores any checkpointed queries from
@@ -117,8 +115,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.ScheduleEvery <= 0 {
 		cfg.ScheduleEvery = 2 * time.Second
 	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
+	if cfg.Log == nil {
+		cfg.Log = slog.New(slog.DiscardHandler)
 	}
 	parts, err := cfg.Cluster.Partitions(cfg.Topic)
 	if err != nil {
@@ -132,10 +130,8 @@ func New(cfg Config) (*Server, error) {
 		done:    make(chan struct{}),
 	}
 	s.activeGauge = s.reg.Gauge("saproxd_queries_active", "registered queries", nil)
-	s.checkpoints = s.reg.Counter("saproxd_checkpoints_total", "successful checkpoints", nil)
-	s.checkpointErrs = s.reg.Counter("saproxd_checkpoint_errors_total", "failed checkpoints", nil)
 	s.buildMux()
-	s.ing, err = newIngest(cfg.Cluster, cfg.DialShard, cfg.Topic, parts, cfg.PollBackoff, cfg.QueueDepth, cfg.CatchUpWorkers, cfg.Logf, s.reg)
+	s.ing, err = newIngest(cfg.Cluster, cfg.DialShard, cfg.Topic, parts, cfg.PollBackoff, cfg.QueueDepth, cfg.CatchUpWorkers, cfg.Log, s.reg)
 	if err != nil {
 		return nil, fmt.Errorf("server: ingest plane: %w", err)
 	}
@@ -188,7 +184,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		for _, j := range s.jobs() {
 			j.start()
-			cfg.Logf("restored query %s (%s) from checkpoint", j.id, j.spec.Kind)
+			cfg.Log.Info("restored query from checkpoint", "query", j.id, "kind", j.spec.Kind)
 		}
 		s.activeGauge.Set(float64(len(s.queries)))
 		s.wg.Add(1)
@@ -247,7 +243,7 @@ func (s *Server) Register(spec Spec) (string, error) {
 	// request ID, so the offset lookups newJob issues carry it onto the
 	// broker's wire logs. Concurrent registrations may overwrite each
 	// other's stamp; the misattribution is benign and short-lived.
-	rid := obs.NewTraceID()
+	rid := broker.NewTraceID()
 	if ts, ok := s.cfg.Cluster.(traceSetter); ok {
 		ts.SetTraceID(rid)
 	}
@@ -266,8 +262,8 @@ func (s *Server) Register(spec Spec) (string, error) {
 	s.activeGauge.Set(float64(len(s.queries)))
 	s.mu.Unlock()
 	j.start()
-	s.cfg.Logf("registered query %s: %s over %v/%v, fraction %v, trace=%s",
-		id, spec.Kind, spec.Window, spec.Slide, spec.Fraction, obs.TraceHex(rid))
+	s.cfg.Log.Info("registered query", "query", id, "kind", spec.Kind, "window", spec.Window,
+		"slide", spec.Slide, "fraction", spec.Fraction, broker.TraceAttr(rid))
 	return id, nil
 }
 
@@ -290,7 +286,7 @@ func (s *Server) Deregister(id string) error {
 	// Drop the tenant's metric series so the registry does not grow
 	// without bound as queries come and go.
 	s.reg.RemoveMatching(metrics.Labels{"query": id})
-	s.cfg.Logf("deregistered query %s", id)
+	s.cfg.Log.Info("deregistered query", "query", id)
 	return nil
 }
 
@@ -365,8 +361,7 @@ func (s *Server) checkpointAll() {
 	closing := s.closed
 	s.mu.Unlock()
 	if err := saveIngestState(s.cfg.CheckpointDir, s.cfg.Topic, s.ing.offsets()); err != nil {
-		s.checkpointErrs.Inc()
-		s.cfg.Logf("checkpoint ingest state: %v", err)
+		s.cfg.Log.Error("checkpoint of ingest offsets failed", "err", err)
 	}
 	for _, j := range s.jobs() {
 		if j.isStopped() && !closing {
@@ -377,11 +372,9 @@ func (s *Server) checkpointAll() {
 			err = saveCheckpoint(s.cfg.CheckpointDir, cf)
 		}
 		if err != nil {
-			s.checkpointErrs.Inc()
-			s.cfg.Logf("checkpoint %s: %v", j.id, err)
+			s.cfg.Log.Error("checkpoint failed", "query", j.id, "err", err)
 			continue
 		}
-		s.checkpoints.Inc()
 		// A Deregister racing this save may have already removed the
 		// file; re-check and undo so a deleted query cannot come back
 		// on restart.

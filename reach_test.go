@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io/fs"
 	"path/filepath"
 	"slices"
 	"strings"
@@ -131,42 +130,18 @@ func receiverExported(recv *ast.FieldList) bool {
 // in the non-test Go files under root.
 func referencedNames(t *testing.T, root string, seen map[string]bool) {
 	t.Helper()
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				seen[n.Sel.Name] = true
-			case *ast.CompositeLit:
-				for _, elt := range n.Elts {
-					if kv, ok := elt.(*ast.KeyValueExpr); ok {
-						if id, ok := kv.Key.(*ast.Ident); ok {
-							seen[id.Name] = true
-						}
+	inspectSources(t, root, func(_ string, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			seen[n.Sel.Name] = true
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok {
+						seen[id.Name] = true
 					}
 				}
 			}
-			return true
-		})
-		return nil
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 }
