@@ -74,7 +74,7 @@ func usage() {
                                                render leaders, ISR, replication
                                                lag, wire latency quantiles, the
                                                ingest plane's batch shape, and
-                                               per-query error vs budget
+                                               per-query error vs target
 
 run flags:
   -scale N     dataset scale multiplier (default 1.0)

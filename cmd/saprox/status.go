@@ -18,7 +18,7 @@ import (
 // saproxd's /metrics, and render a one-screen cluster view — leaders,
 // ISR and log bytes per record per partition, per-follower replication
 // lag, per-op wire latency quantiles, and each query's observed error
-// against its budget. Pure read path: everything shown is reconstructed
+// against its target. Pure read path: everything shown is reconstructed
 // from the Prometheus text expositions, so it works against any live
 // cluster with no side channel.
 

@@ -8,8 +8,7 @@
 //
 //	saproxd [-addr host:port] [-brokers h1:port,h2:port,...] [-topic name]
 //	        [-checkpoint-dir dir] [-checkpoint-every d]
-//	        [-budget items/s] [-schedule-every d]
-//	        [-connect-wait d]
+//	        [-connect-wait d] [-log-level level]
 //
 // The initial broker connection is retried with capped backoff (forever
 // by default; bound it with -connect-wait), so saproxd can be started
@@ -32,10 +31,9 @@
 //	GET    /healthz                 liveness
 //	GET    /metrics                 Prometheus text exposition
 //
-// With -budget set, a cross-query scheduler apportions that global
-// sample budget (total sampled items per second) over the registered
-// queries every -schedule-every, growing starved queries' fractions
-// and shrinking over-achieving ones.
+// A query registered with a target_error runs the paper's feedback
+// loop on each of its shards, moving the sampling fraction toward that
+// relative error; any other query samples its spec's fraction.
 //
 // With -checkpoint-dir set, the shared partition offsets, each query's
 // delivery watermarks and Session snapshots, and partially merged
@@ -78,8 +76,6 @@ func run() error {
 	topic := flag.String("topic", "stream", "topic to consume")
 	checkpointDir := flag.String("checkpoint-dir", "", "directory for shard checkpoints (empty disables)")
 	checkpointEvery := flag.Duration("checkpoint-every", 5*time.Second, "checkpoint interval")
-	globalBudget := flag.Float64("budget", 0, "global sample budget in items/s across all queries (0 disables the scheduler)")
-	scheduleEvery := flag.Duration("schedule-every", 2*time.Second, "budget scheduler control interval")
 	connectWait := flag.Duration("connect-wait", 0, "keep retrying the initial broker connection for this long before giving up (0: forever)")
 	var level slog.Level
 	flag.TextVar(&level, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
@@ -138,8 +134,6 @@ func run() error {
 		Topic:           *topic,
 		CheckpointDir:   *checkpointDir,
 		CheckpointEvery: *checkpointEvery,
-		GlobalBudget:    *globalBudget,
-		ScheduleEvery:   *scheduleEvery,
 		Log:             logger,
 	})
 	if err != nil {
@@ -166,9 +160,6 @@ func run() error {
 	}()
 	logger.Info("serving", "addr", *addr, "brokers", *brokersFlag, "topic", *topic,
 		"partitions", srv.Partitions())
-	if *globalBudget > 0 {
-		logger.Info("budget scheduler enabled", "items_per_s", *globalBudget, "reapportion_every", *scheduleEvery)
-	}
 
 	select {
 	case err := <-errc:

@@ -9,8 +9,7 @@
 // exceeds the target, the fraction grows by a factor of 1.5; when it is
 // comfortably below target (under half of it), the fraction decays by
 // 0.05 to reclaim throughput. The fraction stays within [0.01, 1]. A
-// Session with a TargetError and the server's budget scheduler are its
-// two users, and both run it with these constants.
+// Session with a TargetError is its one user.
 package adaptive
 
 // The controller's fixed tunables.
@@ -47,13 +46,6 @@ func clamp(f float64) float64 {
 
 // Fraction returns the current sampling fraction.
 func (c *Controller) Fraction() float64 { return c.fraction }
-
-// SetFraction overrides the current fraction (clamped to [0.01, 1]). An
-// external scheduler apportioning a shared budget across many
-// controllers uses this to re-base each one at its granted share every
-// control interval, so the local feedback loop continues from the
-// granted operating point instead of fighting the global allocation.
-func (c *Controller) SetFraction(f float64) { c.fraction = clamp(f) }
 
 // Target returns the target relative error.
 func (c *Controller) Target() float64 { return c.target }

@@ -30,26 +30,6 @@ func TestDeadBandHolds(t *testing.T) {
 	}
 }
 
-func TestSetFractionRebases(t *testing.T) {
-	c := NewController(0.01, 0.5)
-	c.SetFraction(0.3)
-	if c.Fraction() != 0.3 {
-		t.Errorf("Fraction = %v after SetFraction(0.3)", c.Fraction())
-	}
-	// Clamped to [0.01, 1], and the local loop continues from the new base.
-	c.SetFraction(2)
-	if c.Fraction() != 1 {
-		t.Errorf("SetFraction above max gave %v, want 1", c.Fraction())
-	}
-	c.SetFraction(0.001)
-	if c.Fraction() != 0.01 {
-		t.Errorf("SetFraction below min gave %v, want 0.01", c.Fraction())
-	}
-	if next := c.Observe(0.05); math.Abs(next-0.015) > 1e-12 {
-		t.Errorf("controller after rebase at 0.01 grew to %v, want 0.015", next)
-	}
-}
-
 func TestBoundsRespected(t *testing.T) {
 	c := NewController(0.01, 0.9)
 	for i := 0; i < 20; i++ {
@@ -80,9 +60,8 @@ func TestNegativeErrorIgnored(t *testing.T) {
 	}
 }
 
-// TestFixedSteps pins the controller's constants, which the session and
-// the budget scheduler both run with: grow by 1.5 over the target, shrink
-// by 0.05 under half of it, hold in between.
+// TestFixedSteps pins the controller's constants: grow by 1.5 over the
+// target, shrink by 0.05 under half of it, hold in between.
 func TestFixedSteps(t *testing.T) {
 	for _, tc := range []struct {
 		from, err, want float64

@@ -138,19 +138,12 @@ func (j *job) restore(cf *checkpointFile) error {
 		sc, ok := byPart[sh.idx]
 		if !ok {
 			// Partition added since the checkpoint: start it fresh.
-			sh.sess = streamapprox.NewSession(j.sessionConfig(sh.idx))
+			sh.sess = streamapprox.NewSession(j.spec.sessionConfig(sh.idx))
 			continue
 		}
 		sess, err := streamapprox.RestoreSession(sc.Session)
 		if err != nil {
 			return fmt.Errorf("shard %d session: %w", sh.idx, err)
-		}
-		if j.srv.cfg.GlobalBudget > 0 {
-			// Snapshots taken before the budget scheduler was enabled
-			// still carry a TargetError; drop the restored per-shard
-			// controller so it cannot fight the scheduler's grants
-			// (mirrors j.sessionConfig for fresh sessions).
-			sess.DisableAdaptive()
 		}
 		sh.sess = sess
 		sh.watermark = sc.Watermark

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -404,11 +405,9 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 }
 
 // TestRestoreV1CheckpointNormalizesSpec rewrites a checkpoint into the
-// version-1 shape (no weight field, as the pre-shared-plane release
-// wrote) and restores it: the spec must come back re-normalized so
-// fields added since — Spec.Weight in particular — get their defaults
-// instead of zero values that would starve the query under the budget
-// scheduler.
+// version-1 shape (version 1, from "committed", as the pre-shared-plane
+// release wrote) and restores it: the spec must come back re-normalized,
+// equal to the one the query was registered with.
 func TestRestoreV1CheckpointNormalizesSpec(t *testing.T) {
 	dir := t.TempDir()
 	b := broker.New()
@@ -425,9 +424,11 @@ func TestRestoreV1CheckpointNormalizesSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	j1, _ := s1.job(id)
+	registered := j1.spec
 	s1.Close()
 
-	// Downgrade the file to v1: strip the weight field and the version.
+	// Downgrade the file to v1: the version, and the From it wrote.
 	path := checkpointPath(dir, id)
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -438,7 +439,7 @@ func TestRestoreV1CheckpointNormalizesSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw["version"] = 1
-	delete(raw["spec"].(map[string]any), "weight")
+	raw["spec"].(map[string]any)["from"] = "committed"
 	if data, err = json.Marshal(raw); err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +447,6 @@ func TestRestoreV1CheckpointNormalizesSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg.GlobalBudget = 1000 // the path where Weight=0 would starve the query
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -456,8 +456,8 @@ func TestRestoreV1CheckpointNormalizesSpec(t *testing.T) {
 	if !ok {
 		t.Fatalf("query %s not restored from v1 checkpoint", id)
 	}
-	if j.spec.Weight != 1 {
-		t.Errorf("restored v1 spec Weight = %v, want the default 1", j.spec.Weight)
+	if !reflect.DeepEqual(j.spec, registered) {
+		t.Errorf("restored v1 spec = %+v, want the registered %+v", j.spec, registered)
 	}
 }
 

@@ -164,3 +164,36 @@ func parseLe(s string) (float64, error) {
 	}
 	return strconv.ParseFloat(s, 64)
 }
+
+// TestTargetGaugeOnlyForTargetError: saproxd_query_target_rel_error
+// carries the target a query was registered with, so a fixed-fraction
+// query, which has none, exposes no series (saprox status shows "-").
+func TestTargetGaugeOnlyForTargetError(t *testing.T) {
+	b := broker.New()
+	if err := b.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: b, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	fixed, err := s.Register(Spec{Kind: "sum", Fraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := s.Register(Spec{Kind: "sum", Fraction: 0.5, TargetError: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, err := metrics.ParseText(strings.NewReader(s.Registry().Render()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := sc.Value("saproxd_query_target_rel_error", metrics.Labels{"query": fixed}); ok {
+		t.Errorf("fixed-fraction query %s exposes a target of %v", fixed, v)
+	}
+	if v, ok := sc.Value("saproxd_query_target_rel_error", metrics.Labels{"query": adaptive}); !ok || v != 0.02 {
+		t.Errorf("query %s target = %v (present %v), want 0.02", adaptive, v, ok)
+	}
+}

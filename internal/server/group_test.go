@@ -152,11 +152,12 @@ func TestGroupShedResplicesEveryMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeSwappedEvents(53, 64000)
-	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Microsecond, QueueDepth: 1})
+	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.ing.queueDepth = 1 // before the first Register: every queue is depth 1
 	jobs := registerAll(t, s, groupSpecs(3))
 	waitGauges(t, s, 3, 1)
 	if _, err := produceEvents(bk, "in", events); err != nil {
@@ -181,19 +182,19 @@ func TestGroupShedResplicesEveryMember(t *testing.T) {
 	}
 }
 
-// (e) Queries whose fractions move — adaptive, or granted by the global
-// budget scheduler — never share a sampler.
+// (e) Queries whose fractions move — adaptive under a target error —
+// never share a sampler.
 func TestUnshareableQueriesNeverGroup(t *testing.T) {
 	for name, tc := range map[string]struct {
-		target, budget float64
-	}{"target error": {0.05, 0}, "global budget": {0, 1e6}} {
+		target float64
+	}{"target error": {0.05}} {
 		t.Run(name, func(t *testing.T) {
 			bk := broker.New()
 			if err := bk.CreateTopic("in", 2); err != nil {
 				t.Fatal(err)
 			}
 			events := makeEvents(55, 6000)
-			s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond, GlobalBudget: tc.budget})
+			s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
 			if err != nil {
 				t.Fatal(err)
 			}

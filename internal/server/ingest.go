@@ -39,7 +39,7 @@ type traceSetter interface{ SetTraceID(uint64) }
 // SAMPLING GROUP: one delivery queue, one drainer, one sampler, and
 // every member's pane taken from that one sample through the member's
 // own query (streamapprox.Session.Follow). A shard that cannot share
-// (adaptive fraction, global budget) is a group of one.
+// (an adaptive fraction under a target error) is a group of one.
 //
 // Fan-out is decoupled from the partition loop by a BOUNDED per-group
 // delivery queue: the loop enqueues each batch (a cheap slice ref) and
@@ -106,7 +106,7 @@ type ingest struct {
 	backoff    time.Duration
 	log        *slog.Logger
 	reg        *metrics.Registry
-	queueDepth int
+	queueDepth int // per-group delivery queue bound, in batches
 
 	// catchupSem bounds simultaneous catch-up consumers across the
 	// whole plane: a burst of late registrations queues here instead of
@@ -186,20 +186,21 @@ type partIngest struct {
 	decodeHist    *metrics.Histogram // seconds blocked fetching+decoding a round
 }
 
+// queueDepth bounds each sampling group's per-partition delivery queue,
+// in batches: a group that falls a full queue behind is shed to the
+// catch-up path instead of stalling the partition loop.
+const queueDepth = 64
+
+// catchupWorkers bounds the simultaneous catch-up consumers of a plane,
+// so a burst of late queries cannot open unbounded private consumers.
+const catchupWorkers = 4
+
 // newIngest builds a plane with one (not yet started) partition loop
 // per partition. When dial is non-nil each partition gets a dedicated
-// broker connection, closed on stop. queueDepth bounds each query's
-// per-partition delivery queue (in batches) and catchupWorkers the
-// simultaneous catch-up consumers.
+// broker connection, closed on stop.
 func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
-	topic string, parts int, backoff time.Duration, queueDepth, catchupWorkers int,
+	topic string, parts int, backoff time.Duration,
 	log *slog.Logger, reg *metrics.Registry) (*ingest, error) {
-	if queueDepth < 1 {
-		queueDepth = 64
-	}
-	if catchupWorkers < 1 {
-		catchupWorkers = 4
-	}
 	ing := &ingest{
 		cluster: cluster, topic: topic, backoff: backoff, log: log,
 		reg: reg, queueDepth: queueDepth,

@@ -366,16 +366,12 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
-		Cluster:     bk,
-		Topic:       "in",
-		PollBackoff: time.Microsecond,
-		QueueDepth:  1, // every second batch overflows while a drainer works
-	})
+	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.ing.queueDepth = 1 // every second batch overflows while a drainer works
 	var jobs []*job
 	for i, kind := range []string{"sum", "sum", "sum", "count"} { // one group per partition
 		id, err := s.Register(Spec{Kind: kind, Window: 2 * time.Second, Slide: time.Second,
@@ -445,16 +441,12 @@ func TestCatchUpPoolBoundsConcurrency(t *testing.T) {
 	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
-		Cluster:        bk,
-		Topic:          "in",
-		PollBackoff:    time.Millisecond,
-		CatchUpWorkers: 1,
-	})
+	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	s.ing.catchupSem = make(chan struct{}, 1) // a single-slot pool, set before the first Register
 
 	// The first query positions the plane at 0 and starts it moving;
 	// the rest then register behind it and must replay through the

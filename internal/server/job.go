@@ -50,7 +50,6 @@ type job struct {
 	partsDropped  *metrics.Counter
 	lagGauge      *metrics.Gauge
 	obsErrGauge   *metrics.Gauge
-	targetGauge   *metrics.Gauge
 }
 
 // maxKept bounds the per-query result ring.
@@ -111,14 +110,11 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 			metrics.Labels{"query": id}),
 		obsErrGauge: srv.reg.Gauge("saproxd_query_observed_rel_error",
 			"EWMA of merged windows' relative error bound", metrics.Labels{"query": id}),
-		targetGauge: srv.reg.Gauge("saproxd_query_target_rel_error",
-			"relative-error target the query was registered with", metrics.Labels{"query": id}),
 	}
-	target := spec.TargetError
-	if target <= 0 {
-		target = defaultSchedTarget
+	if spec.TargetError > 0 {
+		srv.reg.Gauge("saproxd_query_target_rel_error",
+			"relative-error target the query was registered with", metrics.Labels{"query": id}).Set(spec.TargetError)
 	}
-	j.targetGauge.Set(target)
 	j.merger = newMerger(&j.spec, srv.parts, nil)
 	for p := 0; p < srv.parts; p++ {
 		sh := &shard{job: j, idx: p}
@@ -142,7 +138,7 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		return j, nil
 	}
 	for _, sh := range j.shards {
-		sh.sess = streamapprox.NewSession(j.sessionConfig(sh.idx))
+		sh.sess = streamapprox.NewSession(spec.sessionConfig(sh.idx))
 		if spec.From == "latest" {
 			var err error
 			if sh.offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx); err != nil {
@@ -153,25 +149,12 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 	return j, nil
 }
 
-// sessionConfig is the spec's session config for one shard. With the
-// cross-query budget scheduler enabled the per-shard adaptive
-// controllers are disabled: the scheduler owns the feedback loop and a
-// second, per-shard loop would fight its allocations.
-func (j *job) sessionConfig(shard int) streamapprox.SessionConfig {
-	cfg := j.spec.sessionConfig(shard)
-	if j.srv.cfg.GlobalBudget > 0 {
-		cfg.TargetError = 0
-	}
-	return cfg
-}
-
-// groupKey is the sampling-group key of the job's shards, read from the
-// config their sessions are built with — zero when they must sample
-// alone: under an adaptive fraction or the global budget scheduler,
-// whose fractions move per query.
+// groupKey is the sampling-group key of the job's shards — zero when
+// they must sample alone: under a target error, whose adaptive fraction
+// moves per shard.
 func (j *job) groupKey() groupKey {
-	if cfg := j.sessionConfig(0); cfg.TargetError == 0 && j.srv.cfg.GlobalBudget == 0 {
-		return groupKey{cfg.WindowSlide, cfg.Fraction}
+	if j.spec.TargetError == 0 {
+		return groupKey{j.spec.Slide, j.spec.Fraction}
 	}
 	return groupKey{}
 }
@@ -222,26 +205,6 @@ func (j *job) stop(flush bool) {
 		delete(j.subs, id)
 	}
 	j.mu.Unlock()
-}
-
-// setFraction pushes a scheduler-granted sampling fraction into every
-// shard session, taking effect at each session's next slide segment.
-func (j *job) setFraction(f float64) {
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		sh.sess.SetFraction(f)
-		sh.mu.Unlock()
-	}
-}
-
-// observedError returns the EWMA of merged windows' relative error
-// bound, the current result sequence (so a caller can tell whether any
-// NEW window contributed since it last looked), and whether any window
-// has been observed at all.
-func (j *job) observedError() (re float64, seq int64, seen bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.relErr, j.seq, j.relSeen
 }
 
 // emitLocked assigns the next sequence number and publishes one merged

@@ -13,12 +13,12 @@
 // amortized across all tenants, so N queries cost one topic read, not
 // N. Per-shard windows are merged into a single "result ± error"
 // stream with a combined error bound (internal/estimate's
-// disjoint-population merge), and an optional cross-query budget
-// scheduler apportions a global sample budget over the queries from
-// their observed errors. Liveness and load are observable at /healthz
-// and a Prometheus-style /metrics endpoint, and periodic checkpoints
-// (shared partition offsets + per-query delivery watermarks) make the
-// whole daemon crash-restartable.
+// disjoint-population merge). A query with a target error moves its own
+// shards' sampling fractions by the paper's feedback loop (§4.2.1);
+// every other query samples its spec's fixed fraction. Liveness and load
+// are observable at /healthz and a Prometheus-style /metrics endpoint,
+// and periodic checkpoints (shared partition offsets + per-query
+// delivery watermarks) make the whole daemon crash-restartable.
 package server
 
 import (
@@ -58,21 +58,6 @@ type Config struct {
 	CheckpointEvery time.Duration
 	// PollBackoff is the ingest idle-poll pause (default 10ms).
 	PollBackoff time.Duration
-	// QueueDepth bounds each query's per-partition delivery queue, in
-	// batches (default 64). A query that falls a full queue behind is
-	// shed to the catch-up path instead of stalling the partition loop.
-	QueueDepth int
-	// CatchUpWorkers bounds simultaneous late-registration catch-up
-	// consumers per ingest plane (default 4), so a burst of late
-	// queries cannot open unbounded private consumers.
-	CatchUpWorkers int
-	// GlobalBudget, when positive, enables the cross-query budget
-	// scheduler: the total sampled items per second shared by all
-	// registered queries, reapportioned every ScheduleEvery from each
-	// query's observed relative error (and Spec.Weight).
-	GlobalBudget float64
-	// ScheduleEvery is the scheduler control interval (default 2s).
-	ScheduleEvery time.Duration
 	// Log, when set, receives operational log lines. Nil is silent.
 	Log *slog.Logger
 }
@@ -83,8 +68,7 @@ type Server struct {
 	parts int
 	reg   *metrics.Registry
 	mux   *http.ServeMux
-	ing   *ingest    // shared ingest plane
-	sched *scheduler // cross-query budget scheduler (nil without GlobalBudget)
+	ing   *ingest // shared ingest plane
 
 	mu      sync.Mutex
 	queries map[string]*job
@@ -112,9 +96,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.PollBackoff <= 0 {
 		cfg.PollBackoff = 10 * time.Millisecond
 	}
-	if cfg.ScheduleEvery <= 0 {
-		cfg.ScheduleEvery = 2 * time.Second
-	}
 	if cfg.Log == nil {
 		cfg.Log = slog.New(slog.DiscardHandler)
 	}
@@ -131,7 +112,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.activeGauge = s.reg.Gauge("saproxd_queries_active", "registered queries", nil)
 	s.buildMux()
-	s.ing, err = newIngest(cfg.Cluster, cfg.DialShard, cfg.Topic, parts, cfg.PollBackoff, cfg.QueueDepth, cfg.CatchUpWorkers, cfg.Log, s.reg)
+	s.ing, err = newIngest(cfg.Cluster, cfg.DialShard, cfg.Topic, parts, cfg.PollBackoff, cfg.Log, s.reg)
 	if err != nil {
 		return nil, fmt.Errorf("server: ingest plane: %w", err)
 	}
@@ -167,9 +148,8 @@ func New(cfg Config) (*Server, error) {
 		// checkpoint cannot leave earlier queries' workers running
 		// behind the returned error.
 		for _, cf := range cfs {
-			// Re-normalize the restored spec: fields added since the
-			// checkpoint was written (e.g. Weight) restore as zero and
-			// need their defaults before the scheduler sees them.
+			// Re-normalize the restored spec: an older checkpoint may
+			// carry a From of "committed", which reads as "earliest".
 			if err := cf.Spec.normalize(); err != nil {
 				return fail(fmt.Errorf("server: restore query %s: spec: %w", cf.ID, err))
 			}
@@ -189,11 +169,6 @@ func New(cfg Config) (*Server, error) {
 		s.activeGauge.Set(float64(len(s.queries)))
 		s.wg.Add(1)
 		go s.checkpointLoop()
-	}
-	if cfg.GlobalBudget > 0 {
-		s.sched = newScheduler(s)
-		s.wg.Add(1)
-		go s.sched.loop()
 	}
 	return s, nil
 }
@@ -311,13 +286,12 @@ func (s *Server) jobs() []*job {
 }
 
 // Close shuts the server down in quiesce-then-flush order: first the
-// control loops (scheduler, periodic checkpointer), then the ingest
-// plane — so no delivery is in flight — then the jobs (waiting out any
-// catch-up goroutines), and only then the final checkpoint of every
-// query plus the shared plane offsets. Partial windows are not
-// flushed, so a restarted server resumes seamlessly without
-// double-emitting; nothing mid-merge is dropped because all merging
-// finished before the checkpoint was cut.
+// periodic checkpointer, then the ingest plane — so no delivery is in
+// flight — then the jobs (waiting out any catch-up goroutines), and
+// only then the final checkpoint of every query plus the shared plane
+// offsets. Partial windows are not flushed, so a restarted server
+// resumes seamlessly without double-emitting; nothing mid-merge is
+// dropped because all merging finished before the checkpoint was cut.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {

@@ -39,11 +39,6 @@ type Spec struct {
 	// Seed makes the shard samplers reproducible (default 1); shard i
 	// uses Seed+i.
 	Seed uint64
-	// Weight biases the cross-query budget scheduler (default 1): under
-	// budget contention a query keeps a share of the global sample
-	// budget proportional to its weighted demand. Ignored when the
-	// server runs without a global budget.
-	Weight float64
 }
 
 // wireSpec is Spec's JSON form: durations travel as Go duration strings
@@ -58,7 +53,6 @@ type wireSpec struct {
 	HistogramEdges []float64 `json:"histogram_edges,omitempty"`
 	From           string    `json:"from,omitempty"`
 	Seed           uint64    `json:"seed,omitempty"`
-	Weight         float64   `json:"weight,omitempty"`
 }
 
 // MarshalJSON implements json.Marshaler.
@@ -71,7 +65,6 @@ func (sp Spec) MarshalJSON() ([]byte, error) {
 		HistogramEdges: sp.HistogramEdges,
 		From:           sp.From,
 		Seed:           sp.Seed,
-		Weight:         sp.Weight,
 	}
 	if sp.Window > 0 {
 		w.Window = sp.Window.String()
@@ -96,7 +89,6 @@ func (sp *Spec) UnmarshalJSON(data []byte) error {
 		HistogramEdges: w.HistogramEdges,
 		From:           w.From,
 		Seed:           w.Seed,
-		Weight:         w.Weight,
 	}
 	var err error
 	if w.Window != "" {
@@ -178,12 +170,6 @@ func (sp *Spec) normalize() error {
 	}
 	if sp.Seed == 0 {
 		sp.Seed = 1
-	}
-	if sp.Weight < 0 {
-		return fmt.Errorf("weight must be >= 0")
-	}
-	if sp.Weight == 0 {
-		sp.Weight = 1
 	}
 	return nil
 }

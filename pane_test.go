@@ -289,7 +289,7 @@ func TestPaneWindowsMatchRowWindows(t *testing.T) {
 						}
 						if !refracted && i > len(events)/2 {
 							refracted = true
-							sess.SetFraction(0.5)
+							sess.cfg.Fraction = 0.5
 							ref.cfg.Fraction = 0.5
 						}
 						b := batchOf(events[i:j])

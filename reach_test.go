@@ -64,6 +64,57 @@ func TestExportedIdentifiersReached(t *testing.T) {
 	}
 }
 
+// configUsers are the trees that configure a server for real: the
+// daemons and tools, the examples and the benchmark.
+var configUsers = []string{"cmd", "examples", "bench"}
+
+// TestServerConfigFieldsReached fails when an exported field of
+// server.Config is named by no configUsers code as a selector or a
+// composite-literal key: a knob only tests set is a constant.
+func TestServerConfigFieldsReached(t *testing.T) {
+	fields := structFields(t, filepath.Join("internal", "server"), "Config")
+	if len(fields) == 0 {
+		t.Fatal("server.Config declares no fields")
+	}
+	reached := make(map[string]bool)
+	for _, dir := range configUsers {
+		referencedNames(t, dir, reached)
+	}
+	var unreached []string
+	for _, name := range fields {
+		if !reached[name] {
+			unreached = append(unreached, name)
+		}
+	}
+	if len(unreached) > 0 {
+		t.Errorf("server.Config fields no daemon, example or benchmark sets (make them constants): %s",
+			strings.Join(unreached, ", "))
+	}
+}
+
+// structFields returns the exported field names of the struct type named
+// typeName in the non-test files of dir.
+func structFields(t *testing.T, dir, typeName string) []string {
+	t.Helper()
+	var fields []string
+	inspectSources(t, dir, func(_ string, n ast.Node) {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != typeName {
+			return
+		}
+		if st, ok := ts.Type.(*ast.StructType); ok {
+			for _, field := range st.Fields.List {
+				for _, id := range field.Names {
+					if id.IsExported() {
+						fields = append(fields, id.Name)
+					}
+				}
+			}
+		}
+	})
+	return fields
+}
+
 // exportedNames collects the exported names the package's non-test files
 // declare.
 func exportedNames(t *testing.T) map[string]bool {

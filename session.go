@@ -139,40 +139,6 @@ func (s *Session) Fraction() float64 {
 	return s.cfg.Fraction
 }
 
-// SetFraction overrides the sampling fraction from outside the session,
-// taking effect at the next slide segment, which then samples f of what
-// the segment before it saw arrive. It is the control surface an
-// external budget scheduler uses to apportion a shared sampling budget
-// across many sessions; with TargetError set, the adaptive controller is
-// re-based at f and keeps adjusting from there. Values outside (0, 1],
-// NaN among them, are ignored.
-func (s *Session) SetFraction(f float64) {
-	if !(f > 0 && f <= 1) {
-		return
-	}
-	if f != s.cfg.Fraction {
-		s.leave()
-	}
-	s.cfg.Fraction = f
-	if s.controller != nil {
-		s.controller.SetFraction(f)
-	}
-}
-
-// DisableAdaptive turns the per-session adaptive controller off,
-// freezing the fraction at its current value until SetFraction moves
-// it — and keeping it off across future Snapshot/RestoreSession
-// round trips. An external scheduler that owns the feedback loop calls
-// this on sessions restored from snapshots that still carry a
-// TargetError, so the restored local loop cannot fight its grants.
-func (s *Session) DisableAdaptive() {
-	if s.controller != nil {
-		s.cfg.Fraction = s.controller.Fraction()
-		s.cfg.TargetError = 0
-		s.controller = nil
-	}
-}
-
 // Late returns the number of dropped late events.
 func (s *Session) Late() int64 { return s.late }
 

@@ -195,43 +195,9 @@ func TestSessionClosed(t *testing.T) {
 	}
 }
 
-func TestSessionSetFractionAndDisableAdaptive(t *testing.T) {
-	s := NewSession(SessionConfig{TargetError: 0.01, Fraction: 0.5})
-	s.SetFraction(0.3)
-	if got := s.Fraction(); got != 0.3 {
-		t.Errorf("Fraction after SetFraction = %v, want 0.3", got)
-	}
-	s.SetFraction(0)          // out of range: ignored
-	s.SetFraction(1.5)        // out of range: ignored
-	s.SetFraction(math.NaN()) // not a fraction: ignored
-	if got := s.Fraction(); got != 0.3 {
-		t.Errorf("Fraction after invalid SetFraction = %v, want 0.3", got)
-	}
-	if _, err := s.Snapshot(); err != nil {
-		t.Errorf("Snapshot after invalid SetFraction: %v", err)
-	}
+func TestNewSessionNaNFractionDefaults(t *testing.T) {
 	if got := NewSession(SessionConfig{Fraction: math.NaN()}).Fraction(); got != 0.6 {
 		t.Errorf("NewSession with a NaN fraction: Fraction = %v, want the default 0.6", got)
-	}
-	s.DisableAdaptive()
-	if got := s.Fraction(); got != 0.3 {
-		t.Errorf("Fraction after DisableAdaptive = %v, want 0.3", got)
-	}
-	// The disablement must survive a snapshot round trip: the restored
-	// session keeps the frozen fraction and rebuilds no controller.
-	snap, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := RestoreSession(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Fraction(); got != 0.3 {
-		t.Errorf("restored Fraction = %v, want 0.3", got)
-	}
-	if r.controller != nil {
-		t.Error("restored session rebuilt an adaptive controller after DisableAdaptive")
 	}
 }
 
