@@ -5,12 +5,11 @@
 // Usage:
 //
 //	brokerd [-addr host:port] [-topic name] [-partitions N]
-//	        [-data-dir path] [-fsync always|interval|none] [-fsync-every d]
+//	        [-data-dir path] [-fsync always|interval|none]
 //	        [-segment-records N]
 //	        [-node-id id] [-peers id=host:port,id=host:port,...]
 //	        [-replicas N] [-min-isr N] [-heartbeat d] [-fail-after N]
 //	        [-dial-timeout d] [-probe-timeout d] [-rpc-timeout d]
-//	        [-idle-timeout d] [-write-timeout d]
 //	        [-http host:port] [-log-level debug|info|warn|error]
 //
 // With -http an admin listener serves /metrics (Prometheus text),
@@ -20,11 +19,13 @@
 // Observability section).
 //
 // The daemon pre-creates the given topic and serves until interrupted.
+// A client that has not drained a response burst within 30s has its
+// connection closed.
 //
 // With -data-dir the partition logs are DURABLE: segmented append-only
-// files with CRC-framed records, fsynced per -fsync, recovered (with
-// torn tails truncated) on the next start. Without it everything is
-// in-memory and dies with the process.
+// files with CRC-framed records, fsynced per -fsync (interval: every
+// 50ms), recovered (with torn tails truncated) on the next start.
+// Without it everything is in-memory and dies with the process.
 //
 // Without -peers the daemon is a one-member cluster: its member map is
 // {-node-id: the bound listener address}, with one replica and min-ISR
@@ -97,7 +98,6 @@ func run() error {
 	partitions := flag.Int("partitions", 4, "partition count for the topic")
 	dataDir := flag.String("data-dir", "", "directory for durable partition logs (empty: in-memory)")
 	fsyncFlag := flag.String("fsync", "always", "fsync policy for appended records: always, interval or none")
-	fsyncEvery := flag.Duration("fsync-every", 50*time.Millisecond, "flush period with -fsync interval")
 	segRecords := flag.Int("segment-records", 0, "records per segment file (0: default 4096)")
 	nodeID := flag.String("node-id", "n0", "cluster member id")
 	peersFlag := flag.String("peers", "", "full cluster member map id=host:port,... (must include -node-id; empty: a one-member cluster)")
@@ -108,8 +108,6 @@ func run() error {
 	dialTimeout := flag.Duration("dial-timeout", broker.DefaultDialTimeout, "TCP connect bound for node-to-node dials")
 	probeTimeout := flag.Duration("probe-timeout", 0, "deadline for one heartbeat probe RPC (0: 4x -heartbeat, min 1s)")
 	rpcTimeout := flag.Duration("rpc-timeout", 10*time.Second, "deadline for replication and other peer RPCs")
-	idleTimeout := flag.Duration("idle-timeout", 0, "close client connections idle this long (0: never)")
-	writeTimeout := flag.Duration("write-timeout", broker.DefaultWriteTimeout, "deadline for writing a response burst to a client")
 	httpAddr := flag.String("http", "", "admin listen address for /metrics, /healthz and pprof (empty: disabled)")
 	var level slog.Level
 	flag.TextVar(&level, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")
@@ -124,7 +122,6 @@ func run() error {
 	b, err := broker.Open(broker.StorageConfig{
 		Dir:            *dataDir,
 		Policy:         policy,
-		SyncEvery:      *fsyncEvery,
 		SegmentRecords: *segRecords,
 	})
 	if err != nil {
@@ -151,10 +148,8 @@ func run() error {
 		}
 	}
 	srv, err := broker.ServeWithOptions(b, *addr, broker.ServerOptions{
-		Metrics:      b.Metrics(),
-		Log:          logger,
-		IdleTimeout:  *idleTimeout,
-		WriteTimeout: *writeTimeout,
+		Metrics: b.Metrics(),
+		Log:     logger,
 	})
 	if err != nil {
 		return err

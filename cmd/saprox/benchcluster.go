@@ -54,7 +54,7 @@ func startBenchCluster(members, replicas, minISR int, durable bool) (*benchClust
 			bc.stop()
 			return nil, err
 		}
-		srv, err := broker.Serve(b, "127.0.0.1:0")
+		srv, err := broker.ServeWithOptions(b, "127.0.0.1:0", broker.ServerOptions{})
 		if err != nil {
 			bc.stop()
 			return nil, err

@@ -75,7 +75,7 @@ func startE2ECluster(members int, durable bool) (*e2eCluster, error) {
 			ec.stop()
 			return nil, err
 		}
-		srv, err := broker.Serve(b, "127.0.0.1:0")
+		srv, err := broker.ServeWithOptions(b, "127.0.0.1:0", broker.ServerOptions{})
 		if err != nil {
 			ec.stop()
 			return nil, err

@@ -65,7 +65,7 @@ func (m *member) poll() (*EventBatch, error) {
 // brokerd runs without -peers.
 func serveBroker(t *testing.T, b *broker.Broker) *broker.Server {
 	t.Helper()
-	srv, err := broker.Serve(b, "127.0.0.1:0")
+	srv, err := broker.ServeWithOptions(b, "127.0.0.1:0", broker.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestTCPPositionHandOffFeedsTwoShards(t *testing.T) {
 	// Generation 1: one member over TCP consumes the first batch of
 	// records; the positions it reaches are handed to generation 2.
 	produce(events[:3000])
-	cli1, err := broker.Dial(srv.Addr())
+	cli1, err := broker.DialCluster([]string{srv.Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestTCPPositionHandOffFeedsTwoShards(t *testing.T) {
 		wg.Add(1)
 		go func(out *shardOut, parts []int, seed uint64) {
 			defer wg.Done()
-			cli, err := broker.Dial(srv.Addr())
+			cli, err := broker.DialCluster([]string{srv.Addr()})
 			if err != nil {
 				out.err = err
 				return

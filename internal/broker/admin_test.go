@@ -247,7 +247,7 @@ func TestTraceIDReachesBrokerLogs(t *testing.T) {
 		Metrics: b.Metrics(),
 		Log:     slog.New(slog.NewTextHandler(buf, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	})
-	cli, err := Dial(srv.Addr())
+	cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

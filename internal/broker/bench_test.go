@@ -31,11 +31,11 @@ func benchRecords(n int) []Record {
 }
 
 // benchDial serves a one-member broker and connects a client to it.
-func benchDial(b *testing.B) (*Broker, *Client) {
+func benchDial(b *testing.B) (*Broker, *client) {
 	b.Helper()
 	bk := New()
 	srv := serveMember(b, bk, ServerOptions{})
-	cli, err := Dial(srv.Addr())
+	cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		b.Fatal(err)
 	}

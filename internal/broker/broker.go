@@ -28,7 +28,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/metrics"
@@ -74,8 +73,6 @@ type StorageConfig struct {
 	// Policy is the fsync policy for appended records (default
 	// SyncAlways; see storage.SyncPolicy).
 	Policy storage.SyncPolicy
-	// SyncEvery is the SyncInterval flush period (default 50ms).
-	SyncEvery time.Duration
 	// SegmentRecords is the record capacity of one segment file
 	// (default 4096).
 	SegmentRecords int
@@ -113,7 +110,7 @@ func (b *Broker) Metrics() *metrics.Registry { return b.reg }
 // scrapeLogs publishes the per-partition log gauges: log-end offset and
 // the bytes the log's frames occupy, in memory or on disk.
 func (b *Broker) scrapeLogs() {
-	for _, name := range b.TopicsSorted() {
+	for _, name := range b.topicNames() {
 		t, err := b.topic(name)
 		if err != nil {
 			return // closed broker; keep the last rendered values
@@ -199,9 +196,9 @@ func (b *Broker) syncAlways() bool {
 	return b.scfg.Dir != "" && b.scfg.Policy == storage.SyncAlways
 }
 
-// PartitionDir returns the directory holding one partition's segments
+// partitionDir returns the directory holding one partition's segments
 // ("" for an in-memory broker). Cluster state files live next to them.
-func (b *Broker) PartitionDir(topicName string, p int) string {
+func (b *Broker) partitionDir(topicName string, p int) string {
 	if b.scfg.Dir == "" {
 		return ""
 	}
@@ -229,10 +226,9 @@ func (b *Broker) newLog(topicName string, p int) (storage.Log, error) {
 	if b.scfg.Dir == "" {
 		return storage.NewMemLog(), nil
 	}
-	return storage.OpenFileLog(b.PartitionDir(topicName, p), storage.FileConfig{
+	return storage.OpenFileLog(b.partitionDir(topicName, p), storage.FileConfig{
 		SegmentRecords: b.scfg.SegmentRecords,
 		Policy:         b.scfg.Policy,
-		SyncEvery:      b.scfg.SyncEvery,
 		FS:             b.scfg.FS,
 		Instruments: storage.Instruments{
 			FsyncSeconds: b.reg.Histogram("broker_fsync_seconds",
@@ -277,20 +273,14 @@ func (b *Broker) createTopic(name string, partitions int) error {
 	return nil
 }
 
-// Topics returns the topic names, unordered.
-func (b *Broker) Topics() []string {
+// topicNames returns the topic names in lexical order.
+func (b *Broker) topicNames() []string {
 	b.mu.RLock()
-	defer b.mu.RUnlock()
 	out := make([]string, 0, len(b.topics))
 	for name := range b.topics {
 		out = append(out, name)
 	}
-	return out
-}
-
-// TopicsSorted returns the topic names in lexical order.
-func (b *Broker) TopicsSorted() []string {
-	out := b.Topics()
+	b.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -506,12 +496,12 @@ func (b *Broker) truncatePartition(topicName string, partition int, hwm int64) e
 }
 
 // Fetch reads up to max records from one partition starting at offset —
-// where frames leave for the record world: a FetchFrames into a pooled
+// where frames leave for the record world: a fetchFrames into a pooled
 // buffer, decoded by the same framesToRecords the TCP client uses.
 func (b *Broker) Fetch(topicName string, partition int, offset int64, max int) ([]Record, error) {
 	fb := getFrame()
 	defer putFrame(fb)
-	frames, count, err := b.FetchFrames(topicName, partition, offset, max, fb.b)
+	frames, count, err := b.fetchFrames(topicName, partition, offset, max, fb.b)
 	fb.b = frames
 	if err != nil {
 		return nil, err
@@ -519,11 +509,11 @@ func (b *Broker) Fetch(topicName string, partition int, offset int64, max int) (
 	return framesToRecords(frames, count, topicName, partition, offset), nil
 }
 
-// FetchFrames reads up to max records from one partition as a raw frame
+// fetchFrames reads up to max records from one partition as a raw frame
 // chunk appended onto buf, returning the extended buffer and the record
 // count — used to assemble fetch responses directly into the server's
 // pooled write buffer.
-func (b *Broker) FetchFrames(topicName string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
+func (b *Broker) fetchFrames(topicName string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
 	t, err := b.topic(topicName)
 	if err != nil {
 		return buf, 0, err
@@ -544,7 +534,7 @@ func (b *Broker) FetchFrames(topicName string, partition int, offset int64, max 
 func (b *Broker) FetchBatch(topicName string, partition int, offset int64, max int, eb *stream.EventBatch) (int, error) {
 	fb := getFrame()
 	defer putFrame(fb)
-	frames, _, err := b.FetchFrames(topicName, partition, offset, max, fb.b[:0])
+	frames, _, err := b.fetchFrames(topicName, partition, offset, max, fb.b[:0])
 	fb.b = frames[:0]
 	if err != nil {
 		return 0, err

@@ -38,7 +38,7 @@ func TestCreateTopic(t *testing.T) {
 	if _, err := b.Partitions("nope"); !errors.Is(err, ErrUnknownTopic) {
 		t.Errorf("unknown topic: %v", err)
 	}
-	if got := b.Topics(); len(got) != 1 || got[0] != "in" {
+	if got := b.topicNames(); len(got) != 1 || got[0] != "in" {
 		t.Errorf("Topics = %v", got)
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"streamapprox/internal/stream"
 )
 
-// Client is one TCP connection to a broker Server: a lane of the routing
+// client is one TCP connection to a broker Server: a lane of the routing
 // client, which produces through it, and a cluster member's link to a
 // peer. Its exported methods mirror Broker's read and control side. It
 // is safe for concurrent use.
@@ -28,7 +28,7 @@ import (
 // connection. No goroutine is dedicated to reading: a lone caller reads
 // its own reply (see await). On dial it confirms the peer's wire version
 // with a "hello" control op.
-type Client struct {
+type client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bw   *bufio.Writer
@@ -40,7 +40,7 @@ type Client struct {
 	trace atomic.Uint64
 
 	// reqTimeout is the connection's default per-request deadline
-	// (0 = none), fixed at dial; cluster-internal ops that need a
+	// (non-positive = none), fixed at dial; cluster-internal ops that need a
 	// tighter bound (heartbeat probes) pass an explicit override.
 	reqTimeout time.Duration
 
@@ -65,69 +65,36 @@ type Client struct {
 	closed  bool
 }
 
-// ClientOptions tunes a client connection's dialing and deadline
-// behaviour. The zero value means the defaults below.
-type ClientOptions struct {
-	// DialTimeout bounds TCP connect: a blackholed host (SYNs dropped,
-	// no RST) must not stall the caller for the kernel's multi-minute
-	// connect timeout. Default DefaultDialTimeout; negative disables.
-	DialTimeout time.Duration
-	// RequestTimeout bounds every RPC round-trip on the connection —
-	// frame write, server turnaround and response read. A stalled or
-	// blackholed peer turns into an error instead of a wedged
-	// goroutine. Default DefaultRequestTimeout; negative disables.
-	RequestTimeout time.Duration
-}
-
 const (
-	// DefaultDialTimeout is the TCP connect bound when ClientOptions
-	// leaves DialTimeout zero.
+	// DefaultDialTimeout is the TCP connect bound a routing client or a
+	// cluster member uses when its options leave DialTimeout zero: a
+	// blackholed host (SYNs dropped, no RST) must not stall the caller
+	// for the kernel's multi-minute connect timeout.
 	DefaultDialTimeout = 3 * time.Second
-	// DefaultRequestTimeout is the per-RPC bound when ClientOptions
-	// leaves RequestTimeout zero: generous enough for the largest batch
-	// over a congested link, small enough that nothing wedges forever.
-	DefaultRequestTimeout = 30 * time.Second
+	// defaultRequestTimeout is the routing client's per-RPC bound when
+	// its options leave RequestTimeout zero: generous enough for the
+	// largest batch over a congested link, small enough that nothing
+	// wedges forever.
+	defaultRequestTimeout = 30 * time.Second
 )
 
-func (o ClientOptions) dialTimeout() time.Duration {
-	switch {
-	case o.DialTimeout < 0:
-		return 0
-	case o.DialTimeout == 0:
-		return DefaultDialTimeout
-	}
-	return o.DialTimeout
-}
-
-func (o ClientOptions) requestTimeout() time.Duration {
-	switch {
-	case o.RequestTimeout < 0:
-		return 0
-	case o.RequestTimeout == 0:
-		return DefaultRequestTimeout
-	}
-	return o.RequestTimeout
-}
-
-// Dial connects to a broker server with default options.
-func Dial(addr string) (*Client, error) {
-	return DialWithOptions(addr, ClientOptions{})
-}
-
-// DialWithOptions is Dial with explicit timeouts. A peer whose hello
-// answers a different wire version is refused.
-func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
-	conn, err := net.DialTimeout("tcp", addr, opts.dialTimeout())
+// dial connects to a broker server. dialTimeout bounds the TCP connect;
+// requestTimeout is the connection's default per-request deadline,
+// covering frame write, server turnaround and response read. Either
+// one non-positive means none. A peer whose hello answers a different
+// wire version is refused.
+func dial(addr string, dialTimeout, requestTimeout time.Duration) (*client, error) {
+	conn, err := net.DialTimeout("tcp", addr, max(dialTimeout, 0))
 	if err != nil {
 		return nil, fmt.Errorf("broker dial: %w", err)
 	}
-	c := &Client{
+	c := &client{
 		conn:       conn,
 		br:         bufio.NewReaderSize(conn, 64<<10),
 		bw:         bufio.NewWriterSize(conn, 64<<10),
 		readTok:    make(chan struct{}, 1),
 		pending:    make(map[uint64]chan *frameBuf),
-		reqTimeout: opts.requestTimeout(),
+		reqTimeout: requestTimeout,
 	}
 	c.readTok <- struct{}{}
 	resp, err := c.controlRoundTrip(&wireRequest{Op: opHello})
@@ -143,7 +110,7 @@ func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 
 // SetTraceID stamps id on every subsequent request sent over this
 // connection (0 clears it).
-func (c *Client) SetTraceID(id uint64) { c.trace.Store(id) }
+func (c *client) SetTraceID(id uint64) { c.trace.Store(id) }
 
 // errTimeout builds the deadline error for one timed-out request. It
 // wraps os.ErrDeadlineExceeded so callers can distinguish "peer
@@ -167,7 +134,7 @@ var errClientClosed = errors.New("broker: client closed")
 
 // Close closes the connection; whoever reads it next fails every
 // in-flight request.
-func (c *Client) Close() error {
+func (c *client) Close() error {
 	c.pendMu.Lock()
 	c.closed = true
 	c.pendMu.Unlock()
@@ -177,13 +144,13 @@ func (c *Client) Close() error {
 // callBinary sends one binary request under the connection's default
 // deadline. encode must fill fb with a complete frame carrying corr.
 // The returned frame is owned by the caller, who must putFrame it.
-func (c *Client) callBinary(encode func(fb *frameBuf, corr uint64)) (*frameBuf, error) {
+func (c *client) callBinary(encode func(fb *frameBuf, corr uint64)) (*frameBuf, error) {
 	return c.callBinaryT(c.reqTimeout, encode)
 }
 
 // callBinaryT is callBinary with an explicit deadline: start, then
 // await — the one request path.
-func (c *Client) callBinaryT(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (*frameBuf, error) {
+func (c *client) callBinaryT(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (*frameBuf, error) {
 	f, err := c.start(timeout, encode)
 	if err != nil {
 		return nil, err
@@ -208,7 +175,7 @@ type flight struct {
 // runs from here and covers the frame write AND await's wait. A write
 // failure aborts the whole connection — a half-written frame corrupts
 // the pipelined stream for every other in-flight request.
-func (c *Client) start(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (flight, error) {
+func (c *client) start(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (flight, error) {
 	f := flight{ch: make(chan *frameBuf, 1), timeout: timeout}
 	c.pendMu.Lock()
 	if c.closed || c.readErr != nil {
@@ -255,7 +222,7 @@ func (c *Client) start(timeout time.Duration, encode func(fb *frameBuf, corr uin
 // already posted returns at once, else the caller reads for it with the
 // read token, or waits for its reply, the token or its deadline. A late
 // reply is dropped as a stray. The caller must putFrame the frame.
-func (c *Client) await(f flight) (*frameBuf, error) {
+func (c *client) await(f flight) (*frameBuf, error) {
 	select {
 	case resp, ok := <-f.ch:
 		return c.answered(resp, ok)
@@ -281,7 +248,7 @@ func (c *Client) await(f flight) (*frameBuf, error) {
 
 // answered turns what a flight's channel yielded into await's result: a
 // closed channel means the connection failed, and failPending says why.
-func (c *Client) answered(resp *frameBuf, ok bool) (*frameBuf, error) {
+func (c *client) answered(resp *frameBuf, ok bool) (*frameBuf, error) {
 	if ok {
 		return resp, nil
 	}
@@ -292,7 +259,7 @@ func (c *Client) answered(resp *frameBuf, ok bool) (*frameBuf, error) {
 
 // abandon forgets a timed-out flight, so its reply becomes a stray, and
 // returns its timeout.
-func (c *Client) abandon(f flight) error {
+func (c *client) abandon(f flight) error {
 	c.pendMu.Lock()
 	delete(c.pending, f.corr)
 	c.pendMu.Unlock()
@@ -305,7 +272,7 @@ func (c *Client) abandon(f flight) error {
 // with its own. The armed read deadline is moved to f's when it would
 // fire later, or when it fires first (an earlier holder's); if f's
 // passes mid-frame, the next holder resumes the frame.
-func (c *Client) readFor(f flight) (*frameBuf, error) {
+func (c *client) readFor(f flight) (*frameBuf, error) {
 	select {
 	case resp, ok := <-f.ch: // posted by the holder before us
 		c.readTok <- struct{}{}
@@ -345,7 +312,7 @@ func (c *Client) readFor(f flight) (*frameBuf, error) {
 // readUntil reads as the token holder, posting replies to their waiters,
 // until own's reply is in — returned, with whether flights are still
 // out — or none is out. A failure but the deadline fails every flight.
-func (c *Client) readUntil(own uint64) (*frameBuf, bool, error) {
+func (c *client) readUntil(own uint64) (*frameBuf, bool, error) {
 	for {
 		fb, corr, err := c.readReply()
 		if err != nil {
@@ -376,7 +343,7 @@ func (c *Client) readUntil(own uint64) (*frameBuf, bool, error) {
 
 // readReply reads the next response frame and its correlation ID,
 // resuming a frame a timed-out holder left partly read.
-func (c *Client) readReply() (*frameBuf, uint64, error) {
+func (c *client) readReply() (*frameBuf, uint64, error) {
 	if c.body == nil {
 		n, err := io.ReadFull(c.br, c.hdr[c.hdrN:])
 		if c.hdrN += n; err != nil {
@@ -403,7 +370,7 @@ func (c *Client) readReply() (*frameBuf, uint64, error) {
 	return fb, corr, nil
 }
 
-func (c *Client) failPending(err error) {
+func (c *client) failPending(err error) {
 	c.pendMu.Lock()
 	if c.readErr == nil {
 		c.readErr = err
@@ -418,14 +385,14 @@ func (c *Client) failPending(err error) {
 // controlRoundTrip sends a rare control op as a JSON document inside the
 // binary envelope, so it shares the pipelined connection and one version
 // byte governs the whole dialect.
-func (c *Client) controlRoundTrip(req *wireRequest) (*wireResponse, error) {
+func (c *client) controlRoundTrip(req *wireRequest) (*wireResponse, error) {
 	return c.controlRoundTripT(c.reqTimeout, req)
 }
 
 // controlRoundTripT is controlRoundTrip with an explicit deadline —
 // the per-op override used by heartbeat probes, which need a bound far
 // tighter than the connection default.
-func (c *Client) controlRoundTripT(timeout time.Duration, req *wireRequest) (*wireResponse, error) {
+func (c *client) controlRoundTripT(timeout time.Duration, req *wireRequest) (*wireResponse, error) {
 	payload, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -452,13 +419,13 @@ func (c *Client) controlRoundTripT(timeout time.Duration, req *wireRequest) (*wi
 }
 
 // CreateTopic creates a topic on the remote broker.
-func (c *Client) CreateTopic(name string, partitions int) error {
+func (c *client) CreateTopic(name string, partitions int) error {
 	_, err := c.controlRoundTrip(&wireRequest{Op: opCreate, Topic: name, Partitions: partitions})
 	return err
 }
 
 // awaitCount awaits a started request answered with a record count.
-func (c *Client) awaitCount(f flight) (int, error) {
+func (c *client) awaitCount(f flight) (int, error) {
 	fb, err := c.await(f)
 	if err != nil {
 		return 0, err
@@ -472,7 +439,7 @@ func (c *Client) awaitCount(f flight) (int, error) {
 }
 
 // callWatermark performs one request answered with an int64 watermark.
-func (c *Client) callWatermark(encode func(fb *frameBuf, corr uint64)) (int64, error) {
+func (c *client) callWatermark(encode func(fb *frameBuf, corr uint64)) (int64, error) {
 	fb, err := c.callBinary(encode)
 	if err != nil {
 		return 0, err
@@ -488,7 +455,7 @@ func (c *Client) callWatermark(encode func(fb *frameBuf, corr uint64)) (int64, e
 // callFrames performs one fetch-family request and hands the answered
 // chunk — CRC-verified here, exactly once — to use. The frames are a
 // view into the response buffer, recycled when use returns.
-func (c *Client) callFrames(encode func(fb *frameBuf, corr uint64), use func(base int64, count int, frames []byte)) error {
+func (c *client) callFrames(encode func(fb *frameBuf, corr uint64), use func(base int64, count int, frames []byte)) error {
 	fb, err := c.callBinary(encode)
 	if err != nil {
 		return err
@@ -507,7 +474,7 @@ func (c *Client) callFrames(encode func(fb *frameBuf, corr uint64), use func(bas
 }
 
 // fetchFrames is the one fetch call behind Fetch and FetchBatch.
-func (c *Client) fetchFrames(topicName string, partition int, offset int64, max int, use func(base int64, count int, frames []byte)) error {
+func (c *client) fetchFrames(topicName string, partition int, offset int64, max int, use func(base int64, count int, frames []byte)) error {
 	if err := checkTopic(topicName); err != nil {
 		return err
 	}
@@ -518,7 +485,7 @@ func (c *Client) fetchFrames(topicName string, partition int, offset int64, max 
 
 // Fetch reads records from a remote partition: the fetched frame chunk
 // decoded by framesToRecords, the tier's one frames → records step.
-func (c *Client) Fetch(topicName string, partition int, offset int64, max int) ([]Record, error) {
+func (c *client) Fetch(topicName string, partition int, offset int64, max int) ([]Record, error) {
 	var recs []Record
 	err := c.fetchFrames(topicName, partition, offset, max, func(base int64, count int, frames []byte) {
 		if count > 0 {
@@ -531,7 +498,7 @@ func (c *Client) Fetch(topicName string, partition int, offset int64, max int) (
 // FetchBatch reads records from a remote partition directly into a
 // columnar batch: the response's frame chunk is decoded column-wise, no
 // intermediate []Record is materialized.
-func (c *Client) FetchBatch(topicName string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+func (c *client) FetchBatch(topicName string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
 	var n int
 	var derr error
 	err := c.fetchFrames(topicName, partition, offset, max, func(base int64, _ int, frames []byte) {
@@ -544,7 +511,7 @@ func (c *Client) FetchBatch(topicName string, partition int, offset int64, max i
 }
 
 // HighWatermark returns the remote partition's next write offset.
-func (c *Client) HighWatermark(topicName string, partition int) (int64, error) {
+func (c *client) HighWatermark(topicName string, partition int) (int64, error) {
 	if err := checkTopic(topicName); err != nil {
 		return 0, err
 	}
@@ -553,17 +520,8 @@ func (c *Client) HighWatermark(topicName string, partition int) (int64, error) {
 	})
 }
 
-// Partitions returns the remote topic's partition count.
-func (c *Client) Partitions(topicName string) (int, error) {
-	resp, err := c.controlRoundTrip(&wireRequest{Op: opParts, Topic: topicName})
-	if err != nil {
-		return 0, err
-	}
-	return resp.N, nil
-}
-
 // Meta fetches the cluster metadata view of the connected broker.
-func (c *Client) Meta() (*ClusterMeta, error) {
+func (c *client) Meta() (*ClusterMeta, error) {
 	resp, err := c.controlRoundTrip(&wireRequest{Op: opMeta})
 	if err != nil {
 		return nil, err
@@ -578,7 +536,7 @@ func (c *Client) Meta() (*ClusterMeta, error) {
 // explicit timeout overrides the connection default: a probe that
 // cannot answer within a few heartbeats IS the failure signal, so
 // waiting the full RPC deadline would only slow detection.
-func (c *Client) ping(timeout time.Duration, node string, epoch int64, view map[string]PeerStatus) (int64, map[string]PeerStatus, error) {
+func (c *client) ping(timeout time.Duration, node string, epoch int64, view map[string]peerStatus) (int64, map[string]peerStatus, error) {
 	resp, err := c.controlRoundTripT(timeout, &wireRequest{Op: opPing, Node: node, Epoch: epoch, View: view})
 	if err != nil {
 		return 0, nil, err
@@ -591,7 +549,7 @@ func (c *Client) ping(timeout time.Duration, node string, epoch int64, view map[
 // surface. The chunk arrives as validated CRC frames appended onto buf,
 // ready for replicateAppendFrames verbatim: a rejoining replica pulls
 // committed history at memcpy speed.
-func (c *Client) replicaFetchFrames(sender, topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
+func (c *client) replicaFetchFrames(sender, topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
 	var n int
 	err := c.callFrames(func(fb *frameBuf, corr uint64) {
 		encodeRFetchReq(fb, corr, c.trace.Load(), sender, topic, partition, offset, max)
@@ -607,7 +565,7 @@ func (c *Client) replicaFetchFrames(sender, topic string, partition int, offset 
 // forwards the producer request's trace across the leader→follower hop
 // (the connection stamp would attribute every chunk to whichever request
 // dialed first).
-func (c *Client) replicateMF(trace uint64, epoch int64, sender string, secs []replSection) ([]int64, error) {
+func (c *client) replicateMF(trace uint64, epoch int64, sender string, secs []replSection) ([]int64, error) {
 	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
 		encodeReplicateMFReq(fb, corr, trace, epoch, sender, secs)
 	})
@@ -635,7 +593,7 @@ func (c *Client) replicateMF(trace uint64, epoch int64, sender string, secs []re
 
 // replicaHWM reads a member's known committed watermark for a
 // partition, leadership-independent.
-func (c *Client) replicaHWM(sender, topic string, partition int) (int64, error) {
+func (c *client) replicaHWM(sender, topic string, partition int) (int64, error) {
 	return c.callWatermark(func(fb *frameBuf, corr uint64) {
 		encodeRHWMReq(fb, corr, c.trace.Load(), sender, topic, partition)
 	})
@@ -643,7 +601,7 @@ func (c *Client) replicaHWM(sender, topic string, partition int) (int64, error) 
 
 // producePartitionFrames ships a routing client's freshly encoded frame
 // chunk to a partition leader verbatim.
-func (c *Client) producePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (int, error) {
+func (c *client) producePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (int, error) {
 	f, err := c.startProducePartitionFrames(topicName, partition, pid, seq, frames, count)
 	if err != nil {
 		return 0, err
@@ -653,7 +611,7 @@ func (c *Client) producePartitionFrames(topicName string, partition int, pid, se
 
 // startProducePartitionFrames is the send half of
 // producePartitionFrames; awaitCount is the other.
-func (c *Client) startProducePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (flight, error) {
+func (c *client) startProducePartitionFrames(topicName string, partition int, pid, seq uint64, frames []byte, count int) (flight, error) {
 	if err := checkTopic(topicName); err != nil {
 		return flight{}, err
 	}

@@ -100,7 +100,7 @@ func shuffledReplies(withheld func(partition int) bool) func(io.Writer, <-chan b
 }
 
 // hwmT is HighWatermark under an explicit deadline.
-func hwmT(c *Client, partition int, timeout time.Duration) (int64, error) {
+func hwmT(c *client, partition int, timeout time.Duration) (int64, error) {
 	fb, err := c.callBinaryT(timeout, func(fb *frameBuf, corr uint64) {
 		encodeHWMReq(fb, corr, 0, "t", partition)
 	})
@@ -139,7 +139,7 @@ func TestClientTimeoutMidFrameKeepsStream(t *testing.T) {
 			}
 		}
 	})
-	cli, err := DialWithOptions(addr, ClientOptions{RequestTimeout: 5 * time.Second})
+	cli, err := dial(addr, DefaultDialTimeout, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestClientConcurrentCallersGetOwnReplies(t *testing.T) {
 	before := runtime.NumGoroutine()
 	withheld := func(p int) bool { return p%13 == 0 }
 	addr := scriptedPeer(t, shuffledReplies(withheld))
-	cli, err := DialWithOptions(addr, ClientOptions{})
+	cli, err := dial(addr, DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestClientConcurrentCallersGetOwnReplies(t *testing.T) {
 // concurrent callers on one connection read each other's.
 func TestSoleWaiterReadsItsOwnReply(t *testing.T) {
 	addr := scriptedPeer(t, shuffledReplies(func(int) bool { return false }))
-	cli, err := Dial(addr)
+	cli, err := dial(addr, DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,8 +105,8 @@ func (m *ClusterMeta) ReplicasOf(topic string, partition int) []string {
 	return t.Partitions[partition].Replicas
 }
 
-// AddrOf returns a member's address ("" if unknown).
-func (m *ClusterMeta) AddrOf(nodeID string) string {
+// addrOf returns a member's address ("" if unknown).
+func (m *ClusterMeta) addrOf(nodeID string) string {
 	for _, n := range m.Nodes {
 		if n.ID == nodeID {
 			return n.Addr
@@ -115,17 +115,15 @@ func (m *ClusterMeta) AddrOf(nodeID string) string {
 	return ""
 }
 
-// Cluster errors. NotLeader travels as a structured error string so the
-// routing client can extract the redirect hint after a TCP round trip.
+// Cluster errors. A NotLeader rejection is no sentinel: it travels as a
+// structured error string (notLeaderError) so the routing client can
+// extract the redirect hint after a TCP round trip.
 var (
-	// ErrNotLeader is returned when an op that requires partition
-	// leadership reaches a non-leader replica.
-	ErrNotLeader = errors.New("broker: not the partition leader")
-	// ErrNoReplica is returned when no live replica remains.
-	ErrNoReplica = errors.New("broker: no live replica for partition")
-	// ErrUnderReplicated is returned when a produce cannot reach the
+	// errNoReplica is returned when no live replica remains.
+	errNoReplica = errors.New("broker: no live replica for partition")
+	// errUnderReplicated is returned when a produce cannot reach the
 	// required in-sync replica count.
-	ErrUnderReplicated = errors.New("broker: insufficient in-sync replicas")
+	errUnderReplicated = errors.New("broker: insufficient in-sync replicas")
 )
 
 // notLeaderPrefix opens the wire form of a NotLeader rejection; the
@@ -138,13 +136,10 @@ func notLeaderError(leaderID string) error {
 	return fmt.Errorf("%s %s", notLeaderPrefix, leaderID)
 }
 
-// IsNotLeader reports whether err is a NotLeader rejection (local or
+// isNotLeader reports whether err is a NotLeader rejection (local or
 // decoded from the wire).
-func IsNotLeader(err error) bool {
-	if err == nil {
-		return false
-	}
-	return errors.Is(err, ErrNotLeader) || strings.Contains(err.Error(), notLeaderPrefix)
+func isNotLeader(err error) bool {
+	return err != nil && strings.Contains(err.Error(), notLeaderPrefix)
 }
 
 // leaderHint extracts the redirect hint from a wire NotLeader error

@@ -31,7 +31,7 @@ func startCluster(t testing.TB, n int, tune func(*NodeConfig)) *testCluster {
 	peers := make(map[string]string, n)
 	for i := 0; i < n; i++ {
 		b := New()
-		srv, err := Serve(b, "127.0.0.1:0")
+		srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func keylessRecs(v0, n int) []Record {
 // producer id + sequence — what ClusterClient.Produce does per
 // partition, addressed by hand so a test can pick the member, replay a
 // seq or skip one.
-func producePart(cli *Client, topic string, partition int, pid, seq uint64, recs []Record) (int, error) {
+func producePart(cli *client, topic string, partition int, pid, seq uint64, recs []Record) (int, error) {
 	return cli.producePartitionFrames(topic, partition, pid, seq, storage.AppendRecordFrames(nil, recs), len(recs))
 }
 
@@ -287,13 +287,13 @@ func TestNotLeaderRedirectCarriesHint(t *testing.T) {
 	if follower == leader {
 		t.Fatalf("placement broken: leader %s == follower %s", leader, follower)
 	}
-	cli, err := Dial(tc.addrs[tc.indexOf(follower)])
+	cli, err := dial(tc.addrs[tc.indexOf(follower)], DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = cli.Close() }()
 	_, err = producePart(cli, "t", 0, 0, 0, keylessRecs(0, 1))
-	if !IsNotLeader(err) {
+	if !isNotLeader(err) {
 		t.Fatalf("produce at follower: err = %v, want NotLeader", err)
 	}
 	if hint := leaderHint(err); hint != leader {
@@ -302,12 +302,12 @@ func TestNotLeaderRedirectCarriesHint(t *testing.T) {
 	// And fetch at a non-replica must also redirect.
 	for _, id := range tc.ids {
 		if id != reps[0] && id != reps[1] {
-			cli2, err := Dial(tc.addrs[tc.indexOf(id)])
+			cli2, err := dial(tc.addrs[tc.indexOf(id)], DefaultDialTimeout, defaultRequestTimeout)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer func() { _ = cli2.Close() }()
-			if _, err := cli2.Fetch("t", 0, 0, 10); !IsNotLeader(err) {
+			if _, err := cli2.Fetch("t", 0, 0, 10); !isNotLeader(err) {
 				t.Fatalf("fetch at non-replica: err = %v, want NotLeader", err)
 			}
 		}
@@ -409,7 +409,7 @@ func TestProducerDedupAcrossRetries(t *testing.T) {
 	}
 	m, _ := cc.Meta()
 	leader := m.LeaderOf("t", 0)
-	cli, err := Dial(tc.addrs[tc.indexOf(leader)])
+	cli, err := dial(tc.addrs[tc.indexOf(leader)], DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,7 +561,7 @@ func TestBackfillCarriesOtherProducersDedup(t *testing.T) {
 	// Producer B produces normally: the follower is at 0, the chunk
 	// base is 10 → gap → the leader backfills [0, 20) carrying BOTH
 	// producers' journal entries.
-	cliL, err := Dial(tc.addrs[li])
+	cliL, err := dial(tc.addrs[li], DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestBackfillCarriesOtherProducersDedup(t *testing.T) {
 	// Leader dies; producer A retries its batch against the promoted
 	// follower, which must recognize (pid 11, seq 1) from the backfill.
 	tc.kill(li)
-	cliF, err := Dial(tc.addrs[fi])
+	cliF, err := dial(tc.addrs[fi], DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,7 +623,7 @@ func TestDeposedLeaderDemotesAndRejoins(t *testing.T) {
 	// after it stalled through its heartbeat deadline.
 	for i, node := range tc.nodes {
 		if i != li {
-			node.mergeView(node.epoch+1, map[string]PeerStatus{leader: {Dead: true, Ver: 1}})
+			node.mergeView(node.epoch+1, map[string]peerStatus{leader: {Dead: true, Ver: 1}})
 		}
 	}
 
@@ -635,7 +635,7 @@ func TestDeposedLeaderDemotesAndRejoins(t *testing.T) {
 	// (Whether the first attempts land in the fenced window is timing;
 	// the invariants — every ack exactly-once, never a solo commit
 	// that survives as a divergent log — are asserted below.)
-	cliL, err := Dial(tc.addrs[li])
+	cliL, err := dial(tc.addrs[li], DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

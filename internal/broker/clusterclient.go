@@ -6,11 +6,10 @@ package broker
 // transparently when a broker dies — so consumers and the serving tier
 // work against a cluster with nothing but a list of seed addresses.
 //
-// It implements the same Cluster interface as the in-process Broker and
-// the single-connection Client, and additionally partitions produce
-// batches on the client side, attaching a producer id + per-partition
-// sequence number so a batch retried across a leader failover is
-// appended exactly once.
+// It implements the same Cluster interface as the in-process Broker,
+// and additionally partitions produce batches on the client side,
+// attaching a producer id + per-partition sequence number so a batch
+// retried across a leader failover is appended exactly once.
 
 import (
 	"crypto/rand"
@@ -42,8 +41,8 @@ type ClusterClientOptions struct {
 	// DialTimeout bounds TCP connect per member (default
 	// DefaultDialTimeout; negative disables).
 	DialTimeout time.Duration
-	// RequestTimeout bounds every RPC issued to a member (default
-	// DefaultRequestTimeout; negative disables). A blackholed leader
+	// RequestTimeout bounds every RPC issued to a member (default 30s;
+	// negative disables). A blackholed leader
 	// turns into a timed-out round that the retry loop reroutes after
 	// failover, instead of a produce wedged forever.
 	RequestTimeout time.Duration
@@ -65,7 +64,7 @@ type ClusterClient struct {
 
 	mu     sync.Mutex
 	meta   *ClusterMeta
-	conns  map[string]*Client       // by lane key (address, or address#lane)
+	conns  map[string]*client       // by lane key (address, or address#lane)
 	prod   map[string]*partProducer // by topic/partition
 	rr     uint64
 	trace  uint64 // trace ID stamped on every member connection
@@ -97,7 +96,7 @@ func laneKey(addr string, lane int) string {
 func (cc *ClusterClient) SetTraceID(id uint64) {
 	cc.mu.Lock()
 	cc.trace = id
-	conns := make([]*Client, 0, len(cc.conns))
+	conns := make([]*client, 0, len(cc.conns))
 	for _, c := range cc.conns {
 		conns = append(conns, c)
 	}
@@ -106,8 +105,6 @@ func (cc *ClusterClient) SetTraceID(id uint64) {
 		c.SetTraceID(id)
 	}
 }
-
-var _ Cluster = (*ClusterClient)(nil)
 
 // DialCluster connects to a broker cluster via any reachable seed
 // address and loads the initial metadata.
@@ -126,6 +123,12 @@ func DialClusterWithOptions(addrs []string, opts ClusterClientOptions) (*Cluster
 	if opts.Backoff <= 0 {
 		opts.Backoff = 25 * time.Millisecond
 	}
+	if opts.DialTimeout == 0 {
+		opts.DialTimeout = DefaultDialTimeout
+	}
+	if opts.RequestTimeout == 0 {
+		opts.RequestTimeout = defaultRequestTimeout
+	}
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		return nil, fmt.Errorf("broker: producer id: %w", err)
@@ -136,7 +139,7 @@ func DialClusterWithOptions(addrs []string, opts ClusterClientOptions) (*Cluster
 		pid:   binary.BigEndian.Uint64(b[:]) | 1, // never 0 (0 = dedup off)
 		done:  make(chan struct{}),
 		rng:   mrand.New(mrand.NewPCG(mrand.Uint64(), mrand.Uint64())),
-		conns: make(map[string]*Client),
+		conns: make(map[string]*client),
 		prod:  make(map[string]*partProducer),
 	}
 	if err := cc.refreshMeta(); err != nil {
@@ -155,7 +158,7 @@ func (cc *ClusterClient) Close() error {
 		close(cc.done)
 	}
 	conns := cc.conns
-	cc.conns = make(map[string]*Client)
+	cc.conns = make(map[string]*client)
 	cc.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
@@ -165,13 +168,13 @@ func (cc *ClusterClient) Close() error {
 
 // conn returns (dialing if needed) the lane-0 connection to one
 // address — the control-path lane (metadata, topic admin, offsets).
-func (cc *ClusterClient) conn(addr string) (*Client, error) {
+func (cc *ClusterClient) conn(addr string) (*client, error) {
 	return cc.connLane(addr, 0)
 }
 
 // connLane returns (dialing if needed) one lane's connection to an
 // address.
-func (cc *ClusterClient) connLane(addr string, lane int) (*Client, error) {
+func (cc *ClusterClient) connLane(addr string, lane int) (*client, error) {
 	key := laneKey(addr, lane)
 	cc.mu.Lock()
 	if cc.closed {
@@ -183,10 +186,7 @@ func (cc *ClusterClient) connLane(addr string, lane int) (*Client, error) {
 		return c, nil
 	}
 	cc.mu.Unlock()
-	c, err := DialWithOptions(addr, ClientOptions{
-		DialTimeout:    cc.opts.DialTimeout,
-		RequestTimeout: cc.opts.RequestTimeout,
-	})
+	c, err := dial(addr, cc.opts.DialTimeout, cc.opts.RequestTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -342,13 +342,13 @@ func (cc *ClusterClient) sleep(d time.Duration) bool {
 // leaderConn resolves the leader of a partition and returns a
 // connection to it. A non-empty hint (from a NotLeader redirect)
 // overrides the cached view's leader.
-func (cc *ClusterClient) leaderConn(topic string, partition int, hint string) (*Client, string, error) {
+func (cc *ClusterClient) leaderConn(topic string, partition int, hint string) (*client, string, error) {
 	m, err := cc.metaView()
 	if err != nil {
 		return nil, "", err
 	}
 	ldr := hint
-	if ldr == "" || m.AddrOf(ldr) == "" {
+	if ldr == "" || m.addrOf(ldr) == "" {
 		ldr = m.LeaderOf(topic, partition)
 	}
 	if ldr == "" {
@@ -361,10 +361,10 @@ func (cc *ClusterClient) leaderConn(topic string, partition int, hint string) (*
 		m = cc.meta
 		cc.mu.Unlock()
 		if ldr = m.LeaderOf(topic, partition); ldr == "" {
-			return nil, "", fmt.Errorf("%w: %s", ErrNoReplica, tpKey(topic, partition))
+			return nil, "", fmt.Errorf("%w: %s", errNoReplica, tpKey(topic, partition))
 		}
 	}
-	addr := m.AddrOf(ldr)
+	addr := m.addrOf(ldr)
 	if addr == "" {
 		return nil, "", fmt.Errorf("broker: no address for node %q", ldr)
 	}
@@ -399,7 +399,7 @@ func isPermanent(err error) bool {
 // NotLeader redirects (following the rejecting node's leader hint
 // immediately, without a backoff round), broken connections, and
 // transient under-replication until the retry budget runs out.
-func (cc *ClusterClient) withLeaderRetry(topic string, partition int, op func(cli *Client) error) error {
+func (cc *ClusterClient) withLeaderRetry(topic string, partition int, op func(cli *client) error) error {
 	return cc.leaderRetry(topic, partition, "", nil, op)
 }
 
@@ -408,7 +408,7 @@ func (cc *ClusterClient) withLeaderRetry(topic string, partition int, op func(cl
 // starts every partition's request before awaiting any, so its attempt
 // 0 runs outside the loop; the loop classifies that failure exactly as
 // its own and carries on from attempt 1.
-func (cc *ClusterClient) leaderRetry(topic string, partition int, lane string, err error, op func(cli *Client) error) error {
+func (cc *ClusterClient) leaderRetry(topic string, partition int, lane string, err error, op func(cli *client) error) error {
 	backoff := cc.opts.Backoff
 	hint := ""
 	followedHint := false
@@ -423,7 +423,7 @@ func (cc *ClusterClient) leaderRetry(topic string, partition int, lane string, e
 				}
 				_ = cc.refreshMeta() // a stale cache may still route correctly
 			}
-			var cli *Client
+			var cli *client
 			cli, lane, err = cc.leaderConn(topic, partition, hint)
 			followedHint = hint != ""
 			hint = ""
@@ -436,7 +436,7 @@ func (cc *ClusterClient) leaderRetry(topic string, partition int, lane string, e
 		if isPermanent(err) {
 			return err
 		}
-		if IsNotLeader(err) {
+		if isNotLeader(err) {
 			// Route straight to the named leader — but at most one hop,
 			// so two stale views naming each other cannot ping-pong away
 			// the retry budget without ever refreshing.
@@ -494,7 +494,7 @@ type produceFlight struct {
 	seq       uint64
 	frames    []byte // a view into the call's batch builder
 	count     int
-	cli       *Client
+	cli       *client
 	lane      string // attempt 0's lane and outcome
 	call      flight
 	err       error
@@ -560,7 +560,7 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 		if f.err == nil {
 			continue
 		}
-		err := cc.leaderRetry(topicName, f.partition, f.lane, f.err, func(cli *Client) error {
+		err := cc.leaderRetry(topicName, f.partition, f.lane, f.err, func(cli *client) error {
 			_, err := cli.producePartitionFrames(topicName, f.partition, cc.pid, f.seq, f.frames, f.count)
 			return err
 		})
@@ -577,7 +577,7 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 // Fetch reads records from the partition leader.
 func (cc *ClusterClient) Fetch(topicName string, partition int, offset int64, max int) ([]Record, error) {
 	var out []Record
-	err := cc.withLeaderRetry(topicName, partition, func(cli *Client) error {
+	err := cc.withLeaderRetry(topicName, partition, func(cli *client) error {
 		recs, err := cli.Fetch(topicName, partition, offset, max)
 		if err == nil {
 			out = recs
@@ -592,7 +592,7 @@ func (cc *ClusterClient) Fetch(topicName string, partition int, offset int64, ma
 // mid-fetch failover retry never leaves a partially decoded round.
 func (cc *ClusterClient) FetchBatch(topicName string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
 	var out int
-	err := cc.withLeaderRetry(topicName, partition, func(cli *Client) error {
+	err := cc.withLeaderRetry(topicName, partition, func(cli *client) error {
 		b.Reset()
 		n, err := cli.FetchBatch(topicName, partition, offset, max, b)
 		if err == nil {
@@ -607,7 +607,7 @@ func (cc *ClusterClient) FetchBatch(topicName string, partition int, offset int6
 // leader's consumer-visible offset frontier).
 func (cc *ClusterClient) HighWatermark(topicName string, partition int) (int64, error) {
 	var hwm int64
-	err := cc.withLeaderRetry(topicName, partition, func(cli *Client) error {
+	err := cc.withLeaderRetry(topicName, partition, func(cli *client) error {
 		h, err := cli.HighWatermark(topicName, partition)
 		if err == nil {
 			hwm = h

@@ -516,7 +516,7 @@ func decodeFrameChunk(cur *wireCursor) (int, []byte) {
 
 // framesToRecords decodes a validated frame chunk of count records —
 // the one place frames become Records, behind Broker.Fetch and
-// Client.Fetch alike: the columnar decode, read back row by row. Topic,
+// client.Fetch alike: the columnar decode, read back row by row. Topic,
 // partition and offset are not in a frame; they are stamped from where
 // the chunk was read. A key costs one string per chunk however many
 // records carry it.

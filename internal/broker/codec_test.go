@@ -162,7 +162,7 @@ func FuzzBinaryRequestDecode(f *testing.F) {
 	})
 }
 
-// TestBinaryClientNegotiates sanity-checks that Dial against a current
+// TestBinaryClientNegotiates sanity-checks that dial against a current
 // server passes the hello version check and all ops work over it.
 func TestBinaryClientNegotiates(t *testing.T) {
 	_, cli := startServer(t)
@@ -171,13 +171,13 @@ func TestBinaryClientNegotiates(t *testing.T) {
 
 // exerciseAllOps drives every client op against a fresh topic and
 // checks record fidelity end to end.
-func exerciseAllOps(t *testing.T, cli *Client) {
+func exerciseAllOps(t *testing.T, cli *client) {
 	t.Helper()
 	if err := cli.CreateTopic("mixed", 2); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := cli.Partitions("mixed"); err != nil || n != 2 {
-		t.Fatalf("partitions = %d, %v", n, err)
+	if m, err := cli.Meta(); err != nil || len(m.Topics["mixed"].Partitions) != 2 {
+		t.Fatalf("meta = %+v, %v; want topic mixed with 2 partitions", m, err)
 	}
 	when := time.Date(2017, 12, 11, 8, 0, 0, 0, time.UTC)
 	in := []Record{
@@ -218,8 +218,8 @@ func exerciseAllOps(t *testing.T, cli *Client) {
 		!strings.Contains(err.Error(), "unknown topic") {
 		t.Errorf("error lost in transit: %v", err)
 	}
-	if _, err := cli.Partitions("absent"); err == nil ||
-		!strings.Contains(err.Error(), "unknown topic") {
+	if err := cli.CreateTopic("mixed", 2); err == nil ||
+		!strings.Contains(err.Error(), ErrTopicExists.Error()) {
 		t.Errorf("control-op error lost in transit: %v", err)
 	}
 }
@@ -232,7 +232,7 @@ func exerciseAllOps(t *testing.T, cli *Client) {
 // private topic).
 func TestPipelinedClientConcurrentStress(t *testing.T) {
 	srv, _ := startServer(t)
-	cli, err := Dial(srv.Addr())
+	cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,8 +269,8 @@ func TestPipelinedClientConcurrentStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				if n, err := cli.Partitions(topic); err != nil || n != 1 {
-					errs <- fmt.Errorf("partitions(%s) = %d, %v", topic, n, err)
+				if m, err := cli.Meta(); err != nil || len(m.Topics[topic].Partitions) != 1 {
+					errs <- fmt.Errorf("meta for %s = %+v, %v", topic, m, err)
 					return
 				}
 			}

@@ -3,9 +3,9 @@ package broker
 import "streamapprox/internal/stream"
 
 // Cluster is the read surface of a broker: what a Consumer reads
-// through. It is satisfied by the in-process *Broker, the TCP *Client
-// and the routing *ClusterClient, so the same reader works against a
-// local aggregator, a remote brokerd and a replicated cluster. A
+// through. It is satisfied by the in-process *Broker and the routing
+// *ClusterClient, so the same reader works against a local aggregator
+// and a remote cluster of one or more brokerd members. A
 // Consumer reads through FetchBatch; Fetch is the record-form read
 // (frames decoded at the edge) for callers that want rows. The broker
 // keeps no reader positions: a caller resumes by constructing its
@@ -19,7 +19,6 @@ type Cluster interface {
 
 var (
 	_ Cluster = (*Broker)(nil)
-	_ Cluster = (*Client)(nil)
 	_ Cluster = (*ClusterClient)(nil)
 )
 

@@ -69,7 +69,12 @@ func TestConsumerConstructedMidBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for name, from := range map[string]Cluster{"broker": srv.broker, "client": cli} {
+	cc, err := DialCluster([]string{srv.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = cc.Close() }()
+	for name, from := range map[string]Cluster{"broker": srv.broker, "routing client": cc} {
 		c := NewPartitionConsumer(from, "in", 0, 4)
 		for _, round := range []struct {
 			max  int
@@ -162,7 +167,7 @@ func TestConsumerTCPMatchesInProcess(t *testing.T) {
 	if _, err := b.Produce("in", in); err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(serveMember(t, b, ServerOptions{}).Addr())
+	cli, err := DialCluster([]string{serveMember(t, b, ServerOptions{}).Addr()})
 	if err != nil {
 		t.Fatal(err)
 	}

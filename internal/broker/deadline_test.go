@@ -43,7 +43,7 @@ func expectDeadline(t *testing.T, err error, took, bound time.Duration) {
 // instead of blocking forever.
 func TestClientTimeoutPipelined(t *testing.T) {
 	p := proxiedServer(t)
-	cli, err := DialWithOptions(p.Addr(), ClientOptions{RequestTimeout: 250 * time.Millisecond})
+	cli, err := dial(p.Addr(), DefaultDialTimeout, 250*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestClientTimeoutPipelined(t *testing.T) {
 // default RPC budget is generous.
 func TestPingProbeTimeout(t *testing.T) {
 	p := proxiedServer(t)
-	cli, err := DialWithOptions(p.Addr(), ClientOptions{RequestTimeout: time.Minute})
+	cli, err := dial(p.Addr(), DefaultDialTimeout, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestPingProbeTimeout(t *testing.T) {
 // that is what ejects a stalled follower from the ISR.
 func TestClientTimeoutIsTransportError(t *testing.T) {
 	p := proxiedServer(t)
-	cli, err := DialWithOptions(p.Addr(), ClientOptions{RequestTimeout: 200 * time.Millisecond})
+	cli, err := dial(p.Addr(), DefaultDialTimeout, 200*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestClientAwaitDeadlineAbandonsOnlyItsWaiter(t *testing.T) {
 	}()
 
 	const timeout = 200 * time.Millisecond
-	cli, err := DialWithOptions(ln.Addr().String(), ClientOptions{RequestTimeout: timeout})
+	cli, err := dial(ln.Addr().String(), DefaultDialTimeout, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 
 func TestClientErrorsAfterServerClose(t *testing.T) {
 	srv := serveMember(t, New(), ServerOptions{})
-	cli, err := Dial(srv.Addr())
+	cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

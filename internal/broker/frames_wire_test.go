@@ -104,7 +104,7 @@ func TestParentWrittenProduceChunk(t *testing.T) {
 	if err != nil || req.count != len(parentProduceRecords) {
 		t.Fatalf("the parent's chunk under the current version decodes as %d records, %v", req.count, err)
 	}
-	cli, err = Dial(srv.Addr())
+	cli, err = dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestParentWrittenProduceChunk(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("producing the parent's chunk: %v", err)
 	}
-	if stored, n, err := srv.broker.FetchFrames("in", 0, 0, 10, nil); err != nil || n != 5 || !bytes.Equal(stored, req.frames) {
+	if stored, n, err := srv.broker.fetchFrames("in", 0, 0, 10, nil); err != nil || n != 5 || !bytes.Equal(stored, req.frames) {
 		t.Fatalf("stored %d records, %v; want the parent's frames verbatim", n, err)
 	}
 	got, err := cli.Fetch("in", 0, 0, 10)
@@ -153,7 +153,7 @@ func TestCorruptProduceRejectedBeforeAppend(t *testing.T) {
 		t.Fatalf("watermark after corrupt produce = %d, %v; want 0", hwm, herr)
 	}
 	// A fresh connection works and the topic is intact.
-	cli2, err := Dial(srv.Addr())
+	cli2, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatalf("redial: %v", err)
 	}

@@ -65,10 +65,10 @@ import (
 	"streamapprox/internal/metrics"
 )
 
-// PeerStatus is one member's liveness in a node's view: Dead plus the
+// peerStatus is one member's liveness in a node's view: Dead plus the
 // status version (incarnation) of the observation. Higher versions win
 // on merge; only a member itself announces its own resurrection.
-type PeerStatus struct {
+type peerStatus struct {
 	Dead bool  `json:"dead,omitempty"`
 	Ver  int64 `json:"ver,omitempty"`
 }
@@ -128,7 +128,7 @@ const (
 	// produce and replicated-append mark the partition dirty and a
 	// background loop coalesces the rewrites. Control-plane transitions
 	// (rejoin truncation, takeover) still write synchronously, and under
-	// SyncEvery "always" every state write is synchronous — the
+	// the SyncAlways policy every state write is synchronous — the
 	// acked-means-durable guarantee needs the watermark on disk before
 	// the ack.
 	stateFlushEvery = 25 * time.Millisecond
@@ -209,12 +209,12 @@ type ClusterNode struct {
 
 	mu          sync.Mutex
 	epoch       int64
-	view        map[string]PeerStatus // liveness per member (missing = alive, ver 0)
+	view        map[string]peerStatus // liveness per member (missing = alive, ver 0)
 	selfDeadVer int64                 // highest version anyone declared US dead at
 	joining     bool                  // not yet announced: no leadership, no replication in
 	miss        map[string]int
 	seen        map[string]bool // peers observed alive at least once
-	conns       map[string]*Client
+	conns       map[string]*client
 	leads       map[string]*partLead
 	seqs        map[string]map[uint64]prodSeq // topic/partition -> pid -> last batch
 	metas       map[string][]batchMeta        // topic/partition -> recent batch journal
@@ -235,7 +235,7 @@ type ClusterNode struct {
 	place   map[string][]string // topic/partition -> cached rendezvous replica set
 
 	probing   map[string]bool       // dead peers with a slow probe in flight
-	pendAlive map[string]PeerStatus // gossiped resurrections awaiting probe proof
+	pendAlive map[string]peerStatus // gossiped resurrections awaiting probe proof
 
 	syncing map[string]bool // topic/partition mid-takeover: no leadership yet
 
@@ -297,11 +297,11 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 		b:          b,
 		members:    members,
 		started:    time.Now(),
-		view:       make(map[string]PeerStatus),
+		view:       make(map[string]peerStatus),
 		joining:    true,
 		miss:       make(map[string]int),
 		seen:       make(map[string]bool),
-		conns:      make(map[string]*Client),
+		conns:      make(map[string]*client),
 		leads:      make(map[string]*partLead),
 		seqs:       make(map[string]map[uint64]prodSeq),
 		metas:      make(map[string][]batchMeta),
@@ -313,7 +313,7 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 		stateDirty: make(map[string]tpRef),
 		place:      make(map[string][]string),
 		probing:    make(map[string]bool),
-		pendAlive:  make(map[string]PeerStatus),
+		pendAlive:  make(map[string]peerStatus),
 		syncing:    make(map[string]bool),
 		rejoinWake: make(chan struct{}, 1),
 		done:       make(chan struct{}),
@@ -330,7 +330,7 @@ func (n *ClusterNode) loadState() error {
 	if n.b.Dir() == "" {
 		return nil
 	}
-	for _, t := range n.b.TopicsSorted() {
+	for _, t := range n.b.topicNames() {
 		parts, err := n.b.Partitions(t)
 		if err != nil {
 			continue
@@ -372,7 +372,7 @@ func (n *ClusterNode) loadState() error {
 }
 
 func (n *ClusterNode) statePath(topic string, partition int) string {
-	return filepath.Join(n.b.PartitionDir(topic, partition), "state.json")
+	return filepath.Join(n.b.partitionDir(topic, partition), "state.json")
 }
 
 // ID returns the node's member id.
@@ -525,15 +525,15 @@ func (n *ClusterNode) adoptPendingAlive(id string) {
 
 // viewCopy returns the current epoch and a copy of the status view,
 // always including this node's own entry (its self-announcement).
-func (n *ClusterNode) viewCopy() (int64, map[string]PeerStatus) {
+func (n *ClusterNode) viewCopy() (int64, map[string]peerStatus) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[string]PeerStatus, len(n.view)+1)
+	out := make(map[string]peerStatus, len(n.view)+1)
 	for id, st := range n.view {
 		out[id] = st
 	}
 	if _, ok := out[n.cfg.ID]; !ok {
-		out[n.cfg.ID] = PeerStatus{}
+		out[n.cfg.ID] = peerStatus{}
 	}
 	return n.epoch, out
 }
@@ -545,7 +545,7 @@ func (n *ClusterNode) viewCopy() (int64, map[string]PeerStatus) {
 // adopts "dead" for ITSELF — instead, learning that the cluster deposed it
 // demotes it back to joining, so it resyncs its log and re-announces
 // with a version above the accusation.
-func (n *ClusterNode) mergeView(epoch int64, remote map[string]PeerStatus) {
+func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 	n.mu.Lock()
 	demoted := false
 	var verify []string
@@ -619,7 +619,7 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]PeerStatus) {
 // counter here would mask the partition forever. Liveness is earned
 // only by answering OUR probes; resurrection of a dead peer flows
 // through mergeView's version bumps.
-func (n *ClusterNode) handlePing(sender string, epoch int64, view map[string]PeerStatus) (int64, map[string]PeerStatus) {
+func (n *ClusterNode) handlePing(sender string, epoch int64, view map[string]peerStatus) (int64, map[string]peerStatus) {
 	n.mergeView(epoch, view)
 	if sender != "" {
 		n.markSeen(sender)
@@ -656,7 +656,7 @@ func (n *ClusterNode) markFailure(id string, err error) {
 	if n.miss[id] < n.cfg.FailAfter {
 		return
 	}
-	n.view[id] = PeerStatus{Dead: true, Ver: n.view[id].Ver + 1}
+	n.view[id] = peerStatus{Dead: true, Ver: n.view[id].Ver + 1}
 	n.epoch++
 	if c := n.conns[id]; c != nil {
 		_ = c.Close()
@@ -684,7 +684,7 @@ func (n *ClusterNode) markSeen(id string) {
 }
 
 // peerClient returns (dialing if needed) the connection to a peer.
-func (n *ClusterNode) peerClient(id string) (*Client, error) {
+func (n *ClusterNode) peerClient(id string) (*client, error) {
 	n.mu.Lock()
 	if c, ok := n.conns[id]; ok {
 		n.mu.Unlock()
@@ -697,10 +697,7 @@ func (n *ClusterNode) peerClient(id string) (*Client, error) {
 	}
 	// Peer RPCs (replication pushes, rejoin fetches, meta) run under
 	// RPCTimeout as the connection default; probes override per-op.
-	c, err := DialWithOptions(addr, ClientOptions{
-		DialTimeout:    n.cfg.DialTimeout,
-		RequestTimeout: n.cfg.RPCTimeout,
-	})
+	c, err := dial(addr, n.cfg.DialTimeout, n.cfg.RPCTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -716,7 +713,7 @@ func (n *ClusterNode) peerClient(id string) (*Client, error) {
 }
 
 // dropConn discards a broken peer connection (only if still current).
-func (n *ClusterNode) dropConn(id string, c *Client) {
+func (n *ClusterNode) dropConn(id string, c *client) {
 	n.mu.Lock()
 	if n.conns[id] == c {
 		delete(n.conns, id)
@@ -821,7 +818,7 @@ func (n *ClusterNode) syncAndJoin() {
 	if n.selfDeadVer >= ver {
 		ver = n.selfDeadVer + 1
 	}
-	n.view[n.cfg.ID] = PeerStatus{Dead: false, Ver: ver}
+	n.view[n.cfg.ID] = peerStatus{Dead: false, Ver: ver}
 	n.joining = false
 	n.epoch++
 	epoch := n.epoch
@@ -1061,7 +1058,7 @@ func (n *ClusterNode) meta() *ClusterMeta {
 	for _, id := range n.members {
 		m.Nodes = append(m.Nodes, NodeInfo{ID: id, Addr: n.cfg.Peers[id], Alive: !dead[id]})
 	}
-	for _, t := range n.b.Topics() {
+	for _, t := range n.b.topicNames() {
 		parts, err := n.b.Partitions(t)
 		if err != nil {
 			continue
@@ -1199,7 +1196,7 @@ func (n *ClusterNode) metasInRange(tp string, from, to int64) []batchMeta {
 func (n *ClusterNode) producePartFrames(trace uint64, topic string, partition int, pid, seq uint64, frames []byte, count int) (int, error) {
 	ldr := n.leaderFor(topic, partition)
 	if ldr == "" {
-		return 0, ErrNoReplica
+		return 0, errNoReplica
 	}
 	if ldr != n.cfg.ID {
 		return 0, notLeaderError(ldr)
@@ -1245,7 +1242,7 @@ func (n *ClusterNode) producePartFrames(trace uint64, topic string, partition in
 		// The retried batch is already in the log; re-read its exact
 		// frames and drive replication again.
 		var fn int
-		if frames, fn, err = n.b.FetchFrames(topic, partition, base, int(end-base), nil); err != nil {
+		if frames, fn, err = n.b.fetchFrames(topic, partition, base, int(end-base), nil); err != nil {
 			return 0, err
 		}
 		if int64(fn) < end-base {
@@ -1569,7 +1566,7 @@ func (n *ClusterNode) sendBatch(s *replSess, batch []*replItem) {
 // producer whose records it receives, plus the leader's committed
 // watermark, which the follower persists as its restart truncation
 // point. Returns one error slot per section.
-func (n *ClusterNode) shipBatch(cli *Client, id string, secs []*sendSection) []error {
+func (n *ClusterNode) shipBatch(cli *client, id string, secs []*sendSection) []error {
 	n.mu.Lock()
 	epoch := n.epoch
 	n.mu.Unlock()
@@ -1604,12 +1601,12 @@ func (n *ClusterNode) shipBatch(cli *Client, id string, secs []*sendSection) []e
 // one-section replicate batches until it holds the section's end. The
 // backfill bytes are read straight out of the local segment chunks,
 // never decoded into records.
-func (n *ClusterNode) convergeSection(cli *Client, id string, epoch int64, sec *sendSection, hwm int64) error {
+func (n *ClusterNode) convergeSection(cli *client, id string, epoch int64, sec *sendSection, hwm int64) error {
 	s := sec.sec
 	end := s.base + int64(s.count)
 	tp := tpKey(s.topic, s.partition)
 	for tries := 0; tries < 8; tries++ {
-		fill, fn, err := n.b.FetchFrames(s.topic, s.partition, hwm, int(end-hwm), nil)
+		fill, fn, err := n.b.fetchFrames(s.topic, s.partition, hwm, int(end-hwm), nil)
 		if err != nil {
 			return err
 		}
@@ -1731,7 +1728,7 @@ func (n *ClusterNode) replicateOut(trace uint64, pl *partLead, topic string, par
 		need = live
 	}
 	if acks < need {
-		return fmt.Errorf("%w: %d/%d acked: %v", ErrUnderReplicated, acks, need, firstErr)
+		return fmt.Errorf("%w: %d/%d acked: %v", errUnderReplicated, acks, need, firstErr)
 	}
 	for {
 		cur := pl.committed.Load()
@@ -1767,7 +1764,7 @@ func (n *ClusterNode) Ready() error {
 	if n.isJoining() {
 		return errors.New("joining: not yet synced and announced")
 	}
-	for _, t := range n.b.TopicsSorted() {
+	for _, t := range n.b.topicNames() {
 		parts, err := n.b.Partitions(t)
 		if err != nil {
 			continue
@@ -1813,7 +1810,7 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 	n.mu.Lock()
 	epoch := n.epoch
 	joining := n.joining
-	view := make(map[string]PeerStatus, len(n.view))
+	view := make(map[string]peerStatus, len(n.view))
 	for id, st := range n.view {
 		view[id] = st
 	}
@@ -1845,7 +1842,7 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 	// Leadership moves between nodes, so stale lag series from a demoted
 	// leader are cleared and the family rebuilt from live state.
 	reg.RemoveSeries("broker_replication_lag_records", metrics.Labels{})
-	for _, t := range n.b.TopicsSorted() {
+	for _, t := range n.b.topicNames() {
 		parts, err := n.b.Partitions(t)
 		if err != nil {
 			continue
@@ -1905,7 +1902,7 @@ func (n *ClusterNode) fetchFrames(topic string, partition int, offset int64, max
 	if int64(max) > committed-offset {
 		max = int(committed - offset)
 	}
-	return n.b.FetchFrames(topic, partition, offset, max, buf)
+	return n.b.fetchFrames(topic, partition, offset, max, buf)
 }
 
 // hwm serves the consumer-visible high watermark: the committed offset.
@@ -1927,7 +1924,7 @@ func (n *ClusterNode) leaderState(topic string, partition int) (*partLead, error
 	}
 	ldr := n.leaderFor(topic, partition)
 	if ldr == "" {
-		return nil, ErrNoReplica
+		return nil, errNoReplica
 	}
 	if ldr != n.cfg.ID {
 		return nil, notLeaderError(ldr)
@@ -1999,7 +1996,7 @@ func (n *ClusterNode) replicaFetchFrames(sender, topic string, partition int, of
 	if int64(max) > committed-offset {
 		max = int(committed - offset)
 	}
-	return n.b.FetchFrames(topic, partition, offset, max, buf)
+	return n.b.fetchFrames(topic, partition, offset, max, buf)
 }
 
 // replicaHWM answers a member's query for this node's committed
@@ -2140,7 +2137,7 @@ type tpRef struct {
 // write-behind flush: the hot data path (produce acks, replicated
 // appends) marks instead of rewriting state.json per batch, so a burst
 // of watermark advances coalesces into one write per stateFlushEvery.
-// Under SyncEvery "always" the write happens inline — there the acked
+// Under the SyncAlways policy the write happens inline — there the acked
 // batch must be recoverable, which requires the committed watermark on
 // disk before the ack returns. Control-plane transitions (rejoin
 // truncation, takeover completion) keep calling saveClusterState
@@ -2209,7 +2206,7 @@ func (n *ClusterNode) saver(tp string) *stateSaver {
 // and always snapshot the freshest state, so a slow older write cannot
 // clobber a newer one.
 func (n *ClusterNode) saveClusterState(topic string, partition int) {
-	dir := n.b.PartitionDir(topic, partition)
+	dir := n.b.partitionDir(topic, partition)
 	if dir == "" {
 		return
 	}

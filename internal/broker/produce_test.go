@@ -353,7 +353,7 @@ func TestProduceDeadlineOnePartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	leader := m.LeaderOf("t", 0)
-	proxy, err := faults.NewProxy("127.0.0.1:0", m.AddrOf(leader))
+	proxy, err := faults.NewProxy("127.0.0.1:0", m.addrOf(leader))
 	if err != nil {
 		t.Fatal(err)
 	}

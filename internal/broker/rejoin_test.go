@@ -44,7 +44,7 @@ func startDurableCluster(t *testing.T, n int, tune func(*NodeConfig)) *durableCl
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := Serve(b, "127.0.0.1:0")
+		srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,10 +117,11 @@ func (dc *durableCluster) restart(i int) {
 	if err != nil {
 		dc.t.Fatal(err)
 	}
-	srv, err := ServeWithOptions(b, dc.addrs[i], ServerOptions{Node: node})
+	srv, err := ServeWithOptions(b, dc.addrs[i], ServerOptions{})
 	if err != nil {
 		dc.t.Fatal(err)
 	}
+	srv.AttachNode(node)
 	node.Start()
 	dc.brokers[i], dc.servers[i], dc.nodes[i] = b, srv, node
 	dc.killed[i] = false
@@ -395,7 +396,7 @@ func testDurableMemberRestart(t *testing.T) {
 	if _, err := cc.Produce("t", keylessRecs(0, 500)); err != nil {
 		t.Fatal(err)
 	}
-	cli, err := Dial(srv.Addr())
+	cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func testDurableMemberRestart(t *testing.T) {
 			t.Fatalf("value %v recovered %d times", v, c)
 		}
 	}
-	cli, err = Dial(srv.Addr())
+	cli, err = dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,7 +539,7 @@ func garbageBytes(rng *rand.Rand) []byte {
 // broker's only partition, simulating a write cut short by the crash.
 func tearSegmentTail(t *testing.T, b *Broker, rng *rand.Rand, torn func(*rand.Rand) []byte) {
 	t.Helper()
-	entries, err := os.ReadDir(b.PartitionDir("t", 0))
+	entries, err := os.ReadDir(b.partitionDir("t", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -551,7 +552,7 @@ func tearSegmentTail(t *testing.T, b *Broker, rng *rand.Rand, torn func(*rand.Ra
 	if last == "" {
 		return // nothing on disk yet
 	}
-	f, err := os.OpenFile(filepath.Join(b.PartitionDir("t", 0), last), os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(b.partitionDir("t", 0), last), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}

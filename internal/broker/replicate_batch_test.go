@@ -185,7 +185,7 @@ func startPair(t *testing.T, o pairOpts) *pairCluster {
 	pc := &pairCluster{}
 	for i := 0; i < 2; i++ {
 		b := New()
-		srv, err := Serve(b, "127.0.0.1:0")
+		srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,11 +291,11 @@ func assertLogsIdentical(t *testing.T, a, b *Broker, topic string, partition int
 	if ha != hb {
 		t.Fatalf("p%d: high watermarks differ: %d vs %d", partition, ha, hb)
 	}
-	fa, na, err := a.FetchFrames(topic, partition, 0, int(ha), nil)
+	fa, na, err := a.fetchFrames(topic, partition, 0, int(ha), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fb, nb, err := b.FetchFrames(topic, partition, 0, int(hb), nil)
+	fb, nb, err := b.fetchFrames(topic, partition, 0, int(hb), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 		}
 	}
 
-	cli, err := Dial(pc.addrs[0])
+	cli, err := dial(pc.addrs[0], DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}

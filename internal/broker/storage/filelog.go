@@ -89,8 +89,8 @@ const (
 	// SyncAlways fsyncs after every append: an acknowledged record
 	// survives process death. The no-loss crash guarantee requires it.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs on a timer (FileConfig.SyncEvery): bounded
-	// loss window, near-memory append throughput.
+	// SyncInterval fsyncs on a timer (every syncEvery): bounded loss
+	// window, near-memory append throughput.
 	SyncInterval
 	// SyncNone never fsyncs explicitly; the OS flushes when it wants.
 	SyncNone
@@ -127,14 +127,15 @@ type FileConfig struct {
 	SegmentRecords int
 	// Policy is the fsync policy (default SyncAlways).
 	Policy SyncPolicy
-	// SyncEvery is the SyncInterval flush period (default 50ms).
-	SyncEvery time.Duration
 	// Instruments receives durability observations (optional).
 	Instruments Instruments
 	// FS is the backing filesystem (default OSFS). Tests and the chaos
 	// harness swap in a fault-injecting one.
 	FS FS
 }
+
+// syncEvery is the SyncInterval flush period.
+const syncEvery = 50 * time.Millisecond
 
 // indexEvery is the sparse-index stride: a frame is indexed when it
 // starts at least this many records past the last indexed one.
@@ -183,9 +184,6 @@ func (s *segment) noteFrame(first, pos int64) {
 func OpenFileLog(dir string, cfg FileConfig) (*FileLog, error) {
 	if cfg.SegmentRecords <= 0 {
 		cfg.SegmentRecords = 4096
-	}
-	if cfg.SyncEvery <= 0 {
-		cfg.SyncEvery = 50 * time.Millisecond
 	}
 	if cfg.FS == nil {
 		cfg.FS = OSFS
@@ -700,7 +698,7 @@ func (l *FileLog) syncLocked() error {
 
 func (l *FileLog) syncLoop() {
 	defer l.wg.Done()
-	t := time.NewTicker(l.cfg.SyncEvery)
+	t := time.NewTicker(syncEvery)
 	defer t.Stop()
 	for {
 		select {

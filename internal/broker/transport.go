@@ -29,7 +29,6 @@ const maxFrame = 64 << 20
 // and log labels binOpName maps them to.
 const (
 	opCreate = "create"
-	opParts  = "parts"
 	opHello  = "hello" // version check: response N carries wireVersion
 	// Cluster control ops.
 	opMeta = "meta"
@@ -54,7 +53,7 @@ type wireRequest struct {
 	// Cluster fields: ping carries the sender's versioned status view.
 	Node  string                `json:"node,omitempty"`
 	Epoch int64                 `json:"epoch,omitempty"`
-	View  map[string]PeerStatus `json:"view,omitempty"`
+	View  map[string]peerStatus `json:"view,omitempty"`
 }
 
 type wireResponse struct {
@@ -64,19 +63,11 @@ type wireResponse struct {
 	// Cluster fields.
 	Meta  *ClusterMeta          `json:"meta,omitempty"`
 	Epoch int64                 `json:"epoch,omitempty"`
-	View  map[string]PeerStatus `json:"view,omitempty"`
+	View  map[string]peerStatus `json:"view,omitempty"`
 }
 
 // ServerOptions tunes a broker server.
 type ServerOptions struct {
-	// Node is the cluster member this server fronts — a one-member
-	// cluster for a single broker. Every op but hello goes through it:
-	// produce and fetch are gated by partition leadership, deduplicated
-	// and replicated. It may instead be attached after Serve with
-	// AttachNode (needed when peer addresses are only known once every
-	// listener is bound); until then the server refuses every op but
-	// hello with a retryable error.
-	Node *ClusterNode
 	// Metrics, when set, receives a per-op latency histogram at the
 	// wire-dispatch layer (broker_request_seconds; its _count is the
 	// request count). Instruments are resolved once at startup so the
@@ -86,36 +77,21 @@ type ServerOptions struct {
 	// the broker-side leg of following one saproxd pipeline by trace ID.
 	// Nil is silent.
 	Log *slog.Logger
-	// IdleTimeout closes a connection that has not delivered a complete
-	// request for this long. Zero disables it — long-lived consumer and
-	// peer connections idle legitimately between polls and pushes.
-	IdleTimeout time.Duration
-	// WriteTimeout bounds the writes of each response burst (default
-	// DefaultWriteTimeout; negative disables). A blackholed client that
-	// stops draining cannot pin a handler goroutine (and its buffers)
-	// forever once its TCP window fills.
-	WriteTimeout time.Duration
 }
 
-// DefaultWriteTimeout is the response-write bound when ServerOptions
-// leaves WriteTimeout zero.
-const DefaultWriteTimeout = 30 * time.Second
+// writeTimeout bounds the writes of each response burst. A blackholed
+// client that stops draining cannot pin a handler goroutine (and its
+// buffers) forever once its TCP window fills.
+const writeTimeout = 30 * time.Second
 
-func (o ServerOptions) writeTimeout() time.Duration {
-	switch {
-	case o.WriteTimeout < 0:
-		return 0
-	case o.WriteTimeout == 0:
-		return DefaultWriteTimeout
-	}
-	return o.WriteTimeout
-}
-
-// Server exposes a Broker over TCP.
+// Server exposes a Broker over TCP. Every op but hello goes through its
+// cluster node — a one-member cluster for a single broker — attached
+// with AttachNode once the listener is bound: produce and fetch are
+// gated by partition leadership, deduplicated and replicated. Until
+// then the server refuses every op but hello with a retryable error.
 type Server struct {
 	broker *Broker
 	ln     net.Listener
-	opts   ServerOptions
 	node   atomic.Pointer[ClusterNode]
 	instr  *serverInstruments
 	log    *slog.Logger
@@ -141,7 +117,7 @@ type serverInstruments struct {
 func newServerInstruments(reg *metrics.Registry) *serverInstruments {
 	si := &serverInstruments{lat: make(map[string]*metrics.Histogram)}
 	for _, op := range []string{
-		opCreate, opFetch, opHWM, opParts, opHello, opMeta, opPing,
+		opCreate, opFetch, opHWM, opHello, opMeta, opPing,
 		opProducePart, opRFetch, opRHWM, opReplicate, "other",
 	} {
 		si.lat[op] = reg.Histogram("broker_request_seconds",
@@ -214,13 +190,9 @@ func binOpName(op byte) string {
 // observe it on their next dispatch.
 func (s *Server) AttachNode(n *ClusterNode) { s.node.Store(n) }
 
-// Serve starts serving the broker on addr (e.g. "127.0.0.1:0") and
-// returns once the listener is bound. Stop the server with Close.
-func Serve(b *Broker, addr string) (*Server, error) {
-	return ServeWithOptions(b, addr, ServerOptions{})
-}
-
-// ServeWithOptions is Serve with explicit options.
+// ServeWithOptions starts serving the broker on addr (e.g.
+// "127.0.0.1:0") and returns once the listener is bound. Stop the
+// server with Close.
 func ServeWithOptions(b *Broker, addr string, opts ServerOptions) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -229,16 +201,12 @@ func ServeWithOptions(b *Broker, addr string, opts ServerOptions) (*Server, erro
 	s := &Server{
 		broker: b,
 		ln:     ln,
-		opts:   opts,
 		log:    orDiscard(opts.Log),
 		conns:  make(map[net.Conn]struct{}),
 		done:   make(chan struct{}),
 	}
 	if opts.Metrics != nil {
 		s.instr = newServerInstruments(opts.Metrics)
-	}
-	if opts.Node != nil {
-		s.node.Store(opts.Node)
 	}
 	s.wg.Add(1)
 	go s.acceptLoop()
@@ -312,21 +280,15 @@ func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	fb := getFrame()
 	defer putFrame(fb)
-	wt := s.opts.writeTimeout()
 	for {
-		if s.opts.IdleTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
-		}
 		if err := readFrameInto(br, fb); err != nil {
-			return // EOF, idle timeout or broken connection
+			return // EOF or broken connection
 		}
 		// One write deadline covers everything the request's handling
 		// writes (including bufio spills mid-handling): a client that
 		// stops draining shows up as a write error, not a wedged
 		// handler.
-		if wt > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(wt))
-		}
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := s.handleBinary(fb.b, bw); err != nil {
 			return
 		}
@@ -452,11 +414,6 @@ func (s *Server) dispatchOp(node *ClusterNode, req *wireRequest) wireResponse {
 	case opPing:
 		epoch, view := node.handlePing(req.Node, req.Epoch, req.View)
 		return wireResponse{Epoch: epoch, View: view}
-	case opParts:
-		var n int
-		if n, err = s.broker.Partitions(req.Topic); err == nil {
-			return wireResponse{N: n}
-		}
 	case opHello:
 		return wireResponse{N: int(wireVersion)}
 	default:

@@ -45,10 +45,10 @@ func serveMember(t testing.TB, b *Broker, opts ServerOptions) *Server {
 	return srv
 }
 
-func startServer(t *testing.T) (*Server, *Client) {
+func startServer(t *testing.T) (*Server, *client) {
 	t.Helper()
 	srv := serveMember(t, New(), ServerOptions{})
-	cli, err := Dial(srv.Addr())
+	cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
@@ -59,11 +59,16 @@ func startServer(t *testing.T) (*Server, *Client) {
 // produceRouted produces recs over one connection as the routing client
 // does: split by key on this side, then one partitioned produce per
 // partition the records reach (producer id 0: no dedup).
-func produceRouted(cli *Client, topic string, recs []Record) (int, error) {
-	parts, err := cli.Partitions(topic)
+func produceRouted(cli *client, topic string, recs []Record) (int, error) {
+	m, err := cli.Meta()
 	if err != nil {
 		return 0, err
 	}
+	t, ok := m.Topics[topic]
+	if !ok {
+		return 0, fmt.Errorf("%w: %q", ErrUnknownTopic, topic)
+	}
+	parts := len(t.Partitions)
 	bb := storage.GetBatchBuilder(parts, func(key string) int { return keyPartition(key, parts) })
 	defer bb.Release()
 	for i := range recs {
@@ -135,7 +140,7 @@ func TestTCPHighWatermarkAndOffsets(t *testing.T) {
 
 func TestTCPConcurrentClients(t *testing.T) {
 	srv, _ := startServer(t)
-	cli0, err := Dial(srv.Addr())
+	cli0, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +153,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			cli, err := Dial(srv.Addr())
+			cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 			if err != nil {
 				t.Errorf("dial: %v", err)
 				return
@@ -212,12 +217,12 @@ func TestServerRefusesOpsBeforeNodeAttached(t *testing.T) {
 	if err := b.CreateTopic("in", 1); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := Serve(b, "127.0.0.1:0")
+	srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
 	if err != nil {
 		t.Fatalf("hello before attach: %v", err)
 	}
@@ -336,22 +341,25 @@ func controlFrame(body string) []byte {
 }
 
 // retiredControlOps are the control-op bodies an older client or peer
-// sent for consumer-group offsets, which the broker no longer keeps:
-// a commit, a committed read and a leader→follower commit replication.
+// sent that the broker no longer serves: a consumer-group commit, a
+// committed read and a leader→follower commit replication (the broker
+// keeps no group offsets), and a partition-count read (the routing
+// client reads the count from its metadata).
 func retiredControlOps() []wireGateCase {
 	var cases []wireGateCase
 	for _, body := range []string{
 		`{"op":"commit","topic":"in","offset":3,"group":"g"}`,
 		`{"op":"committed","topic":"in","group":"g"}`,
 		`{"op":"commitrep","topic":"in","offset":3,"group":"g","node":"n0","epoch":1}`,
+		`{"op":"parts","topic":"in"}`,
 	} {
 		cases = append(cases, wireGateCase{name: body, payload: controlFrame(body)})
 	}
 	return cases
 }
 
-// TestRetiredControlOpsChangeNothing sends each retired group-offset op
-// on one connection of a durable one-member broker: each is answered
+// TestRetiredControlOpsChangeNothing sends each retired control op on
+// one connection of a durable one-member broker: each is answered
 // with an unknown-op error counted under op="other", the connection
 // keeps serving, and neither the log, its committed watermark nor the
 // data directory changes.
@@ -413,8 +421,8 @@ func TestRetiredControlOpsChangeNothing(t *testing.T) {
 			t.Errorf("%s: counted %v times under op=\"other\", want once", c.name, got)
 		}
 	}
-	if resp := answer(controlFrame(`{"op":"parts","topic":"in"}`)); resp.Err != "" || resp.N != 1 {
-		t.Fatalf("parts after the retired ops = %+v; want 1 partition", resp)
+	if resp := answer(controlFrame(`{"op":"meta"}`)); resp.Err != "" || resp.Meta == nil || len(resp.Meta.Topics["in"].Partitions) != 1 {
+		t.Fatalf("meta after the retired ops = %+v; want topic in with 1 partition", resp)
 	}
 	if hwm, err := b.HighWatermark("in", 0); err != nil || hwm != 5 {
 		t.Fatalf("log end = %d, %v; want 5", hwm, err)
@@ -458,7 +466,7 @@ func dialMismatchedPeer(t *testing.T, theirs int) {
 			_ = writeRawFrame(conn, fb.b)
 		}
 	}()
-	cli, err := Dial(ln.Addr().String())
+	cli, err := dial(ln.Addr().String(), DefaultDialTimeout, defaultRequestTimeout)
 	if err == nil {
 		_ = cli.Close()
 		t.Fatal("dial against a mismatched peer succeeded")

@@ -42,7 +42,7 @@ func startChaosCluster(t *testing.T, members int) *chaosCluster {
 	peers := make(map[string]string, members)
 	for i := 0; i < members; i++ {
 		b := broker.New()
-		srv, err := broker.Serve(b, "127.0.0.1:0")
+		srv, err := broker.ServeWithOptions(b, "127.0.0.1:0", broker.ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ func startBrokerCluster(t *testing.T, members int) *brokerCluster {
 	peers := make(map[string]string, members)
 	for i := 0; i < members; i++ {
 		b := broker.New()
-		srv, err := broker.Serve(b, "127.0.0.1:0")
+		srv, err := broker.ServeWithOptions(b, "127.0.0.1:0", broker.ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

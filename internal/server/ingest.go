@@ -14,8 +14,8 @@ import (
 )
 
 // traceSetter is implemented by broker connections that can stamp a
-// wire-level trace ID on their requests (*broker.Client and
-// *broker.ClusterClient; the in-process broker has no wire and no-ops).
+// wire-level trace ID on their requests (*broker.ClusterClient; the
+// in-process broker has no wire and no-ops).
 type traceSetter interface{ SetTraceID(uint64) }
 
 // The shared ingest plane: exactly one consumer per (topic, partition)

@@ -7,6 +7,7 @@ import (
 
 	"streamapprox/internal/broker"
 	"streamapprox/internal/broker/storage"
+	"streamapprox/internal/metrics"
 	"streamapprox/internal/stream"
 )
 
@@ -41,7 +42,7 @@ func startDurableBrokerCluster(t *testing.T, members int) *durableBrokerCluster 
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := broker.Serve(b, "127.0.0.1:0")
+		srv, err := broker.ServeWithOptions(b, "127.0.0.1:0", broker.ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +107,11 @@ func (bc *durableBrokerCluster) restart(i int) {
 	if err != nil {
 		bc.t.Fatal(err)
 	}
-	srv, err := broker.ServeWithOptions(b, bc.addrs[i], broker.ServerOptions{Node: node})
+	srv, err := broker.ServeWithOptions(b, bc.addrs[i], broker.ServerOptions{})
 	if err != nil {
 		bc.t.Fatal(err)
 	}
+	srv.AttachNode(node)
 	node.Start()
 	bc.brokers[i], bc.servers[i], bc.nodes[i] = b, srv, node
 	bc.killed[i] = false
@@ -202,22 +204,23 @@ func TestClusterRestartRejoinQueryNoLossNoDup(t *testing.T) {
 
 	// Restart the dead member from its data directory: it must rejoin
 	// as follower, sync its log, and take partition 0's leadership back
-	// (it is the first rendezvous replica). Its own metadata advertises
-	// the leadership only once the takeover handshake finished.
+	// (it is the first rendezvous replica). Its own view — read from its
+	// leadership gauge, not from a routing client that merges every
+	// member's view — has it lead only once the takeover handshake
+	// finished.
 	bc.restart(vi)
-	probe, err := broker.Dial(bc.addrs[vi])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = probe.Close() }()
+	reg := metrics.NewRegistry()
+	bc.nodes[vi].RegisterMetrics(reg)
+	leads := reg.Gauge("broker_partition_leader", "1 when this node leads the partition",
+		metrics.Labels{"topic": "in", "partition": "0"})
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		m, err := probe.Meta()
-		if err == nil && m.LeaderOf("in", 0) == victim {
+		reg.Render() // runs the node's scrape hook, which sets the gauge
+		if leads.Value() == 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("restarted broker never rejoined as leader of partition 0: %+v", m)
+			t.Fatal("restarted broker never rejoined as leader of partition 0")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -37,7 +37,9 @@ type Spec struct {
 	// position left behind by a deleted query under the same id.
 	From string
 	// Seed makes the shard samplers reproducible (default 1); shard i
-	// uses Seed+i.
+	// uses Seed+i. A shard that follows a sampling group's leader
+	// samples through the leader's sampler, so its own seed goes unused
+	// while it follows: its windows depend on the leader's seed.
 	Seed uint64
 }
 

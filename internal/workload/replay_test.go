@@ -46,7 +46,7 @@ func TestReplayFailoverExactlyOnce(t *testing.T) {
 	addrs := make([]string, members)
 	for i := range brokers {
 		brokers[i] = broker.New()
-		srv, err := broker.Serve(brokers[i], "127.0.0.1:0")
+		srv, err := broker.ServeWithOptions(brokers[i], "127.0.0.1:0", broker.ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func (c *cutReply) Produce(topic string, recs []broker.Record) (int, error) {
 func TestReplayOneMemberBrokerExactlyOnce(t *testing.T) {
 	b := broker.New()
 	defer b.Close()
-	srv, err := broker.Serve(b, "127.0.0.1:0")
+	srv, err := broker.ServeWithOptions(b, "127.0.0.1:0", broker.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,23 +38,70 @@ var unreachedAllowed = map[string]string{
 // name that collides with a reached one (a field called Fraction, say)
 // goes unnoticed; but a reached name is never reported.
 func TestExportedIdentifiersReached(t *testing.T) {
-	declared := exportedNames(t)
 	reached := make(map[string]bool)
 	for _, dir := range deployments {
 		referencedNames(t, dir, reached)
 	}
+	checkReached(t, exportedNames(t, "."), reached, unreachedAllowed)
+}
+
+// brokerUnreachedAllowed are the exported names of internal/broker that
+// no code outside it names, each with the reason it stays.
+var brokerUnreachedAllowed = map[string]string{
+	"ClusterMeta":         "ClusterClient.Meta's result type, reached only through the returned value",
+	"NodeInfo":            "a ClusterMeta field's element type, reached only through returned values",
+	"TopicInfo":           "a ClusterMeta field's element type, reached only through returned values",
+	"PartitionInfo":       "a TopicInfo field's element type, reached only through returned values",
+	"Consumer":            "NewPartitionConsumer's result type, reached only through the returned value",
+	"Nodes":               "a ClusterMeta JSON wire field",
+	"Topics":              "a ClusterMeta JSON wire field",
+	"Leader":              "a PartitionInfo JSON wire field",
+	"Alive":               "a NodeInfo JSON wire field",
+	"ErrUnknownTopic":     "a sentinel the in-process Broker returns, compared with errors.Is",
+	"ErrBadPartition":     "a sentinel the in-process Broker returns, compared with errors.Is",
+	"ErrOffsetOutOfRange": "a sentinel the in-process Broker returns, compared with errors.Is",
+	"ErrClosed":           "a sentinel the in-process Broker returns, compared with errors.Is",
+}
+
+// brokerCallers are the trees outside internal/broker whose non-test
+// code calls it: the deployments and the replay tool's library.
+var brokerCallers = append([]string{filepath.Join("internal", "workload")}, deployments...)
+
+// TestBrokerExportsReached is TestExportedIdentifiersReached for
+// internal/broker: every exported name it declares is named by the
+// non-test code of a brokerCaller or of this package, or allow-listed
+// with a reason.
+func TestBrokerExportsReached(t *testing.T) {
+	reached := make(map[string]bool)
+	roots, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, root := range append(roots, brokerCallers...) {
+		referencedNames(t, root, reached)
+	}
+	declared := exportedNames(t, filepath.Join("internal", "broker"))
+	t.Logf("internal/broker exports %d names", len(declared))
+	checkReached(t, declared, reached, brokerUnreachedAllowed)
+}
+
+// checkReached fails for each declared name that is neither reached nor
+// allow-listed, and for each allow-listed name that is reached after
+// all or no longer declared.
+func checkReached(t *testing.T, declared, reached map[string]bool, allowed map[string]string) {
+	t.Helper()
 	var unreached []string
 	for name := range declared {
-		if !reached[name] && unreachedAllowed[name] == "" {
+		if !reached[name] && allowed[name] == "" {
 			unreached = append(unreached, name)
 		}
 	}
 	if len(unreached) > 0 {
 		slices.Sort(unreached)
-		t.Errorf("exported but named by no deployment (delete them, or allow-list them with a reason): %s",
+		t.Errorf("exported but named by no deployment (delete or unexport them, or allow-list them with a reason): %s",
 			strings.Join(unreached, ", "))
 	}
-	for name := range unreachedAllowed {
+	for name := range allowed {
 		switch {
 		case !declared[name]:
 			t.Errorf("allow-listed %s is no longer declared", name)
@@ -115,11 +162,11 @@ func structFields(t *testing.T, dir, typeName string) []string {
 	return fields
 }
 
-// exportedNames collects the exported names the package's non-test files
-// declare.
-func exportedNames(t *testing.T) map[string]bool {
+// exportedNames collects the exported names the non-test files of the
+// package in dir declare.
+func exportedNames(t *testing.T, dir string) map[string]bool {
 	t.Helper()
-	files, err := filepath.Glob("*.go")
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
