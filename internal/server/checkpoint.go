@@ -118,10 +118,18 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 	sort.Slice(starts, func(i, k int) bool { return starts[i].Before(starts[k]) })
 	for _, start := range starts {
 		pm := j.merger.pending[start]
+		// The checkpoint is written after j.mu is released: each part is
+		// copied out of the merger's slot.
+		parts := make([]*streamapprox.WindowResult, len(pm.parts))
+		for i, p := range pm.parts {
+			if pm.have[i] {
+				parts[i] = &p
+			}
+		}
 		cf.Pending = append(cf.Pending, pendingCheckpoint{
 			Start:   start,
 			FirstAt: pm.firstAt,
-			Parts:   append([]*streamapprox.WindowResult(nil), pm.parts...),
+			Parts:   parts,
 		})
 	}
 	j.mu.Unlock()
@@ -169,16 +177,13 @@ func (m *merger) restore(cf *checkpointFile) {
 		}
 	}
 	for _, pc := range cf.Pending {
-		pm := &pendingMerge{
-			parts:   make([]*streamapprox.WindowResult, m.shards),
-			firstAt: pc.FirstAt,
-		}
+		pm := m.newPending(pc.FirstAt)
 		for i, p := range pc.Parts {
 			if i >= len(pm.parts) {
 				break
 			}
 			if p != nil {
-				pm.parts[i] = p
+				pm.parts[i], pm.have[i] = *p, true
 				pm.got++
 			}
 		}

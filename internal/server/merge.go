@@ -1,7 +1,8 @@
 package server
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"streamapprox"
@@ -53,7 +54,8 @@ type MergedWindow struct {
 
 // pendingMerge accumulates per-shard parts for one window start.
 type pendingMerge struct {
-	parts   []*streamapprox.WindowResult // indexed by shard
+	parts   []streamapprox.WindowResult // indexed by shard, valid where have is set
+	have    []bool
 	got     int
 	firstAt time.Time // wall clock of the first part, for merge latency
 }
@@ -67,6 +69,10 @@ type merger struct {
 	marks   []time.Time // per-shard event-time watermark
 	fired   map[time.Time]bool
 	now     func() time.Time
+	// one and out back the slices offer and advance return, which are
+	// valid until the next call.
+	one [1]firedWindow
+	out []firedWindow
 }
 
 func newMerger(spec *Spec, shards int, now func() time.Time) *merger {
@@ -89,27 +95,39 @@ type firedWindow struct {
 	latency time.Duration
 }
 
-// offer adds one shard's result for a window and returns any windows the
-// contribution completed.
+// offer adds one shard's result for a window and returns the window if
+// the contribution completed it.
 func (m *merger) offer(shard int, wr streamapprox.WindowResult) []firedWindow {
 	if m.fired[wr.Start] {
 		return nil // straggler for an already-merged window
 	}
 	pm, ok := m.pending[wr.Start]
 	if !ok {
-		pm = &pendingMerge{parts: make([]*streamapprox.WindowResult, m.shards), firstAt: m.now()}
+		pm = m.newPending(m.now())
 		m.pending[wr.Start] = pm
 	}
-	if pm.parts[shard] == nil {
+	if !pm.have[shard] {
+		pm.have[shard] = true
 		pm.got++
 	}
-	w := wr
-	pm.parts[shard] = &w
+	pm.parts[shard] = wr
 	if pm.got == m.shards {
-		return []firedWindow{m.fire(wr.Start, pm)}
+		m.one[0] = m.fire(wr.Start, pm)
+		return m.one[:]
 	}
 	return nil
 }
+
+func (m *merger) newPending(firstAt time.Time) *pendingMerge {
+	return &pendingMerge{
+		parts:   make([]streamapprox.WindowResult, m.shards),
+		have:    make([]bool, m.shards),
+		firstAt: firstAt,
+	}
+}
+
+// byStart orders fired windows oldest first.
+func byStart(a, b firedWindow) int { return a.result.Start.Compare(b.result.Start) }
 
 // advance records a shard's event-time watermark and fires every pending
 // window that no shard can still contribute to: end + slide at or before
@@ -127,14 +145,17 @@ func (m *merger) advance(shard int, mark time.Time) []firedWindow {
 	if min.IsZero() || !min.After(prev) {
 		return nil
 	}
-	var out []firedWindow
+	out := m.out[:0]
 	for start, pm := range m.pending {
 		if !start.Add(m.spec.Window + m.spec.Slide).After(min) {
 			out = append(out, m.fire(start, pm))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].result.Start.Before(out[j].result.Start) })
+	slices.SortFunc(out, byStart)
 	m.prune(min)
+	if m.out = out; len(out) == 0 {
+		return nil
+	}
 	return out
 }
 
@@ -156,17 +177,18 @@ func (m *merger) flush() []firedWindow {
 	for start, pm := range m.pending {
 		out = append(out, m.fire(start, pm))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].result.Start.Before(out[j].result.Start) })
+	slices.SortFunc(out, byStart)
 	return out
 }
 
 func (m *merger) fire(start time.Time, pm *pendingMerge) firedWindow {
 	delete(m.pending, start)
 	m.fired[start] = true
-	parts := make([]*streamapprox.WindowResult, 0, pm.got)
-	for _, p := range pm.parts {
-		if p != nil {
-			parts = append(parts, p)
+	var buf [8]*streamapprox.WindowResult
+	parts := buf[:0]
+	for i := range pm.parts {
+		if pm.have[i] {
+			parts = append(parts, &pm.parts[i])
 		}
 	}
 	return firedWindow{
@@ -201,80 +223,83 @@ func (m *merger) mergeParts(start time.Time, parts []*streamapprox.WindowResult)
 		out.Sampled += p.Sampled
 	}
 
+	// Stack scratch for the estimates and weights each merge combines:
+	// a window has a handful of shards.
+	var estBuf [8]estimate.Estimate
+	var weightBuf [8]int64
+	ests, weights := estBuf[:0], weightBuf[:0]
 	mean := m.spec.Kind == "mean" || m.spec.Kind == "groupby-mean"
-	overall := make([]estimate.Estimate, len(parts))
-	weights := make([]int64, len(parts))
-	for i, p := range parts {
-		overall[i] = toInternal(p.Overall, conf)
-		weights[i] = p.Items
+	merge := func() PointEstimate {
+		var e estimate.Estimate
+		if mean {
+			e = estimate.MergeMeans(ests, weights)
+		} else {
+			e = estimate.MergeSums(ests)
+		}
+		return PointEstimate{Value: e.Value, Error: e.Bound}
 	}
-	var merged estimate.Estimate
-	if mean {
-		merged = estimate.MergeMeans(overall, weights)
-	} else {
-		merged = estimate.MergeSums(overall)
+	for _, p := range parts {
+		ests = append(ests, toInternal(p.Overall, conf))
+		weights = append(weights, p.Items)
 	}
-	out.Value, out.Error = merged.Value, merged.Bound
+	overall := merge()
+	out.Value, out.Error = overall.Value, overall.Error
 
 	// Group-by: merge per group key. Under keyed partitioning a stratum
 	// lives on exactly one partition, so most keys see a single part;
 	// same-key parts from several shards merge with the same algebra,
-	// weighted by the per-group item counts the sessions report.
-	keys := map[string]bool{}
-	for _, p := range parts {
+	// weighted by the per-group item counts the sessions report. The
+	// (key, part) pairs sorted by key and then by part combine each key's
+	// parts in shard order.
+	var pairBuf [32]groupPart
+	pairs := pairBuf[:0]
+	for i, p := range parts {
 		for k := range p.Groups {
-			keys[k] = true
+			pairs = append(pairs, groupPart{key: k, part: i})
 		}
 	}
-	if len(keys) > 0 {
-		out.Groups = make(map[string]PointEstimate, len(keys))
-		for k := range keys {
-			var ests []estimate.Estimate
-			var counts []int64
-			for _, p := range parts {
-				g, ok := p.Groups[k]
-				if !ok {
-					continue
-				}
-				ests = append(ests, toInternal(g, conf))
-				counts = append(counts, p.GroupItems[k])
+	if len(pairs) > 0 {
+		slices.SortFunc(pairs, func(a, b groupPart) int {
+			if c := strings.Compare(a.key, b.key); c != 0 {
+				return c
 			}
-			var ge estimate.Estimate
-			if mean {
-				ge = estimate.MergeMeans(ests, counts)
-			} else {
-				ge = estimate.MergeSums(ests)
+			return a.part - b.part
+		})
+		out.Groups = make(map[string]PointEstimate)
+		for i := 0; i < len(pairs); {
+			k := pairs[i].key
+			ests, weights = ests[:0], weights[:0]
+			for ; i < len(pairs) && pairs[i].key == k; i++ {
+				p := parts[pairs[i].part]
+				ests = append(ests, toInternal(p.Groups[k], conf))
+				weights = append(weights, p.GroupItems[k])
 			}
-			out.Groups[k] = PointEstimate{Value: ge.Value, Error: ge.Bound}
+			out.Groups[k] = merge()
 		}
 	}
 
-	// Histograms share bucket edges across shards: collect each bucket's
-	// per-shard estimates and merge once, like the groups above.
-	var bucketEsts [][]estimate.Estimate
-	for _, p := range parts {
-		if len(p.Buckets) == 0 {
-			continue
-		}
-		if out.Buckets == nil {
-			out.Buckets = make([]BucketEstimate, len(p.Buckets))
-			bucketEsts = make([][]estimate.Estimate, len(p.Buckets))
-			for i, b := range p.Buckets {
-				out.Buckets[i] = BucketEstimate{Lo: b.Lo, Hi: b.Hi}
+	// Histograms share bucket edges across shards: each bucket of the
+	// first part that has buckets sums that bucket across the parts.
+	if f := slices.IndexFunc(parts, func(p *streamapprox.WindowResult) bool { return len(p.Buckets) > 0 }); f >= 0 {
+		out.Buckets = make([]BucketEstimate, len(parts[f].Buckets))
+		for i, b := range parts[f].Buckets {
+			ests = ests[:0]
+			for _, p := range parts {
+				if i < len(p.Buckets) {
+					ests = append(ests, toInternal(p.Buckets[i].Count, conf))
+				}
 			}
+			sum := estimate.MergeSums(ests)
+			out.Buckets[i] = BucketEstimate{Lo: b.Lo, Hi: b.Hi, Count: PointEstimate{Value: sum.Value, Error: sum.Bound}}
 		}
-		for i, b := range p.Buckets {
-			if i >= len(out.Buckets) {
-				break
-			}
-			bucketEsts[i] = append(bucketEsts[i], toInternal(b.Count, conf))
-		}
-	}
-	for i, ests := range bucketEsts {
-		sum := estimate.MergeSums(ests)
-		out.Buckets[i].Count = PointEstimate{Value: sum.Value, Error: sum.Bound}
 	}
 	return out
+}
+
+// groupPart is one group key of one part.
+type groupPart struct {
+	key  string
+	part int // index into the window's parts, which are in shard order
 }
 
 // toInternal is the internal form of a shard's estimate: the variance and

@@ -512,7 +512,18 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			results = j.resultsSince(since)
 		}
 	}
-	writeJSON(w, http.StatusOK, results)
+	// The bytes writeJSON writes for the slice.
+	buf := append(make([]byte, 0, 512*len(results)+3), '[')
+	var keys []string
+	for i := range results {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendWindow(buf, &results[i], &keys)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(append(buf, "]\n"...))
 }
 
 // handleStream streams merged windows as NDJSON: first the retained
@@ -544,16 +555,19 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if flusher != nil {
 		flusher.Flush() // push headers so clients can start reading
 	}
-	enc := json.NewEncoder(w)
+	var buf []byte
+	var keys []string
 
-	// drain writes every retained window after last, in Seq order, and
-	// flushes them together.
+	// drain writes every retained window after last, in Seq order, as one
+	// write of NDJSON lines, and flushes them together.
 	drain := func() bool {
+		buf = buf[:0]
 		for _, mw := range j.resultsSince(last) {
-			if err := enc.Encode(mw); err != nil {
-				return false
-			}
+			buf = append(appendWindow(buf, &mw, &keys), '\n')
 			last = mw.Seq
+		}
+		if _, err := w.Write(buf); err != nil {
+			return false
 		}
 		if flusher != nil {
 			flusher.Flush()
