@@ -28,6 +28,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/metrics"
@@ -54,6 +55,9 @@ type Record = storage.Record
 type partition struct {
 	appendMu sync.Mutex
 	log      storage.Log
+	// cl is the attached cluster node's record of this partition
+	// (node.go), nil until the node first touches it.
+	cl atomic.Pointer[partState]
 }
 
 // topic is a named set of partitions.
@@ -294,6 +298,18 @@ func (b *Broker) Partitions(name string) (int, error) {
 	return len(t.partitions), nil
 }
 
+// partition resolves one partition of a topic, range-checking the index.
+func (b *Broker) partition(topicName string, p int) (*partition, error) {
+	t, err := b.topic(topicName)
+	if err != nil {
+		return nil, err
+	}
+	if p < 0 || p >= len(t.partitions) {
+		return nil, ErrBadPartition
+	}
+	return t.partitions[p], nil
+}
+
 func (b *Broker) topic(name string) (*topic, error) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
@@ -407,38 +423,14 @@ func (b *Broker) ProduceFrames(topicName string, frames []byte, count int) (int,
 	return total, nil
 }
 
-// producePartitionFrames appends a pre-validated frame chunk to one
-// explicit partition, bypassing key routing — the data path of a routing
-// client that partitions on its side and sends each batch straight to
-// the partition leader. The bytes land in the log verbatim; it returns
-// the base offset of the appended batch.
-func (b *Broker) producePartitionFrames(topicName string, partition int, frames []byte, count int) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return 0, ErrBadPartition
-	}
-	return t.partitions[partition].appendFrames(frames, count)
-}
-
-// replicateAppendFrames applies a leader's replicated chunk at an exact
-// base offset. It is idempotent and gap-safe: a chunk already covered by
-// the local log is skipped, an overlapping chunk has its duplicate
-// prefix trimmed at frame boundaries, and a chunk starting beyond the
-// local high watermark appends nothing (the caller backfills from the
+// replicateAppend applies a leader's replicated chunk at an exact base
+// offset. It is idempotent and gap-safe: a chunk already covered by the
+// local log is skipped, an overlapping chunk has its duplicate prefix
+// trimmed at frame boundaries, and a chunk starting beyond the local
+// high watermark appends nothing (the caller backfills from the
 // returned watermark). The remainder is appended verbatim. It always
 // returns the partition's resulting high watermark.
-func (b *Broker) replicateAppendFrames(topicName string, partition int, base int64, frames []byte, count int) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return 0, ErrBadPartition
-	}
-	p := t.partitions[partition]
+func (p *partition) replicateAppend(base int64, frames []byte, count int) (int64, error) {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
 	hwm := p.log.HighWatermark()
@@ -448,6 +440,7 @@ func (b *Broker) replicateAppendFrames(topicName string, partition int, base int
 	if skip := hwm - base; skip >= int64(count) {
 		return hwm, nil // fully duplicate batch
 	} else if skip > 0 {
+		var err error
 		if frames, err = storage.SliceFrames(nil, frames, int(skip), count); err != nil {
 			return hwm, err
 		}
@@ -459,37 +452,10 @@ func (b *Broker) replicateAppendFrames(topicName string, partition int, base int
 	return p.log.HighWatermark(), nil
 }
 
-// replicateAppendSections applies a replicate batch — the follower half
-// of group-commit replication: every section's chunk lands through the
-// idempotent gap-safe append, in batch order, returning the resulting
-// high watermark per section. Sections of the same partition arrive
-// contiguous (the leader merges them), so later sections see the
-// watermark earlier ones produced.
-func (b *Broker) replicateAppendSections(secs []replSection) ([]int64, error) {
-	hwms := make([]int64, len(secs))
-	for i := range secs {
-		s := &secs[i]
-		hwm, err := b.replicateAppendFrames(s.topic, s.partition, s.base, s.frames, s.count)
-		if err != nil {
-			return nil, err
-		}
-		hwms[i] = hwm
-	}
-	return hwms, nil
-}
-
-// truncatePartition discards every record at offset >= hwm — the rejoin
-// path's divergence cut, applied before a recovered replica re-enters
-// the cluster.
-func (b *Broker) truncatePartition(topicName string, partition int, hwm int64) error {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return err
-	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return ErrBadPartition
-	}
-	p := t.partitions[partition]
+// truncate discards every record at offset >= hwm — the rejoin path's
+// divergence cut, applied before a recovered replica re-enters the
+// cluster.
+func (p *partition) truncate(hwm int64) error {
 	p.appendMu.Lock()
 	defer p.appendMu.Unlock()
 	return p.log.TruncateTo(hwm)
@@ -514,17 +480,14 @@ func (b *Broker) Fetch(topicName string, partition int, offset int64, max int) (
 // count — used to assemble fetch responses directly into the server's
 // pooled write buffer.
 func (b *Broker) fetchFrames(topicName string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
-	t, err := b.topic(topicName)
+	p, err := b.partition(topicName, partition)
 	if err != nil {
 		return buf, 0, err
-	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return buf, 0, ErrBadPartition
 	}
 	if max <= 0 {
 		max = 1024
 	}
-	return t.partitions[partition].log.ReadFrames(offset, max, buf)
+	return p.log.ReadFrames(offset, max, buf)
 }
 
 // FetchBatch reads up to max records from one partition directly into a
@@ -544,12 +507,9 @@ func (b *Broker) FetchBatch(topicName string, partition int, offset int64, max i
 
 // HighWatermark returns the next offset to be written in a partition.
 func (b *Broker) HighWatermark(topicName string, partition int) (int64, error) {
-	t, err := b.topic(topicName)
+	p, err := b.partition(topicName, partition)
 	if err != nil {
 		return 0, err
 	}
-	if partition < 0 || partition >= len(t.partitions) {
-		return 0, ErrBadPartition
-	}
-	return t.partitions[partition].log.HighWatermark(), nil
+	return p.log.HighWatermark(), nil
 }

@@ -547,7 +547,7 @@ func (c *client) ping(timeout time.Duration, node string, epoch int64, view map[
 // replicaFetchFrames reads committed records from a fellow cluster
 // member regardless of partition leadership — the rejoin catch-up
 // surface. The chunk arrives as validated CRC frames appended onto buf,
-// ready for replicateAppendFrames verbatim: a rejoining replica pulls
+// ready for partition.replicateAppend verbatim: a rejoining replica pulls
 // committed history at memcpy speed.
 func (c *client) replicaFetchFrames(sender, topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
 	var n int

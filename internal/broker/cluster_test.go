@@ -336,8 +336,13 @@ func TestClusterClientWorksAgainstOneMemberBroker(t *testing.T) {
 		t.Fatalf("fetched %d values, want 100", len(got))
 	}
 	node := srv.node.Load()
+	conns := 0
 	node.mu.Lock()
-	conns := len(node.conns)
+	for _, p := range node.peers {
+		if p.conn != nil {
+			conns++
+		}
+	}
 	node.mu.Unlock()
 	if conns != 0 {
 		t.Fatalf("one-member node holds %d peer connections, want 0", conns)
@@ -553,10 +558,8 @@ func TestBackfillCarriesOtherProducersDedup(t *testing.T) {
 	// Producer A's batch lands in the LEADER's log + journal only — as
 	// if the push to the follower failed transiently mid-produce.
 	batchA := keylessRecs(0, 10)
-	if _, err := tc.brokers[li].producePartitionFrames("t", 0, storage.AppendRecordFrames(nil, batchA), len(batchA)); err != nil {
-		t.Fatal(err)
-	}
-	tc.nodes[li].noteBatch(tpKey("t", 0), batchMeta{pid: 11, seq: 1, base: 0, end: 10})
+	appendPart(t, tc.brokers[li], "t", 0, batchA)
+	tc.nodes[li].noteBatch(nodePart(t, tc.nodes[li], "t", 0), batchMeta{pid: 11, seq: 1, base: 0, end: 10})
 
 	// Producer B produces normally: the follower is at 0, the chunk
 	// base is 10 → gap → the leader backfills [0, 20) carrying BOTH

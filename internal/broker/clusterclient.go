@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand/v2"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -64,8 +63,8 @@ type ClusterClient struct {
 
 	mu     sync.Mutex
 	meta   *ClusterMeta
-	conns  map[string]*client       // by lane key (address, or address#lane)
-	prod   map[string]*partProducer // by topic/partition
+	conns  map[connKey]*client
+	prod   map[partKey]*partProducer
 	rr     uint64
 	trace  uint64 // trace ID stamped on every member connection
 	closed bool
@@ -81,14 +80,17 @@ type ClusterClient struct {
 // are in flight together.
 const clientLanes = 4
 
-// laneKey names one lane's connection. Lane 0 keeps the bare address
-// as its key, so control-path callers that dial and drop by address
-// keep working untouched.
-func laneKey(addr string, lane int) string {
-	if lane == 0 {
-		return addr
-	}
-	return addr + "#" + strconv.Itoa(lane)
+// connKey names one lane's connection to a member; lane 0 is the
+// control path.
+type connKey struct {
+	addr string
+	lane int
+}
+
+// partKey names one partition of a topic.
+type partKey struct {
+	topic     string
+	partition int
 }
 
 // SetTraceID stamps a trace ID on every current and future member
@@ -139,8 +141,8 @@ func DialClusterWithOptions(addrs []string, opts ClusterClientOptions) (*Cluster
 		pid:   binary.BigEndian.Uint64(b[:]) | 1, // never 0 (0 = dedup off)
 		done:  make(chan struct{}),
 		rng:   mrand.New(mrand.NewPCG(mrand.Uint64(), mrand.Uint64())),
-		conns: make(map[string]*client),
-		prod:  make(map[string]*partProducer),
+		conns: make(map[connKey]*client),
+		prod:  make(map[partKey]*partProducer),
 	}
 	if err := cc.refreshMeta(); err != nil {
 		cc.Close()
@@ -158,7 +160,7 @@ func (cc *ClusterClient) Close() error {
 		close(cc.done)
 	}
 	conns := cc.conns
-	cc.conns = make(map[string]*client)
+	cc.conns = make(map[connKey]*client)
 	cc.mu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
@@ -175,7 +177,7 @@ func (cc *ClusterClient) conn(addr string) (*client, error) {
 // connLane returns (dialing if needed) one lane's connection to an
 // address.
 func (cc *ClusterClient) connLane(addr string, lane int) (*client, error) {
-	key := laneKey(addr, lane)
+	key := connKey{addr, lane}
 	cc.mu.Lock()
 	if cc.closed {
 		cc.mu.Unlock()
@@ -209,8 +211,8 @@ func (cc *ClusterClient) connLane(addr string, lane int) (*client, error) {
 	return c, nil
 }
 
-// dropConn discards a broken connection by its lane key.
-func (cc *ClusterClient) dropConn(key string) {
+// dropConn discards a broken connection.
+func (cc *ClusterClient) dropConn(key connKey) {
 	cc.mu.Lock()
 	c := cc.conns[key]
 	delete(cc.conns, key)
@@ -260,7 +262,7 @@ func (cc *ClusterClient) refreshMeta() error {
 		m, err := cli.Meta()
 		if err != nil {
 			if !isRemoteErr(err) {
-				cc.dropConn(addr)
+				cc.dropConn(connKey{addr: addr})
 			}
 			lastErr = err
 			continue
@@ -342,10 +344,10 @@ func (cc *ClusterClient) sleep(d time.Duration) bool {
 // leaderConn resolves the leader of a partition and returns a
 // connection to it. A non-empty hint (from a NotLeader redirect)
 // overrides the cached view's leader.
-func (cc *ClusterClient) leaderConn(topic string, partition int, hint string) (*client, string, error) {
+func (cc *ClusterClient) leaderConn(topic string, partition int, hint string) (*client, connKey, error) {
 	m, err := cc.metaView()
 	if err != nil {
-		return nil, "", err
+		return nil, connKey{}, err
 	}
 	ldr := hint
 	if ldr == "" || m.addrOf(ldr) == "" {
@@ -355,25 +357,25 @@ func (cc *ClusterClient) leaderConn(topic string, partition int, hint string) (*
 		// Topic unknown to the cached view (or no live replica): refresh
 		// once before giving up.
 		if err := cc.refreshMeta(); err != nil {
-			return nil, "", err
+			return nil, connKey{}, err
 		}
 		cc.mu.Lock()
 		m = cc.meta
 		cc.mu.Unlock()
 		if ldr = m.LeaderOf(topic, partition); ldr == "" {
-			return nil, "", fmt.Errorf("%w: %s", errNoReplica, tpKey(topic, partition))
+			return nil, connKey{}, fmt.Errorf("%w: %s/%d", errNoReplica, topic, partition)
 		}
 	}
 	addr := m.addrOf(ldr)
 	if addr == "" {
-		return nil, "", fmt.Errorf("broker: no address for node %q", ldr)
+		return nil, connKey{}, fmt.Errorf("broker: no address for node %q", ldr)
 	}
 	// Spread partitions across lanes so same-leader partitions don't
 	// serialize behind one connection's request-at-a-time handling. The
 	// returned key identifies the lane for dropConn on failure.
-	lane := partition % clientLanes
-	cli, err := cc.connLane(addr, lane)
-	return cli, laneKey(addr, lane), err
+	key := connKey{addr, partition % clientLanes}
+	cli, err := cc.connLane(key.addr, key.lane)
+	return cli, key, err
 }
 
 // permanentErrs are broker rejections no retry can fix.
@@ -400,7 +402,7 @@ func isPermanent(err error) bool {
 // immediately, without a backoff round), broken connections, and
 // transient under-replication until the retry budget runs out.
 func (cc *ClusterClient) withLeaderRetry(topic string, partition int, op func(cli *client) error) error {
-	return cc.leaderRetry(topic, partition, "", nil, op)
+	return cc.leaderRetry(topic, partition, connKey{}, nil, op)
 }
 
 // leaderRetry is the loop behind withLeaderRetry. A non-nil err is
@@ -408,7 +410,7 @@ func (cc *ClusterClient) withLeaderRetry(topic string, partition int, op func(cl
 // starts every partition's request before awaiting any, so its attempt
 // 0 runs outside the loop; the loop classifies that failure exactly as
 // its own and carries on from attempt 1.
-func (cc *ClusterClient) leaderRetry(topic string, partition int, lane string, err error, op func(cli *client) error) error {
+func (cc *ClusterClient) leaderRetry(topic string, partition int, lane connKey, err error, op func(cli *client) error) error {
 	backoff := cc.opts.Backoff
 	hint := ""
 	followedHint := false
@@ -476,13 +478,13 @@ type partProducer struct {
 	seq uint64 // last assigned; guarded by mu
 }
 
-func (cc *ClusterClient) producer(tp string) *partProducer {
+func (cc *ClusterClient) producer(key partKey) *partProducer {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	pp, ok := cc.prod[tp]
+	pp, ok := cc.prod[key]
 	if !ok {
 		pp = &partProducer{}
-		cc.prod[tp] = pp
+		cc.prod[key] = pp
 	}
 	return pp
 }
@@ -495,7 +497,7 @@ type produceFlight struct {
 	frames    []byte // a view into the call's batch builder
 	count     int
 	cli       *client
-	lane      string // attempt 0's lane and outcome
+	lane      connKey // attempt 0's lane and outcome
 	call      flight
 	err       error
 }
@@ -533,7 +535,7 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 		if f.frames, f.count = bb.Frames(p); f.count == 0 {
 			continue
 		}
-		f.pp = cc.producer(tpKey(topicName, p))
+		f.pp = cc.producer(partKey{topicName, p})
 		f.pp.mu.Lock()
 		f.pp.seq++
 		f.seq = f.pp.seq
@@ -666,7 +668,7 @@ func (cc *ClusterClient) CreateTopic(name string, partitions int) error {
 		err = cli.CreateTopic(name, partitions)
 		if err != nil && !strings.Contains(err.Error(), "already exists") {
 			if !isRemoteErr(err) {
-				cc.dropConn(addr)
+				cc.dropConn(connKey{addr: addr})
 			}
 			return fmt.Errorf("create topic on %s: %w", addr, err)
 		}

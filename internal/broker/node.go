@@ -48,6 +48,25 @@ package broker
 // MinISR == Replicas; with fewer required acks, records on the
 // minority side of a failover can be lost, exactly as in Kafka with
 // acks < all.
+//
+// State lives in two kinds of record, and which lock guards what:
+//
+//   - partState, one per partition, hangs off the broker's partition
+//     (partition.cl). It is created the first time the node touches a
+//     partition the broker has resolved and range-checked, so a request
+//     naming a topic or partition that does not exist leaves nothing
+//     behind. p, node, topic, partition and reps never change. n.mu
+//     guards seqs, metas, remoteHWM, followHWM, replEpoch and syncing.
+//     mu serializes a produce's dedup check + append + journal and the
+//     leadership adoption in lead; committed and leading are atomics.
+//     saveMu serializes the partition's state.json writes; dirty is an
+//     atomic.
+//   - peer, one per static member, built in NewClusterNode; the table
+//     never changes. id and addr never change; n.mu guards the rest.
+//     A session's own fields are guarded by replSess.mu.
+//
+// Lock order: partState.mu → n.mu and partState.saveMu → n.mu. n.mu is
+// never held across a broker call or an RPC; replSess.mu is a leaf.
 
 import (
 	"errors"
@@ -55,6 +74,7 @@ import (
 	"log/slog"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -166,22 +186,53 @@ const metaJournalCap = 256
 // halves exchange views again once the network heals.
 const deadProbeEvery = 8
 
-// partLead is the leader-side state of one partition: the committed
-// watermark and a mutex serializing the dedup-check + append + journal
-// section of a produce (replication happens outside it). leading
-// tracks whether this node currently serves the partition as leader —
-// every ACQUISITION of leadership re-adopts the local log's high
-// watermark as committed (promotion by fiat), not just the first.
-type partLead struct {
+// partState is one node's cluster state of one partition (the locks
+// are listed at the top of this file).
+type partState struct {
+	p         *partition
+	node      *ClusterNode // owner: a record another node left behind is replaced
+	topic     string
+	partition int
+	reps      []string // rendezvous replica set; placement is static
+
+	// mu serializes the dedup-check + append + journal section of a
+	// produce (replication happens outside it). committed is the
+	// leader's committed watermark, 0 until this node first leads the
+	// partition. leading tracks whether this node currently serves the
+	// partition as leader — every ACQUISITION of leadership re-adopts
+	// the local log's high watermark as committed (promotion by fiat),
+	// not just the first.
 	mu        sync.Mutex
 	committed atomic.Int64
-	init      atomic.Bool
 	leading   atomic.Bool
+
+	seqs      map[uint64]prodSeq // pid -> last batch
+	metas     []batchMeta        // recent batch journal, oldest first
+	remoteHWM int64              // committed watermark heard from the leader
+	followHWM []int64            // per reps entry: last watermark that follower acked (0: none)
+	replEpoch int64              // highest epoch an inbound replicate carried
+	syncing   bool               // mid-takeover: no leadership yet
+
+	// saveMu serializes state.json writes so a slower older snapshot can
+	// never overwrite a newer one; dirty marks the partition for the
+	// next write-behind flush.
+	saveMu sync.Mutex
+	dirty  atomic.Bool
 }
 
-// stateSaver serializes the persisted cluster-state writes of one
-// partition so a slower older snapshot can never overwrite a newer one.
-type stateSaver struct{ mu sync.Mutex }
+func (ps *partState) String() string { return ps.topic + "/" + strconv.Itoa(ps.partition) }
+
+// peer is one static member as this node sees it.
+type peer struct {
+	id, addr  string
+	st        peerStatus // liveness in this node's view (zero: alive, version 0)
+	miss      int        // consecutive failed probes
+	seen      bool       // observed alive at least once
+	conn      *client
+	sess      *replSess  // coalescing replication session to this follower
+	probing   bool       // dead, with a slow probe in flight
+	pendAlive peerStatus // gossiped resurrection awaiting probe proof (Ver 0: none)
+}
 
 // partitionState is the on-disk cluster state of one partition, stored
 // as state.json next to its segments: the committed watermark (the
@@ -203,41 +254,20 @@ type producerEntry struct {
 type ClusterNode struct {
 	cfg     NodeConfig
 	b       *Broker
-	members []string // all member ids, sorted
+	members []string         // all member ids, sorted
+	peers   map[string]*peer // one per member, never changes
+	self    *peer
 
 	started time.Time
 
 	mu          sync.Mutex
 	epoch       int64
-	view        map[string]peerStatus // liveness per member (missing = alive, ver 0)
-	selfDeadVer int64                 // highest version anyone declared US dead at
-	joining     bool                  // not yet announced: no leadership, no replication in
-	miss        map[string]int
-	seen        map[string]bool // peers observed alive at least once
-	conns       map[string]*client
-	leads       map[string]*partLead
-	seqs        map[string]map[uint64]prodSeq // topic/partition -> pid -> last batch
-	metas       map[string][]batchMeta        // topic/partition -> recent batch journal
-	remoteHWM   map[string]int64              // topic/partition -> committed heard from the leader
-	followHWM   map[string]map[string]int64   // topic/partition -> follower -> last acked watermark
-	sess        map[string]*replSess          // follower id -> coalescing replication session
-	replEpochs  map[string]int64              // topic/partition -> highest epoch an inbound replicate carried
-	savers      map[string]*stateSaver
+	selfDeadVer int64 // highest version anyone declared US dead at
+	joining     bool  // not yet announced: no leadership, no replication in
 
 	// reg is the metrics registry handed to RegisterMetrics (nil until
 	// then); session drains observe their coalescing histograms on it.
 	reg atomic.Pointer[metrics.Registry]
-
-	stateMu    sync.Mutex
-	stateDirty map[string]tpRef // partitions awaiting a write-behind state flush
-
-	placeMu sync.RWMutex
-	place   map[string][]string // topic/partition -> cached rendezvous replica set
-
-	probing   map[string]bool       // dead peers with a slow probe in flight
-	pendAlive map[string]peerStatus // gossiped resurrections awaiting probe proof
-
-	syncing map[string]bool // topic/partition mid-takeover: no leadership yet
 
 	rejoinWake chan struct{} // signaled when a deposal demotes us mid-run
 
@@ -288,33 +318,22 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 	}
 	cfg.Log = orDiscard(cfg.Log).With("node", cfg.ID)
 	members := make([]string, 0, len(cfg.Peers))
-	for id := range cfg.Peers {
+	peers := make(map[string]*peer, len(cfg.Peers))
+	for id, addr := range cfg.Peers {
 		members = append(members, id)
+		p := &peer{id: id, addr: addr}
+		p.sess = &replSess{peer: p}
+		peers[id] = p
 	}
 	sort.Strings(members)
 	n := &ClusterNode{
 		cfg:        cfg,
 		b:          b,
 		members:    members,
+		peers:      peers,
+		self:       peers[cfg.ID],
 		started:    time.Now(),
-		view:       make(map[string]peerStatus),
 		joining:    true,
-		miss:       make(map[string]int),
-		seen:       make(map[string]bool),
-		conns:      make(map[string]*client),
-		leads:      make(map[string]*partLead),
-		seqs:       make(map[string]map[uint64]prodSeq),
-		metas:      make(map[string][]batchMeta),
-		remoteHWM:  make(map[string]int64),
-		followHWM:  make(map[string]map[string]int64),
-		sess:       make(map[string]*replSess),
-		replEpochs: make(map[string]int64),
-		savers:     make(map[string]*stateSaver),
-		stateDirty: make(map[string]tpRef),
-		place:      make(map[string][]string),
-		probing:    make(map[string]bool),
-		pendAlive:  make(map[string]peerStatus),
-		syncing:    make(map[string]bool),
 		rejoinWake: make(chan struct{}, 1),
 		done:       make(chan struct{}),
 	}
@@ -330,49 +349,36 @@ func (n *ClusterNode) loadState() error {
 	if n.b.Dir() == "" {
 		return nil
 	}
-	for _, t := range n.b.topicNames() {
-		parts, err := n.b.Partitions(t)
+	for _, ps := range n.parts() {
+		var st partitionState
+		ok, err := storage.LoadJSON(n.statePath(ps), &st)
 		if err != nil {
+			return err
+		}
+		if !ok {
 			continue
 		}
-		for p := 0; p < parts; p++ {
-			var st partitionState
-			ok, err := storage.LoadJSON(n.statePath(t, p), &st)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				continue
-			}
-			if err := n.b.truncatePartition(t, p, st.Committed); err != nil {
-				return fmt.Errorf("broker: recover %s/%d: %w", t, p, err)
-			}
-			tp := tpKey(t, p)
-			n.remoteHWM[tp] = st.Committed
-			for _, pe := range st.Producers {
-				if pe.End > st.Committed {
-					continue // covered records were truncated away
-				}
-				m, ok := n.seqs[tp]
-				if !ok {
-					m = make(map[uint64]prodSeq)
-					n.seqs[tp] = m
-				}
-				m[pe.PID] = prodSeq{seq: pe.Seq, base: pe.Base, end: pe.End}
-			}
-			for _, pe := range st.Journal {
-				if pe.End <= st.Committed {
-					n.metas[tp] = append(n.metas[tp], batchMeta{pid: pe.PID, seq: pe.Seq, base: pe.Base, end: pe.End})
-				}
-			}
-			n.cfg.Log.Info("recovered partition", "partition", tp, "committed", st.Committed)
+		if err := ps.p.truncate(st.Committed); err != nil {
+			return fmt.Errorf("broker: recover %s: %w", ps, err)
 		}
+		ps.remoteHWM = st.Committed
+		for _, pe := range st.Producers {
+			if pe.End <= st.Committed { // past it, the covered records were truncated away
+				ps.seqs[pe.PID] = prodSeq{seq: pe.Seq, base: pe.Base, end: pe.End}
+			}
+		}
+		for _, pe := range st.Journal {
+			if pe.End <= st.Committed {
+				ps.metas = append(ps.metas, batchMeta{pid: pe.PID, seq: pe.Seq, base: pe.Base, end: pe.End})
+			}
+		}
+		n.cfg.Log.Info("recovered partition", "partition", ps.String(), "committed", st.Committed)
 	}
 	return nil
 }
 
-func (n *ClusterNode) statePath(topic string, partition int) string {
-	return filepath.Join(n.b.partitionDir(topic, partition), "state.json")
+func (n *ClusterNode) statePath(ps *partState) string {
+	return filepath.Join(n.b.partitionDir(ps.topic, ps.partition), "state.json")
 }
 
 // ID returns the node's member id.
@@ -393,35 +399,58 @@ func (n *ClusterNode) Close() {
 		close(n.done)
 		n.wg.Wait()
 		n.mu.Lock()
-		for id, c := range n.conns {
-			_ = c.Close()
-			delete(n.conns, id)
+		for _, p := range n.peers {
+			n.closeConnLocked(p)
 		}
 		n.mu.Unlock()
 	})
 }
 
-func tpKey(topic string, partition int) string {
-	return topic + "/" + strconv.Itoa(partition)
+// part returns this node's record of one partition. The broker resolves
+// the topic and range-checks the index first, so a record exists only
+// for a partition the broker holds.
+func (n *ClusterNode) part(topic string, partition int) (*partState, error) {
+	p, err := n.b.partition(topic, partition)
+	if err != nil {
+		return nil, err
+	}
+	return n.record(p, topic, partition), nil
 }
 
-// replicas returns the partition's static replica set, cached: with
-// static membership, rendezvous placement never changes for the life of
-// the node, and recomputing the hash ranking on every produce/replicate
-// is measurable on the hot path. Callers must not mutate the result.
-func (n *ClusterNode) replicas(topic string, partition int) []string {
-	tp := tpKey(topic, partition)
-	n.placeMu.RLock()
-	reps, ok := n.place[tp]
-	n.placeMu.RUnlock()
-	if ok {
-		return reps
+// parts returns this node's record of every partition the broker holds,
+// in topic then partition order.
+func (n *ClusterNode) parts() []*partState {
+	var out []*partState
+	for _, name := range n.b.topicNames() {
+		t, err := n.b.topic(name)
+		if err != nil {
+			break // closed
+		}
+		for i, p := range t.partitions {
+			out = append(out, n.record(p, name, i))
+		}
 	}
-	reps = replicasFor(topic, partition, n.members, n.cfg.Replicas)
-	n.placeMu.Lock()
-	n.place[tp] = reps
-	n.placeMu.Unlock()
-	return reps
+	return out
+}
+
+// record returns (creating on first use) this node's record on a
+// resolved partition. The replica set is computed once here: with
+// static membership rendezvous placement never changes, and recomputing
+// the hash ranking on every produce/replicate is measurable on the hot
+// path.
+func (n *ClusterNode) record(p *partition, topic string, partition int) *partState {
+	for {
+		cur := p.cl.Load()
+		if cur != nil && cur.node == n {
+			return cur
+		}
+		reps := replicasFor(topic, partition, n.members, n.cfg.Replicas)
+		ps := &partState{p: p, node: n, topic: topic, partition: partition, reps: reps,
+			seqs: make(map[uint64]prodSeq), followHWM: make([]int64, len(reps))}
+		if p.cl.CompareAndSwap(cur, ps) {
+			return ps
+		}
+	}
 }
 
 // ---- membership view ----
@@ -439,50 +468,51 @@ func (n *ClusterNode) heartbeatLoop() {
 		}
 		tick++
 		for _, id := range n.members {
-			if id == n.cfg.ID {
+			p := n.peers[id]
+			if p == n.self {
 				continue
 			}
-			if n.isDead(id) {
+			if n.isDead(p) {
 				// Slow-probe dead peers to catch healed partitions — in
 				// the background, because dialing an address that is
 				// actually down can block for the full dial timeout and
 				// must not stall liveness probing of healthy peers.
 				if tick%deadProbeEvery == 0 {
-					n.probeDeadAsync(id)
+					n.probeDeadAsync(p)
 				}
 				continue
 			}
-			n.probe(id)
+			n.probe(p)
 		}
 	}
 }
 
 // probeDeadAsync probes one dead peer off the heartbeat loop, at most
 // one probe in flight per peer.
-func (n *ClusterNode) probeDeadAsync(id string) {
+func (n *ClusterNode) probeDeadAsync(p *peer) {
 	n.mu.Lock()
-	if n.probing[id] {
+	if p.probing {
 		n.mu.Unlock()
 		return
 	}
-	n.probing[id] = true
+	p.probing = true
 	n.mu.Unlock()
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.probe(id)
+		n.probe(p)
 		n.mu.Lock()
-		delete(n.probing, id)
+		p.probing = false
 		n.mu.Unlock()
 	}()
 }
 
 // probe heartbeats one peer, exchanging views: the request carries our
 // epoch + status view, the response the peer's, and both sides merge.
-func (n *ClusterNode) probe(id string) {
-	cli, err := n.peerClient(id)
+func (n *ClusterNode) probe(p *peer) {
+	cli, err := n.peerClient(p)
 	if err != nil {
-		n.markFailure(id, err)
+		n.markFailure(p, err)
 		return
 	}
 	epoch, view := n.viewCopy()
@@ -491,55 +521,56 @@ func (n *ClusterNode) probe(id string) {
 		// Ping IS the liveness probe, so any failure counts — but only a
 		// transport failure taints the connection.
 		if !isRemoteErr(err) {
-			n.dropConn(id, cli)
+			n.dropConn(p, cli)
 		}
-		n.markFailure(id, err)
+		n.markFailure(p, err)
 		return
 	}
-	n.adoptPendingAlive(id)
-	n.markAlive(id)
+	n.adoptPendingAlive(p)
+	n.markAlive(p)
 	n.mergeView(repoch, rview)
 }
 
 // adoptPendingAlive completes a gossiped resurrection once this node
 // has proof it can actually reach the peer (a probe just succeeded).
-func (n *ClusterNode) adoptPendingAlive(id string) {
+func (n *ClusterNode) adoptPendingAlive(p *peer) {
 	n.mu.Lock()
-	st, ok := n.pendAlive[id]
-	if !ok {
+	st := p.pendAlive
+	if st.Ver == 0 {
 		n.mu.Unlock()
 		return
 	}
-	delete(n.pendAlive, id)
-	if !n.view[id].Dead || st.Ver <= n.view[id].Ver {
+	p.pendAlive = peerStatus{}
+	if !p.st.Dead || st.Ver <= p.st.Ver {
 		n.mu.Unlock()
 		return
 	}
-	n.view[id] = st
-	n.miss[id] = 0
+	p.st = st
+	p.miss = 0
 	n.epoch++
 	epoch := n.epoch
 	n.mu.Unlock()
-	n.cfg.Log.Info("peer rejoined", "peer", id, "ver", st.Ver, "epoch", epoch)
+	n.cfg.Log.Info("peer rejoined", "peer", p.id, "ver", st.Ver, "epoch", epoch)
 }
 
-// viewCopy returns the current epoch and a copy of the status view,
-// always including this node's own entry (its self-announcement).
+// viewCopy returns the current epoch and a copy of the status view:
+// every member with a status other than (alive, version 0), and always
+// this node's own entry (its self-announcement).
 func (n *ClusterNode) viewCopy() (int64, map[string]peerStatus) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[string]peerStatus, len(n.view)+1)
-	for id, st := range n.view {
-		out[id] = st
-	}
-	if _, ok := out[n.cfg.ID]; !ok {
-		out[n.cfg.ID] = peerStatus{}
+	out := make(map[string]peerStatus, len(n.peers))
+	for id, p := range n.peers {
+		if p.st != (peerStatus{}) || p == n.self {
+			out[id] = p.st
+		}
 	}
 	return n.epoch, out
 }
 
 // mergeView folds a peer's view into ours: per-member entries with a
-// higher status version win; epochs take the max. One exception: a
+// higher status version win; epochs take the max; ids that are not
+// members are ignored. One exception: a
 // dead→alive transition is never adopted on hearsay — it parks in
 // pendAlive until our own probe of that peer succeeds. A node never
 // adopts "dead" for ITSELF — instead, learning that the cluster deposed it
@@ -548,19 +579,23 @@ func (n *ClusterNode) viewCopy() (int64, map[string]peerStatus) {
 func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 	n.mu.Lock()
 	demoted := false
-	var verify []string
+	var verify []*peer
 	for id, st := range remote {
-		if id == n.cfg.ID {
+		p := n.peers[id]
+		if p == nil {
+			continue
+		}
+		if p == n.self {
 			if st.Dead && st.Ver > n.selfDeadVer {
 				n.selfDeadVer = st.Ver
 			}
-			if st.Dead && !n.joining && st.Ver >= n.view[n.cfg.ID].Ver {
+			if st.Dead && !n.joining && st.Ver >= p.st.Ver {
 				n.joining = true
 				demoted = true
 			}
 			continue
 		}
-		cur := n.view[id]
+		cur := p.st
 		if st.Ver > cur.Ver {
 			if cur.Dead && !st.Dead {
 				// Gossiped resurrection: do NOT adopt it on hearsay. Under
@@ -569,21 +604,18 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 				// every probe of it times out — adopting here would flap
 				// leadership back onto a node nobody can reach. Stash the
 				// offer and verify with our own probe (adoptPendingAlive).
-				if p := n.pendAlive[id]; st.Ver > p.Ver {
-					n.pendAlive[id] = st
-					verify = append(verify, id)
+				if st.Ver > p.pendAlive.Ver {
+					p.pendAlive = st
+					verify = append(verify, p)
 				}
 				continue
 			}
-			n.view[id] = st
+			p.st = st
 			if st.Dead != cur.Dead {
 				n.epoch++
 				if st.Dead {
 					n.cfg.Log.Info("peer dead by gossip", "peer", id, "ver", st.Ver)
-					if c := n.conns[id]; c != nil {
-						_ = c.Close()
-						delete(n.conns, id)
-					}
+					n.closeConnLocked(p)
 				}
 			}
 		}
@@ -592,8 +624,8 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 		n.epoch = epoch
 	}
 	n.mu.Unlock()
-	for _, id := range verify {
-		n.probeDeadAsync(id)
+	for _, p := range verify {
+		n.probeDeadAsync(p)
 	}
 	if demoted {
 		n.cfg.Log.Warn("deposed by the cluster; demoting to rejoin")
@@ -621,16 +653,16 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 // through mergeView's version bumps.
 func (n *ClusterNode) handlePing(sender string, epoch int64, view map[string]peerStatus) (int64, map[string]peerStatus) {
 	n.mergeView(epoch, view)
-	if sender != "" {
-		n.markSeen(sender)
+	if p := n.peers[sender]; p != nil {
+		n.markSeen(p)
 	}
 	return n.viewCopy()
 }
 
-func (n *ClusterNode) isDead(id string) bool {
+func (n *ClusterNode) isDead(p *peer) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.view[id].Dead
+	return p.st.Dead
 }
 
 func (n *ClusterNode) isJoining() bool {
@@ -643,83 +675,84 @@ func (n *ClusterNode) isJoining() bool {
 // peer; FailAfter consecutive failures declare it dead (bumping its
 // status version and the epoch), which moves leadership of its
 // partitions to the next replica.
-func (n *ClusterNode) markFailure(id string, err error) {
+func (n *ClusterNode) markFailure(p *peer, err error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.view[id].Dead {
+	if p.st.Dead {
 		return
 	}
-	if !n.seen[id] && time.Since(n.started) < startupGrace {
+	if !p.seen && time.Since(n.started) < startupGrace {
 		return // peer may simply not have booted yet
 	}
-	n.miss[id]++
-	if n.miss[id] < n.cfg.FailAfter {
+	p.miss++
+	if p.miss < n.cfg.FailAfter {
 		return
 	}
-	n.view[id] = peerStatus{Dead: true, Ver: n.view[id].Ver + 1}
+	p.st = peerStatus{Dead: true, Ver: p.st.Ver + 1}
 	n.epoch++
-	if c := n.conns[id]; c != nil {
-		_ = c.Close()
-		delete(n.conns, id)
-	}
-	n.cfg.Log.Warn("peer declared dead", "peer", id, "epoch", n.epoch, "err", err)
+	n.closeConnLocked(p)
+	n.cfg.Log.Warn("peer declared dead", "peer", p.id, "epoch", n.epoch, "err", err)
 }
 
-func (n *ClusterNode) markAlive(id string) {
+func (n *ClusterNode) markAlive(p *peer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if !n.view[id].Dead {
-		n.miss[id] = 0
-		n.seen[id] = true
+	if !p.st.Dead {
+		p.miss = 0
+		p.seen = true
 	}
 }
 
 // markSeen records that a peer has demonstrably booted (it contacted
 // us), ending its startupGrace — without vouching for our ability to
 // reach it (see handlePing).
-func (n *ClusterNode) markSeen(id string) {
+func (n *ClusterNode) markSeen(p *peer) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.seen[id] = true
+	p.seen = true
 }
 
 // peerClient returns (dialing if needed) the connection to a peer.
-func (n *ClusterNode) peerClient(id string) (*client, error) {
+func (n *ClusterNode) peerClient(p *peer) (*client, error) {
 	n.mu.Lock()
-	if c, ok := n.conns[id]; ok {
-		n.mu.Unlock()
-		return c, nil
-	}
-	addr, ok := n.cfg.Peers[id]
+	c := p.conn
 	n.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("broker: unknown peer %q", id)
+	if c != nil {
+		return c, nil
 	}
 	// Peer RPCs (replication pushes, rejoin fetches, meta) run under
 	// RPCTimeout as the connection default; probes override per-op.
-	c, err := dial(addr, n.cfg.DialTimeout, n.cfg.RPCTimeout)
+	c, err := dial(p.addr, n.cfg.DialTimeout, n.cfg.RPCTimeout)
 	if err != nil {
 		return nil, err
 	}
 	n.mu.Lock()
-	if prev, ok := n.conns[id]; ok { // lost the dial race; keep the first
+	if prev := p.conn; prev != nil { // lost the dial race; keep the first
 		n.mu.Unlock()
 		_ = c.Close()
 		return prev, nil
 	}
-	n.conns[id] = c
+	p.conn = c
 	n.mu.Unlock()
 	return c, nil
 }
 
 // dropConn discards a broken peer connection (only if still current).
-func (n *ClusterNode) dropConn(id string, c *client) {
+func (n *ClusterNode) dropConn(p *peer, c *client) {
 	n.mu.Lock()
-	if n.conns[id] == c {
-		delete(n.conns, id)
+	if p.conn == c {
+		p.conn = nil
 	}
 	n.mu.Unlock()
 	_ = c.Close()
+}
+
+// closeConnLocked closes and forgets a peer's connection (n.mu held).
+func (n *ClusterNode) closeConnLocked(p *peer) {
+	if p.conn != nil {
+		_ = p.conn.Close()
+		p.conn = nil
+	}
 }
 
 // ---- join / rejoin ----
@@ -763,20 +796,18 @@ func (n *ClusterNode) syncAndJoin() {
 	// Leadership from a previous incarnation is void: every partition
 	// re-adopts its (possibly truncated) watermark when leadership is
 	// next acquired, and any replication sessions of the old reign are
-	// torn down (no-op at first boot; sessions are rebuilt lazily when
-	// leadership returns).
-	n.mu.Lock()
-	for _, pl := range n.leads {
-		pl.leading.Store(false)
+	// torn down (no-op at first boot).
+	for _, ps := range n.parts() {
+		ps.leading.Store(false)
 	}
-	n.mu.Unlock()
 	n.closeSessions()
 	var bestMeta *ClusterMeta
 	for _, id := range n.members {
-		if id == n.cfg.ID {
+		p := n.peers[id]
+		if p == n.self {
 			continue
 		}
-		cli, err := n.peerClient(id)
+		cli, err := n.peerClient(p)
 		if err != nil {
 			continue
 		}
@@ -785,7 +816,7 @@ func (n *ClusterNode) syncAndJoin() {
 			n.mergeView(repoch, rview)
 		} else {
 			if !isRemoteErr(err) {
-				n.dropConn(id, cli)
+				n.dropConn(p, cli)
 			}
 			continue
 		}
@@ -814,11 +845,11 @@ func (n *ClusterNode) syncAndJoin() {
 		takeovers = n.resyncPartitions(bestMeta)
 	}
 	n.mu.Lock()
-	ver := n.view[n.cfg.ID].Ver
+	ver := n.self.st.Ver
 	if n.selfDeadVer >= ver {
 		ver = n.selfDeadVer + 1
 	}
-	n.view[n.cfg.ID] = peerStatus{Dead: false, Ver: ver}
+	n.self.st = peerStatus{Dead: false, Ver: ver}
 	n.joining = false
 	n.epoch++
 	epoch := n.epoch
@@ -830,9 +861,8 @@ func (n *ClusterNode) syncAndJoin() {
 // takeover is one partition whose leadership falls back to this node
 // once its rejoin announcement spreads.
 type takeover struct {
-	topic     string
-	partition int
-	oldLeader string
+	ps        *partState
+	oldLeader *peer
 }
 
 // resyncPartitions runs the pre-announce log repair for every local
@@ -844,44 +874,32 @@ func (n *ClusterNode) resyncPartitions(m *ClusterMeta) []takeover {
 	var takeovers []takeover
 	for t, ti := range m.Topics {
 		for p := range ti.Partitions {
-			ldr := ti.Partitions[p].Leader
-			if ldr == "" || ldr == n.cfg.ID {
+			ldr := n.peers[ti.Partitions[p].Leader]
+			if ldr == nil || ldr == n.self {
 				continue
 			}
-			selfReplica := false
-			for _, id := range ti.Partitions[p].Replicas {
-				if id == n.cfg.ID {
-					selfReplica = true
-				}
-			}
-			if !selfReplica {
+			ps, err := n.part(t, p)
+			if err != nil || !slices.Contains(ps.reps, n.cfg.ID) {
 				continue
 			}
-			committed, err := n.leaderCommitted(ldr, t, p)
+			committed, err := n.leaderCommitted(ldr, ps)
 			if err != nil {
-				n.cfg.Log.Warn("rejoin: leader unreachable", "partition", tpKey(t, p), "leader", ldr, "err", err)
+				n.cfg.Log.Warn("rejoin: leader unreachable", "partition", ps.String(), "leader", ldr.id, "err", err)
 				continue
 			}
-			n.truncateDivergence(t, p, ldr, committed)
-			if err := n.pullCommitted(ldr, t, p); err != nil {
-				n.cfg.Log.Warn("rejoin: pull failed", "partition", tpKey(t, p), "leader", ldr, "err", err)
+			n.truncateDivergence(ps, ldr.id, committed)
+			if err := n.pullCommitted(ldr, ps); err != nil {
+				n.cfg.Log.Warn("rejoin: pull failed", "partition", ps.String(), "leader", ldr.id, "err", err)
 			}
 			// Will leadership fall back to us once we are alive again?
-			// (First replica in rendezvous order that is live in our
-			// merged view, counting ourselves.)
-			first := ""
-			for _, id := range ti.Partitions[p].Replicas {
-				if id == n.cfg.ID || !n.isDead(id) {
-					first = id
-					break
-				}
+			n.mu.Lock()
+			back := n.leaderLocked(ps, false) == n.cfg.ID
+			if back {
+				ps.syncing = true
 			}
-			if first == n.cfg.ID {
-				tp := tpKey(t, p)
-				n.mu.Lock()
-				n.syncing[tp] = true
-				n.mu.Unlock()
-				takeovers = append(takeovers, takeover{topic: t, partition: p, oldLeader: ldr})
+			n.mu.Unlock()
+			if back {
+				takeovers = append(takeovers, takeover{ps: ps, oldLeader: ldr})
 			}
 		}
 	}
@@ -891,53 +909,40 @@ func (n *ClusterNode) resyncPartitions(m *ClusterMeta) []takeover {
 // leaderCommitted asks a (possibly former) leader for its committed
 // watermark of a partition via the replica-fetch surface, which is not
 // leadership-gated.
-func (n *ClusterNode) leaderCommitted(ldr, t string, p int) (int64, error) {
+func (n *ClusterNode) leaderCommitted(ldr *peer, ps *partState) (int64, error) {
 	cli, err := n.peerClient(ldr)
 	if err != nil {
 		return 0, err
 	}
-	return cli.replicaHWM(n.cfg.ID, t, p)
+	return cli.replicaHWM(n.cfg.ID, ps.topic, ps.partition)
 }
 
 // truncateDivergence cuts one local partition log back to the leader's
 // committed watermark and drops dedup state past the cut.
-func (n *ClusterNode) truncateDivergence(t string, p int, ldr string, committed int64) {
-	local, err := n.b.HighWatermark(t, p)
-	if err != nil || local <= committed {
+func (n *ClusterNode) truncateDivergence(ps *partState, ldr string, committed int64) {
+	local := ps.p.log.HighWatermark()
+	if local <= committed {
 		return
 	}
-	if err := n.b.truncatePartition(t, p, committed); err != nil {
-		n.cfg.Log.Error("rejoin: truncate failed", "partition", tpKey(t, p), "err", err)
+	if err := ps.p.truncate(committed); err != nil {
+		n.cfg.Log.Error("rejoin: truncate failed", "partition", ps.String(), "err", err)
 		return
 	}
-	tp := tpKey(t, p)
+	ps.leading.Store(false)
 	n.mu.Lock()
-	if pl, ok := n.leads[tp]; ok {
-		pl.leading.Store(false)
-		if pl.committed.Load() > committed {
-			pl.committed.Store(committed) // the cut discarded those records
+	if ps.committed.Load() > committed {
+		ps.committed.Store(committed) // the cut discarded those records
+	}
+	ps.remoteHWM = min(ps.remoteHWM, committed)
+	for pid, last := range ps.seqs {
+		if last.end > committed {
+			delete(ps.seqs, pid)
 		}
 	}
-	if n.remoteHWM[tp] > committed {
-		n.remoteHWM[tp] = committed
-	}
-	if m := n.seqs[tp]; m != nil {
-		for pid, ps := range m {
-			if ps.end > committed {
-				delete(m, pid)
-			}
-		}
-	}
-	kept := n.metas[tp][:0]
-	for _, bm := range n.metas[tp] {
-		if bm.end <= committed {
-			kept = append(kept, bm)
-		}
-	}
-	n.metas[tp] = kept
+	ps.metas = slices.DeleteFunc(ps.metas, func(bm batchMeta) bool { return bm.end > committed })
 	n.mu.Unlock()
-	n.saveClusterState(t, p)
-	n.cfg.Log.Info("rejoin: truncated divergence", "partition", tp, "from", local,
+	n.saveClusterState(ps)
+	n.cfg.Log.Info("rejoin: truncated divergence", "partition", ps.String(), "from", local,
 		"leader", ldr, "committed", committed)
 }
 
@@ -945,37 +950,31 @@ func (n *ClusterNode) truncateDivergence(t string, p int, ldr string, committed 
 // from a peer via replica-fetch, applying them through the idempotent
 // replicated-append path: raw frame chunks over the rfetch op, one
 // buffer reused across rounds, appended verbatim.
-func (n *ClusterNode) pullCommitted(ldr, t string, p int) error {
+func (n *ClusterNode) pullCommitted(ldr *peer, ps *partState) error {
 	cli, err := n.peerClient(ldr)
 	if err != nil {
 		return err
 	}
-	tp := tpKey(t, p)
 	var buf []byte
 	for {
-		local, err := n.b.HighWatermark(t, p)
-		if err != nil {
-			return err
-		}
+		local := ps.p.log.HighWatermark()
 		// replicaFetch always serves from the requested offset, so the
 		// chunk's base is `local` — frames carry no offsets of their own.
-		frames, count, err := cli.replicaFetchFrames(n.cfg.ID, t, p, local, 4096, buf[:0])
+		frames, count, err := cli.replicaFetchFrames(n.cfg.ID, ps.topic, ps.partition, local, 4096, buf[:0])
 		if err != nil {
 			return err
 		}
 		buf = frames[:0]
 		if count == 0 {
-			n.saveClusterState(t, p)
+			n.saveClusterState(ps)
 			return nil
 		}
-		hwm, err := n.b.replicateAppendFrames(t, p, local, frames, count)
+		hwm, err := ps.p.replicateAppend(local, frames, count)
 		if err != nil {
 			return err
 		}
 		n.mu.Lock()
-		if hwm > n.remoteHWM[tp] {
-			n.remoteHWM[tp] = hwm
-		}
+		ps.remoteHWM = max(ps.remoteHWM, hwm)
 		n.mu.Unlock()
 	}
 }
@@ -989,15 +988,15 @@ func (n *ClusterNode) pullCommitted(ldr, t string, p int) error {
 func (n *ClusterNode) finishTakeovers(takeovers []takeover) {
 	deadline := time.Now().Add(30 * time.Second)
 	for _, to := range takeovers {
-		tp := tpKey(to.topic, to.partition)
+		ps := to.ps
 		for !n.isDead(to.oldLeader) && !time.Now().After(deadline) {
 			deferred := false
 			if cli, err := n.peerClient(to.oldLeader); err == nil {
 				if m, err := cli.Meta(); err == nil {
-					deferred = m.LeaderOf(to.topic, to.partition) == n.cfg.ID
+					deferred = m.LeaderOf(ps.topic, ps.partition) == n.cfg.ID
 				}
 			}
-			err := n.pullCommitted(to.oldLeader, to.topic, to.partition)
+			err := n.pullCommitted(to.oldLeader, ps)
 			if err == nil && deferred {
 				// The old leader had already deferred before this pull,
 				// so its committed watermark was final and is drained.
@@ -1010,172 +1009,113 @@ func (n *ClusterNode) finishTakeovers(takeovers []takeover) {
 			}
 		}
 		n.mu.Lock()
-		delete(n.syncing, tp)
+		ps.syncing = false
 		n.mu.Unlock()
-		n.saveClusterState(to.topic, to.partition)
-		n.cfg.Log.Info("took over leadership", "partition", tp, "from", to.oldLeader)
+		n.saveClusterState(ps)
+		n.cfg.Log.Info("took over leadership", "partition", ps.String(), "from", to.oldLeader.id)
 	}
 }
 
 // ---- placement ----
 
-// leaderFor returns the current leader of a partition in this node's
-// view: the first live replica in rendezvous order ("" if none live).
-// While this node is joining, or mid-takeover of the partition, it
-// never claims leadership.
-func (n *ClusterNode) leaderFor(topic string, partition int) string {
-	reps := n.replicas(topic, partition)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, id := range reps {
-		if id == n.cfg.ID && (n.joining || n.syncing[tpKey(topic, partition)]) {
+// leaderLocked is the leader rule: the first live replica in rendezvous
+// order ("" if none live). This node passes itself over while joining
+// or mid-takeover of the partition (n.mu held).
+func (n *ClusterNode) leaderLocked(ps *partState, joining bool) string {
+	for _, id := range ps.reps {
+		if id == n.cfg.ID && (joining || ps.syncing) {
 			continue
 		}
-		if !n.view[id].Dead {
+		if !n.peers[id].st.Dead {
 			return id
 		}
 	}
 	return ""
 }
 
+// leaderFor returns the current leader of a partition in this node's
+// view.
+func (n *ClusterNode) leaderFor(ps *partState) string {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.leaderLocked(ps, n.joining)
+}
+
 // meta builds the metadata snapshot the "meta" control op serves.
 func (n *ClusterNode) meta() *ClusterMeta {
+	parts := n.parts()
+	m := &ClusterMeta{Topics: make(map[string]TopicInfo)}
 	n.mu.Lock()
-	epoch := n.epoch
-	joining := n.joining
-	syncing := make(map[string]bool, len(n.syncing))
-	for tp := range n.syncing {
-		syncing[tp] = true
-	}
-	dead := make(map[string]bool, len(n.view))
-	for id, st := range n.view {
-		if st.Dead {
-			dead[id] = true
-		}
-	}
-	n.mu.Unlock()
-	m := &ClusterMeta{Epoch: epoch, Topics: make(map[string]TopicInfo)}
+	defer n.mu.Unlock()
+	m.Epoch = n.epoch
 	for _, id := range n.members {
-		m.Nodes = append(m.Nodes, NodeInfo{ID: id, Addr: n.cfg.Peers[id], Alive: !dead[id]})
+		p := n.peers[id]
+		m.Nodes = append(m.Nodes, NodeInfo{ID: id, Addr: p.addr, Alive: !p.st.Dead})
 	}
-	for _, t := range n.b.topicNames() {
-		parts, err := n.b.Partitions(t)
-		if err != nil {
-			continue
-		}
-		ti := TopicInfo{Partitions: make([]PartitionInfo, parts)}
-		for p := 0; p < parts; p++ {
-			reps := n.replicas(t, p)
-			leader := ""
-			for _, id := range reps {
-				if id == n.cfg.ID && (joining || syncing[tpKey(t, p)]) {
-					continue
-				}
-				if !dead[id] {
-					leader = id
-					break
-				}
-			}
-			ti.Partitions[p] = PartitionInfo{Leader: leader, Replicas: reps}
-		}
-		m.Topics[t] = ti
+	for _, ps := range parts {
+		ti := m.Topics[ps.topic]
+		ti.Partitions = append(ti.Partitions, PartitionInfo{Leader: n.leaderLocked(ps, n.joining), Replicas: ps.reps})
+		m.Topics[ps.topic] = ti
 	}
 	return m
 }
 
 // ---- leader data path ----
 
-// lead returns (creating and initializing if needed) the leader-side
-// state of a partition.
-func (n *ClusterNode) lead(topic string, partition int) (*partLead, error) {
-	key := tpKey(topic, partition)
-	n.mu.Lock()
-	pl, ok := n.leads[key]
-	if !ok {
-		pl = &partLead{}
-		n.leads[key] = pl
+// lead records that this node now serves the partition as leader. On
+// each ACQUISITION of leadership the committed watermark adopts the
+// local log's high watermark: everything a promoted replica holds was
+// replicated to it and becomes committed by fiat, the classic
+// bounded-by-the-replicated-HWM promotion rule. (The flag is cleared
+// when replication from another leader arrives, or on a demotion — so
+// a RE-promotion adopts again.)
+func (ps *partState) lead() {
+	if ps.leading.Load() {
+		return
 	}
-	n.mu.Unlock()
-	if !pl.init.Load() {
-		pl.mu.Lock()
-		if !pl.init.Load() {
-			hwm, err := n.b.HighWatermark(topic, partition)
-			if err != nil {
-				pl.mu.Unlock()
-				return nil, err
-			}
-			pl.committed.Store(hwm)
-			pl.init.Store(true)
-		}
-		pl.mu.Unlock()
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.leading.Load() {
+		return
 	}
-	return pl, nil
+	if hwm := ps.p.log.HighWatermark(); hwm > ps.committed.Load() {
+		ps.committed.Store(hwm)
+	}
+	ps.leading.Store(true)
 }
 
-// markLeading records that this node now serves the partition as
-// leader. On each ACQUISITION of leadership the committed watermark
-// adopts the local log's high watermark: everything a promoted replica
-// holds was replicated to it and becomes committed by fiat, the
-// classic bounded-by-the-replicated-HWM promotion rule. (The flag is
-// cleared when replication from another leader arrives, or on a
-// demotion — so a RE-promotion adopts again.)
-func (n *ClusterNode) markLeading(pl *partLead, topic string, partition int) {
-	if pl.leading.Load() {
-		return
-	}
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if pl.leading.Load() {
-		return
-	}
-	hwm, err := n.b.HighWatermark(topic, partition)
-	if err != nil {
-		return
-	}
-	if hwm > pl.committed.Load() {
-		pl.committed.Store(hwm)
-	}
-	pl.leading.Store(true)
-}
-
-func (n *ClusterNode) lastSeq(tp string, pid uint64) (prodSeq, bool) {
+func (n *ClusterNode) lastSeq(ps *partState, pid uint64) (prodSeq, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	ps, ok := n.seqs[tp][pid]
-	return ps, ok
+	last, ok := ps.seqs[pid]
+	return last, ok
 }
 
 // noteBatch records a producer's batch — in the dedup table (if newer
 // than what is known) and in the partition's bounded replication
 // journal.
-func (n *ClusterNode) noteBatch(tp string, bm batchMeta) {
+func (n *ClusterNode) noteBatch(ps *partState, bm batchMeta) {
 	if bm.pid == 0 {
 		return
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m, ok := n.seqs[tp]
-	if !ok {
-		m = make(map[uint64]prodSeq)
-		n.seqs[tp] = m
+	if cur, ok := ps.seqs[bm.pid]; !ok || bm.seq > cur.seq {
+		ps.seqs[bm.pid] = prodSeq{seq: bm.seq, base: bm.base, end: bm.end}
 	}
-	if cur, ok := m[bm.pid]; !ok || bm.seq > cur.seq {
-		m[bm.pid] = prodSeq{seq: bm.seq, base: bm.base, end: bm.end}
+	ps.metas = append(ps.metas, bm)
+	if len(ps.metas) > metaJournalCap {
+		ps.metas = ps.metas[len(ps.metas)-metaJournalCap:]
 	}
-	j := append(n.metas[tp], bm)
-	if len(j) > metaJournalCap {
-		j = j[len(j)-metaJournalCap:]
-	}
-	n.metas[tp] = j
 }
 
 // metasInRange returns the journal entries overlapping [from, to) — the
 // dedup state shipped with a replicated chunk of that range.
-func (n *ClusterNode) metasInRange(tp string, from, to int64) []batchMeta {
+func (n *ClusterNode) metasInRange(ps *partState, from, to int64) []batchMeta {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var out []batchMeta
-	for _, bm := range n.metas[tp] {
+	for _, bm := range ps.metas {
 		if bm.end > from && bm.base < to {
 			out = append(out, bm)
 		}
@@ -1194,65 +1134,55 @@ func (n *ClusterNode) metasInRange(tp string, from, to int64) []batchMeta {
 // trace ID, forwarded on every replicate so a follower's wire log shows
 // the same ID the edge minted (0 = untraced).
 func (n *ClusterNode) producePartFrames(trace uint64, topic string, partition int, pid, seq uint64, frames []byte, count int) (int, error) {
-	ldr := n.leaderFor(topic, partition)
-	if ldr == "" {
-		return 0, errNoReplica
-	}
-	if ldr != n.cfg.ID {
-		return 0, notLeaderError(ldr)
-	}
-	pl, err := n.lead(topic, partition)
+	ps, err := n.leaderState(topic, partition)
 	if err != nil {
 		return 0, err
 	}
-	n.markLeading(pl, topic, partition)
-	tp := tpKey(topic, partition)
-
 	var base, end int64
 	redrive := false
-	pl.mu.Lock()
+	ps.mu.Lock()
 	if n.isJoining() { // deposed between the leadership check and here
-		pl.mu.Unlock()
+		ps.mu.Unlock()
 		return 0, notLeaderError("")
 	}
 	if pid != 0 {
-		if ps, ok := n.lastSeq(tp, pid); ok && seq <= ps.seq {
-			if seq < ps.seq || pl.committed.Load() >= ps.end {
+		if last, ok := n.lastSeq(ps, pid); ok && seq <= last.seq {
+			if seq < last.seq || ps.committed.Load() >= last.end {
 				// Already appended and committed: a duplicate retry.
-				pl.mu.Unlock()
+				ps.mu.Unlock()
 				return count, nil
 			}
 			// Retry of the latest batch, appended but not yet committed
 			// (e.g. the previous attempt failed its replica acks): the
 			// records are in the log, so re-drive replication only.
-			base, end, redrive = ps.base, ps.end, true
+			base, end, redrive = last.base, last.end, true
 		}
 	}
 	if !redrive {
-		base, err = n.b.producePartitionFrames(topic, partition, frames, count)
+		base, err = ps.p.appendFrames(frames, count)
 		if err != nil {
-			pl.mu.Unlock()
+			ps.mu.Unlock()
 			return 0, err
 		}
 		end = base + int64(count)
-		n.noteBatch(tp, batchMeta{pid: pid, seq: seq, base: base, end: end})
+		n.noteBatch(ps, batchMeta{pid: pid, seq: seq, base: base, end: end})
 	}
-	pl.mu.Unlock()
+	ps.mu.Unlock()
 	if redrive {
 		// The retried batch is already in the log; re-read its exact
 		// frames and drive replication again.
 		var fn int
-		if frames, fn, err = n.b.fetchFrames(topic, partition, base, int(end-base), nil); err != nil {
+		if frames, fn, err = ps.p.log.ReadFrames(base, int(end-base), nil); err != nil {
 			return 0, err
 		}
 		if int64(fn) < end-base {
 			return 0, fmt.Errorf("broker: redrive short read at %d", base)
 		}
 	}
-	if err := n.replicateOut(trace, pl, topic, partition, base, end, frames); err != nil {
+	if err := n.replicateOut(trace, ps, base, end, frames); err != nil {
 		return 0, err
 	}
-	n.noteStateDirty(topic, partition)
+	n.noteStateDirty(ps)
 	return count, nil
 }
 
@@ -1276,9 +1206,7 @@ var errReplSessionClosed = errors.New("broker: replication session closed")
 // must be completely done with the bytes before signaling done.
 type replItem struct {
 	trace     uint64
-	pl        *partLead
-	topic     string
-	partition int
+	ps        *partState
 	base, end int64
 	frames    []byte
 	done      chan error
@@ -1299,7 +1227,7 @@ const replPipeline = 2
 // channel cannot do without racing senders (an item landing after the
 // final drain would park its producer forever).
 type replSess struct {
-	id       string
+	peer     *peer
 	mu       sync.Mutex
 	wait     []*replItem
 	closed   bool
@@ -1384,20 +1312,6 @@ func (s *replSess) close() []*replItem {
 	return rest
 }
 
-// session returns (creating if needed) the replication session to a
-// follower. Sessions are created lazily on the first chunk routed to
-// the follower and torn down on demotion or Close.
-func (n *ClusterNode) session(id string) *replSess {
-	n.mu.Lock()
-	s, ok := n.sess[id]
-	if !ok {
-		s = &replSess{id: id}
-		n.sess[id] = s
-	}
-	n.mu.Unlock()
-	return s
-}
-
 // failSession closes a session and fails everything still queued — the
 // demotion drain: parked producers get an answer (and retry against the
 // current leader) instead of a stale batch being delivered under a new
@@ -1408,17 +1322,20 @@ func (n *ClusterNode) failSession(s *replSess) {
 	}
 }
 
-// closeSessions tears down every follower session. Called on demotion
-// and when rejoining; an in-flight RPC still completes and answers its
-// producers normally (the follower-side replication epoch fence is the
-// backstop for batches already on the wire). Sessions are rebuilt
-// lazily if leadership returns.
+// closeSessions tears down every follower session, each peer getting a
+// fresh one in its place. Called on demotion and when rejoining; an
+// in-flight RPC still completes and answers its producers normally (the
+// follower-side replication epoch fence is the backstop for batches
+// already on the wire).
 func (n *ClusterNode) closeSessions() {
+	old := make([]*replSess, 0, len(n.peers))
 	n.mu.Lock()
-	sess := n.sess
-	n.sess = make(map[string]*replSess)
+	for _, p := range n.peers {
+		old = append(old, p.sess)
+		p.sess = &replSess{peer: p}
+	}
 	n.mu.Unlock()
-	for _, s := range sess {
+	for _, s := range old {
 		n.failSession(s)
 	}
 }
@@ -1452,7 +1369,7 @@ func (n *ClusterNode) driveSession(s *replSess) {
 // queue order.
 type sendSection struct {
 	sec   replSection
-	pl    *partLead
+	ps    *partState
 	trace uint64
 	items []*replItem
 }
@@ -1471,19 +1388,19 @@ func buildSections(batch []*replItem) []*sendSection {
 		if len(secs) > 0 {
 			last := secs[len(secs)-1]
 			tail := last.items[len(last.items)-1]
-			if tail.topic == it.topic && tail.partition == it.partition && tail.end == it.base {
+			if tail.ps == it.ps && tail.end == it.base {
 				last.items = append(last.items, it)
 				continue
 			}
 		}
-		secs = append(secs, &sendSection{pl: it.pl, trace: it.trace, items: []*replItem{it}})
+		secs = append(secs, &sendSection{ps: it.ps, trace: it.trace, items: []*replItem{it}})
 	}
 	for _, sec := range secs {
 		first := sec.items[0]
 		last := sec.items[len(sec.items)-1]
 		sec.sec = replSection{
-			topic:     first.topic,
-			partition: first.partition,
+			topic:     first.ps.topic,
+			partition: first.ps.partition,
 			base:      first.base,
 			count:     int(last.end - first.base),
 		}
@@ -1519,13 +1436,13 @@ func replItemsBytes(items []*replItem) int {
 func (n *ClusterNode) sendBatch(s *replSess, batch []*replItem) {
 	secs := buildSections(batch)
 	errs := make([]error, len(secs))
-	cli, err := n.peerClient(s.id)
+	cli, err := n.peerClient(s.peer)
 	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
 	} else {
-		errs = n.shipBatch(cli, s.id, secs)
+		errs = n.shipBatch(cli, s.peer.id, secs)
 	}
 	var transportErr error
 	var answered bool
@@ -1542,11 +1459,11 @@ func (n *ClusterNode) sendBatch(s *replSess, batch []*replItem) {
 	switch {
 	case transportErr != nil:
 		if cli != nil {
-			n.dropConn(s.id, cli) // transport failure: the conn is suspect
+			n.dropConn(s.peer, cli) // transport failure: the conn is suspect
 		}
-		n.markFailure(s.id, transportErr)
+		n.markFailure(s.peer, transportErr)
 	case answered:
-		n.markAlive(s.id)
+		n.markAlive(s.peer)
 	}
 	n.observeBatch(s, secs, len(batch))
 	// The group-commit wakeup: one pass over the round's producers.
@@ -1573,9 +1490,8 @@ func (n *ClusterNode) shipBatch(cli *client, id string, secs []*sendSection) []e
 	errs := make([]error, len(secs))
 	wire := make([]replSection, len(secs))
 	for i, sec := range secs {
-		sec.sec.committed = sec.pl.committed.Load()
-		tp := tpKey(sec.sec.topic, sec.sec.partition)
-		sec.sec.metas = n.metasInRange(tp, sec.sec.base, sec.sec.base+int64(sec.sec.count))
+		sec.sec.committed = sec.ps.committed.Load()
+		sec.sec.metas = n.metasInRange(sec.ps, sec.sec.base, sec.sec.base+int64(sec.sec.count))
 		wire[i] = sec.sec
 	}
 	// One trace can ride the one RPC; the first section's producer wins.
@@ -1587,7 +1503,7 @@ func (n *ClusterNode) shipBatch(cli *client, id string, secs []*sendSection) []e
 		return errs
 	}
 	for i, sec := range secs {
-		n.noteFollowerHWM(tpKey(sec.sec.topic, sec.sec.partition), id, hwms[i])
+		n.noteFollowerHWM(sec.ps, id, hwms[i])
 		if hwms[i] < sec.sec.base+int64(sec.sec.count) {
 			errs[i] = n.convergeSection(cli, id, epoch, sec, hwms[i])
 		}
@@ -1604,9 +1520,8 @@ func (n *ClusterNode) shipBatch(cli *client, id string, secs []*sendSection) []e
 func (n *ClusterNode) convergeSection(cli *client, id string, epoch int64, sec *sendSection, hwm int64) error {
 	s := sec.sec
 	end := s.base + int64(s.count)
-	tp := tpKey(s.topic, s.partition)
 	for tries := 0; tries < 8; tries++ {
-		fill, fn, err := n.b.fetchFrames(s.topic, s.partition, hwm, int(end-hwm), nil)
+		fill, fn, err := sec.ps.p.log.ReadFrames(hwm, int(end-hwm), nil)
 		if err != nil {
 			return err
 		}
@@ -1614,14 +1529,14 @@ func (n *ClusterNode) convergeSection(cli *client, id string, epoch int64, sec *
 			return fmt.Errorf("broker: backfill short read at %d", hwm)
 		}
 		s.base, s.frames, s.count = hwm, fill, fn
-		s.committed = sec.pl.committed.Load()
-		s.metas = n.metasInRange(tp, hwm, end)
+		s.committed = sec.ps.committed.Load()
+		s.metas = n.metasInRange(sec.ps, hwm, end)
 		hwms, err := cli.replicateMF(sec.trace, epoch, n.cfg.ID, []replSection{s})
 		if err != nil {
 			return err
 		}
 		hwm = hwms[0]
-		n.noteFollowerHWM(tp, id, hwm)
+		n.noteFollowerHWM(sec.ps, id, hwm)
 		if hwm >= end {
 			return nil
 		}
@@ -1641,7 +1556,7 @@ func (n *ClusterNode) observeBatch(s *replSess, secs []*sendSection, woken int) 
 		if reg == nil {
 			return
 		}
-		lbl := metrics.Labels{"follower": s.id}
+		lbl := metrics.Labels{"follower": s.peer.id}
 		in = &replInstruments{
 			partitions: reg.Histogram("broker_replicate_batch_partitions", "partition sections coalesced into one replicate batch", lbl),
 			bytes:      reg.Histogram("broker_replicate_batch_bytes", "frame payload bytes shipped in one replicate batch", lbl),
@@ -1668,22 +1583,24 @@ func (n *ClusterNode) observeBatch(s *replSess, secs []*sendSection, woken int) 
 // sync-ack cost is paid per drain, not per chunk. The bytes still ship
 // exactly as appended locally; followers re-verify CRCs at their wire
 // decode.
-func (n *ClusterNode) replicateOut(trace uint64, pl *partLead, topic string, partition int, base, end int64, frames []byte) error {
-	reps := n.replicas(topic, partition)
+func (n *ClusterNode) replicateOut(trace uint64, ps *partState, base, end int64, frames []byte) error {
 	acks, live := 1, 1
 	var firstErr error
-	items := make([]*replItem, 0, len(reps)-1)
-	sessions := make([]*replSess, 0, len(reps)-1)
-	for _, id := range reps {
-		if id == n.cfg.ID || n.isDead(id) {
+	items := make([]*replItem, 0, len(ps.reps)-1)
+	sessions := make([]*replSess, 0, len(ps.reps)-1)
+	for _, id := range ps.reps {
+		p := n.peers[id]
+		if p == n.self {
+			continue
+		}
+		n.mu.Lock()
+		dead, s := p.st.Dead, p.sess
+		n.mu.Unlock()
+		if dead {
 			continue
 		}
 		live++
-		it := &replItem{
-			trace: trace, pl: pl, topic: topic, partition: partition,
-			base: base, end: end, frames: frames, done: make(chan error, 1),
-		}
-		s := n.session(id)
+		it := &replItem{trace: trace, ps: ps, base: base, end: end, frames: frames, done: make(chan error, 1)}
 		if !s.enqueue(it) {
 			if firstErr == nil {
 				firstErr = errReplSessionClosed
@@ -1731,8 +1648,8 @@ func (n *ClusterNode) replicateOut(trace uint64, pl *partLead, topic string, par
 		return fmt.Errorf("%w: %d/%d acked: %v", errUnderReplicated, acks, need, firstErr)
 	}
 	for {
-		cur := pl.committed.Load()
-		if end <= cur || pl.committed.CompareAndSwap(cur, end) {
+		cur := ps.committed.Load()
+		if end <= cur || ps.committed.CompareAndSwap(cur, end) {
 			break
 		}
 	}
@@ -1741,15 +1658,10 @@ func (n *ClusterNode) replicateOut(trace uint64, pl *partLead, topic string, par
 
 // noteFollowerHWM records the watermark a follower acked on its last
 // replicate — the source of the per-follower replication-lag gauges.
-func (n *ClusterNode) noteFollowerHWM(tp, id string, hwm int64) {
+func (n *ClusterNode) noteFollowerHWM(ps *partState, id string, hwm int64) {
 	n.mu.Lock()
-	m, ok := n.followHWM[tp]
-	if !ok {
-		m = make(map[string]int64)
-		n.followHWM[tp] = m
-	}
-	if hwm > m[id] {
-		m[id] = hwm
+	if i := slices.Index(ps.reps, id); i >= 0 && hwm > ps.followHWM[i] {
+		ps.followHWM[i] = hwm
 	}
 	n.mu.Unlock()
 }
@@ -1764,18 +1676,12 @@ func (n *ClusterNode) Ready() error {
 	if n.isJoining() {
 		return errors.New("joining: not yet synced and announced")
 	}
-	for _, t := range n.b.topicNames() {
-		parts, err := n.b.Partitions(t)
-		if err != nil {
+	for _, ps := range n.parts() {
+		if n.leaderFor(ps) != n.cfg.ID {
 			continue
 		}
-		for p := 0; p < parts; p++ {
-			if n.leaderFor(t, p) != n.cfg.ID {
-				continue
-			}
-			if live := n.liveReplicas(t, p); live < n.cfg.MinISR {
-				return fmt.Errorf("partition %s: %d/%d replicas live", tpKey(t, p), live, n.cfg.MinISR)
-			}
+		if live := n.liveReplicas(ps); live < n.cfg.MinISR {
+			return fmt.Errorf("partition %s: %d/%d replicas live", ps, live, n.cfg.MinISR)
 		}
 	}
 	return nil
@@ -1783,13 +1689,12 @@ func (n *ClusterNode) Ready() error {
 
 // liveReplicas counts the partition's replicas alive in this node's
 // view (counting this node itself).
-func (n *ClusterNode) liveReplicas(topic string, partition int) int {
-	reps := n.replicas(topic, partition)
+func (n *ClusterNode) liveReplicas(ps *partState) int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	live := 0
-	for _, id := range reps {
-		if id == n.cfg.ID || !n.view[id].Dead {
+	for _, id := range ps.reps {
+		if !n.peers[id].st.Dead {
 			live++
 		}
 	}
@@ -1810,17 +1715,9 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 	n.mu.Lock()
 	epoch := n.epoch
 	joining := n.joining
-	view := make(map[string]peerStatus, len(n.view))
-	for id, st := range n.view {
-		view[id] = st
-	}
-	follow := make(map[string]map[string]int64, len(n.followHWM))
-	for tp, m := range n.followHWM {
-		mm := make(map[string]int64, len(m))
-		for id, v := range m {
-			mm[id] = v
-		}
-		follow[tp] = mm
+	dead := make([]bool, len(n.members))
+	for i, id := range n.members {
+		dead[i] = n.peers[id].st.Dead
 	}
 	n.mu.Unlock()
 
@@ -1830,10 +1727,9 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 		joinG = 1
 	}
 	reg.Gauge("broker_joining", "1 while this node is (re)joining and refusing leadership", nil).Set(joinG)
-	for _, id := range n.members {
-		st := view[id]
+	for i, id := range n.members {
 		alive := 1.0
-		if st.Dead {
+		if dead[i] {
 			alive = 0
 		}
 		reg.Gauge("broker_peer_alive", "1 when the peer is alive in this node's view", metrics.Labels{"peer": id}).Set(alive)
@@ -1842,40 +1738,30 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 	// Leadership moves between nodes, so stale lag series from a demoted
 	// leader are cleared and the family rebuilt from live state.
 	reg.RemoveSeries("broker_replication_lag_records", metrics.Labels{})
-	for _, t := range n.b.topicNames() {
-		parts, err := n.b.Partitions(t)
-		if err != nil {
+	for _, ps := range n.parts() {
+		lbl := metrics.Labels{"topic": ps.topic, "partition": strconv.Itoa(ps.partition)}
+		leads := 0.0
+		isLeader := n.leaderFor(ps) == n.cfg.ID
+		if isLeader {
+			leads = 1
+		}
+		reg.Gauge("broker_partition_leader", "1 when this node leads the partition", lbl).Set(leads)
+		reg.Gauge("broker_partition_isr_size", "live replicas of the partition (counting this node)", lbl).Set(float64(n.liveReplicas(ps)))
+		n.mu.Lock()
+		committed := n.knownCommittedLocked(ps)
+		follow := slices.Clone(ps.followHWM)
+		n.mu.Unlock()
+		reg.Gauge("broker_partition_committed_offset", "committed (replicated + acked) watermark known here", lbl).Set(float64(committed))
+		if !isLeader {
 			continue
 		}
-		for p := 0; p < parts; p++ {
-			lbl := metrics.Labels{"topic": t, "partition": strconv.Itoa(p)}
-			tp := tpKey(t, p)
-			leads := 0.0
-			isLeader := n.leaderFor(t, p) == n.cfg.ID
-			if isLeader {
-				leads = 1
+		end := ps.p.log.HighWatermark()
+		for i, hwm := range follow {
+			if hwm == 0 {
+				continue // that follower never acked
 			}
-			reg.Gauge("broker_partition_leader", "1 when this node leads the partition", lbl).Set(leads)
-			reg.Gauge("broker_partition_isr_size", "live replicas of the partition (counting this node)", lbl).Set(float64(n.liveReplicas(t, p)))
-			n.mu.Lock()
-			committed := n.knownCommittedLocked(tp)
-			n.mu.Unlock()
-			reg.Gauge("broker_partition_committed_offset", "committed (replicated + acked) watermark known here", lbl).Set(float64(committed))
-			if !isLeader {
-				continue
-			}
-			end, err := n.b.HighWatermark(t, p)
-			if err != nil {
-				continue
-			}
-			for id, hwm := range follow[tp] {
-				lag := end - hwm
-				if lag < 0 {
-					lag = 0
-				}
-				fl := metrics.Labels{"topic": t, "partition": strconv.Itoa(p), "follower": id}
-				reg.Gauge("broker_replication_lag_records", "records the follower trails this leader's log end by", fl).Set(float64(lag))
-			}
+			fl := metrics.Labels{"topic": ps.topic, "partition": strconv.Itoa(ps.partition), "follower": ps.reps[i]}
+			reg.Gauge("broker_replication_lag_records", "records the follower trails this leader's log end by", fl).Set(float64(max(end-hwm, 0)))
 		}
 	}
 }
@@ -1885,11 +1771,16 @@ func (n *ClusterNode) scrapeInto(reg *metrics.Registry) {
 // might lose. The payload is appended onto buf straight from the log's
 // segment chunks — no record is materialized.
 func (n *ClusterNode) fetchFrames(topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
-	pl, err := n.leaderState(topic, partition)
+	ps, err := n.leaderState(topic, partition)
 	if err != nil {
 		return buf, 0, err
 	}
-	committed := pl.committed.Load()
+	return ps.readCommitted(ps.committed.Load(), offset, max, buf)
+}
+
+// readCommitted appends up to max records from offset onto buf, never
+// reading at or past committed.
+func (ps *partState) readCommitted(committed, offset int64, max int, buf []byte) ([]byte, int, error) {
 	if offset >= committed {
 		if offset < 0 {
 			return buf, 0, ErrOffsetOutOfRange
@@ -1902,52 +1793,41 @@ func (n *ClusterNode) fetchFrames(topic string, partition int, offset int64, max
 	if int64(max) > committed-offset {
 		max = int(committed - offset)
 	}
-	return n.b.fetchFrames(topic, partition, offset, max, buf)
+	return ps.p.log.ReadFrames(offset, max, buf)
 }
 
 // hwm serves the consumer-visible high watermark: the committed offset.
 func (n *ClusterNode) hwm(topic string, partition int) (int64, error) {
-	pl, err := n.leaderState(topic, partition)
+	ps, err := n.leaderState(topic, partition)
 	if err != nil {
 		return 0, err
 	}
-	return pl.committed.Load(), nil
+	return ps.committed.Load(), nil
 }
 
 // leaderState checks this node leads the partition and returns its
-// initialized leader state.
-func (n *ClusterNode) leaderState(topic string, partition int) (*partLead, error) {
-	if parts, err := n.b.Partitions(topic); err != nil {
-		return nil, err
-	} else if partition < 0 || partition >= parts {
-		return nil, ErrBadPartition
-	}
-	ldr := n.leaderFor(topic, partition)
-	if ldr == "" {
-		return nil, errNoReplica
-	}
-	if ldr != n.cfg.ID {
-		return nil, notLeaderError(ldr)
-	}
-	pl, err := n.lead(topic, partition)
+// record with leadership adopted.
+func (n *ClusterNode) leaderState(topic string, partition int) (*partState, error) {
+	ps, err := n.part(topic, partition)
 	if err != nil {
 		return nil, err
 	}
-	n.markLeading(pl, topic, partition)
-	return pl, nil
+	switch ldr := n.leaderFor(ps); ldr {
+	case n.cfg.ID:
+	case "":
+		return nil, errNoReplica
+	default:
+		return nil, notLeaderError(ldr)
+	}
+	ps.lead()
+	return ps, nil
 }
 
 // knownCommittedLocked returns the highest committed watermark this
-// node knows for a partition — its own leader state or the last value
-// a leader shipped to it (n.mu held).
-func (n *ClusterNode) knownCommittedLocked(tp string) int64 {
-	c := n.remoteHWM[tp]
-	if pl, ok := n.leads[tp]; ok && pl.init.Load() {
-		if v := pl.committed.Load(); v > c {
-			c = v
-		}
-	}
-	return c
+// node knows for a partition — its own leader watermark or the last
+// value a leader shipped to it (n.mu held).
+func (n *ClusterNode) knownCommittedLocked(ps *partState) int64 {
+	return max(ps.remoteHWM, ps.committed.Load())
 }
 
 // replicaCommitted is the committed watermark this node vouches for to
@@ -1956,16 +1836,14 @@ func (n *ClusterNode) knownCommittedLocked(tp string) int64 {
 // promoted interim leader must answer with everything it holds, not
 // the lagging value the dead leader last shipped it. Otherwise it is
 // the best locally-known committed value.
-func (n *ClusterNode) replicaCommitted(topic string, partition int) int64 {
-	if n.leaderFor(topic, partition) == n.cfg.ID {
-		if pl, err := n.lead(topic, partition); err == nil {
-			n.markLeading(pl, topic, partition)
-			return pl.committed.Load()
-		}
+func (n *ClusterNode) replicaCommitted(ps *partState) int64 {
+	if n.leaderFor(ps) == n.cfg.ID {
+		ps.lead()
+		return ps.committed.Load()
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.knownCommittedLocked(tpKey(topic, partition))
+	return n.knownCommittedLocked(ps)
 }
 
 // replicaFetchFrames serves committed records to a fellow cluster
@@ -1975,127 +1853,105 @@ func (n *ClusterNode) replicaCommitted(topic string, partition int) int64 {
 // bytes ship verbatim from the serving replica's segments, CRC-checked
 // by the puller at its wire decode before they are re-appended.
 func (n *ClusterNode) replicaFetchFrames(sender, topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
-	if _, ok := n.cfg.Peers[sender]; !ok {
+	if n.peers[sender] == nil {
 		return buf, 0, fmt.Errorf("broker: replica fetch from non-member %q", sender)
 	}
-	if parts, err := n.b.Partitions(topic); err != nil {
+	ps, err := n.part(topic, partition)
+	if err != nil {
 		return buf, 0, err
-	} else if partition < 0 || partition >= parts {
-		return buf, 0, ErrBadPartition
 	}
-	committed := n.replicaCommitted(topic, partition)
-	if offset >= committed {
-		if offset < 0 {
-			return buf, 0, ErrOffsetOutOfRange
-		}
-		return buf, 0, nil
-	}
-	if max <= 0 {
-		max = 1024
-	}
-	if int64(max) > committed-offset {
-		max = int(committed - offset)
-	}
-	return n.b.fetchFrames(topic, partition, offset, max, buf)
+	return ps.readCommitted(n.replicaCommitted(ps), offset, max, buf)
 }
 
 // replicaHWM answers a member's query for this node's committed
 // watermark of a partition, leadership-independent.
 func (n *ClusterNode) replicaHWM(sender, topic string, partition int) (int64, error) {
-	if _, ok := n.cfg.Peers[sender]; !ok {
+	if n.peers[sender] == nil {
 		return 0, fmt.Errorf("broker: replica hwm from non-member %q", sender)
 	}
-	if parts, err := n.b.Partitions(topic); err != nil {
+	ps, err := n.part(topic, partition)
+	if err != nil {
 		return 0, err
-	} else if partition < 0 || partition >= parts {
-		return 0, ErrBadPartition
 	}
-	return n.replicaCommitted(topic, partition), nil
+	return n.replicaCommitted(ps), nil
 }
 
 // fenceReplicate runs the follower-side admission checks of a replicate
-// batch: a (re)joining node and a deposed sender refuse
-// replication, and every partition records the highest epoch an inbound
-// replicate has carried — a chunk at a LOWER epoch than that is fenced
-// off, so a stale session that went quiet before a takeover cannot
-// deliver a late batch after the new leader (whose announcement bumped
-// the epoch) has started shipping. All rejections are answered errors:
-// the deposed leader learns it is fenced without poisoning its failure
-// detector.
-func (n *ClusterNode) fenceReplicate(epoch int64, sender string, tps []string) error {
+// batch whose sender is a member and a replica of every section: a
+// (re)joining node and a deposed sender refuse replication, and every
+// partition records the highest epoch an inbound replicate has carried
+// — a chunk at a LOWER epoch than that is fenced off, so a stale
+// session that went quiet before a takeover cannot deliver a late batch
+// after the new leader (whose announcement bumped the epoch) has started
+// shipping. All rejections are answered errors: the deposed leader
+// learns it is fenced without poisoning its failure detector.
+func (n *ClusterNode) fenceReplicate(epoch int64, from *peer, parts []*partState) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.joining {
 		return fmt.Errorf("broker: %s is rejoining; replication refused until synced", n.cfg.ID)
 	}
-	if n.view[sender].Dead {
-		return fmt.Errorf("broker: replicate from %s rejected: deposed in epoch %d", sender, n.epoch)
+	if from.st.Dead {
+		return fmt.Errorf("broker: replicate from %s rejected: deposed in epoch %d", from.id, n.epoch)
 	}
-	for _, tp := range tps {
-		if have := n.replEpochs[tp]; epoch < have {
-			return fmt.Errorf("broker: replicate %s from %s fenced: epoch %d < %d", tp, sender, epoch, have)
+	for _, ps := range parts {
+		if epoch < ps.replEpoch {
+			return fmt.Errorf("broker: replicate %s from %s fenced: epoch %d < %d", ps, from.id, epoch, ps.replEpoch)
 		}
 	}
 	// Admitted: record the epochs only now, so one stale section cannot
 	// ratchet its siblings before the whole batch is judged.
-	for _, tp := range tps {
-		if epoch > n.replEpochs[tp] {
-			n.replEpochs[tp] = epoch
-		}
+	for _, ps := range parts {
+		ps.replEpoch = max(ps.replEpoch, epoch)
 	}
-	if epoch > n.epoch {
-		n.epoch = epoch
-	}
+	n.epoch = max(n.epoch, epoch)
 	return nil
 }
 
-// applyReplicateBatch is the follower side of replication: one fence
-// decision for the whole batch, then every section lands in its log
-// through the idempotent gap-safe append. The answer is one high
-// watermark per section; a failing section fails the whole batch (the
-// leader re-drives per item).
+// applyReplicateBatch is the follower side of replication. The sender
+// must be a member and a replica of every section's partition, checked
+// before anything is recorded; then one fence decision covers the whole
+// batch, and every section lands in its log through the idempotent
+// gap-safe append, in batch order (sections of one partition arrive
+// contiguous, so later ones see the watermark earlier ones produced).
+// The answer is one high watermark per section; a failing section
+// fails the whole batch (the leader re-drives per item).
 func (n *ClusterNode) applyReplicateBatch(epoch int64, sender string, secs []replSection) ([]int64, error) {
 	if len(secs) == 0 {
 		return nil, errors.New("broker: empty replicate batch")
 	}
-	tps := make([]string, len(secs))
-	for i := range secs {
-		tps[i] = tpKey(secs[i].topic, secs[i].partition)
+	from := n.peers[sender]
+	if from == nil {
+		return nil, fmt.Errorf("broker: replicate from non-member %q", sender)
 	}
-	if err := n.fenceReplicate(epoch, sender, tps); err != nil {
+	parts := make([]*partState, len(secs))
+	for i := range secs {
+		ps, err := n.part(secs[i].topic, secs[i].partition)
+		if err != nil {
+			return nil, err
+		}
+		if !slices.Contains(ps.reps, sender) {
+			return nil, fmt.Errorf("broker: %s is not a replica of %s", sender, ps)
+		}
+		parts[i] = ps
+	}
+	if err := n.fenceReplicate(epoch, from, parts); err != nil {
 		return nil, err
 	}
-	for i := range secs {
-		reps := n.replicas(secs[i].topic, secs[i].partition)
-		isReplica := false
-		for _, id := range reps {
-			if id == sender {
-				isReplica = true
-				break
-			}
-		}
-		if !isReplica {
-			return nil, fmt.Errorf("broker: %s is not a replica of %s", sender, tps[i])
-		}
-	}
-	n.markAlive(sender)
+	n.markAlive(from)
 	// Replication from a live peer proves we lead none of these
 	// partitions: a later RE-promotion must re-adopt the watermark.
-	n.mu.Lock()
-	for _, tp := range tps {
-		if pl, ok := n.leads[tp]; ok {
-			pl.leading.Store(false)
-		}
+	for _, ps := range parts {
+		ps.leading.Store(false)
 	}
-	n.mu.Unlock()
-	hwms, err := n.b.replicateAppendSections(secs)
-	if err != nil {
-		return nil, err
-	}
-	for i := range secs {
+	hwms := make([]int64, len(secs))
+	for i, ps := range parts {
 		s := &secs[i]
-		hwm := hwms[i]
-		tp := tps[i]
+		hwm, err := ps.p.replicateAppend(s.base, s.frames, s.count)
+		if err != nil {
+			return nil, err
+		}
+		hwms[i] = hwm
 		// Adopt dedup state only for batches the local log now fully
 		// holds: a gap-skipped chunk (hwm < base) must not leave seq
 		// entries for records that are not here, or a promoted follower
@@ -2103,35 +1959,26 @@ func (n *ClusterNode) applyReplicateBatch(epoch int64, sender string, secs []rep
 		// the data.
 		for _, bm := range s.metas {
 			if bm.end <= hwm {
-				n.noteBatch(tp, bm)
+				n.noteBatch(ps, bm)
 			}
 		}
 		// Track the leader's committed watermark, clamped to what we
 		// hold: it is this replica's restart truncation point.
-		committed := s.committed
-		if committed > hwm {
-			committed = hwm
-		}
+		committed := min(s.committed, hwm)
 		n.mu.Lock()
-		advanced := committed > n.remoteHWM[tp]
+		advanced := committed > ps.remoteHWM
 		if advanced {
-			n.remoteHWM[tp] = committed
+			ps.remoteHWM = committed
 		}
 		n.mu.Unlock()
 		if advanced || s.count > 0 {
-			n.noteStateDirty(s.topic, s.partition)
+			n.noteStateDirty(ps)
 		}
 	}
 	return hwms, nil
 }
 
 // ---- persisted cluster state ----
-
-// tpRef names one partition in the dirty-state set.
-type tpRef struct {
-	topic     string
-	partition int
-}
 
 // noteStateDirty schedules a partition's cluster state for the next
 // write-behind flush: the hot data path (produce acks, replicated
@@ -2143,36 +1990,31 @@ type tpRef struct {
 // truncation, takeover completion) keep calling saveClusterState
 // directly: they are rare and their persisted state gates correctness
 // of the next restart.
-func (n *ClusterNode) noteStateDirty(topic string, partition int) {
+func (n *ClusterNode) noteStateDirty(ps *partState) {
 	if n.b.Dir() == "" {
 		return
 	}
 	if n.b.syncAlways() {
-		n.saveClusterState(topic, partition)
+		n.saveClusterState(ps)
 		return
 	}
-	n.stateMu.Lock()
-	n.stateDirty[tpKey(topic, partition)] = tpRef{topic: topic, partition: partition}
-	n.stateMu.Unlock()
+	ps.dirty.Store(true)
 }
 
 // flushDirtyState writes every partition state marked since the last
 // flush.
 func (n *ClusterNode) flushDirtyState() {
-	n.stateMu.Lock()
-	if len(n.stateDirty) == 0 {
-		n.stateMu.Unlock()
+	if n.b.Dir() == "" {
 		return
 	}
-	dirty := n.stateDirty
-	n.stateDirty = make(map[string]tpRef)
-	n.stateMu.Unlock()
-	for _, ref := range dirty {
-		n.saveClusterState(ref.topic, ref.partition)
+	for _, ps := range n.parts() {
+		if ps.dirty.Swap(false) {
+			n.saveClusterState(ps)
+		}
 	}
 }
 
-// stateFlushLoop drains the dirty set every stateFlushEvery, and once
+// stateFlushLoop writes the dirty partitions every stateFlushEvery, and once
 // more on shutdown so a clean Close loses no watermark advance.
 func (n *ClusterNode) stateFlushLoop() {
 	defer n.wg.Done()
@@ -2189,48 +2031,28 @@ func (n *ClusterNode) stateFlushLoop() {
 	}
 }
 
-func (n *ClusterNode) saver(tp string) *stateSaver {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	sv, ok := n.savers[tp]
-	if !ok {
-		sv = &stateSaver{}
-		n.savers[tp] = sv
-	}
-	return sv
-}
-
 // saveClusterState persists one partition's cluster state (committed
 // watermark, producer dedup table + journal) next to its segments.
 // No-op on an in-memory broker. Saves of one partition are serialized
 // and always snapshot the freshest state, so a slow older write cannot
 // clobber a newer one.
-func (n *ClusterNode) saveClusterState(topic string, partition int) {
-	dir := n.b.partitionDir(topic, partition)
-	if dir == "" {
+func (n *ClusterNode) saveClusterState(ps *partState) {
+	if n.b.Dir() == "" {
 		return
 	}
-	tp := tpKey(topic, partition)
-	sv := n.saver(tp)
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
+	ps.saveMu.Lock()
+	defer ps.saveMu.Unlock()
 	n.mu.Lock()
-	committed := n.remoteHWM[tp]
-	if pl, ok := n.leads[tp]; ok && pl.init.Load() {
-		if c := pl.committed.Load(); c > committed {
-			committed = c
-		}
+	st := partitionState{Committed: n.knownCommittedLocked(ps)}
+	for pid, last := range ps.seqs {
+		st.Producers = append(st.Producers, producerEntry{PID: pid, Seq: last.seq, Base: last.base, End: last.end})
 	}
-	st := partitionState{Committed: committed}
-	for pid, ps := range n.seqs[tp] {
-		st.Producers = append(st.Producers, producerEntry{PID: pid, Seq: ps.seq, Base: ps.base, End: ps.end})
-	}
-	for _, bm := range n.metas[tp] {
+	for _, bm := range ps.metas {
 		st.Journal = append(st.Journal, producerEntry{PID: bm.pid, Seq: bm.seq, Base: bm.base, End: bm.end})
 	}
 	n.mu.Unlock()
 	sort.Slice(st.Producers, func(i, j int) bool { return st.Producers[i].PID < st.Producers[j].PID })
-	if err := storage.SaveJSON(n.statePath(topic, partition), &st, n.b.syncAlways()); err != nil {
-		n.cfg.Log.Error("save state failed", "partition", tp, "err", err)
+	if err := storage.SaveJSON(n.statePath(ps), &st, n.b.syncAlways()); err != nil {
+		n.cfg.Log.Error("save state failed", "partition", ps.String(), "err", err)
 	}
 }

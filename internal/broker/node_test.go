@@ -1,0 +1,236 @@
+package broker
+
+import (
+	"bytes"
+	"slices"
+	"testing"
+
+	"streamapprox/internal/broker/storage"
+)
+
+// nodePart returns n's record of one partition, failing the test if the
+// broker does not hold the partition.
+func nodePart(t testing.TB, n *ClusterNode, topic string, p int) *partState {
+	t.Helper()
+	ps, err := n.part(topic, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ps
+}
+
+// appendPart appends recs straight to one partition's log, past the
+// node — as if replication of them had failed — and returns their base
+// offset.
+func appendPart(t testing.TB, b *Broker, topic string, p int, recs []Record) int64 {
+	t.Helper()
+	part, err := b.partition(topic, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := part.appendFrames(storage.AppendRecordFrames(nil, recs), len(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return base
+}
+
+// idleNode is a node that is never started, over an in-memory broker
+// holding topic "t" with two partitions: its records and sessions can be
+// driven without a cluster. It returns the record of t/0.
+func idleNode(t *testing.T) (*ClusterNode, *partState) {
+	t.Helper()
+	b := New()
+	t.Cleanup(b.Close)
+	if err := b.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewClusterNode(b, NodeConfig{ID: "n0", Peers: map[string]string{"n0": "127.0.0.1:1", "n1": "127.0.0.1:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Close)
+	return n, nodePart(t, n, "t", 0)
+}
+
+func TestDedupKeepsNewestSeq(t *testing.T) {
+	n, ps := idleNode(t)
+	n.noteBatch(ps, batchMeta{pid: 7, seq: 2, base: 10, end: 20})
+	n.noteBatch(ps, batchMeta{pid: 7, seq: 1, base: 0, end: 10})  // older: journaled, not adopted
+	n.noteBatch(ps, batchMeta{pid: 7, seq: 2, base: 30, end: 40}) // same seq: not adopted
+	n.noteBatch(ps, batchMeta{pid: 0, seq: 9, base: 40, end: 50}) // no producer id: ignored
+	if last, ok := n.lastSeq(ps, 7); !ok || last != (prodSeq{seq: 2, base: 10, end: 20}) {
+		t.Fatalf("pid 7 after older and equal seqs: %+v, %v; want seq 2 at [10, 20)", last, ok)
+	}
+	n.noteBatch(ps, batchMeta{pid: 7, seq: 3, base: 20, end: 30})
+	if last, _ := n.lastSeq(ps, 7); last != (prodSeq{seq: 3, base: 20, end: 30}) {
+		t.Fatalf("pid 7 after a newer seq: %+v, want seq 3 at [20, 30)", last)
+	}
+	if _, ok := n.lastSeq(ps, 0); ok {
+		t.Fatal("producer id 0 entered the dedup table")
+	}
+	if len(ps.metas) != 4 {
+		t.Fatalf("journal holds %d entries, want 4", len(ps.metas))
+	}
+}
+
+func TestJournalEvictsOldest(t *testing.T) {
+	n, ps := idleNode(t)
+	for i := 0; i <= metaJournalCap; i++ {
+		n.noteBatch(ps, batchMeta{pid: uint64(i + 1), seq: 1, base: int64(i), end: int64(i + 1)})
+	}
+	if len(ps.metas) != metaJournalCap {
+		t.Fatalf("journal holds %d entries, want %d", len(ps.metas), metaJournalCap)
+	}
+	if first, last := ps.metas[0], ps.metas[len(ps.metas)-1]; first.pid != 2 || last.pid != metaJournalCap+1 {
+		t.Fatalf("journal runs from pid %d to %d, want 2 to %d", first.pid, last.pid, metaJournalCap+1)
+	}
+	if _, ok := n.lastSeq(ps, 1); !ok {
+		t.Fatal("evicting a journal entry dropped its producer from the dedup table")
+	}
+}
+
+func TestMetasInRangeOverlap(t *testing.T) {
+	n, ps := idleNode(t)
+	for i := 0; i < 3; i++ {
+		n.noteBatch(ps, batchMeta{pid: uint64(i + 1), seq: 1, base: int64(10 * i), end: int64(10 * (i + 1))})
+	}
+	for _, tc := range []struct {
+		from, to int64
+		pids     []uint64
+	}{
+		{5, 15, []uint64{1, 2}},
+		{10, 20, []uint64{2}},
+		{19, 21, []uint64{2, 3}},
+		{0, 30, []uint64{1, 2, 3}},
+		{30, 40, nil},
+	} {
+		var pids []uint64
+		for _, bm := range n.metasInRange(ps, tc.from, tc.to) {
+			pids = append(pids, bm.pid)
+		}
+		if !slices.Equal(pids, tc.pids) {
+			t.Errorf("metasInRange [%d, %d) = pids %v, want %v", tc.from, tc.to, pids, tc.pids)
+		}
+	}
+}
+
+func TestRejoinTruncationDropsDedupPastCut(t *testing.T) {
+	n, ps := idleNode(t)
+	for i := 0; i < 3; i++ {
+		base := appendPart(t, n.b, "t", 0, keylessRecs(10*i, 10))
+		n.noteBatch(ps, batchMeta{pid: uint64(i + 1), seq: 1, base: base, end: base + 10})
+	}
+	ps.lead()
+	n.mu.Lock()
+	ps.remoteHWM = 25
+	n.mu.Unlock()
+
+	n.truncateDivergence(ps, "n1", 15)
+	if hwm := ps.p.log.HighWatermark(); hwm != 15 {
+		t.Fatalf("log end after the cut = %d, want 15", hwm)
+	}
+	if ps.leading.Load() || ps.committed.Load() != 15 || ps.remoteHWM != 15 {
+		t.Fatalf("after the cut: leading %v, committed %d, remote %d; want false, 15, 15",
+			ps.leading.Load(), ps.committed.Load(), ps.remoteHWM)
+	}
+	for pid, want := range map[uint64]bool{1: true, 2: false, 3: false} {
+		if _, ok := n.lastSeq(ps, pid); ok != want {
+			t.Errorf("pid %d in the dedup table: %v, want %v", pid, ok, want)
+		}
+	}
+	if len(ps.metas) != 1 || ps.metas[0].pid != 1 {
+		t.Fatalf("journal after the cut = %+v, want pid 1 only", ps.metas)
+	}
+
+	n.truncateDivergence(ps, "n1", 20) // at or past the log end: nothing to cut
+	if hwm := ps.p.log.HighWatermark(); hwm != 15 || len(ps.metas) != 1 {
+		t.Fatalf("a cut past the log end changed it: hwm %d, %d journal entries", hwm, len(ps.metas))
+	}
+}
+
+// replItems builds parked chunks with the given frame byte sizes.
+func replItems(sizes ...int) []*replItem {
+	out := make([]*replItem, len(sizes))
+	for i, size := range sizes {
+		out[i] = &replItem{base: int64(i), end: int64(i + 1), frames: make([]byte, size), done: make(chan error, 1)}
+	}
+	return out
+}
+
+func TestReplSessTakeCaps(t *testing.T) {
+	s := &replSess{}
+	items := replItems(10, 10, 10, 10, 100, 10)
+	for _, it := range items {
+		if !s.enqueue(it) {
+			t.Fatal("open session refused an enqueue")
+		}
+	}
+	if got := s.take(3, 1000); !slices.Equal(got, items[:3]) {
+		t.Fatalf("count cap 3 took %d items, want the first 3", len(got))
+	}
+	if got := s.take(10, 15); !slices.Equal(got, items[3:4]) {
+		t.Fatalf("byte cap 15 took %d items, want 1", len(got))
+	}
+	if got := s.take(10, 15); !slices.Equal(got, items[4:5]) {
+		t.Fatalf("a lone 100-byte chunk under a 15-byte cap: took %d items, want it alone", len(got))
+	}
+	if got := s.take(10, 1000); !slices.Equal(got, items[5:]) || !s.empty() {
+		t.Fatalf("the rest: took %d items, empty %v", len(got), s.empty())
+	}
+}
+
+func TestReplSessCloseReturnsBacklog(t *testing.T) {
+	s := &replSess{}
+	items := replItems(1, 2)
+	for _, it := range items {
+		s.enqueue(it)
+	}
+	if got := s.close(); !slices.Equal(got, items) {
+		t.Fatalf("close returned %d items, want the 2 queued", len(got))
+	}
+	if s.enqueue(replItems(3)[0]) {
+		t.Fatal("a closed session accepted an enqueue")
+	}
+	if got := s.close(); len(got) != 0 {
+		t.Fatalf("a second close returned %d items", len(got))
+	}
+}
+
+func TestBuildSectionsMergesContiguous(t *testing.T) {
+	n, p0 := idleNode(t)
+	p1 := nodePart(t, n, "t", 1)
+	item := func(ps *partState, base, end int64) *replItem {
+		return &replItem{ps: ps, base: base, end: end, frames: storage.AppendRecordFrames(nil, keylessRecs(int(base), int(end-base)))}
+	}
+	batch := []*replItem{
+		item(p0, 0, 10),
+		item(p0, 10, 20), // extends the previous: merged
+		item(p1, 0, 5),   // another partition
+		item(p0, 20, 30), // contiguous with p0, but not adjacent in the queue
+		item(p0, 40, 50), // a gap
+	}
+	secs := buildSections(batch)
+	want := []struct {
+		ps    *partState
+		base  int64
+		count int
+		items int
+	}{{p0, 0, 20, 2}, {p1, 0, 5, 1}, {p0, 20, 10, 1}, {p0, 40, 10, 1}}
+	if len(secs) != len(want) {
+		t.Fatalf("%d sections, want %d", len(secs), len(want))
+	}
+	for i, w := range want {
+		s := secs[i]
+		if s.ps != w.ps || s.sec.topic != "t" || s.sec.partition != w.ps.partition || s.sec.base != w.base || s.sec.count != w.count || len(s.items) != w.items {
+			t.Errorf("section %d = %s at %d, %d records, %d items; want %s at %d, %d records, %d items",
+				i, s.ps, s.sec.base, s.sec.count, len(s.items), w.ps, w.base, w.count, w.items)
+		}
+	}
+	if merged := append(append([]byte(nil), batch[0].frames...), batch[1].frames...); !bytes.Equal(secs[0].sec.frames, merged) {
+		t.Error("merged section's frames are not its items' frames in order")
+	}
+	if &secs[1].sec.frames[0] != &batch[2].frames[0] {
+		t.Error("a lone item's frames were copied")
+	}
+}

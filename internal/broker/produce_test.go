@@ -123,8 +123,8 @@ func editMeta(cc *ClusterClient, edit func(m *ClusterMeta)) {
 // took. A retry under a fresh seq would leave both above want.
 func assertSeqs(t *testing.T, tc *testCluster, cc *ClusterClient, topic string, p int, want uint64) {
 	t.Helper()
-	tp := tpKey(topic, p)
-	pp := cc.producer(tp)
+	tp := fmt.Sprintf("%s/%d", topic, p)
+	pp := cc.producer(partKey{topic, p})
 	pp.mu.Lock()
 	assigned := pp.seq
 	pp.mu.Unlock()
@@ -136,7 +136,7 @@ func assertSeqs(t *testing.T, tc *testCluster, cc *ClusterClient, topic string, 
 		t.Fatal(err)
 	}
 	ldr := tc.nodes[tc.indexOf(m.LeaderOf(topic, p))]
-	if ps, ok := ldr.lastSeq(tp, cc.pid); !ok || ps.seq != want {
+	if ps, ok := ldr.lastSeq(nodePart(t, ldr, topic, p), cc.pid); !ok || ps.seq != want {
 		t.Errorf("%s: leader %s holds seq %d (known %v), want %d", tp, ldr.ID(), ps.seq, ok, want)
 	}
 }

@@ -283,7 +283,7 @@ func TestDurableClusterFollowerRestartCatchesUp(t *testing.T) {
 	// the next produces require (and exercise) its acks again.
 	li := dc.indexOf(m.LeaderOf("t", 0))
 	deadline := time.Now().Add(10 * time.Second)
-	for dc.nodes[li].isDead(follower) {
+	for dc.nodes[li].isDead(dc.nodes[li].peers[follower]) {
 		if time.Now().After(deadline) {
 			t.Fatal("leader never resurrected the restarted follower")
 		}
@@ -617,8 +617,9 @@ func TestParentDataDirOpensUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 		for p := 0; p < 2; p++ {
+			ps := nodePart(t, probe, "stream", p)
 			probe.mu.Lock()
-			committed := probe.remoteHWM[tpKey("stream", p)]
+			committed := ps.remoteHWM
 			probe.mu.Unlock()
 			if committed != 12 {
 				t.Fatalf("open %d: partition %d persisted committed watermark = %d, want 12", open, p, committed)

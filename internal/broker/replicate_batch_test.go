@@ -92,16 +92,18 @@ func TestReplicateAppendTrimsPrefixMidBatch(t *testing.T) {
 	if err := b.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.producePartitionFrames("t", 0, storage.AppendRecordFrames(nil, keylessRecs(0, 7)), 7); err != nil {
+	appendPart(t, b, "t", 0, keylessRecs(0, 7))
+	p, err := b.partition("t", 0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// Base 3: records 3..6 are duplicates, and the first batch (3..12)
 	// straddles the follower's watermark.
 	section := storage.AppendRecordFrames(storage.AppendRecordFrames(nil, keylessRecs(3, 10)), keylessRecs(13, 5))
 	for _, again := range []bool{false, true} { // the second delivery is wholly duplicate
-		hwm, err := b.replicateAppendFrames("t", 0, 3, section, 15)
+		hwm, err := p.replicateAppend(3, section, 15)
 		if err != nil || hwm != 18 {
-			t.Fatalf("replicateAppendFrames (redelivery %v) = hwm %d, %v; want 18", again, hwm, err)
+			t.Fatalf("replicateAppend (redelivery %v) = hwm %d, %v; want 18", again, hwm, err)
 		}
 	}
 	got, err := b.Fetch("t", 0, 0, 100)
@@ -123,7 +125,7 @@ func TestClusterBatchFencesStaleEpoch(t *testing.T) {
 	if err := cc.CreateTopic("t", 1); err != nil {
 		t.Fatal(err)
 	}
-	leader := tc.nodes[0].leaderFor("t", 0)
+	leader := tc.nodes[0].leaderFor(nodePart(t, tc.nodes[0], "t", 0))
 	if leader == "" {
 		t.Fatal("no leader for t/0")
 	}
@@ -332,7 +334,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 	for len(mine) < 2 {
 		mine = mine[:0]
 		for p := 0; p < 16 && len(mine) < 2; p++ {
-			if pc.nodes[0].leaderFor("t", p) == "n0" {
+			if pc.nodes[0].leaderFor(nodePart(t, pc.nodes[0], "t", p)) == "n0" {
 				mine = append(mine, p)
 			}
 		}
@@ -410,11 +412,8 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 	// the hole with a one-section replicate batch.
 	for _, p := range mine {
 		hole := keylessRecs(p*1000+20, 10)
-		base, err := pc.brokers[0].producePartitionFrames("t", p, storage.AppendRecordFrames(nil, hole), len(hole))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pc.nodes[0].noteBatch(tpKey("t", p), batchMeta{pid: 8888, seq: 1, base: base, end: base + 10})
+		base := appendPart(t, pc.brokers[0], "t", p, hole)
+		pc.nodes[0].noteBatch(nodePart(t, pc.nodes[0], "t", p), batchMeta{pid: 8888, seq: 1, base: base, end: base + 10})
 		if _, err := producePart(cli, "t", p, pid, 3, keylessRecs(p*1000+30, 10)); err != nil {
 			t.Fatalf("produce p%d over the hole: %v", p, err)
 		}

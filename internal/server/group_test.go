@@ -152,17 +152,20 @@ func TestGroupShedResplicesEveryMember(t *testing.T) {
 		t.Fatal(err)
 	}
 	events := makeSwappedEvents(53, 64000)
-	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Microsecond})
+	gc := newGatedCluster(bk)
+	s, err := New(Config{Cluster: gc, Topic: "in", PollBackoff: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer gc.open()
 	s.ing.queueDepth = 1 // before the first Register: every queue is depth 1
 	jobs := registerAll(t, s, groupSpecs(3))
 	waitGauges(t, s, 3, 1)
 	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
+	holdGroupsUntilShed(t, s, gc)
 	for _, j := range jobs {
 		waitJobRecords(t, j, int64(len(events)), 30*time.Second)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -366,11 +367,13 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 	if _, err := produceEvents(bk, "in", events); err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Microsecond})
+	gc := newGatedCluster(bk)
+	s, err := New(Config{Cluster: gc, Topic: "in", PollBackoff: time.Microsecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	defer gc.open()
 	s.ing.queueDepth = 1 // every second batch overflows while a drainer works
 	var jobs []*job
 	for i, kind := range []string{"sum", "sum", "sum", "count"} { // one group per partition
@@ -382,6 +385,8 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 		j, _ := s.job(id)
 		jobs = append(jobs, j)
 	}
+	waitGauges(t, s, 4, 1)
+	holdGroupsUntilShed(t, s, gc)
 	for _, j := range jobs {
 		waitJobRecords(t, j, int64(len(events)), 30*time.Second)
 	}
@@ -426,6 +431,72 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 	}
 	if shed == 0 {
 		t.Fatal("no delivery-queue shed occurred; overflow path untested")
+	}
+}
+
+// gatedCluster holds every batch fetch until its gate opens, so a test
+// can form sampling groups and take their locks before the plane reads
+// a record, and before an empty partition idles long enough to queue
+// idle punctuation ahead of the records.
+type gatedCluster struct {
+	broker.Cluster
+	gate chan struct{}
+	once sync.Once
+}
+
+func newGatedCluster(c broker.Cluster) *gatedCluster {
+	return &gatedCluster{Cluster: c, gate: make(chan struct{})}
+}
+
+func (g *gatedCluster) open() { g.once.Do(func() { close(g.gate) }) }
+
+func (g *gatedCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	<-g.gate
+	return g.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
+// holdGroupsUntilShed takes the lock of every sampling group on every
+// partition, so no drainer can apply a delivery, opens the gate, and
+// lets go once the plane has shed each held group (its depth-1 queue
+// overflowed). A queue only overflows while its consumer is slower
+// than the plane; holding the lock makes it so.
+func holdGroupsUntilShed(t *testing.T, s *Server, gc *gatedCluster) {
+	t.Helper()
+	held := make([][]*subQueue, len(s.ing.parts))
+	for i, pi := range s.ing.parts {
+		pi.mu.Lock()
+		held[i] = slices.Clone(pi.groups)
+		pi.mu.Unlock()
+		for _, sub := range held[i] {
+			sub.mu.Lock()
+		}
+	}
+	gc.open()
+	deadline := time.Now().Add(30 * time.Second)
+	unshed := 0
+	for i, pi := range s.ing.parts {
+		for _, sub := range held[i] {
+			for {
+				pi.mu.Lock()
+				shed := !slices.Contains(pi.groups, sub)
+				pi.mu.Unlock()
+				if shed || time.Now().After(deadline) {
+					if !shed {
+						unshed++
+					}
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	for i := range held {
+		for _, sub := range held[i] {
+			sub.mu.Unlock()
+		}
+	}
+	if unshed > 0 {
+		t.Fatalf("%d held groups were never shed", unshed)
 	}
 }
 
