@@ -47,9 +47,6 @@ func clamp(f float64) float64 {
 // Fraction returns the current sampling fraction.
 func (c *Controller) Fraction() float64 { return c.fraction }
 
-// Target returns the target relative error.
-func (c *Controller) Target() float64 { return c.target }
-
 // Observe feeds the relative error bound of the last interval
 // (bound/|value|) and returns the fraction to use next interval.
 func (c *Controller) Observe(relativeError float64) float64 {

@@ -81,12 +81,6 @@ func TestFixedSteps(t *testing.T) {
 	}
 }
 
-func TestTargetAccessor(t *testing.T) {
-	if NewController(0.02, 0.5).Target() != 0.02 {
-		t.Error("Target accessor broken")
-	}
-}
-
 // Property: the fraction always stays within bounds regardless of the
 // error sequence.
 func TestFractionAlwaysBounded(t *testing.T) {
@@ -107,7 +101,8 @@ func TestFractionAlwaysBounded(t *testing.T) {
 // Convergence: a plant whose error is inversely proportional to the
 // fraction must settle near the target.
 func TestConvergesOnStationaryPlant(t *testing.T) {
-	c := NewController(0.01, 0.05)
+	const target = 0.01
+	c := NewController(target, 0.05)
 	plant := func(fraction float64) float64 {
 		return 0.005 / fraction // error 0.5% at fraction 1.0, 10% at 0.05
 	}
@@ -115,8 +110,8 @@ func TestConvergesOnStationaryPlant(t *testing.T) {
 		c.Observe(plant(c.Fraction()))
 	}
 	finalErr := plant(c.Fraction())
-	if finalErr > c.Target()*1.5 {
+	if finalErr > target*1.5 {
 		t.Errorf("did not converge: fraction=%v error=%v target=%v",
-			c.Fraction(), finalErr, c.Target())
+			c.Fraction(), finalErr, target)
 	}
 }

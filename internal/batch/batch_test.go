@@ -77,66 +77,6 @@ func TestDatasetCountAndCollect(t *testing.T) {
 	}
 }
 
-func TestDatasetMap(t *testing.T) {
-	p := newTestPool(t, 3)
-	d := NewDataset(p, seqEvents(10)).Map(func(e stream.Event) stream.Event {
-		e.Value *= 2
-		return e
-	})
-	var sum float64
-	for _, e := range d.Collect() {
-		sum += e.Value
-	}
-	if sum != 90 { // 2 * (0+..+9)
-		t.Errorf("sum after map = %v, want 90", sum)
-	}
-}
-
-func TestDatasetFilter(t *testing.T) {
-	p := newTestPool(t, 3)
-	d := NewDataset(p, seqEvents(10)).Filter(func(e stream.Event) bool {
-		return e.Value >= 5
-	})
-	if d.Count() != 5 {
-		t.Errorf("filtered count = %d, want 5", d.Count())
-	}
-}
-
-func TestGroupByKeyColocatesStrata(t *testing.T) {
-	p := newTestPool(t, 4)
-	d := NewDataset(p, seqEvents(99)).GroupByKey()
-	if d.Count() != 99 {
-		t.Fatalf("shuffle lost events: %d", d.Count())
-	}
-	// Each stratum must live in exactly one partition.
-	where := map[string]map[int]bool{}
-	for i := 0; i < d.NumPartitions(); i++ {
-		for _, e := range d.Partition(i) {
-			if where[e.Stratum] == nil {
-				where[e.Stratum] = map[int]bool{}
-			}
-			where[e.Stratum][i] = true
-		}
-	}
-	for s, parts := range where {
-		if len(parts) != 1 {
-			t.Errorf("stratum %q spread over %d partitions", s, len(parts))
-		}
-	}
-}
-
-func TestReduceByKey(t *testing.T) {
-	p := newTestPool(t, 4)
-	events := []stream.Event{
-		{Stratum: "x", Value: 1}, {Stratum: "x", Value: 2},
-		{Stratum: "y", Value: 10}, {Stratum: "y", Value: 20}, {Stratum: "y", Value: 30},
-	}
-	got := NewDataset(p, events).ReduceByKey(func(a, b float64) float64 { return a + b })
-	if got["x"] != 3 || got["y"] != 60 {
-		t.Errorf("ReduceByKey = %v", got)
-	}
-}
-
 func TestDatasetSum(t *testing.T) {
 	p := newTestPool(t, 4)
 	if got := NewDataset(p, seqEvents(100)).Sum(); got != 4950 {

@@ -1,15 +1,10 @@
 package batch
 
-import (
-	"hash/fnv"
-
-	"streamapprox/internal/stream"
-)
+import "streamapprox/internal/stream"
 
 // Dataset is an immutable, partitioned collection of events — the RDD
-// analogue. Transformations return new Datasets; the input partitions are
-// never mutated. All transformations execute as data-parallel stages on
-// the owning pool, one task per partition.
+// analogue. Its partitions are never mutated; its actions execute as
+// data-parallel stages on the owning pool, one task per partition.
 type Dataset struct {
 	pool       *Pool
 	partitions [][]stream.Event
@@ -24,11 +19,6 @@ func NewDataset(pool *Pool, events []stream.Event) *Dataset {
 		pool:       pool,
 		partitions: stream.PartitionRoundRobin(events, pool.Size()),
 	}
-}
-
-// FromPartitions wraps pre-partitioned data without copying.
-func FromPartitions(pool *Pool, partitions [][]stream.Event) *Dataset {
-	return &Dataset{pool: pool, partitions: partitions}
 }
 
 // NumPartitions returns the partition count.
@@ -51,101 +41,6 @@ func (d *Dataset) Collect() []stream.Event {
 	out := make([]stream.Event, 0, d.Count())
 	for _, p := range d.partitions {
 		out = append(out, p...)
-	}
-	return out
-}
-
-// Map applies fn to every event in parallel (narrow dependency, no
-// shuffle).
-func (d *Dataset) Map(fn func(stream.Event) stream.Event) *Dataset {
-	out := make([][]stream.Event, len(d.partitions))
-	d.pool.RunN(len(d.partitions), func(i int) {
-		src := d.partitions[i]
-		dst := make([]stream.Event, len(src))
-		for j, e := range src {
-			dst[j] = fn(e)
-		}
-		out[i] = dst
-	})
-	return FromPartitions(d.pool, out)
-}
-
-// Filter keeps the events for which fn returns true (narrow dependency).
-func (d *Dataset) Filter(fn func(stream.Event) bool) *Dataset {
-	out := make([][]stream.Event, len(d.partitions))
-	d.pool.RunN(len(d.partitions), func(i int) {
-		src := d.partitions[i]
-		dst := make([]stream.Event, 0, len(src))
-		for _, e := range src {
-			if fn(e) {
-				dst = append(dst, e)
-			}
-		}
-		out[i] = dst
-	})
-	return FromPartitions(d.pool, out)
-}
-
-// GroupByKey shuffles events so that all events of one stratum land in
-// one partition (hash partitioning by stratum). This is the expensive
-// wide dependency underlying Spark's sampleByKey: a full map-side
-// partition pass, a cross-partition exchange, and a stage barrier.
-func (d *Dataset) GroupByKey() *Dataset {
-	n := len(d.partitions)
-	// Map side: each task splits its partition into n outboxes.
-	outboxes := make([][][]stream.Event, n)
-	d.pool.RunN(n, func(i int) {
-		boxes := make([][]stream.Event, n)
-		for _, e := range d.partitions[i] {
-			dst := hashStratum(e.Stratum, n)
-			boxes[dst] = append(boxes[dst], e)
-		}
-		outboxes[i] = boxes
-	})
-	// The stage barrier is implicit in RunN returning.
-	// Reduce side: each task concatenates its inboxes.
-	out := make([][]stream.Event, n)
-	d.pool.RunN(n, func(i int) {
-		var inbox []stream.Event
-		for from := 0; from < n; from++ {
-			inbox = append(inbox, outboxes[from][i]...)
-		}
-		out[i] = inbox
-	})
-	return FromPartitions(d.pool, out)
-}
-
-// ReduceByKey aggregates values per stratum: first a map-side combine
-// within each partition, then a shuffle of the combined pairs, then the
-// final reduce. fn must be associative and commutative.
-func (d *Dataset) ReduceByKey(fn func(a, b float64) float64) map[string]float64 {
-	n := len(d.partitions)
-	partials := make([]map[string]float64, n)
-	d.pool.RunN(n, func(i int) {
-		local := make(map[string]float64)
-		seen := make(map[string]bool)
-		for _, e := range d.partitions[i] {
-			if !seen[e.Stratum] {
-				local[e.Stratum] = e.Value
-				seen[e.Stratum] = true
-				continue
-			}
-			local[e.Stratum] = fn(local[e.Stratum], e.Value)
-		}
-		partials[i] = local
-	})
-	// Driver-side final merge (small: one entry per stratum per partition).
-	out := make(map[string]float64)
-	seen := make(map[string]bool)
-	for _, local := range partials {
-		for k, v := range local {
-			if !seen[k] {
-				out[k] = v
-				seen[k] = true
-				continue
-			}
-			out[k] = fn(out[k], v)
-		}
 	}
 	return out
 }
@@ -184,10 +79,4 @@ func (d *Dataset) ForeachPartition(fn func(i int, events []stream.Event)) {
 	d.pool.RunN(len(d.partitions), func(i int) {
 		fn(i, d.partitions[i])
 	})
-}
-
-func hashStratum(stratum string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(stratum))
-	return int(h.Sum32()) % n
 }

@@ -59,11 +59,11 @@ func TestDedupKeepsNewestSeq(t *testing.T) {
 	n.noteBatch(ps, batchMeta{pid: 7, seq: 1, base: 0, end: 10})  // older: journaled, not adopted
 	n.noteBatch(ps, batchMeta{pid: 7, seq: 2, base: 30, end: 40}) // same seq: not adopted
 	n.noteBatch(ps, batchMeta{pid: 0, seq: 9, base: 40, end: 50}) // no producer id: ignored
-	if last, ok := n.lastSeq(ps, 7); !ok || last != (prodSeq{seq: 2, base: 10, end: 20}) {
+	if last, ok := n.lastSeq(ps, 7); !ok || last != (batchMeta{pid: 7, seq: 2, base: 10, end: 20}) {
 		t.Fatalf("pid 7 after older and equal seqs: %+v, %v; want seq 2 at [10, 20)", last, ok)
 	}
 	n.noteBatch(ps, batchMeta{pid: 7, seq: 3, base: 20, end: 30})
-	if last, _ := n.lastSeq(ps, 7); last != (prodSeq{seq: 3, base: 20, end: 30}) {
+	if last, _ := n.lastSeq(ps, 7); last != (batchMeta{pid: 7, seq: 3, base: 20, end: 30}) {
 		t.Fatalf("pid 7 after a newer seq: %+v, want seq 3 at [20, 30)", last)
 	}
 	if _, ok := n.lastSeq(ps, 0); ok {

@@ -1,0 +1,45 @@
+package broker
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// TestStateJSONMatchesParent pins the bytes of state.json: a durable
+// node with two producers, a three-entry journal and committed
+// watermark 12 writes exactly the file an earlier build wrote for that
+// state (testdata/parent-state.json). TestParentDataDirOpensUntouched
+// pins the read side.
+func TestStateJSONMatchesParent(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "parent-state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(StorageConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.CreateTopic("stream", 1); err != nil {
+		t.Fatal(err)
+	}
+	n, err := NewClusterNode(b, NodeConfig{ID: "n0", Peers: map[string]string{"n0": "127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := nodePart(t, n, "stream", 0)
+	n.noteBatch(ps, batchMeta{pid: 9, seq: 4, base: 0, end: 5})
+	n.noteBatch(ps, batchMeta{pid: 7, seq: 1, base: 5, end: 9})
+	n.noteBatch(ps, batchMeta{pid: 9, seq: 5, base: 9, end: 12})
+	ps.committed.Store(12)
+	n.saveClusterState(ps)
+	got, err := os.ReadFile(n.statePath(ps))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("state.json = %s\nwant %s", got, want)
+	}
+}

@@ -6,7 +6,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -102,17 +101,4 @@ func percentile(sorted []float64, p float64) float64 {
 		idx = len(sorted) - 1
 	}
 	return sorted[idx]
-}
-
-// FormatItemsPerSec renders a throughput with K/M scaling, matching the
-// figure axes of the paper ("Throughput (K) #items/s").
-func FormatItemsPerSec(v float64) string {
-	switch {
-	case v >= 1e6:
-		return fmt.Sprintf("%.2fM items/s", v/1e6)
-	case v >= 1e3:
-		return fmt.Sprintf("%.1fK items/s", v/1e3)
-	default:
-		return fmt.Sprintf("%.0f items/s", v)
-	}
 }

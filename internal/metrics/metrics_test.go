@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 )
@@ -72,17 +71,5 @@ func TestPercentileP95(t *testing.T) {
 	s := Summarize(vals)
 	if s.P95 != 95 {
 		t.Errorf("P95 = %v", s.P95)
-	}
-}
-
-func TestFormatItemsPerSec(t *testing.T) {
-	if got := FormatItemsPerSec(2.5e6); !strings.Contains(got, "M") {
-		t.Errorf("2.5e6 -> %q", got)
-	}
-	if got := FormatItemsPerSec(1500); !strings.Contains(got, "K") {
-		t.Errorf("1500 -> %q", got)
-	}
-	if got := FormatItemsPerSec(42); got != "42 items/s" {
-		t.Errorf("42 -> %q", got)
 	}
 }

@@ -182,8 +182,7 @@ func (p *Pipeline) Run(ctx context.Context, src stream.Source, sink stream.Sink)
 // RunParallel fans the source out over n identical pipeline replicas
 // (round-robin) and merges their outputs into sink — task parallelism the
 // way Flink parallelizes a stateless operator chain. build must return a
-// fresh operator chain per replica; sink must be safe for concurrent use
-// or wrapped with LockedSink.
+// fresh operator chain per replica; sink must be safe for concurrent use.
 func RunParallel(ctx context.Context, n int, src stream.Source, sink stream.Sink, build func(replica int) []Operator) int64 {
 	if n < 1 {
 		n = 1
@@ -274,22 +273,4 @@ func (s *chunkChanSource) Next() (stream.Event, bool) {
 	e := s.buf[s.pos]
 	s.pos++
 	return e, true
-}
-
-// LockedSink wraps a sink with a mutex for concurrent emitters.
-type LockedSink struct {
-	mu   sync.Mutex
-	sink stream.Sink
-}
-
-// NewLockedSink returns a concurrency-safe wrapper around sink.
-func NewLockedSink(sink stream.Sink) *LockedSink {
-	return &LockedSink{sink: sink}
-}
-
-// Emit implements stream.Sink.
-func (l *LockedSink) Emit(e stream.Event) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.sink.Emit(e)
 }

@@ -143,23 +143,3 @@ func TestRunParallelClampsN(t *testing.T) {
 		t.Errorf("sink saw %d", count.Load())
 	}
 }
-
-func TestLockedSink(t *testing.T) {
-	var inner stream.CollectSink
-	locked := NewLockedSink(&inner)
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 1000; i++ {
-				locked.Emit(stream.Event{Value: 1})
-			}
-		}()
-	}
-	for i := 0; i < 4; i++ {
-		<-done
-	}
-	if len(inner.Events) != 4000 {
-		t.Errorf("locked sink lost events: %d/4000", len(inner.Events))
-	}
-}

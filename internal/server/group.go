@@ -1,9 +1,6 @@
 package server
 
-import (
-	"slices"
-	"time"
-)
+import "slices"
 
 // A sampling group's members change state only under the group lock and
 // every member's shard lock, taken leader first and then in member order:
@@ -115,26 +112,27 @@ func (sub *subQueue) apply(d planeDelivery) {
 }
 
 // idle applies an idle punctuation: every member advances to its own
-// job's highest watermark, as an ungrouped shard would. The shared
-// sampler moves with the leader, so a follower whose job stands elsewhere
-// first leaves it with a copy, and follows again once it is back at the
-// leader's point of the stream: no record is dropped as late that an
-// ungrouped shard would keep.
-func (sub *subQueue) idle(hwm int64) {
+// job's highest watermark as the marker captured it when queued, as an
+// ungrouped shard would. The shared sampler moves with the leader, so a
+// follower whose job stood elsewhere first leaves it with a copy, and
+// follows again once it is back at the leader's point of the stream: no
+// record is dropped as late that an ungrouped shard would keep. A member
+// the marker has no mark for joined after it was queued; it leaves the
+// shared sampler too and does not advance.
+func (sub *subQueue) idle(d planeDelivery) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
-	marks := make(map[*shard]time.Time, len(sub.members))
-	for _, sh := range sub.members {
-		marks[sh] = sh.job.maxWatermark()
-	}
 	sub.lockAll()
 	defer sub.unlockAll()
+	lead, leadOK := d.marks[sub.members[0]]
 	for _, sh := range sub.members {
-		if !marks[sh].Equal(marks[sub.members[0]]) {
+		if mark, ok := d.marks[sh]; !ok || !leadOK || !mark.Equal(lead) {
 			sub.unfollow(sh)
 		}
 	}
 	for _, sh := range sub.members {
-		sh.idleLocked(marks[sh], hwm)
+		if mark, ok := d.marks[sh]; ok {
+			sh.idleLocked(mark, d.hwm)
+		}
 	}
 }

@@ -148,13 +148,15 @@ type groupKey struct {
 
 // planeDelivery is one fan-out unit: a shared columnar batch or an idle
 // punctuation marker. A batch delivery carries one reference per
-// enqueued sub; the drainer Releases it after applying.
+// enqueued sub; the drainer Releases it after applying. A marker carries
+// each attached shard's job watermark as of its queueing (read-only).
 type planeDelivery struct {
 	batch   *stream.EventBatch
 	next    int64
 	hwm     int64
 	haveHWM bool
 	idle    bool
+	marks   map[*shard]time.Time
 }
 
 // partIngest is the plane for one partition: one consumer, one loop,
@@ -325,7 +327,7 @@ func (pi *partIngest) join(sh *shard) {
 func (pi *partIngest) drain(sub *subQueue) {
 	for d := range sub.ch {
 		if d.idle {
-			sub.idle(d.hwm)
+			sub.idle(d)
 		} else {
 			sub.apply(d)
 			d.batch.Release()
@@ -638,12 +640,20 @@ func (pi *partIngest) drained() (hwm int64, ok bool) {
 // pushing event-time watermarks forward on a quiet partition so windows
 // a sparsely keyed partition would hold back still merge, and carrying
 // the drain check's high watermark so the queries' lag gauges settle.
-// Best effort: a full queue skips the marker (the next one fires again).
+// The marker carries each attached shard's job watermark read now, not
+// when a lagging drainer reaches it: records queued behind it are not
+// late. Reading them under pi.mu takes shard locks after the plane's, as
+// the lock order has it. Best effort: a full queue skips the marker (the
+// next one fires again).
 func (pi *partIngest) idleAdvance(hwm int64) {
 	pi.mu.Lock()
+	marks := make(map[*shard]time.Time, len(pi.subs))
+	for sh := range pi.subs {
+		marks[sh] = sh.job.maxWatermark()
+	}
 	for _, sub := range pi.groups {
 		select {
-		case sub.ch <- planeDelivery{idle: true, hwm: hwm}:
+		case sub.ch <- planeDelivery{idle: true, hwm: hwm, marks: marks}:
 		default:
 		}
 	}

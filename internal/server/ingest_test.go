@@ -731,3 +731,118 @@ func TestFetchLoopIdleIssuesOneFetchPerBackoff(t *testing.T) {
 		t.Errorf("%d fetches over %v of idling at a %v back-off, want at most %d (and the loop alive)", n, elapsed, backoff, most)
 	}
 }
+
+// TestIdleMarkerKeepsRecordsQueuedBehindIt holds partition 0's sampling
+// group while the partition stays idle, so the plane queues an idle
+// marker behind the held drainer. Then partition 1 moves seconds ahead
+// and partition 0 receives records older than that, queued behind the
+// marker. The marker must advance partition 0's shard only to the
+// watermarks it saw when it was queued: every served window holds every
+// record produced into it, and no record is dropped as late.
+func TestIdleMarkerKeepsRecordsQueuedBehindIt(t *testing.T) {
+	bk := broker.New()
+	defer bk.Close()
+	for _, topic := range []string{"in", "route"} {
+		if err := bk.CreateTopic(topic, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A stratum per partition, found by producing one record per
+	// candidate to a scratch topic with as many partitions.
+	var keys [2]string
+	for i := 0; keys[0] == "" || keys[1] == ""; i++ {
+		key := fmt.Sprintf("k%d", i)
+		if _, err := bk.Produce("route", []broker.Record{{Key: key}}); err != nil {
+			t.Fatal(err)
+		}
+		for p := range keys {
+			if hwm, _ := bk.HighWatermark("route", p); hwm > 0 && keys[p] == "" {
+				keys[p] = key
+				break
+			}
+		}
+	}
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	span := func(p int, from, to time.Duration) []stream.Event {
+		var events []stream.Event
+		for at := from; at < to; at += 10 * time.Millisecond {
+			events = append(events, stream.Event{Stratum: keys[p], Value: 1, Time: base.Add(at)})
+		}
+		return events
+	}
+	var all []stream.Event
+	produce := func(spans ...[]stream.Event) {
+		t.Helper()
+		events := slices.Concat(spans...)
+		if _, err := produceEvents(bk, "in", events); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, events...)
+	}
+
+	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id, err := s.Register(Spec{Kind: "sum", Window: time.Second, Slide: time.Second, Fraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.job(id)
+	produce(span(0, 0, time.Second), span(1, 0, time.Second))
+	waitJobRecords(t, j, int64(len(all)), 10*time.Second)
+
+	pi := s.ing.parts[0]
+	pi.mu.Lock()
+	sub := pi.groups[0]
+	pi.mu.Unlock()
+	sub.mu.Lock()
+	held := time.Now()
+	for len(sub.ch) == 0 || time.Since(held) < 600*time.Millisecond {
+		if time.Since(held) > 10*time.Second {
+			sub.mu.Unlock()
+			t.Fatal("no idle marker queued on partition 0")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	// Partition 1 runs to 4s while partition 0 receives [1s, 3s): both in
+	// one call, so no later marker of partition 0 sees partition 1 ahead
+	// before these records are queued.
+	produce(span(1, 3*time.Second, 4*time.Second), span(0, time.Second, 3*time.Second))
+	for {
+		pi.mu.Lock()
+		next := pi.next
+		pi.mu.Unlock()
+		hwm, _ := bk.HighWatermark("in", 0)
+		if next == hwm && j.shards[1].records.Load() == 200 && !j.maxWatermark().Before(base.Add(3990*time.Millisecond)) {
+			break
+		}
+		if time.Since(held) > 10*time.Second {
+			sub.mu.Unlock()
+			t.Fatal("partition 1 did not advance or partition 0 did not queue its records")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	sub.mu.Unlock()
+
+	produce(span(0, 5*time.Second, 7*time.Second), span(1, 5*time.Second, 7*time.Second))
+	waitJobRecords(t, j, int64(len(all)), 10*time.Second)
+	exact := exactWindowSums(all, time.Second, time.Second)
+	last := base.Add(5 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
+	for windowItems(j)[last] == 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	items := windowItems(j)
+	for start, want := range exact {
+		if !start.After(last) && float64(items[start]) != want {
+			t.Errorf("window %v: %d items, want %v", start.Sub(base), items[start], want)
+		}
+	}
+	for _, sh := range j.shards {
+		if late := sh.lateMetric.Value(); late != 0 {
+			t.Errorf("shard %d dropped %v records as late", sh.idx, late)
+		}
+	}
+}

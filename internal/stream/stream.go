@@ -7,10 +7,7 @@
 // the stratified sampler.
 package stream
 
-import (
-	"context"
-	"time"
-)
+import "time"
 
 // Event is one data item in the input stream.
 //
@@ -77,30 +74,6 @@ func (s *SliceSource) Reset() { s.pos = 0 }
 
 // Len returns the total number of events the source will yield.
 func (s *SliceSource) Len() int { return len(s.events) }
-
-// ChanSource adapts a channel of events to the Source interface. Next
-// blocks until an event is available, the channel is closed, or ctx is
-// cancelled.
-type ChanSource struct {
-	ctx context.Context
-	ch  <-chan Event
-}
-
-// NewChanSource returns a Source reading from ch until it is closed or ctx
-// is done.
-func NewChanSource(ctx context.Context, ch <-chan Event) *ChanSource {
-	return &ChanSource{ctx: ctx, ch: ch}
-}
-
-// Next returns the next event from the channel.
-func (s *ChanSource) Next() (Event, bool) {
-	select {
-	case e, ok := <-s.ch:
-		return e, ok
-	case <-s.ctx.Done():
-		return Event{}, false
-	}
-}
 
 // CollectSink appends every emitted event to an internal slice.
 // It is not safe for concurrent use.

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"testing"
 	"testing/quick"
 	"time"
@@ -47,27 +46,6 @@ func TestSourceFunc(t *testing.T) {
 	})
 	if got := len(Drain(src)); got != 2 {
 		t.Errorf("drained %d, want 2", got)
-	}
-}
-
-func TestChanSource(t *testing.T) {
-	ch := make(chan Event, 1)
-	src := NewChanSource(context.Background(), ch)
-	ch <- ev("a", 1, 0)
-	close(ch)
-	got := Drain(src)
-	if len(got) != 1 || got[0].Value != 1 {
-		t.Errorf("got %+v", got)
-	}
-}
-
-func TestChanSourceContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := make(chan Event)
-	src := NewChanSource(ctx, ch)
-	cancel()
-	if _, ok := src.Next(); ok {
-		t.Error("cancelled source returned an event")
 	}
 }
 

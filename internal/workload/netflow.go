@@ -21,11 +21,11 @@ import (
 //
 // Stratum = protocol, Value = flow size in bytes.
 
-// Protocol mix of the CAIDA-derived dataset, normalized.
+// Protocol mix of the CAIDA-derived dataset, normalized; ICMP takes the
+// remaining 1.5%.
 const (
-	netflowTCPShare  = 0.6230
-	netflowUDPShare  = 0.3620
-	netflowICMPShare = 0.0150
+	netflowTCPShare = 0.6230
+	netflowUDPShare = 0.3620
 )
 
 // netflowDist returns the per-protocol flow-size distribution. The
@@ -73,14 +73,4 @@ func NetFlowEvents(rng *xrand.Rand, n int, duration time.Duration) []stream.Even
 		}
 	}
 	return out
-}
-
-// NetFlowSubstreams returns the case study as rate-based sub-streams for
-// use with Generate, for experiments that vary per-protocol rates.
-func NetFlowSubstreams(totalRate int) []Substream {
-	return []Substream{
-		{Name: "tcp", Dist: netflowDist("tcp"), Rate: int(float64(totalRate) * netflowTCPShare)},
-		{Name: "udp", Dist: netflowDist("udp"), Rate: int(float64(totalRate) * netflowUDPShare)},
-		{Name: "icmp", Dist: netflowDist("icmp"), Rate: int(float64(totalRate) * netflowICMPShare)},
-	}
 }

@@ -76,27 +76,3 @@ func TaxiEvents(rng *xrand.Rand, n int, duration time.Duration) []stream.Event {
 	}
 	return out
 }
-
-// TaxiSubstreams returns the case study as rate-based sub-streams.
-func TaxiSubstreams(totalRate int) []Substream {
-	bs := boroughs()
-	out := make([]Substream, len(bs))
-	for i, b := range bs {
-		rate := int(float64(totalRate) * b.share)
-		if rate < 1 {
-			rate = 1
-		}
-		out[i] = Substream{Name: b.name, Dist: b.dist, Rate: rate}
-	}
-	return out
-}
-
-// BoroughNames returns the six stratum names, most popular first.
-func BoroughNames() []string {
-	bs := boroughs()
-	out := make([]string, len(bs))
-	for i, b := range bs {
-		out[i] = b.name
-	}
-	return out
-}

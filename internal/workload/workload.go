@@ -101,16 +101,6 @@ func PaperGaussian(rateA, rateB, rateC int) []Substream {
 	}
 }
 
-// PaperPoisson returns the three Poisson sub-streams of §5.1 — λ=10,
-// λ=1000, λ=1e8 — with the given arrival rates.
-func PaperPoisson(rateA, rateB, rateC int) []Substream {
-	return []Substream{
-		{Name: "A", Dist: Poisson{Lambda: 10}, Rate: rateA},
-		{Name: "B", Dist: Poisson{Lambda: 1000}, Rate: rateB},
-		{Name: "C", Dist: Poisson{Lambda: 1e8}, Rate: rateC},
-	}
-}
-
 // SkewGaussian returns the §5.7 Gaussian skew mix: sub-stream A(µ=100,
 // σ=10) carries 80% of the items, B(µ=1000, σ=100) 19%, and C(µ=10000,
 // σ=1000) 1%, at the given total rate (items/second).

@@ -57,7 +57,9 @@ func TestPaperGaussianMoments(t *testing.T) {
 
 func TestPaperPoissonMoments(t *testing.T) {
 	rng := xrand.New(4)
-	events := Generate(rng, 3*time.Second, PaperPoisson(2000, 2000, 200)...)
+	events := Generate(rng, 3*time.Second,
+		Substream{Name: "A", Dist: Poisson{Lambda: 10}, Rate: 2000},
+		Substream{Name: "C", Dist: Poisson{Lambda: 1e8}, Rate: 200})
 	sums := map[string]float64{}
 	counts := map[string]float64{}
 	for _, e := range events {
@@ -140,16 +142,6 @@ func TestNetFlowEmpty(t *testing.T) {
 	}
 }
 
-func TestNetFlowSubstreams(t *testing.T) {
-	subs := NetFlowSubstreams(10000)
-	if len(subs) != 3 {
-		t.Fatalf("%d substreams", len(subs))
-	}
-	if subs[0].Rate != 6230 || subs[2].Rate != 150 {
-		t.Errorf("rates = %d, %d", subs[0].Rate, subs[2].Rate)
-	}
-}
-
 func TestTaxiBoroughSkewAndDistances(t *testing.T) {
 	rng := xrand.New(8)
 	events := TaxiEvents(rng, 300000, 10*time.Second)
@@ -172,22 +164,6 @@ func TestTaxiBoroughSkewAndDistances(t *testing.T) {
 	// EWR (Newark) runs must be much longer than Manhattan hops.
 	if sums["ewr"]/counts["ewr"] < 3*(sums["manhattan"]/counts["manhattan"]) {
 		t.Error("ewr trips should be far longer than manhattan trips")
-	}
-}
-
-func TestTaxiSubstreamsAndNames(t *testing.T) {
-	subs := TaxiSubstreams(100000)
-	if len(subs) != 6 {
-		t.Fatalf("%d substreams", len(subs))
-	}
-	names := BoroughNames()
-	if len(names) != 6 || names[0] != "manhattan" {
-		t.Errorf("BoroughNames = %v", names)
-	}
-	for _, s := range subs {
-		if s.Rate < 1 {
-			t.Errorf("substream %s has rate %d", s.Name, s.Rate)
-		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package xrand provides a small, deterministic, allocation-free random
 // number generator plus the distribution samplers the StreamApprox
-// workloads need (uniform, Gaussian, Poisson, exponential, Zipf).
+// workloads need (uniform, Gaussian, Poisson).
 //
 // The generator is splitmix64: a 64-bit state advanced by a Weyl constant
 // and finalized with two xor-shift-multiply rounds. It is fast, passes
@@ -173,16 +173,6 @@ func (r *Rand) Gaussian(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *Rand) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -math.Log(u)
-		}
-	}
-}
-
 // Poisson returns a Poisson variate with mean lambda.
 //
 // Three regimes:
@@ -215,47 +205,4 @@ func (r *Rand) Poisson(lambda float64) int64 {
 		}
 		return int64(v)
 	}
-}
-
-// Zipf samples Zipf-distributed values over [0, n) with exponent s > 0
-// via a precomputed cumulative distribution and binary search. The
-// workloads use small n (protocol classes, boroughs, flow-size buckets),
-// so the O(n) setup and O(log n) draw are a non-issue and the
-// implementation is trivially auditable.
-type Zipf struct {
-	r   *Rand
-	cdf []float64
-}
-
-// NewZipf returns a Zipf sampler over {0, 1, ..., n-1} with exponent s > 0.
-// Rank 0 is the most popular element.
-func NewZipf(r *Rand, s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("xrand: NewZipf called with non-positive n")
-	}
-	cdf := make([]float64, n)
-	total := 0.0
-	for i := 0; i < n; i++ {
-		total += math.Pow(float64(i+1), -s)
-		cdf[i] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	return &Zipf{r: r, cdf: cdf}
-}
-
-// Next returns the next Zipf-distributed value in [0, n).
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

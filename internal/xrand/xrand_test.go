@@ -224,46 +224,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	r := New(13)
-	z := NewZipf(r, 1.2, 10)
-	counts := make([]int, 10)
-	for i := 0; i < 100000; i++ {
-		counts[z.Next()]++
-	}
-	// Rank 0 must dominate and counts must be monotonically non-increasing
-	// in expectation; allow small noise by comparing rank 0 vs rank 9.
-	if counts[0] <= counts[9]*3 {
-		t.Errorf("Zipf skew too weak: first=%d last=%d", counts[0], counts[9])
-	}
-	for i, c := range counts {
-		if c == 0 {
-			t.Errorf("Zipf rank %d never drawn", i)
-		}
-	}
-}
-
-func TestZipfPanicsOnBadN(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewZipf(0) did not panic")
-		}
-	}()
-	NewZipf(New(1), 1.0, 0)
-}
-
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(14)
-	const n = 200000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.02 {
-		t.Errorf("Exp mean = %v, want ~1", mean)
-	}
-}
-
 // Uint64n must draw what the algorithm it replaced drew — the threshold
 // computed up front on every call, the 128-bit product from 32-bit limbs —
 // value for value and with the same generator consumption, so no seeded
