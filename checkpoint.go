@@ -252,6 +252,6 @@ func (s *Session) adoptV1Pending(pending map[string]pendingSample) error {
 		sum := s.q.Summarize(&sampling.Sample{Strata: w.strata[:own]})
 		s.panes = append(s.panes, pane{Start: w.start, Summary: sum})
 	}
-	s.fired = wins[0].start.Add(s.assigner.Size() - s.assigner.Slide())
+	s.fired = wins[0].start.Add(s.cfg.WindowSize - s.cfg.WindowSlide)
 	return nil
 }

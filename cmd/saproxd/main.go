@@ -35,10 +35,10 @@
 // loop on each of its shards, moving the sampling fraction toward that
 // relative error; any other query samples its spec's fraction.
 //
-// With -checkpoint-dir set, the shared partition offsets, each query's
-// delivery watermarks and Session snapshots, and partially merged
-// windows are checkpointed periodically and restored on restart, so a
-// killed daemon resumes where it left off.
+// With -checkpoint-dir set, each query's delivery watermarks, Session
+// snapshots and partially merged windows are checkpointed periodically
+// to a file of its own and restored on restart, so a killed daemon
+// resumes where it left off.
 //
 // On SIGTERM/SIGINT the daemon shuts down gracefully: it stops
 // accepting HTTP work, quiesces the ingest plane, finishes in-flight
@@ -169,8 +169,8 @@ func run() error {
 	}
 	// Graceful order: stop accepting HTTP work, then let srv.Close
 	// quiesce the ingest plane, finish in-flight merges, and flush
-	// every query's checkpoint (plus the shared plane offsets) before
-	// the process exits — nothing mid-merge is dropped.
+	// every query's checkpoint before the process exits — nothing
+	// mid-merge is dropped.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)

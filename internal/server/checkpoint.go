@@ -12,37 +12,26 @@ import (
 	"streamapprox"
 )
 
-// Checkpointing under the shared ingest plane splits into two halves:
+// A query's checkpoint is one file, <id>.json, and it is the whole of
+// what the serving tier restores: the query's delivery watermarks (the
+// next offset each shard needs from its partition), its Session
+// snapshots, and the merger's partially merged windows plus the result
+// sequence counter. The plane itself saves nothing: the broker's log is
+// replayable, so a reader's offset is all a query needs to resume.
 //
-//   - the SHARED half (ingestStateFile): the plane's per-partition
-//     offsets — one set for the whole server, since every query rides
-//     the same consumer per partition;
-//   - the PER-QUERY half (<id>.json): each query's delivery watermarks
-//     (the next offset each shard needs), Session snapshots, and the
-//     merger's partially merged windows plus the result sequence
-//     counter.
-//
-// A restarted saproxd re-reads the directory, re-positions the plane
-// from the shared offsets, re-registers every query, and re-attaches
-// each one at its own watermark: queries behind the plane replay the
-// gap through the catch-up path, queries ahead of it skip — so a kill
-// -9 restart neither loses nor duplicates records for any query, even
-// when the crash tore between the shared and per-query files.
+// A restarted saproxd re-reads the directory and re-attaches every query
+// at its own watermarks, in id order. The plane is positioned as on a
+// fresh start, by the first shard that attaches to each partition;
+// shards behind it replay the gap through the catch-up path and shards
+// ahead of it skip — so a kill -9 restart neither loses nor duplicates
+// records for any query. Each file is fsynced before it is renamed into
+// place, so a crash leaves either the old checkpoint or the new one.
+// Files whose names start with "_" are not checkpoints and are never
+// read or removed: an older release kept the plane's position in one.
 
 // checkpointVersion 3 writes each pending part's estimates with their
 // Variance and DF; versions 1 and 2 held value and bound only.
 const checkpointVersion = 3
-
-// ingestStateFile holds the shared half; the leading underscore keeps
-// it out of the per-query checkpoint glob.
-const ingestStateFile = "_ingest.json"
-
-// ingestState is the on-disk form of the shared plane position.
-type ingestState struct {
-	Version int     `json:"version"`
-	Topic   string  `json:"topic"`
-	Offsets []int64 `json:"offsets"` // per partition; -1 = never positioned
-}
 
 // checkpointFile is the on-disk form of one query's state.
 type checkpointFile struct {
@@ -225,69 +214,8 @@ func checkpointPath(dir, id string) string {
 	return filepath.Join(dir, id+".json")
 }
 
-// saveIngestState atomically persists the shared plane offsets.
-func saveIngestState(dir, topic string, offsets []int64) error {
-	data, err := json.Marshal(ingestState{Version: 1, Topic: topic, Offsets: offsets})
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(dir, ingestStateFile, data)
-}
-
-// loadIngestState reads the shared plane offsets; a missing file or a
-// topic mismatch yields nil (start unpositioned, not an error — the
-// per-query watermarks alone are enough for a correct resume).
-func loadIngestState(dir, topic string) ([]int64, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ingestStateFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var st ingestState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return nil, fmt.Errorf("ingest state: %w", err)
-	}
-	// An unknown version or foreign topic falls back to the documented
-	// unpositioned start rather than interpreting offsets whose
-	// semantics may have changed — the per-query watermarks alone are
-	// enough for a correct (catch-up based) resume.
-	if st.Version != 1 || st.Topic != topic {
-		return nil, nil
-	}
-	return st.Offsets, nil
-}
-
-// saveCheckpoint writes one query's checkpoint atomically.
-func saveCheckpoint(dir string, cf *checkpointFile) error {
-	data, err := json.Marshal(cf)
-	if err != nil {
-		return fmt.Errorf("marshal checkpoint %s: %w", cf.ID, err)
-	}
-	return writeFileAtomic(dir, cf.ID+".json", data)
-}
-
-// writeFileAtomic writes dir/name via temp file + rename.
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp, err := os.CreateTemp(dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		_ = tmp.Close()
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		_ = os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), filepath.Join(dir, name))
-}
-
 // loadCheckpoints reads every query checkpoint in dir, sorted by id.
-// Files starting with "_" (the shared ingest state) are skipped.
+// Files starting with "_" are skipped.
 func loadCheckpoints(dir string) ([]*checkpointFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {

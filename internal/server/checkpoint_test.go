@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -202,10 +204,10 @@ func TestNewQueryNeverInheritsDeletedQueryPosition(t *testing.T) {
 // TestCheckpointWithBrokerDownIsPrompt: a checkpoint is local state
 // only. With the one broker of a one-member cluster stopped under
 // routing clients that would retry a broker call for seconds, a
-// checkpoint still returns at once and writes every file, and so does
-// Close. The server is wired as saproxd wires it: each partition loop
-// on a connection of its own, which Close closes under a fetch it may
-// be retrying.
+// checkpoint still returns at once and writes the query's file — the
+// only one: no shared _ingest.json — and so does Close. The server is
+// wired as saproxd wires it: each partition loop on a connection of its
+// own, which Close closes under a fetch it may be retrying.
 func TestCheckpointWithBrokerDownIsPrompt(t *testing.T) {
 	bc := startBrokerCluster(t, 1)
 	cc, err := broker.DialCluster(bc.addrs)
@@ -254,10 +256,11 @@ func TestCheckpointWithBrokerDownIsPrompt(t *testing.T) {
 	if took := time.Since(start); took >= time.Second {
 		t.Errorf("checkpoint with the broker down took %v; want < 1s", took)
 	}
-	for _, name := range []string{ingestStateFile, id + ".json"} {
-		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
-			t.Errorf("checkpoint with the broker down: %v", err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, id+".json")); err != nil {
+		t.Errorf("checkpoint with the broker down: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "_ingest.json")); !os.IsNotExist(err) {
+		t.Errorf("checkpoint wrote a shared _ingest.json (stat: %v)", err)
 	}
 	start = time.Now()
 	s.Close()
@@ -267,15 +270,40 @@ func TestCheckpointWithBrokerDownIsPrompt(t *testing.T) {
 }
 
 // TestSharedPlaneRestartNoLossNoDup is the shared-ingest recovery
-// property: kill a server mid-window with three active queries plus
-// one late-registered query (attached through the catch-up path),
-// restart from the checkpoint directory, feed the rest of the stream,
-// and assert that EVERY query accounts for every produced record
-// exactly once and serves no window twice — the split into shared
-// partition offsets and per-query delivery watermarks must make
-// restart loss- and duplication-free even for queries that were behind
-// the plane when the checkpoint was cut.
+// property: restart a server from its checkpoint directory with queries
+// at different points of the stream, feed the rest of the stream, and
+// assert that EVERY query accounts for every produced record exactly
+// once and serves no window twice. Each query's own delivery watermarks
+// must make restart loss- and duplication-free whichever query the
+// restarted plane is positioned by: restore attaches in id order and
+// the first shard to attach to a partition positions it.
+//
+//   - late behind: the kill lands while a late-registered query is still
+//     catching up; q-0, ahead, positions the plane and the late query
+//     replays the gap through the catch-up path.
+//   - first attach behind: the late query is q-10, which sorts before
+//     the early queries q-2 … q-5, and a periodic checkpoint is cut while
+//     it is still catching up. At restart it positions the plane at its
+//     own, lower offset, and every other query skips ahead on the plane.
 func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
+	t.Run("late behind", restartLateBehind)
+	t.Run("first attach behind", restartFirstAttachBehind)
+}
+
+// restartSpecs are the restart tests' queries: the sum and the second
+// count share a sampler (same slide and fraction), as does the late sum
+// once it has caught up.
+var restartSpecs = []Spec{
+	{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5},
+	{Kind: "mean", Window: 3 * time.Second, Slide: time.Second, Fraction: 0.6},
+	{Kind: "count", Window: 2 * time.Second, Slide: 2 * time.Second, Fraction: 0.4},
+	{Kind: "count", Window: 3 * time.Second, Slide: time.Second, Fraction: 0.5, Seed: 3},
+}
+
+var restartLateSpec = Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second,
+	Fraction: 0.5, From: "earliest", Seed: 5}
+
+func restartLateBehind(t *testing.T) {
 	dir := t.TempDir()
 	b := broker.New()
 	if err := b.CreateTopic("in", 2); err != nil {
@@ -297,24 +325,13 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs := []Spec{
-		{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5},
-		{Kind: "mean", Window: 3 * time.Second, Slide: time.Second, Fraction: 0.6},
-		{Kind: "count", Window: 2 * time.Second, Slide: 2 * time.Second, Fraction: 0.4},
-		// The sum's same-config peer: the two share a sampler when cut.
-		{Kind: "count", Window: 3 * time.Second, Slide: time.Second, Fraction: 0.5, Seed: 3},
-	}
 	var ids []string
-	for _, sp := range specs {
-		id, err := s1.Register(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
+	for _, j := range registerAll(t, s1, restartSpecs) {
+		ids = append(ids, j.id)
 	}
-	// Let the three early queries get ahead, then register a late one
-	// from the beginning: it restores mid-catch-up if the kill lands
-	// while it is still chasing the plane.
+	// Let the early queries get ahead, then register a late one from the
+	// beginning: it restores mid-catch-up if the kill lands while it is
+	// still chasing the plane.
 	for _, id := range ids {
 		j, _ := s1.job(id)
 		deadline := time.Now().Add(10 * time.Second)
@@ -325,8 +342,7 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 			time.Sleep(2 * time.Millisecond)
 		}
 	}
-	lateID, err := s1.Register(Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second,
-		Fraction: 0.5, From: "earliest", Seed: 5})
+	lateID, err := s1.Register(restartLateSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,31 +369,133 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	for _, id := range ids {
+	assertRestartExactlyOnce(t, b, s2, events, before)
+}
+
+// stallCluster, once armed, serves a catch-up read (one below the
+// partition's high watermark) its first round of at most 500 records and
+// holds every later one until the gate opens: the plane, reading at the
+// high watermark, runs on.
+type stallCluster struct {
+	broker.Cluster
+	armed atomic.Bool
+	gate  chan struct{}
+}
+
+func (c *stallCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	if !c.armed.Load() {
+		return c.Cluster.FetchBatch(topic, partition, offset, max, b)
+	}
+	if hwm, err := c.HighWatermark(topic, partition); err == nil && offset < hwm {
+		if offset > 0 {
+			<-c.gate
+		}
+		max = min(max, 500)
+	}
+	return c.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
+func restartFirstAttachBehind(t *testing.T) {
+	b := broker.New()
+	if err := b.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(53, 16000)
+	half := len(events) / 2
+	if _, err := produceEvents(b, "in", events[:half]); err != nil {
+		t.Fatal(err)
+	}
+	sc := &stallCluster{Cluster: b, gate: make(chan struct{})}
+	dir := t.TempDir()
+	s1, err := New(Config{Cluster: sc, Topic: "in", CheckpointDir: dir,
+		CheckpointEvery: time.Hour, PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1.nextID = 2 // the early queries are q-2 … q-5
+	for _, j := range registerAll(t, s1, restartSpecs) {
+		waitJobRecords(t, j, int64(half), 10*time.Second)
+	}
+	sc.armed.Store(true)
+	s1.nextID = 10
+	lateID, err := s1.Register(restartLateSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jLate, _ := s1.job(lateID)
+	waitJobRecords(t, jLate, 1000, 10*time.Second) // 500 per partition, then held
+	s1.checkpointAll()
+	// The kill -9 copy: the checkpoint directory as the periodic cut left
+	// it, before Close writes its own.
+	killed := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(killed, e.Name()), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfs, err := loadCheckpoints(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfs) != 5 || cfs[0].ID != lateID {
+		t.Fatalf("checkpoints %v: want 5, %s first", cfs, lateID)
+	}
+	for _, shc := range cfs[0].Shards {
+		if shc.Offset != 500 {
+			t.Fatalf("%s cut at offset %d on partition %d, want 500 (still catching up)", lateID, shc.Offset, shc.Partition)
+		}
+	}
+	close(sc.gate)
+	// Windows served after the cut are lost with the kill: the restarted
+	// server serves them again from the checkpoint.
+	before := make(map[string][]MergedWindow)
+	for _, cf := range cfs {
+		j, _ := s1.job(cf.ID)
+		before[cf.ID] = slices.DeleteFunc(j.resultsSince(-1), func(r MergedWindow) bool { return r.Seq >= cf.Seq })
+	}
+	s1.Close()
+
+	s2, err := New(Config{Cluster: b, Topic: "in", CheckpointDir: killed,
+		CheckpointEvery: time.Hour, PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	assertRestartExactlyOnce(t, b, s2, events, before)
+}
+
+// assertRestartExactlyOnce produces the rest of events to the restarted
+// server s2 and asserts that every query in before — the windows each
+// served before the cut — accounts for every record exactly once and
+// serves no window twice: over-delivery would overshoot the record
+// counters; a re-served window would reuse a window start across the
+// two runs.
+func assertRestartExactlyOnce(t *testing.T, b *broker.Broker, s2 *Server, events []stream.Event, before map[string][]MergedWindow) {
+	t.Helper()
+	for id := range before {
 		if _, ok := s2.job(id); !ok {
 			t.Fatalf("query %s not restored", id)
 		}
 	}
-	if _, err := produceEvents(b, "in", events[half:]); err != nil {
+	if _, err := produceEvents(b, "in", events[len(events)/2:]); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range ids {
+	for id := range before {
 		j, _ := s2.job(id)
-		deadline := time.Now().Add(15 * time.Second)
-		for jobRecords(j) < int64(len(events)) {
-			if time.Now().After(deadline) {
-				t.Fatalf("query %s consumed %d of %d after restart", id, jobRecords(j), len(events))
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		waitJobRecords(t, j, int64(len(events)), 15*time.Second)
 	}
-	// Settle, then assert exactly-once per query: over-delivery would
-	// overshoot the record counters; a re-served window would reuse a
-	// window start across the two runs.
 	time.Sleep(100 * time.Millisecond)
 	// The restored private sessions regroup: one sampler per key.
-	waitGauges(t, s2, float64(len(ids)), 3)
-	for _, id := range ids {
+	waitGauges(t, s2, float64(len(before)), 3)
+	for id, served := range before {
 		j, _ := s2.job(id)
 		if n := jobRecords(j); n != int64(len(events)) {
 			t.Errorf("query %s consumed %d records across runs, want exactly %d", id, n, len(events))
@@ -387,11 +505,9 @@ func TestSharedPlaneRestartNoLossNoDup(t *testing.T) {
 		}
 		seen := map[time.Time]int64{}
 		var maxSeq int64 = -1
-		for _, r := range before[id] {
+		for _, r := range served {
 			seen[r.Start] = r.Seq
-			if r.Seq > maxSeq {
-				maxSeq = r.Seq
-			}
+			maxSeq = max(maxSeq, r.Seq)
 		}
 		for _, r := range j.resultsSince(-1) {
 			if r.Seq <= maxSeq {
@@ -556,6 +672,162 @@ func TestRestoreV2CheckpointServesParentWindows(t *testing.T) {
 		wantJSON, _ := json.Marshal(served[cf.ID])
 		if len(served[cf.ID]) != 3 || !bytes.Equal(gotJSON, wantJSON) {
 			t.Errorf("%s (%s): served\n%s\nwant\n%s", cf.ID, cf.Spec.Kind, gotJSON, wantJSON)
+		}
+	}
+}
+
+// TestTornIngestStateDoesNotBlockRestart: a query's own file is the whole
+// of its restart state. An older release also kept the plane's position
+// in a shared _ingest.json; a crash between its create and its rename
+// could leave that file empty. A directory holding such a file beside a
+// query's checkpoint restores the query, and the file is neither read
+// nor rewritten.
+func TestTornIngestStateDoesNotBlockRestart(t *testing.T) {
+	dir := t.TempDir()
+	b := broker.New()
+	if err := b.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(11, 4000)
+	if _, err := produceEvents(b, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Cluster: b, Topic: "in", CheckpointDir: dir,
+		CheckpointEvery: time.Hour, PollBackoff: time.Millisecond}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := s1.Register(Spec{Kind: "count", Window: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, _ := s1.job(id)
+	waitJobRecords(t, j1, int64(len(events)), 10*time.Second)
+	s1.Close()
+	torn := filepath.Join(dir, "_ingest.json")
+	if err := os.WriteFile(torn, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatalf("restart beside a torn _ingest.json: %v", err)
+	}
+	j2, ok := s2.job(id)
+	if !ok {
+		t.Fatalf("query %s not restored", id)
+	}
+	if n := jobRecords(j2); n != int64(len(events)) {
+		t.Errorf("restored query counts %d records, want %d", n, len(events))
+	}
+	s2.Close()
+	if data, err := os.ReadFile(torn); err != nil || len(data) != 0 {
+		t.Errorf("_ingest.json after restart: %d bytes, %v; want untouched (0 bytes)", len(data), err)
+	}
+}
+
+// testdata/checkpoint_v3 was written at commit df8d9d8, the last whose
+// server also kept the plane's position in a shared _ingest.json, by a
+// server over an in-process broker with two partitions holding the first
+// 4000 of makeEvents(52, 8000). A grouped pair (sum and count at slide 1 s,
+// f = 0.5) and a mean consumed all of them; a late sum from earliest was
+// cut after 750 records per partition, its catch-up reads slowed to 250
+// records each. checkpoint_v3_served.json holds the windows each query
+// served before the cut. Restored beside the unread _ingest.json and fed
+// the second half, every query counts every record once, serves every
+// window once with its exact item count, and continues the sequence. The
+// estimates are not compared: which group member follows which on
+// restart is timing-dependent.
+func TestRestoreParentCheckpointDir(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"_ingest.json", "q-0.json", "q-1.json", "q-2.json", "q-3.json"} {
+		data, err := os.ReadFile(filepath.Join("testdata/checkpoint_v3", name))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, name), data, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile("testdata/checkpoint_v3_served.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served map[string][]MergedWindow
+	if err := json.Unmarshal(data, &served); err != nil {
+		t.Fatal(err)
+	}
+	cfs, err := loadCheckpoints(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := broker.New()
+	if err := b.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(52, 8000)
+	if _, err := produceEvents(b, "in", events[:len(events)/2]); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: b, Topic: "in", CheckpointDir: dir,
+		CheckpointEvery: time.Hour, PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := produceEvents(b, "in", events[len(events)/2:]); err != nil {
+		t.Fatal(err)
+	}
+	ones := make([]stream.Event, len(events))
+	for i, e := range events {
+		e.Value = 1
+		ones[i] = e
+	}
+	last := events[len(events)-1].Time
+	for _, cf := range cfs {
+		j, ok := s.job(cf.ID)
+		if !ok {
+			t.Fatalf("query %s not restored", cf.ID)
+		}
+		waitJobRecords(t, j, int64(len(events)), 15*time.Second)
+		if n := jobRecords(j); n != int64(len(events)) {
+			t.Errorf("query %s counts %d records across the restart, want %d", cf.ID, n, len(events))
+		}
+		// Every window that ends a slide before the last record is served:
+		// once, with the items inside it, and numbered on from the cut.
+		exact := exactWindowSums(ones, j.spec.Window, j.spec.Slide)
+		want := 0
+		for start := range exact {
+			if !start.Add(j.spec.Window + j.spec.Slide).After(last) {
+				want++
+			}
+		}
+		var after []MergedWindow
+		for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			after = j.resultsSince(-1)
+			if len(served[cf.ID])+len(after) >= want || time.Now().After(deadline) {
+				break
+			}
+		}
+		if len(served[cf.ID]) != int(cf.Seq) {
+			t.Fatalf("query %s: fixture served %d windows, checkpoint seq %d", cf.ID, len(served[cf.ID]), cf.Seq)
+		}
+		seen := map[time.Time]bool{}
+		for i, r := range append(served[cf.ID], after...) {
+			if r.Seq != int64(i) {
+				t.Errorf("query %s: window %v has seq %d, want %d", cf.ID, r.Start, r.Seq, i)
+			}
+			if seen[r.Start] {
+				t.Errorf("query %s: window %v served twice", cf.ID, r.Start)
+			}
+			seen[r.Start] = true
+			if float64(r.Items) != exact[r.Start] {
+				t.Errorf("query %s: window %v holds %d items, want %v", cf.ID, r.Start, r.Items, exact[r.Start])
+			}
+		}
+		if len(seen) < want {
+			t.Errorf("query %s: served %d of %d windows", cf.ID, len(seen), want)
 		}
 	}
 }

@@ -170,14 +170,13 @@ type partIngest struct {
 	// mu guards subs, groups and next. Enqueueing happens with mu held so
 	// a catch-up splice (pos == next, attach) is atomic against the loop
 	// advancing next; the enqueue itself never blocks.
-	mu         sync.Mutex
-	subs       map[*shard]*subQueue // every attached shard's group
-	groups     []*subQueue
-	next       int64 // next offset the plane will deliver
-	positioned bool  // next is meaningful (restored or first attach)
-	started    bool
-	stopped    bool
-	done       chan struct{}
+	mu      sync.Mutex
+	subs    map[*shard]*subQueue // every attached shard's group
+	groups  []*subQueue
+	next    int64 // next offset the plane will deliver; set by the first attach
+	started bool
+	stopped bool
+	done    chan struct{}
 
 	recordsMetric *metrics.Counter
 	queriesGauge  *metrics.Gauge
@@ -258,38 +257,6 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	return ing, nil
 }
 
-// position seeds partition offsets from a restored checkpoint. Must be
-// called before any attach. Offsets < 0 leave the partition
-// unpositioned (first attacher decides).
-func (ing *ingest) position(offsets []int64) {
-	for i, off := range offsets {
-		if i >= len(ing.parts) || off < 0 {
-			continue
-		}
-		pi := ing.parts[i]
-		pi.mu.Lock()
-		pi.next = off
-		pi.positioned = true
-		pi.mu.Unlock()
-	}
-}
-
-// offsets snapshots the plane position per partition (-1 when the
-// partition was never positioned) — the shared half of a checkpoint.
-func (ing *ingest) offsets() []int64 {
-	out := make([]int64, len(ing.parts))
-	for i, pi := range ing.parts {
-		pi.mu.Lock()
-		if pi.positioned {
-			out[i] = pi.next
-		} else {
-			out[i] = -1
-		}
-		pi.mu.Unlock()
-	}
-	return out
-}
-
 // join attaches sh to the partition (callers hold pi.mu): into the
 // sampling group its job's key names — following the leader when it
 // stands at the leader's point of the stream, as a private member
@@ -362,14 +329,13 @@ func (pi *partIngest) drain(sub *subQueue) {
 func (ing *ingest) attach(j *job, sh *shard, from int64) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
-	if !pi.positioned {
-		pi.next = from
-		pi.positioned = true
-	}
-	if !pi.started && !pi.stopped {
+	if !pi.started {
 		pi.started = true
-		ing.wg.Add(1)
-		go pi.loop(pi.next)
+		pi.next = from
+		if !pi.stopped {
+			ing.wg.Add(1)
+			go pi.loop(from)
+		}
 	}
 	if from >= pi.next {
 		pi.join(sh)

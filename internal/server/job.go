@@ -58,8 +58,7 @@ const maxKept = 4096
 // shard is one partition's delivery sink for one query: the plane (or
 // a catch-up consumer) pushes batches into its Session. It tracks the
 // query's private delivery watermark — the next offset it needs —
-// which is what checkpoints persist per query now that partition
-// offsets are shared.
+// which is what the query's checkpoint persists.
 type shard struct {
 	job *job
 	idx int // shard index == partition

@@ -17,8 +17,8 @@
 // shards' sampling fractions by the paper's feedback loop (§4.2.1);
 // every other query samples its spec's fixed fraction. Liveness and load
 // are observable at /healthz and a Prometheus-style /metrics endpoint,
-// and periodic checkpoints (shared partition offsets + per-query
-// delivery watermarks) make the whole daemon crash-restartable.
+// and periodic checkpoints (one file per query: its delivery watermarks,
+// sessions and pending merges) make the whole daemon crash-restartable.
 package server
 
 import (
@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"streamapprox/internal/broker"
+	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/metrics"
 )
 
@@ -132,14 +133,6 @@ func New(cfg Config) (*Server, error) {
 		if err := os.MkdirAll(cfg.CheckpointDir, 0o755); err != nil {
 			return fail(fmt.Errorf("server: checkpoint dir: %w", err))
 		}
-		// Re-position the shared plane before any query attaches, so
-		// restored queries splice against the checkpointed offsets
-		// instead of re-deciding them.
-		offsets, err := loadIngestState(cfg.CheckpointDir, cfg.Topic)
-		if err != nil {
-			return fail(fmt.Errorf("server: load ingest state: %w", err))
-		}
-		s.ing.position(offsets)
 		cfs, err := loadCheckpoints(cfg.CheckpointDir)
 		if err != nil {
 			return fail(fmt.Errorf("server: load checkpoints: %w", err))
@@ -288,10 +281,10 @@ func (s *Server) jobs() []*job {
 // Close shuts the server down in quiesce-then-flush order: first the
 // periodic checkpointer, then the ingest plane — so no delivery is in
 // flight — then the jobs (waiting out any catch-up goroutines), and
-// only then the final checkpoint of every query plus the shared plane
-// offsets. Partial windows are not flushed, so a restarted server
-// resumes seamlessly without double-emitting; nothing mid-merge is
-// dropped because all merging finished before the checkpoint was cut.
+// only then the final checkpoint of every query. Partial windows are not
+// flushed, so a restarted server resumes seamlessly without
+// double-emitting; nothing mid-merge is dropped because all merging
+// finished before the checkpoint was cut.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -324,9 +317,10 @@ func (s *Server) checkpointLoop() {
 	}
 }
 
-// checkpointAll persists every query's state plus the shared plane
-// offsets to the checkpoint directory. It makes no broker call, so a
-// checkpoint taken while the broker is down is as prompt as any other.
+// checkpointAll persists every query's state to its file in the
+// checkpoint directory, fsynced before the rename. It makes no broker
+// call, so a checkpoint taken while the broker is down is as prompt as
+// any other.
 func (s *Server) checkpointAll() {
 	if s.cfg.CheckpointDir == "" {
 		return
@@ -334,16 +328,13 @@ func (s *Server) checkpointAll() {
 	s.mu.Lock()
 	closing := s.closed
 	s.mu.Unlock()
-	if err := saveIngestState(s.cfg.CheckpointDir, s.cfg.Topic, s.ing.offsets()); err != nil {
-		s.cfg.Log.Error("checkpoint of ingest offsets failed", "err", err)
-	}
 	for _, j := range s.jobs() {
 		if j.isStopped() && !closing {
 			continue // being deregistered; don't resurrect its file
 		}
 		cf, err := j.checkpoint()
 		if err == nil {
-			err = saveCheckpoint(s.cfg.CheckpointDir, cf)
+			err = storage.SaveJSON(checkpointPath(s.cfg.CheckpointDir, j.id), cf, true)
 		}
 		if err != nil {
 			s.cfg.Log.Error("checkpoint failed", "query", j.id, "err", err)

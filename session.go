@@ -9,7 +9,6 @@ import (
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
-	"streamapprox/internal/window"
 	"streamapprox/internal/xrand"
 )
 
@@ -18,7 +17,7 @@ type SessionConfig struct {
 	// Query is the per-window aggregate (default Sum).
 	Query Query
 	// WindowSize and WindowSlide configure the sliding window (defaults
-	// 10s / 5s).
+	// 10s / 5s; a size below the slide is raised to it).
 	WindowSize  time.Duration
 	WindowSlide time.Duration
 	// Fraction is the initial sampling fraction (default 0.6).
@@ -57,7 +56,6 @@ type SessionConfig struct {
 type Session struct {
 	cfg        SessionConfig
 	q          query.Query
-	assigner   *window.Assigner
 	sampler    *sampling.OASRS
 	rng        *xrand.Rand
 	controller *adaptive.Controller
@@ -109,6 +107,8 @@ func NewSession(cfg SessionConfig) *Session {
 	if cfg.WindowSlide <= 0 {
 		cfg.WindowSlide = 5 * time.Second
 	}
+	// A window spans at least the one slide segment it is counted over.
+	cfg.WindowSize = max(cfg.WindowSize, cfg.WindowSlide)
 	if !(cfg.Fraction > 0 && cfg.Fraction <= 1) {
 		cfg.Fraction = 0.6
 	}
@@ -119,10 +119,9 @@ func NewSession(cfg SessionConfig) *Session {
 		cfg.Query = Sum
 	}
 	s := &Session{
-		cfg:      cfg,
-		q:        cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
-		assigner: window.NewAssigner(cfg.WindowSize, cfg.WindowSlide),
-		rng:      xrand.New(cfg.Seed),
+		cfg: cfg,
+		q:   cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
+		rng: xrand.New(cfg.Seed),
 	}
 	if cfg.TargetError > 0 {
 		s.controller = adaptive.NewController(cfg.TargetError, cfg.Fraction)
@@ -400,7 +399,7 @@ func (s *Session) Close() []WindowResult {
 	}
 	if n := len(s.panes); n > 0 {
 		// Through the end of the last window that covers a pane.
-		s.fire(s.panes[n-1].Start.Add(s.assigner.Size()))
+		s.fire(s.panes[n-1].Start.Add(s.cfg.WindowSize))
 	}
 	out := s.ready
 	s.ready = nil
@@ -481,9 +480,10 @@ func (s *Session) fire(limit time.Time) {
 	if !limit.After(s.fired) {
 		return
 	}
-	size, slide := s.assigner.Size(), s.assigner.Slide()
-	// A pane's earliest window starts this far before it.
-	back := time.Duration(s.assigner.WindowsPerEvent()-1) * slide
+	size, slide := s.cfg.WindowSize, s.cfg.WindowSlide
+	// A pane's earliest window starts this far before it: ⌈size/slide⌉-1
+	// slides.
+	back := (size - 1) / slide * slide
 	var start time.Time
 	for lo := 0; lo < len(s.panes); {
 		p := s.panes[lo].Start

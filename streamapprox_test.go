@@ -3,6 +3,7 @@ package streamapprox
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -198,6 +199,48 @@ func TestSessionClosed(t *testing.T) {
 func TestNewSessionNaNFractionDefaults(t *testing.T) {
 	if got := NewSession(SessionConfig{Fraction: math.NaN()}).Fraction(); got != 0.6 {
 		t.Errorf("NewSession with a NaN fraction: Fraction = %v, want the default 0.6", got)
+	}
+}
+
+// TestWindowNarrowerThanSlideSpansItsPane: a window narrower than its
+// slide is counted over the whole slide segment, so it is served with
+// that segment's span: End − Start covers exactly the records its Items
+// count. Its results are those of a window as wide as the slide.
+func TestWindowNarrowerThanSlideSpansItsPane(t *testing.T) {
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	var events []Event
+	for i := 0; i < 60; i++ {
+		events = append(events, Event{Stratum: string(rune('a' + i%3)), Value: float64(i),
+			Time: base.Add(time.Duration(i) * 500 * time.Millisecond)})
+	}
+	run := func(cfg SessionConfig) []WindowResult {
+		s := NewSession(cfg)
+		for _, e := range events {
+			if err := s.Push(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.Close()
+	}
+	narrow := run(SessionConfig{WindowSize: 2 * time.Second, Seed: 3}) // slide defaults to 5s
+	wide := run(SessionConfig{WindowSize: 5 * time.Second, WindowSlide: 5 * time.Second, Seed: 3})
+	if len(narrow) == 0 {
+		t.Fatal("no windows served")
+	}
+	for _, w := range narrow {
+		var in int64
+		for _, e := range events {
+			if !e.Time.Before(w.Start) && e.Time.Before(w.End) {
+				in++
+			}
+		}
+		if w.Items != in {
+			t.Errorf("window [%v, %v) counts %d items; %d records fall in its span",
+				w.Start.Sub(base), w.End.Sub(base), w.Items, in)
+		}
+	}
+	if !reflect.DeepEqual(narrow, wide) {
+		t.Errorf("a 2s window at a 5s slide served\n%+v\nwant the 5s window's\n%+v", narrow, wide)
 	}
 }
 
