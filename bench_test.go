@@ -1,6 +1,6 @@
 // Package streamapprox's benchmark suite regenerates every figure of the
-// paper's evaluation (one benchmark per figure/panel; see DESIGN.md's
-// experiment index) plus the ablations. Run with
+// paper's evaluation (one benchmark per figure/panel; `saprox list`
+// prints the ids) plus the ablations. Run with
 //
 //	go test -bench=. -benchmem
 //
@@ -74,7 +74,7 @@ func BenchmarkFig9bTaxiAccuracy(b *testing.B)            { benchFigure(b, "fig9b
 func BenchmarkFig9cTaxiThroughputAtLoss(b *testing.B)    { benchFigure(b, "fig9c") }
 func BenchmarkFig10Latency(b *testing.B)                 { benchFigure(b, "fig10") }
 
-// Ablations (DESIGN.md).
+// Ablations.
 
 func BenchmarkAblationSTSBarrier(b *testing.B)       { benchFigure(b, "abl-sync") }
 func BenchmarkAblationWeighting(b *testing.B)        { benchFigure(b, "abl-weights") }

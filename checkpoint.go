@@ -36,9 +36,9 @@ type sessionState struct {
 	Sampler   *sampling.OASRSState `json:"sampler,omitempty"`
 
 	// Version 2 on: the finished segments' summaries and the
-	// completeness mark (see Session.panes).
-	Panes []pane    `json:"panes,omitempty"`
-	Fired time.Time `json:"fired"`
+	// completeness mark (see query.Windows).
+	Panes []query.Pane `json:"panes,omitempty"`
+	Fired time.Time    `json:"fired"`
 	// Version 1, read only: every unfired window's sub-samples, keyed by
 	// window start.
 	Pending map[string]pendingSample `json:"pending,omitempty"`
@@ -135,8 +135,8 @@ func (s *Session) Snapshot() ([]byte, error) {
 		LastCount:      s.lastCount,
 		Watermark:      s.watermark,
 		Late:           s.late,
-		Panes:          s.panes,
-		Fired:          s.fired,
+		Panes:          s.windows.Panes,
+		Fired:          s.windows.Fired,
 		Ready:          s.ready,
 	}
 	if src.sampler != nil {
@@ -213,7 +213,7 @@ func RestoreSession(data []byte) (*Session, error) {
 			}
 		}
 	}
-	s.panes, s.fired = st.Panes, st.Fired
+	s.windows.Panes, s.windows.Fired = st.Panes, st.Fired
 	return s, nil
 }
 
@@ -250,8 +250,8 @@ func (s *Session) adoptV1Pending(pending map[string]pendingSample) error {
 				w.start.Format(time.RFC3339Nano))
 		}
 		sum := s.q.Summarize(&sampling.Sample{Strata: w.strata[:own]})
-		s.panes = append(s.panes, pane{Start: w.start, Summary: sum})
+		s.windows.Add(w.start, sum)
 	}
-	s.fired = wins[0].start.Add(s.cfg.WindowSize - s.cfg.WindowSlide)
+	s.windows.Fired = wins[0].start.Add(s.cfg.WindowSize - s.cfg.WindowSlide)
 	return nil
 }

@@ -7,8 +7,8 @@
 //	saprox run <figure-id>... [-scale N] [-seed N] [-workers N]
 //	saprox run all
 //
-// Figure ids match DESIGN.md's experiment index (fig4a ... fig10,
-// abl-sync, abl-weights, abl-dist, abl-skip).
+// `saprox list` prints the figure ids (fig4a ... fig10, abl-sync,
+// abl-weights, abl-dist, abl-skip).
 package main
 
 import (

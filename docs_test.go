@@ -255,6 +255,52 @@ func saproxSubcommands(t *testing.T) map[string]bool {
 	return subs
 }
 
+// TestGoCommentsNameExistingDocs fails when a comment in a Go file of
+// this module, test files included, names a *.md file that exists
+// neither beside the file nor at the repository root.
+func TestGoCommentsNameExistingDocs(t *testing.T) {
+	doc := regexp.MustCompile(`[\w./-]+\.md\b`)
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "." {
+				return nil
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir // another module, or not Go sources
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		for _, cg := range f.Comments {
+			for _, name := range uniqueMatches(doc, cg.Text()) {
+				if !exists(filepath.Join(filepath.Dir(path), name)) && !exists(name) {
+					t.Errorf("%s: a comment names %s, which is neither beside it nor at the repository root",
+						fset.Position(cg.Pos()), name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func exists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}
+
 // inspectSources walks every non-test Go file under root, skipping
 // testdata and dot directories, and visits each node.
 func inspectSources(t *testing.T, root string, visit func(path string, n ast.Node)) {

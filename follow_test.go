@@ -255,8 +255,8 @@ func sharedPanes(t *testing.T, group []*Session, cfgs []SessionConfig) int {
 	n := 0
 	for a := range group {
 		for b := a + 1; b < len(group); b++ {
-			for _, pa := range group[a].panes {
-				for _, pb := range group[b].panes {
+			for _, pa := range group[a].windows.Panes {
+				for _, pb := range group[b].windows.Panes {
 					if !pa.Start.Equal(pb.Start) || len(pa.Summary.Strata) == 0 {
 						continue
 					}

@@ -23,7 +23,6 @@ import (
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
-	"streamapprox/internal/window"
 )
 
 // System identifies one of the evaluated systems.
@@ -84,7 +83,8 @@ type Config struct {
 	// (default 500ms, the paper's midpoint).
 	BatchInterval time.Duration
 	// WindowSize and WindowSlide configure the sliding window
-	// (defaults: 10s / 5s, the paper's case-study setting).
+	// (defaults: 10s / 5s, the paper's case-study setting); the size is
+	// rounded up to a whole number of slides.
 	WindowSize  time.Duration
 	WindowSlide time.Duration
 	// Query is the per-window computation (default: approximate SUM).
@@ -125,7 +125,8 @@ func (c Config) withDefaults() Config {
 
 // WindowResult is one window's approximate query output.
 type WindowResult struct {
-	Window  window.Window
+	Start   time.Time // the window is [Start, End)
+	End     time.Time
 	Result  query.Result
 	Items   int64 // items observed in the window (ΣCi)
 	Sampled int   // items actually processed by the query (ΣYi)
@@ -172,96 +173,67 @@ func Run(cfg Config, events []stream.Event) (*RunStats, error) {
 }
 
 // GroundTruth computes the exact per-window results (no sampling) used
-// for accuracy-loss measurements. It bypasses the engines entirely.
+// for accuracy-loss measurements. It bypasses the engines entirely: each
+// slide segment of the time-ordered events is one exact pane.
 func GroundTruth(cfg Config, events []stream.Event) []WindowResult {
 	cfg = cfg.withDefaults()
-	fired := window.Slice(events, cfg.WindowSize, cfg.WindowSlide)
-	out := make([]WindowResult, 0, len(fired))
-	for _, f := range fired {
-		s := exactSample(f.Events)
-		out = append(out, WindowResult{
-			Window:  f.Window,
-			Result:  cfg.Query.Evaluate(s),
-			Items:   int64(len(f.Events)),
-			Sampled: len(f.Events),
-		})
+	w := newWindows(cfg)
+	for i := 0; i < len(events); {
+		seg := events[i].Time.Truncate(cfg.WindowSlide)
+		j := i + 1
+		for j < len(events) && events[j].Time.Truncate(cfg.WindowSlide).Equal(seg) {
+			j++
+		}
+		w.Add(seg, cfg.Query.Summarize(exactSample(events[i:j])))
+		i = j
 	}
-	return out
+	return w.flush()
 }
 
-// exactSample wraps raw events as an unweighted (exact) sample.
+// exactSample wraps raw events as an unweighted (exact) sample, strata
+// in the order they first appear.
 func exactSample(events []stream.Event) *sampling.Sample {
-	groups := stream.PartitionByStratum(events)
-	s := &sampling.Sample{Strata: make([]sampling.StratumSample, 0, len(groups))}
-	for stratum, items := range groups {
-		values := make([]float64, len(items))
-		for i, e := range items {
-			values[i] = e.Value
+	s := &sampling.Sample{}
+	at := make(map[string]int)
+	for _, e := range events {
+		i, ok := at[e.Stratum]
+		if !ok {
+			i = len(s.Strata)
+			at[e.Stratum] = i
+			s.Strata = append(s.Strata, sampling.StratumSample{Stratum: e.Stratum, Weight: 1})
 		}
-		s.Strata = append(s.Strata, sampling.StratumSample{
-			Stratum: stratum,
-			Values:  values,
-			Count:   int64(len(items)),
-			Weight:  1,
-		})
+		s.Strata[i].Values = append(s.Strata[i].Values, e.Value)
+		s.Strata[i].Count++
 	}
 	return s
 }
 
-// mergeWindowSamples appends sub-samples (per micro-batch or per replica
-// segment) belonging to the same window into one Sample. Sub-samples are
-// independently drawn, so their variances add (Eq. 5); keeping them as
-// separate strata entries preserves exactly that.
-type windowAccumulator struct {
-	assigner *window.Assigner
-	pending  map[time.Time]*sampling.Sample
+// windows is an engine's query.Windows and the results it has fired.
+type windows struct {
+	query.Windows
+	q   query.Query
+	out []WindowResult
 }
 
-func newWindowAccumulator(size, slide time.Duration) *windowAccumulator {
-	return &windowAccumulator{
-		assigner: window.NewAssigner(size, slide),
-		pending:  make(map[time.Time]*sampling.Sample),
-	}
+func newWindows(cfg Config) *windows {
+	return &windows{Windows: query.NewWindows(cfg.WindowSize, cfg.WindowSlide), q: cfg.Query}
 }
 
-// add merges a segment sample (covering [segStart, segEnd)) into every
-// window the segment belongs to.
-func (w *windowAccumulator) add(segStart time.Time, s *sampling.Sample) {
-	for _, win := range w.assigner.Assign(segStart) {
-		agg, ok := w.pending[win.Start]
-		if !ok {
-			agg = &sampling.Sample{}
-			w.pending[win.Start] = agg
-		}
-		agg.Strata = append(agg.Strata, s.Strata...)
+// emit estimates one window from its panes.
+func (w *windows) emit(start time.Time, panes []query.Pane) {
+	r := WindowResult{Start: start, End: start.Add(w.Size())}
+	sums := make([]query.Summary, len(panes))
+	for i := range panes {
+		sums[i] = panes[i].Summary
+		r.Items += panes[i].Summary.TotalCount()
+		r.Sampled += panes[i].Summary.SampledCount()
 	}
+	r.Result = w.q.Combine(sums)
+	w.out = append(w.out, r)
 }
 
-// drain evaluates and removes every window ending at or before cutoff;
-// a zero cutoff drains everything.
-func (w *windowAccumulator) drain(cutoff time.Time, q query.Query) []WindowResult {
-	var out []WindowResult
-	for start, s := range w.pending {
-		win := window.Window{Start: start, End: start.Add(w.assigner.Size())}
-		if !cutoff.IsZero() && win.End.After(cutoff) {
-			continue
-		}
-		out = append(out, WindowResult{
-			Window:  win,
-			Result:  q.Evaluate(s),
-			Items:   s.TotalCount(),
-			Sampled: s.SampledCount(),
-		})
-		delete(w.pending, start)
-	}
-	sortResults(out)
-	return out
-}
-
-func sortResults(rs []WindowResult) {
-	for i := 1; i < len(rs); i++ {
-		for j := i; j > 0 && rs[j].Window.Start.Before(rs[j-1].Window.Start); j-- {
-			rs[j], rs[j-1] = rs[j-1], rs[j]
-		}
-	}
+// flush fires every remaining window and returns all fired.
+func (w *windows) flush() []WindowResult {
+	w.Flush(w.emit)
+	return w.out
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -76,10 +77,10 @@ func TestAllSystemsRun(t *testing.T) {
 			// Every window must have observed items and produced a value.
 			for _, r := range stats.Results {
 				if r.Items <= 0 {
-					t.Errorf("window %v observed no items", r.Window)
+					t.Errorf("window %v observed no items", r.Start)
 				}
 				if r.Result.Overall.Value <= 0 {
-					t.Errorf("window %v estimate %v", r.Window, r.Result.Overall.Value)
+					t.Errorf("window %v estimate %v", r.Start, r.Result.Overall.Value)
 				}
 			}
 		})
@@ -223,23 +224,64 @@ func TestGroundTruthMatchesDirectSum(t *testing.T) {
 	}
 }
 
+// TestRunDeterministicWithSeed: every system, and GroundTruth, serves
+// the same windows bit for bit on every run with one seed, however its
+// workers are scheduled.
 func TestRunDeterministicWithSeed(t *testing.T) {
 	events := gaussianStream(t, 8)
-	a, err := Run(Config{System: SparkApprox, Fraction: 0.4, Seed: 99}, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(Config{System: SparkApprox, Fraction: 0.4, Seed: 99}, events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Results) != len(b.Results) {
-		t.Fatalf("window counts differ: %d vs %d", len(a.Results), len(b.Results))
-	}
-	for i := range a.Results {
-		if a.Results[i].Result.Overall.Value != b.Results[i].Result.Overall.Value {
-			t.Errorf("window %d differs across same-seed runs", i)
+	run := func(sys System) []WindowResult {
+		cfg := Config{System: sys, Fraction: 0.4, Seed: 99, Query: query.NewGroupBySum(estimate.Conf95)}
+		if sys == 0 {
+			return GroundTruth(cfg, events)
 		}
+		stats, err := Run(cfg, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.Results
+	}
+	for _, sys := range append(Systems(), 0) {
+		first := run(sys)
+		for i := 1; i < 10; i++ {
+			again := run(sys)
+			if len(again) != len(first) {
+				t.Fatalf("%v: window counts differ: %d vs %d", sys, len(again), len(first))
+			}
+			for j := range first {
+				a, b := first[j], again[j]
+				if a.Items != b.Items || a.Sampled != b.Sampled || !reflect.DeepEqual(a.Result, b.Result) {
+					t.Fatalf("%v window %d differs across same-seed runs:\n%+v\n%+v", sys, j, a.Result, b.Result)
+				}
+			}
+		}
+	}
+}
+
+// TestGroundTruthCountsEachWindow: GroundTruth counts every event in each
+// window that covers it and nothing else.
+func TestGroundTruthCountsEachWindow(t *testing.T) {
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	var events []stream.Event
+	for sec := 0; sec < 30; sec++ {
+		events = append(events, stream.Event{Stratum: "s", Value: 1, Time: base.Add(time.Duration(sec) * time.Second)})
+	}
+	truth := GroundTruth(Config{Query: query.NewCount(estimate.Conf95)}, events)
+	if len(truth) != 7 { // [-5,5) through [25,35)
+		t.Fatalf("%d windows, want 7", len(truth))
+	}
+	for _, r := range truth {
+		var want int64
+		for _, e := range events {
+			if !e.Time.Before(r.Start) && e.Time.Before(r.End) {
+				want++
+			}
+		}
+		if r.Items != want || r.Result.Overall.Value != float64(want) {
+			t.Errorf("window [%v, %v): items %d count %v, want %d", r.Start, r.End, r.Items, r.Result.Overall.Value, want)
+		}
+	}
+	if got := GroundTruth(Config{}, nil); len(got) != 0 {
+		t.Errorf("GroundTruth(nil) = %v", got)
 	}
 }
 

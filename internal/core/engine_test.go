@@ -6,9 +6,10 @@ import (
 	"time"
 
 	"streamapprox/internal/batch"
+	"streamapprox/internal/estimate"
+	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
-	"streamapprox/internal/window"
 	"streamapprox/internal/xrand"
 )
 
@@ -110,12 +111,11 @@ func TestNativeDatasetSampleIsExact(t *testing.T) {
 }
 
 func TestSamplingOperatorSegments(t *testing.T) {
-	collector := &segmentCollector{segments: make(map[time.Time][]*sampling.Sample)}
 	op := &samplingOperator{
-		slide:     5 * time.Second,
-		fraction:  0.5,
-		rng:       xrand.New(4),
-		collector: collector,
+		slide:    5 * time.Second,
+		fraction: 0.5,
+		q:        query.NewSum(estimate.Conf95),
+		rng:      xrand.New(4),
 	}
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
 	emit := func(stream.Event) {}
@@ -129,27 +129,22 @@ func TestSamplingOperatorSegments(t *testing.T) {
 		}
 	}
 	op.Flush(emit)
-	if got := len(collector.segments); got != 3 {
-		t.Fatalf("operator produced %d segments, want 3", got)
+	if got := len(op.panes); got != 3 {
+		t.Fatalf("operator produced %d panes, want 3", got)
 	}
-	for seg, samples := range collector.segments {
-		var total int64
-		for _, s := range samples {
-			total += s.TotalCount()
-		}
-		if total != 500 {
-			t.Errorf("segment %v counted %d items, want 500", seg, total)
+	for _, p := range op.panes {
+		if total := p.Summary.TotalCount(); total != 500 {
+			t.Errorf("segment %v counted %d items, want 500", p.Start, total)
 		}
 	}
 }
 
 func TestSamplingOperatorNativeKeepsAll(t *testing.T) {
-	collector := &segmentCollector{segments: make(map[time.Time][]*sampling.Sample)}
 	op := &samplingOperator{
-		slide:     5 * time.Second,
-		native:    true,
-		rng:       xrand.New(5),
-		collector: collector,
+		slide:  5 * time.Second,
+		native: true,
+		q:      query.NewSum(estimate.Conf95),
+		rng:    xrand.New(5),
 	}
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
 	emit := func(stream.Event) {}
@@ -158,50 +153,45 @@ func TestSamplingOperatorNativeKeepsAll(t *testing.T) {
 	}
 	op.Flush(emit)
 	var sampled int
-	for _, samples := range collector.segments {
-		for _, s := range samples {
-			sampled += s.SampledCount()
-		}
+	for _, p := range op.panes {
+		sampled += p.Summary.SampledCount()
 	}
 	if sampled != 1000 {
 		t.Errorf("native operator kept %d of 1000", sampled)
 	}
 }
 
-func TestWindowAccumulatorAssignsToOverlappingWindows(t *testing.T) {
-	acc := newWindowAccumulator(10*time.Second, 5*time.Second)
+func TestPaneJoinsOverlappingWindows(t *testing.T) {
+	w := newWindows(Config{}.withDefaults())
 	base := time.Date(2017, 12, 11, 0, 0, 10, 0, time.UTC)
 	s := &sampling.Sample{Strata: []sampling.StratumSample{{
 		Stratum: "a", Count: 4, Weight: 1,
 		Values: []float64{1},
 	}}}
-	acc.add(base, s)
+	w.Add(base, w.q.Summarize(s))
 	// The segment at t=10s belongs to windows [5,15) and [10,20).
-	if got := len(acc.pending); got != 2 {
-		t.Fatalf("pending windows = %d, want 2", got)
-	}
-	results := acc.drain(time.Time{}, Config{}.withDefaults().Query)
+	results := w.flush()
 	if len(results) != 2 {
-		t.Fatalf("drained %d windows", len(results))
+		t.Fatalf("flushed %d windows", len(results))
 	}
 	for _, r := range results {
 		if r.Items != 4 {
-			t.Errorf("window %v items %d", r.Window, r.Items)
+			t.Errorf("window %v items %d", r.Start, r.Items)
 		}
 	}
 }
 
-func TestWindowAccumulatorDrainCutoff(t *testing.T) {
-	acc := newWindowAccumulator(10*time.Second, 5*time.Second)
+func TestWindowsFireCutoff(t *testing.T) {
+	w := newWindows(Config{}.withDefaults())
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
 	s := &sampling.Sample{Strata: []sampling.StratumSample{{Stratum: "a", Count: 1, Weight: 1}}}
-	acc.add(base, s) // windows [-5,5) and [0,10)
-	got := acc.drain(base.Add(6*time.Second), Config{}.withDefaults().Query)
-	if len(got) != 1 {
-		t.Fatalf("cutoff drain fired %d windows, want 1 ([-5,5))", len(got))
+	w.Add(base, w.q.Summarize(s)) // windows [-5,5) and [0,10)
+	w.Fire(base.Add(6*time.Second), w.emit)
+	if len(w.out) != 1 {
+		t.Fatalf("cutoff fire fired %d windows, want 1 ([-5,5))", len(w.out))
 	}
-	if !got[0].Window.End.Equal(base.Add(5 * time.Second)) {
-		t.Errorf("fired window %v", got[0].Window)
+	if !w.out[0].End.Equal(base.Add(5 * time.Second)) {
+		t.Errorf("fired window ends %v", w.out[0].End)
 	}
 }
 
@@ -238,20 +228,5 @@ func TestRunJobCountsEverything(t *testing.T) {
 	}
 	if serial.count != res.count || math.Abs(serial.sum-res.sum) > 1e-9*res.sum || serial.checksum != res.checksum {
 		t.Errorf("serial job disagrees: %+v vs %+v", serial, res)
-	}
-}
-
-func TestWindowHelpersSorted(t *testing.T) {
-	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
-	rs := []WindowResult{
-		{Window: window.Window{Start: base.Add(10 * time.Second)}},
-		{Window: window.Window{Start: base}},
-		{Window: window.Window{Start: base.Add(5 * time.Second)}},
-	}
-	sortResults(rs)
-	for i := 1; i < len(rs); i++ {
-		if rs[i].Window.Start.Before(rs[i-1].Window.Start) {
-			t.Fatal("sortResults did not sort")
-		}
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 import (
 	"context"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"streamapprox/internal/pipeline"
+	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
@@ -15,83 +15,53 @@ import (
 // runPipelined executes the pipelined (Flink-like) systems: the stream is
 // fanned out over `Workers` operator-chain replicas; each replica hosts a
 // sampling operator (§4.2.2) that processes items one at a time and emits
-// one sub-sample per slide segment ("the sampling operations are
-// performed ... at every slide window interval in the Flink-based
-// StreamApprox", §5.5). Segment sub-samples are merged into windows after
-// the run.
+// one pane per slide segment ("the sampling operations are performed ...
+// at every slide window interval in the Flink-based StreamApprox", §5.5).
+// The replicas' panes are windowed after the run, in (segment, replica)
+// order.
 func runPipelined(cfg Config, events []stream.Event) (*RunStats, error) {
-	collector := &segmentCollector{segments: make(map[time.Time][]*sampling.Sample)}
 	rng := xrand.New(cfg.Seed)
-	rngs := make([]*xrand.Rand, cfg.Workers)
-	for i := range rngs {
-		rngs[i] = rng.Split()
+	ops := make([]*samplingOperator, cfg.Workers)
+	for i := range ops {
+		ops[i] = &samplingOperator{
+			slide:    cfg.WindowSlide,
+			fraction: cfg.Fraction,
+			native:   cfg.System.IsNative(),
+			q:        cfg.Query,
+			rng:      rng.Split(),
+		}
 	}
-	perReplicaFraction := cfg.Fraction
 
 	pipeline.RunParallel(context.Background(), cfg.Workers,
 		stream.NewSliceSource(events),
 		stream.SinkFunc(func(stream.Event) {}), // sampling op emits nothing downstream
-		func(replica int) []pipeline.Operator {
-			return []pipeline.Operator{&samplingOperator{
-				slide:     cfg.WindowSlide,
-				fraction:  perReplicaFraction,
-				native:    cfg.System.IsNative(),
-				rng:       rngs[replica],
-				collector: collector,
-			}}
-		})
+		func(replica int) []pipeline.Operator { return []pipeline.Operator{ops[replica]} })
 
-	// Merge replica sub-samples per segment, assign segments to windows,
-	// and evaluate.
-	acc := newWindowAccumulator(cfg.WindowSize, cfg.WindowSlide)
-	for _, seg := range collector.sorted() {
-		merged := &sampling.Sample{}
-		for _, s := range collector.segments[seg] {
-			merged.Strata = append(merged.Strata, s.Strata...)
-		}
-		acc.add(seg, merged)
+	var panes []query.Pane
+	for _, op := range ops {
+		panes = append(panes, op.panes...)
 	}
-	stats := &RunStats{Results: acc.drain(time.Time{}, cfg.Query)}
-	return stats, nil
-}
-
-// segmentCollector gathers per-replica, per-segment sub-samples.
-type segmentCollector struct {
-	mu       sync.Mutex
-	segments map[time.Time][]*sampling.Sample
-}
-
-func (c *segmentCollector) push(segStart time.Time, s *sampling.Sample) {
-	if len(s.Strata) == 0 {
-		return
+	// Stable: a segment's panes stay in replica order.
+	slices.SortStableFunc(panes, func(a, b query.Pane) int { return a.Start.Compare(b.Start) })
+	w := newWindows(cfg)
+	for _, p := range panes {
+		w.Add(p.Start, p.Summary)
 	}
-	c.mu.Lock()
-	c.segments[segStart] = append(c.segments[segStart], s)
-	c.mu.Unlock()
-}
-
-func (c *segmentCollector) sorted() []time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]time.Time, 0, len(c.segments))
-	for t := range c.segments {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
+	return &RunStats{Results: w.flush()}, nil
 }
 
 // samplingOperator is the Flink sampling operator of §4.2.2. In native
 // mode it retains every item (exact, weight 1); otherwise it runs OASRS
 // over each slide segment. Either way items are consumed on the fly and
-// nothing is forwarded downstream — the query runs over the per-segment
-// samples.
+// nothing is forwarded downstream — each segment's sample leaves as a
+// pane, its summary for the query.
 type samplingOperator struct {
-	slide     time.Duration
-	fraction  float64
-	native    bool
-	rng       *xrand.Rand
-	collector *segmentCollector
+	slide    time.Duration
+	fraction float64
+	native   bool
+	q        query.Query
+	rng      *xrand.Rand
+	panes    []query.Pane
 
 	segStart  time.Time
 	sampler   *sampling.OASRS
@@ -99,10 +69,6 @@ type samplingOperator struct {
 	count     int
 	lastCount int
 }
-
-// defaultSegmentBudget bootstraps the first segment before any arrival
-// count is known.
-const defaultSegmentBudget = 64
 
 var _ pipeline.Operator = (*samplingOperator)(nil)
 
@@ -137,15 +103,11 @@ func (o *samplingOperator) startSegment(seg time.Time) {
 		o.exact = nil
 		return
 	}
-	// Budget for the segment: fraction of the previous segment's item
-	// count, or a bootstrap default for the first segment. OASRS adapts
-	// per segment exactly as the cost function re-runs per interval
-	// (Algorithm 2). The sampler instance persists across segments so its
-	// per-stratum sizing tracks the observed sub-stream set.
-	budget := int(o.fraction * float64(o.lastCount))
-	if budget < 1 {
-		budget = defaultSegmentBudget
-	}
+	// OASRS adapts per segment exactly as the cost function re-runs per
+	// interval (Algorithm 2). The sampler instance persists across
+	// segments so its per-stratum sizing tracks the observed sub-stream
+	// set.
+	budget := sampling.SegmentBudget(o.fraction, o.lastCount)
 	if o.sampler == nil {
 		o.sampler = sampling.NewOASRS(budget, nil, o.rng)
 		return
@@ -169,5 +131,5 @@ func (o *samplingOperator) finishSegment() {
 	for i := range s.Strata {
 		_ = runJobSerial(s.Strata[i].Stratum, s.Strata[i].Values)
 	}
-	o.collector.push(o.segStart, s)
+	o.panes = append(o.panes, query.Pane{Start: o.segStart, Summary: o.q.Summarize(s)})
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"time"
-
 	"streamapprox/internal/batch"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
@@ -27,8 +25,7 @@ func runBatched(cfg Config, events []stream.Event) (*RunStats, error) {
 	rng := xrand.New(cfg.Seed)
 
 	batches := batch.Split(stream.NewSliceSource(events), cfg.BatchInterval)
-	acc := newWindowAccumulator(cfg.WindowSize, cfg.WindowSlide)
-	stats := &RunStats{}
+	w := newWindows(cfg)
 
 	// The OASRS sampler persists across batches so its per-stratum sizing
 	// adapts from one interval to the next (Algorithm 3's Update(S)).
@@ -49,11 +46,12 @@ func runBatched(cfg Config, events []stream.Event) (*RunStats, error) {
 		default: // NativeSpark
 			s = nativeDatasetSample(pool, b.Events)
 		}
-		acc.add(b.Start, s)
-		stats.Results = append(stats.Results, acc.drain(b.Start, cfg.Query)...)
+		// Each micro-batch is one pane of the slide segment it starts in;
+		// the windows it completes fire at once.
+		w.Add(b.Start.Truncate(cfg.WindowSlide), cfg.Query.Summarize(s))
+		w.Fire(b.Start, w.emit)
 	}
-	stats.Results = append(stats.Results, acc.drain(time.Time{}, cfg.Query)...)
-	return stats, nil
+	return &RunStats{Results: w.flush()}, nil
 }
 
 // sampleApproxPreDataset is the ApproxKafkaRDD path: the batch's items

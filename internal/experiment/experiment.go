@@ -1,12 +1,12 @@
 // Package experiment regenerates every figure of the paper's evaluation
-// (§5 microbenchmarks, §6 case studies) plus the ablations listed in
-// DESIGN.md. Each figure function returns a Table whose rows correspond
-// to the points of the published plot; cmd/saprox prints them and
-// bench_test.go wraps them in testing.B benchmarks.
+// (§5 microbenchmarks, §6 case studies) plus four ablations (abl-sync,
+// abl-weights, abl-dist, abl-skip). Each figure function returns a Table
+// whose rows correspond to the points of the published plot; cmd/saprox
+// prints them and bench_test.go wraps them in testing.B benchmarks.
 //
 // Absolute numbers differ from the paper (different hardware, substrate
-// simulators instead of real Spark/Flink clusters); EXPERIMENTS.md
-// records how the *shape* — orderings, ratios, crossovers — compares.
+// simulators instead of real Spark/Flink clusters); this package's tests
+// pin the *shape* — orderings, ratios, crossovers — each figure keeps.
 package experiment
 
 import (
@@ -112,12 +112,12 @@ func (o Options) scaled(n int) int {
 func meanAccuracyLoss(results, truth []core.WindowResult) float64 {
 	byStart := make(map[time.Time]core.WindowResult, len(truth))
 	for _, tr := range truth {
-		byStart[tr.Window.Start] = tr
+		byStart[tr.Start] = tr
 	}
 	var sum float64
 	var n int
 	for _, r := range results {
-		tr, ok := byStart[r.Window.Start]
+		tr, ok := byStart[r.Start]
 		if !ok {
 			continue
 		}

@@ -7,7 +7,6 @@ import (
 
 	"streamapprox/internal/core"
 	"streamapprox/internal/estimate"
-	"streamapprox/internal/window"
 )
 
 // tiny returns options small enough for unit tests.
@@ -41,10 +40,9 @@ func TestOptionsDefaults(t *testing.T) {
 }
 
 func TestMeanAccuracyLossOverall(t *testing.T) {
-	w := window.Window{}
-	truth := []core.WindowResult{{Window: w}}
+	truth := []core.WindowResult{{}}
 	truth[0].Result.Overall = estimate.Estimate{Value: 100}
-	results := []core.WindowResult{{Window: w}}
+	results := []core.WindowResult{{}}
 	results[0].Result.Overall = estimate.Estimate{Value: 110}
 	if got := meanAccuracyLoss(results, truth); got != 0.1 {
 		t.Errorf("loss = %v, want 0.1", got)
@@ -52,12 +50,11 @@ func TestMeanAccuracyLossOverall(t *testing.T) {
 }
 
 func TestMeanAccuracyLossGroups(t *testing.T) {
-	w := window.Window{}
-	truth := []core.WindowResult{{Window: w}}
+	truth := []core.WindowResult{{}}
 	truth[0].Result.Groups = map[string]estimate.Estimate{
 		"a": {Value: 100}, "b": {Value: 200},
 	}
-	results := []core.WindowResult{{Window: w}}
+	results := []core.WindowResult{{}}
 	results[0].Result.Groups = map[string]estimate.Estimate{
 		"a": {Value: 110}, "b": {Value: 180},
 	}

@@ -239,7 +239,7 @@ func Fig7(o Options) (*Table, error) {
 	truth := core.GroundTruth(cfg, events)
 	truthByStart := make(map[time.Time]float64, len(truth))
 	for _, tr := range truth {
-		truthByStart[tr.Window.Start] = tr.Result.Overall.Value
+		truthByStart[tr.Start] = tr.Result.Overall.Value
 	}
 
 	t := &Table{
@@ -256,15 +256,15 @@ func Fig7(o Options) (*Table, error) {
 			return nil, err
 		}
 		for _, r := range stats.Results {
-			vals := series[r.Window.Start]
+			vals := series[r.Start]
 			vals[i] = fmt.Sprintf("%.2f", r.Result.Overall.Value)
-			series[r.Window.Start] = vals
+			series[r.Start] = vals
 		}
 	}
 	for _, tr := range truth {
-		vals := series[tr.Window.Start]
+		vals := series[tr.Start]
 		t.Rows = append(t.Rows, []string{
-			tr.Window.Start.Format("15:04:05"),
+			tr.Start.Format("15:04:05"),
 			fmt.Sprintf("%.2f", tr.Result.Overall.Value),
 			vals[0], vals[1], vals[2],
 		})

@@ -28,7 +28,7 @@ func TestGroupByMergesDuplicateStrata(t *testing.T) {
 			Count:   1, Weight: 1,
 		},
 	}}
-	res := NewGroupBySum(estimate.Conf95).Evaluate(s)
+	res := evaluate(NewGroupBySum(estimate.Conf95), s)
 	if len(res.Groups) != 2 {
 		t.Fatalf("groups = %v", res.Groups)
 	}
@@ -36,11 +36,11 @@ func TestGroupByMergesDuplicateStrata(t *testing.T) {
 	if got := res.Groups["tcp"].Value; got != 110 {
 		t.Errorf("tcp sum = %v, want 110", got)
 	}
-	counts := NewGroupByCount(estimate.Conf95).Evaluate(s)
+	counts := evaluate(NewGroupByCount(estimate.Conf95), s)
 	if got := counts.Groups["tcp"].Value; got != 5 {
 		t.Errorf("tcp count = %v, want 5", got)
 	}
-	means := NewGroupByMean(estimate.Conf95).Evaluate(s)
+	means := evaluate(NewGroupByMean(estimate.Conf95), s)
 	// tcp mean = weighted by entry counts: (2/5)*10 + (3/5)*30 = 22.
 	if got := means.Groups["tcp"].Value; math.Abs(got-22) > 1e-9 {
 		t.Errorf("tcp mean = %v, want 22", got)

@@ -9,8 +9,8 @@
 // interval's sample to per-stratum sufficient statistics; Combine
 // estimates from the summaries of however many consecutive intervals a
 // window spans. Eq. 6 and Eq. 9 are sums of independent per-stratum
-// terms, so both a one-shot Evaluate and a sliding window assembled from
-// slide-sized intervals run the same estimator over the same numbers.
+// terms, so a window assembled from slide-sized intervals (see Windows)
+// runs the estimator one sample of the whole window would.
 package query
 
 import (
@@ -109,9 +109,6 @@ type Query interface {
 	// Combine computes the approximate result over consecutive
 	// intervals' summaries, given in time order.
 	Combine(sums []Summary) Result
-	// Evaluate computes the approximate result for one sample:
-	// Combine(Summarize(s)).
-	Evaluate(s *sampling.Sample) Result
 }
 
 // summarize builds the per-entry statistics a kind reads.
@@ -257,11 +254,6 @@ func (a *Aggregate) Combine(sums []Summary) Result {
 	return Result{Kind: a.kind, Overall: estimateOf(a.kind, moments(sums, &buf), strataOf(sums), a.conf)}
 }
 
-// Evaluate implements Query.
-func (a *Aggregate) Evaluate(s *sampling.Sample) Result {
-	return a.Combine([]Summary{a.Summarize(s)})
-}
-
 // GroupBy aggregates per stratum: e.g. "total traffic size per protocol"
 // (§6.2) or "mean trip distance per borough" (§6.3). Each group's estimate
 // is computed over the single-stratum restriction of the sample.
@@ -373,11 +365,6 @@ func (g *GroupBy) Combine(sums []Summary) Result {
 	return Result{Kind: g.kind, Overall: estimateOf(g.kind, moments(sums, &overallBuf), strataOf(sums), g.conf), Groups: groups}
 }
 
-// Evaluate implements Query.
-func (g *GroupBy) Evaluate(s *sampling.Sample) Result {
-	return g.Combine([]Summary{g.Summarize(s)})
-}
-
 // HistogramBucket is one bucket of an approximate histogram.
 type HistogramBucket struct {
 	Lo, Hi float64
@@ -473,9 +460,4 @@ func (h *Histogram) Combine(sums []Summary) Result {
 		res.Buckets[b] = HistogramBucket{Lo: h.edges[b], Hi: h.edges[b+1], Count: estimateOf(KindSum, indicator, strataOf(sums), h.conf)}
 	}
 	return res
-}
-
-// Evaluate implements Query.
-func (h *Histogram) Evaluate(s *sampling.Sample) Result {
-	return h.Combine([]Summary{h.Summarize(s)})
 }

@@ -18,12 +18,17 @@ func fullSample(strata map[string][]float64) *sampling.Sample {
 	return &s
 }
 
+// evaluate estimates from one sample alone: a window of one interval.
+func evaluate(q Query, s *sampling.Sample) Result {
+	return q.Combine([]Summary{q.Summarize(s)})
+}
+
 func TestAggregateSum(t *testing.T) {
 	q := NewSum(estimate.Conf95)
 	if q.Name() != "sum" {
 		t.Errorf("Name = %q", q.Name())
 	}
-	res := q.Evaluate(fullSample(map[string][]float64{"a": {1, 2}, "b": {3}}))
+	res := evaluate(q, fullSample(map[string][]float64{"a": {1, 2}, "b": {3}}))
 	if res.Overall.Value != 6 {
 		t.Errorf("sum = %v, want 6", res.Overall.Value)
 	}
@@ -33,14 +38,14 @@ func TestAggregateSum(t *testing.T) {
 }
 
 func TestAggregateCount(t *testing.T) {
-	res := NewCount(estimate.Conf95).Evaluate(fullSample(map[string][]float64{"a": {1, 2, 3}}))
+	res := evaluate(NewCount(estimate.Conf95), fullSample(map[string][]float64{"a": {1, 2, 3}}))
 	if res.Overall.Value != 3 {
 		t.Errorf("count = %v", res.Overall.Value)
 	}
 }
 
 func TestAggregateMean(t *testing.T) {
-	res := NewMean(estimate.Conf95).Evaluate(fullSample(map[string][]float64{"a": {2, 4}, "b": {6}}))
+	res := evaluate(NewMean(estimate.Conf95), fullSample(map[string][]float64{"a": {2, 4}, "b": {6}}))
 	if res.Overall.Value != 4 {
 		t.Errorf("mean = %v, want 4", res.Overall.Value)
 	}
@@ -51,7 +56,7 @@ func TestGroupByMeanPerStratum(t *testing.T) {
 	if q.Name() != "groupby-mean" {
 		t.Errorf("Name = %q", q.Name())
 	}
-	res := q.Evaluate(fullSample(map[string][]float64{"tcp": {10, 20}, "udp": {100}}))
+	res := evaluate(q, fullSample(map[string][]float64{"tcp": {10, 20}, "udp": {100}}))
 	if len(res.Groups) != 2 {
 		t.Fatalf("groups = %v", res.Groups)
 	}
@@ -65,11 +70,11 @@ func TestGroupByMeanPerStratum(t *testing.T) {
 
 func TestGroupBySumAndCount(t *testing.T) {
 	s := fullSample(map[string][]float64{"a": {1, 2}, "b": {5}})
-	sums := NewGroupBySum(estimate.Conf95).Evaluate(s)
+	sums := evaluate(NewGroupBySum(estimate.Conf95), s)
 	if sums.Groups["a"].Value != 3 || sums.Groups["b"].Value != 5 {
 		t.Errorf("group sums = %v", sums.Groups)
 	}
-	counts := NewGroupByCount(estimate.Conf95).Evaluate(s)
+	counts := evaluate(NewGroupByCount(estimate.Conf95), s)
 	if counts.Groups["a"].Value != 2 || counts.Groups["b"].Value != 1 {
 		t.Errorf("group counts = %v", counts.Groups)
 	}
@@ -83,7 +88,7 @@ func TestGroupByWeightedSample(t *testing.T) {
 		Count:   10,
 		Weight:  5,
 	}}}
-	res := NewGroupBySum(estimate.Conf95).Evaluate(s)
+	res := evaluate(NewGroupBySum(estimate.Conf95), s)
 	if res.Groups["a"].Value != 50 {
 		t.Errorf("weighted group sum = %v, want 50", res.Groups["a"].Value)
 	}
@@ -98,7 +103,7 @@ func TestHistogram(t *testing.T) {
 		t.Errorf("Name = %q", h.Name())
 	}
 	s := fullSample(map[string][]float64{"a": {1, 5, 15, 25, 25}})
-	buckets := h.Evaluate(s).Buckets
+	buckets := evaluate(h, s).Buckets
 	if len(buckets) != 3 {
 		t.Fatalf("buckets = %d, want 3", len(buckets))
 	}
@@ -112,7 +117,7 @@ func TestHistogram(t *testing.T) {
 
 func TestHistogramUnsortedEdges(t *testing.T) {
 	h := NewHistogram([]float64{30, 0, 10}, estimate.Conf95)
-	buckets := h.Evaluate(fullSample(map[string][]float64{"a": {5}})).Buckets
+	buckets := evaluate(h, fullSample(map[string][]float64{"a": {5}})).Buckets
 	if len(buckets) != 2 || buckets[0].Lo != 0 {
 		t.Errorf("edges not sorted: %+v", buckets)
 	}
@@ -120,7 +125,7 @@ func TestHistogramUnsortedEdges(t *testing.T) {
 
 func TestHistogramDegenerateEdges(t *testing.T) {
 	h := NewHistogram([]float64{1}, estimate.Conf95)
-	if got := h.Evaluate(fullSample(map[string][]float64{"a": {5}})).Buckets; got != nil {
+	if got := evaluate(h, fullSample(map[string][]float64{"a": {5}})).Buckets; got != nil {
 		t.Errorf("single-edge histogram should be nil, got %v", got)
 	}
 }

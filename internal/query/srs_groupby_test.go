@@ -23,7 +23,7 @@ func TestGroupByOnMixedStrataSample(t *testing.T) {
 		Weight:  10,
 	}}}
 
-	sums := NewGroupBySum(estimate.Conf95).Evaluate(s)
+	sums := evaluate(NewGroupBySum(estimate.Conf95), s)
 	if len(sums.Groups) != 2 {
 		t.Fatalf("groups = %v", sums.Groups)
 	}
@@ -35,7 +35,7 @@ func TestGroupByOnMixedStrataSample(t *testing.T) {
 		t.Errorf("udp sum = %v, want 500", got)
 	}
 
-	counts := NewGroupByCount(estimate.Conf95).Evaluate(s)
+	counts := evaluate(NewGroupByCount(estimate.Conf95), s)
 	// Expansion estimator: tcp count ≈ 3*10 = 30, udp ≈ 10.
 	if got := counts.Groups["tcp"].Value; got != 30 {
 		t.Errorf("tcp count = %v, want 30", got)
@@ -44,7 +44,7 @@ func TestGroupByOnMixedStrataSample(t *testing.T) {
 		t.Errorf("udp count = %v, want 10", got)
 	}
 
-	means := NewGroupByMean(estimate.Conf95).Evaluate(s)
+	means := evaluate(NewGroupByMean(estimate.Conf95), s)
 	if got := means.Groups["tcp"].Value; math.Abs(got-200) > 1e-9 {
 		t.Errorf("tcp mean = %v, want 200", got)
 	}
@@ -60,7 +60,7 @@ func TestGroupByMixedSampleMissesAbsentStratum(t *testing.T) {
 		Count:   1000,
 		Weight:  1000,
 	}}}
-	res := NewGroupBySum(estimate.Conf95).Evaluate(s)
+	res := evaluate(NewGroupBySum(estimate.Conf95), s)
 	if _, ok := res.Groups["icmp"]; ok {
 		t.Error("absent stratum conjured from nowhere")
 	}
@@ -95,7 +95,7 @@ func TestKeysRegroupingMatchesPerRowRegrouping(t *testing.T) {
 		window.Strata = append(window.Strata, s.Strata...)
 		for _, s := range []*sampling.Sample{s, window} {
 			for _, q := range []*GroupBy{NewGroupBySum(estimate.Conf95), NewGroupByMean(estimate.Conf95), NewGroupByCount(estimate.Conf95)} {
-				if got, want := q.Evaluate(s), rowGroupBy(q.kind, s); !reflect.DeepEqual(got, want) {
+				if got, want := evaluate(q, s), rowGroupBy(q.kind, s); !reflect.DeepEqual(got, want) {
 					t.Errorf("fraction %v, %d entries, %s:\nKeys give %+v\nrows give %+v", fraction, len(s.Strata), q.Name(), got, want)
 				}
 			}

@@ -93,8 +93,8 @@ func TestGroupBySummaryMatchesRowsOnMixedSample(t *testing.T) {
 		}
 		for _, s := range []*sampling.Sample{mixed, both} {
 			want := rowGroupBy(q.kind, s)
-			if got := q.Evaluate(s); !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: Evaluate = %+v\nrows give %+v", q.Name(), got, want)
+			if got := evaluate(q, s); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: one-sample estimate = %+v\nrows give %+v", q.Name(), got, want)
 			}
 		}
 		// Interval by interval, as a window over two slides combines them.
@@ -117,7 +117,7 @@ func TestHistogramSummaryMatchesIndicatorPasses(t *testing.T) {
 	s := o.Finish()
 	s.Strata[0].Values[0] = 25 // exactly on an edge
 	h := NewHistogram([]float64{0, 25, 50, 75, 100}, estimate.Conf95)
-	res := h.Evaluate(s)
+	res := evaluate(h, s)
 	if res.Overall.Value != 5000 || len(res.Buckets) != 4 {
 		t.Fatalf("overall %v, %d buckets", res.Overall.Value, len(res.Buckets))
 	}

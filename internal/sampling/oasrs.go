@@ -135,6 +135,15 @@ func (o *OASRS) SetBudget(budget int) {
 	o.big = -1
 }
 
+// SegmentBudget is a slide segment's budget: the fraction of the
+// previous segment's arrival count, or 64 before any count is known.
+func SegmentBudget(fraction float64, lastCount int) int {
+	if budget := int(fraction * float64(lastCount)); budget >= 1 {
+		return budget
+	}
+	return 64
+}
+
 // Budget returns the current total sample-size budget.
 func (o *OASRS) Budget() int { return o.budget }
 

@@ -279,6 +279,44 @@ func TestServedGroupByMeanMergesGroups(t *testing.T) {
 	}
 }
 
+// TestServedWindowSpansWhatItCounts: a window that is not a whole number
+// of slides is counted over whole slide segments, so it is registered and
+// served at that span: every merged window's End − Start covers exactly
+// the records its Items count.
+func TestServedWindowSpansWhatItCounts(t *testing.T) {
+	b := broker.New()
+	if err := b.CreateTopic("in", 4); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(17, 20000) // 20s of data
+	if _, err := produceEvents(b, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: b, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	qi := postQuery(t, ts.URL, `{"kind":"count","window":"7s","slide":"5s","fraction":1}`)
+	if qi.Spec.Window != 10*time.Second {
+		t.Errorf("registered window %v, want 10s: two whole 5s slides", qi.Spec.Window)
+	}
+	for _, r := range waitForResults(t, ts.URL, qi.ID, 3, 15*time.Second) {
+		var in int64
+		for _, e := range events {
+			if !e.Time.Before(r.Start) && e.Time.Before(r.End) {
+				in++
+			}
+		}
+		if r.Items != in {
+			t.Errorf("window [%v, %v) counts %d items; %d records fall in its span", r.Start, r.End, r.Items, in)
+		}
+	}
+}
+
 // TestResultsLongPollWakesOnMerge checks ?wait: a request arriving
 // before any window has merged must block and return results once the
 // first merge lands, not time out empty.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streamapprox"
+	"streamapprox/internal/query"
 )
 
 // Spec is a registered query: the aggregate kind, the sliding window,
@@ -18,6 +19,7 @@ type Spec struct {
 	// groupby-mean, groupby-count or histogram.
 	Kind string
 	// Window and Slide configure the sliding window (defaults 10s/5s).
+	// A window that is not a whole number of slides is rounded up to one.
 	Window time.Duration
 	// Slide defaults to half the window.
 	Slide time.Duration
@@ -147,6 +149,8 @@ func (sp *Spec) normalize() error {
 	if sp.Slide > sp.Window {
 		return fmt.Errorf("slide %v exceeds window %v", sp.Slide, sp.Window)
 	}
+	// A window is counted over whole slide segments: serve that span.
+	sp.Window = query.WholeSlides(sp.Window, sp.Slide)
 	if sp.Fraction < 0 || sp.Fraction > 1 {
 		return fmt.Errorf("fraction %v outside (0, 1]", sp.Fraction)
 	}

@@ -2,8 +2,8 @@
 // evaluation: synthetic Gaussian and Poisson sub-streams (§5.1), the skew
 // mixes of §5.7, and synthetic stand-ins for the two case-study datasets
 // — CAIDA-like NetFlow records (§6.2) and NYC-taxi-like trip records
-// (§6.3). See DESIGN.md ("Substitutions") for why the synthetic stand-ins
-// preserve the behaviours the experiments measure.
+// (§6.3). The stand-ins keep what the experiments measure: each
+// sub-stream's arrival rate and value distribution.
 package workload
 
 import (

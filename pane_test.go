@@ -13,7 +13,6 @@ import (
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
-	"streamapprox/internal/window"
 	"streamapprox/internal/xrand"
 )
 
@@ -37,7 +36,6 @@ type rowSession struct {
 	cfg       SessionConfig
 	q         query.Query
 	edges     []float64
-	assigner  *window.Assigner
 	sampler   *sampling.OASRS
 	rng       *xrand.Rand
 	segStart  time.Time
@@ -51,12 +49,11 @@ func newRowSession(cfg SessionConfig) *rowSession {
 	edges := append([]float64(nil), cfg.HistogramEdges...)
 	sort.Float64s(edges)
 	return &rowSession{
-		cfg:      cfg,
-		q:        cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
-		edges:    edges,
-		assigner: window.NewAssigner(cfg.WindowSize, cfg.WindowSlide),
-		rng:      xrand.New(cfg.Seed),
-		pending:  make(map[int64]*sampling.Sample),
+		cfg:     cfg,
+		q:       cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
+		edges:   edges,
+		rng:     xrand.New(cfg.Seed),
+		pending: make(map[int64]*sampling.Sample),
 	}
 }
 
@@ -76,11 +73,13 @@ func (r *rowSession) startSegment(seg time.Time) {
 func (r *rowSession) finishSegment() {
 	sample := r.sampler.Finish()
 	r.lastCount = r.segCount
-	for _, win := range r.assigner.Assign(r.segStart) {
-		agg, ok := r.pending[win.Start.UnixNano()]
+	// Every window [start, start+size) with start a multiple of the
+	// slide that holds the segment's start.
+	for start := r.segStart; start.After(r.segStart.Add(-r.cfg.WindowSize)); start = start.Add(-r.cfg.WindowSlide) {
+		agg, ok := r.pending[start.UnixNano()]
 		if !ok {
 			agg = &sampling.Sample{}
-			r.pending[win.Start.UnixNano()] = agg
+			r.pending[start.UnixNano()] = agg
 		}
 		agg.Strata = append(agg.Strata, sample.Strata...)
 	}
@@ -100,7 +99,7 @@ func (r *rowSession) fire(limit time.Time) {
 		agg := r.pending[startN]
 		delete(r.pending, startN)
 		start := time.Unix(0, startN).UTC()
-		res := r.q.Evaluate(agg)
+		res := r.q.Combine([]query.Summary{r.q.Summarize(agg)})
 		wr := WindowResult{
 			Start: start, End: start.Add(r.cfg.WindowSize), Overall: fromInternalEstimate(res.Overall),
 			Items: agg.TotalCount(), Sampled: agg.SampledCount(),

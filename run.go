@@ -24,7 +24,8 @@ type Config struct {
 	// (default 500ms).
 	BatchInterval time.Duration
 	// WindowSize and WindowSlide configure the sliding window (defaults
-	// 10s / 5s).
+	// 10s / 5s; a size that is not a whole number of slides is rounded
+	// up to one).
 	WindowSize  time.Duration
 	WindowSlide time.Duration
 	// Confidence is the error-bound level (default Confidence95).
@@ -150,8 +151,8 @@ func convertResults(in []core.WindowResult) []WindowResult {
 	out := make([]WindowResult, len(in))
 	for i, r := range in {
 		out[i] = WindowResult{
-			Start:   r.Window.Start,
-			End:     r.Window.End,
+			Start:   r.Start,
+			End:     r.End,
 			Overall: fromInternalEstimate(r.Result.Overall),
 			Items:   r.Items,
 			Sampled: r.Sampled,

@@ -17,7 +17,8 @@ type SessionConfig struct {
 	// Query is the per-window aggregate (default Sum).
 	Query Query
 	// WindowSize and WindowSlide configure the sliding window (defaults
-	// 10s / 5s; a size below the slide is raised to it).
+	// 10s / 5s; a size that is not a whole number of slides is rounded
+	// up to one).
 	WindowSize  time.Duration
 	WindowSlide time.Duration
 	// Fraction is the initial sampling fraction (default 0.6).
@@ -63,11 +64,7 @@ type Session struct {
 	segStart  time.Time
 	segCount  int
 	lastCount int
-	// panes holds the finished segments some unfired window still
-	// covers, oldest first (at most ⌈size/slide⌉ of them); every window
-	// ending at or before fired has been emitted.
-	panes     []pane
-	fired     time.Time
+	windows   query.Windows   // the finished segments' panes
 	sums      []query.Summary // fireWindow's argument buffer
 	ready     []WindowResult
 	watermark time.Time
@@ -90,12 +87,6 @@ type Session struct {
 	lateOff   int64 // a follower's late drops beyond its leader's
 }
 
-// pane is one finished slide segment: its sample's summary.
-type pane struct {
-	Start   time.Time     `json:"start"`
-	Summary query.Summary `json:"summary"`
-}
-
 // ErrClosedSession is returned by Push after Close.
 var ErrClosedSession = errors.New("streamapprox: session closed")
 
@@ -107,8 +98,8 @@ func NewSession(cfg SessionConfig) *Session {
 	if cfg.WindowSlide <= 0 {
 		cfg.WindowSlide = 5 * time.Second
 	}
-	// A window spans at least the one slide segment it is counted over.
-	cfg.WindowSize = max(cfg.WindowSize, cfg.WindowSlide)
+	windows := query.NewWindows(cfg.WindowSize, cfg.WindowSlide)
+	cfg.WindowSize = windows.Size()
 	if !(cfg.Fraction > 0 && cfg.Fraction <= 1) {
 		cfg.Fraction = 0.6
 	}
@@ -119,9 +110,10 @@ func NewSession(cfg SessionConfig) *Session {
 		cfg.Query = Sum
 	}
 	s := &Session{
-		cfg: cfg,
-		q:   cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
-		rng: xrand.New(cfg.Seed),
+		cfg:     cfg,
+		q:       cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
+		rng:     xrand.New(cfg.Seed),
+		windows: windows,
 	}
 	if cfg.TargetError > 0 {
 		s.controller = adaptive.NewController(cfg.TargetError, cfg.Fraction)
@@ -377,10 +369,10 @@ func (s *Session) Advance(now time.Time) {
 	// Events in the current segment [seg, seg+slide) may still belong to
 	// windows ending inside it, so only windows ending at or before seg
 	// are complete.
-	s.fire(seg)
+	s.windows.Fire(seg, s.fireWindow)
 	s.lead()
 	for _, f := range s.followers {
-		f.fire(seg)
+		f.windows.Fire(seg, f.fireWindow)
 	}
 }
 
@@ -397,10 +389,7 @@ func (s *Session) Close() []WindowResult {
 	if !s.segStart.IsZero() {
 		s.finishSegment()
 	}
-	if n := len(s.panes); n > 0 {
-		// Through the end of the last window that covers a pane.
-		s.fire(s.panes[n-1].Start.Add(s.cfg.WindowSize))
-	}
+	s.windows.Flush(s.fireWindow)
 	out := s.ready
 	s.ready = nil
 	return out
@@ -410,15 +399,12 @@ func (s *Session) startSegment(seg time.Time) {
 	s.segStart = seg
 	s.segCount = 0
 	s.cacheSegBounds()
-	size := int(s.Fraction() * float64(s.lastCount))
-	if size < 1 {
-		size = 64 // bootstrap before any arrival count is known
-	}
+	budget := sampling.SegmentBudget(s.Fraction(), s.lastCount)
 	if s.sampler == nil {
-		s.sampler = sampling.NewOASRS(size, nil, s.rng)
+		s.sampler = sampling.NewOASRS(budget, nil, s.rng)
 		return
 	}
-	s.sampler.SetBudget(size)
+	s.sampler.SetBudget(budget)
 }
 
 // cacheSegBounds caches the current segment's bounds in unix nanos for
@@ -440,16 +426,16 @@ func (s *Session) finishSegment() {
 	s.sampler.Drain(func(sample *sampling.Sample) {
 		sum = s.q.Summarize(sample)
 		for i, f := range s.followers {
-			f.panes = append(f.panes, pane{Start: s.segStart, Summary: s.followerSummary(i, sample, sum)})
+			f.windows.Add(s.segStart, s.followerSummary(i, sample, sum))
 		}
 	})
 	s.lastCount = s.segCount
-	s.panes = append(s.panes, pane{Start: s.segStart, Summary: sum})
+	s.windows.Add(s.segStart, sum)
 	// Every window that ended at or before the segment end is complete.
 	end := s.segStart.Add(s.cfg.WindowSlide)
-	s.fire(end)
+	s.windows.Fire(end, s.fireWindow)
 	for _, f := range s.followers {
-		f.fire(end)
+		f.windows.Fire(end, f.fireWindow)
 	}
 }
 
@@ -457,9 +443,10 @@ func (s *Session) finishSegment() {
 // being s's own: the summary of the first member before it — s, then the
 // followers in order, whose panes of sample are their last — that
 // summarises sample alike, or its own query's when none does. A summary is
-// shared, not copied: nothing writes into a Summary after Summarize — fire
-// and fireWindow read panes, Snapshot encodes them, RestoreSession decodes
-// fresh ones, and the server's merger sees only WindowResults.
+// shared, not copied: nothing writes into a Summary after Summarize —
+// Windows.Fire and fireWindow read panes, Snapshot encodes them,
+// RestoreSession decodes fresh ones, and the server's merger sees only
+// WindowResults.
 func (s *Session) followerSummary(i int, sample *sampling.Sample, sum query.Summary) query.Summary {
 	q := s.followers[i].q
 	if query.SummarizesAlike(s.q, q, sample) {
@@ -467,59 +454,14 @@ func (s *Session) followerSummary(i int, sample *sampling.Sample, sum query.Summ
 	}
 	for _, f := range s.followers[:i] {
 		if query.SummarizesAlike(f.q, q, sample) {
-			return f.panes[len(f.panes)-1].Summary
+			return f.windows.Last().Summary
 		}
 	}
 	return q.Summarize(sample)
 }
 
-// fire emits, in start order, every window that ends in (fired, limit]
-// and covers at least one pane, then drops the panes that no unfired
-// window covers.
-func (s *Session) fire(limit time.Time) {
-	if !limit.After(s.fired) {
-		return
-	}
-	size, slide := s.cfg.WindowSize, s.cfg.WindowSlide
-	// A pane's earliest window starts this far before it: ⌈size/slide⌉-1
-	// slides.
-	back := (size - 1) / slide * slide
-	var start time.Time
-	for lo := 0; lo < len(s.panes); {
-		p := s.panes[lo].Start
-		if p.Before(start) {
-			lo++
-			continue
-		}
-		if first := p.Add(-back); first.After(start) {
-			start = first // an event-time gap: the windows before cover no pane
-		}
-		end := start.Add(size)
-		if end.After(limit) {
-			break
-		}
-		if end.After(s.fired) {
-			hi := lo + 1
-			for hi < len(s.panes) && s.panes[hi].Start.Before(end) {
-				hi++
-			}
-			s.fireWindow(start, s.panes[lo:hi])
-		}
-		start = start.Add(slide)
-	}
-	s.fired = limit
-	done := 0
-	for done < len(s.panes) && !s.panes[done].Start.Add(size).After(limit) {
-		done++
-	}
-	if done > 0 {
-		n := copy(s.panes, s.panes[done:])
-		clear(s.panes[n:])
-		s.panes = s.panes[:n]
-	}
-}
-
-func (s *Session) fireWindow(start time.Time, panes []pane) {
+// fireWindow converts one window's panes to its WindowResult.
+func (s *Session) fireWindow(start time.Time, panes []query.Pane) {
 	wr := WindowResult{Start: start, End: start.Add(s.cfg.WindowSize)}
 	s.sums = s.sums[:0]
 	for i := range panes {

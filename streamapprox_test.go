@@ -2,6 +2,7 @@ package streamapprox
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -202,19 +203,21 @@ func TestNewSessionNaNFractionDefaults(t *testing.T) {
 	}
 }
 
-// TestWindowNarrowerThanSlideSpansItsPane: a window narrower than its
-// slide is counted over the whole slide segment, so it is served with
-// that segment's span: End − Start covers exactly the records its Items
-// count. Its results are those of a window as wide as the slide.
-func TestWindowNarrowerThanSlideSpansItsPane(t *testing.T) {
+// TestWindowSpansWholeSlides: a window is counted over whole slide
+// segments, so one that is not a whole number of slides — narrower than
+// its slide, or 7s at a 5s slide — is served at the span of the segments
+// it counts: End − Start covers exactly the records its Items count. Its
+// results are those of the window rounded up to whole slides, from a
+// Session and from Exact alike.
+func TestWindowSpansWholeSlides(t *testing.T) {
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
 	var events []Event
 	for i := 0; i < 60; i++ {
 		events = append(events, Event{Stratum: string(rune('a' + i%3)), Value: float64(i),
 			Time: base.Add(time.Duration(i) * 500 * time.Millisecond)})
 	}
-	run := func(cfg SessionConfig) []WindowResult {
-		s := NewSession(cfg)
+	session := func(size, slide time.Duration) []WindowResult {
+		s := NewSession(SessionConfig{WindowSize: size, WindowSlide: slide, Seed: 3})
 		for _, e := range events {
 			if err := s.Push(e); err != nil {
 				t.Fatal(err)
@@ -222,25 +225,39 @@ func TestWindowNarrowerThanSlideSpansItsPane(t *testing.T) {
 		}
 		return s.Close()
 	}
-	narrow := run(SessionConfig{WindowSize: 2 * time.Second, Seed: 3}) // slide defaults to 5s
-	wide := run(SessionConfig{WindowSize: 5 * time.Second, WindowSlide: 5 * time.Second, Seed: 3})
-	if len(narrow) == 0 {
-		t.Fatal("no windows served")
+	exact := func(size, slide time.Duration) []WindowResult {
+		out, err := Exact(Config{WindowSize: size, WindowSlide: slide}, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
 	}
-	for _, w := range narrow {
-		var in int64
-		for _, e := range events {
-			if !e.Time.Before(w.Start) && e.Time.Before(w.End) {
-				in++
+	for _, c := range []struct{ size, slide, whole time.Duration }{
+		{2 * time.Second, 5 * time.Second, 5 * time.Second},
+		{7 * time.Second, 5 * time.Second, 10 * time.Second},
+	} {
+		for name, run := range map[string]func(size, slide time.Duration) []WindowResult{"session": session, "exact": exact} {
+			label := fmt.Sprintf("%s %v/%v", name, c.size, c.slide)
+			got := run(c.size, c.slide)
+			if len(got) == 0 {
+				t.Fatalf("%s: no windows served", label)
+			}
+			for _, w := range got {
+				var in int64
+				for _, e := range events {
+					if !e.Time.Before(w.Start) && e.Time.Before(w.End) {
+						in++
+					}
+				}
+				if w.Items != in {
+					t.Errorf("%s: window [%v, %v) counts %d items; %d records fall in its span",
+						label, w.Start.Sub(base), w.End.Sub(base), w.Items, in)
+				}
+			}
+			if want := run(c.whole, c.slide); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s served\n%+v\nwant the %v window's\n%+v", label, got, c.whole, want)
 			}
 		}
-		if w.Items != in {
-			t.Errorf("window [%v, %v) counts %d items; %d records fall in its span",
-				w.Start.Sub(base), w.End.Sub(base), w.Items, in)
-		}
-	}
-	if !reflect.DeepEqual(narrow, wide) {
-		t.Errorf("a 2s window at a 5s slide served\n%+v\nwant the 5s window's\n%+v", narrow, wide)
 	}
 }
 
