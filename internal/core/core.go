@@ -1,10 +1,20 @@
-// Package core wires the substrates into the six systems the paper
-// evaluates (§5):
+// Package core runs the six systems the paper evaluates (§5) on its two
+// processing models (§2.2, §4.2), each written directly over the event
+// slice and doing only the work it models:
+//
+//   - the batched engine (spark.go), Spark Streaming's model: the stream
+//     is cut into micro-batches, each becomes a dataset of round-robin
+//     partitions, and each stage runs one task per partition;
+//   - the pipelined engine (flink.go), Flink's model: a feeder hands
+//     events in chunks to operator replicas, each running a sampling
+//     operator item by item.
+//
+// The systems:
 //
 //   - SparkApprox: StreamApprox on the batched engine — OASRS sampling
 //     on-the-fly *before* dataset formation (the ApproxKafkaRDD path).
 //   - FlinkApprox: StreamApprox on the pipelined engine — an OASRS
-//     sampling operator in the operator chain (§4.2.2).
+//     sampling operator in each replica (§4.2.2).
 //   - SparkSRS: the improved baseline using Spark's simple random
 //     sampling applied to each formed micro-batch dataset.
 //   - SparkSTS: the improved baseline using Spark's stratified sampling
@@ -76,8 +86,8 @@ type Config struct {
 	// Fraction is the sampling fraction in (0, 1]; ignored by native
 	// systems.
 	Fraction float64
-	// Workers is the engine parallelism (pool size for batch engines,
-	// replica count for pipelined engines). Defaults to 4.
+	// Workers is the engine parallelism (partitions per dataset for the
+	// batched engine, replica count for the pipelined one). Defaults to 4.
 	Workers int
 	// BatchInterval is the micro-batch interval for batch engines
 	// (default 500ms, the paper's midpoint).
@@ -113,9 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Query == nil {
 		c.Query = query.NewSum(c.Confidence)
-	}
-	if c.Fraction <= 0 || c.Fraction > 1 {
-		c.Fraction = 1
 	}
 	if c.Seed == 0 {
 		c.Seed = 1

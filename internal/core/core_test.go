@@ -51,7 +51,7 @@ func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
 	if c.Workers != 4 || c.BatchInterval != 500*time.Millisecond ||
 		c.WindowSize != 10*time.Second || c.WindowSlide != 5*time.Second ||
-		c.Fraction != 1 || c.Query == nil || c.Seed == 0 {
+		c.Query == nil || c.Seed == 0 {
 		t.Errorf("defaults = %+v", c)
 	}
 }

@@ -2,10 +2,11 @@ package core
 
 import (
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"streamapprox/internal/batch"
 	"streamapprox/internal/estimate"
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
@@ -30,18 +31,16 @@ func batchEvents(n int, strata ...string) []stream.Event {
 }
 
 func TestSampleApproxPreDatasetRespectsFraction(t *testing.T) {
-	pool := batch.NewPool(4)
-	defer pool.Close()
 	rng := xrand.New(1)
-	d := sampling.NewDistributedOASRS(1, pool.Size(), nil, rng.Split())
+	d := sampling.NewDistributedOASRS(1, 4, nil, rng.Split())
 	cfg := Config{Fraction: 0.25}.withDefaults()
 	cfg.Fraction = 0.25
 
 	events := batchEvents(8000, "a", "b")
 	// First batch over-allocates (no stratum history); the second batch
 	// must honour the fraction.
-	_ = sampleApproxPreDataset(cfg, pool, d, events)
-	s := sampleApproxPreDataset(cfg, pool, d, events)
+	_ = sampleApproxPreDataset(cfg, d, events)
+	s := sampleApproxPreDataset(cfg, d, events)
 	got := float64(s.SampledCount()) / float64(len(events))
 	if got > 0.30 || got < 0.15 {
 		t.Errorf("steady-state sampled fraction = %.3f, want ≈0.25", got)
@@ -52,12 +51,10 @@ func TestSampleApproxPreDatasetRespectsFraction(t *testing.T) {
 }
 
 func TestSampleSRSOnDatasetFractionAndWeight(t *testing.T) {
-	pool := batch.NewPool(4)
-	defer pool.Close()
 	cfg := Config{Fraction: 0.5}.withDefaults()
 	cfg.Fraction = 0.5
 	events := batchEvents(4000, "a", "b", "c")
-	s := sampleSRSOnDataset(cfg, pool, xrand.New(2), events)
+	s := sampleSRSOnDataset(cfg, xrand.New(2), events)
 	if len(s.Strata) != 1 || s.Strata[0].Stratum != sampling.SRSPseudoStratum {
 		t.Fatalf("SRS sample shape: %+v", s.Strata)
 	}
@@ -76,12 +73,10 @@ func TestSampleSRSOnDatasetFractionAndWeight(t *testing.T) {
 }
 
 func TestSampleSTSOnDatasetPerStratum(t *testing.T) {
-	pool := batch.NewPool(4)
-	defer pool.Close()
 	cfg := Config{Fraction: 0.5}.withDefaults()
 	cfg.Fraction = 0.5
 	events := batchEvents(3000, "a", "b", "c")
-	s := sampleSTSOnDataset(cfg, pool, xrand.New(3), events)
+	s := sampleSTSOnDataset(cfg, xrand.New(3), events)
 	if len(s.Strata) != 3 {
 		t.Fatalf("STS strata = %d", len(s.Strata))
 	}
@@ -96,10 +91,8 @@ func TestSampleSTSOnDatasetPerStratum(t *testing.T) {
 }
 
 func TestNativeDatasetSampleIsExact(t *testing.T) {
-	pool := batch.NewPool(2)
-	defer pool.Close()
 	events := batchEvents(100, "x", "y")
-	s := nativeDatasetSample(pool, events)
+	s := nativeDatasetSample(Config{Workers: 2}.withDefaults(), events)
 	if s.SampledCount() != 100 || s.TotalCount() != 100 {
 		t.Errorf("native sample %d/%d", s.SampledCount(), s.TotalCount())
 	}
@@ -118,17 +111,16 @@ func TestSamplingOperatorSegments(t *testing.T) {
 		rng:      xrand.New(4),
 	}
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
-	emit := func(stream.Event) {}
 	// Three slide segments' worth of events.
 	for sec := 0; sec < 15; sec++ {
 		for k := 0; k < 100; k++ {
-			op.Process(stream.Event{
+			op.add(stream.Event{
 				Stratum: "s", Value: 1,
 				Time: base.Add(time.Duration(sec)*time.Second + time.Duration(k)*time.Millisecond),
-			}, emit)
+			})
 		}
 	}
-	op.Flush(emit)
+	op.flush()
 	if got := len(op.panes); got != 3 {
 		t.Fatalf("operator produced %d panes, want 3", got)
 	}
@@ -147,11 +139,10 @@ func TestSamplingOperatorNativeKeepsAll(t *testing.T) {
 		rng:    xrand.New(5),
 	}
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
-	emit := func(stream.Event) {}
 	for i := 0; i < 1000; i++ {
-		op.Process(stream.Event{Stratum: "s", Value: 1, Time: base.Add(time.Duration(i) * time.Millisecond)}, emit)
+		op.add(stream.Event{Stratum: "s", Value: 1, Time: base.Add(time.Duration(i) * time.Millisecond)})
 	}
-	op.Flush(emit)
+	op.flush()
 	var sampled int
 	for _, p := range op.panes {
 		sampled += p.Summary.SampledCount()
@@ -208,10 +199,8 @@ func TestRecordCostDeterministic(t *testing.T) {
 }
 
 func TestRunJobCountsEverything(t *testing.T) {
-	pool := batch.NewPool(4)
-	defer pool.Close()
-	ds := batch.NewDataset(pool, batchEvents(1234))
-	res := runJob(ds)
+	parts := stream.PartitionRoundRobin(batchEvents(1234), 4)
+	res := runJob(parts)
 	if res.count != 1234 {
 		t.Errorf("job counted %d", res.count)
 	}
@@ -219,7 +208,7 @@ func TestRunJobCountsEverything(t *testing.T) {
 		t.Error("job result fields not populated")
 	}
 	var serial jobResult
-	for stratum, items := range stream.PartitionByStratum(ds.Collect()) {
+	for stratum, items := range stream.PartitionByStratum(slices.Concat(parts...)) {
 		values := make([]float64, len(items))
 		for i, e := range items {
 			values[i] = e.Value
@@ -228,5 +217,62 @@ func TestRunJobCountsEverything(t *testing.T) {
 	}
 	if serial.count != res.count || math.Abs(serial.sum-res.sum) > 1e-9*res.sum || serial.checksum != res.checksum {
 		t.Errorf("serial job disagrees: %+v vs %+v", serial, res)
+	}
+}
+
+func TestCutBatchesAtInterval(t *testing.T) {
+	events := batchEvents(35) // 1 event/ms
+	batches := cutBatches(events, 10*time.Millisecond)
+	if len(batches) != 4 {
+		t.Fatalf("got %d batches, want 4", len(batches))
+	}
+	for i, b := range batches {
+		want := 10
+		if i == 3 {
+			want = 5 // the partial last batch
+		}
+		if len(b.events) != want {
+			t.Errorf("batch %d has %d events, want %d", i, len(b.events), want)
+		}
+		if !b.start.Equal(events[0].Time.Add(time.Duration(i) * 10 * time.Millisecond)) {
+			t.Errorf("batch %d starts %v", i, b.start)
+		}
+	}
+	if got := cutBatches(nil, time.Second); got != nil {
+		t.Errorf("cutBatches(nil) = %v", got)
+	}
+}
+
+// TestCutBatchesSkipsEmptyIntervals: a gap in event time cuts no batch,
+// however short or long it is.
+func TestCutBatchesSkipsEmptyIntervals(t *testing.T) {
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	for _, gap := range []time.Duration{20 * time.Millisecond, time.Hour} {
+		events := []stream.Event{{Time: base}, {Time: base.Add(gap)}}
+		batches := cutBatches(events, 10*time.Millisecond)
+		if len(batches) != 2 || len(batches[0].events) != 1 || !batches[1].start.Equal(base.Add(gap)) {
+			t.Errorf("gap %v: batches %+v, want one per event", gap, batches)
+		}
+	}
+}
+
+func TestParallelRunsAllTasks(t *testing.T) {
+	var n atomic.Int64
+	parallel(100, func(int) { n.Add(1) })
+	if n.Load() != 100 {
+		t.Errorf("ran %d tasks, want 100", n.Load())
+	}
+}
+
+func TestParallelStageBarrier(t *testing.T) {
+	done := make([]bool, 8)
+	parallel(len(done), func(i int) {
+		time.Sleep(time.Millisecond)
+		done[i] = true
+	})
+	for i, ok := range done {
+		if !ok {
+			t.Errorf("task %d not done when parallel returned", i)
+		}
 	}
 }

@@ -1,11 +1,10 @@
 package core
 
 import (
-	"context"
 	"slices"
+	"sync"
 	"time"
 
-	"streamapprox/internal/pipeline"
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
@@ -22,20 +21,53 @@ import (
 func runPipelined(cfg Config, events []stream.Event) (*RunStats, error) {
 	rng := xrand.New(cfg.Seed)
 	ops := make([]*samplingOperator, cfg.Workers)
+	feeds := make([]chan []stream.Event, cfg.Workers)
+	var wg sync.WaitGroup
 	for i := range ops {
-		ops[i] = &samplingOperator{
+		op := &samplingOperator{
 			slide:    cfg.WindowSlide,
 			fraction: cfg.Fraction,
 			native:   cfg.System.IsNative(),
 			q:        cfg.Query,
 			rng:      rng.Split(),
 		}
+		// A channel of size one: backpressure is the feeder blocking.
+		feed := make(chan []stream.Event, 1)
+		ops[i], feeds[i] = op, feed
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for chunk := range feed {
+				for _, e := range chunk {
+					op.add(e)
+				}
+			}
+			op.flush()
+		}()
 	}
 
-	pipeline.RunParallel(context.Background(), cfg.Workers,
-		stream.NewSliceSource(events),
-		stream.SinkFunc(func(stream.Event) {}), // sampling op emits nothing downstream
-		func(replica int) []pipeline.Operator { return []pipeline.Operator{ops[replica]} })
+	// The feeder deals events round-robin, so replica i receives every
+	// n-th event in time order, and hands each replica its events a chunk
+	// at a time.
+	bufs := make([][]stream.Event, len(feeds))
+	for r := range bufs {
+		bufs[r] = make([]stream.Event, 0, chunkSize)
+	}
+	for i, e := range events {
+		r := i % len(feeds)
+		bufs[r] = append(bufs[r], e)
+		if len(bufs[r]) == chunkSize {
+			feeds[r] <- bufs[r]
+			bufs[r] = make([]stream.Event, 0, chunkSize)
+		}
+	}
+	for r, feed := range feeds {
+		if len(bufs[r]) > 0 {
+			feed <- bufs[r]
+		}
+		close(feed)
+	}
+	wg.Wait()
 
 	var panes []query.Pane
 	for _, op := range ops {
@@ -49,6 +81,12 @@ func runPipelined(cfg Config, events []stream.Event) (*RunStats, error) {
 	}
 	return &RunStats{Results: w.flush()}, nil
 }
+
+// chunkSize is the transport's buffer: operators still see items one at
+// a time and in order, but a replica receives them in chunks — the
+// analogue of Flink's network buffers, which pipeline records through
+// fixed-size buffers rather than paying a handoff per record.
+const chunkSize = 128
 
 // samplingOperator is the Flink sampling operator of §4.2.2. In native
 // mode it retains every item (exact, weight 1); otherwise it runs OASRS
@@ -70,10 +108,8 @@ type samplingOperator struct {
 	lastCount int
 }
 
-var _ pipeline.Operator = (*samplingOperator)(nil)
-
-// Process implements pipeline.Operator.
-func (o *samplingOperator) Process(e stream.Event, _ func(stream.Event)) {
+// add processes one item.
+func (o *samplingOperator) add(e stream.Event) {
 	seg := e.Time.Truncate(o.slide)
 	if o.segStart.IsZero() {
 		o.startSegment(seg)
@@ -89,8 +125,8 @@ func (o *samplingOperator) Process(e stream.Event, _ func(stream.Event)) {
 	o.sampler.Add(e)
 }
 
-// Flush implements pipeline.Operator.
-func (o *samplingOperator) Flush(func(stream.Event)) {
+// flush finishes the last segment at the end of the stream.
+func (o *samplingOperator) flush() {
 	if !o.segStart.IsZero() {
 		o.finishSegment()
 	}

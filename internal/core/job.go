@@ -4,7 +4,6 @@ import (
 	"hash/fnv"
 	"strconv"
 
-	"streamapprox/internal/batch"
 	"streamapprox/internal/stream"
 )
 
@@ -43,6 +42,13 @@ type jobResult struct {
 	count    int64
 }
 
+// add charges one record to the job.
+func (a *jobResult) add(stratum string, value float64) {
+	a.sum += value
+	a.checksum ^= recordCost(stratum, value)
+	a.count++
+}
+
 func (a jobResult) merge(b jobResult) jobResult {
 	return jobResult{
 		sum:      a.sum + b.sum,
@@ -52,19 +58,23 @@ func (a jobResult) merge(b jobResult) jobResult {
 }
 
 // runJob executes the per-batch data-parallel job over a dataset: every
-// record is serialized, digested and aggregated in parallel across the
-// pool.
-func runJob(ds *batch.Dataset) jobResult {
-	return batch.Aggregate(ds,
-		func() jobResult { return jobResult{} },
-		func(acc jobResult, e stream.Event) jobResult {
-			acc.sum += e.Value
-			acc.checksum ^= recordCost(e.Stratum, e.Value)
-			acc.count++
-			return acc
-		},
-		jobResult.merge,
-	)
+// record of every partition is serialized, digested and aggregated, one
+// task per partition, and the partial results are merged in partition
+// order.
+func runJob(parts [][]stream.Event) jobResult {
+	partials := make([]jobResult, len(parts))
+	parallel(len(parts), func(i int) {
+		var acc jobResult
+		for _, e := range parts[i] {
+			acc.add(e.Stratum, e.Value)
+		}
+		partials[i] = acc
+	})
+	var acc jobResult
+	for _, p := range partials {
+		acc = acc.merge(p)
+	}
+	return acc
 }
 
 // runJobSerial executes the same per-record work single-threaded over
@@ -73,9 +83,7 @@ func runJob(ds *batch.Dataset) jobResult {
 func runJobSerial(stratum string, values []float64) jobResult {
 	var acc jobResult
 	for _, v := range values {
-		acc.sum += v
-		acc.checksum ^= recordCost(stratum, v)
-		acc.count++
+		acc.add(stratum, v)
 	}
 	return acc
 }

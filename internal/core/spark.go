@@ -1,7 +1,10 @@
 package core
 
 import (
-	"streamapprox/internal/batch"
+	"slices"
+	"sync"
+	"time"
+
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
@@ -13,53 +16,92 @@ import (
 // says they do (§4.2.1, §5.2):
 //
 //	SparkApprox: events -> OASRS (pre-dataset, on the fly) -> small
-//	             Dataset of survivors -> job
-//	SparkSRS:    events -> full Dataset -> per-partition random-sort
+//	             dataset of survivors -> job
+//	SparkSRS:    events -> full dataset -> per-partition random-sort
 //	             SRS on the dataset -> job
-//	SparkSTS:    events -> full Dataset -> groupByKey shuffle + barrier +
+//	SparkSTS:    events -> full dataset -> groupByKey shuffle + barrier +
 //	             per-stratum random sort -> job
-//	NativeSpark: events -> full Dataset -> job over everything
+//	NativeSpark: events -> full dataset -> job over everything
+//
+// A dataset is the batch copied into Workers round-robin partitions (the
+// RDD analogue); each stage over it runs one task per partition.
 func runBatched(cfg Config, events []stream.Event) (*RunStats, error) {
-	pool := batch.NewPool(cfg.Workers)
-	defer pool.Close()
 	rng := xrand.New(cfg.Seed)
-
-	batches := batch.Split(stream.NewSliceSource(events), cfg.BatchInterval)
 	w := newWindows(cfg)
 
 	// The OASRS sampler persists across batches so its per-stratum sizing
 	// adapts from one interval to the next (Algorithm 3's Update(S)).
 	var oasrs *sampling.DistributedOASRS
 	if cfg.System == SparkApprox {
-		oasrs = sampling.NewDistributedOASRS(1, pool.Size(), nil, rng.Split())
+		oasrs = sampling.NewDistributedOASRS(1, cfg.Workers, nil, rng.Split())
 	}
 
-	for _, b := range batches {
+	for _, b := range cutBatches(events, cfg.BatchInterval) {
 		var s *sampling.Sample
 		switch cfg.System {
 		case SparkApprox:
-			s = sampleApproxPreDataset(cfg, pool, oasrs, b.Events)
+			s = sampleApproxPreDataset(cfg, oasrs, b.events)
 		case SparkSRS:
-			s = sampleSRSOnDataset(cfg, pool, rng, b.Events)
+			s = sampleSRSOnDataset(cfg, rng, b.events)
 		case SparkSTS:
-			s = sampleSTSOnDataset(cfg, pool, rng, b.Events)
+			s = sampleSTSOnDataset(cfg, rng, b.events)
 		default: // NativeSpark
-			s = nativeDatasetSample(pool, b.Events)
+			s = nativeDatasetSample(cfg, b.events)
 		}
 		// Each micro-batch is one pane of the slide segment it starts in;
 		// the windows it completes fire at once.
-		w.Add(b.Start.Truncate(cfg.WindowSlide), cfg.Query.Summarize(s))
-		w.Fire(b.Start, w.emit)
+		w.Add(b.start.Truncate(cfg.WindowSlide), cfg.Query.Summarize(s))
+		w.Fire(b.start, w.emit)
 	}
 	return &RunStats{Results: w.flush()}, nil
 }
 
+// microBatch is the events whose times fall in one batch interval.
+type microBatch struct {
+	start  time.Time
+	events []stream.Event
+}
+
+// cutBatches cuts time-ordered events into micro-batches at a fixed batch
+// interval — the batch generator in Figure 3. It is event-time driven:
+// a batch closes at the first event at or past its end, which keeps runs
+// deterministic at full replay speed (§6.1). Only an interval that holds
+// events cuts a batch, so a gap in event time adds no pane.
+func cutBatches(events []stream.Event, interval time.Duration) []microBatch {
+	var out []microBatch
+	for i := 0; i < len(events); {
+		start := events[i].Time.Truncate(interval)
+		end := start.Add(interval)
+		j := i + 1
+		for j < len(events) && events[j].Time.Before(end) {
+			j++
+		}
+		out = append(out, microBatch{start: start, events: events[i:j]})
+		i = j
+	}
+	return out
+}
+
+// parallel runs fn(i) for every i in [0, n) concurrently and returns when
+// all have — one stage with its barrier.
+func parallel(n int, fn func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			fn(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // sampleApproxPreDataset is the ApproxKafkaRDD path: the batch's items
 // stream through a distributed OASRS sampler with no synchronization, and
-// only the surviving sample is materialized into a Dataset for the
+// only the surviving sample is materialized into a dataset for the
 // data-parallel job. The job's input is |sample| items instead of
 // |batch| items — the cost the figures measure.
-func sampleApproxPreDataset(cfg Config, pool *batch.Pool, d *sampling.DistributedOASRS, events []stream.Event) *sampling.Sample {
+func sampleApproxPreDataset(cfg Config, d *sampling.DistributedOASRS, events []stream.Event) *sampling.Sample {
 	budget := int(cfg.Fraction * float64(len(events)))
 	if budget < 1 {
 		budget = 1
@@ -67,8 +109,8 @@ func sampleApproxPreDataset(cfg Config, pool *batch.Pool, d *sampling.Distribute
 	d.SetBudget(budget)
 	// Workers consume disjoint round-robin shards of the incoming batch,
 	// each feeding its own lock-free local reservoir set.
-	shards := stream.PartitionRoundRobin(events, pool.Size())
-	pool.RunN(len(shards), func(i int) {
+	shards := stream.PartitionRoundRobin(events, cfg.Workers)
+	parallel(len(shards), func(i int) {
 		for _, e := range shards[i] {
 			d.AddAt(i, e)
 		}
@@ -77,24 +119,22 @@ func sampleApproxPreDataset(cfg Config, pool *batch.Pool, d *sampling.Distribute
 	// Materialize only the sampled items into the engine dataset and run
 	// the data-parallel job over the survivors; discarded items never pay
 	// the per-record job cost.
-	ds := batch.NewDataset(pool, sampledEvents(s))
-	_ = runJob(ds)
+	_ = runJob(stream.PartitionRoundRobin(sampledEvents(s), cfg.Workers))
 	return s
 }
 
-// sampleSRSOnDataset forms the full Dataset first (the cost StreamApprox
+// sampleSRSOnDataset forms the full dataset first (the cost StreamApprox
 // avoids) and then runs Spark's `sample` on it: per-partition random-sort
 // selection at the configured fraction, merged into one uniform sample.
-func sampleSRSOnDataset(cfg Config, pool *batch.Pool, rng *xrand.Rand, events []stream.Event) *sampling.Sample {
-	ds := batch.NewDataset(pool, events)
-	parts := ds.NumPartitions()
-	rngs := make([]*xrand.Rand, parts)
+func sampleSRSOnDataset(cfg Config, rng *xrand.Rand, events []stream.Event) *sampling.Sample {
+	parts := stream.PartitionRoundRobin(events, cfg.Workers)
+	rngs := make([]*xrand.Rand, len(parts))
 	for i := range rngs {
 		rngs[i] = rng.Split()
 	}
-	partSamples := make([]*sampling.Sample, parts)
-	ds.ForeachPartition(func(i int, part []stream.Event) {
-		partSamples[i] = sampling.NewRandomSortSRS(cfg.Fraction, rngs[i]).SampleBatch(part)
+	partSamples := make([]*sampling.Sample, len(parts))
+	parallel(len(parts), func(i int) {
+		partSamples[i] = sampling.NewRandomSortSRS(cfg.Fraction, rngs[i]).SampleBatch(parts[i])
 	})
 	// Merge the per-partition uniform samples: counts add, value and key
 	// columns concat, one pseudo-stratum with weight totalC/totalY.
@@ -112,31 +152,29 @@ func sampleSRSOnDataset(cfg Config, pool *batch.Pool, rng *xrand.Rand, events []
 		merged.Weight = 1
 	}
 	s := &sampling.Sample{Strata: []sampling.StratumSample{*merged}}
-	jobDS := batch.NewDataset(pool, sampledEvents(s))
-	_ = runJob(jobDS)
+	_ = runJob(stream.PartitionRoundRobin(sampledEvents(s), cfg.Workers))
 	return s
 }
 
-// sampleSTSOnDataset forms the full Dataset and then runs Spark's
+// sampleSTSOnDataset forms the full dataset and then runs Spark's
 // sampleByKeyExact: the groupByKey shuffle (executed, with its barriers)
 // followed by per-stratum random-sort sampling proportional to stratum
 // size.
-func sampleSTSOnDataset(cfg Config, pool *batch.Pool, rng *xrand.Rand, events []stream.Event) *sampling.Sample {
-	ds := batch.NewDataset(pool, events)
+func sampleSTSOnDataset(cfg Config, rng *xrand.Rand, events []stream.Event) *sampling.Sample {
+	parts := stream.PartitionRoundRobin(events, cfg.Workers)
 	// The dataset must exist before sampling; STS then re-shuffles it.
-	sts := sampling.NewStratifiedSTS(cfg.Fraction, pool.Size(), true, rng.Split())
-	s := sts.SampleBatch(ds.Collect())
-	jobDS := batch.NewDataset(pool, sampledEvents(s))
-	_ = runJob(jobDS)
+	sts := sampling.NewStratifiedSTS(cfg.Fraction, cfg.Workers, true, rng.Split())
+	s := sts.SampleBatch(slices.Concat(parts...))
+	_ = runJob(stream.PartitionRoundRobin(sampledEvents(s), cfg.Workers))
 	return s
 }
 
 // nativeDatasetSample runs the job over the complete batch: the exact
 // sample is the batch itself.
-func nativeDatasetSample(pool *batch.Pool, events []stream.Event) *sampling.Sample {
-	ds := batch.NewDataset(pool, events)
-	_ = runJob(ds)
-	return exactSample(ds.Collect())
+func nativeDatasetSample(cfg Config, events []stream.Event) *sampling.Sample {
+	parts := stream.PartitionRoundRobin(events, cfg.Workers)
+	_ = runJob(parts)
+	return exactSample(slices.Concat(parts...))
 }
 
 // sampledEvents flattens a sample into the (stratum, value) records the

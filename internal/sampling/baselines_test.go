@@ -206,11 +206,8 @@ func TestSTSShufflePreservesCounts(t *testing.T) {
 
 func TestDistributedOASRSMergesCounters(t *testing.T) {
 	d := NewDistributedOASRS(40, 4, nil, xrand.New(11))
-	for _, e := range mkEvents("a", 1000) {
-		d.Add(e)
-	}
-	for _, e := range mkEvents("b", 8) {
-		d.Add(e)
+	for i, e := range append(mkEvents("a", 1000), mkEvents("b", 8)...) {
+		d.AddAt(i%4, e)
 	}
 	sample := d.Finish()
 	a := sample.Stratum("a")
@@ -253,8 +250,12 @@ func TestDistributedOASRSConcurrentAddAt(t *testing.T) {
 
 func TestDistributedOASRSWorkerClamp(t *testing.T) {
 	d := NewDistributedOASRS(10, 0, nil, xrand.New(13))
-	if d.Workers() != 1 {
-		t.Errorf("Workers = %d, want 1", d.Workers())
+	// Every index reaches the one worker, which keeps the whole budget.
+	for i := 0; i < 100; i++ {
+		d.AddAt(i, stream.Event{Stratum: "s", Value: float64(i)})
+	}
+	if s := d.Finish().Stratum("s"); s == nil || s.Count != 100 || len(s.Values) != 10 {
+		t.Errorf("clamped sampler kept %+v, want 10 of 100", s)
 	}
 }
 
@@ -276,8 +277,8 @@ func TestDistributedOASRSStatisticalAgreement(t *testing.T) {
 	var est float64
 	for trial := 0; trial < trials; trial++ {
 		d := NewDistributedOASRS(200, 4, nil, rng.Split())
-		for _, e := range events {
-			d.Add(e)
+		for i, e := range events {
+			d.AddAt(i%4, e)
 		}
 		sample := d.Finish()
 		for _, st := range sample.Strata {

@@ -15,12 +15,11 @@ import (
 // no sort, and no barrier on the data path, which is the architectural
 // reason StreamApprox outperforms Spark's stratified sampling.
 //
-// Events are distributed to workers round-robin per stratum, modelling the
-// paper's "each worker node samples an equal portion of items from this
-// sub-stream".
+// The caller routes each item to a worker with AddAt; dealing items
+// round-robin models the paper's "each worker node samples an equal
+// portion of items from this sub-stream".
 type DistributedOASRS struct {
 	workers []*workerOASRS
-	rr      map[string]int // per-stratum round-robin cursor
 }
 
 type workerOASRS struct {
@@ -43,11 +42,8 @@ func NewDistributedOASRS(budget, w int, policy SizePolicy, rng *xrand.Rand) *Dis
 	for i := range workers {
 		workers[i] = &workerOASRS{sampler: NewOASRS(perWorker, policy, rng.Split())}
 	}
-	return &DistributedOASRS{workers: workers, rr: make(map[string]int)}
+	return &DistributedOASRS{workers: workers}
 }
-
-// Workers returns the number of parallel workers.
-func (d *DistributedOASRS) Workers() int { return len(d.workers) }
 
 // SetBudget updates the total per-interval budget, dividing it equally
 // among workers. It takes effect for reservoirs created afterwards (i.e.
@@ -62,15 +58,6 @@ func (d *DistributedOASRS) SetBudget(budget int) {
 		w.sampler.SetBudget(perWorker)
 		w.mu.Unlock()
 	}
-}
-
-// Add routes one item to a worker. Add itself is not safe for concurrent
-// use (routing state); use AddAt from concurrent pipelines, where each
-// pipeline owns a fixed worker index.
-func (d *DistributedOASRS) Add(e stream.Event) {
-	i := d.rr[e.Stratum]
-	d.rr[e.Stratum] = (i + 1) % len(d.workers)
-	d.AddAt(i, e)
 }
 
 // AddAt offers one item directly to worker i. Safe for concurrent use by
@@ -113,8 +100,5 @@ func (d *DistributedOASRS) Finish() *Sample {
 		strata = append(strata, *g)
 	}
 	sortStrata(strata)
-	d.rr = make(map[string]int)
 	return &Sample{Strata: strata}
 }
-
-var _ Sampler = (*DistributedOASRS)(nil)

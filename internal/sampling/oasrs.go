@@ -119,8 +119,6 @@ func NewOASRS(budget int, policy SizePolicy, rng *xrand.Rand) *OASRS {
 	}
 }
 
-var _ Sampler = (*OASRS)(nil)
-
 // SetBudget adjusts the total sample-size budget. It takes effect for
 // strata first seen after the call (existing reservoirs keep their size
 // until the next interval) — the split of the new budget over the strata

@@ -9,7 +9,7 @@ import (
 	"streamapprox/internal/xrand"
 )
 
-func feed(s Sampler, events []stream.Event) *Sample {
+func feed(s *OASRS, events []stream.Event) *Sample {
 	for _, e := range events {
 		s.Add(e)
 	}

@@ -18,11 +18,7 @@
 // All samplers are deterministic given an injected *xrand.Rand.
 package sampling
 
-import (
-	"sort"
-
-	"streamapprox/internal/stream"
-)
+import "sort"
 
 // StratumSample is the per-stratum portion of a sample: the selected
 // items' values as one column, the total number of items observed in the
@@ -87,22 +83,6 @@ func sortStrata(strata []StratumSample) {
 	sort.Slice(strata, func(i, j int) bool {
 		return strata[i].Stratum < strata[j].Stratum
 	})
-}
-
-// Sampler consumes one time interval's events one at a time ("on-the-fly",
-// §3.2) and produces a weighted Sample at the end of the interval.
-// Finish also resets the sampler for the next interval, matching the
-// per-interval loop of the paper's Algorithm 2.
-type Sampler interface {
-	Add(e stream.Event)
-	Finish() *Sample
-}
-
-// BatchSampler samples a fully materialized batch, the mode of operation
-// of Spark's built-in sampling operators, which run on an already-formed
-// RDD (§4.1.1).
-type BatchSampler interface {
-	SampleBatch(events []stream.Event) *Sample
 }
 
 // weightFor computes Equation 1.

@@ -44,8 +44,6 @@ func NewRandomSortSRS(fraction float64, rng *xrand.Rand) *RandomSortSRS {
 	return &RandomSortSRS{fraction: fraction, delta: 1e-4, rng: rng}
 }
 
-var _ BatchSampler = (*RandomSortSRS)(nil)
-
 // thresholds computes the accept/reject key thresholds (q2, q1) for
 // selecting k = ceil(f*n) out of n items with failure probability delta.
 func (s *RandomSortSRS) thresholds(n int) (lo, hi float64) {

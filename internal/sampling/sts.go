@@ -55,8 +55,6 @@ func NewStratifiedSTS(fraction float64, workers int, exact bool, rng *xrand.Rand
 	return &StratifiedSTS{fraction: fraction, workers: workers, exact: exact, rng: rng}
 }
 
-var _ BatchSampler = (*StratifiedSTS)(nil)
-
 func stratumWorker(stratum string, workers int) int {
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(stratum))

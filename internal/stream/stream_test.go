@@ -11,62 +11,6 @@ func ev(stratum string, v float64, offsetMS int) Event {
 	return Event{Stratum: stratum, Value: v, Time: base.Add(time.Duration(offsetMS) * time.Millisecond)}
 }
 
-func TestSliceSource(t *testing.T) {
-	events := []Event{ev("a", 1, 0), ev("b", 2, 1), ev("a", 3, 2)}
-	src := NewSliceSource(events)
-	if src.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", src.Len())
-	}
-	got := Drain(src)
-	if len(got) != 3 {
-		t.Fatalf("drained %d events, want 3", len(got))
-	}
-	for i := range got {
-		if got[i] != events[i] {
-			t.Errorf("event %d = %+v, want %+v", i, got[i], events[i])
-		}
-	}
-	if _, ok := src.Next(); ok {
-		t.Error("exhausted source returned an event")
-	}
-	src.Reset()
-	if e, ok := src.Next(); !ok || e != events[0] {
-		t.Error("Reset did not rewind the source")
-	}
-}
-
-func TestSourceFunc(t *testing.T) {
-	n := 0
-	src := SourceFunc(func() (Event, bool) {
-		if n >= 2 {
-			return Event{}, false
-		}
-		n++
-		return ev("x", float64(n), n), true
-	})
-	if got := len(Drain(src)); got != 2 {
-		t.Errorf("drained %d, want 2", got)
-	}
-}
-
-func TestCollectSink(t *testing.T) {
-	var sink CollectSink
-	sink.Emit(ev("a", 1, 0))
-	sink.Emit(ev("b", 2, 1))
-	if len(sink.Events) != 2 {
-		t.Fatalf("collected %d, want 2", len(sink.Events))
-	}
-}
-
-func TestSinkFunc(t *testing.T) {
-	n := 0
-	s := SinkFunc(func(Event) { n++ })
-	s.Emit(Event{})
-	if n != 1 {
-		t.Error("SinkFunc did not invoke the function")
-	}
-}
-
 func TestInterleaveOrdersByTime(t *testing.T) {
 	a := []Event{ev("a", 1, 0), ev("a", 2, 10), ev("a", 3, 20)}
 	b := []Event{ev("b", 4, 5), ev("b", 5, 15)}

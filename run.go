@@ -14,7 +14,8 @@ type Config struct {
 	// Sampler selects the sampling strategy (default OASRS).
 	Sampler Sampler
 	// Fraction is the sampling fraction in (0, 1]; ignored when Sampler
-	// is None (default 0.6, the paper's standard operating point).
+	// is None (default 0.6, the paper's standard operating point). Run
+	// returns an error for a value below 0, above 1 or NaN.
 	Fraction float64
 	// Query is the per-window aggregate (default Sum).
 	Query Query
@@ -118,6 +119,9 @@ func (c Config) coreConfig() (core.Config, error) {
 // full speed and returns the per-window approximate results with error
 // bounds.
 func Run(cfg Config, events []Event) (*Report, error) {
+	if !(cfg.Fraction >= 0 && cfg.Fraction <= 1) {
+		return nil, fmt.Errorf("streamapprox: fraction %v outside (0, 1]", cfg.Fraction)
+	}
 	ccfg, err := cfg.coreConfig()
 	if err != nil {
 		return nil, err

@@ -21,7 +21,8 @@ type SessionConfig struct {
 	// up to one).
 	WindowSize  time.Duration
 	WindowSlide time.Duration
-	// Fraction is the initial sampling fraction (default 0.6).
+	// Fraction is the initial sampling fraction (default 0.6). A value
+	// outside (0, 1], NaN included, also means 0.6.
 	Fraction float64
 	// TargetError, when positive, enables the adaptive feedback
 	// mechanism (§4.2.1): if a window's relative error bound exceeds

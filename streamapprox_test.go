@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -209,6 +210,33 @@ func TestNewSessionNaNFractionDefaults(t *testing.T) {
 // it counts: End − Start covers exactly the records its Items count. Its
 // results are those of the window rounded up to whole slides, from a
 // Session and from Exact alike.
+// TestRunRejectsFractionOutOfRange: Run refuses a fraction below 0, above
+// 1 or NaN on both engines, as a served query's spec does, instead of
+// sampling everything; 0 still means the default 0.6.
+func TestRunRejectsFractionOutOfRange(t *testing.T) {
+	events := testEvents(t, 6)
+	for _, engine := range []Engine{Batched, Pipelined} {
+		for _, f := range []float64{-0.2, 1.5, math.NaN()} {
+			if _, err := Run(Config{Engine: engine, Fraction: f}, events); err == nil {
+				t.Errorf("engine %d fraction %v: no error", engine, f)
+			} else if !strings.Contains(err.Error(), "outside (0, 1]") {
+				t.Errorf("engine %d fraction %v: error %q", engine, f, err)
+			}
+		}
+		rep, err := Run(Config{Engine: engine}, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var items int64
+		for _, w := range rep.Results {
+			items += w.Items
+		}
+		if rep.Sampled >= items {
+			t.Errorf("engine %d default fraction sampled %d of %d", engine, rep.Sampled, items)
+		}
+	}
+}
+
 func TestWindowSpansWholeSlides(t *testing.T) {
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
 	var events []Event

@@ -188,3 +188,33 @@ func TestSystemsMatchParent(t *testing.T) {
 		}
 	}
 }
+
+// TestNoSystemWindowsAnEventTimeGap: over a stream with gaps in event
+// time, every system serves Exact's windows — the same starts and item
+// counts — for Sum and Mean, and none over a gap, short or long.
+func TestNoSystemWindowsAnEventTimeGap(t *testing.T) {
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	var events []Event
+	for _, burst := range []time.Duration{0, 30 * time.Second, 100 * time.Second} {
+		for i := 0; i < 1000; i++ { // 10 s at 100 events/s
+			events = append(events, Event{Stratum: "s", Value: float64(1 + i%10), Time: base.Add(burst + time.Duration(i)*10*time.Millisecond)})
+		}
+	}
+	for _, q := range []Query{Sum, Mean} {
+		cfg := Config{Query: q, WindowSize: 10 * time.Second, WindowSlide: 5 * time.Second, BatchInterval: 500 * time.Millisecond, Seed: 3}
+		exact := windowsOf(t, evaluatedSystems[len(evaluatedSystems)-1], cfg, events)
+		for _, sys := range evaluatedSystems {
+			got := windowsOf(t, sys, cfg, events)
+			if len(got) != len(exact) {
+				t.Errorf("%s query %d: %d windows, Exact serves %d", sys.name, q, len(got), len(exact))
+				continue
+			}
+			for i, w := range got {
+				if !w.Start.Equal(exact[i].Start) || w.Items != exact[i].Items {
+					t.Errorf("%s query %d window %d: [%v) items %d, Exact [%v) items %d",
+						sys.name, q, i, w.Start, w.Items, exact[i].Start, exact[i].Items)
+				}
+			}
+		}
+	}
+}
