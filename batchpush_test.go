@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -12,17 +13,18 @@ import (
 	"streamapprox/internal/stream"
 )
 
-// These tests pin Session.PushBatch to Push: the vectorized
-// window/stratum run segmentation must make exactly the scalar path's
-// decisions — same segments, same late drops — on any input, including
-// late, duplicate-time, and zero-time records; and since every reservoir
-// keeps its skip chain across calls, the two paths sample the same items
-// too: equal windows, equal snapshots.
+// These tests pin Session's one push path to its chunking: records pushed
+// one per call (Push, a one-record PushBatch) and k per call through
+// PushBatch must meet the same segments and the same late drops on any
+// input, including late, duplicate-time and zero-time records; and since
+// every reservoir keeps its skip chain across calls, they sample the same
+// items too: equal windows, equal snapshots. Beside them, the edges of
+// the unix-nano position: what fires when, and what does not fit.
 
 var batchBase = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// requireSameRun pushes events through Push into one session and through
-// PushBatch in chunks of chunk(i) records into another, polling both
+// requireSameRun pushes events one per call through Push into one session
+// and through PushBatch in chunks of chunk(i) records into another, polling both
 // after every chunk, and requires equal windows, late drops and — taken
 // before Close — snapshots.
 func requireSameRun(t *testing.T, cfg SessionConfig, events []Event, chunk func(i int) int) {
@@ -34,7 +36,7 @@ func requireSameRun(t *testing.T, cfg SessionConfig, events []Event, chunk func(
 		}
 	}
 	s2 := NewSession(cfg)
-	var scalar, batch []WindowResult
+	var single, batch []WindowResult
 	for i := 0; i < len(events); {
 		j := min(max(i+chunk(i), i+1), len(events))
 		b := NewEventBatch()
@@ -45,22 +47,22 @@ func requireSameRun(t *testing.T, cfg SessionConfig, events []Event, chunk func(
 			t.Fatalf("PushBatch: %v", err)
 		}
 		b.Release()
-		scalar = append(scalar, s1.Poll()...)
+		single = append(single, s1.Poll()...)
 		batch = append(batch, s2.Poll()...)
 		i = j
 	}
 	if s1.Late() != s2.Late() {
-		t.Errorf("late drops: scalar %d, batch %d", s1.Late(), s2.Late())
+		t.Errorf("late drops: one per call %d, batch %d", s1.Late(), s2.Late())
 	}
 	snap1, err1 := s1.Snapshot()
 	snap2, err2 := s2.Snapshot()
 	if !bytes.Equal(snap1, snap2) || err1 != err2 {
-		t.Errorf("snapshots differ:\nscalar %s (%v)\nbatch  %s (%v)", snap1, err1, snap2, err2)
+		t.Errorf("snapshots differ:\none per call %s (%v)\nbatch        %s (%v)", snap1, err1, snap2, err2)
 	}
-	scalar = append(scalar, s1.Close()...)
+	single = append(single, s1.Close()...)
 	batch = append(batch, s2.Close()...)
-	if !reflect.DeepEqual(scalar, batch) {
-		t.Errorf("windows differ:\nscalar %+v\nbatch  %+v", scalar, batch)
+	if !reflect.DeepEqual(single, batch) {
+		t.Errorf("windows differ:\none per call %+v\nbatch        %+v", single, batch)
 	}
 }
 
@@ -123,8 +125,8 @@ func TestPushBatchExactWhenNothingEvicted(t *testing.T) {
 
 func TestPushBatchZeroTimeEvents(t *testing.T) {
 	cfg := SessionConfig{WindowSize: 2 * time.Second, WindowSlide: time.Second}
-	// Zero-time records before any watermark exercise the sentinel
-	// fallback; after a real watermark they must count as late.
+	// Zero-time records before any watermark join the first segment;
+	// after a real watermark they must count as late.
 	events := []Event{
 		{Stratum: "a", Value: 1},
 		{Stratum: "a", Value: 2},
@@ -168,9 +170,10 @@ func TestPushBatchClosedSession(t *testing.T) {
 }
 
 // FuzzPushBatchSegmentation feeds arbitrary byte-derived event streams
-// through both paths and requires them to agree. Each input byte pair becomes one event: a signed time step (so
-// the fuzzer reaches late-drop and duplicate-time interleavings) and a
-// value/stratum selector.
+// one per call and in chunks and requires them to agree. Each input byte
+// pair becomes one event: a signed time step (so the fuzzer reaches
+// late-drop and duplicate-time interleavings) and a value/stratum
+// selector.
 func FuzzPushBatchSegmentation(f *testing.F) {
 	f.Add([]byte{0, 0, 10, 1, 200, 2, 10, 3}, uint8(3))
 	f.Add([]byte{255, 0, 1, 1, 255, 2, 128, 3, 0, 4}, uint8(1))
@@ -270,6 +273,146 @@ func TestSampleInvariantToChunking(t *testing.T) {
 			if !reflect.DeepEqual(wins, wantWins) {
 				t.Errorf("%s: windows differ from Push's:\n%+v\n%+v", label, wins, wantWins)
 			}
+		}
+	}
+}
+
+// A window fires when the segment after it starts: a 10 s/5 s session
+// fed events at 0–4 s and then one at 100 s serves [0 s, 10 s) beside
+// [−5 s, 5 s) at once, not when the segment at 100 s finishes.
+func TestGapFiresTheWindowItClosed(t *testing.T) {
+	s := NewSession(SessionConfig{WindowSize: 10 * time.Second, WindowSlide: 5 * time.Second, Fraction: 1})
+	for i := range 5 {
+		if err := s.Push(Event{Stratum: "a", Value: 1, Time: batchBase.Add(time.Duration(i) * time.Second)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Push(Event{Stratum: "a", Value: 1, Time: batchBase.Add(100 * time.Second)}); err != nil {
+		t.Fatal(err)
+	}
+	var got []time.Time
+	for _, w := range s.Poll() {
+		if w.Items != 5 {
+			t.Errorf("window %v holds %d items, want 5", w.Start, w.Items)
+		}
+		got = append(got, w.Start)
+	}
+	if want := []time.Time{batchBase.Add(-5 * time.Second), batchBase}; !reflect.DeepEqual(got, want) {
+		t.Errorf("Poll after the gap served windows at %v, want %v", got, want)
+	}
+}
+
+// Push of a time unix nanos cannot hold (before 1678 or after 2262) is an
+// error that changes nothing: neither the late count nor the snapshot.
+func TestPushRejectsTimeOutsideUnixNanos(t *testing.T) {
+	s := NewSession(SessionConfig{WindowSize: 2 * time.Second, WindowSlide: time.Second})
+	if err := s.Push(Event{Stratum: "a", Value: 1, Time: batchBase}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := s.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, at := range []time.Time{
+		time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Unix(0, math.MinInt64), // the zero-time sentinel's instant
+		time.Date(2300, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(3000, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		if err := s.Push(Event{Stratum: "a", Value: 1, Time: at}); err == nil {
+			t.Errorf("Push at %v: no error", at)
+		}
+		after, err := s.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.Late() != 0 || !bytes.Equal(after, before) {
+			t.Errorf("Push at %v changed the session: late %d, snapshot\n%s\nwant\n%s", at, s.Late(), after, before)
+		}
+	}
+}
+
+// A batch record within one slide of either end of the int64 range is
+// windowed when its segment and the segment's end fit in unix nanos, as
+// time.Truncate cuts it, and counted late otherwise; no segment bound
+// overflows.
+func TestPushBatchRecordsAtTheEndsOfUnixNanos(t *testing.T) {
+	const slide = 7 * time.Second
+	late, windowed := 0, 0
+	for _, n := range []int64{
+		math.MinInt64 + 1, math.MinInt64 + int64(slide)/3, math.MinInt64 + int64(slide)/2,
+		math.MinInt64 + int64(slide) - 1, math.MinInt64 + int64(slide),
+		math.MaxInt64 - int64(slide), math.MaxInt64 - int64(slide)/2, math.MaxInt64 - int64(slide)/3, math.MaxInt64,
+	} {
+		s := NewSession(SessionConfig{WindowSize: 2 * slide, WindowSlide: slide})
+		b := NewEventBatch()
+		b.Append(b.Intern("a"), 1, n)
+		if err := s.PushBatch(b, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		b.Release()
+		cut := time.Unix(0, n).Truncate(slide)
+		end := cut.Add(slide)
+		fits := cut.UnixNano() != math.MinInt64 && time.Unix(0, cut.UnixNano()).Equal(cut) && time.Unix(0, end.UnixNano()).Equal(end)
+		switch {
+		case !fits && (s.Late() != 1 || s.segStart != stream.ZeroTimeNanos || s.segEnd != stream.ZeroTimeNanos):
+			t.Errorf("record at %d, segment outside unix nanos: late %d, segment [%d, %d)", n, s.Late(), s.segStart, s.segEnd)
+		case fits && (s.Late() != 0 || s.segStart != cut.UnixNano() || s.segEnd != end.UnixNano()):
+			t.Errorf("record at %d: late %d, segment [%d, %d), want [%d, %d)", n, s.Late(), s.segStart, s.segEnd, cut.UnixNano(), end.UnixNano())
+		}
+		if fits {
+			windowed++
+		} else {
+			late++
+		}
+	}
+	if late == 0 || windowed == 0 {
+		t.Fatalf("%d records late, %d windowed: the cases miss a side", late, windowed)
+	}
+}
+
+// Segments are cut where time.Truncate cuts, from the zero time, which is
+// not where the Unix epoch's multiples of a 7 s or 11 s slide fall.
+func TestSegmentsCutWhereTruncateCuts(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, slide := range []time.Duration{300 * time.Millisecond, time.Second, 3 * time.Second, 7 * time.Second, 11 * time.Second, 13 * time.Millisecond, 24 * time.Hour} {
+		s := NewSession(SessionConfig{WindowSlide: slide})
+		for range 2000 {
+			n := rng.Int63n(1<<62) - 1<<61
+			seg, ok := s.segmentOf(n)
+			if want := time.Unix(0, n).Truncate(slide).UnixNano(); !ok || seg != want {
+				t.Fatalf("slide %v: segment of %d is %d (ok %v), time.Truncate cuts at %d", slide, n, seg, ok, want)
+			}
+		}
+	}
+}
+
+// Zero-time records that arrive before any watermark join the first
+// segment's sample, pushed one per call or in one batch.
+func TestZeroTimeHeadJoinsFirstSegment(t *testing.T) {
+	events := []Event{
+		{Stratum: "a", Value: 1},
+		{Stratum: "b", Value: 2},
+		{Stratum: "a", Value: 10, Time: batchBase},
+		{Stratum: "a", Value: 20, Time: batchBase.Add(time.Second)},
+		{Stratum: "a", Value: 100, Time: batchBase.Add(5 * time.Second)},
+	}
+	cfg := SessionConfig{WindowSize: 5 * time.Second, WindowSlide: 5 * time.Second, Fraction: 1}
+	one, batch := NewSession(cfg), NewSession(cfg)
+	for _, e := range events {
+		if err := one.Push(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := batchOf(events)
+	if err := batch.PushBatch(b, 0, b.Len()); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	for name, s := range map[string]*Session{"Push": one, "PushBatch": batch} {
+		wins := s.Close()
+		if len(wins) != 2 || !wins[0].Start.Equal(batchBase) || wins[0].Items != 4 || wins[0].Overall.Value != 33 {
+			t.Errorf("%s: windows %+v, want the first at %v with 4 items summing to 33", name, wins, batchBase)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"streamapprox/internal/adaptive"
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
+	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
 )
 
@@ -130,10 +131,10 @@ func (s *Session) Snapshot() ([]byte, error) {
 		Seed:           s.cfg.Seed,
 		RNG:            src.rng.State(),
 		ControllerFrac: s.Fraction(),
-		SegStart:       s.segStart,
+		SegStart:       stream.TimeFromNanos(s.segStart),
 		SegCount:       s.segCount,
 		LastCount:      s.lastCount,
-		Watermark:      s.watermark,
+		Watermark:      stream.TimeFromNanos(s.wm),
 		Late:           s.late,
 		Panes:          s.windows.Panes,
 		Fired:          s.windows.Fired,
@@ -184,11 +185,16 @@ func RestoreSession(data []byte) (*Session, error) {
 		// Resume the controller from its snapshot position.
 		s.controller = adaptive.NewController(st.TargetError, st.ControllerFrac)
 	}
-	s.segStart = st.SegStart
-	s.cacheSegBounds()
+	seg, okSeg := unixNanos(st.SegStart)
+	wm, okWM := unixNanos(st.Watermark)
+	if cut, ok := s.segmentOf(seg); !okSeg || !okWM || !ok || cut != seg {
+		return nil, fmt.Errorf("streamapprox: snapshot segment %v or watermark %v outside the unix-nano range",
+			st.SegStart, st.Watermark)
+	}
+	s.setSegment(seg)
 	s.segCount = st.SegCount
 	s.lastCount = st.LastCount
-	s.watermark = st.Watermark
+	s.wm = wm
 	s.late = st.Late
 	s.ready = st.Ready
 	if st.Sampler != nil {

@@ -131,13 +131,7 @@ func (c Config) withDefaults() Config {
 }
 
 // WindowResult is one window's approximate query output.
-type WindowResult struct {
-	Start   time.Time // the window is [Start, End)
-	End     time.Time
-	Result  query.Result
-	Items   int64 // items observed in the window (ΣCi)
-	Sampled int   // items actually processed by the query (ΣYi)
-}
+type WindowResult = query.Window
 
 // RunStats is the outcome of one run over a dataset.
 type RunStats struct {
@@ -228,15 +222,7 @@ func newWindows(cfg Config) *windows {
 
 // emit estimates one window from its panes.
 func (w *windows) emit(start time.Time, panes []query.Pane) {
-	r := WindowResult{Start: start, End: start.Add(w.Size())}
-	sums := make([]query.Summary, len(panes))
-	for i := range panes {
-		sums[i] = panes[i].Summary
-		r.Items += panes[i].Summary.TotalCount()
-		r.Sampled += panes[i].Summary.SampledCount()
-	}
-	r.Result = w.q.Combine(sums)
-	w.out = append(w.out, r)
+	w.out = append(w.out, w.Estimate(w.q, start, panes))
 }
 
 // flush fires every remaining window and returns all fired.

@@ -19,6 +19,19 @@ type Windows struct {
 	// every window ending at or before Fired has been emitted.
 	Panes []Pane
 	Fired time.Time
+
+	sums []Summary // Estimate's argument buffer
+}
+
+// Window is one fired window: its panes combined, and what they counted.
+type Window struct {
+	Start, End time.Time // the window is [Start, End)
+	Result     Result
+	Items      int64 // items observed in the window (ΣCi)
+	Sampled    int   // items that reached the query (ΣYi)
+	// GroupItems is the items observed per stratum, set for a result
+	// with groups.
+	GroupItems map[string]int64
 }
 
 // NewWindows returns the windows of the given size every slide. A size
@@ -90,6 +103,29 @@ func (w *Windows) Fire(limit time.Time, emit func(start time.Time, panes []Pane)
 		clear(w.Panes[n:])
 		w.Panes = w.Panes[:n]
 	}
+}
+
+// Estimate combines one window's panes, as Fire hands them to emit,
+// through q.
+func (w *Windows) Estimate(q Query, start time.Time, panes []Pane) Window {
+	win := Window{Start: start, End: start.Add(w.size)}
+	w.sums = w.sums[:0]
+	for i := range panes {
+		w.sums = append(w.sums, panes[i].Summary)
+		win.Items += panes[i].Summary.TotalCount()
+		win.Sampled += panes[i].Summary.SampledCount()
+	}
+	win.Result = q.Combine(w.sums)
+	clear(w.sums)
+	if len(win.Result.Groups) > 0 {
+		win.GroupItems = make(map[string]int64, len(win.Result.Groups))
+		for i := range panes {
+			for _, st := range panes[i].Summary.Strata {
+				win.GroupItems[st.Stratum] += st.Count
+			}
+		}
+	}
+	return win
 }
 
 // Flush fires every window that covers a pane: the end of the stream.

@@ -81,9 +81,11 @@ type OASRS struct {
 	big    int
 	counts []int64
 
-	// lastKey/lastRes short-circuit the reservoirs map probe for the
-	// scalar Add path: sub-streams arrive in runs, so consecutive events
-	// overwhelmingly share a stratum.
+	// lastKey/lastRes short-circuit the reservoirs map probe for Add, the
+	// path of the engines' item-at-a-time operators (the pipelined
+	// engine's replicas, the batched engine's DistributedOASRS workers)
+	// and of the ablations: sub-streams arrive in runs, so consecutive
+	// events overwhelmingly share a stratum.
 	lastKey string
 	lastRes *Reservoir
 

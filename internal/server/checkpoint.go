@@ -55,7 +55,6 @@ type checkpointFile struct {
 type shardCheckpoint struct {
 	Partition int             `json:"partition"`
 	Offset    int64           `json:"offset"`
-	Watermark time.Time       `json:"watermark"`
 	Records   int64           `json:"records"`
 	Sampled   int64           `json:"sampled"`
 	Session   json.RawMessage `json:"session"`
@@ -85,8 +84,8 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 		// The counters are read in the hold that fixes the offset: a batch
 		// applied after it is replayed on restore, so counting it here
 		// would count it twice.
-		sc := shardCheckpoint{Partition: sh.idx, Offset: sh.offset, Watermark: sh.watermark,
-			Records: sh.records.Load(), Sampled: sh.sampled.Load(), Session: snap}
+		sc := shardCheckpoint{Partition: sh.idx, Offset: sh.offset, Records: sh.records.Load(),
+			Sampled: sh.sampled.Load(), Session: snap}
 		unlock()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d snapshot: %w", sh.idx, err)
@@ -143,7 +142,6 @@ func (j *job) restore(cf *checkpointFile) error {
 			return fmt.Errorf("shard %d session: %w", sh.idx, err)
 		}
 		sh.sess = sess
-		sh.watermark = sc.Watermark
 		sh.records.Store(sc.Records)
 		sh.recordsMetric.Add(float64(sc.Records))
 		sh.sampled.Store(sc.Sampled)

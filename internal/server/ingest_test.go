@@ -287,10 +287,10 @@ func TestFromLatestSkipsBacklog(t *testing.T) {
 	}
 }
 
-// A shard reads a time-sorted batch's watermark from its last record:
-// with zero-time records at the head and the skip-ahead start inside
-// them or past them, with every record zero-time, and with none, the
-// watermark is the newest time of the records the shard applied.
+// A shard's watermark, its session's, is the newest time of the records
+// it applied: with zero-time records at the head of a time-sorted batch
+// and the skip-ahead start inside them or past them, with every record
+// zero-time, and with none.
 func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
 	for _, tc := range []struct {
@@ -337,7 +337,7 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 			sh.mu.Lock()
 			sh.skipUntil = b.Base + int64(tc.skip)
 			sh.consumeLocked(b, b.Base+int64(b.Len()))
-			got, records := sh.watermark, sh.records.Load()
+			got, records := sh.sess.Watermark(), sh.records.Load()
 			sh.mu.Unlock()
 			if !got.Equal(want) || records != int64(b.Len()-tc.skip) {
 				t.Errorf("watermark %v after %d records, want %v after %d", got, records, want, b.Len()-tc.skip)

@@ -63,8 +63,8 @@ type shard struct {
 	job *job
 	idx int // shard index == partition
 
-	// mu guards sess, lead, offset, skipUntil and the watermark against
-	// the checkpointer. records/sampled/lag are atomic so the query's lag
+	// mu guards sess, lead, offset and skipUntil against the
+	// checkpointer. records/sampled/lag are atomic so the query's lag
 	// total and the progress counters need no lock.
 	mu   sync.Mutex
 	sess *streamapprox.Session
@@ -73,7 +73,6 @@ type shard struct {
 	lead      *shard
 	offset    int64 // delivery watermark: next offset to apply
 	skipUntil int64 // drop plane records below this offset (late attach ahead of plane)
-	watermark time.Time
 	records   atomic.Int64
 	sampled   atomic.Int64
 	lag       atomic.Int64
@@ -287,8 +286,8 @@ func (j *job) maxWatermark() time.Time {
 	var max time.Time
 	for _, sh := range j.shards {
 		sh.mu.Lock()
-		if sh.watermark.After(max) {
-			max = sh.watermark
+		if mark := sh.sess.Watermark(); mark.After(max) {
+			max = mark
 		}
 		sh.mu.Unlock()
 	}
@@ -305,24 +304,21 @@ func (sh *shard) skipToOffset() {
 	sh.mu.Unlock()
 }
 
-// consumeLocked applies one event-time sorted EventBatch to the session
-// through its vectorized PushBatch and hands completed windows to the
-// merger. The batch is shared with other queries' sinks and is never
-// mutated. The whole application (push + watermark advance + merger
-// delivery) runs under one sh.mu hold, so a checkpoint observes either
-// all of a batch or none of it (no torn checkpoint). A follower pushes
-// nothing: its leader, applied first under the follower's lock too,
-// sampled the batch for it and fired its windows. The skip-ahead
-// clamp uses the batch's Base (offsets are consecutive within a batch):
-// it drops exactly skipUntil-Base records, which are the records below
-// skipUntil whenever the batch is in offset order — the overwhelmingly
-// common case, since producers append in event-time order and a time
-// sort then never permutes. A time-permuted batch can swap individual
-// records across the attach boundary within the one straddling batch;
-// counts, offsets and watermarks stay exact. The batch must be sorted by
-// time, as Consumer.PollBatch returns every batch that reaches here: then
-// the newest time of [from, n) is its last record's (the zero-time
-// sentinel, math.MinInt64, sorts first).
+// consumeLocked applies one EventBatch to the session through PushBatch
+// and hands completed windows and the session's watermark to the merger.
+// The batch is shared with other queries' sinks and is never mutated. The
+// whole application (push + merger delivery) runs under one sh.mu hold,
+// so a checkpoint observes either all of a batch or none of it (no torn
+// checkpoint). A follower pushes nothing: its leader, applied first under
+// the follower's lock too, sampled the batch for it, fired its windows
+// and moved its watermark. The skip-ahead clamp uses the batch's Base
+// (offsets are consecutive within a batch): it drops exactly
+// skipUntil-Base records, which are the records below skipUntil whenever
+// the batch is in offset order — the overwhelmingly common case, since
+// producers append in event-time order and a time sort then never
+// permutes. A time-permuted batch can swap individual records across the
+// attach boundary within the one straddling batch; counts, offsets and
+// watermarks stay exact.
 func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 	n := b.Len()
 	from := 0
@@ -333,13 +329,8 @@ func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 		}
 	}
 	delivered := n - from
-	if delivered > 0 {
-		if sh.lead == nil {
-			_ = sh.sess.PushBatch(b, from, n)
-		}
-		if mark := stream.TimeFromNanos(b.Times[n-1]); mark.After(sh.watermark) {
-			sh.watermark = mark
-		}
+	if delivered > 0 && sh.lead == nil {
+		_ = sh.sess.PushBatch(b, from, n)
 	}
 	sh.offset = next
 	if sh.offset < sh.skipUntil {
@@ -351,10 +342,7 @@ func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 		sh.records.Add(int64(delivered))
 		sh.recordsMetric.Add(float64(delivered))
 		sh.lateMetric.Set(float64(sh.sess.Late()))
-		if sh.lead == nil {
-			sh.sess.Advance(sh.watermark)
-		}
-		sh.deliver(sh.sess.Poll(), sh.watermark)
+		sh.deliver(sh.sess.Poll(), sh.sess.Watermark())
 	}
 }
 
@@ -372,17 +360,15 @@ func (sh *shard) setLag(lag int64) {
 	sh.job.lagGauge.Set(float64(total))
 }
 
-// idleLocked pushes an idle shard's session
-// forward to mark, its job's maximum watermark, flushing windows a
-// sparsely keyed partition would otherwise hold back forever. hwm is
-// the partition's committed high watermark as the drain check read it.
-// Callers hold sh.mu, and a follower's leader's, advanced first.
+// idleLocked pushes an idle shard's session forward to mark, its job's
+// maximum watermark, flushing windows a sparsely keyed partition would
+// otherwise hold back forever. hwm is the partition's committed high
+// watermark as the drain check read it. Callers hold sh.mu, and a
+// follower's leader's, advanced first: a follower's session is at mark
+// already, so the mark reaches the merger whether or not Advance moves it.
 func (sh *shard) idleLocked(mark time.Time, hwm int64) {
-	if mark.After(sh.watermark) {
-		sh.watermark = mark
-		sh.sess.Advance(mark)
-		sh.deliver(sh.sess.Poll(), mark)
-	}
+	sh.sess.Advance(mark)
+	sh.deliver(sh.sess.Poll(), mark)
 	sh.setLag(hwm - sh.offset)
 }
 

@@ -153,25 +153,8 @@ func Exact(cfg Config, events []Event) ([]WindowResult, error) {
 
 func convertResults(in []core.WindowResult) []WindowResult {
 	out := make([]WindowResult, len(in))
-	for i, r := range in {
-		out[i] = WindowResult{
-			Start:   r.Start,
-			End:     r.End,
-			Overall: fromInternalEstimate(r.Result.Overall),
-			Items:   r.Items,
-			Sampled: r.Sampled,
-		}
-		if len(r.Result.Groups) > 0 {
-			out[i].Groups = make(map[string]Estimate, len(r.Result.Groups))
-			for k, v := range r.Result.Groups {
-				out[i].Groups[k] = fromInternalEstimate(v)
-			}
-		}
-		for _, b := range r.Result.Buckets {
-			out[i].Buckets = append(out[i].Buckets, HistogramBucket{
-				Lo: b.Lo, Hi: b.Hi, Count: fromInternalEstimate(b.Count),
-			})
-		}
+	for i, w := range in {
+		out[i] = windowResult(w)
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package streamapprox
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -39,9 +41,12 @@ type SessionConfig struct {
 	Seed uint64
 }
 
-// Session processes an unbounded stream incrementally: Push events in
-// event-time order, collect completed windows from Poll (or all of them
-// from Close). Each slide segment is sampled on-the-fly with OASRS; the
+// Session processes an unbounded stream incrementally: Push events (or
+// PushBatch them) in event-time order, collect completed windows from Poll
+// (or all of them from Close). A window fires when the slide segment after
+// it starts — the first event, or Advance, at or past its end — so an
+// event-time gap never holds a finished window; its bounds are UTC. Each
+// slide segment is sampled on-the-fly with OASRS; the
 // per-segment budget is the previous segment's arrival count times the
 // current sampling fraction, and it is spent: every stratum gets an equal
 // share of it as capacity, and what a stratum with fewer arrivals than
@@ -62,24 +67,20 @@ type Session struct {
 	rng        *xrand.Rand
 	controller *adaptive.Controller
 
-	segStart  time.Time
-	segCount  int
-	lastCount int
-	windows   query.Windows   // the finished segments' panes
-	sums      []query.Summary // fireWindow's argument buffer
-	ready     []WindowResult
-	watermark time.Time
-	late      int64
-	closed    bool
-
-	// Cached bounds of the current slide segment in unix nanos, so the
-	// common in-order event (and PushBatch's run loop) skips the
-	// time.Truncate per record. Valid only when segBoundsOK: segments
-	// starting at the zero time (or outside the unix-nano range) fall
-	// back to the Truncate path.
-	segStartN   int64
-	segEndN     int64
-	segBoundsOK bool
+	// The current slide segment [segStart, segEnd) and the watermark, in
+	// unix nanos; stream.ZeroTimeNanos is "none" for both. phase is the
+	// Unix epoch's offset into its segment, so segments are cut where
+	// time.Truncate cuts: from the zero time, not the epoch.
+	segStart, segEnd int64
+	wm               int64
+	phase            int64
+	segCount         int
+	lastCount        int
+	windows          query.Windows // the finished segments' panes
+	ready            []WindowResult
+	late             int64
+	closed           bool
+	one              *EventBatch // Push's one-record batch
 
 	// leader is the session whose sampler this one follows (nil while it
 	// samples for itself); followers are the sessions following this one.
@@ -110,11 +111,16 @@ func NewSession(cfg SessionConfig) *Session {
 	if cfg.Query == 0 {
 		cfg.Query = Sum
 	}
+	epoch := time.Unix(0, 0)
 	s := &Session{
-		cfg:     cfg,
-		q:       cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
-		rng:     xrand.New(cfg.Seed),
-		windows: windows,
+		cfg:      cfg,
+		q:        cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
+		rng:      xrand.New(cfg.Seed),
+		windows:  windows,
+		segStart: stream.ZeroTimeNanos,
+		segEnd:   stream.ZeroTimeNanos,
+		wm:       stream.ZeroTimeNanos,
+		phase:    int64(epoch.Sub(epoch.Truncate(cfg.WindowSlide))),
 	}
 	if cfg.TargetError > 0 {
 		s.controller = adaptive.NewController(cfg.TargetError, cfg.Fraction)
@@ -134,6 +140,11 @@ func (s *Session) Fraction() float64 {
 // Late returns the number of dropped late events.
 func (s *Session) Late() int64 { return s.late }
 
+// Watermark returns the latest event time the session has taken, or
+// Advance moved it to: events before it are late. It is the zero time
+// before any.
+func (s *Session) Watermark() time.Time { return stream.TimeFromNanos(s.wm) }
+
 // Follow makes s sample through leader: every record pushed to leader
 // reaches s too, sampled once, and each segment leader finishes becomes a
 // pane of s. A pane's summary is computed once per distinct shape among
@@ -152,7 +163,7 @@ func (s *Session) Follow(leader *Session) bool {
 	l := leader
 	if l == nil || l == s || l.leader != nil || s.leader != nil || len(s.followers) > 0 || s.closed || l.closed ||
 		!s.fixed() || !l.fixed() || s.cfg.WindowSlide != l.cfg.WindowSlide || s.cfg.Fraction != l.cfg.Fraction ||
-		!s.watermark.Equal(l.watermark) || !s.segStart.Equal(l.segStart) ||
+		s.wm != l.wm || s.segStart != l.segStart ||
 		s.segCount != l.segCount || s.lastCount != l.lastCount {
 		return false
 	}
@@ -175,7 +186,6 @@ func (s *Session) Unfollow() {
 	if l.sampler != nil {
 		s.sampler = sampling.RestoreOASRS(l.sampler.State(), nil, s.rng)
 	}
-	s.cacheSegBounds()
 }
 
 // leave makes s and every session following it sample for themselves.
@@ -195,41 +205,34 @@ func (s *Session) fixed() bool {
 // moved it.
 func (s *Session) lead() {
 	for _, f := range s.followers {
-		f.watermark, f.segStart, f.segCount, f.lastCount = s.watermark, s.segStart, s.segCount, s.lastCount
+		f.wm, f.segStart, f.segEnd, f.segCount, f.lastCount = s.wm, s.segStart, s.segEnd, s.segCount, s.lastCount
 		f.late = s.late + f.lateOff
 	}
 }
 
-// Push offers one event. Events must arrive in non-decreasing event-time
-// order; events behind the watermark are counted and dropped.
+// Push offers one event: PushBatch over a one-record batch the session
+// owns. Events must arrive in non-decreasing event-time order; events
+// behind the watermark are counted and dropped. A time outside the range
+// of unix nanos (years 1678–2262) is an error and changes nothing.
 func (s *Session) Push(e Event) error {
-	if s.closed {
-		return ErrClosedSession
+	n, ok := unixNanos(e.Time)
+	if !ok {
+		return fmt.Errorf("streamapprox: event time %v outside the unix-nano range", e.Time)
 	}
-	s.Unfollow()
-	defer s.lead()
-	if e.Time.Before(s.watermark) {
-		s.late++
-		return nil
+	if s.one == nil {
+		s.one = new(EventBatch)
 	}
-	// Fast path: an event inside the cached segment bounds needs no
-	// Truncate and no segment transition. The range check rejects the
-	// zero time (its UnixNano is far outside any cached segment).
-	if !s.segBoundsOK || e.Time.UnixNano() < s.segStartN || e.Time.UnixNano() >= s.segEndN {
-		seg := e.Time.Truncate(s.cfg.WindowSlide)
-		if s.segStart.IsZero() {
-			s.startSegment(seg)
-		} else if seg.After(s.segStart) {
-			s.finishSegment()
-			s.startSegment(seg)
-		}
-	}
-	s.segCount++
-	s.sampler.Add(stream.Event(e))
-	if e.Time.After(s.watermark) {
-		s.watermark = e.Time
-	}
-	return nil
+	b := s.one // its one stratum is ID 0: no intern map to reset
+	b.Strata, b.Values, b.Times = append(b.Strata[:0], 0), append(b.Values[:0], e.Value), append(b.Times[:0], n)
+	b.Dict = append(b.Dict[:0], e.Stratum)
+	return s.PushBatch(b, 0, 1)
+}
+
+// unixNanos returns t in unix nanos, stream.ZeroTimeNanos for the zero
+// time, and whether t is either.
+func unixNanos(t time.Time) (int64, bool) {
+	n := stream.TimeToNanos(t)
+	return n, t.IsZero() || (n != stream.ZeroTimeNanos && time.Unix(0, n).Equal(t))
 }
 
 // EventBatch is the pooled columnar record batch of the vectorized
@@ -241,12 +244,13 @@ type EventBatch = stream.EventBatch
 // NewEventBatch returns an empty pooled batch (Release returns it).
 func NewEventBatch() *EventBatch { return stream.GetEventBatch() }
 
-// PushBatch offers records [from, to) of a columnar batch, equivalent
-// to pushing each record through Push in order but vectorized: the
-// batch is segmented into runs of records that fall inside the current
-// slide segment and ahead of the watermark, so the window-boundary
-// computation happens once per run instead of once per record, and each
-// run is bulk-offered to the sampler via OASRS.AddBatch.
+// PushBatch offers records [from, to) of a columnar batch in order. It
+// cuts the range into runs of records that fall inside the current slide
+// segment and at or after the watermark, so the window-boundary check
+// happens once per run, and bulk-offers each run to the sampler via
+// OASRS.AddBatch. A record ahead of the current segment starts the next
+// one, which fires every window ending at or before that segment's start;
+// a record whose segment does not fit in unix nanos is counted late.
 //
 // The batch is treated as read-only; callers sharing one batch across
 // sessions Retain/Release around the call.
@@ -256,88 +260,63 @@ func (s *Session) PushBatch(b *EventBatch, from, to int) error {
 	}
 	s.Unfollow()
 	defer s.lead()
-	if from < 0 {
-		from = 0
-	}
-	if to > b.Len() {
-		to = b.Len()
-	}
-	// Watermark in unix nanos; the zero watermark (drops nothing) maps
-	// below every representable time.
-	wmN := int64(stream.ZeroTimeNanos)
-	if !s.watermark.IsZero() {
-		wmN = s.watermark.UnixNano()
-	}
-	advanced := false
-	flushWM := func() {
-		if advanced {
-			s.watermark = time.Unix(0, wmN).UTC()
-			advanced = false
-		}
-	}
+	from, to = max(from, 0), min(to, b.Len())
 	for i := from; i < to; {
 		tn := b.Times[i]
-		if tn < wmN {
-			// Late — the zero-time sentinel lands here too once a real
-			// watermark exists, exactly as the scalar path drops it.
-			s.late++
+		if tn < s.wm {
+			s.late++ // the zero time lands here too once a watermark exists
 			i++
 			continue
 		}
-		if tn == stream.ZeroTimeNanos {
-			// Zero-time record against a zero watermark: scalar edge
-			// semantics for the remainder.
-			flushWM()
-			for ; i < to; i++ {
-				if err := s.Push(Event(b.EventAt(i))); err != nil {
-					return err
-				}
+		if tn >= s.segEnd {
+			seg, ok := s.segmentOf(tn)
+			if !ok {
+				s.late++
+				i++
+				continue
 			}
-			return nil
-		}
-		if !s.segBoundsOK || tn < s.segStartN || tn >= s.segEndN {
-			t := time.Unix(0, tn).UTC()
-			seg := t.Truncate(s.cfg.WindowSlide)
-			if s.segStart.IsZero() {
-				s.startSegment(seg)
-			} else if seg.After(s.segStart) {
+			if s.segStart != stream.ZeroTimeNanos {
 				s.finishSegment()
-				s.startSegment(seg)
 			}
+			s.startSegment(seg)
 		}
-		if !s.segBoundsOK {
-			// Segment bounds not representable in nanos: per-record path.
-			flushWM()
-			if err := s.Push(Event(b.EventAt(i))); err != nil {
-				return err
-			}
-			if !s.watermark.IsZero() {
-				wmN = s.watermark.UnixNano()
-			}
-			i++
-			continue
-		}
-		// The run: consecutive records that are neither late nor past
-		// the segment end — exactly the records the scalar loop would
-		// add to the current sampler without a segment transition.
-		j, endN := i, s.segEndN
-		for j < to {
-			v := b.Times[j]
-			if v < wmN || v >= endN {
-				break
-			}
-			if v > wmN {
-				wmN = v
-				advanced = true
-			}
+		// The run: record i and the records after it that are neither
+		// late nor past the segment end. The zero time's segment ends
+		// where it starts, so a zero-time record is a run of its own.
+		j, wm, end := i+1, tn, s.segEnd
+		for j < to && b.Times[j] >= wm && b.Times[j] < end {
+			wm = b.Times[j]
 			j++
 		}
+		s.wm = wm
 		s.segCount += j - i
 		s.sampler.AddBatch(b, i, j)
 		i = j
 	}
-	flushWM()
 	return nil
+}
+
+// segmentOf returns the start of the slide segment holding unix-nano time
+// n, where time.Truncate would cut it: the zero time's is itself. ok is
+// false when the segment or its end does not fit in unix nanos.
+func (s *Session) segmentOf(n int64) (seg int64, ok bool) {
+	if n == stream.ZeroTimeNanos {
+		return n, true
+	}
+	slide := int64(s.cfg.WindowSlide)
+	r := n % slide
+	if r < 0 {
+		r += slide
+	}
+	if r >= slide-s.phase {
+		r -= slide - s.phase
+	} else {
+		r += s.phase
+	}
+	if n <= math.MinInt64+r || n-r > math.MaxInt64-slide {
+		return 0, false
+	}
+	return n - r, true
 }
 
 // Poll returns windows completed so far and clears the ready list.
@@ -349,31 +328,22 @@ func (s *Session) Poll() []WindowResult {
 
 // Advance moves the session's event-time watermark to now without
 // consuming an event — a punctuation/heartbeat for push-based serving.
-// It finishes the in-flight slide segment when now has moved past it and
-// fires every pending window that can no longer receive events (end at
-// or before now's segment start). Subsequent events older than now are
-// dropped as late. Advance lets a served shard flush windows on an idle
-// or gappy partition by adopting the progress of its peers.
+// When now is past the in-flight slide segment, it finishes that segment
+// and starts now's, which fires every window ending at or before now's
+// segment start. Subsequent events older than now are dropped as late.
+// Advance lets a served shard flush windows on an idle partition by
+// adopting the progress of its peers.
 func (s *Session) Advance(now time.Time) {
-	if s.closed {
+	n, ok := unixNanos(now)
+	if s.closed || !ok || n <= s.wm {
 		return
 	}
-	if now.After(s.watermark) {
-		s.Unfollow() // a follower cannot move its leader
-		s.watermark = now
-	}
-	seg := now.Truncate(s.cfg.WindowSlide)
-	if !s.segStart.IsZero() && seg.After(s.segStart) {
+	s.Unfollow() // a follower cannot move its leader
+	defer s.lead()
+	s.wm = n
+	if seg, ok := s.segmentOf(n); ok && n >= s.segEnd && s.segStart != stream.ZeroTimeNanos {
 		s.finishSegment()
 		s.startSegment(seg)
-	}
-	// Events in the current segment [seg, seg+slide) may still belong to
-	// windows ending inside it, so only windows ending at or before seg
-	// are complete.
-	s.windows.Fire(seg, s.fireWindow)
-	s.lead()
-	for _, f := range s.followers {
-		f.windows.Fire(seg, f.fireWindow)
 	}
 }
 
@@ -387,7 +357,7 @@ func (s *Session) Close() []WindowResult {
 	}
 	s.leave()
 	s.closed = true
-	if !s.segStart.IsZero() {
+	if s.segStart != stream.ZeroTimeNanos {
 		s.finishSegment()
 	}
 	s.windows.Flush(s.fireWindow)
@@ -396,10 +366,17 @@ func (s *Session) Close() []WindowResult {
 	return out
 }
 
-func (s *Session) startSegment(seg time.Time) {
-	s.segStart = seg
+// startSegment starts the segment at seg. No event can reach a window
+// ending at or before seg any more, so every such window fires here — the
+// one place a window fires before Close.
+func (s *Session) startSegment(seg int64) {
+	s.setSegment(seg)
 	s.segCount = 0
-	s.cacheSegBounds()
+	start := stream.TimeFromNanos(seg)
+	s.windows.Fire(start, s.fireWindow)
+	for _, f := range s.followers {
+		f.windows.Fire(start, f.fireWindow)
+	}
 	budget := sampling.SegmentBudget(s.Fraction(), s.lastCount)
 	if s.sampler == nil {
 		s.sampler = sampling.NewOASRS(budget, nil, s.rng)
@@ -408,36 +385,28 @@ func (s *Session) startSegment(seg time.Time) {
 	s.sampler.SetBudget(budget)
 }
 
-// cacheSegBounds caches the current segment's bounds in unix nanos for
-// the Push fast path and PushBatch's run loop. The round-trip check
-// rejects segments whose UnixNano is undefined (the zero time, or times
-// outside years 1678–2262).
-func (s *Session) cacheSegBounds() {
-	seg := s.segStart
-	end := seg.Add(s.cfg.WindowSlide)
-	s.segStartN, s.segEndN = seg.UnixNano(), end.UnixNano()
-	s.segBoundsOK = !seg.IsZero() && s.segStartN < s.segEndN &&
-		time.Unix(0, s.segStartN).Equal(seg) && time.Unix(0, s.segEndN).Equal(end)
+// setSegment makes the segment at seg the current one. The zero time's
+// ends where it starts: any record ends it.
+func (s *Session) setSegment(seg int64) {
+	s.segStart, s.segEnd = seg, seg+int64(s.cfg.WindowSlide)
+	if seg == stream.ZeroTimeNanos {
+		s.segEnd = seg
+	}
 }
 
 // finishSegment drains the segment's sample into a pane of s and a pane of
 // every follower.
 func (s *Session) finishSegment() {
+	start := stream.TimeFromNanos(s.segStart)
 	var sum query.Summary
 	s.sampler.Drain(func(sample *sampling.Sample) {
 		sum = s.q.Summarize(sample)
 		for i, f := range s.followers {
-			f.windows.Add(s.segStart, s.followerSummary(i, sample, sum))
+			f.windows.Add(start, s.followerSummary(i, sample, sum))
 		}
 	})
 	s.lastCount = s.segCount
-	s.windows.Add(s.segStart, sum)
-	// Every window that ended at or before the segment end is complete.
-	end := s.segStart.Add(s.cfg.WindowSlide)
-	s.windows.Fire(end, s.fireWindow)
-	for _, f := range s.followers {
-		f.windows.Fire(end, f.fireWindow)
-	}
+	s.windows.Add(start, sum)
 }
 
 // followerSummary is follower i's summary of the sample s drains, sum
@@ -463,34 +432,7 @@ func (s *Session) followerSummary(i int, sample *sampling.Sample, sum query.Summ
 
 // fireWindow converts one window's panes to its WindowResult.
 func (s *Session) fireWindow(start time.Time, panes []query.Pane) {
-	wr := WindowResult{Start: start, End: start.Add(s.cfg.WindowSize)}
-	s.sums = s.sums[:0]
-	for i := range panes {
-		s.sums = append(s.sums, panes[i].Summary)
-		wr.Items += panes[i].Summary.TotalCount()
-		wr.Sampled += panes[i].Summary.SampledCount()
-	}
-	res := s.q.Combine(s.sums)
-	clear(s.sums)
-	wr.Overall = fromInternalEstimate(res.Overall)
-	if len(res.Groups) > 0 {
-		wr.Groups = make(map[string]Estimate, len(res.Groups))
-		for k, v := range res.Groups {
-			wr.Groups[k] = fromInternalEstimate(v)
-		}
-		wr.GroupItems = make(map[string]int64, len(res.Groups))
-		for i := range panes {
-			for _, st := range panes[i].Summary.Strata {
-				wr.GroupItems[st.Stratum] += st.Count
-			}
-		}
-	}
-	if len(res.Buckets) > 0 {
-		wr.Buckets = make([]HistogramBucket, len(res.Buckets))
-		for i, b := range res.Buckets {
-			wr.Buckets[i] = HistogramBucket{Lo: b.Lo, Hi: b.Hi, Count: fromInternalEstimate(b.Count)}
-		}
-	}
+	wr := windowResult(s.windows.Estimate(s.q, start, panes))
 	s.ready = append(s.ready, wr)
 	// Adaptive feedback: grow the fraction when the bound is too loose,
 	// decay it when comfortably tight (§4.2.1).

@@ -201,3 +201,23 @@ type WindowResult struct {
 	// Sampled is the number of items the query actually processed.
 	Sampled int
 }
+
+// windowResult converts a window fired from panes — by a Session, an
+// engine or Exact — to its public form.
+func windowResult(w query.Window) WindowResult {
+	wr := WindowResult{Start: w.Start, End: w.End, Overall: fromInternalEstimate(w.Result.Overall),
+		GroupItems: w.GroupItems, Items: w.Items, Sampled: w.Sampled}
+	if len(w.Result.Groups) > 0 {
+		wr.Groups = make(map[string]Estimate, len(w.Result.Groups))
+		for k, v := range w.Result.Groups {
+			wr.Groups[k] = fromInternalEstimate(v)
+		}
+	}
+	if len(w.Result.Buckets) > 0 {
+		wr.Buckets = make([]HistogramBucket, len(w.Result.Buckets))
+		for i, b := range w.Result.Buckets {
+			wr.Buckets[i] = HistogramBucket{Lo: b.Lo, Hi: b.Hi, Count: fromInternalEstimate(b.Count)}
+		}
+	}
+	return wr
+}
