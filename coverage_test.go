@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"streamapprox/internal/estimate"
+	"streamapprox/internal/query"
 	"streamapprox/internal/stream"
 	"streamapprox/internal/workload"
 	"streamapprox/internal/xrand"
@@ -20,12 +21,12 @@ import (
 // reports: a seeded taxi-strata stream at 2 000 events per event-second
 // (bronx ≈ 10/s, ewr ≈ 2/s), split by the broker's FNV-1a key routing into
 // K shards — at K = 4 bronx and ewr each have a partition to themselves —
-// one Session per shard and query fed by PushBatch, and each window's
-// shard results merged the way the server's merger does, with
-// estimate.MergeSums/MergeMeans on the variance and degrees of freedom
-// every part carries. Every estimate of every window is checked against
-// the exact window: coverage and mean relative bound (Σ bound / Σ |exact|)
-// per query × {overall, group, bucket} × K, printed with -v.
+// one Session per shard and query fed by PushBatch, and each window
+// combined the way the server's merger does: the shards hand over their
+// panes, and a window is one Combine over every shard's panes of its
+// slides. Every estimate of every window is checked against the exact
+// window: coverage and mean relative bound (Σ bound / Σ |exact|) per
+// query × {overall, group, bucket} × K, printed with -v.
 //
 // Every cell must cover at least 0.93 of the time, within its own
 // sampling error: a cell fails when it falls more than two standard errors
@@ -167,12 +168,15 @@ func (w *exactWindow) add(o *exactWindow) {
 	}
 }
 
-// coverageRun is one query's shard sessions at one K and the window
-// parts not merged yet.
+// coverageRun is one query's shard sessions at one K, the panes they
+// handed over that not every shard has passed yet, and the windows their
+// panes make.
 type coverageRun struct {
 	q        *coverageQuery
+	query    query.Query
 	sessions []*Session
-	pending  map[int64][]WindowResult // by window start
+	slides   map[time.Time][]query.Summary // the shards' panes, by start
+	windows  query.Windows
 }
 
 // coverageWorker runs every query at one K and scores its windows.
@@ -187,10 +191,12 @@ type coverageWorker struct {
 func newCoverageWorker(ki int, queries []coverageQuery, seconds []exactWindow) *coverageWorker {
 	w := &coverageWorker{ki: ki, seconds: seconds, rows: map[string]*coverageRow{}}
 	for qi := range queries {
-		r := &coverageRun{q: &queries[qi], pending: map[int64][]WindowResult{}}
+		q := &queries[qi]
+		r := &coverageRun{q: q, query: q.kind.internal(estimate.Conf95, coverageEdges),
+			slides: map[time.Time][]query.Summary{}, windows: query.NewWindows(q.size, q.slide)}
 		for shard := range coverageShards[ki] {
 			r.sessions = append(r.sessions, NewSession(SessionConfig{
-				Query: r.q.kind, WindowSize: r.q.size, WindowSlide: r.q.slide, Fraction: r.q.fraction,
+				Query: q.kind, WindowSize: q.size, WindowSlide: q.slide, Fraction: q.fraction,
 				Confidence: Confidence95, HistogramEdges: coverageEdges, Seed: uint64(1 + 16*qi + shard),
 			}))
 		}
@@ -202,8 +208,8 @@ func newCoverageWorker(ki int, queries []coverageQuery, seconds []exactWindow) *
 	return w
 }
 
-// push routes one chunk of the stream to the shards and collects the
-// windows it completes.
+// push routes one chunk of the stream to the shards and scores the
+// windows every shard has passed.
 func (w *coverageWorker) push(t *testing.T, events []stream.Event) {
 	for _, b := range w.batches {
 		b.Reset()
@@ -212,55 +218,75 @@ func (w *coverageWorker) push(t *testing.T, events []stream.Event) {
 		w.batches[coverageShard(e.Stratum, len(w.batches))].AppendEvent(e)
 	}
 	for _, r := range w.runs {
+		mark := time.Time{}
 		for shard, s := range r.sessions {
 			b := w.batches[shard]
 			if err := s.PushBatch(b, 0, b.Len()); err != nil {
 				t.Error(err)
 				return
 			}
-			w.collect(r, s.Poll())
+			r.take(s)
+			if shard == 0 || s.Watermark().Before(mark) {
+				mark = s.Watermark()
+			}
 		}
+		r.complete(func(start time.Time) bool { return !start.Add(r.q.slide).After(mark) })
+		r.windows.Fire(mark, w.emit(r))
 	}
 }
 
-// close closes every session and merges what is left with the parts
-// there are, as the merger does for a window some shard never reports.
+// take files a session's finished panes by start.
+func (r *coverageRun) take(s *Session) {
+	for _, p := range s.Panes() {
+		r.slides[p.Start] = append(r.slides[p.Start], p.Summary)
+	}
+}
+
+// complete hands the windows every shard's pane of each slide done
+// reports finished, oldest first: the server's merger.
+func (r *coverageRun) complete(done func(time.Time) bool) {
+	var starts []time.Time
+	for start := range r.slides {
+		if done(start) {
+			starts = append(starts, start)
+		}
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i].Before(starts[j]) })
+	for _, start := range starts {
+		for _, sum := range r.slides[start] {
+			r.windows.Add(start, sum)
+		}
+		delete(r.slides, start)
+	}
+}
+
+// close closes every session and fires every window left.
 func (w *coverageWorker) close() {
 	for _, r := range w.runs {
 		for _, s := range r.sessions {
-			w.collect(r, s.Close())
+			s.Close()
+			r.take(s)
 		}
-		starts := make([]int64, 0, len(r.pending))
-		for start := range r.pending {
-			starts = append(starts, start)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		for _, start := range starts {
-			w.score(r.q, r.pending[start])
-		}
+		r.complete(func(time.Time) bool { return true })
+		r.windows.Flush(w.emit(r))
 	}
 	for _, b := range w.batches {
 		b.Release()
 	}
 }
 
-func (w *coverageWorker) collect(r *coverageRun, wins []WindowResult) {
-	for _, wr := range wins {
-		start := wr.Start.UnixNano()
-		r.pending[start] = append(r.pending[start], wr)
-		if parts := r.pending[start]; len(parts) == len(r.sessions) {
-			delete(r.pending, start)
-			w.score(r.q, parts)
-		}
+// emit scores the run's windows as they fire.
+func (w *coverageWorker) emit(r *coverageRun) func(time.Time, []query.Pane) {
+	return func(start time.Time, panes []query.Pane) {
+		w.score(r.q, r.windows.Estimate(r.query, start, panes))
 	}
 }
 
-// score merges one window's parts and checks every estimate it carries.
-func (w *coverageWorker) score(q *coverageQuery, parts []WindowResult) {
-	m := mergeCoverageParts(q.mean(), parts)
+// score checks every estimate a window carries.
+func (w *coverageWorker) score(q *coverageQuery, win query.Window) {
 	exact := newExactWindow()
 	origin := workload.Epoch.Unix()
-	for s := parts[0].Start.Unix(); s < parts[0].End.Unix(); s++ {
+	for s := win.Start.Unix(); s < win.End.Unix(); s++ {
 		if i := s - origin; i >= 0 && i < int64(len(w.seconds)) {
 			exact.add(&w.seconds[i])
 		}
@@ -274,16 +300,17 @@ func (w *coverageWorker) score(q *coverageQuery, parts []WindowResult) {
 		}
 		row.k[w.ki].check(est, exact)
 	}
+	res := win.Result
 	switch q.kind {
 	case Histogram:
-		for b, est := range m.buckets {
-			check(fmt.Sprintf("[%g, %g)", coverageEdges[b], coverageEdges[b+1]), fmt.Sprintf("2%02d", b), est, float64(exact.hist[b]))
+		for b, bucket := range res.Buckets {
+			check(fmt.Sprintf("[%g, %g)", coverageEdges[b], coverageEdges[b+1]), fmt.Sprintf("2%02d", b), bucket.Count, float64(exact.hist[b]))
 		}
 	case Sum:
-		check("overall", "0", m.overall, exact.sum)
+		check("overall", "0", res.Overall, exact.sum)
 	default:
-		check("overall", "0", m.overall, exact.sum/float64(exact.count))
-		for g, est := range m.groups {
+		check("overall", "0", res.Overall, exact.sum/float64(exact.count))
+		for g, est := range res.Groups {
 			check(g, "1"+g, est, exact.gsum[g]/float64(exact.gcnt[g]))
 		}
 	}
@@ -362,59 +389,4 @@ func coverageShard(key string, shards int) int {
 	h := fnv.New32a()
 	h.Write([]byte(key))
 	return int(h.Sum32() % uint32(shards))
-}
-
-// shardEstimate is a shard's estimate as the merger reads it.
-func shardEstimate(e Estimate) estimate.Estimate {
-	return estimate.Estimate{Value: e.Value, Variance: e.Variance, DF: e.DF, Bound: e.Bound, Confidence: e.Confidence.internal()}
-}
-
-// mergedWindow is one window merged across shards.
-type mergedWindow struct {
-	overall estimate.Estimate
-	groups  map[string]estimate.Estimate
-	buckets []estimate.Estimate // bucket b is [coverageEdges[b], coverageEdges[b+1])
-}
-
-// mergeCoverageParts merges one window's shard results as the server's
-// merger does: means weighted by item counts, totals summed, each group
-// over the shards that report it, each bucket over all.
-func mergeCoverageParts(mean bool, parts []WindowResult) mergedWindow {
-	merge := func(ests []estimate.Estimate, counts []int64) estimate.Estimate {
-		if mean {
-			return estimate.MergeMeans(ests, counts)
-		}
-		return estimate.MergeSums(ests)
-	}
-	m := mergedWindow{groups: map[string]estimate.Estimate{}}
-	var ests []estimate.Estimate
-	var counts []int64
-	for _, p := range parts {
-		ests = append(ests, shardEstimate(p.Overall))
-		counts = append(counts, p.Items)
-	}
-	m.overall = merge(ests, counts)
-	for _, p := range parts {
-		for g := range p.Groups {
-			if _, done := m.groups[g]; done {
-				continue
-			}
-			ests, counts = ests[:0], counts[:0]
-			for _, q := range parts {
-				if e, ok := q.Groups[g]; ok {
-					ests = append(ests, shardEstimate(e))
-					counts = append(counts, q.GroupItems[g])
-				}
-			}
-			m.groups[g] = merge(ests, counts)
-		}
-	}
-	for b := range parts[0].Buckets {
-		ests = ests[:0]
-		for _, p := range parts {
-			ests = append(ests, shardEstimate(p.Buckets[b].Count))
-		}
-		m.buckets = append(m.buckets, estimate.MergeSums(ests))
-	}
-	return m
 }

@@ -168,6 +168,7 @@ func (m *Moments) borrows() bool { return m.N == 1 && m.Count > 1 }
 // together they are a single Welch–Satterthwaite term with ΣN−1 degrees of
 // freedom.
 type Pool struct {
+	key         string // the stratum
 	n, mean, ss float64
 	borrowed    float64 // Σ Ci(Ci−1) over the borrowing cells
 }
@@ -203,36 +204,59 @@ func (p *Pool) term() (v, df float64) {
 	return p.borrowed * p.ss / (p.n - 1), p.n - 1
 }
 
-// PoolStrata pools a window's cells per stratum, key(i) naming cell i's:
-// one Pool for each stratum with a borrowing cell, in order of first
-// borrower. It returns nil, and allocates nothing, when no cell borrows.
-func PoolStrata(ms []Moments, key func(int) string) []Pool {
+// PoolStrata pools a window's cells per stratum, keys[i] naming cell i's
+// (nil: every cell is of one stratum): one Pool for each stratum with a
+// borrowing cell, in order of first borrower, in pools' backing array
+// while they fit, so a buffer on the caller's stack keeps them off the
+// heap. A window pools a few strata: a cell finds its pool by a scan.
+func PoolStrata(ms []Moments, keys []string, pools []Pool) []Pool {
+	pools = pools[:0]
 	first := slices.IndexFunc(ms, func(m Moments) bool { return m.borrows() })
 	if first < 0 {
-		return nil
+		return pools
 	}
-	slot := make(map[string]int) // stratum → 1 + its pool's index
-	var pools []Pool
 	for i := first; i < len(ms); i++ {
-		if !ms[i].borrows() {
-			continue
-		}
-		if k := key(i); slot[k] == 0 {
-			pools = append(pools, Pool{})
-			slot[k] = len(pools)
+		if k := keyOf(keys, i); ms[i].borrows() && poolOf(pools, k) < 0 {
+			pools = append(pools, Pool{key: k})
 		}
 	}
 	for i := range ms {
-		if p := slot[key(i)]; p > 0 {
-			pools[p-1].add(&ms[i])
+		if p := poolOf(pools, keyOf(keys, i)); p >= 0 {
+			pools[p].add(&ms[i])
 		}
 	}
 	return pools
 }
 
-// strataOf keys a sample's moments by its entries' strata.
-func strataOf(s *sampling.Sample) func(int) string {
-	return func(i int) string { return s.Strata[i].Stratum }
+// keyOf is cell i's stratum: keys[i], or "" without keys.
+func keyOf(keys []string, i int) string {
+	if keys == nil {
+		return ""
+	}
+	return keys[i]
+}
+
+// poolOf returns the index of key's pool, or -1.
+func poolOf(pools []Pool, key string) int {
+	for i := range pools {
+		if pools[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// poolSample is PoolStrata over a sample's moments, keyed by its entries'
+// strata; the keys are lined up only when some entry borrows.
+func poolSample(ms []Moments, s *sampling.Sample) []Pool {
+	if !slices.ContainsFunc(ms, func(m Moments) bool { return m.borrows() }) {
+		return nil
+	}
+	keys := make([]string, len(s.Strata))
+	for i := range s.Strata {
+		keys[i] = s.Strata[i].Stratum
+	}
+	return PoolStrata(ms, keys, nil)
 }
 
 // SumOf returns the approximate weighted sum of all items received from
@@ -303,13 +327,13 @@ func totalCount(ms []Moments) int64 {
 // Sum is SumOf over a sample's values, pooled per stratum.
 func Sum(s *sampling.Sample, conf Confidence) Estimate {
 	ms := sampleMoments(s, ValueMoments)
-	return SumOf(ms, PoolStrata(ms, strataOf(s)), conf)
+	return SumOf(ms, poolSample(ms, s), conf)
 }
 
 // Mean is MeanOf over a sample's values, pooled per stratum.
 func Mean(s *sampling.Sample, conf Confidence) Estimate {
 	ms := sampleMoments(s, ValueMoments)
-	return MeanOf(ms, PoolStrata(ms, strataOf(s)), conf)
+	return MeanOf(ms, poolSample(ms, s), conf)
 }
 
 // Count is CountOf over a sample's counters.
@@ -331,7 +355,7 @@ func LinearFunc(s *sampling.Sample, f func(v float64) float64, conf Confidence) 
 		}
 		ms[i] = MomentsOf(st.Count, st.Weight, vals)
 	}
-	return SumOf(ms, PoolStrata(ms, strataOf(s)), conf)
+	return SumOf(ms, poolSample(ms, s), conf)
 }
 
 func finish(value float64, w welch, conf Confidence) Estimate {

@@ -304,7 +304,7 @@ func TestMomentsOfIntervalsMatchConcatenatedSamples(t *testing.T) {
 			ms = append(ms, ValueMoments(&s.Strata[i]))
 		}
 	}
-	pools := PoolStrata(ms, strataOf(&rows))
+	pools := poolSample(ms, &rows)
 	if got, want := SumOf(ms, pools, Conf95), Sum(&rows, Conf95); got != want {
 		t.Errorf("SumOf = %+v, rows give %+v", got, want)
 	}

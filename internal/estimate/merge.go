@@ -1,14 +1,18 @@
 package estimate
 
-// This file implements cross-shard estimate merging for sharded
-// execution: each shard samples and estimates a *disjoint* slice of the
-// stream (one broker partition), and the merged per-window result must
-// carry a combined error bound. Because shards sample independently and
+// This file merges estimates of disjoint populations: each part estimates
+// a disjoint slice of a stream, and the merged estimate must carry a
+// combined error bound. Because the parts are sampled independently and
 // their populations are disjoint, variances are additive for totals and
-// combine with squared population weights for means — the same algebra
-// the paper applies across strata (Eqs. 6 and 9), lifted one level up to
-// shards. Each part carries its variance's degrees of freedom, and the
-// merged ones are the Welch–Satterthwaite combination of the parts'.
+// combine with squared population weights for means — the algebra the
+// paper applies across strata (Eqs. 6 and 9), lifted one level up. Each
+// part carries its variance's degrees of freedom, and the merged ones are
+// the Welch–Satterthwaite combination of the parts'.
+//
+// The serving tier does not merge estimates: its merger combines the
+// shards' panes, one Combine over every cell. Two callers remain: the
+// server's one-time upgrade of a version 1–3 checkpoint, whose pending
+// windows hold shard estimates, and the benchmark's staged merge.
 
 // FromBound reconstructs an Estimate from a (value, bound, confidence)
 // triple, recovering the variance from the bound via the 68-95-99.7

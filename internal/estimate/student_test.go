@@ -101,7 +101,7 @@ func TestWelchSatterthwaite(t *testing.T) {
 	for _, v := range []float64{3, 5, 4, 8, 5} {
 		ms = append(ms, MomentsOf(10, 10, []float64{v}))
 	}
-	pools := PoolStrata(ms, func(int) string { return "a" })
+	pools := PoolStrata(ms, nil, nil)
 	got := SumOf(ms, pools, Conf95)
 	// Values 3,5,4,8,5: mean 5, Σ(v−5)² = 14, s² = 3.5 on 4 df; each cell
 	// adds C(C−1)s² = 90·3.5.
@@ -112,15 +112,15 @@ func TestWelchSatterthwaite(t *testing.T) {
 		t.Errorf("pooled window mean = %+v, want variance %v on 4 df", mean, 5*90*3.5/2500)
 	}
 	// One sampled value in the whole window still has no variance.
-	if got := SumOf(ms[:1], PoolStrata(ms[:1], func(int) string { return "a" }), Conf95); got.Bound != 0 {
+	if got := SumOf(ms[:1], PoolStrata(ms[:1], nil, nil), Conf95); got.Bound != 0 {
 		t.Errorf("single-value window = %+v, want bound 0", got)
 	}
 	// Strata pool apart: two strata of one-item cells, two terms.
 	keys := []string{"a", "b", "a", "b", "a"}
-	if got := PoolStrata(ms, func(i int) string { return keys[i] }); len(got) != 2 || got[0].n != 3 || got[1].n != 2 {
+	if got := PoolStrata(ms, keys, nil); len(got) != 2 || got[0].n != 3 || got[1].n != 2 {
 		t.Errorf("pools by stratum = %+v, want 3 values of a and 2 of b", got)
 	}
-	if got := PoolStrata(ms[:0], func(int) string { return "a" }); got != nil {
+	if got := PoolStrata(ms[:0], nil, nil); got != nil {
 		t.Errorf("no cells pooled into %+v", got)
 	}
 }
@@ -163,7 +163,7 @@ func TestSmallCellCoverage(t *testing.T) {
 						}
 						ms[p] = MomentsOf(int64(count), float64(count)/float64(n), vals[:n])
 					}
-					pools := PoolStrata(ms, func(int) string { return "" })
+					pools := PoolStrata(ms, nil, nil)
 					sum, mean := SumOf(ms, pools, Conf95), MeanOf(ms, pools, Conf95)
 					if sum.Value != parentSumValue(ms) || mean.Value != parentMeanValue(ms) {
 						t.Fatalf("%s n=%d panes=%d: values %v, %v moved from %v, %v", dist.name, n, panes,

@@ -166,59 +166,72 @@ func shapeOf(q Query) (Kind, []float64) {
 	return KindCount, nil
 }
 
-// cellRoom is how many of a window's cells Combine lines up in a stack
-// buffer; a window with more allocates them.
-const cellRoom = 32
+// cellRoom is how many of a window's cells Combine lines up in stack
+// buffers; a window with more allocates them. poolRoom is how many pooled
+// strata fit in estimateOf's.
+const (
+	cellRoom = 32
+	poolRoom = 8
+)
 
-// room returns n cells, in buf when they fit.
-func room(n int, buf *[cellRoom]estimate.Moments) []estimate.Moments {
+// room returns n elements, in buf when they fit.
+func room[T any](n int, buf *[cellRoom]T) []T {
 	if n > cellRoom {
-		return make([]estimate.Moments, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }
 
-// moments lines the summaries' entries up in order, in buf when they fit.
-func moments(sums []Summary, buf *[cellRoom]estimate.Moments) []estimate.Moments {
+// cells lines the summaries' entries up in order, their moments in ms and
+// their strata in keys, in the buffers when they fit.
+func cells(sums []Summary, ms *[cellRoom]estimate.Moments, keys *[cellRoom]string) ([]estimate.Moments, []string) {
 	n := 0
 	for i := range sums {
 		n += len(sums[i].Strata)
 	}
-	ms := room(n, buf)[:0]
+	m, k := room(n, ms)[:0], room(n, keys)[:0]
 	for i := range sums {
 		for j := range sums[i].Strata {
-			ms = append(ms, sums[i].Strata[j].Moments)
+			m = append(m, sums[i].Strata[j].Moments)
+			k = append(k, sums[i].Strata[j].Stratum)
 		}
 	}
-	return ms
+	return m, k
 }
 
-// strataOf keys the entries moments(sums) lines up by their strata.
-func strataOf(sums []Summary) func(int) string {
-	return func(k int) string {
-		for i := range sums {
-			if k < len(sums[i].Strata) {
-				return sums[i].Strata[k].Stratum
-			}
-			k -= len(sums[i].Strata)
-		}
-		return ""
-	}
-}
-
-// oneStratum keys cells that all belong to one group.
-func oneStratum(int) string { return "" }
-
-// estimateOf estimates a kind over a window's cells, key naming each
-// cell's stratum for pooling.
-func estimateOf(kind Kind, ms []estimate.Moments, key func(int) string, conf estimate.Confidence) estimate.Estimate {
+// estimateOf estimates a kind over a window's cells, keys naming each
+// cell's stratum for pooling (nil: the cells are one stratum's).
+func estimateOf(kind Kind, ms []estimate.Moments, keys []string, conf estimate.Confidence) estimate.Estimate {
+	var pools [poolRoom]estimate.Pool
 	switch kind {
 	case KindSum:
-		return estimate.SumOf(ms, estimate.PoolStrata(ms, key), conf)
+		return estimate.SumOf(ms, estimate.PoolStrata(ms, keys, pools[:0]), conf)
 	case KindMean:
-		return estimate.MeanOf(ms, estimate.PoolStrata(ms, key), conf)
+		return estimate.MeanOf(ms, estimate.PoolStrata(ms, keys, pools[:0]), conf)
 	default:
 		return estimate.CountOf(ms, conf)
+	}
+}
+
+// Named returns the query whose Name is name — sum, count, mean,
+// groupby-sum, groupby-mean, groupby-count, or histogram on the given
+// edges — and a sum for any other name.
+func Named(name string, conf estimate.Confidence, edges []float64) Query {
+	switch name {
+	case "count":
+		return NewCount(conf)
+	case "mean":
+		return NewMean(conf)
+	case "groupby-sum":
+		return NewGroupBySum(conf)
+	case "groupby-mean":
+		return NewGroupByMean(conf)
+	case "groupby-count":
+		return NewGroupByCount(conf)
+	case "histogram":
+		return NewHistogram(edges, conf)
+	default:
+		return NewSum(conf)
 	}
 }
 
@@ -250,8 +263,10 @@ func (a *Aggregate) Summarize(s *sampling.Sample) Summary {
 
 // Combine implements Query.
 func (a *Aggregate) Combine(sums []Summary) Result {
-	var buf [cellRoom]estimate.Moments
-	return Result{Kind: a.kind, Overall: estimateOf(a.kind, moments(sums, &buf), strataOf(sums), a.conf)}
+	var ms [cellRoom]estimate.Moments
+	var keys [cellRoom]string
+	m, k := cells(sums, &ms, &keys)
+	return Result{Kind: a.kind, Overall: estimateOf(a.kind, m, k, a.conf)}
 }
 
 // GroupBy aggregates per stratum: e.g. "total traffic size per protocol"
@@ -348,21 +363,23 @@ func (g *GroupBy) Combine(sums []Summary) Result {
 		span[key] = [2]int{at, 0}
 		at += sp[1]
 	}
-	var cellBuf, overallBuf [cellRoom]estimate.Moments
-	cells := room(n, &cellBuf)
+	var groupBuf, overallBuf [cellRoom]estimate.Moments
+	var keys [cellRoom]string
+	byGroup := room(n, &groupBuf)
 	for i := range sums {
 		for _, e := range entries(i) {
 			sp := span[e.Stratum]
-			cells[sp[0]+sp[1]] = e.Moments
+			byGroup[sp[0]+sp[1]] = e.Moments
 			sp[1]++
 			span[e.Stratum] = sp
 		}
 	}
 	groups := make(map[string]estimate.Estimate, len(span))
 	for key, sp := range span {
-		groups[key] = estimateOf(g.kind, cells[sp[0]:sp[0]+sp[1]], oneStratum, g.conf)
+		groups[key] = estimateOf(g.kind, byGroup[sp[0]:sp[0]+sp[1]], nil, g.conf)
 	}
-	return Result{Kind: g.kind, Overall: estimateOf(g.kind, moments(sums, &overallBuf), strataOf(sums), g.conf), Groups: groups}
+	m, k := cells(sums, &overallBuf, &keys)
+	return Result{Kind: g.kind, Overall: estimateOf(g.kind, m, k, g.conf), Groups: groups}
 }
 
 // HistogramBucket is one bucket of an approximate histogram.
@@ -441,7 +458,8 @@ func (h *Histogram) bucketOf(v float64) int {
 // form from its hit count, so no row is revisited.
 func (h *Histogram) Combine(sums []Summary) Result {
 	var buf, indicatorBuf [cellRoom]estimate.Moments
-	ms := moments(sums, &buf)
+	var keyBuf [cellRoom]string
+	ms, keys := cells(sums, &buf, &keyBuf)
 	res := Result{Kind: KindHistogram, Overall: estimate.CountOf(ms, h.conf)}
 	nb := h.buckets()
 	if nb == 0 {
@@ -457,7 +475,7 @@ func (h *Histogram) Combine(sums []Summary) Result {
 				k++
 			}
 		}
-		res.Buckets[b] = HistogramBucket{Lo: h.edges[b], Hi: h.edges[b+1], Count: estimateOf(KindSum, indicator, strataOf(sums), h.conf)}
+		res.Buckets[b] = HistogramBucket{Lo: h.edges[b], Hi: h.edges[b+1], Count: estimateOf(KindSum, indicator, keys, h.conf)}
 	}
 	return res
 }

@@ -138,3 +138,40 @@ func TestKindString(t *testing.T) {
 		t.Errorf("unknown kind = %q", Kind(42).String())
 	}
 }
+
+// TestCombinePoolsWithoutAllocating: a window's cells are keyed in one
+// pass and a borrowing cell finds its stratum's pool by a scan, so a sum
+// or mean over cells that borrow a pooled variance allocates nothing while
+// they fit the stack buffers — and pools each stratum apart.
+func TestCombinePoolsWithoutAllocating(t *testing.T) {
+	var sums []Summary
+	for p := range 6 {
+		var sum Summary
+		for k, stratum := range []string{"a", "b", "c", "d", "e"} {
+			values := []float64{float64(p + k)}
+			if stratum == "e" {
+				values = append(values, float64(2*p+1), float64(p*p))
+			}
+			sum.Strata = append(sum.Strata, StratumSummary{stratum, estimate.MomentsOf(9, 9/float64(len(values)), values)})
+		}
+		sums = append(sums, sum)
+	}
+	for _, q := range []Query{NewSum(estimate.Conf95), NewMean(estimate.Conf95)} {
+		if n := testing.AllocsPerRun(50, func() { q.Combine(sums) }); n != 0 {
+			t.Errorf("%s: %v allocations per Combine, want 0", q.Name(), n)
+		}
+	}
+	// The sum's variance is its strata's, each pooled apart.
+	q := NewSum(estimate.Conf95)
+	var apart float64
+	for k := range sums[0].Strata {
+		var one []Summary
+		for _, sum := range sums {
+			one = append(one, Summary{Strata: sum.Strata[k : k+1]})
+		}
+		apart += q.Combine(one).Overall.Variance
+	}
+	if got := q.Combine(sums).Overall.Variance; got == 0 || math.Abs(got-apart) > 1e-9*apart {
+		t.Errorf("variance %v, want its strata's %v", got, apart)
+	}
+}

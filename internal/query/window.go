@@ -29,9 +29,6 @@ type Window struct {
 	Result     Result
 	Items      int64 // items observed in the window (ΣCi)
 	Sampled    int   // items that reached the query (ΣYi)
-	// GroupItems is the items observed per stratum, set for a result
-	// with groups.
-	GroupItems map[string]int64
 }
 
 // NewWindows returns the windows of the given size every slide. A size
@@ -117,14 +114,6 @@ func (w *Windows) Estimate(q Query, start time.Time, panes []Pane) Window {
 	}
 	win.Result = q.Combine(w.sums)
 	clear(w.sums)
-	if len(win.Result.Groups) > 0 {
-		win.GroupItems = make(map[string]int64, len(win.Result.Groups))
-		for i := range panes {
-			for _, st := range panes[i].Summary.Strata {
-				win.GroupItems[st.Stratum] += st.Count
-			}
-		}
-	}
 	return win
 }
 

@@ -5,19 +5,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"streamapprox"
+	"streamapprox/internal/estimate"
+	"streamapprox/internal/query"
 )
 
 // A query's checkpoint is one file, <id>.json, and it is the whole of
 // what the serving tier restores: the query's delivery watermarks (the
 // next offset each shard needs from its partition), its Session
-// snapshots, and the merger's partially merged windows plus the result
-// sequence counter. The plane itself saves nothing: the broker's log is
-// replayable, so a reader's offset is all a query needs to resume.
+// snapshots, the merger's slides some window still to fire covers, and
+// the result sequence counter. The plane itself saves nothing: the
+// broker's log is replayable, so a reader's offset is all a query needs
+// to resume.
 //
 // A restarted saproxd re-reads the directory and re-attaches every query
 // at its own watermarks, in id order. The plane is positioned as on a
@@ -29,9 +33,10 @@ import (
 // Files whose names start with "_" are not checkpoints and are never
 // read or removed: an older release kept the plane's position in one.
 
-// checkpointVersion 3 writes each pending part's estimates with their
-// Variance and DF; versions 1 and 2 held value and bound only.
-const checkpointVersion = 3
+// checkpointVersion 4 holds the merger's panes. Versions 1–3 held the
+// shards' fired window results, version 3 with their Variance and DF:
+// upgrade merges them once, on load.
+const checkpointVersion = 4
 
 // checkpointFile is the on-disk form of one query's state.
 type checkpointFile struct {
@@ -40,12 +45,19 @@ type checkpointFile struct {
 	Spec    Spec   `json:"spec"`
 	Seq     int64  `json:"seq"`
 
-	Shards  []shardCheckpoint   `json:"shards"`
+	Shards []shardCheckpoint `json:"shards"`
+	// Served is the merger's fired mark: every window ending at or before
+	// it has been served. Slides are the slides some window still to fire
+	// covers, each as the shards' panes of it (nil: none).
+	Served time.Time         `json:"served"`
+	Slides []slideCheckpoint `json:"slides,omitempty"`
+
+	// Versions 1–3, read by upgrade alone: the partially merged windows
+	// and the recently merged window starts.
 	Pending []pendingCheckpoint `json:"pending,omitempty"`
-	Marks   []time.Time         `json:"marks,omitempty"`
-	// Fired lists recently merged window starts so a restarted merger
-	// keeps suppressing shard stragglers for windows already served.
-	Fired []time.Time `json:"fired,omitempty"`
+	Fired   []time.Time         `json:"fired,omitempty"`
+	// upgraded is what upgrade merged Pending to: served first on restore.
+	upgraded []MergedWindow
 }
 
 // shardCheckpoint is one shard's resumable state. Offset is the
@@ -60,12 +72,22 @@ type shardCheckpoint struct {
 	Session   json.RawMessage `json:"session"`
 }
 
-// pendingCheckpoint is one partially merged window: the per-shard parts
-// received so far (nil for shards that have not reported).
+// slideCheckpoint is one slide's panes by shard (nil: none).
+type slideCheckpoint struct {
+	Start time.Time        `json:"start"`
+	Panes []*query.Summary `json:"panes"`
+}
+
+// pendingCheckpoint is a version 1–3 partially merged window.
 type pendingCheckpoint struct {
-	Start   time.Time                    `json:"start"`
-	FirstAt time.Time                    `json:"firstAt"`
-	Parts   []*streamapprox.WindowResult `json:"parts"`
+	Start time.Time     `json:"start"`
+	Parts []*legacyPart `json:"parts"` // by shard; nil: none yet
+}
+
+// legacyPart is a shard's window result as versions 1–3 wrote it.
+type legacyPart struct {
+	streamapprox.WindowResult
+	GroupItems map[string]int64 // a group mean's weight
 }
 
 // checkpoint captures the job's state, one shard at a time and then the
@@ -94,37 +116,21 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 	}
 	j.mu.Lock()
 	cf.Seq = j.seq
-	cf.Marks = append([]time.Time(nil), j.merger.marks...)
-	for start := range j.merger.fired {
-		cf.Fired = append(cf.Fired, start)
-	}
-	sort.Slice(cf.Fired, func(i, k int) bool { return cf.Fired[i].Before(cf.Fired[k]) })
-	starts := make([]time.Time, 0, len(j.merger.pending))
-	for start := range j.merger.pending {
-		starts = append(starts, start)
-	}
-	sort.Slice(starts, func(i, k int) bool { return starts[i].Before(starts[k]) })
-	for _, start := range starts {
-		pm := j.merger.pending[start]
-		// The checkpoint is written after j.mu is released: each part is
-		// copied out of the merger's slot.
-		parts := make([]*streamapprox.WindowResult, len(pm.parts))
-		for i, p := range pm.parts {
-			if pm.have[i] {
-				parts[i] = &p
-			}
-		}
-		cf.Pending = append(cf.Pending, pendingCheckpoint{
-			Start:   start,
-			FirstAt: pm.firstAt,
-			Parts:   parts,
-		})
+	m := j.merger
+	cf.Served = m.windows.Fired
+	for _, s := range m.slides {
+		// The file is written after j.mu is released: the summaries are
+		// never written to, so only the slide's index of them is copied.
+		cf.Slides = append(cf.Slides, slideCheckpoint{Start: s.start, Panes: slices.Clone(s.panes)})
 	}
 	j.mu.Unlock()
 	return cf, nil
 }
 
-// restore rebuilds the job's shards and merger from a checkpoint.
+// restore rebuilds the job's shards and merger from a checkpoint: the
+// windows an upgraded checkpoint's pending parts merged to are served
+// first, then each shard hands the merger the panes its session holds
+// (an upgraded checkpoint's) and its watermark, which may fire windows.
 func (j *job) restore(cf *checkpointFile) error {
 	byPart := make(map[int]shardCheckpoint, len(cf.Shards))
 	for _, sc := range cf.Shards {
@@ -147,64 +153,117 @@ func (j *job) restore(cf *checkpointFile) error {
 		sh.sampled.Store(sc.Sampled)
 		sh.offset = sc.Offset
 	}
+	j.mu.Lock()
 	j.seq = cf.Seq
-	j.merger.restore(cf)
+	for _, mw := range cf.upgraded {
+		j.emitLocked(firedWindow{result: mw})
+	}
+	j.merger.windows.Fired = cf.Served
+	for _, sc := range cf.Slides {
+		for i, sum := range sc.Panes {
+			if sum != nil && i < len(j.shards) {
+				j.merger.add(i, query.Pane{Start: sc.Start, Summary: *sum})
+			}
+		}
+	}
+	j.mu.Unlock()
+	for _, sh := range j.shards {
+		sh.mu.Lock()
+		sh.observed = j.seq
+		sh.deliver(sh.sess.Watermark())
+		sh.mu.Unlock()
+	}
 	return nil
 }
 
-// restore rebuilds the merger's fired windows, shard watermarks and
-// partially merged windows from a checkpoint.
-func (m *merger) restore(cf *checkpointFile) {
-	for _, start := range cf.Fired {
-		m.fired[start] = true
-	}
-	for i, mark := range cf.Marks {
-		if i < len(m.marks) {
-			m.marks[i] = mark
-		}
-	}
+// upgrade brings a version 1–3 checkpoint to version 4: each pending
+// window is merged as that version's merger merged it, to be served
+// first on restore, and every window up to the last it merged or held
+// counts as served. A pending window is served with the parts it holds:
+// a shard that had not yet sent its part adds nothing to it. The shards'
+// sessions still hold panes, handed to the merger on restore like any
+// others; those whose every window was served are dropped.
+func upgrade(cf *checkpointFile) {
+	slices.SortFunc(cf.Pending, func(a, b pendingCheckpoint) int { return a.Start.Compare(b.Start) })
+	starts := cf.Fired
 	for _, pc := range cf.Pending {
-		pm := m.newPending(pc.FirstAt)
-		for i, p := range pc.Parts {
-			if i >= len(pm.parts) {
-				break
-			}
-			if p != nil {
-				pm.parts[i], pm.have[i] = *p, true
-				pm.got++
-			}
-		}
-		m.pending[pc.Start] = pm
+		cf.upgraded = append(cf.upgraded, mergeLegacy(&cf.Spec, pc.Start, pc.Parts, cf.Version < 3))
+		starts = append(starts, pc.Start)
 	}
+	for _, start := range starts {
+		if end := start.Add(cf.Spec.Window); end.After(cf.Served) {
+			cf.Served = end
+		}
+	}
+	cf.Pending, cf.Fired, cf.Version = nil, nil, checkpointVersion
 }
 
-// upgradeParts gives the pending parts of a version-1 or -2 checkpoint,
-// written before parts carried a variance, the one the merger of that
-// time recovered from each bound: (Bound/z)² with DF 0, the normal limit.
-// A restored window then merges exactly as its writer would have merged
-// it.
-func upgradeParts(cf *checkpointFile) {
-	z := internalConfidence(cf.Spec.confidence()).Sigmas()
-	fill := func(e *streamapprox.Estimate) {
-		sd := e.Bound / z
-		e.Variance, e.DF = sd*sd, 0
+// mergeLegacy merges one version 1–3 pending window's parts, in shard
+// order, by the disjoint-population algebra that version's merger applied
+// to each part's variance and degrees of freedom: totals add
+// (estimate.MergeSums), means weight parts by item counts
+// (estimate.MergeMeans), each group over the parts reporting it, each
+// bucket over all. A version 1 or 2 part carries no variance: it gets the
+// one that merger recovered from the bound, (Bound/z)² with DF 0.
+func mergeLegacy(spec *Spec, start time.Time, parts []*legacyPart, boundOnly bool) MergedWindow {
+	conf := spec.level()
+	var ests []estimate.Estimate
+	var counts []int64
+	add := func(e streamapprox.Estimate, count int64) {
+		if boundOnly {
+			sd := e.Bound / conf.Sigmas()
+			e.Variance, e.DF = sd*sd, 0
+		}
+		ests = append(ests, estimate.Estimate{Value: e.Value, Variance: e.Variance, DF: e.DF, Bound: e.Bound, Confidence: conf})
+		counts = append(counts, count)
 	}
-	for _, pc := range cf.Pending {
-		for _, p := range pc.Parts {
-			if p == nil {
-				continue
-			}
-			fill(&p.Overall)
-			for k, g := range p.Groups {
-				fill(&g)
-				p.Groups[k] = g
-			}
-			for i := range p.Buckets {
-				fill(&p.Buckets[i].Count)
+	merge := func(mean bool) PointEstimate {
+		e := estimate.MergeSums(ests)
+		if mean {
+			e = estimate.MergeMeans(ests, counts)
+		}
+		ests, counts = ests[:0], counts[:0]
+		return PointEstimate{Value: e.Value, Error: e.Bound}
+	}
+	mean := spec.Kind == "mean" || spec.Kind == "groupby-mean"
+	parts = slices.DeleteFunc(parts, func(p *legacyPart) bool { return p == nil })
+	out := MergedWindow{Start: start, End: start.Add(spec.Window), Confidence: conf.String(), Shards: len(parts)}
+	var keys []string
+	for _, p := range parts {
+		out.Items += p.Items
+		out.Sampled += p.Sampled
+		add(p.Overall, p.Items)
+		for k := range p.Groups {
+			if !slices.Contains(keys, k) {
+				keys = append(keys, k)
 			}
 		}
 	}
-	cf.Version = checkpointVersion
+	overall := merge(mean)
+	out.Value, out.Error = overall.Value, overall.Error
+	for _, k := range keys {
+		for _, p := range parts {
+			if g, ok := p.Groups[k]; ok {
+				add(g, p.GroupItems[k])
+			}
+		}
+		if out.Groups == nil {
+			out.Groups = make(map[string]PointEstimate, len(keys))
+		}
+		out.Groups[k] = merge(mean)
+	}
+	if f := slices.IndexFunc(parts, func(p *legacyPart) bool { return len(p.Buckets) > 0 }); f >= 0 {
+		out.Buckets = make([]BucketEstimate, len(parts[f].Buckets))
+		for i, b := range parts[f].Buckets {
+			for _, p := range parts {
+				if i < len(p.Buckets) {
+					add(p.Buckets[i].Count, 0)
+				}
+			}
+			out.Buckets[i] = BucketEstimate{Lo: b.Lo, Hi: b.Hi, Count: merge(false)}
+		}
+	}
+	return out
 }
 
 // checkpointPath is dir/<id>.json.
@@ -240,8 +299,8 @@ func loadCheckpoints(dir string) ([]*checkpointFile, error) {
 		if cf.Version < 1 || cf.Version > checkpointVersion {
 			return nil, fmt.Errorf("checkpoint %s: unsupported version %d", e.Name(), cf.Version)
 		}
-		if cf.Version < 3 {
-			upgradeParts(&cf)
+		if cf.Version < checkpointVersion {
+			upgrade(&cf)
 		}
 		out = append(out, &cf)
 	}

@@ -637,21 +637,14 @@ func TestCheckpointSurvivesEmptyPartition(t *testing.T) {
 // groupby-mean, histogram at f = 0.05) checkpointed three windows holding
 // three parts. checkpoint_v2_served.json holds the windows that commit's
 // merger served from them on flush. Their parts carry no variance; the
-// one-time upgrade on load must make them merge to the same windows, bit
-// for bit.
+// one-time upgrade on load must merge them to the same windows, bit for
+// bit.
 func TestRestoreV2CheckpointServesParentWindows(t *testing.T) {
 	cfs, err := loadCheckpoints("testdata/checkpoint_v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile("testdata/checkpoint_v2_served.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var served map[string][]MergedWindow
-	if err := json.Unmarshal(data, &served); err != nil {
-		t.Fatal(err)
-	}
+	served := servedFixture(t, "testdata/checkpoint_v2_served.json")
 	if len(cfs) != 4 {
 		t.Fatalf("%d checkpoints, want 4", len(cfs))
 	}
@@ -659,20 +652,56 @@ func TestRestoreV2CheckpointServesParentWindows(t *testing.T) {
 		if cf.Version != checkpointVersion {
 			t.Errorf("%s: loaded as version %d, want %d", cf.ID, cf.Version, checkpointVersion)
 		}
-		if err := cf.Spec.normalize(); err != nil {
-			t.Fatal(err)
-		}
-		m := newMerger(&cf.Spec, 4, nil)
-		m.restore(cf)
-		var got []MergedWindow
-		for _, fw := range m.flush() {
-			got = append(got, fw.result)
-		}
-		gotJSON, _ := json.Marshal(got)
+		gotJSON, _ := json.Marshal(cf.upgraded)
 		wantJSON, _ := json.Marshal(served[cf.ID])
 		if len(served[cf.ID]) != 3 || !bytes.Equal(gotJSON, wantJSON) {
 			t.Errorf("%s (%s): served\n%s\nwant\n%s", cf.ID, cf.Spec.Kind, gotJSON, wantJSON)
 		}
+	}
+}
+
+// testdata/checkpoint_v3_pending was written at commit 28e1c76, the last
+// whose shards fired windows and whose merger merged their results, by
+// driveShards over fixtureStream(57, 5000) keyed by stratum onto three of
+// four partitions (the fourth never receives a record): one query of each
+// kind (window 3 s, slide 1 s, f = 0.2), checkpointed at 6 s of event
+// time holding one window with three parts. checkpoint_v3_pending_served
+// .json holds every window that commit served after restoring from it and
+// being driven through the rest of the stream and deleted. Restored on
+// version 4, the same drive serves the same windows: the pending one
+// merged as that commit did, bit for bit, and the rest from the shards'
+// panes, equal but for the estimates' summation order.
+func TestRestoreV3PendingServesParentWindows(t *testing.T) {
+	cfs, err := loadCheckpoints("testdata/checkpoint_v3_pending")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := servedFixture(t, "testdata/checkpoint_v3_pending_served.json")
+	if len(cfs) != 7 {
+		t.Fatalf("%d checkpoints, want 7", len(cfs))
+	}
+	events := fixtureStream(57, 5000)
+	cut := events[0].Time.Add(6 * time.Second)
+	for _, cf := range cfs {
+		if len(cf.upgraded) != 1 {
+			t.Fatalf("%s: %d upgraded windows, want the 1 pending", cf.ID, len(cf.upgraded))
+		}
+		j, err := newJob(cf.ID, cf.Spec, fixtureServer(t, 4), cf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		driveShards(j, events, keyedBy(3), cut, events[len(events)-1].Time.Add(time.Millisecond))
+		j.stop(true)
+		got := j.resultsSince(-1)
+		if n := j.partsDropped.Value(); n != 0 {
+			t.Errorf("%s: %v panes dropped", cf.ID, n)
+		}
+		first, _ := json.Marshal(got[:1])
+		parent, _ := json.Marshal(served[cf.ID][:1])
+		if !bytes.Equal(first, parent) {
+			t.Errorf("%s: the pending window served\n%s\nwant\n%s", cf.ID, first, parent)
+		}
+		sameWindows(t, cf.ID, got, served[cf.ID])
 	}
 }
 

@@ -6,7 +6,59 @@ import (
 	"strconv"
 	"time"
 	"unicode/utf8"
+
+	"streamapprox/internal/query"
 )
+
+// PointEstimate is one served estimate: value ± error at a confidence
+// level.
+type PointEstimate struct {
+	Value float64 `json:"value"`
+	Error float64 `json:"error"`
+}
+
+// BucketEstimate is one served histogram bucket.
+type BucketEstimate struct {
+	Lo    float64       `json:"lo"`
+	Hi    float64       `json:"hi"`
+	Count PointEstimate `json:"count"`
+}
+
+// MergedWindow is one window combined across all shards — the unit
+// streamed to subscribers and returned from /results. Shards counts the
+// shards with a pane in the window.
+type MergedWindow struct {
+	Seq        int64                    `json:"seq"`
+	Query      string                   `json:"query"`
+	Start      time.Time                `json:"start"`
+	End        time.Time                `json:"end"`
+	Value      float64                  `json:"value"`
+	Error      float64                  `json:"error"`
+	Confidence string                   `json:"confidence"`
+	Items      int64                    `json:"items"`
+	Sampled    int                      `json:"sampled"`
+	Shards     int                      `json:"shards"`
+	Groups     map[string]PointEstimate `json:"groups,omitempty"`
+	Buckets    []BucketEstimate         `json:"buckets,omitempty"`
+}
+
+// served is a window's served form, at the confidence level conf.
+func served(win query.Window, conf string) MergedWindow {
+	res := win.Result
+	mw := MergedWindow{Start: win.Start, End: win.End, Value: res.Overall.Value, Error: res.Overall.Bound,
+		Confidence: conf, Items: win.Items, Sampled: win.Sampled}
+	if len(res.Groups) > 0 {
+		mw.Groups = make(map[string]PointEstimate, len(res.Groups))
+		for k, g := range res.Groups {
+			mw.Groups[k] = PointEstimate{Value: g.Value, Error: g.Bound}
+		}
+	}
+	mw.Buckets = slices.Grow(mw.Buckets, len(res.Buckets))
+	for _, b := range res.Buckets {
+		mw.Buckets = append(mw.Buckets, BucketEstimate{Lo: b.Lo, Hi: b.Hi, Count: PointEstimate{Value: b.Count.Value, Error: b.Count.Bound}})
+	}
+	return mw
+}
 
 // appendWindow appends mw as one JSON object, byte for byte what
 // encoding/json writes for it: fields in struct order, omitempty as the

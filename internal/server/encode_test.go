@@ -37,12 +37,8 @@ func fanoutWindows(t testing.TB) []MergedWindow {
 		if err := sp.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		m := newMerger(sp, 4, nil)
-		var fired []firedWindow
-		for sh, wr := range fanoutParts(kind, t0.Add(123456789*time.Nanosecond)) {
-			fired = m.offer(sh, wr)
-		}
-		mw := fired[0].result
+		start := t0.Add(123456789 * time.Nanosecond)
+		mw := handAll(t, newMerger(sp, 4), start, start.Add(2*sp.Slide), fanoutPanes(sp.combiner(), 4)...)[0]
 		mw.Seq, mw.Query = int64(1000+i), fmt.Sprintf("q-%d", i)
 		out = append(out, mw)
 	}

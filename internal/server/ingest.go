@@ -673,8 +673,8 @@ func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
 		if err != nil || b == nil {
 			if err != nil {
 				// Transient broker trouble must not strand the shard
-				// detached forever (its merger would wait on the missing
-				// part for every window): retry until the job stops.
+				// detached forever (its merger would wait on its watermark
+				// for every window): retry until the job stops.
 				pi.ing.log.Warn("catch-up poll failed", "query", j.id, "partition", pi.idx, "err", err)
 			}
 			if !sleepOrDone(j.done, pi.ing.backoff) {

@@ -14,8 +14,8 @@ import (
 )
 
 // A job is one registered query: one OASRS Session sink per partition
-// fed by the shared ingest plane, and one merger fanning shard windows
-// into the served result stream. Shards of one query share nothing on
+// fed by the shared ingest plane, and one merger firing the served
+// windows from every shard's panes. Shards of one query share nothing on
 // the data path — the paper's synchronization-free parallel sampling —
 // and the plane delivers every partition batch to all queries from a
 // single topic read; on one partition, queries with interchangeable
@@ -37,7 +37,8 @@ type job struct {
 	// mu guards the merger and the served result state.
 	mu      sync.Mutex
 	merger  *merger
-	results []MergedWindow        // ring of recent results for /results polling
+	results []MergedWindow        // ring of recent results for /results polling, oldest at head
+	head    int                   // index of the oldest result once the ring is full
 	seq     int64                 // seq of the next merged window
 	subs    map[int]chan struct{} // wake-ups: a window was appended to results
 	nextSub int
@@ -63,7 +64,7 @@ type shard struct {
 	job *job
 	idx int // shard index == partition
 
-	// mu guards sess, lead, offset and skipUntil against the
+	// mu guards sess, lead, offset, skipUntil and observed against the
 	// checkpointer. records/sampled/lag are atomic so the query's lag
 	// total and the progress counters need no lock.
 	mu   sync.Mutex
@@ -73,6 +74,7 @@ type shard struct {
 	lead      *shard
 	offset    int64 // delivery watermark: next offset to apply
 	skipUntil int64 // drop plane records below this offset (late attach ahead of plane)
+	observed  int64 // seq of the next merged window the session's controller observes
 	records   atomic.Int64
 	sampled   atomic.Int64
 	lag       atomic.Int64
@@ -99,12 +101,13 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		windowsMerged: srv.reg.Counter("saproxd_windows_merged_total",
 			"windows merged across shards", metrics.Labels{"query": id}),
 		partsDropped: srv.reg.Counter("saproxd_window_parts_dropped_total",
-			"shard window parts arriving after their window merged", metrics.Labels{"query": id}),
+			"shard panes, or an upgraded checkpoint's window parts, arriving after their window was served",
+			metrics.Labels{"query": id}),
 		lagGauge: srv.reg.Gauge("saproxd_query_lag_records",
 			"records between the query's delivery watermarks and the partition high watermarks",
 			metrics.Labels{"query": id}),
 		mergeHist: srv.reg.Histogram("saproxd_window_merge_seconds",
-			"wall-clock latency from first shard part to merged emission",
+			"wall-clock latency from first pane to merged emission",
 			metrics.Labels{"query": id}),
 		obsErrGauge: srv.reg.Gauge("saproxd_query_observed_rel_error",
 			"EWMA of merged windows' relative error bound", metrics.Labels{"query": id}),
@@ -113,7 +116,7 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		srv.reg.Gauge("saproxd_query_target_rel_error",
 			"relative-error target the query was registered with", metrics.Labels{"query": id}).Set(spec.TargetError)
 	}
-	j.merger = newMerger(&j.spec, srv.parts, nil)
+	j.merger = newMerger(&j.spec, srv.parts)
 	for p := 0; p < srv.parts; p++ {
 		sh := &shard{job: j, idx: p}
 		labels := metrics.Labels{"query": id, "shard": strconv.Itoa(p)}
@@ -137,6 +140,7 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 	}
 	for _, sh := range j.shards {
 		sh.sess = streamapprox.NewSession(spec.sessionConfig(sh.idx))
+		sh.sess.Panes() // the merger fires the windows
 		if spec.From == "latest" {
 			var err error
 			if sh.offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx); err != nil {
@@ -188,7 +192,8 @@ func (j *job) stop(flush bool) {
 	if flush {
 		for _, sh := range j.shards {
 			sh.mu.Lock()
-			sh.deliver(sh.sess.Close(), time.Time{})
+			sh.sess.Close()
+			sh.deliver(time.Time{})
 			sh.mu.Unlock()
 		}
 		j.mu.Lock()
@@ -211,9 +216,14 @@ func (j *job) emitLocked(fw firedWindow) {
 	fw.result.Seq = j.seq
 	fw.result.Query = j.id
 	j.seq++
-	j.results = append(j.results, fw.result)
-	if len(j.results) > maxKept {
-		j.results = j.results[len(j.results)-maxKept:]
+	if n := len(j.results); n < maxKept {
+		if n == cap(j.results) { // grow by doubling, never past maxKept
+			j.results = append(make([]MergedWindow, 0, min(max(2*n, 16), maxKept)), j.results...)
+		}
+		j.results = append(j.results, fw.result)
+	} else {
+		j.results[j.head] = fw.result
+		j.head = (j.head + 1) % maxKept
 	}
 	j.windowsMerged.Inc()
 	j.mergeHist.Observe(fw.latency.Seconds())
@@ -242,18 +252,23 @@ func (j *job) isStopped() bool {
 	return j.stopped
 }
 
-// resultsSince returns served results with Seq > since, oldest first.
-// The ring is seq-ordered and callers mostly ask for the newest window
-// or two, so the suffix is found from the tail and copied at its exact
-// size (never nil: /results must encode an empty answer as []).
+// resultsSince returns served results with Seq > since, oldest first,
+// copied at their exact size (never nil: /results must encode an empty
+// answer as []). The ring holds consecutive seqs ending at j.seq-1.
 func (j *job) resultsSince(since int64) []MergedWindow {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	i := len(j.results)
-	for i > 0 && j.results[i-1].Seq > since {
-		i--
+	n := int(min(max(j.seq-1-since, 0), int64(len(j.results))))
+	out := make([]MergedWindow, 0, n)
+	for i := len(j.results) - n; i < len(j.results); i++ {
+		out = append(out, *j.resultAt(i))
 	}
-	return append(make([]MergedWindow, 0, len(j.results)-i), j.results[i:]...)
+	return out
+}
+
+// resultAt returns the i-th oldest result the ring holds.
+func (j *job) resultAt(i int) *MergedWindow {
+	return &j.results[(j.head+i)%len(j.results)]
 }
 
 // subscribe registers a wake-up channel: it holds a value whenever a
@@ -305,12 +320,12 @@ func (sh *shard) skipToOffset() {
 }
 
 // consumeLocked applies one EventBatch to the session through PushBatch
-// and hands completed windows and the session's watermark to the merger.
+// and hands the panes it finished and its watermark to the merger.
 // The batch is shared with other queries' sinks and is never mutated. The
 // whole application (push + merger delivery) runs under one sh.mu hold,
 // so a checkpoint observes either all of a batch or none of it (no torn
 // checkpoint). A follower pushes nothing: its leader, applied first under
-// the follower's lock too, sampled the batch for it, fired its windows
+// the follower's lock too, sampled the batch for it, finished its panes
 // and moved its watermark. The skip-ahead clamp uses the batch's Base
 // (offsets are consecutive within a batch): it drops exactly
 // skipUntil-Base records, which are the records below skipUntil whenever
@@ -342,7 +357,7 @@ func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 		sh.records.Add(int64(delivered))
 		sh.recordsMetric.Add(float64(delivered))
 		sh.lateMetric.Set(float64(sh.sess.Late()))
-		sh.deliver(sh.sess.Poll(), sh.sess.Watermark())
+		sh.deliver(sh.sess.Watermark())
 	}
 }
 
@@ -361,37 +376,44 @@ func (sh *shard) setLag(lag int64) {
 }
 
 // idleLocked pushes an idle shard's session forward to mark, its job's
-// maximum watermark, flushing windows a sparsely keyed partition would
-// otherwise hold back forever. hwm is the partition's committed high
+// maximum watermark, so the windows a sparsely keyed partition would
+// otherwise hold back forever fire. hwm is the partition's committed high
 // watermark as the drain check read it. Callers hold sh.mu, and a
 // follower's leader's, advanced first: a follower's session is at mark
 // already, so the mark reaches the merger whether or not Advance moves it.
 func (sh *shard) idleLocked(mark time.Time, hwm int64) {
 	sh.sess.Advance(mark)
-	sh.deliver(sh.sess.Poll(), mark)
+	sh.deliver(mark)
 	sh.setLag(hwm - sh.offset)
 }
 
-// deliver hands window results and the shard's watermark to the merger
-// and publishes whatever fires. Callers hold sh.mu; deliver nests j.mu
-// inside it, the last lock of the one order plane → group → leader
-// shard → member shard → member job.
-func (sh *shard) deliver(results []streamapprox.WindowResult, mark time.Time) {
+// deliver hands the merger the panes the shard's session finished and the
+// shard's watermark, publishes whatever fires, and feeds the session's
+// adaptive controller the relative error of every window served since it
+// last did (§4.2.1): the error the query is served with. Callers hold
+// sh.mu; deliver nests j.mu inside it, the last lock of the one order
+// plane → group → leader shard → member shard → member job.
+func (sh *shard) deliver(mark time.Time) {
+	panes := sh.sess.Panes()
 	j := sh.job
 	j.mu.Lock()
-	for _, wr := range results {
-		sh.sampled.Add(int64(wr.Sampled))
-		if j.merger.fired[wr.Start] {
+	for _, p := range panes {
+		sh.sampled.Add(int64(p.Summary.SampledCount()))
+		if !j.merger.add(sh.idx, p) {
 			j.partsDropped.Inc()
-			continue
-		}
-		for _, fw := range j.merger.offer(sh.idx, wr) {
-			j.emitLocked(fw)
 		}
 	}
 	if !mark.IsZero() {
 		for _, fw := range j.merger.advance(sh.idx, mark) {
 			j.emitLocked(fw)
+		}
+	}
+	if j.spec.TargetError > 0 {
+		for oldest := j.seq - int64(len(j.results)); sh.observed < j.seq; sh.observed++ {
+			if sh.observed >= oldest {
+				w := j.resultAt(int(sh.observed - oldest))
+				sh.sess.ObserveError(streamapprox.Estimate{Value: w.Value, Bound: w.Error}.RelativeError())
+			}
 		}
 	}
 	j.mu.Unlock()

@@ -3,262 +3,184 @@ package server
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
-	"streamapprox"
-	"streamapprox/internal/estimate"
+	"streamapprox/internal/query"
+	"streamapprox/internal/sampling"
+	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
 )
 
-// parentMergeParts is the merger's mergeParts as it stood before parts
-// were held by value and groups merged in one sorted pass, kept verbatim
-// as the reference the current merge must match bit for bit.
-func parentMergeParts(m *merger, start time.Time, parts []*streamapprox.WindowResult) MergedWindow {
-	conf := internalConfidence(m.spec.confidence())
-	out := MergedWindow{
-		Start:      start,
-		End:        start.Add(m.spec.Window),
-		Confidence: conf.String(),
-		Shards:     len(parts),
-	}
-	for _, p := range parts {
-		out.Items += p.Items
-		out.Sampled += p.Sampled
-	}
-
-	mean := m.spec.Kind == "mean" || m.spec.Kind == "groupby-mean"
-	overall := make([]estimate.Estimate, len(parts))
-	weights := make([]int64, len(parts))
-	for i, p := range parts {
-		overall[i] = toInternal(p.Overall, conf)
-		weights[i] = p.Items
-	}
-	var merged estimate.Estimate
-	if mean {
-		merged = estimate.MergeMeans(overall, weights)
-	} else {
-		merged = estimate.MergeSums(overall)
-	}
-	out.Value, out.Error = merged.Value, merged.Bound
-
-	// Group-by: merge per group key. Under keyed partitioning a stratum
-	// lives on exactly one partition, so most keys see a single part;
-	// same-key parts from several shards merge with the same algebra,
-	// weighted by the per-group item counts the sessions report.
-	keys := map[string]bool{}
-	for _, p := range parts {
-		for k := range p.Groups {
-			keys[k] = true
-		}
-	}
-	if len(keys) > 0 {
-		out.Groups = make(map[string]PointEstimate, len(keys))
-		for k := range keys {
-			var ests []estimate.Estimate
-			var counts []int64
-			for _, p := range parts {
-				g, ok := p.Groups[k]
-				if !ok {
-					continue
+// testdata/merged_parent.json holds, for every kind and K ∈ {1, 2, 4}, the
+// windows commit 28e1c76 — the last whose shards fired windows and whose
+// merger merged their results — served from fixtureStream(56, 6000) keyed
+// onto K partitions by stratum, driven by driveShards and then deleted
+// (window 3 s, slide 1 s, f = 0.2, seed 3 + the kind's index). At K = 4
+// the fourth partition falls silent at 6 s. Each stratum lives on one
+// shard, so one Combine over every shard's cells is the parent's merge of
+// the shards' estimates: every window is the same, its estimates and
+// bounds up to summation order.
+func TestMergedWindowsMatchParent(t *testing.T) {
+	want := servedFixture(t, "testdata/merged_parent.json")
+	all := fixtureStream(56, 6000)
+	kinds := []string{"sum", "count", "mean", "groupby-sum", "groupby-mean", "groupby-count", "histogram"}
+	for _, k := range []int{1, 2, 4} {
+		part := keyedBy(k)
+		events := all
+		if k == 4 {
+			events = nil
+			for _, e := range all {
+				if part(e.Stratum) != 3 || e.Time.Before(all[0].Time.Add(6*time.Second)) {
+					events = append(events, e)
 				}
-				ests = append(ests, toInternal(g, conf))
-				counts = append(counts, p.GroupItems[k])
-			}
-			var ge estimate.Estimate
-			if mean {
-				ge = estimate.MergeMeans(ests, counts)
-			} else {
-				ge = estimate.MergeSums(ests)
-			}
-			out.Groups[k] = PointEstimate{Value: ge.Value, Error: ge.Bound}
-		}
-	}
-
-	// Histograms share bucket edges across shards: collect each bucket's
-	// per-shard estimates and merge once, like the groups above.
-	var bucketEsts [][]estimate.Estimate
-	for _, p := range parts {
-		if len(p.Buckets) == 0 {
-			continue
-		}
-		if out.Buckets == nil {
-			out.Buckets = make([]BucketEstimate, len(p.Buckets))
-			bucketEsts = make([][]estimate.Estimate, len(p.Buckets))
-			for i, b := range p.Buckets {
-				out.Buckets[i] = BucketEstimate{Lo: b.Lo, Hi: b.Hi}
 			}
 		}
-		for i, b := range p.Buckets {
-			if i >= len(out.Buckets) {
-				break
+		for i, kind := range kinds {
+			spec := Spec{Kind: kind, Window: 3 * time.Second, Slide: time.Second, Fraction: 0.2, Seed: uint64(3 + i)}
+			if kind == "histogram" {
+				spec.HistogramEdges = []float64{0, 40, 80, 120, 160, 200}
 			}
-			bucketEsts[i] = append(bucketEsts[i], toInternal(b.Count, conf))
-		}
-	}
-	for i, ests := range bucketEsts {
-		sum := estimate.MergeSums(ests)
-		out.Buckets[i].Count = PointEstimate{Value: sum.Value, Error: sum.Bound}
-	}
-	return out
-}
-
-// randomEstimate is a part's estimate with a variance and, half the
-// time, finite degrees of freedom.
-func randomEstimate(rng *xrand.Rand, scale float64) streamapprox.Estimate {
-	sd := rng.Float64() * scale / 10
-	e := streamapprox.Estimate{Value: rng.Gaussian(scale, scale/3), Variance: sd * sd, Bound: 2 * sd}
-	if rng.Bool(0.5) {
-		e.DF = 1 + rng.Float64()*100
-	}
-	return e
-}
-
-// randomPart is one shard's window: a random subset of eight group keys
-// with per-key item counts (zero or missing for some), or buckets that
-// are absent or cut short on some shards.
-func randomPart(rng *xrand.Rand, kind string, start time.Time) streamapprox.WindowResult {
-	wr := streamapprox.WindowResult{Start: start, Overall: randomEstimate(rng, 1000), Items: int64(rng.Intn(5)) * int64(rng.Intn(400))}
-	wr.Sampled = int(wr.Items / 2)
-	switch kind {
-	case "groupby-sum", "groupby-mean":
-		wr.Groups = map[string]streamapprox.Estimate{}
-		wr.GroupItems = map[string]int64{}
-		for k := 0; k < 8; k++ {
-			if rng.Bool(0.5) {
-				continue
+			if err := spec.normalize(); err != nil {
+				t.Fatal(err)
 			}
-			key := fmt.Sprintf("g%d", k)
-			wr.Groups[key] = randomEstimate(rng, 100)
-			if rng.Bool(0.9) {
-				wr.GroupItems[key] = int64(rng.Intn(200))
+			j, err := newJob("q", spec, fixtureServer(t, k), nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	case "histogram":
-		n := 6
-		if rng.Bool(0.2) {
-			n = rng.Intn(6)
-		}
-		for i := 0; i < n; i++ {
-			wr.Buckets = append(wr.Buckets, streamapprox.HistogramBucket{Lo: float64(i), Hi: float64(i + 1), Count: randomEstimate(rng, 50)})
-		}
-	}
-	return wr
-}
-
-// TestMergePartsMatchesParent fires seeded random windows through the
-// merger, with 1–8 shards, absent shards and group keys on several
-// shards, and checks every merged value and bound against the parent
-// algorithm bit for bit.
-func TestMergePartsMatchesParent(t *testing.T) {
-	bits := func(what string, got, want float64) {
-		t.Helper()
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s = %v, parent %v", what, got, want)
-		}
-	}
-	for _, kind := range []string{"sum", "mean", "groupby-sum", "groupby-mean", "histogram"} {
-		rng := xrand.New(7)
-		sp := testSpec(t, kind)
-		for trial := 0; trial < 400; trial++ {
-			shards := 1 + trial%8
-			m := newMerger(sp, shards, func() time.Time { return t0 })
-			var ref []*streamapprox.WindowResult
-			var fired []firedWindow
-			for sh := 0; sh < shards; sh++ {
-				if len(ref) > 0 && rng.Bool(0.25) {
-					continue // an absent shard
-				}
-				wr := randomPart(rng, kind, t0)
-				ref = append(ref, &wr)
-				fired = append(fired, m.offer(sh, wr)...)
+			driveShards(j, events, part, events[0].Time, events[len(events)-1].Time.Add(time.Millisecond))
+			j.stop(true)
+			label := fmt.Sprintf("%s/%d", kind, k)
+			if len(want[label]) == 0 {
+				t.Fatalf("%s: no fixture windows", label)
 			}
-			if len(fired) == 0 {
-				fired = m.flush()
-			}
-			got, want := fired[0].result, parentMergeParts(m, t0, ref)
-			what := fmt.Sprintf("%s trial %d (%d of %d shards)", kind, trial, len(ref), shards)
-			if got.Start != want.Start || got.End != want.End || got.Confidence != want.Confidence ||
-				got.Items != want.Items || got.Sampled != want.Sampled || got.Shards != want.Shards {
-				t.Fatalf("%s: meta %+v, parent %+v", what, got, want)
-			}
-			bits(what+" value", got.Value, want.Value)
-			bits(what+" error", got.Error, want.Error)
-			if len(got.Groups) != len(want.Groups) || (got.Groups == nil) != (want.Groups == nil) {
-				t.Fatalf("%s: groups %v, parent %v", what, got.Groups, want.Groups)
-			}
-			for k, w := range want.Groups {
-				g, ok := got.Groups[k]
-				if !ok {
-					t.Fatalf("%s: group %q missing", what, k)
-				}
-				bits(what+" group "+k+" value", g.Value, w.Value)
-				bits(what+" group "+k+" error", g.Error, w.Error)
-			}
-			if len(got.Buckets) != len(want.Buckets) || (got.Buckets == nil) != (want.Buckets == nil) {
-				t.Fatalf("%s: buckets %v, parent %v", what, got.Buckets, want.Buckets)
-			}
-			for i, w := range want.Buckets {
-				g := got.Buckets[i]
-				bits(fmt.Sprintf("%s bucket %d lo", what, i), g.Lo, w.Lo)
-				bits(fmt.Sprintf("%s bucket %d hi", what, i), g.Hi, w.Hi)
-				bits(fmt.Sprintf("%s bucket %d value", what, i), g.Count.Value, w.Count.Value)
-				bits(fmt.Sprintf("%s bucket %d error", what, i), g.Count.Error, w.Count.Error)
-			}
+			sameWindows(t, label, j.resultsSince(-1), want[label])
 		}
 	}
 }
 
-// boroughs are the taxi workload's six strata.
-var boroughs = []string{"manhattan", "brooklyn", "queens", "bronx", "staten-island", "ewr"}
-
-// fanoutParts is one window of a fanout-mixed query on a 4-partition
-// topic: a sum, a groupby-mean over the six boroughs (each on every
-// shard) or a histogram over the taxi workload's seven edges.
-func fanoutParts(kind string, start time.Time) []streamapprox.WindowResult {
-	rng := xrand.New(3)
-	edges := []float64{0, 1, 2, 4, 8, 16, 64}
-	parts := make([]streamapprox.WindowResult, 4)
-	for sh := range parts {
-		wr := streamapprox.WindowResult{Start: start, Overall: randomEstimate(rng, 3000), Items: 1000, Sampled: 400}
-		switch kind {
-		case "groupby-mean":
-			wr.Groups = map[string]streamapprox.Estimate{}
-			wr.GroupItems = map[string]int64{}
-			for _, b := range boroughs {
-				wr.Groups[b] = randomEstimate(rng, 3)
-				wr.GroupItems[b] = int64(1 + rng.Intn(300))
-			}
-		case "histogram":
-			for i := 1; i < len(edges); i++ {
-				wr.Buckets = append(wr.Buckets, streamapprox.HistogramBucket{Lo: edges[i-1], Hi: edges[i], Count: randomEstimate(rng, 150)})
-			}
-		}
-		parts[sh] = wr
+// sameWindows checks got against want field by field: estimates and
+// bounds to 1e-12 relative, everything else exactly.
+func sameWindows(t *testing.T, label string, got, want []MergedWindow) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d windows, want %d", label, len(got), len(want))
 	}
-	return parts
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+	for i := range got {
+		g, w := got[i], want[i]
+		ok := near(g.Value, w.Value) && near(g.Error, w.Error) && len(g.Groups) == len(w.Groups) && len(g.Buckets) == len(w.Buckets)
+		for k, gg := range g.Groups {
+			wg, in := w.Groups[k]
+			ok = ok && in && near(gg.Value, wg.Value) && near(gg.Error, wg.Error)
+		}
+		for b := range g.Buckets {
+			gb, wb := g.Buckets[b], w.Buckets[b]
+			ok = ok && gb.Lo == wb.Lo && gb.Hi == wb.Hi && near(gb.Count.Value, wb.Count.Value) && near(gb.Count.Error, wb.Count.Error)
+		}
+		g.Value, g.Error, g.Groups, g.Buckets = w.Value, w.Error, w.Groups, w.Buckets
+		if !ok || !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: window %d is\n%+v\nwant\n%+v", label, i, got[i], want[i])
+		}
+	}
 }
 
-// BenchmarkMergeParts is the merge stage of one fanout-shaped window:
-// four shards offer their parts and the last one fires the merge.
-func BenchmarkMergeParts(b *testing.B) {
-	for _, kind := range []string{"sum", "groupby-mean", "histogram"} {
-		b.Run(kind, func(b *testing.B) {
-			sp := &Spec{Kind: kind, Window: 4 * time.Second, Slide: 2 * time.Second, HistogramEdges: []float64{0, 1, 2, 4, 8, 16, 64}}
+// TestCrossShardStratumPoolsItsBound: a stratum whose records reach two
+// partitions, sampled once of two on each in every slide after the first,
+// gets a bound pooled over both shards' samples, as one session sampling
+// both cells would. A shard alone has one sampled value of the stratum, so
+// merging the shards' own estimates served these windows at ±0.
+func TestCrossShardStratumPoolsItsBound(t *testing.T) {
+	spec := Spec{Kind: "sum", Window: time.Second, Slide: time.Second, Fraction: 0.5}
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	j, err := newJob("q", spec, fixtureServer(t, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
+	for sec := range 6 {
+		for _, sh := range j.shards {
+			b := stream.GetEventBatch()
+			b.Base = sh.offset
+			for i := range 2 {
+				at := base.Add(time.Duration(sec)*time.Second + time.Duration(100*i+10*sh.idx)*time.Millisecond)
+				b.AppendEvent(stream.Event{Stratum: "x", Value: float64(10*sh.idx + 3*i + sec), Time: at})
+			}
+			sh.mu.Lock()
+			sh.consumeLocked(b, sh.offset+2)
+			sh.mu.Unlock()
+			b.Release()
+		}
+	}
+	j.stop(true)
+	got := j.resultsSince(-1)
+	if len(got) != 6 {
+		t.Fatalf("%d windows, want 6", len(got))
+	}
+	for _, w := range got[1:] {
+		if w.Items != 4 || w.Sampled != 2 || w.Shards != 2 {
+			t.Fatalf("window %v: items %d sampled %d shards %d, want 4, 2, 2", w.Start, w.Items, w.Sampled, w.Shards)
+		}
+		if !(w.Error > 0) {
+			t.Errorf("window %v: %v ± %v, want a pooled, non-zero bound", w.Start, w.Value, w.Error)
+		}
+	}
+}
+
+// boroughs are the strata of the fanout-shaped panes.
+var boroughs = []string{"manhattan", "brooklyn", "queens", "bronx", "staten", "ewr"}
+
+// fanoutPanes is one slide of a fanout-shaped stream summarised through
+// q: six boroughs of unequal rates keyed over k shards, one summary per
+// shard.
+func fanoutPanes(q query.Query, k int) []query.Summary {
+	rng := xrand.New(1)
+	samples := make([]sampling.Sample, k)
+	for s, n := range []int64{4000, 2500, 1800, 900, 60, 10} {
+		vals := make([]float64, max(n/10, 1))
+		for i := range vals {
+			vals[i] = rng.Gaussian(3, 2)
+		}
+		samples[s%k].Strata = append(samples[s%k].Strata, sampling.StratumSample{
+			Stratum: boroughs[s], Values: vals, Count: n, Weight: float64(n) / float64(len(vals))})
+	}
+	sums := make([]query.Summary, k)
+	for i := range samples {
+		sums[i] = q.Summarize(&samples[i])
+	}
+	return sums
+}
+
+// BenchmarkMergedWindow is the merger's cost per served window: each
+// iteration hands it one slide's fanout-shaped panes from every shard and
+// moves every shard's watermark past the slide, which fires one 5 s window
+// sliding by 1 s.
+func BenchmarkMergedWindow(b *testing.B) {
+	for _, kind := range []string{"sum", "mean", "groupby-mean", "histogram"} {
+		for _, k := range []int{1, 4} {
+			sp := Spec{Kind: kind, Window: 5 * time.Second, Slide: time.Second,
+				HistogramEdges: []float64{0, 1, 2, 4, 8, 16, 64}}
 			if err := sp.normalize(); err != nil {
 				b.Fatal(err)
 			}
-			parts := fanoutParts(kind, t0)
-			m := newMerger(sp, len(parts), nil)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				start := t0.Add(time.Duration(i) * sp.Slide)
-				for sh, wr := range parts {
-					wr.Start = start
-					m.offer(sh, wr)
+			sums := fanoutPanes(sp.combiner(), k)
+			b.Run(fmt.Sprintf("%s/K=%d", kind, k), func(b *testing.B) {
+				m := newMerger(&sp, k)
+				start := t0
+				b.ReportAllocs()
+				for b.Loop() {
+					for shard, sum := range sums {
+						m.add(shard, query.Pane{Start: start, Summary: sum})
+					}
+					start = start.Add(sp.Slide)
+					for shard := range k {
+						m.advance(shard, start)
+					}
 				}
-				delete(m.fired, start)
-			}
-		})
+			})
+		}
 	}
 }

@@ -11,14 +11,14 @@
 // every registered query's per-shard OASRS Session — the paper's
 // synchronization-free parallel sampling with the broker read
 // amortized across all tenants, so N queries cost one topic read, not
-// N. Per-shard windows are merged into a single "result ± error"
-// stream with a combined error bound (internal/estimate's
-// disjoint-population merge). A query with a target error moves its own
-// shards' sampling fractions by the paper's feedback loop (§4.2.1);
-// every other query samples its spec's fixed fraction. Liveness and load
-// are observable at /healthz and a Prometheus-style /metrics endpoint,
-// and periodic checkpoints (one file per query: its delivery watermarks,
-// sessions and pending merges) make the whole daemon crash-restartable.
+// N. The shards' panes are combined into a single "result ± error"
+// stream, each window one estimate over every shard's cells. A query
+// with a target error moves its own shards' sampling fractions by the
+// paper's feedback loop (§4.2.1) on the error it is served with; every
+// other query samples its spec's fixed fraction. Liveness and load are
+// observable at /healthz and a Prometheus-style /metrics endpoint, and
+// periodic checkpoints (one file per query: its delivery watermarks,
+// sessions and merger panes) make the whole daemon crash-restartable.
 package server
 
 import (

@@ -505,3 +505,48 @@ func TestStreamBehindReceivesEveryWindowInOrder(t *testing.T) {
 		t.Fatal("the stream did not deliver every window within the deadline")
 	}
 }
+
+// TestResultsSinceAcrossRingWrap: the result ring keeps the newest
+// maxKept windows in place. /results?since=N returns every kept window
+// after N once, in seq order, however often the ring has wrapped, and
+// emitting never grows the ring past maxKept.
+func TestResultsSinceAcrossRingWrap(t *testing.T) {
+	s := fixtureServer(t, 1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	qi := postQuery(t, ts.URL, `{"kind":"sum","window":"2s","slide":"1s"}`)
+	j, _ := s.job(qi.ID)
+	emit := func(n int) {
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		for range n {
+			j.emitLocked(firedWindow{result: MergedWindow{Start: t0.Add(time.Duration(j.seq) * time.Second)}})
+		}
+		if cap(j.results) > maxKept {
+			t.Fatalf("ring grew to %d", cap(j.results))
+		}
+	}
+	check := func(since int64) {
+		t.Helper()
+		got := getResults(t, ts.URL, qi.ID, since)
+		first := max(since+1, j.seq-maxKept)
+		if want := max(j.seq-first, 0); int64(len(got)) != want {
+			t.Fatalf("since %d: %d windows, want %d", since, len(got), want)
+		}
+		for i, w := range got {
+			if w.Seq != first+int64(i) || !w.Start.Equal(t0.Add(time.Duration(w.Seq)*time.Second)) {
+				t.Fatalf("since %d: window %d is seq %d at %v, want seq %d", since, i, w.Seq, w.Start, first+int64(i))
+			}
+		}
+	}
+	emit(maxKept - 3)
+	check(-1)
+	emit(10) // wraps
+	for _, since := range []int64{-1, 5, maxKept - 5, maxKept + 5, j.seq - 1} {
+		check(since)
+	}
+	emit(2*maxKept + 7)
+	for _, since := range []int64{-1, maxKept, j.seq - maxKept - 1, j.seq - 3, j.seq - 1, j.seq + 4} {
+		check(since)
+	}
+}

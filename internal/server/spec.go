@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"streamapprox"
+	"streamapprox/internal/estimate"
 	"streamapprox/internal/query"
 )
 
@@ -25,8 +26,8 @@ type Spec struct {
 	Slide time.Duration
 	// Fraction is the initial sampling fraction (default 0.6).
 	Fraction float64
-	// TargetError, when positive, enables the per-shard adaptive
-	// feedback mechanism.
+	// TargetError, when positive, enables adaptive feedback: each shard
+	// moves its fraction by the error the query's windows are served with.
 	TargetError float64
 	// Confidence is the error-bound level: 68, 95 or 997 (default 95).
 	Confidence int
@@ -194,6 +195,14 @@ func (sp *Spec) confidence() streamapprox.Confidence {
 		return streamapprox.Confidence95
 	}
 }
+
+// level returns the confidence level as the estimator names it: the
+// public levels are the estimator's.
+func (sp *Spec) level() estimate.Confidence { return estimate.Confidence(sp.confidence()) }
+
+// combiner returns the query the shards' sessions summarise their panes
+// through, which the merger combines them with.
+func (sp *Spec) combiner() query.Query { return query.Named(sp.Kind, sp.level(), sp.HistogramEdges) }
 
 // sessionConfig builds the per-shard Session configuration; shard
 // sessions differ only in seed so their reservoirs are decorrelated.

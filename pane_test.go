@@ -109,10 +109,6 @@ func (r *rowSession) fire(limit time.Time) {
 			for k, v := range res.Groups {
 				wr.Groups[k] = fromInternalEstimate(v)
 			}
-			wr.GroupItems = make(map[string]int64)
-			for i := range agg.Strata {
-				wr.GroupItems[agg.Strata[i].Stratum] += agg.Strata[i].Count
-			}
 		}
 		if r.cfg.Query == Histogram {
 			for i := 0; i+1 < len(r.edges); i++ {
@@ -202,9 +198,6 @@ func requireSameWindows(t *testing.T, label string, got, want []WindowResult) {
 		}
 		if !reflect.DeepEqual(g.Groups, w.Groups) {
 			t.Errorf("%s: window %d groups %+v, want %+v", label, i, g.Groups, w.Groups)
-		}
-		if !reflect.DeepEqual(g.GroupItems, w.GroupItems) {
-			t.Errorf("%s: window %d group items %v, want %v", label, i, g.GroupItems, w.GroupItems)
 		}
 		if len(g.Buckets) != len(w.Buckets) {
 			t.Fatalf("%s: window %d has %d buckets, want %d", label, i, len(g.Buckets), len(w.Buckets))

@@ -3,7 +3,6 @@ package streamapprox
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"testing"
 	"time"
 )
@@ -50,8 +49,7 @@ func requireScaled(t *testing.T, label string, got, want []WindowResult, f float
 	}
 	for i := range got {
 		g, w := got[i], want[i]
-		if !g.Start.Equal(w.Start) || !g.End.Equal(w.End) || g.Items != w.Items || g.Sampled != w.Sampled ||
-			!reflect.DeepEqual(g.GroupItems, w.GroupItems) {
+		if !g.Start.Equal(w.Start) || !g.End.Equal(w.End) || g.Items != w.Items || g.Sampled != w.Sampled {
 			t.Fatalf("%s: window %d is [%v, %v) items %d sampled %d, want [%v, %v) items %d sampled %d",
 				label, i, g.Start, g.End, g.Items, g.Sampled, w.Start, w.End, w.Items, w.Sampled)
 		}

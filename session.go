@@ -80,6 +80,7 @@ type Session struct {
 	ready            []WindowResult
 	late             int64
 	closed           bool
+	handing          bool        // Panes was called
 	one              *EventBatch // Push's one-record batch
 
 	// leader is the session whose sampler this one follows (nil while it
@@ -360,7 +361,9 @@ func (s *Session) Close() []WindowResult {
 	if s.segStart != stream.ZeroTimeNanos {
 		s.finishSegment()
 	}
-	s.windows.Flush(s.fireWindow)
+	if !s.handing {
+		s.windows.Flush(s.fireWindow)
+	}
 	out := s.ready
 	s.ready = nil
 	return out
@@ -373,9 +376,9 @@ func (s *Session) startSegment(seg int64) {
 	s.setSegment(seg)
 	s.segCount = 0
 	start := stream.TimeFromNanos(seg)
-	s.windows.Fire(start, s.fireWindow)
+	s.fire(start)
 	for _, f := range s.followers {
-		f.windows.Fire(start, f.fireWindow)
+		f.fire(start)
 	}
 	budget := sampling.SegmentBudget(s.Fraction(), s.lastCount)
 	if s.sampler == nil {
@@ -383,6 +386,35 @@ func (s *Session) startSegment(seg int64) {
 		return
 	}
 	s.sampler.SetBudget(budget)
+}
+
+// fire fires the windows ending at or before limit, unless the caller
+// takes the panes.
+func (s *Session) fire(limit time.Time) {
+	if !s.handing {
+		s.windows.Fire(limit, s.fireWindow)
+	}
+}
+
+// Panes hands over the panes the session finished since the last call,
+// oldest first, and from the first call on leaves the windows to the
+// caller: Poll and Close return none, and the adaptive controller sees
+// only what ObserveError feeds it. The slice is valid until the next call
+// that moves the session or its leader; the summaries are read-only, as
+// sessions following one leader may share them.
+func (s *Session) Panes() []query.Pane {
+	s.handing = true
+	out := s.windows.Panes
+	s.windows.Panes = out[:0]
+	return out
+}
+
+// ObserveError feeds a TargetError session's adaptive controller the
+// relative error bound a window was served with (§4.2.1).
+func (s *Session) ObserveError(relErr float64) {
+	if s.controller != nil {
+		s.controller.Observe(relErr)
+	}
 }
 
 // setSegment makes the segment at seg the current one. The zero time's
@@ -415,8 +447,8 @@ func (s *Session) finishSegment() {
 // summarises sample alike, or its own query's when none does. A summary is
 // shared, not copied: nothing writes into a Summary after Summarize —
 // Windows.Fire and fireWindow read panes, Snapshot encodes them,
-// RestoreSession decodes fresh ones, and the server's merger sees only
-// WindowResults.
+// RestoreSession decodes fresh ones, and a caller taking them through
+// Panes combines them as they are.
 func (s *Session) followerSummary(i int, sample *sampling.Sample, sum query.Summary) query.Summary {
 	q := s.followers[i].q
 	if query.SummarizesAlike(s.q, q, sample) {
@@ -434,9 +466,5 @@ func (s *Session) followerSummary(i int, sample *sampling.Sample, sum query.Summ
 func (s *Session) fireWindow(start time.Time, panes []query.Pane) {
 	wr := windowResult(s.windows.Estimate(s.q, start, panes))
 	s.ready = append(s.ready, wr)
-	// Adaptive feedback: grow the fraction when the bound is too loose,
-	// decay it when comfortably tight (§4.2.1).
-	if s.controller != nil {
-		s.controller.Observe(wr.Overall.RelativeError())
-	}
+	s.ObserveError(wr.Overall.RelativeError())
 }

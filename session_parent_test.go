@@ -11,6 +11,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"streamapprox/internal/stream"
 )
 
 // sessionParentFile is testdata/session_parent.json: what Session served
@@ -136,13 +138,58 @@ func runParent(t *testing.T, seed int, batched bool) parentCase {
 		wins = append(wins, s.Poll()...)
 	}
 	for _, w := range append(wins, s.Close()...) {
-		raw, err := json.Marshal(w)
+		raw, err := json.Marshal(parentWindowOf(w, cfg, events))
 		if err != nil {
 			t.Fatalf("%s: %v", c.Name, err)
 		}
 		c.Windows, c.raw = append(c.Windows, shortHash(raw)), append(c.raw, raw)
 	}
 	return c
+}
+
+// parentWindow is WindowResult as the fixture's build encoded it: with
+// GroupItems, a group-by window's items observed per stratum.
+type parentWindow struct {
+	Start, End time.Time
+	Overall    Estimate
+	Groups     map[string]Estimate
+	GroupItems map[string]int64
+	Buckets    []HistogramBucket
+	Items      int64
+	Sampled    int
+}
+
+// parentWindowOf is w in the fixture build's form. Its GroupItems count
+// by stratum the events the session took, not late, whose segment lies
+// in the window; zero-time records join the first segment after them.
+func parentWindowOf(w WindowResult, cfg SessionConfig, events []Event) parentWindow {
+	pw := parentWindow{Start: w.Start, End: w.End, Overall: w.Overall, Groups: w.Groups,
+		Buckets: w.Buckets, Items: w.Items, Sampled: w.Sampled}
+	if len(w.Groups) == 0 {
+		return pw
+	}
+	pw.GroupItems = map[string]int64{}
+	probe := NewSession(cfg)
+	wm := int64(stream.ZeroTimeNanos)
+	var head []string // zero-time strata waiting for a segment
+	for _, e := range events {
+		n, _ := unixNanos(e.Time)
+		seg, ok := probe.segmentOf(n)
+		if n < wm || !ok {
+			continue
+		}
+		wm = n
+		if head = append(head, e.Stratum); n == stream.ZeroTimeNanos {
+			continue
+		}
+		if at := stream.TimeFromNanos(seg); !at.Before(w.Start) && at.Before(w.End) {
+			for _, k := range head {
+				pw.GroupItems[k]++
+			}
+		}
+		head = head[:0]
+	}
+	return pw
 }
 
 func parentChunkOf(t *testing.T, late int64, snap []byte) parentChunk {

@@ -156,23 +156,15 @@ const (
 	Histogram
 )
 
+// queryNames are the queries' names in internal/query.
+var queryNames = [...]string{Sum: "sum", Count: "count", Mean: "mean",
+	GroupBySum: "groupby-sum", GroupByMean: "groupby-mean", GroupByCount: "groupby-count", Histogram: "histogram"}
+
 func (q Query) internal(conf estimate.Confidence, histogramEdges []float64) query.Query {
-	switch q {
-	case Count:
-		return query.NewCount(conf)
-	case Mean:
-		return query.NewMean(conf)
-	case GroupBySum:
-		return query.NewGroupBySum(conf)
-	case GroupByMean:
-		return query.NewGroupByMean(conf)
-	case GroupByCount:
-		return query.NewGroupByCount(conf)
-	case Histogram:
-		return query.NewHistogram(histogramEdges, conf)
-	default:
-		return query.NewSum(conf)
+	if q < 0 || int(q) >= len(queryNames) {
+		q = Sum
 	}
+	return query.Named(queryNames[q], conf, histogramEdges)
 }
 
 // HistogramBucket is one bucket of a histogram result: the estimated
@@ -190,10 +182,6 @@ type WindowResult struct {
 	Overall Estimate
 	// Groups holds per-stratum estimates for group-by queries.
 	Groups map[string]Estimate
-	// GroupItems holds the number of items observed per stratum for
-	// group-by queries — the population weights needed to merge group
-	// means across disjoint shards.
-	GroupItems map[string]int64
 	// Buckets holds per-bucket counts for histogram queries.
 	Buckets []HistogramBucket
 	// Items is the number of items observed in the window.
@@ -206,7 +194,7 @@ type WindowResult struct {
 // engine or Exact — to its public form.
 func windowResult(w query.Window) WindowResult {
 	wr := WindowResult{Start: w.Start, End: w.End, Overall: fromInternalEstimate(w.Result.Overall),
-		GroupItems: w.GroupItems, Items: w.Items, Sampled: w.Sampled}
+		Items: w.Items, Sampled: w.Sampled}
 	if len(w.Result.Groups) > 0 {
 		wr.Groups = make(map[string]Estimate, len(w.Result.Groups))
 		for k, v := range w.Result.Groups {

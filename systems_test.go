@@ -218,33 +218,3 @@ func TestNoSystemWindowsAnEventTimeGap(t *testing.T) {
 		}
 	}
 }
-
-// Run's and Exact's group-by windows carry GroupItems, converted by the
-// function Session's windows go through: for every group-by kind and
-// every system, a window's GroupItems sum to its Items, and a stratified
-// system's (every one but spark-srs, which observes one pseudo-stratum)
-// are keyed by its groups.
-func TestRunAndExactCarryGroupItems(t *testing.T) {
-	events := systemsStream()
-	for _, q := range []Query{GroupBySum, GroupByMean, GroupByCount} {
-		cfg := Config{Fraction: 0.3, Query: q, Workers: 4, WindowSize: 10 * time.Second, WindowSlide: 5 * time.Second, Seed: 17}
-		for _, sys := range evaluatedSystems {
-			wins := windowsOf(t, sys, cfg, events)
-			if len(wins) == 0 {
-				t.Fatalf("%s query %d: no windows", sys.name, q)
-			}
-			for i, w := range wins {
-				var sum int64
-				for k, n := range w.GroupItems {
-					if _, ok := w.Groups[k]; !ok && sys.sampler != SimpleRandom {
-						t.Errorf("%s query %d window %d: GroupItems key %q is not a group of %v", sys.name, q, i, k, w.Groups)
-					}
-					sum += n
-				}
-				if sum != w.Items || w.Items == 0 {
-					t.Errorf("%s query %d window %d: GroupItems %v sum to %d, Items %d", sys.name, q, i, w.GroupItems, sum, w.Items)
-				}
-			}
-		}
-	}
-}
