@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"streamapprox/internal/pane"
 	"streamapprox/internal/stream"
 )
 
@@ -241,7 +242,7 @@ func TestSampleInvariantToChunking(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var st sessionState
+			var st pane.Snapshot
 			if err := json.Unmarshal(snap, &st); err != nil {
 				t.Fatal(err)
 			}
@@ -354,11 +355,12 @@ func TestPushBatchRecordsAtTheEndsOfUnixNanos(t *testing.T) {
 		cut := time.Unix(0, n).Truncate(slide)
 		end := cut.Add(slide)
 		fits := cut.UnixNano() != math.MinInt64 && time.Unix(0, cut.UnixNano()).Equal(cut) && time.Unix(0, end.UnixNano()).Equal(end)
+		seg := s.ps.State().SegStart
 		switch {
-		case !fits && (s.Late() != 1 || s.segStart != stream.ZeroTimeNanos || s.segEnd != stream.ZeroTimeNanos):
-			t.Errorf("record at %d, segment outside unix nanos: late %d, segment [%d, %d)", n, s.Late(), s.segStart, s.segEnd)
-		case fits && (s.Late() != 0 || s.segStart != cut.UnixNano() || s.segEnd != end.UnixNano()):
-			t.Errorf("record at %d: late %d, segment [%d, %d), want [%d, %d)", n, s.Late(), s.segStart, s.segEnd, cut.UnixNano(), end.UnixNano())
+		case !fits && (s.Late() != 1 || !seg.IsZero()):
+			t.Errorf("record at %d, segment outside unix nanos: late %d, segment at %v", n, s.Late(), seg)
+		case fits && (s.Late() != 0 || !seg.Equal(cut)):
+			t.Errorf("record at %d: late %d, segment at %v, want %v", n, s.Late(), seg, cut)
 		}
 		if fits {
 			windowed++
@@ -379,7 +381,7 @@ func TestSegmentsCutWhereTruncateCuts(t *testing.T) {
 		s := NewSession(SessionConfig{WindowSlide: slide})
 		for range 2000 {
 			n := rng.Int63n(1<<62) - 1<<61
-			seg, ok := s.segmentOf(n)
+			seg, ok := s.ps.SegmentOf(n)
 			if want := time.Unix(0, n).Truncate(slide).UnixNano(); !ok || seg != want {
 				t.Fatalf("slide %v: segment of %d is %d (ok %v), time.Truncate cuts at %d", slide, n, seg, ok, want)
 			}

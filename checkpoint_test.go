@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"streamapprox/internal/pane"
 	"streamapprox/internal/sampling"
 )
 
@@ -154,7 +155,7 @@ func TestRestoreRejectsCorruptReservoirs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st sessionState
+	var st pane.Snapshot
 	if err := json.Unmarshal(snap, &st); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestRestoreRejectsCorruptReservoirs(t *testing.T) {
 		{"p above one", func(rs *sampling.ReservoirState) { rs.P = 1.5 }, false},
 		{"chain before fill", func(rs *sampling.ReservoirState) { rs.Values = rs.Values[1:] }, false},
 	} {
-		var bad sessionState
+		var bad pane.Snapshot
 		if err := json.Unmarshal(snap, &bad); err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"streamapprox/internal/estimate"
+	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
+	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
 	"streamapprox/internal/workload"
 	"streamapprox/internal/xrand"
@@ -168,13 +170,12 @@ func (w *exactWindow) add(o *exactWindow) {
 	}
 }
 
-// coverageRun is one query's shard sessions at one K, the panes they
-// handed over that not every shard has passed yet, and the windows their
-// panes make.
+// coverageRun is one query's shard samplers at one K, the panes they cut
+// that not every shard has passed yet, and the windows their panes make.
 type coverageRun struct {
 	q        *coverageQuery
 	query    query.Query
-	sessions []*Session
+	samplers []*pane.Sampler
 	slides   map[time.Time][]query.Summary // the shards' panes, by start
 	windows  query.Windows
 }
@@ -195,10 +196,7 @@ func newCoverageWorker(ki int, queries []coverageQuery, seconds []exactWindow) *
 		r := &coverageRun{q: q, query: q.kind.internal(estimate.Conf95, coverageEdges),
 			slides: map[time.Time][]query.Summary{}, windows: query.NewWindows(q.size, q.slide)}
 		for shard := range coverageShards[ki] {
-			r.sessions = append(r.sessions, NewSession(SessionConfig{
-				Query: q.kind, WindowSize: q.size, WindowSlide: q.slide, Fraction: q.fraction,
-				Confidence: Confidence95, HistogramEdges: coverageEdges, Seed: uint64(1 + 16*qi + shard),
-			}))
+			r.samplers = append(r.samplers, pane.NewSampler(q.slide, q.fraction, uint64(1+16*qi+shard)))
 		}
 		w.runs = append(w.runs, r)
 	}
@@ -219,15 +217,11 @@ func (w *coverageWorker) push(t *testing.T, events []stream.Event) {
 	}
 	for _, r := range w.runs {
 		mark := time.Time{}
-		for shard, s := range r.sessions {
+		for shard, s := range r.samplers {
 			b := w.batches[shard]
-			if err := s.PushBatch(b, 0, b.Len()); err != nil {
-				t.Error(err)
-				return
-			}
-			r.take(s)
-			if shard == 0 || s.Watermark().Before(mark) {
-				mark = s.Watermark()
+			s.Push(b, 0, b.Len(), r.take)
+			if wm := stream.TimeFromNanos(s.Watermark()); shard == 0 || wm.Before(mark) {
+				mark = wm
 			}
 		}
 		r.complete(func(start time.Time) bool { return !start.Add(r.q.slide).After(mark) })
@@ -235,10 +229,11 @@ func (w *coverageWorker) push(t *testing.T, events []stream.Event) {
 	}
 }
 
-// take files a session's finished panes by start.
-func (r *coverageRun) take(s *Session) {
-	for _, p := range s.Panes() {
-		r.slides[p.Start] = append(r.slides[p.Start], p.Summary)
+// take files a shard's finished segment as a pane, by start.
+func (r *coverageRun) take(start int64, sample *sampling.Sample, _ int64) {
+	if sample != nil {
+		at := stream.TimeFromNanos(start)
+		r.slides[at] = append(r.slides[at], r.query.Summarize(sample))
 	}
 }
 
@@ -263,9 +258,8 @@ func (r *coverageRun) complete(done func(time.Time) bool) {
 // close closes every session and fires every window left.
 func (w *coverageWorker) close() {
 	for _, r := range w.runs {
-		for _, s := range r.sessions {
-			s.Close()
-			r.take(s)
+		for _, s := range r.samplers {
+			s.Close(r.take)
 		}
 		r.complete(func(time.Time) bool { return true })
 		r.windows.Flush(w.emit(r))

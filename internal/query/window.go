@@ -1,6 +1,9 @@
 package query
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // Pane is one finished slide segment: its sample's summary.
 type Pane struct {
@@ -32,15 +35,22 @@ type Window struct {
 }
 
 // NewWindows returns the windows of the given size every slide. A size
-// that is not a whole number of slides is rounded up to one: a window is
-// counted over whole slide segments, so that is the span it reports.
+// that is not a whole number of slides is rounded to one (see
+// WholeSlides): a window is counted over whole slide segments, so that is
+// the span it reports.
 func NewWindows(size, slide time.Duration) Windows {
 	return Windows{size: WholeSlides(size, slide), slide: slide}
 }
 
 // WholeSlides rounds size up to a whole number of slides, at least one.
+// Where rounding up would pass the largest duration it rounds down
+// instead, to the largest whole number of slides there is: below size.
 func WholeSlides(size, slide time.Duration) time.Duration {
-	return max((size+slide-1)/slide, 1) * slide
+	n := size / slide
+	if size%slide > 0 && n < math.MaxInt64/slide {
+		n++
+	}
+	return max(n, 1) * slide
 }
 
 // Size returns the window size, a whole number of slides.
@@ -51,9 +61,6 @@ func (w *Windows) Size() time.Duration { return w.size }
 func (w *Windows) Add(start time.Time, sum Summary) {
 	w.Panes = append(w.Panes, Pane{Start: start, Summary: sum})
 }
-
-// Last returns the newest pane.
-func (w *Windows) Last() *Pane { return &w.Panes[len(w.Panes)-1] }
 
 // Fire emits, in start order, every window that ends in (Fired, limit]
 // and covers at least one pane, then drops the panes that no unfired

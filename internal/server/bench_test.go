@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"streamapprox/internal/broker"
+	"streamapprox/internal/stream"
 )
 
 // BenchmarkShardedWindowThroughput measures served windowed throughput
@@ -204,5 +205,55 @@ func BenchmarkPlaneFanout(b *testing.B) {
 	b.StopTimer()
 	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
 		b.ReportMetric(float64(items)/elapsed, "items/s")
+	}
+}
+
+// BenchmarkGroupPanes is one fanout-mixed sampling group in process: a
+// sum and seven more members — mean, groupby-mean, a histogram, then a
+// second copy of all four — sharing one partition's sampler on a 5 s
+// window sliding by 1 s. One op applies 40 one-second slides of 2000
+// events (six strata) to the group, each member's merger firing its
+// windows, at both of the workload's fractions; ns/pane is the time per
+// finished pane of the group.
+func BenchmarkGroupPanes(b *testing.B) {
+	const segments, perSegment = 40, 2000
+	batch := stream.GetEventBatch()
+	defer batch.Release()
+	var ids []int32
+	for _, k := range []string{"a", "b", "c", "d", "e", "f"} {
+		ids = append(ids, batch.Intern(k))
+	}
+	for i := 0; i < segments*perSegment; i++ {
+		batch.Append(ids[i%len(ids)], float64(i%251), 0)
+	}
+	for _, fraction := range []float64{0.1, 0.8} {
+		b.Run(fmt.Sprintf("f%.0f", 100*fraction), func(b *testing.B) {
+			r := newRig(b, 1)
+			var jobs []*job
+			for i, kind := range []string{"sum", "mean", "groupby-mean", "histogram", "sum", "mean", "groupby-mean", "histogram"} {
+				jobs = append(jobs, r.query(fmt.Sprintf("q-%d", i), Spec{Kind: kind, Window: 5 * time.Second, Slide: time.Second,
+					Fraction: fraction, HistogramEdges: []float64{0, 50, 100, 150, 200, 256}, Seed: uint64(i + 1)}))
+			}
+			if n := r.srv.ing.parts[0].samplersGauge.Value(); n != 1 {
+				b.Fatalf("%v samplers for one group", n)
+			}
+			epoch := int64(1 << 60)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range batch.Times {
+					batch.Times[j] = epoch + int64(j)*int64(time.Second)/perSegment
+				}
+				epoch += segments * int64(time.Second)
+				r.apply(0, batch)
+			}
+			b.StopTimer()
+			for _, j := range jobs {
+				if len(j.resultsSince(-1)) == 0 {
+					b.Fatal("no windows")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*segments), "ns/pane")
+		})
 	}
 }

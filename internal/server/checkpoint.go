@@ -11,8 +11,11 @@ import (
 	"time"
 
 	"streamapprox"
+	"streamapprox/internal/adaptive"
 	"streamapprox/internal/estimate"
+	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
+	"streamapprox/internal/stream"
 )
 
 // A query's checkpoint is one file, <id>.json, and it is the whole of
@@ -91,9 +94,9 @@ type legacyPart struct {
 }
 
 // checkpoint captures the job's state, one shard at a time and then the
-// merger. A follower's snapshot reads its leader's sampler, so its
-// leader's lock is taken before its own, the order of the data path; the
-// job lock is never held with a shard's.
+// merger. A shard sharing its group's sampler snapshots that sampler, so
+// the group's lock is taken before its own, the order of the data path;
+// the job lock is never held with a shard's.
 func (j *job) checkpoint() (*checkpointFile, error) {
 	cf := &checkpointFile{
 		Version: checkpointVersion,
@@ -101,8 +104,8 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 		Spec:    j.spec,
 	}
 	for _, sh := range j.shards {
-		unlock := sh.lockWithLeader()
-		snap, err := sh.sess.Snapshot()
+		unlock := sh.lockSampler()
+		snap, err := sh.snapshot()
 		// The counters are read in the hold that fixes the offset: a batch
 		// applied after it is replayed on restore, so counting it here
 		// would count it twice.
@@ -140,14 +143,12 @@ func (j *job) restore(cf *checkpointFile) error {
 		sc, ok := byPart[sh.idx]
 		if !ok {
 			// Partition added since the checkpoint: start it fresh.
-			sh.sess = streamapprox.NewSession(j.spec.sessionConfig(sh.idx))
+			sh.ps = pane.NewSampler(j.spec.Slide, sh.fraction(), j.spec.seed(sh.idx))
 			continue
 		}
-		sess, err := streamapprox.RestoreSession(sc.Session)
-		if err != nil {
+		if err := sh.restore(sc.Session); err != nil {
 			return fmt.Errorf("shard %d session: %w", sh.idx, err)
 		}
-		sh.sess = sess
 		sh.records.Store(sc.Records)
 		sh.recordsMetric.Add(float64(sc.Records))
 		sh.sampled.Store(sc.Sampled)
@@ -170,10 +171,41 @@ func (j *job) restore(cf *checkpointFile) error {
 	for _, sh := range j.shards {
 		sh.mu.Lock()
 		sh.observed = j.seq
-		sh.deliver(sh.sess.Watermark())
+		sh.deliver(sh.wm)
 		sh.mu.Unlock()
 	}
 	return nil
+}
+
+// snapshot is the shard's session snapshot, in the format
+// streamapprox.RestoreSession reads: the session the shard samples as,
+// with a copy of its group's sampler while it shares. Callers hold
+// lockSampler.
+func (sh *shard) snapshot() ([]byte, error) {
+	st := sh.job.spec.session(sh.idx)
+	st.State = sh.sampler().State()
+	st.Late += sh.lateOff
+	st.Panes = sh.panes
+	return json.Marshal(st)
+}
+
+// restore rebuilds the shard's own sampler, its controller's position and
+// the panes it had not handed over from a session snapshot of any
+// version.
+func (sh *shard) restore(data []byte) error {
+	st, err := pane.Decode(data)
+	if err != nil {
+		return err
+	}
+	if sh.ctl != nil {
+		sh.ctl = adaptive.NewController(sh.job.spec.TargetError, st.State.Fraction)
+	}
+	if sh.ps, err = st.State.Restore(sh.job.spec.Slide, sh.fraction()); err != nil {
+		return err
+	}
+	sh.wm = stream.TimeFromNanos(sh.ps.Watermark())
+	sh.panes, _, err = st.Windows(sh.q, sh.job.spec.Window, sh.job.spec.Slide)
+	return err
 }
 
 // upgrade brings a version 1–3 checkpoint to version 4: each pending

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -48,7 +49,7 @@ func keyedBy(k int) func(string) int {
 // fixtureServer is a server over an in-process broker with a topic of
 // the given partitions that nothing is produced to: jobs built on it are
 // driven by driveShards.
-func fixtureServer(t *testing.T, partitions int) *Server {
+func fixtureServer(t testing.TB, partitions int) *Server {
 	t.Helper()
 	b := broker.New()
 	if err := b.CreateTopic("in", partitions); err != nil {
@@ -110,4 +111,63 @@ func servedFixture(t *testing.T, path string) map[string][]MergedWindow {
 		t.Fatal(err)
 	}
 	return served
+}
+
+// rig drives a server's sampling groups with no partition loop, as their
+// drainers would: join attaches a query's shards to the plane, and apply
+// hands every group on a partition one batch at the plane's offset.
+type rig struct {
+	t    testing.TB
+	srv  *Server
+	next []int64 // the plane's offset per partition
+}
+
+func newRig(t testing.TB, partitions int) *rig {
+	return &rig{t: t, srv: fixtureServer(t, partitions), next: make([]int64, partitions)}
+}
+
+// query builds a query of spec on the rig's server and joins its shards.
+func (r *rig) query(id string, spec Spec) *job {
+	r.t.Helper()
+	if err := spec.normalize(); err != nil {
+		r.t.Fatal(err)
+	}
+	j, err := newJob(id, spec, r.srv, nil)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	r.join(j)
+	return j
+}
+
+// join attaches every shard of j to its partition's plane.
+func (r *rig) join(j *job) {
+	for _, sh := range j.shards {
+		pi := r.srv.ing.parts[sh.idx]
+		pi.mu.Lock()
+		pi.join(sh)
+		pi.mu.Unlock()
+	}
+}
+
+// apply hands b, based at partition p's plane offset, to every group on p.
+func (r *rig) apply(p int, b *stream.EventBatch) {
+	b.Base = r.next[p]
+	r.next[p] += int64(b.Len())
+	pi := r.srv.ing.parts[p]
+	pi.mu.Lock()
+	groups := slices.Clone(pi.groups)
+	pi.mu.Unlock()
+	for _, sub := range groups {
+		sub.apply(planeDelivery{batch: b, next: r.next[p], hwm: r.next[p], haveHWM: true})
+	}
+}
+
+// batchOf is a pooled batch of events.
+func batchOf(events []stream.Event) *stream.EventBatch {
+	b := stream.GetEventBatch()
+	for _, e := range events {
+		b.AppendEvent(e)
+	}
+	return b
 }

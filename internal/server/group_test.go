@@ -108,10 +108,10 @@ func checkWindowsOnce(t *testing.T, j *job, events []stream.Event) {
 	}
 }
 
-// (a) Deleting the query whose shards lead every partition's group hands
-// the groups to the peers mid-stream, before the leader's sessions
-// finish a segment of their own.
-func TestGroupLeaderDeleteHandsOver(t *testing.T) {
+// (a) Deleting, mid-stream, the query whose shards are every partition's
+// first sharing member leaves each group's sampler sampling for the
+// others: every other query serves every window once.
+func TestGroupFirstMemberDeleteServesEveryWindowOnce(t *testing.T) {
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 2); err != nil {
 		t.Fatal(err)

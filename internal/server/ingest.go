@@ -10,6 +10,7 @@ import (
 
 	"streamapprox/internal/broker"
 	"streamapprox/internal/metrics"
+	"streamapprox/internal/pane"
 	"streamapprox/internal/stream"
 )
 
@@ -22,7 +23,7 @@ type traceSetter interface{ SetTraceID(uint64) }
 // regardless of how many queries are registered.
 // Each partition loop fetches a batch once, decodes it once into a
 // columnar EventBatch, and fans the (event-time sorted, read-only) batch
-// out by reference to every attached query's per-shard Session sink. Broker fetch work is O(partitions),
+// out by reference to every attached query's per-shard sink. Broker fetch work is O(partitions),
 // not O(queries × partitions) — the property that lets one middle tier
 // serve thousands of concurrent queries over a single topic read.
 //
@@ -34,16 +35,16 @@ type traceSetter interface{ SetTraceID(uint64) }
 // of the plane (From "latest") rides the plane immediately and drops
 // records below its requested start per-sub.
 //
-// On each partition the shards whose sessions would run interchangeable
-// samplers — the same slide and the same fixed fraction — form one
-// SAMPLING GROUP: one delivery queue, one drainer, one sampler, and
-// every member's pane taken from that one sample through the member's
-// own query (streamapprox.Session.Follow). A shard that cannot share
-// (an adaptive fraction under a target error) is a group of one.
+// On each partition the shards whose samplers would be interchangeable
+// — the same slide and the same fixed fraction — form one SAMPLING
+// GROUP: one delivery queue, one drainer, and one pane sampler the group
+// owns, whose every pane each sharing member summarises through its own
+// query. A shard that cannot share (an adaptive fraction under a target
+// error) is a group of one and samples for itself.
 //
 // Fan-out is decoupled from the partition loop by a BOUNDED per-group
 // delivery queue: the loop enqueues each batch (a cheap slice ref) and
-// the group's drainer applies it to the members' Sessions. A group
+// the group's drainer applies it to the group's sampler. A group
 // whose drainer falls a full queue behind is SHED — detached on the
 // spot, and each member re-attached through the catch-up path once the
 // drainer empties — so one slow group rereads its backlog from the
@@ -118,17 +119,23 @@ type ingest struct {
 	wg    sync.WaitGroup
 }
 
-// subQueue is one sampling group's bounded delivery queue on one
-// partition: the plane loop enqueues, the drainer goroutine applies each
-// batch to every member. The leader samples it; a follower takes its
-// panes from that sample; a private member (out of step with the leader)
-// samples for itself until it stands at the leader's point, then follows.
+// subQueue is one sampling group on one partition: its bounded delivery
+// queue — the plane loop enqueues, the drainer goroutine applies each
+// batch to every member — and the pane sampler its members share. The
+// group's sampler samples each batch once, and every sharing member
+// summarises its panes; a private member (out of step with the group)
+// samples for itself until it stands at the group's point of the stream,
+// then shares. A group under the zero key has no sampler: its one member
+// samples for itself.
 type subQueue struct {
 	key groupKey // zero: a group of one, never joined
-	// mu guards members and is held across each delivery's application,
-	// so shards join and leave between batches.
+	// mu guards members, ps, offset and summed, and is held across each
+	// delivery's application, so shards join and leave between batches.
 	mu      sync.Mutex
-	members []*shard // members[0] leads
+	members []*shard      // members[0] shares ps while the group has one
+	ps      *pane.Sampler // the shared sampler (nil under the zero key)
+	offset  int64         // the next offset ps samples
+	summed  []*shard      // cut's scratch: the members summarised so far
 	ch      chan planeDelivery
 	// overflowAt is the resume offset recorded when the queue overflows
 	// (-1 otherwise). Written under the partition lock before ch is
@@ -242,7 +249,7 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 			queriesGauge: reg.Gauge("saproxd_ingest_queries",
 				"queries attached to the partition's shared plane", l),
 			samplersGauge: reg.Gauge("saproxd_ingest_samplers",
-				"samplers the partition's attached queries run: one per sampling group plus its private members", l),
+				"pane samplers the partition's attached queries run: each sampling group's shared one plus one per private member", l),
 			lagGauge: reg.Gauge("saproxd_ingest_lag_records",
 				"records between the plane position and the partition high watermark", l),
 			batchHist: reg.Histogram("saproxd_ingest_batch_records",
@@ -258,10 +265,11 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 }
 
 // join attaches sh to the partition (callers hold pi.mu): into the
-// sampling group its job's key names — following the leader when it
-// stands at the leader's point of the stream, as a private member
-// otherwise — or into a new group of its own. Batches already queued
-// below the shard's offset are skipped for it.
+// sampling group its job's key names — sharing the group's sampler when
+// it stands at the group's point of the stream, as a private member
+// otherwise — or into a new group of its own, which takes its sampler
+// when the key lets others share it. Batches already queued below the
+// shard's offset are skipped for it.
 func (pi *partIngest) join(sh *shard) {
 	sh.skipToOffset()
 	pi.samplersGauge.Add(1)
@@ -270,6 +278,9 @@ func (pi *partIngest) join(sh *shard) {
 	if i < 0 {
 		sub := &subQueue{key: key, members: []*shard{sh}, samplers: pi.samplersGauge,
 			ch: make(chan planeDelivery, pi.ing.queueDepth), overflowAt: -1, done: make(chan struct{})}
+		if key != (groupKey{}) {
+			sub.take(sh)
+		}
 		pi.groups = append(pi.groups, sub)
 		pi.subs[sh] = sub
 		go pi.drain(sub)
@@ -278,9 +289,7 @@ func (pi *partIngest) join(sh *shard) {
 		pi.subs[sh] = sub
 		sub.mu.Lock()
 		sub.members = append(sub.members, sh)
-		sub.lockAll()
-		sub.tryFollow(sh)
-		sub.unlockAll()
+		sub.share(sh)
 		sub.mu.Unlock()
 	}
 	pi.queriesGauge.Set(float64(len(pi.subs)))
@@ -288,7 +297,7 @@ func (pi *partIngest) join(sh *shard) {
 
 // drain is the group's delivery worker: it applies queued batches to
 // the members in order. When the queue closes the group dissolves, every
-// member keeping a sampler of its own; a shed group's members then
+// member keeping a sampler of its own (see dissolve); a shed group's members then
 // replay the rest through the catch-up path, each re-splicing into the
 // live plane.
 func (pi *partIngest) drain(sub *subQueue) {
@@ -303,13 +312,7 @@ func (pi *partIngest) drain(sub *subQueue) {
 	resume := sub.overflowAt // safe: written before close(sub.ch)
 	sub.mu.Lock()
 	members := sub.members
-	sub.lockAll()
-	for _, sh := range members {
-		sub.unfollow(sh)
-		sub.samplers.Add(-1)
-	}
-	sub.unlockAll()
-	sub.members = nil
+	sub.dissolve()
 	sub.mu.Unlock()
 	close(sub.done)
 	if resume >= 0 {

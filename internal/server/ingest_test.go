@@ -287,8 +287,8 @@ func TestFromLatestSkipsBacklog(t *testing.T) {
 	}
 }
 
-// A shard's watermark, its session's, is the newest time of the records
-// it applied: with zero-time records at the head of a time-sorted batch
+// A shard's watermark, its group sampler's, is the newest time of the
+// records it applied: with zero-time records at the head of a time-sorted batch
 // and the skip-ahead start inside them or past them, with every record
 // zero-time, and with none.
 func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
@@ -336,8 +336,14 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 
 			sh.mu.Lock()
 			sh.skipUntil = b.Base + int64(tc.skip)
-			sh.consumeLocked(b, b.Base+int64(b.Len()))
-			got, records := sh.sess.Watermark(), sh.records.Load()
+			sh.mu.Unlock()
+			pi := s.ing.parts[0]
+			pi.mu.Lock()
+			sub := pi.subs[sh]
+			pi.mu.Unlock()
+			sub.apply(planeDelivery{batch: b, next: b.Base + int64(b.Len())})
+			sh.mu.Lock()
+			got, records := sh.wm, sh.records.Load()
 			sh.mu.Unlock()
 			if !got.Equal(want) || records != int64(b.Len()-tc.skip) {
 				t.Errorf("watermark %v after %d records, want %v after %d", got, records, want, b.Len()-tc.skip)

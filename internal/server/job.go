@@ -9,17 +9,22 @@ import (
 	"time"
 
 	"streamapprox"
+	"streamapprox/internal/adaptive"
 	"streamapprox/internal/metrics"
+	"streamapprox/internal/pane"
+	"streamapprox/internal/query"
+	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
 )
 
-// A job is one registered query: one OASRS Session sink per partition
-// fed by the shared ingest plane, and one merger firing the served
-// windows from every shard's panes. Shards of one query share nothing on
-// the data path — the paper's synchronization-free parallel sampling —
-// and the plane delivers every partition batch to all queries from a
-// single topic read; on one partition, queries with interchangeable
-// samplers share one (see subQueue).
+// A job is one registered query: one shard per partition fed by the
+// shared ingest plane, each summarising the panes of an OASRS pane
+// sampler, and one merger firing the served windows from every shard's
+// panes. Shards of one query share nothing on the data path — the
+// paper's synchronization-free parallel sampling — and the plane
+// delivers every partition batch to all queries from a single topic
+// read; on one partition, queries with interchangeable samplers share
+// their sampling group's (see subQueue).
 type job struct {
 	id   string
 	spec Spec
@@ -57,24 +62,32 @@ type job struct {
 const maxKept = 4096
 
 // shard is one partition's delivery sink for one query: the plane (or
-// a catch-up consumer) pushes batches into its Session. It tracks the
-// query's private delivery watermark — the next offset it needs —
-// which is what the query's checkpoint persists.
+// a catch-up consumer) pushes batches into its pane sampler — its own,
+// or its sampling group's — and the shard summarises the sampler's panes
+// through its query for the merger. It tracks the query's private
+// delivery watermark — the next offset it needs — which is what the
+// query's checkpoint persists.
 type shard struct {
 	job *job
 	idx int // shard index == partition
+	q   query.Query
 
-	// mu guards sess, lead, offset, skipUntil and observed against the
-	// checkpointer. records/sampled/lag are atomic so the query's lag
-	// total and the progress counters need no lock.
-	mu   sync.Mutex
-	sess *streamapprox.Session
-	// lead is the group member whose session sess follows (nil while sess
-	// samples for itself); it changes under both shards' locks.
-	lead      *shard
-	offset    int64 // delivery watermark: next offset to apply
-	skipUntil int64 // drop plane records below this offset (late attach ahead of plane)
-	observed  int64 // seq of the next merged window the session's controller observes
+	// mu guards ps, ctl, panes, lateOff, wm, offset, skipUntil and
+	// observed against the checkpointer. records/sampled/lag are atomic so
+	// the query's lag total and the progress counters need no lock.
+	mu sync.Mutex
+	// ps samples for the shard while it samples for itself; it is nil
+	// while the shard shares its group's (sharing, which changes under
+	// the group's lock and mu; the group's lock guards that sampler).
+	ps        *pane.Sampler
+	sharing   atomic.Pointer[subQueue]
+	ctl       *adaptive.Controller // steers ps under a target error
+	panes     []query.Pane         // finished, not yet handed to the merger
+	lateOff   int64                // late drops beyond the sampler's own count
+	wm        time.Time            // the sampler's watermark after the last delivery
+	offset    int64                // delivery watermark: next offset to apply
+	skipUntil int64                // drop plane records below this offset (late attach ahead of plane)
+	observed  int64                // seq of the next merged window the shard's controller observes
 	records   atomic.Int64
 	sampled   atomic.Int64
 	lag       atomic.Int64
@@ -118,7 +131,10 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 	}
 	j.merger = newMerger(&j.spec, srv.parts)
 	for p := 0; p < srv.parts; p++ {
-		sh := &shard{job: j, idx: p}
+		sh := &shard{job: j, idx: p, q: spec.combiner()}
+		if spec.TargetError > 0 {
+			sh.ctl = adaptive.NewController(spec.TargetError, spec.Fraction)
+		}
 		labels := metrics.Labels{"query": id, "shard": strconv.Itoa(p)}
 		sh.recordsMetric = srv.reg.Counter("saproxd_shard_records_total",
 			"records consumed per shard", labels)
@@ -139,8 +155,7 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		return j, nil
 	}
 	for _, sh := range j.shards {
-		sh.sess = streamapprox.NewSession(spec.sessionConfig(sh.idx))
-		sh.sess.Panes() // the merger fires the windows
+		sh.ps = pane.NewSampler(spec.Slide, sh.fraction(), spec.seed(sh.idx))
 		if spec.From == "latest" {
 			var err error
 			if sh.offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx); err != nil {
@@ -192,7 +207,7 @@ func (j *job) stop(flush bool) {
 	if flush {
 		for _, sh := range j.shards {
 			sh.mu.Lock()
-			sh.sess.Close()
+			sh.ps.Close(sh.cut)
 			sh.deliver(time.Time{})
 			sh.mu.Unlock()
 		}
@@ -301,8 +316,8 @@ func (j *job) maxWatermark() time.Time {
 	var max time.Time
 	for _, sh := range j.shards {
 		sh.mu.Lock()
-		if mark := sh.sess.Watermark(); mark.After(max) {
-			max = mark
+		if sh.wm.After(max) {
+			max = sh.wm
 		}
 		sh.mu.Unlock()
 	}
@@ -319,33 +334,58 @@ func (sh *shard) skipToOffset() {
 	sh.mu.Unlock()
 }
 
-// consumeLocked applies one EventBatch to the session through PushBatch
-// and hands the panes it finished and its watermark to the merger.
-// The batch is shared with other queries' sinks and is never mutated. The
-// whole application (push + merger delivery) runs under one sh.mu hold,
-// so a checkpoint observes either all of a batch or none of it (no torn
-// checkpoint). A follower pushes nothing: its leader, applied first under
-// the follower's lock too, sampled the batch for it, finished its panes
-// and moved its watermark. The skip-ahead clamp uses the batch's Base
-// (offsets are consecutive within a batch): it drops exactly
-// skipUntil-Base records, which are the records below skipUntil whenever
-// the batch is in offset order — the overwhelmingly common case, since
-// producers append in event-time order and a time sort then never
-// permutes. A time-permuted batch can swap individual records across the
-// attach boundary within the one straddling batch; counts, offsets and
-// watermarks stay exact.
-func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
-	n := b.Len()
-	from := 0
-	if sh.skipUntil > b.Base {
-		from = int(sh.skipUntil - b.Base)
-		if from > n {
-			from = n
-		}
+// fraction is the sampling fraction the shard's own sampler samples at:
+// its controller's under a target error, the spec's otherwise.
+func (sh *shard) fraction() float64 {
+	if sh.ctl != nil {
+		return sh.ctl.Fraction()
 	}
-	delivered := n - from
-	if delivered > 0 && sh.lead == nil {
-		_ = sh.sess.PushBatch(b, from, n)
+	return sh.job.spec.Fraction
+}
+
+// sampler is the sampler the shard's panes come from: its own, or its
+// group's while it shares. Callers hold mu, and the group's lock while
+// the shard shares.
+func (sh *shard) sampler() *pane.Sampler {
+	if sub := sh.sharing.Load(); sub != nil {
+		return sub.ps
+	}
+	return sh.ps
+}
+
+// cut files a segment its own sampler finished as a pane, summarised
+// through the shard's query.
+func (sh *shard) cut(start int64, s *sampling.Sample, _ int64) {
+	if s != nil {
+		sh.panes = append(sh.panes, query.Pane{Start: stream.TimeFromNanos(start), Summary: sh.q.Summarize(s)})
+	}
+}
+
+// skipFrom is the index of the first record of b at or past skipUntil.
+// It uses the batch's Base (offsets are consecutive within a batch): it
+// drops exactly skipUntil-Base records, which are the records below
+// skipUntil whenever the batch is in offset order — the overwhelmingly
+// common case, since producers append in event-time order and a time sort
+// then never permutes. A time-permuted batch can swap individual records
+// across the attach boundary within the one straddling batch; counts,
+// offsets and watermarks stay exact.
+func (sh *shard) skipFrom(b *stream.EventBatch) int {
+	return int(min(max(sh.skipUntil-b.Base, 0), int64(b.Len())))
+}
+
+// consumeLocked applies one EventBatch to the shard's own sampler and
+// hands the panes it finished and its watermark to the merger. The batch
+// is shared with other queries' sinks and is never mutated. The whole
+// application (push + merger delivery) runs under one sh.mu hold, so a
+// checkpoint observes either all of a batch or none of it (no torn
+// checkpoint). A shard sharing its group's sampler pushes nothing: the
+// group, under its lock, sampled the batch and filed the shard's panes
+// first.
+func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
+	from := sh.skipFrom(b)
+	delivered := b.Len() - from
+	if delivered > 0 && sh.ps != nil {
+		sh.ps.Push(b, from, b.Len(), sh.cut)
 	}
 	sh.offset = next
 	if sh.offset < sh.skipUntil {
@@ -356,8 +396,10 @@ func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 	if delivered > 0 {
 		sh.records.Add(int64(delivered))
 		sh.recordsMetric.Add(float64(delivered))
-		sh.lateMetric.Set(float64(sh.sess.Late()))
-		sh.deliver(sh.sess.Watermark())
+		ps := sh.sampler()
+		sh.lateMetric.Set(float64(ps.Late() + sh.lateOff))
+		sh.wm = stream.TimeFromNanos(ps.Watermark())
+		sh.deliver(sh.wm)
 	}
 }
 
@@ -375,44 +417,48 @@ func (sh *shard) setLag(lag int64) {
 	sh.job.lagGauge.Set(float64(total))
 }
 
-// idleLocked pushes an idle shard's session forward to mark, its job's
-// maximum watermark, so the windows a sparsely keyed partition would
-// otherwise hold back forever fire. hwm is the partition's committed high
-// watermark as the drain check read it. Callers hold sh.mu, and a
-// follower's leader's, advanced first: a follower's session is at mark
-// already, so the mark reaches the merger whether or not Advance moves it.
+// idleLocked pushes an idle shard's own sampler forward to mark, its
+// job's maximum watermark, so the windows a sparsely keyed partition
+// would otherwise hold back forever fire. hwm is the partition's
+// committed high watermark as the drain check read it. A shard sharing
+// its group's sampler advances nothing: the group advanced it to the mark
+// first, so the mark reaches the merger either way.
 func (sh *shard) idleLocked(mark time.Time, hwm int64) {
-	sh.sess.Advance(mark)
+	if n, ok := stream.UnixNanos(mark); ok && sh.ps != nil {
+		sh.ps.Advance(n, sh.cut)
+	}
+	sh.wm = stream.TimeFromNanos(sh.sampler().Watermark())
 	sh.deliver(mark)
 	sh.setLag(hwm - sh.offset)
 }
 
-// deliver hands the merger the panes the shard's session finished and the
-// shard's watermark, publishes whatever fires, and feeds the session's
-// adaptive controller the relative error of every window served since it
-// last did (§4.2.1): the error the query is served with. Callers hold
-// sh.mu; deliver nests j.mu inside it, the last lock of the one order
-// plane → group → leader shard → member shard → member job.
+// deliver hands the merger the panes the shard finished and the shard's
+// watermark, publishes whatever fires, and feeds the shard's adaptive
+// controller the relative error of every window served since it last did
+// (§4.2.1): the error the query is served with. Callers hold sh.mu;
+// deliver nests j.mu inside it, the last lock of the one order
+// plane → group → shard → job.
 func (sh *shard) deliver(mark time.Time) {
-	panes := sh.sess.Panes()
 	j := sh.job
 	j.mu.Lock()
-	for _, p := range panes {
+	for _, p := range sh.panes {
 		sh.sampled.Add(int64(p.Summary.SampledCount()))
 		if !j.merger.add(sh.idx, p) {
 			j.partsDropped.Inc()
 		}
 	}
+	clear(sh.panes)
+	sh.panes = sh.panes[:0]
 	if !mark.IsZero() {
 		for _, fw := range j.merger.advance(sh.idx, mark) {
 			j.emitLocked(fw)
 		}
 	}
-	if j.spec.TargetError > 0 {
+	if sh.ctl != nil {
 		for oldest := j.seq - int64(len(j.results)); sh.observed < j.seq; sh.observed++ {
 			if sh.observed >= oldest {
 				w := j.resultAt(int(sh.observed - oldest))
-				sh.sess.ObserveError(streamapprox.Estimate{Value: w.Value, Bound: w.Error}.RelativeError())
+				sh.ps.SetFraction(sh.ctl.Observe(streamapprox.Estimate{Value: w.Value, Bound: w.Error}.RelativeError()))
 			}
 		}
 	}

@@ -307,7 +307,7 @@ func TestTargetErrorObservesMergedWindows(t *testing.T) {
 		for _, w := range served[:sh.observed] {
 			ctl.Observe(streamapprox.Estimate{Value: w.Value, Bound: w.Error}.RelativeError())
 		}
-		if got := sh.sess.Fraction(); got != ctl.Fraction() || got == spec.Fraction {
+		if got := sh.ps.Fraction(); got != ctl.Fraction() || got == spec.Fraction {
 			t.Errorf("shard %d: fraction %v, want %v (moved from %v)", sh.idx, got, ctl.Fraction(), spec.Fraction)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"streamapprox"
 	"streamapprox/internal/broker"
 	"streamapprox/internal/metrics"
 	"streamapprox/internal/stream"
@@ -548,5 +549,69 @@ func TestResultsSinceAcrossRingWrap(t *testing.T) {
 	emit(2*maxKept + 7)
 	for _, since := range []int64{-1, maxKept, j.seq - maxKept - 1, j.seq - 3, j.seq - 1, j.seq + 4} {
 		check(since)
+	}
+}
+
+// TestRegisterRejectsNonFiniteSpec: a spec holding a NaN or infinite
+// number is refused at registration. Registered, it would run, but no
+// checkpoint of it could be written, so a restart would lose it.
+func TestRegisterRejectsNonFiniteSpec(t *testing.T) {
+	b := broker.New()
+	if err := b.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: b, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, sp := range map[string]Spec{
+		"NaN fraction":      {Kind: "sum", Fraction: nan},
+		"NaN target_error":  {Kind: "sum", TargetError: nan},
+		"+Inf target_error": {Kind: "sum", TargetError: inf},
+		"NaN edge":          {Kind: "histogram", HistogramEdges: []float64{0, nan, 10}},
+		"-Inf edge":         {Kind: "histogram", HistogramEdges: []float64{-inf, 0, 10}},
+		"+Inf edge":         {Kind: "histogram", HistogramEdges: []float64{0, 10, inf}},
+	} {
+		if id, err := s.Register(sp); err == nil {
+			t.Errorf("%s: registered as %s", name, id)
+		}
+	}
+}
+
+// TestOverflowingWindowIsNotServedAsOneSlide: a window near the largest
+// duration keeps its span. One that is a whole number of slides registers
+// as it is; one that is not, and whose rounding up to one would pass the
+// largest duration, is refused rather than served as one slide; a Session
+// given such a window counts over the largest whole number of slides
+// within it.
+func TestOverflowingWindowIsNotServedAsOneSlide(t *testing.T) {
+	for window, want := range map[string]time.Duration{"2562047h": 2562047 * time.Hour, "2562047h30m": 0} {
+		var sp Spec
+		if err := json.Unmarshal([]byte(`{"kind":"sum","window":"`+window+`","slide":"1h"}`), &sp); err != nil {
+			t.Fatal(err)
+		}
+		err := sp.normalize()
+		if want == 0 && err == nil {
+			t.Errorf("window %s sliding by 1h registered as %v", window, sp.Window)
+		}
+		if want != 0 && (err != nil || sp.Window != want) {
+			t.Errorf("window %s sliding by 1h registered as %v (%v), want %v", window, sp.Window, err, want)
+		}
+	}
+	const slide = 1000000 * time.Hour
+	s := streamapprox.NewSession(streamapprox.SessionConfig{WindowSize: 2562047 * time.Hour, WindowSlide: slide})
+	if err := s.Push(streamapprox.Event{Stratum: "a", Value: 1, Time: time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)}); err != nil {
+		t.Fatal(err)
+	}
+	windows := s.Close()
+	if len(windows) == 0 {
+		t.Fatal("no windows served")
+	}
+	for _, w := range windows {
+		if span := w.End.Sub(w.Start); span != 2*slide {
+			t.Errorf("window [%v, %v) spans %v, want two slides (%v)", w.Start, w.End, span, 2*slide)
+		}
 	}
 }

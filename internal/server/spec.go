@@ -3,11 +3,13 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"streamapprox"
 	"streamapprox/internal/estimate"
+	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
 )
 
@@ -20,7 +22,8 @@ type Spec struct {
 	// groupby-mean, groupby-count or histogram.
 	Kind string
 	// Window and Slide configure the sliding window (defaults 10s/5s).
-	// A window that is not a whole number of slides is rounded up to one.
+	// A window that is not a whole number of slides is rounded up to one;
+	// one whose rounding up would overflow is refused.
 	Window time.Duration
 	// Slide defaults to half the window.
 	Slide time.Duration
@@ -40,9 +43,10 @@ type Spec struct {
 	// position left behind by a deleted query under the same id.
 	From string
 	// Seed makes the shard samplers reproducible (default 1); shard i
-	// uses Seed+i. A shard that follows a sampling group's leader
-	// samples through the leader's sampler, so its own seed goes unused
-	// while it follows: its windows depend on the leader's seed.
+	// uses Seed+i. A shard that shares its sampling group's sampler
+	// samples through it, so its own seed goes unused while it shares:
+	// the group's sampler keeps the seed — the random state — of the
+	// member it was taken from, and the shard's windows depend on that.
 	Seed uint64
 }
 
@@ -151,15 +155,24 @@ func (sp *Spec) normalize() error {
 		return fmt.Errorf("slide %v exceeds window %v", sp.Slide, sp.Window)
 	}
 	// A window is counted over whole slide segments: serve that span.
-	sp.Window = query.WholeSlides(sp.Window, sp.Slide)
-	if sp.Fraction < 0 || sp.Fraction > 1 {
+	whole := query.WholeSlides(sp.Window, sp.Slide)
+	if whole < sp.Window {
+		return fmt.Errorf("window %v is no whole number of %v slides, and rounding it up overflows", sp.Window, sp.Slide)
+	}
+	sp.Window = whole
+	if !(sp.Fraction >= 0 && sp.Fraction <= 1) {
 		return fmt.Errorf("fraction %v outside (0, 1]", sp.Fraction)
 	}
 	if sp.Fraction == 0 {
 		sp.Fraction = 0.6
 	}
-	if sp.TargetError < 0 {
-		return fmt.Errorf("target_error must be >= 0")
+	if !(sp.TargetError >= 0) || math.IsInf(sp.TargetError, 1) {
+		return fmt.Errorf("target_error %v must be finite and >= 0", sp.TargetError)
+	}
+	for _, e := range sp.HistogramEdges {
+		if math.IsNaN(e) || math.IsInf(e, 0) {
+			return fmt.Errorf("histogram edge %v is not finite", e)
+		}
 	}
 	switch sp.Confidence {
 	case 0:
@@ -204,17 +217,24 @@ func (sp *Spec) level() estimate.Confidence { return estimate.Confidence(sp.conf
 // through, which the merger combines them with.
 func (sp *Spec) combiner() query.Query { return query.Named(sp.Kind, sp.level(), sp.HistogramEdges) }
 
-// sessionConfig builds the per-shard Session configuration; shard
-// sessions differ only in seed so their reservoirs are decorrelated.
-func (sp *Spec) sessionConfig(shard int) streamapprox.SessionConfig {
-	return streamapprox.SessionConfig{
-		Query:          sp.query(),
-		WindowSize:     sp.Window,
-		WindowSlide:    sp.Slide,
+// seed is shard's sampler seed: shard samplers differ only in seed, so
+// their reservoirs are decorrelated. A shard's seed goes unused while it
+// shares its sampling group's sampler, which keeps the seed of the member
+// it was taken from.
+func (sp *Spec) seed(shard int) uint64 { return sp.Seed + uint64(shard) }
+
+// session is the configuration half of a shard's session snapshot: the
+// library Session a shard of the spec samples as.
+func (sp *Spec) session(shard int) pane.Snapshot {
+	return pane.Snapshot{
+		Version:        pane.Version,
+		Query:          int(sp.query()),
+		WindowSizeNS:   int64(sp.Window),
+		WindowSlideNS:  int64(sp.Slide),
 		Fraction:       sp.Fraction,
 		TargetError:    sp.TargetError,
-		Confidence:     sp.confidence(),
+		Confidence:     int(sp.confidence()),
 		HistogramEdges: sp.HistogramEdges,
-		Seed:           sp.Seed + uint64(shard),
+		Seed:           sp.seed(shard),
 	}
 }

@@ -67,6 +67,13 @@ func TimeToNanos(t time.Time) int64 {
 	return t.UnixNano()
 }
 
+// UnixNanos returns t in unix nanos, ZeroTimeNanos for the zero time, and
+// whether t is either: a time outside the years 1678–2262 is not.
+func UnixNanos(t time.Time) (int64, bool) {
+	n := TimeToNanos(t)
+	return n, t.IsZero() || (n != ZeroTimeNanos && time.Unix(0, n).Equal(t))
+}
+
 var batchPool = sync.Pool{New: func() any { return new(EventBatch) }}
 
 // GetEventBatch returns an empty batch from the pool with one

@@ -281,7 +281,7 @@ func TestPaneWindowsMatchRowWindows(t *testing.T) {
 						}
 						if !refracted && i > len(events)/2 {
 							refracted = true
-							sess.cfg.Fraction = 0.5
+							sess.ps.SetFraction(0.5)
 							ref.cfg.Fraction = 0.5
 						}
 						b := batchOf(events[i:j])

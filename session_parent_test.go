@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"streamapprox/internal/pane"
 	"streamapprox/internal/stream"
 )
 
@@ -173,8 +174,8 @@ func parentWindowOf(w WindowResult, cfg SessionConfig, events []Event) parentWin
 	wm := int64(stream.ZeroTimeNanos)
 	var head []string // zero-time strata waiting for a segment
 	for _, e := range events {
-		n, _ := unixNanos(e.Time)
-		seg, ok := probe.segmentOf(n)
+		n, _ := stream.UnixNanos(e.Time)
+		seg, ok := probe.ps.SegmentOf(n)
 		if n < wm || !ok {
 			continue
 		}
@@ -198,7 +199,7 @@ func parentChunkOf(t *testing.T, late int64, snap []byte) parentChunk {
 	if err := json.Unmarshal(snap, &fields); err != nil {
 		t.Fatal(err)
 	}
-	var st sessionState
+	var st pane.Snapshot
 	if err := json.Unmarshal(snap, &st); err != nil {
 		t.Fatal(err)
 	}
