@@ -107,7 +107,7 @@ func run() error {
 	failAfter := flag.Int("fail-after", 3, "consecutive failed probes before a peer is declared dead")
 	dialTimeout := flag.Duration("dial-timeout", broker.DefaultDialTimeout, "TCP connect bound for node-to-node dials")
 	probeTimeout := flag.Duration("probe-timeout", 0, "deadline for one heartbeat probe RPC (0: 4x -heartbeat, min 1s)")
-	rpcTimeout := flag.Duration("rpc-timeout", 10*time.Second, "deadline for replication and other peer RPCs")
+	rpcTimeout := flag.Duration("rpc-timeout", 10*time.Second, "deadline for each replicate and other peer RPCs; replicates that time out together on one connection count one missed probe")
 	httpAddr := flag.String("http", "", "admin listen address for /metrics, /healthz and pprof (empty: disabled)")
 	var level slog.Level
 	flag.TextVar(&level, "log-level", slog.LevelInfo, "log level: debug, info, warn or error")

@@ -120,33 +120,12 @@ func opQuantiles(sc *metrics.Scrape, op string) string {
 	return fmtDur(p50, ok50) + "/" + fmtDur(p99, ok99)
 }
 
-// replCoalesce renders a leader's replication-coalescing view: mean
-// partition sections per batched replicate RPC (summed across its
-// follower sessions) and the total producers woken by batched acks, or
-// "-" before the node has drained any batch.
-func replCoalesce(sc *metrics.Scrape) string {
-	var sum, count, woken float64
-	for _, s := range sc.Select("broker_replicate_batch_partitions_sum", nil) {
-		sum += s.Value
-	}
-	for _, s := range sc.Select("broker_replicate_batch_partitions_count", nil) {
-		count += s.Value
-	}
-	for _, s := range sc.Select("broker_replicate_group_wakeups_total", nil) {
-		woken += s.Value
-	}
-	if count == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1fp/batch %.0f woken", sum/count, woken)
-}
-
 func renderBrokers(brokers []*brokerScrape) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "BROKER\tEPOCH\tSTATE\tPRODUCE p50/p99\tFETCH p50/p99\tFSYNC p50/p99\tREPL COALESCE")
+	fmt.Fprintln(w, "BROKER\tEPOCH\tSTATE\tPRODUCE p50/p99\tFETCH p50/p99\tFSYNC p50/p99")
 	for _, b := range brokers {
 		if b.err != nil {
-			fmt.Fprintf(w, "%s\tunreachable: %v\t\t\t\t\t\n", b.addr, b.err)
+			fmt.Fprintf(w, "%s\tunreachable: %v\t\t\t\t\n", b.addr, b.err)
 			continue
 		}
 		state := "ok"
@@ -163,10 +142,9 @@ func renderBrokers(brokers []*brokerScrape) {
 		if ok50 || ok99 {
 			fsync = fmtDur(p50f, ok50) + "/" + fmtDur(p99f, ok99)
 		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%s\n",
 			b.node, epoch, state,
-			opQuantiles(b.sc, "producep"), opQuantiles(b.sc, "fetch"), fsync,
-			replCoalesce(b.sc))
+			opQuantiles(b.sc, "producep"), opQuantiles(b.sc, "fetch"), fsync)
 	}
 	w.Flush()
 	fmt.Println()

@@ -44,12 +44,10 @@ func (n *ClusterNode) joinLoop() {
 func (n *ClusterNode) syncAndJoin() {
 	// Leadership from a previous incarnation is void: every partition
 	// re-adopts its (possibly truncated) watermark when leadership is
-	// next acquired, and any replication sessions of the old reign are
-	// torn down (no-op at first boot).
+	// next acquired.
 	for _, ps := range n.parts() {
 		ps.leading.Store(false)
 	}
-	n.closeSessions()
 	var bestMeta *ClusterMeta
 	for _, id := range n.members {
 		p := n.peers[id]
@@ -186,35 +184,29 @@ func (n *ClusterNode) truncateDivergence(ps *partState, ldr string, committed in
 }
 
 // pullCommitted drains the committed records this replica is missing
-// from a peer via replica-fetch, applying them through the idempotent
-// replicated-append path: raw frame chunks over the rfetch op, one
-// buffer reused across rounds, appended verbatim.
+// from a peer, one replica-fetch section at a time, each applied by
+// applySection exactly as a pushed one: the frames appended verbatim,
+// the producer journal entries they complete adopted, so a retried
+// batch is deduplicated here whichever path brought its records.
 func (n *ClusterNode) pullCommitted(ldr *peer, ps *partState) error {
 	cli, err := n.peerClient(ldr)
 	if err != nil {
 		return err
 	}
-	var buf []byte
 	for {
-		local := ps.p.log.HighWatermark()
-		// replicaFetch always serves from the requested offset, so the
-		// chunk's base is `local` — frames carry no offsets of their own.
-		frames, count, err := cli.replicaFetchFrames(n.cfg.ID, ps.topic, ps.partition, local, 4096, buf[:0])
+		var count int
+		err := cli.replicaFetch(n.cfg.ID, ps.topic, ps.partition, ps.p.log.HighWatermark(), 4096, func(s replSection) error {
+			count = s.count
+			_, err := n.applySection(ps, s)
+			return err
+		})
 		if err != nil {
 			return err
 		}
-		buf = frames[:0]
 		if count == 0 {
 			n.saveClusterState(ps)
 			return nil
 		}
-		hwm, err := ps.p.replicateAppend(local, frames, count)
-		if err != nil {
-			return err
-		}
-		n.mu.Lock()
-		ps.remoteHWM = max(ps.remoteHWM, hwm)
-		n.mu.Unlock()
 	}
 }
 

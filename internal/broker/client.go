@@ -452,11 +452,17 @@ func (c *client) callWatermark(encode func(fb *frameBuf, corr uint64)) (int64, e
 	return int64(cur.u64()), cur.err
 }
 
-// callFrames performs one fetch-family request and hands the answered
-// chunk — CRC-verified here, exactly once — to use. The frames are a
-// view into the response buffer, recycled when use returns.
-func (c *client) callFrames(encode func(fb *frameBuf, corr uint64), use func(base int64, count int, frames []byte)) error {
-	fb, err := c.callBinary(encode)
+// fetchFrames is the one fetch call behind Fetch and FetchBatch: it
+// hands the answered chunk — CRC-verified here, exactly once — to use.
+// The frames are a view into the response buffer, recycled when use
+// returns.
+func (c *client) fetchFrames(topicName string, partition int, offset int64, max int, use func(base int64, count int, frames []byte)) error {
+	if err := checkTopic(topicName); err != nil {
+		return err
+	}
+	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
+		encodeFetchFramesReq(fb, corr, c.trace.Load(), topicName, partition, offset, max)
+	})
 	if err != nil {
 		return err
 	}
@@ -471,16 +477,6 @@ func (c *client) callFrames(encode func(fb *frameBuf, corr uint64), use func(bas
 	}
 	use(base, count, frames)
 	return nil
-}
-
-// fetchFrames is the one fetch call behind Fetch and FetchBatch.
-func (c *client) fetchFrames(topicName string, partition int, offset int64, max int, use func(base int64, count int, frames []byte)) error {
-	if err := checkTopic(topicName); err != nil {
-		return err
-	}
-	return c.callFrames(func(fb *frameBuf, corr uint64) {
-		encodeFetchFramesReq(fb, corr, c.trace.Load(), topicName, partition, offset, max)
-	}, use)
 }
 
 // Fetch reads records from a remote partition: the fetched frame chunk
@@ -544,51 +540,38 @@ func (c *client) ping(timeout time.Duration, node string, epoch int64, view map[
 	return resp.Epoch, resp.View, nil
 }
 
-// replicaFetchFrames reads committed records from a fellow cluster
-// member regardless of partition leadership — the rejoin catch-up
-// surface. The chunk arrives as validated CRC frames appended onto buf,
-// ready for partition.replicateAppend verbatim: a rejoining replica pulls
-// committed history at memcpy speed.
-func (c *client) replicaFetchFrames(sender, topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
-	var n int
-	err := c.callFrames(func(fb *frameBuf, corr uint64) {
-		encodeRFetchReq(fb, corr, c.trace.Load(), sender, topic, partition, offset, max)
-	}, func(_ int64, count int, frames []byte) { // base echoes the requested offset
-		buf, n = append(buf, frames...), count
-	})
-	return buf, n, err
-}
-
-// replicateMF ships one batch of per-partition frame chunks to a
-// follower in a single RPC and returns the follower's resulting high
-// watermark per section, in request order. The explicit trace parameter
-// forwards the producer request's trace across the leader→follower hop
-// (the connection stamp would attribute every chunk to whichever request
-// dialed first).
-func (c *client) replicateMF(trace uint64, epoch int64, sender string, secs []replSection) ([]int64, error) {
+// replicaFetch reads one section of committed records from a fellow
+// cluster member regardless of partition leadership — the rejoin
+// catch-up surface — and hands it to use. The section's frames arrive
+// CRC-validated, ready for partition.replicateAppend verbatim, and are a
+// view into the response buffer, recycled when use returns.
+func (c *client) replicaFetch(sender, topic string, partition int, offset int64, max int, use func(replSection) error) error {
 	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
-		encodeReplicateMFReq(fb, corr, trace, epoch, sender, secs)
+		encodeRFetchReq(fb, corr, c.trace.Load(), sender, topic, partition, offset, max)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer putFrame(fb)
 	cur, err := decodeRespHeader(fb)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	n := int(cur.u32())
-	if cur.err == nil && (n != len(secs) || n*8 > cur.remaining()) {
-		return nil, errTruncatedFrame
+	if s := decodeSection(cur); cur.err == nil {
+		return use(s)
 	}
-	if cur.err != nil {
-		return nil, cur.err
-	}
-	hwms := make([]int64, n)
-	for i := range hwms {
-		hwms[i] = int64(cur.u64())
-	}
-	return hwms, cur.err
+	return cur.err
+}
+
+// replicate ships one partition's section to a follower and returns the
+// follower's resulting high watermark. The explicit trace parameter
+// forwards the producer request's trace across the leader→follower hop
+// (the connection stamp would attribute every chunk to whichever request
+// dialed first).
+func (c *client) replicate(trace uint64, epoch int64, sender, topic string, partition int, s *replSection) (int64, error) {
+	return c.callWatermark(func(fb *frameBuf, corr uint64) {
+		encodeReplicateReq(fb, corr, trace, epoch, sender, topic, partition, s)
+	})
 }
 
 // replicaHWM reads a member's known committed watermark for a

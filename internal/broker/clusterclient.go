@@ -75,9 +75,8 @@ type ClusterClient struct {
 // requests in arrival order, so two partitions sharing a connection
 // serialize their full produce cycles — including the leader's
 // synchronous replication wait. Separate lanes let same-leader
-// partitions overlap, which is also what feeds the leader's group
-// commit: chunks can only coalesce into one replicate batch if they
-// are in flight together.
+// partitions overlap, their replicates in flight together on the
+// leader's one connection to each follower.
 const clientLanes = 4
 
 // connKey names one lane's connection to a member; lane 0 is the

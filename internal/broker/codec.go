@@ -46,22 +46,18 @@ import (
 const wireVersion byte = 7
 
 // Op codes. 1, 2, 5, 6, 7 and 9 belonged to the retired record-dialect,
-// key-routed produce and per-partition replicate ops and stay
-// unassigned: the decoder rejects them like any unknown op.
+// key-routed produce and per-partition replicate ops, 11 and 13 to the
+// replica fetch that shipped frames without the producer journal and
+// the multi-section replicate batch; all stay unassigned: the decoder
+// rejects them like any unknown op.
 const (
 	binOpHWM          byte = 3
 	binOpJSON         byte = 4  // JSON control request wrapped in the binary envelope
 	binOpProducePartF byte = 8  // partitioned produce with pid/seq dedup
 	binOpFetchF       byte = 10 // fetch answered as a frame chunk
-	binOpRFetchF      byte = 11 // replica catch-up fetch, frame chunk
 	binOpRHWMB        byte = 12 // replica high watermark
-
-	// binOpReplicateMF is the leader→follower replication op: one RPC
-	// carrying the pending frame chunks of one or SEVERAL partitions as
-	// length-prefixed sections (group commit — the batch amortizes the
-	// round-trip, the frames still travel verbatim), answered with one
-	// ack of per-section high watermarks.
-	binOpReplicateMF byte = 13
+	binOpReplicate    byte = 14 // leader→follower: one section, answered with the follower's watermark
+	binOpRFetch       byte = 15 // replica fetch, answered with one section
 )
 
 const (
@@ -209,20 +205,6 @@ func (c *wireCursor) str(n int) string {
 	return s
 }
 
-// bytes returns a view of the next n payload bytes, valid only until
-// the frame buffer is reused.
-func (c *wireCursor) bytes(n int) []byte {
-	if n < 0 || !c.need(n) {
-		if c.err == nil {
-			c.err = errTruncatedFrame
-		}
-		return nil
-	}
-	b := c.b[c.off : c.off+n]
-	c.off += n
-	return b
-}
-
 // rest returns the unread remainder of the payload.
 func (c *wireCursor) rest() []byte {
 	if c.err != nil {
@@ -272,17 +254,18 @@ func encodeProducePartFwdReq(fb *frameBuf, corr, trace uint64, topic string, par
 	fb.b = append(fb.b, frames...)
 }
 
-// replSection is one partition's contiguous frame chunk inside a
-// replicate batch (binOpReplicateMF). base is the exact offset the chunk
-// starts at in the leader's log; committed is the leader's committed
-// watermark (the follower persists it as its restart truncation point);
-// metas are the producer-batch journal entries covering the chunk's
-// range, so the follower can adopt dedup state for every producer whose
-// records it receives. The sender id and epoch that fence stale leaders
-// sit in the batch header — one fencing decision covers the whole batch.
+// replSection is one partition's contiguous run of frames as it moves
+// between members, pushed or pulled: the body of a replicate request and
+// of a replica fetch's answer. base is the offset the chunk starts at in
+// the sender's log; committed is the sender's committed watermark (the
+// receiver persists it as its restart truncation point); metas are the
+// producer-batch journal entries overlapping the chunk, so the receiver
+// adopts dedup state for every producer whose records it gets.
+//
+//	section = [8]base [8]committed [4]nmetas {[8]pid [8]seq [8]base [8]end}×nmetas chunk
+//
+// The chunk runs to the end of the payload.
 type replSection struct {
-	topic     string
-	partition int
 	base      int64
 	committed int64
 	metas     []batchMeta
@@ -290,33 +273,50 @@ type replSection struct {
 	count     int
 }
 
-// encodeReplicateMFReq encodes a replicate batch: epoch + sender once,
-// then each section with an explicit frame byte length (sections are
-// concatenated, so a chunk cannot simply run to the payload's end).
-func encodeReplicateMFReq(fb *frameBuf, corr, trace uint64, epoch int64, sender string, secs []replSection) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpReplicateMF, corr, trace)
+// appendSectionHead appends a section's fields up to its chunk.
+func appendSectionHead(b []byte, base, committed int64, metas []batchMeta) []byte {
+	b = appendU64(b, uint64(base))
+	b = appendU64(b, uint64(committed))
+	b = appendU32(b, uint32(len(metas)))
+	for _, bm := range metas {
+		b = appendU64(b, bm.pid)
+		b = appendU64(b, bm.seq)
+		b = appendU64(b, uint64(bm.base))
+		b = appendU64(b, uint64(bm.end))
+	}
+	return b
+}
+
+// decodeSection reads a section, its chunk validated by decodeFrameChunk.
+func decodeSection(cur *wireCursor) replSection {
+	s := replSection{base: int64(cur.u64()), committed: int64(cur.u64())}
+	nmetas := int(cur.u32())
+	if cur.err == nil && nmetas*32 > cur.remaining() {
+		cur.err = errTruncatedFrame
+	}
+	if cur.err == nil && nmetas > 0 {
+		s.metas = make([]batchMeta, nmetas)
+		for i := range s.metas {
+			s.metas[i] = batchMeta{pid: cur.u64(), seq: cur.u64(), base: int64(cur.u64()), end: int64(cur.u64())}
+		}
+	}
+	s.count, s.frames = decodeFrameChunk(cur)
+	return s
+}
+
+// encodeReplicateReq encodes a replicate: the epoch and sender that fence
+// stale leaders, the partition, then one section.
+func encodeReplicateReq(fb *frameBuf, corr, trace uint64, epoch int64, sender, topic string, partition int, s *replSection) {
+	fb.b = appendBinReqHeader(fb.b[:0], binOpReplicate, corr, trace)
 	fb.b = appendU64(fb.b, uint64(epoch))
 	fb.b = appendU16(fb.b, uint16(len(sender)))
 	fb.b = append(fb.b, sender...)
-	fb.b = appendU32(fb.b, uint32(len(secs)))
-	for i := range secs {
-		s := &secs[i]
-		fb.b = appendU16(fb.b, uint16(len(s.topic)))
-		fb.b = append(fb.b, s.topic...)
-		fb.b = appendU32(fb.b, uint32(int32(s.partition)))
-		fb.b = appendU64(fb.b, uint64(s.base))
-		fb.b = appendU64(fb.b, uint64(s.committed))
-		fb.b = appendU32(fb.b, uint32(len(s.metas)))
-		for _, bm := range s.metas {
-			fb.b = appendU64(fb.b, bm.pid)
-			fb.b = appendU64(fb.b, bm.seq)
-			fb.b = appendU64(fb.b, uint64(bm.base))
-			fb.b = appendU64(fb.b, uint64(bm.end))
-		}
-		fb.b = appendU32(fb.b, uint32(s.count))
-		fb.b = appendU32(fb.b, uint32(len(s.frames)))
-		fb.b = append(fb.b, s.frames...)
-	}
+	fb.b = appendU16(fb.b, uint16(len(topic)))
+	fb.b = append(fb.b, topic...)
+	fb.b = appendU32(fb.b, uint32(int32(partition)))
+	fb.b = appendSectionHead(fb.b, s.base, s.committed, s.metas)
+	fb.b = appendU32(fb.b, uint32(s.count))
+	fb.b = append(fb.b, s.frames...)
 }
 
 // encodeFetchFramesReq asks for a fetch answered as a raw frame chunk.
@@ -332,11 +332,11 @@ func encodeFetchFramesReq(fb *frameBuf, corr, trace uint64, topic string, partit
 	fb.b = appendU32(fb.b, uint32(max))
 }
 
-// encodeRFetchReq asks for a replica catch-up fetch: like a fetch but
-// carrying the requesting replica's id (clamping is by replica rules,
-// not consumer rules).
+// encodeRFetchReq asks for a replica fetch: like a fetch but carrying
+// the requesting replica's id (clamping is by replica rules, not
+// consumer rules), answered with a section.
 func encodeRFetchReq(fb *frameBuf, corr, trace uint64, sender, topic string, partition int, offset int64, max int) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpRFetchF, corr, trace)
+	fb.b = appendBinReqHeader(fb.b[:0], binOpRFetch, corr, trace)
 	fb.b = appendU16(fb.b, uint16(len(sender)))
 	fb.b = append(fb.b, sender...)
 	fb.b = appendU16(fb.b, uint16(len(topic)))
@@ -384,10 +384,9 @@ type binRequest struct {
 	epoch  int64
 	sender string
 
-	// Replicate batch (binOpReplicateMF): each section's frames are a
-	// view into the request buffer and have passed ValidateFrames, like
-	// the frames field.
-	sections []replSection
+	// Replicate: the section, whose frames are a view into the request
+	// buffer and have passed ValidateFrames, like the frames field.
+	sec replSection
 }
 
 func decodeBinRequest(payload []byte) (binRequest, error) {
@@ -411,66 +410,19 @@ func decodeBinRequest(payload []byte) (binRequest, error) {
 		req.pid = cur.u64()
 		req.seq = cur.u64()
 		req.count, req.frames = decodeFrameChunk(cur)
-	case binOpReplicateMF:
+	case binOpReplicate:
 		req.epoch = int64(cur.u64())
 		req.sender = cur.str(int(cur.u16()))
-		nsecs := int(cur.u32())
-		// Each section costs at least its fixed header; a count that
-		// cannot fit is a truncated or hostile frame, reject before
-		// allocating.
-		if cur.err == nil && nsecs*(2+4+8+8+4+4+4) > cur.remaining() {
-			return req, errTruncatedFrame
-		}
-		if cur.err == nil && nsecs > 0 {
-			req.sections = make([]replSection, 0, nsecs)
-			for i := 0; i < nsecs && cur.err == nil; i++ {
-				var s replSection
-				s.topic = cur.str(int(cur.u16()))
-				s.partition = int(int32(cur.u32()))
-				s.base = int64(cur.u64())
-				s.committed = int64(cur.u64())
-				nmetas := int(cur.u32())
-				if cur.err == nil && nmetas*32 > cur.remaining() {
-					return req, errTruncatedFrame
-				}
-				if cur.err == nil && nmetas > 0 {
-					s.metas = make([]batchMeta, nmetas)
-					for j := range s.metas {
-						s.metas[j] = batchMeta{
-							pid:  cur.u64(),
-							seq:  cur.u64(),
-							base: int64(cur.u64()),
-							end:  int64(cur.u64()),
-						}
-					}
-				}
-				// The single validation gate applies per section: every
-				// chunk entering the process is structure+CRC checked
-				// exactly once, batched or not.
-				declared := int(cur.u32())
-				s.frames = cur.bytes(int(cur.u32()))
-				if cur.err != nil {
-					break
-				}
-				n, err := storage.ValidateFrames(s.frames)
-				if err != nil {
-					cur.err = err
-					break
-				}
-				if n != declared {
-					cur.err = errTruncatedFrame
-					break
-				}
-				s.count = n
-				req.sections = append(req.sections, s)
-			}
-		}
+		req.topic = cur.str(int(cur.u16()))
+		req.partition = int(int32(cur.u32()))
+		req.sec = decodeSection(cur)
+		req.count = req.sec.count
 	case binOpFetchF:
 		req.topic = cur.str(int(cur.u16()))
 		req.partition = int(int32(cur.u32()))
 		req.offset = int64(cur.u64())
 		req.max = int(cur.u32())
-	case binOpRFetchF:
+	case binOpRFetch:
 		req.sender = cur.str(int(cur.u16()))
 		req.topic = cur.str(int(cur.u16()))
 		req.partition = int(int32(cur.u32()))
@@ -577,24 +529,11 @@ func encodeCountResp(fb *frameBuf, op byte, corr uint64, n int) {
 	fb.b = appendU32(fb.b, uint32(n))
 }
 
-// encodeWatermarkResp answers any watermark-carrying op (hwm, rhwm) with
-// an int64 watermark.
+// encodeWatermarkResp answers any watermark-carrying op (hwm, rhwm,
+// replicate) with an int64 watermark.
 func encodeWatermarkResp(fb *frameBuf, op byte, corr uint64, hwm int64) {
 	fb.b = appendBinRespHeader(fb.b[:0], op, corr, binStatusOK)
 	fb.b = appendU64(fb.b, uint64(hwm))
-}
-
-// encodeReplicateMFResp answers a replicate batch with the follower's
-// resulting high watermark per section, in request order — the single
-// batched ack whose arrival wakes every producer parked on the round
-// (group commit). A watermark short of a section's end tells the leader
-// to backfill from there.
-func encodeReplicateMFResp(fb *frameBuf, corr uint64, hwms []int64) {
-	fb.b = appendBinRespHeader(fb.b[:0], binOpReplicateMF, corr, binStatusOK)
-	fb.b = appendU32(fb.b, uint32(len(hwms)))
-	for _, h := range hwms {
-		fb.b = appendU64(fb.b, uint64(h))
-	}
 }
 
 // beginFetchFramesResp opens a raw-frame fetch response — header, base
@@ -603,16 +542,27 @@ func encodeReplicateMFResp(fb *frameBuf, corr uint64, hwms []int64) {
 // appends the chunk DIRECTLY onto fb.b: the response is assembled in
 // the server's pooled write buffer with no intermediate record slice or
 // scratch buffer at all.
-func beginFetchFramesResp(fb *frameBuf, op byte, corr uint64, base int64) int {
-	fb.b = appendBinRespHeader(fb.b[:0], op, corr, binStatusOK)
+func beginFetchFramesResp(fb *frameBuf, corr uint64, base int64) int {
+	fb.b = appendBinRespHeader(fb.b[:0], binOpFetchF, corr, binStatusOK)
 	fb.b = appendU64(fb.b, uint64(base))
 	at := len(fb.b)
 	fb.b = appendU32(fb.b, 0)
 	return at
 }
 
+// beginSectionResp opens a replica fetch's answer the same way: header,
+// then the section up to its chunk, and returns where the count is
+// patched.
+func beginSectionResp(fb *frameBuf, corr uint64, base, committed int64, metas []batchMeta) int {
+	fb.b = appendBinRespHeader(fb.b[:0], binOpRFetch, corr, binStatusOK)
+	fb.b = appendSectionHead(fb.b, base, committed, metas)
+	at := len(fb.b)
+	fb.b = appendU32(fb.b, 0)
+	return at
+}
+
 // patchFrameCount fills the count placeholder left by
-// beginFetchFramesResp.
+// beginFetchFramesResp or beginSectionResp.
 func patchFrameCount(fb *frameBuf, at, count int) {
 	binary.BigEndian.PutUint32(fb.b[at:], uint32(count))
 }

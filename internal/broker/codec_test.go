@@ -123,7 +123,7 @@ func FuzzBinaryRecordCodec(f *testing.F) {
 		// from the request and the response's base)
 		fb := getFrame()
 		defer putFrame(fb)
-		at := beginFetchFramesResp(fb, binOpFetchF, 7, 17)
+		at := beginFetchFramesResp(fb, 7, 17)
 		fb.b = storage.AppendRecordFrames(fb.b, []Record{in})
 		patchFrameCount(fb, at, 1)
 		cur, err := decodeRespHeader(fb)
@@ -150,6 +150,11 @@ func FuzzBinaryRequestDecode(f *testing.F) {
 	encodeProducePartFwdReq(fb, 1, 0, "t", 0, 1, 1, storage.AppendRecordFrames(nil, recs("k", 3)), 3)
 	f.Add(append([]byte(nil), fb.b...))
 	encodeFetchFramesReq(fb, 2, 0, "t", 0, 0, 10)
+	f.Add(append([]byte(nil), fb.b...))
+	encodeReplicateReq(fb, 3, 0, 1, "n0", "t", 0, &replSection{metas: []batchMeta{{pid: 1, seq: 1, end: 3}},
+		frames: storage.AppendRecordFrames(nil, recs("k", 3)), count: 3})
+	f.Add(append([]byte(nil), fb.b...))
+	encodeRFetchReq(fb, 4, 0, "n0", "t", 0, 0, 10)
 	f.Add(append([]byte(nil), fb.b...))
 	putFrame(fb)
 	f.Add([]byte{wireVersion, binOpProducePartF})

@@ -2,23 +2,33 @@ package broker
 
 // Locks: n.mu guards replEpoch, remoteHWM, seqs and metas; leading is an atomic.
 import (
-	"errors"
 	"fmt"
 	"slices"
 )
 
-// replicaFetchFrames serves committed records to a fellow cluster
-// member regardless of leadership — the pull side of rejoin catch-up and
-// of the leadership-takeover handshake, where the interim leader has
-// already deferred and would answer a normal fetch with NotLeader. The
-// bytes ship verbatim from the serving replica's segments, CRC-checked
-// by the puller at its wire decode before they are re-appended.
-func (n *ClusterNode) replicaFetchFrames(sender, topic string, partition int, offset int64, max int, buf []byte) ([]byte, int, error) {
+// replicaFetch answers a fellow cluster member's replica fetch with one
+// section of committed records, regardless of leadership — the pull side
+// of rejoin catch-up and of the leadership-takeover handshake, where the
+// interim leader has already deferred and would answer a normal fetch
+// with NotLeader. The frames ship verbatim from the serving replica's
+// segments, behind the journal entries overlapping them, and are
+// CRC-checked by the puller at its wire decode before they are
+// re-appended.
+func (n *ClusterNode) replicaFetch(out *frameBuf, corr uint64, sender, topic string, partition int, offset int64, max int) error {
 	ps, committed, err := n.replicaRead(sender, topic, partition)
 	if err != nil {
-		return buf, 0, err
+		return err
 	}
-	return ps.readCommitted(committed, offset, max, buf)
+	end := committed
+	if max > 0 {
+		end = min(end, offset+int64(max))
+	}
+	at := beginSectionResp(out, corr, offset, committed, n.metasInRange(ps, offset, end))
+	var count int
+	if out.b, count, err = ps.readCommitted(committed, offset, max, out.b); err == nil {
+		patchFrameCount(out, at, count)
+	}
+	return err
 }
 
 // replicaHWM answers a member's query for this node's committed
@@ -42,15 +52,15 @@ func (n *ClusterNode) replicaRead(sender, topic string, partition int) (*partSta
 }
 
 // fenceReplicate runs the follower-side admission checks of a replicate
-// batch whose sender is a member and a replica of every section: a
-// (re)joining node and a deposed sender refuse replication, and every
-// partition records the highest epoch an inbound replicate has carried
-// — a chunk at a LOWER epoch than that is fenced off, so a stale
-// session that went quiet before a takeover cannot deliver a late batch
-// after the new leader (whose announcement bumped the epoch) has started
-// shipping. All rejections are answered errors: the deposed leader
-// learns it is fenced without poisoning its failure detector.
-func (n *ClusterNode) fenceReplicate(epoch int64, from *peer, parts []*partState) error {
+// whose sender is a member and a replica of the partition: a (re)joining
+// node and a deposed sender refuse replication, and the partition
+// records the highest epoch an inbound replicate has carried — a chunk
+// at a LOWER epoch than that is fenced off, so a replicate a deposed
+// leader sent before a takeover cannot land after the new leader (whose
+// announcement bumped the epoch) has started shipping. All rejections
+// are answered errors: the deposed leader learns it is fenced without
+// poisoning its failure detector.
+func (n *ClusterNode) fenceReplicate(epoch int64, from *peer, ps *partState) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.joining {
@@ -59,86 +69,71 @@ func (n *ClusterNode) fenceReplicate(epoch int64, from *peer, parts []*partState
 	if from.st.Dead {
 		return fmt.Errorf("broker: replicate from %s rejected: deposed in epoch %d", from.id, n.epoch)
 	}
-	for _, ps := range parts {
-		if epoch < ps.replEpoch {
-			return fmt.Errorf("broker: replicate %s from %s fenced: epoch %d < %d", ps, from.id, epoch, ps.replEpoch)
-		}
+	if epoch < ps.replEpoch {
+		return fmt.Errorf("broker: replicate %s from %s fenced: epoch %d < %d", ps, from.id, epoch, ps.replEpoch)
 	}
-	// Admitted: record the epochs only now, so one stale section cannot
-	// ratchet its siblings before the whole batch is judged.
-	for _, ps := range parts {
-		ps.replEpoch = max(ps.replEpoch, epoch)
-	}
+	ps.replEpoch = epoch
 	n.epoch = max(n.epoch, epoch)
 	return nil
 }
 
-// applyReplicateBatch is the follower side of replication. The sender
-// must be a member and a replica of every section's partition, checked
-// before anything is recorded; then one fence decision covers the whole
-// batch, and every section lands in its log through the idempotent
-// gap-safe append, in batch order (sections of one partition arrive
-// contiguous, so later ones see the watermark earlier ones produced).
-// The answer is one high watermark per section; a failing section
-// fails the whole batch (the leader re-drives per item).
-func (n *ClusterNode) applyReplicateBatch(epoch int64, sender string, secs []replSection) ([]int64, error) {
-	if len(secs) == 0 {
-		return nil, errors.New("broker: empty replicate batch")
-	}
+// applyReplicate is the follower side of a replicate. The sender must be
+// a member and a replica of the partition, checked before anything is
+// recorded, and must pass the epoch fence; then the section lands
+// through applySection. The answer is the follower's high watermark:
+// one short of the section's end tells the leader to backfill.
+func (n *ClusterNode) applyReplicate(epoch int64, sender, topic string, partition int, s replSection) (int64, error) {
 	from := n.peers[sender]
 	if from == nil {
-		return nil, fmt.Errorf("broker: replicate from non-member %q", sender)
+		return 0, fmt.Errorf("broker: replicate from non-member %q", sender)
 	}
-	parts := make([]*partState, len(secs))
-	for i := range secs {
-		ps, err := n.part(secs[i].topic, secs[i].partition)
-		if err != nil {
-			return nil, err
-		}
-		if !slices.Contains(ps.reps, sender) {
-			return nil, fmt.Errorf("broker: %s is not a replica of %s", sender, ps)
-		}
-		parts[i] = ps
+	ps, err := n.part(topic, partition)
+	if err != nil {
+		return 0, err
 	}
-	if err := n.fenceReplicate(epoch, from, parts); err != nil {
-		return nil, err
+	if !slices.Contains(ps.reps, sender) {
+		return 0, fmt.Errorf("broker: %s is not a replica of %s", sender, ps)
+	}
+	if err := n.fenceReplicate(epoch, from, ps); err != nil {
+		return 0, err
 	}
 	n.markAlive(from)
-	// Replication from a live peer proves we lead none of these
-	// partitions: a later RE-promotion must re-adopt the watermark.
-	for _, ps := range parts {
-		ps.leading.Store(false)
+	// Replication from a live peer proves we do not lead the partition:
+	// a later RE-promotion must re-adopt the watermark.
+	ps.leading.Store(false)
+	return n.applySection(ps, s)
+}
+
+// applySection lands one section in a replica's log, whether the leader
+// pushed it or this replica pulled it: the frames through the idempotent
+// gap-safe append, the journal entries the log now fully holds, and the
+// sender's committed watermark clamped to what is here. It returns the
+// local high watermark.
+func (n *ClusterNode) applySection(ps *partState, s replSection) (int64, error) {
+	hwm, err := ps.p.replicateAppend(s.base, s.frames, s.count)
+	if err != nil {
+		return 0, err
 	}
-	hwms := make([]int64, len(secs))
-	for i, ps := range parts {
-		s := &secs[i]
-		hwm, err := ps.p.replicateAppend(s.base, s.frames, s.count)
-		if err != nil {
-			return nil, err
-		}
-		hwms[i] = hwm
-		// Adopt dedup state only for batches the local log now fully
-		// holds: a gap-skipped chunk (hwm < base) must not leave seq
-		// entries for records that are not here, or a promoted follower
-		// would answer a producer retry as a duplicate without having
-		// the data.
-		for _, bm := range s.metas {
-			if bm.end <= hwm {
-				n.noteBatch(ps, bm)
-			}
-		}
-		// Track the leader's committed watermark, clamped to what we
-		// hold: it is this replica's restart truncation point.
-		committed := min(s.committed, hwm)
-		n.mu.Lock()
-		advanced := committed > ps.remoteHWM
-		if advanced {
-			ps.remoteHWM = committed
-		}
-		n.mu.Unlock()
-		if advanced || s.count > 0 {
-			n.noteStateDirty(ps)
+	// Adopt dedup state only for batches the local log now fully holds: a
+	// gap-skipped chunk (hwm < base) must not leave seq entries for
+	// records that are not here, or a promoted follower would answer a
+	// producer retry as a duplicate without having the data.
+	for _, bm := range s.metas {
+		if bm.end <= hwm {
+			n.noteBatch(ps, bm)
 		}
 	}
-	return hwms, nil
+	// The committed watermark, clamped to what we hold, is this replica's
+	// restart truncation point.
+	committed := min(s.committed, hwm)
+	n.mu.Lock()
+	advanced := committed > ps.remoteHWM
+	if advanced {
+		ps.remoteHWM = committed
+	}
+	n.mu.Unlock()
+	if advanced || s.count > 0 {
+		n.noteStateDirty(ps)
+	}
+	return hwm, nil
 }

@@ -193,13 +193,10 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 		n.probeDeadAsync(p)
 	}
 	if demoted {
+		// Leadership is gone. A replicate still in flight from the old
+		// reign is fenced by the follower: it names a deposed sender, or
+		// carries an epoch below the partition's replication fence.
 		n.cfg.Log.Warn("deposed by the cluster; demoting to rejoin")
-		// Leadership is gone: tear down the follower sessions so a
-		// chunk queued under the old reign cannot be delivered after the
-		// takeover handshake (queued producers get an error and retry
-		// against the new leader; a batch already on the wire is fenced
-		// by the follower's per-partition replication epoch).
-		n.closeSessions()
 		select {
 		case n.rejoinWake <- struct{}{}:
 		default:
@@ -302,14 +299,17 @@ func (n *ClusterNode) peerClient(p *peer) (*client, error) {
 	return c, nil
 }
 
-// dropConn discards a broken peer connection (only if still current).
-func (n *ClusterNode) dropConn(p *peer, c *client) {
+// dropConn discards a broken peer connection, reporting whether it was
+// still the current one (false: another call dropped it first).
+func (n *ClusterNode) dropConn(p *peer, c *client) bool {
 	n.mu.Lock()
-	if p.conn == c {
+	cur := p.conn == c
+	if cur {
 		p.conn = nil
 	}
 	n.mu.Unlock()
 	_ = c.Close()
+	return cur
 }
 
 // closeConnLocked closes and forgets a peer's connection (n.mu held).

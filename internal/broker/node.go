@@ -15,23 +15,20 @@ package broker
 //     itself, shrunk to the live replica count) hold the records. The
 //     offset acked that way is the partition's COMMITTED watermark; the
 //     leader serves fetches only up to it, so consumers can never
-//     observe records that a failover could lose. Replication is
-//     group-committed: each leader keeps one coalescing session per
-//     follower, and pending chunks from EVERY partition led to that
-//     follower drain into a single multi-partition replicate RPC whose
-//     one batched ack wakes all parked producers — the fixed per-RPC
-//     cost (syscalls, scheduler wakeups, follower CRC verify) is paid
-//     per drain, not per (partition, chunk). There is no linger timer:
-//     only what is already queued coalesces, so an isolated produce
-//     still ships immediately. Followers apply out-of-order arrivals
-//     via the gap/backfill protocol below.
+//     observe records that a failover could lose. Each appended chunk
+//     goes to each live follower in its own replicate RPC on the peer's
+//     pipelined connection, and the producing goroutine reads that ack
+//     itself. Concurrent produces may arrive out of order; followers
+//     apply them via the gap/backfill protocol below.
 //   - a FOLLOWER applies replicated chunks at their exact base offset
 //     (idempotently: duplicate prefixes are trimmed, gaps answered with
 //     the local watermark so the leader backfills) and tracks producer
 //     sequence numbers, so after a promotion it can deduplicate a
 //     producer's retry of a batch the dead leader already replicated.
-//     Each chunk carries the leader's committed watermark, which the
-//     follower persists — the truncation point of its next restart.
+//     A chunk moves as a section — frames, the producer journal entries
+//     they cover and the sender's committed watermark, which the
+//     follower persists as the truncation point of its next restart —
+//     and a pushed section and one pulled at rejoin apply alike.
 //
 // Failure model: fail-recover. Liveness is a per-member versioned
 // status (SWIM-style incarnations): declaring a peer dead bumps its
@@ -42,9 +39,9 @@ package broker
 // it takes no leadership and accepts no replication until it has
 // fetched the cluster's current view, created any topics it missed,
 // truncated its recovered logs back to each partition leader's
-// committed watermark (discarding divergent uncommitted tails), and
-// announced itself with a bumped version. Catch-up then rides the
-// ordinary replication backfill. The no-loss guarantee holds when
+// committed watermark (discarding divergent uncommitted tails), pulled
+// the committed records it missed, and announced itself with a bumped
+// version. Catch-up then rides the ordinary replication backfill. The no-loss guarantee holds when
 // MinISR == Replicas; with fewer required acks, records on the
 // minority side of a failover can be lost, exactly as in Kafka with
 // acks < all.
@@ -53,8 +50,8 @@ package broker
 // membership.go: the status view, gossip, failure detector, placement.
 // catchup.go: join, rejoin truncation and the takeover handshake.
 // produce.go: the leader's dedup and append, and committed reads.
-// replsession.go: the per-follower group-commit replication sessions.
-// follower.go: replica reads, fencing and the replicated append.
+// replicate.go: the leader's push of each chunk to its followers.
+// follower.go: replica reads, fencing and the section apply.
 // state.go: state.json persistence, readiness and the metric scrape.
 //
 // State lives in two kinds of record, and which lock guards what:
@@ -70,11 +67,11 @@ package broker
 //     saveMu serializes the partition's state.json writes; dirty is an
 //     atomic.
 //   - peer, one per static member, built in NewClusterNode; the table
-//     never changes. id and addr never change; n.mu guards the rest.
-//     A session's own fields are guarded by replSess.mu.
+//     never changes. id and addr never change; repl is an atomic; n.mu
+//     guards the rest.
 //
 // Lock order: partState.mu → n.mu and partState.saveMu → n.mu. n.mu is
-// never held across a broker call or an RPC; replSess.mu is a leaf.
+// never held across a broker call or an RPC.
 
 import (
 	"fmt"
@@ -117,12 +114,12 @@ type NodeConfig struct {
 	// few heartbeats IS the failure signal; waiting longer only slows
 	// detection of stalled-but-connected peers.
 	ProbeTimeout time.Duration
-	// RPCTimeout bounds every other peer RPC — replication pushes,
-	// rejoin catch-up fetches, meta pulls (default 10s). A replication
-	// push into a stalled follower times out, counts as a probe
-	// failure, and after FailAfter failures the follower is declared
-	// dead and drops out of the ISR — instead of wedging the leader's
-	// send window forever.
+	// RPCTimeout bounds every other peer RPC — replicates, rejoin
+	// catch-up fetches, meta pulls (default 10s). Replicates into a
+	// stalled follower time out and count as one probe failure per
+	// broken connection, however many were in flight on it; after
+	// FailAfter failures the follower is declared dead and drops out of
+	// the ISR, instead of wedging its producers forever.
 	RPCTimeout time.Duration
 	// Log, when set, receives membership and replication log lines,
 	// each carrying node=ID. Nil is silent.
@@ -172,9 +169,9 @@ type peer struct {
 	miss      int        // consecutive failed probes
 	seen      bool       // observed alive at least once
 	conn      *client
-	sess      *replSess  // coalescing replication session to this follower
-	probing   bool       // dead, with a slow probe in flight
-	pendAlive peerStatus // gossiped resurrection awaiting probe proof (Ver 0: none)
+	repl      atomic.Pointer[replInstruments] // replication series, once a registry is attached
+	probing   bool                            // dead, with a slow probe in flight
+	pendAlive peerStatus                      // gossiped resurrection awaiting probe proof (Ver 0: none)
 }
 
 // ClusterNode is one broker's cluster brain, attached to its TCP server.
@@ -193,7 +190,7 @@ type ClusterNode struct {
 	joining     bool  // not yet announced: no leadership, no replication in
 
 	// reg is the metrics registry handed to RegisterMetrics (nil until
-	// then); session drains observe their coalescing histograms on it.
+	// then); replicates observe their per-follower series on it.
 	reg atomic.Pointer[metrics.Registry]
 
 	rejoinWake chan struct{} // signaled when a deposal demotes us mid-run
@@ -248,9 +245,7 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 	peers := make(map[string]*peer, len(cfg.Peers))
 	for id, addr := range cfg.Peers {
 		members = append(members, id)
-		p := &peer{id: id, addr: addr}
-		p.sess = &replSess{peer: p}
-		peers[id] = p
+		peers[id] = &peer{id: id, addr: addr}
 	}
 	sort.Strings(members)
 	n := &ClusterNode{

@@ -1,7 +1,6 @@
 package broker
 
 import (
-	"bytes"
 	"slices"
 	"testing"
 
@@ -146,91 +145,5 @@ func TestRejoinTruncationDropsDedupPastCut(t *testing.T) {
 	n.truncateDivergence(ps, "n1", 20) // at or past the log end: nothing to cut
 	if hwm := ps.p.log.HighWatermark(); hwm != 15 || len(ps.metas) != 1 {
 		t.Fatalf("a cut past the log end changed it: hwm %d, %d journal entries", hwm, len(ps.metas))
-	}
-}
-
-// replItems builds parked chunks with the given frame byte sizes.
-func replItems(sizes ...int) []*replItem {
-	out := make([]*replItem, len(sizes))
-	for i, size := range sizes {
-		out[i] = &replItem{base: int64(i), end: int64(i + 1), frames: make([]byte, size), done: make(chan error, 1)}
-	}
-	return out
-}
-
-func TestReplSessTakeCaps(t *testing.T) {
-	s := &replSess{}
-	items := replItems(10, 10, 10, 10, 100, 10)
-	for _, it := range items {
-		if !s.enqueue(it) {
-			t.Fatal("open session refused an enqueue")
-		}
-	}
-	if got := s.take(3, 1000); !slices.Equal(got, items[:3]) {
-		t.Fatalf("count cap 3 took %d items, want the first 3", len(got))
-	}
-	if got := s.take(10, 15); !slices.Equal(got, items[3:4]) {
-		t.Fatalf("byte cap 15 took %d items, want 1", len(got))
-	}
-	if got := s.take(10, 15); !slices.Equal(got, items[4:5]) {
-		t.Fatalf("a lone 100-byte chunk under a 15-byte cap: took %d items, want it alone", len(got))
-	}
-	if got := s.take(10, 1000); !slices.Equal(got, items[5:]) || !s.empty() {
-		t.Fatalf("the rest: took %d items, empty %v", len(got), s.empty())
-	}
-}
-
-func TestReplSessCloseReturnsBacklog(t *testing.T) {
-	s := &replSess{}
-	items := replItems(1, 2)
-	for _, it := range items {
-		s.enqueue(it)
-	}
-	if got := s.close(); !slices.Equal(got, items) {
-		t.Fatalf("close returned %d items, want the 2 queued", len(got))
-	}
-	if s.enqueue(replItems(3)[0]) {
-		t.Fatal("a closed session accepted an enqueue")
-	}
-	if got := s.close(); len(got) != 0 {
-		t.Fatalf("a second close returned %d items", len(got))
-	}
-}
-
-func TestBuildSectionsMergesContiguous(t *testing.T) {
-	n, p0 := idleNode(t)
-	p1 := nodePart(t, n, "t", 1)
-	item := func(ps *partState, base, end int64) *replItem {
-		return &replItem{ps: ps, base: base, end: end, frames: storage.AppendRecordFrames(nil, keylessRecs(int(base), int(end-base)))}
-	}
-	batch := []*replItem{
-		item(p0, 0, 10),
-		item(p0, 10, 20), // extends the previous: merged
-		item(p1, 0, 5),   // another partition
-		item(p0, 20, 30), // contiguous with p0, but not adjacent in the queue
-		item(p0, 40, 50), // a gap
-	}
-	secs := buildSections(batch)
-	want := []struct {
-		ps    *partState
-		base  int64
-		count int
-		items int
-	}{{p0, 0, 20, 2}, {p1, 0, 5, 1}, {p0, 20, 10, 1}, {p0, 40, 10, 1}}
-	if len(secs) != len(want) {
-		t.Fatalf("%d sections, want %d", len(secs), len(want))
-	}
-	for i, w := range want {
-		s := secs[i]
-		if s.ps != w.ps || s.sec.topic != "t" || s.sec.partition != w.ps.partition || s.sec.base != w.base || s.sec.count != w.count || len(s.items) != w.items {
-			t.Errorf("section %d = %s at %d, %d records, %d items; want %s at %d, %d records, %d items",
-				i, s.ps, s.sec.base, s.sec.count, len(s.items), w.ps, w.base, w.count, w.items)
-		}
-	}
-	if merged := append(append([]byte(nil), batch[0].frames...), batch[1].frames...); !bytes.Equal(secs[0].sec.frames, merged) {
-		t.Error("merged section's frames are not its items' frames in order")
-	}
-	if &secs[1].sec.frames[0] != &batch[2].frames[0] {
-		t.Error("a lone item's frames were copied")
 	}
 }

@@ -58,12 +58,11 @@ func TestRejectedProduceLeavesNoState(t *testing.T) {
 	}
 }
 
-// TestRejectedReplicateChangesNoEpoch sends a follower replicate
-// batches at a huge epoch from two senders it must refuse: a non-member
-// and a member that is not a replica of the partition. Neither may
-// move the follower's cluster epoch (gossip would spread it) or its
-// partition's fence epoch (the real leader's next batch would be
-// fenced off).
+// TestRejectedReplicateChangesNoEpoch sends a follower replicates at a
+// huge epoch from two senders it must refuse: a non-member and a member
+// that is not a replica of the partition. Neither may move the
+// follower's cluster epoch (gossip would spread it) or its partition's
+// fence epoch (the real leader's next replicate would be fenced off).
 func TestRejectedReplicateChangesNoEpoch(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	cc := tc.dialCluster()
@@ -86,13 +85,12 @@ func TestRejectedReplicateChangesNoEpoch(t *testing.T) {
 		}
 	}
 	fn := tc.nodes[tc.indexOf(follower)]
-	section := func(v0 int) []replSection {
-		return []replSection{{topic: "t", partition: 0, base: 0,
-			frames: storage.AppendRecordFrames(nil, keylessRecs(v0, 3)), count: 3}}
+	section := func(v0 int) replSection {
+		return replSection{base: 0, frames: storage.AppendRecordFrames(nil, keylessRecs(v0, 3)), count: 3}
 	}
 	const huge = int64(1) << 40
 	for _, sender := range []string{"intruder", outsider} {
-		if _, err := fn.applyReplicateBatch(huge, sender, section(100)); err == nil {
+		if _, err := fn.applyReplicate(huge, sender, "t", 0, section(100)); err == nil {
 			t.Fatalf("replicate from %s accepted", sender)
 		}
 		if epoch := fn.meta().Epoch; epoch >= huge {
@@ -100,14 +98,14 @@ func TestRejectedReplicateChangesNoEpoch(t *testing.T) {
 		}
 	}
 	if hwm, _ := tc.brokers[tc.indexOf(follower)].HighWatermark("t", 0); hwm != 0 {
-		t.Fatalf("refused batches changed the follower's log: hwm = %d", hwm)
+		t.Fatalf("refused replicates changed the follower's log: hwm = %d", hwm)
 	}
 	epoch := tc.nodes[tc.indexOf(leader)].meta().Epoch
-	hwms, err := fn.applyReplicateBatch(epoch, leader, section(0))
+	hwm, err := fn.applyReplicate(epoch, leader, "t", 0, section(0))
 	if err != nil {
-		t.Fatalf("the leader's batch at epoch %d after the refusals: %v", epoch, err)
+		t.Fatalf("the leader's replicate at epoch %d after the refusals: %v", epoch, err)
 	}
-	if len(hwms) != 1 || hwms[0] != 3 {
-		t.Fatalf("hwms = %v, want [3]", hwms)
+	if hwm != 3 {
+		t.Fatalf("hwm = %d, want 3", hwm)
 	}
 }

@@ -301,6 +301,119 @@ func TestDurableClusterFollowerRestartCatchesUp(t *testing.T) {
 	dc.waitConverged("t", 1)
 }
 
+// TestPulledBatchesKeepTheirJournal: a replica that caught up by
+// pulling holds the producer journal of the batches it pulled, so a
+// retried batch is deduplicated there exactly as at a replica that was
+// pushed the batch. Each case retries (pid, seq) at the member that
+// pulled it: the high watermark does not move, and both replicas' logs
+// stay byte-identical.
+func TestPulledBatchesKeepTheirJournal(t *testing.T) {
+	const pid, seq = 77, 1
+	batch := keylessRecs(0, 10)
+	t.Run("takeover", func(t *testing.T) {
+		// The preferred leader dies, the batch is appended at the interim
+		// leader, and the preferred leader pulls it while taking the
+		// partition back.
+		dc := startDurableCluster(t, 3, nil)
+		dc.warmUp()
+		reps := replicasFor("t", 0, dc.ids, 2)
+		li, ii := dc.indexOf(reps[0]), dc.indexOf(reps[1])
+		dc.kill(li)
+		dc.producePartAt(ii, pid, seq, batch)
+		dc.restart(li)
+		dc.waitLeads(li)
+		dc.retryKeepsWatermark(li, ii, pid, seq, batch)
+	})
+	t.Run("promoted follower", func(t *testing.T) {
+		// A follower restarted behind pulls the batch at rejoin, then is
+		// promoted when the leader dies.
+		dc := startDurableCluster(t, 3, nil)
+		dc.warmUp()
+		reps := replicasFor("t", 0, dc.ids, 2)
+		li, fi := dc.indexOf(reps[0]), dc.indexOf(reps[1])
+		dc.kill(fi)
+		dc.producePartAt(li, pid, seq, batch)
+		dc.restart(fi)
+		for deadline := time.Now().Add(10 * time.Second); dc.nodes[li].isDead(dc.nodes[li].peers[reps[1]]) || dc.nodes[fi].isJoining(); time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the restarted follower never rejoined")
+			}
+		}
+		dc.kill(li)
+		dc.waitLeads(fi)
+		dc.retryKeepsWatermark(fi, li, pid, seq, batch)
+	})
+}
+
+// warmUp creates the one-partition topic t and produces to it through
+// the routing client, so both replicas of t/0 have seen each other alive
+// before a test kills one.
+func (dc *durableCluster) warmUp() {
+	dc.t.Helper()
+	cc := dc.dialCluster()
+	if err := cc.CreateTopic("t", 1); err != nil {
+		dc.t.Fatal(err)
+	}
+	if _, err := cc.Produce("t", keylessRecs(1000, 5)); err != nil {
+		dc.t.Fatal(err)
+	}
+}
+
+// producePartAt produces one batch to partition t/0 at member i over a
+// raw connection, retrying until that member leads and acks it.
+func (dc *durableCluster) producePartAt(i int, pid, seq uint64, recs []Record) {
+	dc.t.Helper()
+	cli, err := dial(dc.addrs[i], DefaultDialTimeout, defaultRequestTimeout)
+	if err != nil {
+		dc.t.Fatal(err)
+	}
+	defer func() { _ = cli.Close() }()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		_, err := producePart(cli, "t", 0, pid, seq, recs)
+		if err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			dc.t.Fatalf("produce (%d, %d) at %s: %v", pid, seq, dc.ids[i], err)
+		}
+	}
+}
+
+// waitLeads waits until member i leads t/0 in its own view, with no
+// takeover left pending.
+func (dc *durableCluster) waitLeads(i int) {
+	dc.t.Helper()
+	n := dc.nodes[i]
+	ps := nodePart(dc.t, n, "t", 0)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		n.mu.Lock()
+		leads := n.leaderLocked(ps, n.joining) == n.cfg.ID
+		n.mu.Unlock()
+		if leads {
+			return
+		}
+		if time.Now().After(deadline) {
+			dc.t.Fatalf("%s never led t/0", dc.ids[i])
+		}
+	}
+}
+
+// retryKeepsWatermark retries (pid, seq) at member i, which must answer
+// it as a duplicate: its watermark stays put, and its log stays
+// byte-identical to member j's.
+func (dc *durableCluster) retryKeepsWatermark(i, j int, pid, seq uint64, recs []Record) {
+	dc.t.Helper()
+	before, err := dc.brokers[i].HighWatermark("t", 0)
+	if err != nil {
+		dc.t.Fatal(err)
+	}
+	dc.producePartAt(i, pid, seq, recs)
+	if after, _ := dc.brokers[i].HighWatermark("t", 0); after != before {
+		dc.t.Fatalf("retry of (%d, %d) at %s moved the high watermark %d -> %d", pid, seq, dc.ids[i], before, after)
+	}
+	assertLogsIdentical(dc.t, dc.brokers[i], dc.brokers[j], "t", 0)
+}
+
 // TestDurableSoloBrokerRestart pins the single durable broker: its
 // topics and records recover across a restart,
 // in process and served as a one-member cluster.

@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -11,74 +12,60 @@ import (
 	"streamapprox/internal/faults"
 )
 
-// Tests for the group-commit replication path: the multi-partition
-// replicate codec, per-partition epoch fencing on the follower, batch
-// re-drive when a follower blackholes mid-batch, and the one-section
-// backfill of a short-acked section.
+// Tests for the replicate path: the section codec, per-partition epoch
+// fencing on the follower, a swallowed replicate surfacing as a produce
+// error, the backfill of a short-acked section, one stalled round
+// counting as one miss, and concurrent producers on one partition.
 
 // ---- codec ----
 
 func TestClusterReplicateMFCodecRoundTrip(t *testing.T) {
-	secs := []replSection{
-		{
-			topic:     "alpha",
-			partition: 3,
-			base:      100,
-			committed: 98,
-			metas:     []batchMeta{{pid: 7, seq: 2, base: 100, end: 103}},
-			frames:    storage.AppendRecordFrames(nil, keylessRecs(0, 3)),
-			count:     3,
-		},
-		{
-			topic:     "beta",
-			partition: 0,
-			base:      0,
-			committed: 0,
-			frames:    storage.AppendRecordFrames(nil, keylessRecs(50, 2)),
-			count:     2,
-		},
+	sec := replSection{
+		base:      100,
+		committed: 98,
+		metas:     []batchMeta{{pid: 7, seq: 2, base: 100, end: 103}, {pid: 8, seq: 1, base: 90, end: 101}},
+		frames:    storage.AppendRecordFrames(nil, keylessRecs(0, 3)),
+		count:     3,
+	}
+	same := func(what string, got replSection) {
+		t.Helper()
+		if got.base != sec.base || got.committed != sec.committed || got.count != sec.count ||
+			!bytes.Equal(got.frames, sec.frames) || !slices.Equal(got.metas, sec.metas) {
+			t.Fatalf("%s mangled the section: %+v -> %+v", what, sec, got)
+		}
 	}
 	fb := getFrame()
 	defer putFrame(fb)
-	encodeReplicateMFReq(fb, 42, 9, 17, "n0", secs)
+	encodeReplicateReq(fb, 42, 9, 17, "n0", "alpha", 3, &sec)
 	req, err := decodeBinRequest(fb.b)
 	if err != nil {
-		t.Fatalf("decode replicateMF: %v", err)
+		t.Fatalf("decode replicate: %v", err)
 	}
-	if req.op != binOpReplicateMF || req.corr != 42 || req.trace != 9 ||
-		req.epoch != 17 || req.sender != "n0" {
+	if req.op != binOpReplicate || req.corr != 42 || req.trace != 9 || req.epoch != 17 ||
+		req.sender != "n0" || req.topic != "alpha" || req.partition != 3 {
 		t.Fatalf("decoded header: %+v", req)
 	}
-	if len(req.sections) != len(secs) {
-		t.Fatalf("decoded %d sections, want %d", len(req.sections), len(secs))
+	same("replicate", req.sec)
+
+	// A replica fetch answers with the same section layout.
+	at := beginSectionResp(fb, 43, sec.base, sec.committed, sec.metas)
+	fb.b = append(fb.b, sec.frames...)
+	patchFrameCount(fb, at, sec.count)
+	cur, err := decodeRespHeader(fb)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, want := range secs {
-		got := req.sections[i]
-		if got.topic != want.topic || got.partition != want.partition ||
-			got.base != want.base || got.committed != want.committed ||
-			got.count != want.count {
-			t.Fatalf("section %d mangled: %+v -> %+v", i, want, got)
-		}
-		if string(got.frames) != string(want.frames) {
-			t.Fatalf("section %d frame bytes differ", i)
-		}
-		if len(got.metas) != len(want.metas) {
-			t.Fatalf("section %d: %d metas, want %d", i, len(got.metas), len(want.metas))
-		}
-		for j, bm := range want.metas {
-			if got.metas[j] != bm {
-				t.Fatalf("section %d meta %d: %+v -> %+v", i, j, bm, got.metas[j])
-			}
-		}
+	if got := decodeSection(cur); cur.err != nil {
+		t.Fatalf("decode replica fetch answer: %v", cur.err)
+	} else {
+		same("replica fetch", got)
 	}
 
 	// The decoder is the single validation gate: a corrupted frame byte
-	// inside any section must reject the whole request.
-	fb2 := getFrame()
-	defer putFrame(fb2)
-	encodeReplicateMFReq(fb2, 43, 0, 17, "n0", secs)
-	fb2.b[len(fb2.b)-1] ^= 0xff // last byte of the last section's frames
-	if _, err := decodeBinRequest(fb2.b); err == nil {
+	// must reject the whole request.
+	encodeReplicateReq(fb, 44, 0, 17, "n0", "alpha", 3, &sec)
+	fb.b[len(fb.b)-1] ^= 0xff // last byte of the frames
+	if _, err := decodeBinRequest(fb.b); err == nil {
 		t.Fatal("corrupted section frames decoded without error")
 	}
 }
@@ -132,35 +119,26 @@ func TestClusterBatchFencesStaleEpoch(t *testing.T) {
 	fi := 1 - tc.indexOf(leader) // the follower's slot in a 2-member cluster
 	fn := tc.nodes[fi]
 
-	// A batch at a high epoch lands normally and records the fence.
-	secs := []replSection{{
-		topic: "t", partition: 0, base: 0, committed: 0,
-		frames: storage.AppendRecordFrames(nil, keylessRecs(0, 3)), count: 3,
-	}}
-	hwms, err := fn.applyReplicateBatch(100, leader, secs)
-	if err != nil {
-		t.Fatalf("apply batch at epoch 100: %v", err)
-	}
-	if len(hwms) != 1 || hwms[0] != 3 {
-		t.Fatalf("hwms = %v, want [3]", hwms)
+	// A replicate at a high epoch lands normally and records the fence.
+	sec := replSection{base: 0, committed: 0, frames: storage.AppendRecordFrames(nil, keylessRecs(0, 3)), count: 3}
+	if hwm, err := fn.applyReplicate(100, leader, "t", 0, sec); err != nil || hwm != 3 {
+		t.Fatalf("apply at epoch 100: hwm %d, %v; want 3", hwm, err)
 	}
 
-	// A later batch at a LOWER epoch for the same partition is a stale
-	// session delivering after a takeover: fenced, nothing appended.
-	stale := []replSection{{
-		topic: "t", partition: 0, base: 3, committed: 3,
-		frames: storage.AppendRecordFrames(nil, keylessRecs(100, 2)), count: 2,
-	}}
-	if _, err := fn.applyReplicateBatch(99, leader, stale); err == nil ||
+	// A later replicate at a LOWER epoch for the same partition is a
+	// deposed leader's delivering after a takeover: fenced, nothing
+	// appended.
+	stale := replSection{base: 3, committed: 3, frames: storage.AppendRecordFrames(nil, keylessRecs(100, 2)), count: 2}
+	if _, err := fn.applyReplicate(99, leader, "t", 0, stale); err == nil ||
 		!strings.Contains(err.Error(), "fenced") {
-		t.Fatalf("stale-epoch batch: err = %v, want fenced", err)
+		t.Fatalf("stale-epoch replicate: err = %v, want fenced", err)
 	}
 	hwm, err := tc.brokers[fi].HighWatermark("t", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hwm != 3 {
-		t.Fatalf("fenced batch changed the log: hwm = %d, want 3", hwm)
+		t.Fatalf("fenced replicate changed the log: hwm = %d, want 3", hwm)
 	}
 }
 
@@ -279,7 +257,7 @@ func waitNotJoining(t testing.TB, tc *testCluster) {
 
 // assertLogsIdentical compares two brokers' raw partition logs: same
 // high watermark and byte-identical frames — what verbatim replication
-// promises, whichever path (batch, re-drive, backfill) carried them.
+// promises, whichever path (replicate, re-drive, backfill) carried them.
 func assertLogsIdentical(t *testing.T, a, b *Broker, topic string, partition int) {
 	t.Helper()
 	ha, err := a.HighWatermark(topic, partition)
@@ -306,13 +284,15 @@ func assertLogsIdentical(t *testing.T, a, b *Broker, topic string, partition int
 	}
 }
 
-// ---- chaos: blackholed follower mid-batch ----
+// ---- chaos: blackholed follower ----
 
-func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
-	// n0's replication to n1 runs through a fault proxy. FailAfter is
-	// huge so n1 is never declared dead: the ack requirement stays at 2
-	// and a swallowed batch must surface as a produce error, not a
-	// silently under-replicated success.
+// TestClusterSwallowedReplicateFailsProduce: n0's replication to n1 runs
+// through a fault proxy. FailAfter is huge so n1 is never declared dead:
+// the ack requirement stays at 2 and a swallowed replicate must surface
+// as a produce error, not a silently under-replicated success. A retry
+// of the same batch after the heal lands once, and a short ack is
+// backfilled.
+func TestClusterSwallowedReplicateFailsProduce(t *testing.T) {
 	pc := startPair(t, pairOpts{
 		proxyN0toN1: true,
 		tune: func(cfg *NodeConfig) {
@@ -353,7 +333,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 	t.Cleanup(func() { _ = cli.Close() })
 
 	// Warm up each partition (seq 1) until the cluster settles and the
-	// replication sessions are live.
+	// peer connection is live.
 	const pid = 7777
 	for _, p := range mine {
 		deadline := time.Now().Add(5 * time.Second)
@@ -368,9 +348,8 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 	}
 
 	// Blackhole the follower and fire one produce per partition
-	// concurrently: the session coalesces what is queued, the batched
-	// RPC times out, and EVERY parked producer in the drain must see
-	// the failure.
+	// concurrently: every replicate times out, and EVERY producer must
+	// see the failure.
 	pc.proxy.Set(faults.Both, faults.Faults{Blackhole: true})
 	var wg sync.WaitGroup
 	errs := make([]error, len(mine))
@@ -391,7 +370,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 	// Heal and retry the SAME (pid, seq) batches: the leader's dedup
 	// journal re-drives the already-appended range, and the idempotent
 	// follower append absorbs any late-delivered bytes from the stalled
-	// batch — no loss, no duplication.
+	// replicate — no loss, no duplication.
 	pc.proxy.Heal()
 	for _, p := range mine {
 		deadline := time.Now().Add(10 * time.Second)
@@ -409,7 +388,7 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 	// replication never saw (a push that failed mid-produce), then
 	// produce normally. The next chunk's base is past the follower's
 	// watermark, the follower acks short, and the leader must backfill
-	// the hole with a one-section replicate batch.
+	// the hole.
 	for _, p := range mine {
 		hole := keylessRecs(p*1000+20, 10)
 		base := appendPart(t, pc.brokers[0], "t", p, hole)
@@ -438,4 +417,129 @@ func TestClusterBlackholedFollowerBatchRequeued(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ---- failure detection: one stalled round ----
+
+// TestStalledRoundIsOneMiss: concurrent produces whose replicates to one
+// blackholed follower time out together are one probe of the follower,
+// not one each. With FailAfter 3 and heartbeats stretched so probes
+// never count, four such replicates must leave the follower alive.
+func TestStalledRoundIsOneMiss(t *testing.T) {
+	pc := startPair(t, pairOpts{
+		proxyN0toN1: true,
+		tune: func(cfg *NodeConfig) {
+			cfg.FailAfter = 3
+			cfg.HeartbeatEvery = time.Hour
+			cfg.RPCTimeout = 500 * time.Millisecond
+		},
+	})
+	cc := pc.dial(t)
+	if err := cc.CreateTopic("t", 8); err != nil {
+		t.Fatal(err)
+	}
+	// Poll until n0 has joined and leads one of the partitions.
+	part := -1
+	for deadline := time.Now().Add(5 * time.Second); part < 0; time.Sleep(10 * time.Millisecond) {
+		for p := 0; p < 8 && part < 0; p++ {
+			if pc.nodes[0].leaderFor(nodePart(t, pc.nodes[0], "t", p)) == "n0" {
+				part = p
+			}
+		}
+		if part < 0 && time.Now().After(deadline) {
+			t.Fatal("n0 leads none of 8 partitions")
+		}
+	}
+	const producers = 4
+	clis := make([]*client, producers)
+	for i := range clis {
+		cli, err := dial(pc.addrs[0], DefaultDialTimeout, defaultRequestTimeout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cli.Close() })
+		clis[i] = cli
+	}
+	// A warm-up produce proves the follower alive and opens the
+	// connection the stalled round shares.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := producePart(clis[0], "t", part, 1, 1, keylessRecs(0, 10)); err == nil {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("warm-up produce: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	pc.proxy.Set(faults.Both, faults.Faults{Blackhole: true})
+	var wg sync.WaitGroup
+	errs := make([]error, producers)
+	for i, cli := range clis {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = producePart(cli, "t", part, uint64(10+i), 1, keylessRecs(100*(i+1), 10))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err == nil {
+			t.Fatalf("producer %d acked while the follower was blackholed", i)
+		}
+	}
+	n0 := pc.nodes[0]
+	n0.mu.Lock()
+	st, miss := n0.peers["n1"].st, n0.peers["n1"].miss
+	n0.mu.Unlock()
+	if st.Dead {
+		t.Fatalf("%d replicates stalled together declared the follower dead (FailAfter 3)", producers)
+	}
+	t.Logf("%d stalled replicates counted %d miss(es)", producers, miss)
+}
+
+// ---- concurrent producers on one partition ----
+
+// TestConcurrentProducersOneRF2Partition: several producers write one
+// RF2 partition at once, so their replicates reach the follower in any
+// order and short acks are backfilled. Every record is acked and stored
+// once, and both replicas hold byte-identical logs.
+func TestConcurrentProducersOneRF2Partition(t *testing.T) {
+	tc := startCluster(t, 2, nil)
+	if err := tc.dialCluster().CreateTopic("t", 1); err != nil {
+		t.Fatal(err)
+	}
+	const producers, batches, per = 6, 25, 20
+	var wg sync.WaitGroup
+	errs := make([]error, producers)
+	for i := range producers {
+		cc := tc.dialCluster()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for b := range batches {
+				v0 := (i*batches + b) * per
+				if _, err := cc.Produce("t", keylessRecs(v0, per)); err != nil {
+					errs[i] = err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("producer %d: %v", i, err)
+		}
+	}
+	got := fetchAllValues(t, tc.dialCluster(), "t")
+	if total := producers * batches * per; len(got) != total {
+		t.Fatalf("stored %d distinct values, want %d", len(got), total)
+	}
+	for v, n := range got {
+		if n != 1 {
+			t.Fatalf("value %v stored %d times", v, n)
+		}
+	}
+	assertLogsIdentical(t, tc.brokers[0], tc.brokers[1], "t", 0)
 }

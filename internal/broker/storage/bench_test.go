@@ -89,7 +89,7 @@ func BenchmarkBatchBuilder(b *testing.B) {
 }
 
 // BenchmarkMemLogAppend appends one frame per call, and a four-frame
-// chunk per call (a replicate section that coalesced).
+// chunk per call (a backfill section spanning four batches).
 func BenchmarkMemLogAppend(b *testing.B) {
 	for _, frames := range []int{1, 4} {
 		b.Run(fmt.Sprintf("frames=%d", frames), func(b *testing.B) {

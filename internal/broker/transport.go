@@ -38,8 +38,8 @@ const (
 	opHWM         = "hwm"
 	opProducePart = "producep"
 	opReplicate   = "replicate"
-	// Replica catch-up reads between cluster members, not gated on
-	// leadership (rejoin pulls, takeover handshake).
+	// Replica reads between cluster members, not gated on leadership
+	// (rejoin pulls, takeover handshake).
 	opRFetch = "rfetch"
 	opRHWM   = "rhwm"
 )
@@ -174,9 +174,9 @@ func binOpName(op byte) string {
 		return opHWM
 	case binOpProducePartF:
 		return opProducePart
-	case binOpReplicateMF:
+	case binOpReplicate:
 		return opReplicate
-	case binOpRFetchF:
+	case binOpRFetch:
 		return opRFetch
 	case binOpRHWMB:
 		return opRHWM
@@ -346,27 +346,24 @@ func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
 		if n, err = node.producePartFrames(req.trace, req.topic, req.partition, req.pid, req.seq, req.frames, req.count); err == nil {
 			encodeCountResp(out, req.op, req.corr, n)
 		}
-	case binOpReplicateMF:
-		var hwms []int64
-		if hwms, err = node.applyReplicateBatch(req.epoch, req.sender, req.sections); err == nil {
-			encodeReplicateMFResp(out, req.corr, hwms)
+	case binOpReplicate:
+		var hwm int64
+		if hwm, err = node.applyReplicate(req.epoch, req.sender, req.topic, req.partition, req.sec); err == nil {
+			encodeWatermarkResp(out, req.op, req.corr, hwm)
 		}
-	case binOpFetchF, binOpRFetchF:
+	case binOpFetchF:
 		// The response is assembled directly in the pooled output buffer
 		// — header and base first, then the log's ReadFrames appends the
 		// raw segment bytes onto it, then the count placeholder is
 		// patched. No record structs, no intermediate buffer, no
 		// re-encoding.
-		at := beginFetchFramesResp(out, req.op, req.corr, req.offset)
+		at := beginFetchFramesResp(out, req.corr, req.offset)
 		var n int
-		if req.op == binOpRFetchF {
-			out.b, n, err = node.replicaFetchFrames(req.sender, req.topic, req.partition, req.offset, req.max, out.b)
-		} else {
-			out.b, n, err = node.fetchFrames(req.topic, req.partition, req.offset, req.max, out.b)
-		}
-		if err == nil {
+		if out.b, n, err = node.fetchFrames(req.topic, req.partition, req.offset, req.max, out.b); err == nil {
 			patchFrameCount(out, at, n)
 		}
+	case binOpRFetch:
+		err = node.replicaFetch(out, req.corr, req.sender, req.topic, req.partition, req.offset, req.max)
 	case binOpRHWMB:
 		var hwm int64
 		if hwm, err = node.replicaHWM(req.sender, req.topic, req.partition); err == nil {

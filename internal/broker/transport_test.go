@@ -2,6 +2,7 @@ package broker
 
 import (
 	"bufio"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -286,6 +287,21 @@ func wireGateCases() []wireGateCase {
 		payload = storage.AppendRecordFrames(payload, recs("k", 3))
 		cases = append(cases, wireGateCase{name: fmt.Sprintf("retired op %d", op), payload: payload})
 	}
+	// Well-formed requests of the retired replica fetch (op 11, "n0"
+	// reading in/0 from offset 0) and multi-section replicate (op 13, "n0"
+	// at epoch 1 shipping 3 records of in/0 and their journal entry), as
+	// the build before the section ops encoded them: were either still
+	// served, the fetch would answer and the replicate would append.
+	for _, c := range []struct{ op, hex string }{
+		{"11", "070b0000000000000001000000000000000000026e300002696e00000000000000000000000000000064"},
+		{"13", "070d00000000000000010000000000000000000000000000000100026e30000000010002696e000000000000000000000000000000000000000300000001000000000000000700000000000000010000000000000000000000000000000300000003000000423a00000098371751030000040100010000006b0000000000000000000000000000000000f03f00000000000000400000c9725f14ff140000000040420f0080841e00"},
+	} {
+		payload, err := hex.DecodeString(c.hex)
+		if err != nil {
+			panic(err)
+		}
+		cases = append(cases, wireGateCase{name: "retired op " + c.op, payload: payload})
+	}
 	fb := getFrame()
 	defer putFrame(fb)
 	for _, ver := range []byte{1, 2, wireVersion - 1, wireVersion + 1} {
@@ -298,8 +314,9 @@ func wireGateCases() []wireGateCase {
 }
 
 // TestWireGateRejectsRetiredDialects sends each retired-dialect payload
-// to a live server: the answer is an error response or a closed
-// connection, nothing is appended, and the server keeps serving.
+// to a live server: a retired op code decodes as an unknown op, the
+// answer is an error response or a closed connection, nothing is
+// appended, and the server keeps serving.
 func TestWireGateRejectsRetiredDialects(t *testing.T) {
 	srv, cli := startServer(t)
 	if err := cli.CreateTopic("in", 1); err != nil {
@@ -307,6 +324,10 @@ func TestWireGateRejectsRetiredDialects(t *testing.T) {
 	}
 	for _, c := range wireGateCases() {
 		t.Run(c.name, func(t *testing.T) {
+			if _, err := decodeBinRequest(c.payload); strings.HasPrefix(c.name, "retired op") &&
+				(err == nil || !strings.Contains(err.Error(), "unknown binary op")) {
+				t.Fatalf("decoded as %v; want an unknown op", err)
+			}
 			conn, err := net.Dial("tcp", srv.Addr())
 			if err != nil {
 				t.Fatal(err)

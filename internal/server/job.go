@@ -269,11 +269,13 @@ func (j *job) isStopped() bool {
 
 // resultsSince returns served results with Seq > since, oldest first,
 // copied at their exact size (never nil: /results must encode an empty
-// answer as []). The ring holds consecutive seqs ending at j.seq-1.
+// answer as []). The ring holds consecutive seqs ending at j.seq-1. A
+// since below -1 asks for everything, as -1 does (and would overflow the
+// count).
 func (j *job) resultsSince(since int64) []MergedWindow {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := int(min(max(j.seq-1-since, 0), int64(len(j.results))))
+	n := int(min(max(j.seq-1-max(since, -1), 0), int64(len(j.results))))
 	out := make([]MergedWindow, 0, n)
 	for i := len(j.results) - n; i < len(j.results); i++ {
 		out = append(out, *j.resultAt(i))

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -549,6 +550,49 @@ func TestResultsSinceAcrossRingWrap(t *testing.T) {
 	emit(2*maxKept + 7)
 	for _, since := range []int64{-1, maxKept, j.seq - maxKept - 1, j.seq - 3, j.seq - 1, j.seq + 4} {
 		check(since)
+	}
+}
+
+// TestHugeNegativeSinceServesEverything: any since below -1 means
+// "everything retained", as -1 does, on /results and on /stream — a
+// since near math.MinInt64 must not overflow into an empty answer or a
+// stream that never writes a window.
+func TestHugeNegativeSinceServesEverything(t *testing.T) {
+	s := fixtureServer(t, 1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	qi := postQuery(t, ts.URL, `{"kind":"sum","window":"2s","slide":"1s"}`)
+	j, _ := s.job(qi.ID)
+	j.mu.Lock()
+	for range 3 {
+		j.emitLocked(firedWindow{result: MergedWindow{Start: t0.Add(time.Duration(j.seq) * time.Second)}})
+	}
+	j.mu.Unlock()
+	for _, since := range []int64{-1, -2, math.MinInt64 + 1, math.MinInt64} {
+		if got := getResults(t, ts.URL, qi.ID, since); len(got) != 3 {
+			t.Errorf("/results?since=%d: %d windows, want 3", since, len(got))
+		}
+	}
+	req, err := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/queries/%s/stream?since=%d", ts.URL, qi.ID, int64(math.MinInt64)), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	resp, err := http.DefaultClient.Do(req.WithContext(ctx))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	dec := json.NewDecoder(resp.Body)
+	for i := range int64(3) {
+		var mw MergedWindow
+		if err := dec.Decode(&mw); err != nil {
+			t.Fatalf("/stream?since=MinInt64: window %d: %v", i, err)
+		}
+		if mw.Seq != i {
+			t.Fatalf("/stream?since=MinInt64: window %d has seq %d", i, mw.Seq)
+		}
 	}
 }
 
