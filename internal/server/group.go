@@ -121,9 +121,10 @@ func (sub *subQueue) remove(sh *shard) {
 }
 
 // dissolve ends the group: its first member keeps the group's sampler and
-// every other sharing member a copy of it. Callers hold sub.mu.
+// every other sharing member a copy of it. A group that merged into
+// another has no members left. Callers hold sub.mu.
 func (sub *subQueue) dissolve() {
-	for _, sh := range sub.members[1:] {
+	for _, sh := range sub.members[min(len(sub.members), 1):] {
 		sub.leave(sh)
 	}
 	for _, sh := range sub.members {

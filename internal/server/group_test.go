@@ -143,9 +143,9 @@ func TestGroupFirstMemberDeleteServesEveryWindowOnce(t *testing.T) {
 	}
 }
 
-// (b) A depth-1 queue over a backlog sheds whole groups: every member
-// replays through its own catch-up, re-splices once, and the group forms
-// again.
+// (b) A depth-1 queue over a backlog sheds whole groups: each rereads its
+// backlog with its members and sampler and splices back whole, and every
+// member is counted shed.
 func TestGroupShedResplicesEveryMember(t *testing.T) {
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 2); err != nil {

@@ -20,40 +20,33 @@ import (
 type traceSetter interface{ SetTraceID(uint64) }
 
 // The shared ingest plane: exactly one consumer per (topic, partition)
-// regardless of how many queries are registered.
-// Each partition loop fetches a batch once, decodes it once into a
-// columnar EventBatch, and fans the (event-time sorted, read-only) batch
-// out by reference to every attached query's per-shard sink. Broker fetch work is O(partitions),
-// not O(queries × partitions) — the property that lets one middle tier
-// serve thousands of concurrent queries over a single topic read.
+// regardless of how many queries are registered. Each partition loop
+// fetches a batch once, decodes it once into a columnar EventBatch, and
+// fans the (event-time sorted, read-only) batch out by reference to every
+// sampling group on the plane. Broker fetch work is O(partitions), not
+// O(queries × partitions) — the property that lets one middle tier serve
+// thousands of concurrent queries over a single topic read.
 //
-// Queries attach and detach dynamically. A query attaching at an
-// offset the plane has already passed replays the gap through a short
-// private catch-up consumer and splices into the live plane exactly at
-// the handoff offset (the splice happens under the plane's delivery
-// lock, so no record is lost or duplicated). A query attaching ahead
-// of the plane (From "latest") rides the plane immediately and drops
-// records below its requested start per-sub.
+// On each partition the shards whose samplers would be interchangeable —
+// the same slide and the same fixed fraction — form one SAMPLING GROUP:
+// one delivery queue, one drainer, and one pane sampler the group owns,
+// whose every pane each sharing member summarises through its own query.
+// A shard that cannot share (an adaptive fraction under a target error)
+// is a group of one. The group is the only thing the plane feeds: a
+// BOUNDED queue decouples it from the loop, and a group whose drainer
+// falls a full queue behind is SHED off the plane on the spot, so one
+// slow group cannot stall the loop or its peers.
 //
-// On each partition the shards whose samplers would be interchangeable
-// — the same slide and the same fixed fraction — form one SAMPLING
-// GROUP: one delivery queue, one drainer, and one pane sampler the group
-// owns, whose every pane each sharing member summarises through its own
-// query. A shard that cannot share (an adaptive fraction under a target
-// error) is a group of one and samples for itself.
-//
-// Fan-out is decoupled from the partition loop by a BOUNDED per-group
-// delivery queue: the loop enqueues each batch (a cheap slice ref) and
-// the group's drainer applies it to the group's sampler. A group
-// whose drainer falls a full queue behind is SHED — detached on the
-// spot, and each member re-attached through the catch-up path once the
-// drainer empties — so one slow group rereads its backlog from the
-// broker instead of stalling every peer on the partition loop. Catch-up
-// work itself runs under a small semaphore, so a burst of late
-// registrations cannot open unbounded private consumers.
+// A group BEHIND the plane — shed, keeping its members and sampler, or a
+// new group of one for a shard attaching at an offset the plane has
+// passed (a late registration, a restored checkpoint) — reads the gap
+// through one reader of its own, at most catchupWorkers groups at once,
+// and splices back whole at the plane position under the plane's lock, so
+// no record is lost or duplicated. A shard attaching ahead of the plane
+// (From "latest") joins at once and drops records below its start.
 
 // fetchMax bounds one fetch round's record count, on the plane's
-// consumers and the catch-up consumers alike.
+// consumers and the readers of groups behind it alike.
 const fetchMax = 4096
 
 // idleAdvanceAfter is the number of consecutive empty polls after which
@@ -95,23 +88,17 @@ const watchdogAfter = 5
 // broker and single-connection clients have nothing to refresh.
 type metaRefresher interface{ Refresh() error }
 
-// The per-query, per-partition delivery target is *shard: consumeLocked
-// applies one event-time sorted EventBatch ending at offset next
-// (exclusive; the batch is shared across queries and treated as
-// read-only), idleLocked is the idle-partition punctuation.
-
 // ingest is one plane: a set of partition loops over one topic.
 type ingest struct {
-	cluster    broker.Cluster // control-plane + catch-up connection
+	cluster    broker.Cluster // control-plane connection, read behind the plane
 	topic      string
 	backoff    time.Duration
 	log        *slog.Logger
-	reg        *metrics.Registry
 	queueDepth int // per-group delivery queue bound, in batches
 
-	// catchupSem bounds simultaneous catch-up consumers across the
-	// whole plane: a burst of late registrations queues here instead of
-	// opening one private broker consumer each.
+	// catchupSem bounds the groups reading behind the plane at once,
+	// across the whole plane: a burst of late registrations or sheds
+	// queues here instead of opening one broker reader each.
 	catchupSem    chan struct{}
 	catchupActive *metrics.Gauge
 
@@ -121,12 +108,12 @@ type ingest struct {
 
 // subQueue is one sampling group on one partition: its bounded delivery
 // queue — the plane loop enqueues, the drainer goroutine applies each
-// batch to every member — and the pane sampler its members share. The
-// group's sampler samples each batch once, and every sharing member
-// summarises its panes; a private member (out of step with the group)
-// samples for itself until it stands at the group's point of the stream,
-// then shares. A group under the zero key has no sampler: its one member
-// samples for itself.
+// batch to every member, or reads the batches itself behind the plane —
+// and the pane sampler its members share. The group's sampler samples
+// each batch once, and every sharing member summarises its panes; a
+// private member (out of step with the group) samples for itself until it
+// stands at the group's point of the stream, then shares. A group under
+// the zero key has no sampler: its one member samples for itself.
 type subQueue struct {
 	key groupKey // zero: a group of one, never joined
 	// mu guards members, ps, offset and summed, and is held across each
@@ -137,13 +124,14 @@ type subQueue struct {
 	offset  int64         // the next offset ps samples
 	summed  []*shard      // cut's scratch: the members summarised so far
 	ch      chan planeDelivery
-	// overflowAt is the resume offset recorded when the queue overflows
-	// (-1 otherwise). Written under the partition lock before ch is
-	// closed; the drainer reads it after draining, so the close is the
-	// memory barrier.
-	overflowAt int64
-	done       chan struct{}  // closed when the drainer has fully exited
-	samplers   *metrics.Gauge // the partition's saproxd_ingest_samplers
+	// from is the offset a group behind the plane reads on from, -1 while
+	// it is on the plane. Written under the partition lock: at a shed
+	// before ch is closed — the drainer reads it after draining, so the
+	// close is the memory barrier — and by the drainer itself.
+	from     int64
+	quit     chan struct{}  // closed when the group ends
+	done     chan struct{}  // closed when the drainer has fully exited
+	samplers *metrics.Gauge // the partition's saproxd_ingest_samplers
 }
 
 // groupKey is what makes two shards' samplers interchangeable on a
@@ -167,20 +155,20 @@ type planeDelivery struct {
 }
 
 // partIngest is the plane for one partition: one consumer, one loop,
-// any number of attached per-query delivery queues.
+// any number of sampling groups on the plane or behind it.
 type partIngest struct {
 	ing     *ingest
 	idx     int
 	cluster broker.Cluster // dedicated connection when DialShard is set
 	conn    io.Closer      // nil when sharing the control connection
 
-	// mu guards subs, groups and next. Enqueueing happens with mu held so
-	// a catch-up splice (pos == next, attach) is atomic against the loop
-	// advancing next; the enqueue itself never blocks.
+	// mu guards subs, groups, every group's from and next. Enqueueing
+	// happens with mu held so a splice (pos == next) is atomic against the
+	// loop advancing next; the enqueue itself never blocks.
 	mu      sync.Mutex
 	subs    map[*shard]*subQueue // every attached shard's group
-	groups  []*subQueue
-	next    int64 // next offset the plane will deliver; set by the first attach
+	groups  []*subQueue          // on the plane and behind it
+	next    int64                // next offset the plane will deliver; set by the first attach
 	started bool
 	stopped bool
 	done    chan struct{}
@@ -195,12 +183,12 @@ type partIngest struct {
 }
 
 // queueDepth bounds each sampling group's per-partition delivery queue,
-// in batches: a group that falls a full queue behind is shed to the
-// catch-up path instead of stalling the partition loop.
+// in batches: a group that falls a full queue behind is shed off the
+// plane instead of stalling the partition loop.
 const queueDepth = 64
 
-// catchupWorkers bounds the simultaneous catch-up consumers of a plane,
-// so a burst of late queries cannot open unbounded private consumers.
+// catchupWorkers bounds the groups reading behind a plane at once, so a
+// burst of late queries cannot open unbounded broker readers.
 const catchupWorkers = 4
 
 // newIngest builds a plane with one (not yet started) partition loop
@@ -211,10 +199,10 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	log *slog.Logger, reg *metrics.Registry) (*ingest, error) {
 	ing := &ingest{
 		cluster: cluster, topic: topic, backoff: backoff, log: log,
-		reg: reg, queueDepth: queueDepth,
+		queueDepth: queueDepth,
 		catchupSem: make(chan struct{}, catchupWorkers),
 		catchupActive: reg.Gauge("saproxd_catchup_active",
-			"late-registration catch-up consumers currently running", nil),
+			"sampling groups reading behind the plane: shed, or a late or restored shard's", nil),
 	}
 	for p := 0; p < parts; p++ {
 		pc := cluster
@@ -265,73 +253,98 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 }
 
 // join attaches sh to the partition (callers hold pi.mu): into the
-// sampling group its job's key names — sharing the group's sampler when
-// it stands at the group's point of the stream, as a private member
-// otherwise — or into a new group of its own, which takes its sampler
-// when the key lets others share it. Batches already queued below the
-// shard's offset are skipped for it.
+// sampling group on the plane its job's key names — sharing the group's
+// sampler when it stands at the group's point of the stream, as a private
+// member otherwise — or into a new group of its own on the plane.
+// Batches already queued below the shard's offset are skipped for it.
 func (pi *partIngest) join(sh *shard) {
 	sh.skipToOffset()
-	pi.samplersGauge.Add(1)
-	key := sh.job.groupKey()
-	i := slices.IndexFunc(pi.groups, func(sub *subQueue) bool { return key != groupKey{} && sub.key == key })
+	i := pi.live(sh.job.groupKey())
 	if i < 0 {
-		sub := &subQueue{key: key, members: []*shard{sh}, samplers: pi.samplersGauge,
-			ch: make(chan planeDelivery, pi.ing.queueDepth), overflowAt: -1, done: make(chan struct{})}
-		if key != (groupKey{}) {
-			sub.take(sh)
-		}
-		pi.groups = append(pi.groups, sub)
-		pi.subs[sh] = sub
-		go pi.drain(sub)
-	} else {
-		sub := pi.groups[i]
-		pi.subs[sh] = sub
-		sub.mu.Lock()
-		sub.members = append(sub.members, sh)
-		sub.share(sh)
-		sub.mu.Unlock()
+		pi.group(sh, -1)
+		return
 	}
-	pi.queriesGauge.Set(float64(len(pi.subs)))
+	pi.samplersGauge.Add(1)
+	sub := pi.groups[i]
+	pi.subs[sh] = sub
+	sub.mu.Lock()
+	sub.members = append(sub.members, sh)
+	sub.share(sh)
+	sub.mu.Unlock()
 }
 
-// drain is the group's delivery worker: it applies queued batches to
-// the members in order. When the queue closes the group dissolves, every
-// member keeping a sampler of its own (see dissolve); a shed group's members then
-// replay the rest through the catch-up path, each re-splicing into the
-// live plane.
-func (pi *partIngest) drain(sub *subQueue) {
-	for d := range sub.ch {
-		if d.idle {
-			sub.idle(d)
-		} else {
-			sub.apply(d)
-			d.batch.Release()
+// live is the index of the group on the plane that shards of key join, or
+// -1: none is, or key is the zero key, which never shares. Callers hold pi.mu.
+func (pi *partIngest) live(key groupKey) int {
+	if key == (groupKey{}) {
+		return -1
+	}
+	return slices.IndexFunc(pi.groups, func(sub *subQueue) bool { return sub.key == key && sub.onPlane() })
+}
+
+// group starts a new group of sh alone — on the plane when from is -1,
+// otherwise behind it, reading on from that offset — which takes sh's
+// sampler when its key lets others share it. Callers hold pi.mu.
+func (pi *partIngest) group(sh *shard, from int64) {
+	pi.samplersGauge.Add(1)
+	sub := &subQueue{key: sh.job.groupKey(), members: []*shard{sh}, samplers: pi.samplersGauge, from: from,
+		ch: make(chan planeDelivery, pi.ing.queueDepth), quit: make(chan struct{}), done: make(chan struct{})}
+	if sub.key != (groupKey{}) {
+		sub.take(sh)
+	}
+	pi.groups = append(pi.groups, sub)
+	pi.subs[sh] = sub
+	go pi.drain(sub, from)
+}
+
+// onPlane reports whether the plane feeds the group. Callers hold the
+// partition lock, or are the group's drainer.
+func (sub *subQueue) onPlane() bool { return sub.from < 0 }
+
+// end ends a group its caller took off the partition: a group on the
+// plane applies what is queued first, one behind it stops reading, and
+// either way its drainer then dissolves it. Callers hold pi.mu.
+func (sub *subQueue) end() {
+	if sub.onPlane() {
+		close(sub.ch)
+	}
+	close(sub.quit)
+}
+
+// drain is the group's worker. On the plane it applies queued batches to
+// the members in order; behind the plane it reads the gap itself
+// (catchUp) until the group is back on the plane or has merged into the
+// group there. When the group ends, every member keeps a sampler of its
+// own (dissolve).
+func (pi *partIngest) drain(sub *subQueue, from int64) {
+	for from < 0 || pi.catchUp(sub, from) {
+		for d := range sub.ch {
+			if d.idle {
+				sub.idle(d)
+			} else {
+				sub.apply(d)
+				d.batch.Release()
+			}
+		}
+		if from = sub.from; from < 0 { // ended, not shed
+			break
 		}
 	}
-	resume := sub.overflowAt // safe: written before close(sub.ch)
 	sub.mu.Lock()
-	members := sub.members
 	sub.dissolve()
 	sub.mu.Unlock()
 	close(sub.done)
-	if resume >= 0 {
-		for _, sh := range members {
-			sh.shed.Inc()
-			// j.wg.Add happened at shed time, under pi.mu; catchUp calls Done.
-			go pi.catchUp(sh.job, sh, resume)
-		}
-	}
 }
 
 // attach joins one query shard to a partition plane, starting the loop
-// on first use. from is the shard's delivery watermark: behind the
-// plane it is replayed through a catch-up goroutine (tracked in the
-// job's WaitGroup) before splicing live; at or ahead of the plane the
-// shard attaches immediately, skipping records below from.
-func (ing *ingest) attach(j *job, sh *shard, from int64) {
+// on first use. from is the shard's delivery watermark: behind the plane
+// the shard starts a group of its own there, which reads the gap before
+// splicing live; at or ahead of the plane the shard joins at once,
+// skipping records below from.
+func (ing *ingest) attach(sh *shard, from int64) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
+	defer pi.mu.Unlock()
 	if !pi.started {
 		pi.started = true
 		pi.next = from
@@ -342,19 +355,14 @@ func (ing *ingest) attach(j *job, sh *shard, from int64) {
 	}
 	if from >= pi.next {
 		pi.join(sh)
-		pi.mu.Unlock()
-		return
+	} else {
+		pi.group(sh, from)
 	}
-	pi.mu.Unlock()
-	j.wg.Add(1)
-	go pi.catchUp(j, sh, from)
+	pi.queriesGauge.Set(float64(len(pi.subs)))
 }
 
 // detach takes a shard out of its group, so no consume call can follow
-// detach. The last member closes the group's queue and waits out its
-// drainer, which applies what is queued first. A shard mid-catch-up (or
-// shed) has no group; its goroutine is tracked by the job's WaitGroup
-// and aborts on the job's done channel.
+// detach. The last member ends the group and waits out its drainer.
 func (ing *ingest) detach(sh *shard) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
@@ -369,7 +377,7 @@ func (ing *ingest) detach(sh *shard) {
 	last := len(sub.members) == 1
 	if last {
 		pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })
-		close(sub.ch)
+		sub.end()
 	} else {
 		sub.remove(sh)
 	}
@@ -381,9 +389,8 @@ func (ing *ingest) detach(sh *shard) {
 }
 
 // stop halts every partition loop, closes dedicated connections, and
-// drains every attached queue. Attached shards receive no further
-// plane deliveries once stop returns (catch-up goroutines are the
-// job's, stopped by job.stop).
+// ends every group, draining the queues of those on the plane. Attached
+// shards receive no further deliveries once stop returns.
 func (ing *ingest) stop() {
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
@@ -397,13 +404,13 @@ func (ing *ingest) stop() {
 	// in, so stopping never waits out a request deadline or retry budget.
 	ing.closeConns()
 	ing.wg.Wait()
-	// With the loops stopped nothing enqueues anymore; close the queues
+	// With the loops stopped nothing enqueues anymore; end the groups
 	// and wait out the drainers so every delivered batch is applied.
 	var waits []*subQueue
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
 		for _, sub := range pi.groups {
-			close(sub.ch)
+			sub.end()
 			waits = append(waits, sub)
 		}
 		pi.groups = nil
@@ -434,8 +441,8 @@ func (ing *ingest) closeConns() {
 // partition — short or empty — by exactly one back-off, and nothing is
 // ever fetched ahead of a sleep, so a fetched round is never older than
 // the fetch itself and a record waits at most one back-off. With no
-// sinks attached the loop idles without advancing, so a future attacher
-// at the current offset joins seamlessly.
+// group on the plane the loop idles without advancing, so a group behind
+// it, or a future attacher at the current offset, joins seamlessly.
 func (pi *partIngest) loop(start int64) {
 	defer pi.ing.wg.Done()
 	cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, start)
@@ -448,9 +455,9 @@ func (pi *partIngest) loop(start int64) {
 		default:
 		}
 		pi.mu.Lock()
-		nsubs := len(pi.subs)
+		fed := slices.ContainsFunc(pi.groups, (*subQueue).onPlane)
 		pi.mu.Unlock()
-		if nsubs == 0 {
+		if !fed {
 			// Nobody listening: pause without advancing the plane.
 			if !sleepOrDone(pi.done, pi.ing.backoff) {
 				return
@@ -530,19 +537,16 @@ func (pi *partIngest) reroute() {
 	pi.ing.log.Info("watchdog refreshed routing", "partition", pi.idx)
 }
 
-// deliverBatch fans one pooled EventBatch out by reference to every
-// sampling group's delivery queue and advances the plane position. It
-// runs under pi.mu so catch-up splices are atomic, but never blocks: a
-// group whose bounded queue is full is shed — detached here, with its
-// drainer sending every member through the catch-up path at the offset
-// where delivery stopped — so one slow group cannot stall the partition
-// loop or its peers. The batch's Base is stamped with the plane offset
-// before the first enqueue (the channel send is the memory barrier), each
-// successful enqueue carries one Retained reference the drainer Releases
-// after applying, a shed group's reference is returned immediately, and
-// the loop's own reference from PollBatch is dropped once fan-out
-// finishes — so the batch goes back to the pool the moment the last
-// drainer is done with it.
+// deliverBatch fans one pooled EventBatch out by reference to the queue
+// of every sampling group on the plane and advances the plane position.
+// It runs under pi.mu so splices are atomic, but never blocks: a group
+// whose queue is full is shed off the plane, its drainer reading on from
+// where delivery stopped. The batch's Base is stamped with the plane
+// offset before the first enqueue (the channel send is the memory
+// barrier), each enqueue carries one Retained reference the drainer
+// Releases after applying, and the loop's own reference from PollBatch is
+// dropped once fan-out finishes — so the batch goes back to the pool the
+// moment the last drainer is done with it.
 func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool) {
 	n := int64(b.Len())
 	pi.recordsMetric.Add(float64(n))
@@ -554,33 +558,30 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 	pi.next = next
 	b.Base = base // shards compute skip positions relative to Base
 	d := planeDelivery{batch: b, next: next, hwm: hwm, haveHWM: haveHWM}
-	kept := pi.groups[:0]
 	for _, sub := range pi.groups {
+		if !sub.onPlane() {
+			continue
+		}
 		b.Retain()
 		select {
 		case sub.ch <- d:
-			kept = append(kept, sub)
 			continue
 		default:
 		}
 		// Queue full: shed the group. Its drainer has applied (or still
 		// holds queued) everything below base, so base is exactly where
-		// every member's catch-up must resume.
+		// it must read on from.
 		b.Release() // the shed group never takes its reference
-		sub.overflowAt = base
+		sub.from = base
+		close(sub.ch)
 		for sh, of := range pi.subs {
 			if of == sub {
-				delete(pi.subs, sh)
-				sh.job.wg.Add(1) // the drainer's catch-up continuation
-				pi.ing.log.Warn("delivery queue full; shedding to catch-up",
+				sh.shed.Inc()
+				pi.ing.log.Warn("delivery queue full; shedding the group",
 					"query", sh.job.id, "partition", pi.idx, "offset", base)
 			}
 		}
-		close(sub.ch)
-		pi.queriesGauge.Set(float64(len(pi.subs)))
 	}
-	clear(pi.groups[len(kept):])
-	pi.groups = kept
 	pi.mu.Unlock()
 	b.Release() // the loop's reference from PollBatch
 	if haveHWM {
@@ -605,11 +606,11 @@ func (pi *partIngest) drained() (hwm int64, ok bool) {
 	return hwm, next >= hwm
 }
 
-// idleAdvance enqueues an idle punctuation for every sampling group,
-// pushing event-time watermarks forward on a quiet partition so windows
-// a sparsely keyed partition would hold back still merge, and carrying
-// the drain check's high watermark so the queries' lag gauges settle.
-// The marker carries each attached shard's job watermark read now, not
+// idleAdvance enqueues an idle punctuation for every sampling group on
+// the plane, pushing event-time watermarks forward on a quiet partition
+// so windows a sparsely keyed partition would hold back still merge, and
+// carrying the drain check's high watermark so the queries' lag gauges
+// settle. The marker carries each fed shard's job watermark read now, not
 // when a lagging drainer reaches it: records queued behind it are not
 // late. Reading them under pi.mu takes shard locks after the plane's, as
 // the lock order has it. Best effort: a full queue skips the marker (the
@@ -617,78 +618,88 @@ func (pi *partIngest) drained() (hwm int64, ok bool) {
 func (pi *partIngest) idleAdvance(hwm int64) {
 	pi.mu.Lock()
 	marks := make(map[*shard]time.Time, len(pi.subs))
-	for sh := range pi.subs {
-		marks[sh] = sh.job.maxWatermark()
+	for sh, sub := range pi.subs {
+		if sub.onPlane() {
+			marks[sh] = sh.job.maxWatermark()
+		}
 	}
 	for _, sub := range pi.groups {
-		select {
-		case sub.ch <- planeDelivery{idle: true, hwm: hwm, marks: marks}:
-		default:
+		if sub.onPlane() {
+			select {
+			case sub.ch <- planeDelivery{idle: true, hwm: hwm, marks: marks}:
+			default:
+			}
 		}
 	}
 	pi.mu.Unlock()
 }
 
-// catchUp replays [from, plane position) to one late-attaching (or
-// shed) shard through a private consumer, then splices it into the live
-// plane at the handoff offset. The splice check runs under pi.mu: when
-// pos has reached pi.next the plane cannot advance concurrently, so
-// attaching there is exactly-once. The chase is abandoned when the job
-// stops. Admission runs through the plane's catch-up semaphore, so a
-// burst of late registrations is worked off a few consumers at a time.
-func (pi *partIngest) catchUp(j *job, sh *shard, from int64) {
-	defer j.wg.Done()
+// catchUp reads [pos, plane position) for a group behind the plane
+// through one reader, applying each round as the plane would, and splices
+// the group back at the plane position — under pi.mu, where the plane
+// cannot advance, so exactly once. Admission runs through the catch-up
+// semaphore. It reports whether the group is back on the plane, not
+// merged into the group there or ended.
+func (pi *partIngest) catchUp(sub *subQueue, pos int64) bool {
 	select {
 	case pi.ing.catchupSem <- struct{}{}:
-	case <-j.done:
-		return
+	case <-sub.quit:
+		return false
 	}
 	pi.ing.catchupActive.Add(1)
 	defer func() {
 		pi.ing.catchupActive.Add(-1)
 		<-pi.ing.catchupSem
 	}()
-	cons := broker.NewPartitionConsumer(pi.ing.cluster, pi.ing.topic, pi.idx, from)
-	pos := from
+	cons := broker.NewPartitionConsumer(pi.ing.cluster, pi.ing.topic, pi.idx, pos)
 	for {
-		select {
-		case <-j.done:
-			return
-		default:
-		}
+		// An ended group is off the partition: its last member left, or
+		// the plane stopped.
 		pi.mu.Lock()
-		target := pi.next
-		if pos >= target {
-			if !j.isStopped() {
-				pi.join(sh)
-			}
-			pi.mu.Unlock()
-			return
-		}
+		ended, target := !slices.Contains(pi.groups, sub), pi.next
+		back := !ended && pos >= target && pi.splice(sub)
 		pi.mu.Unlock()
-		// Bound the round so the chase stops exactly at the handoff
-		// offset, never overshooting into records the plane delivers.
-		max := fetchMax
-		if int64(max) > target-pos {
-			max = int(target - pos)
+		if ended || pos >= target {
+			return back
 		}
-		b, err := cons.PollBatch(max) // returned in event-time order
+		// Bound the round so the chase stops exactly at the plane
+		// position, never overshooting into records the plane delivers.
+		b, err := cons.PollBatch(int(min(fetchMax, target-pos))) // returned in event-time order
 		if err != nil || b == nil {
 			if err != nil {
-				// Transient broker trouble must not strand the shard
-				// detached forever (its merger would wait on its watermark
-				// for every window): retry until the job stops.
-				pi.ing.log.Warn("catch-up poll failed", "query", j.id, "partition", pi.idx, "err", err)
+				// Transient broker trouble must not strand the group off
+				// the plane (its members' mergers would wait on their
+				// watermarks for every window): retry until it ends.
+				pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", pos, "err", err)
 			}
-			if !sleepOrDone(j.done, pi.ing.backoff) {
-				return
+			if !sleepOrDone(sub.quit, pi.ing.backoff) {
+				return false
 			}
 			continue
 		}
 		pos += int64(b.Len())
-		sh.mu.Lock()
-		sh.consumeLocked(b, pos)
-		sh.mu.Unlock()
+		sub.apply(planeDelivery{batch: b, next: pos})
 		b.Release()
 	}
+}
+
+// splice puts a group standing at the plane position back on the plane:
+// re-published when no group there has its key, or merged into the group
+// that has — its members join it, sharing its sampler once at the same
+// point. It reports whether the group itself is back. Callers hold pi.mu.
+func (pi *partIngest) splice(sub *subQueue) bool {
+	if pi.live(sub.key) < 0 {
+		sub.from = -1
+		sub.ch = make(chan planeDelivery, pi.ing.queueDepth)
+		return true
+	}
+	pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })
+	sub.mu.Lock()
+	members := sub.members
+	sub.dissolve()
+	sub.mu.Unlock()
+	for _, sh := range members {
+		pi.join(sh)
+	}
+	return false
 }

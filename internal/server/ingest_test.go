@@ -150,8 +150,8 @@ func windowItems(j *job) map[time.Time]int64 {
 }
 
 // TestLateRegistrationCatchesUpAndSplices registers a second query
-// after the plane has consumed the backlog: the late query must replay
-// the gap through its private catch-up consumer, splice into the live
+// after the plane has consumed the backlog: the late query's shards must
+// replay the gap as groups of one behind the plane, splice into the live
 // plane without loss or duplication, and then follow new records. Item
 // counts per window must match the early query's exactly — a duplicate
 // or lost record would show up as a diverging count.
@@ -353,7 +353,7 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 }
 
 // TestSlowQuerySheddingNoLossNoDup forces delivery-queue overflows with
-// a depth-1 queue over a large backlog: the shed/catch-up/re-splice
+// a depth-1 queue over a large backlog: the shed/catch-up/splice
 // cycle must still deliver every record to every query exactly once,
 // and the shed counter must show the path actually ran.
 func TestSlowQuerySheddingNoLossNoDup(t *testing.T) {
@@ -405,9 +405,10 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 			t.Fatalf("query %s: saproxd_shard_records_total = %d, want %d", j.id, n, len(events))
 		}
 	}
-	// Every query is shed with its group and catches up on its own, so
-	// their catch-up rounds cut the log differently — yet each served window must hold exactly
-	// the items an always-attached query sees: the events inside it.
+	// Every query is shed with its group and catches up with it, in rounds
+	// that cut the log elsewhere than the plane's — yet each served window
+	// must hold exactly the items an always-attached query sees: the
+	// events inside it.
 	ones := make([]stream.Event, len(events))
 	for i, e := range events {
 		e.Value = 1
@@ -484,7 +485,7 @@ func holdGroupsUntilShed(t *testing.T, s *Server, gc *gatedCluster) {
 		for _, sub := range held[i] {
 			for {
 				pi.mu.Lock()
-				shed := !slices.Contains(pi.groups, sub)
+				shed := !sub.onPlane()
 				pi.mu.Unlock()
 				if shed || time.Now().After(deadline) {
 					if !shed {
@@ -507,8 +508,9 @@ func holdGroupsUntilShed(t *testing.T, s *Server, gc *gatedCluster) {
 }
 
 // TestCatchUpPoolBoundsConcurrency registers several queries against a
-// deep backlog with a single-slot catch-up pool: the active-catch-up
-// gauge must never exceed the bound, and every query must still finish.
+// deep backlog with a single-slot catch-up pool: the gauge of groups
+// reading behind the plane must never exceed the bound, and every query
+// must still finish.
 func TestCatchUpPoolBoundsConcurrency(t *testing.T) {
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 2); err != nil {
@@ -542,7 +544,7 @@ func TestCatchUpPoolBoundsConcurrency(t *testing.T) {
 		}
 	}
 	gauge := s.reg.Gauge("saproxd_catchup_active",
-		"late-registration catch-up consumers currently running", nil)
+		"sampling groups reading behind the plane: shed, or a late or restored shard's", nil)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

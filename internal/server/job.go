@@ -34,10 +34,6 @@ type job struct {
 	plane *ingest
 
 	shards []*shard
-	done   chan struct{}
-	// wg tracks catch-up goroutines launched for late attachment; stop
-	// waits for them before flushing so no push races the flush.
-	wg sync.WaitGroup
 
 	// mu guards the merger and the served result state.
 	mu      sync.Mutex
@@ -61,12 +57,11 @@ type job struct {
 // maxKept bounds the per-query result ring.
 const maxKept = 4096
 
-// shard is one partition's delivery sink for one query: the plane (or
-// a catch-up consumer) pushes batches into its pane sampler — its own,
-// or its sampling group's — and the shard summarises the sampler's panes
-// through its query for the merger. It tracks the query's private
-// delivery watermark — the next offset it needs — which is what the
-// query's checkpoint persists.
+// shard is one partition's delivery sink for one query: its sampling
+// group pushes batches into its pane sampler — its own, or the group's —
+// and the shard summarises the sampler's panes through its query for the
+// merger. It tracks the query's private delivery watermark — the next
+// offset it needs — which is what the query's checkpoint persists.
 type shard struct {
 	job *job
 	idx int // shard index == partition
@@ -95,7 +90,7 @@ type shard struct {
 	recordsMetric *metrics.Counter
 	lateMetric    *metrics.Gauge
 	depth         *metrics.Gauge   // the group's delivery queue, as this query sees it
-	shed          *metrics.Counter // times the query's group was shed to catch-up
+	shed          *metrics.Counter // times the query's group was shed off the plane
 }
 
 // newJob builds a job and its shards. When restore is non-nil the
@@ -108,7 +103,6 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		spec:  spec,
 		srv:   srv,
 		plane: srv.ing,
-		done:  make(chan struct{}),
 		subs:  make(map[int]chan struct{}),
 
 		windowsMerged: srv.reg.Counter("saproxd_windows_merged_total",
@@ -182,11 +176,11 @@ func (j *job) start() {
 		sh.mu.Lock()
 		from := sh.offset
 		sh.mu.Unlock()
-		j.plane.attach(j, sh, from)
+		j.plane.attach(sh, from)
 	}
 }
 
-// stop detaches the shards from the plane and halts catch-up work.
+// stop detaches the shards from the plane.
 // When flush is true every in-progress session segment and pending
 // merge is forced out to subscribers first — the DELETE path; graceful
 // server shutdown keeps them pending so a restart resumes from the
@@ -199,11 +193,9 @@ func (j *job) stop(flush bool) {
 	}
 	j.stopped = true
 	j.mu.Unlock()
-	close(j.done)
 	for _, sh := range j.shards {
 		j.plane.detach(sh)
 	}
-	j.wg.Wait()
 	if flush {
 		for _, sh := range j.shards {
 			sh.mu.Lock()
@@ -469,14 +461,6 @@ func (sh *shard) deliver(mark time.Time) {
 
 // sleepOrDone pauses for d, returning false if done closed.
 func sleepOrDone(done chan struct{}, d time.Duration) bool {
-	if d <= 0 {
-		select {
-		case <-done:
-			return false
-		default:
-			return true
-		}
-	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {

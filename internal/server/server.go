@@ -280,7 +280,7 @@ func (s *Server) jobs() []*job {
 
 // Close shuts the server down in quiesce-then-flush order: first the
 // periodic checkpointer, then the ingest plane — so no delivery is in
-// flight — then the jobs (waiting out any catch-up goroutines), and
+// flight and no group reads behind the plane — then the jobs, and
 // only then the final checkpoint of every query. Partial windows are not
 // flushed, so a restarted server resumes seamlessly without
 // double-emitting; nothing mid-merge is dropped because all merging
