@@ -1,7 +1,7 @@
 // Package stream defines the shared data-plane types of StreamApprox: the
 // event record flowing through every engine and every tier, the columnar
-// EventBatch the serving tier moves, and small helpers for merging and
-// partitioning events across workers.
+// EventBatch the serving tier moves, and small helpers for partitioning
+// events across workers.
 //
 // Terminology follows the paper (§2): the input data stream consists of
 // sub-streams identified by their source; each sub-stream is a stratum for
@@ -20,33 +20,6 @@ type Event struct {
 	Stratum string    `json:"stratum"`
 	Value   float64   `json:"value"`
 	Time    time.Time `json:"time"`
-}
-
-// Interleave merges several per-stratum event slices into a single stream
-// ordered by event time (stable for equal timestamps). It models the
-// stream aggregator's view of disjoint sub-streams combined into one
-// input stream (§2.1) when a broker is not in the loop.
-func Interleave(streams ...[]Event) []Event {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]Event, 0, total)
-	idx := make([]int, len(streams))
-	for len(out) < total {
-		best := -1
-		for i, s := range streams {
-			if idx[i] >= len(s) {
-				continue
-			}
-			if best == -1 || s[idx[i]].Time.Before(streams[best][idx[best]].Time) {
-				best = i
-			}
-		}
-		out = append(out, streams[best][idx[best]])
-		idx[best]++
-	}
-	return out
 }
 
 // PartitionRoundRobin splits events into n partitions by round-robin

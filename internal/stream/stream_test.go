@@ -11,29 +11,6 @@ func ev(stratum string, v float64, offsetMS int) Event {
 	return Event{Stratum: stratum, Value: v, Time: base.Add(time.Duration(offsetMS) * time.Millisecond)}
 }
 
-func TestInterleaveOrdersByTime(t *testing.T) {
-	a := []Event{ev("a", 1, 0), ev("a", 2, 10), ev("a", 3, 20)}
-	b := []Event{ev("b", 4, 5), ev("b", 5, 15)}
-	merged := Interleave(a, b)
-	if len(merged) != 5 {
-		t.Fatalf("merged %d events, want 5", len(merged))
-	}
-	for i := 1; i < len(merged); i++ {
-		if merged[i].Time.Before(merged[i-1].Time) {
-			t.Fatalf("merged stream out of order at %d: %v", i, merged)
-		}
-	}
-}
-
-func TestInterleaveEmpty(t *testing.T) {
-	if got := Interleave(); len(got) != 0 {
-		t.Errorf("Interleave() = %v, want empty", got)
-	}
-	if got := Interleave(nil, nil); len(got) != 0 {
-		t.Errorf("Interleave(nil,nil) = %v, want empty", got)
-	}
-}
-
 func TestPartitionRoundRobin(t *testing.T) {
 	events := []Event{ev("a", 1, 0), ev("a", 2, 1), ev("a", 3, 2), ev("a", 4, 3), ev("a", 5, 4)}
 	parts := PartitionRoundRobin(events, 2)

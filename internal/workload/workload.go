@@ -68,26 +68,36 @@ type Substream struct {
 // Generate produces `duration` worth of events for the given sub-streams,
 // merged into a single stream ordered by event time — the view the stream
 // aggregator presents to the engine (§2.1). Items within each sub-stream
-// are evenly spaced over each second.
+// are evenly spaced over each second. Events of equal time come in the
+// order of their sub-streams in subs.
 func Generate(rng *xrand.Rand, duration time.Duration, subs ...Substream) []stream.Event {
-	perSub := make([][]stream.Event, len(subs))
+	values := make([][]float64, len(subs))
+	gaps := make([]time.Duration, len(subs))
+	total := 0
 	for i, sub := range subs {
 		if sub.Rate <= 0 {
 			continue
 		}
-		total := int(float64(sub.Rate) * duration.Seconds())
-		events := make([]stream.Event, total)
-		gap := time.Second / time.Duration(sub.Rate)
-		for j := 0; j < total; j++ {
-			events[j] = stream.Event{
-				Stratum: sub.Name,
-				Value:   sub.Dist.Sample(rng),
-				Time:    Epoch.Add(time.Duration(j) * gap),
+		values[i] = make([]float64, int(float64(sub.Rate)*duration.Seconds()))
+		for j := range values[i] {
+			values[i][j] = sub.Dist.Sample(rng)
+		}
+		gaps[i] = time.Second / time.Duration(sub.Rate)
+		total += len(values[i])
+	}
+	out := make([]stream.Event, total)
+	taken := make([]int, len(subs)) // each sub-stream's events already in out
+	for k := range out {
+		next, at := -1, time.Duration(0) // the earliest head, and its offset from Epoch
+		for i, vs := range values {
+			if t := time.Duration(taken[i]) * gaps[i]; taken[i] < len(vs) && (next < 0 || t < at) {
+				next, at = i, t
 			}
 		}
-		perSub[i] = events
+		out[k] = stream.Event{Stratum: subs[next].Name, Value: values[next][taken[next]], Time: Epoch.Add(at)}
+		taken[next]++
 	}
-	return stream.Interleave(perSub...)
+	return out
 }
 
 // PaperGaussian returns the three Gaussian sub-streams of §5.1 —

@@ -2,7 +2,12 @@ package workload
 
 import (
 	"context"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"os"
 	"testing"
 	"time"
 
@@ -34,6 +39,118 @@ func TestGenerateZeroRateSkipped(t *testing.T) {
 	events := Generate(rng, time.Second, Substream{Name: "x", Dist: Gaussian{Mu: 1, Sigma: 0}, Rate: 0})
 	if len(events) != 0 {
 		t.Errorf("zero-rate sub-stream generated %d events", len(events))
+	}
+	if events := Generate(rng, time.Second); len(events) != 0 {
+		t.Errorf("no sub-streams generated %d events", len(events))
+	}
+}
+
+// Events of equal time come in sub-stream order, whichever sub-stream
+// is denser or drew first.
+func TestGenerateTiesGoToLowerSubstream(t *testing.T) {
+	events := Generate(xrand.New(3), time.Second,
+		Substream{Name: "a", Dist: Uniform{Lo: 0, Hi: 1}, Rate: 2},
+		Substream{Name: "z", Dist: Uniform{Lo: 0, Hi: 1}, Rate: 0},
+		Substream{Name: "b", Dist: Uniform{Lo: 0, Hi: 1}, Rate: 4},
+		Substream{Name: "c", Dist: Uniform{Lo: 0, Hi: 1}, Rate: 2})
+	got := ""
+	for _, e := range events {
+		got += fmt.Sprintf("%s@%v ", e.Stratum, e.Time.Sub(Epoch))
+	}
+	want := "a@0s b@0s c@0s b@250ms a@500ms b@500ms c@500ms b@750ms "
+	if got != want {
+		t.Errorf("generated\n%s\nwant\n%s", got, want)
+	}
+}
+
+// generateParentFile holds, for each case of generateCases, the number of
+// events Generate made at commit 4764a5d — which drew each sub-stream as
+// event rows and merged them by time.Time — and an FNV-64a digest of
+// their (stratum, value bits, time nanos). Setting GENERATE_PARENT_OUT to
+// a path makes the test write what Generate makes there instead of
+// checking it.
+const generateParentFile = "testdata/generate_parent.json"
+
+type generateCase struct {
+	seed     uint64
+	duration time.Duration
+	subs     []Substream
+}
+
+var generateCases = map[string]generateCase{
+	"skew-gaussian-100000-1s-seed1": {1, time.Second, SkewGaussian(100000)},
+	"skew-gaussian-100000-1s-seed9": {9, time.Second, SkewGaussian(100000)},
+	"paper-gaussian-3000x3-2s":      {2, 2 * time.Second, PaperGaussian(3000, 3000, 3000)},
+	"skew-poisson-6000-15s":         {4, 15 * time.Second, SkewPoisson(6000)},
+	// A zero-rate sub-stream between others, and rates whose times tie.
+	"ties-3-0-7-3-7-2.5s": {5, 2500 * time.Millisecond, []Substream{
+		{Name: "a", Dist: Gaussian{Mu: 1, Sigma: 1}, Rate: 3},
+		{Name: "z", Dist: Gaussian{Mu: 2, Sigma: 1}, Rate: 0},
+		{Name: "b", Dist: Poisson{Lambda: 30}, Rate: 7},
+		{Name: "c", Dist: Uniform{Lo: 0, Hi: 1}, Rate: 3},
+		{Name: "d", Dist: LogNormal{Mu: 0, Sigma: 1}, Rate: 7},
+	}},
+}
+
+type generateDigest struct {
+	Events int    `json:"events"`
+	FNV64a string `json:"fnv64a"`
+}
+
+func digestEvents(events []stream.Event) generateDigest {
+	h := fnv.New64a()
+	var buf [17]byte
+	for _, e := range events {
+		buf[0] = byte(len(e.Stratum))
+		h.Write(buf[:1])
+		h.Write([]byte(e.Stratum))
+		binary.LittleEndian.PutUint64(buf[1:], math.Float64bits(e.Value))
+		binary.LittleEndian.PutUint64(buf[9:], uint64(e.Time.UnixNano()))
+		h.Write(buf[1:])
+	}
+	return generateDigest{Events: len(events), FNV64a: fmt.Sprintf("%016x", h.Sum64())}
+}
+
+// Generate makes, event for event, what the parent made.
+func TestGenerateMatchesParent(t *testing.T) {
+	got := map[string]generateDigest{}
+	for name, c := range generateCases {
+		got[name] = digestEvents(Generate(xrand.New(c.seed), c.duration, c.subs...))
+	}
+	if out := os.Getenv("GENERATE_PARENT_OUT"); out != "" {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(generateParentFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]generateDigest
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(generateCases) {
+		t.Fatalf("fixture has %d cases, want %d", len(want), len(generateCases))
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok || g != w {
+			t.Errorf("%s: generated %+v, parent %+v", name, g, w)
+		}
+	}
+}
+
+// One second of the §5.7 Gaussian mix, as bench's lib-skew pool draws it.
+func BenchmarkGenerate(b *testing.B) {
+	subs := SkewGaussian(100000)
+	b.ReportAllocs()
+	for b.Loop() {
+		Generate(xrand.New(1), time.Second, subs...)
 	}
 }
 
