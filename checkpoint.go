@@ -41,12 +41,11 @@ func (s *Session) Snapshot() ([]byte, error) {
 // RestoreSession rebuilds a session from a Snapshot. The restored
 // session continues the event-time stream where the snapshot left off:
 // pending windows, the in-flight segment's reservoirs, the watermark and
-// the adaptive fraction are all recovered. Older snapshots are upgraded
-// here, once: versions 1 and 2 keep each sampled row's value, and
-// version 1, which carries each pending window's sub-samples, is
-// summarised on load. A snapshot's targetLatencyNs, written by sessions
-// that could cap a segment's sample at a latency target, is ignored: the
-// session runs without the cap. A reservoir no sampler could have
+// the adaptive fraction are all recovered. It reads the current snapshot
+// version and the one before it (see pane.Decode); an older snapshot is
+// refused. A snapshot's targetLatencyNs, written by sessions that could
+// cap a segment's sample at a latency target, is ignored: the session
+// runs without the cap. A reservoir no sampler could have
 // written (see sampling.ReservoirState.Validate) fails the restore.
 func RestoreSession(data []byte) (*Session, error) {
 	st, err := pane.Decode(data)
@@ -70,7 +69,7 @@ func RestoreSession(data []byte) (*Session, error) {
 		// Resume the controller from its snapshot position.
 		s.setController(st.State.Fraction)
 	}
-	if s.windows.Panes, s.windows.Fired, err = st.Windows(s.q, s.cfg.WindowSize, s.cfg.WindowSlide); err != nil {
+	if s.windows.Panes, s.windows.Fired, err = st.Windows(s.q); err != nil {
 		return nil, fmt.Errorf("streamapprox: %w", err)
 	}
 	if len(st.Ready) > 0 {

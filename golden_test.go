@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,8 +15,10 @@ import (
 // whose sessions kept sample rows per pending window (snapshot version
 // 1) — by pushing goldenStream through goldenPush: per query kind, the
 // snapshot taken after goldenCut chunks (mid-segment, two windows
-// pending) and every window that run produced afterwards. It pins that a
-// v1 snapshot still restores, and continues to the recorded windows.
+// pending) and every window that run produced afterwards. Version 1 is
+// two formats back: its restore is refused with an error naming the
+// format, its version, the versions read and the last commit that
+// upgrades it, and the fixture is left as it was.
 //
 // The windows of all three fixtures were re-recorded once, when
 // reservoirs began to carry their skip chain across calls: a restored
@@ -75,7 +78,39 @@ func goldenPush(t *testing.T, s *Session, events []Event, from, to int) []Window
 	return out
 }
 
-func TestRestoreV1Golden(t *testing.T) { restoreRowFixture(t, "testdata/session_v1.json", 1) }
+func TestRestoreV1Golden(t *testing.T) {
+	const file = "testdata/session_v1.json"
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]goldenCase
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	for name := range goldenKinds {
+		gc, ok := golden[name]
+		if !ok {
+			t.Fatalf("golden has no %q case", name)
+		}
+		if v := snapshotVersionOf(t, gc.Snapshot); v != 1 {
+			t.Fatalf("%s: fixture is version %d, want 1", name, v)
+		}
+		s, err := RestoreSession(gc.Snapshot)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: a version-1 snapshot restored", name)
+		}
+		for _, part := range []string{"session snapshot", "version 1", "versions 2 and 3", "commit 1338931"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%s: refusal %q does not name %q", name, err, part)
+			}
+		}
+	}
+	if after, err := os.ReadFile(file); err != nil || !bytes.Equal(after, data) {
+		t.Errorf("%s changed by the refused restores: %v", file, err)
+	}
+}
 
 // testdata/session_v2.json was written the same way at commit ada15d9 —
 // the last one whose reservoirs and snapshots held {stratum, value, time}

@@ -1,11 +1,8 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -56,13 +53,14 @@ type Instruments struct {
 // later segments (unreachable without the torn one's records) are
 // deleted. What survives is exactly the durable prefix.
 //
-// A segment without the header is one written before the header
-// existed, one CRC-32(IEEE) frame per record. It is upgraded once, at
-// open, by upgradeSegment; nothing else reads that layout. A version-1
+// A log reads its segment version and the one before it. A version-1
 // header is one written before frames had time codes: its frames are all
-// tcode 0 and stay as they are, and scan bumps the header to version 2
-// in place at open — so a build that knows only version 1 refuses the
-// segment instead of reading narrow frames as a torn tail.
+// tcode 0 and stay as they are, and recover bumps the header to version
+// 2 in place (one byte changes, then fsync) before the first append — so
+// a build that knows only version 1 refuses the segment instead of
+// reading narrow frames as a torn tail. Any other version, a headerless
+// segment written before segments had a header included, fails the open
+// and leaves every file as it was.
 //
 // Durability is governed by the sync policy: SyncAlways fsyncs after
 // every append (an acked batch survives kill -9), SyncInterval batches
@@ -168,6 +166,7 @@ type segment struct {
 	f     File
 	index []segIndex
 	dirty bool // has writes (or a truncation) not yet fsynced
+	v1    bool // its header says version 1 until recover bumps it
 }
 
 func segName(base int64) string { return fmt.Sprintf("%020d.seg", base) }
@@ -203,10 +202,10 @@ func OpenFileLog(dir string, cfg FileConfig) (*FileLog, error) {
 	return l, nil
 }
 
-// recover opens the segment files in offset order — upgrading any
-// headerless one, validating every batch, building the sparse indexes —
-// and stops at the first torn or corrupt batch, which openSegment cuts
-// away along with every segment past it.
+// recover opens the segment files in offset order — validating every
+// batch, building the sparse indexes — and stops at the first torn or
+// corrupt batch, which openSegment cuts away along with every segment
+// past it.
 func (l *FileLog) recover() error {
 	entries, err := l.cfg.FS.ReadDir(l.dir)
 	if err != nil {
@@ -215,12 +214,6 @@ func (l *FileLog) recover() error {
 	var bases []int64
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, upgradeSuffix) {
-			// An upgrade cut short before its rename: the old segment is
-			// still whole and is upgraded again below.
-			_ = l.cfg.FS.Remove(filepath.Join(l.dir, name))
-			continue
-		}
 		if e.IsDir() || !strings.HasSuffix(name, ".seg") {
 			continue
 		}
@@ -248,6 +241,20 @@ func (l *FileLog) recover() error {
 			break
 		}
 	}
+	// Version-1 headers are bumped once every segment has been read, so
+	// an open that fails on a later segment has written nothing.
+	for _, seg := range l.segs {
+		if !seg.v1 {
+			continue
+		}
+		_, err := seg.f.WriteAt(appendSegHeader(nil, seg.base)[4:6], 4)
+		if err == nil {
+			err = seg.f.Sync()
+		}
+		if err != nil {
+			return fmt.Errorf("storage: upgrade %s header: %w", seg.f.Name(), err)
+		}
+	}
 	return nil
 }
 
@@ -261,14 +268,13 @@ func (l *FileLog) dropSegment(base int64) {
 	}
 }
 
-// openSegment opens the segment file at base and validates it whole,
-// upgrading a headerless one first. A torn tail — the file ends in a
-// partial or corrupt batch — is cut away, but only after every segment
-// in later (unreachable without the torn records: offsets would be
-// discontiguous) is deleted, so a crash in between still finds the torn
-// tail at the next open rather than a gap. seg is nil when nothing of
-// the file survives. A read error or a header this build cannot read
-// fails the open and leaves every file as it was.
+// openSegment opens the segment file at base and validates it whole. A
+// torn tail — the file ends in a partial or corrupt batch — is cut away,
+// but only after every segment in later (unreachable without the torn
+// records: offsets would be discontiguous) is deleted, so a crash in
+// between still finds the torn tail at the next open rather than a gap.
+// seg is nil when nothing of the file survives. A read error or a header
+// this build cannot read fails the open and leaves every file as it was.
 func (l *FileLog) openSegment(base int64, later []int64) (seg *segment, torn bool, err error) {
 	path := l.segPath(base)
 	f, err := l.cfg.FS.OpenFile(path, os.O_RDWR, 0o644)
@@ -295,10 +301,10 @@ func (l *FileLog) openSegment(base int64, later []int64) (seg *segment, torn boo
 		return nil, false, nil
 	}
 	s := &segment{base: base, f: f}
-	var recs []Record
-	legacy := string(data[:len(segMagic)]) != segMagic
-	if legacy {
-		recs, torn = decodeLegacySegment(data)
+	if string(data[:segHdrLen]) == string(make([]byte, segHdrLen)) {
+		// Cut short while being created, its header never written: it is
+		// a torn tail that never held a batch.
+		torn = true
 	} else if err := s.scan(data); err != nil {
 		return nil, false, err
 	} else {
@@ -313,13 +319,7 @@ func (l *FileLog) openSegment(base int64, later []int64) (seg *segment, torn boo
 		}
 	}
 	switch {
-	case legacy && len(recs) > 0:
-		if err := l.upgradeSegment(path, base, recs); err != nil {
-			return nil, false, err
-		}
-		seg, _, err = l.openSegment(base, nil)
-		return seg, torn, err
-	case legacy || torn && s.count == 0:
+	case torn && s.count == 0:
 		// The torn batch was the segment's only content.
 		l.dropSegment(base)
 		return nil, true, nil
@@ -331,25 +331,28 @@ func (l *FileLog) openSegment(base int64, later []int64) (seg *segment, torn boo
 	return s, torn, nil
 }
 
-// scan checks the header of the segment whose file holds data — writing
-// a version-1 header's version in place (one byte changes, then fsync)
-// before anything else touches the file — then walks it batch by batch,
-// validating each whole and filling count, the sparse index and size —
-// the end of the valid prefix: a short or corrupt batch ends the scan
-// without error, and the caller truncates.
+// scan checks the header of the segment whose file holds data — refusing
+// a version outside the two it reads, and noting a version-1 header for
+// recover to bump — then walks it batch by batch, validating each whole
+// and filling count, the sparse index and size — the end of the valid
+// prefix: a short or corrupt batch ends the scan without error, and the
+// caller truncates.
 func (s *segment) scan(data []byte) error {
-	want := appendSegHeader(nil, s.base)
-	if v1 := slices.Concat(want[:4], []byte{1, 0}, want[6:]); string(data[:segHdrLen]) == string(v1) {
-		_, err := s.f.WriteAt(want[4:6], 4)
-		if err == nil {
-			err = s.f.Sync()
-		}
-		if err != nil {
-			return fmt.Errorf("storage: upgrade %s header: %w", s.f.Name(), err)
-		}
-		copy(data, want)
+	version, headerless := le.Uint16(data[4:]), string(data[:len(segMagic)]) != segMagic
+	if headerless {
+		version = 0
 	}
-	if string(data[:segHdrLen]) != string(want) {
+	if version != segVersion-1 && version != segVersion {
+		note := ""
+		if headerless {
+			note = " (headerless)"
+		}
+		return fmt.Errorf("storage: segment %s version %d%s: this build reads versions %d and %d; commit 1338931 is the last to upgrade an older one",
+			s.f.Name(), version, note, segVersion-1, segVersion)
+	}
+	want := appendSegHeader(nil, s.base)
+	s.v1 = string(data[:segHdrLen]) == string(slices.Concat(want[:4], []byte{1, 0}, want[6:]))
+	if !s.v1 && string(data[:segHdrLen]) != string(want) {
 		return fmt.Errorf("storage: segment %s: header %x is not format %d / checksum %d / base %d",
 			s.f.Name(), data[:segHdrLen], segVersion, segCRC32C, s.base)
 	}
@@ -361,65 +364,6 @@ func (s *segment) scan(data []byte) error {
 		s.noteFrame(s.base+int64(s.count), s.size)
 		s.count += f.Count
 		s.size += int64(len(f.Raw))
-	}
-	return nil
-}
-
-// upgradeSuffix marks the temporary file of a segment upgrade.
-const upgradeSuffix = ".seg.upgrade"
-
-// decodeLegacySegment reads a headerless segment — the format before
-// the segment header existed, one frame per record:
-//
-//	frame   = [4]payloadLen [4]crc32-IEEE(payload) payload          (big-endian)
-//	payload = [4]keyLen key [8]float64-bits(value) [8]unixNanos(time)
-//
-// — and returns its valid records and whether it ended in a torn or
-// corrupt frame (whose record, never acked, is not carried over).
-func decodeLegacySegment(old []byte) (recs []Record, torn bool) {
-	for len(old) >= 8 {
-		plen := int(binary.BigEndian.Uint32(old))
-		if plen < 20 || plen > len(old)-8 || crc32.ChecksumIEEE(old[8:8+plen]) != binary.BigEndian.Uint32(old[4:]) {
-			break
-		}
-		payload := old[8 : 8+plen]
-		klen := int(binary.BigEndian.Uint32(payload))
-		if klen != plen-20 {
-			break
-		}
-		r := Record{Key: string(payload[4 : 4+klen]), Value: math.Float64frombits(binary.BigEndian.Uint64(payload[4+klen:]))}
-		if nanos := int64(binary.BigEndian.Uint64(payload[12+klen:])); nanos != zeroTimeNanos {
-			r.Time = time.Unix(0, nanos).UTC()
-		}
-		recs = append(recs, r)
-		old = old[8+plen:]
-	}
-	return recs, len(old) > 0
-}
-
-// upgradeSegment rewrites a headerless segment in the current format,
-// once: its records are re-framed as one batch into a temporary file,
-// which is fsynced and renamed over the segment, so at every instant
-// the segment is either the whole old file or the whole new one.
-func (l *FileLog) upgradeSegment(path string, base int64, recs []Record) error {
-	tmp := strings.TrimSuffix(path, ".seg") + upgradeSuffix
-	f, err := l.cfg.FS.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err == nil {
-		if _, err = f.WriteAt(AppendRecordFrames(appendSegHeader(nil, base), recs), 0); err == nil {
-			err = f.Sync()
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err == nil {
-			err = l.cfg.FS.Rename(tmp, path)
-		}
-		if err != nil {
-			_ = l.cfg.FS.Remove(tmp)
-		}
-	}
-	if err != nil {
-		return fmt.Errorf("storage: upgrade %s: %w", path, err)
 	}
 	return nil
 }

@@ -5,10 +5,12 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -446,69 +448,89 @@ func writeParentSegments(t *testing.T, dir string) {
 	}
 }
 
-// TestFileLogOpensParentWrittenSegments is the golden upgrade: the
-// headerless per-record segments open, are rewritten once in the
-// current format, serve the same three records, take appends — and the
-// second open finds nothing left to upgrade.
-func TestFileLogOpensParentWrittenSegments(t *testing.T) {
+// readSegDir returns every file of a log directory, by name.
+func readSegDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string]string, len(entries))
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// TestFileLogRefusesHeaderlessSegments: headerless per-record segments
+// are two formats back. The open fails with an error naming the segment,
+// its version, the versions read and the last commit that upgrades it,
+// and every file — the segments, and the temporary file that commit's
+// interrupted upgrade left — is as it was.
+func TestFileLogRefusesHeaderlessSegments(t *testing.T) {
 	dir := t.TempDir()
 	writeParentSegments(t, dir)
-	fs := &countingFS{FS: OSFS}
-	l := openFileLog(t, dir, FileConfig{SegmentRecords: 2, FS: fs})
-	if fs.renames != len(parentSegments) {
-		t.Fatalf("first open renamed %d files, want one upgrade per segment (%d)", fs.renames, len(parentSegments))
+	if err := os.WriteFile(filepath.Join(dir, "00000000000000000002.seg.upgrade"), []byte("half a new segment"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	got, n, err := l.ReadFrames(0, 10, nil)
-	if err != nil || n != 3 {
-		t.Fatalf("ReadFrames = %d records, %v", n, err)
+	before := readSegDir(t, dir)
+	l, err := OpenFileLog(dir, FileConfig{SegmentRecords: 2})
+	if err == nil {
+		_ = l.Close()
+		t.Fatal("headerless segments opened")
 	}
-	sameRecords(t, "upgraded", decodeFrames(t, got), parentRecords)
-	mustAppend(t, l, 3, parentRecords[:1]) // lands in the upgraded second segment
-	if nsegs, _ := l.Stats(); nsegs != 2 {
-		t.Fatalf("%d segments after the append, want 2", nsegs)
-	}
-	_ = l.Close()
-	for base := range parentSegments {
-		data, err := os.ReadFile(filepath.Join(dir, segName(base)))
-		if err != nil || !bytes.Equal(data[:segHdrLen], appendSegHeader(nil, base)) {
-			t.Fatalf("segment %d after upgrade: %v, starts %x", base, err, data[:min(len(data), segHdrLen)])
+	for _, part := range []string{"segment " + filepath.Join(dir, segName(0)), "version 0 (headerless)", "versions 1 and 2", "commit 1338931"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("refusal %q does not name %q", err, part)
 		}
 	}
-	fs.renames = 0
-	re := openFileLog(t, dir, FileConfig{SegmentRecords: 2, FS: fs})
-	if fs.renames != 0 {
-		t.Fatalf("second open upgraded again (%d renames)", fs.renames)
-	}
-	got, n, err = re.ReadFrames(0, 10, nil)
-	if err != nil || n != 4 {
-		t.Fatalf("reopened: %d records, %v", n, err)
-	}
-	sameRecords(t, "reopened", decodeFrames(t, got), append(append([]Record(nil), parentRecords...), parentRecords[0]))
-	entries, _ := os.ReadDir(dir)
-	if len(entries) != 2 {
-		t.Fatalf("directory holds %d files after the upgrade, want the 2 segments", len(entries))
+	if after := readSegDir(t, dir); !maps.Equal(after, before) {
+		t.Fatalf("the refused open changed the directory: %d files, was %d", len(after), len(before))
 	}
 }
 
-// TestFileLogUpgradeDropsTornLegacyTail: a headerless segment ending in
-// a half-written record upgrades to its valid prefix, and — as with any
-// torn tail — the segments past it go.
-func TestFileLogUpgradeDropsTornLegacyTail(t *testing.T) {
-	dir := t.TempDir()
-	writeParentSegments(t, dir)
-	seg0 := filepath.Join(dir, segName(0))
-	raw, _ := os.ReadFile(seg0)
-	if err := os.WriteFile(seg0, raw[:len(raw)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	l := openFileLog(t, dir, FileConfig{SegmentRecords: 2})
-	got, n, err := l.ReadFrames(0, 10, nil)
-	if err != nil || n != 1 {
-		t.Fatalf("ReadFrames = %d records, %v; want the one whole record", n, err)
-	}
-	sameRecords(t, "valid prefix", decodeFrames(t, got), parentRecords[:1])
-	if _, err := os.Stat(filepath.Join(dir, segName(2))); !os.IsNotExist(err) {
-		t.Fatalf("segment past the torn one not deleted: %v", err)
+// TestFileLogDropsZeroHeaderSegment: a segment whose 16 header bytes are
+// all zero was cut short while being created. It is a torn tail that
+// never held a batch: it goes, the segments past it first, whether its
+// file ends at the header or goes on, and the log appends from the
+// segment before it.
+func TestFileLogDropsZeroHeaderSegment(t *testing.T) {
+	for _, whole := range []bool{false, true} {
+		dir := t.TempDir()
+		l := openFileLog(t, dir, FileConfig{SegmentRecords: 100})
+		appendBatches(t, l, 100, 100, 100)
+		_ = l.Close()
+		seg := filepath.Join(dir, segName(100))
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !whole {
+			data = data[:segHdrLen]
+		}
+		clear(data[:segHdrLen])
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		in := Instruments{
+			TornTails:       reg.Counter("broker_storage_torn_tails_total", "", nil),
+			SegmentsDropped: reg.Counter("broker_storage_segments_dropped_total", "", nil),
+		}
+		re := openFileLog(t, dir, FileConfig{SegmentRecords: 100, Instruments: in})
+		verifyRange(t, re, 0, 100)
+		if files := readSegDir(t, dir); len(files) != 1 || files[segName(0)] == "" {
+			t.Fatalf("frames after the header: %v; %d files left, want segment 0 alone", whole, len(files))
+		}
+		if torn, dropped := in.TornTails.Value(), in.SegmentsDropped.Value(); torn != 1 || dropped != 2 {
+			t.Fatalf("recovery counted %v torn tails and %v dropped segments, want 1 and 2", torn, dropped)
+		}
+		appendBatches(t, re, 150)
+		verifyRange(t, re, 0, 250)
 	}
 }
 

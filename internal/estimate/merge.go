@@ -11,7 +11,7 @@ package estimate
 //
 // The serving tier does not merge estimates: its merger combines the
 // shards' panes, one Combine over every cell. Two callers remain: the
-// server's one-time upgrade of a version 1–3 checkpoint, whose pending
+// server's one-time upgrade of a version-3 checkpoint, whose pending
 // windows hold shard estimates, and the benchmark's staged merge.
 
 // FromBound reconstructs an Estimate from a (value, bound, confidence)

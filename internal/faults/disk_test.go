@@ -214,61 +214,22 @@ func versionOneSegment(t *testing.T, base int64, batches ...[]storage.Record) []
 	return b
 }
 
-// TestSegmentUpgradeInterruptedAtEveryStep fails the one-time upgrades
-// at open at each of their steps. A headerless segment's rewrite: the
-// write of the new file (torn at several lengths), its fsync, the rename
-// over the old one — the open fails and the old segments are untouched
-// byte for byte. A version-1 segment's header bump: the in-place write of
-// its version, its fsync — the open fails and each segment is the old
-// file or the old file with version 2, nothing between (the bump renames
-// nothing, so a failing rename does not stop it). Either way the next
-// clean open finishes the job and serves every record; a directory left
-// half upgraded (one segment new, one old) opens the same way.
+// TestSegmentUpgradeInterruptedAtEveryStep fails the one upgrade at open,
+// a version-1 segment's header bump, at each of its steps: the in-place
+// write of its version (torn at several lengths), its fsync. The open
+// fails and each segment is the old file or the old file with version 2,
+// nothing between (the bump renames nothing, so a failing rename does not
+// stop it). The next clean open finishes the job and serves every record.
 func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
 	at := time.Unix(1700000000, 0).UTC()
 	recs := []storage.Record{
-		{Key: "k1", Value: 1.5, Time: at}, {Key: "", Value: -2, Time: at.Add(1)}, {Key: "鍵", Value: 3, Time: at.Add(2)},
-	}
-	v1recs := []storage.Record{
 		{Key: "k1", Value: 1.5, Time: at}, {Key: "", Value: -2}, {Key: "鍵", Value: 3, Time: at.Add(2)}, {Key: "k2", Value: 4},
 	}
-	kinds := []struct {
-		prefix string // of the subtest names
-		recs   []storage.Record
-		segs   map[string][]byte
-		served []byte // what the upgraded log serves
-		bumped bool   // whether an interrupted open may leave version 2 behind
-	}{
-		{"", recs, map[string][]byte{
-			"00000000000000000000.seg": legacySegment(recs[:2]),
-			"00000000000000000002.seg": legacySegment(recs[2:]),
-		}, append(storage.AppendRecordFrames(nil, recs[:2]), storage.AppendRecordFrames(nil, recs[2:])...), false},
-		{"version 1/", v1recs, map[string][]byte{
-			"00000000000000000000.seg": versionOneSegment(t, 0, v1recs[:2]),
-			"00000000000000000002.seg": versionOneSegment(t, 2, v1recs[2:]),
-		}, append(storage.AppendRecordFrames(nil, v1recs[:2]), storage.AppendRecordFrames(nil, v1recs[2:])...), true},
+	segs := map[string][]byte{
+		"00000000000000000000.seg": versionOneSegment(t, 0, recs[:2]),
+		"00000000000000000002.seg": versionOneSegment(t, 2, recs[2:]),
 	}
-	served := func(t *testing.T, dir string, want []byte, nrecs, nsegs int) {
-		t.Helper()
-		l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2})
-		if err != nil {
-			t.Fatalf("clean open: %v", err)
-		}
-		defer l.Close()
-		got, n, err := l.ReadFrames(0, 10, nil)
-		if err != nil || n != nrecs || !bytes.Equal(got, want) {
-			t.Fatalf("after the upgrade: %d records, %v", n, err)
-		}
-		entries, _ := os.ReadDir(dir)
-		if len(entries) != nsegs {
-			t.Fatalf("%d files left in the directory, want the %d segments", len(entries), nsegs)
-		}
-		for _, e := range entries {
-			if data, _ := os.ReadFile(filepath.Join(dir, e.Name())); string(data[:4]) != "SASG" || data[4] != 2 {
-				t.Fatalf("%s after the upgrade starts %x, want a version-2 header", e.Name(), data[:min(len(data), 16)])
-			}
-		}
-	}
+	served := append(storage.AppendRecordFrames(nil, recs[:2]), storage.AppendRecordFrames(nil, recs[2:])...)
 	steps := map[string]DiskFaults{
 		"write refused":      {FailWrites: true},
 		"write torn at 1":    {FailWrites: true, TornBytes: 1},
@@ -278,62 +239,57 @@ func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
 		"fsync fails":        {SyncErr: errors.New("injected fsync failure")},
 		"rename never lands": {RenameErr: errors.New("injected rename failure")},
 	}
-	for _, kind := range kinds {
-		for name, f := range steps {
-			t.Run(kind.prefix+name, func(t *testing.T) {
-				dir := t.TempDir()
-				for seg, data := range kind.segs {
-					if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
-						t.Fatal(err)
-					}
+	for name, f := range steps {
+		t.Run("version 1/"+name, func(t *testing.T) {
+			dir := t.TempDir()
+			for seg, data := range segs {
+				if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
+					t.Fatal(err)
 				}
-				disk := NewDisk(nil)
-				disk.Set(f)
-				l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2, FS: disk})
-				if err == nil {
-					_ = l.Close()
-					if !kind.bumped || f.RenameErr == nil {
-						t.Fatal("open succeeded through the fault")
-					}
+			}
+			disk := NewDisk(nil)
+			disk.Set(f)
+			l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2, FS: disk})
+			if err == nil {
+				_ = l.Close()
+				if f.RenameErr == nil {
+					t.Fatal("open succeeded through the fault")
 				}
-				for seg, data := range kind.segs {
-					got, err := os.ReadFile(filepath.Join(dir, seg))
-					bumped := kind.bumped && err == nil && len(got) == len(data) && got[4] == 2 &&
-						bytes.Equal(got[:4], data[:4]) && bytes.Equal(got[5:], data[5:])
-					if err != nil || !bytes.Equal(got, data) && !bumped {
-						t.Fatalf("%s after the interrupted upgrade: %v, %d bytes (was %d)", seg, err, len(got), len(data))
-					}
+			}
+			for seg, data := range segs {
+				got, err := os.ReadFile(filepath.Join(dir, seg))
+				bumped := err == nil && len(got) == len(data) && got[4] == 2 &&
+					bytes.Equal(got[:4], data[:4]) && bytes.Equal(got[5:], data[5:])
+				if err != nil || !bytes.Equal(got, data) && !bumped {
+					t.Fatalf("%s after the interrupted upgrade: %v, %d bytes (was %d)", seg, err, len(got), len(data))
 				}
-				served(t, dir, kind.served, len(kind.recs), len(kind.segs))
-			})
-		}
+			}
+			l, err = storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2})
+			if err != nil {
+				t.Fatalf("clean open: %v", err)
+			}
+			defer l.Close()
+			got, n, err := l.ReadFrames(0, 10, nil)
+			if err != nil || n != len(recs) || !bytes.Equal(got, served) {
+				t.Fatalf("after the upgrade: %d records, %v", n, err)
+			}
+			if entries, _ := os.ReadDir(dir); len(entries) != len(segs) {
+				t.Fatalf("%d files left in the directory, want the %d segments", len(entries), len(segs))
+			}
+			for seg := range segs {
+				if data, _ := os.ReadFile(filepath.Join(dir, seg)); string(data[:4]) != "SASG" || data[4] != 2 {
+					t.Fatalf("%s after the upgrade starts %x, want a version-2 header", seg, data[:min(len(data), 16)])
+				}
+			}
+		})
 	}
-	t.Run("half upgraded", func(t *testing.T) {
-		dir, segs := t.TempDir(), kinds[0].segs
-		first, second := "00000000000000000000.seg", "00000000000000000002.seg"
-		if err := os.WriteFile(filepath.Join(dir, first), segs[first], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = l.Close()
-		// ...and a rewrite of the second that died before its rename.
-		if err := os.WriteFile(filepath.Join(dir, second), segs[second], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, "00000000000000000002.seg.upgrade"), []byte("half a new segment"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		served(t, dir, kinds[0].served, len(recs), len(segs))
-	})
 }
 
 // TestOpenReadErrorLeavesFilesAlone: a read that fails part way through
 // a segment (EIO) fails the open — it is not mistaken for a torn tail.
 // No file is cut, dropped or rewritten, whether the segments are current
-// or headerless, and a clean open afterwards serves every acked record.
+// or headerless. A clean open afterwards serves every acked record of the
+// current segments, and refuses the headerless ones, touching nothing.
 func TestOpenReadErrorLeavesFilesAlone(t *testing.T) {
 	const total = 20
 	var recs []storage.Record
@@ -383,6 +339,16 @@ func TestOpenReadErrorLeavesFilesAlone(t *testing.T) {
 				}
 			}
 			l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 8})
+			if name == "headerless" {
+				if err == nil {
+					_ = l.Close()
+					t.Fatal("clean open of headerless segments succeeded")
+				}
+				if after := readDirFiles(t, dir); !reflect.DeepEqual(after, before) {
+					t.Fatal("files changed by the refused clean open")
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -411,37 +377,65 @@ func readDirFiles(t *testing.T, dir string) map[string]string {
 	return files
 }
 
+// truncateFails is a filesystem on which every truncate fails: a crash
+// just before the repair of a torn tail lands.
+type truncateFails struct{ storage.FS }
+
+func (fs truncateFails) OpenFile(name string, flag int, perm os.FileMode) (storage.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return truncateFailsFile{f}, nil
+}
+
+type truncateFailsFile struct{ storage.File }
+
+func (truncateFailsFile) Truncate(int64) error { return errors.New("crashed before the truncate") }
+
 // TestTornSegmentDropsSuffixBeforeItIsRepaired: when a segment ends in a
-// torn batch the segments after it go first and the repair (the cut, or
-// the upgrade of a headerless segment) second, so a crash in between
-// reopens to the same torn tail, never to a repaired segment followed by
-// a gap the log would refuse to open over.
+// torn batch the segments after it go first and the repair (the cut)
+// second, so a crash in between reopens to the same torn tail, never to a
+// repaired segment followed by a gap the log would refuse to open over.
 func TestTornSegmentDropsSuffixBeforeItIsRepaired(t *testing.T) {
 	at := time.Unix(1700000000, 0).UTC()
 	recs := []storage.Record{{Key: "a", Value: 1, Time: at}, {Key: "b", Value: 2, Time: at}, {Key: "c", Value: 3, Time: at}, {Key: "d", Value: 4, Time: at}}
-	torn := legacySegment(recs[:3])
-	torn = torn[:len(torn)-5] // the third record never fully landed
 	dir := t.TempDir()
+	l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]storage.Record{recs[:2], recs[2:3], recs[3:]} { // segments 0 (two batches) and 3
+		if _, err := l.AppendFrames(storage.AppendRecordFrames(nil, batch), len(batch)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	first, second := filepath.Join(dir, "00000000000000000000.seg"), filepath.Join(dir, "00000000000000000003.seg")
+	torn, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn = torn[:len(torn)-5] // the third record's batch never fully landed
 	if err := os.WriteFile(first, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(second, legacySegment(recs[3:]), 0o644); err != nil {
-		t.Fatal(err)
+	if _, err := os.Stat(second); err != nil {
+		t.Fatalf("no segment past the torn one: %v", err)
 	}
-	disk := NewDisk(nil)
-	disk.Set(DiskFaults{RenameErr: errors.New("crashed before the rename")})
-	if l, err := storage.OpenFileLog(dir, storage.FileConfig{FS: disk}); err == nil {
+	if l, err := storage.OpenFileLog(dir, storage.FileConfig{FS: truncateFails{storage.OSFS}}); err == nil {
 		_ = l.Close()
-		t.Fatal("open succeeded although the upgrade could not land")
+		t.Fatal("open succeeded although the repair could not land")
 	}
 	if got, err := os.ReadFile(first); err != nil || !bytes.Equal(got, torn) {
-		t.Fatalf("torn segment after the interrupted upgrade: %v, %d bytes (was %d)", err, len(got), len(torn))
+		t.Fatalf("torn segment after the interrupted repair: %v, %d bytes (was %d)", err, len(got), len(torn))
 	}
 	if _, err := os.Stat(second); !os.IsNotExist(err) {
 		t.Fatalf("segment past the torn one survived the interrupted open: %v", err)
 	}
-	l, err := storage.OpenFileLog(dir, storage.FileConfig{})
+	l, err = storage.OpenFileLog(dir, storage.FileConfig{})
 	if err != nil {
 		t.Fatalf("clean open: %v", err)
 	}

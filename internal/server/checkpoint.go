@@ -36,9 +36,9 @@ import (
 // Files whose names start with "_" are not checkpoints and are never
 // read or removed: an older release kept the plane's position in one.
 
-// checkpointVersion 4 holds the merger's panes. Versions 1–3 held the
-// shards' fired window results, version 3 with their Variance and DF:
-// upgrade merges them once, on load.
+// checkpointVersion 4 holds the merger's panes. Version 3, the one
+// before it, held the shards' fired window results with their Variance
+// and DF: upgrade merges them once, on load. Older versions are refused.
 const checkpointVersion = 4
 
 // checkpointFile is the on-disk form of one query's state.
@@ -55,8 +55,8 @@ type checkpointFile struct {
 	Served time.Time         `json:"served"`
 	Slides []slideCheckpoint `json:"slides,omitempty"`
 
-	// Versions 1–3, read by upgrade alone: the partially merged windows
-	// and the recently merged window starts.
+	// Version 3, read by upgrade alone: the partially merged windows and
+	// the recently merged window starts.
 	Pending []pendingCheckpoint `json:"pending,omitempty"`
 	Fired   []time.Time         `json:"fired,omitempty"`
 	// upgraded is what upgrade merged Pending to: served first on restore.
@@ -65,8 +65,7 @@ type checkpointFile struct {
 
 // shardCheckpoint is one shard's resumable state. Offset is the
 // query's private delivery watermark: the next offset this query needs
-// from the partition (version 1 wrote the per-query consumer offset
-// here, which means the same thing, so v1 files restore unchanged).
+// from the partition.
 type shardCheckpoint struct {
 	Partition int             `json:"partition"`
 	Offset    int64           `json:"offset"`
@@ -81,13 +80,13 @@ type slideCheckpoint struct {
 	Panes []*query.Summary `json:"panes"`
 }
 
-// pendingCheckpoint is a version 1–3 partially merged window.
+// pendingCheckpoint is a version-3 partially merged window.
 type pendingCheckpoint struct {
 	Start time.Time     `json:"start"`
 	Parts []*legacyPart `json:"parts"` // by shard; nil: none yet
 }
 
-// legacyPart is a shard's window result as versions 1–3 wrote it.
+// legacyPart is a shard's window result as version 3 wrote it.
 type legacyPart struct {
 	streamapprox.WindowResult
 	GroupItems map[string]int64 // a group mean's weight
@@ -190,8 +189,8 @@ func (sh *shard) snapshot() ([]byte, error) {
 }
 
 // restore rebuilds the shard's own sampler, its controller's position and
-// the panes it had not handed over from a session snapshot of any
-// version.
+// the panes it had not handed over from a session snapshot of a version
+// pane.Decode reads.
 func (sh *shard) restore(data []byte) error {
 	st, err := pane.Decode(data)
 	if err != nil {
@@ -204,11 +203,11 @@ func (sh *shard) restore(data []byte) error {
 		return err
 	}
 	sh.wm = stream.TimeFromNanos(sh.ps.Watermark())
-	sh.panes, _, err = st.Windows(sh.q, sh.job.spec.Window, sh.job.spec.Slide)
+	sh.panes, _, err = st.Windows(sh.q)
 	return err
 }
 
-// upgrade brings a version 1–3 checkpoint to version 4: each pending
+// upgrade brings a version-3 checkpoint to version 4: each pending
 // window is merged as that version's merger merged it, to be served
 // first on restore, and every window up to the last it merged or held
 // counts as served. A pending window is served with the parts it holds:
@@ -219,7 +218,7 @@ func upgrade(cf *checkpointFile) {
 	slices.SortFunc(cf.Pending, func(a, b pendingCheckpoint) int { return a.Start.Compare(b.Start) })
 	starts := cf.Fired
 	for _, pc := range cf.Pending {
-		cf.upgraded = append(cf.upgraded, mergeLegacy(&cf.Spec, pc.Start, pc.Parts, cf.Version < 3))
+		cf.upgraded = append(cf.upgraded, mergeLegacy(&cf.Spec, pc.Start, pc.Parts))
 		starts = append(starts, pc.Start)
 	}
 	for _, start := range starts {
@@ -230,22 +229,17 @@ func upgrade(cf *checkpointFile) {
 	cf.Pending, cf.Fired, cf.Version = nil, nil, checkpointVersion
 }
 
-// mergeLegacy merges one version 1–3 pending window's parts, in shard
+// mergeLegacy merges one version-3 pending window's parts, in shard
 // order, by the disjoint-population algebra that version's merger applied
 // to each part's variance and degrees of freedom: totals add
 // (estimate.MergeSums), means weight parts by item counts
 // (estimate.MergeMeans), each group over the parts reporting it, each
-// bucket over all. A version 1 or 2 part carries no variance: it gets the
-// one that merger recovered from the bound, (Bound/z)² with DF 0.
-func mergeLegacy(spec *Spec, start time.Time, parts []*legacyPart, boundOnly bool) MergedWindow {
+// bucket over all.
+func mergeLegacy(spec *Spec, start time.Time, parts []*legacyPart) MergedWindow {
 	conf := spec.level()
 	var ests []estimate.Estimate
 	var counts []int64
 	add := func(e streamapprox.Estimate, count int64) {
-		if boundOnly {
-			sd := e.Bound / conf.Sigmas()
-			e.Variance, e.DF = sd*sd, 0
-		}
 		ests = append(ests, estimate.Estimate{Value: e.Value, Variance: e.Variance, DF: e.DF, Bound: e.Bound, Confidence: conf})
 		counts = append(counts, count)
 	}
@@ -303,8 +297,10 @@ func checkpointPath(dir, id string) string {
 	return filepath.Join(dir, id+".json")
 }
 
-// loadCheckpoints reads every query checkpoint in dir, sorted by id.
-// Files starting with "_" are skipped.
+// loadCheckpoints reads every query checkpoint in dir, sorted by id,
+// upgrading a version-3 one. Files starting with "_" are skipped. A
+// checkpoint of any other version fails the load, before anything is
+// restored or written.
 func loadCheckpoints(dir string) ([]*checkpointFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -326,10 +322,9 @@ func loadCheckpoints(dir string) ([]*checkpointFile, error) {
 		if err := json.Unmarshal(data, &cf); err != nil {
 			return nil, fmt.Errorf("checkpoint %s: %w", e.Name(), err)
 		}
-		// v1 (per-query consumer offsets) restores as v2: the offset
-		// fields carry the same "next offset this query needs" meaning.
-		if cf.Version < 1 || cf.Version > checkpointVersion {
-			return nil, fmt.Errorf("checkpoint %s: unsupported version %d", e.Name(), cf.Version)
+		if cf.Version != checkpointVersion-1 && cf.Version != checkpointVersion {
+			return nil, fmt.Errorf("checkpoint %s version %d: this build reads versions %d and %d; commit 1338931 is the last to upgrade an older one",
+				e.Name(), cf.Version, checkpointVersion-1, checkpointVersion)
 		}
 		if cf.Version < checkpointVersion {
 			upgrade(&cf)

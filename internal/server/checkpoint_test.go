@@ -5,8 +5,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -520,63 +520,6 @@ func assertRestartExactlyOnce(t *testing.T, b *broker.Broker, s2 *Server, events
 	}
 }
 
-// TestRestoreV1CheckpointNormalizesSpec rewrites a checkpoint into the
-// version-1 shape (version 1, from "committed", as the pre-shared-plane
-// release wrote) and restores it: the spec must come back re-normalized,
-// equal to the one the query was registered with.
-func TestRestoreV1CheckpointNormalizesSpec(t *testing.T) {
-	dir := t.TempDir()
-	b := broker.New()
-	if err := b.CreateTopic("in", 2); err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Cluster: b, Topic: "in", CheckpointDir: dir,
-		CheckpointEvery: time.Hour, PollBackoff: time.Millisecond}
-	s1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := s1.Register(Spec{Kind: "sum", Window: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, _ := s1.job(id)
-	registered := j1.spec
-	s1.Close()
-
-	// Downgrade the file to v1: the version, and the From it wrote.
-	path := checkpointPath(dir, id)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var raw map[string]any
-	if err := json.Unmarshal(data, &raw); err != nil {
-		t.Fatal(err)
-	}
-	raw["version"] = 1
-	raw["spec"].(map[string]any)["from"] = "committed"
-	if data, err = json.Marshal(raw); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o600); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	j, ok := s2.job(id)
-	if !ok {
-		t.Fatalf("query %s not restored from v1 checkpoint", id)
-	}
-	if !reflect.DeepEqual(j.spec, registered) {
-		t.Errorf("restored v1 spec = %+v, want the registered %+v", j.spec, registered)
-	}
-}
-
 // TestCheckpointSurvivesEmptyPartition checkpoints a query whose topic
 // has a never-written partition — its shard session must snapshot (nil
 // sampler) and restore.
@@ -631,31 +574,56 @@ func TestCheckpointSurvivesEmptyPartition(t *testing.T) {
 }
 
 // testdata/checkpoint_v2 was written at commit c8be5b8, the last whose
-// merger recovered each part's variance from its bound, by a server over
-// four partitions of which the fourth fell silent at 3 s, closed as soon
-// as every record was consumed: each of its four queries (sum, mean,
-// groupby-mean, histogram at f = 0.05) checkpointed three windows holding
-// three parts. checkpoint_v2_served.json holds the windows that commit's
-// merger served from them on flush. Their parts carry no variance; the
-// one-time upgrade on load must merge them to the same windows, bit for
-// bit.
-func TestRestoreV2CheckpointServesParentWindows(t *testing.T) {
-	cfs, err := loadCheckpoints("testdata/checkpoint_v2")
+// merger recovered each part's variance from its bound: four queries,
+// each checkpointed with three windows holding three parts. Version 2 is
+// two formats back. A server restarted over a copy of the directory fails
+// with an error naming the file, its version, the versions read and the
+// last commit that upgrades it, and leaves every file as it was.
+func TestRestoreV2CheckpointRefused(t *testing.T) {
+	dir := t.TempDir()
+	want := make(map[string][]byte)
+	entries, err := os.ReadDir("testdata/checkpoint_v2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := servedFixture(t, "testdata/checkpoint_v2_served.json")
-	if len(cfs) != 4 {
-		t.Fatalf("%d checkpoints, want 4", len(cfs))
-	}
-	for _, cf := range cfs {
-		if cf.Version != checkpointVersion {
-			t.Errorf("%s: loaded as version %d, want %d", cf.ID, cf.Version, checkpointVersion)
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join("testdata/checkpoint_v2", e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
 		}
-		gotJSON, _ := json.Marshal(cf.upgraded)
-		wantJSON, _ := json.Marshal(served[cf.ID])
-		if len(served[cf.ID]) != 3 || !bytes.Equal(gotJSON, wantJSON) {
-			t.Errorf("%s (%s): served\n%s\nwant\n%s", cf.ID, cf.Spec.Kind, gotJSON, wantJSON)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[e.Name()] = data
+	}
+	if len(want) != 4 {
+		t.Fatalf("fixture holds %d files, want 4", len(want))
+	}
+	b := broker.New()
+	defer b.Close()
+	if err := b.CreateTopic("in", 4); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: b, Topic: "in", CheckpointDir: dir, CheckpointEvery: time.Hour})
+	if err == nil {
+		s.Close()
+		t.Fatal("a server restored version-2 checkpoints")
+	}
+	for _, part := range []string{"checkpoint q-0.json", "version 2", "versions 3 and 4", "commit 1338931"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("refusal %q does not name %q", err, part)
+		}
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(want) {
+		t.Errorf("%d files after the refused restart, want the %d of the fixture", len(after), len(want))
+	}
+	for _, e := range after {
+		if data, err := os.ReadFile(filepath.Join(dir, e.Name())); err != nil || !bytes.Equal(data, want[e.Name()]) {
+			t.Errorf("%s changed by the refused restart: %v", e.Name(), err)
 		}
 	}
 }

@@ -141,8 +141,7 @@ func New(cfg Config) (*Server, error) {
 		// checkpoint cannot leave earlier queries' workers running
 		// behind the returned error.
 		for _, cf := range cfs {
-			// Re-normalize the restored spec: an older checkpoint may
-			// carry a From of "committed", which reads as "earliest".
+			// Validate the restored spec as a registration is validated.
 			if err := cf.Spec.normalize(); err != nil {
 				return fail(fmt.Errorf("server: restore query %s: spec: %w", cf.ID, err))
 			}
