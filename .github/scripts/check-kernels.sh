@@ -1,0 +1,69 @@
+#!/usr/bin/env bash
+# check-kernels.sh — run from the root of the module.
+#
+# Keeps two properties of the hot path that no test sees, because
+# neither changes a result, only what each record costs:
+#
+#  (a) The sampling kernels index hoisted column slices, so the compiler
+#      leaves no bounds check inside a loop that runs once per record.
+#      Such loops carry a `// per record` comment on their `for` line,
+#      and each function below must have one. A check the compiler
+#      reports (-d=ssa/check_bce/debug=1) on a line inside a marked
+#      loop fails, except one check on a line ending in
+#      `// accept check`: the reservoir's slot store, paid once per
+#      accepted item.
+#  (b) The merge path keeps its scratch buffers on the stack: nothing in
+#      internal/query or internal/estimate is "moved to heap" (-m).
+set -euo pipefail
+
+# file:function — the loops every sampled record passes through: the
+# segment scan, and the reservoir's run kernel (fill and skip chain),
+# which OASRS.AddBatch calls once per run of one stratum.
+kernels=(
+	internal/pane/sampler.go:Push
+	internal/sampling/reservoir.go:offer
+)
+
+# perRecordLines prints the line numbers inside the marked loops of
+# function fn in file: from each marked `for` line to its closing brace,
+# counting braces outside // comments.
+perRecordLines() {
+	awk -v fn="$2" '
+		function depth(s) { sub(/\/\/.*/, "", s); return gsub(/{/, "{", s) - gsub(/}/, "}", s) }
+		!infn && $0 ~ "^func (\\([^)]*\\) )?" fn "\\(" { infn = 1; fdepth = 0 }
+		infn {
+			if (!inloop && $0 ~ /^[ \t]*for .*\/\/ per record$/) { inloop = 1; ldepth = 0; marked++ }
+			if (inloop) { print NR; ldepth += depth($0); if (ldepth == 0) inloop = 0 }
+			fdepth += depth($0)
+			if (fdepth == 0 && $0 ~ /^}/) { infn = 0 }
+		}
+		END { if (!marked) exit 1 }
+	' "$1"
+}
+
+status=0
+report=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/pane ./internal/sampling 2>&1 | grep 'Found Is' || true)
+for k in "${kernels[@]}"; do
+	file=${k%%:*} fn=${k##*:}
+	if ! lines=$(perRecordLines "$file" "$fn"); then
+		echo "$file: $fn has no loop marked // per record" >&2
+		status=1
+		continue
+	fi
+	for n in $lines; do
+		checks=$(grep -c "^$file:$n:" <<<"$report" || true)
+		[ "$checks" -eq 0 ] && continue
+		if [ "$checks" -eq 1 ] && sed -n "${n}p" "$file" | grep -q '// accept check$'; then
+			continue
+		fi
+		grep "^$file:$n:" <<<"$report" | sed 's/$/ (per-record loop of '"$fn"')/' >&2
+		status=1
+	done
+done
+
+heap=$(go build -gcflags=-m ./internal/query ./internal/estimate 2>&1 | grep 'moved to heap' || true)
+if [ -n "$heap" ]; then
+	echo "$heap" >&2
+	status=1
+fi
+exit $status

@@ -14,6 +14,10 @@ import (
 	"testing"
 )
 
+// readmeMaxLines caps README.md: past it, detail belongs in package docs
+// or bench/README.md.
+const readmeMaxLines = 500
+
 // TestREADMEMatchesCode keeps README.md describing the system as it is.
 // It fails when README
 //   - names a broker_*/saproxd_* metric family no non-test source
@@ -23,7 +27,8 @@ import (
 //   - names an internal/, cmd/ or examples/ path that does not exist;
 //   - shows a `saprox` subcommand cmd/saprox/main.go does not dispatch;
 //   - shows a flag the command it is passed to does not declare, or, in
-//     a bare `-flag` code span, a flag no command declares.
+//     a bare `-flag` code span, a flag no command declares;
+//   - runs past readmeMaxLines lines.
 //
 // Commands and flags are read from code only: fenced blocks and inline
 // code spans.
@@ -33,6 +38,9 @@ func TestREADMEMatchesCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	readme := string(raw)
+	if n := strings.Count(readme, "\n"); n > readmeMaxLines {
+		t.Errorf("README is %d lines, over its cap of %d", n, readmeMaxLines)
+	}
 	registered := registeredFamilies(t)
 	flags := declaredFlags(t)
 	subcommands := saproxSubcommands(t)

@@ -25,7 +25,6 @@ type File interface {
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	Remove(name string) error
-	Rename(oldpath, newpath string) error
 	ReadDir(name string) ([]os.DirEntry, error)
 	MkdirAll(path string, perm os.FileMode) error
 }
@@ -39,7 +38,6 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
 func (osFS) Remove(name string) error                   { return os.Remove(name) }
-func (osFS) Rename(oldpath, newpath string) error       { return os.Rename(oldpath, newpath) }
 func (osFS) ReadDir(name string) ([]os.DirEntry, error) { return os.ReadDir(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)

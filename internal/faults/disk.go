@@ -30,9 +30,6 @@ type DiskFaults struct {
 	// ReadBytes bytes — a medium error (EIO) part way through a file.
 	ReadErr   error
 	ReadBytes int
-	// RenameErr makes every Rename fail — a crash (or a full directory)
-	// just before a rewritten file would have replaced the old one.
-	RenameErr error
 }
 
 // Disk is a fault-injecting storage.FS: it wraps a real filesystem and
@@ -81,14 +78,6 @@ func (d *Disk) OpenFile(name string, flag int, perm os.FileMode) (storage.File, 
 
 // Remove implements storage.FS.
 func (d *Disk) Remove(name string) error { return d.inner.Remove(name) }
-
-// Rename implements storage.FS, failing under RenameErr.
-func (d *Disk) Rename(oldpath, newpath string) error {
-	if err := d.Faults().RenameErr; err != nil {
-		return err
-	}
-	return d.inner.Rename(oldpath, newpath)
-}
 
 // ReadDir implements storage.FS.
 func (d *Disk) ReadDir(name string) ([]os.DirEntry, error) { return d.inner.ReadDir(name) }

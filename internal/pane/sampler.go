@@ -84,8 +84,9 @@ func (p *Sampler) Watermark() int64 { return p.wm }
 // fit in unix nanos is counted late. The batch is read-only.
 func (p *Sampler) Push(b *stream.EventBatch, from, to int, cut Cut) {
 	from, to = max(from, 0), min(to, b.Len())
+	times := b.Times[:to] // the run scan below indexes it with no bounds check
 	for i := from; i < to; {
-		tn := b.Times[i]
+		tn := times[i]
 		if tn < p.wm {
 			p.late++ // the zero time lands here too once a watermark exists
 			i++
@@ -104,8 +105,8 @@ func (p *Sampler) Push(b *stream.EventBatch, from, to int, cut Cut) {
 		// late nor past the segment end. The zero time's segment ends
 		// where it starts, so a zero-time record is a run of its own.
 		j, wm, end := i+1, tn, p.segEnd
-		for j < to && b.Times[j] >= wm && b.Times[j] < end {
-			wm = b.Times[j]
+		for j < to && times[j] >= wm && times[j] < end { // per record
+			wm = times[j]
 			j++
 		}
 		p.wm = wm

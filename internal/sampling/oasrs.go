@@ -215,7 +215,8 @@ func (o *OASRS) plan() {
 // processed in runs of equal stratum ID; each run resolves its
 // reservoir once (through a dense table indexed by the batch-local
 // dictionary ID, so even alternating strata cost one map probe per
-// distinct stratum per call) and is bulk-offered via Reservoir.AddBatch.
+// distinct stratum per call), and the reservoir samples the run, finding
+// its end as it goes.
 // The sample is the one feeding each record through Add in order would
 // draw, number for number: the reservoirs' skip chains outlive the runs.
 func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
@@ -232,19 +233,15 @@ func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 	// across calls (pooled batches recycle pointers); clearing it is a
 	// few words per distinct stratum.
 	clear(dense)
+	strata, values := b.Strata[:to], b.Values[:to]
 	for i := from; i < to; {
-		id := b.Strata[i]
-		j := i + 1
-		for j < to && b.Strata[j] == id {
-			j++
-		}
+		id := strata[i]
 		res := dense[id]
 		if res == nil {
 			res = o.resolve(b.Dict[id])
 			dense[id] = res
 		}
-		res.AddBatch(b.Values[i:j])
-		i = j
+		i = res.offer(strata, values, i, id)
 	}
 }
 

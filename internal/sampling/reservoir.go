@@ -12,7 +12,7 @@ import (
 // slot holds the item's value and nothing else: the stratum is the
 // reservoir's owner's to know, and no query reads a sampled item's time.
 //
-// Past fill it runs one loop, a multiplicative skip chain (see AddBatch),
+// Past fill it runs one loop, a multiplicative skip chain (see offer),
 // and the chain in flight is part of the reservoir's state: it survives
 // the call that started it, State and RestoreReservoir carry it, and only
 // Reset ends it. So the sample is a function of the offered values and
@@ -57,41 +57,68 @@ func (r *Reservoir) resize(capacity int) {
 // Add offers one item's value to the reservoir: AddBatch of one value.
 func (r *Reservoir) Add(v float64) { r.AddBatch([]float64{v}) }
 
-// AddBatch offers values in order — a run of one stratum's values, a
-// slice of a columnar batch's value column resolved once by
-// OASRS.AddBatch. The fill phase is one bulk append; past fill it uses
-// multiplicative skip-sampling (Vitter-style inversion): one uniform draw
-// u per ACCEPTED item, then a running product p of the per-item rejection
-// probabilities 1 - N/i until p <= u, which accepts that item into a
-// uniformly random slot. Because P(p_k <= u | p_{k-1} > u) = N/(seen+k),
-// each item is accepted with exactly Algorithm R's probability N/i, yet a
-// rejected item costs one multiply and compare instead of an RNG draw. A
-// chain still running when the values end is kept, and the next call
-// continues it.
+// AddBatch offers values in order. They are offered as one stratum's run,
+// under a stratum column of zeros, a chunk at a time.
 func (r *Reservoir) AddBatch(values []float64) {
-	i := 0
+	for len(values) > 0 {
+		n := r.offer(oneStratum[:min(len(values), len(oneStratum))], values, 0, 0)
+		values = values[n:]
+	}
+}
+
+// oneStratum is the stratum column AddBatch offers plain values under.
+var oneStratum [1024]int32
+
+// offer offers the run of one stratum, id, that starts at record i of a
+// columnar batch's stratum and value columns: values[i], values[i+1], …
+// while the stratum is id. It returns the index after the run. Finding
+// the run's end as it goes, rather than in a scan before it, costs one
+// compare per record and saves a second loop and a call per run.
+//
+// The fill phase appends value by value: runs are short, and a bulk
+// copy's call costs more. Past fill it uses multiplicative skip-sampling
+// (Vitter-style inversion): one uniform draw u per ACCEPTED item, then a
+// running product p of the per-item rejection probabilities 1 - N/i until
+// p <= u, which accepts that item into a uniformly random slot. Because
+// P(p_k <= u | p_{k-1} > u) = N/(seen+k), each item is accepted with
+// exactly Algorithm R's probability N/i, yet a rejected item costs one
+// division, subtraction, multiply and compare instead of an RNG draw. A
+// chain still running when the run ends is kept, and the next call
+// continues it. values must be at least as long as strata.
+func (r *Reservoir) offer(strata []int32, values []float64, i int, id int32) int {
+	// Unsigned indexes: k < n alone proves strata[k] and values[k] in
+	// range, so neither loop nor the chain start checks a bound.
+	values = values[:len(strata)]
+	k, n := uint(i), uint(len(strata))
 	if room := r.capacity - len(r.vals); room > 0 {
-		i = min(len(values), room)
-		r.vals = append(r.vals, values[:i]...)
-		r.seen += int64(i)
+		vals := r.vals
+		for end := min(n, k+uint(room)); k < end && strata[k] == id; k++ { // per record
+			vals = append(vals, values[k])
+		}
+		r.seen += int64(len(vals) - len(r.vals))
+		r.vals = vals
 	}
 	capF, seen, u, p := float64(r.capacity), r.seen, r.u, r.p
-	for i < len(values) {
+	for k < n && strata[k] == id {
 		if p == 0 {
 			u, p = nonZeroFloat(r.rng), 1
 		}
-		for i < len(values) {
+		for ; k < n && strata[k] == id; k++ { // per record
 			seen++
 			p *= 1 - capF/float64(seen)
-			i++
 			if p <= u {
-				r.vals[r.rng.Intn(r.capacity)] = values[i-1]
+				// The slot store keeps the chain's one bounds check, paid
+				// per accepted item: the compiler cannot tie Intn's range
+				// to len(r.vals).
+				r.vals[r.rng.Intn(r.capacity)] = values[k] // accept check
 				u, p = 0, 0
+				k++
 				break
 			}
 		}
 	}
 	r.seen, r.u, r.p = seen, u, p
+	return int(k)
 }
 
 // nonZeroFloat returns a uniform float in (0, 1).
