@@ -110,8 +110,8 @@ func TestPushBatchExactWhenNothingEvicted(t *testing.T) {
 		WindowSize: 2 * time.Second, WindowSlide: time.Second,
 		Fraction: 1, Query: Mean, Seed: 7,
 	}
-	// 40 events per one-second segment, single stratum: the bootstrap
-	// budget (64) and every lastCount-derived budget (40) hold them all.
+	// 40 events per one-second segment, single stratum: at fraction 1
+	// every segment's budget is unbounded and holds them all.
 	var events []Event
 	for seg := 0; seg < 20; seg++ {
 		for k := 0; k < 40; k++ {

@@ -127,11 +127,12 @@ func BenchmarkSessionPush(b *testing.B) {
 
 // BenchmarkSessionPushSkew is lib-skew's kernel without bench/: §5.7's
 // 80/19/1 Gaussian skew mix at 100 000 items/s in one columnar batch,
-// one sum query over 10 s windows sliding by 5 s at f = 0.1, fed through
-// PushBatch in 4096-row ranges, each followed by Poll. A pass over the
-// batch ends by shifting the next pass's times on by the batch's span,
-// so the stream runs on; the shift is one add per record, rewritten
-// range by range as lib-skew does.
+// one sum query over 10 s windows sliding by 5 s, fed through PushBatch
+// in 4096-row ranges, each followed by Poll. A pass over the batch ends
+// by shifting the next pass's times on by the batch's span, so the
+// stream runs on; the shift is one add per record, rewritten range by
+// range as lib-skew does. f=0.1 is lib-skew's fraction; f=1 is the
+// native lane, the same session keeping every record.
 func BenchmarkSessionPushSkew(b *testing.B) {
 	const span, rows = 10 * time.Second, 4096
 	batch := NewEventBatch()
@@ -140,28 +141,32 @@ func BenchmarkSessionPushSkew(b *testing.B) {
 		batch.AppendEvent(e)
 	}
 	base := slices.Clone(batch.Times)
-	s := NewSession(SessionConfig{
-		Query: Sum, WindowSize: 10 * time.Second, WindowSlide: 5 * time.Second, Fraction: 0.1, Seed: 1,
-	})
-	n, from, shift, records := batch.Len(), 0, int64(0), 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		to := min(from+rows, n)
-		for j, t := range base[from:to] {
-			batch.Times[from+j] = t + shift
-		}
-		if err := s.PushBatch(batch, from, to); err != nil {
-			b.Fatal(err)
-		}
-		s.Poll()
-		records += to - from
-		if from = to; from == n {
-			from, shift = 0, shift+int64(span)
-		}
+	for _, fraction := range []float64{0.1, 1} {
+		b.Run(fmt.Sprintf("f=%g", fraction), func(b *testing.B) {
+			s := NewSession(SessionConfig{
+				Query: Sum, WindowSize: 10 * time.Second, WindowSlide: 5 * time.Second, Fraction: fraction, Seed: 1,
+			})
+			n, from, shift, records := batch.Len(), 0, int64(0), 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				to := min(from+rows, n)
+				for j, t := range base[from:to] {
+					batch.Times[from+j] = t + shift
+				}
+				if err := s.PushBatch(batch, from, to); err != nil {
+					b.Fatal(err)
+				}
+				s.Poll()
+				records += to - from
+				if from = to; from == n {
+					from, shift = 0, shift+int64(span)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+		})
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
 }
 
 // BenchmarkSessionWindows is the pane path's micro-number beside

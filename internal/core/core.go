@@ -6,8 +6,8 @@
 //     is cut into micro-batches, each becomes a dataset of round-robin
 //     partitions, and each stage runs one task per partition;
 //   - the pipelined engine (flink.go), Flink's model: a feeder hands
-//     events in chunks to operator replicas, each running a sampling
-//     operator item by item.
+//     events in chunks to operator replicas, each a pane.Sampler that
+//     samples its records on the fly, one pane per slide segment.
 //
 // The systems:
 //
@@ -19,7 +19,11 @@
 //     sampling applied to each formed micro-batch dataset.
 //   - SparkSTS: the improved baseline using Spark's stratified sampling
 //     (groupByKey shuffle + per-stratum random sort) per micro-batch.
-//   - NativeSpark / NativeFlink: no sampling.
+//   - NativeSpark / NativeFlink: no sampling. NativeFlink is
+//     FlinkApprox's replica at fraction 1, which keeps every record.
+//
+// A fraction of 1 keeps every record on every system, so each serves
+// GroundTruth's windows (sampling.FractionBudget).
 //
 // All systems execute the same sliding-window linear query and produce
 // per-window approximate results with error bounds.
@@ -30,6 +34,7 @@ import (
 	"time"
 
 	"streamapprox/internal/estimate"
+	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
@@ -83,8 +88,8 @@ func Systems() []System {
 type Config struct {
 	// System selects the execution and sampling strategy.
 	System System
-	// Fraction is the sampling fraction in (0, 1]; ignored by native
-	// systems.
+	// Fraction is the sampling fraction in (0, 1]; 1 keeps every record.
+	// Native systems sample at 1 whatever it is.
 	Fraction float64
 	// Workers is the engine parallelism (partitions per dataset for the
 	// batched engine, replica count for the pipelined one). Defaults to 4.
@@ -174,20 +179,22 @@ func Run(cfg Config, events []stream.Event) (*RunStats, error) {
 }
 
 // GroundTruth computes the exact per-window results (no sampling) used
-// for accuracy-loss measurements. It bypasses the engines entirely: each
-// slide segment of the time-ordered events is one exact pane.
+// for accuracy-loss measurements. It bypasses the engines entirely: the
+// time-ordered events go through one pane.Sampler at fraction 1, so each
+// slide segment is one exact pane. Times must lie in the unix-nano range.
 func GroundTruth(cfg Config, events []stream.Event) []WindowResult {
 	cfg = cfg.withDefaults()
 	w := newWindows(cfg)
-	for i := 0; i < len(events); {
-		seg := events[i].Time.Truncate(cfg.WindowSlide)
-		j := i + 1
-		for j < len(events) && events[j].Time.Truncate(cfg.WindowSlide).Equal(seg) {
-			j++
+	cut := func(start int64, s *sampling.Sample, _ int64) {
+		if s != nil {
+			w.Add(stream.TimeFromNanos(start), cfg.Query.Summarize(s))
 		}
-		w.Add(seg, cfg.Query.Summarize(exactSample(events[i:j])))
-		i = j
 	}
+	b := stream.BatchOf(events)
+	defer b.Release()
+	ps := pane.NewSampler(cfg.WindowSlide, 1, cfg.Seed)
+	ps.Push(b, 0, b.Len(), cut)
+	ps.Close(cut)
 	return w.flush()
 }
 

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"streamapprox/internal/estimate"
-	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
@@ -103,52 +101,47 @@ func TestNativeDatasetSampleIsExact(t *testing.T) {
 	}
 }
 
-func TestSamplingOperatorSegments(t *testing.T) {
-	op := &samplingOperator{
-		slide:    5 * time.Second,
-		fraction: 0.5,
-		q:        query.NewSum(estimate.Conf95),
-		rng:      xrand.New(4),
-	}
+// TestPipelinedReplicasCutSegments: over three slide segments of 500
+// events each, the replicas' panes make one window per segment that
+// counts all 500 items, at fraction 0.5 sampling fewer.
+func TestPipelinedReplicasCutSegments(t *testing.T) {
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
-	// Three slide segments' worth of events.
+	var events []stream.Event
 	for sec := 0; sec < 15; sec++ {
 		for k := 0; k < 100; k++ {
-			op.add(stream.Event{
+			events = append(events, stream.Event{
 				Stratum: "s", Value: 1,
 				Time: base.Add(time.Duration(sec)*time.Second + time.Duration(k)*time.Millisecond),
 			})
 		}
 	}
-	op.flush()
-	if got := len(op.panes); got != 3 {
-		t.Fatalf("operator produced %d panes, want 3", got)
+	stats, err := Run(Config{System: FlinkApprox, Fraction: 0.5, Workers: 2, WindowSize: 5 * time.Second, WindowSlide: 5 * time.Second, Seed: 4}, events)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, p := range op.panes {
-		if total := p.Summary.TotalCount(); total != 500 {
-			t.Errorf("segment %v counted %d items, want 500", p.Start, total)
+	if got := len(stats.Results); got != 3 {
+		t.Fatalf("%d windows, want one per segment", got)
+	}
+	for _, w := range stats.Results {
+		if w.Items != 500 {
+			t.Errorf("segment %v counted %d items, want 500", w.Start, w.Items)
 		}
+	}
+	if last := stats.Results[2]; last.Sampled >= int(last.Items) {
+		t.Errorf("fraction 0.5 sampled %d of %d", last.Sampled, last.Items)
 	}
 }
 
-func TestSamplingOperatorNativeKeepsAll(t *testing.T) {
-	op := &samplingOperator{
-		slide:  5 * time.Second,
-		native: true,
-		q:      query.NewSum(estimate.Conf95),
-		rng:    xrand.New(5),
+// TestNativeFlinkKeepsAll: the native pipelined system is the replica at
+// fraction 1, whatever fraction is asked: it keeps every item.
+func TestNativeFlinkKeepsAll(t *testing.T) {
+	events := batchEvents(1000)
+	stats, err := Run(Config{System: NativeFlink, Fraction: 0.1, WindowSize: 5 * time.Second, WindowSlide: 5 * time.Second, Seed: 5}, events)
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
-	for i := 0; i < 1000; i++ {
-		op.add(stream.Event{Stratum: "s", Value: 1, Time: base.Add(time.Duration(i) * time.Millisecond)})
-	}
-	op.flush()
-	var sampled int
-	for _, p := range op.panes {
-		sampled += p.Summary.SampledCount()
-	}
-	if sampled != 1000 {
-		t.Errorf("native operator kept %d of 1000", sampled)
+	if stats.Sampled != 1000 {
+		t.Errorf("native replicas kept %d of 1000", stats.Sampled)
 	}
 }
 

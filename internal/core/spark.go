@@ -102,18 +102,14 @@ func parallel(n int, fn func(i int)) {
 // data-parallel job. The job's input is |sample| items instead of
 // |batch| items — the cost the figures measure.
 func sampleApproxPreDataset(cfg Config, d *sampling.DistributedOASRS, events []stream.Event) *sampling.Sample {
-	budget := int(cfg.Fraction * float64(len(events)))
-	if budget < 1 {
-		budget = 1
-	}
-	d.SetBudget(budget)
+	d.SetBudget(sampling.FractionBudget(cfg.Fraction, len(events)))
 	// Workers consume disjoint round-robin shards of the incoming batch,
 	// each feeding its own lock-free local reservoir set.
 	shards := stream.PartitionRoundRobin(events, cfg.Workers)
 	parallel(len(shards), func(i int) {
-		for _, e := range shards[i] {
-			d.AddAt(i, e)
-		}
+		b := stream.BatchOf(shards[i])
+		d.AddBatch(i, b, 0, b.Len())
+		b.Release()
 	})
 	s := d.Finish()
 	// Materialize only the sampled items into the engine dataset and run

@@ -256,11 +256,11 @@ func TestCoverage95(t *testing.T) {
 	}
 	const trials = 400
 	covered := 0
+	b := stream.BatchOf(population)
+	defer b.Release()
 	for trial := 0; trial < trials; trial++ {
 		o := sampling.NewOASRS(600, nil, rng.Split())
-		for _, e := range population {
-			o.Add(e)
-		}
+		o.AddBatch(b, 0, b.Len())
 		est := Sum(o.Finish(), Conf95)
 		if est.Contains(trueSum) {
 			covered++
@@ -275,9 +275,12 @@ func TestCoverage95(t *testing.T) {
 func BenchmarkSum(b *testing.B) {
 	rng := xrand.New(1)
 	o := sampling.NewOASRS(3000, nil, rng)
+	batch := stream.GetEventBatch()
+	defer batch.Release()
 	for i := 0; i < 100000; i++ {
-		o.Add(stream.Event{Stratum: string(rune('a' + i%3)), Value: rng.Gaussian(100, 10)})
+		batch.AppendEvent(stream.Event{Stratum: string(rune('a' + i%3)), Value: rng.Gaussian(100, 10)})
 	}
+	o.AddBatch(batch, 0, batch.Len())
 	s := o.Finish()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -295,9 +298,12 @@ func TestMomentsOfIntervalsMatchConcatenatedSamples(t *testing.T) {
 	var ms []Moments
 	for interval := 0; interval < 3; interval++ {
 		o := sampling.NewOASRS(60, nil, rng)
+		b := stream.GetEventBatch()
 		for i := 0; i < 900; i++ {
-			o.Add(stream.Event{Stratum: string(rune('a' + i%3)), Value: rng.Gaussian(float64(100*(i%3+1)), 20)})
+			b.AppendEvent(stream.Event{Stratum: string(rune('a' + i%3)), Value: rng.Gaussian(float64(100*(i%3+1)), 20)})
 		}
+		o.AddBatch(b, 0, b.Len())
+		b.Release()
 		s := o.Finish()
 		rows.Strata = append(rows.Strata, s.Strata...)
 		for i := range s.Strata {

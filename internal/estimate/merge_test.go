@@ -44,8 +44,10 @@ func shardedPopulation(seed uint64, shards int) (samples []*sampling.Sample, sum
 	for i := range workers {
 		workers[i] = sampling.NewOASRS(int(0.3*float64(perShard)), nil, rng.Split())
 	}
-	for i, e := range events {
-		workers[i%shards].Add(e)
+	for i, share := range stream.PartitionRoundRobin(events, shards) {
+		b := stream.BatchOf(share)
+		workers[i].AddBatch(b, 0, b.Len())
+		b.Release()
 	}
 	samples = make([]*sampling.Sample, shards)
 	for i, w := range workers {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"streamapprox/internal/estimate"
@@ -46,19 +47,7 @@ func AblationSTSBarrier(o Options) (*Table, error) {
 	})
 	measure("oasrs-no-sync", func() int {
 		d := sampling.NewDistributedOASRS(int(0.6*float64(len(events))), o.Workers, nil, rng.Split())
-		shards := stream.PartitionRoundRobin(events, o.Workers)
-		done := make(chan struct{})
-		for i := range shards {
-			go func(i int) {
-				defer func() { done <- struct{}{} }()
-				for _, e := range shards[i] {
-					d.AddAt(i, e)
-				}
-			}(i)
-		}
-		for range shards {
-			<-done
-		}
+		addRoundRobin(d, events, o.Workers)
 		return int(d.Finish().TotalCount())
 	})
 	return t, nil
@@ -81,9 +70,9 @@ func AblationWeighting(o Options) (*Table, error) {
 		Columns: []string{"variant", "accuracy-loss"},
 	}
 	o2 := sampling.NewOASRS(o.scaled(6000), nil, rng.Split())
-	for _, e := range events {
-		o2.Add(e)
-	}
+	b := stream.BatchOf(events)
+	o2.AddBatch(b, 0, b.Len())
+	b.Release()
 	s := o2.Finish()
 
 	weighted := estimate.Sum(s, estimate.Conf95).Value
@@ -120,20 +109,8 @@ func AblationDistributedOASRS(o Options) (*Table, error) {
 	}
 	for _, w := range []int{1, 2, 4, 8} {
 		d := sampling.NewDistributedOASRS(budget, w, nil, rng.Split())
-		shards := stream.PartitionRoundRobin(events, w)
 		sw := metrics.Start()
-		done := make(chan struct{})
-		for i := range shards {
-			go func(i int) {
-				defer func() { done <- struct{}{} }()
-				for _, e := range shards[i] {
-					d.AddAt(i, e)
-				}
-			}(i)
-		}
-		for range shards {
-			<-done
-		}
+		addRoundRobin(d, events, w)
 		sw.Add(int64(len(events)))
 		tput := sw.Throughput()
 		est := estimate.Sum(d.Finish(), estimate.Conf95).Value
@@ -143,6 +120,22 @@ func AblationDistributedOASRS(o Options) (*Table, error) {
 		})
 	}
 	return t, nil
+}
+
+// addRoundRobin deals events round-robin over w workers of d, each of
+// which samples its share on its own goroutine.
+func addRoundRobin(d *sampling.DistributedOASRS, events []stream.Event, w int) {
+	var wg sync.WaitGroup
+	for i, shard := range stream.PartitionRoundRobin(events, w) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := stream.BatchOf(shard)
+			d.AddBatch(i, b, 0, b.Len())
+			b.Release()
+		}()
+	}
+	wg.Wait()
 }
 
 // AblationReservoirSkip compares two ways of drawing Algorithm R's

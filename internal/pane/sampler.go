@@ -20,7 +20,8 @@ import (
 // Sampler cuts an event-time ordered stream into slide segments where
 // time.Truncate cuts them and samples each with OASRS. The per-segment
 // budget is the previous segment's arrival count times the fraction in
-// force (sampling.SegmentBudget). Records behind the watermark are counted
+// force, and unbounded at fraction 1, which keeps every record
+// (sampling.SegmentBudget). Records behind the watermark are counted
 // late and dropped. A finished segment's sample goes to the caller's Cut;
 // the Sampler keeps no pane.
 //

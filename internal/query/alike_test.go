@@ -35,10 +35,13 @@ func sharingQueries() []Query {
 func sharingSample(rng *xrand.Rand) *sampling.Sample {
 	o := sampling.NewOASRS(1+rng.Intn(40), nil, rng)
 	strata := 1 + rng.Intn(5)
+	b := stream.GetEventBatch()
+	defer b.Release()
 	for i := 0; i < 1+rng.Intn(300); i++ {
 		k := rng.Intn(strata)
-		o.Add(stream.Event{Stratum: fmt.Sprint("s", k), Value: 20*float64(k) + 60*rng.Float64()})
+		b.AppendEvent(stream.Event{Stratum: fmt.Sprint("s", k), Value: 20*float64(k) + 60*rng.Float64()})
 	}
+	o.AddBatch(b, 0, b.Len())
 	s := o.Finish()
 	if rng.Intn(3) == 0 {
 		s.Strata = append(s.Strata, sampling.StratumSample{Stratum: "empty", Count: int64(1 + rng.Intn(9)), Weight: 1})

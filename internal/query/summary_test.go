@@ -80,9 +80,9 @@ func TestGroupBySummaryMatchesRowsOnMixedSample(t *testing.T) {
 		t.Fatalf("precondition: SRS sample is not one mixed entry: %d entries", len(mixed.Strata))
 	}
 	o := sampling.NewOASRS(120, nil, rng)
-	for _, e := range population[:900] {
-		o.Add(e)
-	}
+	b := stream.BatchOf(population[:900])
+	defer b.Release()
+	o.AddBatch(b, 0, b.Len())
 	stratified := o.Finish()
 	both := &sampling.Sample{Strata: append(append([]sampling.StratumSample(nil), mixed.Strata...), stratified.Strata...)}
 
@@ -111,9 +111,12 @@ func TestGroupBySummaryMatchesRowsOnMixedSample(t *testing.T) {
 func TestHistogramSummaryMatchesIndicatorPasses(t *testing.T) {
 	rng := xrand.New(9)
 	o := sampling.NewOASRS(300, nil, rng)
+	b := stream.GetEventBatch()
+	defer b.Release()
 	for i := 0; i < 5000; i++ {
-		o.Add(stream.Event{Stratum: string(rune('a' + i%3)), Value: rng.Gaussian(50, 30)})
+		b.AppendEvent(stream.Event{Stratum: string(rune('a' + i%3)), Value: rng.Gaussian(50, 30)})
 	}
+	o.AddBatch(b, 0, b.Len())
 	s := o.Finish()
 	s.Strata[0].Values[0] = 25 // exactly on an edge
 	h := NewHistogram([]float64{0, 25, 50, 75, 100}, estimate.Conf95)

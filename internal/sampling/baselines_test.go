@@ -204,11 +204,19 @@ func TestSTSShufflePreservesCounts(t *testing.T) {
 	}
 }
 
+// dealRoundRobin hands worker i of d the i-th of w round-robin shares of
+// events, as one batch.
+func dealRoundRobin(d *DistributedOASRS, events []stream.Event, w int) {
+	for i, share := range stream.PartitionRoundRobin(events, w) {
+		b := stream.BatchOf(share)
+		d.AddBatch(i, b, 0, b.Len())
+		b.Release()
+	}
+}
+
 func TestDistributedOASRSMergesCounters(t *testing.T) {
 	d := NewDistributedOASRS(40, 4, nil, xrand.New(11))
-	for i, e := range append(mkEvents("a", 1000), mkEvents("b", 8)...) {
-		d.AddAt(i%4, e)
-	}
+	dealRoundRobin(d, append(mkEvents("a", 1000), mkEvents("b", 8)...), 4)
 	sample := d.Finish()
 	a := sample.Stratum("a")
 	if a == nil || a.Count != 1000 {
@@ -228,14 +236,16 @@ func TestDistributedOASRSMergesCounters(t *testing.T) {
 	}
 }
 
-func TestDistributedOASRSConcurrentAddAt(t *testing.T) {
+func TestDistributedOASRSConcurrentAddBatch(t *testing.T) {
 	d := NewDistributedOASRS(100, 4, nil, xrand.New(12))
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {
 			defer func() { done <- struct{}{} }()
-			for i := 0; i < 5000; i++ {
-				d.AddAt(w, stream.Event{Stratum: "s", Value: float64(i)})
+			b := stream.BatchOf(mkEvents("s", 5000))
+			defer b.Release()
+			for i := 0; i < b.Len(); i += 100 {
+				d.AddBatch(w, b, i, i+100)
 			}
 		}(w)
 	}
@@ -251,8 +261,10 @@ func TestDistributedOASRSConcurrentAddAt(t *testing.T) {
 func TestDistributedOASRSWorkerClamp(t *testing.T) {
 	d := NewDistributedOASRS(10, 0, nil, xrand.New(13))
 	// Every index reaches the one worker, which keeps the whole budget.
-	for i := 0; i < 100; i++ {
-		d.AddAt(i, stream.Event{Stratum: "s", Value: float64(i)})
+	b := stream.BatchOf(mkEvents("s", 100))
+	defer b.Release()
+	for i := 0; i < b.Len(); i += 10 {
+		d.AddBatch(i, b, i, i+10)
 	}
 	if s := d.Finish().Stratum("s"); s == nil || s.Count != 100 || len(s.Values) != 10 {
 		t.Errorf("clamped sampler kept %+v, want 10 of 100", s)
@@ -277,9 +289,7 @@ func TestDistributedOASRSStatisticalAgreement(t *testing.T) {
 	var est float64
 	for trial := 0; trial < trials; trial++ {
 		d := NewDistributedOASRS(200, 4, nil, rng.Split())
-		for i, e := range events {
-			d.AddAt(i%4, e)
-		}
+		dealRoundRobin(d, events, 4)
 		sample := d.Finish()
 		for _, st := range sample.Strata {
 			var s float64
@@ -316,7 +326,7 @@ func BenchmarkSTSSampleBatch(b *testing.B) {
 }
 
 // BenchmarkOASRSSampleBatch samples the materialized batch the SRS and
-// STS benchmarks sample, one event at a time as OASRS does.
+// STS benchmarks sample, as one columnar batch.
 func BenchmarkOASRSSampleBatch(b *testing.B) {
 	events := mkEvents("a", 100000)
 	rng := xrand.New(1)

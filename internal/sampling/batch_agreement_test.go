@@ -11,18 +11,20 @@ import (
 	"streamapprox/internal/xrand"
 )
 
-// These tests pin the vectorized sampling path to the scalar one: both
-// run the one skip chain, which outlives every call, so they draw the
-// same numbers at the same items and keep the same ones — the samples
-// are equal, not merely alike. The distribution itself is pinned
-// against theory (each item kept with probability N/n).
+// These tests pin sampling in chunks to sampling one record per call (the
+// scalar path, "Add" in their names): both run the one skip chain, which
+// outlives every call, so they draw the same numbers at the same items
+// and keep the same ones — the samples are equal, not merely alike. The
+// distribution itself is pinned against theory (each item kept with
+// probability N/n).
 
-func batchOf(events []stream.Event) *stream.EventBatch {
-	b := stream.GetEventBatch()
-	for _, e := range events {
-		b.AppendEvent(e)
+// addEachEvent offers events to o one record per call.
+func addEachEvent(o *OASRS, events []stream.Event) {
+	b := stream.BatchOf(events)
+	defer b.Release()
+	for i := range events {
+		o.AddBatch(b, i, i+1)
 	}
-	return b
 }
 
 // feedBatches offers events through AddBatch in randomly sized chunks,
@@ -33,7 +35,7 @@ func feedBatches(o *OASRS, events []stream.Event, rng *xrand.Rand) {
 		if j > len(events) {
 			j = len(events)
 		}
-		b := batchOf(events[i:j])
+		b := stream.BatchOf(events[i:j])
 		o.AddBatch(b, 0, b.Len())
 		b.Release()
 		i = j
@@ -44,9 +46,7 @@ func TestReservoirAddBatchBookkeepingMatchesAdd(t *testing.T) {
 	values := mkValues(5000)
 
 	ra := NewReservoir(64, xrand.New(1))
-	for _, v := range values {
-		ra.Add(v)
-	}
+	addEach(ra, values)
 	rb := NewReservoir(64, xrand.New(1))
 	rb.AddBatch(values)
 	if a, b := ra.State(), rb.State(); !reflect.DeepEqual(a, b) {
@@ -78,8 +78,8 @@ func TestReservoirAddBatchBookkeepingMatchesAdd(t *testing.T) {
 }
 
 // TestReservoirAddBatchAgreesWithAddOnValues offers a skewed value column
-// one value at a time through Add and in runs of random length through
-// AddBatch, from the same random state: the two reservoirs, skip chains
+// one value per call and in runs of random length, from the same random
+// state: the two reservoirs, skip chains
 // included, and their random streams must end bit-identical.
 func TestReservoirAddBatchAgreesWithAddOnValues(t *testing.T) {
 	const n, capN, trials = 120, 12, 2000
@@ -92,9 +92,7 @@ func TestReservoirAddBatchAgreesWithAddOnValues(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		rngs := [2]*xrand.Rand{xrand.New(uint64(trial)), xrand.New(uint64(trial))}
 		scalar := NewReservoir(capN, rngs[0])
-		for _, v := range values {
-			scalar.Add(v)
-		}
+		addEach(scalar, values)
 		batched := NewReservoir(capN, rngs[1])
 		offerInChunks(batched, values, split, 23)
 		if a, b := scalar.State(), batched.State(); !reflect.DeepEqual(a, b) || rngs[0].State() != rngs[1].State() {
@@ -175,9 +173,7 @@ func mixedStream(n int, rng *xrand.Rand) []stream.Event {
 func TestOASRSAddBatchBookkeepingMatchesAdd(t *testing.T) {
 	events := mixedStream(20000, xrand.New(7))
 	scalar := NewOASRS(120, nil, xrand.New(8))
-	for _, e := range events {
-		scalar.Add(e)
-	}
+	addEachEvent(scalar, events)
 	vec := NewOASRS(120, nil, xrand.New(8))
 	feedBatches(vec, events, xrand.New(10))
 	if a, b := scalar.State(), vec.State(); !reflect.DeepEqual(a, b) {
@@ -219,32 +215,15 @@ func TestOASRSAddBatchUnbiasedEstimates(t *testing.T) {
 	}
 }
 
-// TestOASRSScalarRunCacheResetsOnFinish guards the Add fast path: the
-// cached (stratum, reservoir) pair must not leak across intervals, or
-// the first run of the next interval lands in a reservoir Finish
-// already emptied.
-func TestOASRSScalarRunCacheResetsOnFinish(t *testing.T) {
-	o := NewOASRS(10, nil, xrand.New(31))
-	for i := 0; i < 50; i++ {
-		o.Add(stream.Event{Stratum: "a", Value: float64(i)})
-	}
-	_ = o.Finish()
-	o.Add(stream.Event{Stratum: "a", Value: 99})
-	s := o.Finish()
-	if len(s.Strata) != 1 || s.Strata[0].Count != 1 {
-		t.Fatalf("stale run cache: second interval sample = %+v", s.Strata)
-	}
-}
-
 // TestOASRSAddBatchDictCollisionAcrossBatches guards the dense table:
 // dictionary IDs are batch-local, so ID 0 meaning "a" in one batch and
 // "b" in the next must still route records to the right reservoirs.
 func TestOASRSAddBatchDictCollisionAcrossBatches(t *testing.T) {
 	o := NewOASRS(100, nil, xrand.New(32))
-	b1 := batchOf(mkEvents("a", 7))
+	b1 := stream.BatchOf(mkEvents("a", 7))
 	o.AddBatch(b1, 0, b1.Len())
 	b1.Release()
-	b2 := batchOf(mkEvents("b", 5)) // "b" gets dictionary ID 0 here too
+	b2 := stream.BatchOf(mkEvents("b", 5)) // "b" gets dictionary ID 0 here too
 	o.AddBatch(b2, 0, b2.Len())
 	b2.Release()
 	s := o.Finish()
@@ -262,22 +241,11 @@ func TestOASRSAddBatchDictCollisionAcrossBatches(t *testing.T) {
 
 func BenchmarkOASRSAddBatch(b *testing.B) {
 	events := mixedStream(4096, xrand.New(51))
-	batch := batchOf(events)
+	batch := stream.BatchOf(events)
 	defer batch.Release()
 	o := NewOASRS(200, nil, xrand.New(52))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o.AddBatch(batch, 0, batch.Len())
-	}
-}
-
-func BenchmarkOASRSAddScalar(b *testing.B) {
-	events := mixedStream(4096, xrand.New(51))
-	o := NewOASRS(200, nil, xrand.New(52))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for _, e := range events {
-			o.Add(e)
-		}
 	}
 }

@@ -15,9 +15,9 @@ import (
 // no sort, and no barrier on the data path, which is the architectural
 // reason StreamApprox outperforms Spark's stratified sampling.
 //
-// The caller routes each item to a worker with AddAt; dealing items
-// round-robin models the paper's "each worker node samples an equal
-// portion of items from this sub-stream".
+// The caller hands each worker its share of the items with AddBatch;
+// dealing items round-robin models the paper's "each worker node samples
+// an equal portion of items from this sub-stream".
 type DistributedOASRS struct {
 	workers []*workerOASRS
 }
@@ -60,13 +60,14 @@ func (d *DistributedOASRS) SetBudget(budget int) {
 	}
 }
 
-// AddAt offers one item directly to worker i. Safe for concurrent use by
-// distinct goroutines (each worker is independently locked; goroutines
-// pinned to distinct workers never contend).
-func (d *DistributedOASRS) AddAt(i int, e stream.Event) {
+// AddBatch offers records [from, to) of a columnar batch to worker i
+// (OASRS.AddBatch). Safe for concurrent use by distinct goroutines (each
+// worker is independently locked; goroutines pinned to distinct workers
+// never contend).
+func (d *DistributedOASRS) AddBatch(i int, b *stream.EventBatch, from, to int) {
 	w := d.workers[i%len(d.workers)]
 	w.mu.Lock()
-	w.sampler.Add(e)
+	w.sampler.AddBatch(b, from, to)
 	w.mu.Unlock()
 }
 

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"math"
 	"slices"
 	"sort"
 
@@ -81,14 +82,6 @@ type OASRS struct {
 	big    int
 	counts []int64
 
-	// lastKey/lastRes short-circuit the reservoirs map probe for Add, the
-	// path of the engines' item-at-a-time operators (the pipelined
-	// engine's replicas, the batched engine's DistributedOASRS workers)
-	// and of the ablations: sub-streams arrive in runs, so consecutive
-	// events overwhelmingly share a stratum.
-	lastKey string
-	lastRes *Reservoir
-
 	// dense is AddBatch's per-call reservoir table indexed by the
 	// batch-local dictionary ID, so a batch's records resolve their
 	// stratum through the map once per distinct stratum per call.
@@ -135,10 +128,26 @@ func (o *OASRS) SetBudget(budget int) {
 	o.big = -1
 }
 
-// SegmentBudget is a slide segment's budget: the fraction of the
-// previous segment's arrival count, or 64 before any count is known.
+// Unbounded is the budget that keeps every item offered: a fraction-1
+// sample's. No reservoir sized from it allocates by its capacity (see
+// Reservoir.resize).
+const Unbounded = math.MaxInt
+
+// FractionBudget is the budget fraction affords n arrivals: the fraction
+// of them, rounded down, or Unbounded at fraction 1, so that a fraction-1
+// sample keeps every item however many arrive — not only n.
+func FractionBudget(fraction float64, n int) int {
+	if fraction >= 1 {
+		return Unbounded
+	}
+	return int(fraction * float64(n))
+}
+
+// SegmentBudget is a slide segment's budget: FractionBudget of the
+// previous segment's arrival count, or 64 when that is below one item
+// (before any count is known).
 func SegmentBudget(fraction float64, lastCount int) int {
-	if budget := int(fraction * float64(lastCount)); budget >= 1 {
+	if budget := FractionBudget(fraction, lastCount); budget >= 1 {
 		return budget
 	}
 	return 64
@@ -147,22 +156,12 @@ func SegmentBudget(fraction float64, lastCount int) int {
 // Budget returns the current total sample-size budget.
 func (o *OASRS) Budget() int { return o.budget }
 
-// Add offers one item to the sampler.
-func (o *OASRS) Add(e stream.Event) {
-	if o.lastRes != nil && e.Stratum == o.lastKey {
-		o.lastRes.Add(e.Value)
-		return
-	}
-	res := o.resolve(e.Stratum)
-	o.lastKey, o.lastRes = e.Stratum, res
-	res.Add(e.Value)
-}
-
 // resolve returns the stratum's reservoir, creating it on first sight
 // per Algorithm 3: a new sub-stream Si gets its sample size Ni
 // adaptively, assuming at least as many strata as the previous interval
 // saw — and, when it overflowed that share in the previous interval, the
-// larger size the plan affords it.
+// larger size the plan affords it. Its buffer is reserved for what the
+// stratum had in the previous interval, up to that size.
 func (o *OASRS) resolve(stratum string) *Reservoir {
 	res, ok := o.reservoirs[stratum]
 	if !ok {
@@ -170,15 +169,16 @@ func (o *OASRS) resolve(stratum string) *Reservoir {
 		if o.big < 0 {
 			o.plan()
 		}
-		if o.prev[stratum] > int64(size) && o.big > size {
+		prev := o.prev[stratum]
+		if prev > int64(size) && o.big > size {
 			size = o.big
 		}
 		if k := len(o.free); k > 0 {
 			res, o.free = o.free[k-1], o.free[:k-1]
-			res.resize(size)
 		} else {
-			res = NewReservoir(size, o.rng)
+			res = &Reservoir{rng: o.rng}
 		}
+		res.resize(size, int(min(prev, int64(size))))
 		o.reservoirs[stratum] = res
 		o.order = append(o.order, stratum)
 	}
@@ -217,8 +217,8 @@ func (o *OASRS) plan() {
 // dictionary ID, so even alternating strata cost one map probe per
 // distinct stratum per call), and the reservoir samples the run, finding
 // its end as it goes.
-// The sample is the one feeding each record through Add in order would
-// draw, number for number: the reservoirs' skip chains outlive the runs.
+// The sample does not depend on how a stream's records are split into
+// calls, number for number: the reservoirs' skip chains outlive the runs.
 func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 	if from >= to {
 		return
@@ -279,7 +279,6 @@ func (o *OASRS) Drain(visit func(s *Sample)) {
 	o.big = -1
 	o.expected = len(o.order)
 	o.order = o.order[:0]
-	o.lastKey, o.lastRes = "", nil
 }
 
 // Finish returns the weighted sample for the interval and resets the

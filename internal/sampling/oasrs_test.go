@@ -9,10 +9,15 @@ import (
 	"streamapprox/internal/xrand"
 )
 
+// feedAll offers events to o as one batch.
+func feedAll(o *OASRS, events []stream.Event) {
+	b := stream.BatchOf(events)
+	o.AddBatch(b, 0, b.Len())
+	b.Release()
+}
+
 func feed(s *OASRS, events []stream.Event) *Sample {
-	for _, e := range events {
-		s.Add(e)
-	}
+	feedAll(s, events)
 	return s.Finish()
 }
 
@@ -99,6 +104,9 @@ func TestOASRSAdaptsToArrivalRateChange(t *testing.T) {
 	if w := s2.Stratum("a").Weight; w != 1 {
 		t.Errorf("interval 2 weight = %v, want 1 (rate dropped)", w)
 	}
+	if c := s2.Stratum("a").Count; c != 2 || len(s2.Strata) != 1 {
+		t.Errorf("interval 2 counted %d of stratum a in %d strata, want 2 in 1", c, len(s2.Strata))
+	}
 }
 
 func TestOASRSSetBudget(t *testing.T) {
@@ -135,9 +143,7 @@ func TestOASRSInvariants(t *testing.T) {
 			n := int(raw % 2000)
 			key := string(rune('a' + si))
 			want[key] = int64(n)
-			for i := 0; i < n; i++ {
-				o.Add(stream.Event{Stratum: key, Value: float64(i)})
-			}
+			feedAll(o, mkEvents(key, n))
 		}
 		sample := o.Finish()
 		for _, st := range sample.Strata {
@@ -213,16 +219,5 @@ func TestSampleAccessors(t *testing.T) {
 	}
 	if s.Strata[0].SampledCount() != 2 {
 		t.Error("StratumSample.SampledCount broken")
-	}
-}
-
-func BenchmarkOASRSAdd(b *testing.B) {
-	o := NewOASRS(1000, nil, xrand.New(1))
-	events := [3]stream.Event{
-		{Stratum: "a", Value: 1}, {Stratum: "b", Value: 2}, {Stratum: "c", Value: 3},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o.Add(events[i%3])
 	}
 }

@@ -16,9 +16,9 @@ import (
 // and the chain in flight is part of the reservoir's state: it survives
 // the call that started it, State and RestoreReservoir carry it, and only
 // Reset ends it. So the sample is a function of the offered values and
-// the random stream alone — offering them one at a time through Add or in
-// runs of any length through AddBatch draws the same numbers at the same
-// items and keeps the same ones.
+// the random stream alone — offering them in runs of any length, one
+// value each or all at once, draws the same numbers at the same items and
+// keeps the same ones.
 //
 // Reservoir is not safe for concurrent use.
 type Reservoir struct {
@@ -33,29 +33,29 @@ type Reservoir struct {
 	rng  *xrand.Rand
 }
 
-// NewReservoir returns a reservoir holding at most capacity items.
-// capacity must be positive.
+// NewReservoir returns a reservoir holding at most capacity items, its
+// buffer reserved for all of them. capacity must be positive.
 func NewReservoir(capacity int, rng *xrand.Rand) *Reservoir {
 	r := &Reservoir{rng: rng}
-	r.resize(capacity)
+	r.resize(capacity, capacity)
 	return r
 }
 
-// resize sets an empty reservoir's capacity, keeping its value buffer
-// when that is already large enough, and ends any skip chain.
-func (r *Reservoir) resize(capacity int) {
+// resize sets an empty reservoir's capacity and ends any skip chain. Its
+// value buffer is kept when it holds min(capacity, expect) values already,
+// and otherwise reserved for that many: a capacity is a bound — Unbounded's
+// share of a budget, say — not what arrives, and the fill appends past
+// what was reserved.
+func (r *Reservoir) resize(capacity, expect int) {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	r.capacity = capacity
 	r.u, r.p = 0, 0
-	if cap(r.vals) < capacity {
-		r.vals = make([]float64, 0, capacity)
+	if n := min(capacity, expect); cap(r.vals) < n {
+		r.vals = make([]float64, 0, n)
 	}
 }
-
-// Add offers one item's value to the reservoir: AddBatch of one value.
-func (r *Reservoir) Add(v float64) { r.AddBatch([]float64{v}) }
 
 // AddBatch offers values in order. They are offered as one stratum's run,
 // under a stratum column of zeros, a chunk at a time.

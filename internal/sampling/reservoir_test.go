@@ -27,9 +27,7 @@ func mkValues(n int) []float64 {
 
 func TestReservoirFillsBelowCapacity(t *testing.T) {
 	r := NewReservoir(10, xrand.New(1))
-	for _, v := range mkValues(5) {
-		r.Add(v)
-	}
+	r.AddBatch(mkValues(5))
 	if got := len(r.Values()); got != 5 {
 		t.Errorf("got %d values, want 5 (all kept when under capacity)", got)
 	}
@@ -40,9 +38,7 @@ func TestReservoirFillsBelowCapacity(t *testing.T) {
 
 func TestReservoirCapsAtCapacity(t *testing.T) {
 	r := NewReservoir(10, xrand.New(2))
-	for _, v := range mkValues(10000) {
-		r.Add(v)
-	}
+	r.AddBatch(mkValues(10000))
 	if got := len(r.Values()); got != 10 {
 		t.Errorf("got %d values, want exactly 10", got)
 	}
@@ -53,7 +49,7 @@ func TestReservoirCapsAtCapacity(t *testing.T) {
 
 func TestReservoirNonPositiveCapacity(t *testing.T) {
 	r := NewReservoir(0, xrand.New(3))
-	r.Add(1)
+	r.AddBatch([]float64{1})
 	if r.Capacity() != 1 || len(r.Values()) != 1 {
 		t.Error("capacity <= 0 should clamp to 1")
 	}
@@ -62,7 +58,7 @@ func TestReservoirNonPositiveCapacity(t *testing.T) {
 // TestReservoirUniformity verifies the defining invariant of reservoir
 // sampling: after the stream ends, every item has equal probability N/n of
 // being in the sample. We run many trials and chi-square-ish check the
-// per-item selection frequencies.
+// per-item selection frequencies, offering the items one per call.
 func TestReservoirUniformity(t *testing.T) {
 	const n, capN, trials = 100, 10, 20000
 	counts := make([]int, n)
@@ -70,9 +66,7 @@ func TestReservoirUniformity(t *testing.T) {
 	values := mkValues(n)
 	for trial := 0; trial < trials; trial++ {
 		r := NewReservoir(capN, rng)
-		for _, v := range values {
-			r.Add(v)
-		}
+		addEach(r, values)
 		for _, v := range r.Values() {
 			counts[int(v)]++
 		}
@@ -88,14 +82,12 @@ func TestReservoirUniformity(t *testing.T) {
 
 func TestReservoirReset(t *testing.T) {
 	r := NewReservoir(5, xrand.New(4))
-	for _, v := range mkValues(20) {
-		r.Add(v)
-	}
+	r.AddBatch(mkValues(20))
 	r.Reset()
 	if r.Seen() != 0 || len(r.Values()) != 0 {
 		t.Error("Reset did not clear state")
 	}
-	r.Add(9)
+	r.AddBatch([]float64{9})
 	if got := r.Values(); len(got) != 1 || got[0] != 9 {
 		t.Error("reservoir unusable after Reset")
 	}
@@ -103,11 +95,18 @@ func TestReservoirReset(t *testing.T) {
 
 func TestReservoirValuesIsACopy(t *testing.T) {
 	r := NewReservoir(2, xrand.New(5))
-	r.Add(1)
+	r.AddBatch([]float64{1})
 	vals := r.Values()
 	vals[0] = 99
 	if r.Values()[0] != 1 {
 		t.Error("Values leaked internal state")
+	}
+}
+
+// addEach offers values to r one per call.
+func addEach(r *Reservoir, values []float64) {
+	for i := range values {
+		r.AddBatch(values[i : i+1])
 	}
 }
 
@@ -149,7 +148,7 @@ func TestSkipReservoirUnderfill(t *testing.T) {
 	before := rng.State()
 	r := NewReservoir(10, rng)
 	r.AddBatch(mkValues(3))
-	r.Add(3)
+	r.AddBatch([]float64{3})
 	if got := r.Values(); !slices.Equal(got, mkValues(4)) {
 		t.Errorf("got %v, want all 4 in order", got)
 	}
@@ -204,14 +203,6 @@ func TestSkipReservoirReset(t *testing.T) {
 	fresh.AddBatch(mkValues(100))
 	if !slices.Equal(r.Values(), fresh.Values()) {
 		t.Errorf("after Reset %v, a new reservoir %v", r.Values(), fresh.Values())
-	}
-}
-
-func BenchmarkReservoirAdd(b *testing.B) {
-	r := NewReservoir(1000, xrand.New(1))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Add(1)
 	}
 }
 

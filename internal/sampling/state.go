@@ -50,9 +50,11 @@ func (r *Reservoir) State() ReservoirState {
 	return ReservoirState{Capacity: r.capacity, Seen: r.seen, Values: r.Values(), U: r.u, P: r.p}
 }
 
-// RestoreReservoir rebuilds a reservoir from a state.
+// RestoreReservoir rebuilds a reservoir from a state, its buffer reserved
+// for the state's values.
 func RestoreReservoir(st ReservoirState, rng *xrand.Rand) *Reservoir {
-	r := NewReservoir(st.Capacity, rng)
+	r := &Reservoir{rng: rng}
+	r.resize(st.Capacity, len(st.Values))
 	r.seen = st.Seen
 	r.vals = append(r.vals, st.Values[:min(len(st.Values), r.capacity)]...)
 	r.u, r.p = st.U, st.P

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
 )
 
@@ -33,9 +32,7 @@ func TestReservoirStateRoundTrip(t *testing.T) {
 	restored := RestoreReservoir(back, twin)
 	rest := mkValues(600)[100:]
 	r.AddBatch(rest)
-	for _, v := range rest {
-		restored.Add(v)
-	}
+	addEach(restored, rest)
 	if a, b := r.State(), restored.State(); !reflect.DeepEqual(a, b) {
 		t.Fatalf("restored reservoir diverged: %+v, uninterrupted %+v", b, a)
 	}
@@ -79,12 +76,8 @@ func TestReservoirStateClampsOversizedValues(t *testing.T) {
 func TestOASRSStateRoundTripJSON(t *testing.T) {
 	rng := xrand.New(3)
 	o := NewOASRS(20, nil, rng)
-	for _, e := range mkEvents("a", 100) {
-		o.Add(e)
-	}
-	for _, e := range mkEvents("b", 5) {
-		o.Add(e)
-	}
+	feedAll(o, mkEvents("a", 100))
+	feedAll(o, mkEvents("b", 5))
 	st := o.State()
 
 	// The state must survive JSON serialization, since the public
@@ -111,12 +104,8 @@ func TestOASRSStateRoundTripJSON(t *testing.T) {
 
 func TestOASRSStatePreservesExpected(t *testing.T) {
 	o := NewOASRS(30, nil, xrand.New(5))
-	for _, e := range mkEvents("a", 10) {
-		o.Add(e)
-	}
-	for _, e := range mkEvents("b", 10) {
-		o.Add(e)
-	}
+	feedAll(o, mkEvents("a", 10))
+	feedAll(o, mkEvents("b", 10))
 	_ = o.Finish() // expected = 2 strata
 	st := o.State()
 	if st.Expected != 2 {
@@ -125,10 +114,7 @@ func TestOASRSStatePreservesExpected(t *testing.T) {
 	restored := RestoreOASRS(st, nil, xrand.New(6))
 	// A new interval's first stratum must get budget/2, not the full
 	// budget — the adaptation state survived.
-	restored.Add(stream.Event{Stratum: "a", Value: 1})
-	for i := 0; i < 100; i++ {
-		restored.Add(stream.Event{Stratum: "a", Value: float64(i)})
-	}
+	feedAll(restored, mkEvents("a", 101))
 	sample := restored.Finish()
 	if got := len(sample.Stratum("a").Values); got != 15 {
 		t.Errorf("restored first-stratum reservoir = %d, want 15 (= 30/2)", got)

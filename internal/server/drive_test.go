@@ -162,12 +162,3 @@ func (r *rig) apply(p int, b *stream.EventBatch) {
 		sub.apply(planeDelivery{batch: b, next: r.next[p], hwm: r.next[p], haveHWM: true})
 	}
 }
-
-// batchOf is a pooled batch of events.
-func batchOf(events []stream.Event) *stream.EventBatch {
-	b := stream.GetEventBatch()
-	for _, e := range events {
-		b.AppendEvent(e)
-	}
-	return b
-}

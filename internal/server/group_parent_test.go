@@ -108,7 +108,7 @@ func driveGroups(t *testing.T) groupedRun {
 			var offsets [2]int64
 			for rr := range r + lateAhead {
 				for _, sh := range jobs[4].shards {
-					b := batchOf(rounds[rr][sh.idx])
+					b := stream.BatchOf(rounds[rr][sh.idx])
 					b.Base = offsets[sh.idx]
 					offsets[sh.idx] += int64(b.Len())
 					sh.mu.Lock()
@@ -120,7 +120,7 @@ func driveGroups(t *testing.T) groupedRun {
 			rg.join(jobs[4])
 		}
 		for p := range rg.next {
-			b := batchOf(rounds[r][p])
+			b := stream.BatchOf(rounds[r][p])
 			rg.apply(p, b)
 			b.Release()
 		}

@@ -55,7 +55,7 @@ func shareBatches(seed int64, seconds int) [][]stream.Event {
 			}
 			batch[i] = stream.Event{Stratum: strata[k], Value: 100 + 15*float64(k) + (5+5*float64(k))*rng.NormFloat64(), Time: at}
 		}
-		b := batchOf(batch)
+		b := stream.BatchOf(batch)
 		b.SortByTime()
 		out = append(out, b.Events())
 		b.Release()
@@ -67,7 +67,7 @@ func shareBatches(seed int64, seconds int) [][]stream.Event {
 // every query, flushing what it holds.
 func feed(r *rig, batches [][]stream.Event, jobs ...*job) {
 	for _, events := range batches {
-		b := batchOf(events)
+		b := stream.BatchOf(events)
 		r.apply(0, b)
 		b.Release()
 	}
@@ -198,7 +198,7 @@ func TestGroupMemberCheckpointIsGroupSampler(t *testing.T) {
 	feed(r, batches[half:], jobs...)
 	for i, s := range restored {
 		for _, events := range batches[half:] {
-			b := batchOf(events)
+			b := stream.BatchOf(events)
 			if err := s.PushBatch(b, 0, b.Len()); err != nil {
 				t.Fatal(err)
 			}
@@ -325,7 +325,7 @@ func TestGroupSummarisesOncePerShape(t *testing.T) {
 	}
 	shared := 0
 	for _, events := range batches {
-		b := batchOf(events)
+		b := stream.BatchOf(events)
 		r.apply(0, b)
 		b.Release()
 		shared += sharedPanes(t, jobs)
@@ -387,7 +387,7 @@ func TestUnlikeSpecsNeverShare(t *testing.T) {
 	}
 	sh := late.shards[0]
 	for _, events := range batches[:2] {
-		b := batchOf(events)
+		b := stream.BatchOf(events)
 		b.Base = sh.offset
 		sh.mu.Lock()
 		sh.consumeLocked(b, sh.offset+int64(b.Len()))

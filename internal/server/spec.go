@@ -27,7 +27,9 @@ type Spec struct {
 	Window time.Duration
 	// Slide defaults to half the window.
 	Slide time.Duration
-	// Fraction is the initial sampling fraction (default 0.6).
+	// Fraction is the initial sampling fraction (default 0.6): below 1, a
+	// fraction of each shard's previous slide segment; 1 keeps every
+	// record, so the query serves Exact's windows.
 	Fraction float64
 	// TargetError, when positive, enables adaptive feedback: each shard
 	// moves its fraction by the error the query's windows are served with.

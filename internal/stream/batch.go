@@ -154,6 +154,16 @@ func (b *EventBatch) AppendEvent(e Event) {
 	b.Append(b.Intern(e.Stratum), e.Value, TimeToNanos(e.Time))
 }
 
+// BatchOf returns a pooled batch holding events in row order, with one
+// reference held by the caller.
+func BatchOf(events []Event) *EventBatch {
+	b := GetEventBatch()
+	for _, e := range events {
+		b.AppendEvent(e)
+	}
+	return b
+}
+
 // EventAt materializes record i in row form.
 func (b *EventBatch) EventAt(i int) Event {
 	return Event{

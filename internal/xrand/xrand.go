@@ -31,11 +31,18 @@ func New(seed uint64) *Rand {
 	return &Rand{state: seed}
 }
 
-// Split derives a new independent generator from r. The derived stream is
-// decorrelated from r's by an extra finalization round, which makes Split
-// suitable for handing one generator to each of w workers.
+// Split derives a new independent generator from r: New(r.SplitSeed()).
+// Handing one to each of w workers gives each its own stream.
 func (r *Rand) Split() *Rand {
-	return New(mix(r.Uint64()))
+	return New(r.SplitSeed())
+}
+
+// SplitSeed draws the seed Split derives a generator from: r's next value
+// through an extra finalization round, which decorrelates the derived
+// stream from r's. A consumer that seeds its own generator takes it where
+// a Split generator would be handed over.
+func (r *Rand) SplitSeed() uint64 {
+	return mix(r.Uint64())
 }
 
 // Seed resets the generator state.

@@ -209,6 +209,18 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// A generator seeded with SplitSeed is the one Split hands over, and both
+// advance the parent alike.
+func TestSplitSeedIsSplit(t *testing.T) {
+	a, b := New(13), New(13)
+	for i := 0; i < 4; i++ {
+		split, seeded := a.Split(), New(b.SplitSeed())
+		if split.State() != seeded.State() || a.State() != b.State() {
+			t.Fatalf("split %d: Split %+v, New(SplitSeed) %+v", i, split.State(), seeded.State())
+		}
+	}
+}
+
 func TestBoolProbability(t *testing.T) {
 	r := New(12)
 	const n = 100000

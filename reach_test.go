@@ -249,7 +249,6 @@ func referencedNames(t *testing.T, root string, seen map[string]bool) {
 // outside their package names and their own package's code does not
 // use, each with the reason it stays.
 var internalUnreachedAllowed = map[string]string{
-	"stream.AppendEvent":   "a test helper other packages' tests call",
 	"xrand.Int63":          "a test helper other packages' tests call",
 	"xrand.Perm":           "a test helper other packages' tests call",
 	"estimate.LinearFunc":  "the reference the estimator tests compare against",

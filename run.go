@@ -14,8 +14,9 @@ type Config struct {
 	// Sampler selects the sampling strategy (default OASRS).
 	Sampler Sampler
 	// Fraction is the sampling fraction in (0, 1]; ignored when Sampler
-	// is None (default 0.6, the paper's standard operating point). Run
-	// returns an error for a value below 0, above 1 or NaN.
+	// is None (default 0.6, the paper's standard operating point). At 1
+	// every record is kept and Run serves Exact's windows. Run returns an
+	// error for a value below 0, above 1 or NaN.
 	Fraction float64
 	// Query is the per-window aggregate (default Sum).
 	Query Query
@@ -117,7 +118,7 @@ func (c Config) coreConfig() (core.Config, error) {
 
 // Run executes the configured query over a time-ordered event stream at
 // full speed and returns the per-window approximate results with error
-// bounds.
+// bounds. An event time outside the unix-nano range is an error.
 func Run(cfg Config, events []Event) (*Report, error) {
 	if !(cfg.Fraction >= 0 && cfg.Fraction <= 1) {
 		return nil, fmt.Errorf("streamapprox: fraction %v outside (0, 1]", cfg.Fraction)
@@ -126,7 +127,11 @@ func Run(cfg Config, events []Event) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats, err := core.Run(ccfg, toInternal(events))
+	in, err := toInternal(events)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := core.Run(ccfg, in)
 	if err != nil {
 		return nil, err
 	}
@@ -140,7 +145,9 @@ func Run(cfg Config, events []Event) (*Report, error) {
 }
 
 // Exact computes the ground-truth per-window results without sampling,
-// for accuracy evaluation against a Run.
+// for accuracy evaluation against a Run: a fraction-1 sample of each
+// slide segment, the same a Session at fraction 1 serves. An event time
+// outside the unix-nano range is an error.
 func Exact(cfg Config, events []Event) ([]WindowResult, error) {
 	cfg.Sampler = None
 	cfg.Engine = Batched
@@ -148,7 +155,11 @@ func Exact(cfg Config, events []Event) ([]WindowResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	return convertResults(core.GroundTruth(ccfg, toInternal(events))), nil
+	in, err := toInternal(events)
+	if err != nil {
+		return nil, err
+	}
+	return convertResults(core.GroundTruth(ccfg, in)), nil
 }
 
 func convertResults(in []core.WindowResult) []WindowResult {

@@ -21,8 +21,10 @@ type SessionConfig struct {
 	// up to one, or down where rounding up would overflow).
 	WindowSize  time.Duration
 	WindowSlide time.Duration
-	// Fraction is the initial sampling fraction (default 0.6). A value
-	// outside (0, 1], NaN included, also means 0.6.
+	// Fraction is the initial sampling fraction (default 0.6): below 1, a
+	// fraction of the previous slide segment's arrivals; at 1, every
+	// event, so the session serves Exact's windows. A value outside
+	// (0, 1], NaN included, also means 0.6.
 	Fraction float64
 	// TargetError, when positive, enables the adaptive feedback
 	// mechanism (§4.2.1): if a window's relative error bound exceeds
@@ -44,11 +46,13 @@ type SessionConfig struct {
 // (or all of them from Close). A window fires when the slide segment after
 // it starts — the first event, or Advance, at or past its end — so an
 // event-time gap never holds a finished window; its bounds are UTC. Each
-// slide segment is sampled on-the-fly with OASRS; the
+// slide segment is sampled on-the-fly with OASRS. Below fraction 1 the
 // per-segment budget is the previous segment's arrival count times the
-// current sampling fraction, and it is spent: every stratum gets an equal
-// share of it as capacity, and what a stratum with fewer arrivals than
-// that left unused in the previous segment goes to the strata that
+// current sampling fraction (64 before any count is known), so a rising
+// rate samples less than the fraction; fraction 1 keeps every event and
+// serves Exact's windows. The budget is spent: every stratum gets an
+// equal share of it as capacity, and what a stratum with fewer arrivals
+// than that left unused in the previous segment goes to the strata that
 // overflowed theirs. While per-stratum arrivals repeat from one segment
 // to the next, Sampled/Items of a window is the fraction; when the small
 // strata of one segment grow in the next, that segment samples up to the

@@ -24,6 +24,7 @@
 package streamapprox
 
 import (
+	"fmt"
 	"time"
 
 	"streamapprox/internal/estimate"
@@ -39,12 +40,17 @@ type Event struct {
 	Time    time.Time
 }
 
-func toInternal(events []Event) []stream.Event {
+// toInternal converts events for the engines. A time outside the range
+// of unix nanos (years 1678–2262) is an error, as it is to Session.Push.
+func toInternal(events []Event) ([]stream.Event, error) {
 	out := make([]stream.Event, len(events))
 	for i, e := range events {
+		if _, ok := stream.UnixNanos(e.Time); !ok {
+			return nil, fmt.Errorf("streamapprox: event %d time %v outside the unix-nano range", i, e.Time)
+		}
 		out[i] = stream.Event(e)
 	}
-	return out
+	return out, nil
 }
 
 // Engine selects the stream-processing model (§2.2 of the paper).
