@@ -9,19 +9,20 @@
 #      Such loops carry a `// per record` comment on their `for` line,
 #      and each function below must have one. A check the compiler
 #      reports (-d=ssa/check_bce/debug=1) on a line inside a marked
-#      loop fails, except one check on a line ending in
-#      `// accept check`: the reservoir's slot store, paid once per
-#      accepted item.
+#      loop fails, except one check on a line ending in `// slot store`:
+#      the reservoir's store of a drawn item into its slot, or into the
+#      spare slot past capacity when the draw rejects it.
 #  (b) The merge path keeps its scratch buffers on the stack: nothing in
 #      internal/query or internal/estimate is "moved to heap" (-m).
 set -euo pipefail
 
 # file:function — the loops every sampled record passes through: the
-# segment scan, and the reservoir's run kernel (fill and skip chain),
-# which OASRS.AddBatch calls once per run of one stratum.
+# segment scan, and OASRS's one loop (stratum lookup, fill or keyed
+# draw); beside them Reservoir's loop, the same step for one reservoir.
 kernels=(
 	internal/pane/sampler.go:Push
-	internal/sampling/reservoir.go:offer
+	internal/sampling/oasrs.go:AddBatch
+	internal/sampling/reservoir.go:AddBatch
 )
 
 # perRecordLines prints the line numbers inside the marked loops of
@@ -41,8 +42,21 @@ perRecordLines() {
 	' "$1"
 }
 
+# build prints what the compiler reports building the given packages and
+# fails when they do not build: a report that is empty because nothing
+# was compiled proves nothing.
+build() {
+	local out
+	if ! out=$(go build "$@" 2>&1); then
+		echo "$out" >&2
+		exit 1
+	fi
+	echo "$out"
+}
+
 status=0
-report=$(go build -gcflags=-d=ssa/check_bce/debug=1 ./internal/pane ./internal/sampling 2>&1 | grep 'Found Is' || true)
+report=$(build -gcflags=-d=ssa/check_bce/debug=1 ./internal/pane ./internal/sampling)
+report=$(grep 'Found Is' <<<"$report" || true)
 for k in "${kernels[@]}"; do
 	file=${k%%:*} fn=${k##*:}
 	if ! lines=$(perRecordLines "$file" "$fn"); then
@@ -53,7 +67,7 @@ for k in "${kernels[@]}"; do
 	for n in $lines; do
 		checks=$(grep -c "^$file:$n:" <<<"$report" || true)
 		[ "$checks" -eq 0 ] && continue
-		if [ "$checks" -eq 1 ] && sed -n "${n}p" "$file" | grep -q '// accept check$'; then
+		if [ "$checks" -eq 1 ] && sed -n "${n}p" "$file" | grep -q '// slot store$'; then
 			continue
 		fi
 		grep "^$file:$n:" <<<"$report" | sed 's/$/ (per-record loop of '"$fn"')/' >&2
@@ -61,7 +75,8 @@ for k in "${kernels[@]}"; do
 	done
 done
 
-heap=$(go build -gcflags=-m ./internal/query ./internal/estimate 2>&1 | grep 'moved to heap' || true)
+heap=$(build -gcflags=-m ./internal/query ./internal/estimate)
+heap=$(grep 'moved to heap' <<<"$heap" || true)
 if [ -n "$heap" ]; then
 	echo "$heap" >&2
 	status=1

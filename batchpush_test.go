@@ -18,7 +18,7 @@ import (
 // one per call (Push, a one-record PushBatch) and k per call through
 // PushBatch must meet the same segments and the same late drops on any
 // input, including late, duplicate-time and zero-time records; and since
-// every reservoir keeps its skip chain across calls, they sample the same
+// every reservoir's draw depends on its count alone, they sample the same
 // items too: equal windows, equal snapshots. Beside them, the edges of
 // the unix-nano position: what fires when, and what does not fit.
 
@@ -208,11 +208,11 @@ func FuzzPushBatchSegmentation(f *testing.F) {
 // records and its seed, not of how they were batched. The skew stream
 // pushed record by record through Push and in batches of 1, 7, 67 and
 // 1000 through PushBatch gives the same windows and, at the cut, the same
-// snapshot bytes; that snapshot, taken with skip chains in flight,
+// snapshot bytes; that snapshot, taken with a reservoir past fill,
 // restores and continues to the uninterrupted session's windows.
 func TestSampleInvariantToChunking(t *testing.T) {
 	events := goldenSkewStream()
-	const cut = 2221 // t ≈ 11.1 s: mid-segment, a skip chain in flight
+	const cut = 2221 // t ≈ 11.1 s: mid-segment, a reservoir past fill
 	push := func(s *Session, evs []Event, chunk int) []WindowResult {
 		for i := 0; i < len(evs); i += max(chunk, 1) {
 			if chunk == 0 {
@@ -246,14 +246,14 @@ func TestSampleInvariantToChunking(t *testing.T) {
 			if err := json.Unmarshal(snap, &st); err != nil {
 				t.Fatal(err)
 			}
-			inFlight := 0
+			pastFill := 0
 			for _, rs := range st.Sampler.Reservoirs {
-				if rs.P != 0 {
-					inFlight++
+				if rs.Seen > int64(rs.Capacity) {
+					pastFill++
 				}
 			}
-			if inFlight == 0 {
-				t.Fatalf("%s: no skip chain in flight at the cut", label)
+			if pastFill == 0 {
+				t.Fatalf("%s: no reservoir past fill at the cut", label)
 			}
 			resumed, err := RestoreSession(snap)
 			if err != nil {

@@ -9,7 +9,7 @@ import (
 )
 
 // Snapshot serializes the session's full state — in-flight segment
-// sampler with its skip chains, finished segments' summaries,
+// sampler with its interval seed, finished segments' summaries,
 // adaptive-controller position, RNG —
 // so processing can resume after a crash via RestoreSession. The session
 // remains usable after Snapshot.

@@ -139,9 +139,9 @@ func TestSnapshotCarriesPendingResults(t *testing.T) {
 }
 
 // TestRestoreRejectsCorruptReservoirs: a reservoir no sampler could have
-// written — more values than its capacity or than it saw, or a skip chain
-// outside its domain, which would never accept again — fails the restore
-// instead of being truncated or running silently.
+// written — more values than its capacity or than it saw, or fewer than
+// it filled — fails the restore instead of being truncated or running
+// silently.
 func TestRestoreRejectsCorruptReservoirs(t *testing.T) {
 	cfg := goldenConfig(Sum)
 	cfg.Fraction = 0.2
@@ -161,12 +161,12 @@ func TestRestoreRejectsCorruptReservoirs(t *testing.T) {
 	}
 	key := ""
 	for k, rs := range st.Sampler.Reservoirs {
-		if rs.P != 0 {
+		if rs.Seen > int64(rs.Capacity) {
 			key = k
 		}
 	}
 	if key == "" {
-		t.Fatal("precondition: no skip chain in flight")
+		t.Fatal("precondition: no reservoir past fill")
 	}
 	for _, tc := range []struct {
 		name    string
@@ -174,15 +174,10 @@ func TestRestoreRejectsCorruptReservoirs(t *testing.T) {
 		ok      bool
 	}{
 		{"as written", func(*sampling.ReservoirState) {}, true},
-		{"no chain", func(rs *sampling.ReservoirState) { rs.U, rs.P = 0, 0 }, true},
 		{"more values than capacity", func(rs *sampling.ReservoirState) { rs.Capacity-- }, false},
 		{"more values than seen", func(rs *sampling.ReservoirState) { rs.Seen = int64(len(rs.Values)) - 1 }, false},
-		{"u without p", func(rs *sampling.ReservoirState) { rs.P = 0 }, false},
-		{"p without u", func(rs *sampling.ReservoirState) { rs.U = 0 }, false},
-		{"negative u", func(rs *sampling.ReservoirState) { rs.U = -rs.U }, false},
-		{"u at p", func(rs *sampling.ReservoirState) { rs.U = rs.P }, false},
-		{"p above one", func(rs *sampling.ReservoirState) { rs.P = 1.5 }, false},
-		{"chain before fill", func(rs *sampling.ReservoirState) { rs.Values = rs.Values[1:] }, false},
+		{"fewer values than capacity", func(rs *sampling.ReservoirState) { rs.Values = rs.Values[1:] }, false},
+		{"no capacity", func(rs *sampling.ReservoirState) { rs.Capacity, rs.Values = 0, nil }, false},
 	} {
 		var bad pane.Snapshot
 		if err := json.Unmarshal(snap, &bad); err != nil {

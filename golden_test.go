@@ -9,6 +9,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"streamapprox/internal/pane"
+	"streamapprox/internal/xrand"
 )
 
 // testdata/session_v1.json was written at commit 82a61bd — the last one
@@ -20,12 +23,13 @@ import (
 // format, its version, the versions read and the last commit that
 // upgrades it, and the fixture is left as it was.
 //
-// The windows of all three fixtures were re-recorded once, when
-// reservoirs began to carry their skip chain across calls: a restored
-// session now draws its numbers at other items than the writer did, so
-// the values moved, while every window's bounds, items, samples and
-// groups stayed those the code before the change produced. The snapshots
-// are the writers' bytes.
+// The windows of all three fixtures were re-recorded twice: when
+// reservoirs began to carry their skip chain across calls, and when each
+// stratum's reservoir began to draw from its own keyed stream. Each time
+// a restored session drew other numbers than the writer did, so the
+// values moved, while every window's bounds, items, samples and groups
+// stayed those the code before the change produced. The snapshots are
+// the writers' bytes.
 
 const (
 	goldenChunk = 37 // events per PushBatch; straddles segment boundaries
@@ -228,13 +232,14 @@ func TestRestoreV3Golden(t *testing.T) {
 			t.Fatalf("%s: restore v3: %v", name, err)
 		}
 		// Same format, same decoder: what was read is what is written,
-		// in-flight reservoir capacities included.
+		// in-flight reservoir capacities included, but for the interval
+		// seed the fixture predates, drawn once from its random state.
 		again, err := restored.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(again, gc.Snapshot) {
-			t.Errorf("%s: the restored session snapshots differently:\n%s\n%s", name, again, gc.Snapshot)
+		if back := withoutDrawnSeed(t, again, gc.Snapshot); !bytes.Equal(back, gc.Snapshot) {
+			t.Errorf("%s: the restored session snapshots differently:\n%s\n%s", name, back, gc.Snapshot)
 		}
 		chunks := (len(events) + goldenChunk - 1) / goldenChunk
 		got := append(goldenPush(t, restored, events, skewCut, chunks), restored.Close()...)
@@ -300,6 +305,33 @@ func TestRestoreTargetLatencySnapshot(t *testing.T) {
 	got := run(gc.Snapshot)
 	requireSameWindows(t, "latency snapshot vs recorded", got, gc.Windows)
 	requireSameWindows(t, "latency snapshot vs without the key", got, run(stripped))
+}
+
+// withoutDrawnSeed is snap, the snapshot of a session restored from a
+// fixture written before samplers kept an interval seed, with the seed
+// its restore drew from the fixture's random state taken back out:
+// snap's seed must be that state's next draw, and its random state the
+// fixture's one draw on.
+func withoutDrawnSeed(t *testing.T, snap, fixture []byte) []byte {
+	t.Helper()
+	var st, old pane.Snapshot
+	if err := json.Unmarshal(snap, &st); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(fixture, &old); err != nil {
+		t.Fatal(err)
+	}
+	rng := xrand.New(0)
+	rng.SetState(old.RNG)
+	if seed := rng.Uint64(); st.Sampler == nil || st.Sampler.Seed == nil || *st.Sampler.Seed != seed || st.RNG != rng.State() {
+		t.Fatalf("restored snapshot's random state %+v and sampler %+v are not the fixture's one draw on", st.RNG, st.Sampler)
+	}
+	st.RNG, st.Sampler.Seed = old.RNG, nil
+	back, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
 }
 
 func snapshotVersionOf(t *testing.T, snap []byte) int {

@@ -44,8 +44,10 @@ type client struct {
 	// tighter bound (heartbeat probes) pass an explicit override.
 	reqTimeout time.Duration
 
-	// mu serializes the write+flush of a frame.
-	mu sync.Mutex
+	// mu serializes the write+flush of a frame, and guards wdl, the
+	// write deadline armed on conn (zero: none).
+	mu  sync.Mutex
+	wdl time.Time
 
 	// readTok holds a value while no goroutine reads. Only its holder
 	// touches br, rdl and the partly read frame.
@@ -172,7 +174,8 @@ type flight struct {
 // start registers a correlation ID, encodes and writes the request and
 // returns without waiting for the reply, so one goroutine can put
 // requests on several connections before it blocks on any. The deadline
-// runs from here and covers the frame write AND await's wait. A write
+// runs from here and covers await's wait; the frame write fails within
+// it too (see nextWriteDeadline). A write
 // failure aborts the whole connection — a half-written frame corrupts
 // the pipelined stream for every other in-flight request.
 func (c *client) start(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (flight, error) {
@@ -194,16 +197,17 @@ func (c *client) start(timeout time.Duration, encode func(fb *frameBuf, corr uin
 	fb := getFrame()
 	encode(fb, f.corr)
 	c.mu.Lock()
+	now := time.Now()
 	if timeout > 0 {
-		f.deadline = time.Now().Add(timeout)
-		_ = c.conn.SetWriteDeadline(f.deadline)
+		f.deadline = now.Add(timeout)
+	}
+	if dl, rearm := nextWriteDeadline(c.wdl, now, timeout); rearm {
+		_ = c.conn.SetWriteDeadline(dl)
+		c.wdl = dl
 	}
 	err := writeRawFrame(c.bw, fb.b)
 	if err == nil {
 		err = c.bw.Flush()
-	}
-	if timeout > 0 {
-		_ = c.conn.SetWriteDeadline(time.Time{})
 	}
 	c.mu.Unlock()
 	putFrame(fb)

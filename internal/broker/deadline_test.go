@@ -186,3 +186,35 @@ func TestClientAwaitDeadlineAbandonsOnlyItsWaiter(t *testing.T) {
 		t.Fatalf("call after an abandoned flight: hwm %d, %v (stream corrupted?)", got, err)
 	}
 }
+
+// A write deadline is moved only when it would fire too soon or later
+// than the timeout asks, so whatever is kept still fails a stalled write
+// within the timeout, and no sooner than half of it.
+func TestNextWriteDeadline(t *testing.T) {
+	now := time.Unix(1000, 0)
+	const timeout = 30 * time.Second
+	for _, tc := range []struct {
+		name    string
+		armed   time.Time
+		timeout time.Duration
+		want    time.Time
+		rearm   bool
+	}{
+		{"none armed", time.Time{}, timeout, now.Add(timeout), true},
+		{"armed a moment ago", now.Add(timeout - time.Millisecond), timeout, now.Add(timeout - time.Millisecond), false},
+		{"armed half a timeout away", now.Add(timeout / 2), timeout, now.Add(timeout / 2), false},
+		{"armed nearer than half", now.Add(timeout/2 - time.Nanosecond), timeout, now.Add(timeout), true},
+		{"armed in the past", now.Add(-time.Second), timeout, now.Add(timeout), true},
+		{"a tighter override", now.Add(timeout), time.Second, now.Add(time.Second), true},
+		{"no timeout clears it", now.Add(timeout), 0, time.Time{}, true},
+		{"no timeout, none armed", time.Time{}, 0, time.Time{}, false},
+	} {
+		got, rearm := nextWriteDeadline(tc.armed, now, tc.timeout)
+		if !got.Equal(tc.want) || rearm != tc.rearm {
+			t.Errorf("%s: (%v, %v), want (%v, %v)", tc.name, got, rearm, tc.want, tc.rearm)
+		}
+		if tc.timeout > 0 && (got.After(now.Add(tc.timeout)) || got.Before(now.Add(tc.timeout/2))) {
+			t.Errorf("%s: deadline %v outside [now+%v, now+%v]", tc.name, got, tc.timeout/2, tc.timeout)
+		}
+	}
+}

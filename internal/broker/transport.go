@@ -84,6 +84,25 @@ type ServerOptions struct {
 // buffers) forever once its TCP window fills.
 const writeTimeout = 30 * time.Second
 
+// nextWriteDeadline returns the write deadline a connection should have
+// for a write that must fail within timeout of now (none for a timeout
+// of zero or less), given the one armed on it (zero: none), and whether
+// the armed one must be moved. Arming costs a timer update in the
+// runtime's poller, so an armed deadline is kept while it is at least
+// half the timeout away and no later than the timeout asks: a write that
+// stalls still fails within the timeout, and at least half of it after
+// it began.
+func nextWriteDeadline(armed, now time.Time, timeout time.Duration) (time.Time, bool) {
+	if timeout <= 0 {
+		return time.Time{}, !armed.IsZero()
+	}
+	want := now.Add(timeout)
+	if armed.IsZero() || armed.Sub(now) < timeout/2 || armed.After(want) {
+		return want, true
+	}
+	return armed, false
+}
+
 // Server exposes a Broker over TCP. Every op but hello goes through its
 // cluster node — a one-member cluster for a single broker — attached
 // with AttachNode once the listener is bound: produce and fetch are
@@ -280,15 +299,19 @@ func (s *Server) handle(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, 64<<10)
 	fb := getFrame()
 	defer putFrame(fb)
+	var wdl time.Time // the write deadline armed on conn
 	for {
 		if err := readFrameInto(br, fb); err != nil {
 			return // EOF or broken connection
 		}
-		// One write deadline covers everything the request's handling
+		// A write deadline covers everything the request's handling
 		// writes (including bufio spills mid-handling): a client that
 		// stops draining shows up as a write error, not a wedged
-		// handler.
-		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		// handler. It is moved only when it would fire too soon.
+		if dl, rearm := nextWriteDeadline(wdl, time.Now(), writeTimeout); rearm {
+			_ = conn.SetWriteDeadline(dl)
+			wdl = dl
+		}
 		if err := s.handleBinary(fb.b, bw); err != nil {
 			return
 		}

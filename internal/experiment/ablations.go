@@ -138,10 +138,10 @@ func addRoundRobin(d *sampling.DistributedOASRS, events []stream.Event, w int) {
 	wg.Wait()
 }
 
-// AblationReservoirSkip compares two ways of drawing Algorithm R's
-// acceptances at several sampling ratios: a coin flip per item past fill
-// (one RNG draw each) against Reservoir's multiplicative skip chain (one
-// multiply per rejected item, two draws per accepted one).
+// AblationReservoirSkip compares two ways of drawing Algorithm R's slot
+// per item past fill at several sampling ratios: a stateful generator's
+// draw and a branch on its accept, against Reservoir's keyed draw with a
+// branch-free store (the rejected item goes to a spare slot).
 func AblationReservoirSkip(o Options) (*Table, error) {
 	o = o.withDefaults()
 	rng := xrand.New(o.Seed)
@@ -152,7 +152,7 @@ func AblationReservoirSkip(o Options) (*Table, error) {
 	}
 	t := &Table{
 		ID:      "abl-skip",
-		Title:   "Reservoir: a coin flip per item vs the skip chain",
+		Title:   "Reservoir: a stateful draw and a branch per item vs the keyed, branch-free draw",
 		Columns: []string{"algorithm", "reservoir-size", "throughput(items/s)"},
 	}
 	for _, capN := range []int{100, 10000} {
@@ -166,13 +166,13 @@ func AblationReservoirSkip(o Options) (*Table, error) {
 			}
 		}
 		sw.Add(int64(n))
-		t.Rows = append(t.Rows, []string{"algorithm-r", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})
+		t.Rows = append(t.Rows, []string{"stateful-branch", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})
 
 		r := sampling.NewReservoir(capN, rng.Split())
 		sw = metrics.Start()
 		r.AddBatch(values)
 		sw.Add(int64(n))
-		t.Rows = append(t.Rows, []string{"skip-chain", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})
+		t.Rows = append(t.Rows, []string{"keyed-branch-free", fmt.Sprintf("%d", capN), fmtThroughput(sw.Throughput())})
 	}
 	return t, nil
 }

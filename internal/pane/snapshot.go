@@ -14,7 +14,7 @@ import (
 // State is a Sampler's serialized form: its random state, the fraction in
 // force, the current segment with this and the previous segment's arrival
 // counts, the watermark, the late count and the OASRS sampler with its
-// skip chains.
+// interval seed and reservoirs.
 type State struct {
 	RNG       xrand.State          `json:"rng"`
 	Fraction  float64              `json:"controllerFraction"`

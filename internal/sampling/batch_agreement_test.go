@@ -12,11 +12,11 @@ import (
 )
 
 // These tests pin sampling in chunks to sampling one record per call (the
-// scalar path, "Add" in their names): both run the one skip chain, which
-// outlives every call, so they draw the same numbers at the same items
-// and keep the same ones — the samples are equal, not merely alike. The
-// distribution itself is pinned against theory (each item kept with
-// probability N/n).
+// scalar path, "Add" in their names): an item's draw depends on its
+// reservoir's key and count alone, so both draw the same numbers at the
+// same items and keep the same ones — the samples are equal, not merely
+// alike. The distribution itself is pinned against theory (each item
+// kept with probability N/n).
 
 // addEachEvent offers events to o one record per call.
 func addEachEvent(o *OASRS, events []stream.Event) {
@@ -28,7 +28,7 @@ func addEachEvent(o *OASRS, events []stream.Event) {
 }
 
 // feedBatches offers events through AddBatch in randomly sized chunks,
-// carrying skip chains across every chunk boundary.
+// cutting every stratum's run at random chunk boundaries.
 func feedBatches(o *OASRS, events []stream.Event, rng *xrand.Rand) {
 	for i := 0; i < len(events); {
 		j := i + 1 + rng.Intn(40)
@@ -79,8 +79,8 @@ func TestReservoirAddBatchBookkeepingMatchesAdd(t *testing.T) {
 
 // TestReservoirAddBatchAgreesWithAddOnValues offers a skewed value column
 // one value per call and in runs of random length, from the same random
-// state: the two reservoirs, skip chains
-// included, and their random streams must end bit-identical.
+// state: the two reservoirs and their random streams must end
+// bit-identical.
 func TestReservoirAddBatchAgreesWithAddOnValues(t *testing.T) {
 	const n, capN, trials = 120, 12, 2000
 	values := make([]float64, n)
@@ -128,10 +128,9 @@ func TestOASRSAddBatchHonoursRange(t *testing.T) {
 	}
 }
 
-// TestReservoirAddBatchUniformity pins the skip chain to theory: it must
+// TestReservoirAddBatchUniformity pins the keyed draw to theory: it must
 // leave every stream item with Algorithm R's marginal selection
-// probability N/n when the stream arrives as many small batches the chain
-// runs across.
+// probability N/n when the stream arrives as many small batches.
 func TestReservoirAddBatchUniformity(t *testing.T) {
 	const n, capN, trials = 100, 10, 20000
 	counts := make([]int, n)

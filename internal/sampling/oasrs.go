@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -43,7 +44,8 @@ func (EqualShare) StratumSize(totalBudget, numStrata int) int {
 // Algorithm 3). It stratifies the input stream by Event.Stratum, runs an
 // independent reservoir per stratum, counts arrivals per stratum (Ci), and
 // on Finish emits the weighted sample of the interval with weights per
-// Equation 1.
+// Equation 1. A stratum's reservoir is keyed by the interval's seed and
+// the stratum's name, so its sample is a function of its own records.
 //
 // Properties (§3.2): no sub-stream is overlooked regardless of popularity;
 // no advance knowledge of sub-stream statistics is needed; sampling is
@@ -63,6 +65,7 @@ type OASRS struct {
 	budget int
 	policy SizePolicy
 	rng    *xrand.Rand
+	seed   uint64 // the interval's, which keys its reservoirs
 
 	reservoirs map[string]*Reservoir
 	order      []string // strata in first-seen order, for stable iteration
@@ -95,9 +98,13 @@ type OASRS struct {
 }
 
 // NewOASRS returns an OASRS sampler with the given total sample-size
-// budget per interval. policy may be nil, in which case EqualShare is
-// used.
+// budget per interval, its first interval's seed drawn from rng. policy
+// may be nil, in which case EqualShare is used.
 func NewOASRS(budget int, policy SizePolicy, rng *xrand.Rand) *OASRS {
+	return newOASRS(budget, policy, rng, rng.Uint64())
+}
+
+func newOASRS(budget int, policy SizePolicy, rng *xrand.Rand, seed uint64) *OASRS {
 	if policy == nil {
 		policy = EqualShare{}
 	}
@@ -108,6 +115,7 @@ func NewOASRS(budget int, policy SizePolicy, rng *xrand.Rand) *OASRS {
 		budget:     budget,
 		policy:     policy,
 		rng:        rng,
+		seed:       seed,
 		reservoirs: make(map[string]*Reservoir),
 		prev:       make(map[string]int64),
 		big:        -1,
@@ -156,13 +164,15 @@ func SegmentBudget(fraction float64, lastCount int) int {
 // Budget returns the current total sample-size budget.
 func (o *OASRS) Budget() int { return o.budget }
 
-// resolve returns the stratum's reservoir, creating it on first sight
-// per Algorithm 3: a new sub-stream Si gets its sample size Ni
-// adaptively, assuming at least as many strata as the previous interval
-// saw — and, when it overflowed that share in the previous interval, the
-// larger size the plan affords it. Its buffer is reserved for what the
-// stratum had in the previous interval, up to that size.
-func (o *OASRS) resolve(stratum string) *Reservoir {
+// resolve returns the reservoir of dictionary ID id, entering it in
+// dense, and creates the stratum's on first sight per Algorithm 3: a new
+// sub-stream Si gets its sample size Ni adaptively, assuming at least as
+// many strata as the previous interval saw — and, when it overflowed that
+// share in the previous interval, the larger size the plan affords it.
+// Its buffer is reserved for what the stratum had in the previous
+// interval, up to that size.
+func (o *OASRS) resolve(dict []string, dense []*Reservoir, id uint) *Reservoir {
+	stratum := dict[id]
 	res, ok := o.reservoirs[stratum]
 	if !ok {
 		size := o.policy.StratumSize(o.budget, max(len(o.order)+1, o.expected))
@@ -176,13 +186,25 @@ func (o *OASRS) resolve(stratum string) *Reservoir {
 		if k := len(o.free); k > 0 {
 			res, o.free = o.free[k-1], o.free[:k-1]
 		} else {
-			res = &Reservoir{rng: o.rng}
+			res = &Reservoir{}
 		}
 		res.resize(size, int(min(prev, int64(size))))
+		res.key = o.stratumKey(stratum)
 		o.reservoirs[stratum] = res
 		o.order = append(o.order, stratum)
 	}
+	dense[id] = res
 	return res
+}
+
+// stratumKey is the stratum's reservoir key: the interval's seed mixed
+// with the name's FNV-1a hash, which every process computes alike.
+func (o *OASRS) stratumKey(stratum string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(stratum); i++ {
+		h = (h ^ uint64(stratum[i])) * 1099511628211
+	}
+	return xrand.At(o.seed, h)
 }
 
 // plan water-fills the budget over the previous interval's arrival
@@ -211,59 +233,70 @@ func (o *OASRS) plan() {
 	}
 }
 
-// AddBatch offers records [from, to) of a columnar batch. Records are
-// processed in runs of equal stratum ID; each run resolves its
-// reservoir once (through a dense table indexed by the batch-local
-// dictionary ID, so even alternating strata cost one map probe per
-// distinct stratum per call), and the reservoir samples the run, finding
-// its end as it goes.
-// The sample does not depend on how a stream's records are split into
-// calls, number for number: the reservoirs' skip chains outlive the runs.
+// AddBatch offers records [from, to) of a columnar batch in one loop:
+// each looks its reservoir up through a table indexed by the batch-local
+// dictionary ID (one map probe per distinct stratum per call), then
+// takes Reservoir.AddBatch's step. As a draw depends on the stratum's
+// count alone, the sample does not depend on how records are batched.
 func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 	if from >= to {
 		return
 	}
-	dense := o.dense
-	if cap(dense) < len(b.Dict) {
-		dense = make([]*Reservoir, len(b.Dict))
-		o.dense = dense
-	}
-	dense = dense[:len(b.Dict)]
 	// Dictionary IDs are batch-local, so the table cannot be trusted
 	// across calls (pooled batches recycle pointers); clearing it is a
-	// few words per distinct stratum.
+	// few words per distinct stratum. Its length is a power of two no
+	// shorter than the dictionary, so masking an ID leaves it as it is
+	// and proves it in range: the lookup checks no bound.
+	mask := uint(1)<<bits.Len32(uint32(max(len(b.Dict), 1)-1)) - 1
+	if uint(cap(o.dense)) <= mask {
+		o.dense = make([]*Reservoir, mask+1)
+	}
+	dense := o.dense[:mask+1]
 	clear(dense)
 	strata, values := b.Strata[:to], b.Values[:to]
-	for i := from; i < to; {
-		id := strata[i]
+	for i := uint(from); i < uint(to); i++ { // per record
+		id := uint(strata[i]) & mask
 		res := dense[id]
 		if res == nil {
-			res = o.resolve(b.Dict[id])
-			dense[id] = res
+			res = o.resolve(b.Dict, dense, id)
 		}
-		i = res.offer(strata, values, i, id)
+		res.seen++
+		if t, n := uint64(res.seen), uint64(res.capacity); t <= n {
+			res.vals = append(res.vals, values[i])
+		} else {
+			if t == n+1 {
+				res.vals = append(res.vals, 0)
+			}
+			j, lo := bits.Mul64(xrand.At(res.key, t), t)
+			if lo < t {
+				j = redraw(res.key, t, j, lo)
+			}
+			res.vals[min(j, n)] = values[i] // slot store
+		}
 	}
 }
 
 // Drain ends the interval: it calls visit with the interval's weighted
 // sample — strata in key order, weights per Equation 1, value columns
 // read in place from the reservoirs — and then resets the sampler for
-// the next interval, keeping the emptied reservoirs for reuse. The sample
-// and its values are only valid until visit returns; a caller that keeps
-// them copies them (Finish does). Reservoir sizes are re-derived as strata
-// reappear — from the budget then in force and the arrival counts this
-// interval ends with — so arrival-rate changes and budget changes are
-// picked up automatically, one interval behind.
+// the next interval, keeping the emptied reservoirs for reuse, and draws
+// the next interval's seed. The sample and its values are only valid
+// until visit returns; a caller that keeps them copies them (Finish
+// does). Reservoir sizes are re-derived as strata reappear — from the
+// budget then in force and the arrival counts this interval ends with —
+// so arrival-rate changes and budget changes are picked up
+// automatically, one interval behind.
 func (o *OASRS) Drain(visit func(s *Sample)) {
 	sort.Strings(o.order)
 	strata := o.view.Strata[:0]
 	for _, key := range o.order {
 		res := o.reservoirs[key]
+		vals := res.sample()
 		strata = append(strata, StratumSample{
 			Stratum: key,
-			Values:  res.vals,
+			Values:  vals,
 			Count:   res.seen,
-			Weight:  weightFor(res.seen, len(res.vals)),
+			Weight:  weightFor(res.seen, len(vals)),
 		})
 	}
 	o.view.Strata = strata
@@ -276,6 +309,7 @@ func (o *OASRS) Drain(visit func(s *Sample)) {
 		o.free = append(o.free, res)
 	}
 	clear(o.reservoirs)
+	o.seed = o.rng.Uint64()
 	o.big = -1
 	o.expected = len(o.order)
 	o.order = o.order[:0]

@@ -1,7 +1,9 @@
 package sampling
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -119,8 +121,8 @@ func offerInChunks(r *Reservoir, values []float64, split *xrand.Rand, max int) {
 	}
 }
 
-// The tests named SkipReservoir pin the reservoir's skip regime — past
-// fill, where the chain draws the acceptances — as it runs across calls.
+// The tests named SkipReservoir pin the reservoir past fill, where each
+// item takes its keyed draw, as it runs across calls.
 
 func TestSkipReservoirMatchesSemantics(t *testing.T) {
 	r := NewReservoir(10, xrand.New(6))
@@ -141,23 +143,27 @@ func TestSkipReservoirMatchesSemantics(t *testing.T) {
 	}
 }
 
-// Below capacity nothing is random: every value is kept in order and no
-// number is drawn.
+// Below capacity nothing is random: every value is kept in order, no
+// number is drawn, and no spare slot is allocated.
 func TestSkipReservoirUnderfill(t *testing.T) {
 	rng := xrand.New(7)
-	before := rng.State()
 	r := NewReservoir(10, rng)
+	before := rng.State()
 	r.AddBatch(mkValues(3))
 	r.AddBatch([]float64{3})
 	if got := r.Values(); !slices.Equal(got, mkValues(4)) {
 		t.Errorf("got %v, want all 4 in order", got)
 	}
-	if rng.State() != before || r.State().P != 0 {
+	if rng.State() != before {
 		t.Error("an underfull reservoir drew from its random stream")
+	}
+	r.AddBatch(mkValues(6))
+	if len(r.vals) != 10 {
+		t.Errorf("a reservoir filled to capacity holds %d slots, want 10", len(r.vals))
 	}
 }
 
-// TestSkipReservoirUniformity pins the skip chain at the edges of the
+// TestSkipReservoirUniformity pins the keyed draw at the edges of the
 // sampling ratio: one slot, and half the stream. Every position is kept
 // with probability N/n.
 func TestSkipReservoirUniformity(t *testing.T) {
@@ -183,26 +189,58 @@ func TestSkipReservoirUniformity(t *testing.T) {
 	}
 }
 
-// Reset ends the skip chain in flight: the reset reservoir samples what a
-// new one would from the same random state.
+// Reset keeps the key: the reset reservoir samples what a new one with
+// the same key does.
 func TestSkipReservoirReset(t *testing.T) {
-	rng := xrand.New(8)
+	rng, twin := xrand.New(8), xrand.New(8)
 	r := NewReservoir(5, rng)
 	r.AddBatch(mkValues(100))
-	if r.State().P == 0 {
-		t.Fatal("precondition: no chain in flight after 100 offers")
-	}
 	r.Reset()
-	if st := r.State(); st.Seen != 0 || len(st.Values) != 0 || st.U != 0 || st.P != 0 {
+	if st := r.State(); st.Seen != 0 || len(st.Values) != 0 || st.Capacity != 5 {
 		t.Fatalf("Reset left %+v", st)
 	}
-	twin := xrand.New(0)
-	twin.SetState(rng.State())
 	fresh := NewReservoir(5, twin)
 	r.AddBatch(mkValues(100))
 	fresh.AddBatch(mkValues(100))
 	if !slices.Equal(r.Values(), fresh.Values()) {
 		t.Errorf("after Reset %v, a new reservoir %v", r.Values(), fresh.Values())
+	}
+}
+
+// Over many keys the keyed draw keeps each of n items at Algorithm R's
+// rate N/n, and a pair of items together at N(N−1)/(n(n−1)), within
+// binomial bounds.
+func TestKeyedReservoirInclusion(t *testing.T) {
+	const n, capN, keys = 40, 8, 4000
+	counts := make([]int, n)
+	pairs := [][2]int{{0, 1}, {0, n - 1}, {capN - 1, capN}, {n - 2, n - 1}}
+	together := make([]int, len(pairs))
+	values, rng := mkValues(n), xrand.New(51)
+	for range keys {
+		r := NewReservoir(capN, rng)
+		r.AddBatch(values)
+		kept := make([]bool, n)
+		for _, v := range r.Values() {
+			kept[int(v)] = true
+			counts[int(v)]++
+		}
+		for i, p := range pairs {
+			if kept[p[0]] && kept[p[1]] {
+				together[i]++
+			}
+		}
+	}
+	within := func(what string, c int, p float64) {
+		want, sd := keys*p, math.Sqrt(keys*p*(1-p))
+		if math.Abs(float64(c)-want) > 5*sd {
+			t.Errorf("%s kept %d times in %d keys, want %.0f±%.0f", what, c, keys, want, 5*sd)
+		}
+	}
+	for i, c := range counts {
+		within(fmt.Sprintf("item %d", i), c, float64(capN)/n)
+	}
+	for i, p := range pairs {
+		within(fmt.Sprintf("items %v", p), together[i], float64(capN*(capN-1))/(n*(n-1)))
 	}
 }
 
@@ -236,4 +274,29 @@ func BenchmarkReservoirAddBatch(b *testing.B) {
 		}
 		report(b)
 	})
+}
+
+// At t = 3·2⁶², ⌊x·t/2⁶⁴⌋ alone would draw a multiple of 3 half the time;
+// with redraw's rejection each residue is drawn a third of the time.
+func TestRedrawMakesLemireExact(t *testing.T) {
+	const n, draws = 3 << 62, 30000
+	rng := xrand.New(52)
+	zeros := 0
+	for range draws {
+		key := rng.Uint64()
+		j, lo := bits.Mul64(xrand.At(key, n), n)
+		if lo < n {
+			j = redraw(key, n, j, lo)
+		}
+		if j >= n {
+			t.Fatalf("drew %d, outside [0, %d)", j, uint64(n))
+		}
+		if j%3 == 0 {
+			zeros++
+		}
+	}
+	want, sd := draws/3.0, math.Sqrt(draws*(1.0/3)*(2.0/3))
+	if math.Abs(float64(zeros)-want) > 5*sd {
+		t.Errorf("a multiple of 3 drawn %d times in %d, want %.0f±%.0f", zeros, draws, want, 5*sd)
+	}
 }

@@ -1,10 +1,10 @@
 // Package sampling implements the sampling algorithms evaluated in the
 // StreamApprox paper:
 //
-//   - Reservoir: reservoir sampling (paper Algorithm 1) with Algorithm R's
-//     per-item acceptance probability, drawn by one multiplicative skip
-//     chain that outlives the call, so a sample does not depend on how
-//     its values were batched.
+//   - Reservoir: reservoir sampling (paper Algorithm 1, Algorithm R), each
+//     item's slot drawn from a stream keyed per reservoir at the item's
+//     position, so a sample does not depend on how its values were
+//     batched, nor on what other reservoirs were offered.
 //   - OASRS: Online Adaptive Stratified Reservoir Sampling (paper
 //     Algorithm 3, §3.2) — the paper's primary contribution.
 //   - DistributedOASRS: the synchronization-free parallel extension of

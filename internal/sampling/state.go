@@ -13,51 +13,42 @@ import (
 // continues exactly where the original left off (given the captured RNG
 // state is restored alongside, which the Session does).
 
-// ReservoirState is a Reservoir's serializable state. U and P are the
-// skip chain in flight; a state without them — every state written before
-// the chain outlived a call — has none, which is what a reservoir between
-// two such calls had.
+// ReservoirState is a Reservoir's serializable state; OASRS derives the
+// key. A skip chain ("u", "p") an older build wrote is not read: Algorithm
+// R's draws are independent per item, so restoring without it is exact.
 type ReservoirState struct {
 	Capacity int       `json:"capacity"`
 	Seen     int64     `json:"seen"`
 	Values   []float64 `json:"values"`
-	U        float64   `json:"u,omitempty"`
-	P        float64   `json:"p,omitempty"`
 }
 
-// Validate reports a state no reservoir could have been in: more values
-// than capacity or than were offered, or a skip chain outside its domain
-// (none in flight, or 0 < u < p <= 1 in a full reservoir). A chain with
-// u <= 0 or p <= u would never accept again.
+// Validate reports a state no reservoir could have been in: a capacity
+// below one, or other than min(seen, capacity) values.
 func (st ReservoirState) Validate() error {
 	switch {
-	case len(st.Values) > st.Capacity:
-		return fmt.Errorf("%d values in capacity %d", len(st.Values), st.Capacity)
-	case st.Seen < int64(len(st.Values)):
-		return fmt.Errorf("%d values of %d seen", len(st.Values), st.Seen)
-	case st.P == 0 && st.U == 0:
-		return nil
-	case !(0 < st.U && st.U < st.P && st.P <= 1):
-		return fmt.Errorf("skip chain u=%g p=%g", st.U, st.P)
-	case len(st.Values) != st.Capacity:
-		return fmt.Errorf("skip chain in flight in a reservoir holding %d of %d", len(st.Values), st.Capacity)
+	case st.Capacity < 1:
+		return fmt.Errorf("capacity %d", st.Capacity)
+	case int64(len(st.Values)) != min(st.Seen, int64(st.Capacity)):
+		return fmt.Errorf("%d values of %d seen in capacity %d", len(st.Values), st.Seen, st.Capacity)
 	}
 	return nil
 }
 
-// State captures the reservoir's contents, counters and skip chain.
+// State captures the reservoir's contents and counter.
 func (r *Reservoir) State() ReservoirState {
-	return ReservoirState{Capacity: r.capacity, Seen: r.seen, Values: r.Values(), U: r.u, P: r.p}
+	return ReservoirState{Capacity: r.capacity, Seen: r.seen, Values: r.Values()}
 }
 
-// RestoreReservoir rebuilds a reservoir from a state, its buffer reserved
-// for the state's values.
-func RestoreReservoir(st ReservoirState, rng *xrand.Rand) *Reservoir {
-	r := &Reservoir{rng: rng}
+// RestoreReservoir rebuilds a reservoir keyed key from a state, its
+// buffer reserved for the state's values.
+func RestoreReservoir(st ReservoirState, key uint64) *Reservoir {
+	r := &Reservoir{key: key}
 	r.resize(st.Capacity, len(st.Values))
 	r.seen = st.Seen
 	r.vals = append(r.vals, st.Values[:min(len(st.Values), r.capacity)]...)
-	r.u, r.p = st.U, st.P
+	if r.seen > int64(r.capacity) {
+		r.vals = append(r.vals, 0) // the spare slot
+	}
 	return r
 }
 
@@ -72,16 +63,22 @@ type OASRSState struct {
 	// it existed has none and restores with no history to plan from, like
 	// a sampler in its first interval: each such stratum gets its share.
 	Prev map[string]int64 `json:"prev,omitempty"`
+	// Seed is the interval's seed. A state written before reservoirs were
+	// keyed has none and restores with one drawn from the restored random
+	// source, once.
+	Seed *uint64 `json:"intervalSeed,omitempty"`
 }
 
 // State captures the sampler's per-stratum reservoirs and counters.
 func (o *OASRS) State() OASRSState {
+	seed := o.seed
 	st := OASRSState{
 		Budget:     o.budget,
 		Expected:   o.expected,
 		Order:      append([]string(nil), o.order...),
 		Reservoirs: make(map[string]ReservoirState, len(o.reservoirs)),
 		Prev:       maps.Clone(o.prev),
+		Seed:       &seed,
 	}
 	for key, res := range o.reservoirs {
 		st.Reservoirs[key] = res.State()
@@ -92,12 +89,17 @@ func (o *OASRS) State() OASRSState {
 // RestoreOASRS rebuilds an OASRS sampler from a state. policy may be nil
 // for the default EqualShare.
 func RestoreOASRS(st OASRSState, policy SizePolicy, rng *xrand.Rand) *OASRS {
-	o := NewOASRS(st.Budget, policy, rng)
+	o := newOASRS(st.Budget, policy, rng, 0)
+	if st.Seed != nil {
+		o.seed = *st.Seed
+	} else {
+		o.seed = rng.Uint64()
+	}
 	o.expected = st.Expected
 	o.order = append(o.order[:0], st.Order...)
 	maps.Copy(o.prev, st.Prev)
 	for key, rs := range st.Reservoirs {
-		o.reservoirs[key] = RestoreReservoir(rs, rng)
+		o.reservoirs[key] = RestoreReservoir(rs, o.stratumKey(key))
 	}
 	return o
 }

@@ -2,22 +2,21 @@ package sampling
 
 import (
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
 	"streamapprox/internal/xrand"
 )
 
-// A state taken mid-chain, through JSON, continues to the reservoir the
-// uninterrupted one becomes, however the rest arrives.
+// A state taken past fill, through JSON, restored under the reservoir's
+// key, continues to the reservoir the uninterrupted one becomes, however
+// the rest arrives.
 func TestReservoirStateRoundTrip(t *testing.T) {
-	rng := xrand.New(1)
-	r := NewReservoir(5, rng)
+	r := NewReservoir(5, xrand.New(1))
 	r.AddBatch(mkValues(100))
 	st := r.State()
-	if st.Capacity != 5 || st.Seen != 100 || len(st.Values) != 5 || st.P == 0 {
-		t.Fatalf("state = %+v, want a full reservoir with a chain in flight", st)
+	if st.Capacity != 5 || st.Seen != 100 || len(st.Values) != 5 {
+		t.Fatalf("state = %+v, want a full reservoir", st)
 	}
 	data, err := json.Marshal(st)
 	if err != nil {
@@ -27,9 +26,7 @@ func TestReservoirStateRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	twin := xrand.New(0)
-	twin.SetState(rng.State())
-	restored := RestoreReservoir(back, twin)
+	restored := RestoreReservoir(back, r.key)
 	rest := mkValues(600)[100:]
 	r.AddBatch(rest)
 	addEach(restored, rest)
@@ -45,19 +42,15 @@ func TestReservoirStateValidate(t *testing.T) {
 		st   ReservoirState
 		ok   bool
 	}{
-		{"no chain", ReservoirState{Capacity: 3, Seen: 9, Values: full}, true},
+		{"full", ReservoirState{Capacity: 3, Seen: 9, Values: full}, true},
+		{"just full", ReservoirState{Capacity: 3, Seen: 3, Values: full}, true},
 		{"underfull", ReservoirState{Capacity: 3, Seen: 2, Values: full[:2]}, true},
-		{"chain in flight", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.2, P: 0.5}, true},
-		{"fresh chain", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.2, P: 1}, true},
+		{"empty", ReservoirState{Capacity: 3}, true},
 		{"more values than capacity", ReservoirState{Capacity: 2, Seen: 9, Values: full}, false},
 		{"more values than seen", ReservoirState{Capacity: 3, Seen: 2, Values: full}, false},
-		{"u without p", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.2}, false},
-		{"p without u", ReservoirState{Capacity: 3, Seen: 9, Values: full, P: 0.5}, false},
-		{"negative u", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: -0.2, P: 0.5}, false},
-		{"u at p", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.5, P: 0.5}, false},
-		{"p above one", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: 0.2, P: 1.5}, false},
-		{"NaN", ReservoirState{Capacity: 3, Seen: 9, Values: full, U: math.NaN(), P: 0.5}, false},
-		{"chain before fill", ReservoirState{Capacity: 3, Seen: 2, Values: full[:2], U: 0.2, P: 0.5}, false},
+		{"fewer values than seen", ReservoirState{Capacity: 3, Seen: 2, Values: full[:1]}, false},
+		{"fewer values than capacity", ReservoirState{Capacity: 3, Seen: 9, Values: full[:2]}, false},
+		{"no capacity", ReservoirState{}, false},
 	} {
 		if err := tc.st.Validate(); (err == nil) != tc.ok {
 			t.Errorf("%s: Validate() = %v", tc.name, err)
@@ -67,7 +60,7 @@ func TestReservoirStateValidate(t *testing.T) {
 
 func TestReservoirStateClampsOversizedValues(t *testing.T) {
 	st := ReservoirState{Capacity: 2, Seen: 10, Values: mkValues(5)}
-	r := RestoreReservoir(st, xrand.New(2))
+	r := RestoreReservoir(st, 2)
 	if len(r.Values()) != 2 {
 		t.Errorf("restored %d values into capacity 2", len(r.Values()))
 	}

@@ -83,7 +83,13 @@ func mix(z uint64) uint64 {
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *Rand) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	return At(r.state, 0)
+}
+
+// At returns the n-th Uint64 of New(key) without drawing the ones before
+// it: splitmix64 is counter-based, its n-th state key + n·γ.
+func At(key, n uint64) uint64 {
+	z := key + n*0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -268,6 +268,28 @@ func TestUint64nMatchesEagerThreshold(t *testing.T) {
 	}
 }
 
+// At(key, n) is the n-th Uint64 of New(key): by running the generator
+// for small n, and for n = 2⁴⁰ by the closed form, the state key + n·γ
+// through the finalizer.
+func TestAtIsNthUint64(t *testing.T) {
+	for _, key := range []uint64{0, 1, 42, 0x9e3779b97f4a7c15, 1<<64 - 1} {
+		r := New(key)
+		for n := uint64(1); n <= 1000; n++ {
+			want := r.Uint64()
+			if (n == 1 || n == 2 || n == 1000) && At(key, n) != want {
+				t.Errorf("At(%#x, %d) = %#x, want %#x", key, n, At(key, n), want)
+			}
+		}
+		n := uint64(1) << 40
+		z := key + n*0x9e3779b97f4a7c15
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		if want := z ^ (z >> 31); At(key, n) != want {
+			t.Errorf("At(%#x, 2⁴⁰) = %#x, want %#x", key, At(key, n), want)
+		}
+	}
+}
+
 func BenchmarkUint64n(b *testing.B) {
 	r := New(1)
 	for i := 0; i < b.N; i++ {

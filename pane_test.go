@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"streamapprox/internal/estimate"
+	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
@@ -429,5 +430,42 @@ func TestSteadyStateAllocations(t *testing.T) {
 			}
 			b.Release()
 		}
+	}
+}
+
+// TestStratumSampleIgnoresOtherStrata: a stratum's pane sample is a
+// function of the seed and its own records. Stratum a's 500 records
+// sampled alone and with two other strata interleaved, from the same
+// seed, keep the same values in the same slots.
+func TestStratumSampleIgnoresOtherStrata(t *testing.T) {
+	base := time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC).UnixNano()
+	sampleOfA := func(others bool) []float64 {
+		b := stream.GetEventBatch()
+		defer b.Release()
+		ids := []int32{b.Intern("a"), b.Intern("b"), b.Intern("c")}
+		for i := range 500 {
+			at := base + int64(i)*int64(time.Millisecond)
+			b.Append(ids[0], float64(i), at)
+			if others {
+				b.Append(ids[1+i%2], float64(-i), at)
+			}
+		}
+		var got []float64
+		p := pane.NewSampler(time.Second, 0.1, 7)
+		cut := func(_ int64, s *sampling.Sample, _ int64) {
+			if s != nil {
+				got = append(got, s.Stratum("a").Values...)
+			}
+		}
+		p.Push(b, 0, b.Len(), cut)
+		p.Close(cut)
+		return got
+	}
+	alone, mixed := sampleOfA(false), sampleOfA(true)
+	if len(alone) != 64 {
+		t.Fatalf("stratum a kept %d of 500 values, want the first segment's budget, 64", len(alone))
+	}
+	if !reflect.DeepEqual(alone, mixed) {
+		t.Errorf("stratum a's sample alone %v, interleaved %v", alone, mixed)
 	}
 }
