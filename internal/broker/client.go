@@ -174,10 +174,10 @@ type flight struct {
 // start registers a correlation ID, encodes and writes the request and
 // returns without waiting for the reply, so one goroutine can put
 // requests on several connections before it blocks on any. The deadline
-// runs from here and covers await's wait; the frame write fails within
-// it too (see nextWriteDeadline). A write
-// failure aborts the whole connection — a half-written frame corrupts
-// the pipelined stream for every other in-flight request.
+// runs from here and covers await's wait; a stalled frame write fails
+// within it too (see nextWriteDeadline). A write failure aborts the
+// whole connection — a half-written frame corrupts the pipelined stream
+// for every other in-flight request.
 func (c *client) start(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (flight, error) {
 	f := flight{ch: make(chan *frameBuf, 1), timeout: timeout}
 	c.pendMu.Lock()
