@@ -170,7 +170,7 @@ func (o *OASRS) Budget() int { return o.budget }
 // many strata as the previous interval saw — and, when it overflowed that
 // share in the previous interval, the larger size the plan affords it.
 // Its buffer is reserved for what the stratum had in the previous
-// interval, up to that size.
+// interval, up to that size and the spare slot.
 func (o *OASRS) resolve(dict []string, dense []*Reservoir, id uint) *Reservoir {
 	stratum := dict[id]
 	res, ok := o.reservoirs[stratum]
@@ -188,7 +188,7 @@ func (o *OASRS) resolve(dict []string, dense []*Reservoir, id uint) *Reservoir {
 		} else {
 			res = &Reservoir{}
 		}
-		res.resize(size, int(min(prev, int64(size))))
+		res.resize(size, int(prev))
 		res.key = o.stratumKey(stratum)
 		o.reservoirs[stratum] = res
 		o.order = append(o.order, stratum)

@@ -39,16 +39,16 @@ func NewReservoir(capacity int, rng *xrand.Rand) *Reservoir {
 }
 
 // resize sets an empty reservoir's capacity. Its value buffer is kept
-// when it holds min(capacity, expect) values already, and otherwise
-// reserved for that many: a capacity is a bound — Unbounded's share of a
-// budget, say — not what arrives, and the fill appends past what was
-// reserved.
+// when it holds min(capacity, expect) values already, and the spare slot
+// when expect exceeds capacity, and otherwise reserved for that many: a
+// capacity is a bound — Unbounded's share of a budget, say — not what
+// arrives, and the fill appends past what was reserved.
 func (r *Reservoir) resize(capacity, expect int) {
 	if capacity <= 0 {
 		capacity = 1
 	}
 	r.capacity = capacity
-	if n := min(capacity, expect); cap(r.vals) < n {
+	if n := min(capacity, expect-1) + 1; cap(r.vals) < n {
 		r.vals = make([]float64, 0, n)
 	}
 }

@@ -43,7 +43,7 @@ func (r *Reservoir) State() ReservoirState {
 // buffer reserved for the state's values.
 func RestoreReservoir(st ReservoirState, key uint64) *Reservoir {
 	r := &Reservoir{key: key}
-	r.resize(st.Capacity, len(st.Values))
+	r.resize(st.Capacity, int(st.Seen))
 	r.seen = st.Seen
 	r.vals = append(r.vals, st.Values[:min(len(st.Values), r.capacity)]...)
 	if r.seen > int64(r.capacity) {
