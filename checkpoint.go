@@ -8,10 +8,11 @@ import (
 	"streamapprox/internal/pane"
 )
 
-// Snapshot serializes the session's full state — in-flight segment
-// sampler with its interval seed, finished segments' summaries,
-// adaptive-controller position, RNG —
-// so processing can resume after a crash via RestoreSession. The session
+// Snapshot serializes the session's full state — the in-flight
+// segment's sampler with its interval seed, the finished segments'
+// summaries, the adaptive controller's position and the sampler's seed,
+// from which every later segment's interval seed is derived — so
+// processing can resume after a crash via RestoreSession. The session
 // remains usable after Snapshot.
 func (s *Session) Snapshot() ([]byte, error) {
 	st := pane.Snapshot{

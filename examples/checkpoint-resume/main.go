@@ -2,7 +2,7 @@
 // periodic checkpoint would), "crashes", and a restored Session finishes
 // the stream. The restored run produces bit-identical window estimates
 // to an uninterrupted reference run, because the snapshot captures the
-// reservoirs, pending windows, watermark and RNG state.
+// reservoirs, pending windows, watermark and the sampler's seed.
 package main
 
 import (

@@ -157,8 +157,8 @@ func TestFractionOneSnapshotStaysExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != 3 || st.Sampler == nil || st.Sampler.Budget != sampling.Unbounded {
-		t.Fatalf("snapshot version %d, sampler %+v: want version 3 at budget %d", st.Version, st.Sampler, sampling.Unbounded)
+	if st.Version != pane.Version || st.Sampler == nil || st.Sampler.Budget != sampling.Unbounded {
+		t.Fatalf("snapshot version %d, sampler %+v: want version %d at budget %d", st.Version, st.Sampler, pane.Version, sampling.Unbounded)
 	}
 	r, err := RestoreSession(snap)
 	if err != nil {

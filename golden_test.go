@@ -3,9 +3,12 @@ package streamapprox
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,13 +26,14 @@ import (
 // format, its version, the versions read and the last commit that
 // upgrades it, and the fixture is left as it was.
 //
-// The windows of all three fixtures were re-recorded twice: when
-// reservoirs began to carry their skip chain across calls, and when each
-// stratum's reservoir began to draw from its own keyed stream. Each time
-// a restored session drew other numbers than the writer did, so the
-// values moved, while every window's bounds, items, samples and groups
-// stayed those the code before the change produced. The snapshots are
-// the writers' bytes.
+// The windows of session_v3.json and session_v3_latency.json were
+// re-recorded three times: when reservoirs began to carry their skip
+// chain across calls, when each stratum's reservoir began to draw from
+// its own keyed stream, and when each pane's interval seed began to be
+// derived from the seed and the pane's start. Each time a restored
+// session drew other numbers than the writer did, so the values moved,
+// while every window's bounds, items, samples and groups stayed those the
+// code before the change produced. The snapshots are the writers' bytes.
 
 const (
 	goldenChunk = 37 // events per PushBatch; straddles segment boundaries
@@ -83,52 +87,23 @@ func goldenPush(t *testing.T, s *Session, events []Event, from, to int) []Window
 }
 
 func TestRestoreV1Golden(t *testing.T) {
-	const file = "testdata/session_v1.json"
-	data, err := os.ReadFile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden map[string]goldenCase
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatal(err)
-	}
-	for name := range goldenKinds {
-		gc, ok := golden[name]
-		if !ok {
-			t.Fatalf("golden has no %q case", name)
-		}
-		if v := snapshotVersionOf(t, gc.Snapshot); v != 1 {
-			t.Fatalf("%s: fixture is version %d, want 1", name, v)
-		}
-		s, err := RestoreSession(gc.Snapshot)
-		if err == nil {
-			s.Close()
-			t.Fatalf("%s: a version-1 snapshot restored", name)
-		}
-		for _, part := range []string{"session snapshot", "version 1", "versions 2 and 3", "commit 1338931"} {
-			if !strings.Contains(err.Error(), part) {
-				t.Errorf("%s: refusal %q does not name %q", name, err, part)
-			}
-		}
-	}
-	if after, err := os.ReadFile(file); err != nil || !bytes.Equal(after, data) {
-		t.Errorf("%s changed by the refused restores: %v", file, err)
-	}
+	refuseFixture(t, "testdata/session_v1.json", 1, "commit 1338931")
 }
 
 // testdata/session_v2.json was written the same way at commit ada15d9 —
 // the last one whose reservoirs and snapshots held {stratum, value, time}
-// rows (snapshot version 2: panes, plus the in-flight segment's rows). It
-// pins that a v2 snapshot restores into value-column reservoirs and
-// continues to the recorded windows, and that what the restored session
-// writes back is version 3.
-func TestRestoreV2Golden(t *testing.T) { restoreRowFixture(t, "testdata/session_v2.json", 2) }
+// rows (snapshot version 2: panes, plus the in-flight segment's rows).
+// Version 2 is two formats back too: its refusal names commit b228946,
+// the last that upgrades it.
+func TestRestoreV2Golden(t *testing.T) {
+	refuseFixture(t, "testdata/session_v2.json", 2, "commit b228946")
+}
 
-// restoreRowFixture restores each case of a row-format fixture, continues
-// it to the recorded windows, and requires the restored session's own
-// snapshot — version 3, smaller than the rows — to restore and continue
-// to the same windows.
-func restoreRowFixture(t *testing.T, file string, version int) {
+// refuseFixture requires every case of a fixture two or more formats back
+// to be refused with an error naming the format, its version, the
+// versions read and the last commit that upgrades it, and the fixture to
+// be left as it was.
+func refuseFixture(t *testing.T, file string, version int, commit string) {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
@@ -137,8 +112,6 @@ func restoreRowFixture(t *testing.T, file string, version int) {
 	if err := json.Unmarshal(data, &golden); err != nil {
 		t.Fatal(err)
 	}
-	events := goldenStream()
-	chunks := (len(events) + goldenChunk - 1) / goldenChunk
 	for name := range goldenKinds {
 		gc, ok := golden[name]
 		if !ok {
@@ -147,29 +120,19 @@ func restoreRowFixture(t *testing.T, file string, version int) {
 		if v := snapshotVersionOf(t, gc.Snapshot); v != version {
 			t.Fatalf("%s: fixture is version %d, want %d", name, v, version)
 		}
-		restored, err := RestoreSession(gc.Snapshot)
-		if err != nil {
-			t.Fatalf("%s: restore v%d: %v", name, version, err)
+		s, err := RestoreSession(gc.Snapshot)
+		if err == nil {
+			s.Close()
+			t.Fatalf("%s: a version-%d snapshot restored", name, version)
 		}
-		again, err := restored.Snapshot()
-		if err != nil {
-			t.Fatal(err)
+		for _, part := range []string{"session snapshot", fmt.Sprintf("version %d", version), "versions 3 and 4", commit} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%s: refusal %q does not name %q", name, err, part)
+			}
 		}
-		if v := snapshotVersionOf(t, again); v != 3 {
-			t.Errorf("%s: restored session snapshots as version %d, want 3", name, v)
-		}
-		if len(again) >= len(gc.Snapshot) {
-			t.Errorf("%s: value-column snapshot is %d bytes, the row snapshot was %d", name, len(again), len(gc.Snapshot))
-		}
-		got := append(goldenPush(t, restored, events, goldenCut, chunks), restored.Close()...)
-		requireSameWindows(t, name+" vs recorded", got, gc.Windows)
-
-		twice, err := RestoreSession(again)
-		if err != nil {
-			t.Fatalf("%s: restore the restored session's snapshot: %v", name, err)
-		}
-		want := append(goldenPush(t, twice, events, goldenCut, chunks), twice.Close()...)
-		requireSameWindows(t, name+" restored twice", want, got)
+	}
+	if after, err := os.ReadFile(file); err != nil || !bytes.Equal(after, data) {
+		t.Errorf("%s changed by the refused restores: %v", file, err)
 	}
 }
 
@@ -205,61 +168,127 @@ func goldenSkewStream() []Event {
 	return events
 }
 
+// testdata/session_v3_seeded.json was written the same way at commit
+// b228946, the last whose samplers drew each interval seed from a random
+// source, for the sum query at the fraction of session_v3.json: its
+// snapshot carries the in-flight segment's interval seed, and its windows
+// are the writer's.
+// The restored session keeps that seed, so the window the in-flight
+// segment closes is the writer's bit for bit. Every later segment draws
+// with its derived seed, so the later windows are the writer's in every
+// field but the estimates.
 func TestRestoreV3Golden(t *testing.T) {
-	data, err := os.ReadFile("testdata/session_v3.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var golden map[string]goldenCase
-	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatal(err)
-	}
 	events := goldenSkewStream()
 	exact := make(map[int64]float64) // sum of the values per 2 s segment
 	for _, e := range events {
 		exact[e.Time.Unix()/2*2] += e.Value
 	}
-	for name := range goldenKinds {
-		gc, ok := golden[name]
-		if !ok {
-			t.Fatalf("golden has no %q case", name)
-		}
-		if v := snapshotVersionOf(t, gc.Snapshot); v != 3 {
-			t.Fatalf("%s: fixture is version %d, want 3", name, v)
-		}
-		restored, err := RestoreSession(gc.Snapshot)
-		if err != nil {
-			t.Fatalf("%s: restore v3: %v", name, err)
-		}
-		// Same format, same decoder: what was read is what is written,
-		// in-flight reservoir capacities included, but for the interval
-		// seed the fixture predates, drawn once from its random state.
-		again, err := restored.Snapshot()
+	for file, kinds := range map[string][]string{
+		"testdata/session_v3.json":        slices.Collect(maps.Keys(goldenKinds)),
+		"testdata/session_v3_seeded.json": {"sum"},
+	} {
+		data, err := os.ReadFile(file)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if back := withoutDrawnSeed(t, again, gc.Snapshot); !bytes.Equal(back, gc.Snapshot) {
-			t.Errorf("%s: the restored session snapshots differently:\n%s\n%s", name, back, gc.Snapshot)
+		var golden map[string]goldenCase
+		if err := json.Unmarshal(data, &golden); err != nil {
+			t.Fatal(err)
 		}
-		chunks := (len(events) + goldenChunk - 1) / goldenChunk
-		got := append(goldenPush(t, restored, events, skewCut, chunks), restored.Close()...)
-		requireSameWindows(t, name+" vs recorded", got, gc.Windows)
-		for i, w := range got {
-			if name != "sum" {
-				continue
+		for _, name := range kinds {
+			gc, ok := golden[name]
+			if !ok {
+				t.Fatalf("%s has no %q case", file, name)
 			}
-			var truth float64
-			for at := w.Start.Unix(); at < w.End.Unix(); at += 2 {
-				truth += exact[at]
+			label := file + " " + name
+			if v := snapshotVersionOf(t, gc.Snapshot); v != 3 {
+				t.Fatalf("%s: fixture is version %d, want 3", label, v)
 			}
-			if math.Abs(w.Overall.Value-truth) > w.Overall.Bound {
-				t.Errorf("sum window %d: %.0f ± %.0f, exact %.0f", i, w.Overall.Value, w.Overall.Bound, truth)
+			restored, err := RestoreSession(gc.Snapshot)
+			if err != nil {
+				t.Fatalf("%s: restore v3: %v", label, err)
+			}
+			// What was read is what is written, in-flight reservoir
+			// capacities included, upgraded to version 4.
+			again, err := restored.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, seeded := upgradedV3(t, gc.Snapshot)
+			if !bytes.Equal(again, want) {
+				t.Errorf("%s: the restored session snapshots differently:\n%s\n%s", label, again, want)
+			}
+			chunks := (len(events) + goldenChunk - 1) / goldenChunk
+			got := append(goldenPush(t, restored, events, skewCut, chunks), restored.Close()...)
+			if seeded {
+				requireSameWindows(t, label+" in-flight window vs the writer's", got[:1], gc.Windows[:1])
+				requireSameShape(t, label+" vs the writer's", got, gc.Windows)
+			} else {
+				requireSameWindows(t, label+" vs recorded", got, gc.Windows)
+			}
+			for i, w := range got {
+				if name != "sum" {
+					continue
+				}
+				var truth float64
+				for at := w.Start.Unix(); at < w.End.Unix(); at += 2 {
+					truth += exact[at]
+				}
+				if math.Abs(w.Overall.Value-truth) > w.Overall.Bound {
+					t.Errorf("%s window %d: %.0f ± %.0f, exact %.0f", label, i, w.Overall.Value, w.Overall.Bound, truth)
+				}
+			}
+			// The window over [14 s, 20 s) is the first to cover only
+			// segments planned from their predecessor's counts.
+			if w := got[4]; float64(w.Sampled) < 0.195*float64(w.Items) {
+				t.Errorf("%s: window ending %v sampled %d of %d, want 0.2", label, w.End, w.Sampled, w.Items)
 			}
 		}
-		// The window over [14 s, 20 s) is the first to cover only segments
-		// planned from their predecessor's counts.
-		if w := got[4]; float64(w.Sampled) < 0.195*float64(w.Items) {
-			t.Errorf("%s: window ending %v sampled %d of %d, want 0.2", name, w.End, w.Sampled, w.Items)
+	}
+}
+
+// upgradedV3 is a version-3 snapshot as a session restored from it writes
+// it back: version 4, its random state dropped and its sampler seeded
+// with the session's seed, and the in-flight segment's interval seed kept
+// — seeded reports it was there — or derived from the seed and the
+// segment's start in unix nanos.
+func upgradedV3(t *testing.T, snap []byte) (upgraded []byte, seeded bool) {
+	t.Helper()
+	var st pane.Snapshot
+	if err := json.Unmarshal(snap, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Version, st.SamplerSeed = 4, st.Seed
+	if seeded = st.Sampler.Seed != nil; !seeded {
+		seed := xrand.At(st.Seed, uint64(st.SegStart.UnixNano()))
+		st.Sampler.Seed = &seed
+	}
+	upgraded, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return upgraded, seeded
+}
+
+// requireSameShape demands what requireSameWindows does but the estimates:
+// equal bounds, items, samples, group keys and bucket edges.
+func requireSameShape(t *testing.T, label string, got, want []WindowResult) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d windows, want %d", label, len(got), len(want))
+	}
+	edges := func(bs []HistogramBucket) (e [][2]float64) {
+		for _, b := range bs {
+			e = append(e, [2]float64{b.Lo, b.Hi})
+		}
+		return e
+	}
+	for i, g := range got {
+		w := want[i]
+		if !g.Start.Equal(w.Start) || !g.End.Equal(w.End) || g.Items != w.Items || g.Sampled != w.Sampled ||
+			!slices.Equal(slices.Sorted(maps.Keys(g.Groups)), slices.Sorted(maps.Keys(w.Groups))) ||
+			!slices.Equal(edges(g.Buckets), edges(w.Buckets)) {
+			t.Errorf("%s: window %d is %+v, want the shape of %+v", label, i, g, w)
 		}
 	}
 }
@@ -305,33 +334,6 @@ func TestRestoreTargetLatencySnapshot(t *testing.T) {
 	got := run(gc.Snapshot)
 	requireSameWindows(t, "latency snapshot vs recorded", got, gc.Windows)
 	requireSameWindows(t, "latency snapshot vs without the key", got, run(stripped))
-}
-
-// withoutDrawnSeed is snap, the snapshot of a session restored from a
-// fixture written before samplers kept an interval seed, with the seed
-// its restore drew from the fixture's random state taken back out:
-// snap's seed must be that state's next draw, and its random state the
-// fixture's one draw on.
-func withoutDrawnSeed(t *testing.T, snap, fixture []byte) []byte {
-	t.Helper()
-	var st, old pane.Snapshot
-	if err := json.Unmarshal(snap, &st); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(fixture, &old); err != nil {
-		t.Fatal(err)
-	}
-	rng := xrand.New(0)
-	rng.SetState(old.RNG)
-	if seed := rng.Uint64(); st.Sampler == nil || st.Sampler.Seed == nil || *st.Sampler.Seed != seed || st.RNG != rng.State() {
-		t.Fatalf("restored snapshot's random state %+v and sampler %+v are not the fixture's one draw on", st.RNG, st.Sampler)
-	}
-	st.RNG, st.Sampler.Seed = old.RNG, nil
-	back, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return back
 }
 
 func snapshotVersionOf(t *testing.T, snap []byte) int {

@@ -10,6 +10,7 @@ import (
 
 	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/faults"
+	"streamapprox/internal/metrics"
 )
 
 // Tests for the replicate path: the section codec, per-partition epoch
@@ -416,6 +417,60 @@ func TestClusterSwallowedReplicateFailsProduce(t *testing.T) {
 				t.Fatalf("p%d: value %v appears %d times", p, v, n)
 			}
 		}
+	}
+}
+
+// TestCommittedRetryIsNotReplicated: a producer that retries its last
+// batch after the batch committed — the committed mark exactly at the
+// batch's end — gets the batch acked as a duplicate: no replicate RPC is
+// sent and nothing is appended.
+func TestCommittedRetryIsNotReplicated(t *testing.T) {
+	pc := startPair(t, pairOpts{})
+	reg := metrics.NewRegistry()
+	pc.nodes[0].RegisterMetrics(reg)
+	cc := pc.dial(t)
+	if err := cc.CreateTopic("t", 8); err != nil {
+		t.Fatal(err)
+	}
+	p := -1
+	for deadline := time.Now().Add(5 * time.Second); p < 0; time.Sleep(10 * time.Millisecond) {
+		for q := 0; q < 8 && p < 0; q++ {
+			if pc.nodes[0].leaderFor(nodePart(t, pc.nodes[0], "t", q)) == "n0" {
+				p = q
+			}
+		}
+		if p < 0 && time.Now().After(deadline) {
+			t.Fatal("n0 leads none of 8 partitions")
+		}
+	}
+	cli, err := dial(pc.addrs[0], DefaultDialTimeout, defaultRequestTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = cli.Close() })
+	const pid = 4242
+	recs := keylessRecs(0, 10)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		if _, err := producePart(cli, "t", p, pid, 1, recs); err == nil {
+			break
+		} else if time.Now().After(deadline) {
+			t.Fatalf("produce p%d: %v", p, err)
+		}
+	}
+	ps := nodePart(t, pc.nodes[0], "t", p)
+	if last, _ := pc.nodes[0].lastSeq(ps, pid); ps.committed.Load() != last.end {
+		t.Fatalf("committed %d, the batch ends at %d", ps.committed.Load(), last.end)
+	}
+	sent := reg.Counter("broker_replicate_batches_total", "", metrics.Labels{"follower": "n1"})
+	before := sent.Value()
+	if n, err := producePart(cli, "t", p, pid, 1, recs); err != nil || n != len(recs) {
+		t.Fatalf("retry of the committed batch: %d acked, %v", n, err)
+	}
+	if after := sent.Value(); after != before || before == 0 {
+		t.Errorf("the retry sent %v replicate RPCs (%v before it)", after-before, before)
+	}
+	if got, err := pc.brokers[0].Fetch("t", p, 0, 100); err != nil || len(got) != len(recs) {
+		t.Errorf("p%d holds %d records after the retry, want %d: %v", p, len(got), len(recs), err)
 	}
 }
 

@@ -25,12 +25,18 @@ import (
 // late and dropped. A finished segment's sample goes to the caller's Cut;
 // the Sampler keeps no pane.
 //
+// A segment's OASRS interval seed is xrand.At(seed, start): a function of
+// the Sampler's seed and the segment's start in unix nanos, not of the
+// segments before it. So a segment's sample depends on its records, the
+// seed, its start and the previous segment's arrival counts, which plan
+// its budget — not on how much the Sampler sampled before.
+//
 // Sampler is not safe for concurrent use.
 type Sampler struct {
 	slide    int64
 	phase    int64 // the Unix epoch's offset into its segment
 	fraction float64
-	rng      *xrand.Rand
+	seed     uint64
 	oasrs    *sampling.OASRS // nil before the first segment
 
 	// The current segment [segStart, segEnd) and the watermark, in unix
@@ -49,14 +55,14 @@ type Sampler struct {
 type Cut func(start int64, s *sampling.Sample, next int64)
 
 // NewSampler returns a Sampler cutting segments of slide, sampling at
-// fraction with a random source seeded by seed.
+// fraction with its segments keyed by seed.
 func NewSampler(slide time.Duration, fraction float64, seed uint64) *Sampler {
 	epoch := time.Unix(0, 0)
 	return &Sampler{
 		slide:    int64(slide),
 		phase:    int64(epoch.Sub(epoch.Truncate(slide))),
 		fraction: fraction,
-		rng:      xrand.New(seed),
+		seed:     seed,
 		segStart: stream.ZeroTimeNanos,
 		segEnd:   stream.ZeroTimeNanos,
 		wm:       stream.ZeroTimeNanos,
@@ -138,7 +144,8 @@ func (p *Sampler) Close(cut Cut) {
 }
 
 // start finishes the current segment, if one started, and starts the one
-// at seg with its budget.
+// at seg with its budget and seed. Zero-time records sampled before the
+// first segment join its sample, keyed by its seed.
 func (p *Sampler) start(seg int64, cut Cut) {
 	if p.segStart != stream.ZeroTimeNanos {
 		p.finish(cut, seg)
@@ -149,11 +156,15 @@ func (p *Sampler) start(seg int64, cut Cut) {
 	p.segCount = 0
 	budget := sampling.SegmentBudget(p.fraction, p.lastCount)
 	if p.oasrs == nil {
-		p.oasrs = sampling.NewOASRS(budget, nil, p.rng)
+		p.oasrs = sampling.NewKeyedOASRS(budget, nil, p.segmentSeed(seg))
 		return
 	}
 	p.oasrs.SetBudget(budget)
+	p.oasrs.SetSeed(p.segmentSeed(seg))
 }
+
+// segmentSeed is the OASRS interval seed of the segment at seg.
+func (p *Sampler) segmentSeed(seg int64) uint64 { return xrand.At(p.seed, uint64(seg)) }
 
 // finish drains the current segment's sample into cut.
 func (p *Sampler) finish(cut Cut, next int64) {
@@ -201,14 +212,12 @@ func (p *Sampler) SamePoint(o *Sampler) bool {
 		p.segStart == o.segStart && p.segCount == o.segCount && p.lastCount == o.lastCount
 }
 
-// Copy returns a Sampler in p's state, random state included, that
-// samples on independently: from here on it draws what p draws.
+// Copy returns a Sampler in p's state, seed included, that samples on
+// independently: from here on it draws what p draws.
 func (p *Sampler) Copy() *Sampler {
 	c := *p
-	c.rng = xrand.New(1)
-	c.rng.SetState(p.rng.State())
 	if p.oasrs != nil {
-		c.oasrs = sampling.RestoreOASRS(p.oasrs.State(), nil, c.rng)
+		c.oasrs = sampling.RestoreOASRS(p.oasrs.State(), nil)
 	}
 	return &c
 }

@@ -8,34 +8,34 @@ import (
 	"streamapprox/internal/query"
 	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
-	"streamapprox/internal/xrand"
 )
 
-// State is a Sampler's serialized form: its random state, the fraction in
-// force, the current segment with this and the previous segment's arrival
+// State is a Sampler's serialized form: its seed, the fraction in force,
+// the current segment with this and the previous segment's arrival
 // counts, the watermark, the late count and the OASRS sampler with its
-// interval seed and reservoirs.
+// interval seed and reservoirs. Nothing else of its randomness is state:
+// each segment's interval seed is derived from the seed and its start.
 type State struct {
-	RNG       xrand.State          `json:"rng"`
-	Fraction  float64              `json:"controllerFraction"`
-	SegStart  time.Time            `json:"segStart"`
-	SegCount  int                  `json:"segCount"`
-	LastCount int                  `json:"lastCount"`
-	Watermark time.Time            `json:"watermark"`
-	Late      int64                `json:"late"`
-	Sampler   *sampling.OASRSState `json:"sampler,omitempty"`
+	SamplerSeed uint64               `json:"samplerSeed"`
+	Fraction    float64              `json:"controllerFraction"`
+	SegStart    time.Time            `json:"segStart"`
+	SegCount    int                  `json:"segCount"`
+	LastCount   int                  `json:"lastCount"`
+	Watermark   time.Time            `json:"watermark"`
+	Late        int64                `json:"late"`
+	Sampler     *sampling.OASRSState `json:"sampler,omitempty"`
 }
 
 // State captures the sampler's state.
 func (p *Sampler) State() State {
 	st := State{
-		RNG:       p.rng.State(),
-		Fraction:  p.fraction,
-		SegStart:  stream.TimeFromNanos(p.segStart),
-		SegCount:  p.segCount,
-		LastCount: p.lastCount,
-		Watermark: stream.TimeFromNanos(p.wm),
-		Late:      p.late,
+		SamplerSeed: p.seed,
+		Fraction:    p.fraction,
+		SegStart:    stream.TimeFromNanos(p.segStart),
+		SegCount:    p.segCount,
+		LastCount:   p.lastCount,
+		Watermark:   stream.TimeFromNanos(p.wm),
+		Late:        p.late,
 	}
 	if p.oasrs != nil {
 		o := p.oasrs.State()
@@ -45,13 +45,13 @@ func (p *Sampler) State() State {
 }
 
 // Restore rebuilds the Sampler the state was captured from, cutting
-// segments of slide and sampling at fraction. A segment or watermark
-// outside the unix-nano range, a segment start no cut makes, or a
-// reservoir no sampler could have written (see
-// sampling.ReservoirState.Validate) fails it.
+// segments of slide and sampling at fraction. An OASRS state with no
+// interval seed, written before reservoirs were keyed, gets its
+// segment's. A segment or watermark outside the unix-nano range, a
+// segment start no cut makes, or a reservoir no sampler could have
+// written (see sampling.ReservoirState.Validate) fails it.
 func (st *State) Restore(slide time.Duration, fraction float64) (*Sampler, error) {
-	p := NewSampler(slide, fraction, 1)
-	p.rng.SetState(st.RNG)
+	p := NewSampler(slide, fraction, st.SamplerSeed)
 	seg, okSeg := stream.UnixNanos(st.SegStart)
 	wm, okWM := stream.UnixNanos(st.Watermark)
 	if cut, ok := p.SegmentOf(seg); !okSeg || !okWM || !ok || cut != seg {
@@ -65,7 +65,12 @@ func (st *State) Restore(slide time.Duration, fraction float64) (*Sampler, error
 				return nil, fmt.Errorf("reservoir %q: %w", key, err)
 			}
 		}
-		p.oasrs = sampling.RestoreOASRS(*st.Sampler, nil, p.rng)
+		o := *st.Sampler
+		if o.Seed == nil {
+			seed := p.segmentSeed(seg)
+			o.Seed = &seed
+		}
+		p.oasrs = sampling.RestoreOASRS(o, nil)
 	}
 	return p, nil
 }
@@ -97,28 +102,27 @@ type Snapshot struct {
 	Ready json.RawMessage `json:"ready,omitempty"`
 }
 
-// Version 3 writes every sample as a value column ("values"). Version 2
-// wrote {stratum, value, time} rows ("items").
-const Version = 3
+// Version 4 writes the Sampler's seed ("samplerSeed"). Version 3 wrote
+// the state of the random source that drew its interval seeds ("rng").
+const Version = 4
 
 // Decode reads a snapshot of the current version or the one before it.
-// A version-2 snapshot is upgraded here, once: each sampled row keeps its
-// value. Any other version is refused. A snapshot's targetLatencyNs,
-// written by sessions that could cap a segment's sample at a latency
-// target, is ignored.
+// A version-3 snapshot is upgraded here, once: its random state is
+// dropped and its Sampler seeded with the session's seed, so the panes
+// after its in-flight one draw with derived interval seeds. Any other
+// version is refused. A snapshot's targetLatencyNs, written by sessions
+// that could cap a segment's sample at a latency target, is ignored.
 func Decode(data []byte) (*Snapshot, error) {
 	var st Snapshot
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("decode snapshot: %w", err)
 	}
 	if st.Version != Version-1 && st.Version != Version {
-		return nil, fmt.Errorf("session snapshot version %d: this build reads versions %d and %d; commit 1338931 is the last to upgrade an older one",
+		return nil, fmt.Errorf("session snapshot version %d: this build reads versions %d and %d; commit b228946 is the last to upgrade version 2, and commit 1338931 version 1",
 			st.Version, Version-1, Version)
 	}
 	if st.Version < Version {
-		if err := upgradeRows(data, &st); err != nil {
-			return nil, err
-		}
+		st.SamplerSeed = st.Seed
 	}
 	return &st, nil
 }
@@ -136,38 +140,4 @@ func (st *Snapshot) Windows(q query.Query) ([]query.Pane, time.Time, error) {
 		}
 	}
 	return st.Panes, st.Fired, nil
-}
-
-// legacyRows is what a version-2 snapshot holds that Snapshot no longer
-// decodes: its reservoirs' sampled rows, of which only the value was ever
-// read. Everything else in it still decodes as is.
-type legacyRows struct {
-	Sampler *struct {
-		Reservoirs map[string]struct {
-			Items []struct {
-				Value float64 `json:"value"`
-			} `json:"items"`
-		} `json:"reservoirs"`
-	} `json:"sampler"`
-}
-
-// upgradeRows fills the value columns of a version-2 state's reservoirs
-// from the snapshot's rows, in row order.
-func upgradeRows(data []byte, st *Snapshot) error {
-	var rows legacyRows
-	if err := json.Unmarshal(data, &rows); err != nil {
-		return fmt.Errorf("decode snapshot rows: %w", err)
-	}
-	if st.Sampler == nil || rows.Sampler == nil {
-		return nil
-	}
-	for key, res := range st.Sampler.Reservoirs {
-		items := rows.Sampler.Reservoirs[key].Items
-		res.Values = make([]float64, len(items))
-		for i, it := range items {
-			res.Values[i] = it.Value
-		}
-		st.Sampler.Reservoirs[key] = res
-	}
-	return nil
 }

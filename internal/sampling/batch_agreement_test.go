@@ -95,7 +95,7 @@ func TestReservoirAddBatchAgreesWithAddOnValues(t *testing.T) {
 		addEach(scalar, values)
 		batched := NewReservoir(capN, rngs[1])
 		offerInChunks(batched, values, split, 23)
-		if a, b := scalar.State(), batched.State(); !reflect.DeepEqual(a, b) || rngs[0].State() != rngs[1].State() {
+		if a, b := scalar.State(), batched.State(); !reflect.DeepEqual(a, b) || rngs[0].Uint64() != rngs[1].Uint64() {
 			t.Fatalf("trial %d: Add left %+v, AddBatch %+v", trial, a, b)
 		}
 	}

@@ -64,7 +64,6 @@ func (EqualShare) StratumSize(totalBudget, numStrata int) int {
 type OASRS struct {
 	budget int
 	policy SizePolicy
-	rng    *xrand.Rand
 	seed   uint64 // the interval's, which keys its reservoirs
 
 	reservoirs map[string]*Reservoir
@@ -98,13 +97,14 @@ type OASRS struct {
 }
 
 // NewOASRS returns an OASRS sampler with the given total sample-size
-// budget per interval, its first interval's seed drawn from rng. policy
-// may be nil, in which case EqualShare is used.
+// budget per interval, its first interval's seed drawn from rng, which it
+// does not keep. policy may be nil, in which case EqualShare is used.
 func NewOASRS(budget int, policy SizePolicy, rng *xrand.Rand) *OASRS {
-	return newOASRS(budget, policy, rng, rng.Uint64())
+	return NewKeyedOASRS(budget, policy, rng.Uint64())
 }
 
-func newOASRS(budget int, policy SizePolicy, rng *xrand.Rand, seed uint64) *OASRS {
+// NewKeyedOASRS is NewOASRS with its first interval's seed given.
+func NewKeyedOASRS(budget int, policy SizePolicy, seed uint64) *OASRS {
 	if policy == nil {
 		policy = EqualShare{}
 	}
@@ -114,7 +114,6 @@ func newOASRS(budget int, policy SizePolicy, rng *xrand.Rand, seed uint64) *OASR
 	return &OASRS{
 		budget:     budget,
 		policy:     policy,
-		rng:        rng,
 		seed:       seed,
 		reservoirs: make(map[string]*Reservoir),
 		prev:       make(map[string]int64),
@@ -159,6 +158,16 @@ func SegmentBudget(fraction float64, lastCount int) int {
 		return budget
 	}
 	return 64
+}
+
+// SetSeed sets the interval's seed and keys the interval's reservoirs by
+// it, those of strata already seen included: a caller that keys each
+// interval itself sets it after Drain, which leaves none.
+func (o *OASRS) SetSeed(seed uint64) {
+	o.seed = seed
+	for stratum, res := range o.reservoirs {
+		res.key = o.stratumKey(stratum)
+	}
 }
 
 // Budget returns the current total sample-size budget.
@@ -279,8 +288,8 @@ func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 // Drain ends the interval: it calls visit with the interval's weighted
 // sample — strata in key order, weights per Equation 1, value columns
 // read in place from the reservoirs — and then resets the sampler for
-// the next interval, keeping the emptied reservoirs for reuse, and draws
-// the next interval's seed. The sample and its values are only valid
+// the next interval, keeping the emptied reservoirs for reuse, and steps
+// the seed on to the next interval's, xrand.At(seed, 1). The sample and its values are only valid
 // until visit returns; a caller that keeps them copies them (Finish
 // does). Reservoir sizes are re-derived as strata reappear — from the
 // budget then in force and the arrival counts this interval ends with —
@@ -309,7 +318,7 @@ func (o *OASRS) Drain(visit func(s *Sample)) {
 		o.free = append(o.free, res)
 	}
 	clear(o.reservoirs)
-	o.seed = o.rng.Uint64()
+	o.seed = xrand.At(o.seed, 1)
 	o.big = -1
 	o.expected = len(o.order)
 	o.order = o.order[:0]

@@ -3,15 +3,12 @@ package sampling
 import (
 	"fmt"
 	"maps"
-
-	"streamapprox/internal/xrand"
 )
 
 // This file provides checkpoint/restore state for the samplers, the
 // basis of the public Session.Snapshot fault-tolerance API. States are
 // plain data with JSON tags; restoring a state yields a sampler that
-// continues exactly where the original left off (given the captured RNG
-// state is restored alongside, which the Session does).
+// continues exactly where the original left off.
 
 // ReservoirState is a Reservoir's serializable state; OASRS derives the
 // key. A skip chain ("u", "p") an older build wrote is not read: Algorithm
@@ -64,8 +61,8 @@ type OASRSState struct {
 	// a sampler in its first interval: each such stratum gets its share.
 	Prev map[string]int64 `json:"prev,omitempty"`
 	// Seed is the interval's seed. A state written before reservoirs were
-	// keyed has none and restores with one drawn from the restored random
-	// source, once.
+	// keyed has none; its reader supplies one (pane.State.Restore derives
+	// it), or it restores with seed 0.
 	Seed *uint64 `json:"intervalSeed,omitempty"`
 }
 
@@ -88,12 +85,10 @@ func (o *OASRS) State() OASRSState {
 
 // RestoreOASRS rebuilds an OASRS sampler from a state. policy may be nil
 // for the default EqualShare.
-func RestoreOASRS(st OASRSState, policy SizePolicy, rng *xrand.Rand) *OASRS {
-	o := newOASRS(st.Budget, policy, rng, 0)
+func RestoreOASRS(st OASRSState, policy SizePolicy) *OASRS {
+	o := NewKeyedOASRS(st.Budget, policy, 0)
 	if st.Seed != nil {
 		o.seed = *st.Seed
-	} else {
-		o.seed = rng.Uint64()
 	}
 	o.expected = st.Expected
 	o.order = append(o.order[:0], st.Order...)

@@ -67,7 +67,7 @@ func (sub *subQueue) share(sh *shard) {
 }
 
 // leave gives a sharing member a sampler of its own: a copy of the
-// group's, random state included, which samples on from the same point.
+// group's, seed included, which samples on from the same point.
 // Callers hold sub.mu.
 func (sub *subQueue) leave(sh *shard) {
 	sh.mu.Lock()

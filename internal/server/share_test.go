@@ -259,6 +259,82 @@ func TestGroupFirstMemberDeleteLeavesOthersUntouched(t *testing.T) {
 	}
 }
 
+// A member's sample does not depend on when its group formed. Query Q
+// (seed 1) serves, from its second full pane after it starts sharing,
+// the windows it serves alone bit for bit, although the group's sampler
+// is a member's with Q's seed and spec that registered at the latest
+// offset in the middle of the log, and Q caught up into its group.
+func TestSharedWindowsIgnoreWhenTheGroupFormed(t *testing.T) {
+	spec := Spec{Kind: "groupby-mean", Window: 3 * time.Second, Slide: time.Second, Fraction: 0.3, Seed: 1}
+	batches := shareBatches(5, 90)
+	alone := newRig(t, 1)
+	q := alone.query("q", spec)
+	feed(alone, batches, q)
+	want := map[time.Time]MergedWindow{}
+	for _, w := range q.resultsSince(-1) {
+		want[w.Start] = w
+	}
+
+	r := newRig(t, 1)
+	memberAt, catchUp := len(batches)/3, len(batches)/2
+	var member, late *job
+	var sharedAt time.Time // the segment the group's sampler was in when Q first shared
+	for i, events := range batches {
+		switch i {
+		case memberAt:
+			member = r.query("m", spec)
+		case catchUp:
+			// Q registers at the earliest offset, reads the log up to the
+			// plane privately, and joins the member's group there.
+			var err error
+			if late, err = newJob("q", spec, r.srv, nil); err != nil {
+				t.Fatal(err)
+			}
+			sh := late.shards[0]
+			var next int64
+			for _, ev := range batches[:i] {
+				b := stream.BatchOf(ev)
+				b.Base, next = next, next+int64(b.Len())
+				sh.mu.Lock()
+				sh.consumeLocked(b, next)
+				sh.mu.Unlock()
+				b.Release()
+			}
+			r.join(late)
+		}
+		b := stream.BatchOf(events)
+		r.apply(0, b)
+		b.Release()
+		if late == nil || !sharedAt.IsZero() {
+			continue
+		}
+		if sub := late.shards[0].sharing.Load(); sub != nil {
+			sub.mu.Lock()
+			sharedAt = sub.ps.State().SegStart
+			sub.mu.Unlock()
+		}
+	}
+	member.stop(true)
+	late.stop(true)
+	if sharedAt.IsZero() {
+		t.Fatal("Q never shared the member's sampler")
+	}
+	compared := 0
+	for _, w := range late.resultsSince(-1) {
+		if w.Start.Before(sharedAt.Add(2 * time.Second)) {
+			continue
+		}
+		compared++
+		if !reflect.DeepEqual(w, want[w.Start]) {
+			t.Errorf("window %v served sharing since %v is\n%+v\nalone\n%+v", w.Start, sharedAt, w, want[w.Start])
+		}
+	}
+	t.Logf("Q shared from %v; %d windows compared", sharedAt, compared)
+	if compared < 20 {
+		t.Errorf("%d windows compared after Q shared from %v, want 20", compared, sharedAt)
+	}
+}
+
 // shapeSpecs are a first member and eight more over every kind, at two
 // confidences and two window lengths: two histograms on shareEdges, one
 // on other edges.

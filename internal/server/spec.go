@@ -45,10 +45,11 @@ type Spec struct {
 	// position left behind by a deleted query under the same id.
 	From string
 	// Seed makes the shard samplers reproducible (default 1); shard i
-	// uses Seed+i. A shard that shares its sampling group's sampler
-	// samples through it, so its own seed goes unused while it shares:
-	// the group's sampler keeps the seed — the random state — of the
-	// member it was taken from, and the shard's windows depend on that.
+	// uses Seed+i, and keys each pane by that seed and the pane's start.
+	// A shard that shares its sampling group's sampler samples through
+	// it, so its own seed goes unused while it shares: the group's
+	// sampler keeps the seed of the member it was taken from, and the
+	// shard's windows depend on that seed, not on when the group formed.
 	Seed uint64
 }
 
@@ -220,9 +221,9 @@ func (sp *Spec) level() estimate.Confidence { return estimate.Confidence(sp.conf
 func (sp *Spec) combiner() query.Query { return query.Named(sp.Kind, sp.level(), sp.HistogramEdges) }
 
 // seed is shard's sampler seed: shard samplers differ only in seed, so
-// their reservoirs are decorrelated. A shard's seed goes unused while it
-// shares its sampling group's sampler, which keeps the seed of the member
-// it was taken from.
+// their panes' interval seeds, and with them their reservoirs, are
+// decorrelated. A shard's seed goes unused while it shares its sampling
+// group's sampler, which keeps the seed of the member it was taken from.
 func (sp *Spec) seed(shard int) uint64 { return sp.Seed + uint64(shard) }
 
 // session is the configuration half of a shard's session snapshot: the

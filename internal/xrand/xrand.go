@@ -51,26 +51,6 @@ func (r *Rand) Seed(seed uint64) {
 	r.hasGauss = false
 }
 
-// State captures the generator's full state for checkpointing.
-type State struct {
-	Seed     uint64  `json:"seed"`
-	HasGauss bool    `json:"hasGauss"`
-	Gauss    float64 `json:"gauss"`
-}
-
-// State returns the generator's current state.
-func (r *Rand) State() State {
-	return State{Seed: r.state, HasGauss: r.hasGauss, Gauss: r.gauss}
-}
-
-// SetState restores a previously captured state; the generator then
-// produces exactly the sequence it would have produced.
-func (r *Rand) SetState(s State) {
-	r.state = s.Seed
-	r.hasGauss = s.HasGauss
-	r.gauss = s.Gauss
-}
-
 func mix(z uint64) uint64 {
 	z ^= z >> 33
 	z *= 0xff51afd7ed558ccd

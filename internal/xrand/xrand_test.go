@@ -215,9 +215,12 @@ func TestSplitSeedIsSplit(t *testing.T) {
 	a, b := New(13), New(13)
 	for i := 0; i < 4; i++ {
 		split, seeded := a.Split(), New(b.SplitSeed())
-		if split.State() != seeded.State() || a.State() != b.State() {
-			t.Fatalf("split %d: Split %+v, New(SplitSeed) %+v", i, split.State(), seeded.State())
+		if x, y := split.Uint64(), seeded.Uint64(); x != y {
+			t.Fatalf("split %d: Split draws %#x, New(SplitSeed) %#x", i, x, y)
 		}
+	}
+	if x, y := a.Uint64(), b.Uint64(); x != y {
+		t.Fatalf("parents draw %#x and %#x after splitting alike", x, y)
 	}
 }
 

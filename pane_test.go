@@ -38,7 +38,6 @@ type rowSession struct {
 	q         query.Query
 	edges     []float64
 	sampler   *sampling.OASRS
-	rng       *xrand.Rand
 	segStart  time.Time
 	segCount  int
 	lastCount int
@@ -53,7 +52,6 @@ func newRowSession(cfg SessionConfig) *rowSession {
 		cfg:     cfg,
 		q:       cfg.Query.internal(cfg.Confidence.internal(), cfg.HistogramEdges),
 		edges:   edges,
-		rng:     xrand.New(cfg.Seed),
 		pending: make(map[int64]*sampling.Sample),
 	}
 }
@@ -64,11 +62,13 @@ func (r *rowSession) startSegment(seg time.Time) {
 	if size < 1 {
 		size = 64
 	}
+	seed := xrand.At(r.cfg.Seed, uint64(seg.UnixNano())) // the segment's interval seed
 	if r.sampler == nil {
-		r.sampler = sampling.NewOASRS(size, nil, r.rng)
+		r.sampler = sampling.NewKeyedOASRS(size, nil, seed)
 		return
 	}
 	r.sampler.SetBudget(size)
+	r.sampler.SetSeed(seed)
 }
 
 func (r *rowSession) finishSegment() {

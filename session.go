@@ -37,7 +37,8 @@ type SessionConfig struct {
 	// HistogramEdges defines the bucket edges for the Histogram query
 	// (ignored otherwise).
 	HistogramEdges []float64
-	// Seed makes the session reproducible (default 1).
+	// Seed makes the session reproducible (default 1): each slide
+	// segment's sample is keyed by it and the segment's start.
 	Seed uint64
 }
 

@@ -23,9 +23,9 @@ import (
 // file kind, the decoder reads exactly the current version and the one
 // before it, and refuses every other one with an error that names the
 // version, the versions read and the last commit that upgrades an older
-// file. README's "Format window" table names the same two versions. A
-// format bump that keeps the upgrade from two versions back goes red
-// here. It lives outside package streamapprox because internal/server
+// file. README's "Format window" table names the same two versions and
+// commit. A format bump that keeps the upgrade from two versions back
+// goes red here. It lives outside package streamapprox because internal/server
 // imports that package.
 func TestFormatWindow(t *testing.T) {
 	readme, err := os.ReadFile("README.md")
@@ -45,10 +45,11 @@ func TestFormatWindow(t *testing.T) {
 		row     string // README's table row
 		current int
 		open    func(t *testing.T, version int) error
+		commit  string // the last to upgrade the version before the ones read
 	}{
-		{"session snapshot", pane.Version, decodeSnapshot},
-		{"query checkpoint", intConst(t, "internal/server/checkpoint.go", "checkpointVersion"), restartFromCheckpoint},
-		{"segment", intConst(t, "internal/broker/storage/filelog.go", "segVersion"), openSegment},
+		{"session snapshot", pane.Version, decodeSnapshot, "commit b228946"},
+		{"query checkpoint", intConst(t, "internal/server/checkpoint.go", "checkpointVersion"), restartFromCheckpoint, "commit 1338931"},
+		{"segment", intConst(t, "internal/broker/storage/filelog.go", "segVersion"), openSegment, "commit 1338931"},
 	}
 	for _, k := range kinds {
 		for v := 0; v <= k.current+1; v++ {
@@ -57,13 +58,13 @@ func TestFormatWindow(t *testing.T) {
 				t.Errorf("%s version %d (current %d): read %v, error %v", k.row, v, k.current, err == nil, err)
 				continue
 			}
-			for _, part := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("versions %d and %d", k.current-1, k.current), "commit 1338931"} {
+			for _, part := range []string{fmt.Sprintf("version %d", v), fmt.Sprintf("versions %d and %d", k.current-1, k.current), k.commit} {
 				if err != nil && !strings.Contains(err.Error(), part) {
 					t.Errorf("%s version %d: refusal %q does not name %q", k.row, v, err, part)
 				}
 			}
 		}
-		want := []string{strconv.Itoa(k.current), strconv.Itoa(k.current - 1), "commit 1338931"}
+		want := []string{strconv.Itoa(k.current), strconv.Itoa(k.current - 1), k.commit}
 		if got := rows[k.row]; strings.Join(got, "|") != strings.Join(want, "|") {
 			t.Errorf("README's format window row %q says %q, want %q", k.row, got, want)
 		}
