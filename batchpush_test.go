@@ -418,3 +418,43 @@ func TestZeroTimeHeadJoinsFirstSegment(t *testing.T) {
 		}
 	}
 }
+
+// A head of zero-time records is counted where it is sampled: with the
+// first pane's records. The second pane's budget is the fraction of both,
+// pushed one per call or in one batch.
+func TestZeroTimeHeadBudgetsTheSecondPane(t *testing.T) {
+	const head, perPane = 50, 300
+	var events []Event
+	for i := range head {
+		events = append(events, Event{Stratum: "a", Value: float64(i)})
+	}
+	for pane := range 3 {
+		for i := range perPane {
+			at := batchBase.Add(time.Duration(pane)*time.Second + time.Duration(i)*time.Second/perPane)
+			events = append(events, Event{Stratum: "a", Value: float64(i), Time: at})
+		}
+	}
+	cfg := SessionConfig{WindowSize: time.Second, WindowSlide: time.Second, Fraction: 0.1}
+	one, batch := NewSession(cfg), NewSession(cfg)
+	for _, e := range events {
+		if err := one.Push(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	b := batchOf(events)
+	if err := batch.PushBatch(b, 0, b.Len()); err != nil {
+		t.Fatal(err)
+	}
+	b.Release()
+	for name, s := range map[string]*Session{"Push": one, "PushBatch": batch} {
+		wins := s.Close()
+		if len(wins) != 3 || wins[0].Items != head+perPane || wins[1].Items != perPane {
+			t.Fatalf("%s: windows %+v, want 3 of %d, %d and %d items", name, wins, head+perPane, perPane, perPane)
+		}
+		// One stratum: a pane samples its whole budget.
+		if want := int(cfg.Fraction * (head + perPane)); wins[1].Sampled != want {
+			t.Errorf("%s: the second pane sampled %d, want %d: the fraction of the first pane's %d records and the head's %d",
+				name, wins[1].Sampled, want, perPane, head)
+		}
+	}
+}

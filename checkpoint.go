@@ -9,11 +9,13 @@ import (
 )
 
 // Snapshot serializes the session's full state — the in-flight
-// segment's sampler with its interval seed, the finished segments'
-// summaries, the adaptive controller's position and the sampler's seed,
-// from which every later segment's interval seed is derived — so
-// processing can resume after a crash via RestoreSession. The session
-// remains usable after Snapshot.
+// segment's reservoirs with the previous segment's per-stratum arrival
+// counts, the finished segments' summaries, the adaptive controller's
+// position and the sampler's seed — so processing can resume after a
+// crash via RestoreSession. Each count is held once, and nothing derived
+// is: every segment's interval seed is the seed's at its start, and its
+// budget the fraction of the counts before it. The session remains
+// usable after Snapshot.
 func (s *Session) Snapshot() ([]byte, error) {
 	st := pane.Snapshot{
 		Version:        pane.Version,
@@ -41,13 +43,12 @@ func (s *Session) Snapshot() ([]byte, error) {
 
 // RestoreSession rebuilds a session from a Snapshot. The restored
 // session continues the event-time stream where the snapshot left off:
-// pending windows, the in-flight segment's reservoirs, the watermark and
-// the adaptive fraction are all recovered. It reads the current snapshot
-// version and the one before it (see pane.Decode); an older snapshot is
-// refused. A snapshot's targetLatencyNs, written by sessions that could
-// cap a segment's sample at a latency target, is ignored: the session
-// runs without the cap. A reservoir no sampler could have
-// written (see sampling.ReservoirState.Validate) fails the restore.
+// pending windows, the in-flight segment's reservoirs and history, the
+// watermark and the adaptive fraction are all recovered, and the
+// interval seed derived. It reads the current snapshot version and the
+// one before it (see pane.Decode); an older snapshot is refused. A
+// reservoir no sampler could have written (see
+// sampling.ReservoirState.Validate) fails the restore.
 func RestoreSession(data []byte) (*Session, error) {
 	st, err := pane.Decode(data)
 	if err != nil {

@@ -4,17 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"maps"
-	"math"
 	"math/rand"
 	"os"
-	"slices"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
-
-	"streamapprox/internal/pane"
-	"streamapprox/internal/xrand"
 )
 
 // testdata/session_v1.json was written at commit 82a61bd — the last one
@@ -22,18 +17,10 @@ import (
 // 1) — by pushing goldenStream through goldenPush: per query kind, the
 // snapshot taken after goldenCut chunks (mid-segment, two windows
 // pending) and every window that run produced afterwards. Version 1 is
-// two formats back: its restore is refused with an error naming the
+// several formats back: its restore is refused with an error naming the
 // format, its version, the versions read and the last commit that
-// upgrades it, and the fixture is left as it was.
-//
-// The windows of session_v3.json and session_v3_latency.json were
-// re-recorded three times: when reservoirs began to carry their skip
-// chain across calls, when each stratum's reservoir began to draw from
-// its own keyed stream, and when each pane's interval seed began to be
-// derived from the seed and the pane's start. Each time a restored
-// session drew other numbers than the writer did, so the values moved,
-// while every window's bounds, items, samples and groups stayed those the
-// code before the change produced. The snapshots are the writers' bytes.
+// upgrades it, and the fixture is left as it was. The version-2 and
+// version-3 fixtures are refused the same way.
 
 const (
 	goldenChunk = 37 // events per PushBatch; straddles segment boundaries
@@ -100,9 +87,9 @@ func TestRestoreV2Golden(t *testing.T) {
 }
 
 // refuseFixture requires every case of a fixture two or more formats back
-// to be refused with an error naming the format, its version, the
-// versions read and the last commit that upgrades it, and the fixture to
-// be left as it was.
+// — a map of cases by name, or one case — to be refused with an error
+// naming the format, its version, the versions read and the last commit
+// that upgrades it, and the fixture to be left as it was.
 func refuseFixture(t *testing.T, file string, version int, commit string) {
 	data, err := os.ReadFile(file)
 	if err != nil {
@@ -110,24 +97,27 @@ func refuseFixture(t *testing.T, file string, version int, commit string) {
 	}
 	var golden map[string]goldenCase
 	if err := json.Unmarshal(data, &golden); err != nil {
-		t.Fatal(err)
-	}
-	for name := range goldenKinds {
-		gc, ok := golden[name]
-		if !ok {
-			t.Fatalf("golden has no %q case", name)
+		var one goldenCase
+		if err := json.Unmarshal(data, &one); err != nil {
+			t.Fatal(err)
 		}
+		golden = map[string]goldenCase{file: one}
+	}
+	if len(golden) == 0 {
+		t.Fatalf("%s holds no case", file)
+	}
+	for name, gc := range golden {
 		if v := snapshotVersionOf(t, gc.Snapshot); v != version {
-			t.Fatalf("%s: fixture is version %d, want %d", name, v, version)
+			t.Fatalf("%s %s: fixture is version %d, want %d", file, name, v, version)
 		}
 		s, err := RestoreSession(gc.Snapshot)
 		if err == nil {
 			s.Close()
-			t.Fatalf("%s: a version-%d snapshot restored", name, version)
+			t.Fatalf("%s %s: a version-%d snapshot restored", file, name, version)
 		}
-		for _, part := range []string{"session snapshot", fmt.Sprintf("version %d", version), "versions 3 and 4", commit} {
+		for _, part := range []string{"session snapshot", fmt.Sprintf("version %d", version), "versions 4 and 5", commit} {
 			if !strings.Contains(err.Error(), part) {
-				t.Errorf("%s: refusal %q does not name %q", name, err, part)
+				t.Errorf("%s %s: refusal %q does not name %q", file, name, err, part)
 			}
 		}
 	}
@@ -136,15 +126,20 @@ func refuseFixture(t *testing.T, file string, version int, commit string) {
 	}
 }
 
-// testdata/session_v3.json was written at commit 9cc0368 — the last one
-// whose samplers sized every stratum at an equal share of the budget,
-// whatever it could fill — by pushing goldenSkewStream through goldenPush:
-// per query kind, the snapshot after skewCut chunks (t ≈ 11.1 s, inside
-// segment [10 s, 12 s)). The snapshot carries no per-stratum history, and
-// needs none to restore: the in-flight segment keeps its reservoirs, the
-// next is sized as a sampler's first interval, and from then on the rare
-// stratum's unused slots are spent, so the recorded windows sample 0.2 of
-// their items where the writer's sampled 0.14.
+// testdata/session_v3.json was written at commit 9cc0368, the last whose
+// samplers sized every stratum at an equal share of the budget, and
+// session_v3_seeded.json at commit b228946, the last whose samplers drew
+// each interval seed from a random source; session_v3_latency.json at
+// commit 2bf0212, the last whose sessions could cap a segment's sample at
+// a latency target. Version 3 is two formats back.
+func TestRestoreV3Golden(t *testing.T) {
+	for _, file := range []string{"testdata/session_v3.json", "testdata/session_v3_seeded.json", "testdata/session_v3_latency.json"} {
+		refuseFixture(t, file, 3, "commit bf6c4fd")
+	}
+}
+
+// skewCut is the chunk of goldenSkewStream a snapshot is taken after:
+// t ≈ 11.1 s, inside segment [10 s, 12 s).
 const skewCut = 60
 
 // goldenSkewStream is 20 s of three strata at 200 events/s, 80/19/1 %.
@@ -168,172 +163,122 @@ func goldenSkewStream() []Event {
 	return events
 }
 
-// testdata/session_v3_seeded.json was written the same way at commit
-// b228946, the last whose samplers drew each interval seed from a random
-// source, for the sum query at the fraction of session_v3.json: its
-// snapshot carries the in-flight segment's interval seed, and its windows
-// are the writer's.
-// The restored session keeps that seed, so the window the in-flight
-// segment closes is the writer's bit for bit. Every later segment draws
-// with its derived seed, so the later windows are the writer's in every
-// field but the estimates.
-func TestRestoreV3Golden(t *testing.T) {
+// zeroHeadStream is goldenSkewStream after a head of its first 100 events
+// at the zero time; zeroHeadCut chunks of it are the head and the first
+// 122 records of the first pane.
+func zeroHeadStream() []Event {
 	events := goldenSkewStream()
-	exact := make(map[int64]float64) // sum of the values per 2 s segment
-	for _, e := range events {
-		exact[e.Time.Unix()/2*2] += e.Value
+	head := make([]Event, 100)
+	for i := range head {
+		head[i] = events[i]
+		head[i].Time = time.Time{}
 	}
-	for file, kinds := range map[string][]string{
-		"testdata/session_v3.json":        slices.Collect(maps.Keys(goldenKinds)),
-		"testdata/session_v3_seeded.json": {"sum"},
-	} {
-		data, err := os.ReadFile(file)
+	return append(head, events...)
+}
+
+const zeroHeadCut = 6
+
+// testdata/session_v4.json was written at commit bf6c4fd, the last whose
+// snapshots also held each sampler's arrival counts, stratum order and
+// interval seed, by pushing goldenSkewStream through goldenPush with
+// goldenConfig: per query kind, the snapshot after skewCut chunks — mid-
+// pane, stratum a's reservoir past fill, the previous pane's counts held
+// — and every window that uninterrupted session served after it. Its
+// zero-head case is a Sum session fed zeroHeadStream, snapshotted after
+// zeroHeadCut chunks.
+//
+// A restored session writes the snapshot back as version 5, the derived
+// fields dropped and nothing else changed, and serves the writer's
+// windows bit for bit. The zero-head case does not: its writer budgeted
+// the second pane by the first pane's records alone, without the head it
+// sampled with them, where the restored session counts the head, as an
+// uninterrupted session of this build does.
+func TestRestoreV4Golden(t *testing.T) {
+	data, err := os.ReadFile("testdata/session_v4.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var golden map[string]goldenCase
+	if err := json.Unmarshal(data, &golden); err != nil {
+		t.Fatal(err)
+	}
+	streams := map[string][]Event{"zero-head": zeroHeadStream()}
+	cuts := map[string]int{"zero-head": zeroHeadCut}
+	for name := range goldenKinds {
+		streams[name], cuts[name] = goldenSkewStream(), skewCut
+	}
+	for name, events := range streams {
+		gc, ok := golden[name]
+		if !ok {
+			t.Fatalf("session_v4.json has no %q case", name)
+		}
+		if v := snapshotVersionOf(t, gc.Snapshot); v != 4 {
+			t.Fatalf("%s: fixture is version %d, want 4", name, v)
+		}
+		restored, err := RestoreSession(gc.Snapshot)
+		if err != nil {
+			t.Fatalf("%s: restore v4: %v", name, err)
+		}
+		again, err := restored.Snapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		var golden map[string]goldenCase
-		if err := json.Unmarshal(data, &golden); err != nil {
-			t.Fatal(err)
+		if got, want := jsonTree(t, again), withoutDerived(t, gc.Snapshot); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the restored session snapshots as\n%v\nwant\n%v", name, got, want)
 		}
-		for _, name := range kinds {
-			gc, ok := golden[name]
-			if !ok {
-				t.Fatalf("%s has no %q case", file, name)
+		chunks := (len(events) + goldenChunk - 1) / goldenChunk
+		got := append(goldenPush(t, restored, events, cuts[name], chunks), restored.Close()...)
+		want := gc.Windows
+		if name == "zero-head" {
+			s := NewSession(goldenConfig(Sum))
+			goldenPush(t, s, events, 0, cuts[name])
+			want = append(goldenPush(t, s, events, cuts[name], chunks), s.Close()...)
+			if g, w := windowsJSON(t, got), windowsJSON(t, gc.Windows); bytes.Equal(g, w) {
+				t.Errorf("%s: the restored session serves the writer's windows, budgeted without the head", name)
 			}
-			label := file + " " + name
-			if v := snapshotVersionOf(t, gc.Snapshot); v != 3 {
-				t.Fatalf("%s: fixture is version %d, want 3", label, v)
-			}
-			restored, err := RestoreSession(gc.Snapshot)
-			if err != nil {
-				t.Fatalf("%s: restore v3: %v", label, err)
-			}
-			// What was read is what is written, in-flight reservoir
-			// capacities included, upgraded to version 4.
-			again, err := restored.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, seeded := upgradedV3(t, gc.Snapshot)
-			if !bytes.Equal(again, want) {
-				t.Errorf("%s: the restored session snapshots differently:\n%s\n%s", label, again, want)
-			}
-			chunks := (len(events) + goldenChunk - 1) / goldenChunk
-			got := append(goldenPush(t, restored, events, skewCut, chunks), restored.Close()...)
-			if seeded {
-				requireSameWindows(t, label+" in-flight window vs the writer's", got[:1], gc.Windows[:1])
-				requireSameShape(t, label+" vs the writer's", got, gc.Windows)
-			} else {
-				requireSameWindows(t, label+" vs recorded", got, gc.Windows)
-			}
-			for i, w := range got {
-				if name != "sum" {
-					continue
-				}
-				var truth float64
-				for at := w.Start.Unix(); at < w.End.Unix(); at += 2 {
-					truth += exact[at]
-				}
-				if math.Abs(w.Overall.Value-truth) > w.Overall.Bound {
-					t.Errorf("%s window %d: %.0f ± %.0f, exact %.0f", label, i, w.Overall.Value, w.Overall.Bound, truth)
-				}
-			}
-			// The window over [14 s, 20 s) is the first to cover only
-			// segments planned from their predecessor's counts.
-			if w := got[4]; float64(w.Sampled) < 0.195*float64(w.Items) {
-				t.Errorf("%s: window ending %v sampled %d of %d, want 0.2", label, w.End, w.Sampled, w.Items)
-			}
+		}
+		if g, w := windowsJSON(t, got), windowsJSON(t, want); !bytes.Equal(g, w) {
+			t.Errorf("%s: the restored session serves\n%s\nwant\n%s", name, g, w)
 		}
 	}
 }
 
-// upgradedV3 is a version-3 snapshot as a session restored from it writes
-// it back: version 4, its random state dropped and its sampler seeded
-// with the session's seed, and the in-flight segment's interval seed kept
-// — seeded reports it was there — or derived from the seed and the
-// segment's start in unix nanos.
-func upgradedV3(t *testing.T, snap []byte) (upgraded []byte, seeded bool) {
+// jsonTree decodes JSON into maps, slices and exact numbers.
+func jsonTree(t *testing.T, data []byte) any {
 	t.Helper()
-	var st pane.Snapshot
-	if err := json.Unmarshal(snap, &st); err != nil {
+	d := json.NewDecoder(bytes.NewReader(data))
+	d.UseNumber()
+	var v any
+	if err := d.Decode(&v); err != nil {
 		t.Fatal(err)
 	}
-	st.Version, st.SamplerSeed = 4, st.Seed
-	if seeded = st.Sampler.Seed != nil; !seeded {
-		seed := xrand.At(st.Seed, uint64(st.SegStart.UnixNano()))
-		st.Sampler.Seed = &seed
-	}
-	upgraded, err := json.Marshal(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return upgraded, seeded
+	return v
 }
 
-// requireSameShape demands what requireSameWindows does but the estimates:
-// equal bounds, items, samples, group keys and bucket edges.
-func requireSameShape(t *testing.T, label string, got, want []WindowResult) {
+// withoutDerived is a version-4 snapshot as version 5 holds it: without
+// the sampler's arrival counts and the OASRS sampler's stratum count,
+// order and interval seed.
+func withoutDerived(t *testing.T, snap []byte) any {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: %d windows, want %d", label, len(got), len(want))
+	st := jsonTree(t, snap).(map[string]any)
+	st["version"] = json.Number("5")
+	delete(st, "segCount")
+	delete(st, "lastCount")
+	if o, ok := st["sampler"].(map[string]any); ok {
+		delete(o, "expected")
+		delete(o, "order")
+		delete(o, "intervalSeed")
 	}
-	edges := func(bs []HistogramBucket) (e [][2]float64) {
-		for _, b := range bs {
-			e = append(e, [2]float64{b.Lo, b.Hi})
-		}
-		return e
-	}
-	for i, g := range got {
-		w := want[i]
-		if !g.Start.Equal(w.Start) || !g.End.Equal(w.End) || g.Items != w.Items || g.Sampled != w.Sampled ||
-			!slices.Equal(slices.Sorted(maps.Keys(g.Groups)), slices.Sorted(maps.Keys(w.Groups))) ||
-			!slices.Equal(edges(g.Buckets), edges(w.Buckets)) {
-			t.Errorf("%s: window %d is %+v, want the shape of %+v", label, i, g, w)
-		}
-	}
+	return st
 }
 
-// testdata/session_v3_latency.json was written at commit 2bf0212, the last
-// one whose sessions could cap a segment's sample at a latency target: a
-// Sum session of goldenConfig with a 5 ms target, snapshotted after
-// goldenCut chunks of goldenStream (mid-segment), and the windows that
-// writer's restore produced afterwards. Sessions no longer carry the cap:
-// the snapshot's targetLatencyNs is ignored, so the fixture continues to
-// the windows of the same bytes without that key, and those are the
-// windows recorded.
-func TestRestoreTargetLatencySnapshot(t *testing.T) {
-	data, err := os.ReadFile("testdata/session_v3_latency.json")
+func windowsJSON(t *testing.T, ws []WindowResult) []byte {
+	t.Helper()
+	data, err := json.Marshal(ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gc goldenCase
-	if err := json.Unmarshal(data, &gc); err != nil {
-		t.Fatal(err)
-	}
-	var fields map[string]json.RawMessage
-	if err := json.Unmarshal(gc.Snapshot, &fields); err != nil {
-		t.Fatal(err)
-	}
-	if string(fields["targetLatencyNs"]) != "5000000" {
-		t.Fatalf("fixture's targetLatencyNs is %s, want 5000000", fields["targetLatencyNs"])
-	}
-	delete(fields, "targetLatencyNs")
-	stripped, err := json.Marshal(fields)
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := goldenStream()
-	chunks := (len(events) + goldenChunk - 1) / goldenChunk
-	run := func(snap []byte) []WindowResult {
-		s, err := RestoreSession(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return append(goldenPush(t, s, events, goldenCut, chunks), s.Close()...)
-	}
-	got := run(gc.Snapshot)
-	requireSameWindows(t, "latency snapshot vs recorded", got, gc.Windows)
-	requireSameWindows(t, "latency snapshot vs without the key", got, run(stripped))
+	return data
 }
 
 func snapshotVersionOf(t *testing.T, snap []byte) int {

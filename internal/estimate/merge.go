@@ -10,9 +10,8 @@ package estimate
 // the Welch–Satterthwaite combination of the parts'.
 //
 // The serving tier does not merge estimates: its merger combines the
-// shards' panes, one Combine over every cell. Two callers remain: the
-// server's one-time upgrade of a version-3 checkpoint, whose pending
-// windows hold shard estimates, and the benchmark's staged merge.
+// shards' panes, one Combine over every cell. The one caller left is the
+// benchmark's staged merge.
 
 // FromBound reconstructs an Estimate from a (value, bound, confidence)
 // triple, recovering the variance from the bound via the 68-95-99.7

@@ -21,9 +21,10 @@ import (
 // time.Truncate cuts them and samples each with OASRS. The per-segment
 // budget is the previous segment's arrival count times the fraction in
 // force, and unbounded at fraction 1, which keeps every record
-// (sampling.SegmentBudget). Records behind the watermark are counted
-// late and dropped. A finished segment's sample goes to the caller's Cut;
-// the Sampler keeps no pane.
+// (sampling.SegmentBudget); that count is the OASRS sampler's history,
+// the one the plan of its strata reads. Records behind the watermark are
+// counted late and dropped. A finished segment's sample goes to the
+// caller's Cut; the Sampler keeps no pane.
 //
 // A segment's OASRS interval seed is xrand.At(seed, start): a function of
 // the Sampler's seed and the segment's start in unix nanos, not of the
@@ -43,7 +44,6 @@ type Sampler struct {
 	// nanos; stream.ZeroTimeNanos is "none" for both. The zero time's
 	// segment ends where it starts: any record ends it.
 	segStart, segEnd, wm int64
-	segCount, lastCount  int
 	late                 int64
 }
 
@@ -117,7 +117,6 @@ func (p *Sampler) Push(b *stream.EventBatch, from, to int, cut Cut) {
 			j++
 		}
 		p.wm = wm
-		p.segCount += j - i
 		p.oasrs.AddBatch(b, i, j)
 		i = j
 	}
@@ -153,8 +152,8 @@ func (p *Sampler) start(seg int64, cut Cut) {
 		cut(stream.ZeroTimeNanos, nil, seg)
 	}
 	p.setSegment(seg)
-	p.segCount = 0
-	budget := sampling.SegmentBudget(p.fraction, p.lastCount)
+	_, last := p.arrivals()
+	budget := sampling.SegmentBudget(p.fraction, int(last))
 	if p.oasrs == nil {
 		p.oasrs = sampling.NewKeyedOASRS(budget, nil, p.segmentSeed(seg))
 		return
@@ -170,7 +169,14 @@ func (p *Sampler) segmentSeed(seg int64) uint64 { return xrand.At(p.seed, uint64
 func (p *Sampler) finish(cut Cut, next int64) {
 	start := p.segStart
 	p.oasrs.Drain(func(s *sampling.Sample) { cut(start, s, next) })
-	p.lastCount = p.segCount
+}
+
+// arrivals returns the current and the previous segment's arrival counts.
+func (p *Sampler) arrivals() (current, last int64) {
+	if p.oasrs == nil {
+		return 0, 0
+	}
+	return p.oasrs.Arrivals()
 }
 
 // setSegment makes the segment at seg the current one.
@@ -205,11 +211,14 @@ func (p *Sampler) SegmentOf(n int64) (seg int64, ok bool) {
 
 // SamePoint reports whether p and o stand at one point of the stream with
 // interchangeable samplers: the same slide and fraction, watermark,
-// segment, and this and the previous segment's arrival counts. From such
-// a point, o's sample of what follows is one p could have drawn.
+// segment, and this and the previous segment's arrival counts, as their
+// OASRS samplers hold them. From such a point, o's sample of what follows
+// is one p could have drawn.
 func (p *Sampler) SamePoint(o *Sampler) bool {
+	pc, pl := p.arrivals()
+	oc, ol := o.arrivals()
 	return p.slide == o.slide && p.fraction == o.fraction && p.wm == o.wm &&
-		p.segStart == o.segStart && p.segCount == o.segCount && p.lastCount == o.lastCount
+		p.segStart == o.segStart && pc == oc && pl == ol
 }
 
 // Copy returns a Sampler in p's state, seed included, that samples on
@@ -217,7 +226,7 @@ func (p *Sampler) SamePoint(o *Sampler) bool {
 func (p *Sampler) Copy() *Sampler {
 	c := *p
 	if p.oasrs != nil {
-		c.oasrs = sampling.RestoreOASRS(p.oasrs.State(), nil)
+		c.oasrs = sampling.RestoreOASRS(p.oasrs.State(), p.segmentSeed(p.segStart))
 	}
 	return &c
 }

@@ -11,16 +11,15 @@ import (
 )
 
 // State is a Sampler's serialized form: its seed, the fraction in force,
-// the current segment with this and the previous segment's arrival
-// counts, the watermark, the late count and the OASRS sampler with its
-// interval seed and reservoirs. Nothing else of its randomness is state:
-// each segment's interval seed is derived from the seed and its start.
+// the current segment, the watermark, the late count and the OASRS
+// sampler's reservoirs with the previous segment's arrival counts. Each
+// is held once. What derives from them is not state: a segment's
+// interval seed is the seed's at its start, and this and the previous
+// segment's arrival counts are the OASRS sampler's.
 type State struct {
 	SamplerSeed uint64               `json:"samplerSeed"`
 	Fraction    float64              `json:"controllerFraction"`
 	SegStart    time.Time            `json:"segStart"`
-	SegCount    int                  `json:"segCount"`
-	LastCount   int                  `json:"lastCount"`
 	Watermark   time.Time            `json:"watermark"`
 	Late        int64                `json:"late"`
 	Sampler     *sampling.OASRSState `json:"sampler,omitempty"`
@@ -32,8 +31,6 @@ func (p *Sampler) State() State {
 		SamplerSeed: p.seed,
 		Fraction:    p.fraction,
 		SegStart:    stream.TimeFromNanos(p.segStart),
-		SegCount:    p.segCount,
-		LastCount:   p.lastCount,
 		Watermark:   stream.TimeFromNanos(p.wm),
 		Late:        p.late,
 	}
@@ -45,11 +42,11 @@ func (p *Sampler) State() State {
 }
 
 // Restore rebuilds the Sampler the state was captured from, cutting
-// segments of slide and sampling at fraction. An OASRS state with no
-// interval seed, written before reservoirs were keyed, gets its
-// segment's. A segment or watermark outside the unix-nano range, a
-// segment start no cut makes, or a reservoir no sampler could have
-// written (see sampling.ReservoirState.Validate) fails it.
+// segments of slide and sampling at fraction, its OASRS sampler keyed by
+// the segment's interval seed. A segment or watermark outside the
+// unix-nano range, a segment start no cut makes, or a reservoir no
+// sampler could have written (see sampling.ReservoirState.Validate)
+// fails it.
 func (st *State) Restore(slide time.Duration, fraction float64) (*Sampler, error) {
 	p := NewSampler(slide, fraction, st.SamplerSeed)
 	seg, okSeg := stream.UnixNanos(st.SegStart)
@@ -58,19 +55,14 @@ func (st *State) Restore(slide time.Duration, fraction float64) (*Sampler, error
 		return nil, fmt.Errorf("snapshot segment %v or watermark %v outside the unix-nano range", st.SegStart, st.Watermark)
 	}
 	p.setSegment(seg)
-	p.segCount, p.lastCount, p.wm, p.late = st.SegCount, st.LastCount, wm, st.Late
+	p.wm, p.late = wm, st.Late
 	if st.Sampler != nil {
 		for key, rs := range st.Sampler.Reservoirs {
 			if err := rs.Validate(); err != nil {
 				return nil, fmt.Errorf("reservoir %q: %w", key, err)
 			}
 		}
-		o := *st.Sampler
-		if o.Seed == nil {
-			seed := p.segmentSeed(seg)
-			o.Seed = &seed
-		}
-		p.oasrs = sampling.RestoreOASRS(o, nil)
+		p.oasrs = sampling.RestoreOASRS(*st.Sampler, p.segmentSeed(seg))
 	}
 	return p, nil
 }
@@ -102,27 +94,23 @@ type Snapshot struct {
 	Ready json.RawMessage `json:"ready,omitempty"`
 }
 
-// Version 4 writes the Sampler's seed ("samplerSeed"). Version 3 wrote
-// the state of the random source that drew its interval seeds ("rng").
-const Version = 4
+// Version 5 holds each count once, in the OASRS reservoirs and their
+// history. Version 4 also wrote the Sampler's arrival counts ("segCount",
+// "lastCount"), the OASRS sampler's stratum count and order ("expected",
+// "order") and its interval seed ("intervalSeed"): Decode ignores them,
+// and Restore derives each.
+const Version = 5
 
-// Decode reads a snapshot of the current version or the one before it.
-// A version-3 snapshot is upgraded here, once: its random state is
-// dropped and its Sampler seeded with the session's seed, so the panes
-// after its in-flight one draw with derived interval seeds. Any other
-// version is refused. A snapshot's targetLatencyNs, written by sessions
-// that could cap a segment's sample at a latency target, is ignored.
+// Decode reads a snapshot of the current version or the one before it,
+// and refuses any other.
 func Decode(data []byte) (*Snapshot, error) {
 	var st Snapshot
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("decode snapshot: %w", err)
 	}
 	if st.Version != Version-1 && st.Version != Version {
-		return nil, fmt.Errorf("session snapshot version %d: this build reads versions %d and %d; commit b228946 is the last to upgrade version 2, and commit 1338931 version 1",
+		return nil, fmt.Errorf("session snapshot version %d: this build reads versions %d and %d; commit bf6c4fd is the last to upgrade version 3, commit b228946 version 2, and commit 1338931 version 1",
 			st.Version, Version-1, Version)
-	}
-	if st.Version < Version {
-		st.SamplerSeed = st.Seed
 	}
 	return &st, nil
 }

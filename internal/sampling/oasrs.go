@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"streamapprox/internal/stream"
 	"streamapprox/internal/xrand"
@@ -67,22 +66,19 @@ type OASRS struct {
 	seed   uint64 // the interval's, which keys its reservoirs
 
 	reservoirs map[string]*Reservoir
-	order      []string // strata in first-seen order, for stable iteration
 
-	// expected is the stratum count observed in the previous interval;
-	// Algorithm 3 re-derives the per-stratum size Ni each interval from
-	// the updated sub-stream set S, so reservoir sizing converges to
-	// budget/|S| after the first interval instead of over-allocating the
-	// first-seen stratum.
-	expected int
-
-	// prev is the previous interval's arrival count per stratum and big
-	// the reservoir size this interval's budget affords each stratum that
-	// overflowed its share then; negative until the interval's first new
-	// stratum draws the plan. counts is plan's scratch.
+	// prev is the previous interval's arrival count per stratum: the
+	// sampler's one history. Algorithm 3 re-derives the per-stratum size
+	// Ni each interval from the sub-stream set S it names, so reservoir
+	// sizing converges to budget/|S| after the first interval instead of
+	// over-allocating the first-seen stratum. big is the reservoir size
+	// this interval's budget affords each stratum that overflowed its
+	// share then; negative until the interval's first new stratum draws
+	// the plan. counts is plan's scratch, keys Drain's.
 	prev   map[string]int64
 	big    int
 	counts []int64
+	keys   []string
 
 	// dense is AddBatch's per-call reservoir table indexed by the
 	// batch-local dictionary ID, so a batch's records resolve their
@@ -184,7 +180,7 @@ func (o *OASRS) resolve(dict []string, dense []*Reservoir, id uint) *Reservoir {
 	stratum := dict[id]
 	res, ok := o.reservoirs[stratum]
 	if !ok {
-		size := o.policy.StratumSize(o.budget, max(len(o.order)+1, o.expected))
+		size := o.policy.StratumSize(o.budget, max(len(o.reservoirs)+1, len(o.prev)))
 		if o.big < 0 {
 			o.plan()
 		}
@@ -200,7 +196,6 @@ func (o *OASRS) resolve(dict []string, dense []*Reservoir, id uint) *Reservoir {
 		res.resize(size, int(prev))
 		res.key = o.stratumKey(stratum)
 		o.reservoirs[stratum] = res
-		o.order = append(o.order, stratum)
 	}
 	dense[id] = res
 	return res
@@ -296,9 +291,14 @@ func (o *OASRS) AddBatch(b *stream.EventBatch, from, to int) {
 // so arrival-rate changes and budget changes are picked up
 // automatically, one interval behind.
 func (o *OASRS) Drain(visit func(s *Sample)) {
-	sort.Strings(o.order)
+	keys := o.keys[:0]
+	for key := range o.reservoirs {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	o.keys = keys
 	strata := o.view.Strata[:0]
-	for _, key := range o.order {
+	for _, key := range keys {
 		res := o.reservoirs[key]
 		vals := res.sample()
 		strata = append(strata, StratumSample{
@@ -311,7 +311,7 @@ func (o *OASRS) Drain(visit func(s *Sample)) {
 	o.view.Strata = strata
 	visit(&o.view)
 	clear(o.prev)
-	for _, key := range o.order {
+	for _, key := range keys {
 		res := o.reservoirs[key]
 		o.prev[key] = res.seen
 		res.Reset()
@@ -320,8 +320,19 @@ func (o *OASRS) Drain(visit func(s *Sample)) {
 	clear(o.reservoirs)
 	o.seed = xrand.At(o.seed, 1)
 	o.big = -1
-	o.expected = len(o.order)
-	o.order = o.order[:0]
+}
+
+// Arrivals returns the arrival counts of this interval so far and of the
+// previous one, summed over the strata: what the reservoirs and their
+// history hold.
+func (o *OASRS) Arrivals() (interval, previous int64) {
+	for _, res := range o.reservoirs {
+		interval += res.seen
+	}
+	for _, c := range o.prev {
+		previous += c
+	}
+	return interval, previous
 }
 
 // Finish returns the weighted sample for the interval and resets the

@@ -15,7 +15,9 @@
 //     followed by per-stratum random-sort sampling, including the shuffle
 //     and cross-worker barrier that make it expensive (§4.1.1).
 //
-// All samplers are deterministic given an injected *xrand.Rand.
+// All samplers are deterministic given their seeds: OASRS and Reservoir
+// draw from streams keyed by a seed (xrand.At), the Spark samplers from
+// an injected *xrand.Rand.
 package sampling
 
 import "sort"

@@ -49,33 +49,23 @@ func RestoreReservoir(st ReservoirState, key uint64) *Reservoir {
 	return r
 }
 
-// OASRSState is an OASRS sampler's serializable state.
+// OASRSState is an OASRS sampler's serializable state: the interval's
+// budget and reservoirs, and the previous interval's arrival count per
+// stratum, which sizes the strata still to appear in this one. The
+// interval seed is not state: the caller keys the interval (see
+// RestoreOASRS).
 type OASRSState struct {
 	Budget     int                       `json:"budget"`
-	Expected   int                       `json:"expected"`
-	Order      []string                  `json:"order"`
 	Reservoirs map[string]ReservoirState `json:"reservoirs"`
-	// Prev is the previous interval's arrival count per stratum, which
-	// sizes the strata still to appear in this one. A state written before
-	// it existed has none and restores with no history to plan from, like
-	// a sampler in its first interval: each such stratum gets its share.
-	Prev map[string]int64 `json:"prev,omitempty"`
-	// Seed is the interval's seed. A state written before reservoirs were
-	// keyed has none; its reader supplies one (pane.State.Restore derives
-	// it), or it restores with seed 0.
-	Seed *uint64 `json:"intervalSeed,omitempty"`
+	Prev       map[string]int64          `json:"prev,omitempty"`
 }
 
 // State captures the sampler's per-stratum reservoirs and counters.
 func (o *OASRS) State() OASRSState {
-	seed := o.seed
 	st := OASRSState{
 		Budget:     o.budget,
-		Expected:   o.expected,
-		Order:      append([]string(nil), o.order...),
 		Reservoirs: make(map[string]ReservoirState, len(o.reservoirs)),
 		Prev:       maps.Clone(o.prev),
-		Seed:       &seed,
 	}
 	for key, res := range o.reservoirs {
 		st.Reservoirs[key] = res.State()
@@ -83,15 +73,10 @@ func (o *OASRS) State() OASRSState {
 	return st
 }
 
-// RestoreOASRS rebuilds an OASRS sampler from a state. policy may be nil
-// for the default EqualShare.
-func RestoreOASRS(st OASRSState, policy SizePolicy) *OASRS {
-	o := NewKeyedOASRS(st.Budget, policy, 0)
-	if st.Seed != nil {
-		o.seed = *st.Seed
-	}
-	o.expected = st.Expected
-	o.order = append(o.order[:0], st.Order...)
+// RestoreOASRS rebuilds an OASRS sampler from a state, its interval keyed
+// by seed, sizing strata by EqualShare.
+func RestoreOASRS(st OASRSState, seed uint64) *OASRS {
+	o := NewKeyedOASRS(st.Budget, nil, seed)
 	maps.Copy(o.prev, st.Prev)
 	for key, rs := range st.Reservoirs {
 		o.reservoirs[key] = RestoreReservoir(rs, o.stratumKey(key))

@@ -83,7 +83,7 @@ func TestOASRSStateRoundTripJSON(t *testing.T) {
 	if err := json.Unmarshal(data, &back); err != nil {
 		t.Fatal(err)
 	}
-	restored := RestoreOASRS(back, nil)
+	restored := RestoreOASRS(back, o.seed)
 	sample := restored.Finish()
 	a := sample.Stratum("a")
 	if a == nil || a.Count != 100 {
@@ -95,21 +95,27 @@ func TestOASRSStateRoundTripJSON(t *testing.T) {
 	}
 }
 
-func TestOASRSStatePreservesExpected(t *testing.T) {
+// A restored sampler sizes a stratum seen for the first time in its
+// interval as the original does: from the previous interval's strata, so
+// the interval's first stratum gets half the budget, not the whole of it
+// as in a sampler's first interval.
+func TestRestoredOASRSSizesNewStrata(t *testing.T) {
 	o := NewOASRS(30, nil, xrand.New(5))
 	feedAll(o, mkEvents("a", 10))
 	feedAll(o, mkEvents("b", 10))
-	_ = o.Finish() // expected = 2 strata
-	st := o.State()
-	if st.Expected != 2 {
-		t.Fatalf("Expected = %d", st.Expected)
+	_ = o.Finish() // two strata of history
+	restored := RestoreOASRS(o.State(), o.seed)
+	for _, s := range []*OASRS{o, restored} {
+		feedAll(s, mkEvents("a", 101))
+		feedAll(s, mkEvents("c", 101))
 	}
-	restored := RestoreOASRS(st, nil)
-	// A new interval's first stratum must get budget/2, not the full
-	// budget — the adaptation state survived.
-	feedAll(restored, mkEvents("a", 101))
-	sample := restored.Finish()
-	if got := len(sample.Stratum("a").Values); got != 15 {
-		t.Errorf("restored first-stratum reservoir = %d, want 15 (= 30/2)", got)
+	want, got := o.Finish(), restored.Finish()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored sampler drew %+v, the original %+v", got, want)
+	}
+	for _, name := range []string{"a", "c"} {
+		if n := len(got.Stratum(name).Values); n != 15 {
+			t.Errorf("restored stratum %s reservoir = %d, want 15 (= 30/2)", name, n)
+		}
 	}
 }

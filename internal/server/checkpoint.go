@@ -10,9 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"streamapprox"
 	"streamapprox/internal/adaptive"
-	"streamapprox/internal/estimate"
 	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
 	"streamapprox/internal/stream"
@@ -36,10 +34,10 @@ import (
 // Files whose names start with "_" are not checkpoints and are never
 // read or removed: an older release kept the plane's position in one.
 
-// checkpointVersion 4 holds the merger's panes. Version 3, the one
-// before it, held the shards' fired window results with their Variance
-// and DF: upgrade merges them once, on load. Older versions are refused.
-const checkpointVersion = 4
+// checkpointVersion 5 embeds version-5 session snapshots. Version 4, the
+// one before it, is the same file with version-4 snapshots, which
+// pane.Decode reads. Older versions are refused.
+const checkpointVersion = 5
 
 // checkpointFile is the on-disk form of one query's state.
 type checkpointFile struct {
@@ -54,13 +52,6 @@ type checkpointFile struct {
 	// covers, each as the shards' panes of it (nil: none).
 	Served time.Time         `json:"served"`
 	Slides []slideCheckpoint `json:"slides,omitempty"`
-
-	// Version 3, read by upgrade alone: the partially merged windows and
-	// the recently merged window starts.
-	Pending []pendingCheckpoint `json:"pending,omitempty"`
-	Fired   []time.Time         `json:"fired,omitempty"`
-	// upgraded is what upgrade merged Pending to: served first on restore.
-	upgraded []MergedWindow
 }
 
 // shardCheckpoint is one shard's resumable state. Offset is the
@@ -78,18 +69,6 @@ type shardCheckpoint struct {
 type slideCheckpoint struct {
 	Start time.Time        `json:"start"`
 	Panes []*query.Summary `json:"panes"`
-}
-
-// pendingCheckpoint is a version-3 partially merged window.
-type pendingCheckpoint struct {
-	Start time.Time     `json:"start"`
-	Parts []*legacyPart `json:"parts"` // by shard; nil: none yet
-}
-
-// legacyPart is a shard's window result as version 3 wrote it.
-type legacyPart struct {
-	streamapprox.WindowResult
-	GroupItems map[string]int64 // a group mean's weight
 }
 
 // checkpoint captures the job's state, one shard at a time and then the
@@ -129,10 +108,9 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 	return cf, nil
 }
 
-// restore rebuilds the job's shards and merger from a checkpoint: the
-// windows an upgraded checkpoint's pending parts merged to are served
-// first, then each shard hands the merger the panes its session holds
-// (an upgraded checkpoint's) and its watermark, which may fire windows.
+// restore rebuilds the job's shards and merger from a checkpoint: each
+// shard then hands the merger the panes its session holds and its
+// watermark, which may fire windows.
 func (j *job) restore(cf *checkpointFile) error {
 	byPart := make(map[int]shardCheckpoint, len(cf.Shards))
 	for _, sc := range cf.Shards {
@@ -155,9 +133,6 @@ func (j *job) restore(cf *checkpointFile) error {
 	}
 	j.mu.Lock()
 	j.seq = cf.Seq
-	for _, mw := range cf.upgraded {
-		j.emitLocked(firedWindow{result: mw})
-	}
 	j.merger.windows.Fired = cf.Served
 	for _, sc := range cf.Slides {
 		for i, sum := range sc.Panes {
@@ -207,100 +182,15 @@ func (sh *shard) restore(data []byte) error {
 	return err
 }
 
-// upgrade brings a version-3 checkpoint to version 4: each pending
-// window is merged as that version's merger merged it, to be served
-// first on restore, and every window up to the last it merged or held
-// counts as served. A pending window is served with the parts it holds:
-// a shard that had not yet sent its part adds nothing to it. The shards'
-// sessions still hold panes, handed to the merger on restore like any
-// others; those whose every window was served are dropped.
-func upgrade(cf *checkpointFile) {
-	slices.SortFunc(cf.Pending, func(a, b pendingCheckpoint) int { return a.Start.Compare(b.Start) })
-	starts := cf.Fired
-	for _, pc := range cf.Pending {
-		cf.upgraded = append(cf.upgraded, mergeLegacy(&cf.Spec, pc.Start, pc.Parts))
-		starts = append(starts, pc.Start)
-	}
-	for _, start := range starts {
-		if end := start.Add(cf.Spec.Window); end.After(cf.Served) {
-			cf.Served = end
-		}
-	}
-	cf.Pending, cf.Fired, cf.Version = nil, nil, checkpointVersion
-}
-
-// mergeLegacy merges one version-3 pending window's parts, in shard
-// order, by the disjoint-population algebra that version's merger applied
-// to each part's variance and degrees of freedom: totals add
-// (estimate.MergeSums), means weight parts by item counts
-// (estimate.MergeMeans), each group over the parts reporting it, each
-// bucket over all.
-func mergeLegacy(spec *Spec, start time.Time, parts []*legacyPart) MergedWindow {
-	conf := spec.level()
-	var ests []estimate.Estimate
-	var counts []int64
-	add := func(e streamapprox.Estimate, count int64) {
-		ests = append(ests, estimate.Estimate{Value: e.Value, Variance: e.Variance, DF: e.DF, Bound: e.Bound, Confidence: conf})
-		counts = append(counts, count)
-	}
-	merge := func(mean bool) PointEstimate {
-		e := estimate.MergeSums(ests)
-		if mean {
-			e = estimate.MergeMeans(ests, counts)
-		}
-		ests, counts = ests[:0], counts[:0]
-		return PointEstimate{Value: e.Value, Error: e.Bound}
-	}
-	mean := spec.Kind == "mean" || spec.Kind == "groupby-mean"
-	parts = slices.DeleteFunc(parts, func(p *legacyPart) bool { return p == nil })
-	out := MergedWindow{Start: start, End: start.Add(spec.Window), Confidence: conf.String(), Shards: len(parts)}
-	var keys []string
-	for _, p := range parts {
-		out.Items += p.Items
-		out.Sampled += p.Sampled
-		add(p.Overall, p.Items)
-		for k := range p.Groups {
-			if !slices.Contains(keys, k) {
-				keys = append(keys, k)
-			}
-		}
-	}
-	overall := merge(mean)
-	out.Value, out.Error = overall.Value, overall.Error
-	for _, k := range keys {
-		for _, p := range parts {
-			if g, ok := p.Groups[k]; ok {
-				add(g, p.GroupItems[k])
-			}
-		}
-		if out.Groups == nil {
-			out.Groups = make(map[string]PointEstimate, len(keys))
-		}
-		out.Groups[k] = merge(mean)
-	}
-	if f := slices.IndexFunc(parts, func(p *legacyPart) bool { return len(p.Buckets) > 0 }); f >= 0 {
-		out.Buckets = make([]BucketEstimate, len(parts[f].Buckets))
-		for i, b := range parts[f].Buckets {
-			for _, p := range parts {
-				if i < len(p.Buckets) {
-					add(p.Buckets[i].Count, 0)
-				}
-			}
-			out.Buckets[i] = BucketEstimate{Lo: b.Lo, Hi: b.Hi, Count: merge(false)}
-		}
-	}
-	return out
-}
-
 // checkpointPath is dir/<id>.json.
 func checkpointPath(dir, id string) string {
 	return filepath.Join(dir, id+".json")
 }
 
-// loadCheckpoints reads every query checkpoint in dir, sorted by id,
-// upgrading a version-3 one. Files starting with "_" are skipped. A
-// checkpoint of any other version fails the load, before anything is
-// restored or written.
+// loadCheckpoints reads every query checkpoint in dir, sorted by id.
+// Files starting with "_" are skipped. A checkpoint of a version other
+// than the current one and the one before it fails the load, before
+// anything is restored or written.
 func loadCheckpoints(dir string) ([]*checkpointFile, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -323,11 +213,8 @@ func loadCheckpoints(dir string) ([]*checkpointFile, error) {
 			return nil, fmt.Errorf("checkpoint %s: %w", e.Name(), err)
 		}
 		if cf.Version != checkpointVersion-1 && cf.Version != checkpointVersion {
-			return nil, fmt.Errorf("checkpoint %s version %d: this build reads versions %d and %d; commit 1338931 is the last to upgrade an older one",
+			return nil, fmt.Errorf("checkpoint %s version %d: this build reads versions %d and %d; commit bf6c4fd is the last to upgrade version 3, and commit 1338931 an older one",
 				e.Name(), cf.Version, checkpointVersion-1, checkpointVersion)
-		}
-		if cf.Version < checkpointVersion {
-			upgrade(&cf)
 		}
 		out = append(out, &cf)
 	}

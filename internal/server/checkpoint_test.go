@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -576,18 +577,25 @@ func TestCheckpointSurvivesEmptyPartition(t *testing.T) {
 // testdata/checkpoint_v2 was written at commit c8be5b8, the last whose
 // merger recovered each part's variance from its bound: four queries,
 // each checkpointed with three windows holding three parts. Version 2 is
-// two formats back. A server restarted over a copy of the directory fails
-// with an error naming the file, its version, the versions read and the
-// last commit that upgrades it, and leaves every file as it was.
+// three formats back, and refused whole.
 func TestRestoreV2CheckpointRefused(t *testing.T) {
+	refuseCheckpointDir(t, "testdata/checkpoint_v2", 2, "commit 1338931")
+}
+
+// refuseCheckpointDir requires a server restarted over a copy of a
+// fixture directory of checkpoints two or more formats back to fail with
+// an error naming the first file, its version, the versions read and the
+// last commit that upgrades it, and to leave every file as it was.
+func refuseCheckpointDir(t *testing.T, fixture string, version int, commit string) {
+	t.Helper()
 	dir := t.TempDir()
 	want := make(map[string][]byte)
-	entries, err := os.ReadDir("testdata/checkpoint_v2")
+	entries, err := os.ReadDir(fixture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join("testdata/checkpoint_v2", e.Name()))
+		data, err := os.ReadFile(filepath.Join(fixture, e.Name()))
 		if err == nil {
 			err = os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644)
 		}
@@ -595,9 +603,6 @@ func TestRestoreV2CheckpointRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[e.Name()] = data
-	}
-	if len(want) != 4 {
-		t.Fatalf("fixture holds %d files, want 4", len(want))
 	}
 	b := broker.New()
 	defer b.Close()
@@ -607,9 +612,9 @@ func TestRestoreV2CheckpointRefused(t *testing.T) {
 	s, err := New(Config{Cluster: b, Topic: "in", CheckpointDir: dir, CheckpointEvery: time.Hour})
 	if err == nil {
 		s.Close()
-		t.Fatal("a server restored version-2 checkpoints")
+		t.Fatalf("a server restored version-%d checkpoints", version)
 	}
-	for _, part := range []string{"checkpoint q-0.json", "version 2", "versions 3 and 4", "commit 1338931"} {
+	for _, part := range []string{"checkpoint q-0.json", fmt.Sprintf("version %d", version), "versions 4 and 5", commit} {
 		if !strings.Contains(err.Error(), part) {
 			t.Errorf("refusal %q does not name %q", err, part)
 		}
@@ -629,47 +634,94 @@ func TestRestoreV2CheckpointRefused(t *testing.T) {
 }
 
 // testdata/checkpoint_v3_pending was written at commit 28e1c76, the last
-// whose shards fired windows and whose merger merged their results, by
-// driveShards over fixtureStream(57, 5000) keyed by stratum onto three of
-// four partitions (the fourth never receives a record): one query of each
-// kind (window 3 s, slide 1 s, f = 0.2), checkpointed at 6 s of event
-// time holding one window with three parts. checkpoint_v3_pending_served
-// .json holds every window that commit served after restoring from it and
-// being driven through the rest of the stream and deleted. Restored on
-// version 4, the same drive serves the same windows: the pending one
-// merged as that commit did, bit for bit, and the rest from the shards'
-// panes, equal but for the estimates' summation order.
-func TestRestoreV3PendingServesParentWindows(t *testing.T) {
-	cfs, err := loadCheckpoints("testdata/checkpoint_v3_pending")
+// whose shards fired windows and whose merger merged their results: seven
+// queries, one of each kind, checkpointed holding one window with three
+// parts. Version 3 is two formats back, and refused whole.
+func TestRestoreV3PendingCheckpointRefused(t *testing.T) {
+	refuseCheckpointDir(t, "testdata/checkpoint_v3_pending", 3, "commit bf6c4fd")
+}
+
+// testdata/checkpoint_v4 was written at commit bf6c4fd, the last whose
+// session snapshots carried each sampler's arrival counts and interval
+// seed, by a rig over two partitions fed shareBatches(29, 30) through
+// applyKeyed: a sampling group of three members (sum, groupby-mean and
+// histogram at f = 0.3, slide 1 s; q-0 to q-2) and a mean under a target
+// error that samples alone (q-3), checkpointed after half the batches
+// with every shard mid-pane, its reservoirs past fill.
+// checkpoint_v4_served.json holds what each query of that uninterrupted
+// run served after the cut. Restored in id order the members form their
+// group again, and fed the other half every query serves those windows,
+// bit for bit and numbered on from the checkpoint.
+func TestRestoreV4CheckpointContinuesParentRun(t *testing.T) {
+	cfs, err := loadCheckpoints("testdata/checkpoint_v4")
 	if err != nil {
 		t.Fatal(err)
 	}
-	served := servedFixture(t, "testdata/checkpoint_v3_pending_served.json")
-	if len(cfs) != 7 {
-		t.Fatalf("%d checkpoints, want 7", len(cfs))
+	served := servedFixture(t, "testdata/checkpoint_v4_served.json")
+	if len(cfs) != 4 {
+		t.Fatalf("%d checkpoints, want 4", len(cfs))
 	}
-	events := fixtureStream(57, 5000)
-	cut := events[0].Time.Add(6 * time.Second)
+	r := newRig(t, 2)
+	for _, sc := range cfs[0].Shards {
+		r.next[sc.Partition] = sc.Offset // the plane stands where the shards do
+	}
+	var jobs []*job
 	for _, cf := range cfs {
-		if len(cf.upgraded) != 1 {
-			t.Fatalf("%s: %d upgraded windows, want the 1 pending", cf.ID, len(cf.upgraded))
+		if cf.Version != 4 {
+			t.Fatalf("%s: fixture is version %d, want 4", cf.ID, cf.Version)
 		}
-		j, err := newJob(cf.ID, cf.Spec, fixtureServer(t, 4), cf)
+		if err := cf.Spec.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		j, err := newJob(cf.ID, cf.Spec, r.srv, cf)
 		if err != nil {
 			t.Fatal(err)
 		}
-		driveShards(j, events, keyedBy(3), cut, events[len(events)-1].Time.Add(time.Millisecond))
+		r.join(j)
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs[1:3] {
+		for _, sh := range j.shards {
+			if sh.sharing.Load() == nil {
+				t.Fatalf("%s shard %d does not share its group's sampler after the restore", j.id, sh.idx)
+			}
+		}
+	}
+	batches := shareBatches(29, 30)
+	applyKeyed(r, batches[len(batches)/2:])
+	for i, j := range jobs {
 		j.stop(true)
 		got := j.resultsSince(-1)
-		if n := j.partsDropped.Value(); n != 0 {
-			t.Errorf("%s: %v panes dropped", cf.ID, n)
+		if len(got) == 0 || got[0].Seq != cfs[i].Seq {
+			t.Fatalf("%s: %d windows served after the restore, the first numbered %v; want from %d", j.id, len(got), got, cfs[i].Seq)
 		}
-		first, _ := json.Marshal(got[:1])
-		parent, _ := json.Marshal(served[cf.ID][:1])
-		if !bytes.Equal(first, parent) {
-			t.Errorf("%s: the pending window served\n%s\nwant\n%s", cf.ID, first, parent)
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(served[j.id])
+		if !bytes.Equal(g, w) {
+			t.Errorf("%s: served after the restore\n%s\nthe uninterrupted run\n%s", j.id, g, w)
 		}
-		sameWindows(t, cf.ID, got, served[cf.ID])
+	}
+}
+
+// applyKeyed hands each batch's records of strata a and c to the rig's
+// partition 0 and those of b and d to partition 1.
+func applyKeyed(r *rig, batches [][]stream.Event) {
+	for _, events := range batches {
+		var parts [2][]stream.Event
+		for _, e := range events {
+			p := 0
+			if e.Stratum == "b" || e.Stratum == "d" {
+				p = 1
+			}
+			parts[p] = append(parts[p], e)
+		}
+		for p, evs := range parts {
+			if len(evs) > 0 {
+				b := stream.BatchOf(evs)
+				r.apply(p, b)
+				b.Release()
+			}
+		}
 	}
 }
 
@@ -725,106 +777,10 @@ func TestTornIngestStateDoesNotBlockRestart(t *testing.T) {
 }
 
 // testdata/checkpoint_v3 was written at commit df8d9d8, the last whose
-// server also kept the plane's position in a shared _ingest.json, by a
-// server over an in-process broker with two partitions holding the first
-// 4000 of makeEvents(52, 8000). A grouped pair (sum and count at slide 1 s,
-// f = 0.5) and a mean consumed all of them; a late sum from earliest was
-// cut after 750 records per partition, its catch-up reads slowed to 250
-// records each. checkpoint_v3_served.json holds the windows each query
-// served before the cut. Restored beside the unread _ingest.json and fed
-// the second half, every query counts every record once, serves every
-// window once with its exact item count, and continues the sequence. The
-// estimates are not compared: which group member follows which on
-// restart is timing-dependent.
+// server also kept the plane's position in a shared _ingest.json: a
+// grouped pair, a mean and a late sum from earliest over two partitions.
+// Version 3 is two formats back: the restart is refused, and neither the
+// checkpoints nor the unread _ingest.json beside them is touched.
 func TestRestoreParentCheckpointDir(t *testing.T) {
-	dir := t.TempDir()
-	for _, name := range []string{"_ingest.json", "q-0.json", "q-1.json", "q-2.json", "q-3.json"} {
-		data, err := os.ReadFile(filepath.Join("testdata/checkpoint_v3", name))
-		if err == nil {
-			err = os.WriteFile(filepath.Join(dir, name), data, 0o644)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	data, err := os.ReadFile("testdata/checkpoint_v3_served.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var served map[string][]MergedWindow
-	if err := json.Unmarshal(data, &served); err != nil {
-		t.Fatal(err)
-	}
-	cfs, err := loadCheckpoints(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := broker.New()
-	if err := b.CreateTopic("in", 2); err != nil {
-		t.Fatal(err)
-	}
-	events := makeEvents(52, 8000)
-	if _, err := produceEvents(b, "in", events[:len(events)/2]); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Cluster: b, Topic: "in", CheckpointDir: dir,
-		CheckpointEvery: time.Hour, PollBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if _, err := produceEvents(b, "in", events[len(events)/2:]); err != nil {
-		t.Fatal(err)
-	}
-	ones := make([]stream.Event, len(events))
-	for i, e := range events {
-		e.Value = 1
-		ones[i] = e
-	}
-	last := events[len(events)-1].Time
-	for _, cf := range cfs {
-		j, ok := s.job(cf.ID)
-		if !ok {
-			t.Fatalf("query %s not restored", cf.ID)
-		}
-		waitJobRecords(t, j, int64(len(events)), 15*time.Second)
-		if n := jobRecords(j); n != int64(len(events)) {
-			t.Errorf("query %s counts %d records across the restart, want %d", cf.ID, n, len(events))
-		}
-		// Every window that ends a slide before the last record is served:
-		// once, with the items inside it, and numbered on from the cut.
-		exact := exactWindowSums(ones, j.spec.Window, j.spec.Slide)
-		want := 0
-		for start := range exact {
-			if !start.Add(j.spec.Window + j.spec.Slide).After(last) {
-				want++
-			}
-		}
-		var after []MergedWindow
-		for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			after = j.resultsSince(-1)
-			if len(served[cf.ID])+len(after) >= want || time.Now().After(deadline) {
-				break
-			}
-		}
-		if len(served[cf.ID]) != int(cf.Seq) {
-			t.Fatalf("query %s: fixture served %d windows, checkpoint seq %d", cf.ID, len(served[cf.ID]), cf.Seq)
-		}
-		seen := map[time.Time]bool{}
-		for i, r := range append(served[cf.ID], after...) {
-			if r.Seq != int64(i) {
-				t.Errorf("query %s: window %v has seq %d, want %d", cf.ID, r.Start, r.Seq, i)
-			}
-			if seen[r.Start] {
-				t.Errorf("query %s: window %v served twice", cf.ID, r.Start)
-			}
-			seen[r.Start] = true
-			if float64(r.Items) != exact[r.Start] {
-				t.Errorf("query %s: window %v holds %d items, want %v", cf.ID, r.Start, r.Items, exact[r.Start])
-			}
-		}
-		if len(seen) < want {
-			t.Errorf("query %s: served %d of %d windows", cf.ID, len(seen), want)
-		}
-	}
+	refuseCheckpointDir(t, "testdata/checkpoint_v3", 3, "commit bf6c4fd")
 }

@@ -108,7 +108,7 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		windowsMerged: srv.reg.Counter("saproxd_windows_merged_total",
 			"windows merged across shards", metrics.Labels{"query": id}),
 		partsDropped: srv.reg.Counter("saproxd_window_parts_dropped_total",
-			"shard panes, or an upgraded checkpoint's window parts, arriving after their window was served",
+			"shard panes arriving after their window was served",
 			metrics.Labels{"query": id}),
 		lagGauge: srv.reg.Gauge("saproxd_query_lag_records",
 			"records between the query's delivery watermarks and the partition high watermarks",

@@ -268,6 +268,7 @@ func TestSpecNormalizeAndJSON(t *testing.T) {
 		`{"kind":"sum","confidence":50}`,
 		`{"kind":"histogram"}`,
 		`{"kind":"sum","from":"yesterday"}`,
+		`{"kind":"sum","from":"committed"}`,
 	} {
 		var sp Spec
 		if err := sp.UnmarshalJSON([]byte(bad)); err != nil {

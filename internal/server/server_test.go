@@ -598,7 +598,10 @@ func TestHugeNegativeSinceServesEverything(t *testing.T) {
 
 // TestRegisterRejectsNonFiniteSpec: a spec holding a NaN or infinite
 // number is refused at registration. Registered, it would run, but no
-// checkpoint of it could be written, so a restart would lose it.
+// checkpoint of it could be written, so a restart would lose it. A spec
+// starting "from" committed, a synonym of earliest that only checkpoints
+// older than the format window carried, is refused over HTTP with a 400.
+// Nothing refused is registered.
 func TestRegisterRejectsNonFiniteSpec(t *testing.T) {
 	b := broker.New()
 	if err := b.CreateTopic("in", 1); err != nil {
@@ -621,6 +624,20 @@ func TestRegisterRejectsNonFiniteSpec(t *testing.T) {
 		if id, err := s.Register(sp); err == nil {
 			t.Errorf("%s: registered as %s", name, id)
 		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(`{"kind":"sum","from":"committed"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "not one of earliest, latest") {
+		t.Errorf(`from "committed": %d %s, want 400 naming earliest and latest`, resp.StatusCode, body)
+	}
+	if jobs := s.jobs(); len(jobs) != 0 {
+		t.Errorf("%d queries registered by refused specs", len(jobs))
 	}
 }
 

@@ -39,10 +39,9 @@ type Spec struct {
 	// HistogramEdges defines bucket edges for Kind "histogram".
 	HistogramEdges []float64
 	// From selects the starting position in the topic: "earliest"
-	// (default) or "latest". "committed" is accepted as a synonym for
-	// earliest, because checkpoints written by older versions carry it;
-	// a new registration always starts at its own From, never at a
-	// position left behind by a deleted query under the same id.
+	// (default) or "latest". A new registration always starts at its own
+	// From, never at a position left behind by a deleted query under the
+	// same id.
 	From string
 	// Seed makes the shard samplers reproducible (default 1); shard i
 	// uses Seed+i, and keys each pane by that seed and the pane's start.
@@ -185,11 +184,11 @@ func (sp *Spec) normalize() error {
 		return fmt.Errorf("confidence %d not one of 68, 95, 997", sp.Confidence)
 	}
 	switch sp.From {
-	case "", "committed":
+	case "":
 		sp.From = "earliest"
 	case "earliest", "latest":
 	default:
-		return fmt.Errorf("from %q not one of committed, earliest, latest", sp.From)
+		return fmt.Errorf("from %q not one of earliest, latest", sp.From)
 	}
 	if sp.Seed == 0 {
 		sp.Seed = 1

@@ -46,7 +46,7 @@ type refSession struct {
 // what sized them.
 type refPane struct {
 	start   time.Time
-	count   int // records with a time: the next pane's budget is a fraction of it
+	count   int // its records, a zero-time head included: the next pane's budget is a fraction of it
 	budget  int
 	seed    uint64   // the interval seed, which keys the reservoirs
 	prev    *refPane // the pane finished before it; nil for the first
@@ -110,6 +110,7 @@ func (r *refSession) startPane(seg time.Time) {
 		prev: prev, strata: map[string]*refReservoir{}}
 	r.cur.big = r.cur.plan()
 	for _, e := range r.head {
+		r.cur.count++
 		r.cur.add(e)
 	}
 	r.head = nil
@@ -241,7 +242,7 @@ func (r *refSession) window(start time.Time) WindowResult {
 	}
 	res := r.q.Combine(sums)
 	est := func(e estimate.Estimate) Estimate {
-		return Estimate{Value: e.Value, Bound: e.Bound, Confidence: Confidence(e.Confidence), Variance: e.Variance, DF: e.DF}
+		return Estimate{Value: e.Value, Bound: e.Bound, Confidence: Confidence(e.Confidence)}
 	}
 	w.Overall = est(res.Overall)
 	if len(res.Groups) > 0 {
@@ -376,9 +377,9 @@ func requireReferenceWindows(t *testing.T, label string, got, want []WindowResul
 }
 
 // requireReferenceState demands that the session's snapshot stand where
-// the reference does: its late count, watermark, current segment and
-// arrival counts, fired mark, the panes an unfired window covers, and the
-// in-flight segment's reservoirs.
+// the reference does: its late count, watermark, current segment, fired
+// mark, the panes an unfired window covers, the in-flight segment's
+// reservoirs, and the previous segment's arrival counts.
 func requireReferenceState(t *testing.T, label string, s *Session, ref *refSession) {
 	t.Helper()
 	snap, err := s.Snapshot()
@@ -390,18 +391,13 @@ func requireReferenceState(t *testing.T, label string, s *Session, ref *refSessi
 		t.Fatal(err)
 	}
 	var segStart time.Time
-	var segCount, lastCount int
 	if ref.cur != nil {
-		segStart, segCount = ref.cur.start, ref.cur.count
-		if ref.cur.prev != nil {
-			lastCount = ref.cur.prev.count
-		}
+		segStart = ref.cur.start
 	}
 	if s.Late() != ref.late || st.Late != ref.late || !st.Watermark.Equal(ref.wm) || !st.SegStart.Equal(segStart) ||
-		st.SegCount != segCount || st.LastCount != lastCount || !st.Fired.Equal(ref.fired) {
-		t.Fatalf("%s: late %d, watermark %v, segment %v of %d after %d, fired %v; the reference's late %d, watermark %v, segment %v of %d after %d, fired %v",
-			label, st.Late, st.Watermark, st.SegStart, st.SegCount, st.LastCount, st.Fired,
-			ref.late, ref.wm, segStart, segCount, lastCount, ref.fired)
+		!st.Fired.Equal(ref.fired) {
+		t.Fatalf("%s: late %d, watermark %v, segment %v, fired %v; the reference's late %d, watermark %v, segment %v, fired %v",
+			label, st.Late, st.Watermark, st.SegStart, st.Fired, ref.late, ref.wm, segStart, ref.fired)
 	}
 	var kept []*refPane
 	for _, p := range ref.panes {
@@ -430,6 +426,15 @@ func requireReferenceState(t *testing.T, label string, s *Session, ref *refSessi
 	}
 	if st.Sampler == nil || len(st.Sampler.Reservoirs) != len(ref.cur.strata) {
 		t.Fatalf("%s: in-flight sampler %+v, the reference has %d strata", label, st.Sampler, len(ref.cur.strata))
+	}
+	prev := map[string]int64{}
+	if p := ref.cur.prev; p != nil {
+		for name, res := range p.strata {
+			prev[name] = res.seen
+		}
+	}
+	if !maps.Equal(st.Sampler.Prev, prev) {
+		t.Fatalf("%s: previous segment's counts %v, the reference's %v", label, st.Sampler.Prev, prev)
 	}
 	for name, res := range ref.cur.strata {
 		g := st.Sampler.Reservoirs[name]

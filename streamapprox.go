@@ -110,16 +110,10 @@ type Estimate struct {
 	Value      float64
 	Bound      float64
 	Confidence Confidence
-	// Variance is the estimate's variance, and DF its Welch–Satterthwaite
-	// degrees of freedom (0: the normal limit). Bound is √Variance times
-	// the Student-t quantile at DF for the level; estimates of disjoint
-	// populations merge on these two, never on Bound.
-	Variance float64
-	DF       float64
 }
 
 func fromInternalEstimate(e estimate.Estimate) Estimate {
-	return Estimate{Value: e.Value, Bound: e.Bound, Confidence: Confidence(e.Confidence), Variance: e.Variance, DF: e.DF}
+	return Estimate{Value: e.Value, Bound: e.Bound, Confidence: Confidence(e.Confidence)}
 }
 
 // Interval returns [lo, hi] of the confidence interval.

@@ -47,8 +47,8 @@ func TestFormatWindow(t *testing.T) {
 		open    func(t *testing.T, version int) error
 		commit  string // the last to upgrade the version before the ones read
 	}{
-		{"session snapshot", pane.Version, decodeSnapshot, "commit b228946"},
-		{"query checkpoint", intConst(t, "internal/server/checkpoint.go", "checkpointVersion"), restartFromCheckpoint, "commit 1338931"},
+		{"session snapshot", pane.Version, decodeSnapshot, "commit bf6c4fd"},
+		{"query checkpoint", intConst(t, "internal/server/checkpoint.go", "checkpointVersion"), restartFromCheckpoint, "commit bf6c4fd"},
 		{"segment", intConst(t, "internal/broker/storage/filelog.go", "segVersion"), openSegment, "commit 1338931"},
 	}
 	for _, k := range kinds {
