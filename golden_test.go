@@ -129,13 +129,35 @@ func refuseFixture(t *testing.T, file string, version int, commit string) {
 // testdata/session_v3.json was written at commit 9cc0368, the last whose
 // samplers sized every stratum at an equal share of the budget, and
 // session_v3_seeded.json at commit b228946, the last whose samplers drew
-// each interval seed from a random source; session_v3_latency.json at
-// commit 2bf0212, the last whose sessions could cap a segment's sample at
-// a latency target. Version 3 is two formats back.
+// each interval seed from a random source. Version 3 is two formats back.
 func TestRestoreV3Golden(t *testing.T) {
-	for _, file := range []string{"testdata/session_v3.json", "testdata/session_v3_seeded.json", "testdata/session_v3_latency.json"} {
+	for _, file := range []string{"testdata/session_v3.json", "testdata/session_v3_seeded.json"} {
 		refuseFixture(t, file, 3, "commit bf6c4fd")
 	}
+}
+
+// testdata/session_v3_latency.json was written at commit 2bf0212, the last
+// one whose sessions could cap a segment's sample at a latency target: a
+// Sum session with a 5 ms target. Its targetLatencyNs key does not save it
+// from the refusal every version-3 snapshot meets.
+func TestRestoreTargetLatencySnapshot(t *testing.T) {
+	const file = "testdata/session_v3_latency.json"
+	data, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gc goldenCase
+	if err := json.Unmarshal(data, &gc); err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(gc.Snapshot, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if string(fields["targetLatencyNs"]) != "5000000" {
+		t.Fatalf("fixture's targetLatencyNs is %s, want 5000000", fields["targetLatencyNs"])
+	}
+	refuseFixture(t, file, 3, "commit bf6c4fd")
 }
 
 // skewCut is the chunk of goldenSkewStream a snapshot is taken after:
