@@ -14,6 +14,11 @@
 #      spare slot past capacity when the draw rejects it.
 #  (b) The merge path keeps its scratch buffers on the stack: nothing in
 #      internal/query or internal/estimate is "moved to heap" (-m).
+#  (c) The frame walkers every produced, replicated and fetched chunk
+#      passes through parse into a storage.Frame of their own that stays
+#      on the stack: nothing inside the functions below is "moved to
+#      heap" (-m). A Frame that points into itself, or one handed to an
+#      iterator's yield, would cost an allocation per call.
 set -euo pipefail
 
 # file:function — the loops every sampled record passes through: the
@@ -24,6 +29,23 @@ kernels=(
 	internal/sampling/oasrs.go:AddBatch
 	internal/sampling/reservoir.go:AddBatch
 )
+
+# file:function — the frame walkers of (c).
+walkers=(
+	internal/broker/storage/frames.go:ValidateFrames
+	internal/broker/storage/frames.go:frameSpans
+	internal/broker/codec.go:framesToBatch
+)
+
+# funcLines prints the line numbers of function fn in file, from its
+# func line to its closing brace.
+funcLines() {
+	awk -v fn="$2" '
+		!infn && $0 ~ "^func (\\([^)]*\\) )?" fn "\\(" { infn = 1 }
+		infn { print NR; if ($0 ~ /^}/) { infn = 0; found = 1 } }
+		END { if (!found) exit 1 }
+	' "$1"
+}
 
 # perRecordLines prints the line numbers inside the marked loops of
 # function fn in file: from each marked `for` line to its closing brace,
@@ -81,4 +103,20 @@ if [ -n "$heap" ]; then
 	echo "$heap" >&2
 	status=1
 fi
+
+heap=$(build -gcflags=-m ./internal/broker/storage ./internal/broker)
+heap=$(grep 'moved to heap' <<<"$heap" || true)
+for w in "${walkers[@]}"; do
+	file=${w%%:*} fn=${w##*:}
+	if ! lines=$(funcLines "$file" "$fn"); then
+		echo "$file: no function $fn" >&2
+		status=1
+		continue
+	fi
+	for n in $lines; do
+		if grep "^$file:$n:" <<<"$heap" | sed 's/$/ (frame walker '"$fn"')/' >&2; then
+			status=1
+		fi
+	done
+done
 exit $status

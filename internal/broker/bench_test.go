@@ -148,7 +148,7 @@ func BenchmarkFramesToBatch(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		eb := stream.GetEventBatch()
-		if n, err := framesToBatch(chunk, 0, eb); err != nil || n != len(recs) {
+		if n, err := framesToBatch(chunk, len(recs), 0, eb); err != nil || n != len(recs) {
 			b.Fatalf("decoded %d records, %v", n, err)
 		}
 		eb.Release()

@@ -497,12 +497,12 @@ func (b *Broker) fetchFrames(topicName string, partition int, offset int64, max 
 func (b *Broker) FetchBatch(topicName string, partition int, offset int64, max int, eb *stream.EventBatch) (int, error) {
 	fb := getFrame()
 	defer putFrame(fb)
-	frames, _, err := b.fetchFrames(topicName, partition, offset, max, fb.b[:0])
+	frames, count, err := b.fetchFrames(topicName, partition, offset, max, fb.b[:0])
 	fb.b = frames[:0]
 	if err != nil {
 		return 0, err
 	}
-	return framesToBatch(frames, offset, eb)
+	return framesToBatch(frames, count, offset, eb)
 }
 
 // HighWatermark returns the next offset to be written in a partition.

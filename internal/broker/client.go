@@ -92,8 +92,8 @@ func dial(addr string, dialTimeout, requestTimeout time.Duration) (*client, erro
 	}
 	c := &client{
 		conn:       conn,
-		br:         bufio.NewReaderSize(conn, 64<<10),
-		bw:         bufio.NewWriterSize(conn, 64<<10),
+		br:         bufio.NewReaderSize(conn, connBufSize),
+		bw:         bufio.NewWriterSize(conn, connBufSize),
 		readTok:    make(chan struct{}, 1),
 		pending:    make(map[uint64]chan *frameBuf),
 		reqTimeout: requestTimeout,
@@ -161,8 +161,10 @@ func (c *client) callBinaryT(timeout time.Duration, encode func(fb *frameBuf, co
 }
 
 // flight is one started request: written and flushed, its reply not yet
-// awaited. The reply channel is the flight's own (never pooled), so a
-// reply that arrives after its await timed out has nowhere to go but
+// awaited. The reply channel is the flight's own until its reply is
+// received: only then, with the pending entry gone, does it go back to
+// replyChans. A flight that timed out or failed keeps its channel, so
+// a reply that arrives after its await timed out has nowhere to go but
 // the stray drop.
 type flight struct {
 	corr     uint64
@@ -170,6 +172,18 @@ type flight struct {
 	timeout  time.Duration
 	deadline time.Time // zero when timeout is 0
 }
+
+// replyChans holds the reply channels of flights whose reply was
+// received: empty, and in no pending map.
+var replyChans = sync.Pool{New: func() any { return make(chan *frameBuf, 1) }}
+
+// timers holds stopped timers for the waits of await, so a wait with a
+// deadline allocates none.
+var timers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
 // start registers a correlation ID, encodes and writes the request and
 // returns without waiting for the reply, so one goroutine can put
@@ -179,7 +193,7 @@ type flight struct {
 // whole connection — a half-written frame corrupts the pipelined stream
 // for every other in-flight request.
 func (c *client) start(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (flight, error) {
-	f := flight{ch: make(chan *frameBuf, 1), timeout: timeout}
+	f := flight{ch: replyChans.Get().(chan *frameBuf), timeout: timeout}
 	c.pendMu.Lock()
 	if c.closed || c.readErr != nil {
 		err := c.readErr
@@ -229,20 +243,24 @@ func (c *client) start(timeout time.Duration, encode func(fb *frameBuf, corr uin
 func (c *client) await(f flight) (*frameBuf, error) {
 	select {
 	case resp, ok := <-f.ch:
-		return c.answered(resp, ok)
+		return c.answered(f, resp, ok)
 	case <-c.readTok:
 		return c.readFor(f)
 	default:
 	}
 	var expired <-chan time.Time
 	if f.timeout > 0 {
-		timer := time.NewTimer(time.Until(f.deadline))
+		timer := timers.Get().(*time.Timer)
+		timer.Reset(time.Until(f.deadline))
 		expired = timer.C
-		defer timer.Stop()
+		defer func() {
+			timer.Stop()
+			timers.Put(timer)
+		}()
 	}
 	select {
 	case resp, ok := <-f.ch:
-		return c.answered(resp, ok)
+		return c.answered(f, resp, ok)
 	case <-c.readTok:
 		return c.readFor(f)
 	case <-expired:
@@ -251,9 +269,11 @@ func (c *client) await(f flight) (*frameBuf, error) {
 }
 
 // answered turns what a flight's channel yielded into await's result: a
-// closed channel means the connection failed, and failPending says why.
-func (c *client) answered(resp *frameBuf, ok bool) (*frameBuf, error) {
+// reply, which frees the channel for another flight, or a closed
+// channel, which means the connection failed, and failPending says why.
+func (c *client) answered(f flight, resp *frameBuf, ok bool) (*frameBuf, error) {
 	if ok {
+		replyChans.Put(f.ch)
 		return resp, nil
 	}
 	c.pendMu.Lock()
@@ -280,7 +300,7 @@ func (c *client) readFor(f flight) (*frameBuf, error) {
 	select {
 	case resp, ok := <-f.ch: // posted by the holder before us
 		c.readTok <- struct{}{}
-		return c.answered(resp, ok)
+		return c.answered(f, resp, ok)
 	default:
 	}
 	rearm := !f.deadline.IsZero() && (c.rdl.IsZero() || f.deadline.Before(c.rdl))
@@ -300,16 +320,16 @@ func (c *client) readFor(f flight) (*frameBuf, error) {
 				c.readTok <- struct{}{}
 			}()
 			runtime.Gosched() // the helper, and the waiters it wakes, first
-			return fb, nil
+			return c.answered(f, fb, true)
 		}
 		c.readTok <- struct{}{}
 		switch {
 		case timedOut:
 			return nil, c.abandon(f)
 		case fb == nil: // the connection failed
-			return c.answered(nil, false)
+			return c.answered(f, nil, false)
 		}
-		return fb, nil
+		return c.answered(f, fb, true)
 	}
 }
 
@@ -501,8 +521,8 @@ func (c *client) Fetch(topicName string, partition int, offset int64, max int) (
 func (c *client) FetchBatch(topicName string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
 	var n int
 	var derr error
-	err := c.fetchFrames(topicName, partition, offset, max, func(base int64, _ int, frames []byte) {
-		n, derr = framesToBatch(frames, base, b)
+	err := c.fetchFrames(topicName, partition, offset, max, func(base int64, count int, frames []byte) {
+		n, derr = framesToBatch(frames, count, base, b)
 	})
 	if err == nil {
 		err = derr

@@ -488,6 +488,21 @@ func (cc *ClusterClient) producer(key partKey) *partProducer {
 	return pp
 }
 
+// produceCall is the scratch of one Produce call, pooled: its flights
+// and the router its batch builder asks, made once per produceCall.
+type produceCall struct {
+	cc      *ClusterClient
+	parts   int
+	route   func(key string) int
+	flights []produceFlight
+}
+
+var produceCalls = sync.Pool{New: func() any {
+	pc := new(produceCall)
+	pc.route = func(key string) int { return pc.cc.partitionForKey(key, pc.parts) }
+	return pc
+}}
+
 // produceFlight is one partition's share of a Produce call.
 type produceFlight struct {
 	partition int
@@ -523,12 +538,19 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	bb := storage.GetBatchBuilder(parts, func(key string) int { return cc.partitionForKey(key, parts) })
-	defer bb.Release() // only then: every retry below ships the builder's bytes
+	pc := produceCalls.Get().(*produceCall)
+	pc.cc, pc.parts = cc, parts
+	bb := storage.GetBatchBuilder(parts, pc.route)
+	defer func() {
+		bb.Release() // only now: every retry below ships the builder's bytes
+		clear(pc.flights)
+		pc.cc, pc.flights = nil, pc.flights[:0]
+		produceCalls.Put(pc)
+	}()
 	for i := range recs {
 		bb.Add(&recs[i])
 	}
-	flights := make([]produceFlight, 0, parts)
+	flights := pc.flights
 	for p := 0; p < parts; p++ {
 		f := produceFlight{partition: p}
 		if f.frames, f.count = bb.Frames(p); f.count == 0 {
@@ -543,6 +565,7 @@ func (cc *ClusterClient) Produce(topicName string, recs []Record) (int, error) {
 		}
 		flights = append(flights, f)
 	}
+	pc.flights = flights
 	total := 0
 	for i := range flights {
 		f := &flights[i]

@@ -26,11 +26,13 @@ package broker
 // stream timestamps are always inside it.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"streamapprox/internal/broker/storage"
@@ -103,10 +105,14 @@ func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
 
 // writeRawFrame writes one length-prefixed frame from an encoded payload.
+// Through a bufio.Writer with room, the length prefix is built in the
+// writer's own buffer, so a frame write allocates nothing.
 func writeRawFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	var hdr []byte
+	if bw, ok := w.(*bufio.Writer); ok && bw.Available() >= 4 {
+		hdr = bw.AvailableBuffer()
+	}
+	if _, err := w.Write(binary.BigEndian.AppendUint32(hdr, uint32(len(payload)))); err != nil {
 		return err
 	}
 	_, err := w.Write(payload)
@@ -114,20 +120,21 @@ func writeRawFrame(w io.Writer, payload []byte) error {
 }
 
 // readFrameInto reads one length-prefixed frame into fb, reusing its
-// backing array when large enough.
+// backing array when large enough; the length prefix is read into that
+// array too.
 func readFrameInto(r io.Reader, fb *frameBuf) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := append(fb.b[:0], 0, 0, 0, 0)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > maxFrame {
 		return fmt.Errorf("frame of %d bytes exceeds limit", n)
 	}
-	if uint32(cap(fb.b)) < n {
+	if uint32(cap(hdr)) < n {
 		fb.b = make([]byte, n)
 	} else {
-		fb.b = fb.b[:n]
+		fb.b = hdr[:n]
 	}
 	_, err := io.ReadFull(r, fb.b)
 	return err
@@ -193,16 +200,22 @@ func (c *wireCursor) u64() uint64 {
 	return v
 }
 
-func (c *wireCursor) str(n int) string {
+// str reads an n-byte string. A connection's requests name the same few
+// topics and members, so the string is *last when the bytes spell it,
+// and becomes *last otherwise: a decoder that keeps last allocates none
+// while they repeat.
+func (c *wireCursor) str(n int, last *string) string {
 	if n < 0 || !c.need(n) {
 		if c.err == nil {
 			c.err = errTruncatedFrame
 		}
 		return ""
 	}
-	s := string(c.b[c.off : c.off+n])
+	if b := c.b[c.off : c.off+n]; string(b) != *last {
+		*last = string(b)
+	}
 	c.off += n
-	return s
+	return *last
 }
 
 // rest returns the unread remainder of the payload.
@@ -289,19 +302,27 @@ func appendSectionHead(b []byte, base, committed int64, metas []batchMeta) []byt
 
 // decodeSection reads a section, its chunk validated by decodeFrameChunk.
 func decodeSection(cur *wireCursor) replSection {
-	s := replSection{base: int64(cur.u64()), committed: int64(cur.u64())}
+	var s replSection
+	s.decode(cur)
+	return s
+}
+
+// decode reads a section into s, its journal entries into the array
+// s.metas already has.
+func (s *replSection) decode(cur *wireCursor) {
+	s.base, s.committed = int64(cur.u64()), int64(cur.u64())
 	nmetas := int(cur.u32())
 	if cur.err == nil && nmetas*32 > cur.remaining() {
 		cur.err = errTruncatedFrame
 	}
+	s.metas = s.metas[:0]
 	if cur.err == nil && nmetas > 0 {
-		s.metas = make([]batchMeta, nmetas)
-		for i := range s.metas {
-			s.metas[i] = batchMeta{pid: cur.u64(), seq: cur.u64(), base: int64(cur.u64()), end: int64(cur.u64())}
+		s.metas = slices.Grow(s.metas, nmetas)
+		for range nmetas {
+			s.metas = append(s.metas, batchMeta{pid: cur.u64(), seq: cur.u64(), base: int64(cur.u64()), end: int64(cur.u64())})
 		}
 	}
 	s.count, s.frames = decodeFrameChunk(cur)
-	return s
 }
 
 // encodeReplicateReq encodes a replicate: the epoch and sender that fence
@@ -387,55 +408,62 @@ type binRequest struct {
 	// Replicate: the section, whose frames are a view into the request
 	// buffer and have passed ValidateFrames, like the frames field.
 	sec replSection
+
+	// The topic and sender the connection's requests last named.
+	lastTopic, lastSender string
 }
 
-func decodeBinRequest(payload []byte) (binRequest, error) {
-	cur := &wireCursor{b: payload}
-	var req binRequest
+// decode reads a request into req, reusing what earlier requests
+// decoded there left: the topic and sender strings last named, while
+// the new ones spell the same, and the section's journal array. A
+// server decodes every request of a connection into one binRequest.
+func (req *binRequest) decode(payload []byte) error {
+	cur := wireCursor{b: payload}
+	*req = binRequest{sec: replSection{metas: req.sec.metas[:0]}, lastTopic: req.lastTopic, lastSender: req.lastSender}
 	if ver := cur.u8(); cur.err != nil || ver != wireVersion {
-		return req, fmt.Errorf("broker: unsupported wire version %d (want %d)", ver, wireVersion)
+		return fmt.Errorf("broker: unsupported wire version %d (want %d)", ver, wireVersion)
 	}
 	req.op = cur.u8()
 	req.corr = cur.u64()
 	req.trace = cur.u64()
 	switch req.op {
 	case binOpHWM:
-		req.topic = cur.str(int(cur.u16()))
+		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
 		req.partition = int(int32(cur.u32()))
 	case binOpJSON:
 		req.jsonBody = cur.rest()
 	case binOpProducePartF:
-		req.topic = cur.str(int(cur.u16()))
+		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
 		req.partition = int(int32(cur.u32()))
 		req.pid = cur.u64()
 		req.seq = cur.u64()
-		req.count, req.frames = decodeFrameChunk(cur)
+		req.count, req.frames = decodeFrameChunk(&cur)
 	case binOpReplicate:
 		req.epoch = int64(cur.u64())
-		req.sender = cur.str(int(cur.u16()))
-		req.topic = cur.str(int(cur.u16()))
+		req.sender = cur.str(int(cur.u16()), &req.lastSender)
+		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
 		req.partition = int(int32(cur.u32()))
-		req.sec = decodeSection(cur)
+		req.sec.decode(&cur)
 		req.count = req.sec.count
 	case binOpFetchF:
-		req.topic = cur.str(int(cur.u16()))
+		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
 		req.partition = int(int32(cur.u32()))
 		req.offset = int64(cur.u64())
 		req.max = int(cur.u32())
 	case binOpRFetch:
-		req.sender = cur.str(int(cur.u16()))
-		req.topic = cur.str(int(cur.u16()))
+		req.sender = cur.str(int(cur.u16()), &req.lastSender)
+		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
 		req.partition = int(int32(cur.u32()))
 		req.offset = int64(cur.u64())
 		req.max = int(cur.u32())
 	case binOpRHWMB:
-		req.sender = cur.str(int(cur.u16()))
-		req.topic = cur.str(int(cur.u16()))
+		req.sender = cur.str(int(cur.u16()), &req.lastSender)
+		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
 		req.partition = int(int32(cur.u32()))
 	default:
-		return req, fmt.Errorf("broker: unknown binary op %d", req.op)
+		return fmt.Errorf("broker: unknown binary op %d", req.op)
 	}
-	return req, cur.err
+	return cur.err
 }
 
 // decodeFrameChunk decodes a count-prefixed raw frame chunk, fully
@@ -475,7 +503,7 @@ func decodeFrameChunk(cur *wireCursor) (int, []byte) {
 func framesToRecords(frames []byte, count int, topic string, partition int, base int64) []Record {
 	eb := stream.GetEventBatch()
 	defer eb.Release()
-	_, _ = framesToBatch(frames, base, eb) // a validated chunk decodes whole
+	_, _ = framesToBatch(frames, count, base, eb) // a validated chunk decodes whole
 	recs := make([]Record, 0, count)
 	for i, id := range eb.Strata {
 		recs = append(recs, Record{
@@ -490,15 +518,19 @@ func framesToRecords(frames []byte, count int, topic string, partition int, base
 	return recs
 }
 
-// framesToBatch decodes a validated frame chunk straight into a
-// columnar batch — the vectorized consumer end of a frames fetch: per
-// frame, one intern per dictionary KEY, then the three columns copied
-// across (the times column uses the batch's own zero-time sentinel, so
-// nanos decode straight into it). It returns the records decoded.
-func framesToBatch(frames []byte, base int64, b *stream.EventBatch) (int, error) {
+// framesToBatch decodes a validated frame chunk of count records
+// straight into a columnar batch — the vectorized consumer end of a
+// frames fetch: the columns grown once for count, then per frame one
+// intern per dictionary KEY and the three columns copied across (the
+// times column uses the batch's own zero-time sentinel, so nanos decode
+// straight into it). It returns the records decoded.
+func framesToBatch(frames []byte, count int, base int64, b *stream.EventBatch) (int, error) {
 	b.Base = base
+	b.Strata, b.Values, b.Times = slices.Grow(b.Strata, count), slices.Grow(b.Values, count), slices.Grow(b.Times, count)
 	n := 0
-	for f, err := range storage.Frames(frames) {
+	var f storage.Frame
+	for rest := frames; len(rest) > 0; rest = rest[len(f.Raw):] {
+		err := f.Parse(rest)
 		if err == nil {
 			b.Strata, b.Values, b.Times, err = f.Decode(b.Strata, b.Values, b.Times, b.InternBytes)
 		}

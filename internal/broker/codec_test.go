@@ -12,6 +12,13 @@ import (
 	"streamapprox/internal/xrand"
 )
 
+// decodeBinRequest decodes one request into a binRequest of its own.
+func decodeBinRequest(payload []byte) (binRequest, error) {
+	var req binRequest
+	err := req.decode(payload)
+	return req, err
+}
+
 // encodeDecodeProduce round-trips records through the batch builder's
 // framing and the produce-request encoder, the path every produced
 // record takes.

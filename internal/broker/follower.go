@@ -23,7 +23,7 @@ func (n *ClusterNode) replicaFetch(out *frameBuf, corr uint64, sender, topic str
 	if max > 0 {
 		end = min(end, offset+int64(max))
 	}
-	at := beginSectionResp(out, corr, offset, committed, n.metasInRange(ps, offset, end))
+	at := beginSectionResp(out, corr, offset, committed, n.metasInRange(nil, ps, offset, end))
 	var count int
 	if out.b, count, err = ps.readCommitted(committed, offset, max, out.b); err == nil {
 		patchFrameCount(out, at, count)

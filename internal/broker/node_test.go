@@ -105,7 +105,7 @@ func TestMetasInRangeOverlap(t *testing.T) {
 		{30, 40, nil},
 	} {
 		var pids []uint64
-		for _, bm := range n.metasInRange(ps, tc.from, tc.to) {
+		for _, bm := range n.metasInRange(nil, ps, tc.from, tc.to) {
 			pids = append(pids, bm.pid)
 		}
 		if !slices.Equal(pids, tc.pids) {

@@ -63,24 +63,24 @@ func (n *ClusterNode) noteBatch(ps *partState, bm batchMeta) {
 	if cur, ok := ps.seqs[bm.pid]; !ok || bm.seq > cur.seq {
 		ps.seqs[bm.pid] = bm
 	}
-	ps.metas = append(ps.metas, bm)
-	if len(ps.metas) > metaJournalCap {
-		ps.metas = ps.metas[len(ps.metas)-metaJournalCap:]
+	if len(ps.metas) >= metaJournalCap { // the oldest entries leave, in place
+		ps.metas = append(ps.metas[:0], ps.metas[len(ps.metas)-metaJournalCap+1:]...)
 	}
+	ps.metas = append(ps.metas, bm)
 }
 
-// metasInRange returns the journal entries overlapping [from, to) — the
-// dedup state shipped with a replicated chunk of that range.
-func (n *ClusterNode) metasInRange(ps *partState, from, to int64) []batchMeta {
+// metasInRange appends to dst the journal entries overlapping
+// [from, to) — the dedup state shipped with a replicated chunk of that
+// range.
+func (n *ClusterNode) metasInRange(dst []batchMeta, ps *partState, from, to int64) []batchMeta {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	var out []batchMeta
 	for _, bm := range ps.metas {
 		if bm.end > from && bm.base < to {
-			out = append(out, bm)
+			dst = append(dst, bm)
 		}
 	}
-	return out
+	return dst
 }
 
 // producePartFrames is the leader-side handling of a partitioned

@@ -15,6 +15,17 @@ type replInstruments struct {
 	wakeups, batches  *metrics.Counter
 }
 
+// replScratch is replicateOut's scratch, pooled: the followers, their
+// outcomes and the journal entries shipped.
+type replScratch struct {
+	to    []*peer
+	errs  []error
+	metas []batchMeta
+	wg    sync.WaitGroup
+}
+
+var replScratches = sync.Pool{New: func() any { return new(replScratch) }}
+
 // replicateOut sends the frame chunk covering [base, end) to every live
 // follower replica, each in its own replicate RPC, and waits for the
 // acks, then advances the committed watermark once enough replicas hold
@@ -24,41 +35,47 @@ type replInstruments struct {
 // bytes ship exactly as appended locally, and are done with once this
 // returns; followers re-verify CRCs at their wire decode.
 func (n *ClusterNode) replicateOut(trace uint64, ps *partState, base, end int64, frames []byte) error {
+	rs := replScratches.Get().(*replScratch)
+	defer func() {
+		clear(rs.to)
+		clear(rs.errs)
+		rs.to, rs.errs = rs.to[:0], rs.errs[:0]
+		replScratches.Put(rs)
+	}()
 	n.mu.Lock()
 	epoch := n.epoch
-	var to []*peer
 	for _, id := range ps.reps {
 		if p := n.peers[id]; p != n.self && !p.st.Dead {
-			to = append(to, p)
+			rs.to = append(rs.to, p)
 		}
 	}
 	n.mu.Unlock()
+	rs.metas = n.metasInRange(rs.metas[:0], ps, base, end)
 	s := replSection{base: base, count: int(end - base), committed: ps.committed.Load(),
-		metas: n.metasInRange(ps, base, end), frames: frames}
-	errs := make([]error, len(to))
-	var wg sync.WaitGroup
-	for i, p := range to {
-		if i == len(to)-1 {
-			errs[i] = n.replicateTo(trace, epoch, p, ps, s)
+		metas: rs.metas, frames: frames}
+	rs.errs = append(rs.errs, make([]error, len(rs.to))...)
+	for i, p := range rs.to {
+		if i == len(rs.to)-1 {
+			rs.errs[i] = n.replicateTo(trace, epoch, p, ps, s)
 			break
 		}
-		wg.Add(1)
+		rs.wg.Add(1)
 		go func() {
-			defer wg.Done()
-			errs[i] = n.replicateTo(trace, epoch, p, ps, s)
+			defer rs.wg.Done()
+			rs.errs[i] = n.replicateTo(trace, epoch, p, ps, s)
 		}()
 	}
-	wg.Wait()
+	rs.wg.Wait()
 	acks := 1
 	var firstErr error
-	for _, err := range errs {
+	for _, err := range rs.errs {
 		if err == nil {
 			acks++
 		} else if firstErr == nil {
 			firstErr = err
 		}
 	}
-	if need := min(n.cfg.MinISR, 1+len(to)); acks < need {
+	if need := min(n.cfg.MinISR, 1+len(rs.to)); acks < need {
 		return fmt.Errorf("%w: %d/%d acked: %v", errUnderReplicated, acks, need, firstErr)
 	}
 	for {
@@ -119,7 +136,7 @@ func (n *ClusterNode) convergeSection(cli *client, trace uint64, epoch int64, id
 			return fmt.Errorf("broker: backfill short read at %d", hwm)
 		}
 		s = replSection{base: hwm, count: fn, committed: ps.committed.Load(),
-			metas: n.metasInRange(ps, hwm, end), frames: fill}
+			metas: n.metasInRange(nil, ps, hwm, end), frames: fill}
 		if hwm, err = cli.replicate(trace, epoch, n.cfg.ID, ps.topic, ps.partition, &s); err != nil {
 			return err
 		}

@@ -357,8 +357,9 @@ func (s *segment) scan(data []byte) error {
 			s.f.Name(), data[:segHdrLen], segVersion, segCRC32C, s.base)
 	}
 	s.size = segHdrLen
-	for f, err := range Frames(data[segHdrLen:]) {
-		if err != nil || f.check() != nil {
+	var f Frame
+	for rest := data[segHdrLen:]; len(rest) > 0; rest = rest[len(f.Raw):] {
+		if f.Parse(rest) != nil || f.check() != nil {
 			break
 		}
 		s.noteFrame(s.base+int64(s.count), s.size)

@@ -40,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"iter"
 	"math"
 	"slices"
 	"sync"
@@ -77,37 +76,53 @@ var (
 	ErrFrameCRC = errors.New("storage: batch frame CRC mismatch")
 )
 
-// Frame is a structurally checked view of one batch frame.
+// inlineKeys bounds the key table a Frame holds in place: a dictionary
+// of inlineKeys entries or more spills its table to the heap.
+const inlineKeys = 64
+
+// Frame is a structurally checked view of one batch frame. A walk over
+// a chunk parses each frame into one Frame of its own, which stays on
+// the caller's stack: no field points into the Frame itself.
 type Frame struct {
 	Raw   []byte // the whole frame, header and CRC included
 	Count int    // records held
 
-	ndict  int
-	dict   []byte  // ndict × {[4]klen key}
-	keyAt  []int32 // where each entry starts in dict, then len(dict)
-	ids    []byte  // Count ids, one byte each (two when ndict > 256)
-	values []byte  // Count × float64 bits
-	tbase  int64   // added to every toff; 0 under tcode 0
-	tw     int     // bytes per toff: 8, 0, 1, 2 or 4
-	times  []byte  // Count toffs
+	ndict int
+	dict  []byte // ndict × {[4]klen key}
+	// keys holds where each dictionary entry starts in dict, then
+	// len(dict), while ndict < inlineKeys; spill holds them otherwise.
+	keys   [inlineKeys]int32
+	spill  []int32
+	ids    []byte // Count ids, one byte each (two when ndict > 256)
+	values []byte // Count × float64 bits
+	tbase  int64  // added to every toff; 0 under tcode 0
+	tw     int    // bytes per toff: 8, 0, 1, 2 or 4
+	times  []byte // Count toffs
 }
 
-// parse checks the structure of the frame opening b — header bounds,
+// Parse checks the structure of the frame opening b — header bounds,
 // time code, dictionary walk, column lengths against count — and makes
-// f its view. The columns themselves (id range, CRC) are not examined.
-func (f *Frame) parse(b []byte) bool {
+// f its view; the rest of b starts at len(f.Raw). The columns
+// themselves (id range, CRC) are not examined. A b that does not open
+// with a well-formed frame is ErrBadFrame. Walking a chunk is
+//
+//	var f Frame
+//	for rest := chunk; len(rest) > 0; rest = rest[len(f.Raw):] {
+//		if err := f.Parse(rest); err != nil { ... }
+//	}
+func (f *Frame) Parse(b []byte) error {
 	if len(b) < frameHdrLen+bodyFixedLen {
-		return false
+		return ErrBadFrame
 	}
 	blen := int(le.Uint32(b))
 	if blen < bodyFixedLen || blen > maxFramePayload || blen > len(b)-frameHdrLen {
-		return false
+		return ErrBadFrame
 	}
 	body := b[frameHdrLen : frameHdrLen+blen]
 	word, ndict := le.Uint32(body), int(le.Uint16(body[4:]))
 	count, tcode := int(word&(1<<24-1)), int(word>>24)
 	if tcode >= len(timeWidth) {
-		return false
+		return ErrBadFrame
 	}
 	rest, tw, tbaseLen := body[bodyFixedLen:], timeWidth[tcode], 8
 	if tcode == 0 {
@@ -118,29 +133,30 @@ func (f *Frame) parse(b []byte) bool {
 		idw = 2
 	}
 	if ndict == 0 || ndict > count || count > (len(rest)-tbaseLen)/(idw+8+tw) {
-		return false
+		return ErrBadFrame
 	}
 	dictLen := len(rest) - tbaseLen - count*(idw+8+tw)
-	if cap(f.keyAt) <= ndict {
-		f.keyAt = make([]int32, ndict+1)
+	keyAt := f.keys[:]
+	if ndict >= inlineKeys {
+		f.spill = slices.Grow(f.spill[:0], ndict+1)[:ndict+1]
+		keyAt = f.spill
 	}
-	f.keyAt = f.keyAt[:ndict+1]
 	pos := 0
 	for i := 0; i < ndict; i++ {
 		if dictLen-pos < 4 {
-			return false
+			return ErrBadFrame
 		}
 		klen := int(le.Uint32(rest[pos:]))
 		if klen > dictLen-pos-4 {
-			return false
+			return ErrBadFrame
 		}
-		f.keyAt[i] = int32(pos)
+		keyAt[i] = int32(pos)
 		pos += 4 + klen
 	}
 	if pos != dictLen {
-		return false
+		return ErrBadFrame
 	}
-	f.keyAt[ndict] = int32(pos)
+	keyAt[ndict] = int32(pos)
 	f.Raw, f.Count, f.ndict = b[:frameHdrLen+blen], count, ndict
 	f.dict, rest = rest[:dictLen], rest[dictLen:]
 	f.ids, f.values, rest = rest[:count*idw], rest[count*idw:count*(idw+8)], rest[count*(idw+8):]
@@ -149,7 +165,7 @@ func (f *Frame) parse(b []byte) bool {
 		f.tbase, rest = int64(le.Uint64(rest)), rest[8:]
 	}
 	f.times = rest
-	return true
+	return nil
 }
 
 // time returns record i's time in unix nanos.
@@ -176,7 +192,13 @@ func (f *Frame) id(i int) int {
 }
 
 // key returns dictionary entry id's key, a view into the frame.
-func (f *Frame) key(id int) []byte { return f.dict[f.keyAt[id]+4 : f.keyAt[id+1]] }
+func (f *Frame) key(id int) []byte {
+	keyAt := f.keys[:]
+	if f.ndict >= inlineKeys {
+		keyAt = f.spill
+	}
+	return f.dict[keyAt[id]+4 : keyAt[id+1]]
+}
 
 // Decode appends the frame's records to three columns: per record the
 // caller's id for its key (intern is asked once per dictionary entry,
@@ -242,33 +264,15 @@ func (f *Frame) check() error {
 	return nil
 }
 
-// Frames iterates the frames of a chunk structurally (no column or CRC
-// work); each frame is valid until the next. A chunk that stops parsing
-// ends the iteration with ErrBadFrame.
-func Frames(b []byte) iter.Seq2[*Frame, error] {
-	return func(yield func(*Frame, error) bool) {
-		f := Frame{keyAt: make([]int32, 0, 32)} // on the stack while the dictionary is small
-		for len(b) > 0 {
-			if !f.parse(b) {
-				yield(nil, ErrBadFrame)
-				return
-			}
-			b = b[len(f.Raw):]
-			if !yield(&f, nil) {
-				return
-			}
-		}
-	}
-}
-
 // ValidateFrames fully checks a chunk — structure, id range and CRC of
 // every frame — and returns the number of RECORDS it holds. This is the
 // single validation gate of the zero-copy path: bytes that pass it are
 // safe to append, forward and decode.
 func ValidateFrames(b []byte) (int, error) {
 	records := 0
-	for f, err := range Frames(b) {
-		if err != nil {
+	var f Frame
+	for rest := b; len(rest) > 0; rest = rest[len(f.Raw):] {
+		if err := f.Parse(rest); err != nil {
 			return records, err
 		}
 		if err := f.check(); err != nil {
@@ -277,6 +281,13 @@ func ValidateFrames(b []byte) (int, error) {
 		records += f.Count
 	}
 	return records, nil
+}
+
+// checkedFrame returns the frame opening b, whose structure was checked
+// before, and its record count, both read from its header.
+func checkedFrame(b []byte) ([]byte, int) {
+	raw := b[:frameHdrLen+int(le.Uint32(b))]
+	return raw, int(le.Uint32(raw[frameHdrLen:]) & (1<<24 - 1))
 }
 
 // span is one frame of a chunk: its length in bytes and in records.
@@ -288,8 +299,9 @@ type span struct{ bytes, count int }
 // corrupt chunk is rejected whole.
 func frameSpans(buf []span, frames []byte, count int) ([]span, error) {
 	n := 0
-	for f, err := range Frames(frames) {
-		if err != nil {
+	var f Frame
+	for rest := frames; len(rest) > 0; rest = rest[len(f.Raw):] {
+		if err := f.Parse(rest); err != nil {
 			return nil, err
 		}
 		buf = append(buf, span{len(f.Raw), f.Count})
@@ -348,8 +360,9 @@ func SliceFrames(dst, chunk []byte, from, to int) ([]byte, error) {
 		return dst, ErrBadFrame
 	}
 	at := 0
-	for f, err := range Frames(chunk) {
-		if err != nil {
+	var f Frame
+	for rest := chunk; len(rest) > 0; rest = rest[len(f.Raw):] {
+		if err := f.Parse(rest); err != nil {
 			return dst, err
 		}
 		lo, hi := max(from-at, 0), min(to-at, f.Count)
@@ -359,7 +372,8 @@ func SliceFrames(dst, chunk []byte, from, to int) ([]byte, error) {
 			dst = append(dst, f.Raw...)
 		default:
 			bb := GetBatchBuilder(1, nil)
-			if err = f.carve(bb.parts, lo, hi, nil, nil); err == nil {
+			err := f.carve(bb.parts, lo, hi, nil, nil)
+			if err == nil {
 				dst = bb.parts[0].encode(dst)
 			}
 			bb.Release()
@@ -386,9 +400,11 @@ func SliceFrames(dst, chunk []byte, from, to int) ([]byte, error) {
 func SplitFrames(b []byte, route func(key []byte) int, dst [][]byte, counts []int) error {
 	bb := GetBatchBuilder(len(dst), nil)
 	defer bb.Release()
-	var part []int32
-	for f, err := range Frames(b) {
-		if err != nil {
+	var buf [inlineKeys]int32
+	part := buf[:0]
+	var f Frame
+	for rest := b; len(rest) > 0; rest = rest[len(f.Raw):] {
+		if err := f.Parse(rest); err != nil {
 			return err
 		}
 		part = part[:0]

@@ -39,9 +39,10 @@ func frameRecs(n int) []Record {
 func decodeFrames(t testing.TB, frames []byte) []Record {
 	t.Helper()
 	var out []Record
-	for f, err := range Frames(frames) {
-		if err != nil {
-			t.Fatalf("frames do not iterate: %v", err)
+	var f Frame
+	for rest := frames; len(rest) > 0; rest = rest[len(f.Raw):] {
+		if err := f.Parse(rest); err != nil {
+			t.Fatalf("frames do not parse: %v", err)
 		}
 		var keys []string
 		ids, values, times, err := f.Decode(nil, nil, nil, func(k []byte) int32 {
@@ -211,8 +212,8 @@ func TestFrameRoundTripProperty(t *testing.T) {
 				idw = 2
 			}
 			var f Frame
-			if ok := f.parse(chunk); !ok || len(f.Raw) != len(chunk) || f.ndict != keys || len(f.ids) != f.Count*idw {
-				t.Fatalf("%d keys: one frame expected, got ok=%v ndict=%d of %d bytes", keys, ok, f.ndict, len(chunk))
+			if err := f.Parse(chunk); err != nil || len(f.Raw) != len(chunk) || f.ndict != keys || len(f.ids) != f.Count*idw {
+				t.Fatalf("%d keys: one frame expected, got %v, ndict=%d of %d bytes", keys, err, f.ndict, len(chunk))
 			}
 			tw, tbase := timeWidth[shape.tcode], 8
 			if shape.tcode == 0 {
@@ -236,7 +237,8 @@ func TestBuilderClosesFramesAtCapacity(t *testing.T) {
 	recs := randomBatch(rand.New(rand.NewSource(3)), 2*maxFrameRecords+10, 5)
 	chunk := AppendRecordFrames(nil, recs)
 	var sizes []int
-	for f := range Frames(chunk) {
+	var f Frame
+	for rest := chunk; len(rest) > 0 && f.Parse(rest) == nil; rest = rest[len(f.Raw):] {
 		sizes = append(sizes, f.Count)
 	}
 	if fmt.Sprint(sizes) != fmt.Sprint([]int{maxFrameRecords, maxFrameRecords, 10}) {
@@ -474,7 +476,8 @@ func corruptionChunk() []byte {
 func frameBounds(chunk []byte) map[int]bool {
 	bounds := map[int]bool{0: true}
 	off := 0
-	for f := range Frames(chunk) {
+	var f Frame
+	for rest := chunk; len(rest) > 0 && f.Parse(rest) == nil; rest = rest[len(f.Raw):] {
 		off += len(f.Raw)
 		bounds[off] = true
 	}
@@ -582,9 +585,10 @@ func FuzzValidateFrames(f *testing.F) {
 			t.Fatalf("frameSpans after ValidateFrames = %d: %v", n, cerr)
 		}
 		var rejoined []byte
-		for f, ferr := range Frames(b) {
-			if ferr != nil {
-				t.Fatalf("Frames: %v", ferr)
+		var f Frame
+		for rest := b; len(rest) > 0; rest = rest[len(f.Raw):] {
+			if ferr := f.Parse(rest); ferr != nil {
+				t.Fatalf("Parse: %v", ferr)
 			}
 			rejoined = append(rejoined, f.Raw...)
 			for _, cut := range [][2]int{{0, 1}, {f.Count - 1, f.Count}, {f.Count / 2, f.Count}} {
@@ -655,4 +659,47 @@ func FuzzMemLogAppendFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestValidateFramesAllocatesNothing: the wire's validation gate and the
+// append's structure walk parse each frame into a Frame on the stack, so
+// a chunk of small-dictionary frames costs no allocation.
+func TestValidateFramesAllocatesNothing(t *testing.T) {
+	var chunk []byte
+	for at := 0; at < 4; at++ {
+		chunk = AppendRecordFrames(chunk, frameRecs(125))
+	}
+	if n, err := ValidateFrames(chunk); err != nil || n != 4*125 {
+		t.Fatalf("ValidateFrames = %d, %v", n, err)
+	}
+	var buf [8]span
+	for name, walk := range map[string]func(){
+		"ValidateFrames": func() { _, _ = ValidateFrames(chunk) },
+		"frameSpans":     func() { _, _ = frameSpans(buf[:0], chunk, 4*125) },
+	} {
+		if allocs := testing.AllocsPerRun(100, walk); allocs != 0 {
+			t.Errorf("%s over 4 frames: %v allocations, want 0", name, allocs)
+		}
+	}
+}
+
+// TestFrameKeyTableSpills: a dictionary larger than the Frame's inline
+// key table — here 300 keys, with two-byte ids — parses, validates,
+// slices and decodes like a small one.
+func TestFrameKeyTableSpills(t *testing.T) {
+	recs := randomBatch(rand.New(rand.NewSource(5)), 900, 300)
+	chunk := AppendRecordFrames(nil, recs)
+	var f Frame
+	if err := f.Parse(chunk); err != nil || f.ndict != 300 || len(f.Raw) != len(chunk) {
+		t.Fatalf("Parse = %v, ndict %d, want one frame of 300 keys", err, f.ndict)
+	}
+	if n, err := ValidateFrames(chunk); err != nil || n != len(recs) {
+		t.Fatalf("ValidateFrames = %d, %v", n, err)
+	}
+	sameRecords(t, "300 keys", decodeFrames(t, chunk), recs)
+	cut, err := SliceFrames(nil, chunk, 100, 700)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "300 keys [100:700]", decodeFrames(t, cut), recs[100:700])
 }

@@ -80,19 +80,22 @@ func readEnd(offset int64, n int, hwm int64) (int64, error) {
 // frame larger than that gets a chunk of its own.
 const memChunkBytes = 256 << 10
 
-// memFrame locates one stored frame: records [first, first+n) are the
-// bytes [start, end) of chunk.
+// memIndexBlock is the frames one block of a MemLog's index locates:
+// the index grows a block at a time, so an append never copies it.
+const memIndexBlock = 4096
+
+// memFrame locates one stored frame: records from first on, at byte
+// start of chunk. Its length and record count are its own header's.
 type memFrame struct {
-	first      int64
-	n          int32
-	chunk      int32
-	start, end int32
+	first        int64
+	chunk, start int32
 }
 
 // MemLog is the in-memory Log: fixed-capacity byte chunks holding whole
 // frames (a frame never spans chunks, and appends never reallocate
 // earlier history, unlike a single growing slice) plus one index entry
-// per FRAME, binary-searched by offset. It is the implementation behind
+// per FRAME, binary-searched by offset, in blocks that are never
+// reallocated either. It is the implementation behind
 // broker.New() and `brokerd -data-dir ""`.
 //
 // Storing frames rather than Record structs is what makes the log
@@ -101,8 +104,9 @@ type memFrame struct {
 type MemLog struct {
 	mu     sync.RWMutex
 	chunks [][]byte
-	frames []memFrame
-	n      int64 // total records; the high watermark
+	index  [][]memFrame // blocks of memIndexBlock entries; the first grows to it
+	frames int          // entries in index
+	n      int64        // total records; the high watermark
 }
 
 // NewMemLog returns an empty in-memory log.
@@ -127,13 +131,34 @@ func (m *MemLog) AppendFrames(frames []byte, count int) (int64, error) {
 		}
 		start := len(m.chunks[k])
 		m.chunks[k] = append(m.chunks[k], frames[:sp.bytes]...)
-		m.frames = append(m.frames, memFrame{
-			first: m.n, n: int32(sp.count), chunk: int32(k), start: int32(start), end: int32(start + sp.bytes),
-		})
+		m.addFrame(memFrame{first: m.n, chunk: int32(k), start: int32(start)})
 		m.n += int64(sp.count)
 		frames = frames[sp.bytes:]
 	}
 	return base, nil
+}
+
+// addFrame appends one entry to the index, opening a block when the
+// last one is full.
+func (m *MemLog) addFrame(fr memFrame) {
+	b := m.frames / memIndexBlock
+	if b == len(m.index) {
+		var blk []memFrame // the first block grows as it fills: a small log stays small
+		if b > 0 {
+			blk = make([]memFrame, 0, memIndexBlock)
+		}
+		m.index = append(m.index, blk)
+	}
+	m.index[b] = append(m.index[b], fr)
+	m.frames++
+}
+
+// frame returns index entry i.
+func (m *MemLog) frame(i int) *memFrame { return &m.index[i/memIndexBlock][i%memIndexBlock] }
+
+// stored returns the bytes of the frame fr locates and its record count.
+func (m *MemLog) stored(fr *memFrame) ([]byte, int) {
+	return checkedFrame(m.chunks[fr.chunk][fr.start:])
 }
 
 // ReadFrames implements Log: whole frames are copied as stored, a frame
@@ -145,12 +170,12 @@ func (m *MemLog) ReadFrames(offset int64, max int, buf []byte) ([]byte, int, err
 	if err != nil {
 		return buf, 0, err
 	}
-	i := sort.Search(len(m.frames), func(i int) bool { return m.frames[i].first > offset }) - 1
+	i := sort.Search(m.frames, func(i int) bool { return m.frame(i).first > offset }) - 1
 	for at := offset; at < end; i++ {
-		fr := m.frames[i]
-		raw := m.chunks[fr.chunk][fr.start:fr.end]
-		lo, hi := int(at-fr.first), int(min(end-fr.first, int64(fr.n)))
-		if lo == 0 && hi == int(fr.n) {
+		fr := m.frame(i)
+		raw, n := m.stored(fr)
+		lo, hi := int(at-fr.first), int(min(end-fr.first, int64(n)))
+		if lo == 0 && hi == n {
 			buf = append(buf, raw...)
 		} else {
 			if buf, err = SliceFrames(buf, raw, lo, hi); err != nil {
@@ -181,25 +206,30 @@ func (m *MemLog) TruncateTo(hwm int64) error {
 	}
 	// keep counts the frames that survive; the last of them may straddle
 	// the cut, and then keeps only its records below hwm.
-	keep := sort.Search(len(m.frames), func(i int) bool { return m.frames[i].first >= hwm })
+	keep := sort.Search(m.frames, func(i int) bool { return m.frame(i).first >= hwm })
 	nchunks := 0
 	if keep > 0 {
-		fr := &m.frames[keep-1]
-		c := m.chunks[fr.chunk]
-		if fr.first+int64(fr.n) > hwm {
-			cut, err := SliceFrames(nil, c[fr.start:fr.end], 0, int(hwm-fr.first))
+		fr := m.frame(keep - 1)
+		raw, n := m.stored(fr)
+		if fr.first+int64(n) > hwm {
+			cut, err := SliceFrames(nil, raw, 0, int(hwm-fr.first))
 			if err != nil {
 				return err
 			}
-			// Never longer than the frame it replaces, so it fits in place.
-			c = append(c[:fr.start], cut...)
-			fr.n, fr.end = int32(hwm-fr.first), int32(len(c))
+			raw = cut // never longer than the frame it replaces, so it fits in place
 		}
-		m.chunks[fr.chunk], nchunks = c[:fr.end], int(fr.chunk)+1
+		m.chunks[fr.chunk] = append(m.chunks[fr.chunk][:fr.start], raw...)
+		nchunks = int(fr.chunk) + 1
 	}
 	clear(m.chunks[nchunks:])
 	m.chunks = m.chunks[:nchunks]
-	m.frames = m.frames[:keep]
+	blocks := (keep + memIndexBlock - 1) / memIndexBlock
+	clear(m.index[blocks:])
+	m.index = m.index[:blocks]
+	if blocks > 0 {
+		m.index[blocks-1] = m.index[blocks-1][:keep-(blocks-1)*memIndexBlock]
+	}
+	m.frames = keep
 	m.n = hwm
 	return nil
 }

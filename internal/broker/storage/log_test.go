@@ -639,3 +639,33 @@ func TestFileLogMissingPrefixIsOutOfRange(t *testing.T) {
 		t.Fatalf("read below the log's base: %v", err)
 	}
 }
+
+// TestMemLogIndexBlocks: a MemLog's frame index spans blocks — reads
+// that cross a block edge, a truncation inside a later block and one at
+// a block edge, and appends after each, all keep every offset exact.
+func TestMemLogIndexBlocks(t *testing.T) {
+	l := NewMemLog()
+	sizes := make([]int, 2*memIndexBlock+100) // one frame per batch
+	for i := range sizes {
+		sizes[i] = 1 + i%3
+	}
+	hwm := appendBatches(t, l, sizes...)
+	if l.frames != len(sizes) || len(l.index) != 3 {
+		t.Fatalf("%d frames in %d blocks, want %d in 3", l.frames, len(l.index), len(sizes))
+	}
+	edge := l.frame(memIndexBlock).first // the second block's first record
+	readExactly(t, l, edge-5, 10, 10)
+	for _, cut := range []int64{edge + 50, edge} {
+		if err := l.TruncateTo(cut); err != nil {
+			t.Fatal(err)
+		}
+		hwm = appendBatches(t, l, 5, 6, 7)
+		if want := cut + 18; hwm != want {
+			t.Fatalf("hwm after truncating to %d and appending 18 = %d", cut, hwm)
+		}
+		verifyRange(t, l, edge-400, hwm)
+	}
+	if len(l.index) != 2 {
+		t.Fatalf("%d blocks after truncating to the second block's start, want 2", len(l.index))
+	}
+}

@@ -23,6 +23,13 @@ import (
 // size guards against corrupt length prefixes.
 const maxFrame = 64 << 20
 
+// connBufSize is the read buffer and the write buffer each end of a
+// connection holds. It batches the frames a pipelined burst carries
+// into few syscalls; a frame larger than the buffer passes straight
+// through to the socket, so the size bounds no frame, and a larger
+// buffer only grows every connection's footprint.
+const connBufSize = 16 << 10
+
 // Control ops travel as a JSON document inside the binary envelope
 // (binOpJSON) and are named by these strings. The data-plane ops have
 // binary op codes (codec.go); their strings here are only the metric
@@ -295,11 +302,12 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	br := bufio.NewReaderSize(conn, 64<<10)
-	bw := bufio.NewWriterSize(conn, 64<<10)
+	br := bufio.NewReaderSize(conn, connBufSize)
+	bw := bufio.NewWriterSize(conn, connBufSize)
 	fb := getFrame()
 	defer putFrame(fb)
-	var wdl time.Time // the write deadline armed on conn
+	var req binRequest // every request of the connection decodes here
+	var wdl time.Time  // the write deadline armed on conn
 	for {
 		if err := readFrameInto(br, fb); err != nil {
 			return // EOF or broken connection
@@ -312,7 +320,7 @@ func (s *Server) handle(conn net.Conn) {
 			_ = conn.SetWriteDeadline(dl)
 			wdl = dl
 		}
-		if err := s.handleBinary(fb.b, bw); err != nil {
+		if err := s.handleBinary(&req, fb.b, bw); err != nil {
 			return
 		}
 		// Don't let one oversized frame pin its buffer for the
@@ -331,13 +339,13 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// handleBinary serves one request frame, echoing its correlation ID.
-// Broker-level failures become error responses. Anything the decoder
-// cannot parse — an unknown version byte, a retired or unknown op code,
-// a '{'-prefixed lockstep frame, a corrupt chunk — closes the connection
-// with nothing appended.
-func (s *Server) handleBinary(payload []byte, bw *bufio.Writer) error {
-	req, err := decodeBinRequest(payload)
+// handleBinary serves one request frame, decoded into req, echoing its
+// correlation ID. Broker-level failures become error responses.
+// Anything the decoder cannot parse — an unknown version byte, a
+// retired or unknown op code, a '{'-prefixed lockstep frame, a corrupt
+// chunk — closes the connection with nothing appended.
+func (s *Server) handleBinary(req *binRequest, payload []byte, bw *bufio.Writer) error {
+	err := req.decode(payload)
 	if err != nil {
 		return err
 	}

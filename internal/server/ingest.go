@@ -446,6 +446,7 @@ func (ing *ingest) closeConns() {
 func (pi *partIngest) loop(start int64) {
 	defer pi.ing.wg.Done()
 	cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, start)
+	back := backoff{done: pi.done, d: pi.ing.backoff}
 	idle, fails := 0, 0
 	var idleSince, hwmAt time.Time
 	for {
@@ -459,7 +460,7 @@ func (pi *partIngest) loop(start int64) {
 		pi.mu.Unlock()
 		if !fed {
 			// Nobody listening: pause without advancing the plane.
-			if !sleepOrDone(pi.done, pi.ing.backoff) {
+			if !back.pause() {
 				return
 			}
 			continue
@@ -478,7 +479,7 @@ func (pi *partIngest) loop(start int64) {
 				fails = 0
 				pi.reroute()
 			}
-			if !sleepOrDone(pi.done, pi.ing.backoff) {
+			if !back.pause() {
 				return
 			}
 			continue
@@ -499,7 +500,7 @@ func (pi *partIngest) loop(start int64) {
 					pi.idleAdvance(hwm)
 				}
 			}
-			if !sleepOrDone(pi.done, pi.ing.backoff) {
+			if !back.pause() {
 				return
 			}
 			continue
@@ -515,7 +516,7 @@ func (pi *partIngest) loop(start int64) {
 		}
 		short := b.Len() < fetchMax
 		pi.deliverBatch(b, hwm, haveHWM)
-		if short && !sleepOrDone(pi.done, pi.ing.backoff) {
+		if short && !back.pause() {
 			return
 		}
 	}
@@ -652,6 +653,7 @@ func (pi *partIngest) catchUp(sub *subQueue, pos int64) bool {
 		<-pi.ing.catchupSem
 	}()
 	cons := broker.NewPartitionConsumer(pi.ing.cluster, pi.ing.topic, pi.idx, pos)
+	retry := backoff{done: sub.quit, d: pi.ing.backoff}
 	for {
 		// An ended group is off the partition: its last member left, or
 		// the plane stopped.
@@ -672,7 +674,7 @@ func (pi *partIngest) catchUp(sub *subQueue, pos int64) bool {
 				// watermarks for every window): retry until it ends.
 				pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", pos, "err", err)
 			}
-			if !sleepOrDone(sub.quit, pi.ing.backoff) {
+			if !retry.pause() {
 				return false
 			}
 			continue

@@ -459,14 +459,26 @@ func (sh *shard) deliver(mark time.Time) {
 	j.mu.Unlock()
 }
 
-// sleepOrDone pauses for d, returning false if done closed.
-func sleepOrDone(done chan struct{}, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
+// backoff is one loop's pause: a single timer that every pause Resets,
+// so a loop that backs off allocates nothing per pause.
+type backoff struct {
+	done chan struct{}
+	d    time.Duration
+	t    *time.Timer
+}
+
+// pause waits for d, returning false if done closed.
+func (b *backoff) pause() bool {
+	if b.t == nil {
+		b.t = time.NewTimer(b.d)
+	} else {
+		b.t.Reset(b.d)
+	}
 	select {
-	case <-done:
+	case <-b.done:
+		b.t.Stop()
 		return false
-	case <-t.C:
+	case <-b.t.C:
 		return true
 	}
 }
