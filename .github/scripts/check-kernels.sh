@@ -16,9 +16,12 @@
 #      internal/query or internal/estimate is "moved to heap" (-m).
 #  (c) The frame walkers every produced, replicated and fetched chunk
 #      passes through parse into a storage.Frame of their own that stays
-#      on the stack: nothing inside the functions below is "moved to
-#      heap" (-m). A Frame that points into itself, or one handed to an
-#      iterator's yield, would cost an allocation per call.
+#      on the stack, and the serving tier files a shard's pane and
+#      publishes a merged window without copying either to the heap:
+#      nothing inside the functions below is "moved to heap" (-m). A
+#      Frame that points into itself, one handed to an iterator's yield,
+#      or a pointer kept to a by-value parameter would cost an allocation
+#      per call.
 set -euo pipefail
 
 # file:function — the loops every sampled record passes through: the
@@ -30,11 +33,14 @@ kernels=(
 	internal/sampling/reservoir.go:AddBatch
 )
 
-# file:function — the frame walkers of (c).
-walkers=(
+# file:function — the functions of (c): the frame walkers, and the
+# merger filing a pane and the job publishing a window.
+onstack=(
 	internal/broker/storage/frames.go:ValidateFrames
 	internal/broker/storage/frames.go:frameSpans
 	internal/broker/codec.go:framesToBatch
+	internal/server/merge.go:add
+	internal/server/job.go:emitLocked
 )
 
 # funcLines prints the line numbers of function fn in file, from its
@@ -104,9 +110,9 @@ if [ -n "$heap" ]; then
 	status=1
 fi
 
-heap=$(build -gcflags=-m ./internal/broker/storage ./internal/broker)
+heap=$(build -gcflags=-m ./internal/broker/storage ./internal/broker ./internal/server)
 heap=$(grep 'moved to heap' <<<"$heap" || true)
-for w in "${walkers[@]}"; do
+for w in "${onstack[@]}"; do
 	file=${w%%:*} fn=${w##*:}
 	if ! lines=$(funcLines "$file" "$fn"); then
 		echo "$file: no function $fn" >&2
@@ -114,7 +120,7 @@ for w in "${walkers[@]}"; do
 		continue
 	fi
 	for n in $lines; do
-		if grep "^$file:$n:" <<<"$heap" | sed 's/$/ (frame walker '"$fn"')/' >&2; then
+		if grep "^$file:$n:" <<<"$heap" | sed 's/$/ (in '"$fn"')/' >&2; then
 			status=1
 		fi
 	done

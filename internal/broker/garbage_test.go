@@ -40,6 +40,36 @@ func TestFramesToBatchAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestFramesToBatchAcrossResetAllocatesNothing: a pooled batch is Reset
+// between fetch rounds, and its dictionary IDs start over each round; the
+// strings of the keys it has seen stay, so a round over the same keys
+// allocates none of them again.
+func TestFramesToBatchAcrossResetAllocatesNothing(t *testing.T) {
+	batch := benchRecords(4 * 125)
+	for i := range batch {
+		batch[i].Key = fmt.Sprintf("s%02d", i%4)
+	}
+	var chunk []byte
+	for at := 0; at < len(batch); at += 125 {
+		chunk = storage.AppendRecordFrames(chunk, batch[at:at+125])
+	}
+	eb := stream.GetEventBatch()
+	defer eb.Release()
+	decode := func() {
+		eb.Reset()
+		if n, err := framesToBatch(chunk, len(batch), 0, eb); err != nil || n != len(batch) {
+			t.Fatalf("framesToBatch = %d, %v", n, err)
+		}
+		if len(eb.Dict) != 4 || eb.Dict[eb.Strata[len(batch)-1]] != batch[len(batch)-1].Key {
+			t.Fatalf("dictionary %q after a reset, want the round's 4 keys", eb.Dict)
+		}
+	}
+	decode()
+	if allocs := testing.AllocsPerRun(100, decode); allocs != 0 {
+		t.Errorf("framesToBatch after Reset: %v allocations, want 0", allocs)
+	}
+}
+
 // maxProduceAllocs bounds what one acknowledged Produce allocates across
 // the whole process on a 2-member RF 2 cluster: client encode, leader
 // append, replicate, follower apply and both acks. The path itself

@@ -229,7 +229,9 @@ func newWindows(cfg Config) *windows {
 
 // emit estimates one window from its panes.
 func (w *windows) emit(start time.Time, panes []query.Pane) {
-	w.out = append(w.out, w.Estimate(w.q, start, panes))
+	win := w.Estimate(w.q, start, panes)
+	win.Result = win.Result.Clone()
+	w.out = append(w.out, win)
 }
 
 // flush fires every remaining window and returns all fired.

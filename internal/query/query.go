@@ -15,6 +15,7 @@ package query
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -106,9 +107,18 @@ type Query interface {
 	// Summarize reduces one interval's sample to its Summary. It keeps
 	// no reference to the sample or its rows.
 	Summarize(s *sampling.Sample) Summary
-	// Combine computes the approximate result over consecutive
-	// intervals' summaries, given in time order.
-	Combine(sums []Summary) Result
+	// Combine writes to res the approximate result over consecutive
+	// intervals' summaries, given in time order. It reuses the map and
+	// the array that res.Groups and res.Buckets hold: a caller that keeps
+	// one result while combining another hands Combine a zero Result.
+	Combine(sums []Summary, res *Result)
+}
+
+// Clone returns r with Groups and Buckets of its own.
+func (r Result) Clone() Result {
+	r.Groups = maps.Clone(r.Groups)
+	r.Buckets = slices.Clone(r.Buckets)
+	return r
 }
 
 // summarize builds the per-entry statistics a kind reads.
@@ -262,11 +272,12 @@ func (a *Aggregate) Summarize(s *sampling.Sample) Summary {
 }
 
 // Combine implements Query.
-func (a *Aggregate) Combine(sums []Summary) Result {
+func (a *Aggregate) Combine(sums []Summary, res *Result) {
 	var ms [cellRoom]estimate.Moments
 	var keys [cellRoom]string
 	m, k := cells(sums, &ms, &keys)
-	return Result{Kind: a.kind, Overall: estimateOf(a.kind, m, k, a.conf)}
+	clear(res.Groups)
+	*res = Result{Kind: a.kind, Overall: estimateOf(a.kind, m, k, a.conf), Groups: res.Groups, Buckets: res.Buckets[:0]}
 }
 
 // GroupBy aggregates per stratum: e.g. "total traffic size per protocol"
@@ -341,7 +352,7 @@ func mixedStrata(st sampling.StratumSample) bool { return st.Keys != nil }
 // per micro-batch or slide segment); all entries of a key are estimated
 // together as independent sub-samples of that group, lined up
 // contiguously and in time order in one buffer.
-func (g *GroupBy) Combine(sums []Summary) Result {
+func (g *GroupBy) Combine(sums []Summary, res *Result) {
 	entries := func(i int) []StratumSummary {
 		if sums[i].Groups != nil {
 			return sums[i].Groups
@@ -374,12 +385,16 @@ func (g *GroupBy) Combine(sums []Summary) Result {
 			span[e.Stratum] = sp
 		}
 	}
-	groups := make(map[string]estimate.Estimate, len(span))
+	groups := res.Groups
+	if groups == nil {
+		groups = make(map[string]estimate.Estimate, len(span))
+	}
+	clear(groups)
 	for key, sp := range span {
 		groups[key] = estimateOf(g.kind, byGroup[sp[0]:sp[0]+sp[1]], nil, g.conf)
 	}
 	m, k := cells(sums, &overallBuf, &keys)
-	return Result{Kind: g.kind, Overall: estimateOf(g.kind, m, k, g.conf), Groups: groups}
+	*res = Result{Kind: g.kind, Overall: estimateOf(g.kind, m, k, g.conf), Groups: groups, Buckets: res.Buckets[:0]}
 }
 
 // HistogramBucket is one bucket of an approximate histogram.
@@ -456,16 +471,16 @@ func (h *Histogram) bucketOf(v float64) int {
 // Buckets carries the per-bucket counts. A bucket's count is the linear
 // query Σ 1[lo <= v < hi]; an entry's moments for it follow in closed
 // form from its hit count, so no row is revisited.
-func (h *Histogram) Combine(sums []Summary) Result {
+func (h *Histogram) Combine(sums []Summary, res *Result) {
 	var buf, indicatorBuf [cellRoom]estimate.Moments
 	var keyBuf [cellRoom]string
 	ms, keys := cells(sums, &buf, &keyBuf)
-	res := Result{Kind: KindHistogram, Overall: estimate.CountOf(ms, h.conf)}
 	nb := h.buckets()
+	clear(res.Groups)
+	*res = Result{Kind: KindHistogram, Overall: estimate.CountOf(ms, h.conf), Groups: res.Groups, Buckets: slices.Grow(res.Buckets[:0], nb)[:nb]}
 	if nb == 0 {
-		return res
+		return
 	}
-	res.Buckets = make([]HistogramBucket, nb)
 	indicator := room(len(ms), &indicatorBuf)
 	for b := range res.Buckets {
 		k := 0
@@ -477,5 +492,4 @@ func (h *Histogram) Combine(sums []Summary) Result {
 		}
 		res.Buckets[b] = HistogramBucket{Lo: h.edges[b], Hi: h.edges[b+1], Count: estimateOf(KindSum, indicator, keys, h.conf)}
 	}
-	return res
 }

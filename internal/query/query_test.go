@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"streamapprox/internal/estimate"
@@ -20,7 +21,14 @@ func fullSample(strata map[string][]float64) *sampling.Sample {
 
 // evaluate estimates from one sample alone: a window of one interval.
 func evaluate(q Query, s *sampling.Sample) Result {
-	return q.Combine([]Summary{q.Summarize(s)})
+	return combine(q, []Summary{q.Summarize(s)})
+}
+
+// combine is q's Combine into a Result of its own.
+func combine(q Query, sums []Summary) Result {
+	var res Result
+	q.Combine(sums, &res)
+	return res
 }
 
 func TestAggregateSum(t *testing.T) {
@@ -157,7 +165,8 @@ func TestCombinePoolsWithoutAllocating(t *testing.T) {
 		sums = append(sums, sum)
 	}
 	for _, q := range []Query{NewSum(estimate.Conf95), NewMean(estimate.Conf95)} {
-		if n := testing.AllocsPerRun(50, func() { q.Combine(sums) }); n != 0 {
+		var res Result
+		if n := testing.AllocsPerRun(50, func() { q.Combine(sums, &res) }); n != 0 {
 			t.Errorf("%s: %v allocations per Combine, want 0", q.Name(), n)
 		}
 	}
@@ -169,9 +178,28 @@ func TestCombinePoolsWithoutAllocating(t *testing.T) {
 		for _, sum := range sums {
 			one = append(one, Summary{Strata: sum.Strata[k : k+1]})
 		}
-		apart += q.Combine(one).Overall.Variance
+		apart += combine(q, one).Overall.Variance
 	}
-	if got := q.Combine(sums).Overall.Variance; got == 0 || math.Abs(got-apart) > 1e-9*apart {
+	if got := combine(q, sums).Overall.Variance; got == 0 || math.Abs(got-apart) > 1e-9*apart {
 		t.Errorf("variance %v, want its strata's %v", got, apart)
+	}
+}
+
+// TestCombineIntoReusedResult: a Result combined into again holds the
+// new window's estimate alone — no group or bucket of the window before
+// it — equal to a Combine into a zero Result.
+func TestCombineIntoReusedResult(t *testing.T) {
+	wide := fullSample(map[string][]float64{"a": {1, 2, 12}, "b": {5, 25}, "c": {7}})
+	narrow := fullSample(map[string][]float64{"b": {3, 11}})
+	for _, q := range []Query{NewSum(estimate.Conf95), NewGroupByMean(estimate.Conf95),
+		NewHistogram([]float64{0, 10, 20}, estimate.Conf95)} {
+		var res Result
+		for _, s := range []*sampling.Sample{wide, narrow, wide} {
+			sums := []Summary{q.Summarize(s)}
+			q.Combine(sums, &res)
+			if want := combine(q, sums); !reflect.DeepEqual(res, want) {
+				t.Errorf("%s: reused result %+v, want %+v", q.Name(), res, want)
+			}
+		}
 	}
 }

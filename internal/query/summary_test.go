@@ -99,7 +99,7 @@ func TestGroupBySummaryMatchesRowsOnMixedSample(t *testing.T) {
 		}
 		// Interval by interval, as a window over two slides combines them.
 		want := rowGroupBy(q.kind, both)
-		if got := q.Combine([]Summary{sum, q.Summarize(stratified)}); !reflect.DeepEqual(got, want) {
+		if got := combine(q, []Summary{sum, q.Summarize(stratified)}); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: Combine of two intervals = %+v\nrows give %+v", q.Name(), got, want)
 		}
 	}

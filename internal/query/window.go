@@ -24,6 +24,7 @@ type Windows struct {
 	Fired time.Time
 
 	sums []Summary // Estimate's argument buffer
+	res  Result    // the result Estimate combines into
 }
 
 // Window is one fired window: its panes combined, and what they counted.
@@ -110,7 +111,8 @@ func (w *Windows) Fire(limit time.Time, emit func(start time.Time, panes []Pane)
 }
 
 // Estimate combines one window's panes, as Fire hands them to emit,
-// through q.
+// through q. The Result's Groups and Buckets are the Windows' own, which
+// the next Estimate rewrites: a caller that keeps them clones them.
 func (w *Windows) Estimate(q Query, start time.Time, panes []Pane) Window {
 	win := Window{Start: start, End: start.Add(w.size)}
 	w.sums = w.sums[:0]
@@ -119,7 +121,8 @@ func (w *Windows) Estimate(q Query, start time.Time, panes []Pane) Window {
 		win.Items += panes[i].Summary.TotalCount()
 		win.Sampled += panes[i].Summary.SampledCount()
 	}
-	win.Result = q.Combine(w.sums)
+	q.Combine(w.sums, &w.res)
+	win.Result = w.res
 	clear(w.sums)
 	return win
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -99,13 +98,30 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 	cf.Seq = j.seq
 	m := j.merger
 	cf.Served = m.windows.Fired
-	for _, s := range m.slides {
-		// The file is written after j.mu is released: the summaries are
-		// never written to, so only the slide's index of them is copied.
-		cf.Slides = append(cf.Slides, slideCheckpoint{Start: s.start, Panes: slices.Clone(s.panes)})
-	}
+	cf.Slides = m.capture()
 	j.mu.Unlock()
 	return cf, nil
+}
+
+// capture copies the merger's slides for a checkpoint, each pane by
+// value: the file is written after j.mu is released, and a slide's pane
+// table is reused once no window covers it. The arrays a summary points
+// to are never written to after Summarize, so they are shared. Callers
+// hold j.mu.
+func (m *merger) capture() []slideCheckpoint {
+	var out []slideCheckpoint
+	for _, s := range m.slides {
+		sums := make([]query.Summary, len(s.panes))
+		sc := slideCheckpoint{Start: s.start, Panes: make([]*query.Summary, len(s.panes))}
+		for i, p := range s.panes {
+			if p.ok {
+				sums[i] = p.sum
+				sc.Panes[i] = &sums[i]
+			}
+		}
+		out = append(out, sc)
+	}
+	return out
 }
 
 // restore rebuilds the job's shards and merger from a checkpoint: each

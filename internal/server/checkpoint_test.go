@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -783,4 +785,73 @@ func TestTornIngestStateDoesNotBlockRestart(t *testing.T) {
 // checkpoints nor the unread _ingest.json beside them is touched.
 func TestRestoreParentCheckpointDir(t *testing.T) {
 	refuseCheckpointDir(t, "testdata/checkpoint_v3", 3, "commit bf6c4fd")
+}
+
+// TestCheckpointDuringFiringIsStable: a checkpoint captures the merger's
+// slides under j.mu and is encoded after that lock is released, while the
+// query goes on firing windows and the merger reuses the pane tables of
+// the slides it drops. What it encodes, during the firing and after the
+// captured slides were all dropped, is what a deep copy of the slides
+// taken under j.mu encodes.
+func TestCheckpointDuringFiringIsStable(t *testing.T) {
+	f := newFiring(t, "groupby-mean")
+	var paused sync.Mutex // held: the query fires nothing
+	var steps atomic.Int64
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			paused.Lock()
+			f.step()
+			paused.Unlock()
+			steps.Add(1)
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-done
+	}()
+	for steps.Load() == 0 {
+		runtime.Gosched()
+	}
+	for range 50 {
+		paused.Lock()
+		f.j.mu.Lock()
+		want, err := json.Marshal(f.j.merger.capture())
+		f.j.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cf, err := f.j.checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		from := steps.Load()
+		paused.Unlock()
+		if len(cf.Slides) == 0 {
+			t.Fatal("the checkpoint holds no slide")
+		}
+		during, err := json.Marshal(cf.Slides)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every captured slide is dropped, and its table reused, within
+		// the steps of a window and one more.
+		for steps.Load() < from+int64(f.j.spec.Window/f.j.spec.Slide)+2 {
+			runtime.Gosched()
+		}
+		after, err := json.Marshal(cf.Slides)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(during, want) || !bytes.Equal(after, want) {
+			t.Fatalf("checkpoint slides encode\n%s during the firing and\n%s after it, want\n%s", during, after, want)
+		}
+	}
 }

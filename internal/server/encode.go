@@ -53,9 +53,11 @@ func served(win query.Window, conf string) MergedWindow {
 			mw.Groups[k] = PointEstimate{Value: g.Value, Error: g.Bound}
 		}
 	}
-	mw.Buckets = slices.Grow(mw.Buckets, len(res.Buckets))
-	for _, b := range res.Buckets {
-		mw.Buckets = append(mw.Buckets, BucketEstimate{Lo: b.Lo, Hi: b.Hi, Count: PointEstimate{Value: b.Count.Value, Error: b.Count.Bound}})
+	if len(res.Buckets) > 0 {
+		mw.Buckets = make([]BucketEstimate, len(res.Buckets))
+		for i, b := range res.Buckets {
+			mw.Buckets[i] = BucketEstimate{Lo: b.Lo, Hi: b.Hi, Count: PointEstimate{Value: b.Count.Value, Error: b.Count.Bound}}
+		}
 	}
 	return mw
 }

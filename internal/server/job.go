@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -36,12 +37,16 @@ type job struct {
 	shards []*shard
 
 	// mu guards the merger and the served result state.
-	mu      sync.Mutex
-	merger  *merger
-	results []MergedWindow        // ring of recent results for /results polling, oldest at head
-	head    int                   // index of the oldest result once the ring is full
+	mu     sync.Mutex
+	merger *merger
+	// blocks hold the ring of recent results for /results and /stream,
+	// ringBlock results each, a block appended as the ring grows; kept
+	// results are in ring positions head, head+1, … modulo maxKept.
+	blocks  []*[ringBlock]MergedWindow
+	kept    int                   // results in the ring, at most maxKept
+	head    int                   // ring position of the oldest result
 	seq     int64                 // seq of the next merged window
-	subs    map[int]chan struct{} // wake-ups: a window was appended to results
+	subs    map[int]chan struct{} // wake-ups: a window was added to the ring
 	nextSub int
 	stopped bool
 	relErr  float64 // EWMA of merged windows' relative error bound
@@ -54,8 +59,12 @@ type job struct {
 	obsErrGauge   *metrics.Gauge
 }
 
-// maxKept bounds the per-query result ring.
-const maxKept = 4096
+// maxKept bounds the per-query result ring, which grows by ringBlock
+// results at a time and, full, overwrites its oldest in place.
+const (
+	maxKept   = 4096
+	ringBlock = 64
+)
 
 // shard is one partition's delivery sink for one query: its sampling
 // group pushes batches into its pane sampler — its own, or the group's —
@@ -223,15 +232,17 @@ func (j *job) emitLocked(fw firedWindow) {
 	fw.result.Seq = j.seq
 	fw.result.Query = j.id
 	j.seq++
-	if n := len(j.results); n < maxKept {
-		if n == cap(j.results) { // grow by doubling, never past maxKept
-			j.results = append(make([]MergedWindow, 0, min(max(2*n, 16), maxKept)), j.results...)
-		}
-		j.results = append(j.results, fw.result)
+	at := j.head
+	if j.kept < maxKept {
+		at = j.kept
+		j.kept++
 	} else {
-		j.results[j.head] = fw.result
 		j.head = (j.head + 1) % maxKept
 	}
+	if at/ringBlock == len(j.blocks) {
+		j.blocks = append(j.blocks, new([ringBlock]MergedWindow))
+	}
+	j.blocks[at/ringBlock][at%ringBlock] = fw.result
 	j.windowsMerged.Inc()
 	j.mergeHist.Observe(fw.latency.Seconds())
 	if v := math.Abs(fw.result.Value); v > 0 {
@@ -259,25 +270,25 @@ func (j *job) isStopped() bool {
 	return j.stopped
 }
 
-// resultsSince returns served results with Seq > since, oldest first,
-// copied at their exact size (never nil: /results must encode an empty
-// answer as []). The ring holds consecutive seqs ending at j.seq-1. A
+// appendResults appends to dst the served results with Seq > since,
+// oldest first. The ring holds consecutive seqs ending at j.seq-1. A
 // since below -1 asks for everything, as -1 does (and would overflow the
 // count).
-func (j *job) resultsSince(since int64) []MergedWindow {
+func (j *job) appendResults(dst []MergedWindow, since int64) []MergedWindow {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	n := int(min(max(j.seq-1-max(since, -1), 0), int64(len(j.results))))
-	out := make([]MergedWindow, 0, n)
-	for i := len(j.results) - n; i < len(j.results); i++ {
-		out = append(out, *j.resultAt(i))
+	n := int(min(max(j.seq-1-max(since, -1), 0), int64(j.kept)))
+	dst = slices.Grow(dst, n)
+	for i := j.kept - n; i < j.kept; i++ {
+		dst = append(dst, *j.resultAt(i))
 	}
-	return out
+	return dst
 }
 
 // resultAt returns the i-th oldest result the ring holds.
 func (j *job) resultAt(i int) *MergedWindow {
-	return &j.results[(j.head+i)%len(j.results)]
+	at := (j.head + i) % maxKept
+	return &j.blocks[at/ringBlock][at%ringBlock]
 }
 
 // subscribe registers a wake-up channel: it holds a value whenever a
@@ -449,7 +460,7 @@ func (sh *shard) deliver(mark time.Time) {
 		}
 	}
 	if sh.ctl != nil {
-		for oldest := j.seq - int64(len(j.results)); sh.observed < j.seq; sh.observed++ {
+		for oldest := j.seq - int64(j.kept); sh.observed < j.seq; sh.observed++ {
 			if sh.observed >= oldest {
 				w := j.resultAt(int(sh.observed - oldest))
 				sh.ps.SetFraction(sh.ctl.Observe(streamapprox.Estimate{Value: w.Value, Bound: w.Error}.RelativeError()))

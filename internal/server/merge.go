@@ -26,8 +26,15 @@ type firedWindow struct {
 // slide is one slide's panes as the shards hand them over.
 type slide struct {
 	start   time.Time
-	panes   []*query.Summary // by shard; nil: none
-	firstAt time.Time        // wall clock of the first pane
+	panes   []shardPane // by shard
+	firstAt time.Time   // wall clock of the first pane
+}
+
+// shardPane is one shard's pane of a slide, kept by value: ok is false
+// while the shard has handed none.
+type shardPane struct {
+	sum query.Summary
+	ok  bool
 }
 
 // merger is the per-query fan-in. It is not safe for concurrent use;
@@ -45,6 +52,10 @@ type merger struct {
 	marks  []time.Time   // per shard: the start of the slide its event-time watermark is in
 	out    []firedWindow // backs the slices advance returns
 	seen   []bool        // scratch: the shards a window has seen
+	// free holds the pane tables of dropped slides for new ones, never
+	// more than the merger held at once: no window covers them, and a
+	// checkpoint copies what it captures.
+	free [][]shardPane
 }
 
 func newMerger(spec *Spec, shards int) *merger {
@@ -69,10 +80,15 @@ func (m *merger) add(shard int, p query.Pane) bool {
 	}
 	i, ok := slices.BinarySearchFunc(m.slides, p.Start, bySlideStart)
 	if !ok {
-		s := slide{start: p.Start, panes: make([]*query.Summary, len(m.marks)), firstAt: time.Now()}
+		s := slide{start: p.Start, firstAt: time.Now()}
+		if n := len(m.free); n > 0 {
+			s.panes, m.free = m.free[n-1], m.free[:n-1]
+		} else {
+			s.panes = make([]shardPane, len(m.marks))
+		}
 		m.slides = slices.Insert(m.slides, i, s)
 	}
-	m.slides[i].panes[shard] = &p.Summary
+	m.slides[i].panes[shard] = shardPane{p.Summary, true}
 	return true
 }
 
@@ -115,9 +131,9 @@ func (m *merger) complete(done time.Time) {
 		if !s.start.Before(done) {
 			break
 		}
-		for _, sum := range s.panes {
-			if sum != nil && !s.start.Before(m.done) {
-				m.windows.Add(s.start, *sum)
+		for _, p := range s.panes {
+			if p.ok && !s.start.Before(m.done) {
+				m.windows.Add(s.start, p.sum)
 			}
 		}
 	}
@@ -137,8 +153,8 @@ func (m *merger) emit(start time.Time, panes []query.Pane) {
 		if s.firstAt.Before(first) {
 			first = s.firstAt
 		}
-		for shard, sum := range s.panes {
-			if sum != nil && !m.seen[shard] {
+		for shard, p := range s.panes {
+			if p.ok && !m.seen[shard] {
 				m.seen[shard] = true
 				fw.result.Shards++
 			}
@@ -157,8 +173,9 @@ func (m *merger) fired() []firedWindow {
 		keep = m.windows.Panes[0].Start
 	}
 	k := 0
-	for k < len(m.slides) && m.slides[k].start.Before(keep) {
-		k++
+	for ; k < len(m.slides) && m.slides[k].start.Before(keep); k++ {
+		clear(m.slides[k].panes)
+		m.free = append(m.free, m.slides[k].panes)
 	}
 	m.slides = slices.Delete(m.slides, 0, k)
 	if len(m.out) == 0 {

@@ -39,6 +39,13 @@ func strata(cells ...query.StratumSummary) query.Summary {
 	return query.Summary{Strata: cells}
 }
 
+// combined is the spec's Combine of sums, into a Result of its own.
+func combined(sp *Spec, sums ...query.Summary) query.Result {
+	var res query.Result
+	sp.combiner().Combine(sums, &res)
+	return res
+}
+
 // handAll hands the merger one pane at start per shard, shard i's the
 // i-th summary, then moves every shard's watermark to mark, and returns
 // the windows that fired.
@@ -78,7 +85,7 @@ func TestMergePartsSum(t *testing.T) {
 		t.Fatalf("fired %d windows, want 1", len(fired))
 	}
 	got := fired[0].result
-	want := sp.combiner().Combine([]query.Summary{a, b, a}).Overall
+	want := combined(sp, a, b, a).Overall
 	if got.Value != want.Value || got.Error != want.Bound || got.Value != 2*200+600 {
 		t.Errorf("merged = %v ± %v, want %v ± %v", got.Value, got.Error, want.Value, want.Bound)
 	}
@@ -114,7 +121,7 @@ func TestMergePartsGroupsAndBuckets(t *testing.T) {
 	if len(fired) != 1 {
 		t.Fatalf("fired %d windows", len(fired))
 	}
-	want := sp.combiner().Combine([]query.Summary{strata(tcp0, tcp1, udp)})
+	want := combined(sp, strata(tcp0, tcp1, udp))
 	groups := fired[0].Groups
 	if len(groups) != 2 || groups["tcp"].Value != 5*3+2*7 {
 		t.Fatalf("groups = %v, want tcp at 29 and udp", groups)
@@ -150,12 +157,12 @@ func TestMergePartsCarryVarianceAndDF(t *testing.T) {
 	if len(fired) != 1 {
 		t.Fatalf("fired %d windows", len(fired))
 	}
-	want := sp.combiner().Combine([]query.Summary{strata(x0, x1)}).Overall
+	want := combined(sp, strata(x0, x1)).Overall
 	if got := fired[0]; got.Value != 100 || got.Error != want.Bound || want.Bound == 0 || want.DF != 1 {
 		t.Errorf("merged %v ± %v, want 100 ± %v on 1 df", got.Value, got.Error, want.Bound)
 	}
 	for _, own := range []query.StratumSummary{x0, x1} {
-		if b := sp.combiner().Combine([]query.Summary{strata(own)}).Overall.Bound; b != 0 {
+		if b := combined(sp, strata(own)).Overall.Bound; b != 0 {
 			t.Errorf("one shard's cell alone has bound %v, want 0", b)
 		}
 	}

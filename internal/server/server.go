@@ -484,14 +484,14 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = d
 	}
-	results := j.resultsSince(since)
+	results := j.appendResults(nil, since)
 	if len(results) == 0 && wait > 0 {
 		// Subscribe before re-checking so a window merged between the
 		// first check and the subscription still wakes (or is seen by)
 		// this request.
 		ch, cancel := j.subscribe()
 		defer cancel()
-		if results = j.resultsSince(since); len(results) == 0 {
+		if results = j.appendResults(nil, since); len(results) == 0 {
 			t := time.NewTimer(wait)
 			defer t.Stop()
 			select {
@@ -499,7 +499,7 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 			case <-r.Context().Done():
 			case <-ch:
 			}
-			results = j.resultsSince(since)
+			results = j.appendResults(nil, since)
 		}
 	}
 	// The bytes writeJSON writes for the slice.
@@ -547,15 +547,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	var buf []byte
 	var keys []string
+	var results []MergedWindow
 
 	// drain writes every retained window after last, in Seq order, as one
 	// write of NDJSON lines, and flushes them together.
 	drain := func() bool {
 		buf = buf[:0]
-		for _, mw := range j.resultsSince(last) {
-			buf = append(appendWindow(buf, &mw, &keys), '\n')
-			last = mw.Seq
+		results = j.appendResults(results[:0], last)
+		for i := range results {
+			buf = append(appendWindow(buf, &results[i], &keys), '\n')
+			last = results[i].Seq
 		}
+		clear(results) // hold no window the ring has let go
 		if _, err := w.Write(buf); err != nil {
 			return false
 		}

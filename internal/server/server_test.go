@@ -524,8 +524,8 @@ func TestResultsSinceAcrossRingWrap(t *testing.T) {
 		for range n {
 			j.emitLocked(firedWindow{result: MergedWindow{Start: t0.Add(time.Duration(j.seq) * time.Second)}})
 		}
-		if cap(j.results) > maxKept {
-			t.Fatalf("ring grew to %d", cap(j.results))
+		if n := len(j.blocks) * ringBlock; n > maxKept || j.kept > maxKept {
+			t.Fatalf("ring grew to %d blocks, %d results", n, j.kept)
 		}
 	}
 	check := func(since int64) {

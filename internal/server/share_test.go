@@ -371,10 +371,10 @@ func sharedPanes(t *testing.T, jobs []*job) int {
 			for _, sa := range jobs[a].merger.slides {
 				for _, sb := range jobs[b].merger.slides {
 					pa, pb := sa.panes[0], sb.panes[0]
-					if !sa.start.Equal(sb.start) || pa == nil || pb == nil || len(pa.Strata) == 0 {
+					if !sa.start.Equal(sb.start) || !pa.ok || !pb.ok || len(pa.sum.Strata) == 0 {
 						continue
 					}
-					same := unsafe.SliceData(pa.Strata) == unsafe.SliceData(pb.Strata)
+					same := unsafe.SliceData(pa.sum.Strata) == unsafe.SliceData(pb.sum.Strata)
 					if alike := summaryShape(jobs[a].spec) == summaryShape(jobs[b].spec); same != alike {
 						t.Fatalf("pane %v of members %d and %d: one Strata array %v, alike %v", sa.start, a, b, same, alike)
 					}

@@ -35,7 +35,12 @@ type EventBatch struct {
 	Dict   []string  // batch-local stratum dictionary, first-seen order
 	Base   int64     // broker offset of record 0; offsets are consecutive
 
-	intern map[string]int32
+	// intern maps each key the batch has seen, this round or an earlier
+	// one, to its string and, when gen is the batch's, its ID: Reset
+	// moves gen on rather than clearing, so a pooled batch allocates a
+	// key's string once, not once per round.
+	intern map[string]interned
+	gen    uint32
 	refs   atomic.Int32
 
 	// SortByTime's scratch, kept with the pooled batch so an unsorted
@@ -96,14 +101,30 @@ func (b *EventBatch) Release() {
 	}
 }
 
-// Reset empties the batch for reuse, keeping column capacity.
+// interned is one key of a batch's intern table.
+type interned struct {
+	key string
+	id  int32  // the key's index in Dict, when gen is the batch's
+	gen uint32 // the round that gave the key id
+}
+
+// maxInterned bounds the keys a batch keeps across Reset; past it, Reset
+// forgets them all.
+const maxInterned = 4096
+
+// Reset empties the batch for reuse, keeping column capacity and the
+// strings of the keys it has interned.
 func (b *EventBatch) Reset() {
 	b.Strata = b.Strata[:0]
 	b.Values = b.Values[:0]
 	b.Times = b.Times[:0]
 	b.Dict = b.Dict[:0]
 	b.Base = 0
-	clear(b.intern)
+	// At the wrap an entry left from 2³² rounds ago would read as this
+	// round's.
+	if b.gen++; b.gen == 0 || len(b.intern) > maxInterned {
+		clear(b.intern)
+	}
 }
 
 // Len returns the number of records in the batch.
@@ -111,34 +132,37 @@ func (b *EventBatch) Len() int { return len(b.Values) }
 
 // InternBytes returns the dictionary ID for a stratum key given as raw
 // bytes, adding it on first sight. The string allocation happens once
-// per distinct key per batch; lookups are allocation-free.
+// per distinct key while the batch keeps it (see Reset); lookups are
+// allocation-free.
 func (b *EventBatch) InternBytes(key []byte) int32 {
-	if b.intern == nil {
-		b.intern = make(map[string]int32, 16)
+	if e, ok := b.intern[string(key)]; ok {
+		return b.dictID(e)
 	}
-	if id, ok := b.intern[string(key)]; ok {
-		return id
-	}
-	id := int32(len(b.Dict))
-	s := string(key)
-	b.Dict = append(b.Dict, s)
-	b.intern[s] = id
-	return id
+	return b.dictID(interned{key: string(key), gen: b.gen - 1})
 }
 
 // Intern returns the dictionary ID for a stratum key, adding it on
 // first sight.
 func (b *EventBatch) Intern(key string) int32 {
+	if e, ok := b.intern[key]; ok {
+		return b.dictID(e)
+	}
+	return b.dictID(interned{key: key, gen: b.gen - 1})
+}
+
+// dictID returns the ID of e's key, adding the key to Dict when this
+// round has not seen it.
+func (b *EventBatch) dictID(e interned) int32 {
+	if e.gen == b.gen {
+		return e.id
+	}
 	if b.intern == nil {
-		b.intern = make(map[string]int32, 16)
+		b.intern = make(map[string]interned, 16)
 	}
-	if id, ok := b.intern[key]; ok {
-		return id
-	}
-	id := int32(len(b.Dict))
-	b.Dict = append(b.Dict, key)
-	b.intern[key] = id
-	return id
+	e.id, e.gen = int32(len(b.Dict)), b.gen
+	b.Dict = append(b.Dict, e.key)
+	b.intern[e.key] = e
+	return e.id
 }
 
 // Append adds one record given an already-interned stratum ID.

@@ -100,7 +100,8 @@ func (r *rowSession) fire(limit time.Time) {
 		agg := r.pending[startN]
 		delete(r.pending, startN)
 		start := time.Unix(0, startN).UTC()
-		res := r.q.Combine([]query.Summary{r.q.Summarize(agg)})
+		var res query.Result
+		r.q.Combine([]query.Summary{r.q.Summarize(agg)}, &res)
 		wr := WindowResult{
 			Start: start, End: start.Add(r.cfg.WindowSize), Overall: fromInternalEstimate(res.Overall),
 			Items: agg.TotalCount(), Sampled: agg.SampledCount(),

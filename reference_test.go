@@ -240,7 +240,8 @@ func (r *refSession) window(start time.Time) WindowResult {
 			}
 		}
 	}
-	res := r.q.Combine(sums)
+	var res query.Result
+	r.q.Combine(sums, &res)
 	est := func(e estimate.Estimate) Estimate {
 		return Estimate{Value: e.Value, Bound: e.Bound, Confidence: Confidence(e.Confidence)}
 	}
