@@ -25,8 +25,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -89,6 +90,7 @@ type StorageConfig struct {
 type Broker struct {
 	mu     sync.RWMutex
 	topics map[string]*topic
+	names  []string // topics' keys in lexical order, replaced whole on create
 	closed bool
 
 	scfg StorageConfig
@@ -245,12 +247,32 @@ func (b *Broker) newLog(topicName string, p int) (storage.Log, error) {
 	})
 }
 
-// CreateTopic creates a topic with the given partition count.
-func (b *Broker) CreateTopic(name string, partitions int) error {
-	if partitions < 1 {
-		partitions = 1
+// maxPartitions is the most partitions a topic can have: the create
+// and meta ops carry the count in two bytes.
+const maxPartitions = 1<<16 - 1
+
+// checkPartitions refuses a partition count the wire cannot carry.
+func checkPartitions(n int) error {
+	if n > maxPartitions {
+		return fmt.Errorf("broker: %d partitions exceed the limit of %d", n, maxPartitions)
 	}
-	return b.createTopic(name, partitions)
+	return nil
+}
+
+// CreateTopic creates a topic with the given partition count (one if
+// below one). It refuses a count above maxPartitions, and a name that
+// is empty, "." or "..", or holds a path separator or NUL: a durable
+// broker keeps a topic in <Dir>/<name> and reopens each directory there
+// as one, so such a name would write outside the data directory or
+// reopen as no topic at all.
+func (b *Broker) CreateTopic(name string, partitions int) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/\\\x00") {
+		return fmt.Errorf("broker: invalid topic name %q", name)
+	}
+	if err := checkPartitions(partitions); err != nil {
+		return err
+	}
+	return b.createTopic(name, max(partitions, 1))
 }
 
 func (b *Broker) createTopic(name string, partitions int) error {
@@ -274,19 +296,18 @@ func (b *Broker) createTopic(name string, partitions int) error {
 		parts[i] = &partition{log: log}
 	}
 	b.topics[name] = &topic{name: name, partitions: parts}
+	i, _ := slices.BinarySearch(b.names, name)
+	b.names = slices.Insert(slices.Clip(b.names), i, name) // a new array: readers keep the old
 	return nil
 }
 
-// topicNames returns the topic names in lexical order.
+// topicNames returns the topic names in lexical order. The slice is
+// shared: a create replaces it whole, so a caller may keep it but must
+// not modify it.
 func (b *Broker) topicNames() []string {
 	b.mu.RLock()
-	out := make([]string, 0, len(b.topics))
-	for name := range b.topics {
-		out = append(out, name)
-	}
-	b.mu.RUnlock()
-	sort.Strings(out)
-	return out
+	defer b.mu.RUnlock()
+	return b.names
 }
 
 // Partitions returns the partition count of a topic.

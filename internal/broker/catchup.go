@@ -58,10 +58,7 @@ func (n *ClusterNode) syncAndJoin() {
 		if err != nil {
 			continue
 		}
-		epoch, view := n.viewCopy()
-		if repoch, rview, err := cli.ping(n.cfg.ProbeTimeout, n.cfg.ID, epoch, view); err == nil {
-			n.mergeView(repoch, rview)
-		} else {
+		if err := cli.ping(n.cfg.ProbeTimeout, n.cfg.ID, n.appendGossip, n.mergeView); err != nil {
 			if !isRemoteErr(err) {
 				n.dropConn(p, cli)
 			}

@@ -3,7 +3,6 @@ package broker
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -27,7 +26,7 @@ import (
 // any number of goroutines can have requests in flight on the one
 // connection. No goroutine is dedicated to reading: a lone caller reads
 // its own reply (see await). On dial it confirms the peer's wire version
-// with a "hello" control op.
+// with a hello.
 type client struct {
 	conn net.Conn
 	br   *bufio.Reader
@@ -84,7 +83,8 @@ const (
 // requestTimeout is the connection's default per-request deadline,
 // covering frame write, server turnaround and response read. Either
 // one non-positive means none. A peer whose hello answers a different
-// wire version is refused.
+// wire version, or that closes the connection at hello as a peer of
+// another version does, is refused with an error naming this version.
 func dial(addr string, dialTimeout, requestTimeout time.Duration) (*client, error) {
 	conn, err := net.DialTimeout("tcp", addr, max(dialTimeout, 0))
 	if err != nil {
@@ -99,15 +99,19 @@ func dial(addr string, dialTimeout, requestTimeout time.Duration) (*client, erro
 		reqTimeout: requestTimeout,
 	}
 	c.readTok <- struct{}{}
-	resp, err := c.controlRoundTrip(&wireRequest{Op: opHello})
-	if err == nil && resp.N != int(wireVersion) {
-		err = fmt.Errorf("peer speaks wire version %d, this client %d", resp.N, wireVersion)
-	}
-	if err != nil {
+	if err := c.hello(); err != nil {
 		_ = c.Close()
-		return nil, fmt.Errorf("broker hello: %w", err)
+		return nil, fmt.Errorf("broker hello at wire version %d: %w", wireVersion, err)
 	}
 	return c, nil
+}
+
+// hello confirms the peer's wire version: its answer is a bare header,
+// whose version byte is the reply.
+func (c *client) hello() error {
+	return c.call(c.reqTimeout, func(fb *frameBuf, corr uint64) {
+		fb.b = appendBinReqHeader(fb.b[:0], binOpHello, corr, c.trace.Load())
+	}, nil)
 }
 
 // SetTraceID stamps id on every subsequent request sent over this
@@ -143,15 +147,10 @@ func (c *client) Close() error {
 	return c.conn.Close()
 }
 
-// callBinary sends one binary request under the connection's default
-// deadline. encode must fill fb with a complete frame carrying corr.
-// The returned frame is owned by the caller, who must putFrame it.
-func (c *client) callBinary(encode func(fb *frameBuf, corr uint64)) (*frameBuf, error) {
-	return c.callBinaryT(c.reqTimeout, encode)
-}
-
-// callBinaryT is callBinary with an explicit deadline: start, then
-// await — the one request path.
+// callBinaryT sends one binary request under an explicit deadline:
+// start, then await — the one request path. encode must fill fb with a
+// complete frame carrying corr. The returned frame is owned by the
+// caller, who must putFrame it.
 func (c *client) callBinaryT(timeout time.Duration, encode func(fb *frameBuf, corr uint64)) (*frameBuf, error) {
 	f, err := c.start(timeout, encode)
 	if err != nil {
@@ -406,46 +405,31 @@ func (c *client) failPending(err error) {
 	c.pendMu.Unlock()
 }
 
-// controlRoundTrip sends a rare control op as a JSON document inside the
-// binary envelope, so it shares the pipelined connection and one version
-// byte governs the whole dialect.
-func (c *client) controlRoundTrip(req *wireRequest) (*wireResponse, error) {
-	return c.controlRoundTripT(c.reqTimeout, req)
-}
-
-// controlRoundTripT is controlRoundTrip with an explicit deadline —
-// the per-op override used by heartbeat probes, which need a bound far
-// tighter than the connection default.
-func (c *client) controlRoundTripT(timeout time.Duration, req *wireRequest) (*wireResponse, error) {
-	payload, err := json.Marshal(req)
+// call performs one request under an explicit deadline and hands the
+// answer's body to use (nil: the answer has none), before the response
+// frame is recycled.
+func (c *client) call(timeout time.Duration, encode func(fb *frameBuf, corr uint64), use func(cur wireCursor) error) error {
+	fb, err := c.callBinaryT(timeout, encode)
 	if err != nil {
-		return nil, err
-	}
-	fb, err := c.callBinaryT(timeout, func(fb *frameBuf, corr uint64) {
-		encodeJSONReq(fb, corr, c.trace.Load(), payload)
-	})
-	if err != nil {
-		return nil, err
+		return err
 	}
 	defer putFrame(fb)
 	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return nil, err
+	if err != nil || use == nil {
+		return err
 	}
-	var resp wireResponse
-	if err := json.Unmarshal(cur.rest(), &resp); err != nil {
-		return nil, err
-	}
-	if resp.Err != "" {
-		return nil, &remoteError{msg: resp.Err}
-	}
-	return &resp, nil
+	return use(cur) // by value: a pointer handed to a func value escapes
 }
 
 // CreateTopic creates a topic on the remote broker.
 func (c *client) CreateTopic(name string, partitions int) error {
-	_, err := c.controlRoundTrip(&wireRequest{Op: opCreate, Topic: name, Partitions: partitions})
-	return err
+	if err := errors.Join(checkTopic(name), checkPartitions(partitions)); err != nil {
+		return err
+	}
+	return c.call(c.reqTimeout, func(fb *frameBuf, corr uint64) {
+		fb.b = appendBinReqHeader(fb.b[:0], binOpCreate, corr, c.trace.Load())
+		fb.b = appendU16(appendStr(fb.b, name), uint16(max(partitions, 0)))
+	}, nil)
 }
 
 // awaitCount awaits a started request answered with a record count.
@@ -464,16 +448,12 @@ func (c *client) awaitCount(f flight) (int, error) {
 
 // callWatermark performs one request answered with an int64 watermark.
 func (c *client) callWatermark(encode func(fb *frameBuf, corr uint64)) (int64, error) {
-	fb, err := c.callBinary(encode)
-	if err != nil {
-		return 0, err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return 0, err
-	}
-	return int64(cur.u64()), cur.err
+	var hwm int64
+	err := c.call(c.reqTimeout, encode, func(cur wireCursor) error {
+		hwm = int64(cur.u64())
+		return cur.err
+	})
+	return hwm, err
 }
 
 // fetchFrames is the one fetch call behind Fetch and FetchBatch: it
@@ -484,23 +464,15 @@ func (c *client) fetchFrames(topicName string, partition int, offset int64, max 
 	if err := checkTopic(topicName); err != nil {
 		return err
 	}
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
+	return c.call(c.reqTimeout, func(fb *frameBuf, corr uint64) {
 		encodeFetchFramesReq(fb, corr, c.trace.Load(), topicName, partition, offset, max)
+	}, func(cur wireCursor) error {
+		base, count, frames, err := decodeFramesResp(&cur)
+		if err == nil {
+			use(base, count, frames)
+		}
+		return err
 	})
-	if err != nil {
-		return err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return err
-	}
-	base, count, frames, err := decodeFramesResp(cur)
-	if err != nil {
-		return err
-	}
-	use(base, count, frames)
-	return nil
 }
 
 // Fetch reads records from a remote partition: the fetched frame chunk
@@ -542,26 +514,33 @@ func (c *client) HighWatermark(topicName string, partition int) (int64, error) {
 
 // Meta fetches the cluster metadata view of the connected broker.
 func (c *client) Meta() (*ClusterMeta, error) {
-	resp, err := c.controlRoundTrip(&wireRequest{Op: opMeta})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Meta == nil {
-		return nil, errors.New("broker: empty meta response")
-	}
-	return resp.Meta, nil
+	var m *ClusterMeta
+	err := c.call(c.reqTimeout, func(fb *frameBuf, corr uint64) {
+		fb.b = appendBinReqHeader(fb.b[:0], binOpMeta, corr, c.trace.Load())
+	}, func(cur wireCursor) (err error) {
+		m, err = decodeMeta(&cur)
+		return err
+	})
+	return m, err
 }
 
-// ping exchanges failure-detector views with a cluster peer. The
-// explicit timeout overrides the connection default: a probe that
-// cannot answer within a few heartbeats IS the failure signal, so
-// waiting the full RPC deadline would only slow detection.
-func (c *client) ping(timeout time.Duration, node string, epoch int64, view map[string]peerStatus) (int64, map[string]peerStatus, error) {
-	resp, err := c.controlRoundTripT(timeout, &wireRequest{Op: opPing, Node: node, Epoch: epoch, View: view})
-	if err != nil {
-		return 0, nil, err
-	}
-	return resp.Epoch, resp.View, nil
+// ping exchanges failure-detector gossip with a cluster peer: it sends
+// node's id and the gossip appendGossip appends, and hands the peer's
+// answer to use, read in place from the response frame, which is
+// recycled when use returns. The explicit timeout overrides the
+// connection default: a probe that cannot answer within a few
+// heartbeats IS the failure signal, so waiting the full RPC deadline
+// would only slow detection.
+func (c *client) ping(timeout time.Duration, node string, appendGossip func([]byte) []byte, use func(gossip)) error {
+	return c.call(timeout, func(fb *frameBuf, corr uint64) {
+		fb.b = appendBinReqHeader(fb.b[:0], binOpPing, corr, c.trace.Load())
+		fb.b = appendGossip(appendStr(fb.b, node))
+	}, func(cur wireCursor) error {
+		if g := decodeGossip(&cur); cur.err == nil {
+			use(g)
+		}
+		return cur.err
+	})
 }
 
 // replicaFetch reads one section of committed records from a fellow
@@ -570,21 +549,15 @@ func (c *client) ping(timeout time.Duration, node string, epoch int64, view map[
 // CRC-validated, ready for partition.replicateAppend verbatim, and are a
 // view into the response buffer, recycled when use returns.
 func (c *client) replicaFetch(sender, topic string, partition int, offset int64, max int, use func(replSection) error) error {
-	fb, err := c.callBinary(func(fb *frameBuf, corr uint64) {
+	return c.call(c.reqTimeout, func(fb *frameBuf, corr uint64) {
 		encodeRFetchReq(fb, corr, c.trace.Load(), sender, topic, partition, offset, max)
+	}, func(cur wireCursor) error {
+		var s replSection
+		if s.decode(&cur); cur.err == nil {
+			return use(s)
+		}
+		return cur.err
 	})
-	if err != nil {
-		return err
-	}
-	defer putFrame(fb)
-	cur, err := decodeRespHeader(fb)
-	if err != nil {
-		return err
-	}
-	if s := decodeSection(cur); cur.err == nil {
-		return use(s)
-	}
-	return cur.err
 }
 
 // replicate ships one partition's section to a follower and returns the

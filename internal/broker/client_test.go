@@ -53,8 +53,8 @@ func scriptedPeer(t *testing.T, script func(w io.Writer, reqs <-chan binRequest)
 			if err != nil {
 				return
 			}
-			if req.op == binOpJSON { // the hello, before any other request
-				_ = encodeJSONResp(out, req.corr, &wireResponse{N: int(wireVersion)})
+			if req.op == binOpHello { // before any other request
+				encodeOKResp(out, req.op, req.corr)
 				_ = writeRawFrame(conn, out.b)
 				continue
 			}

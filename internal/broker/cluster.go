@@ -25,21 +25,21 @@ import (
 
 // NodeInfo describes one cluster member in a metadata response.
 type NodeInfo struct {
-	ID    string `json:"id"`
-	Addr  string `json:"addr"`
-	Alive bool   `json:"alive"`
+	ID    string
+	Addr  string
+	Alive bool
 }
 
 // PartitionInfo is one partition's placement: the static replica set in
 // rendezvous order and the current leader (first live replica).
 type PartitionInfo struct {
-	Leader   string   `json:"leader"`
-	Replicas []string `json:"replicas"`
+	Leader   string
+	Replicas []string
 }
 
 // TopicInfo is the placement of every partition of one topic.
 type TopicInfo struct {
-	Partitions []PartitionInfo `json:"partitions"`
+	Partitions []PartitionInfo
 }
 
 // ClusterMeta is the control-plane snapshot served by the "meta" op:
@@ -47,9 +47,9 @@ type TopicInfo struct {
 // by the answering node. Clients cache it and refresh on NotLeader
 // redirects, preferring responses with higher epochs.
 type ClusterMeta struct {
-	Epoch  int64                `json:"epoch"`
-	Nodes  []NodeInfo           `json:"nodes"`
-	Topics map[string]TopicInfo `json:"topics"`
+	Epoch  int64
+	Nodes  []NodeInfo
+	Topics map[string]TopicInfo
 }
 
 // replicasFor returns the replica set of (topic, partition): the

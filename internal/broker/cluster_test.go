@@ -168,6 +168,29 @@ func fetchAllValues(t *testing.T, cc *ClusterClient, topic string) map[float64]i
 
 // ---- placement ----
 
+// gossipOf appends a gossip at epoch whose view holds view's entries.
+func gossipOf(epoch int64, view map[string]peerStatus) func([]byte) []byte {
+	return func(b []byte) []byte {
+		b = appendU16(appendU64(b, uint64(epoch)), uint16(len(view)))
+		for id, st := range view {
+			b = appendViewEntry(b, id, st)
+		}
+		return b
+	}
+}
+
+// decodedGossip decodes the gossip appendGossip appends.
+func decodedGossip(appendGossip func([]byte) []byte) gossip {
+	return decodeGossip(&wireCursor{b: appendGossip(nil)})
+}
+
+// nodeEpoch reads a node's epoch.
+func nodeEpoch(n *ClusterNode) int64 {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.epoch
+}
+
 func TestReplicasForDeterministicAndSpread(t *testing.T) {
 	members := []string{"n0", "n1", "n2", "n3", "n4"}
 	lead := make(map[string]int)
@@ -626,7 +649,7 @@ func TestDeposedLeaderDemotesAndRejoins(t *testing.T) {
 	// after it stalled through its heartbeat deadline.
 	for i, node := range tc.nodes {
 		if i != li {
-			node.mergeView(node.epoch+1, map[string]peerStatus{leader: {Dead: true, Ver: 1}})
+			node.mergeView(decodedGossip(gossipOf(node.epoch+1, map[string]peerStatus{leader: {Dead: true, Ver: 1}})))
 		}
 	}
 
@@ -665,9 +688,10 @@ func TestDeposedLeaderDemotesAndRejoins(t *testing.T) {
 
 	// The fencing rejections must not have poisoned its view: it never
 	// declared the healthy majority dead.
-	_, view := tc.nodes[li].viewCopy()
-	for id, st := range view {
-		if st.Dead {
+	g := decodedGossip(tc.nodes[li].appendGossip)
+	for i, off := 0, 0; i < g.n; i++ {
+		id, st, next := g.entry(off)
+		if off = next; st.Dead {
 			t.Fatalf("deposed leader marked %s dead off fencing rejections", id)
 		}
 	}

@@ -8,14 +8,20 @@ package broker
 // the storage engine's segment layout (storage/frames.go): a chunk is
 // validated once — structure + CRC — where it enters the process, then
 // appended to the log, forwarded leader→follower, and served back to
-// consumers verbatim; no hop re-encodes a record. The rare control ops
-// (create/parts/meta/ping/hello) ride through
-// as JSON documents wrapped in the same binary envelope, so one version
-// byte governs the whole dialect.
+// consumers verbatim; no hop re-encodes a record. The control ops
+// (hello, create, meta, ping) have binary op codes and fixed layouts
+// beside the data ops, so one version byte governs the whole dialect.
 //
 //	request  = [1]version [1]op [8]corrID [8]traceID  op-specific-body
 //	response = [1]version [1]op [8]corrID [1]status   body
 //	chunk    = [4]records frame*        frame = storage/frames.go layout
+//	gossip   = [8]epoch [2]n {[2]id-len id [1]dead [8]ver}×n
+//	meta     = [8]epoch [2]n {[2]id-len id [2]addr-len addr [1]alive}×n
+//	           [4]topics {[2]name-len name [2]parts {[2]leader [2]r [2]replica×r}×parts}×topics
+//
+// A meta's leader and replicas are indexes into its node table; leader
+// 0xFFFF means none. Every count is checked against the bytes that
+// remain before anything is sized by it.
 //
 // The envelope is big-endian; a frame is little-endian inside. traceID 0
 // means untraced. status 0 is success; any other status means the body
@@ -28,7 +34,6 @@ package broker
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -41,26 +46,32 @@ import (
 
 // wireVersion opens every frame in both directions and is what the hello
 // op answers; a client refuses a peer answering anything else. It never
-// equals a version byte or hello level of the retired dialects (1–6; 5
-// carried one CRC frame per record, 6 frames without time codes), nor
-// '{' (0x7B), the first byte of a retired JSON lockstep frame, so the
-// server's version check rejects all of them.
-const wireVersion byte = 7
+// equals a version byte or hello level of the retired dialects (1–7; 5
+// carried one CRC frame per record, 6 frames without time codes, 7 the
+// control ops as JSON), nor '{' (0x7B), the first byte of a retired JSON
+// lockstep frame, so the server's version check rejects all of them.
+const wireVersion byte = 8
 
 // Op codes. 1, 2, 5, 6, 7 and 9 belonged to the retired record-dialect,
-// key-routed produce and per-partition replicate ops, 11 and 13 to the
-// replica fetch that shipped frames without the producer journal and
-// the multi-section replicate batch; all stay unassigned: the decoder
-// rejects them like any unknown op.
+// key-routed produce and per-partition replicate ops, 4 to the JSON
+// control ops, 11 and 13 to the replica fetch that shipped frames
+// without the producer journal and the multi-section replicate batch;
+// all stay unassigned: the decoder rejects them like any unknown op.
 const (
 	binOpHWM          byte = 3
-	binOpJSON         byte = 4  // JSON control request wrapped in the binary envelope
 	binOpProducePartF byte = 8  // partitioned produce with pid/seq dedup
 	binOpFetchF       byte = 10 // fetch answered as a frame chunk
 	binOpRHWMB        byte = 12 // replica high watermark
 	binOpReplicate    byte = 14 // leader→follower: one section, answered with the follower's watermark
 	binOpRFetch       byte = 15 // replica fetch, answered with one section
+	binOpHello        byte = 16 // no body, answered by a bare header
+	binOpCreate       byte = 17 // topic, [2]partitions, answered by a bare header
+	binOpMeta         byte = 18 // no body, answered with a meta
+	binOpPing         byte = 19 // node, gossip, answered with the peer's gossip
 )
+
+// noNode is a meta's leader index for a partition with no live replica.
+const noNode = 0xFFFF
 
 const (
 	binRespHdrLen      = 11 // version + op + corrID + status
@@ -103,6 +114,9 @@ func putFrame(fb *frameBuf) {
 func appendU16(b []byte, v uint16) []byte { return binary.BigEndian.AppendUint16(b, v) }
 func appendU32(b []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(b, v) }
 func appendU64(b []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(b, v) }
+
+// appendStr appends a [2]length-prefixed string.
+func appendStr(b []byte, s string) []byte { return append(appendU16(b, uint16(len(s))), s...) }
 
 // writeRawFrame writes one length-prefixed frame from an encoded payload.
 // Through a bufio.Writer with room, the length prefix is built in the
@@ -228,26 +242,29 @@ func (c *wireCursor) rest() []byte {
 
 func (c *wireCursor) remaining() int { return len(c.b) - c.off }
 
+// fits reports whether count items of at least size bytes each can fit
+// in what remains, failing the cursor when they cannot: a count that
+// came off the wire is checked here before anything is sized by it.
+func (c *wireCursor) fits(count, size int) bool {
+	if c.err == nil && count*size > c.remaining() {
+		c.err = errTruncatedFrame
+	}
+	return c.err == nil
+}
+
 // ---- request encoding (client side) ----
 
 func appendBinReqHeader(b []byte, op byte, corr, trace uint64) []byte {
-	b = append(b, wireVersion, op)
-	b = appendU64(b, corr)
-	return appendU64(b, trace)
+	return appendU64(appendU64(append(b, wireVersion, op), corr), trace)
+}
+
+// appendPartition appends the partition a request names: topic, then index.
+func appendPartition(b []byte, topic string, partition int) []byte {
+	return appendU32(appendStr(b, topic), uint32(int32(partition)))
 }
 
 func encodeHWMReq(fb *frameBuf, corr, trace uint64, topic string, partition int) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpHWM, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-}
-
-// encodeJSONReq wraps a marshalled JSON control request in the binary
-// envelope so it shares the pipelined connection and correlation IDs.
-func encodeJSONReq(fb *frameBuf, corr, trace uint64, payload []byte) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpJSON, corr, trace)
-	fb.b = append(fb.b, payload...)
+	fb.b = appendPartition(appendBinReqHeader(fb.b[:0], binOpHWM, corr, trace), topic, partition)
 }
 
 // ---- frame-chunk request encoding (client side) ----
@@ -257,13 +274,8 @@ func encodeJSONReq(fb *frameBuf, corr, trace uint64, payload []byte) {
 // record count: explicit target partition plus the producer id /
 // sequence pair for idempotent retries (pid 0 disables deduplication).
 func encodeProducePartFwdReq(fb *frameBuf, corr, trace uint64, topic string, partition int, pid, seq uint64, frames []byte, count int) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpProducePartF, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-	fb.b = appendU64(fb.b, pid)
-	fb.b = appendU64(fb.b, seq)
-	fb.b = appendU32(fb.b, uint32(count))
+	fb.b = appendPartition(appendBinReqHeader(fb.b[:0], binOpProducePartF, corr, trace), topic, partition)
+	fb.b = appendU32(appendU64(appendU64(fb.b, pid), seq), uint32(count))
 	fb.b = append(fb.b, frames...)
 }
 
@@ -288,35 +300,20 @@ type replSection struct {
 
 // appendSectionHead appends a section's fields up to its chunk.
 func appendSectionHead(b []byte, base, committed int64, metas []batchMeta) []byte {
-	b = appendU64(b, uint64(base))
-	b = appendU64(b, uint64(committed))
-	b = appendU32(b, uint32(len(metas)))
+	b = appendU32(appendU64(appendU64(b, uint64(base)), uint64(committed)), uint32(len(metas)))
 	for _, bm := range metas {
-		b = appendU64(b, bm.pid)
-		b = appendU64(b, bm.seq)
-		b = appendU64(b, uint64(bm.base))
-		b = appendU64(b, uint64(bm.end))
+		b = appendU64(appendU64(appendU64(appendU64(b, bm.pid), bm.seq), uint64(bm.base)), uint64(bm.end))
 	}
 	return b
 }
 
-// decodeSection reads a section, its chunk validated by decodeFrameChunk.
-func decodeSection(cur *wireCursor) replSection {
-	var s replSection
-	s.decode(cur)
-	return s
-}
-
 // decode reads a section into s, its journal entries into the array
-// s.metas already has.
+// s.metas already has and its chunk validated by decodeFrameChunk.
 func (s *replSection) decode(cur *wireCursor) {
 	s.base, s.committed = int64(cur.u64()), int64(cur.u64())
 	nmetas := int(cur.u32())
-	if cur.err == nil && nmetas*32 > cur.remaining() {
-		cur.err = errTruncatedFrame
-	}
 	s.metas = s.metas[:0]
-	if cur.err == nil && nmetas > 0 {
+	if cur.fits(nmetas, 32) && nmetas > 0 {
 		s.metas = slices.Grow(s.metas, nmetas)
 		for range nmetas {
 			s.metas = append(s.metas, batchMeta{pid: cur.u64(), seq: cur.u64(), base: int64(cur.u64()), end: int64(cur.u64())})
@@ -328,56 +325,77 @@ func (s *replSection) decode(cur *wireCursor) {
 // encodeReplicateReq encodes a replicate: the epoch and sender that fence
 // stale leaders, the partition, then one section.
 func encodeReplicateReq(fb *frameBuf, corr, trace uint64, epoch int64, sender, topic string, partition int, s *replSection) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpReplicate, corr, trace)
-	fb.b = appendU64(fb.b, uint64(epoch))
-	fb.b = appendU16(fb.b, uint16(len(sender)))
-	fb.b = append(fb.b, sender...)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
+	fb.b = appendU64(appendBinReqHeader(fb.b[:0], binOpReplicate, corr, trace), uint64(epoch))
+	fb.b = appendPartition(appendStr(fb.b, sender), topic, partition)
 	fb.b = appendSectionHead(fb.b, s.base, s.committed, s.metas)
 	fb.b = appendU32(fb.b, uint32(s.count))
 	fb.b = append(fb.b, s.frames...)
 }
 
 // encodeFetchFramesReq asks for a fetch answered as a raw frame chunk.
-func encodeFetchFramesReq(fb *frameBuf, corr, trace uint64, topic string, partition int, offset int64, max int) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpFetchF, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-	fb.b = appendU64(fb.b, uint64(offset))
-	if max < 0 {
-		max = 0
-	}
-	fb.b = appendU32(fb.b, uint32(max))
+func encodeFetchFramesReq(fb *frameBuf, corr, trace uint64, topic string, partition int, offset int64, limit int) {
+	fb.b = appendPartition(appendBinReqHeader(fb.b[:0], binOpFetchF, corr, trace), topic, partition)
+	fb.b = appendU32(appendU64(fb.b, uint64(offset)), uint32(max(limit, 0)))
 }
 
 // encodeRFetchReq asks for a replica fetch: like a fetch but carrying
 // the requesting replica's id (clamping is by replica rules, not
 // consumer rules), answered with a section.
-func encodeRFetchReq(fb *frameBuf, corr, trace uint64, sender, topic string, partition int, offset int64, max int) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpRFetch, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(sender)))
-	fb.b = append(fb.b, sender...)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
-	fb.b = appendU64(fb.b, uint64(offset))
-	if max < 0 {
-		max = 0
-	}
-	fb.b = appendU32(fb.b, uint32(max))
+func encodeRFetchReq(fb *frameBuf, corr, trace uint64, sender, topic string, partition int, offset int64, limit int) {
+	fb.b = appendPartition(appendStr(appendBinReqHeader(fb.b[:0], binOpRFetch, corr, trace), sender), topic, partition)
+	fb.b = appendU32(appendU64(fb.b, uint64(offset)), uint32(max(limit, 0)))
 }
 
 // encodeRHWMReq asks a member for its committed watermark of a partition.
 func encodeRHWMReq(fb *frameBuf, corr, trace uint64, sender, topic string, partition int) {
-	fb.b = appendBinReqHeader(fb.b[:0], binOpRHWMB, corr, trace)
-	fb.b = appendU16(fb.b, uint16(len(sender)))
-	fb.b = append(fb.b, sender...)
-	fb.b = appendU16(fb.b, uint16(len(topic)))
-	fb.b = append(fb.b, topic...)
-	fb.b = appendU32(fb.b, uint32(int32(partition)))
+	fb.b = appendPartition(appendStr(appendBinReqHeader(fb.b[:0], binOpRHWMB, corr, trace), sender), topic, partition)
+}
+
+// gossip is a member's epoch and status view as a ping carries it both
+// ways: n (id, dead, ver) entries in member order, validated whole by
+// decodeGossip and read in place, so merging one takes no string per id.
+type gossip struct {
+	epoch int64
+	n     int
+	view  []byte
+}
+
+// minViewEntry is the fewest bytes a view entry takes: an empty id.
+const minViewEntry = 2 + 1 + 8
+
+func appendViewEntry(b []byte, id string, st peerStatus) []byte {
+	return appendU64(append(appendStr(b, id), boolByte(st.Dead)), uint64(st.Ver))
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// decodeGossip reads a gossip, checking its count and every entry's
+// length against the bytes that remain.
+func decodeGossip(cur *wireCursor) gossip {
+	g := gossip{epoch: int64(cur.u64()), n: int(cur.u16())}
+	start := cur.off
+	for i := 0; i < g.n && cur.fits(g.n-i, minViewEntry); i++ {
+		if n := int(cur.u16()); cur.need(n + 1 + 8) {
+			cur.off += n + 1 + 8
+		}
+	}
+	if cur.err != nil {
+		return gossip{}
+	}
+	g.view = cur.b[start:cur.off]
+	return g
+}
+
+// entry reads the view entry at off and returns the offset of the next.
+func (g *gossip) entry(off int) (id []byte, st peerStatus, next int) {
+	n := int(binary.BigEndian.Uint16(g.view[off:]))
+	id, off = g.view[off+2:off+2+n], off+2+n
+	return id, peerStatus{Dead: g.view[off] != 0, Ver: int64(binary.BigEndian.Uint64(g.view[off+1:]))}, off + 9
 }
 
 // ---- request decoding (server side) ----
@@ -390,7 +408,7 @@ type binRequest struct {
 	partition int
 	offset    int64
 	max       int
-	jsonBody  []byte
+	parts     int // create: the partition count
 
 	// Produce ops: the validated chunk (a view into the request buffer,
 	// valid until the next read on the connection) and its frame count.
@@ -409,6 +427,9 @@ type binRequest struct {
 	// buffer and have passed ValidateFrames, like the frames field.
 	sec replSection
 
+	// Ping: the sender's gossip, a view into the request buffer.
+	gossip gossip
+
 	// The topic and sender the connection's requests last named.
 	lastTopic, lastSender string
 }
@@ -423,43 +444,41 @@ func (req *binRequest) decode(payload []byte) error {
 	if ver := cur.u8(); cur.err != nil || ver != wireVersion {
 		return fmt.Errorf("broker: unsupported wire version %d (want %d)", ver, wireVersion)
 	}
-	req.op = cur.u8()
-	req.corr = cur.u64()
-	req.trace = cur.u64()
+	req.op, req.corr, req.trace = cur.u8(), cur.u64(), cur.u64()
+	partition := func() { // the partition a request names
+		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
+		req.partition = int(int32(cur.u32()))
+	}
+	sender := func() { req.sender = cur.str(int(cur.u16()), &req.lastSender) }
 	switch req.op {
 	case binOpHWM:
-		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
-		req.partition = int(int32(cur.u32()))
-	case binOpJSON:
-		req.jsonBody = cur.rest()
+		partition()
 	case binOpProducePartF:
-		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
-		req.partition = int(int32(cur.u32()))
-		req.pid = cur.u64()
-		req.seq = cur.u64()
+		partition()
+		req.pid, req.seq = cur.u64(), cur.u64()
 		req.count, req.frames = decodeFrameChunk(&cur)
 	case binOpReplicate:
 		req.epoch = int64(cur.u64())
-		req.sender = cur.str(int(cur.u16()), &req.lastSender)
-		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
-		req.partition = int(int32(cur.u32()))
+		sender()
+		partition()
 		req.sec.decode(&cur)
 		req.count = req.sec.count
-	case binOpFetchF:
-		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
-		req.partition = int(int32(cur.u32()))
-		req.offset = int64(cur.u64())
-		req.max = int(cur.u32())
-	case binOpRFetch:
-		req.sender = cur.str(int(cur.u16()), &req.lastSender)
-		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
-		req.partition = int(int32(cur.u32()))
-		req.offset = int64(cur.u64())
-		req.max = int(cur.u32())
+	case binOpFetchF, binOpRFetch:
+		if req.op == binOpRFetch {
+			sender()
+		}
+		partition()
+		req.offset, req.max = int64(cur.u64()), int(cur.u32())
 	case binOpRHWMB:
-		req.sender = cur.str(int(cur.u16()), &req.lastSender)
+		sender()
+		partition()
+	case binOpHello, binOpMeta:
+	case binOpCreate:
 		req.topic = cur.str(int(cur.u16()), &req.lastTopic)
-		req.partition = int(int32(cur.u32()))
+		req.parts = int(cur.u16())
+	case binOpPing:
+		sender()
+		req.gossip = decodeGossip(&cur)
 	default:
 		return fmt.Errorf("broker: unknown binary op %d", req.op)
 	}
@@ -545,9 +564,13 @@ func framesToBatch(frames []byte, count int, base int64, b *stream.EventBatch) (
 // ---- response encoding (server side) ----
 
 func appendBinRespHeader(b []byte, op byte, corr uint64, status byte) []byte {
-	b = append(b, wireVersion, op)
-	b = appendU64(b, corr)
-	return append(b, status)
+	return append(appendU64(append(b, wireVersion, op), corr), status)
+}
+
+// encodeOKResp answers an op whose success carries no body (hello,
+// create), or opens the answer of one whose body follows.
+func encodeOKResp(fb *frameBuf, op byte, corr uint64) {
+	fb.b = appendBinRespHeader(fb.b[:0], op, corr, binStatusOK)
 }
 
 func encodeErrResp(fb *frameBuf, op byte, corr uint64, msg string) {
@@ -599,16 +622,6 @@ func patchFrameCount(fb *frameBuf, at, count int) {
 	binary.BigEndian.PutUint32(fb.b[at:], uint32(count))
 }
 
-func encodeJSONResp(fb *frameBuf, corr uint64, resp *wireResponse) error {
-	payload, err := json.Marshal(resp)
-	if err != nil {
-		return err
-	}
-	fb.b = appendBinRespHeader(fb.b[:0], binOpJSON, corr, binStatusOK)
-	fb.b = append(fb.b, payload...)
-	return nil
-}
-
 // ---- response decoding (client side) ----
 
 // remoteError is a broker-level rejection that arrived as a well-formed
@@ -628,22 +641,26 @@ func isRemoteErr(err error) bool {
 
 // decodeRespHeader validates a binary response frame and returns a
 // cursor positioned at the body. A non-OK status is surfaced as the
-// remote error carried in the body.
-func decodeRespHeader(fb *frameBuf) (*wireCursor, error) {
-	if len(fb.b) < binRespHdrLen || fb.b[0] != wireVersion {
-		return nil, errors.New("broker: malformed binary response")
+// remote error carried in the body; a hello's answer is its header, and
+// its version byte the peer's wire version.
+func decodeRespHeader(fb *frameBuf) (wireCursor, error) {
+	if len(fb.b) < binRespHdrLen {
+		return wireCursor{}, errors.New("broker: malformed binary response")
 	}
-	cur := &wireCursor{b: fb.b, off: binRespHdrLen}
+	if fb.b[0] != wireVersion {
+		return wireCursor{}, fmt.Errorf("broker: peer answered wire version %d", fb.b[0])
+	}
 	if fb.b[10] != binStatusOK {
-		return nil, &remoteError{msg: string(cur.rest())}
+		return wireCursor{}, &remoteError{msg: string(fb.b[binRespHdrLen:])}
 	}
-	return cur, nil
+	return wireCursor{b: fb.b, off: binRespHdrLen}, nil
 }
 
 // corrIDOf extracts the correlation ID from an encoded frame (request
-// and response headers carry it at the same offset).
+// and response headers carry it at the same offset, whatever the
+// version byte, which decodeRespHeader checks).
 func corrIDOf(payload []byte) (uint64, bool) {
-	if len(payload) < binRespHdrLen || payload[0] != wireVersion {
+	if len(payload) < binRespHdrLen {
 		return 0, false
 	}
 	return binary.BigEndian.Uint64(payload[2:10]), true
@@ -659,4 +676,53 @@ func decodeFramesResp(cur *wireCursor) (base int64, count int, frames []byte, er
 	base = int64(cur.u64())
 	count, frames = decodeFrameChunk(cur)
 	return base, count, frames, cur.err
+}
+
+// decodeMeta reads a meta answer into the ClusterMeta the routing client
+// caches. A partition's leader and replicas are the node table's
+// strings, so no string is made per replica.
+func decodeMeta(cur *wireCursor) (*ClusterMeta, error) {
+	m := &ClusterMeta{Epoch: int64(cur.u64())}
+	if nodes := int(cur.u16()); cur.fits(nodes, 2+2+1) {
+		m.Nodes = make([]NodeInfo, nodes)
+	}
+	for i := range m.Nodes {
+		m.Nodes[i] = NodeInfo{ID: cur.str(int(cur.u16()), new(string)), Addr: cur.str(int(cur.u16()), new(string)), Alive: cur.u8() != 0}
+	}
+	nodeAt := func(i uint16) string {
+		if int(i) >= len(m.Nodes) {
+			if cur.err == nil {
+				cur.err = fmt.Errorf("broker: meta names node %d of %d", i, len(m.Nodes))
+			}
+			return ""
+		}
+		return m.Nodes[i].ID
+	}
+	if topics := int(cur.u32()); cur.fits(topics, 2+2) {
+		m.Topics = make(map[string]TopicInfo, topics)
+		for range topics {
+			name, parts := cur.str(int(cur.u16()), new(string)), int(cur.u16())
+			if !cur.fits(parts, 2+2) {
+				break
+			}
+			ti := TopicInfo{Partitions: make([]PartitionInfo, parts)}
+			for i := range ti.Partitions {
+				pi := &ti.Partitions[i]
+				if l := cur.u16(); l != noNode {
+					pi.Leader = nodeAt(l)
+				}
+				if r := int(cur.u16()); cur.fits(r, 2) {
+					pi.Replicas = make([]string, r)
+				}
+				for j := range pi.Replicas {
+					pi.Replicas[j] = nodeAt(cur.u16())
+				}
+			}
+			m.Topics[name] = ti
+		}
+	}
+	if cur.err != nil {
+		return nil, cur.err
+	}
+	return m, nil
 }

@@ -137,7 +137,7 @@ func FuzzBinaryRecordCodec(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fetch header: %v", err)
 		}
-		base, count, frames, err := decodeFramesResp(cur)
+		base, count, frames, err := decodeFramesResp(&cur)
 		if err != nil {
 			t.Fatalf("fetch decode: %v", err)
 		}
@@ -164,13 +164,60 @@ func FuzzBinaryRequestDecode(f *testing.F) {
 	encodeRFetchReq(fb, 4, 0, "n0", "t", 0, 0, 10)
 	f.Add(append([]byte(nil), fb.b...))
 	putFrame(fb)
+	for _, op := range []byte{binOpHello, binOpMeta} {
+		f.Add(appendBinReqHeader(nil, op, 5, 0))
+	}
+	f.Add(appendU16(appendStr(appendBinReqHeader(nil, binOpCreate, 6, 0), "t"), 2))
+	f.Add(gossipOf(3, map[string]peerStatus{"n0": {Dead: true, Ver: 2}, "n1": {}})(appendStr(appendBinReqHeader(nil, binOpPing, 7, 0), "n1")))
 	f.Add([]byte{wireVersion, binOpProducePartF})
 	f.Add([]byte{})
-	for _, c := range append(wireGateCases(), retiredControlOps()...) {
+	for _, c := range append(append(wireGateCases(), parentControlOps()...), retiredControlOps()...) {
 		f.Add(c.payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		_, _ = decodeBinRequest(payload) // must not panic
+	})
+}
+
+// FuzzControlResponseDecode feeds arbitrary bytes to the client's
+// decoders of the hello, meta and ping answers: each must refuse garbage
+// with an error, never panic or over-read, and size nothing by a count
+// larger than the bytes that remain.
+func FuzzControlResponseDecode(f *testing.F) {
+	b := New()
+	if err := b.CreateTopic("t", 2); err != nil {
+		f.Fatal(err)
+	}
+	n, err := NewClusterNode(b, NodeConfig{ID: "n0", Peers: map[string]string{"n0": "127.0.0.1:1", "n1": "127.0.0.1:2"}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(n.appendMeta(nil))
+	f.Add(n.appendGossip(nil))
+	f.Add(appendBinRespHeader(nil, binOpHello, 1, binStatusOK))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		_, _ = decodeRespHeader(&frameBuf{b: body})
+		if m, err := decodeMeta(&wireCursor{b: body}); err == nil {
+			size := 8 + 2 + 4 + 5*len(m.Nodes) + 4*len(m.Topics)
+			for _, ti := range m.Topics {
+				for _, p := range ti.Partitions {
+					size += 4 + 2*len(p.Replicas)
+				}
+			}
+			if size > len(body) {
+				t.Fatalf("a meta of %d bytes decoded to %d nodes and %d topics, at least %d bytes", len(body), len(m.Nodes), len(m.Topics), size)
+			}
+		}
+		cur := &wireCursor{b: body}
+		if g := decodeGossip(cur); cur.err == nil {
+			if 8+2+g.n*minViewEntry > len(body) {
+				t.Fatalf("a gossip of %d bytes decoded to %d entries", len(body), g.n)
+			}
+			for i, off := 0, 0; i < g.n; i++ {
+				_, _, off = g.entry(off)
+			}
+		}
 	})
 }
 

@@ -105,7 +105,7 @@ func TestFramesLargerThanConnBuffers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reply %d: %v", i, err)
 			}
-			base, count, frames, err := decodeFramesResp(cur)
+			base, count, frames, err := decodeFramesResp(&cur)
 			if want := served(t, i*per, (i+1)*per); err != nil || base != int64(i*per) || count != per || !bytes.Equal(frames, want) {
 				t.Fatalf("reply %d: base %d, %d records, %v; want %d records from %d, byte-exact", i, base, count, err, per, i*per)
 			}

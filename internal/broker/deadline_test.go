@@ -82,7 +82,7 @@ func TestPingProbeTimeout(t *testing.T) {
 
 	p.Set(faults.Both, faults.Faults{Blackhole: true})
 	start := time.Now()
-	_, _, err = cli.ping(200*time.Millisecond, "n1", 1, nil)
+	err = cli.ping(200*time.Millisecond, "n1", gossipOf(1, nil), func(gossip) {})
 	expectDeadline(t, err, time.Since(start), 2*time.Second)
 }
 
@@ -138,8 +138,8 @@ func TestClientAwaitDeadlineAbandonsOnlyItsWaiter(t *testing.T) {
 				return
 			}
 			switch {
-			case req.op == binOpJSON: // the dial's hello
-				_ = encodeJSONResp(out, req.corr, &wireResponse{N: int(wireVersion)})
+			case req.op == binOpHello: // the dial's
+				encodeOKResp(out, req.op, req.corr)
 			case req.partition == 0: // sat on until released
 				encodeWatermarkResp(held, req.op, req.corr, 0)
 				continue

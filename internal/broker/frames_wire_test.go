@@ -93,7 +93,7 @@ func TestParentWrittenProduceChunk(t *testing.T) {
 	if err := cli.CreateTopic("in", 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cli.callBinary(func(fb *frameBuf, corr uint64) { fb.b = append(fb.b[:0], raw...) }); err == nil {
+	if _, err := cli.callBinaryT(cli.reqTimeout, func(fb *frameBuf, corr uint64) { fb.b = append(fb.b[:0], raw...) }); err == nil {
 		t.Fatal("the server took a version-6 request")
 	}
 	if hwm, err := srv.broker.HighWatermark("in", 0); err != nil || hwm != 0 {
@@ -109,7 +109,7 @@ func TestParentWrittenProduceChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, err := cli.callBinary(func(fb *frameBuf, corr uint64) {
+	if _, err := cli.callBinaryT(cli.reqTimeout, func(fb *frameBuf, corr uint64) {
 		fb.b = append(fb.b[:0], raw...)
 		binary.BigEndian.PutUint64(fb.b[2:], corr)
 	}); err != nil {
@@ -140,7 +140,7 @@ func TestCorruptProduceRejectedBeforeAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := recs("crc", 10)
-	_, err := cli.callBinary(func(fb *frameBuf, corr uint64) {
+	_, err := cli.callBinaryT(cli.reqTimeout, func(fb *frameBuf, corr uint64) {
 		encodeProducePartFwdReq(fb, corr, 0, "in", 0, 0, 0, storage.AppendRecordFrames(nil, batch), len(batch))
 		// Corrupt one payload byte of the last frame, after the CRCs
 		// were computed — exactly what line noise on a forward does.

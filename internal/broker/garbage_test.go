@@ -2,6 +2,7 @@ package broker
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -106,5 +107,63 @@ func TestProduceRoundTripAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, produce); allocs > maxProduceAllocs {
 		t.Errorf("Produce round trip: %v allocations, want at most %d", allocs, maxProduceAllocs)
+	}
+}
+
+// TestControlRoundTripAllocs: the control ops are binary like the data
+// ops, so a steady-state ping — the heartbeat every member sends every
+// peer — and a hello allocate nothing of their own, and a meta only the
+// ClusterMeta it returns. Counted process-wide against a one-member
+// broker holding one 2-partition topic, the ping carrying a view of one
+// entry each way.
+func TestControlRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race: sync.Pool drops pooled scratch at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	srv := serveMember(t, New(), ServerOptions{})
+	cli, err := dial(srv.Addr(), DefaultDialTimeout, defaultRequestTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if err := cli.CreateTopic("t", 2); err != nil {
+		t.Fatal(err)
+	}
+	appendGossip := gossipOf(1, map[string]peerStatus{"n0": {Ver: 1}})
+	var entries int
+	for _, c := range []struct {
+		op  string
+		max float64
+		do  func() error
+	}{
+		{"ping", 2, func() error {
+			return cli.ping(time.Second, "n0", appendGossip, func(g gossip) { entries = g.n })
+		}},
+		{"hello", 2, cli.hello},
+		{"meta", 12, func() error {
+			m, err := cli.Meta()
+			if err == nil && len(m.Topics["t"].Partitions) != 2 {
+				err = fmt.Errorf("meta %+v", m)
+			}
+			return err
+		}},
+	} {
+		do := func() {
+			if err := c.do(); err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
+		}
+		for range 20 {
+			do()
+		}
+		if allocs := testing.AllocsPerRun(500, do); allocs > c.max {
+			t.Errorf("%s round trip: %v allocations, want at most %v", c.op, allocs, c.max)
+		} else {
+			t.Logf("%s round trip: %v allocations", c.op, allocs)
+		}
+	}
+	if entries != 1 {
+		t.Errorf("the ping answer carried %d view entries, want 1", entries)
 	}
 }

@@ -1,14 +1,18 @@
 package broker
 
 // Locks: n.mu guards each peer but its id and addr, and is never held across an RPC.
-import "time"
+import (
+	"encoding/binary"
+	"slices"
+	"time"
+)
 
 // peerStatus is one member's liveness in a node's view: Dead plus the
 // status version (incarnation) of the observation. Higher versions win
 // on merge; only a member itself announces its own resurrection.
 type peerStatus struct {
-	Dead bool  `json:"dead,omitempty"`
-	Ver  int64 `json:"ver,omitempty"`
+	Dead bool
+	Ver  int64
 }
 
 // startupGrace is how long failures against a peer that was NEVER
@@ -72,7 +76,7 @@ func (n *ClusterNode) probeDeadAsync(p *peer) {
 	}()
 }
 
-// probe heartbeats one peer, exchanging views: the request carries our
+// probe heartbeats one peer, exchanging gossip: the request carries our
 // epoch + status view, the response the peer's, and both sides merge.
 func (n *ClusterNode) probe(p *peer) {
 	cli, err := n.peerClient(p)
@@ -80,8 +84,11 @@ func (n *ClusterNode) probe(p *peer) {
 		n.markFailure(p, err)
 		return
 	}
-	epoch, view := n.viewCopy()
-	repoch, rview, err := cli.ping(n.cfg.ProbeTimeout, n.cfg.ID, epoch, view)
+	err = cli.ping(n.cfg.ProbeTimeout, n.cfg.ID, n.appendGossip, func(g gossip) {
+		n.adoptPendingAlive(p)
+		n.markAlive(p)
+		n.mergeView(g)
+	})
 	if err != nil {
 		// Ping IS the liveness probe, so any failure counts — but only a
 		// transport failure taints the connection.
@@ -89,11 +96,7 @@ func (n *ClusterNode) probe(p *peer) {
 			n.dropConn(p, cli)
 		}
 		n.markFailure(p, err)
-		return
 	}
-	n.adoptPendingAlive(p)
-	n.markAlive(p)
-	n.mergeView(repoch, rview)
 }
 
 // adoptPendingAlive completes a gossiped resurrection once this node
@@ -118,22 +121,26 @@ func (n *ClusterNode) adoptPendingAlive(p *peer) {
 	n.cfg.Log.Info("peer rejoined", "peer", p.id, "ver", st.Ver, "epoch", epoch)
 }
 
-// viewCopy returns the current epoch and a copy of the status view:
-// every member with a status other than (alive, version 0), and always
-// this node's own entry (its self-announcement).
-func (n *ClusterNode) viewCopy() (int64, map[string]peerStatus) {
+// appendGossip appends the current epoch and the status view: every
+// member with a status other than (alive, version 0), in member order,
+// and always this node's own entry (its self-announcement).
+func (n *ClusterNode) appendGossip(b []byte) []byte {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	out := make(map[string]peerStatus, len(n.peers))
-	for id, p := range n.peers {
-		if p.st != (peerStatus{}) || p == n.self {
-			out[id] = p.st
+	b = appendU64(b, uint64(n.epoch))
+	at, k := len(b), 0
+	b = appendU16(b, 0)
+	for _, id := range n.members {
+		if p := n.peers[id]; p.st != (peerStatus{}) || p == n.self {
+			b = appendViewEntry(b, id, p.st)
+			k++
 		}
 	}
-	return n.epoch, out
+	binary.BigEndian.PutUint16(b[at:], uint16(k))
+	return b
 }
 
-// mergeView folds a peer's view into ours: per-member entries with a
+// mergeView folds a peer's gossip into ours: per-member entries with a
 // higher status version win; epochs take the max; ids that are not
 // members are ignored. One exception: a
 // dead→alive transition is never adopted on hearsay — it parks in
@@ -141,12 +148,15 @@ func (n *ClusterNode) viewCopy() (int64, map[string]peerStatus) {
 // adopts "dead" for ITSELF — instead, learning that the cluster deposed it
 // demotes it back to joining, so it resyncs its log and re-announces
 // with a version above the accusation.
-func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
+func (n *ClusterNode) mergeView(g gossip) {
 	n.mu.Lock()
 	demoted := false
 	var verify []*peer
-	for id, st := range remote {
-		p := n.peers[id]
+	for i, off := 0, 0; i < g.n; i++ {
+		var id []byte
+		var st peerStatus
+		id, st, off = g.entry(off)
+		p := n.peers[string(id)]
 		if p == nil {
 			continue
 		}
@@ -179,14 +189,14 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 			if st.Dead != cur.Dead {
 				n.epoch++
 				if st.Dead {
-					n.cfg.Log.Info("peer dead by gossip", "peer", id, "ver", st.Ver)
+					n.cfg.Log.Info("peer dead by gossip", "peer", p.id, "ver", st.Ver)
 					n.closeConnLocked(p)
 				}
 			}
 		}
 	}
-	if epoch > n.epoch {
-		n.epoch = epoch
+	if g.epoch > n.epoch {
+		n.epoch = g.epoch
 	}
 	n.mu.Unlock()
 	for _, p := range verify {
@@ -204,8 +214,8 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 	}
 }
 
-// handlePing serves the "ping" control op: merge the sender's view,
-// answer with ours. An inbound ping proves the sender has booted and
+// handlePing serves the "ping" control op: merge the sender's gossip,
+// append ours to b as the answer. An inbound ping proves the sender has booted and
 // can reach US — it does NOT prove we can reach the sender, so it must
 // not reset the probe-failure counter: under an asymmetric partition
 // (the peer's inbound traffic blackholed, its outbound fine) its pings
@@ -213,12 +223,12 @@ func (n *ClusterNode) mergeView(epoch int64, remote map[string]peerStatus) {
 // counter here would mask the partition forever. Liveness is earned
 // only by answering OUR probes; resurrection of a dead peer flows
 // through mergeView's version bumps.
-func (n *ClusterNode) handlePing(sender string, epoch int64, view map[string]peerStatus) (int64, map[string]peerStatus) {
-	n.mergeView(epoch, view)
+func (n *ClusterNode) handlePing(sender string, g gossip, b []byte) []byte {
+	n.mergeView(g)
 	if p := n.peers[sender]; p != nil {
 		n.markSeen(p)
 	}
-	return n.viewCopy()
+	return n.appendGossip(b)
 }
 
 func (n *ClusterNode) isDead(p *peer) bool {
@@ -343,21 +353,34 @@ func (n *ClusterNode) leaderFor(ps *partState) string {
 	return n.leaderLocked(ps, n.joining)
 }
 
-// meta builds the metadata snapshot the "meta" control op serves.
-func (n *ClusterNode) meta() *ClusterMeta {
+// appendMeta appends the "meta" answer (codec.go): this node's epoch,
+// the member table with each member's liveness, and every partition's
+// leader and replicas as indexes into that table, written from node
+// state under n.mu.
+func (n *ClusterNode) appendMeta(b []byte) []byte {
 	parts := n.parts()
-	m := &ClusterMeta{Topics: make(map[string]TopicInfo)}
+	index := func(id string) uint16 { return uint16(slices.Index(n.members, id)) } // none: -1, which is noNode
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	m.Epoch = n.epoch
+	b = appendU16(appendU64(b, uint64(n.epoch)), uint16(len(n.members)))
 	for _, id := range n.members {
 		p := n.peers[id]
-		m.Nodes = append(m.Nodes, NodeInfo{ID: id, Addr: p.addr, Alive: !p.st.Dead})
+		b = append(appendStr(appendStr(b, id), p.addr), boolByte(!p.st.Dead))
 	}
-	for _, ps := range parts {
-		ti := m.Topics[ps.topic]
-		ti.Partitions = append(ti.Partitions, PartitionInfo{Leader: n.leaderLocked(ps, n.joining), Replicas: ps.reps})
-		m.Topics[ps.topic] = ti
+	at, topics := len(b), 0
+	b = appendU32(b, 0)
+	for i, j := 0, 0; i < len(parts); i = j {
+		for j = i; j < len(parts) && parts[j].topic == parts[i].topic; j++ {
+		}
+		b = appendU16(appendStr(b, parts[i].topic), uint16(j-i))
+		for _, ps := range parts[i:j] {
+			b = appendU16(appendU16(b, index(n.leaderLocked(ps, n.joining))), uint16(len(ps.reps)))
+			for _, id := range ps.reps {
+				b = appendU16(b, index(id))
+			}
+		}
+		topics++
 	}
-	return m
+	binary.BigEndian.PutUint32(b[at:], uint32(topics))
+	return b
 }

@@ -76,6 +76,7 @@ package broker
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -213,6 +214,9 @@ func NewClusterNode(b *Broker, cfg NodeConfig) (*ClusterNode, error) {
 	if _, ok := cfg.Peers[cfg.ID]; !ok {
 		return nil, fmt.Errorf("broker: node id %q missing from peer map", cfg.ID)
 	}
+	if len(cfg.Peers) >= noNode { // a meta names members in two bytes
+		return nil, fmt.Errorf("broker: %d members exceed the limit of %d", len(cfg.Peers), noNode-1)
+	}
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 2
 	}
@@ -310,6 +314,7 @@ func (n *ClusterNode) parts() []*partState {
 		if err != nil {
 			break // closed
 		}
+		out = slices.Grow(out, len(t.partitions))
 		for i, p := range t.partitions {
 			out = append(out, n.record(p, name, i))
 		}

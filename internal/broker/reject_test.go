@@ -93,14 +93,14 @@ func TestRejectedReplicateChangesNoEpoch(t *testing.T) {
 		if _, err := fn.applyReplicate(huge, sender, "t", 0, section(100)); err == nil {
 			t.Fatalf("replicate from %s accepted", sender)
 		}
-		if epoch := fn.meta().Epoch; epoch >= huge {
+		if epoch := nodeEpoch(fn); epoch >= huge {
 			t.Fatalf("replicate from %s moved the follower's epoch to %d", sender, epoch)
 		}
 	}
 	if hwm, _ := tc.brokers[tc.indexOf(follower)].HighWatermark("t", 0); hwm != 0 {
 		t.Fatalf("refused replicates changed the follower's log: hwm = %d", hwm)
 	}
-	epoch := tc.nodes[tc.indexOf(leader)].meta().Epoch
+	epoch := nodeEpoch(tc.nodes[tc.indexOf(leader)])
 	hwm, err := fn.applyReplicate(epoch, leader, "t", 0, section(0))
 	if err != nil {
 		t.Fatalf("the leader's replicate at epoch %d after the refusals: %v", epoch, err)

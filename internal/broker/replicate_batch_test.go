@@ -56,7 +56,8 @@ func TestClusterReplicateMFCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decodeSection(cur); cur.err != nil {
+	var got replSection
+	if got.decode(&cur); cur.err != nil {
 		t.Fatalf("decode replica fetch answer: %v", cur.err)
 	} else {
 		same("replica fetch", got)

@@ -3,7 +3,6 @@ package broker
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -30,47 +29,21 @@ const maxFrame = 64 << 20
 // buffer only grows every connection's footprint.
 const connBufSize = 16 << 10
 
-// Control ops travel as a JSON document inside the binary envelope
-// (binOpJSON) and are named by these strings. The data-plane ops have
-// binary op codes (codec.go); their strings here are only the metric
-// and log labels binOpName maps them to.
-const (
-	opCreate = "create"
-	opHello  = "hello" // version check: response N carries wireVersion
-	// Cluster control ops.
-	opMeta = "meta"
-	opPing = "ping"
-
-	opFetch       = "fetch"
-	opHWM         = "hwm"
-	opProducePart = "producep"
-	opReplicate   = "replicate"
-	// Replica reads between cluster members, not gated on leadership
-	// (rejoin pulls, takeover handshake).
-	opRFetch = "rfetch"
-	opRHWM   = "rhwm"
-)
-
-type wireRequest struct {
-	Op         string `json:"op"`
-	Topic      string `json:"topic,omitempty"`
-	Partitions int    `json:"partitions,omitempty"`
-	Partition  int    `json:"partition,omitempty"`
-
-	// Cluster fields: ping carries the sender's versioned status view.
-	Node  string                `json:"node,omitempty"`
-	Epoch int64                 `json:"epoch,omitempty"`
-	View  map[string]peerStatus `json:"view,omitempty"`
-}
-
-type wireResponse struct {
-	Err string `json:"err,omitempty"`
-	N   int    `json:"n,omitempty"`
-
-	// Cluster fields.
-	Meta  *ClusterMeta          `json:"meta,omitempty"`
-	Epoch int64                 `json:"epoch,omitempty"`
-	View  map[string]peerStatus `json:"view,omitempty"`
+// opLabels names each op code the decoder accepts: the label of its
+// broker_request_seconds series and of its debug log line. Every served
+// request is counted under its own op; one the decoder refuses closes
+// the connection before it is observed.
+var opLabels = [...]string{
+	binOpHWM:          "hwm",
+	binOpProducePartF: "producep",
+	binOpFetchF:       "fetch",
+	binOpRHWMB:        "rhwm",
+	binOpReplicate:    "replicate",
+	binOpRFetch:       "rfetch",
+	binOpHello:        "hello",
+	binOpCreate:       "create",
+	binOpMeta:         "meta",
+	binOpPing:         "ping",
 }
 
 // ServerOptions tunes a broker server.
@@ -134,36 +107,27 @@ type Server struct {
 var errNoNode = errors.New("broker: no cluster node attached yet")
 
 // serverInstruments is the wire-dispatch instrumentation: one latency
-// histogram per op, resolved from the registry once at startup. A nil
-// *serverInstruments is valid and free, so the handlers need no guards.
-type serverInstruments struct {
-	lat map[string]*metrics.Histogram
-}
+// histogram per op code, resolved from the registry once at startup. A
+// nil *serverInstruments is valid and free, so the handlers need no
+// guards.
+type serverInstruments [len(opLabels)]*metrics.Histogram
 
 func newServerInstruments(reg *metrics.Registry) *serverInstruments {
-	si := &serverInstruments{lat: make(map[string]*metrics.Histogram)}
-	for _, op := range []string{
-		opCreate, opFetch, opHWM, opHello, opMeta, opPing,
-		opProducePart, opRFetch, opRHWM, opReplicate, "other",
-	} {
-		si.lat[op] = reg.Histogram("broker_request_seconds",
-			"request service latency in seconds, by wire op", metrics.Labels{"op": op})
+	si := new(serverInstruments)
+	for op, label := range opLabels {
+		if label != "" {
+			si[op] = reg.Histogram("broker_request_seconds",
+				"request service latency in seconds, by wire op", metrics.Labels{"op": label})
+		}
 	}
 	return si
 }
 
-// observe records one served request. Unknown ops (a newer client
-// against this server) land under "other" rather than allocating
-// unbounded series.
-func (si *serverInstruments) observe(op string, start time.Time) {
-	if si == nil {
-		return
+// observe records one served request of a decoded op.
+func (si *serverInstruments) observe(op byte, start time.Time) {
+	if si != nil {
+		si[op].Observe(time.Since(start).Seconds())
 	}
-	h, ok := si.lat[op]
-	if !ok {
-		h = si.lat["other"]
-	}
-	h.Observe(time.Since(start).Seconds())
 }
 
 // NewTraceID returns a random ID for the request header's trace field.
@@ -189,27 +153,6 @@ func orDiscard(l *slog.Logger) *slog.Logger {
 		return slog.New(slog.DiscardHandler)
 	}
 	return l
-}
-
-// binOpName maps a binary op code to its metric/log label.
-func binOpName(op byte) string {
-	switch op {
-	case binOpFetchF:
-		return opFetch
-	case binOpHWM:
-		return opHWM
-	case binOpProducePartF:
-		return opProducePart
-	case binOpReplicate:
-		return opReplicate
-	case binOpRFetch:
-		return opRFetch
-	case binOpRHWMB:
-		return opRHWM
-	case binOpJSON:
-		return "json"
-	}
-	return "other"
 }
 
 // AttachNode attaches (or replaces) the server's cluster node. Ops
@@ -349,18 +292,11 @@ func (s *Server) handleBinary(req *binRequest, payload []byte, bw *bufio.Writer)
 	if err != nil {
 		return err
 	}
-	var jreq *wireRequest // allocated for control ops only
-	if req.op == binOpJSON {
-		jreq = new(wireRequest)
-		if err := json.Unmarshal(req.jsonBody, jreq); err != nil {
-			return err
-		}
-	}
 	start := time.Now()
 	out := getFrame()
 	defer putFrame(out)
 	node := s.node.Load()
-	if node == nil && (jreq == nil || jreq.Op != opHello) {
+	if node == nil && req.op != binOpHello {
 		// Bound before its node is attached: the bare log serves nothing,
 		// so no produce is appended unreplicated or undeduplicated.
 		encodeErrResp(out, req.op, req.corr, errNoNode.Error())
@@ -400,55 +336,28 @@ func (s *Server) handleBinary(req *binRequest, payload []byte, bw *bufio.Writer)
 		if hwm, err = node.replicaHWM(req.sender, req.topic, req.partition); err == nil {
 			encodeWatermarkResp(out, req.op, req.corr, hwm)
 		}
-	case binOpJSON:
-		resp := s.dispatch(node, jreq)
-		if err := encodeJSONResp(out, req.corr, &resp); err != nil {
-			return err
+	case binOpHello:
+		encodeOKResp(out, req.op, req.corr)
+	case binOpCreate:
+		if err = s.broker.CreateTopic(req.topic, req.parts); err == nil {
+			encodeOKResp(out, req.op, req.corr)
 		}
+	case binOpMeta:
+		encodeOKResp(out, req.op, req.corr)
+		out.b = node.appendMeta(out.b)
+	case binOpPing:
+		encodeOKResp(out, req.op, req.corr)
+		out.b = node.handlePing(req.sender, req.gossip, out.b)
 	}
 	if err != nil {
 		encodeErrResp(out, req.op, req.corr, err.Error())
 	}
-	// dispatch instruments the wrapped control op itself; observing the
-	// envelope too would double-count the request.
-	if req.op != binOpJSON {
-		s.instr.observe(binOpName(req.op), start)
-	}
+	s.instr.observe(req.op, start)
 	if req.trace != 0 && s.log.Enabled(context.Background(), slog.LevelDebug) {
 		s.log.Debug("wire request",
-			"op", binOpName(req.op), TraceAttr(req.trace),
+			"op", opLabels[req.op], TraceAttr(req.trace),
 			"topic", req.topic, "partition", req.partition,
 			"records", req.count, "dur_us", time.Since(start).Microseconds())
 	}
 	return writeRawFrame(bw, out.b)
-}
-
-// dispatch serves one control request (the JSON body of a binOpJSON
-// envelope), instrumenting it under its op string.
-func (s *Server) dispatch(node *ClusterNode, req *wireRequest) wireResponse {
-	start := time.Now()
-	resp := s.dispatchOp(node, req)
-	s.instr.observe(req.Op, start)
-	return resp
-}
-
-func (s *Server) dispatchOp(node *ClusterNode, req *wireRequest) wireResponse {
-	var err error
-	switch req.Op {
-	case opCreate:
-		err = s.broker.CreateTopic(req.Topic, req.Partitions)
-	case opMeta:
-		return wireResponse{Meta: node.meta()}
-	case opPing:
-		epoch, view := node.handlePing(req.Node, req.Epoch, req.View)
-		return wireResponse{Epoch: epoch, View: view}
-	case opHello:
-		return wireResponse{N: int(wireVersion)}
-	default:
-		return wireResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
-	}
-	if err != nil {
-		return wireResponse{Err: err.Error()}
-	}
-	return wireResponse{}
 }

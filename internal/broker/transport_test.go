@@ -2,19 +2,14 @@ package broker
 
 import (
 	"bufio"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"streamapprox/internal/broker/storage"
-	"streamapprox/internal/metrics"
 )
 
 // serveMember serves b as a one-member cluster, the way brokerd runs
@@ -292,19 +287,19 @@ func wireGateCases() []wireGateCase {
 	// at epoch 1 shipping 3 records of in/0 and their journal entry), as
 	// the build before the section ops encoded them: were either still
 	// served, the fetch would answer and the replicate would append.
+	// That build wrote version byte 7; the current one is put in its
+	// place, so the op code alone is what the gate refuses.
 	for _, c := range []struct{ op, hex string }{
 		{"11", "070b0000000000000001000000000000000000026e300002696e00000000000000000000000000000064"},
 		{"13", "070d00000000000000010000000000000000000000000000000100026e30000000010002696e000000000000000000000000000000000000000300000001000000000000000700000000000000010000000000000000000000000000000300000003000000423a00000098371751030000040100010000006b0000000000000000000000000000000000f03f00000000000000400000c9725f14ff140000000040420f0080841e00"},
 	} {
-		payload, err := hex.DecodeString(c.hex)
-		if err != nil {
-			panic(err)
-		}
+		payload := mustHex(c.hex)
+		payload[0] = wireVersion // under the current header, like the ops above
 		cases = append(cases, wireGateCase{name: "retired op " + c.op, payload: payload})
 	}
 	fb := getFrame()
 	defer putFrame(fb)
-	for _, ver := range []byte{1, 2, wireVersion - 1, wireVersion + 1} {
+	for _, ver := range []byte{1, 2, 6, wireVersion - 1, wireVersion + 1} {
 		encodeProducePartFwdReq(fb, 1, 0, "in", 0, 0, 0, storage.AppendRecordFrames(nil, recs("k", 3)), 3)
 		payload := append([]byte(nil), fb.b...)
 		payload[0] = ver
@@ -353,119 +348,26 @@ func TestWireGateRejectsRetiredDialects(t *testing.T) {
 	}
 }
 
-// controlFrame is a control-op request frame carrying body.
-func controlFrame(body string) []byte {
-	fb := getFrame()
-	defer putFrame(fb)
-	encodeJSONReq(fb, 1, 0, []byte(body))
-	return append([]byte(nil), fb.b...)
-}
-
-// retiredControlOps are the control-op bodies an older client or peer
-// sent that the broker no longer serves: a consumer-group commit, a
-// committed read and a leader→follower commit replication (the broker
-// keeps no group offsets), and a partition-count read (the routing
-// client reads the count from its metadata).
-func retiredControlOps() []wireGateCase {
-	var cases []wireGateCase
-	for _, body := range []string{
-		`{"op":"commit","topic":"in","offset":3,"group":"g"}`,
-		`{"op":"committed","topic":"in","group":"g"}`,
-		`{"op":"commitrep","topic":"in","offset":3,"group":"g","node":"n0","epoch":1}`,
-		`{"op":"parts","topic":"in"}`,
-	} {
-		cases = append(cases, wireGateCase{name: body, payload: controlFrame(body)})
-	}
-	return cases
-}
-
-// TestRetiredControlOpsChangeNothing sends each retired control op on
-// one connection of a durable one-member broker: each is answered
-// with an unknown-op error counted under op="other", the connection
-// keeps serving, and neither the log, its committed watermark nor the
-// data directory changes.
-func TestRetiredControlOpsChangeNothing(t *testing.T) {
-	dir := t.TempDir()
-	b, err := Open(StorageConfig{Dir: dir, Policy: storage.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.CreateTopic("in", 1); err != nil {
-		t.Fatal(err)
-	}
-	reg := metrics.NewRegistry()
-	srv := serveMember(t, b, ServerOptions{Metrics: reg})
-	cc, err := DialCluster([]string{srv.Addr()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = cc.Close() }()
-	if _, err := cc.Produce("in", recs("k", 5)); err != nil {
-		t.Fatal(err)
-	}
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-	fb := getFrame()
-	defer putFrame(fb)
-	// answer sends one control-op frame on the shared connection and
-	// decodes its JSON answer.
-	answer := func(payload []byte) wireResponse {
-		t.Helper()
-		if err := writeRawFrame(conn, payload); err != nil {
-			t.Fatal(err)
-		}
-		if err := readFrameInto(conn, fb); err != nil {
-			t.Fatalf("no answer: %v", err)
-		}
-		cur, err := decodeRespHeader(fb)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp wireResponse
-		if err := json.Unmarshal(cur.rest(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		return resp
-	}
-	other := reg.Histogram("broker_request_seconds", "request service latency in seconds, by wire op", metrics.Labels{"op": "other"})
-	for _, c := range retiredControlOps() {
-		before := other.Count()
-		if resp := answer(c.payload); !strings.Contains(resp.Err, "unknown op") {
-			t.Errorf("%s: answered %+v; want an unknown op error", c.name, resp)
-		}
-		if got := other.Count() - before; got != 1 {
-			t.Errorf("%s: counted %v times under op=\"other\", want once", c.name, got)
-		}
-	}
-	if resp := answer(controlFrame(`{"op":"meta"}`)); resp.Err != "" || resp.Meta == nil || len(resp.Meta.Topics["in"].Partitions) != 1 {
-		t.Fatalf("meta after the retired ops = %+v; want topic in with 1 partition", resp)
-	}
-	if hwm, err := b.HighWatermark("in", 0); err != nil || hwm != 5 {
-		t.Fatalf("log end = %d, %v; want 5", hwm, err)
-	}
-	if hwm, err := cc.HighWatermark("in", 0); err != nil || hwm != 5 {
-		t.Fatalf("committed watermark = %d, %v; want 5", hwm, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "groups.json")); !os.IsNotExist(err) {
-		t.Fatalf("groups.json after the retired ops: %v", err)
-	}
-}
-
-// TestDialRejectsWireVersionMismatch dials a listener whose hello
-// answers a different wire version — the one before this build's (frames
-// without time codes) or the one after: the dial fails naming both.
+// TestDialRejectsWireVersionMismatch dials listeners whose hello answer
+// carries another wire version — two before this build's (frames
+// without time codes), the one before (control ops as JSON) and the one
+// after — and one that closes the connection at hello, as a version-7
+// broker does on a version byte it does not speak: each dial fails
+// promptly, naming this build's version and, when the peer answered,
+// the peer's.
 func TestDialRejectsWireVersionMismatch(t *testing.T) {
-	for _, theirs := range []int{6, int(wireVersion) + 1} {
-		t.Run(fmt.Sprintf("version %d", theirs), func(t *testing.T) { dialMismatchedPeer(t, theirs) })
+	for _, theirs := range []byte{6, wireVersion - 1, wireVersion + 1, 0} {
+		name := fmt.Sprintf("version %d", theirs)
+		if theirs == 0 {
+			name = "closed at hello"
+		}
+		t.Run(name, func(t *testing.T) { dialMismatchedPeer(t, theirs) })
 	}
 }
 
-func dialMismatchedPeer(t *testing.T, theirs int) {
+// dialMismatchedPeer dials a peer answering the hello under version
+// theirs, or closing the connection when theirs is 0.
+func dialMismatchedPeer(t *testing.T, theirs byte) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -479,20 +381,30 @@ func dialMismatchedPeer(t *testing.T, theirs int) {
 		defer conn.Close()
 		fb := getFrame()
 		defer putFrame(fb)
-		if err := readFrameInto(bufio.NewReader(conn), fb); err != nil {
+		if err := readFrameInto(bufio.NewReader(conn), fb); err != nil || theirs == 0 {
 			return
 		}
 		corr, _ := corrIDOf(fb.b)
-		if err := encodeJSONResp(fb, corr, &wireResponse{N: theirs}); err == nil {
-			_ = writeRawFrame(conn, fb.b)
-		}
+		encodeOKResp(fb, binOpHello, corr)
+		fb.b[0] = theirs
+		_ = writeRawFrame(conn, fb.b)
 	}()
+	start := time.Now()
 	cli, err := dial(ln.Addr().String(), DefaultDialTimeout, defaultRequestTimeout)
 	if err == nil {
 		_ = cli.Close()
 		t.Fatal("dial against a mismatched peer succeeded")
 	}
-	if want := fmt.Sprintf("wire version %d, this client %d", theirs, wireVersion); !strings.Contains(err.Error(), want) {
-		t.Fatalf("error %q does not name both versions (%q)", err, want)
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("dial took %v to fail", took)
+	}
+	want := []string{fmt.Sprintf("wire version %d", wireVersion)}
+	if theirs != 0 {
+		want = append(want, fmt.Sprintf("peer answered wire version %d", theirs))
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("error %q does not name %q", err, w)
+		}
 	}
 }

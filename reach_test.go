@@ -53,10 +53,10 @@ var brokerUnreachedAllowed = map[string]string{
 	"TopicInfo":           "a ClusterMeta field's element type, reached only through returned values",
 	"PartitionInfo":       "a TopicInfo field's element type, reached only through returned values",
 	"Consumer":            "NewPartitionConsumer's result type, reached only through the returned value",
-	"Nodes":               "a ClusterMeta JSON wire field",
-	"Topics":              "a ClusterMeta JSON wire field",
-	"Leader":              "a PartitionInfo JSON wire field",
-	"Alive":               "a NodeInfo JSON wire field",
+	"Nodes":               "a ClusterMeta field the routing client reads inside the package",
+	"Topics":              "a ClusterMeta field the routing client and the rejoin path read inside the package",
+	"Leader":              "a PartitionInfo field LeaderOf and the rejoin path read inside the package",
+	"Alive":               "a NodeInfo field the routing client's CreateTopic reads inside the package",
 	"ErrUnknownTopic":     "a sentinel the in-process Broker returns, compared with errors.Is",
 	"ErrBadPartition":     "a sentinel the in-process Broker returns, compared with errors.Is",
 	"ErrOffsetOutOfRange": "a sentinel the in-process Broker returns, compared with errors.Is",
