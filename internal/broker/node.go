@@ -196,6 +196,10 @@ type ClusterNode struct {
 
 	rejoinWake chan struct{} // signaled when a deposal demotes us mid-run
 
+	// stateDirty is set after a partition is marked dirty (noteStateDirty),
+	// so an idle flush tick returns without walking the partitions.
+	stateDirty atomic.Bool
+
 	done      chan struct{}
 	wg        sync.WaitGroup
 	closeOnce sync.Once

@@ -97,12 +97,14 @@ func (n *ClusterNode) noteStateDirty(ps *partState) {
 		return
 	}
 	ps.dirty.Store(true)
+	n.stateDirty.Store(true)
 }
 
 // flushDirtyState writes every partition state marked since the last
-// flush.
+// flush. The node's flag is cleared before the partitions' are read, so a
+// partition marked during the walk is written now or by the next flush.
 func (n *ClusterNode) flushDirtyState() {
-	if n.b.Dir() == "" {
+	if n.b.Dir() == "" || !n.stateDirty.Swap(false) {
 		return
 	}
 	for _, ps := range n.parts() {

@@ -2,9 +2,12 @@ package broker
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"streamapprox/internal/broker/storage"
 )
 
 // TestStateJSONMatchesParent pins the bytes of state.json: a durable
@@ -41,5 +44,36 @@ func TestStateJSONMatchesParent(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("state.json = %s\nwant %s", got, want)
+	}
+}
+
+// An idle durable node's state-flush tick allocates nothing: it walks no
+// partition while none was marked dirty. A partition marked between two
+// ticks is still written by the next.
+func TestIdleStateFlushAllocatesNothing(t *testing.T) {
+	b, err := Open(StorageConfig{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	for i := 0; i < 4; i++ {
+		if err := b.CreateTopic(fmt.Sprintf("t%d", i), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := NewClusterNode(b, NodeConfig{ID: "n0", Peers: map[string]string{"n0": "127.0.0.1:1"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(200, n.flushDirtyState); allocs != 0 {
+		t.Errorf("an idle flush allocates %v objects, want 0", allocs)
+	}
+	ps := nodePart(t, n, "t2", 3)
+	ps.committed.Store(7)
+	n.noteStateDirty(ps)
+	n.flushDirtyState()
+	var st partitionState
+	if ok, err := storage.LoadJSON(n.statePath(ps), &st); err != nil || !ok || st.Committed != 7 {
+		t.Fatalf("state.json of the marked partition: found %v, committed %d, err %v; want committed 7", ok, st.Committed, err)
 	}
 }

@@ -154,16 +154,7 @@ func BenchmarkQueryConcurrency(b *testing.B) {
 //	go test ./internal/server -bench PlaneFanout -benchtime 3x
 func BenchmarkPlaneFanout(b *testing.B) {
 	events := makeEvents(5, 40000)
-	edges := []float64{40, 70, 85, 100, 115, 130, 160}
-	var specs []Spec
-	for _, kind := range []string{"sum", "mean", "groupby-mean", "histogram"} {
-		for _, slide := range []time.Duration{time.Second, 5 * time.Second} {
-			for _, f := range []float64{0.1, 0.8} {
-				specs = append(specs, Spec{Kind: kind, Window: 2 * slide, Slide: slide, Fraction: f,
-					HistogramEdges: edges, Seed: uint64(len(specs) + 1)})
-			}
-		}
-	}
+	specs := fanoutSpecs()
 	var items int64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -26,7 +26,7 @@ import (
 // A restarted saproxd re-reads the directory and re-attaches every query
 // at its own watermarks, in id order. The plane is positioned as on a
 // fresh start, by the first shard that attaches to each partition;
-// shards behind it catch up as groups of one (see ingest) and shards
+// shards behind it wait as groups of one for the sweep (see ingest), shards
 // ahead of it skip — so a kill -9 restart neither loses nor duplicates
 // records for any query. Each file is fsynced before it is renamed into
 // place, so a crash leaves either the old checkpoint or the new one.

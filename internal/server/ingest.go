@@ -39,14 +39,15 @@ type traceSetter interface{ SetTraceID(uint64) }
 //
 // A group BEHIND the plane — shed, keeping its members and sampler, or a
 // new group of one for a shard attaching at an offset the plane has
-// passed (a late registration, a restored checkpoint) — reads the gap
-// through one reader of its own, at most catchupWorkers groups at once,
-// and splices back whole at the plane position under the plane's lock, so
-// no record is lost or duplicated. A shard attaching ahead of the plane
-// (From "latest") joins at once and drops records below its start.
+// passed (a late registration, a restored checkpoint) — stands at its
+// position: the partition's one SWEEP reads the log behind the plane
+// once for all of them and splices each back whole at the plane position
+// under the plane's lock, so no record is lost or duplicated. A shard
+// attaching ahead of the plane (From "latest") joins at once and drops
+// records below its start.
 
-// fetchMax bounds one fetch round's record count, on the plane's
-// consumers and the readers of groups behind it alike.
+// fetchMax bounds one fetch round's record count, on the plane and the
+// sweep behind it alike.
 const fetchMax = 4096
 
 // idleAdvanceAfter is the number of consecutive empty polls after which
@@ -96,21 +97,15 @@ type ingest struct {
 	log        *slog.Logger
 	queueDepth int // per-group delivery queue bound, in batches
 
-	// catchupSem bounds the groups reading behind the plane at once,
-	// across the whole plane: a burst of late registrations or sheds
-	// queues here instead of opening one broker reader each.
-	catchupSem    chan struct{}
-	catchupActive *metrics.Gauge
-
 	parts []*partIngest
 	wg    sync.WaitGroup
 }
 
 // subQueue is one sampling group on one partition: its bounded delivery
 // queue — the plane loop enqueues, the drainer goroutine applies each
-// batch to every member, or reads the batches itself behind the plane —
-// and the pane sampler its members share. The group's sampler samples
-// each batch once, and every sharing member summarises its panes; a
+// batch to every member, and behind the plane the sweep applies its
+// rounds — and the pane sampler its members share. The group's sampler
+// samples each batch once, and every sharing member summarises its panes; a
 // private member (out of step with the group) samples for itself until it
 // stands at the group's point of the stream, then shares. A group under
 // the zero key has no sampler: its one member samples for itself.
@@ -123,14 +118,11 @@ type subQueue struct {
 	ps      *pane.Sampler // the shared sampler (nil under the zero key)
 	offset  int64         // the next offset ps samples
 	summed  []*shard      // cut's scratch: the members summarised so far
-	ch      chan planeDelivery
-	// from is the offset a group behind the plane reads on from, -1 while
-	// it is on the plane. Written under the partition lock: at a shed
-	// before ch is closed — the drainer reads it after draining, so the
-	// close is the memory barrier — and by the drainer itself.
+	// Guarded by the partition lock: ch, nil while the sweep feeds the
+	// group, and from, where a group off the plane stands (-1 on it).
+	ch       chan planeDelivery
 	from     int64
-	quit     chan struct{}  // closed when the group ends
-	done     chan struct{}  // closed when the drainer has fully exited
+	done     chan struct{}  // closed when the group has dissolved
 	samplers *metrics.Gauge // the partition's saproxd_ingest_samplers
 }
 
@@ -162,16 +154,17 @@ type partIngest struct {
 	cluster broker.Cluster // dedicated connection when DialShard is set
 	conn    io.Closer      // nil when sharing the control connection
 
-	// mu guards subs, groups, every group's from and next. Enqueueing
+	// mu guards subs, groups, every group's ch and from, and next. Enqueueing
 	// happens with mu held so a splice (pos == next) is atomic against the
 	// loop advancing next; the enqueue itself never blocks.
-	mu      sync.Mutex
-	subs    map[*shard]*subQueue // every attached shard's group
-	groups  []*subQueue          // on the plane and behind it
-	next    int64                // next offset the plane will deliver; set by the first attach
-	started bool
-	stopped bool
-	done    chan struct{}
+	mu       sync.Mutex
+	subs     map[*shard]*subQueue // every attached shard's group
+	groups   []*subQueue          // on the plane and behind it
+	next     int64                // next offset the plane will deliver; set by the first attach
+	started  bool
+	stopped  bool
+	sweeping bool // the sweep runs
+	done     chan struct{}
 
 	recordsMetric *metrics.Counter
 	queriesGauge  *metrics.Gauge
@@ -187,23 +180,13 @@ type partIngest struct {
 // plane instead of stalling the partition loop.
 const queueDepth = 64
 
-// catchupWorkers bounds the groups reading behind a plane at once, so a
-// burst of late queries cannot open unbounded broker readers.
-const catchupWorkers = 4
-
 // newIngest builds a plane with one (not yet started) partition loop
 // per partition. When dial is non-nil each partition gets a dedicated
 // broker connection, closed on stop.
 func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	topic string, parts int, backoff time.Duration,
 	log *slog.Logger, reg *metrics.Registry) (*ingest, error) {
-	ing := &ingest{
-		cluster: cluster, topic: topic, backoff: backoff, log: log,
-		queueDepth: queueDepth,
-		catchupSem: make(chan struct{}, catchupWorkers),
-		catchupActive: reg.Gauge("saproxd_catchup_active",
-			"sampling groups reading behind the plane: shed, or a late or restored shard's", nil),
-	}
+	ing := &ingest{cluster: cluster, topic: topic, backoff: backoff, log: log, queueDepth: queueDepth}
 	for p := 0; p < parts; p++ {
 		pc := cluster
 		var closer io.Closer
@@ -261,7 +244,7 @@ func (pi *partIngest) join(sh *shard) {
 	sh.skipToOffset()
 	i := pi.live(sh.job.groupKey())
 	if i < 0 {
-		pi.group(sh, -1)
+		pi.group(sh, pi.next)
 		return
 	}
 	pi.samplersGauge.Add(1)
@@ -282,64 +265,69 @@ func (pi *partIngest) live(key groupKey) int {
 	return slices.IndexFunc(pi.groups, func(sub *subQueue) bool { return sub.key == key && sub.onPlane() })
 }
 
-// group starts a new group of sh alone — on the plane when from is -1,
-// otherwise behind it, reading on from that offset — which takes sh's
-// sampler when its key lets others share it. Callers hold pi.mu.
+// group starts a new group of sh alone at from — on the plane when from is
+// the plane position, otherwise behind it, for the sweep — which takes
+// sh's sampler when its key lets others share it. Callers hold pi.mu.
 func (pi *partIngest) group(sh *shard, from int64) {
 	pi.samplersGauge.Add(1)
 	sub := &subQueue{key: sh.job.groupKey(), members: []*shard{sh}, samplers: pi.samplersGauge, from: from,
-		ch: make(chan planeDelivery, pi.ing.queueDepth), quit: make(chan struct{}), done: make(chan struct{})}
+		done: make(chan struct{})}
 	if sub.key != (groupKey{}) {
 		sub.take(sh)
 	}
 	pi.groups = append(pi.groups, sub)
 	pi.subs[sh] = sub
-	go pi.drain(sub, from)
+	if from == pi.next {
+		pi.splice(sub)
+	} else {
+		pi.sweep()
+	}
 }
 
-// onPlane reports whether the plane feeds the group. Callers hold the
-// partition lock, or are the group's drainer.
+// onPlane reports whether the plane feeds the group, and swept whether
+// the sweep does, nothing being left queued. Callers hold pi.mu.
 func (sub *subQueue) onPlane() bool { return sub.from < 0 }
+func (sub *subQueue) swept() bool   { return sub.ch == nil }
 
-// end ends a group its caller took off the partition: a group on the
-// plane applies what is queued first, one behind it stops reading, and
-// either way its drainer then dissolves it. Callers hold pi.mu.
+// end ends a group taken off the partition (callers hold pi.mu): one the
+// sweep feeds dissolves now, and one the plane feeds applies its queue
+// first, its drainer then ending it.
 func (sub *subQueue) end() {
-	if sub.onPlane() {
+	if sub.swept() {
+		sub.mu.Lock()
+		sub.dissolve()
+		sub.mu.Unlock()
+		close(sub.done)
+	} else if sub.onPlane() {
 		close(sub.ch)
 	}
-	close(sub.quit)
 }
 
-// drain is the group's worker. On the plane it applies queued batches to
-// the members in order; behind the plane it reads the gap itself
-// (catchUp) until the group is back on the plane or has merged into the
-// group there. When the group ends, every member keeps a sampler of its
-// own (dissolve).
-func (pi *partIngest) drain(sub *subQueue, from int64) {
-	for from < 0 || pi.catchUp(sub, from) {
-		for d := range sub.ch {
-			if d.idle {
-				sub.idle(d)
-			} else {
-				sub.apply(d)
-				d.batch.Release()
-			}
-		}
-		if from = sub.from; from < 0 { // ended, not shed
-			break
+// drain is the group's worker while the plane feeds it, applying queued
+// batches to the members in order. The queue closes when the group ends
+// or is shed; applied, the group then dissolves or waits for the sweep.
+func (pi *partIngest) drain(sub *subQueue) {
+	for d := range sub.ch {
+		if d.idle {
+			sub.idle(d)
+		} else {
+			sub.apply(d)
+			d.batch.Release()
 		}
 	}
-	sub.mu.Lock()
-	sub.dissolve()
-	sub.mu.Unlock()
-	close(sub.done)
+	pi.mu.Lock()
+	if sub.ch = nil; slices.Contains(pi.groups, sub) {
+		pi.sweep()
+	} else {
+		sub.end()
+	}
+	pi.mu.Unlock()
 }
 
 // attach joins one query shard to a partition plane, starting the loop
 // on first use. from is the shard's delivery watermark: behind the plane
-// the shard starts a group of its own there, which reads the gap before
-// splicing live; at or ahead of the plane the shard joins at once,
+// the shard starts a group of its own there, which the sweep brings up to
+// the plane; at or ahead of the plane the shard joins at once,
 // skipping records below from.
 func (ing *ingest) attach(sh *shard, from int64) {
 	pi := ing.parts[sh.idx]
@@ -373,24 +361,22 @@ func (ing *ingest) detach(sh *shard) {
 	}
 	delete(pi.subs, sh)
 	pi.queriesGauge.Set(float64(len(pi.subs)))
-	sub.mu.Lock()
-	last := len(sub.members) == 1
-	if last {
-		pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })
-		sub.end()
-	} else {
+	if len(sub.members) > 1 { // members change only under pi.mu too
+		sub.mu.Lock()
 		sub.remove(sh)
+		sub.mu.Unlock()
+		pi.mu.Unlock()
+		return
 	}
-	sub.mu.Unlock()
+	pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })
+	sub.end()
 	pi.mu.Unlock()
-	if last {
-		<-sub.done
-	}
+	<-sub.done
 }
 
-// stop halts every partition loop, closes dedicated connections, and
-// ends every group, draining the queues of those on the plane. Attached
-// shards receive no further deliveries once stop returns.
+// stop halts every partition loop and sweep, closes dedicated
+// connections, and ends every group, draining the queues of those on the
+// plane. Attached shards receive no further deliveries once stop returns.
 func (ing *ingest) stop() {
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
@@ -404,8 +390,8 @@ func (ing *ingest) stop() {
 	// in, so stopping never waits out a request deadline or retry budget.
 	ing.closeConns()
 	ing.wg.Wait()
-	// With the loops stopped nothing enqueues anymore; end the groups
-	// and wait out the drainers so every delivered batch is applied.
+	// With the loops and sweeps stopped nothing enqueues anymore; end the
+	// groups and wait out the drainers so every delivered batch is applied.
 	var waits []*subQueue
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
@@ -432,7 +418,7 @@ func (ing *ingest) closeConns() {
 	}
 }
 
-// loop is the partition's single reader: a broker.Consumer positioned
+// loop is the partition's reader on the plane: a broker.Consumer positioned
 // at the plane offset (constructing it costs no broker call — an
 // unreachable broker shows up as a failed poll, which the loop already
 // retries), polled synchronously. The poll interval belongs to this
@@ -541,8 +527,8 @@ func (pi *partIngest) reroute() {
 // deliverBatch fans one pooled EventBatch out by reference to the queue
 // of every sampling group on the plane and advances the plane position.
 // It runs under pi.mu so splices are atomic, but never blocks: a group
-// whose queue is full is shed off the plane, its drainer reading on from
-// where delivery stopped. The batch's Base is stamped with the plane
+// whose queue is full is shed off the plane, for the sweep to read on
+// from where delivery stopped. The batch's Base is stamped with the plane
 // offset before the first enqueue (the channel send is the memory
 // barrier), each enqueue carries one Retained reference the drainer
 // Releases after applying, and the loop's own reference from PollBatch is
@@ -571,16 +557,14 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 		}
 		// Queue full: shed the group. Its drainer has applied (or still
 		// holds queued) everything below base, so base is exactly where
-		// it must read on from.
+		// the sweep must read on from.
 		b.Release() // the shed group never takes its reference
 		sub.from = base
 		close(sub.ch)
-		for sh, of := range pi.subs {
-			if of == sub {
-				sh.shed.Inc()
-				pi.ing.log.Warn("delivery queue full; shedding the group",
-					"query", sh.job.id, "partition", pi.idx, "offset", base)
-			}
+		for _, sh := range sub.members {
+			sh.shed.Inc()
+			pi.ing.log.Warn("delivery queue full; shedding the group",
+				"query", sh.job.id, "partition", pi.idx, "offset", base)
 		}
 	}
 	pi.mu.Unlock()
@@ -635,64 +619,77 @@ func (pi *partIngest) idleAdvance(hwm int64) {
 	pi.mu.Unlock()
 }
 
-// catchUp reads [pos, plane position) for a group behind the plane
-// through one reader, applying each round as the plane would, and splices
-// the group back at the plane position — under pi.mu, where the plane
-// cannot advance, so exactly once. Admission runs through the catch-up
-// semaphore. It reports whether the group is back on the plane, not
-// merged into the group there or ended.
-func (pi *partIngest) catchUp(sub *subQueue, pos int64) bool {
-	select {
-	case pi.ing.catchupSem <- struct{}{}:
-	case <-sub.quit:
-		return false
+// sweep makes sure the partition's one reader behind the plane runs, now
+// that a group stands there. Callers hold pi.mu.
+func (pi *partIngest) sweep() {
+	if !pi.sweeping && !pi.stopped {
+		pi.sweeping = true
+		pi.ing.wg.Add(1)
+		go pi.sweeper()
 	}
-	pi.ing.catchupActive.Add(1)
-	defer func() {
-		pi.ing.catchupActive.Add(-1)
-		<-pi.ing.catchupSem
-	}()
-	cons := broker.NewPartitionConsumer(pi.ing.cluster, pi.ing.topic, pi.idx, pos)
-	retry := backoff{done: sub.quit, d: pi.ing.backoff}
+}
+
+// sweeper is the partition's one reader behind the plane. A round reads
+// [lo, hi) once, through a consumer at lo (which costs no broker call),
+// and applies it under pi.mu to every group standing at lo when it
+// arrives; one it brings to the plane position splices there, the plane
+// unable to advance, so exactly once. lo is the lowest position behind
+// the plane; hi stops at fetchMax records, the plane and the next group's
+// position, so no round straddles a group's start, and a group ahead of a
+// lower newcomer waits for it.
+func (pi *partIngest) sweeper() {
+	defer pi.ing.wg.Done()
+	retry := backoff{done: pi.done, d: pi.ing.backoff}
 	for {
-		// An ended group is off the partition: its last member left, or
-		// the plane stopped.
 		pi.mu.Lock()
-		ended, target := !slices.Contains(pi.groups, sub), pi.next
-		back := !ended && pos >= target && pi.splice(sub)
-		pi.mu.Unlock()
-		if ended || pos >= target {
-			return back
+		lo, hi := pi.next, pi.next
+		for _, sub := range pi.groups {
+			switch {
+			case !sub.swept():
+			case sub.from < lo:
+				lo, hi = sub.from, lo
+			case sub.from > lo && sub.from < hi:
+				hi = sub.from
+			}
 		}
-		// Bound the round so the chase stops exactly at the plane
-		// position, never overshooting into records the plane delivers.
-		b, err := cons.PollBatch(int(min(fetchMax, target-pos))) // returned in event-time order
+		if pi.sweeping = lo < pi.next && !pi.stopped; !pi.sweeping {
+			pi.mu.Unlock()
+			return // no group is left behind the plane, or the plane stopped
+		}
+		pi.mu.Unlock()
+		cons := broker.NewPartitionConsumer(pi.ing.cluster, pi.ing.topic, pi.idx, lo)
+		b, err := cons.PollBatch(int(min(hi, lo+fetchMax) - lo)) // in event-time order
 		if err != nil || b == nil {
-			if err != nil {
-				// Transient broker trouble must not strand the group off
-				// the plane (its members' mergers would wait on their
-				// watermarks for every window): retry until it ends.
-				pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", pos, "err", err)
-			}
-			if !retry.pause() {
-				return false
-			}
+			// Broker trouble must not strand the groups off the plane,
+			// where their mergers wait on them: retry until they end.
+			pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
+			retry.pause()
 			continue
 		}
-		pos += int64(b.Len())
-		sub.apply(planeDelivery{batch: b, next: pos})
+		next := lo + int64(b.Len())
+		pi.mu.Lock()
+		for i := 0; i < len(pi.groups); i++ {
+			if sub := pi.groups[i]; sub.swept() && sub.from == lo {
+				sub.apply(planeDelivery{batch: b, next: next})
+				if sub.from = next; next == pi.next && !pi.splice(sub) {
+					i-- // merged into the group on the plane, and deleted at i
+				}
+			}
+		}
+		pi.mu.Unlock()
 		b.Release()
 	}
 }
 
-// splice puts a group standing at the plane position back on the plane:
-// re-published when no group there has its key, or merged into the group
-// that has — its members join it, sharing its sampler once at the same
-// point. It reports whether the group itself is back. Callers hold pi.mu.
+// splice puts a group standing at the plane position on the plane, with
+// a queue and drainer, or merges it into the group there of its key, whose
+// sampler its members share once at the same point. It reports whether
+// the group itself is on the plane. Callers hold pi.mu.
 func (pi *partIngest) splice(sub *subQueue) bool {
 	if pi.live(sub.key) < 0 {
 		sub.from = -1
 		sub.ch = make(chan planeDelivery, pi.ing.queueDepth)
+		go pi.drain(sub)
 		return true
 	}
 	pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })

@@ -507,69 +507,6 @@ func holdGroupsUntilShed(t *testing.T, s *Server, gc *gatedCluster) {
 	}
 }
 
-// TestCatchUpPoolBoundsConcurrency registers several queries against a
-// deep backlog with a single-slot catch-up pool: the gauge of groups
-// reading behind the plane must never exceed the bound, and every query
-// must still finish.
-func TestCatchUpPoolBoundsConcurrency(t *testing.T) {
-	bk := broker.New()
-	if err := bk.CreateTopic("in", 2); err != nil {
-		t.Fatal(err)
-	}
-	events := makeEvents(31, 30000)
-	if _, err := produceEvents(bk, "in", events); err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.ing.catchupSem = make(chan struct{}, 1) // a single-slot pool, set before the first Register
-
-	// The first query positions the plane at 0 and starts it moving;
-	// the rest then register behind it and must replay through the
-	// single-slot catch-up pool.
-	var jobs []*job
-	for i := 0; i < 5; i++ {
-		id, err := s.Register(Spec{Kind: "count", Window: 2 * time.Second, Slide: time.Second,
-			Fraction: 0.5, Seed: uint64(i + 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		j, _ := s.job(id)
-		jobs = append(jobs, j)
-		if i == 0 {
-			waitJobRecords(t, j, 4096, 10*time.Second) // let the plane run ahead
-		}
-	}
-	gauge := s.reg.Gauge("saproxd_catchup_active",
-		"sampling groups reading behind the plane: shed, or a late or restored shard's", nil)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, j := range jobs {
-			waitJobRecords(t, j, int64(len(events)), 30*time.Second)
-		}
-	}()
-	for {
-		select {
-		case <-done:
-			for _, j := range jobs {
-				if n := jobRecords(j); n != int64(len(events)) {
-					t.Fatalf("query %s consumed %d of %d", j.id, n, len(events))
-				}
-			}
-			return
-		default:
-		}
-		if v := gauge.Value(); v > 1 {
-			t.Fatalf("catch-up pool bound violated: %v active", v)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // hwmCountingCluster counts high-watermark reads.
 type hwmCountingCluster struct {
 	broker.Cluster

@@ -331,8 +331,8 @@ func (j *job) maxWatermark() time.Time {
 
 // skipToOffset arms the shard to drop plane records below its offset —
 // a query joining a queue that may still hold batches it has applied
-// (a catch-up splice), or that the plane delivers behind its requested
-// start (From "latest").
+// (a splice from behind the plane), or that the plane delivers behind its
+// requested start (From "latest").
 func (sh *shard) skipToOffset() {
 	sh.mu.Lock()
 	sh.skipUntil = max(sh.skipUntil, sh.offset)
@@ -366,14 +366,10 @@ func (sh *shard) cut(start int64, s *sampling.Sample, _ int64) {
 	}
 }
 
-// skipFrom is the index of the first record of b at or past skipUntil.
-// It uses the batch's Base (offsets are consecutive within a batch): it
-// drops exactly skipUntil-Base records, which are the records below
-// skipUntil whenever the batch is in offset order — the overwhelmingly
-// common case, since producers append in event-time order and a time sort
-// then never permutes. A time-permuted batch can swap individual records
-// across the attach boundary within the one straddling batch; counts,
-// offsets and watermarks stay exact.
+// skipFrom is the index of the first record of b at or past skipUntil,
+// counted from the batch's Base: exact unless b straddles skipUntil —
+// only a shard joining ahead of the plane meets one — and its time sort
+// swapped records across it. Counts, offsets and watermarks stay exact.
 func (sh *shard) skipFrom(b *stream.EventBatch) int {
 	return int(min(max(sh.skipUntil-b.Base, 0), int64(b.Len())))
 }
