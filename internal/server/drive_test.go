@@ -67,7 +67,8 @@ func fixtureServer(t testing.TB, partitions int) *Server {
 // in [from, to), a quarter second of event time per round, shards in
 // index order, each round's records as one batch at the shard's next
 // offset. A shard with no record in a round is advanced to the job's
-// watermark, as the plane's idle marker does once its partition drains.
+// highest watermark, as the plane's idle marker advances it to the
+// plane's mark once its partition drains.
 func driveShards(j *job, events []stream.Event, part func(string) int, from, to time.Time) {
 	const round = 250 * time.Millisecond
 	for lo := from; lo.Before(to); lo = lo.Add(round) {
@@ -82,21 +83,32 @@ func driveShards(j *job, events []stream.Event, part func(string) int, from, to 
 					b.AppendEvent(e)
 				}
 			}
+			mark := maxWatermark(j)
 			sh.mu.Lock()
 			if b.Len() > 0 {
 				b.Base = sh.offset
 				sh.consumeLocked(b, sh.offset+int64(b.Len()))
-				sh.mu.Unlock()
 			} else {
-				sh.mu.Unlock()
-				mark := j.maxWatermark()
-				sh.mu.Lock()
-				sh.idleLocked(mark, sh.offset)
-				sh.mu.Unlock()
+				sh.advanceLocked(stream.TimeToNanos(mark))
 			}
+			sh.mu.Unlock()
 			b.Release()
 		}
 	}
+}
+
+// maxWatermark is the highest event-time watermark across j's shards:
+// with j the only query, the plane's mark.
+func maxWatermark(j *job) time.Time {
+	var mark time.Time
+	for _, sh := range j.shards {
+		sh.mu.Lock()
+		if sh.wm.After(mark) {
+			mark = sh.wm
+		}
+		sh.mu.Unlock()
+	}
+	return mark
 }
 
 // servedFixture reads a JSON map of served windows.

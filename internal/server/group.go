@@ -10,8 +10,8 @@ import (
 
 // A sampling group owns the one pane sampler its sharing members share,
 // under the group lock. The lock order is plane → group → shard → job:
-// the drainer, join, detach and idle punctuation hold the group lock and
-// take one member's shard lock at a time, and a sharing member's
+// the drainer, the sweep, join and detach hold the group lock and take
+// one member's shard lock at a time, and a sharing member's
 // checkpoint takes the group lock before its shard's. No path holds two
 // shards' locks at once.
 
@@ -163,21 +163,29 @@ func (sub *subQueue) cut(start int64, s *sampling.Sample, _ int64) {
 	sub.summed = sub.summed[:0]
 }
 
-// apply applies one batch to every member: the group's sampler samples it
-// for the sharing members, each private member's for itself, and a
-// private member that then stands at the group's point shares.
+// apply applies one delivery to every member: the group's sampler takes
+// it for the sharing members, each private member's for itself, and a
+// private member that then stands at the group's point shares. A member
+// that joined past a marker's position skips the marker.
 func (sub *subQueue) apply(d planeDelivery) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	for i, sh := range sub.members {
 		sh.mu.Lock()
-		if i == 0 && sub.ps != nil {
-			if from := sh.skipFrom(d.batch); from < d.batch.Len() {
+		lead := i == 0 && sub.ps != nil
+		switch {
+		case d.batch != nil:
+			if from := sh.skipFrom(d.batch); lead && from < d.batch.Len() {
 				sub.ps.Push(d.batch, from, d.batch.Len(), sub.cut)
 			}
+			sh.consumeLocked(d.batch, d.next)
+		case sh.skipUntil <= d.next:
+			if lead {
+				sub.ps.Advance(d.mark, sub.cut)
+			}
+			sh.advanceLocked(d.mark)
 		}
 		sh.depth.Set(float64(len(sub.ch)))
-		sh.consumeLocked(d.batch, d.next)
 		if d.haveHWM {
 			sh.setLag(d.hwm - sh.offset)
 		}
@@ -188,34 +196,5 @@ func (sub *subQueue) apply(d planeDelivery) {
 	}
 	for _, sh := range sub.members[1:] {
 		sub.share(sh)
-	}
-}
-
-// idle applies an idle punctuation: every member advances to its own
-// job's highest watermark as the marker captured it when queued, as an
-// ungrouped shard would. The group's sampler advances to its first
-// member's mark, so a sharing member whose job stood elsewhere first
-// leaves with a copy, and shares again once it is back at the group's
-// point of the stream: no record is dropped as late that an ungrouped
-// shard would keep. A member the marker has no mark for joined after it
-// was queued; it leaves the shared sampler too and does not advance.
-func (sub *subQueue) idle(d planeDelivery) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	lead, leadOK := d.marks[sub.members[0]]
-	for _, sh := range sub.members[1:] {
-		if mark, ok := d.marks[sh]; !ok || !leadOK || !mark.Equal(lead) {
-			sub.leave(sh)
-		}
-	}
-	if n, ok := stream.UnixNanos(lead); ok && leadOK && sub.ps != nil {
-		sub.ps.Advance(n, sub.cut)
-	}
-	for _, sh := range sub.members {
-		if mark, ok := d.marks[sh]; ok {
-			sh.mu.Lock()
-			sh.idleLocked(mark, d.hwm)
-			sh.mu.Unlock()
-		}
 	}
 }

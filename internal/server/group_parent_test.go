@@ -73,10 +73,10 @@ func groupedRounds(n int) [][2][]stream.Event {
 // group in turn. Query 4 registers late: it replays rounds 0–18 privately,
 // joins while the groups stand at round 16 and shares once they reach
 // it. Query 0, which leads both groups, is deleted mid-pane after round
-// 41. After round 60 an idle marker reaches both groups, on partition 1
-// with query 2's mark 700 ms ahead of the others'. After round 80, mid-pane,
-// every query is checkpointed and restored into a fresh server, which
-// serves the rest; at the end every query is deleted.
+// 41. After round 60 an idle marker carrying the plane's mark — the
+// highest watermark of any query — reaches both groups. After round 80,
+// mid-pane, every query is checkpointed and restored into a fresh
+// server, which serves the rest; at the end every query is deleted.
 func driveGroups(t *testing.T) groupedRun {
 	rounds := groupedRounds(15000)
 	specs := groupedSpecs()
@@ -132,23 +132,16 @@ func driveGroups(t *testing.T) groupedRun {
 		if r == idleAt {
 			var mark time.Time
 			for _, j := range jobs {
-				if j != nil && j.maxWatermark().After(mark) {
-					mark = j.maxWatermark()
+				if j != nil && maxWatermark(j).After(mark) {
+					mark = maxWatermark(j)
 				}
 			}
 			for p, pi := range rg.srv.ing.parts {
 				pi.mu.Lock()
-				marks := make(map[*shard]time.Time, len(pi.subs))
-				for sh := range pi.subs {
-					marks[sh] = mark
-					if p == 1 && sh.job == jobs[2] {
-						marks[sh] = mark.Add(700 * time.Millisecond)
-					}
-				}
 				groups := slices.Clone(pi.groups)
 				pi.mu.Unlock()
 				for _, sub := range groups {
-					sub.idle(planeDelivery{idle: true, hwm: rg.next[p], marks: marks})
+					sub.apply(planeDelivery{next: rg.next[p], hwm: rg.next[p], haveHWM: true, mark: stream.TimeToNanos(mark)})
 				}
 			}
 		}
@@ -209,9 +202,8 @@ func driveGroups(t *testing.T) groupedRun {
 // TestGroupedWindowsMatchParent pins the sampling groups to the build
 // whose members followed a leader's Session: through a late query that
 // samples privately and then shares, the deletion of the groups' first
-// member mid-pane, an idle marker with unequal marks that splits a member
-// off until it stands at the group's point again, and a mid-pane
-// checkpoint restored into a fresh server, every query serves the same
+// member mid-pane, an idle marker, and a mid-pane checkpoint restored
+// into a fresh server, every query serves the same
 // windows bit for bit, every shard drops the same records as late and
 // every partition runs the same number of samplers.
 func TestGroupedWindowsMatchParent(t *testing.T) {

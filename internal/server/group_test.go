@@ -220,8 +220,8 @@ func TestUnshareableQueriesNeverGroup(t *testing.T) {
 }
 
 // (f) A partition whose strata fall silent idles past idleAdvanceFloor
-// while its peer keeps advancing: its grouped shards are punctuated up
-// to their jobs' watermarks, every window still merges, and nothing is
+// while its peer keeps advancing: its idle markers advance its grouped
+// shards to the plane's mark, every window still merges, and nothing is
 // dropped as late.
 func TestGroupOnSparsePartitionMergesAndDropsNothing(t *testing.T) {
 	bk := broker.New()
@@ -263,5 +263,97 @@ func TestGroupOnSparsePartitionMergesAndDropsNothing(t *testing.T) {
 				t.Errorf("query %s shard %d dropped %v late events", j.id, sh.idx, late)
 			}
 		}
+	}
+}
+
+// quietCluster holds partition 0's fetches until its gate opens: a
+// partition that never polls cannot idle, so no marker reaches it before
+// its groups are formed.
+type quietCluster struct{ *gatedCluster }
+
+func (q quietCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	if partition == 0 {
+		return q.gatedCluster.FetchBatch(topic, partition, offset, max, b)
+	}
+	return q.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
+// (g) Two queries share the group on an empty partition while the second
+// one's shard on the loaded partition is held behind the plane, so their
+// jobs' watermarks differ when the empty partition's idle marker fires:
+// the marker carries the plane's one mark, the group's sampler advances
+// once for both and nobody leaves the group. Every window is served once
+// and no record is late.
+func TestIdleMarkerNeverSplitsAGroup(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	partOf := func(key string) int {
+		h := fnv.New32a()
+		_, _ = h.Write([]byte(key))
+		return int(h.Sum32() % 2)
+	}
+	var events []stream.Event
+	for _, e := range makeEvents(61, 8000) {
+		if partOf(e.Stratum) == 1 {
+			events = append(events, e)
+		}
+	}
+	if _, err := produceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	bc := newBacklogCluster(bk)
+	quiet := quietCluster{newGatedCluster(bc)}
+	s, err := New(Config{Cluster: quiet, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer quiet.open()
+	specs := groupSpecs(2)
+	jobs := registerAll(t, s, specs[:1])
+	waitJobRecords(t, jobs[0], int64(len(events)), 10*time.Second)
+	bc.hold()
+	released := false
+	defer func() {
+		if !released {
+			bc.release()
+		}
+	}()
+	jobs = append(jobs, registerAll(t, s, specs[1:])...)
+	empty := s.ing.parts[0]
+	if got := empty.samplersGauge.Value(); got != 1 {
+		t.Fatalf("empty partition runs %v samplers before its marker, want its group's 1", got)
+	}
+	quiet.open()
+	first := jobs[0].shards[0]
+	for stop := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		first.mu.Lock()
+		marked := !first.wm.IsZero()
+		first.mu.Unlock()
+		if marked {
+			break
+		}
+		if time.Now().After(stop) {
+			t.Fatal("no idle marker reached the empty partition")
+		}
+	}
+	if got := empty.samplersGauge.Value(); got != 1 {
+		t.Errorf("empty partition runs %v samplers after its marker, want its group's 1", got)
+	}
+	bc.release()
+	released = true
+	for _, j := range jobs {
+		waitJobRecords(t, j, int64(len(events)), 10*time.Second)
+		checkWindowsOnce(t, j, events)
+		for _, sh := range j.shards {
+			if late := sh.lateMetric.Value(); late != 0 {
+				t.Errorf("query %s shard %d dropped %v late events", j.id, sh.idx, late)
+			}
+		}
+	}
+	if got := empty.samplersGauge.Value(); got != 1 {
+		t.Errorf("empty partition runs %v samplers at the end, want its group's 1", got)
 	}
 }

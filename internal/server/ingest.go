@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"streamapprox/internal/broker"
@@ -45,29 +46,29 @@ type traceSetter interface{ SetTraceID(uint64) }
 // under the plane's lock, so no record is lost or duplicated. A shard
 // attaching ahead of the plane (From "latest") joins at once and drops
 // records below its start.
+//
+// The plane keeps one event-time mark for the topic: the latest event
+// time any partition loop has read. A partition that polls empty — the
+// broker serves up to its committed high watermark, so an empty poll at
+// the plane position means it is drained — for idleAdvanceFloor queues a
+// marker to its groups: a delivery without a batch, carrying the mark,
+// which advances every member's sampler there, so windows a quiet
+// partition would hold back still merge.
 
 // fetchMax bounds one fetch round's record count, on the plane and the
 // sweep behind it alike.
 const fetchMax = 4096
 
-// idleAdvanceAfter is the number of consecutive empty polls after which
-// an idle partition considers pushing its attached sinks to the peers'
-// watermark. High enough that a partition that has merely caught up
-// with a live producer does not race ahead and drop the producer's next
-// records as late.
-const idleAdvanceAfter = 10
-
-// idleAdvanceFloor is the minimum WALL-CLOCK time a partition must stay
-// empty before idle punctuation fires. Poll counts alone are a bad
-// idleness signal under tight backoffs: a broker riding out a slow
-// fsync or a failover replay looks identical to a truly quiet partition
-// for tens of milliseconds, and punctuating then advances the shard to
-// its peers' watermark — so the stalled records, when they finally
-// commit, land in windows that have already fired and are dropped as
-// late. The floor makes "idle" mean "idle longer than any transient
-// stall the chaos plane injects", trading punctuation latency on truly
-// sparse partitions (bounded, and invisible next to window slides) for
-// accuracy under faults.
+// idleAdvanceFloor is the WALL-CLOCK time every poll of a partition must
+// come back empty before it queues a marker, and again between markers;
+// a failed poll starts it over. A broker riding out a slow fsync or a
+// failover replay looks like a quiet partition for tens of milliseconds,
+// and a marker then would advance the samplers to the plane's mark — so
+// the stalled records, when they finally commit, land in windows that
+// have already fired and are dropped as late. The floor makes "idle"
+// mean "idle longer than any transient stall the chaos plane injects",
+// trading marker latency on truly sparse partitions (bounded, and
+// invisible next to window slides) for accuracy under faults.
 const idleAdvanceFloor = 250 * time.Millisecond
 
 // hwmEvery bounds how often a busy partition loop asks the broker for
@@ -96,6 +97,9 @@ type ingest struct {
 	backoff    time.Duration
 	log        *slog.Logger
 	queueDepth int // per-group delivery queue bound, in batches
+	// mark is the latest event time any partition loop has read, in unix
+	// nanos: what an idle marker advances its groups to.
+	mark atomic.Int64
 
 	parts []*partIngest
 	wg    sync.WaitGroup
@@ -133,17 +137,17 @@ type groupKey struct {
 	fraction float64
 }
 
-// planeDelivery is one fan-out unit: a shared columnar batch or an idle
-// punctuation marker. A batch delivery carries one reference per
-// enqueued sub; the drainer Releases it after applying. A marker carries
-// each attached shard's job watermark as of its queueing (read-only).
+// planeDelivery is one fan-out unit: a shared columnar batch, ending at
+// offset next, or — batch nil — an idle marker at plane position next,
+// carrying the plane's mark as of the empty poll that queued it. A batch
+// delivery carries one reference per enqueued group; the drainer
+// Releases it after applying.
 type planeDelivery struct {
 	batch   *stream.EventBatch
 	next    int64
 	hwm     int64
 	haveHWM bool
-	idle    bool
-	marks   map[*shard]time.Time
+	mark    int64 // a marker's event time, in unix nanos
 }
 
 // partIngest is the plane for one partition: one consumer, one loop,
@@ -187,6 +191,7 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	topic string, parts int, backoff time.Duration,
 	log *slog.Logger, reg *metrics.Registry) (*ingest, error) {
 	ing := &ingest{cluster: cluster, topic: topic, backoff: backoff, log: log, queueDepth: queueDepth}
+	ing.mark.Store(stream.ZeroTimeNanos)
 	for p := 0; p < parts; p++ {
 		pc := cluster
 		var closer io.Closer
@@ -308,10 +313,8 @@ func (sub *subQueue) end() {
 // or is shed; applied, the group then dissolves or waits for the sweep.
 func (pi *partIngest) drain(sub *subQueue) {
 	for d := range sub.ch {
-		if d.idle {
-			sub.idle(d)
-		} else {
-			sub.apply(d)
+		sub.apply(d)
+		if d.batch != nil {
 			d.batch.Release()
 		}
 	}
@@ -433,7 +436,7 @@ func (pi *partIngest) loop(start int64) {
 	defer pi.ing.wg.Done()
 	cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, start)
 	back := backoff{done: pi.done, d: pi.ing.backoff}
-	idle, fails := 0, 0
+	fails := 0
 	var idleSince, hwmAt time.Time
 	for {
 		select {
@@ -446,11 +449,16 @@ func (pi *partIngest) loop(start int64) {
 		pi.mu.Unlock()
 		if !fed {
 			// Nobody listening: pause without advancing the plane.
+			idleSince = time.Time{}
 			if !back.pause() {
 				return
 			}
 			continue
 		}
+		// The plane's mark as the poll starts: one read after an empty
+		// poll could count records committed after it, beside this
+		// partition's next ones.
+		mark := pi.ing.mark.Load()
 		t0 := time.Now()
 		b, err := cons.PollBatch(fetchMax)
 		pi.decodeHist.Observe(time.Since(t0).Seconds())
@@ -460,6 +468,7 @@ func (pi *partIngest) loop(start int64) {
 				return
 			default:
 			}
+			idleSince = time.Time{}
 			fails++
 			if fails >= watchdogAfter {
 				fails = 0
@@ -472,28 +481,20 @@ func (pi *partIngest) loop(start int64) {
 		}
 		fails = 0
 		if b == nil {
-			if idle == 0 {
-				idleSince = time.Now()
-			}
-			idle++
-			// Punctuate only a CONFIRMED-idle partition: enough empty
-			// polls, enough wall-clock silence, and the broker agrees
-			// there is nothing committed left to read. The drain check
-			// costs one RPC, so it runs every idleAdvanceAfter polls,
-			// not every poll.
-			if idle%idleAdvanceAfter == 0 && time.Since(idleSince) >= idleAdvanceFloor {
-				if hwm, ok := pi.drained(); ok {
-					pi.idleAdvance(hwm)
-				}
+			if now := time.Now(); idleSince.IsZero() {
+				idleSince = now
+			} else if now.Sub(idleSince) >= idleAdvanceFloor {
+				idleSince = now
+				pi.punctuate(mark)
 			}
 			if !back.pause() {
 				return
 			}
 			continue
 		}
-		idle = 0
+		idleSince = time.Time{}
 		// A high-watermark read (best effort) for the lag gauges, at most
-		// every hwmEvery; an idle partition's drain check refreshes them.
+		// every hwmEvery; an idle marker settles them.
 		hwm, haveHWM := int64(0), false
 		if now := time.Now(); now.Sub(hwmAt) >= hwmEvery {
 			hwmAt = now
@@ -536,6 +537,12 @@ func (pi *partIngest) reroute() {
 // moment the last drainer is done with it.
 func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool) {
 	n := int64(b.Len())
+	last := b.Times[n-1] // the batch is in event-time order
+	for m := pi.ing.mark.Load(); last > m; m = pi.ing.mark.Load() {
+		if pi.ing.mark.CompareAndSwap(m, last) {
+			break
+		}
+	}
 	pi.recordsMetric.Add(float64(n))
 	pi.throughput.Mark(n)
 	pi.batchHist.Observe(float64(n))
@@ -574,49 +581,24 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 	}
 }
 
-// drained reports whether the plane has delivered every record the
-// broker will currently serve: the committed high watermark, which it
-// returns, has not moved past the delivered offset. Best effort — an
-// unreachable broker (failover in progress) reads as NOT drained, which
-// is exactly when punctuating would be wrong.
-func (pi *partIngest) drained() (hwm int64, ok bool) {
-	hwm, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx)
-	if err != nil {
-		return 0, false
-	}
+// punctuate queues an idle marker at the plane position for every
+// sampling group on the plane, carrying mark. The position stands for
+// the high watermark, as the poll that found the partition drained read
+// it, so the lag gauges settle at zero. Best effort: a full queue skips
+// the marker (the next one fires again).
+func (pi *partIngest) punctuate(mark int64) {
 	pi.mu.Lock()
-	next := pi.next
-	pi.mu.Unlock()
-	pi.lagGauge.Set(float64(hwm - next))
-	return hwm, next >= hwm
-}
-
-// idleAdvance enqueues an idle punctuation for every sampling group on
-// the plane, pushing event-time watermarks forward on a quiet partition
-// so windows a sparsely keyed partition would hold back still merge, and
-// carrying the drain check's high watermark so the queries' lag gauges
-// settle. The marker carries each fed shard's job watermark read now, not
-// when a lagging drainer reaches it: records queued behind it are not
-// late. Reading them under pi.mu takes shard locks after the plane's, as
-// the lock order has it. Best effort: a full queue skips the marker (the
-// next one fires again).
-func (pi *partIngest) idleAdvance(hwm int64) {
-	pi.mu.Lock()
-	marks := make(map[*shard]time.Time, len(pi.subs))
-	for sh, sub := range pi.subs {
-		if sub.onPlane() {
-			marks[sh] = sh.job.maxWatermark()
-		}
-	}
+	d := planeDelivery{next: pi.next, hwm: pi.next, haveHWM: true, mark: mark}
 	for _, sub := range pi.groups {
 		if sub.onPlane() {
 			select {
-			case sub.ch <- planeDelivery{idle: true, hwm: hwm, marks: marks}:
+			case sub.ch <- d:
 			default:
 			}
 		}
 	}
 	pi.mu.Unlock()
+	pi.lagGauge.Set(0)
 }
 
 // sweep makes sure the partition's one reader behind the plane runs, now

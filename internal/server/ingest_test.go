@@ -519,9 +519,10 @@ func (c *hwmCountingCluster) HighWatermark(topic string, partition int) (int64, 
 }
 
 // The partition loop reads the broker's high watermark at most every
-// hwmEvery while batches flow — it only feeds the lag gauges — and the
-// idle drain check brings all three gauges to zero once the partition is
-// consumed, however stale the last in-flow reading was.
+// hwmEvery while batches flow — it only feeds the lag gauges — and an
+// idle marker brings all three gauges to zero once the partition is
+// consumed, however stale the last in-flow reading was, with no read of
+// its own.
 func TestLagGaugesSettleWithThrottledHighWatermark(t *testing.T) {
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 1); err != nil {
@@ -558,6 +559,13 @@ func TestLagGaugesSettleWithThrottledHighWatermark(t *testing.T) {
 				pi.lagGauge.Value(), j.shards[0].lag.Load(), j.lagGauge.Value())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	// An empty poll is the drain check: idling costs the broker its
+	// fetches and nothing else.
+	reads := cc.hwms.Load()
+	time.Sleep(3 * idleAdvanceFloor)
+	if n := cc.hwms.Load() - reads; n != 0 {
+		t.Errorf("%d high-watermark reads over %v of idling, want none", n, 3*idleAdvanceFloor)
 	}
 }
 
@@ -760,7 +768,7 @@ func TestIdleMarkerKeepsRecordsQueuedBehindIt(t *testing.T) {
 		next := pi.next
 		pi.mu.Unlock()
 		hwm, _ := bk.HighWatermark("in", 0)
-		if next == hwm && j.shards[1].records.Load() == 200 && !j.maxWatermark().Before(base.Add(3990*time.Millisecond)) {
+		if next == hwm && j.shards[1].records.Load() == 200 && !maxWatermark(j).Before(base.Add(3990*time.Millisecond)) {
 			break
 		}
 		if time.Since(held) > 10*time.Second {

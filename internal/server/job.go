@@ -316,19 +316,6 @@ func (j *job) subscribe() (<-chan struct{}, func()) {
 	}
 }
 
-// maxWatermark returns the highest event-time watermark across shards.
-func (j *job) maxWatermark() time.Time {
-	var max time.Time
-	for _, sh := range j.shards {
-		sh.mu.Lock()
-		if sh.wm.After(max) {
-			max = sh.wm
-		}
-		sh.mu.Unlock()
-	}
-	return max
-}
-
 // skipToOffset arms the shard to drop plane records below its offset —
 // a query joining a queue that may still hold batches it has applied
 // (a splice from behind the plane), or that the plane delivers behind its
@@ -388,12 +375,9 @@ func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
 	if delivered > 0 && sh.ps != nil {
 		sh.ps.Push(b, from, b.Len(), sh.cut)
 	}
-	sh.offset = next
-	if sh.offset < sh.skipUntil {
-		// Still skipping ahead to the requested start: the watermark to
-		// resume from after a restart is the start, not the plane position.
-		sh.offset = sh.skipUntil
-	}
+	// Still skipping ahead to the requested start, the watermark to resume
+	// from after a restart is the start, not the plane position.
+	sh.offset = max(next, sh.skipUntil)
 	if delivered > 0 {
 		sh.records.Add(int64(delivered))
 		sh.recordsMetric.Add(float64(delivered))
@@ -418,19 +402,16 @@ func (sh *shard) setLag(lag int64) {
 	sh.job.lagGauge.Set(float64(total))
 }
 
-// idleLocked pushes an idle shard's own sampler forward to mark, its
-// job's maximum watermark, so the windows a sparsely keyed partition
-// would otherwise hold back forever fire. hwm is the partition's
-// committed high watermark as the drain check read it. A shard sharing
-// its group's sampler advances nothing: the group advanced it to the mark
-// first, so the mark reaches the merger either way.
-func (sh *shard) idleLocked(mark time.Time, hwm int64) {
-	if n, ok := stream.UnixNanos(mark); ok && sh.ps != nil {
+// advanceLocked advances the shard to an idle marker's mark n, in unix
+// nanos: its own sampler, while it samples for itself — a sharing
+// member's group advanced first — and its mark at the merger, so the
+// windows a quiet partition would hold back fire.
+func (sh *shard) advanceLocked(n int64) {
+	if sh.ps != nil {
 		sh.ps.Advance(n, sh.cut)
 	}
 	sh.wm = stream.TimeFromNanos(sh.sampler().Watermark())
-	sh.deliver(mark)
-	sh.setLag(hwm - sh.offset)
+	sh.deliver(sh.wm)
 }
 
 // deliver hands the merger the panes the shard finished and the shard's

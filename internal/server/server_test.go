@@ -600,8 +600,9 @@ func TestHugeNegativeSinceServesEverything(t *testing.T) {
 // number is refused at registration. Registered, it would run, but no
 // checkpoint of it could be written, so a restart would lose it. A spec
 // starting "from" committed, a synonym of earliest that only checkpoints
-// older than the format window carried, is refused over HTTP with a 400.
-// Nothing refused is registered.
+// older than the format window carried, is refused over HTTP with a 400,
+// as is a window under 2 ns, whose default slide would be 0 and divide by
+// zero. Nothing refused is registered.
 func TestRegisterRejectsNonFiniteSpec(t *testing.T) {
 	b := broker.New()
 	if err := b.CreateTopic("in", 1); err != nil {
@@ -620,6 +621,7 @@ func TestRegisterRejectsNonFiniteSpec(t *testing.T) {
 		"NaN edge":          {Kind: "histogram", HistogramEdges: []float64{0, nan, 10}},
 		"-Inf edge":         {Kind: "histogram", HistogramEdges: []float64{-inf, 0, 10}},
 		"+Inf edge":         {Kind: "histogram", HistogramEdges: []float64{0, 10, inf}},
+		"1ns window":        {Kind: "sum", Window: time.Nanosecond},
 	} {
 		if id, err := s.Register(sp); err == nil {
 			t.Errorf("%s: registered as %s", name, id)
@@ -627,14 +629,19 @@ func TestRegisterRejectsNonFiniteSpec(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(`{"kind":"sum","from":"committed"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "not one of earliest, latest") {
-		t.Errorf(`from "committed": %d %s, want 400 naming earliest and latest`, resp.StatusCode, body)
+	for body, want := range map[string]string{
+		`{"kind":"sum","from":"committed"}`: "not one of earliest, latest",
+		`{"kind":"sum","window":"1ns"}`:     "too short",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		got, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(got), want) {
+			t.Errorf("%s: %d %s, want 400 saying %q", body, resp.StatusCode, got, want)
+		}
 	}
 	if jobs := s.jobs(); len(jobs) != 0 {
 		t.Errorf("%d queries registered by refused specs", len(jobs))

@@ -151,7 +151,9 @@ func (sp *Spec) normalize() error {
 		sp.Window = 10 * time.Second
 	}
 	if sp.Slide == 0 {
-		sp.Slide = sp.Window / 2
+		if sp.Slide = sp.Window / 2; sp.Slide == 0 {
+			return fmt.Errorf("window %v is too short for its default slide, half of it", sp.Window)
+		}
 	}
 	if sp.Slide > sp.Window {
 		return fmt.Errorf("slide %v exceeds window %v", sp.Slide, sp.Window)
