@@ -200,12 +200,13 @@ func driveGroups(t *testing.T) groupedRun {
 }
 
 // TestGroupedWindowsMatchParent pins the sampling groups to the build
-// whose members followed a leader's Session: through a late query that
-// samples privately and then shares, the deletion of the groups' first
-// member mid-pane, an idle marker, and a mid-pane checkpoint restored
-// into a fresh server, every query serves the same
-// windows bit for bit, every shard drops the same records as late and
-// every partition runs the same number of samplers.
+// whose members followed a leader's Session, the idle step re-recorded
+// for the plane's one mark: through a late query that samples privately
+// and then shares, the deletion of the groups' first member mid-pane, an
+// idle marker, and a mid-pane checkpoint restored into a fresh server,
+// every query serves the same windows bit for bit, every shard drops the
+// same records as late and every partition runs the same number of
+// samplers.
 func TestGroupedWindowsMatchParent(t *testing.T) {
 	got := driveGroups(t)
 	if out := os.Getenv("GROUPED_PARENT_OUT"); out != "" {
