@@ -86,14 +86,11 @@ func BenchmarkAblationReservoirSkip(b *testing.B)    { benchFigure(b, "abl-skip"
 
 // End-to-end public API benchmarks.
 
-func BenchmarkRunOASRSBatched(b *testing.B)   { benchRun(b, Batched, OASRS) }
-func BenchmarkRunOASRSPipelined(b *testing.B) { benchRun(b, Pipelined, OASRS) }
-func BenchmarkRunNativeBatched(b *testing.B)  { benchRun(b, Batched, None) }
-
-func benchRun(b *testing.B, engine Engine, sampler Sampler) {
-	b.Helper()
+// BenchmarkRunOASRSBatched is Run on its batched engine; the pipelined
+// engine's is internal/core's BenchmarkRunOASRSPipelined.
+func BenchmarkRunOASRSBatched(b *testing.B) {
 	events := benchEvents(b)
-	cfg := Config{Engine: engine, Sampler: sampler, Fraction: 0.6, Seed: 1}
+	cfg := Config{Sampler: OASRS, Fraction: 0.6, Seed: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var items int64

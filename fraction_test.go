@@ -122,12 +122,23 @@ func TestRunAtFractionOneIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, sys := range evaluatedSystems[:4] {
-		rep, err := Run(Config{Engine: sys.engine, Sampler: sys.sampler, Fraction: cfg.Fraction, Query: cfg.Query,
-			WindowSize: cfg.WindowSize, WindowSlide: cfg.WindowSlide, Seed: cfg.Seed}, events)
+		requireExact(t, sys.name, windowsOf(t, sys, cfg, events), want)
+	}
+}
+
+// Report.Sampled counts each sampled record once, however many windows
+// cover it: at fraction 1 it is the item count on both of Run's samplers,
+// over 10 s / 5 s windows that cover each record twice.
+func TestRunSampledCountsEachRecordOnce(t *testing.T) {
+	events := risingStream([]string{"a", "b"}, 100, 400, 500)
+	for _, sampler := range []Sampler{OASRS, SimpleRandom} {
+		rep, err := Run(Config{Sampler: sampler, Fraction: 1}, events)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireExact(t, sys.name, rep.Results, want)
+		if rep.Items != 1000 || rep.Sampled != rep.Items {
+			t.Errorf("sampler %d: sampled %d of %d items", sampler, rep.Sampled, rep.Items)
+		}
 	}
 }
 
@@ -215,9 +226,9 @@ func TestRunRefusesTimeOutsideUnixNanos(t *testing.T) {
 	if _, err := Exact(Config{}, events); err == nil {
 		t.Error("Exact took a time in 2300")
 	}
-	for _, sys := range evaluatedSystems[:6] {
-		if _, err := Run(Config{Engine: sys.engine, Sampler: sys.sampler}, events); err == nil {
-			t.Errorf("%s took a time in 2300", sys.name)
+	for _, sampler := range []Sampler{OASRS, SimpleRandom} {
+		if _, err := Run(Config{Sampler: sampler}, events); err == nil {
+			t.Errorf("Run with sampler %d took a time in 2300", sampler)
 		}
 	}
 	if err := NewSession(SessionConfig{}).Push(events[5]); err == nil {

@@ -9,7 +9,8 @@
 // exceeds the target, the fraction grows by a factor of 1.5; when it is
 // comfortably below target (under half of it), the fraction decays by
 // 0.05 to reclaim throughput. The fraction stays within [0.01, 1]. A
-// Session with a TargetError is its one user.
+// Session with a TargetError runs one, and so does a served query with a
+// target_error, for all its shards.
 package adaptive
 
 // The controller's fixed tunables.

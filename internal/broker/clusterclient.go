@@ -311,9 +311,8 @@ func (cc *ClusterClient) metaView() (*ClusterMeta, error) {
 // none yet).
 func (cc *ClusterClient) Meta() (*ClusterMeta, error) { return cc.metaView() }
 
-// Refresh forces a metadata refresh, polling every reachable member —
-// the reroute lever for callers that detect a stall out of band, like
-// the ingest plane's partition watchdog.
+// Refresh forces a metadata refresh, polling every reachable member, as
+// every retry round of a routed request does.
 func (cc *ClusterClient) Refresh() error { return cc.refreshMeta() }
 
 // jitter spreads d uniformly over [d/2, 3d/2).

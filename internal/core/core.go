@@ -27,6 +27,10 @@
 //
 // All systems execute the same sliding-window linear query and produce
 // per-window approximate results with error bounds.
+//
+// The package has two users: internal/experiment, which runs every system
+// for saprox run's figures at the knobs each figure sweeps, and the root
+// package's Run, which runs SparkApprox or SparkSRS at the defaults.
 package core
 
 import (
@@ -143,7 +147,7 @@ type RunStats struct {
 	System     System
 	Results    []WindowResult
 	Items      int64         // total items ingested
-	Sampled    int64         // total items that reached the query
+	Sampled    int64         // total items that reached the query, each once
 	Elapsed    time.Duration // processing time for the whole dataset (§6.1 latency)
 	Throughput float64       // Items / Elapsed
 }
@@ -171,9 +175,6 @@ func Run(cfg Config, events []stream.Event) (*RunStats, error) {
 	stats.Items = int64(len(events))
 	if stats.Elapsed > 0 {
 		stats.Throughput = float64(stats.Items) / stats.Elapsed.Seconds()
-	}
-	for _, r := range stats.Results {
-		stats.Sampled += int64(r.Sampled)
 	}
 	return stats, nil
 }

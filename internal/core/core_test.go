@@ -137,6 +137,23 @@ func TestApproxSystemsAccuracy(t *testing.T) {
 	}
 }
 
+// TestSampledCountsEachRecordOnce: a run's Sampled counts each sampled
+// record once, not once per window that covers it: at fraction 1 every
+// system samples exactly its items, over 10 s / 5 s windows that cover
+// each record twice.
+func TestSampledCountsEachRecordOnce(t *testing.T) {
+	events := gaussianStream(t, 4)
+	for _, sys := range Systems() {
+		stats, err := Run(Config{System: sys, Fraction: 1, Seed: 3}, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Sampled != stats.Items {
+			t.Errorf("%v: sampled %d of %d items", sys, stats.Sampled, stats.Items)
+		}
+	}
+}
+
 func TestApproxSampledLessThanNative(t *testing.T) {
 	events := gaussianStream(t, 12)
 	approx, err := Run(Config{System: SparkApprox, Fraction: 0.2, Seed: 11}, events)
@@ -301,5 +318,26 @@ func TestSRSMissesRareStratumButOASRSDoesNot(t *testing.T) {
 		if _, ok := r.Result.Groups["C"]; !ok {
 			t.Errorf("OASRS window %d lost rare stratum C", i)
 		}
+	}
+}
+
+// BenchmarkRunOASRSPipelined runs the pipelined engine's replicas once
+// per op: FlinkApprox over ten seconds of the §5.1 workload.
+func BenchmarkRunOASRSPipelined(b *testing.B) {
+	events := gaussianStream(b, 10)
+	cfg := Config{System: FlinkApprox, Fraction: 0.6, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var items int64
+	for i := 0; i < b.N; i++ {
+		stats, err := Run(cfg, events)
+		if err != nil {
+			b.Fatal(err)
+		}
+		items += stats.Items
+	}
+	b.StopTimer()
+	if elapsed := b.Elapsed().Seconds(); elapsed > 0 {
+		b.ReportMetric(float64(items)/elapsed, "items/s")
 	}
 }

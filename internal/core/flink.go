@@ -84,10 +84,12 @@ func runPipelined(cfg Config, events []stream.Event) (*RunStats, error) {
 	panes := slices.Concat(replicas...)
 	slices.SortStableFunc(panes, func(a, b query.Pane) int { return a.Start.Compare(b.Start) })
 	w := newWindows(cfg)
+	var sampled int64
 	for _, p := range panes {
+		sampled += int64(p.Summary.SampledCount())
 		w.Add(p.Start, p.Summary)
 	}
-	return &RunStats{Results: w.flush()}, nil
+	return &RunStats{Results: w.flush(), Sampled: sampled}, nil
 }
 
 // chunkSize is the transport's buffer: a replica receives its records in

@@ -28,6 +28,7 @@ import (
 func runBatched(cfg Config, events []stream.Event) (*RunStats, error) {
 	rng := xrand.New(cfg.Seed)
 	w := newWindows(cfg)
+	var sampled int64
 
 	// The OASRS sampler persists across batches so its per-stratum sizing
 	// adapts from one interval to the next (Algorithm 3's Update(S)).
@@ -52,8 +53,9 @@ func runBatched(cfg Config, events []stream.Event) (*RunStats, error) {
 		// the windows it completes fire at once.
 		w.Add(b.start.Truncate(cfg.WindowSlide), cfg.Query.Summarize(s))
 		w.Fire(b.start, w.emit)
+		sampled += int64(s.SampledCount())
 	}
-	return &RunStats{Results: w.flush()}, nil
+	return &RunStats{Results: w.flush(), Sampled: sampled}, nil
 }
 
 // microBatch is the events whose times fall in one batch interval.

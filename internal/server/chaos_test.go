@@ -225,8 +225,9 @@ func TestClusterAsymmetricPartitionNoLossNoDup(t *testing.T) {
 		time.Since(faultAt).Round(time.Millisecond), maxProduce.Round(time.Millisecond))
 
 	// The query must consume every produced record exactly once — the
-	// ingest watchdog reroutes the stalled partition consumer; acked
-	// records replicated to the survivors are all there.
+	// routing client refreshes its metadata on every retry round of a
+	// stalled partition's poll; acked records replicated to the survivors
+	// are all there.
 	total := int64(len(events))
 	deadline = time.Now().Add(30 * time.Second)
 	for {

@@ -44,6 +44,9 @@ type checkpointFile struct {
 	ID      string `json:"id"`
 	Spec    Spec   `json:"spec"`
 	Seq     int64  `json:"seq"`
+	// Fraction is the controller's under a target error: absent otherwise,
+	// and from older files, which resume at their first shard's.
+	Fraction float64 `json:"fraction,omitempty"`
 
 	Shards []shardCheckpoint `json:"shards"`
 	// Served is the merger's fired mark: every window ending at or before
@@ -96,6 +99,9 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 	}
 	j.mu.Lock()
 	cf.Seq = j.seq
+	if j.ctl != nil {
+		cf.Fraction = j.ctl.Fraction()
+	}
 	m := j.merger
 	cf.Served = m.windows.Fired
 	cf.Slides = m.capture()
@@ -124,23 +130,28 @@ func (m *merger) capture() []slideCheckpoint {
 	return out
 }
 
-// restore rebuilds the job's shards and merger from a checkpoint: each
-// shard then hands the merger the panes its session holds and its
-// watermark, which may fire windows.
+// restore rebuilds the job's shards, controller and merger from a
+// checkpoint: each shard then hands the merger the panes its session
+// holds and its watermark, which may fire windows, and takes the
+// controller's fraction.
 func (j *job) restore(cf *checkpointFile) error {
 	byPart := make(map[int]shardCheckpoint, len(cf.Shards))
 	for _, sc := range cf.Shards {
 		byPart[sc.Partition] = sc
 	}
+	fraction := cf.Fraction
 	for _, sh := range j.shards {
 		sc, ok := byPart[sh.idx]
 		if !ok {
 			// Partition added since the checkpoint: start it fresh.
-			sh.ps = pane.NewSampler(j.spec.Slide, sh.fraction(), j.spec.seed(sh.idx))
+			sh.ps = pane.NewSampler(j.spec.Slide, j.spec.Fraction, j.spec.seed(sh.idx))
 			continue
 		}
 		if err := sh.restore(sc.Session); err != nil {
 			return fmt.Errorf("shard %d session: %w", sh.idx, err)
+		}
+		if fraction == 0 {
+			fraction = sh.ps.Fraction()
 		}
 		sh.records.Store(sc.Records)
 		sh.recordsMetric.Add(float64(sc.Records))
@@ -148,6 +159,9 @@ func (j *job) restore(cf *checkpointFile) error {
 		sh.offset = sc.Offset
 	}
 	j.mu.Lock()
+	if j.ctl != nil && fraction > 0 {
+		j.ctl = adaptive.NewController(j.spec.TargetError, fraction)
+	}
 	j.seq = cf.Seq
 	j.merger.windows.Fired = cf.Served
 	for _, sc := range cf.Slides {
@@ -160,7 +174,6 @@ func (j *job) restore(cf *checkpointFile) error {
 	j.mu.Unlock()
 	for _, sh := range j.shards {
 		sh.mu.Lock()
-		sh.observed = j.seq
 		sh.deliver(sh.wm)
 		sh.mu.Unlock()
 	}
@@ -179,18 +192,15 @@ func (sh *shard) snapshot() ([]byte, error) {
 	return json.Marshal(st)
 }
 
-// restore rebuilds the shard's own sampler, its controller's position and
-// the panes it had not handed over from a session snapshot of a version
-// pane.Decode reads.
+// restore rebuilds the shard's own sampler, at the fraction it sampled
+// at, and the panes it had not handed over from a session snapshot of a
+// version pane.Decode reads.
 func (sh *shard) restore(data []byte) error {
 	st, err := pane.Decode(data)
 	if err != nil {
 		return err
 	}
-	if sh.ctl != nil {
-		sh.ctl = adaptive.NewController(sh.job.spec.TargetError, st.State.Fraction)
-	}
-	if sh.ps, err = st.State.Restore(sh.job.spec.Slide, sh.fraction()); err != nil {
+	if sh.ps, err = st.State.Restore(sh.job.spec.Slide, st.State.Fraction); err != nil {
 		return err
 	}
 	sh.wm = stream.TimeFromNanos(sh.ps.Watermark())

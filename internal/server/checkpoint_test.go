@@ -778,6 +778,69 @@ func TestTornIngestStateDoesNotBlockRestart(t *testing.T) {
 	}
 }
 
+// TestRestoredTargetErrorSamplesAtOneFraction: a target_error query
+// checkpointed while its shards sample at different fractions — one shard
+// has delivered since the query's fraction moved, the other not yet —
+// restores to one fraction: once each shard has delivered, every shard
+// samples at it, to the end of the stream.
+func TestRestoredTargetErrorSamplesAtOneFraction(t *testing.T) {
+	spec := Spec{Kind: "mean", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.3, TargetError: 0.02}
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	srv := fixtureServer(t, 2)
+	j, err := newJob("q", spec, srv, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := fixtureStream(5, 20000)
+	const round = 250 * time.Millisecond
+	fractions := func(j *job) []float64 {
+		var out []float64
+		for _, sh := range j.shards {
+			sh.mu.Lock()
+			out = append(out, sh.ps.Fraction())
+			sh.mu.Unlock()
+		}
+		return out
+	}
+	lo, end := events[0].Time, events[len(events)-1].Time
+	for ; lo.Before(end); lo = lo.Add(round) {
+		driveShards(j, events, keyedBy(2), lo, lo.Add(round))
+		if f := fractions(j); f[0] != f[1] {
+			break
+		}
+	}
+	if !lo.Before(end) {
+		t.Fatal("the shards never sampled at different fractions")
+	}
+	cf, err := j.checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back checkpointFile
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	r, err := newJob("q", spec, srv, &back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveShards(r, events, keyedBy(2), lo.Add(round), end)
+	for _, sh := range r.shards {
+		sh.mu.Lock()
+		sh.deliver(time.Time{})
+		sh.mu.Unlock()
+	}
+	if f := fractions(r); f[0] != f[1] {
+		t.Errorf("restored shards sample at %v once each has delivered, want one fraction", f)
+	}
+}
+
 // testdata/checkpoint_v3 was written at commit df8d9d8, the last whose
 // server also kept the plane's position in a shared _ingest.json: a
 // grouped pair, a mean and a late sum from earliest over two partitions.

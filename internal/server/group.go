@@ -58,7 +58,7 @@ func (sub *subQueue) take(sh *shard) {
 func (sub *subQueue) share(sh *shard) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sub.ps != nil && sh.ps != nil && sh.offset == sub.offset && sh.ps.SamePoint(sub.ps) {
+	if sh.ps != nil && sh.offset == sub.offset && sh.ps.SamePoint(sub.ps) {
 		sh.lateOff += sh.ps.Late() - sub.ps.Late()
 		sh.ps = nil
 		sh.sharing.Store(sub)
@@ -94,14 +94,14 @@ func (sub *subQueue) hand(sh *shard) {
 func (sub *subQueue) shares(sh *shard) bool { return sh.sharing.Load() == sub }
 
 // remove takes sh out of a group it does not leave empty, keeping a
-// sampler of its own. While the group has a sampler its first member
-// shares it; when that member leaves, the next sharing member becomes
-// first, or — none sharing — the member leaves with the group's sampler
-// and the group takes the next member's. Either way every private member
-// then standing at the group's point shares. Callers hold sub.mu.
+// sampler of its own. The group's first member shares its sampler; when
+// that member leaves, the next sharing member becomes first, or — none
+// sharing — the member leaves with the group's sampler and the group
+// takes the next member's. Either way every private member then standing
+// at the group's point shares. Callers hold sub.mu.
 func (sub *subQueue) remove(sh *shard) {
 	i := slices.Index(sub.members, sh)
-	if i == 0 && sub.ps != nil {
+	if i == 0 {
 		i = slices.IndexFunc(sub.members[1:], sub.shares) + 1
 		if i == 0 {
 			i = 1
@@ -172,7 +172,7 @@ func (sub *subQueue) apply(d planeDelivery) {
 	defer sub.mu.Unlock()
 	for i, sh := range sub.members {
 		sh.mu.Lock()
-		lead := i == 0 && sub.ps != nil
+		lead := i == 0
 		switch {
 		case d.batch != nil:
 			if from := sh.skipFrom(d.batch); lead && from < d.batch.Len() {

@@ -32,8 +32,8 @@ type traceSetter interface{ SetTraceID(uint64) }
 // the same slide and the same fixed fraction — form one SAMPLING GROUP:
 // one delivery queue, one drainer, and one pane sampler the group owns,
 // whose every pane each sharing member summarises through its own query.
-// A shard that cannot share (an adaptive fraction under a target error)
-// is a group of one. The group is the only thing the plane feeds: a
+// A query under a target error, whose one controller moves its fraction,
+// groups its shard alone. The group is the only thing the plane feeds: a
 // BOUNDED queue decouples it from the loop, and a group whose drainer
 // falls a full queue behind is SHED off the plane on the spot, so one
 // slow group cannot stall the loop or its peers.
@@ -78,18 +78,6 @@ const idleAdvanceFloor = 250 * time.Millisecond
 // pipeline's requests.
 const hwmEvery = 100 * time.Millisecond
 
-// watchdogAfter is the number of consecutive failed polls after which a
-// partition loop declares its path stalled and reroutes: refresh the
-// routing client's metadata. Polls already fail fast (the broker client's
-// per-request deadlines), so this bounds how long a partition pipeline
-// keeps retrying a path the cluster has failed away from.
-const watchdogAfter = 5
-
-// metaRefresher is implemented by routing clients that can be told to
-// re-poll cluster metadata (*broker.ClusterClient); the in-process
-// broker and single-connection clients have nothing to refresh.
-type metaRefresher interface{ Refresh() error }
-
 // ingest is one plane: a set of partition loops over one topic.
 type ingest struct {
 	cluster    broker.Cluster // control-plane connection, read behind the plane
@@ -111,15 +99,14 @@ type ingest struct {
 // rounds — and the pane sampler its members share. The group's sampler
 // samples each batch once, and every sharing member summarises its panes; a
 // private member (out of step with the group) samples for itself until it
-// stands at the group's point of the stream, then shares. A group under
-// the zero key has no sampler: its one member samples for itself.
+// stands at the group's point of the stream, then shares.
 type subQueue struct {
-	key groupKey // zero: a group of one, never joined
+	key groupKey
 	// mu guards members, ps, offset and summed, and is held across each
 	// delivery's application, so shards join and leave between batches.
 	mu      sync.Mutex
-	members []*shard      // members[0] shares ps while the group has one
-	ps      *pane.Sampler // the shared sampler (nil under the zero key)
+	members []*shard      // members[0] shares ps
+	ps      *pane.Sampler // the shared sampler
 	offset  int64         // the next offset ps samples
 	summed  []*shard      // cut's scratch: the members summarised so far
 	// Guarded by the partition lock: ch, nil while the sweep feeds the
@@ -131,10 +118,12 @@ type subQueue struct {
 }
 
 // groupKey is what makes two shards' samplers interchangeable on a
-// partition: the slide and the fixed fraction of their sessions.
+// partition: the slide and the fixed fraction of their sessions, or the
+// job whose controller moves an adaptive one.
 type groupKey struct {
 	slide    time.Duration
 	fraction float64
+	owner    *job
 }
 
 // planeDelivery is one fan-out unit: a shared columnar batch, ending at
@@ -262,24 +251,19 @@ func (pi *partIngest) join(sh *shard) {
 }
 
 // live is the index of the group on the plane that shards of key join, or
-// -1: none is, or key is the zero key, which never shares. Callers hold pi.mu.
+// -1. Callers hold pi.mu.
 func (pi *partIngest) live(key groupKey) int {
-	if key == (groupKey{}) {
-		return -1
-	}
 	return slices.IndexFunc(pi.groups, func(sub *subQueue) bool { return sub.key == key && sub.onPlane() })
 }
 
 // group starts a new group of sh alone at from — on the plane when from is
 // the plane position, otherwise behind it, for the sweep — which takes
-// sh's sampler when its key lets others share it. Callers hold pi.mu.
+// sh's sampler. Callers hold pi.mu.
 func (pi *partIngest) group(sh *shard, from int64) {
 	pi.samplersGauge.Add(1)
 	sub := &subQueue{key: sh.job.groupKey(), members: []*shard{sh}, samplers: pi.samplersGauge, from: from,
 		done: make(chan struct{})}
-	if sub.key != (groupKey{}) {
-		sub.take(sh)
-	}
+	sub.take(sh)
 	pi.groups = append(pi.groups, sub)
 	pi.subs[sh] = sub
 	if from == pi.next {
@@ -436,7 +420,6 @@ func (pi *partIngest) loop(start int64) {
 	defer pi.ing.wg.Done()
 	cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, start)
 	back := backoff{done: pi.done, d: pi.ing.backoff}
-	fails := 0
 	var idleSince, hwmAt time.Time
 	for {
 		select {
@@ -469,17 +452,11 @@ func (pi *partIngest) loop(start int64) {
 			default:
 			}
 			idleSince = time.Time{}
-			fails++
-			if fails >= watchdogAfter {
-				fails = 0
-				pi.reroute()
-			}
 			if !back.pause() {
 				return
 			}
 			continue
 		}
-		fails = 0
 		if b == nil {
 			if now := time.Now(); idleSince.IsZero() {
 				idleSince = now
@@ -507,22 +484,6 @@ func (pi *partIngest) loop(start int64) {
 			return
 		}
 	}
-}
-
-// reroute is the partition watchdog's action: force a cluster-metadata
-// refresh, so the routing layer learns about a failover the stalled
-// path masked. The consumer holds no route and nothing fetched ahead,
-// so there is nothing of it to rebuild.
-func (pi *partIngest) reroute() {
-	r, ok := pi.cluster.(metaRefresher)
-	if !ok {
-		return
-	}
-	if err := r.Refresh(); err != nil {
-		pi.ing.log.Warn("watchdog refresh failed", "partition", pi.idx, "err", err)
-		return
-	}
-	pi.ing.log.Info("watchdog refreshed routing", "partition", pi.idx)
 }
 
 // deliverBatch fans one pooled EventBatch out by reference to the queue

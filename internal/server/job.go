@@ -51,6 +51,9 @@ type job struct {
 	stopped bool
 	relErr  float64 // EWMA of merged windows' relative error bound
 	relSeen bool
+	// ctl is the query's one feedback loop under a target error (§4.2.1;
+	// nil without one): it observes each served window's error once.
+	ctl *adaptive.Controller
 
 	windowsMerged *metrics.Counter
 	mergeHist     *metrics.Histogram
@@ -76,22 +79,20 @@ type shard struct {
 	idx int // shard index == partition
 	q   query.Query
 
-	// mu guards ps, ctl, panes, lateOff, wm, offset, skipUntil and
-	// observed against the checkpointer. records/sampled/lag are atomic so
-	// the query's lag total and the progress counters need no lock.
+	// mu guards ps, panes, lateOff, wm, offset and skipUntil against the
+	// checkpointer. records/sampled/lag are atomic so the query's lag
+	// total and the progress counters need no lock.
 	mu sync.Mutex
 	// ps samples for the shard while it samples for itself; it is nil
 	// while the shard shares its group's (sharing, which changes under
 	// the group's lock and mu; the group's lock guards that sampler).
 	ps        *pane.Sampler
 	sharing   atomic.Pointer[subQueue]
-	ctl       *adaptive.Controller // steers ps under a target error
-	panes     []query.Pane         // finished, not yet handed to the merger
-	lateOff   int64                // late drops beyond the sampler's own count
-	wm        time.Time            // the sampler's watermark after the last delivery
-	offset    int64                // delivery watermark: next offset to apply
-	skipUntil int64                // drop plane records below this offset (late attach ahead of plane)
-	observed  int64                // seq of the next merged window the shard's controller observes
+	panes     []query.Pane // finished, not yet handed to the merger
+	lateOff   int64        // late drops beyond the sampler's own count
+	wm        time.Time    // the sampler's watermark after the last delivery
+	offset    int64        // delivery watermark: next offset to apply
+	skipUntil int64        // drop plane records below this offset (late attach ahead of plane)
 	records   atomic.Int64
 	sampled   atomic.Int64
 	lag       atomic.Int64
@@ -129,15 +130,13 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 			"EWMA of merged windows' relative error bound", metrics.Labels{"query": id}),
 	}
 	if spec.TargetError > 0 {
+		j.ctl = adaptive.NewController(spec.TargetError, spec.Fraction)
 		srv.reg.Gauge("saproxd_query_target_rel_error",
 			"relative-error target the query was registered with", metrics.Labels{"query": id}).Set(spec.TargetError)
 	}
 	j.merger = newMerger(&j.spec, srv.parts)
 	for p := 0; p < srv.parts; p++ {
 		sh := &shard{job: j, idx: p, q: spec.combiner()}
-		if spec.TargetError > 0 {
-			sh.ctl = adaptive.NewController(spec.TargetError, spec.Fraction)
-		}
 		labels := metrics.Labels{"query": id, "shard": strconv.Itoa(p)}
 		sh.recordsMetric = srv.reg.Counter("saproxd_shard_records_total",
 			"records consumed per shard", labels)
@@ -158,7 +157,7 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		return j, nil
 	}
 	for _, sh := range j.shards {
-		sh.ps = pane.NewSampler(spec.Slide, sh.fraction(), spec.seed(sh.idx))
+		sh.ps = pane.NewSampler(spec.Slide, spec.Fraction, spec.seed(sh.idx))
 		if spec.From == "latest" {
 			var err error
 			if sh.offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx); err != nil {
@@ -169,14 +168,14 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 	return j, nil
 }
 
-// groupKey is the sampling-group key of the job's shards — zero when
-// they must sample alone: under a target error, whose adaptive fraction
-// moves per shard.
+// groupKey is the sampling-group key of the job's shards: under a target
+// error, whose fraction the job's own controller moves, one that names
+// the job, so they group alone.
 func (j *job) groupKey() groupKey {
-	if j.spec.TargetError == 0 {
-		return groupKey{j.spec.Slide, j.spec.Fraction}
+	if j.ctl != nil {
+		return groupKey{owner: j}
 	}
-	return groupKey{}
+	return groupKey{slide: j.spec.Slide, fraction: j.spec.Fraction}
 }
 
 // start attaches the shards to the ingest plane.
@@ -255,6 +254,9 @@ func (j *job) emitLocked(fw firedWindow) {
 		}
 		j.obsErrGauge.Set(j.relErr)
 	}
+	if j.ctl != nil {
+		j.ctl.Observe(streamapprox.Estimate{Value: fw.result.Value, Bound: fw.result.Error}.RelativeError())
+	}
 	for _, ch := range j.subs {
 		select {
 		case ch <- struct{}{}:
@@ -324,15 +326,6 @@ func (sh *shard) skipToOffset() {
 	sh.mu.Lock()
 	sh.skipUntil = max(sh.skipUntil, sh.offset)
 	sh.mu.Unlock()
-}
-
-// fraction is the sampling fraction the shard's own sampler samples at:
-// its controller's under a target error, the spec's otherwise.
-func (sh *shard) fraction() float64 {
-	if sh.ctl != nil {
-		return sh.ctl.Fraction()
-	}
-	return sh.job.spec.Fraction
 }
 
 // sampler is the sampler the shard's panes come from: its own, or its
@@ -415,11 +408,11 @@ func (sh *shard) advanceLocked(n int64) {
 }
 
 // deliver hands the merger the panes the shard finished and the shard's
-// watermark, publishes whatever fires, and feeds the shard's adaptive
-// controller the relative error of every window served since it last did
-// (§4.2.1): the error the query is served with. Callers hold sh.mu;
-// deliver nests j.mu inside it, the last lock of the one order
-// plane → group → shard → job.
+// watermark, publishes whatever fires, and sets the shard's sampler to
+// the fraction of the query's controller, which has observed every window
+// served so far. Callers hold sh.mu, and the group's lock while the shard
+// shares its sampler; deliver nests j.mu inside, the last lock of the one
+// order plane → group → shard → job.
 func (sh *shard) deliver(mark time.Time) {
 	j := sh.job
 	j.mu.Lock()
@@ -436,13 +429,8 @@ func (sh *shard) deliver(mark time.Time) {
 			j.emitLocked(fw)
 		}
 	}
-	if sh.ctl != nil {
-		for oldest := j.seq - int64(j.kept); sh.observed < j.seq; sh.observed++ {
-			if sh.observed >= oldest {
-				w := j.resultAt(int(sh.observed - oldest))
-				sh.ps.SetFraction(sh.ctl.Observe(streamapprox.Estimate{Value: w.Value, Bound: w.Error}.RelativeError()))
-			}
-		}
+	if j.ctl != nil {
+		sh.sampler().SetFraction(j.ctl.Fraction())
 	}
 	j.mu.Unlock()
 }

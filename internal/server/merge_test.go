@@ -287,11 +287,11 @@ func TestSpecNormalizeAndJSON(t *testing.T) {
 	}
 }
 
-// TestTargetErrorObservesMergedWindows: a target_error query's shards
-// steer their fractions by the relative error of the windows the query
-// is served, every served window once and in order (§4.2.1), not by an
-// error of their own: each shard's fraction is the one a controller fed
-// the served windows it has observed reaches.
+// TestTargetErrorObservesMergedWindows: a target_error query steers its
+// fraction by the relative error of the windows it is served, every served
+// window once and in order (§4.2.1), not by an error of its own: the
+// query's one controller reaches the fraction a controller fed the served
+// windows reaches, and each shard's sampler takes it at its next delivery.
 func TestTargetErrorObservesMergedWindows(t *testing.T) {
 	spec := Spec{Kind: "mean", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.3, TargetError: 0.002}
 	if err := spec.normalize(); err != nil {
@@ -307,16 +307,23 @@ func TestTargetErrorObservesMergedWindows(t *testing.T) {
 	if len(served) < 5 {
 		t.Fatalf("%d windows served", len(served))
 	}
+	ctl := adaptive.NewController(spec.TargetError, spec.Fraction)
+	for _, w := range served {
+		ctl.Observe(streamapprox.Estimate{Value: w.Value, Bound: w.Error}.RelativeError())
+	}
+	j.mu.Lock()
+	want := j.ctl.Fraction()
+	j.mu.Unlock()
+	if want != ctl.Fraction() || want == spec.Fraction {
+		t.Fatalf("query fraction %v, want %v (moved from %v)", want, ctl.Fraction(), spec.Fraction)
+	}
 	for _, sh := range j.shards {
-		if sh.observed < 3 {
-			t.Fatalf("shard %d observed %d windows", sh.idx, sh.observed)
-		}
-		ctl := adaptive.NewController(spec.TargetError, spec.Fraction)
-		for _, w := range served[:sh.observed] {
-			ctl.Observe(streamapprox.Estimate{Value: w.Value, Bound: w.Error}.RelativeError())
-		}
-		if got := sh.ps.Fraction(); got != ctl.Fraction() || got == spec.Fraction {
-			t.Errorf("shard %d: fraction %v, want %v (moved from %v)", sh.idx, got, ctl.Fraction(), spec.Fraction)
+		sh.mu.Lock()
+		sh.deliver(time.Time{})
+		got := sh.ps.Fraction()
+		sh.mu.Unlock()
+		if got != want {
+			t.Errorf("shard %d: fraction %v after a delivery, query's %v", sh.idx, got, want)
 		}
 	}
 }

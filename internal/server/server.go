@@ -13,7 +13,7 @@
 // amortized across all tenants, so N queries cost one topic read, not
 // N. The shards' panes are combined into a single "result ± error"
 // stream, each window one estimate over every shard's cells. A query
-// with a target error moves its own shards' sampling fractions by the
+// with a target error moves its shards' one sampling fraction by the
 // paper's feedback loop (§4.2.1) on the error it is served with; every
 // other query samples its spec's fixed fraction. Liveness and load are
 // observable at /healthz and a Prometheus-style /metrics endpoint, and
@@ -23,6 +23,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -412,10 +413,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	_, _ = s.reg.WriteTo(w)
 }
 
+// maxSpecBytes bounds a registration's body; a larger one is refused (413).
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, "decode spec: %v", err)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes)).Decode(&spec); err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, status, "decode spec: %v", err)
 		return
 	}
 	id, err := s.Register(spec)

@@ -281,6 +281,32 @@ func TestServedGroupByMeanMergesGroups(t *testing.T) {
 	}
 }
 
+// TestRegisterRefusesBodyOverOneMiB: a registration body past 1 MiB — a
+// valid spec padded with histogram edges — is refused with 413 and
+// registers nothing.
+func TestRegisterRefusesBodyOverOneMiB(t *testing.T) {
+	s := fixtureServer(t, 1)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	var spec strings.Builder
+	spec.WriteString(`{"kind":"histogram","window":"2s","slide":"1s","histogram_edges":[0`)
+	for i := 1; spec.Len() <= 1<<20; i++ {
+		fmt.Fprintf(&spec, ",%d", i)
+	}
+	spec.WriteString(`]}`)
+	resp, err := http.Post(ts.URL+"/v1/queries", "application/json", strings.NewReader(spec.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("register of %d bytes: %s", spec.Len(), resp.Status)
+	}
+	if jobs := s.jobs(); len(jobs) != 0 {
+		t.Errorf("%d queries registered", len(jobs))
+	}
+}
+
 // TestServedWindowSpansWhatItCounts: a window that is not a whole number
 // of slides is counted over whole slide segments, so it is registered and
 // served at that span: every merged window's End − Start covers exactly

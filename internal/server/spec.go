@@ -31,8 +31,8 @@ type Spec struct {
 	// fraction of each shard's previous slide segment; 1 keeps every
 	// record, so the query serves Exact's windows.
 	Fraction float64
-	// TargetError, when positive, enables adaptive feedback: each shard
-	// moves its fraction by the error the query's windows are served with.
+	// TargetError, when positive, enables adaptive feedback: the query's
+	// one controller moves every shard's fraction by the served error.
 	TargetError float64
 	// Confidence is the error-bound level: 68, 95 or 997 (default 95).
 	Confidence int

@@ -17,12 +17,6 @@ var deployments = []string{"cmd", "examples", "internal/server", "bench"}
 // unreachedAllowed are the exported names of this package that no
 // deployment names, each with the reason it stays.
 var unreachedAllowed = map[string]string{
-	"Engine":           "Run's engine choice; leaves with internal/core",
-	"BatchInterval":    "Run's micro-batch interval; leaves with internal/core",
-	"Batched":          "Run's engine choice; leaves with internal/core",
-	"Pipelined":        "Run's engine choice; leaves with internal/core",
-	"Stratified":       "Run's sampler choice; leaves with internal/core",
-	"None":             "Run's sampler choice; leaves with internal/core",
 	"Report":           "Run's result type, reached only through the returned value",
 	"HistogramBucket":  "a WindowResult field's element type, reached only through returned values",
 	"ErrClosedSession": "a sentinel error callers compare against",

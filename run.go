@@ -5,26 +5,20 @@ import (
 	"time"
 
 	"streamapprox/internal/core"
+	"streamapprox/internal/stream"
 )
 
 // Config configures a Run.
 type Config struct {
-	// Engine selects batched or pipelined execution (default Batched).
-	Engine Engine
 	// Sampler selects the sampling strategy (default OASRS).
 	Sampler Sampler
-	// Fraction is the sampling fraction in (0, 1]; ignored when Sampler
-	// is None (default 0.6, the paper's standard operating point). At 1
-	// every record is kept and Run serves Exact's windows. Run returns an
-	// error for a value below 0, above 1 or NaN.
+	// Fraction is the sampling fraction in (0, 1] (default 0.6, the
+	// paper's standard operating point). At 1 every record is kept and Run
+	// serves Exact's windows. Run returns an error for a value below 0,
+	// above 1 or NaN.
 	Fraction float64
 	// Query is the per-window aggregate (default Sum).
 	Query Query
-	// Workers is the engine parallelism (default 4).
-	Workers int
-	// BatchInterval is the micro-batch interval for the batched engine
-	// (default 500ms).
-	BatchInterval time.Duration
 	// WindowSize and WindowSlide configure the sliding window (defaults
 	// 10s / 5s; a size that is not a whole number of slides is rounded
 	// up to one).
@@ -45,7 +39,8 @@ type Report struct {
 	Results []WindowResult
 	// Items is the total number of items ingested.
 	Items int64
-	// Sampled is the total number of items that reached the query.
+	// Sampled is the total number of items that reached the query, each
+	// counted once however many windows cover it.
 	Sampled int64
 	// Elapsed is the wall-clock processing time for the whole stream.
 	Elapsed time.Duration
@@ -53,47 +48,8 @@ type Report struct {
 	Throughput float64
 }
 
-// system maps the public (Engine, Sampler) pair onto one of the six
-// evaluated systems.
-func (c Config) system() (core.System, error) {
-	engine := c.Engine
-	if engine == 0 {
-		engine = Batched
-	}
-	sampler := c.Sampler
-	if sampler == 0 {
-		sampler = OASRS
-	}
-	switch engine {
-	case Batched:
-		switch sampler {
-		case OASRS:
-			return core.SparkApprox, nil
-		case SimpleRandom:
-			return core.SparkSRS, nil
-		case Stratified:
-			return core.SparkSTS, nil
-		case None:
-			return core.NativeSpark, nil
-		}
-	case Pipelined:
-		switch sampler {
-		case OASRS:
-			return core.FlinkApprox, nil
-		case None:
-			return core.NativeFlink, nil
-		case SimpleRandom, Stratified:
-			return 0, fmt.Errorf("streamapprox: sampler %d is only available on the batched engine", sampler)
-		}
-	}
-	return 0, fmt.Errorf("streamapprox: invalid engine/sampler combination (%d, %d)", engine, sampler)
-}
-
-func (c Config) coreConfig() (core.Config, error) {
-	sys, err := c.system()
-	if err != nil {
-		return core.Config{}, err
-	}
+// coreConfig is c for system sys, at Run's defaults.
+func (c Config) coreConfig(sys core.System) core.Config {
 	fraction := c.Fraction
 	if fraction == 0 {
 		fraction = 0.6
@@ -104,39 +60,48 @@ func (c Config) coreConfig() (core.Config, error) {
 		q = Sum
 	}
 	return core.Config{
-		System:        sys,
-		Fraction:      fraction,
-		Workers:       c.Workers,
-		BatchInterval: c.BatchInterval,
-		WindowSize:    c.WindowSize,
-		WindowSlide:   c.WindowSlide,
-		Query:         q.internal(conf, c.HistogramEdges),
-		Confidence:    conf,
-		Seed:          c.Seed,
-	}, nil
+		System:      sys,
+		Fraction:    fraction,
+		WindowSize:  c.WindowSize,
+		WindowSlide: c.WindowSlide,
+		Query:       q.internal(conf, c.HistogramEdges),
+		Confidence:  conf,
+		Seed:        c.Seed,
+	}
 }
 
 // Run executes the configured query over a time-ordered event stream at
-// full speed and returns the per-window approximate results with error
-// bounds. An event time outside the unix-nano range is an error.
+// full speed on the batched engine (micro-batches à la Spark Streaming),
+// at its default parallelism and batch interval, and returns the
+// per-window approximate results with error bounds. An unknown sampler
+// or an event time outside the unix-nano range is an error.
 func Run(cfg Config, events []Event) (*Report, error) {
 	if !(cfg.Fraction >= 0 && cfg.Fraction <= 1) {
 		return nil, fmt.Errorf("streamapprox: fraction %v outside (0, 1]", cfg.Fraction)
 	}
-	ccfg, err := cfg.coreConfig()
-	if err != nil {
-		return nil, err
+	var sys core.System
+	switch cfg.Sampler {
+	case 0, OASRS:
+		sys = core.SparkApprox
+	case SimpleRandom:
+		sys = core.SparkSRS
+	default:
+		return nil, fmt.Errorf("streamapprox: unknown sampler %d", cfg.Sampler)
 	}
 	in, err := toInternal(events)
 	if err != nil {
 		return nil, err
 	}
-	stats, err := core.Run(ccfg, in)
+	stats, err := core.Run(cfg.coreConfig(sys), in)
 	if err != nil {
 		return nil, err
 	}
+	results := make([]WindowResult, len(stats.Results))
+	for i, w := range stats.Results {
+		results[i] = windowResult(w)
+	}
 	return &Report{
-		Results:    convertResults(stats.Results),
+		Results:    results,
 		Items:      stats.Items,
 		Sampled:    stats.Sampled,
 		Elapsed:    stats.Elapsed,
@@ -145,27 +110,20 @@ func Run(cfg Config, events []Event) (*Report, error) {
 }
 
 // Exact computes the ground-truth per-window results without sampling,
-// for accuracy evaluation against a Run: a fraction-1 sample of each
-// slide segment, the same a Session at fraction 1 serves. An event time
-// outside the unix-nano range is an error.
+// for accuracy evaluation against a Run: the windows a Session at
+// fraction 1, which keeps every event, serves. Sampler and Fraction are
+// ignored. An event time outside the unix-nano range is an error.
 func Exact(cfg Config, events []Event) ([]WindowResult, error) {
-	cfg.Sampler = None
-	cfg.Engine = Batched
-	ccfg, err := cfg.coreConfig()
-	if err != nil {
-		return nil, err
-	}
 	in, err := toInternal(events)
 	if err != nil {
 		return nil, err
 	}
-	return convertResults(core.GroundTruth(ccfg, in)), nil
-}
-
-func convertResults(in []core.WindowResult) []WindowResult {
-	out := make([]WindowResult, len(in))
-	for i, w := range in {
-		out[i] = windowResult(w)
+	s := NewSession(SessionConfig{Query: cfg.Query, WindowSize: cfg.WindowSize, WindowSlide: cfg.WindowSlide,
+		Fraction: 1, Confidence: cfg.Confidence, HistogramEdges: cfg.HistogramEdges, Seed: cfg.Seed})
+	b := stream.BatchOf(in)
+	defer b.Release()
+	if err := s.PushBatch(b, 0, b.Len()); err != nil {
+		return nil, err
 	}
-	return out
+	return s.Close(), nil
 }

@@ -104,7 +104,7 @@ func TestWindowsScaleByPowersOfTwo(t *testing.T) {
 		t.Run(fmt.Sprintf("systems k=%d", k), func(t *testing.T) {
 			for _, sys := range evaluatedSystems {
 				for name, q := range map[string]Query{"sum": Sum, "groupby-mean": GroupByMean, "histogram": Histogram} {
-					cfg := Config{Fraction: 0.3, Query: q, Workers: 4, WindowSize: 10 * time.Second,
+					cfg := Config{Fraction: 0.3, Query: q, WindowSize: 10 * time.Second,
 						WindowSlide: 5 * time.Second, Seed: 17}
 					cfg.HistogramEdges = scaleEdges
 					want := windowsOf(t, sys, cfg, events)

@@ -15,9 +15,11 @@
 // Two entry points are provided:
 //
 //   - Run: one-shot execution of a query over a materialized event
-//     stream on a choice of engine (batched/micro-batch à la Spark
-//     Streaming, or pipelined à la Flink), including the paper's
-//     baseline samplers for comparison.
+//     stream on the batched engine (micro-batches à la Spark
+//     Streaming), with StreamApprox's OASRS or the paper's simple-random
+//     baseline; Exact serves the same windows unsampled. The other
+//     evaluated systems and the engines' knobs are the figures' own
+//     (saprox run).
 //   - Session: incremental push-based processing with the adaptive
 //     feedback mechanism that re-tunes the sampling fraction when error
 //     bounds exceed the target.
@@ -40,7 +42,7 @@ type Event struct {
 	Time    time.Time
 }
 
-// toInternal converts events for the engines. A time outside the range
+// toInternal converts events for the engine and Exact. A time outside the range
 // of unix nanos (years 1678–2262) is an error, as it is to Session.Push.
 func toInternal(events []Event) ([]stream.Event, error) {
 	out := make([]stream.Event, len(events))
@@ -53,19 +55,6 @@ func toInternal(events []Event) ([]stream.Event, error) {
 	return out, nil
 }
 
-// Engine selects the stream-processing model (§2.2 of the paper).
-type Engine int
-
-// Supported engines.
-const (
-	// Batched cuts the stream into micro-batches processed as
-	// data-parallel jobs (the Apache Spark Streaming model).
-	Batched Engine = iota + 1
-	// Pipelined forwards each item through the operator chain as soon as
-	// it is ready (the Apache Flink model).
-	Pipelined
-)
-
 // Sampler selects the sampling strategy for Run.
 type Sampler int
 
@@ -77,11 +66,6 @@ const (
 	// SimpleRandom is the Spark `sample` baseline: uniform random-sort
 	// sampling of each formed batch, blind to strata.
 	SimpleRandom
-	// Stratified is the Spark `sampleByKeyExact` baseline: a
-	// groupByKey shuffle followed by per-stratum random-sort sampling.
-	Stratified
-	// None disables sampling (native execution).
-	None
 )
 
 // Confidence is the error-bound confidence level per the 68-95-99.7

@@ -70,29 +70,20 @@ func TestRunAgainstExact(t *testing.T) {
 	}
 }
 
-func TestRunEngineSamplerMatrix(t *testing.T) {
+// TestRunSamplerChoice: Run samples with OASRS by default or by name,
+// and with the simple-random baseline; any other sampler is an error.
+func TestRunSamplerChoice(t *testing.T) {
 	events := testEvents(t, 8)
-	cases := []struct {
-		engine  Engine
+	for _, tc := range []struct {
 		sampler Sampler
 		wantErr bool
-	}{
-		{Batched, OASRS, false},
-		{Batched, SimpleRandom, false},
-		{Batched, Stratified, false},
-		{Batched, None, false},
-		{Pipelined, OASRS, false},
-		{Pipelined, None, false},
-		{Pipelined, SimpleRandom, true},
-		{Pipelined, Stratified, true},
-	}
-	for _, tc := range cases {
-		_, err := Run(Config{Engine: tc.engine, Sampler: tc.sampler, Fraction: 0.5, Seed: 2}, events)
+	}{{0, false}, {OASRS, false}, {SimpleRandom, false}, {SimpleRandom + 1, true}, {-1, true}} {
+		_, err := Run(Config{Sampler: tc.sampler, Fraction: 0.5, Seed: 2}, events)
 		if tc.wantErr && err == nil {
-			t.Errorf("engine=%d sampler=%d: expected error", tc.engine, tc.sampler)
+			t.Errorf("sampler %d: expected error", tc.sampler)
 		}
 		if !tc.wantErr && err != nil {
-			t.Errorf("engine=%d sampler=%d: %v", tc.engine, tc.sampler, err)
+			t.Errorf("sampler %d: %v", tc.sampler, err)
 		}
 	}
 }
@@ -204,39 +195,35 @@ func TestNewSessionNaNFractionDefaults(t *testing.T) {
 	}
 }
 
+// TestRunRejectsFractionOutOfRange: Run refuses a fraction below 0, above
+// 1 or NaN on both samplers, as a served query's spec does, instead of
+// sampling everything; 0 still means the default 0.6.
+func TestRunRejectsFractionOutOfRange(t *testing.T) {
+	events := testEvents(t, 6)
+	for _, sampler := range []Sampler{OASRS, SimpleRandom} {
+		for _, f := range []float64{-0.2, 1.5, math.NaN()} {
+			if _, err := Run(Config{Sampler: sampler, Fraction: f}, events); err == nil {
+				t.Errorf("sampler %d fraction %v: no error", sampler, f)
+			} else if !strings.Contains(err.Error(), "outside (0, 1]") {
+				t.Errorf("sampler %d fraction %v: error %q", sampler, f, err)
+			}
+		}
+		rep, err := Run(Config{Sampler: sampler}, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Sampled >= rep.Items {
+			t.Errorf("sampler %d default fraction sampled %d of %d", sampler, rep.Sampled, rep.Items)
+		}
+	}
+}
+
 // TestWindowSpansWholeSlides: a window is counted over whole slide
 // segments, so one that is not a whole number of slides — narrower than
 // its slide, or 7s at a 5s slide — is served at the span of the segments
 // it counts: End − Start covers exactly the records its Items count. Its
 // results are those of the window rounded up to whole slides, from a
 // Session and from Exact alike.
-// TestRunRejectsFractionOutOfRange: Run refuses a fraction below 0, above
-// 1 or NaN on both engines, as a served query's spec does, instead of
-// sampling everything; 0 still means the default 0.6.
-func TestRunRejectsFractionOutOfRange(t *testing.T) {
-	events := testEvents(t, 6)
-	for _, engine := range []Engine{Batched, Pipelined} {
-		for _, f := range []float64{-0.2, 1.5, math.NaN()} {
-			if _, err := Run(Config{Engine: engine, Fraction: f}, events); err == nil {
-				t.Errorf("engine %d fraction %v: no error", engine, f)
-			} else if !strings.Contains(err.Error(), "outside (0, 1]") {
-				t.Errorf("engine %d fraction %v: error %q", engine, f, err)
-			}
-		}
-		rep, err := Run(Config{Engine: engine}, events)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var items int64
-		for _, w := range rep.Results {
-			items += w.Items
-		}
-		if rep.Sampled >= items {
-			t.Errorf("engine %d default fraction sampled %d of %d", engine, rep.Sampled, items)
-		}
-	}
-}
-
 func TestWindowSpansWholeSlides(t *testing.T) {
 	base := time.Date(2017, 12, 11, 0, 0, 0, 0, time.UTC)
 	var events []Event

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"streamapprox/internal/core"
 	"streamapprox/internal/workload"
 	"streamapprox/internal/xrand"
 )
@@ -48,40 +49,56 @@ type fixtureBucket struct {
 	Count fixtureEstimate `json:"count"`
 }
 
-// evaluatedSystem is one of the paper's six systems as a Run
-// configuration; Exact is the one with no engine.
+// evaluatedSystem is one of the paper's six systems: run through Run
+// when sampler names its sampler, through internal/core, as the figures
+// run it, otherwise. Exact is the one with no system.
 type evaluatedSystem struct {
 	name    string
-	engine  Engine
+	sys     core.System
 	sampler Sampler
 }
 
 var evaluatedSystems = []evaluatedSystem{
-	{"spark-streamapprox", Batched, OASRS},
-	{"flink-streamapprox", Pipelined, OASRS},
-	{"spark-srs", Batched, SimpleRandom},
-	{"spark-sts", Batched, Stratified},
-	{"native-spark", Batched, None},
-	{"native-flink", Pipelined, None},
+	{"spark-streamapprox", core.SparkApprox, OASRS},
+	{"flink-streamapprox", core.FlinkApprox, 0},
+	{"spark-srs", core.SparkSRS, SimpleRandom},
+	{"spark-sts", core.SparkSTS, 0},
+	{"native-spark", core.NativeSpark, 0},
+	{"native-flink", core.NativeFlink, 0},
 	{"exact", 0, 0},
 }
 
 // windowsOf runs sys (Exact for "exact") and returns its windows.
 func windowsOf(t testing.TB, sys evaluatedSystem, cfg Config, events []Event) []WindowResult {
 	t.Helper()
-	if sys.engine == 0 {
+	switch {
+	case sys.sys == 0:
 		out, err := Exact(cfg, events)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return out
+	case sys.sampler != 0:
+		cfg.Sampler = sys.sampler
+		rep, err := Run(cfg, events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Results
 	}
-	cfg.Engine, cfg.Sampler = sys.engine, sys.sampler
-	rep, err := Run(cfg, events)
+	in, err := toInternal(events)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return rep.Results
+	stats, err := core.Run(cfg.coreConfig(sys.sys), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]WindowResult, len(stats.Results))
+	for i, w := range stats.Results {
+		out[i] = windowResult(w)
+	}
+	return out
 }
 
 // systemsStream is 30 s of the §5.1 Gaussian sub-streams.
@@ -106,7 +123,7 @@ func systemsCases(t testing.TB) []systemsCase {
 		}{{"sum", Sum}, {"groupby-sum", GroupBySum}, {"histogram", Histogram}} {
 			for _, size := range []time.Duration{10 * time.Second, 20 * time.Second} {
 				cfg := Config{
-					Fraction: 0.3, Query: q.query, Workers: 4, WindowSize: size, WindowSlide: 5 * time.Second,
+					Fraction: 0.3, Query: q.query, WindowSize: size, WindowSlide: 5 * time.Second,
 					HistogramEdges: []float64{0, 20, 900, 1100, 9000, 11000}, Seed: 17,
 				}
 				c := systemsCase{System: sys.name, Query: q.name, Window: size.String()}
@@ -201,7 +218,7 @@ func TestNoSystemWindowsAnEventTimeGap(t *testing.T) {
 		}
 	}
 	for _, q := range []Query{Sum, Mean} {
-		cfg := Config{Query: q, WindowSize: 10 * time.Second, WindowSlide: 5 * time.Second, BatchInterval: 500 * time.Millisecond, Seed: 3}
+		cfg := Config{Query: q, WindowSize: 10 * time.Second, WindowSlide: 5 * time.Second, Seed: 3}
 		exact := windowsOf(t, evaluatedSystems[len(evaluatedSystems)-1], cfg, events)
 		for _, sys := range evaluatedSystems {
 			got := windowsOf(t, sys, cfg, events)
