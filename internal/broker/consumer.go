@@ -55,9 +55,7 @@ func NewPartitionConsumer(b Cluster, topicName string, partition int, offset int
 // and advances past them; on error the position is untouched, so the
 // next call reads the same round. The fetch happens now, never ahead of
 // the caller's own pacing. The batch's Base is the offset of its first
-// record in log order; the caller owns its reference and must Release
-// it (after Retaining for any further consumers it fans the batch out
-// to).
+// record in log order; the caller owns the batch and must Release it.
 func (c *Consumer) PollBatch(max int) (*stream.EventBatch, error) {
 	b := stream.GetEventBatch()
 	n, err := c.broker.FetchBatch(c.topic, c.partition, c.offset, max, b)

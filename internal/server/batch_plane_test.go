@@ -10,12 +10,11 @@ import (
 )
 
 // TestBatchPlaneSharesOneBatchAcrossQueries is the vectorized plane's
-// aliasing test, meant to run under -race: the partition loop hands ONE
-// pooled columnar batch to eight sampling groups' drainers, which apply it to
-// their sessions concurrently while the loop Releases its own
-// reference. A write to a shared batch, a premature pool return, or a
-// missed Retain shows up as a race report or as diverging per-window
-// item counts (a recycled batch overwritten mid-read).
+// aliasing test: the partition loop applies ONE pooled columnar batch to
+// eight sampling groups in turn, then Releases it to the pool for its
+// next fetch. A write to the shared batch, or a pool return before the
+// last group is done with it, shows up as diverging per-window item
+// counts (a recycled batch overwritten mid-read).
 func TestBatchPlaneSharesOneBatchAcrossQueries(t *testing.T) {
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 1); err != nil {
@@ -34,7 +33,7 @@ func TestBatchPlaneSharesOneBatchAcrossQueries(t *testing.T) {
 	const queries = 8
 	var jobs []*job
 	for i := 0; i < queries; i++ {
-		// A fraction each: eight sampling groups, eight drainers.
+		// A fraction each: eight sampling groups.
 		id, err := s.Register(Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second,
 			Fraction: 0.3 + 0.05*float64(i), Seed: uint64(i + 1)})
 		if err != nil {

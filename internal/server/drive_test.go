@@ -125,8 +125,8 @@ func servedFixture(t *testing.T, path string) map[string][]MergedWindow {
 	return served
 }
 
-// rig drives a server's sampling groups with no partition loop, as their
-// drainers would: join attaches a query's shards to the plane, and apply
+// rig drives a server's sampling groups with no partition loop, as the
+// loop would: join attaches a query's shards to the plane, and apply
 // hands every group on a partition one batch at the plane's offset.
 type rig struct {
 	t    testing.TB

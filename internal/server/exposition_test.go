@@ -67,7 +67,6 @@ func TestMetricsExpositionFormat(t *testing.T) {
 		"saproxd_query_lag_records":        "gauge",
 		"saproxd_shard_records_total":      "counter",
 		"saproxd_ingest_records_total":     "counter",
-		"saproxd_delivery_queue_depth":     "gauge",
 		"saproxd_ingest_queries":           "gauge",
 		"saproxd_ingest_samplers":          "gauge",
 	}

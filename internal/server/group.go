@@ -10,7 +10,7 @@ import (
 
 // A sampling group owns the one pane sampler its sharing members share,
 // under the group lock. The lock order is plane → group → shard → job:
-// the drainer, the sweep, join and detach hold the group lock and take
+// the partition loop, the sweep, join and detach hold the group lock and take
 // one member's shard lock at a time, and a sharing member's
 // checkpoint takes the group lock before its shard's. No path holds two
 // shards' locks at once.
@@ -166,10 +166,14 @@ func (sub *subQueue) cut(start int64, s *sampling.Sample, _ int64) {
 // apply applies one delivery to every member: the group's sampler takes
 // it for the sharing members, each private member's for itself, and a
 // private member that then stands at the group's point shares. A member
-// that joined past a marker's position skips the marker.
+// that joined past a marker's position skips the marker, and a group that
+// ended after the loop took it skips the delivery.
 func (sub *subQueue) apply(d planeDelivery) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
+	if len(sub.members) == 0 {
+		return
+	}
 	for i, sh := range sub.members {
 		sh.mu.Lock()
 		lead := i == 0
@@ -185,7 +189,6 @@ func (sub *subQueue) apply(d planeDelivery) {
 			}
 			sh.advanceLocked(d.mark)
 		}
-		sh.depth.Set(float64(len(sub.ch)))
 		if d.haveHWM {
 			sh.setLag(d.hwm - sh.offset)
 		}

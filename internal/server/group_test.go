@@ -2,6 +2,7 @@ package server
 
 import (
 	"hash/fnv"
+	"runtime"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // These tests pin sampling groups to the ungrouped plane: whatever joins,
-// leaves, sheds, restarts or idles, every query served every window once,
+// leaves, stalls, restarts or idles, every query served every window once,
 // each holding exactly the items inside it.
 
 // groupSpecs are n queries of different kinds sharing one sampling-group
@@ -143,45 +144,35 @@ func TestGroupFirstMemberDeleteServesEveryWindowOnce(t *testing.T) {
 	}
 }
 
-// (b) A depth-1 queue over a backlog sheds whole groups: each rereads its
-// backlog with its members and sampler and splices back whole, and every
-// member is counted shed.
-func TestGroupShedResplicesEveryMember(t *testing.T) {
+// (b) A group is a sampler, not a worker: registering queries whose group
+// keys are new, a fixed fraction or a target error, starts no goroutine on
+// any partition once the loops run.
+func TestNewGroupAddsNoGoroutine(t *testing.T) {
 	bk := broker.New()
-	if err := bk.CreateTopic("in", 2); err != nil {
+	if err := bk.CreateTopic("in", 4); err != nil {
 		t.Fatal(err)
 	}
-	events := makeSwappedEvents(53, 64000)
-	gc := newGatedCluster(bk)
-	s, err := New(Config{Cluster: gc, Topic: "in", PollBackoff: time.Microsecond})
+	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	defer gc.open()
-	s.ing.queueDepth = 1 // before the first Register: every queue is depth 1
-	jobs := registerAll(t, s, groupSpecs(3))
-	waitGauges(t, s, 3, 1)
-	if _, err := produceEvents(bk, "in", events); err != nil {
-		t.Fatal(err)
+	registerAll(t, s, groupSpecs(1))
+	waitGauges(t, s, 1, 1)
+	before := runtime.NumGoroutine()
+	specs := []Spec{
+		{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.3},
+		{Kind: "sum", Window: 2 * time.Second, Slide: 2 * time.Second, Fraction: 0.5},
+		{Kind: "mean", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5, TargetError: 0.05},
 	}
-	holdGroupsUntilShed(t, s, gc)
-	for _, j := range jobs {
-		waitJobRecords(t, j, int64(len(events)), 30*time.Second)
+	registerAll(t, s, specs)
+	waitGauges(t, s, 4, 4)
+	after := runtime.NumGoroutine()
+	for stop := time.Now().Add(2 * time.Second); after > before && time.Now().Before(stop); after = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
 	}
-	waitGauges(t, s, 3, 1)
-	for _, j := range jobs {
-		if n := shardRecordsTotal(s, j); n != int64(len(events)) {
-			t.Errorf("query %s: saproxd_shard_records_total = %d, want %d", j.id, n, len(events))
-		}
-		var shed float64
-		for _, sh := range j.shards {
-			shed += sh.shed.Value()
-		}
-		if shed == 0 {
-			t.Errorf("query %s was never shed; overflow path untested", j.id)
-		}
-		checkWindowsOnce(t, j, events)
+	if after > before {
+		t.Errorf("%d goroutines after registering %d queries with new group keys on 4 partitions, %d before", after, len(specs), before)
 	}
 }
 

@@ -23,34 +23,34 @@ type traceSetter interface{ SetTraceID(uint64) }
 // The shared ingest plane: exactly one consumer per (topic, partition)
 // regardless of how many queries are registered. Each partition loop
 // fetches a batch once, decodes it once into a columnar EventBatch, and
-// fans the (event-time sorted, read-only) batch out by reference to every
-// sampling group on the plane. Broker fetch work is O(partitions), not
-// O(queries × partitions) — the property that lets one middle tier serve
-// thousands of concurrent queries over a single topic read.
+// applies the (event-time sorted, read-only) batch itself to every
+// sampling group on the plane, one after another. Broker fetch work is
+// O(partitions), not O(queries × partitions) — the property that lets one
+// middle tier serve thousands of concurrent queries over a single topic
+// read.
 //
 // On each partition the shards whose samplers would be interchangeable —
 // the same slide and the same fixed fraction — form one SAMPLING GROUP:
-// one delivery queue, one drainer, and one pane sampler the group owns,
-// whose every pane each sharing member summarises through its own query.
-// A query under a target error, whose one controller moves its fraction,
-// groups its shard alone. The group is the only thing the plane feeds: a
-// BOUNDED queue decouples it from the loop, and a group whose drainer
-// falls a full queue behind is SHED off the plane on the spot, so one
-// slow group cannot stall the loop or its peers.
+// one pane sampler the group owns, whose every pane each sharing member
+// summarises through its own query. A query under a target error, whose
+// one controller moves its fraction, groups its shard alone. The group is
+// the only thing the plane feeds, and nothing stands between it and the
+// loop: a group that stalls — on a held lock, say — stalls its
+// partition's loop, and the partition falls behind in the broker's log,
+// which the lag gauges show.
 //
-// A group BEHIND the plane — shed, keeping its members and sampler, or a
-// new group of one for a shard attaching at an offset the plane has
-// passed (a late registration, a restored checkpoint) — stands at its
-// position: the partition's one SWEEP reads the log behind the plane
-// once for all of them and splices each back whole at the plane position
-// under the plane's lock, so no record is lost or duplicated. A shard
-// attaching ahead of the plane (From "latest") joins at once and drops
-// records below its start.
+// A group BEHIND the plane — a new group of one for a shard attaching at
+// an offset the plane has passed (a late registration, a restored
+// checkpoint) — stands at its position: the partition's one SWEEP reads
+// the log behind the plane once for all of them and splices each back
+// whole at the plane position under the plane's lock, so no record is
+// lost or duplicated. A shard attaching ahead of the plane (From
+// "latest") joins at once and drops records below its start.
 //
 // The plane keeps one event-time mark for the topic: the latest event
 // time any partition loop has read. A partition that polls empty — the
 // broker serves up to its committed high watermark, so an empty poll at
-// the plane position means it is drained — for idleAdvanceFloor queues a
+// the plane position means it is drained — for idleAdvanceFloor applies a
 // marker to its groups: a delivery without a batch, carrying the mark,
 // which advances every member's sampler there, so windows a quiet
 // partition would hold back still merge.
@@ -60,7 +60,7 @@ type traceSetter interface{ SetTraceID(uint64) }
 const fetchMax = 4096
 
 // idleAdvanceFloor is the WALL-CLOCK time every poll of a partition must
-// come back empty before it queues a marker, and again between markers;
+// come back empty before it applies a marker, and again between markers;
 // a failed poll starts it over. A broker riding out a slow fsync or a
 // failover replay looks like a quiet partition for tens of milliseconds,
 // and a marker then would advance the samplers to the plane's mark — so
@@ -80,11 +80,10 @@ const hwmEvery = 100 * time.Millisecond
 
 // ingest is one plane: a set of partition loops over one topic.
 type ingest struct {
-	cluster    broker.Cluster // control-plane connection, read behind the plane
-	topic      string
-	backoff    time.Duration
-	log        *slog.Logger
-	queueDepth int // per-group delivery queue bound, in batches
+	cluster broker.Cluster // control-plane connection, read behind the plane
+	topic   string
+	backoff time.Duration
+	log     *slog.Logger
 	// mark is the latest event time any partition loop has read, in unix
 	// nanos: what an idle marker advances its groups to.
 	mark atomic.Int64
@@ -93,10 +92,9 @@ type ingest struct {
 	wg    sync.WaitGroup
 }
 
-// subQueue is one sampling group on one partition: its bounded delivery
-// queue — the plane loop enqueues, the drainer goroutine applies each
-// batch to every member, and behind the plane the sweep applies its
-// rounds — and the pane sampler its members share. The group's sampler
+// subQueue is one sampling group on one partition: its members and the
+// pane sampler they share, to which the partition loop applies each batch
+// on the plane and the sweep each round behind it. The group's sampler
 // samples each batch once, and every sharing member summarises its panes; a
 // private member (out of step with the group) samples for itself until it
 // stands at the group's point of the stream, then shares.
@@ -109,11 +107,9 @@ type subQueue struct {
 	ps      *pane.Sampler // the shared sampler
 	offset  int64         // the next offset ps samples
 	summed  []*shard      // cut's scratch: the members summarised so far
-	// Guarded by the partition lock: ch, nil while the sweep feeds the
-	// group, and from, where a group off the plane stands (-1 on it).
-	ch       chan planeDelivery
+	// from is where a group behind the plane stands, -1 on it; guarded by
+	// the partition lock.
 	from     int64
-	done     chan struct{}  // closed when the group has dissolved
 	samplers *metrics.Gauge // the partition's saproxd_ingest_samplers
 }
 
@@ -128,9 +124,8 @@ type groupKey struct {
 
 // planeDelivery is one fan-out unit: a shared columnar batch, ending at
 // offset next, or — batch nil — an idle marker at plane position next,
-// carrying the plane's mark as of the empty poll that queued it. A batch
-// delivery carries one reference per enqueued group; the drainer
-// Releases it after applying.
+// carrying the plane's mark as of the empty poll that found the partition
+// drained.
 type planeDelivery struct {
 	batch   *stream.EventBatch
 	next    int64
@@ -147,12 +142,13 @@ type partIngest struct {
 	cluster broker.Cluster // dedicated connection when DialShard is set
 	conn    io.Closer      // nil when sharing the control connection
 
-	// mu guards subs, groups, every group's ch and from, and next. Enqueueing
-	// happens with mu held so a splice (pos == next) is atomic against the
-	// loop advancing next; the enqueue itself never blocks.
+	// mu guards subs, groups, every group's from, and next. The loop
+	// advances next and takes the groups on the plane with mu held, so a
+	// splice (pos == next) is atomic against it; it applies outside mu.
 	mu       sync.Mutex
 	subs     map[*shard]*subQueue // every attached shard's group
 	groups   []*subQueue          // on the plane and behind it
+	fed      []*subQueue          // the loop's scratch: the groups a delivery goes to
 	next     int64                // next offset the plane will deliver; set by the first attach
 	started  bool
 	stopped  bool
@@ -168,18 +164,13 @@ type partIngest struct {
 	decodeHist    *metrics.Histogram // seconds blocked fetching+decoding a round
 }
 
-// queueDepth bounds each sampling group's per-partition delivery queue,
-// in batches: a group that falls a full queue behind is shed off the
-// plane instead of stalling the partition loop.
-const queueDepth = 64
-
 // newIngest builds a plane with one (not yet started) partition loop
 // per partition. When dial is non-nil each partition gets a dedicated
 // broker connection, closed on stop.
 func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	topic string, parts int, backoff time.Duration,
 	log *slog.Logger, reg *metrics.Registry) (*ingest, error) {
-	ing := &ingest{cluster: cluster, topic: topic, backoff: backoff, log: log, queueDepth: queueDepth}
+	ing := &ingest{cluster: cluster, topic: topic, backoff: backoff, log: log}
 	ing.mark.Store(stream.ZeroTimeNanos)
 	for p := 0; p < parts; p++ {
 		pc := cluster
@@ -233,7 +224,8 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 // sampling group on the plane its job's key names — sharing the group's
 // sampler when it stands at the group's point of the stream, as a private
 // member otherwise — or into a new group of its own on the plane.
-// Batches already queued below the shard's offset are skipped for it.
+// A batch the loop is still applying below the shard's offset is skipped
+// for it.
 func (pi *partIngest) join(sh *shard) {
 	sh.skipToOffset()
 	i := pi.live(sh.job.groupKey())
@@ -261,8 +253,7 @@ func (pi *partIngest) live(key groupKey) int {
 // sh's sampler. Callers hold pi.mu.
 func (pi *partIngest) group(sh *shard, from int64) {
 	pi.samplersGauge.Add(1)
-	sub := &subQueue{key: sh.job.groupKey(), members: []*shard{sh}, samplers: pi.samplersGauge, from: from,
-		done: make(chan struct{})}
+	sub := &subQueue{key: sh.job.groupKey(), members: []*shard{sh}, samplers: pi.samplersGauge, from: from}
 	sub.take(sh)
 	pi.groups = append(pi.groups, sub)
 	pi.subs[sh] = sub
@@ -273,42 +264,16 @@ func (pi *partIngest) group(sh *shard, from int64) {
 	}
 }
 
-// onPlane reports whether the plane feeds the group, and swept whether
-// the sweep does, nothing being left queued. Callers hold pi.mu.
+// onPlane reports whether the plane feeds the group, not the sweep.
+// Callers hold pi.mu.
 func (sub *subQueue) onPlane() bool { return sub.from < 0 }
-func (sub *subQueue) swept() bool   { return sub.ch == nil }
 
-// end ends a group taken off the partition (callers hold pi.mu): one the
-// sweep feeds dissolves now, and one the plane feeds applies its queue
-// first, its drainer then ending it.
+// end dissolves a group taken off the partition, once a delivery the loop
+// is applying to it is done. Callers hold pi.mu.
 func (sub *subQueue) end() {
-	if sub.swept() {
-		sub.mu.Lock()
-		sub.dissolve()
-		sub.mu.Unlock()
-		close(sub.done)
-	} else if sub.onPlane() {
-		close(sub.ch)
-	}
-}
-
-// drain is the group's worker while the plane feeds it, applying queued
-// batches to the members in order. The queue closes when the group ends
-// or is shed; applied, the group then dissolves or waits for the sweep.
-func (pi *partIngest) drain(sub *subQueue) {
-	for d := range sub.ch {
-		sub.apply(d)
-		if d.batch != nil {
-			d.batch.Release()
-		}
-	}
-	pi.mu.Lock()
-	if sub.ch = nil; slices.Contains(pi.groups, sub) {
-		pi.sweep()
-	} else {
-		sub.end()
-	}
-	pi.mu.Unlock()
+	sub.mu.Lock()
+	sub.dissolve()
+	sub.mu.Unlock()
 }
 
 // attach joins one query shard to a partition plane, starting the loop
@@ -337,7 +302,7 @@ func (ing *ingest) attach(sh *shard, from int64) {
 }
 
 // detach takes a shard out of its group, so no consume call can follow
-// detach. The last member ends the group and waits out its drainer.
+// detach. The last member ends the group.
 func (ing *ingest) detach(sh *shard) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
@@ -358,12 +323,11 @@ func (ing *ingest) detach(sh *shard) {
 	pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })
 	sub.end()
 	pi.mu.Unlock()
-	<-sub.done
 }
 
 // stop halts every partition loop and sweep, closes dedicated
-// connections, and ends every group, draining the queues of those on the
-// plane. Attached shards receive no further deliveries once stop returns.
+// connections, and ends every group. Attached shards receive no further
+// deliveries once stop returns.
 func (ing *ingest) stop() {
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
@@ -377,22 +341,16 @@ func (ing *ingest) stop() {
 	// in, so stopping never waits out a request deadline or retry budget.
 	ing.closeConns()
 	ing.wg.Wait()
-	// With the loops and sweeps stopped nothing enqueues anymore; end the
-	// groups and wait out the drainers so every delivered batch is applied.
-	var waits []*subQueue
+	// With the loops and sweeps stopped every delivery has been applied.
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
 		for _, sub := range pi.groups {
 			sub.end()
-			waits = append(waits, sub)
 		}
 		pi.groups = nil
 		clear(pi.subs)
 		pi.queriesGauge.Set(0)
 		pi.mu.Unlock()
-	}
-	for _, sub := range waits {
-		<-sub.done
 	}
 }
 
@@ -486,16 +444,12 @@ func (pi *partIngest) loop(start int64) {
 	}
 }
 
-// deliverBatch fans one pooled EventBatch out by reference to the queue
-// of every sampling group on the plane and advances the plane position.
-// It runs under pi.mu so splices are atomic, but never blocks: a group
-// whose queue is full is shed off the plane, for the sweep to read on
-// from where delivery stopped. The batch's Base is stamped with the plane
-// offset before the first enqueue (the channel send is the memory
-// barrier), each enqueue carries one Retained reference the drainer
-// Releases after applying, and the loop's own reference from PollBatch is
-// dropped once fan-out finishes — so the batch goes back to the pool the
-// moment the last drainer is done with it.
+// deliverBatch applies one pooled EventBatch to every sampling group on
+// the plane, in order, advances the plane position, and returns the batch
+// to the pool. The position, the batch's Base (which shards compute skip
+// positions relative to) and the groups are taken in one hold of pi.mu,
+// so a group spliced at the new position misses the batch and a shard
+// joining there skips it; the groups apply it outside pi.mu.
 func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool) {
 	n := int64(b.Len())
 	last := b.Times[n-1] // the batch is in event-time order
@@ -508,58 +462,45 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 	pi.throughput.Mark(n)
 	pi.batchHist.Observe(float64(n))
 	pi.mu.Lock()
-	base := pi.next
-	next := base + n
-	pi.next = next
-	b.Base = base // shards compute skip positions relative to Base
-	d := planeDelivery{batch: b, next: next, hwm: hwm, haveHWM: haveHWM}
-	for _, sub := range pi.groups {
-		if !sub.onPlane() {
-			continue
-		}
-		b.Retain()
-		select {
-		case sub.ch <- d:
-			continue
-		default:
-		}
-		// Queue full: shed the group. Its drainer has applied (or still
-		// holds queued) everything below base, so base is exactly where
-		// the sweep must read on from.
-		b.Release() // the shed group never takes its reference
-		sub.from = base
-		close(sub.ch)
-		for _, sh := range sub.members {
-			sh.shed.Inc()
-			pi.ing.log.Warn("delivery queue full; shedding the group",
-				"query", sh.job.id, "partition", pi.idx, "offset", base)
-		}
-	}
+	b.Base = pi.next
+	pi.next += n
+	d := planeDelivery{batch: b, next: pi.next, hwm: hwm, haveHWM: haveHWM}
+	groups := pi.feeding()
 	pi.mu.Unlock()
-	b.Release() // the loop's reference from PollBatch
+	for _, sub := range groups {
+		sub.apply(d)
+	}
+	b.Release()
 	if haveHWM {
-		pi.lagGauge.Set(float64(hwm - next))
+		pi.lagGauge.Set(float64(hwm - d.next))
 	}
 }
 
-// punctuate queues an idle marker at the plane position for every
+// punctuate applies an idle marker at the plane position to every
 // sampling group on the plane, carrying mark. The position stands for
 // the high watermark, as the poll that found the partition drained read
-// it, so the lag gauges settle at zero. Best effort: a full queue skips
-// the marker (the next one fires again).
+// it, so the lag gauges settle at zero.
 func (pi *partIngest) punctuate(mark int64) {
 	pi.mu.Lock()
 	d := planeDelivery{next: pi.next, hwm: pi.next, haveHWM: true, mark: mark}
+	groups := pi.feeding()
+	pi.mu.Unlock()
+	for _, sub := range groups {
+		sub.apply(d)
+	}
+	pi.lagGauge.Set(0)
+}
+
+// feeding lists the groups on the plane in the loop's scratch, which only
+// the loop uses. Callers hold pi.mu.
+func (pi *partIngest) feeding() []*subQueue {
+	pi.fed = pi.fed[:0]
 	for _, sub := range pi.groups {
 		if sub.onPlane() {
-			select {
-			case sub.ch <- d:
-			default:
-			}
+			pi.fed = append(pi.fed, sub)
 		}
 	}
-	pi.mu.Unlock()
-	pi.lagGauge.Set(0)
+	return pi.fed
 }
 
 // sweep makes sure the partition's one reader behind the plane runs, now
@@ -588,7 +529,7 @@ func (pi *partIngest) sweeper() {
 		lo, hi := pi.next, pi.next
 		for _, sub := range pi.groups {
 			switch {
-			case !sub.swept():
+			case sub.onPlane():
 			case sub.from < lo:
 				lo, hi = sub.from, lo
 			case sub.from > lo && sub.from < hi:
@@ -612,7 +553,7 @@ func (pi *partIngest) sweeper() {
 		next := lo + int64(b.Len())
 		pi.mu.Lock()
 		for i := 0; i < len(pi.groups); i++ {
-			if sub := pi.groups[i]; sub.swept() && sub.from == lo {
+			if sub := pi.groups[i]; sub.from == lo {
 				sub.apply(planeDelivery{batch: b, next: next})
 				if sub.from = next; next == pi.next && !pi.splice(sub) {
 					i-- // merged into the group on the plane, and deleted at i
@@ -624,15 +565,13 @@ func (pi *partIngest) sweeper() {
 	}
 }
 
-// splice puts a group standing at the plane position on the plane, with
-// a queue and drainer, or merges it into the group there of its key, whose
-// sampler its members share once at the same point. It reports whether
-// the group itself is on the plane. Callers hold pi.mu.
+// splice puts a group standing at the plane position on the plane, or
+// merges it into the group there of its key, whose sampler its members
+// share once at the same point. It reports whether the group itself is on
+// the plane. Callers hold pi.mu.
 func (pi *partIngest) splice(sub *subQueue) bool {
 	if pi.live(sub.key) < 0 {
 		sub.from = -1
-		sub.ch = make(chan planeDelivery, pi.ing.queueDepth)
-		go pi.drain(sub)
 		return true
 	}
 	pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })

@@ -352,10 +352,9 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 	}
 }
 
-// TestSlowQuerySheddingNoLossNoDup forces delivery-queue overflows with
-// a depth-1 queue over a large backlog: the shed/catch-up/splice
-// cycle must still deliver every record to every query exactly once,
-// and the shed counter must show the path actually ran.
+// TestSlowQuerySheddingNoLossNoDup stalls every query's group, and with
+// it each partition's loop, over a large backlog: once the groups go on,
+// the loop must still deliver every record to every query exactly once.
 func TestSlowQuerySheddingNoLossNoDup(t *testing.T) {
 	for _, in := range []catchUpInput{
 		{"ordered", makeEvents(29, 40000)},
@@ -380,7 +379,6 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 	}
 	defer s.Close()
 	defer gc.open()
-	s.ing.queueDepth = 1 // every second batch overflows while a drainer works
 	var jobs []*job
 	for i, kind := range []string{"sum", "sum", "sum", "count"} { // one group per partition
 		id, err := s.Register(Spec{Kind: kind, Window: 2 * time.Second, Slide: time.Second,
@@ -392,7 +390,7 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 		jobs = append(jobs, j)
 	}
 	waitGauges(t, s, 4, 1)
-	holdGroupsUntilShed(t, s, gc)
+	stallGroups(t, s, gc)
 	for _, j := range jobs {
 		waitJobRecords(t, j, int64(len(events)), 30*time.Second)
 	}
@@ -405,9 +403,8 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 			t.Fatalf("query %s: saproxd_shard_records_total = %d, want %d", j.id, n, len(events))
 		}
 	}
-	// Every query is shed with its group and catches up with it, in rounds
-	// that cut the log elsewhere than the plane's — yet each served window
-	// must hold exactly the items an always-attached query sees: the
+	// Every query is stalled with its group mid-backlog — yet each served
+	// window must hold exactly the items an always-attached query sees: the
 	// events inside it.
 	ones := make([]stream.Event, len(events))
 	for i, e := range events {
@@ -425,19 +422,6 @@ func slowQueryShedding(t *testing.T, events []stream.Event) {
 				t.Errorf("query %s window %v: %d items, want %v", j.id, start, got, exact[start])
 			}
 		}
-	}
-	// The depth-1 queue over a 40k backlog must actually have shed; a
-	// zero here means the test stopped exercising the overflow path.
-	var shed float64
-	for _, j := range jobs {
-		for p := 0; p < 2; p++ {
-			labels := metrics.Labels{"query": j.id, "partition": strconv.Itoa(p)}
-			shed += s.reg.Counter("saproxd_delivery_shed_total",
-				"times the query overflowed its delivery queue and was shed to catch-up", labels).Value()
-		}
-	}
-	if shed == 0 {
-		t.Fatal("no delivery-queue shed occurred; overflow path untested")
 	}
 }
 
@@ -462,48 +446,46 @@ func (g *gatedCluster) FetchBatch(topic string, partition int, offset int64, max
 	return g.Cluster.FetchBatch(topic, partition, offset, max, b)
 }
 
-// holdGroupsUntilShed takes the lock of every sampling group on every
-// partition, so no drainer can apply a delivery, opens the gate, and
-// lets go once the plane has shed each held group (its depth-1 queue
-// overflowed). A queue only overflows while its consumer is slower
-// than the plane; holding the lock makes it so.
-func holdGroupsUntilShed(t *testing.T, s *Server, gc *gatedCluster) {
+// stallGroups takes the lock of every sampling group on every partition,
+// opens the gate, and lets go once each partition loop has stalled on its
+// first round for a fixed time: the loop reads one round and blocks
+// applying it, as behind a group stalled on a held lock, and reads on
+// from there once the groups go on.
+func stallGroups(t *testing.T, s *Server, gc *gatedCluster) {
 	t.Helper()
-	held := make([][]*subQueue, len(s.ing.parts))
-	for i, pi := range s.ing.parts {
+	var held []*subQueue
+	for _, pi := range s.ing.parts {
 		pi.mu.Lock()
-		held[i] = slices.Clone(pi.groups)
+		held = append(held, pi.groups...)
 		pi.mu.Unlock()
-		for _, sub := range held[i] {
-			sub.mu.Lock()
-		}
+	}
+	for _, sub := range held {
+		sub.mu.Lock()
 	}
 	gc.open()
-	deadline := time.Now().Add(30 * time.Second)
-	unshed := 0
-	for i, pi := range s.ing.parts {
-		for _, sub := range held[i] {
-			for {
-				pi.mu.Lock()
-				shed := !sub.onPlane()
-				pi.mu.Unlock()
-				if shed || time.Now().After(deadline) {
-					if !shed {
-						unshed++
-					}
-					break
-				}
-				time.Sleep(time.Millisecond)
-			}
+	next := func(pi *partIngest) int64 {
+		pi.mu.Lock()
+		defer pi.mu.Unlock()
+		return pi.next
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for _, pi := range s.ing.parts {
+		for next(pi) < fetchMax && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
 		}
 	}
-	for i := range held {
-		for _, sub := range held[i] {
-			sub.mu.Unlock()
-		}
+	time.Sleep(100 * time.Millisecond)
+	var read []int64
+	for _, pi := range s.ing.parts {
+		read = append(read, next(pi))
 	}
-	if unshed > 0 {
-		t.Fatalf("%d held groups were never shed", unshed)
+	for _, sub := range held {
+		sub.mu.Unlock()
+	}
+	for p, n := range read {
+		if n != fetchMax {
+			t.Fatalf("partition %d read %d records while its groups were held, want the one round of %d its loop stalls on", p, n, fetchMax)
+		}
 	}
 }
 
@@ -685,13 +667,24 @@ func TestFetchLoopIdleIssuesOneFetchPerBackoff(t *testing.T) {
 	}
 }
 
+// partitionFetchCluster counts each partition's batch fetches.
+type partitionFetchCluster struct {
+	broker.Cluster
+	fetches [2]atomic.Int64
+}
+
+func (c *partitionFetchCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	c.fetches[partition].Add(1)
+	return c.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
 // TestIdleMarkerKeepsRecordsQueuedBehindIt holds partition 0's sampling
-// group while the partition stays idle, so the plane queues an idle
-// marker behind the held drainer. Then partition 1 moves seconds ahead
-// and partition 0 receives records older than that, queued behind the
+// group while the partition stays idle, until the partition's loop is
+// blocked applying an idle marker to it. Then partition 1 moves seconds
+// ahead and partition 0 receives records older than that, behind the
 // marker. The marker must advance partition 0's shard only to the
-// watermarks it saw when it was queued: every served window holds every
-// record produced into it, and no record is dropped as late.
+// watermarks it saw when the partition polled empty: every served window
+// holds every record produced into it, and no record is dropped as late.
 func TestIdleMarkerKeepsRecordsQueuedBehindIt(t *testing.T) {
 	bk := broker.New()
 	defer bk.Close()
@@ -733,7 +726,8 @@ func TestIdleMarkerKeepsRecordsQueuedBehindIt(t *testing.T) {
 		all = append(all, events...)
 	}
 
-	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: 20 * time.Millisecond})
+	pc := &partitionFetchCluster{Cluster: bk}
+	s, err := New(Config{Cluster: pc, Topic: "in", PollBackoff: 20 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -752,28 +746,26 @@ func TestIdleMarkerKeepsRecordsQueuedBehindIt(t *testing.T) {
 	pi.mu.Unlock()
 	sub.mu.Lock()
 	held := time.Now()
-	for len(sub.ch) == 0 || time.Since(held) < 600*time.Millisecond {
+	// The loop polls the idle partition every back-off until a marker
+	// blocks it on the held group: then its fetches stop.
+	for fetches, since := pc.fetches[0].Load(), time.Now(); time.Since(since) < 100*time.Millisecond || time.Since(held) < 600*time.Millisecond; {
 		if time.Since(held) > 10*time.Second {
 			sub.mu.Unlock()
-			t.Fatal("no idle marker queued on partition 0")
+			t.Fatal("partition 0's loop never blocked on an idle marker")
 		}
 		time.Sleep(10 * time.Millisecond)
+		if n := pc.fetches[0].Load(); n != fetches {
+			fetches, since = n, time.Now()
+		}
 	}
 	// Partition 1 runs to 4s while partition 0 receives [1s, 3s): both in
 	// one call, so no later marker of partition 0 sees partition 1 ahead
-	// before these records are queued.
+	// before these records are read.
 	produce(span(1, 3*time.Second, 4*time.Second), span(0, time.Second, 3*time.Second))
-	for {
-		pi.mu.Lock()
-		next := pi.next
-		pi.mu.Unlock()
-		hwm, _ := bk.HighWatermark("in", 0)
-		if next == hwm && j.shards[1].records.Load() == 200 && !maxWatermark(j).Before(base.Add(3990*time.Millisecond)) {
-			break
-		}
+	for j.shards[1].records.Load() != 200 || maxWatermark(j).Before(base.Add(3990*time.Millisecond)) {
 		if time.Since(held) > 10*time.Second {
 			sub.mu.Unlock()
-			t.Fatal("partition 1 did not advance or partition 0 did not queue its records")
+			t.Fatal("partition 1 did not advance")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -99,8 +99,6 @@ type shard struct {
 
 	recordsMetric *metrics.Counter
 	lateMetric    *metrics.Gauge
-	depth         *metrics.Gauge   // the group's delivery queue, as this query sees it
-	shed          *metrics.Counter // times the query's group was shed off the plane
 }
 
 // newJob builds a job and its shards. When restore is non-nil the
@@ -142,11 +140,6 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 			"records consumed per shard", labels)
 		sh.lateMetric = srv.reg.Gauge("saproxd_shard_late_events",
 			"late events dropped per shard", labels)
-		queue := metrics.Labels{"query": id, "partition": strconv.Itoa(p)}
-		sh.depth = srv.reg.Gauge("saproxd_delivery_queue_depth",
-			"batches queued between the partition loop and the query's drainer", queue)
-		sh.shed = srv.reg.Counter("saproxd_delivery_shed_total",
-			"times the query overflowed its delivery queue and was shed to catch-up", queue)
 		j.shards = append(j.shards, sh)
 	}
 
@@ -319,9 +312,9 @@ func (j *job) subscribe() (<-chan struct{}, func()) {
 }
 
 // skipToOffset arms the shard to drop plane records below its offset —
-// a query joining a queue that may still hold batches it has applied
-// (a splice from behind the plane), or that the plane delivers behind its
-// requested start (From "latest").
+// a query joining a group the loop may still be applying a batch to that
+// it has applied (a splice from behind the plane), or that the plane
+// delivers behind its requested start (From "latest").
 func (sh *shard) skipToOffset() {
 	sh.mu.Lock()
 	sh.skipUntil = max(sh.skipUntil, sh.offset)

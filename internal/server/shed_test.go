@@ -27,21 +27,20 @@ func (c *recordCountingCluster) FetchBatch(topic string, partition int, offset i
 	return n, err
 }
 
-// shedRun is what shedGroups saw: the records the broker served, and
+// stallRun is what stalledGroups saw: the records the broker served, and
 // the lowest and highest saproxd_ingest_samplers reading of each
 // partition until every query had consumed the partition's records.
-type shedRun struct {
+type stallRun struct {
 	jobs     []*job
 	fetched  int64
 	samplers [][2]float64
 }
 
-// shedGroups serves specs, which share one sampling-group key, over a
-// two-partition topic holding events through depth-1 delivery queues,
-// holds each partition's group until the plane sheds it
-// (holdGroupsUntilShed), and waits until every query has consumed every
-// record.
-func shedGroups(t *testing.T, specs []Spec, events []stream.Event) shedRun {
+// stalledGroups serves specs, which share one sampling-group key, over a
+// two-partition topic holding events, stalls each partition's group and
+// with it the partition's loop (stallGroups), and waits until every
+// query has consumed every record.
+func stalledGroups(t *testing.T, specs []Spec, events []stream.Event) stallRun {
 	t.Helper()
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 2); err != nil {
@@ -58,8 +57,7 @@ func shedGroups(t *testing.T, specs []Spec, events []stream.Event) shedRun {
 	}
 	t.Cleanup(s.Close)
 	defer gc.open()
-	s.ing.queueDepth = 1 // before the first Register: every queue is depth 1
-	run := shedRun{jobs: registerAll(t, s, specs), samplers: make([][2]float64, len(s.ing.parts))}
+	run := stallRun{jobs: registerAll(t, s, specs), samplers: make([][2]float64, len(s.ing.parts))}
 	waitGauges(t, s, float64(len(specs)), 1)
 
 	var hwm [2]int64
@@ -86,7 +84,7 @@ func shedGroups(t *testing.T, specs []Spec, events []stream.Event) shedRun {
 			run.samplers[p] = [2]float64{lo, hi}
 		}()
 	}
-	holdGroupsUntilShed(t, s, gc)
+	stallGroups(t, s, gc)
 	for _, j := range run.jobs {
 		waitJobRecords(t, j, int64(len(events)), 30*time.Second)
 	}
@@ -98,19 +96,17 @@ func shedGroups(t *testing.T, specs []Spec, events []stream.Event) shedRun {
 	return run
 }
 
-// A shed group rereads its backlog once, with the sampler its members
-// share: however many queries ride it, the broker serves little more
-// than the produced records, and the partition runs one sampler
-// throughout.
+// A stalled group holds its partition's loop, which then reads on from
+// where it stopped, with the sampler the group's members share: however
+// many queries ride the group, the broker serves each produced record
+// once, and the partition runs one sampler throughout.
 func TestShedGroupReadsBacklogOnce(t *testing.T) {
 	events := makeSwappedEvents(59, 64000)
 	for _, members := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("%d members", members), func(t *testing.T) {
-			run := shedGroups(t, groupSpecs(members), events)
-			ratio := float64(run.fetched) / float64(len(events))
-			t.Logf("%d members: %d records fetched for %d produced (%.2f×)", members, run.fetched, len(events), ratio)
-			if ratio > 1.5 {
-				t.Errorf("%d-member group fetched %.2f× the produced records, want at most 1.5×", members, ratio)
+			run := stalledGroups(t, groupSpecs(members), events)
+			if run.fetched != int64(len(events)) {
+				t.Errorf("%d-member group: %d records fetched for %d produced, want each once", members, run.fetched, len(events))
 			}
 			for p, r := range run.samplers {
 				if r != [2]float64{1, 1} {
@@ -121,18 +117,19 @@ func TestShedGroupReadsBacklogOnce(t *testing.T) {
 	}
 }
 
-// shedParentFile holds what commit 0564fcf — whose shed groups dissolved
-// into one private catch-up per member — served from shedGroups over
-// groupSpecs(4): every window of each query that ends a slide before the
-// last event. Setting SHED_PARENT_OUT to a path makes the test write
-// what it served there instead of checking it.
+// shedParentFile holds what commit 0564fcf served over groupSpecs(4),
+// shedding each held group off the plane through a depth-1 delivery
+// queue and dissolving it into one private catch-up per member: every
+// window of each query that ends a slide before the last event. Setting
+// SHED_PARENT_OUT to a path makes the test write what stalledGroups
+// served there instead of checking it.
 const shedParentFile = "testdata/shed_parent.json"
 
-// A shed group serves the windows a group dissolved into private
+// A stalled group serves the windows a shed group dissolved into private
 // catch-ups served, bit for bit.
 func TestShedWindowsMatchParent(t *testing.T) {
 	events := makeSwappedEvents(61, 64000)
-	run := shedGroups(t, groupSpecs(4), events)
+	run := stalledGroups(t, groupSpecs(4), events)
 	last := events[len(events)-1].Time
 	got := map[string][]MergedWindow{}
 	for _, j := range run.jobs {

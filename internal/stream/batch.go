@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -23,11 +22,10 @@ import (
 // lets a skip boundary be applied as a slice bound instead of a
 // per-record comparison.
 //
-// Batches are pooled and reference-counted: the producer takes one from
-// GetEventBatch (refs=1), Retains it once per additional consumer it
-// hands the batch to, and every holder Releases when done — the last
-// Release returns the batch to the pool. All columns are read-only
-// while the batch is shared.
+// Batches are pooled, and each has one owner: the reader that takes it
+// from GetEventBatch applies it to every consumer in turn and Releases it
+// when all are done, which returns it to the pool. Consumers treat every
+// column as read-only and keep nothing of the batch past their call.
 type EventBatch struct {
 	Strata []int32   // per-record dictionary index into Dict
 	Values []float64 // per-record numeric payload
@@ -41,7 +39,6 @@ type EventBatch struct {
 	// key's string once, not once per round.
 	intern map[string]interned
 	gen    uint32
-	refs   atomic.Int32
 
 	// SortByTime's scratch, kept with the pooled batch so an unsorted
 	// fetch round allocates nothing once the pool is warm: the index
@@ -81,25 +78,17 @@ func UnixNanos(t time.Time) (int64, bool) {
 
 var batchPool = sync.Pool{New: func() any { return new(EventBatch) }}
 
-// GetEventBatch returns an empty batch from the pool with one
-// reference held by the caller.
+// GetEventBatch returns an empty batch from the pool, owned by the
+// caller.
 func GetEventBatch() *EventBatch {
 	b := batchPool.Get().(*EventBatch)
 	b.Reset()
-	b.refs.Store(1)
 	return b
 }
 
-// Retain adds a reference for one more holder of the batch.
-func (b *EventBatch) Retain() { b.refs.Add(1) }
-
-// Release drops one reference, returning the batch to the pool when the
-// last holder lets go. The caller must not touch the batch afterwards.
-func (b *EventBatch) Release() {
-	if b.refs.Add(-1) == 0 {
-		batchPool.Put(b)
-	}
-}
+// Release returns the batch to the pool. The caller must not touch the
+// batch afterwards.
+func (b *EventBatch) Release() { batchPool.Put(b) }
 
 // interned is one key of a batch's intern table.
 type interned struct {
@@ -178,8 +167,8 @@ func (b *EventBatch) AppendEvent(e Event) {
 	b.Append(b.Intern(e.Stratum), e.Value, TimeToNanos(e.Time))
 }
 
-// BatchOf returns a pooled batch holding events in row order, with one
-// reference held by the caller.
+// BatchOf returns a pooled batch holding events in row order, owned by
+// the caller.
 func BatchOf(events []Event) *EventBatch {
 	b := GetEventBatch()
 	for _, e := range events {
@@ -231,9 +220,9 @@ func (b *EventBatch) TimeOrdered() bool {
 }
 
 // SortByTime stable-sorts the batch's records by time. Only the owner
-// of a batch (refs not yet shared) may call it: the sorted columns are
-// gathered into the batch's spare columns, which then trade places with
-// the unsorted ones.
+// may call it, before any consumer reads the batch: the sorted columns
+// are gathered into the batch's spare columns, which then trade places
+// with the unsorted ones.
 func (b *EventBatch) SortByTime() {
 	if b.TimeOrdered() {
 		return

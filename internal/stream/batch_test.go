@@ -2,7 +2,6 @@ package stream
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 	"time"
 )
@@ -168,45 +167,4 @@ func TestEventBatchPoolReuseStartsEmpty(t *testing.T) {
 	if got := b2.Intern("zzz"); got != 0 {
 		t.Errorf("stale intern table: Intern on fresh batch returned %d, want 0", got)
 	}
-}
-
-func TestEventBatchRetainKeepsBatchAlive(t *testing.T) {
-	b := GetEventBatch()
-	b.AppendEvent(ev("a", 7, 3))
-	b.Retain()
-	b.Release() // one holder done; the other still reads
-	if b.Len() != 1 || b.EventAt(0).Value != 7 {
-		t.Error("batch contents lost while a reference was still held")
-	}
-	b.Release()
-}
-
-// TestEventBatchSharedReadersRace exercises the shared read-only
-// contract under the race detector: many concurrent readers over one
-// batch, each holding its own reference.
-func TestEventBatchSharedReadersRace(t *testing.T) {
-	b := GetEventBatch()
-	for i := 0; i < 500; i++ {
-		b.AppendEvent(ev("s"+string(rune('a'+i%5)), float64(i), i))
-	}
-	const readers = 8
-	var wg sync.WaitGroup
-	for r := 0; r < readers; r++ {
-		b.Retain()
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer b.Release()
-			sum := 0.0
-			for i := 0; i < b.Len(); i++ {
-				sum += b.EventAt(i).Value
-			}
-			_ = b.MaxTime(0, b.Len())
-			if sum == 0 {
-				t.Error("empty read of a populated batch")
-			}
-		}()
-	}
-	b.Release()
-	wg.Wait()
 }

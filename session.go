@@ -162,8 +162,8 @@ func NewEventBatch() *EventBatch { return stream.GetEventBatch() }
 // one, which fires every window ending at or before that segment's start;
 // a record whose segment does not fit in unix nanos is counted late.
 //
-// The batch is treated as read-only; callers sharing one batch across
-// sessions Retain/Release around the call.
+// The batch is treated as read-only, so one batch may go to many
+// sessions in turn.
 func (s *Session) PushBatch(b *EventBatch, from, to int) error {
 	if s.closed {
 		return ErrClosedSession
