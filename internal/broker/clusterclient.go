@@ -311,10 +311,6 @@ func (cc *ClusterClient) metaView() (*ClusterMeta, error) {
 // none yet).
 func (cc *ClusterClient) Meta() (*ClusterMeta, error) { return cc.metaView() }
 
-// Refresh forces a metadata refresh, polling every reachable member, as
-// every retry round of a routed request does.
-func (cc *ClusterClient) Refresh() error { return cc.refreshMeta() }
-
 // jitter spreads d uniformly over [d/2, 3d/2).
 func (cc *ClusterClient) jitter(d time.Duration) time.Duration {
 	if d <= 0 {

@@ -141,3 +141,91 @@ func TestDerivedSeedInclusion(t *testing.T) {
 		within(fmt.Sprintf("record %d kept under seed s and %d under s+1", pr[0], pr[1]), shards[i], p*p)
 	}
 }
+
+// fedAt returns a Sampler of slide and fraction keyed by seed, fed one
+// batch of records at times, in nanoseconds after base, their values
+// their indexes, over three strata.
+func fedAt(slide time.Duration, fraction float64, seed uint64, times []int64) *Sampler {
+	p := NewSampler(slide, fraction, seed)
+	b := stream.GetEventBatch()
+	defer b.Release()
+	strata := []int32{b.Intern("a"), b.Intern("b"), b.Intern("c")}
+	for i, at := range times {
+		b.Append(strata[i%len(strata)], float64(i), base+at)
+	}
+	p.Push(b, 0, b.Len(), func(int64, *sampling.Sample, int64) {})
+	return p
+}
+
+// SamePoint is what lets one Sampler stand in for another, and Copy what
+// gives a Sampler one of its own: two Samplers fed the same records stand
+// at one point of the stream whatever their seeds; one differing from
+// them in the slide, the fraction, the watermark, the segment, the
+// current or the previous segment's arrival count does not; and a Copy
+// cuts what its original cuts.
+func TestSamePointAndCopy(t *testing.T) {
+	ms := int64(time.Millisecond)
+	var times []int64 // 100 records in [500, 1000) ms, then 60 in [1000, 1300) ms
+	for i := range 160 {
+		times = append(times, 500*ms+int64(i)*5*ms)
+	}
+	last := times[len(times)-1]
+	ref := fedAt(time.Second, 0.3, 1, times)
+	for _, tc := range []struct {
+		name     string
+		same     bool
+		slide    time.Duration
+		fraction float64
+		seed     uint64
+		times    []int64
+		tweak    func(*Sampler)
+	}{
+		{name: "another seed", same: true, seed: 2},
+		{name: "slide", slide: 500 * time.Millisecond}, // segments at 500 ms and 1 s too
+		{name: "fraction", fraction: 0.5},
+		{name: "watermark", times: append(slices.Clone(times[:159]), last+ms)},
+		{name: "segment", tweak: func(p *Sampler) { p.setSegment(p.segStart - p.slide) }},
+		{name: "current count", times: append(slices.Clone(times), last)},
+		{name: "previous count", times: slices.Insert(slices.Clone(times), 1, times[0])},
+	} {
+		slide, fraction, seed, at := time.Second, 0.3, uint64(1), times
+		if tc.slide != 0 {
+			slide = tc.slide
+		}
+		if tc.fraction != 0 {
+			fraction = tc.fraction
+		}
+		if tc.seed != 0 {
+			seed = tc.seed
+		}
+		if tc.times != nil {
+			at = tc.times
+		}
+		p := fedAt(slide, fraction, seed, at)
+		if tc.tweak != nil {
+			tc.tweak(p)
+		}
+		if p.SamePoint(ref) != tc.same || ref.SamePoint(p) != tc.same {
+			t.Errorf("%s: SamePoint %v, want %v", tc.name, p.SamePoint(ref), tc.same)
+		}
+	}
+
+	c := ref.Copy()
+	if !c.SamePoint(ref) {
+		t.Fatal("a Copy stands at another point than its original")
+	}
+	got, want := map[int64]sampling.Sample{}, map[int64]sampling.Sample{}
+	rng := rand.New(rand.NewSource(3))
+	for sec := 2; sec < 7; sec++ {
+		seed := rng.Int63()
+		n := 100 + rng.Intn(400)
+		pushPane(ref, sec, n, []string{"a", "b", "c"}, rand.New(rand.NewSource(seed)), samplesAt(want))
+		pushPane(c, sec, n, []string{"a", "b", "c"}, rand.New(rand.NewSource(seed)), samplesAt(got))
+	}
+	end := base + 8*int64(time.Second)
+	ref.Advance(end, samplesAt(want))
+	c.Advance(end, samplesAt(got))
+	if len(want) != 6 || !reflect.DeepEqual(got, want) {
+		t.Errorf("a Copy cut %d panes unlike the %d its original cut", len(got), len(want))
+	}
+}

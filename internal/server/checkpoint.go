@@ -74,9 +74,9 @@ type slideCheckpoint struct {
 }
 
 // checkpoint captures the job's state, one shard at a time and then the
-// merger. A shard sharing its group's sampler snapshots that sampler, so
-// the group's lock is taken before its own, the order of the data path;
-// the job lock is never held with a shard's.
+// merger. A shard snapshots its group's sampler, so the group's lock is
+// taken before its own, the order of the data path; the job lock is never
+// held with a shard's.
 func (j *job) checkpoint() (*checkpointFile, error) {
 	cf := &checkpointFile{
 		Version: checkpointVersion,
@@ -130,10 +130,10 @@ func (m *merger) capture() []slideCheckpoint {
 	return out
 }
 
-// restore rebuilds the job's shards, controller and merger from a
-// checkpoint: each shard then hands the merger the panes its session
-// holds and its watermark, which may fire windows, and takes the
-// controller's fraction.
+// restore rebuilds the job's shards, each in a sampling group of its
+// own, its controller and its merger from a checkpoint: each shard then
+// hands the merger the panes its session holds and its watermark, which
+// may fire windows, and takes the controller's fraction.
 func (j *job) restore(cf *checkpointFile) error {
 	byPart := make(map[int]shardCheckpoint, len(cf.Shards))
 	for _, sc := range cf.Shards {
@@ -144,19 +144,21 @@ func (j *job) restore(cf *checkpointFile) error {
 		sc, ok := byPart[sh.idx]
 		if !ok {
 			// Partition added since the checkpoint: start it fresh.
-			sh.ps = pane.NewSampler(j.spec.Slide, j.spec.Fraction, j.spec.seed(sh.idx))
+			sh.alone(pane.NewSampler(j.spec.Slide, j.spec.Fraction, j.spec.seed(sh.idx)))
 			continue
 		}
-		if err := sh.restore(sc.Session); err != nil {
+		ps, err := sh.restore(sc.Session)
+		if err != nil {
 			return fmt.Errorf("shard %d session: %w", sh.idx, err)
 		}
 		if fraction == 0 {
-			fraction = sh.ps.Fraction()
+			fraction = ps.Fraction()
 		}
 		sh.records.Store(sc.Records)
 		sh.recordsMetric.Add(float64(sc.Records))
 		sh.sampled.Store(sc.Sampled)
 		sh.offset = sc.Offset
+		sh.alone(ps)
 	}
 	j.mu.Lock()
 	if j.ctl != nil && fraction > 0 {
@@ -173,39 +175,39 @@ func (j *job) restore(cf *checkpointFile) error {
 	}
 	j.mu.Unlock()
 	for _, sh := range j.shards {
-		sh.mu.Lock()
+		unlock := sh.lockSampler()
 		sh.deliver(sh.wm)
-		sh.mu.Unlock()
+		unlock()
 	}
 	return nil
 }
 
 // snapshot is the shard's session snapshot, in the format
 // streamapprox.RestoreSession reads: the session the shard samples as,
-// with a copy of its group's sampler while it shares. Callers hold
-// lockSampler.
+// with its group's sampler. Callers hold lockSampler.
 func (sh *shard) snapshot() ([]byte, error) {
 	st := sh.job.spec.session(sh.idx)
-	st.State = sh.sampler().State()
+	st.State = sh.group.Load().ps.State()
 	st.Late += sh.lateOff
 	st.Panes = sh.panes
 	return json.Marshal(st)
 }
 
-// restore rebuilds the shard's own sampler, at the fraction it sampled
-// at, and the panes it had not handed over from a session snapshot of a
+// restore rebuilds the shard's sampler, at the fraction it sampled at,
+// and the panes it had not handed over from a session snapshot of a
 // version pane.Decode reads.
-func (sh *shard) restore(data []byte) error {
+func (sh *shard) restore(data []byte) (*pane.Sampler, error) {
 	st, err := pane.Decode(data)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if sh.ps, err = st.State.Restore(sh.job.spec.Slide, st.State.Fraction); err != nil {
-		return err
+	ps, err := st.State.Restore(sh.job.spec.Slide, st.State.Fraction)
+	if err != nil {
+		return nil, err
 	}
-	sh.wm = stream.TimeFromNanos(sh.ps.Watermark())
+	sh.wm = stream.TimeFromNanos(ps.Watermark())
 	sh.panes, _, err = st.Windows(sh.q)
-	return err
+	return ps, err
 }
 
 // checkpointPath is dir/<id>.json.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"streamapprox/internal/broker"
+	"streamapprox/internal/pane"
 	"streamapprox/internal/stream"
 )
 
@@ -684,7 +686,7 @@ func TestRestoreV4CheckpointContinuesParentRun(t *testing.T) {
 	}
 	for _, j := range jobs[1:3] {
 		for _, sh := range j.shards {
-			if sh.sharing.Load() == nil {
+			if sh.group.Load() != jobs[0].shards[sh.idx].group.Load() {
 				t.Fatalf("%s shard %d does not share its group's sampler after the restore", j.id, sh.idx)
 			}
 		}
@@ -798,9 +800,9 @@ func TestRestoredTargetErrorSamplesAtOneFraction(t *testing.T) {
 	fractions := func(j *job) []float64 {
 		var out []float64
 		for _, sh := range j.shards {
-			sh.mu.Lock()
-			out = append(out, sh.ps.Fraction())
-			sh.mu.Unlock()
+			unlock := sh.lockSampler()
+			out = append(out, sh.group.Load().ps.Fraction())
+			unlock()
 		}
 		return out
 	}
@@ -832,9 +834,9 @@ func TestRestoredTargetErrorSamplesAtOneFraction(t *testing.T) {
 	}
 	driveShards(r, events, keyedBy(2), lo.Add(round), end)
 	for _, sh := range r.shards {
-		sh.mu.Lock()
+		unlock := sh.lockSampler()
 		sh.deliver(time.Time{})
-		sh.mu.Unlock()
+		unlock()
 	}
 	if f := fractions(r); f[0] != f[1] {
 		t.Errorf("restored shards sample at %v once each has delivered, want one fraction", f)
@@ -915,6 +917,111 @@ func TestCheckpointDuringFiringIsStable(t *testing.T) {
 		}
 		if !bytes.Equal(during, want) || !bytes.Equal(after, want) {
 			t.Fatalf("checkpoint slides encode\n%s during the firing and\n%s after it, want\n%s", during, after, want)
+		}
+	}
+}
+
+// TestCheckpointDuringFoldIsStable: five late registrations, one at a
+// time, catch up behind the plane and fold into the group on it while
+// every query is checkpointed in a loop. A fold is the one path that holds two group
+// locks, and a checkpoint's lockSampler retries across it: every
+// checkpoint decodes, each shard's record count is its offset — every
+// record below it read once, in the hold that read the offset — and once
+// the plane stops, each folded member's snapshot holds its group-mate's
+// sampler state.
+func TestCheckpointDuringFoldIsStable(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(67, 96000)
+	half := len(events) / 2
+	if _, err := produceEvents(bk, "in", events[:half]); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	specs := groupSpecs(6)
+	jobs := registerAll(t, s, specs[:1])
+	waitJobRecords(t, jobs[0], int64(half), 10*time.Second)
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	var taken int
+	var failed error
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, j := range s.jobs() {
+				cf, err := j.checkpoint()
+				if err != nil {
+					failed = err
+					return
+				}
+				data, err := json.Marshal(cf)
+				var back checkpointFile
+				if err == nil {
+					err = json.Unmarshal(data, &back)
+				}
+				for _, sc := range back.Shards {
+					if err == nil {
+						_, err = pane.Decode(sc.Session)
+					}
+					if err == nil && sc.Records != sc.Offset {
+						err = fmt.Errorf("%s shard %d: %d records below offset %d", j.id, sc.Partition, sc.Records, sc.Offset)
+					}
+				}
+				if err != nil {
+					failed = err
+					return
+				}
+				taken++
+			}
+		}
+	}()
+	for i := 2; i <= len(specs); i++ {
+		jobs = append(jobs, registerAll(t, s, specs[i-1:i])...)
+		waitGauges(t, s, float64(i), 1)
+	}
+	if _, err := produceEvents(bk, "in", events[half:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		waitJobRecords(t, j, int64(len(events)), 15*time.Second)
+	}
+	waitGauges(t, s, float64(len(specs)), 1)
+	close(stop)
+	<-done
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	t.Logf("%d checkpoints taken through the folds", taken)
+
+	s.ing.stop()
+	for p := range s.ing.parts {
+		var states []pane.State
+		for _, j := range jobs {
+			cf, err := j.checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := pane.Decode(cf.Shards[p].Session)
+			if err != nil {
+				t.Fatal(err)
+			}
+			states = append(states, st.State)
+		}
+		for i, st := range states[1:] {
+			if st.Sampler == nil || !reflect.DeepEqual(st, states[0]) {
+				t.Errorf("partition %d: %s's snapshot holds another sampler than %s's", p, jobs[i+1].id, jobs[0].id)
+			}
 		}
 	}
 }

@@ -66,9 +66,10 @@ func fixtureServer(t testing.TB, partitions int) *Server {
 // driveShards hands each shard of j the events of its partition that fall
 // in [from, to), a quarter second of event time per round, shards in
 // index order, each round's records as one batch at the shard's next
-// offset. A shard with no record in a round is advanced to the job's
-// highest watermark, as the plane's idle marker advances it to the
-// plane's mark once its partition drains.
+// offset, applied through the shard's sampling group. A shard with no
+// record in a round is advanced to the job's highest watermark, as the
+// plane's idle marker advances it to the plane's mark once its partition
+// drains.
 func driveShards(j *job, events []stream.Event, part func(string) int, from, to time.Time) {
 	const round = 250 * time.Millisecond
 	for lo := from; lo.Before(to); lo = lo.Add(round) {
@@ -83,18 +84,24 @@ func driveShards(j *job, events []stream.Event, part func(string) int, from, to 
 					b.AppendEvent(e)
 				}
 			}
-			mark := maxWatermark(j)
-			sh.mu.Lock()
-			if b.Len() > 0 {
-				b.Base = sh.offset
-				sh.consumeLocked(b, sh.offset+int64(b.Len()))
-			} else {
-				sh.advanceLocked(stream.TimeToNanos(mark))
-			}
-			sh.mu.Unlock()
+			push(sh, b, maxWatermark(j))
 			b.Release()
 		}
 	}
+}
+
+// push applies b to sh's sampling group at the shard's offset, as the
+// plane delivers a batch; an empty b is an idle marker there carrying
+// mark.
+func push(sh *shard, b *stream.EventBatch, mark time.Time) {
+	sh.mu.Lock()
+	b.Base = sh.offset
+	sh.mu.Unlock()
+	d := planeDelivery{next: b.Base, mark: stream.TimeToNanos(mark)}
+	if b.Len() > 0 {
+		d.batch, d.next = b, b.Base+int64(b.Len())
+	}
+	sh.group.Load().apply(d)
 }
 
 // maxWatermark is the highest event-time watermark across j's shards:
@@ -126,8 +133,9 @@ func servedFixture(t *testing.T, path string) map[string][]MergedWindow {
 }
 
 // rig drives a server's sampling groups with no partition loop, as the
-// loop would: join attaches a query's shards to the plane, and apply
-// hands every group on a partition one batch at the plane's offset.
+// loop would: join puts a query's shards' groups on the plane, and apply
+// hands every group on a partition's plane one batch at the plane's
+// offset.
 type rig struct {
 	t    testing.TB
 	srv  *Server
@@ -152,25 +160,38 @@ func (r *rig) query(id string, spec Spec) *job {
 	return j
 }
 
-// join attaches every shard of j to its partition's plane.
+// join puts every shard's group of j on its partition's plane, where it
+// folds into an older group at its point of the stream.
 func (r *rig) join(j *job) {
 	for _, sh := range j.shards {
 		pi := r.srv.ing.parts[sh.idx]
 		pi.mu.Lock()
-		pi.join(sh)
+		pi.place(sh.group.Load(), sh.offset)
 		pi.mu.Unlock()
 	}
 }
 
-// apply hands b, based at partition p's plane offset, to every group on p.
+// apply hands b, based at partition p's plane offset, to every group on
+// p's plane.
 func (r *rig) apply(p int, b *stream.EventBatch) {
 	b.Base = r.next[p]
 	r.next[p] += int64(b.Len())
+	r.deliver(p, planeDelivery{batch: b, next: r.next[p], hwm: r.next[p], haveHWM: true})
+}
+
+// deliver hands d to every group on partition p's plane, folding first,
+// as the loop does before each delivery, and then once more, so what
+// stands at one point of the stream after d has folded when deliver
+// returns, as it has by the loop's next delivery.
+func (r *rig) deliver(p int, d planeDelivery) {
 	pi := r.srv.ing.parts[p]
 	pi.mu.Lock()
-	groups := slices.Clone(pi.groups)
+	groups := slices.Clone(pi.feeding())
 	pi.mu.Unlock()
 	for _, sub := range groups {
-		sub.apply(planeDelivery{batch: b, next: r.next[p], hwm: r.next[p], haveHWM: true})
+		sub.apply(d)
 	}
+	pi.mu.Lock()
+	pi.feeding()
+	pi.mu.Unlock()
 }

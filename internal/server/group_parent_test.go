@@ -70,9 +70,9 @@ func groupedRounds(n int) [][2][]stream.Event {
 
 // driveGroups drives groupedSpecs through a 2-partition server's sampling
 // groups with no partition loop: each round's batch is applied to every
-// group in turn. Query 4 registers late: it replays rounds 0–18 privately,
-// joins while the groups stand at round 16 and shares once they reach
-// it. Query 0, which leads both groups, is deleted mid-pane after round
+// group in turn. Query 4 registers late: it replays rounds 0–18 through
+// groups of its own, joins while the groups stand at round 16 and folds
+// into them once they reach it. Query 0, which leads both groups, is deleted mid-pane after round
 // 41. After round 60 an idle marker carrying the plane's mark — the
 // highest watermark of any query — reaches both groups. After round 80,
 // mid-pane, every query is checkpointed and restored into a fresh
@@ -105,15 +105,10 @@ func driveGroups(t *testing.T) groupedRun {
 	for r := range rounds {
 		if r == lateAt {
 			newQuery(4, nil)
-			var offsets [2]int64
 			for rr := range r + lateAhead {
 				for _, sh := range jobs[4].shards {
 					b := stream.BatchOf(rounds[rr][sh.idx])
-					b.Base = offsets[sh.idx]
-					offsets[sh.idx] += int64(b.Len())
-					sh.mu.Lock()
-					sh.consumeLocked(b, offsets[sh.idx])
-					sh.mu.Unlock()
+					push(sh, b, time.Time{})
 					b.Release()
 				}
 			}
@@ -136,13 +131,8 @@ func driveGroups(t *testing.T) groupedRun {
 					mark = maxWatermark(j)
 				}
 			}
-			for p, pi := range rg.srv.ing.parts {
-				pi.mu.Lock()
-				groups := slices.Clone(pi.groups)
-				pi.mu.Unlock()
-				for _, sub := range groups {
-					sub.apply(planeDelivery{next: rg.next[p], hwm: rg.next[p], haveHWM: true, mark: stream.TimeToNanos(mark)})
-				}
+			for p := range rg.next {
+				rg.deliver(p, planeDelivery{next: rg.next[p], hwm: rg.next[p], haveHWM: true, mark: stream.TimeToNanos(mark)})
 			}
 		}
 		if r == checkpointAt {
@@ -201,12 +191,12 @@ func driveGroups(t *testing.T) groupedRun {
 
 // TestGroupedWindowsMatchParent pins the sampling groups to the build
 // whose members followed a leader's Session, the idle step re-recorded
-// for the plane's one mark: through a late query that samples privately
-// and then shares, the deletion of the groups' first member mid-pane, an
-// idle marker, and a mid-pane checkpoint restored into a fresh server,
-// every query serves the same windows bit for bit, every shard drops the
-// same records as late and every partition runs the same number of
-// samplers.
+// for the plane's one mark: through a late query that samples in groups
+// of its own and then folds into the others, the deletion of the groups'
+// first member mid-pane, an idle marker, and a mid-pane checkpoint
+// restored into a fresh server, every query serves the same windows bit
+// for bit, every shard drops the same records as late and every
+// partition runs the same number of samplers.
 func TestGroupedWindowsMatchParent(t *testing.T) {
 	got := driveGroups(t)
 	if out := os.Getenv("GROUPED_PARENT_OUT"); out != "" {

@@ -110,7 +110,7 @@ func checkWindowsOnce(t *testing.T, j *job, events []stream.Event) {
 }
 
 // (a) Deleting, mid-stream, the query whose shards are every partition's
-// first sharing member leaves each group's sampler sampling for the
+// group's first member leaves each group's sampler sampling for the
 // others: every other query serves every window once.
 func TestGroupFirstMemberDeleteServesEveryWindowOnce(t *testing.T) {
 	bk := broker.New()

@@ -29,30 +29,33 @@ type traceSetter interface{ SetTraceID(uint64) }
 // middle tier serve thousands of concurrent queries over a single topic
 // read.
 //
-// On each partition the shards whose samplers would be interchangeable —
-// the same slide and the same fixed fraction — form one SAMPLING GROUP:
-// one pane sampler the group owns, whose every pane each sharing member
-// summarises through its own query. A query under a target error, whose
-// one controller moves its fraction, groups its shard alone. The group is
-// the only thing the plane feeds, and nothing stands between it and the
-// loop: a group that stalls — on a held lock, say — stalls its
-// partition's loop, and the partition falls behind in the broker's log,
-// which the lag gauges show.
+// Each shard samples through exactly one SAMPLING GROUP: one pane
+// sampler the group owns, whose every pane each member summarises through
+// its own query. A shard starts in a group of its own. On each partition
+// a group on the plane whose sampler stands at the point of an older
+// group's of the same key — the same slide and the same fixed fraction —
+// FOLDS into it, at its splice and again before each delivery, so shards
+// whose samplers would be interchangeable sample once. A query under a
+// target error, whose one controller moves its fraction, keys its shard's
+// group to itself, which never folds. The group is the only thing the
+// plane feeds, and nothing stands between it and the loop: a group that
+// stalls — on a held lock, say — stalls its partition's loop, and the
+// partition falls behind in the broker's log, which the lag gauges show.
 //
-// A group BEHIND the plane — a new group of one for a shard attaching at
-// an offset the plane has passed (a late registration, a restored
-// checkpoint) — stands at its position: the partition's one SWEEP reads
-// the log behind the plane once for all of them and splices each back
-// whole at the plane position under the plane's lock, so no record is
-// lost or duplicated. A shard attaching ahead of the plane (From
-// "latest") joins at once and drops records below its start.
+// A group BEHIND the plane — a shard's group attaching at an offset the
+// plane has passed (a late registration, a restored checkpoint) — stands
+// at its position: the partition's one SWEEP reads the log behind the
+// plane once for all of them and splices each back whole at the plane
+// position under the plane's lock, so no record is lost or duplicated. A
+// shard attaching ahead of the plane (From "latest") goes on the plane at
+// once and drops records below its start.
 //
 // The plane keeps one event-time mark for the topic: the latest event
 // time any partition loop has read. A partition that polls empty — the
 // broker serves up to its committed high watermark, so an empty poll at
 // the plane position means it is drained — for idleAdvanceFloor applies a
 // marker to its groups: a delivery without a batch, carrying the mark,
-// which advances every member's sampler there, so windows a quiet
+// which advances each group's sampler there, so windows a quiet
 // partition would hold back still merge.
 
 // fetchMax bounds one fetch round's record count, on the plane and the
@@ -92,25 +95,23 @@ type ingest struct {
 	wg    sync.WaitGroup
 }
 
-// subQueue is one sampling group on one partition: its members and the
-// pane sampler they share, to which the partition loop applies each batch
-// on the plane and the sweep each round behind it. The group's sampler
-// samples each batch once, and every sharing member summarises its panes; a
-// private member (out of step with the group) samples for itself until it
-// stands at the group's point of the stream, then shares.
+// subQueue is one sampling group: its members and the pane sampler they
+// sample through, to which the partition loop applies each batch on the
+// plane and the sweep each round behind it. The group's sampler samples
+// each batch once, and every member summarises its panes.
 type subQueue struct {
 	key groupKey
 	// mu guards members, ps, offset and summed, and is held across each
-	// delivery's application, so shards join and leave between batches.
+	// delivery's application, so shards fold and leave between batches.
+	// Members change under the partition lock too.
 	mu      sync.Mutex
-	members []*shard      // members[0] shares ps
-	ps      *pane.Sampler // the shared sampler
-	offset  int64         // the next offset ps samples
-	summed  []*shard      // cut's scratch: the members summarised so far
+	members []*shard
+	ps      *pane.Sampler
+	offset  int64    // the next offset ps samples
+	summed  []*shard // cut's scratch: the members summarised so far
 	// from is where a group behind the plane stands, -1 on it; guarded by
 	// the partition lock.
-	from     int64
-	samplers *metrics.Gauge // the partition's saproxd_ingest_samplers
+	from int64
 }
 
 // groupKey is what makes two shards' samplers interchangeable on a
@@ -142,14 +143,13 @@ type partIngest struct {
 	cluster broker.Cluster // dedicated connection when DialShard is set
 	conn    io.Closer      // nil when sharing the control connection
 
-	// mu guards subs, groups, every group's from, and next. The loop
-	// advances next and takes the groups on the plane with mu held, so a
-	// splice (pos == next) is atomic against it; it applies outside mu.
+	// mu guards groups, every group's from, and next. The loop advances
+	// next and takes the groups on the plane with mu held, so a splice
+	// (pos == next) is atomic against it; it applies outside mu.
 	mu       sync.Mutex
-	subs     map[*shard]*subQueue // every attached shard's group
-	groups   []*subQueue          // on the plane and behind it
-	fed      []*subQueue          // the loop's scratch: the groups a delivery goes to
-	next     int64                // next offset the plane will deliver; set by the first attach
+	groups   []*subQueue // on the plane and behind it, oldest first
+	fed      []*subQueue // the loop's scratch: the groups a delivery goes to
+	next     int64       // next offset the plane will deliver; set by the first attach
 	started  bool
 	stopped  bool
 	sweeping bool // the sweep runs
@@ -157,7 +157,7 @@ type partIngest struct {
 
 	recordsMetric *metrics.Counter
 	queriesGauge  *metrics.Gauge
-	samplersGauge *metrics.Gauge // group members sampling for themselves
+	samplersGauge *metrics.Gauge // one per sampling group
 	lagGauge      *metrics.Gauge
 	throughput    *metrics.Meter
 	batchHist     *metrics.Histogram // records per delivered columnar batch
@@ -198,14 +198,13 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 			idx:     p,
 			cluster: pc,
 			conn:    closer,
-			subs:    make(map[*shard]*subQueue),
 			done:    make(chan struct{}),
 			recordsMetric: reg.Counter("saproxd_ingest_records_total",
 				"records fetched once and fanned out to all queries, per partition", l),
 			queriesGauge: reg.Gauge("saproxd_ingest_queries",
 				"queries attached to the partition's shared plane", l),
 			samplersGauge: reg.Gauge("saproxd_ingest_samplers",
-				"pane samplers the partition's attached queries run: each sampling group's shared one plus one per private member", l),
+				"pane samplers the partition's attached queries run: one per sampling group", l),
 			lagGauge: reg.Gauge("saproxd_ingest_lag_records",
 				"records between the plane position and the partition high watermark", l),
 			batchHist: reg.Histogram("saproxd_ingest_batch_records",
@@ -220,67 +219,11 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	return ing, nil
 }
 
-// join attaches sh to the partition (callers hold pi.mu): into the
-// sampling group on the plane its job's key names — sharing the group's
-// sampler when it stands at the group's point of the stream, as a private
-// member otherwise — or into a new group of its own on the plane.
-// A batch the loop is still applying below the shard's offset is skipped
-// for it.
-func (pi *partIngest) join(sh *shard) {
-	sh.skipToOffset()
-	i := pi.live(sh.job.groupKey())
-	if i < 0 {
-		pi.group(sh, pi.next)
-		return
-	}
-	pi.samplersGauge.Add(1)
-	sub := pi.groups[i]
-	pi.subs[sh] = sub
-	sub.mu.Lock()
-	sub.members = append(sub.members, sh)
-	sub.share(sh)
-	sub.mu.Unlock()
-}
-
-// live is the index of the group on the plane that shards of key join, or
-// -1. Callers hold pi.mu.
-func (pi *partIngest) live(key groupKey) int {
-	return slices.IndexFunc(pi.groups, func(sub *subQueue) bool { return sub.key == key && sub.onPlane() })
-}
-
-// group starts a new group of sh alone at from — on the plane when from is
-// the plane position, otherwise behind it, for the sweep — which takes
-// sh's sampler. Callers hold pi.mu.
-func (pi *partIngest) group(sh *shard, from int64) {
-	pi.samplersGauge.Add(1)
-	sub := &subQueue{key: sh.job.groupKey(), members: []*shard{sh}, samplers: pi.samplersGauge, from: from}
-	sub.take(sh)
-	pi.groups = append(pi.groups, sub)
-	pi.subs[sh] = sub
-	if from == pi.next {
-		pi.splice(sub)
-	} else {
-		pi.sweep()
-	}
-}
-
-// onPlane reports whether the plane feeds the group, not the sweep.
-// Callers hold pi.mu.
-func (sub *subQueue) onPlane() bool { return sub.from < 0 }
-
-// end dissolves a group taken off the partition, once a delivery the loop
-// is applying to it is done. Callers hold pi.mu.
-func (sub *subQueue) end() {
-	sub.mu.Lock()
-	sub.dissolve()
-	sub.mu.Unlock()
-}
-
-// attach joins one query shard to a partition plane, starting the loop
-// on first use. from is the shard's delivery watermark: behind the plane
-// the shard starts a group of its own there, which the sweep brings up to
-// the plane; at or ahead of the plane the shard joins at once,
-// skipping records below from.
+// attach puts one query shard's group — a group of one — on a partition,
+// starting the loop on first use. from is the shard's delivery watermark:
+// behind the plane the group stands there, for the sweep to bring up to
+// the plane; at or ahead of the plane it goes on the plane at once, its
+// member skipping records below from.
 func (ing *ingest) attach(sh *shard, from int64) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
@@ -293,41 +236,66 @@ func (ing *ingest) attach(sh *shard, from int64) {
 			go pi.loop(from)
 		}
 	}
-	if from >= pi.next {
-		pi.join(sh)
-	} else {
-		pi.group(sh, from)
-	}
-	pi.queriesGauge.Set(float64(len(pi.subs)))
+	pi.place(sh.group.Load(), from)
 }
 
-// detach takes a shard out of its group, so no consume call can follow
-// detach. The last member ends the group.
+// place adds a group of one to the partition at from (see attach).
+// Callers hold pi.mu.
+func (pi *partIngest) place(sub *subQueue, from int64) {
+	pi.groups = append(pi.groups, sub)
+	if from < pi.next {
+		sub.from = from
+		pi.sweep()
+	} else {
+		sub.members[0].skipToOffset()
+		pi.splice(len(pi.groups) - 1)
+	}
+	pi.gauge()
+}
+
+// onPlane reports whether the plane feeds the group, not the sweep.
+// Callers hold pi.mu.
+func (sub *subQueue) onPlane() bool { return sub.from < 0 }
+
+// detach takes a shard off its partition into a group of its own, so no
+// delivery follows detach: with its group's sampler when it was the last
+// member, which takes the group off the partition, and with a copy of it
+// otherwise.
 func (ing *ingest) detach(sh *shard) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
-	sub, ok := pi.subs[sh]
-	if !ok {
-		pi.mu.Unlock()
-		return
+	defer pi.mu.Unlock()
+	sub := sh.group.Load()
+	i := slices.Index(pi.groups, sub)
+	if i < 0 {
+		return // never attached, or detached already
 	}
-	delete(pi.subs, sh)
-	pi.queriesGauge.Set(float64(len(pi.subs)))
-	if len(sub.members) > 1 { // members change only under pi.mu too
-		sub.mu.Lock()
-		sub.remove(sh)
-		sub.mu.Unlock()
-		pi.mu.Unlock()
-		return
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	sub.members = slices.DeleteFunc(sub.members, func(m *shard) bool { return m == sh })
+	if len(sub.members) > 0 {
+		sh.alone(sub.ps.Copy())
+	} else {
+		sh.alone(sub.ps)
+		pi.groups = slices.Delete(pi.groups, i, i+1)
 	}
-	pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })
-	sub.end()
-	pi.mu.Unlock()
+	pi.gauge()
 }
 
-// stop halts every partition loop and sweep, closes dedicated
-// connections, and ends every group. Attached shards receive no further
-// deliveries once stop returns.
+// gauge publishes the partition's attached queries and its samplers, one
+// per sampling group. Callers hold pi.mu.
+func (pi *partIngest) gauge() {
+	n := 0
+	for _, sub := range pi.groups {
+		n += len(sub.members)
+	}
+	pi.queriesGauge.Set(float64(n))
+	pi.samplersGauge.Set(float64(len(pi.groups)))
+}
+
+// stop halts every partition loop and sweep and closes dedicated
+// connections. Attached shards receive no further deliveries once stop
+// returns; their groups stay on the partitions until they detach.
 func (ing *ingest) stop() {
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
@@ -341,17 +309,6 @@ func (ing *ingest) stop() {
 	// in, so stopping never waits out a request deadline or retry budget.
 	ing.closeConns()
 	ing.wg.Wait()
-	// With the loops and sweeps stopped every delivery has been applied.
-	for _, pi := range ing.parts {
-		pi.mu.Lock()
-		for _, sub := range pi.groups {
-			sub.end()
-		}
-		pi.groups = nil
-		clear(pi.subs)
-		pi.queriesGauge.Set(0)
-		pi.mu.Unlock()
-	}
 }
 
 func (ing *ingest) closeConns() {
@@ -491,12 +448,17 @@ func (pi *partIngest) punctuate(mark int64) {
 	pi.lagGauge.Set(0)
 }
 
-// feeding lists the groups on the plane in the loop's scratch, which only
-// the loop uses. Callers hold pi.mu.
+// feeding folds every group on the plane that stands at an older group's
+// point of the stream (fold), and lists the groups left on the plane in
+// the loop's scratch, which only the loop uses. Callers hold pi.mu.
 func (pi *partIngest) feeding() []*subQueue {
 	pi.fed = pi.fed[:0]
-	for _, sub := range pi.groups {
-		if sub.onPlane() {
+	for i := 0; i < len(pi.groups); i++ {
+		switch sub := pi.groups[i]; {
+		case !sub.onPlane():
+		case pi.fold(i):
+			i-- // deleted at i
+		default:
 			pi.fed = append(pi.fed, sub)
 		}
 	}
@@ -555,8 +517,8 @@ func (pi *partIngest) sweeper() {
 		for i := 0; i < len(pi.groups); i++ {
 			if sub := pi.groups[i]; sub.from == lo {
 				sub.apply(planeDelivery{batch: b, next: next})
-				if sub.from = next; next == pi.next && !pi.splice(sub) {
-					i-- // merged into the group on the plane, and deleted at i
+				if sub.from = next; next == pi.next && pi.splice(i) {
+					i-- // folded into an older group on the plane, and deleted at i
 				}
 			}
 		}
@@ -565,22 +527,26 @@ func (pi *partIngest) sweeper() {
 	}
 }
 
-// splice puts a group standing at the plane position on the plane, or
-// merges it into the group there of its key, whose sampler its members
-// share once at the same point. It reports whether the group itself is on
-// the plane. Callers hold pi.mu.
-func (pi *partIngest) splice(sub *subQueue) bool {
-	if pi.live(sub.key) < 0 {
-		sub.from = -1
-		return true
-	}
-	pi.groups = slices.DeleteFunc(pi.groups, func(o *subQueue) bool { return o == sub })
-	sub.mu.Lock()
-	members := sub.members
-	sub.dissolve()
-	sub.mu.Unlock()
-	for _, sh := range members {
-		pi.join(sh)
+// splice puts the group at i, standing at the plane position, on the
+// plane, and folds it into an older group there of its key at its point
+// of the stream. It reports whether it folded. Callers hold pi.mu.
+func (pi *partIngest) splice(i int) bool {
+	pi.groups[i].from = -1
+	return pi.fold(i)
+}
+
+// fold folds the group on the plane at i into the first older group on
+// the plane of its key that stands at its point of the stream (absorb),
+// and takes it off the partition. It reports whether it folded. Callers
+// hold pi.mu.
+func (pi *partIngest) fold(i int) bool {
+	sub := pi.groups[i]
+	for _, into := range pi.groups[:i] {
+		if into.key == sub.key && into.onPlane() && into.absorb(sub) {
+			pi.groups = slices.Delete(pi.groups, i, i+1)
+			pi.gauge()
+			return true
+		}
 	}
 	return false
 }

@@ -211,8 +211,8 @@ func lateRegistrationCatchesUp(t *testing.T, events []stream.Event) {
 	waitJobRecords(t, j1, int64(len(events)), 15*time.Second)
 	waitJobRecords(t, j2, int64(len(events)), 15*time.Second)
 	waitJobRecords(t, jPeer, int64(len(events)), 15*time.Second)
-	// (d) The late query, spliced as a private member, follows the group's
-	// sampler by the first slide boundary of the new records.
+	// (d) The late query, spliced as a group of its own, folds into the
+	// group by the first slide boundary of the new records.
 	waitGauges(t, s, 3, 1)
 	checkWindowsOnce(t, jPeer, events)
 	// Settle, then check exact counts: an over-delivery would overshoot.
@@ -337,11 +337,7 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 			sh.mu.Lock()
 			sh.skipUntil = b.Base + int64(tc.skip)
 			sh.mu.Unlock()
-			pi := s.ing.parts[0]
-			pi.mu.Lock()
-			sub := pi.subs[sh]
-			pi.mu.Unlock()
-			sub.apply(planeDelivery{batch: b, next: b.Base + int64(b.Len())})
+			sh.group.Load().apply(planeDelivery{batch: b, next: b.Base + int64(b.Len())})
 			sh.mu.Lock()
 			got, records := sh.wm, sh.records.Load()
 			sh.mu.Unlock()

@@ -14,7 +14,6 @@ import (
 	"streamapprox/internal/metrics"
 	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
-	"streamapprox/internal/sampling"
 	"streamapprox/internal/stream"
 )
 
@@ -24,8 +23,9 @@ import (
 // panes. Shards of one query share nothing on the data path — the
 // paper's synchronization-free parallel sampling — and the plane
 // delivers every partition batch to all queries from a single topic
-// read; on one partition, queries with interchangeable samplers share
-// their sampling group's (see subQueue).
+// read; each shard samples through its sampling group's sampler, which
+// on one partition queries with interchangeable samplers share (see
+// subQueue).
 type job struct {
 	id   string
 	spec Spec
@@ -70,26 +70,24 @@ const (
 )
 
 // shard is one partition's delivery sink for one query: its sampling
-// group pushes batches into its pane sampler — its own, or the group's —
-// and the shard summarises the sampler's panes through its query for the
-// merger. It tracks the query's private delivery watermark — the next
-// offset it needs — which is what the query's checkpoint persists.
+// group pushes batches into the group's pane sampler, and the shard
+// summarises the sampler's panes through its query for the merger. It
+// tracks the query's private delivery watermark — the next offset it
+// needs — which is what the query's checkpoint persists.
 type shard struct {
 	job *job
 	idx int // shard index == partition
 	q   query.Query
 
-	// mu guards ps, panes, lateOff, wm, offset and skipUntil against the
+	// mu guards panes, lateOff, wm, offset and skipUntil against the
 	// checkpointer. records/sampled/lag are atomic so the query's lag
 	// total and the progress counters need no lock.
 	mu sync.Mutex
-	// ps samples for the shard while it samples for itself; it is nil
-	// while the shard shares its group's (sharing, which changes under
-	// the group's lock and mu; the group's lock guards that sampler).
-	ps        *pane.Sampler
-	sharing   atomic.Pointer[subQueue]
+	// group is the sampling group the shard samples through; it changes
+	// under that group's lock, which guards the group's sampler.
+	group     atomic.Pointer[subQueue]
 	panes     []query.Pane // finished, not yet handed to the merger
-	lateOff   int64        // late drops beyond the sampler's own count
+	lateOff   int64        // late drops beyond the group sampler's count
 	wm        time.Time    // the sampler's watermark after the last delivery
 	offset    int64        // delivery watermark: next offset to apply
 	skipUntil int64        // drop plane records below this offset (late attach ahead of plane)
@@ -150,13 +148,13 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		return j, nil
 	}
 	for _, sh := range j.shards {
-		sh.ps = pane.NewSampler(spec.Slide, spec.Fraction, spec.seed(sh.idx))
 		if spec.From == "latest" {
 			var err error
 			if sh.offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx); err != nil {
 				return nil, fmt.Errorf("shard %d start offset: %w", sh.idx, err)
 			}
 		}
+		sh.alone(pane.NewSampler(spec.Slide, spec.Fraction, spec.seed(sh.idx)))
 	}
 	return j, nil
 }
@@ -181,7 +179,7 @@ func (j *job) start() {
 	}
 }
 
-// stop detaches the shards from the plane.
+// stop detaches the shards from the plane, each into a group of its own.
 // When flush is true every in-progress session segment and pending
 // merge is forced out to subscribers first — the DELETE path; graceful
 // server shutdown keeps them pending so a restart resumes from the
@@ -199,10 +197,11 @@ func (j *job) stop(flush bool) {
 	}
 	if flush {
 		for _, sh := range j.shards {
-			sh.mu.Lock()
-			sh.ps.Close(sh.cut)
+			unlock := sh.lockSampler()
+			sub := sh.group.Load()
+			sub.ps.Close(sub.cut)
 			sh.deliver(time.Time{})
-			sh.mu.Unlock()
+			unlock()
 		}
 		j.mu.Lock()
 		for _, fw := range j.merger.flush() {
@@ -311,32 +310,13 @@ func (j *job) subscribe() (<-chan struct{}, func()) {
 	}
 }
 
-// skipToOffset arms the shard to drop plane records below its offset —
-// a query joining a group the loop may still be applying a batch to that
-// it has applied (a splice from behind the plane), or that the plane
-// delivers behind its requested start (From "latest").
+// skipToOffset arms the shard to drop plane records below its offset: a
+// group that goes on the plane ahead of the plane position — From
+// "latest", or a restored shard — is delivered them first.
 func (sh *shard) skipToOffset() {
 	sh.mu.Lock()
 	sh.skipUntil = max(sh.skipUntil, sh.offset)
 	sh.mu.Unlock()
-}
-
-// sampler is the sampler the shard's panes come from: its own, or its
-// group's while it shares. Callers hold mu, and the group's lock while
-// the shard shares.
-func (sh *shard) sampler() *pane.Sampler {
-	if sub := sh.sharing.Load(); sub != nil {
-		return sub.ps
-	}
-	return sh.ps
-}
-
-// cut files a segment its own sampler finished as a pane, summarised
-// through the shard's query.
-func (sh *shard) cut(start int64, s *sampling.Sample, _ int64) {
-	if s != nil {
-		sh.panes = append(sh.panes, query.Pane{Start: stream.TimeFromNanos(start), Summary: sh.q.Summarize(s)})
-	}
 }
 
 // skipFrom is the index of the first record of b at or past skipUntil,
@@ -347,27 +327,20 @@ func (sh *shard) skipFrom(b *stream.EventBatch) int {
 	return int(min(max(sh.skipUntil-b.Base, 0), int64(b.Len())))
 }
 
-// consumeLocked applies one EventBatch to the shard's own sampler and
-// hands the panes it finished and its watermark to the merger. The batch
-// is shared with other queries' sinks and is never mutated. The whole
-// application (push + merger delivery) runs under one sh.mu hold, so a
-// checkpoint observes either all of a batch or none of it (no torn
-// checkpoint). A shard sharing its group's sampler pushes nothing: the
-// group, under its lock, sampled the batch and filed the shard's panes
-// first.
-func (sh *shard) consumeLocked(b *stream.EventBatch, next int64) {
-	from := sh.skipFrom(b)
-	delivered := b.Len() - from
-	if delivered > 0 && sh.ps != nil {
-		sh.ps.Push(b, from, b.Len(), sh.cut)
-	}
+// consumeLocked counts one EventBatch its group's sampler ps took and
+// hands the panes it filed for the shard and the shard's watermark to the
+// merger. The batch is shared with other queries' sinks and is never
+// mutated. The group, under its lock, sampled the batch first, and a
+// checkpoint takes that lock too, so it observes either all of a batch or
+// none of it (no torn checkpoint).
+func (sh *shard) consumeLocked(b *stream.EventBatch, next int64, ps *pane.Sampler) {
+	delivered := b.Len() - sh.skipFrom(b)
 	// Still skipping ahead to the requested start, the watermark to resume
 	// from after a restart is the start, not the plane position.
 	sh.offset = max(next, sh.skipUntil)
 	if delivered > 0 {
 		sh.records.Add(int64(delivered))
 		sh.recordsMetric.Add(float64(delivered))
-		ps := sh.sampler()
 		sh.lateMetric.Set(float64(ps.Late() + sh.lateOff))
 		sh.wm = stream.TimeFromNanos(ps.Watermark())
 		sh.deliver(sh.wm)
@@ -388,23 +361,11 @@ func (sh *shard) setLag(lag int64) {
 	sh.job.lagGauge.Set(float64(total))
 }
 
-// advanceLocked advances the shard to an idle marker's mark n, in unix
-// nanos: its own sampler, while it samples for itself — a sharing
-// member's group advanced first — and its mark at the merger, so the
-// windows a quiet partition would hold back fire.
-func (sh *shard) advanceLocked(n int64) {
-	if sh.ps != nil {
-		sh.ps.Advance(n, sh.cut)
-	}
-	sh.wm = stream.TimeFromNanos(sh.sampler().Watermark())
-	sh.deliver(sh.wm)
-}
-
 // deliver hands the merger the panes the shard finished and the shard's
 // watermark, publishes whatever fires, and sets the shard's sampler to
 // the fraction of the query's controller, which has observed every window
-// served so far. Callers hold sh.mu, and the group's lock while the shard
-// shares its sampler; deliver nests j.mu inside, the last lock of the one
+// served so far. Callers hold the shard's group lock and sh.mu; deliver
+// nests j.mu inside, the last lock of the one
 // order plane → group → shard → job.
 func (sh *shard) deliver(mark time.Time) {
 	j := sh.job
@@ -423,7 +384,7 @@ func (sh *shard) deliver(mark time.Time) {
 		}
 	}
 	if j.ctl != nil {
-		sh.sampler().SetFraction(j.ctl.Fraction())
+		sh.group.Load().ps.SetFraction(j.ctl.Fraction())
 	}
 	j.mu.Unlock()
 }

@@ -104,14 +104,11 @@ func TestCrossShardStratumPoolsItsBound(t *testing.T) {
 	for sec := range 6 {
 		for _, sh := range j.shards {
 			b := stream.GetEventBatch()
-			b.Base = sh.offset
 			for i := range 2 {
 				at := base.Add(time.Duration(sec)*time.Second + time.Duration(100*i+10*sh.idx)*time.Millisecond)
 				b.AppendEvent(stream.Event{Stratum: "x", Value: float64(10*sh.idx + 3*i + sec), Time: at})
 			}
-			sh.mu.Lock()
-			sh.consumeLocked(b, sh.offset+2)
-			sh.mu.Unlock()
+			push(sh, b, time.Time{})
 			b.Release()
 		}
 	}

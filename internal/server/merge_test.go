@@ -211,10 +211,7 @@ func TestMergerHoldsOnlySlidesWithPanes(t *testing.T) {
 	feed := func(sh *shard, at time.Time) {
 		b := stream.GetEventBatch()
 		b.AppendEvent(stream.Event{Stratum: "a", Value: 1, Time: at})
-		sh.mu.Lock()
-		b.Base = sh.offset
-		sh.consumeLocked(b, sh.offset+1)
-		sh.mu.Unlock()
+		push(sh, b, time.Time{})
 		b.Release()
 	}
 	ahead := t0.AddDate(1, 0, 0)
@@ -318,10 +315,10 @@ func TestTargetErrorObservesMergedWindows(t *testing.T) {
 		t.Fatalf("query fraction %v, want %v (moved from %v)", want, ctl.Fraction(), spec.Fraction)
 	}
 	for _, sh := range j.shards {
-		sh.mu.Lock()
+		unlock := sh.lockSampler()
 		sh.deliver(time.Time{})
-		got := sh.ps.Fraction()
-		sh.mu.Unlock()
+		got := sh.group.Load().ps.Fraction()
+		unlock()
 		if got != want {
 			t.Errorf("shard %d: fraction %v after a delivery, query's %v", sh.idx, got, want)
 		}

@@ -290,14 +290,9 @@ func TestSharedWindowsIgnoreWhenTheGroupFormed(t *testing.T) {
 			if late, err = newJob("q", spec, r.srv, nil); err != nil {
 				t.Fatal(err)
 			}
-			sh := late.shards[0]
-			var next int64
 			for _, ev := range batches[:i] {
 				b := stream.BatchOf(ev)
-				b.Base, next = next, next+int64(b.Len())
-				sh.mu.Lock()
-				sh.consumeLocked(b, next)
-				sh.mu.Unlock()
+				push(late.shards[0], b, time.Time{})
 				b.Release()
 			}
 			r.join(late)
@@ -308,7 +303,7 @@ func TestSharedWindowsIgnoreWhenTheGroupFormed(t *testing.T) {
 		if late == nil || !sharedAt.IsZero() {
 			continue
 		}
-		if sub := late.shards[0].sharing.Load(); sub != nil {
+		if sub := late.shards[0].group.Load(); sub == member.shards[0].group.Load() {
 			sub.mu.Lock()
 			sharedAt = sub.ps.State().SegStart
 			sub.mu.Unlock()
@@ -444,15 +439,15 @@ func TestUnlikeSpecsNeverShare(t *testing.T) {
 		}
 	}
 	r := newRig(t, 1)
-	r.query("q-0", base)
+	group := r.query("q-0", base).shards[0].group.Load()
 	feed(r, batches[:2])
 	samplers := r.srv.ing.parts[0].samplersGauge
-	// A member behind the group samples for itself.
+	// A shard behind the group samples in a group of its own.
 	behind := r.query("q-1", base)
-	if samplers.Value() != 2 || behind.shards[0].sharing.Load() != nil {
-		t.Errorf("a member at another offset shares: %v samplers", samplers.Value())
+	if samplers.Value() != 2 || behind.shards[0].group.Load() == group {
+		t.Errorf("a shard at another offset shares: %v samplers", samplers.Value())
 	}
-	// One that read what the group did, privately, shares.
+	// One that read what the group did, in a group of its own, folds in.
 	spec := base
 	if err := spec.normalize(); err != nil {
 		t.Fatal(err)
@@ -464,14 +459,11 @@ func TestUnlikeSpecsNeverShare(t *testing.T) {
 	sh := late.shards[0]
 	for _, events := range batches[:2] {
 		b := stream.BatchOf(events)
-		b.Base = sh.offset
-		sh.mu.Lock()
-		sh.consumeLocked(b, sh.offset+int64(b.Len()))
-		sh.mu.Unlock()
+		push(sh, b, time.Time{})
 		b.Release()
 	}
 	r.join(late)
-	if samplers.Value() != 2 || sh.sharing.Load() == nil {
-		t.Errorf("a member at the group's point of the stream samples for itself: %v samplers", samplers.Value())
+	if samplers.Value() != 2 || sh.group.Load() != group {
+		t.Errorf("a shard at the group's point of the stream samples in a group of its own: %v samplers", samplers.Value())
 	}
 }

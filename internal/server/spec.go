@@ -44,11 +44,11 @@ type Spec struct {
 	// same id.
 	From string
 	// Seed makes the shard samplers reproducible (default 1); shard i
-	// uses Seed+i, and keys each pane by that seed and the pane's start.
-	// A shard that shares its sampling group's sampler samples through
-	// it, so its own seed goes unused while it shares: the group's
-	// sampler keeps the seed of the member it was taken from, and the
-	// shard's windows depend on that seed, not on when the group formed.
+	// starts a sampling group of its own whose sampler uses Seed+i, and
+	// keys each pane by that seed and the pane's start. A group that
+	// folds into an older one samples on with the older group's sampler
+	// and seed, so a shard's windows depend on the seed of the group it
+	// samples through, not on when the groups folded.
 	Seed uint64
 }
 
@@ -221,10 +221,11 @@ func (sp *Spec) level() estimate.Confidence { return estimate.Confidence(sp.conf
 // through, which the merger combines them with.
 func (sp *Spec) combiner() query.Query { return query.Named(sp.Kind, sp.level(), sp.HistogramEdges) }
 
-// seed is shard's sampler seed: shard samplers differ only in seed, so
-// their panes' interval seeds, and with them their reservoirs, are
-// decorrelated. A shard's seed goes unused while it shares its sampling
-// group's sampler, which keeps the seed of the member it was taken from.
+// seed is the seed of the sampler shard's own sampling group starts
+// with: shard samplers differ only in seed, so their panes' interval
+// seeds, and with them their reservoirs, are decorrelated. Once the
+// group folds into an older one, the shard samples with that group's
+// seed.
 func (sp *Spec) seed(shard int) uint64 { return sp.Seed + uint64(shard) }
 
 // session is the configuration half of a shard's session snapshot: the
