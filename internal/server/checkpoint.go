@@ -12,7 +12,6 @@ import (
 	"streamapprox/internal/adaptive"
 	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
-	"streamapprox/internal/stream"
 )
 
 // A query's checkpoint is one file, <id>.json, and it is the whole of
@@ -25,11 +24,13 @@ import (
 //
 // A restarted saproxd re-reads the directory and re-attaches every query
 // at its own watermarks, in id order. The plane is positioned as on a
-// fresh start, by the first shard that attaches to each partition;
-// shards behind it wait as groups of one for the sweep (see ingest), shards
-// ahead of it skip — so a kill -9 restart neither loses nor duplicates
-// records for any query. Each file is fsynced before it is renamed into
-// place, so a crash leaves either the old checkpoint or the new one.
+// fresh start, by the first shard that attaches to each partition; shards
+// behind it stand as groups of one where the partition's sweep reads
+// behind the plane for them (see ingest), and shards ahead of it at their
+// offsets until the plane reaches them — so a kill -9 restart neither
+// loses nor duplicates records for any query. Each file is fsynced before
+// it is renamed into place, so a crash leaves either the old checkpoint or
+// the new one.
 // Files whose names start with "_" are not checkpoints and are never
 // read or removed: an older release kept the plane's position in one.
 
@@ -89,7 +90,7 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 		// The counters are read in the hold that fixes the offset: a batch
 		// applied after it is replayed on restore, so counting it here
 		// would count it twice.
-		sc := shardCheckpoint{Partition: sh.idx, Offset: sh.offset, Records: sh.records.Load(),
+		sc := shardCheckpoint{Partition: sh.idx, Offset: sh.group.Load().offset, Records: sh.records.Load(),
 			Sampled: sh.sampled.Load(), Session: snap}
 		unlock()
 		if err != nil {
@@ -144,7 +145,7 @@ func (j *job) restore(cf *checkpointFile) error {
 		sc, ok := byPart[sh.idx]
 		if !ok {
 			// Partition added since the checkpoint: start it fresh.
-			sh.alone(pane.NewSampler(j.spec.Slide, j.spec.Fraction, j.spec.seed(sh.idx)))
+			sh.alone(pane.NewSampler(j.spec.Slide, j.spec.Fraction, j.spec.seed(sh.idx)), 0)
 			continue
 		}
 		ps, err := sh.restore(sc.Session)
@@ -157,8 +158,7 @@ func (j *job) restore(cf *checkpointFile) error {
 		sh.records.Store(sc.Records)
 		sh.recordsMetric.Add(float64(sc.Records))
 		sh.sampled.Store(sc.Sampled)
-		sh.offset = sc.Offset
-		sh.alone(ps)
+		sh.alone(ps, sc.Offset)
 	}
 	j.mu.Lock()
 	if j.ctl != nil && fraction > 0 {
@@ -176,7 +176,7 @@ func (j *job) restore(cf *checkpointFile) error {
 	j.mu.Unlock()
 	for _, sh := range j.shards {
 		unlock := sh.lockSampler()
-		sh.deliver(sh.wm)
+		sh.deliver(sh.group.Load().watermark())
 		unlock()
 	}
 	return nil
@@ -205,7 +205,6 @@ func (sh *shard) restore(data []byte) (*pane.Sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh.wm = stream.TimeFromNanos(ps.Watermark())
 	sh.panes, _, err = st.Windows(sh.q)
 	return ps, err
 }

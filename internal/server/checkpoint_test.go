@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"streamapprox/internal/broker"
+	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/pane"
 	"streamapprox/internal/stream"
 )
@@ -1022,6 +1023,118 @@ func TestCheckpointDuringFoldIsStable(t *testing.T) {
 			if st.Sampler == nil || !reflect.DeepEqual(st, states[0]) {
 				t.Errorf("partition %d: %s's snapshot holds another sampler than %s's", p, jobs[i+1].id, jobs[0].id)
 			}
+		}
+	}
+}
+
+// TestCheckpointDuringCatchUpSpliceIsStable: five late registrations
+// catch up behind the plane while records keep arriving, splice onto it
+// and fold into the group there, while every query is checkpointed in a
+// loop. Every checkpoint decodes whole, and each shard's record count is
+// its offset. Each late query restored from the last checkpoint taken
+// while it was behind the plane then consumes every record once: none
+// lost, none counted twice.
+func TestCheckpointDuringCatchUpSpliceIsStable(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(71, 96000)
+	half := len(events) / 2
+	if _, err := produceEvents(bk, "in", events[:half]); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	specs := groupSpecs(6)
+	jobs := registerAll(t, s, specs[:1])
+	waitJobRecords(t, jobs[0], int64(half), 10*time.Second)
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	behind := map[string]*checkpointFile{} // each query's last checkpoint taken behind the plane
+	var failed error
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for _, j := range s.jobs() {
+				cf, err := j.checkpoint()
+				var back checkpointFile
+				if err == nil {
+					var data []byte
+					if data, err = json.Marshal(cf); err == nil {
+						err = json.Unmarshal(data, &back)
+					}
+				}
+				var records int64
+				for _, sc := range back.Shards {
+					if err == nil {
+						_, err = pane.Decode(sc.Session)
+					}
+					if err == nil && sc.Records != sc.Offset {
+						err = fmt.Errorf("%s shard %d: %d records below offset %d", j.id, sc.Partition, sc.Records, sc.Offset)
+					}
+					records += sc.Records
+				}
+				if err != nil {
+					failed = err
+					return
+				}
+				if records < int64(half) {
+					behind[j.id] = &back
+				}
+			}
+		}
+	}()
+	jobs = append(jobs, registerAll(t, s, specs[1:])...)
+	if _, err := produceEvents(bk, "in", events[half:]); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		waitJobRecords(t, j, int64(len(events)), 15*time.Second)
+	}
+	waitGauges(t, s, float64(len(specs)), 1)
+	close(stop)
+	<-done
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if len(behind) == 0 {
+		t.Fatal("no checkpoint caught a late query behind the plane")
+	}
+	t.Logf("%d late queries checkpointed behind the plane", len(behind))
+
+	dir := t.TempDir()
+	for id, cf := range behind {
+		if err := storage.SaveJSON(checkpointPath(dir, id), cf, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond, CheckpointDir: dir, CheckpointEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	var restored []*job
+	for id := range behind {
+		j, ok := s2.job(id)
+		if !ok {
+			t.Fatalf("%s not restored", id)
+		}
+		restored = append(restored, j)
+		waitJobRecords(t, j, int64(len(events)), 15*time.Second)
+	}
+	time.Sleep(20 * time.Millisecond)
+	for _, j := range restored {
+		if n := jobRecords(j); n != int64(len(events)) {
+			t.Errorf("restored %s consumed %d records, want exactly %d", j.id, n, len(events))
 		}
 	}
 }

@@ -90,13 +90,13 @@ func driveShards(j *job, events []stream.Event, part func(string) int, from, to 
 	}
 }
 
-// push applies b to sh's sampling group at the shard's offset, as the
+// push applies b to sh's sampling group at the group's offset, as the
 // plane delivers a batch; an empty b is an idle marker there carrying
 // mark.
 func push(sh *shard, b *stream.EventBatch, mark time.Time) {
-	sh.mu.Lock()
-	b.Base = sh.offset
-	sh.mu.Unlock()
+	unlock := sh.lockSampler()
+	b.Base = sh.group.Load().offset
+	unlock()
 	d := planeDelivery{next: b.Base, mark: stream.TimeToNanos(mark)}
 	if b.Len() > 0 {
 		d.batch, d.next = b, b.Base+int64(b.Len())
@@ -109,13 +109,18 @@ func push(sh *shard, b *stream.EventBatch, mark time.Time) {
 func maxWatermark(j *job) time.Time {
 	var mark time.Time
 	for _, sh := range j.shards {
-		sh.mu.Lock()
-		if sh.wm.After(mark) {
-			mark = sh.wm
+		if wm := watermarkOf(sh); wm.After(mark) {
+			mark = wm
 		}
-		sh.mu.Unlock()
 	}
 	return mark
+}
+
+// watermarkOf is sh's watermark: its group sampler's.
+func watermarkOf(sh *shard) time.Time {
+	unlock := sh.lockSampler()
+	defer unlock()
+	return sh.group.Load().watermark()
 }
 
 // servedFixture reads a JSON map of served windows.
@@ -166,7 +171,7 @@ func (r *rig) join(j *job) {
 	for _, sh := range j.shards {
 		pi := r.srv.ing.parts[sh.idx]
 		pi.mu.Lock()
-		pi.place(sh.group.Load(), sh.offset)
+		pi.place(sh.group.Load())
 		pi.mu.Unlock()
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"slices"
+	"time"
 
 	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
@@ -9,20 +10,28 @@ import (
 	"streamapprox/internal/stream"
 )
 
-// A sampling group owns one pane sampler, under the group lock, and every
-// member's panes come from it: a shard is in exactly one group from the
-// time its job is built. The lock order is plane → group → shard → job:
-// the partition loop, the sweep, attach and detach hold the group lock and
-// take one member's shard lock at a time, and a checkpoint takes its
-// shard's group lock before the shard's. Only a fold holds two group
-// locks, and it does so under the plane lock. No path holds two shards'
+// A sampling group owns one pane sampler and its position, under the
+// group lock, and every member's panes come from it: a shard is in exactly
+// one group from the time its job is built. The lock order is plane →
+// group → shard → job. The partition loop takes the plane lock to take a
+// round's groups and fold, and applies each round outside it; the sweep
+// applies each round behind the plane under it, so the plane cannot
+// advance under a splice. Both hold one group lock and one member's shard
+// lock at a time. Attach and detach take group locks under the plane lock,
+// and a checkpoint its shard's group lock before the shard's. Only a fold
+// holds two group locks, under the plane lock. No path holds two shards'
 // locks at once.
 
-// alone puts sh in a sampling group of its own, sampling with ps from the
-// shard's offset. Callers hold the lock of the group sh leaves, if any.
-func (sh *shard) alone(ps *pane.Sampler) {
-	sh.group.Store(&subQueue{key: sh.job.groupKey(), members: []*shard{sh}, ps: ps, offset: sh.offset})
+// alone puts sh in a sampling group of its own, sampling with ps from
+// offset: its start, or the position of the group sh leaves, whose lock
+// callers then hold.
+func (sh *shard) alone(ps *pane.Sampler, offset int64) {
+	sh.group.Store(&subQueue{key: sh.job.groupKey(), members: []*shard{sh}, ps: ps, offset: offset})
 }
+
+// watermark is the group sampler's watermark: the latest event time it
+// took or advanced to. Callers hold sub.mu.
+func (sub *subQueue) watermark() time.Time { return stream.TimeFromNanos(sub.ps.Watermark()) }
 
 // lockSampler locks sh's group, whose lock guards the sampler sh's panes
 // come from, and then sh; it returns the unlock. The group read before
@@ -92,38 +101,45 @@ func (sub *subQueue) cut(start int64, s *sampling.Sample, _ int64) {
 	sub.summed = sub.summed[:0]
 }
 
-// apply applies one delivery to the group: its sampler takes it once, and
-// each member hands the panes it filed and its watermark to its merger.
-// Every member stands at the group's offset, so the first one's skip is
-// the group's. A member that joined past a marker's position skips the
-// marker, and a group that ended after the loop took it skips the
-// delivery.
+// apply applies one delivery to the group at its position. Its sampler
+// takes a batch's records from the group's offset on, once — all of them
+// but on a group ahead of the plane, which samples from its start — and
+// each member counts them and hands the panes it filed and the group's
+// watermark to its merger. The group is the one checkpoints lock, so a
+// checkpoint observes either all of a batch or none of it. A group ahead
+// of the plane skips a marker below its start, and a group that ended
+// after the loop took it skips the delivery.
 func (sub *subQueue) apply(d planeDelivery) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
 	if len(sub.members) == 0 {
 		return
 	}
-	for i, sh := range sub.members {
+	n, marked := 0, false
+	if d.batch != nil {
+		// Exact unless the batch straddles a start ahead of the plane and its
+		// time sort swapped records across it; counts and offsets stay exact.
+		from := int(min(max(sub.offset-d.batch.Base, 0), int64(d.batch.Len())))
+		if n = d.batch.Len() - from; n > 0 {
+			sub.ps.Push(d.batch, from, d.batch.Len(), sub.cut)
+		}
+		sub.offset = max(sub.offset, d.next)
+	} else if marked = sub.offset <= d.next; marked {
+		sub.ps.Advance(d.mark, sub.cut)
+	}
+	wm, late := sub.watermark(), sub.ps.Late()
+	for _, sh := range sub.members {
 		sh.mu.Lock()
-		switch {
-		case d.batch != nil:
-			if from := sh.skipFrom(d.batch); i == 0 && from < d.batch.Len() {
-				sub.ps.Push(d.batch, from, d.batch.Len(), sub.cut)
-			}
-			sh.consumeLocked(d.batch, d.next, sub.ps)
-		case sh.skipUntil <= d.next:
-			if i == 0 {
-				sub.ps.Advance(d.mark, sub.cut)
-			}
-			sh.wm = stream.TimeFromNanos(sub.ps.Watermark())
-			sh.deliver(sh.wm)
+		if n > 0 {
+			sh.records.Add(int64(n))
+			sh.recordsMetric.Add(float64(n))
+			sh.lateMetric.Set(float64(late + sh.lateOff))
+		}
+		if n > 0 || marked {
+			sh.deliver(wm)
 		}
 		if d.haveHWM {
-			sh.setLag(d.hwm - sh.offset)
-		}
-		if i == 0 {
-			sub.offset = sh.offset
+			sh.setLag(d.hwm - sub.offset)
 		}
 		sh.mu.Unlock()
 	}

@@ -320,10 +320,7 @@ func TestIdleMarkerNeverSplitsAGroup(t *testing.T) {
 	quiet.open()
 	first := jobs[0].shards[0]
 	for stop := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		first.mu.Lock()
-		marked := !first.wm.IsZero()
-		first.mu.Unlock()
-		if marked {
+		if !watermarkOf(first).IsZero() {
 			break
 		}
 		if time.Now().After(stop) {

@@ -47,8 +47,8 @@ type traceSetter interface{ SetTraceID(uint64) }
 // at its position: the partition's one SWEEP reads the log behind the
 // plane once for all of them and splices each back whole at the plane
 // position under the plane's lock, so no record is lost or duplicated. A
-// shard attaching ahead of the plane (From "latest") goes on the plane at
-// once and drops records below its start.
+// group attaching ahead of the plane (From "latest") goes on the plane at
+// once, standing at its start until the plane reaches it.
 //
 // The plane keeps one event-time mark for the topic: the latest event
 // time any partition loop has read. A partition that polls empty — the
@@ -83,7 +83,6 @@ const hwmEvery = 100 * time.Millisecond
 
 // ingest is one plane: a set of partition loops over one topic.
 type ingest struct {
-	cluster broker.Cluster // control-plane connection, read behind the plane
 	topic   string
 	backoff time.Duration
 	log     *slog.Logger
@@ -95,10 +94,10 @@ type ingest struct {
 	wg    sync.WaitGroup
 }
 
-// subQueue is one sampling group: its members and the pane sampler they
-// sample through, to which the partition loop applies each batch on the
-// plane and the sweep each round behind it. The group's sampler samples
-// each batch once, and every member summarises its panes.
+// subQueue is one sampling group: its members, the pane sampler they
+// sample through and its position, to which the partition loop applies
+// each batch on the plane and the sweep each round behind it. The group's
+// sampler samples each batch once, and every member summarises its panes.
 type subQueue struct {
 	key groupKey
 	// mu guards members, ps, offset and summed, and is held across each
@@ -107,11 +106,15 @@ type subQueue struct {
 	mu      sync.Mutex
 	members []*shard
 	ps      *pane.Sampler
-	offset  int64    // the next offset ps samples
 	summed  []*shard // cut's scratch: the members summarised so far
-	// from is where a group behind the plane stands, -1 on it; guarded by
-	// the partition lock.
-	from int64
+	// offset is the group's position, the next offset its sampler needs:
+	// on the plane the plane position after its last delivery, ahead of
+	// the plane its start, and behind the plane where it stands, which the
+	// sweep alone moves, under the partition lock too.
+	offset int64
+	// behind is whether the group stands behind the plane, for the sweep;
+	// guarded by the partition lock.
+	behind bool
 }
 
 // groupKey is what makes two shards' samplers interchangeable on a
@@ -143,7 +146,7 @@ type partIngest struct {
 	cluster broker.Cluster // dedicated connection when DialShard is set
 	conn    io.Closer      // nil when sharing the control connection
 
-	// mu guards groups, every group's from, and next. The loop advances
+	// mu guards groups, every group's behind, and next. The loop advances
 	// next and takes the groups on the plane with mu held, so a splice
 	// (pos == next) is atomic against it; it applies outside mu.
 	mu       sync.Mutex
@@ -170,7 +173,7 @@ type partIngest struct {
 func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	topic string, parts int, backoff time.Duration,
 	log *slog.Logger, reg *metrics.Registry) (*ingest, error) {
-	ing := &ingest{cluster: cluster, topic: topic, backoff: backoff, log: log}
+	ing := &ingest{topic: topic, backoff: backoff, log: log}
 	ing.mark.Store(stream.ZeroTimeNanos)
 	for p := 0; p < parts; p++ {
 		pc := cluster
@@ -219,43 +222,37 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 	return ing, nil
 }
 
-// attach puts one query shard's group — a group of one — on a partition,
-// starting the loop on first use. from is the shard's delivery watermark:
-// behind the plane the group stands there, for the sweep to bring up to
-// the plane; at or ahead of the plane it goes on the plane at once, its
-// member skipping records below from.
-func (ing *ingest) attach(sh *shard, from int64) {
+// attach puts one query shard's group — a group of one — on a partition
+// at the group's position, starting the loop there on first use: behind
+// the plane the group stands there, for the sweep to bring up to the
+// plane; at or ahead of the plane it goes on the plane at once.
+func (ing *ingest) attach(sh *shard) {
 	pi := ing.parts[sh.idx]
+	sub := sh.group.Load()
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
 	if !pi.started {
 		pi.started = true
-		pi.next = from
+		pi.next = sub.offset
 		if !pi.stopped {
 			ing.wg.Add(1)
-			go pi.loop(from)
+			go pi.loop(pi.next)
 		}
 	}
-	pi.place(sh.group.Load(), from)
+	pi.place(sub)
 }
 
-// place adds a group of one to the partition at from (see attach).
-// Callers hold pi.mu.
-func (pi *partIngest) place(sub *subQueue, from int64) {
+// place adds a group of one to the partition at its position (see
+// attach). Callers hold pi.mu.
+func (pi *partIngest) place(sub *subQueue) {
 	pi.groups = append(pi.groups, sub)
-	if from < pi.next {
-		sub.from = from
+	if sub.behind = sub.offset < pi.next; sub.behind {
 		pi.sweep()
 	} else {
-		sub.members[0].skipToOffset()
-		pi.splice(len(pi.groups) - 1)
+		pi.fold(len(pi.groups) - 1)
 	}
 	pi.gauge()
 }
-
-// onPlane reports whether the plane feeds the group, not the sweep.
-// Callers hold pi.mu.
-func (sub *subQueue) onPlane() bool { return sub.from < 0 }
 
 // detach takes a shard off its partition into a group of its own, so no
 // delivery follows detach: with its group's sampler when it was the last
@@ -274,9 +271,9 @@ func (ing *ingest) detach(sh *shard) {
 	defer sub.mu.Unlock()
 	sub.members = slices.DeleteFunc(sub.members, func(m *shard) bool { return m == sh })
 	if len(sub.members) > 0 {
-		sh.alone(sub.ps.Copy())
+		sh.alone(sub.ps.Copy(), sub.offset)
 	} else {
-		sh.alone(sub.ps)
+		sh.alone(sub.ps, sub.offset)
 		pi.groups = slices.Delete(pi.groups, i, i+1)
 	}
 	pi.gauge()
@@ -343,7 +340,7 @@ func (pi *partIngest) loop(start int64) {
 		default:
 		}
 		pi.mu.Lock()
-		fed := slices.ContainsFunc(pi.groups, (*subQueue).onPlane)
+		fed := slices.ContainsFunc(pi.groups, func(sub *subQueue) bool { return !sub.behind })
 		pi.mu.Unlock()
 		if !fed {
 			// Nobody listening: pause without advancing the plane.
@@ -403,10 +400,10 @@ func (pi *partIngest) loop(start int64) {
 
 // deliverBatch applies one pooled EventBatch to every sampling group on
 // the plane, in order, advances the plane position, and returns the batch
-// to the pool. The position, the batch's Base (which shards compute skip
-// positions relative to) and the groups are taken in one hold of pi.mu,
-// so a group spliced at the new position misses the batch and a shard
-// joining there skips it; the groups apply it outside pi.mu.
+// to the pool. The position, the batch's Base (from which a group ahead of
+// the plane samples) and the groups are taken in one hold of pi.mu, so a
+// group spliced or attaching at the new position misses the batch; the
+// groups apply it outside pi.mu.
 func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool) {
 	n := int64(b.Len())
 	last := b.Times[n-1] // the batch is in event-time order
@@ -455,7 +452,7 @@ func (pi *partIngest) feeding() []*subQueue {
 	pi.fed = pi.fed[:0]
 	for i := 0; i < len(pi.groups); i++ {
 		switch sub := pi.groups[i]; {
-		case !sub.onPlane():
+		case sub.behind:
 		case pi.fold(i):
 			i-- // deleted at i
 		default:
@@ -476,26 +473,30 @@ func (pi *partIngest) sweep() {
 }
 
 // sweeper is the partition's one reader behind the plane. A round reads
-// [lo, hi) once, through a consumer at lo (which costs no broker call),
-// and applies it under pi.mu to every group standing at lo when it
-// arrives; one it brings to the plane position splices there, the plane
-// unable to advance, so exactly once. lo is the lowest position behind
-// the plane; hi stops at fetchMax records, the plane and the next group's
-// position, so no round straddles a group's start, and a group ahead of a
-// lower newcomer waits for it.
+// [lo, hi) once, through a consumer at lo over the partition's connection
+// (which costs no broker call), and applies it under pi.mu to every group
+// standing at lo when it arrives; one it brings to the plane position
+// splices there, the plane unable to advance, so exactly once. lo is the
+// lowest position behind the plane; hi stops at fetchMax records, the
+// plane and the next group's position, so no round straddles a group's
+// start, and a group ahead of a lower newcomer waits for it. The members'
+// lag gauges take the sweep's high-watermark read, made at most every
+// hwmEvery.
 func (pi *partIngest) sweeper() {
 	defer pi.ing.wg.Done()
 	retry := backoff{done: pi.done, d: pi.ing.backoff}
+	var hwmAt time.Time
+	hwm, haveHWM := int64(0), false
 	for {
 		pi.mu.Lock()
 		lo, hi := pi.next, pi.next
 		for _, sub := range pi.groups {
 			switch {
-			case sub.onPlane():
-			case sub.from < lo:
-				lo, hi = sub.from, lo
-			case sub.from > lo && sub.from < hi:
-				hi = sub.from
+			case !sub.behind:
+			case sub.offset < lo:
+				lo, hi = sub.offset, lo
+			case sub.offset > lo && sub.offset < hi:
+				hi = sub.offset
 			}
 		}
 		if pi.sweeping = lo < pi.next && !pi.stopped; !pi.sweeping {
@@ -503,21 +504,29 @@ func (pi *partIngest) sweeper() {
 			return // no group is left behind the plane, or the plane stopped
 		}
 		pi.mu.Unlock()
-		cons := broker.NewPartitionConsumer(pi.ing.cluster, pi.ing.topic, pi.idx, lo)
+		cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, lo)
 		b, err := cons.PollBatch(int(min(hi, lo+fetchMax) - lo)) // in event-time order
-		if err != nil || b == nil {
+		if b == nil {
 			// Broker trouble must not strand the groups off the plane,
 			// where their mergers wait on them: retry until they end.
-			pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
+			if err != nil {
+				pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
+			}
 			retry.pause()
 			continue
 		}
-		next := lo + int64(b.Len())
+		if now := time.Now(); now.Sub(hwmAt) >= hwmEvery {
+			hwmAt = now
+			if h, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx); err == nil {
+				hwm, haveHWM = h, true
+			}
+		}
+		d := planeDelivery{batch: b, next: lo + int64(b.Len()), hwm: hwm, haveHWM: haveHWM}
 		pi.mu.Lock()
 		for i := 0; i < len(pi.groups); i++ {
-			if sub := pi.groups[i]; sub.from == lo {
-				sub.apply(planeDelivery{batch: b, next: next})
-				if sub.from = next; next == pi.next && pi.splice(i) {
+			if sub := pi.groups[i]; sub.behind && sub.offset == lo {
+				sub.apply(d)
+				if d.next == pi.next && pi.splice(i) {
 					i-- // folded into an older group on the plane, and deleted at i
 				}
 			}
@@ -531,7 +540,7 @@ func (pi *partIngest) sweeper() {
 // plane, and folds it into an older group there of its key at its point
 // of the stream. It reports whether it folded. Callers hold pi.mu.
 func (pi *partIngest) splice(i int) bool {
-	pi.groups[i].from = -1
+	pi.groups[i].behind = false
 	return pi.fold(i)
 }
 
@@ -542,7 +551,7 @@ func (pi *partIngest) splice(i int) bool {
 func (pi *partIngest) fold(i int) bool {
 	sub := pi.groups[i]
 	for _, into := range pi.groups[:i] {
-		if into.key == sub.key && into.onPlane() && into.absorb(sub) {
+		if into.key == sub.key && !into.behind && into.absorb(sub) {
 			pi.groups = slices.Delete(pi.groups, i, i+1)
 			pi.gauge()
 			return true

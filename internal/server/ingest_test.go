@@ -303,21 +303,7 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 		{"no record zero-time", 0, 6, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bk := broker.New()
-			if err := bk.CreateTopic("in", 1); err != nil {
-				t.Fatal(err)
-			}
-			s, err := New(Config{Cluster: bk, Topic: "in", PollBackoff: time.Millisecond})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			id, err := s.Register(Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5})
-			if err != nil {
-				t.Fatal(err)
-			}
-			j, _ := s.job(id)
-			sh := j.shards[0]
+			sh := newRig(t, 1).query("q-0", Spec{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5}).shards[0]
 
 			b := stream.GetEventBatch()
 			defer b.Release()
@@ -334,13 +320,15 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 				t.Fatalf("precondition: records %d.. hold no time", tc.skip)
 			}
 
-			sh.mu.Lock()
-			sh.skipUntil = b.Base + int64(tc.skip)
-			sh.mu.Unlock()
-			sh.group.Load().apply(planeDelivery{batch: b, next: b.Base + int64(b.Len())})
-			sh.mu.Lock()
-			got, records := sh.wm, sh.records.Load()
-			sh.mu.Unlock()
+			// The group stands ahead of the batch's first tc.skip records.
+			sub := sh.group.Load()
+			sub.mu.Lock()
+			sub.offset = b.Base + int64(tc.skip)
+			sub.mu.Unlock()
+			sub.apply(planeDelivery{batch: b, next: b.Base + int64(b.Len())})
+			sub.mu.Lock()
+			got, records := sub.watermark(), sh.records.Load()
+			sub.mu.Unlock()
 			if !got.Equal(want) || records != int64(b.Len()-tc.skip) {
 				t.Errorf("watermark %v after %d records, want %v after %d", got, records, want, b.Len()-tc.skip)
 			}
@@ -758,7 +746,8 @@ func TestIdleMarkerKeepsRecordsQueuedBehindIt(t *testing.T) {
 	// one call, so no later marker of partition 0 sees partition 1 ahead
 	// before these records are read.
 	produce(span(1, 3*time.Second, 4*time.Second), span(0, time.Second, 3*time.Second))
-	for j.shards[1].records.Load() != 200 || maxWatermark(j).Before(base.Add(3990*time.Millisecond)) {
+	// Partition 0's group is held: partition 1's watermark is the job's.
+	for j.shards[1].records.Load() != 200 || watermarkOf(j.shards[1]).Before(base.Add(3990*time.Millisecond)) {
 		if time.Since(held) > 10*time.Second {
 			sub.mu.Unlock()
 			t.Fatal("partition 1 did not advance")

@@ -14,7 +14,6 @@ import (
 	"streamapprox/internal/metrics"
 	"streamapprox/internal/pane"
 	"streamapprox/internal/query"
-	"streamapprox/internal/stream"
 )
 
 // A job is one registered query: one shard per partition fed by the
@@ -72,28 +71,26 @@ const (
 // shard is one partition's delivery sink for one query: its sampling
 // group pushes batches into the group's pane sampler, and the shard
 // summarises the sampler's panes through its query for the merger. It
-// tracks the query's private delivery watermark — the next offset it
-// needs — which is what the query's checkpoint persists.
+// stands where its group stands: the group's position is the next offset
+// the query needs from the partition, which its checkpoint persists.
 type shard struct {
 	job *job
 	idx int // shard index == partition
 	q   query.Query
 
-	// mu guards panes, lateOff, wm, offset and skipUntil against the
-	// checkpointer. records/sampled/lag are atomic so the query's lag
-	// total and the progress counters need no lock.
+	// mu guards panes and lateOff against the checkpointer.
+	// records/sampled/lag are atomic so the query's lag total and the
+	// progress counters need no lock.
 	mu sync.Mutex
 	// group is the sampling group the shard samples through; it changes
-	// under that group's lock, which guards the group's sampler.
-	group     atomic.Pointer[subQueue]
-	panes     []query.Pane // finished, not yet handed to the merger
-	lateOff   int64        // late drops beyond the group sampler's count
-	wm        time.Time    // the sampler's watermark after the last delivery
-	offset    int64        // delivery watermark: next offset to apply
-	skipUntil int64        // drop plane records below this offset (late attach ahead of plane)
-	records   atomic.Int64
-	sampled   atomic.Int64
-	lag       atomic.Int64
+	// under that group's lock, which guards the group's sampler and
+	// position.
+	group   atomic.Pointer[subQueue]
+	panes   []query.Pane // finished, not yet handed to the merger
+	lateOff int64        // late drops beyond the group sampler's count
+	records atomic.Int64
+	sampled atomic.Int64
+	lag     atomic.Int64
 
 	recordsMetric *metrics.Counter
 	lateMetric    *metrics.Gauge
@@ -148,13 +145,14 @@ func newJob(id string, spec Spec, srv *Server, restore *checkpointFile) (*job, e
 		return j, nil
 	}
 	for _, sh := range j.shards {
+		var offset int64
 		if spec.From == "latest" {
 			var err error
-			if sh.offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx); err != nil {
+			if offset, err = srv.cfg.Cluster.HighWatermark(srv.cfg.Topic, sh.idx); err != nil {
 				return nil, fmt.Errorf("shard %d start offset: %w", sh.idx, err)
 			}
 		}
-		sh.alone(pane.NewSampler(spec.Slide, spec.Fraction, spec.seed(sh.idx)))
+		sh.alone(pane.NewSampler(spec.Slide, spec.Fraction, spec.seed(sh.idx)), offset)
 	}
 	return j, nil
 }
@@ -172,10 +170,7 @@ func (j *job) groupKey() groupKey {
 // start attaches the shards to the ingest plane.
 func (j *job) start() {
 	for _, sh := range j.shards {
-		sh.mu.Lock()
-		from := sh.offset
-		sh.mu.Unlock()
-		j.plane.attach(sh, from)
+		j.plane.attach(sh)
 	}
 }
 
@@ -307,43 +302,6 @@ func (j *job) subscribe() (<-chan struct{}, func()) {
 			delete(j.subs, id)
 			close(c)
 		}
-	}
-}
-
-// skipToOffset arms the shard to drop plane records below its offset: a
-// group that goes on the plane ahead of the plane position — From
-// "latest", or a restored shard — is delivered them first.
-func (sh *shard) skipToOffset() {
-	sh.mu.Lock()
-	sh.skipUntil = max(sh.skipUntil, sh.offset)
-	sh.mu.Unlock()
-}
-
-// skipFrom is the index of the first record of b at or past skipUntil,
-// counted from the batch's Base: exact unless b straddles skipUntil —
-// only a shard joining ahead of the plane meets one — and its time sort
-// swapped records across it. Counts, offsets and watermarks stay exact.
-func (sh *shard) skipFrom(b *stream.EventBatch) int {
-	return int(min(max(sh.skipUntil-b.Base, 0), int64(b.Len())))
-}
-
-// consumeLocked counts one EventBatch its group's sampler ps took and
-// hands the panes it filed for the shard and the shard's watermark to the
-// merger. The batch is shared with other queries' sinks and is never
-// mutated. The group, under its lock, sampled the batch first, and a
-// checkpoint takes that lock too, so it observes either all of a batch or
-// none of it (no torn checkpoint).
-func (sh *shard) consumeLocked(b *stream.EventBatch, next int64, ps *pane.Sampler) {
-	delivered := b.Len() - sh.skipFrom(b)
-	// Still skipping ahead to the requested start, the watermark to resume
-	// from after a restart is the start, not the plane position.
-	sh.offset = max(next, sh.skipUntil)
-	if delivered > 0 {
-		sh.records.Add(int64(delivered))
-		sh.recordsMetric.Add(float64(delivered))
-		sh.lateMetric.Set(float64(ps.Late() + sh.lateOff))
-		sh.wm = stream.TimeFromNanos(ps.Watermark())
-		sh.deliver(sh.wm)
 	}
 }
 

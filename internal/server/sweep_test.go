@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"log/slog"
 	"os"
 	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -16,12 +20,13 @@ import (
 
 // backlogCluster, once held, holds every batch fetch below the
 // partition's high watermark — a read behind a plane that has read the
-// whole log — until released, and records the most such fetches in flight
-// at once.
+// whole log — but the first let of them until released, and records the
+// most such fetches in flight at once.
 type backlogCluster struct {
 	broker.Cluster
 	held         atomic.Bool
 	gate         chan struct{}
+	let          atomic.Int64
 	behind, most atomic.Int64
 }
 
@@ -35,7 +40,7 @@ func (c *backlogCluster) hold()    { c.held.Store(true) }
 func (c *backlogCluster) release() { close(c.gate) }
 
 func (c *backlogCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
-	if hwm, err := c.Cluster.HighWatermark(topic, partition); c.held.Load() && err == nil && offset < hwm {
+	if hwm, err := c.Cluster.HighWatermark(topic, partition); c.held.Load() && err == nil && offset < hwm && c.let.Add(-1) < 0 {
 		n := c.behind.Add(1)
 		defer c.behind.Add(-1)
 		for m := c.most.Load(); n > m && !c.most.CompareAndSwap(m, n); m = c.most.Load() {
@@ -190,6 +195,117 @@ func TestOneReaderBehindThePlane(t *testing.T) {
 		if n := jobRecords(j); n != int64(len(events)) {
 			t.Errorf("query %s consumed %d of %d records", j.id, n, len(events))
 		}
+	}
+}
+
+// A query catching up behind the plane shows how far behind it is: after
+// its first round behind a plane that has read a 30 000-record log, with
+// every later read behind the plane held, its lag gauge counts at least
+// the records still to go.
+func TestLagGaugeDuringCatchUp(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(37, 30000)
+	if _, err := produceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	bc := newBacklogCluster(bk)
+	s, err := New(Config{Cluster: bc, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := Spec{Kind: "count", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5}
+	first := registerAll(t, s, []Spec{spec})[0]
+	waitJobRecords(t, first, int64(len(events)), 10*time.Second)
+	bc.let.Store(1)
+	bc.hold()
+	defer bc.release()
+	spec.Seed = 2
+	late := registerAll(t, s, []Spec{spec})[0]
+	waitJobRecords(t, late, fetchMax, 10*time.Second)
+	want := float64(len(events) - fetchMax)
+	for stop := time.Now().Add(2 * time.Second); late.lagGauge.Value() < want && time.Now().Before(stop); {
+		time.Sleep(time.Millisecond)
+	}
+	if lag := late.lagGauge.Value(); lag < want {
+		t.Errorf("late query's lag gauge reads %v after %d records, with %v still to go", lag, jobRecords(late), want)
+	}
+}
+
+// emptyOnceCluster, once armed, answers the next batch fetch below the
+// partition's high watermark with no records and no error.
+type emptyOnceCluster struct {
+	broker.Cluster
+	armed *atomic.Bool
+}
+
+func (c emptyOnceCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	if hwm, err := c.Cluster.HighWatermark(topic, partition); err == nil && offset < hwm && c.armed.CompareAndSwap(true, false) {
+		return 0, nil
+	}
+	return c.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
+// syncBuffer is a bytes.Buffer a logger and a test share.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// With DialShard set, a query catching up reads over its partition's own
+// connection: the control connection serves no fetch meanwhile. A round
+// behind the plane that comes back empty with no error is read again, and
+// logged as no failure.
+func TestCatchUpStaysOffTheControlConnection(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(41, 20000)
+	if _, err := produceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	control := &countingCluster{Cluster: bk}
+	var armed atomic.Bool
+	var logs syncBuffer
+	s, err := New(Config{Cluster: control, Topic: "in", PollBackoff: time.Millisecond,
+		DialShard: func() (broker.Cluster, error) { return emptyOnceCluster{Cluster: bk, armed: &armed}, nil },
+		Log:       slog.New(slog.NewTextHandler(&logs, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	spec := Spec{Kind: "count", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5}
+	first := registerAll(t, s, []Spec{spec})[0]
+	waitJobRecords(t, first, int64(len(events)), 10*time.Second)
+	before := control.fetches.Load()
+	armed.Store(true)
+	spec.Seed = 2
+	late := registerAll(t, s, []Spec{spec})[0]
+	waitJobRecords(t, late, int64(len(events)), 10*time.Second)
+	if armed.Load() {
+		t.Error("no read behind the plane went over the partition's own connection")
+	}
+	if n := control.fetches.Load() - before; n != 0 {
+		t.Errorf("the control connection served %d fetches while a late query caught up", n)
+	}
+	if out := logs.String(); strings.Contains(out, "catch-up poll failed") {
+		t.Errorf("an empty read behind the plane logged a failure:\n%s", out)
 	}
 }
 
