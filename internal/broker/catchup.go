@@ -173,7 +173,7 @@ func (n *ClusterNode) truncateDivergence(ps *partState, ldr string, committed in
 			delete(ps.seqs, pid)
 		}
 	}
-	ps.metas = slices.DeleteFunc(ps.metas, func(bm batchMeta) bool { return bm.end > committed })
+	ps.metas.drop(func(bm batchMeta) bool { return bm.end > committed })
 	n.mu.Unlock()
 	n.saveClusterState(ps)
 	n.cfg.Log.Info("rejoin: truncated divergence", "partition", ps.String(), "from", local,

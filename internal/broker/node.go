@@ -148,7 +148,7 @@ type partState struct {
 	leading   atomic.Bool
 
 	seqs      map[uint64]batchMeta // pid -> last batch
-	metas     []batchMeta          // recent batch journal, oldest first
+	metas     metaJournal          // recent batch journal
 	remoteHWM int64                // committed watermark heard from the leader
 	followHWM []int64              // per reps entry: last watermark that follower acked (0: none)
 	replEpoch int64                // highest epoch an inbound replicate carried

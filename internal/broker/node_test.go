@@ -68,8 +68,8 @@ func TestDedupKeepsNewestSeq(t *testing.T) {
 	if _, ok := n.lastSeq(ps, 0); ok {
 		t.Fatal("producer id 0 entered the dedup table")
 	}
-	if len(ps.metas) != 4 {
-		t.Fatalf("journal holds %d entries, want 4", len(ps.metas))
+	if j := journal(ps); len(j) != 4 {
+		t.Fatalf("journal holds %d entries, want 4", len(j))
 	}
 }
 
@@ -78,14 +78,51 @@ func TestJournalEvictsOldest(t *testing.T) {
 	for i := 0; i <= metaJournalCap; i++ {
 		n.noteBatch(ps, batchMeta{pid: uint64(i + 1), seq: 1, base: int64(i), end: int64(i + 1)})
 	}
-	if len(ps.metas) != metaJournalCap {
-		t.Fatalf("journal holds %d entries, want %d", len(ps.metas), metaJournalCap)
+	j := journal(ps)
+	if len(j) != metaJournalCap {
+		t.Fatalf("journal holds %d entries, want %d", len(j), metaJournalCap)
 	}
-	if first, last := ps.metas[0], ps.metas[len(ps.metas)-1]; first.pid != 2 || last.pid != metaJournalCap+1 {
+	if first, last := j[0], j[len(j)-1]; first.pid != 2 || last.pid != metaJournalCap+1 {
 		t.Fatalf("journal runs from pid %d to %d, want 2 to %d", first.pid, last.pid, metaJournalCap+1)
 	}
 	if _, ok := n.lastSeq(ps, 1); !ok {
 		t.Fatal("evicting a journal entry dropped its producer from the dedup table")
+	}
+}
+
+// journal is the partition's batch journal, oldest first.
+func journal(ps *partState) []batchMeta { return slices.Collect(ps.metas.all()) }
+
+// Over four journals' worth of batches of varying length, the journal
+// holds exactly the newest metaJournalCap, oldest first, and
+// metasInRange answers every range as a scan of those batches does.
+func TestJournalRingMatchesReference(t *testing.T) {
+	n, ps := idleNode(t)
+	var all []batchMeta
+	base := int64(0)
+	for i := 0; i < 4*metaJournalCap; i++ {
+		bm := batchMeta{pid: uint64(i%7 + 1), seq: uint64(i + 1), base: base, end: base + int64(1+i%5)}
+		base = bm.end
+		n.noteBatch(ps, bm)
+		all = append(all, bm)
+		if i%97 != 0 && i != 4*metaJournalCap-1 {
+			continue
+		}
+		want := all[max(0, len(all)-metaJournalCap):]
+		if got := journal(ps); !slices.Equal(got, want) {
+			t.Fatalf("after %d batches the journal holds %d entries from %+v, want %d from %+v", i+1, len(got), got[0], len(want), want[0])
+		}
+		for _, r := range [][2]int64{{0, base}, {want[0].base, want[0].end}, {base - 40, base - 3}, {base / 2, base/2 + 1}, {base, base + 9}} {
+			var ref []batchMeta
+			for _, bm := range want {
+				if bm.end > r[0] && bm.base < r[1] {
+					ref = append(ref, bm)
+				}
+			}
+			if got := n.metasInRange(nil, ps, r[0], r[1]); !slices.Equal(got, ref) {
+				t.Fatalf("after %d batches metasInRange [%d, %d) = %d entries, want %d", i+1, r[0], r[1], len(got), len(ref))
+			}
+		}
 	}
 }
 
@@ -138,12 +175,12 @@ func TestRejoinTruncationDropsDedupPastCut(t *testing.T) {
 			t.Errorf("pid %d in the dedup table: %v, want %v", pid, ok, want)
 		}
 	}
-	if len(ps.metas) != 1 || ps.metas[0].pid != 1 {
-		t.Fatalf("journal after the cut = %+v, want pid 1 only", ps.metas)
+	if j := journal(ps); len(j) != 1 || j[0].pid != 1 {
+		t.Fatalf("journal after the cut = %+v, want pid 1 only", j)
 	}
 
 	n.truncateDivergence(ps, "n1", 20) // at or past the log end: nothing to cut
-	if hwm := ps.p.log.HighWatermark(); hwm != 15 || len(ps.metas) != 1 {
-		t.Fatalf("a cut past the log end changed it: hwm %d, %d journal entries", hwm, len(ps.metas))
+	if hwm := ps.p.log.HighWatermark(); hwm != 15 || len(journal(ps)) != 1 {
+		t.Fatalf("a cut past the log end changed it: hwm %d, %d journal entries", hwm, len(journal(ps)))
 	}
 }

@@ -1,7 +1,11 @@
 package broker
 
 // Locks: partState.mu serializes dedup check + append + journal and lead, before n.mu.
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"slices"
+)
 
 // batchMeta identifies one idempotent producer batch inside a partition
 // log. Replicas keep a bounded journal of recent batches and ship the
@@ -21,6 +25,41 @@ type batchMeta struct {
 // entries, which only matters for a follower that lagged that far
 // without being declared dead.
 const metaJournalCap = 256
+
+// metaJournal is a partition's batch journal: its newest metaJournalCap
+// batches, kept in a ring once full, so a batch costs O(1) to note.
+type metaJournal struct {
+	buf   []batchMeta
+	start int // the oldest entry's index; 0 until buf is full
+}
+
+// add notes bm, evicting the oldest entry once the journal is full.
+func (j *metaJournal) add(bm batchMeta) {
+	if len(j.buf) < metaJournalCap {
+		j.buf = append(j.buf, bm)
+		return
+	}
+	j.buf[j.start] = bm
+	j.start = (j.start + 1) % metaJournalCap
+}
+
+// all yields the entries oldest first.
+func (j *metaJournal) all() iter.Seq[batchMeta] {
+	return func(yield func(batchMeta) bool) {
+		for _, part := range [2][]batchMeta{j.buf[j.start:], j.buf[:j.start]} {
+			for _, bm := range part {
+				if !yield(bm) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// drop deletes the entries del reports, keeping the others' order.
+func (j *metaJournal) drop(del func(batchMeta) bool) {
+	j.buf, j.start = slices.DeleteFunc(slices.Collect(j.all()), del), 0
+}
 
 // lead records that this node now serves the partition as leader. On
 // each ACQUISITION of leadership the committed watermark adopts the
@@ -63,10 +102,7 @@ func (n *ClusterNode) noteBatch(ps *partState, bm batchMeta) {
 	if cur, ok := ps.seqs[bm.pid]; !ok || bm.seq > cur.seq {
 		ps.seqs[bm.pid] = bm
 	}
-	if len(ps.metas) >= metaJournalCap { // the oldest entries leave, in place
-		ps.metas = append(ps.metas[:0], ps.metas[len(ps.metas)-metaJournalCap+1:]...)
-	}
-	ps.metas = append(ps.metas, bm)
+	ps.metas.add(bm)
 }
 
 // metasInRange appends to dst the journal entries overlapping
@@ -75,7 +111,7 @@ func (n *ClusterNode) noteBatch(ps *partState, bm batchMeta) {
 func (n *ClusterNode) metasInRange(dst []batchMeta, ps *partState, from, to int64) []batchMeta {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for _, bm := range ps.metas {
+	for bm := range ps.metas.all() {
 		if bm.end > from && bm.base < to {
 			dst = append(dst, bm)
 		}

@@ -66,7 +66,7 @@ func (n *ClusterNode) loadState() error {
 		}
 		for _, pe := range st.Journal {
 			if pe.End <= st.Committed {
-				ps.metas = append(ps.metas, batchMeta{pid: pe.PID, seq: pe.Seq, base: pe.Base, end: pe.End})
+				ps.metas.add(batchMeta{pid: pe.PID, seq: pe.Seq, base: pe.Base, end: pe.End})
 			}
 		}
 		n.cfg.Log.Info("recovered partition", "partition", ps.String(), "committed", st.Committed)
@@ -147,7 +147,7 @@ func (n *ClusterNode) saveClusterState(ps *partState) {
 	for pid, last := range ps.seqs {
 		st.Producers = append(st.Producers, producerEntry{PID: pid, Seq: last.seq, Base: last.base, End: last.end})
 	}
-	for _, bm := range ps.metas {
+	for bm := range ps.metas.all() {
 		st.Journal = append(st.Journal, producerEntry{PID: bm.pid, Seq: bm.seq, Base: bm.base, End: bm.end})
 	}
 	n.mu.Unlock()

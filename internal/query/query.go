@@ -450,8 +450,27 @@ func (h *Histogram) Summarize(s *sampling.Sample) Summary {
 }
 
 // bucketOf returns the bucket holding v (the last edge at or below v
-// opens it), or -1 when v lies outside every bucket.
+// opens it), or -1 when v lies outside every bucket. Up to 16 edges it
+// counts the edges at or below v with no branch per edge (a conditional
+// move on amd64), past that it binary-searches.
 func (h *Histogram) bucketOf(v float64) int {
+	if len(h.edges) > 16 {
+		return h.searchBucket(v)
+	}
+	n := 0 // edges at or below v
+	for _, e := range h.edges {
+		if e <= v {
+			n++
+		}
+	}
+	if n == len(h.edges) {
+		return -1 // at or past the last edge (or no edges); before the first, n-1 is -1 too
+	}
+	return n - 1
+}
+
+// searchBucket is bucketOf by binary search.
+func (h *Histogram) searchBucket(v float64) int {
 	lo, hi := 0, len(h.edges) // edges[:lo] <= v < edges[hi:]
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -462,7 +481,7 @@ func (h *Histogram) bucketOf(v float64) int {
 		}
 	}
 	if lo == len(h.edges) {
-		return -1 // at or past the last edge (or no edges); before the first, lo-1 is -1 too
+		return -1
 	}
 	return lo - 1
 }

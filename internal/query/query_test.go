@@ -7,6 +7,7 @@ import (
 
 	"streamapprox/internal/estimate"
 	"streamapprox/internal/sampling"
+	"streamapprox/internal/xrand"
 )
 
 func fullSample(strata map[string][]float64) *sampling.Sample {
@@ -199,6 +200,36 @@ func TestCombineIntoReusedResult(t *testing.T) {
 			q.Combine(sums, &res)
 			if want := combine(q, sums); !reflect.DeepEqual(res, want) {
 				t.Errorf("%s: reused result %+v, want %+v", q.Name(), res, want)
+			}
+		}
+	}
+}
+
+// bucketOf's branch-free count over at most 16 edges finds the bucket the
+// binary search finds: over random sorted edges with duplicates, ±Inf
+// among them, for NaN, ±Inf, every edge itself and values between them.
+func TestBucketOfMatchesBinarySearch(t *testing.T) {
+	rng := xrand.New(17)
+	for trial := 0; trial < 2000; trial++ {
+		edges := make([]float64, rng.Intn(20))
+		for i := range edges {
+			switch rng.Intn(12) {
+			case 0:
+				edges[i] = math.Inf(-1)
+			case 1:
+				edges[i] = math.Inf(1)
+			default:
+				edges[i] = float64(rng.Intn(8)) // duplicates are likely
+			}
+		}
+		h := NewHistogram(edges, estimate.Conf95)
+		values := []float64{math.NaN(), math.Inf(-1), math.Inf(1), -1, 8, rng.Gaussian(4, 3)}
+		for _, e := range h.edges {
+			values = append(values, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+		}
+		for _, v := range values {
+			if got, want := h.bucketOf(v), h.searchBucket(v); got != want {
+				t.Fatalf("edges %v: bucketOf(%v) = %d, binary search finds %d", h.edges, v, got, want)
 			}
 		}
 	}

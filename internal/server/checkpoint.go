@@ -25,7 +25,7 @@ import (
 // A restarted saproxd re-reads the directory and re-attaches every query
 // at its own watermarks, in id order. The plane is positioned as on a
 // fresh start, by the first shard that attaches to each partition; shards
-// behind it stand as groups of one where the partition's sweep reads
+// behind it stand as groups of one where the partition's loop reads
 // behind the plane for them (see ingest), and shards ahead of it at their
 // offsets until the plane reaches them — so a kill -9 restart neither
 // loses nor duplicates records for any query. Each file is fsynced before

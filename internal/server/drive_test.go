@@ -191,12 +191,12 @@ func (r *rig) apply(p int, b *stream.EventBatch) {
 func (r *rig) deliver(p int, d planeDelivery) {
 	pi := r.srv.ing.parts[p]
 	pi.mu.Lock()
-	groups := slices.Clone(pi.feeding())
+	groups := slices.Clone(pi.settle())
 	pi.mu.Unlock()
 	for _, sub := range groups {
 		sub.apply(d)
 	}
 	pi.mu.Lock()
-	pi.feeding()
+	pi.settle()
 	pi.mu.Unlock()
 }

@@ -14,13 +14,12 @@ import (
 // group lock, and every member's panes come from it: a shard is in exactly
 // one group from the time its job is built. The lock order is plane →
 // group → shard → job. The partition loop takes the plane lock to take a
-// round's groups and fold, and applies each round outside it; the sweep
-// applies each round behind the plane under it, so the plane cannot
-// advance under a splice. Both hold one group lock and one member's shard
-// lock at a time. Attach and detach take group locks under the plane lock,
-// and a checkpoint its shard's group lock before the shard's. Only a fold
-// holds two group locks, under the plane lock. No path holds two shards'
-// locks at once.
+// round's groups, splice and fold, and applies each round, on the plane or
+// behind it, outside that lock, holding one group lock and one member's
+// shard lock at a time. Attach and detach take group locks under the plane
+// lock, and a checkpoint its shard's group lock before the shard's. Only a
+// fold holds two group locks, under the plane lock. No path holds two
+// shards' locks at once.
 
 // alone puts sh in a sampling group of its own, sampling with ps from
 // offset: its start, or the position of the group sh leaves, whose lock

@@ -32,23 +32,22 @@ type traceSetter interface{ SetTraceID(uint64) }
 // Each shard samples through exactly one SAMPLING GROUP: one pane
 // sampler the group owns, whose every pane each member summarises through
 // its own query. A shard starts in a group of its own. On each partition
-// a group on the plane whose sampler stands at the point of an older
-// group's of the same key — the same slide and the same fixed fraction —
-// FOLDS into it, at its splice and again before each delivery, so shards
-// whose samplers would be interchangeable sample once. A query under a
-// target error, whose one controller moves its fraction, keys its shard's
-// group to itself, which never folds. The group is the only thing the
-// plane feeds, and nothing stands between it and the loop: a group that
+// a group whose sampler stands at the point of an older group's of the
+// same key — the same slide and the same fixed fraction — on its side of
+// the plane FOLDS into it, so shards whose samplers would be
+// interchangeable sample once. A query under a target error, whose one
+// controller moves its fraction, keys its shard's group to itself, which
+// never folds. Nothing stands between a group and the loop: a group that
 // stalls — on a held lock, say — stalls its partition's loop, and the
 // partition falls behind in the broker's log, which the lag gauges show.
 //
-// A group BEHIND the plane — a shard's group attaching at an offset the
-// plane has passed (a late registration, a restored checkpoint) — stands
-// at its position: the partition's one SWEEP reads the log behind the
-// plane once for all of them and splices each back whole at the plane
-// position under the plane's lock, so no record is lost or duplicated. A
-// group attaching ahead of the plane (From "latest") goes on the plane at
-// once, standing at its start until the plane reaches it.
+// A group BEHIND the plane — attaching at an offset the plane has passed:
+// a late registration, a restored checkpoint — stands at its position,
+// and the loop reads the log there once for all such groups before it
+// reads on at the plane, splicing each back whole at the plane position,
+// so no record is lost or duplicated. A group attaching ahead of the
+// plane (From "latest") goes on the plane, standing at its start until
+// the plane reaches it.
 //
 // The plane keeps one event-time mark for the topic: the latest event
 // time any partition loop has read. A partition that polls empty — the
@@ -58,27 +57,23 @@ type traceSetter interface{ SetTraceID(uint64) }
 // which advances each group's sampler there, so windows a quiet
 // partition would hold back still merge.
 
-// fetchMax bounds one fetch round's record count, on the plane and the
-// sweep behind it alike.
+// fetchMax bounds one fetch round's record count, on the plane and behind
+// it alike.
 const fetchMax = 4096
 
 // idleAdvanceFloor is the WALL-CLOCK time every poll of a partition must
 // come back empty before it applies a marker, and again between markers;
 // a failed poll starts it over. A broker riding out a slow fsync or a
-// failover replay looks like a quiet partition for tens of milliseconds,
-// and a marker then would advance the samplers to the plane's mark — so
-// the stalled records, when they finally commit, land in windows that
-// have already fired and are dropped as late. The floor makes "idle"
-// mean "idle longer than any transient stall the chaos plane injects",
-// trading marker latency on truly sparse partitions (bounded, and
-// invisible next to window slides) for accuracy under faults.
+// failover replay looks idle for tens of milliseconds, and a marker then
+// would advance the samplers past the stalled records, which would be
+// dropped as late when they commit. The floor trades marker latency on
+// truly sparse partitions, invisible next to window slides, for accuracy
+// under faults.
 const idleAdvanceFloor = 250 * time.Millisecond
 
 // hwmEvery bounds how often a busy partition loop asks the broker for
-// the committed high watermark. Delivered batches carry it only to feed
-// the two lag gauges (ingest, query), which nobody reads at
-// batch rate — and one RPC per batch is a fifth of a saturated
-// pipeline's requests.
+// the committed high watermark, which feeds only the lag gauges: one RPC
+// per batch is a fifth of a saturated pipeline's requests.
 const hwmEvery = 100 * time.Millisecond
 
 // ingest is one plane: a set of partition loops over one topic.
@@ -96,8 +91,8 @@ type ingest struct {
 
 // subQueue is one sampling group: its members, the pane sampler they
 // sample through and its position, to which the partition loop applies
-// each batch on the plane and the sweep each round behind it. The group's
-// sampler samples each batch once, and every member summarises its panes.
+// each round it reads there. The group's sampler samples each batch once,
+// and every member summarises its panes.
 type subQueue struct {
 	key groupKey
 	// mu guards members, ps, offset and summed, and is held across each
@@ -109,12 +104,10 @@ type subQueue struct {
 	summed  []*shard // cut's scratch: the members summarised so far
 	// offset is the group's position, the next offset its sampler needs:
 	// on the plane the plane position after its last delivery, ahead of
-	// the plane its start, and behind the plane where it stands, which the
-	// sweep alone moves, under the partition lock too.
+	// the plane its start, and behind the plane where it stands. Only the
+	// loop moves it.
 	offset int64
-	// behind is whether the group stands behind the plane, for the sweep;
-	// guarded by the partition lock.
-	behind bool
+	behind bool // whether it stands behind the plane; guarded by the partition lock
 }
 
 // groupKey is what makes two shards' samplers interchangeable on a
@@ -147,16 +140,14 @@ type partIngest struct {
 	conn    io.Closer      // nil when sharing the control connection
 
 	// mu guards groups, every group's behind, and next. The loop advances
-	// next and takes the groups on the plane with mu held, so a splice
-	// (pos == next) is atomic against it; it applies outside mu.
-	mu       sync.Mutex
-	groups   []*subQueue // on the plane and behind it, oldest first
-	fed      []*subQueue // the loop's scratch: the groups a delivery goes to
-	next     int64       // next offset the plane will deliver; set by the first attach
-	started  bool
-	stopped  bool
-	sweeping bool // the sweep runs
-	done     chan struct{}
+	// next and takes a round's groups with mu held, and applies outside it.
+	mu      sync.Mutex
+	groups  []*subQueue // on the plane and behind it, oldest first
+	fed     []*subQueue // the loop's scratch: the groups a delivery goes to
+	next    int64       // next offset the plane will deliver; set by the first attach
+	started bool
+	stopped bool
+	done    chan struct{}
 
 	recordsMetric *metrics.Counter
 	queriesGauge  *metrics.Gauge
@@ -224,7 +215,7 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 
 // attach puts one query shard's group — a group of one — on a partition
 // at the group's position, starting the loop there on first use: behind
-// the plane the group stands there, for the sweep to bring up to the
+// the plane the group stands there, for the loop to bring up to the
 // plane; at or ahead of the plane it goes on the plane at once.
 func (ing *ingest) attach(sh *shard) {
 	pi := ing.parts[sh.idx]
@@ -243,14 +234,11 @@ func (ing *ingest) attach(sh *shard) {
 }
 
 // place adds a group of one to the partition at its position (see
-// attach). Callers hold pi.mu.
+// attach), folding it into an older group there. Callers hold pi.mu.
 func (pi *partIngest) place(sub *subQueue) {
 	pi.groups = append(pi.groups, sub)
-	if sub.behind = sub.offset < pi.next; sub.behind {
-		pi.sweep()
-	} else {
-		pi.fold(len(pi.groups) - 1)
-	}
+	sub.behind = sub.offset < pi.next
+	pi.fold(len(pi.groups) - 1)
 	pi.gauge()
 }
 
@@ -290,9 +278,8 @@ func (pi *partIngest) gauge() {
 	pi.samplersGauge.Set(float64(len(pi.groups)))
 }
 
-// stop halts every partition loop and sweep and closes dedicated
-// connections. Attached shards receive no further deliveries once stop
-// returns; their groups stay on the partitions until they detach.
+// stop halts every partition loop and closes dedicated connections. No
+// delivery follows it; groups stay on the partitions until they detach.
 func (ing *ingest) stop() {
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
@@ -317,22 +304,38 @@ func (ing *ingest) closeConns() {
 	}
 }
 
-// loop is the partition's reader on the plane: a broker.Consumer positioned
-// at the plane offset (constructing it costs no broker call — an
-// unreachable broker shows up as a failed poll, which the loop already
-// retries), polled synchronously. The poll interval belongs to this
-// loop: a round that filled fetchMax is followed by the next fetch at
-// once (catch-up runs at full speed), a round that drained the
-// partition — short or empty — by exactly one back-off, and nothing is
-// ever fetched ahead of a sleep, so a fetched round is never older than
-// the fetch itself and a record waits at most one back-off. With no
-// group on the plane the loop idles without advancing, so a group behind
-// it, or a future attacher at the current offset, joins seamlessly.
+// loop is the partition's one reader: a broker.Consumer at the plane
+// offset (constructing it costs no broker call — an unreachable broker
+// shows up as a failed poll, which the loop retries), polled
+// synchronously. While a group stands behind the plane, each turn reads a
+// round there instead (behind, catchUp), so the plane waits for the late
+// groups and only the loop ever moves it. A round that filled fetchMax is
+// followed by the next fetch at once, one that drained the partition by
+// exactly one back-off, and nothing is fetched ahead of a sleep, so a
+// record waits at most one back-off. With no group on the partition the
+// loop idles without advancing, so an attacher at the offset joins
+// seamlessly.
 func (pi *partIngest) loop(start int64) {
 	defer pi.ing.wg.Done()
 	cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, start)
 	back := backoff{done: pi.done, d: pi.ing.backoff}
 	var idleSince, hwmAt time.Time
+	hwm, haveHWM := int64(0), false
+	// readHWM reads the high watermark for the lag gauges (best effort) at
+	// most every hwmEvery, and reports whether it read it now: a plane
+	// round's gauges take only a fresh read, a round behind the plane's the
+	// latest, and an idle marker settles them.
+	readHWM := func() bool {
+		if time.Since(hwmAt) < hwmEvery {
+			return false
+		}
+		hwmAt = time.Now()
+		h, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx)
+		if err == nil {
+			hwm, haveHWM = h, true
+		}
+		return err == nil
+	}
 	for {
 		select {
 		case <-pi.done:
@@ -340,8 +343,27 @@ func (pi *partIngest) loop(start int64) {
 		default:
 		}
 		pi.mu.Lock()
-		fed := slices.ContainsFunc(pi.groups, func(sub *subQueue) bool { return !sub.behind })
+		lo, hi, fed := pi.behind()
 		pi.mu.Unlock()
+		if lo < hi {
+			idleSince = time.Time{}
+			b, err := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, lo).PollBatch(int(hi - lo))
+			if b == nil {
+				// Broker trouble must not strand the groups behind the plane,
+				// where their mergers wait on them: retry until they end.
+				if err != nil {
+					pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
+				}
+				if !back.pause() {
+					return
+				}
+				continue
+			}
+			readHWM()
+			pi.catchUp(planeDelivery{batch: b, next: lo + int64(b.Len()), hwm: hwm, haveHWM: haveHWM})
+			b.Release()
+			continue
+		}
 		if !fed {
 			// Nobody listening: pause without advancing the plane.
 			idleSince = time.Time{}
@@ -357,12 +379,7 @@ func (pi *partIngest) loop(start int64) {
 		t0 := time.Now()
 		b, err := cons.PollBatch(fetchMax)
 		pi.decodeHist.Observe(time.Since(t0).Seconds())
-		if err != nil {
-			select {
-			case <-pi.done:
-				return
-			default:
-			}
+		if err != nil { // a stop's closed connection too: pause returns at once
 			idleSince = time.Time{}
 			if !back.pause() {
 				return
@@ -382,28 +399,60 @@ func (pi *partIngest) loop(start int64) {
 			continue
 		}
 		idleSince = time.Time{}
-		// A high-watermark read (best effort) for the lag gauges, at most
-		// every hwmEvery; an idle marker settles them.
-		hwm, haveHWM := int64(0), false
-		if now := time.Now(); now.Sub(hwmAt) >= hwmEvery {
-			hwmAt = now
-			h, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx)
-			hwm, haveHWM = h, err == nil
-		}
-		short := b.Len() < fetchMax
-		pi.deliverBatch(b, hwm, haveHWM)
+		short, fresh := b.Len() < fetchMax, readHWM()
+		pi.deliverBatch(b, hwm, fresh)
 		if short && !back.pause() {
 			return
 		}
 	}
 }
 
-// deliverBatch applies one pooled EventBatch to every sampling group on
-// the plane, in order, advances the plane position, and returns the batch
-// to the pool. The position, the batch's Base (from which a group ahead of
-// the plane samples) and the groups are taken in one hold of pi.mu, so a
-// group spliced or attaching at the new position misses the batch; the
-// groups apply it outside pi.mu.
+// behind returns the next round behind the plane, [lo, hi): from the
+// lowest position a group stands at there, up to fetchMax records, the
+// next group's position or the plane, so a group ahead of a lower one
+// waits for it; lo == hi when none stands there. It also reports whether
+// a group is on the plane. Callers hold pi.mu.
+func (pi *partIngest) behind() (lo, hi int64, fed bool) {
+	lo, hi = pi.next, pi.next
+	for _, sub := range pi.groups {
+		switch {
+		case !sub.behind:
+			fed = true
+		case sub.offset < lo:
+			lo, hi = sub.offset, lo
+		case sub.offset > lo && sub.offset < hi:
+			hi = sub.offset
+		}
+	}
+	return lo, min(hi, lo+fetchMax), fed
+}
+
+// catchUp applies a round read behind the plane to every group standing
+// at its start, outside pi.mu, and then settles: a group it brought to
+// the plane splices there, which cannot move meanwhile as only the loop
+// moves it, and one it brought to an older group's point folds.
+func (pi *partIngest) catchUp(d planeDelivery) {
+	pi.mu.Lock()
+	pi.fed = pi.fed[:0]
+	for _, sub := range pi.groups {
+		if sub.behind && sub.offset == d.batch.Base {
+			pi.fed = append(pi.fed, sub)
+		}
+	}
+	groups := pi.fed
+	pi.mu.Unlock()
+	for _, sub := range groups {
+		sub.apply(d)
+	}
+	pi.mu.Lock()
+	pi.settle()
+	pi.mu.Unlock()
+}
+
+// deliverBatch applies one pooled EventBatch to every group on the plane,
+// in order, outside pi.mu, advances the plane position, and releases the
+// batch. The position, the batch's Base and the groups are taken in one
+// hold of pi.mu, so a group attaching at the new position misses it.
 func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool) {
 	n := int64(b.Len())
 	last := b.Times[n-1] // the batch is in event-time order
@@ -419,7 +468,7 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 	b.Base = pi.next
 	pi.next += n
 	d := planeDelivery{batch: b, next: pi.next, hwm: hwm, haveHWM: haveHWM}
-	groups := pi.feeding()
+	groups := pi.settle()
 	pi.mu.Unlock()
 	for _, sub := range groups {
 		sub.apply(d)
@@ -437,7 +486,7 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 func (pi *partIngest) punctuate(mark int64) {
 	pi.mu.Lock()
 	d := planeDelivery{next: pi.next, hwm: pi.next, haveHWM: true, mark: mark}
-	groups := pi.feeding()
+	groups := pi.settle()
 	pi.mu.Unlock()
 	for _, sub := range groups {
 		sub.apply(d)
@@ -445,113 +494,33 @@ func (pi *partIngest) punctuate(mark int64) {
 	pi.lagGauge.Set(0)
 }
 
-// feeding folds every group on the plane that stands at an older group's
-// point of the stream (fold), and lists the groups left on the plane in
-// the loop's scratch, which only the loop uses. Callers hold pi.mu.
-func (pi *partIngest) feeding() []*subQueue {
+// settle splices every group behind the plane that has reached it, folds
+// what can fold, and lists the groups on the plane in the loop's scratch,
+// which only the loop uses. Callers hold pi.mu.
+func (pi *partIngest) settle() []*subQueue {
 	pi.fed = pi.fed[:0]
 	for i := 0; i < len(pi.groups); i++ {
-		switch sub := pi.groups[i]; {
-		case sub.behind:
+		sub := pi.groups[i]
+		if sub.behind && sub.offset == pi.next {
+			sub.behind = false
+		}
+		switch {
 		case pi.fold(i):
 			i-- // deleted at i
-		default:
+		case !sub.behind:
 			pi.fed = append(pi.fed, sub)
 		}
 	}
 	return pi.fed
 }
 
-// sweep makes sure the partition's one reader behind the plane runs, now
-// that a group stands there. Callers hold pi.mu.
-func (pi *partIngest) sweep() {
-	if !pi.sweeping && !pi.stopped {
-		pi.sweeping = true
-		pi.ing.wg.Add(1)
-		go pi.sweeper()
-	}
-}
-
-// sweeper is the partition's one reader behind the plane. A round reads
-// [lo, hi) once, through a consumer at lo over the partition's connection
-// (which costs no broker call), and applies it under pi.mu to every group
-// standing at lo when it arrives; one it brings to the plane position
-// splices there, the plane unable to advance, so exactly once. lo is the
-// lowest position behind the plane; hi stops at fetchMax records, the
-// plane and the next group's position, so no round straddles a group's
-// start, and a group ahead of a lower newcomer waits for it. The members'
-// lag gauges take the sweep's high-watermark read, made at most every
-// hwmEvery.
-func (pi *partIngest) sweeper() {
-	defer pi.ing.wg.Done()
-	retry := backoff{done: pi.done, d: pi.ing.backoff}
-	var hwmAt time.Time
-	hwm, haveHWM := int64(0), false
-	for {
-		pi.mu.Lock()
-		lo, hi := pi.next, pi.next
-		for _, sub := range pi.groups {
-			switch {
-			case !sub.behind:
-			case sub.offset < lo:
-				lo, hi = sub.offset, lo
-			case sub.offset > lo && sub.offset < hi:
-				hi = sub.offset
-			}
-		}
-		if pi.sweeping = lo < pi.next && !pi.stopped; !pi.sweeping {
-			pi.mu.Unlock()
-			return // no group is left behind the plane, or the plane stopped
-		}
-		pi.mu.Unlock()
-		cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, lo)
-		b, err := cons.PollBatch(int(min(hi, lo+fetchMax) - lo)) // in event-time order
-		if b == nil {
-			// Broker trouble must not strand the groups off the plane,
-			// where their mergers wait on them: retry until they end.
-			if err != nil {
-				pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
-			}
-			retry.pause()
-			continue
-		}
-		if now := time.Now(); now.Sub(hwmAt) >= hwmEvery {
-			hwmAt = now
-			if h, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx); err == nil {
-				hwm, haveHWM = h, true
-			}
-		}
-		d := planeDelivery{batch: b, next: lo + int64(b.Len()), hwm: hwm, haveHWM: haveHWM}
-		pi.mu.Lock()
-		for i := 0; i < len(pi.groups); i++ {
-			if sub := pi.groups[i]; sub.behind && sub.offset == lo {
-				sub.apply(d)
-				if d.next == pi.next && pi.splice(i) {
-					i-- // folded into an older group on the plane, and deleted at i
-				}
-			}
-		}
-		pi.mu.Unlock()
-		b.Release()
-	}
-}
-
-// splice puts the group at i, standing at the plane position, on the
-// plane, and folds it into an older group there of its key at its point
-// of the stream. It reports whether it folded. Callers hold pi.mu.
-func (pi *partIngest) splice(i int) bool {
-	pi.groups[i].behind = false
-	return pi.fold(i)
-}
-
-// fold folds the group on the plane at i into the first older group on
-// the plane of its key that stands at its point of the stream (absorb),
-// and takes it off the partition. It reports whether it folded. Callers
-// hold pi.mu.
+// fold folds the group at i into the first older group of its key on its
+// side of the plane at its point of the stream (absorb), and takes it off
+// the partition. It reports whether it folded. Callers hold pi.mu.
 func (pi *partIngest) fold(i int) bool {
 	sub := pi.groups[i]
 	for _, into := range pi.groups[:i] {
-		if into.key == sub.key && !into.behind && into.absorb(sub) {
+		if into.key == sub.key && into.behind == sub.behind && into.absorb(sub) {
 			pi.groups = slices.Delete(pi.groups, i, i+1)
 			pi.gauge()
 			return true

@@ -3,9 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log/slog"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -138,7 +141,7 @@ func registrationBurst(t *testing.T, procs int, held bool) burstRun {
 
 // Fifteen queries that register behind a plane which has read the whole
 // log, while the read behind it is held, share one read of the backlog:
-// the broker serves the log twice — once to the plane, once to the sweep —
+// the broker serves the log twice — once to the plane, once behind it —
 // not once per late query.
 func TestLateRegistrationsShareOneBacklogRead(t *testing.T) {
 	for _, procs := range []int{1, 2} {
@@ -334,6 +337,271 @@ func TestServedWindowsIgnoreCoTenants(t *testing.T) {
 					t.Errorf("run %d: query %d's first five windows differ from run 0's", i, q)
 				}
 			}
+		}
+	})
+}
+
+// failFromCluster fails every batch fetch from an offset at or past from
+// and below the partition's high watermark — a read behind a plane that
+// has read the whole log — and counts the failures.
+type failFromCluster struct {
+	broker.Cluster
+	from, failed atomic.Int64
+}
+
+var errReadRefused = errors.New("read behind the plane refused")
+
+func (c *failFromCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	if hwm, err := c.Cluster.HighWatermark(topic, partition); err == nil && offset >= c.from.Load() && offset < hwm {
+		c.failed.Add(1)
+		return 0, errReadRefused
+	}
+	return c.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
+// lateServer serves a one-partition log of n pre-loaded events through a
+// failFromCluster that refuses nothing yet, and returns once its first
+// query, a count at fraction 0.5, has read the whole log.
+func lateServer(t *testing.T, n int) (*broker.Broker, *failFromCluster, *Server, *job) {
+	t.Helper()
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := produceEvents(bk, "in", makeEvents(47, n)); err != nil {
+		t.Fatal(err)
+	}
+	fc := &failFromCluster{Cluster: bk}
+	fc.from.Store(math.MaxInt64)
+	s, err := New(Config{Cluster: fc, Topic: "in", PollBackoff: time.Millisecond,
+		Log: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	first := registerAll(t, s, []Spec{lateSpec(1, 0.5)})[0]
+	waitJobRecords(t, first, int64(n), 10*time.Second)
+	return bk, fc, s, first
+}
+
+func lateSpec(seed uint64, fraction float64) Spec {
+	return Spec{Kind: "count", Window: 2 * time.Second, Slide: time.Second, Fraction: fraction, Seed: seed}
+}
+
+// standAt registers a query of spec behind the plane and returns once it
+// has read up to at, where reads fail from, and the loop has retried
+// there since.
+func standAt(t *testing.T, s *Server, fc *failFromCluster, spec Spec, at int64) *job {
+	t.Helper()
+	j := registerAll(t, s, []Spec{spec})[0]
+	waitJobRecords(t, j, at, 10*time.Second)
+	for f, stop := fc.failed.Load(), time.Now().Add(10*time.Second); fc.failed.Load() < f+2; {
+		if time.Now().After(stop) {
+			t.Fatal("no read behind the plane retried")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return j
+}
+
+// within fails t unless f returns within d.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); f() }()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s did not return within %v", what, d)
+	}
+}
+
+// Late groups of one key fold behind the plane where the lower one
+// reaches the higher: a query catching up from the start of the log meets
+// one standing where every read fails and is retried, and samples on
+// through its sampler; a query of another key stays apart. Once the reads
+// succeed again, each group splices onto the plane, and every query
+// consumes every record exactly once.
+func TestLateGroupsFoldWhereTheyMeet(t *testing.T) {
+	for name, tc := range map[string]struct {
+		fraction         float64
+		behind, samplers float64 // sampling groups while the two stand behind the plane, and at the end
+	}{"one key": {0.5, 2, 1}, "unlike keys": {0.3, 3, 2}} {
+		t.Run(name, func(t *testing.T) {
+			const n, meet = 30000, 3 * fetchMax
+			_, fc, s, first := lateServer(t, n)
+			fc.from.Store(meet)
+			b := standAt(t, s, fc, lateSpec(2, 0.5), meet)
+			c := standAt(t, s, fc, lateSpec(3, tc.fraction), meet)
+			waitGauges(t, s, 3, tc.behind)
+			if folded := c.shards[0].group.Load() == b.shards[0].group.Load(); folded != (tc.behind == 2) {
+				t.Errorf("folded %v where the two met behind the plane, want %v", folded, !folded)
+			}
+			fc.from.Store(math.MaxInt64)
+			for _, j := range []*job{b, c} {
+				waitJobRecords(t, j, n, 10*time.Second)
+			}
+			waitGauges(t, s, 3, tc.samplers)
+			for _, j := range []*job{first, b, c} {
+				if got := jobRecords(j); got != n {
+					t.Errorf("query %s consumed %d records, want exactly %d", j.id, got, n)
+				}
+			}
+		})
+	}
+}
+
+// Groups of one key that stand at one offset behind the plane fold only
+// where their samplers stand at one point of the stream: a group that
+// took only the hundred records before that offset stays apart from one
+// that caught up from the start, through the catch-up rounds and its
+// splice, and each counts every record it took once.
+func TestLateGroupsOfUnlikePointsNeverFold(t *testing.T) {
+	const meet = 2 * fetchMax
+	events := makeEvents(53, meet+300) // the last two slides hold the meeting point
+	batch := func(lo, hi int64) *stream.EventBatch {
+		b := stream.GetEventBatch()
+		for _, e := range events[lo:hi] {
+			b.AppendEvent(e)
+		}
+		b.Base = lo
+		return b
+	}
+	r := newRig(t, 1)
+	pi := r.srv.ing.parts[0]
+	pi.next = int64(len(events)) // a plane that has read the log; a rig runs no loop
+	b := r.query("b", lateSpec(2, 0.5))
+	sub := b.shards[0].group.Load()
+	sub.offset = meet - 100
+	tail := batch(meet-100, meet)
+	push(b.shards[0], tail, time.Time{})
+	tail.Release()
+	c := r.query("c", lateSpec(3, 0.5))
+	for {
+		pi.mu.Lock()
+		lo, hi, _ := pi.behind()
+		pi.mu.Unlock()
+		if lo == hi {
+			break
+		}
+		rb := batch(lo, hi)
+		pi.catchUp(planeDelivery{batch: rb, next: hi})
+		rb.Release()
+		if c.shards[0].group.Load() == sub {
+			t.Fatalf("the group that caught up from the start folded at %d into one that took only the records from %d", hi, meet-100)
+		}
+	}
+	if g := pi.samplersGauge.Value(); g != 2 {
+		t.Errorf("%v sampling groups on the plane, want 2", g)
+	}
+	if got, want := jobRecords(b), int64(len(events)-meet+100); got != want {
+		t.Errorf("b consumed %d records, want %d", got, want)
+	}
+	if got := jobRecords(c); got != int64(len(events)) {
+		t.Errorf("c consumed %d records, want %d", got, len(events))
+	}
+}
+
+// A group behind the plane is read by its partition's loop, not by a
+// goroutine of its own: registering queries behind a plane that has read
+// a pre-loaded log, while every read behind it is held, leaves the
+// goroutine count where it was, and each query then consumes every
+// record once.
+func TestGroupBehindThePlaneAddsNoGoroutine(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 4); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(59, 20000)
+	if _, err := produceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	bc := newBacklogCluster(bk)
+	s, err := New(Config{Cluster: bc, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	jobs := registerAll(t, s, groupSpecs(1))
+	waitJobRecords(t, jobs[0], int64(len(events)), 10*time.Second)
+	before := runtime.NumGoroutine()
+	bc.hold()
+	jobs = append(jobs, registerAll(t, s, []Spec{
+		{Kind: "sum", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.3},
+		{Kind: "mean", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5, TargetError: 0.05},
+	})...)
+	for stop := time.Now().Add(10 * time.Second); bc.behind.Load() < 4; {
+		if time.Now().After(stop) {
+			t.Fatalf("%d of 4 partitions read behind the plane", bc.behind.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	after := runtime.NumGoroutine()
+	for stop := time.Now().Add(2 * time.Second); after > before && time.Now().Before(stop); after = runtime.NumGoroutine() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	bc.release()
+	if after > before {
+		t.Errorf("%d goroutines with queries behind the plane on 4 partitions, %d before", after, before)
+	}
+	for _, j := range jobs {
+		waitJobRecords(t, j, int64(len(events)), 10*time.Second)
+	}
+	time.Sleep(20 * time.Millisecond)
+	for _, j := range jobs {
+		if n := jobRecords(j); n != int64(len(events)) {
+			t.Errorf("query %s consumed %d of %d records", j.id, n, len(events))
+		}
+	}
+}
+
+// The loop stays in hand while it reads behind the plane, with every read
+// there failing and retried: a late query is deleted, and the server
+// stops, each in bounded time; and a partition whose one group stands
+// behind the plane — the query on the plane deleted — is caught up by its
+// loop, splices, and reads on at the plane, the late query consuming
+// every record once.
+func TestCatchUpYields(t *testing.T) {
+	const n = 20000
+	t.Run("delete", func(t *testing.T) {
+		_, fc, s, first := lateServer(t, n)
+		fc.from.Store(fetchMax)
+		late := standAt(t, s, fc, lateSpec(2, 0.5), fetchMax)
+		within(t, 5*time.Second, "deregistering a query behind the plane", func() {
+			if err := s.Deregister(late.id); err != nil {
+				t.Error(err)
+			}
+		})
+		waitGauges(t, s, 1, 1)
+		fc.from.Store(math.MaxInt64)
+		if got := jobRecords(first); got != n {
+			t.Errorf("query %s consumed %d records, want exactly %d", first.id, got, n)
+		}
+	})
+	t.Run("stop", func(t *testing.T) {
+		_, fc, s, _ := lateServer(t, n)
+		fc.from.Store(fetchMax)
+		standAt(t, s, fc, lateSpec(2, 0.5), fetchMax)
+		within(t, 5*time.Second, "stopping a server reading behind the plane", s.Close)
+	})
+	t.Run("all groups behind", func(t *testing.T) {
+		bk, fc, s, first := lateServer(t, n)
+		fc.from.Store(fetchMax)
+		late := standAt(t, s, fc, lateSpec(2, 0.5), fetchMax)
+		if err := s.Deregister(first.id); err != nil {
+			t.Fatal(err)
+		}
+		waitGauges(t, s, 1, 1)
+		fc.from.Store(math.MaxInt64)
+		waitJobRecords(t, late, n, 10*time.Second)
+		more := makeEvents(61, n+5000)[n:]
+		if _, err := produceEvents(bk, "in", more); err != nil {
+			t.Fatal(err)
+		}
+		waitJobRecords(t, late, n+5000, 10*time.Second)
+		time.Sleep(20 * time.Millisecond)
+		if got := jobRecords(late); got != n+5000 {
+			t.Errorf("query %s consumed %d records, want exactly %d", late.id, got, n+5000)
 		}
 	})
 }
