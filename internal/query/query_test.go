@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -205,13 +206,14 @@ func TestCombineIntoReusedResult(t *testing.T) {
 	}
 }
 
-// bucketOf's branch-free count over at most 16 edges finds the bucket the
-// binary search finds: over random sorted edges with duplicates, ±Inf
-// among them, for NaN, ±Inf, every edge itself and values between them.
+// bucketOf's branch-free count finds the bucket the binary search finds:
+// over random sorted edges with duplicates, up to past the 32 edges where
+// bucketOf switches, ±Inf among them, for NaN, ±Inf, every edge itself
+// and values between them.
 func TestBucketOfMatchesBinarySearch(t *testing.T) {
 	rng := xrand.New(17)
 	for trial := 0; trial < 2000; trial++ {
-		edges := make([]float64, rng.Intn(20))
+		edges := make([]float64, rng.Intn(40))
 		for i := range edges {
 			switch rng.Intn(12) {
 			case 0:
@@ -228,9 +230,41 @@ func TestBucketOfMatchesBinarySearch(t *testing.T) {
 			values = append(values, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
 		}
 		for _, v := range values {
-			if got, want := h.bucketOf(v), h.searchBucket(v); got != want {
-				t.Fatalf("edges %v: bucketOf(%v) = %d, binary search finds %d", h.edges, v, got, want)
+			if got, want := h.countBucket(v), h.searchBucket(v); got != want {
+				t.Fatalf("edges %v: counting finds bucket %d for %v, binary search %d", h.edges, got, v, want)
 			}
 		}
 	}
 }
+
+// BenchmarkBucketOf times the edge count and the binary search over
+// Gaussian values spread across the edges, at the 7 edges every bench
+// workload's histogram has and at sizes around bucketOf's crossover.
+func BenchmarkBucketOf(b *testing.B) {
+	rng := xrand.New(5)
+	values := make([]float64, 4096)
+	for i := range values {
+		values[i] = rng.Gaussian(0.5, 0.3)
+	}
+	for _, n := range []int{7, 16, 32, 48, 64} {
+		edges := make([]float64, n)
+		for i := range edges {
+			edges[i] = float64(i) / float64(n-1)
+		}
+		h := NewHistogram(edges, estimate.Conf95)
+		for _, way := range []struct {
+			name string
+			f    func(float64) int
+		}{{"count", h.countBucket}, {"search", h.searchBucket}} {
+			b.Run(fmt.Sprintf("edges=%d/%s", n, way.name), func(b *testing.B) {
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					sum += way.f(values[i&(len(values)-1)])
+				}
+				sink = sum
+			})
+		}
+	}
+}
+
+var sink int

@@ -1102,6 +1102,7 @@ func TestCheckpointDuringCatchUpSpliceIsStable(t *testing.T) {
 	// held, it is released.
 	bc.let.Store(2)
 	bc.hold()
+	defer bc.release()
 	jobs = append(jobs, registerAll(t, s, specs[1:])...)
 	for stop := time.Now().Add(10 * time.Second); bc.behind.Load() < 2; {
 		if time.Now().After(stop) {
@@ -1109,8 +1110,15 @@ func TestCheckpointDuringCatchUpSpliceIsStable(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for p := passes.Load(); passes.Load() < p+2; {
-		time.Sleep(time.Millisecond)
+	for p, stop := passes.Load(), time.Now().Add(10*time.Second); passes.Load() < p+2; {
+		select {
+		case <-done:
+			t.Fatal(failed)
+		case <-time.After(time.Millisecond):
+		}
+		if time.Now().After(stop) {
+			t.Fatalf("%d checkpoint passes in 10 s with the read behind the plane held", passes.Load()-p)
+		}
 	}
 	bc.release()
 	if _, err := produceEvents(bk, "in", events[half:]); err != nil {

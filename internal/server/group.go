@@ -100,6 +100,15 @@ func (sub *subQueue) cut(start int64, s *sampling.Sample, _ int64) {
 	sub.summed = sub.summed[:0]
 }
 
+// setLag sets every member's distance behind the high watermark hwm.
+func (sub *subQueue) setLag(hwm int64) {
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	for _, sh := range sub.members {
+		sh.setLag(hwm - sub.offset)
+	}
+}
+
 // apply applies one delivery to the group at its position. Its sampler
 // takes a batch's records from the group's offset on, once — all of them
 // but on a group ahead of the plane, which samples from its start — and

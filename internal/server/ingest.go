@@ -64,16 +64,20 @@ const fetchMax = 4096
 // idleAdvanceFloor is the WALL-CLOCK time every poll of a partition must
 // come back empty before it applies a marker, and again between markers;
 // a failed poll starts it over. A broker riding out a slow fsync or a
-// failover replay looks idle for tens of milliseconds, and a marker then
-// would advance the samplers past the stalled records, which would be
-// dropped as late when they commit. The floor trades marker latency on
-// truly sparse partitions, invisible next to window slides, for accuracy
-// under faults.
+// failover replay looks like a quiet partition for tens of milliseconds,
+// and a marker then would advance the samplers to the plane's mark — so
+// the stalled records, when they finally commit, land in windows that
+// have already fired and are dropped as late. The floor makes "idle"
+// mean "idle longer than any transient stall the chaos plane injects",
+// trading marker latency on truly sparse partitions (bounded, and
+// invisible next to window slides) for accuracy under faults.
 const idleAdvanceFloor = 250 * time.Millisecond
 
 // hwmEvery bounds how often a busy partition loop asks the broker for
-// the committed high watermark, which feeds only the lag gauges: one RPC
-// per batch is a fifth of a saturated pipeline's requests.
+// the committed high watermark. Delivered batches carry it only to feed
+// the two lag gauges (ingest, query), which nobody reads at
+// batch rate — and one RPC per batch is a fifth of a saturated
+// pipeline's requests.
 const hwmEvery = 100 * time.Millisecond
 
 // ingest is one plane: a set of partition loops over one topic.
@@ -324,7 +328,8 @@ func (pi *partIngest) loop(start int64) {
 	// readHWM reads the high watermark for the lag gauges (best effort) at
 	// most every hwmEvery, and reports whether it read it now: a plane
 	// round's gauges take only a fresh read, a round behind the plane's the
-	// latest, and an idle marker settles them.
+	// latest, the waiting plane's a fresh one, and an idle marker settles
+	// them.
 	readHWM := func() bool {
 		if time.Since(hwmAt) < hwmEvery {
 			return false
@@ -348,20 +353,21 @@ func (pi *partIngest) loop(start int64) {
 		if lo < hi {
 			idleSince = time.Time{}
 			b, err := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, lo).PollBatch(int(hi - lo))
-			if b == nil {
-				// Broker trouble must not strand the groups behind the plane,
-				// where their mergers wait on them: retry until they end.
-				if err != nil {
-					pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
-				}
-				if !back.pause() {
-					return
-				}
-				continue
+			fresh := readHWM()
+			if b != nil {
+				pi.catchUp(planeDelivery{batch: b, next: lo + int64(b.Len()), hwm: hwm, haveHWM: haveHWM})
+				b.Release()
+			} else if err != nil {
+				pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
 			}
-			readHWM()
-			pi.catchUp(planeDelivery{batch: b, next: lo + int64(b.Len()), hwm: hwm, haveHWM: haveHWM})
-			b.Release()
+			if fresh {
+				pi.waitLag(hwm)
+			}
+			// Broker trouble must not strand the groups behind the plane,
+			// where their mergers wait on them: retry until they end.
+			if b == nil && !back.pause() {
+				return
+			}
 			continue
 		}
 		if !fed {
@@ -447,6 +453,19 @@ func (pi *partIngest) catchUp(d planeDelivery) {
 	pi.mu.Lock()
 	pi.settle()
 	pi.mu.Unlock()
+}
+
+// waitLag sets the lag gauges of the partition and of every group on the
+// plane, which waits while the loop reads behind it, from a fresh high
+// watermark.
+func (pi *partIngest) waitLag(hwm int64) {
+	pi.mu.Lock()
+	next, groups := pi.next, pi.settle()
+	pi.mu.Unlock()
+	for _, sub := range groups {
+		sub.setLag(hwm)
+	}
+	pi.lagGauge.Set(float64(hwm - next))
 }
 
 // deliverBatch applies one pooled EventBatch to every group on the plane,

@@ -29,6 +29,7 @@ type backlogCluster struct {
 	broker.Cluster
 	held         atomic.Bool
 	gate         chan struct{}
+	once         sync.Once
 	let          atomic.Int64
 	behind, most atomic.Int64
 }
@@ -38,9 +39,9 @@ func newBacklogCluster(c broker.Cluster) *backlogCluster {
 }
 
 // hold starts holding fetches below the high watermark; release lets
-// them, and every later one, through.
+// them, and every later one, through, once however often it is called.
 func (c *backlogCluster) hold()    { c.held.Store(true) }
-func (c *backlogCluster) release() { close(c.gate) }
+func (c *backlogCluster) release() { c.once.Do(func() { close(c.gate) }) }
 
 func (c *backlogCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
 	if hwm, err := c.Cluster.HighWatermark(topic, partition); c.held.Load() && err == nil && offset < hwm && c.let.Add(-1) < 0 {
@@ -204,7 +205,9 @@ func TestOneReaderBehindThePlane(t *testing.T) {
 // A query catching up behind the plane shows how far behind it is: after
 // its first round behind a plane that has read a 30 000-record log, with
 // every later read behind the plane held, its lag gauge counts at least
-// the records still to go.
+// the records still to go. A live query on the plane, which waits for the
+// catch-up, shows it too: records produced while the read is held put
+// its lag gauge above 0 once the read goes on.
 func TestLagGaugeDuringCatchUp(t *testing.T) {
 	bk := broker.New()
 	if err := bk.CreateTopic("in", 1); err != nil {
@@ -223,6 +226,11 @@ func TestLagGaugeDuringCatchUp(t *testing.T) {
 	spec := Spec{Kind: "count", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5}
 	first := registerAll(t, s, []Spec{spec})[0]
 	waitJobRecords(t, first, int64(len(events)), 10*time.Second)
+	for stop := time.Now().Add(2 * time.Second); first.lagGauge.Value() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(stop) {
+			t.Fatalf("live query's lag gauge reads %v with the log read", first.lagGauge.Value())
+		}
+	}
 	bc.let.Store(1)
 	bc.hold()
 	defer bc.release()
@@ -235,6 +243,18 @@ func TestLagGaugeDuringCatchUp(t *testing.T) {
 	}
 	if lag := late.lagGauge.Value(); lag < want {
 		t.Errorf("late query's lag gauge reads %v after %d records, with %v still to go", lag, jobRecords(late), want)
+	}
+
+	if _, err := produceEvents(bk, "in", makeEvents(38, 5000)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(2 * hwmEvery) // the next read behind the plane takes a fresh high watermark
+	bc.release()
+	for stop := time.Now().Add(2 * time.Second); first.lagGauge.Value() == 0 && time.Now().Before(stop); {
+		time.Sleep(time.Millisecond)
+	}
+	if first.lagGauge.Value() == 0 {
+		t.Errorf("live query's lag gauge stayed 0 while the plane waited on 5000 new records")
 	}
 }
 
