@@ -7,6 +7,7 @@ import (
 
 	"streamapprox/internal/broker/storage"
 	"streamapprox/internal/faults"
+	"streamapprox/internal/metrics"
 )
 
 // ---- in-process cluster harness ----
@@ -18,6 +19,7 @@ type testCluster struct {
 	brokers []*Broker
 	servers []*Server
 	nodes   []*ClusterNode
+	regs    []*metrics.Registry // each server's request counts
 	ids     []string
 	addrs   []string
 	killed  []bool
@@ -31,7 +33,8 @@ func startCluster(t testing.TB, n int, tune func(*NodeConfig)) *testCluster {
 	peers := make(map[string]string, n)
 	for i := 0; i < n; i++ {
 		b := New()
-		srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{})
+		reg := metrics.NewRegistry()
+		srv, err := ServeWithOptions(b, "127.0.0.1:0", ServerOptions{Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,6 +42,7 @@ func startCluster(t testing.TB, n int, tune func(*NodeConfig)) *testCluster {
 		peers[id] = srv.Addr()
 		tc.brokers = append(tc.brokers, b)
 		tc.servers = append(tc.servers, srv)
+		tc.regs = append(tc.regs, reg)
 		tc.ids = append(tc.ids, id)
 		tc.addrs = append(tc.addrs, srv.Addr())
 	}

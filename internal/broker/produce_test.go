@@ -3,6 +3,7 @@ package broker
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -158,6 +159,60 @@ func assertExactlyOnce(t *testing.T, cc *ClusterClient, topic string, total int)
 	}
 	if missing != 0 || dup != 0 || len(got) != total {
 		t.Fatalf("%d missing, %d duplicated, %d distinct of %d records", missing, dup, len(got), total)
+	}
+}
+
+// TestProduceMessageBudget: one ClusterClient.Produce costs one producep
+// request to each partition's leader and one replicate to its follower,
+// and nothing else but heartbeats: 500 keyed records over 4 partitions of
+// a 3-member cluster at RF 2 / min-ISR 2 serve exactly 4 of each, and
+// over one partition 1 of each. These round trips bound the saturated
+// produce path, so an extra one on the ack path fails here.
+func TestProduceMessageBudget(t *testing.T) {
+	tc := startCluster(t, 3, nil)
+	cc := tc.dialCluster()
+	served := func() map[string]uint64 {
+		sum := make(map[string]uint64)
+		for _, reg := range tc.regs {
+			for op, n := range requestCounts(reg) {
+				if op != "ping" && n > 0 {
+					sum[op] += n
+				}
+			}
+		}
+		return sum
+	}
+	for _, parts := range []int{4, 1} {
+		topic := fmt.Sprintf("budget%d", parts)
+		if err := cc.CreateTopic(topic, parts); err != nil {
+			t.Fatal(err)
+		}
+		batch := benchRecords(500)
+		hit := make(map[int]bool)
+		for i := range batch {
+			batch[i].Key = fmt.Sprintf("s%02d", i%16)
+			hit[keyPartition(batch[i].Key, parts)] = true
+		}
+		if len(hit) != parts {
+			t.Fatalf("the batch's keys reach %d of %d partitions", len(hit), parts)
+		}
+		if _, err := cc.Produce(topic, batch); err != nil { // dial the lanes, learn the leaders
+			t.Fatal(err)
+		}
+		before := served()
+		if _, err := cc.Produce(topic, batch); err != nil {
+			t.Fatal(err)
+		}
+		got := served()
+		for op, n := range before {
+			got[op] -= n
+			if got[op] == 0 {
+				delete(got, op)
+			}
+		}
+		if want := map[string]uint64{"producep": uint64(parts), "replicate": uint64(parts)}; !maps.Equal(got, want) {
+			t.Errorf("%d partitions: one produce served %v, want %v", parts, got, want)
+		}
 	}
 }
 

@@ -75,9 +75,9 @@ type slideCheckpoint struct {
 }
 
 // checkpoint captures the job's state, one shard at a time and then the
-// merger. A shard snapshots its group's sampler, so the group's lock is
-// taken before its own, the order of the data path; the job lock is never
-// held with a shard's.
+// merger. A shard snapshots its group's sampler under its partition lock,
+// so it waits for the round the partition's loop is applying; the job lock
+// is never held with a partition's.
 func (j *job) checkpoint() (*checkpointFile, error) {
 	cf := &checkpointFile{
 		Version: checkpointVersion,
@@ -85,12 +85,12 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 		Spec:    j.spec,
 	}
 	for _, sh := range j.shards {
-		unlock := sh.lockSampler()
+		unlock := sh.lock()
 		snap, err := sh.snapshot()
 		// The counters are read in the hold that fixes the offset: a batch
 		// applied after it is replayed on restore, so counting it here
 		// would count it twice.
-		sc := shardCheckpoint{Partition: sh.idx, Offset: sh.group.Load().offset, Records: sh.records.Load(),
+		sc := shardCheckpoint{Partition: sh.idx, Offset: sh.group.offset, Records: sh.records.Load(),
 			Sampled: sh.sampled.Load(), Session: snap}
 		unlock()
 		if err != nil {
@@ -175,8 +175,8 @@ func (j *job) restore(cf *checkpointFile) error {
 	}
 	j.mu.Unlock()
 	for _, sh := range j.shards {
-		unlock := sh.lockSampler()
-		sh.deliver(sh.group.Load().watermark())
+		unlock := sh.lock()
+		sh.deliver(sh.group.watermark())
 		unlock()
 	}
 	return nil
@@ -184,10 +184,10 @@ func (j *job) restore(cf *checkpointFile) error {
 
 // snapshot is the shard's session snapshot, in the format
 // streamapprox.RestoreSession reads: the session the shard samples as,
-// with its group's sampler. Callers hold lockSampler.
+// with its group's sampler. Callers hold its partition lock.
 func (sh *shard) snapshot() ([]byte, error) {
 	st := sh.job.spec.session(sh.idx)
-	st.State = sh.group.Load().ps.State()
+	st.State = sh.group.ps.State()
 	st.Late += sh.lateOff
 	st.Panes = sh.panes
 	return json.Marshal(st)

@@ -687,7 +687,7 @@ func TestRestoreV4CheckpointContinuesParentRun(t *testing.T) {
 	}
 	for _, j := range jobs[1:3] {
 		for _, sh := range j.shards {
-			if sh.group.Load() != jobs[0].shards[sh.idx].group.Load() {
+			if sh.group != jobs[0].shards[sh.idx].group {
 				t.Fatalf("%s shard %d does not share its group's sampler after the restore", j.id, sh.idx)
 			}
 		}
@@ -801,8 +801,8 @@ func TestRestoredTargetErrorSamplesAtOneFraction(t *testing.T) {
 	fractions := func(j *job) []float64 {
 		var out []float64
 		for _, sh := range j.shards {
-			unlock := sh.lockSampler()
-			out = append(out, sh.group.Load().ps.Fraction())
+			unlock := sh.lock()
+			out = append(out, sh.group.ps.Fraction())
 			unlock()
 		}
 		return out
@@ -835,7 +835,7 @@ func TestRestoredTargetErrorSamplesAtOneFraction(t *testing.T) {
 	}
 	driveShards(r, events, keyedBy(2), lo.Add(round), end)
 	for _, sh := range r.shards {
-		unlock := sh.lockSampler()
+		unlock := sh.lock()
 		sh.deliver(time.Time{})
 		unlock()
 	}
@@ -924,8 +924,8 @@ func TestCheckpointDuringFiringIsStable(t *testing.T) {
 
 // TestCheckpointDuringFoldIsStable: five late registrations, one at a
 // time, catch up behind the plane and fold into the group on it while
-// every query is checkpointed in a loop. A fold is the one path that holds two group
-// locks, and a checkpoint's lockSampler retries across it: every
+// every query is checkpointed in a loop. A fold moves shards between
+// groups under the partition lock, which a checkpoint takes too: every
 // checkpoint decodes, each shard's record count is its offset — every
 // record below it read once, in the hold that read the offset — and once
 // the plane stops, each folded member's snapshot holds its group-mate's

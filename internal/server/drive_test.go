@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"slices"
 	"testing"
 	"time"
 
@@ -94,14 +93,13 @@ func driveShards(j *job, events []stream.Event, part func(string) int, from, to 
 // plane delivers a batch; an empty b is an idle marker there carrying
 // mark.
 func push(sh *shard, b *stream.EventBatch, mark time.Time) {
-	unlock := sh.lockSampler()
-	b.Base = sh.group.Load().offset
-	unlock()
+	defer sh.lock()()
+	b.Base = sh.group.offset
 	d := planeDelivery{next: b.Base, mark: stream.TimeToNanos(mark)}
 	if b.Len() > 0 {
 		d.batch, d.next = b, b.Base+int64(b.Len())
 	}
-	sh.group.Load().apply(d)
+	sh.group.apply(d)
 }
 
 // maxWatermark is the highest event-time watermark across j's shards:
@@ -118,9 +116,14 @@ func maxWatermark(j *job) time.Time {
 
 // watermarkOf is sh's watermark: its group sampler's.
 func watermarkOf(sh *shard) time.Time {
-	unlock := sh.lockSampler()
-	defer unlock()
-	return sh.group.Load().watermark()
+	defer sh.lock()()
+	return sh.group.watermark()
+}
+
+// groupOf is sh's sampling group, read under its partition lock.
+func groupOf(sh *shard) *subQueue {
+	defer sh.lock()()
+	return sh.group
 }
 
 // servedFixture reads a JSON map of served windows.
@@ -171,7 +174,7 @@ func (r *rig) join(j *job) {
 	for _, sh := range j.shards {
 		pi := r.srv.ing.parts[sh.idx]
 		pi.mu.Lock()
-		pi.place(sh.group.Load())
+		pi.place(sh.group)
 		pi.mu.Unlock()
 	}
 }
@@ -184,19 +187,16 @@ func (r *rig) apply(p int, b *stream.EventBatch) {
 	r.deliver(p, planeDelivery{batch: b, next: r.next[p], hwm: r.next[p], haveHWM: true})
 }
 
-// deliver hands d to every group on partition p's plane, folding first,
-// as the loop does before each delivery, and then once more, so what
-// stands at one point of the stream after d has folded when deliver
-// returns, as it has by the loop's next delivery.
+// deliver hands d to every group on partition p's plane under the
+// partition lock, folding first, as the loop does before each delivery,
+// and then once more, so what stands at one point of the stream after d
+// has folded when deliver returns, as it has by the loop's next delivery.
 func (r *rig) deliver(p int, d planeDelivery) {
 	pi := r.srv.ing.parts[p]
 	pi.mu.Lock()
-	groups := slices.Clone(pi.settle())
-	pi.mu.Unlock()
-	for _, sub := range groups {
+	defer pi.mu.Unlock()
+	for _, sub := range pi.settle() {
 		sub.apply(d)
 	}
-	pi.mu.Lock()
 	pi.settle()
-	pi.mu.Unlock()
 }

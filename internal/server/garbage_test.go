@@ -51,10 +51,11 @@ func newFiring(t *testing.T, kind string) *firing {
 // step fires the next window.
 func (f *firing) step() {
 	for i, sh := range f.j.shards {
-		sh.mu.Lock()
+		mu := &f.j.plane.parts[sh.idx].mu
+		mu.Lock()
 		sh.panes = append(sh.panes, query.Pane{Start: f.at, Summary: f.sums[i]})
 		sh.deliver(f.at.Add(f.j.spec.Slide))
-		sh.mu.Unlock()
+		mu.Unlock()
 	}
 	f.at = f.at.Add(f.j.spec.Slide)
 }

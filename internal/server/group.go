@@ -10,42 +10,35 @@ import (
 	"streamapprox/internal/stream"
 )
 
-// A sampling group owns one pane sampler and its position, under the
-// group lock, and every member's panes come from it: a shard is in exactly
-// one group from the time its job is built. The lock order is plane →
-// group → shard → job. The partition loop takes the plane lock to take a
-// round's groups, splice and fold, and applies each round, on the plane or
-// behind it, outside that lock, holding one group lock and one member's
-// shard lock at a time. Attach and detach take group locks under the plane
-// lock, and a checkpoint its shard's group lock before the shard's. Only a
-// fold holds two group locks, under the plane lock. No path holds two
-// shards' locks at once.
+// A sampling group owns one pane sampler and its position, and every
+// member's panes come from it: a shard is in exactly one group from the
+// time its job is built. The partition lock, partIngest.mu, is the one
+// lock of everything on a partition: its groups, each group's sampler,
+// position and members, and each member's group, panes and lateOff. The
+// lock order is server → partition → job; no path holds two partitions'
+// locks or two jobs' at once. The partition loop holds the partition lock
+// while it applies a round — on the plane or behind it, an idle marker, a
+// lag update — and never across a fetch, a back-off or a high-watermark
+// read. Attach, detach and a checkpoint's capture of a shard take it too,
+// so each waits for the round the loop is applying.
 
 // alone puts sh in a sampling group of its own, sampling with ps from
-// offset: its start, or the position of the group sh leaves, whose lock
-// callers then hold.
+// offset: its start, or the position of the group sh leaves.
 func (sh *shard) alone(ps *pane.Sampler, offset int64) {
-	sh.group.Store(&subQueue{key: sh.job.groupKey(), members: []*shard{sh}, ps: ps, offset: offset})
+	sh.group = &subQueue{key: sh.job.groupKey(), members: []*shard{sh}, ps: ps, offset: offset}
 }
 
 // watermark is the group sampler's watermark: the latest event time it
-// took or advanced to. Callers hold sub.mu.
+// took or advanced to.
 func (sub *subQueue) watermark() time.Time { return stream.TimeFromNanos(sub.ps.Watermark()) }
 
-// lockSampler locks sh's group, whose lock guards the sampler sh's panes
-// come from, and then sh; it returns the unlock. The group read before
-// its lock is held may have changed by then — a fold or a detach moved
-// sh — and the attempt then starts over.
-func (sh *shard) lockSampler() (unlock func()) {
-	for {
-		sub := sh.group.Load()
-		sub.mu.Lock()
-		if sh.group.Load() == sub {
-			sh.mu.Lock()
-			return func() { sh.mu.Unlock(); sub.mu.Unlock() }
-		}
-		sub.mu.Unlock()
-	}
+// lock takes the lock of sh's partition, which guards sh's group, its
+// sampler and sh's panes, and returns the unlock. A shard's partition
+// never changes, so the lock it takes is the one that guards them.
+func (sh *shard) lock() (unlock func()) {
+	mu := &sh.job.plane.parts[sh.idx].mu
+	mu.Lock()
+	return mu.Unlock
 }
 
 // absorb folds sub into into, an older group of its key, when their
@@ -53,21 +46,15 @@ func (sh *shard) lockSampler() (unlock func()) {
 // and a sampler at the same point (pane.Sampler.SamePoint). sub's members
 // then sample through into's sampler, each keeping the late drops sub's
 // made beyond into's, and sub is left without members. It reports whether
-// sub folded. Callers hold the plane lock.
+// sub folded. Callers hold the partition lock.
 func (into *subQueue) absorb(sub *subQueue) bool {
-	into.mu.Lock()
-	defer into.mu.Unlock()
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
 	if sub.offset != into.offset || !sub.ps.SamePoint(into.ps) {
 		return false
 	}
 	late := sub.ps.Late() - into.ps.Late()
 	for _, sh := range sub.members {
-		sh.mu.Lock()
 		sh.lateOff += late
-		sh.group.Store(into)
-		sh.mu.Unlock()
+		sh.group = into
 	}
 	into.members = append(into.members, sub.members...)
 	sub.members = nil
@@ -102,8 +89,6 @@ func (sub *subQueue) cut(start int64, s *sampling.Sample, _ int64) {
 
 // setLag sets every member's distance behind the high watermark hwm.
 func (sub *subQueue) setLag(hwm int64) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
 	for _, sh := range sub.members {
 		sh.setLag(hwm - sub.offset)
 	}
@@ -113,16 +98,10 @@ func (sub *subQueue) setLag(hwm int64) {
 // takes a batch's records from the group's offset on, once — all of them
 // but on a group ahead of the plane, which samples from its start — and
 // each member counts them and hands the panes it filed and the group's
-// watermark to its merger. The group is the one checkpoints lock, so a
-// checkpoint observes either all of a batch or none of it. A group ahead
-// of the plane skips a marker below its start, and a group that ended
-// after the loop took it skips the delivery.
+// watermark to its merger. The loop applies it under the partition lock,
+// which checkpoints take, so a checkpoint observes either all of a batch
+// or none of it. A group ahead of the plane skips a marker below its start.
 func (sub *subQueue) apply(d planeDelivery) {
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	if len(sub.members) == 0 {
-		return
-	}
 	n, marked := 0, false
 	if d.batch != nil {
 		// Exact unless the batch straddles a start ahead of the plane and its
@@ -137,7 +116,6 @@ func (sub *subQueue) apply(d planeDelivery) {
 	}
 	wm, late := sub.watermark(), sub.ps.Late()
 	for _, sh := range sub.members {
-		sh.mu.Lock()
 		if n > 0 {
 			sh.records.Add(int64(n))
 			sh.recordsMetric.Add(float64(n))
@@ -149,6 +127,5 @@ func (sub *subQueue) apply(d planeDelivery) {
 		if d.haveHWM {
 			sh.setLag(d.hwm - sub.offset)
 		}
-		sh.mu.Unlock()
 	}
 }

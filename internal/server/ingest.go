@@ -40,6 +40,7 @@ type traceSetter interface{ SetTraceID(uint64) }
 // never folds. Nothing stands between a group and the loop: a group that
 // stalls — on a held lock, say — stalls its partition's loop, and the
 // partition falls behind in the broker's log, which the lag gauges show.
+// One lock, the partition's, guards all of it (see group.go).
 //
 // A group BEHIND the plane — attaching at an offset the plane has passed:
 // a late registration, a restored checkpoint — stands at its position,
@@ -96,13 +97,11 @@ type ingest struct {
 // subQueue is one sampling group: its members, the pane sampler they
 // sample through and its position, to which the partition loop applies
 // each round it reads there. The group's sampler samples each batch once,
-// and every member summarises its panes.
+// and every member summarises its panes. The partition lock guards it all,
+// and is held across each delivery's application, so shards fold and leave
+// between batches.
 type subQueue struct {
-	key groupKey
-	// mu guards members, ps, offset and summed, and is held across each
-	// delivery's application, so shards fold and leave between batches.
-	// Members change under the partition lock too.
-	mu      sync.Mutex
+	key     groupKey
 	members []*shard
 	ps      *pane.Sampler
 	summed  []*shard // cut's scratch: the members summarised so far
@@ -111,7 +110,7 @@ type subQueue struct {
 	// the plane its start, and behind the plane where it stands. Only the
 	// loop moves it.
 	offset int64
-	behind bool // whether it stands behind the plane; guarded by the partition lock
+	behind bool // whether it stands behind the plane
 }
 
 // groupKey is what makes two shards' samplers interchangeable on a
@@ -143,8 +142,10 @@ type partIngest struct {
 	cluster broker.Cluster // dedicated connection when DialShard is set
 	conn    io.Closer      // nil when sharing the control connection
 
-	// mu guards groups, every group's behind, and next. The loop advances
-	// next and takes a round's groups with mu held, and applies outside it.
+	// mu is the partition lock: it guards groups, everything of theirs
+	// (see group.go), and next. The loop advances next and applies each
+	// round with mu held, and fetches, backs off and reads the high
+	// watermark outside it.
 	mu      sync.Mutex
 	groups  []*subQueue // on the plane and behind it, oldest first
 	fed     []*subQueue // the loop's scratch: the groups a delivery goes to
@@ -223,18 +224,17 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 // plane; at or ahead of the plane it goes on the plane at once.
 func (ing *ingest) attach(sh *shard) {
 	pi := ing.parts[sh.idx]
-	sub := sh.group.Load()
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
 	if !pi.started {
 		pi.started = true
-		pi.next = sub.offset
+		pi.next = sh.group.offset
 		if !pi.stopped {
 			ing.wg.Add(1)
 			go pi.loop(pi.next)
 		}
 	}
-	pi.place(sub)
+	pi.place(sh.group)
 }
 
 // place adds a group of one to the partition at its position (see
@@ -254,13 +254,11 @@ func (ing *ingest) detach(sh *shard) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	sub := sh.group.Load()
+	sub := sh.group
 	i := slices.Index(pi.groups, sub)
 	if i < 0 {
 		return // never attached, or detached already
 	}
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
 	sub.members = slices.DeleteFunc(sub.members, func(m *shard) bool { return m == sh })
 	if len(sub.members) > 0 {
 		sh.alone(sub.ps.Copy(), sub.offset)
@@ -434,25 +432,18 @@ func (pi *partIngest) behind() (lo, hi int64, fed bool) {
 }
 
 // catchUp applies a round read behind the plane to every group standing
-// at its start, outside pi.mu, and then settles: a group it brought to
-// the plane splices there, which cannot move meanwhile as only the loop
-// moves it, and one it brought to an older group's point folds.
+// at its start, under pi.mu, and then settles: a group it brought to the
+// plane splices there, which cannot move meanwhile as only the loop moves
+// it, and one it brought to an older group's point folds.
 func (pi *partIngest) catchUp(d planeDelivery) {
 	pi.mu.Lock()
-	pi.fed = pi.fed[:0]
+	defer pi.mu.Unlock()
 	for _, sub := range pi.groups {
 		if sub.behind && sub.offset == d.batch.Base {
-			pi.fed = append(pi.fed, sub)
+			sub.apply(d)
 		}
 	}
-	groups := pi.fed
-	pi.mu.Unlock()
-	for _, sub := range groups {
-		sub.apply(d)
-	}
-	pi.mu.Lock()
 	pi.settle()
-	pi.mu.Unlock()
 }
 
 // waitLag sets the lag gauges of the partition and of every group on the
@@ -460,18 +451,18 @@ func (pi *partIngest) catchUp(d planeDelivery) {
 // watermark.
 func (pi *partIngest) waitLag(hwm int64) {
 	pi.mu.Lock()
-	next, groups := pi.next, pi.settle()
-	pi.mu.Unlock()
-	for _, sub := range groups {
+	defer pi.mu.Unlock()
+	for _, sub := range pi.settle() {
 		sub.setLag(hwm)
 	}
-	pi.lagGauge.Set(float64(hwm - next))
+	pi.lagGauge.Set(float64(hwm - pi.next))
 }
 
 // deliverBatch applies one pooled EventBatch to every group on the plane,
-// in order, outside pi.mu, advances the plane position, and releases the
-// batch. The position, the batch's Base and the groups are taken in one
-// hold of pi.mu, so a group attaching at the new position misses it.
+// in order, advances the plane position, and releases the batch. The
+// position, the batch's Base and the groups are taken, and the batch
+// applied, in one hold of pi.mu, so a group attaching at the new position
+// misses it.
 func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool) {
 	n := int64(b.Len())
 	last := b.Times[n-1] // the batch is in event-time order
@@ -487,11 +478,10 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 	b.Base = pi.next
 	pi.next += n
 	d := planeDelivery{batch: b, next: pi.next, hwm: hwm, haveHWM: haveHWM}
-	groups := pi.settle()
-	pi.mu.Unlock()
-	for _, sub := range groups {
+	for _, sub := range pi.settle() {
 		sub.apply(d)
 	}
+	pi.mu.Unlock()
 	b.Release()
 	if haveHWM {
 		pi.lagGauge.Set(float64(hwm - d.next))
@@ -505,11 +495,10 @@ func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool
 func (pi *partIngest) punctuate(mark int64) {
 	pi.mu.Lock()
 	d := planeDelivery{next: pi.next, hwm: pi.next, haveHWM: true, mark: mark}
-	groups := pi.settle()
-	pi.mu.Unlock()
-	for _, sub := range groups {
+	for _, sub := range pi.settle() {
 		sub.apply(d)
 	}
+	pi.mu.Unlock()
 	pi.lagGauge.Set(0)
 }
 

@@ -321,14 +321,10 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 			}
 
 			// The group stands ahead of the batch's first tc.skip records.
-			sub := sh.group.Load()
-			sub.mu.Lock()
+			sub := sh.group
 			sub.offset = b.Base + int64(tc.skip)
-			sub.mu.Unlock()
 			sub.apply(planeDelivery{batch: b, next: b.Base + int64(b.Len())})
-			sub.mu.Lock()
 			got, records := sub.watermark(), sh.records.Load()
-			sub.mu.Unlock()
 			if !got.Equal(want) || records != int64(b.Len()-tc.skip) {
 				t.Errorf("watermark %v after %d records, want %v after %d", got, records, want, b.Len()-tc.skip)
 			}
@@ -336,8 +332,8 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 	}
 }
 
-// TestSlowQuerySheddingNoLossNoDup stalls every query's group, and with
-// it each partition's loop, over a large backlog: once the groups go on,
+// TestSlowQuerySheddingNoLossNoDup stalls every query, and with it each
+// partition's loop, over a large backlog: once the queries go on,
 // the loop must still deliver every record to every query exactly once.
 func TestSlowQuerySheddingNoLossNoDup(t *testing.T) {
 	for _, in := range []catchUpInput{
@@ -430,45 +426,129 @@ func (g *gatedCluster) FetchBatch(topic string, partition int, offset int64, max
 	return g.Cluster.FetchBatch(topic, partition, offset, max, b)
 }
 
-// stallGroups takes the lock of every sampling group on every partition,
-// opens the gate, and lets go once each partition loop has stalled on its
-// first round for a fixed time: the loop reads one round and blocks
-// applying it, as behind a group stalled on a held lock, and reads on
-// from there once the groups go on.
+// stallGroups takes the lock of every registered query, opens the gate,
+// and lets go once each partition loop has stalled on its first round for
+// a fixed time: the loop reads one round and blocks applying it under its
+// partition lock, as behind a group stalled on a held lock, and reads on
+// from there once the queries go on.
 func stallGroups(t *testing.T, s *Server, gc *gatedCluster) {
 	t.Helper()
-	var held []*subQueue
-	for _, pi := range s.ing.parts {
-		pi.mu.Lock()
-		held = append(held, pi.groups...)
-		pi.mu.Unlock()
-	}
-	for _, sub := range held {
-		sub.mu.Lock()
+	held := s.jobs()
+	for _, j := range held {
+		j.mu.Lock()
 	}
 	gc.open()
-	next := func(pi *partIngest) int64 {
-		pi.mu.Lock()
-		defer pi.mu.Unlock()
-		return pi.next
-	}
+	// The loop counts a round's records before it takes the partition
+	// lock to apply it.
+	read := func(pi *partIngest) int64 { return int64(pi.recordsMetric.Value()) }
 	deadline := time.Now().Add(10 * time.Second)
 	for _, pi := range s.ing.parts {
-		for next(pi) < fetchMax && time.Now().Before(deadline) {
+		for read(pi) < fetchMax && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
 	}
 	time.Sleep(100 * time.Millisecond)
-	var read []int64
+	var n []int64
 	for _, pi := range s.ing.parts {
-		read = append(read, next(pi))
+		n = append(n, read(pi))
 	}
-	for _, sub := range held {
-		sub.mu.Unlock()
+	for _, j := range held {
+		j.mu.Unlock()
 	}
-	for p, n := range read {
+	for p, n := range n {
 		if n != fetchMax {
-			t.Fatalf("partition %d read %d records while its groups were held, want the one round of %d its loop stalls on", p, n, fetchMax)
+			t.Fatalf("partition %d read %d records while its queries were held, want the one round of %d its loop stalls on", p, n, fetchMax)
+		}
+	}
+}
+
+// fetchHoldCluster, once held, holds every batch fetch of partition 0
+// until released, and counts the fetches it holds.
+type fetchHoldCluster struct {
+	broker.Cluster
+	held, holding atomic.Int64
+	gate          chan struct{}
+	once          sync.Once
+}
+
+func (c *fetchHoldCluster) release() { c.once.Do(func() { close(c.gate) }) }
+
+func (c *fetchHoldCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	if partition == 0 && c.held.Load() != 0 {
+		c.holding.Add(1)
+		<-c.gate
+	}
+	return c.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
+// The partition lock is never held across a fetch: while partition 0's
+// loop is blocked in one, a registration, a checkpoint pass and a
+// deregistration on that partition each return within a second. Once the
+// fetch is let go, every record reaches every surviving query exactly
+// once, the one that registered during the hold from the start of the
+// log.
+func TestPartitionLockNeverHeldAcrossFetch(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(83, 24000)
+	half := len(events) / 2
+	if _, err := produceEvents(bk, "in", events[:half]); err != nil {
+		t.Fatal(err)
+	}
+	fc := &fetchHoldCluster{Cluster: bk, gate: make(chan struct{})}
+	s, err := New(Config{Cluster: fc, Topic: "in", PollBackoff: time.Millisecond,
+		CheckpointDir: t.TempDir(), CheckpointEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	defer fc.release()
+	specs := groupSpecs(3)
+	jobs := registerAll(t, s, specs[:2])
+	for _, j := range jobs {
+		waitJobRecords(t, j, int64(half), 10*time.Second)
+	}
+	fc.held.Store(1)
+	for stop := time.Now().Add(10 * time.Second); fc.holding.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(stop) {
+			t.Fatal("partition 0's loop never fetched")
+		}
+	}
+	// Each call runs beside the test, so one that waits for the held fetch
+	// fails the test rather than hanging it.
+	within := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(time.Second):
+			t.Fatalf("%s did not return within 1 s while partition 0's fetch was held", what)
+		}
+	}
+	within("Register", func() error {
+		id, err := s.Register(specs[2])
+		if j, ok := s.job(id); ok {
+			jobs = append(jobs, j)
+		}
+		return err
+	})
+	within("a checkpoint pass", func() error { s.checkpointAll(); return nil })
+	within("Deregister", func() error { return s.Deregister(jobs[1].id) })
+	if _, err := produceEvents(bk, "in", events[half:]); err != nil {
+		t.Fatal(err)
+	}
+	fc.release()
+	for _, j := range []*job{jobs[0], jobs[2]} {
+		waitJobRecords(t, j, int64(len(events)), 15*time.Second)
+		checkWindowsOnce(t, j, events)
+		if n := jobRecords(j); n != int64(len(events)) {
+			t.Errorf("query %s consumed %d records, want exactly %d", j.id, n, len(events))
 		}
 	}
 }
@@ -651,20 +731,29 @@ func TestFetchLoopIdleIssuesOneFetchPerBackoff(t *testing.T) {
 	}
 }
 
-// partitionFetchCluster counts each partition's batch fetches.
+// partitionFetchCluster counts each partition's batch fetches. Once
+// armed, partition 0's next fetch runs the hook after it returns empty.
 type partitionFetchCluster struct {
 	broker.Cluster
 	fetches [2]atomic.Int64
+	hook    atomic.Pointer[func()]
 }
 
 func (c *partitionFetchCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
 	c.fetches[partition].Add(1)
-	return c.Cluster.FetchBatch(topic, partition, offset, max, b)
+	n, err := c.Cluster.FetchBatch(topic, partition, offset, max, b)
+	if partition == 0 && n == 0 && err == nil {
+		if hook := c.hook.Swap(nil); hook != nil {
+			(*hook)()
+		}
+	}
+	return n, err
 }
 
-// TestIdleMarkerKeepsRecordsQueuedBehindIt holds partition 0's sampling
-// group while the partition stays idle, until the partition's loop is
-// blocked applying an idle marker to it. Then partition 1 moves seconds
+// TestIdleMarkerKeepsRecordsQueuedBehindIt takes partition 0's lock while
+// the partition stays idle, from inside an empty poll that then lasts
+// idleAdvanceFloor, so the partition's loop is blocked applying the idle
+// marker that poll queued. Then partition 1 moves seconds
 // ahead and partition 0 receives records older than that, behind the
 // marker. The marker must advance partition 0's shard only to the
 // watermarks it saw when the partition polled empty: every served window
@@ -724,37 +813,38 @@ func TestIdleMarkerKeepsRecordsQueuedBehindIt(t *testing.T) {
 	produce(span(0, 0, time.Second), span(1, 0, time.Second))
 	waitJobRecords(t, j, int64(len(all)), 10*time.Second)
 
-	pi := s.ing.parts[0]
-	pi.mu.Lock()
-	sub := pi.groups[0]
-	pi.mu.Unlock()
-	sub.mu.Lock()
-	held := time.Now()
-	// The loop polls the idle partition every back-off until a marker
-	// blocks it on the held group: then its fetches stop.
-	for fetches, since := pc.fetches[0].Load(), time.Now(); time.Since(since) < 100*time.Millisecond || time.Since(held) < 600*time.Millisecond; {
-		if time.Since(held) > 10*time.Second {
-			sub.mu.Unlock()
-			t.Fatal("partition 0's loop never blocked on an idle marker")
-		}
-		time.Sleep(10 * time.Millisecond)
-		if n := pc.fetches[0].Load(); n != fetches {
-			fetches, since = n, time.Now()
-		}
+	// Every poll from the second on after the records were read is empty,
+	// so the loop has begun timing the idle floor by the armed one.
+	for n := pc.fetches[0].Load() + 2; pc.fetches[0].Load() < n; {
+		time.Sleep(time.Millisecond)
 	}
+	pi := s.ing.parts[0]
+	locked := make(chan struct{})
+	hold := func() {
+		pi.mu.Lock() // unlocked by the test
+		time.Sleep(idleAdvanceFloor)
+		close(locked)
+	}
+	pc.hook.Store(&hold)
+	select {
+	case <-locked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("partition 0's loop never polled empty")
+	}
+	held := time.Now()
 	// Partition 1 runs to 4s while partition 0 receives [1s, 3s): both in
 	// one call, so no later marker of partition 0 sees partition 1 ahead
 	// before these records are read.
 	produce(span(1, 3*time.Second, 4*time.Second), span(0, time.Second, 3*time.Second))
-	// Partition 0's group is held: partition 1's watermark is the job's.
+	// Partition 0's loop is held: partition 1's watermark is the job's.
 	for j.shards[1].records.Load() != 200 || watermarkOf(j.shards[1]).Before(base.Add(3990*time.Millisecond)) {
 		if time.Since(held) > 10*time.Second {
-			sub.mu.Unlock()
+			pi.mu.Unlock()
 			t.Fatal("partition 1 did not advance")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	sub.mu.Unlock()
+	pi.mu.Unlock()
 
 	produce(span(0, 5*time.Second, 7*time.Second), span(1, 5*time.Second, 7*time.Second))
 	waitJobRecords(t, j, int64(len(all)), 10*time.Second)

@@ -78,14 +78,12 @@ type shard struct {
 	idx int // shard index == partition
 	q   query.Query
 
-	// mu guards panes and lateOff against the checkpointer.
-	// records/sampled/lag are atomic so the query's lag total and the
-	// progress counters need no lock.
-	mu sync.Mutex
-	// group is the sampling group the shard samples through; it changes
-	// under that group's lock, which guards the group's sampler and
-	// position.
-	group   atomic.Pointer[subQueue]
+	// group is the sampling group the shard samples through. It, panes
+	// and lateOff are guarded by the partition lock (see group.go), as
+	// the group's sampler and position are. records/sampled/lag are
+	// atomic so the query's lag total and the progress counters need no
+	// lock.
+	group   *subQueue
 	panes   []query.Pane // finished, not yet handed to the merger
 	lateOff int64        // late drops beyond the group sampler's count
 	records atomic.Int64
@@ -192,9 +190,8 @@ func (j *job) stop(flush bool) {
 	}
 	if flush {
 		for _, sh := range j.shards {
-			unlock := sh.lockSampler()
-			sub := sh.group.Load()
-			sub.ps.Close(sub.cut)
+			unlock := sh.lock()
+			sh.group.ps.Close(sh.group.cut)
 			sh.deliver(time.Time{})
 			unlock()
 		}
@@ -322,9 +319,8 @@ func (sh *shard) setLag(lag int64) {
 // deliver hands the merger the panes the shard finished and the shard's
 // watermark, publishes whatever fires, and sets the shard's sampler to
 // the fraction of the query's controller, which has observed every window
-// served so far. Callers hold the shard's group lock and sh.mu; deliver
-// nests j.mu inside, the last lock of the one
-// order plane → group → shard → job.
+// served so far. Callers hold the partition lock; deliver nests j.mu
+// inside, the last lock of the one order server → partition → job.
 func (sh *shard) deliver(mark time.Time) {
 	j := sh.job
 	j.mu.Lock()
@@ -342,7 +338,7 @@ func (sh *shard) deliver(mark time.Time) {
 		}
 	}
 	if j.ctl != nil {
-		sh.group.Load().ps.SetFraction(j.ctl.Fraction())
+		sh.group.ps.SetFraction(j.ctl.Fraction())
 	}
 	j.mu.Unlock()
 }

@@ -315,9 +315,9 @@ func TestTargetErrorObservesMergedWindows(t *testing.T) {
 		t.Fatalf("query fraction %v, want %v (moved from %v)", want, ctl.Fraction(), spec.Fraction)
 	}
 	for _, sh := range j.shards {
-		unlock := sh.lockSampler()
+		unlock := sh.lock()
 		sh.deliver(time.Time{})
-		got := sh.group.Load().ps.Fraction()
+		got := sh.group.ps.Fraction()
 		unlock()
 		if got != want {
 			t.Errorf("shard %d: fraction %v after a delivery, query's %v", sh.idx, got, want)

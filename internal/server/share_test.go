@@ -303,10 +303,8 @@ func TestSharedWindowsIgnoreWhenTheGroupFormed(t *testing.T) {
 		if late == nil || !sharedAt.IsZero() {
 			continue
 		}
-		if sub := late.shards[0].group.Load(); sub == member.shards[0].group.Load() {
-			sub.mu.Lock()
+		if sub := late.shards[0].group; sub == member.shards[0].group {
 			sharedAt = sub.ps.State().SegStart
-			sub.mu.Unlock()
 		}
 	}
 	member.stop(true)
@@ -439,12 +437,12 @@ func TestUnlikeSpecsNeverShare(t *testing.T) {
 		}
 	}
 	r := newRig(t, 1)
-	group := r.query("q-0", base).shards[0].group.Load()
+	group := r.query("q-0", base).shards[0].group
 	feed(r, batches[:2])
 	samplers := r.srv.ing.parts[0].samplersGauge
 	// A shard behind the group samples in a group of its own.
 	behind := r.query("q-1", base)
-	if samplers.Value() != 2 || behind.shards[0].group.Load() == group {
+	if samplers.Value() != 2 || behind.shards[0].group == group {
 		t.Errorf("a shard at another offset shares: %v samplers", samplers.Value())
 	}
 	// One that read what the group did, in a group of its own, folds in.
@@ -463,7 +461,7 @@ func TestUnlikeSpecsNeverShare(t *testing.T) {
 		b.Release()
 	}
 	r.join(late)
-	if samplers.Value() != 2 || sh.group.Load() != group {
+	if samplers.Value() != 2 || sh.group != group {
 		t.Errorf("a shard at the group's point of the stream samples in a group of its own: %v samplers", samplers.Value())
 	}
 }

@@ -454,7 +454,7 @@ func TestLateGroupsFoldWhereTheyMeet(t *testing.T) {
 			b := standAt(t, s, fc, lateSpec(2, 0.5), meet)
 			c := standAt(t, s, fc, lateSpec(3, tc.fraction), meet)
 			waitGauges(t, s, 3, tc.behind)
-			if folded := c.shards[0].group.Load() == b.shards[0].group.Load(); folded != (tc.behind == 2) {
+			if folded := groupOf(c.shards[0]) == groupOf(b.shards[0]); folded != (tc.behind == 2) {
 				t.Errorf("folded %v where the two met behind the plane, want %v", folded, !folded)
 			}
 			fc.from.Store(math.MaxInt64)
@@ -491,7 +491,7 @@ func TestLateGroupsOfUnlikePointsNeverFold(t *testing.T) {
 	pi := r.srv.ing.parts[0]
 	pi.next = int64(len(events)) // a plane that has read the log; a rig runs no loop
 	b := r.query("b", lateSpec(2, 0.5))
-	sub := b.shards[0].group.Load()
+	sub := b.shards[0].group
 	sub.offset = meet - 100
 	tail := batch(meet-100, meet)
 	push(b.shards[0], tail, time.Time{})
@@ -507,7 +507,7 @@ func TestLateGroupsOfUnlikePointsNeverFold(t *testing.T) {
 		rb := batch(lo, hi)
 		pi.catchUp(planeDelivery{batch: rb, next: hi})
 		rb.Release()
-		if c.shards[0].group.Load() == sub {
+		if c.shards[0].group == sub {
 			t.Fatalf("the group that caught up from the start folded at %d into one that took only the records from %d", hi, meet-100)
 		}
 	}
