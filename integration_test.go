@@ -13,22 +13,21 @@ import (
 	"streamapprox/internal/xrand"
 )
 
-// member is a test's reader of a set of partitions: a positioned
-// reader per owned partition, polled round by round, each
-// round's batches merged into one time-ordered batch — the order a
-// time-synchronized aggregator delivers and a Session expects.
+// member is a test's reader of a set of partitions: an offset per owned
+// partition, fetched round by round, each round's batches merged into
+// one time-ordered batch — the order a time-synchronized aggregator
+// delivers and a Session expects.
 type member struct {
+	cl    broker.Cluster
 	parts []int
-	cons  []*broker.Consumer
-	next  []int64 // offset each reader has reached
+	next  []int64 // offset each partition's reader has reached
 }
 
 // newMember positions one reader per partition at start[partition]
 // (0 when absent).
 func newMember(cl broker.Cluster, parts []int, start map[int]int64) *member {
-	m := &member{parts: parts}
+	m := &member{cl: cl, parts: parts}
 	for _, p := range parts {
-		m.cons = append(m.cons, broker.NewPartitionConsumer(cl, "stream", p, start[p]))
 		m.next = append(m.next, start[p])
 	}
 	return m
@@ -38,20 +37,19 @@ func newMember(cl broker.Cluster, parts []int, start map[int]int64) *member {
 // drained. The caller Releases it.
 func (m *member) poll() (*EventBatch, error) {
 	merged := NewEventBatch()
-	for i, c := range m.cons {
-		b, err := c.PollBatch(4096)
+	b := stream.GetEventBatch()
+	defer b.Release()
+	for i, p := range m.parts {
+		b.Reset()
+		n, err := m.cl.FetchBatch("stream", p, m.next[i], 4096, b)
 		if err != nil {
 			merged.Release()
 			return nil, err
 		}
-		if b == nil {
-			continue
-		}
-		m.next[i] = b.Base + int64(b.Len())
-		for j := 0; j < b.Len(); j++ {
+		m.next[i] += int64(n)
+		for j := 0; j < n; j++ {
 			merged.AppendEvent(b.EventAt(j))
 		}
-		b.Release()
 	}
 	if merged.Len() == 0 {
 		merged.Release()

@@ -134,26 +134,41 @@ func BenchmarkWirePipelinedFetch(b *testing.B) {
 	reportItems(b, int64(workers)*int64(per)*benchBatch)
 }
 
-// BenchmarkFramesToBatch is the consumer's decode: a 4096-record fetch
-// of 125-record frames, four keys each, into a pooled columnar batch.
+// BenchmarkFramesToBatch is the consumer's decode into a pooled columnar
+// batch: keys4 is a 4096-record fetch of 125-record frames, four keys
+// each; taxi one 1 000-record frame of 2 keys 500 µs apart, whose
+// decode unpacks one-bit ids and scales offsets by 10^5.
 func BenchmarkFramesToBatch(b *testing.B) {
-	recs := benchRecords(4096)
-	for i := range recs {
-		recs[i].Key = fmt.Sprintf("s%02d", i%4)
+	keys4 := benchRecords(4096)
+	for i := range keys4 {
+		keys4[i].Key = fmt.Sprintf("s%02d", i%4)
 	}
-	var chunk []byte
-	for at := 0; at < len(recs); at += 125 {
-		chunk = storage.AppendRecordFrames(chunk, recs[at:min(at+125, len(recs))])
+	taxi := benchRecords(1000)
+	for i := range taxi {
+		taxi[i].Key = fmt.Sprintf("s%02d", min(i%3, 1))
+		taxi[i].Time = taxi[0].Time.Add(time.Duration(i) * 500 * time.Microsecond)
 	}
-	b.ReportAllocs()
-	for b.Loop() {
-		eb := stream.GetEventBatch()
-		if n, err := framesToBatch(chunk, len(recs), 0, eb); err != nil || n != len(recs) {
-			b.Fatalf("decoded %d records, %v", n, err)
+	for _, c := range []struct {
+		name  string
+		recs  []Record
+		frame int
+	}{{"keys4", keys4, 125}, {"taxi", taxi, 1000}} {
+		var chunk []byte
+		for at := 0; at < len(c.recs); at += c.frame {
+			chunk = storage.AppendRecordFrames(chunk, c.recs[at:min(at+c.frame, len(c.recs))])
 		}
-		eb.Release()
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				eb := stream.GetEventBatch()
+				if n, err := framesToBatch(chunk, len(c.recs), 0, eb); err != nil || n != len(c.recs) {
+					b.Fatalf("decoded %d records, %v", n, err)
+				}
+				eb.Release()
+			}
+			reportItems(b, int64(b.N)*int64(len(c.recs)))
+		})
 	}
-	reportItems(b, int64(b.N)*int64(len(recs)))
 }
 
 // BenchmarkClusterProduce is the produce ack chain on its own: one

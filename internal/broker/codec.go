@@ -46,11 +46,12 @@ import (
 
 // wireVersion opens every frame in both directions and is what the hello
 // op answers; a client refuses a peer answering anything else. It never
-// equals a version byte or hello level of the retired dialects (1–7; 5
+// equals a version byte or hello level of the retired dialects (1–8; 5
 // carried one CRC frame per record, 6 frames without time codes, 7 the
-// control ops as JSON), nor '{' (0x7B), the first byte of a retired JSON
-// lockstep frame, so the server's version check rejects all of them.
-const wireVersion byte = 8
+// control ops as JSON, 8 frames without packed ids or scaled times), nor
+// '{' (0x7B), the first byte of a retired JSON lockstep frame, so the
+// server's version check rejects all of them.
+const wireVersion byte = 9
 
 // Op codes. 1, 2, 5, 6, 7 and 9 belonged to the retired record-dialect,
 // key-routed produce and per-partition replicate ops, 4 to the JSON
@@ -79,14 +80,14 @@ const (
 	binStatusErr  byte = 1
 )
 
-// minWireRecord is what every record adds to a batch frame — a one-byte
-// dictionary id and the value (its time offset may take no bytes) — and
+// minWireRecord is what every record adds to a batch frame — its value
+// (its id may pack to no bits, its time offset take no bytes) — and
 // minWireFrame the smallest frame there is: header, word + ndict, one
 // empty key, one record and eight time bytes (tbase, or the time
 // itself). Together they bound the bytes a declared record count needs,
 // which is checked before anything is sized by that count.
 const (
-	minWireRecord = 1 + 8
+	minWireRecord = 8
 	minWireFrame  = 8 + 4 + 2 + 4 + minWireRecord + 8
 )
 

@@ -9,55 +9,40 @@ import (
 	"streamapprox/internal/stream"
 )
 
-// drainValues polls c until a round comes back empty, counting each
-// record's value into seen, and returns the offset c has reached.
-func drainValues(t *testing.T, c *Consumer, seen map[float64]int) int64 {
+// A consumer here is any reader of a partition through FetchBatch: it
+// keeps its own offset, as the serving tier's partition loop does.
+
+// fetchRound fetches up to max records of in/0 at offset from cl into a
+// fresh pooled batch; the caller releases it.
+func fetchRound(t *testing.T, cl Cluster, offset int64, max int) *stream.EventBatch {
+	t.Helper()
+	b := stream.GetEventBatch()
+	if _, err := cl.FetchBatch("in", 0, offset, max, b); err != nil {
+		t.Fatalf("fetch at %d: %v", offset, err)
+	}
+	return b
+}
+
+// drainValues reads in/0 from offset until a round comes back empty,
+// counting each record's value into seen, and returns the offset reached.
+func drainValues(t *testing.T, cl Cluster, offset int64, seen map[float64]int) int64 {
 	t.Helper()
 	for {
-		b, err := c.PollBatch(4096)
-		if err != nil {
-			t.Fatalf("poll: %v", err)
-		}
-		if b == nil {
-			return c.offset
-		}
+		b := fetchRound(t, cl, offset, 4096)
+		n := b.Len()
 		for _, v := range b.Values {
 			seen[v]++
 		}
 		b.Release()
-	}
-}
-
-func TestConsumerPollBatch(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 1)
-	in := recs("a", 10)
-	in[2].Time, in[7].Time = in[7].Time, in[2].Time // unordered within both rounds below
-	in[5].Time = time.Time{}
-	if _, err := b.Produce("in", in); err != nil {
-		t.Fatal(err)
-	}
-	c := NewPartitionConsumer(b, "in", 0, -7) // negative reads as 0
-	for _, round := range []struct {
-		max, n int
-		base   int64
-	}{{8, 8, 0}, {100, 2, 8}} {
-		got, err := c.PollBatch(round.max)
-		if err != nil || got.Len() != round.n || got.Base != round.base {
-			t.Fatalf("PollBatch(%d) = %d records at %d, %v; want %d at %d", round.max, got.Len(), got.Base, err, round.n, round.base)
+		if n == 0 {
+			return offset
 		}
-		if !got.TimeOrdered() {
-			t.Fatalf("PollBatch(%d) not in event-time order: %v", round.max, got.Times)
-		}
-		got.Release()
-	}
-	if again, err := c.PollBatch(100); again != nil || err != nil {
-		t.Fatalf("poll of a drained partition = %v, %v; want nil, nil", again, err)
+		offset += int64(n)
 	}
 }
 
 // TestConsumerConstructedMidBatch: offsets count records, not frames, so
-// a reader positioned inside a produce batch starts at exactly that
+// a consumer positioned inside a produce batch starts at exactly that
 // record, on the in-process path and over the wire alike.
 func TestConsumerConstructedMidBatch(t *testing.T) {
 	srv, cli := startServer(t)
@@ -75,88 +60,42 @@ func TestConsumerConstructedMidBatch(t *testing.T) {
 	}
 	defer func() { _ = cc.Close() }()
 	for name, from := range map[string]Cluster{"broker": srv.broker, "routing client": cc} {
-		c := NewPartitionConsumer(from, "in", 0, 4)
+		offset := int64(4)
 		for _, round := range []struct {
 			max  int
 			want []float64
 		}{{3, []float64{4, 5, 6}}, {100, []float64{7, 8, 9, 10, 11, 12, 13, 14, 15, 16}}} {
-			got, err := c.PollBatch(round.max)
-			if err != nil || got.Base != int64(round.want[0]) || !reflect.DeepEqual(got.Values, round.want) {
-				t.Fatalf("%s: PollBatch(%d) = %v at %d, %v; want %v", name, round.max, got.Values, got.Base, err, round.want)
+			got := fetchRound(t, from, offset, round.max)
+			if got.Base != offset || !reflect.DeepEqual(got.Values, round.want) {
+				t.Fatalf("%s: fetch of %d at %d = %v at %d; want %v", name, round.max, offset, got.Values, got.Base, round.want)
 			}
+			offset += int64(got.Len())
 			got.Release()
 		}
 	}
 }
 
-// flakyCluster fails every third FetchBatch with a transient error.
-type flakyCluster struct {
-	Cluster
-	n int
-}
-
-var errFlaky = errors.New("transient fetch failure")
-
-func (f *flakyCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
-	f.n++
-	if f.n%3 == 0 {
-		return 0, errFlaky
-	}
-	return f.Cluster.FetchBatch(topic, partition, offset, max, b)
-}
-
-// TestConsumerFailedFetchKeepsOffset: a failed fetch leaves the reader
-// where it was, so the retry returns the round the failure would have —
-// every record exactly once, in offset order, across the failures.
-func TestConsumerFailedFetchKeepsOffset(t *testing.T) {
-	b := New()
-	_ = b.CreateTopic("in", 1)
-	const total = 20000
-	if _, err := b.Produce("in", recs("k", total)); err != nil {
-		t.Fatal(err)
-	}
-	c := NewPartitionConsumer(&flakyCluster{Cluster: b}, "in", 0, 0)
-	failures := 0
-	for next := int64(0); next < total; {
-		got, err := c.PollBatch(1000)
-		if err != nil {
-			if !errors.Is(err, errFlaky) || got != nil || c.offset != next {
-				t.Fatalf("failed poll = %v, %v with the reader at %d; want nil, errFlaky, %d", got, err, c.offset, next)
-			}
-			failures++
-			continue
-		}
-		if got.Base != next || got.Len() != 1000 || got.Values[0] != float64(next) {
-			t.Fatalf("round after %d failures = %d records at %d (first value %v); want 1000 at %d",
-				failures, got.Len(), got.Base, got.Values[0], next)
-		}
-		next += int64(got.Len())
-		got.Release()
-	}
-	if failures == 0 {
-		t.Fatal("no fetch failed; the test exercised nothing")
-	}
-}
-
+// TestConsumerErrorOnClosedBroker: a fetch from a closed broker fails
+// with ErrClosed and fills nothing, and one of a missing partition fails
+// with ErrBadPartition.
 func TestConsumerErrorOnClosedBroker(t *testing.T) {
 	b := New()
 	_ = b.CreateTopic("in", 1)
 	_, _ = b.Produce("in", recs("a", 10))
-	c := NewPartitionConsumer(b, "in", 0, 0)
 	b.Close()
-	if got, err := c.PollBatch(10); !errors.Is(err, ErrClosed) || got != nil || c.offset != 0 {
-		t.Errorf("poll on a closed broker = %v, %v with the reader at %d; want nil, ErrClosed, 0", got, err, c.offset)
+	eb := stream.GetEventBatch()
+	defer eb.Release()
+	if n, err := b.FetchBatch("in", 0, 0, 10, eb); !errors.Is(err, ErrClosed) || n != 0 || eb.Len() != 0 {
+		t.Errorf("fetch from a closed broker = %d records, %v; want 0, ErrClosed", n, err)
 	}
-	// A reader needs no broker call to exist, so a bad partition is the
-	// first poll's error, not the constructor's.
 	b = New()
 	_ = b.CreateTopic("in", 1)
-	if _, err := NewPartitionConsumer(b, "in", 3, 0).PollBatch(10); !errors.Is(err, ErrBadPartition) {
-		t.Errorf("poll of a missing partition: %v", err)
+	if _, err := b.FetchBatch("in", 3, 0, 10, eb); !errors.Is(err, ErrBadPartition) {
+		t.Errorf("fetch of a missing partition: %v", err)
 	}
 }
 
-// TestConsumerTCPMatchesInProcess: a Consumer over TCP delivers the very
+// TestConsumerTCPMatchesInProcess: a consumer over TCP reads the very
 // batches one over the in-process broker does — columns, dictionary,
 // base and order.
 func TestConsumerTCPMatchesInProcess(t *testing.T) {
@@ -182,15 +121,14 @@ func TestConsumerTCPMatchesInProcess(t *testing.T) {
 	}
 	readAll := func(cl Cluster) []round {
 		var out []round
-		c := NewPartitionConsumer(cl, "in", 0, 0)
-		for {
-			eb, err := c.PollBatch(400)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if eb == nil {
+		for offset := int64(0); ; {
+			eb := fetchRound(t, cl, offset, 400)
+			if eb.Len() == 0 {
+				eb.Release()
 				return out
 			}
+			offset += int64(eb.Len())
+			eb.SortByTime()
 			out = append(out, round{
 				append([]int32(nil), eb.Strata...), append([]float64(nil), eb.Values...),
 				append([]int64(nil), eb.Times...), append([]string(nil), eb.Dict...), eb.Base,

@@ -30,9 +30,9 @@ func TestClientErrorsAfterServerClose(t *testing.T) {
 
 // TestConsumerResumesAcrossLeaderFailover drives a positioned reader
 // through the routing client while the partition leader dies
-// mid-stream: polls must keep delivering every record exactly once, and
-// a reader constructed at the position the first one kept before the
-// failover resumes against the promoted follower.
+// mid-stream: fetches must keep delivering every record exactly once,
+// and a reader at the position the first one kept before the failover
+// resumes against the promoted follower.
 func TestConsumerResumesAcrossLeaderFailover(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	cc := tc.dialCluster()
@@ -42,9 +42,8 @@ func TestConsumerResumesAcrossLeaderFailover(t *testing.T) {
 	if _, err := cc.Produce("in", keylessRecs(0, 3000)); err != nil {
 		t.Fatal(err)
 	}
-	cons := NewPartitionConsumer(cc, "in", 0, 0)
 	seen := map[float64]int{}
-	next := drainValues(t, cons, seen)
+	next := drainValues(t, cc, 0, seen)
 	if len(seen) != 3000 || next != 3000 {
 		t.Fatalf("pre-failover: saw %d records up to offset %d", len(seen), next)
 	}
@@ -55,11 +54,11 @@ func TestConsumerResumesAcrossLeaderFailover(t *testing.T) {
 	if _, err := cc.Produce("in", keylessRecs(3000, 2000)); err != nil {
 		t.Fatalf("produce after leader death: %v", err)
 	}
-	// The same reader keeps polling; the routing client under it
-	// redirects to the promoted follower.
+	// The same reader keeps fetching from where it got to; the routing
+	// client under it redirects to the promoted follower.
 	deadline := time.Now().Add(10 * time.Second)
-	for len(seen) < 5000 && time.Now().Before(deadline) {
-		drainValues(t, cons, seen)
+	for at := next; len(seen) < 5000 && time.Now().Before(deadline); {
+		at = drainValues(t, cc, at, seen)
 	}
 	if len(seen) != 5000 {
 		t.Fatalf("post-failover: saw %d distinct records, want 5000", len(seen))
@@ -69,10 +68,10 @@ func TestConsumerResumesAcrossLeaderFailover(t *testing.T) {
 			t.Fatalf("record %v delivered %d times", v, c)
 		}
 	}
-	// A fresh reader constructed at the position the first one kept
-	// before the failover reads exactly the records produced after it.
+	// A fresh reader at the position the first one kept before the
+	// failover reads exactly the records produced after it.
 	resumed := map[float64]int{}
-	if end := drainValues(t, NewPartitionConsumer(cc, "in", 0, next), resumed); end != 5000 || len(resumed) != 2000 {
+	if end := drainValues(t, cc, next, resumed); end != 5000 || len(resumed) != 2000 {
 		t.Fatalf("resumed reader saw %d records up to offset %d, want 2000 up to 5000", len(resumed), end)
 	}
 	for v := range resumed {

@@ -702,9 +702,10 @@ func readTree(t *testing.T, root string) map[string][]byte {
 // earlier build — one topic of two partitions, four produce batches,
 // each partition's state.json, and the groups.json that build kept
 // consumer-group offsets in — twice, served as a one-member cluster.
-// Every record is served under the persisted committed watermark, and
-// every file, groups.json included, is byte-identical after each open:
-// recovery rewrites a file only when its bytes are bad.
+// Every record is served under the persisted committed watermark. The
+// first open changes one byte of the whole dir, each version-2 segment
+// header's version to 3, and every file is byte-identical across the
+// second: recovery rewrites a file only when its bytes are bad.
 func TestParentDataDirOpensUntouched(t *testing.T) {
 	want := readTree(t, filepath.Join("testdata", "parent-datadir"))
 	if _, ok := want["groups.json"]; !ok || len(want) != 5 {
@@ -766,6 +767,13 @@ func TestParentDataDirOpensUntouched(t *testing.T) {
 		srv.Close()
 		b.Close()
 
+		if open == 1 {
+			for name, data := range want {
+				if strings.HasSuffix(name, ".seg") && data[4] == 2 {
+					want[name] = append(append(data[:4:4], 3), data[5:]...)
+				}
+			}
+		}
 		after := readTree(t, dir)
 		for name, data := range want {
 			if !bytes.Equal(after[name], data) {

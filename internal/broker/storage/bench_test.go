@@ -52,31 +52,49 @@ func reportItems(b *testing.B, items int64) {
 	}
 }
 
-// BenchmarkBatchBuilder frames one 500-record produce into 4 partitions.
-// alternating16 is the whole-pipeline benchmark's shape — 16 keys taking
-// turns, so no record repeats its predecessor's key and every one pays
-// the map lookup; skewed6 is the paper's skew, where the previous-key
-// fast path carries most records.
+// benchTaxi is a taxi-shaped produce of n records: 2 keys, the first
+// twice as common, 500 µs apart — what a fanout-mixed partition holds:
+// one-bit ids and offsets scaled by 10^5.
+func benchTaxi(n int) []Record {
+	recs := benchRecs(n, 2, func(i int) int { return min(i%3, 1) })
+	for i := range recs {
+		recs[i].Time = recs[0].Time.Add(time.Duration(i) * 500 * time.Microsecond)
+	}
+	return recs
+}
+
+// BenchmarkBatchBuilder frames one produce. alternating16 is the
+// whole-pipeline benchmark's shape — 500 records of 16 keys taking turns
+// over 4 partitions, so no record repeats its predecessor's key and every
+// one pays the map lookup; skewed6 is the paper's skew, where the
+// previous-key fast path carries most records; taxi is 1 000 records of
+// benchTaxi into one partition, where the encoder packs ids and scales
+// offsets.
 func BenchmarkBatchBuilder(b *testing.B) {
-	shapes := map[string][]Record{
-		"alternating16": benchRecs(500, 16, func(i int) int { return i }),
-		"skewed6": benchRecs(500, 6, func(i int) int {
+	shapes := map[string]struct {
+		recs  []Record
+		parts int
+	}{
+		"alternating16": {benchRecs(500, 16, func(i int) int { return i }), 4},
+		"skewed6": {benchRecs(500, 6, func(i int) int {
 			if i%10 < 8 {
 				return 0
 			}
 			return i % 6
-		}),
+		}), 4},
+		"taxi": {benchTaxi(1000), 1},
 	}
-	route := func(key string) int { return int(key[len(key)-1]) % 4 }
-	for name, recs := range shapes {
+	for name, shape := range shapes {
+		recs, parts := shape.recs, shape.parts
+		route := func(key string) int { return int(key[len(key)-1]) % parts }
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				bb := GetBatchBuilder(4, route)
+				bb := GetBatchBuilder(parts, route)
 				for i := range recs {
 					bb.Add(&recs[i])
 				}
-				for p := 0; p < 4; p++ {
+				for p := 0; p < parts; p++ {
 					if frames, _ := bb.Frames(p); len(frames) == 0 {
 						b.Fatal("empty partition")
 					}

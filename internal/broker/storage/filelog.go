@@ -53,14 +53,15 @@ type Instruments struct {
 // later segments (unreachable without the torn one's records) are
 // deleted. What survives is exactly the durable prefix.
 //
-// A log reads its segment version and the one before it. A version-1
-// header is one written before frames had time codes: its frames are all
-// tcode 0 and stay as they are, and recover bumps the header to version
-// 2 in place (one byte changes, then fsync) before the first append — so
-// a build that knows only version 1 refuses the segment instead of
-// reading narrow frames as a torn tail. Any other version, a headerless
-// segment written before segments had a header included, fails the open
-// and leaves every file as it was.
+// A log reads its segment version and the one before it. A version-2
+// header is one written before frames packed their ids and scaled their
+// times: its frames are in layouts this build's decoder reads as they
+// are, and recover bumps the header to version 3 in place (one byte
+// changes, then fsync) before the first append — so a build that knows
+// only version 2 refuses the segment instead of reading compact frames
+// as a torn tail. Any other version — version 1, whose frames predate
+// time codes, or a headerless segment written before segments had a
+// header — fails the open and leaves every file as it was.
 //
 // Durability is governed by the sync policy: SyncAlways fsyncs after
 // every append (an acked batch survives kill -9), SyncInterval batches
@@ -142,7 +143,7 @@ const indexEvery = 64
 // Segment header fields.
 const (
 	segMagic   = "SASG"
-	segVersion = 2 // 1: every frame tcode 0
+	segVersion = 3 // 2: ids one byte each, no texp; 1: every frame tcode 0
 	segCRC32C  = 1 // checksum kind: CRC-32C (Castagnoli) per batch frame
 	segHdrLen  = 16
 )
@@ -166,7 +167,7 @@ type segment struct {
 	f     File
 	index []segIndex
 	dirty bool // has writes (or a truncation) not yet fsynced
-	v1    bool // its header says version 1 until recover bumps it
+	old   bool // its header says segVersion-1 until recover bumps it
 }
 
 func segName(base int64) string { return fmt.Sprintf("%020d.seg", base) }
@@ -241,10 +242,10 @@ func (l *FileLog) recover() error {
 			break
 		}
 	}
-	// Version-1 headers are bumped once every segment has been read, so
-	// an open that fails on a later segment has written nothing.
+	// Headers of the version before are bumped once every segment has been
+	// read, so an open that fails on a later segment has written nothing.
 	for _, seg := range l.segs {
-		if !seg.v1 {
+		if !seg.old {
 			continue
 		}
 		_, err := seg.f.WriteAt(appendSegHeader(nil, seg.base)[4:6], 4)
@@ -332,7 +333,7 @@ func (l *FileLog) openSegment(base int64, later []int64) (seg *segment, torn boo
 }
 
 // scan checks the header of the segment whose file holds data — refusing
-// a version outside the two it reads, and noting a version-1 header for
+// a version outside the two it reads, and noting an older header for
 // recover to bump — then walks it batch by batch, validating each whole
 // and filling count, the sparse index and size — the end of the valid
 // prefix: a short or corrupt batch ends the scan without error, and the
@@ -347,12 +348,12 @@ func (s *segment) scan(data []byte) error {
 		if headerless {
 			note = " (headerless)"
 		}
-		return fmt.Errorf("storage: segment %s version %d%s: this build reads versions %d and %d; commit 1338931 is the last to upgrade an older one",
+		return fmt.Errorf("storage: segment %s version %d%s: this build reads versions %d and %d; commit b79a451 is the last to upgrade version 1, and commit 1338931 an older one",
 			s.f.Name(), version, note, segVersion-1, segVersion)
 	}
 	want := appendSegHeader(nil, s.base)
-	s.v1 = string(data[:segHdrLen]) == string(slices.Concat(want[:4], []byte{1, 0}, want[6:]))
-	if !s.v1 && string(data[:segHdrLen]) != string(want) {
+	s.old = string(data[:segHdrLen]) == string(slices.Concat(want[:4], []byte{segVersion - 1, 0}, want[6:]))
+	if !s.old && string(data[:segHdrLen]) != string(want) {
 		return fmt.Errorf("storage: segment %s: header %x is not format %d / checksum %d / base %d",
 			s.f.Name(), data[:segHdrLen], segVersion, segCRC32C, s.base)
 	}

@@ -7,21 +7,28 @@ package storage
 // little-endian throughout:
 //
 //	frame = [4]bodyLen [4]crc32c(body) body
-//	body  = [4]word [2]ndict {[4]klen key}×ndict ids[count] values[count] [8]tbase toff[count]
-//	word  = count | tcode<<24
+//	body  = [4]word [2]ndict {[4]klen key}×ndict ids values [8]tbase [1]texp toff[count]
+//	word  = count | tcode<<24 | idcode<<27 | hasTexp<<30
 //
 // ids index the frame's own key dictionary (first-seen order, every
-// entry used) and are one byte each, two when ndict > 256; values are
-// float64 bits, eight bytes each. Times are unix nanos (zeroTimeNanos
-// marks the zero time.Time) stored frame-of-reference: tbase is the
-// frame's earliest time and each toff its record's time − tbase in the
-// narrowest width that holds the frame's span — tcode 1, 2, 3, 4 for
-// 0, 1, 2, 4 bytes. tcode 0 has no tbase and eight-byte toffs, the
-// times themselves: the layout of every frame written before time codes
-// existed, and of any frame whose span needs more than four bytes (a
-// zero time among real ones). A "chunk" is any run of consecutive
-// frames. Decoding a frame is one dictionary lookup per KEY and three
-// column copies, and the one checksum covers the whole batch.
+// entry used), packed low bits first to the dictionary's width: idcode
+// 1, 2, 3, 4 for 0, 1, 2, 4 bits, the narrowest that holds 1, 2, ≤ 4,
+// ≤ 16 keys. idcode 0 is one byte per id, two when ndict > 256: the
+// layout of every frame written before ids were packed, and of any frame
+// of more than 16 keys. values are float64 bits, eight bytes each. Times
+// are unix nanos (zeroTimeNanos marks the zero time.Time) stored
+// frame-of-reference: tbase is the frame's earliest time and each toff
+// its record's (time − tbase) / 10^texp in the narrowest width that
+// holds the frame's scaled span — tcode 1, 2, 3, 4 for 0, 1, 2, 4 bytes.
+// texp is the largest power of ten dividing every offset, present
+// (hasTexp) only when it narrows the column; absent, it is 0. tcode 0 has
+// no tbase and eight-byte toffs, the times themselves: the layout of
+// every frame written before time codes existed, and of any frame whose
+// span needs more than four bytes (a zero time among real ones). Every
+// layout an earlier build wrote is thus one of this decoder's, read as
+// it is. A "chunk" is any run of consecutive frames. Decoding a frame is
+// one dictionary lookup per KEY and three column walks, and the one
+// checksum covers the whole batch.
 //
 // Offsets are never part of a frame (a record's offset is its position
 // in the log), so the same bytes are valid at any base offset: a chunk
@@ -68,7 +75,27 @@ var (
 	castagnoli = crc32.MakeTable(crc32.Castagnoli)
 	// timeWidth is the bytes per toff of each tcode.
 	timeWidth = [...]int{8, 0, 1, 2, 4}
+	// idBits is the bits per id of each idcode; idcode 0's 8 are 16 when
+	// ndict > 256.
+	idBits = [...]int{8, 0, 1, 2, 4}
+	// noIDs stands for the empty ids column of a one-key frame: every id
+	// reads 0 from it.
+	noIDs = []byte{0}
 )
+
+// pow10[e] is 10^e, for every texp. A multiple of 2^e is one of 10^e
+// when its quotient q by 2^e times inv5[e] (mod 2^64) is at most
+// max5[e], and that product is then q/5^e — an exact division by a
+// multiply.
+var pow10, inv5, max5 [19]uint64
+
+func init() {
+	pow10[0], inv5[0], max5[0] = 1, 1, math.MaxUint64
+	for e := 1; e < len(pow10); e++ {
+		pow10[e], inv5[e] = pow10[e-1]*10, inv5[e-1]*0xcccccccccccccccd // 5⁻¹ mod 2^64
+		max5[e] = math.MaxUint64 / (pow10[e] >> e)
+	}
+}
 
 // Frame chunk errors.
 var (
@@ -93,16 +120,18 @@ type Frame struct {
 	// len(dict), while ndict < inlineKeys; spill holds them otherwise.
 	keys   [inlineKeys]int32
 	spill  []int32
-	ids    []byte // Count ids, one byte each (two when ndict > 256)
+	ids    []byte // Count ids of idw bits each; noIDs when idw is 0
+	idw    int    // bits per id: 0, 1, 2, 4, 8 or 16
 	values []byte // Count × float64 bits
-	tbase  int64  // added to every toff; 0 under tcode 0
+	tbase  int64  // added to every scaled toff; 0 under tcode 0
+	scale  int64  // 10^texp: what each toff is multiplied by
 	tw     int    // bytes per toff: 8, 0, 1, 2 or 4
 	times  []byte // Count toffs
 }
 
 // Parse checks the structure of the frame opening b — header bounds,
-// time code, dictionary walk, column lengths against count — and makes
-// f its view; the rest of b starts at len(f.Raw). The columns
+// layout codes, dictionary walk, column lengths against count — and
+// makes f its view; the rest of b starts at len(f.Raw). The columns
 // themselves (id range, CRC) are not examined. A b that does not open
 // with a well-formed frame is ErrBadFrame. Walking a chunk is
 //
@@ -120,22 +149,25 @@ func (f *Frame) Parse(b []byte) error {
 	}
 	body := b[frameHdrLen : frameHdrLen+blen]
 	word, ndict := le.Uint32(body), int(le.Uint16(body[4:]))
-	count, tcode := int(word&(1<<24-1)), int(word>>24)
-	if tcode >= len(timeWidth) {
+	count, tcode, idcode, hasTexp := int(word&(1<<24-1)), int(word>>24&7), int(word>>27&7), word>>30
+	// An id code is the one this build writes for ndict keys, or 0.
+	if tcode >= len(timeWidth) || idcode >= len(idBits) || idcode > 0 && idcode != idCode(ndict) ||
+		hasTexp > 1 || hasTexp == 1 && tcode == 0 {
 		return ErrBadFrame
 	}
-	rest, tw, tbaseLen := body[bodyFixedLen:], timeWidth[tcode], 8
+	rest, tw, trailer := body[bodyFixedLen:], timeWidth[tcode], 8+int(hasTexp)
 	if tcode == 0 {
-		tbaseLen = 0
+		trailer = 0
 	}
-	idw := 1
+	idw := idBits[idcode]
 	if ndict > 256 {
-		idw = 2
+		idw = 16
 	}
-	if ndict == 0 || ndict > count || count > (len(rest)-tbaseLen)/(idw+8+tw) {
+	idsLen := (count*idw + 7) / 8
+	dictLen := len(rest) - trailer - idsLen - count*(8+tw)
+	if ndict == 0 || ndict > count || dictLen < 0 {
 		return ErrBadFrame
 	}
-	dictLen := len(rest) - tbaseLen - count*(idw+8+tw)
 	keyAt := f.keys[:]
 	if ndict >= inlineKeys {
 		f.spill = slices.Grow(f.spill[:0], ndict+1)[:ndict+1]
@@ -159,13 +191,32 @@ func (f *Frame) Parse(b []byte) error {
 	keyAt[ndict] = int32(pos)
 	f.Raw, f.Count, f.ndict = b[:frameHdrLen+blen], count, ndict
 	f.dict, rest = rest[:dictLen], rest[dictLen:]
-	f.ids, f.values, rest = rest[:count*idw], rest[count*idw:count*(idw+8)], rest[count*(idw+8):]
-	f.tbase, f.tw = 0, tw
-	if tbaseLen > 0 {
+	f.ids, f.idw, f.values, rest = rest[:idsLen], idw, rest[idsLen:idsLen+8*count], rest[idsLen+8*count:]
+	if idw == 0 {
+		f.ids = noIDs
+	}
+	f.tbase, f.scale, f.tw = 0, 1, tw
+	if trailer > 0 {
 		f.tbase, rest = int64(le.Uint64(rest)), rest[8:]
+	}
+	if hasTexp == 1 {
+		if int(rest[0]) >= len(pow10) {
+			return ErrBadFrame
+		}
+		f.scale, rest = int64(pow10[rest[0]]), rest[1:]
 	}
 	f.times = rest
 	return nil
+}
+
+// idCode is the id code this build writes for a frame of ndict keys.
+func idCode(ndict int) int {
+	for code := 1; code < len(idBits); code++ {
+		if ndict <= 1<<idBits[code] {
+			return code
+		}
+	}
+	return 0
 }
 
 // time returns record i's time in unix nanos.
@@ -174,21 +225,22 @@ func (f *Frame) time(i int) int64 {
 	case 0:
 		return f.tbase
 	case 1:
-		return f.tbase + int64(f.times[i])
+		return f.tbase + int64(f.times[i])*f.scale
 	case 2:
-		return f.tbase + int64(le.Uint16(f.times[2*i:]))
+		return f.tbase + int64(le.Uint16(f.times[2*i:]))*f.scale
 	case 4:
-		return f.tbase + int64(le.Uint32(f.times[4*i:]))
+		return f.tbase + int64(le.Uint32(f.times[4*i:]))*f.scale
 	}
 	return int64(le.Uint64(f.times[8*i:]))
 }
 
 // id returns record i's dictionary index.
 func (f *Frame) id(i int) int {
-	if f.ndict > 256 {
+	if f.idw == 16 {
 		return int(le.Uint16(f.ids[2*i:]))
 	}
-	return int(f.ids[i])
+	bit := i * f.idw
+	return int(f.ids[bit>>3]>>(bit&7)) & (1<<f.idw - 1)
 }
 
 // key returns dictionary entry id's key, a view into the frame.
@@ -207,22 +259,35 @@ func (f *Frame) key(id int) []byte {
 // dictionary — impossible in a frame that passed ValidateFrames — is
 // ErrBadFrame, never an out-of-range read.
 func (f *Frame) Decode(ids []int32, values []float64, times []int64, intern func(key []byte) int32) ([]int32, []float64, []int64, error) {
-	var buf [64]int32
-	remap := buf[:0]
+	var table [256]int32 // remap's backing up to 256 keys, indexed by a byte unchecked
+	remap := table[:0]
 	for id := 0; id < f.ndict; id++ {
 		remap = append(remap, intern(f.key(id)))
 	}
 	n, nv, nt := len(ids), len(values), len(times)
-	ids, values, times = slices.Grow(ids, f.Count), slices.Grow(values, f.Count), slices.Grow(times, f.Count)
-	for i := 0; i < f.Count; i++ {
-		id := f.id(i)
-		if id >= len(remap) {
-			return ids[:n], values, times, ErrBadFrame
+	ids, values, times = slices.Grow(ids, f.Count)[:n+f.Count], slices.Grow(values, f.Count), slices.Grow(times, f.Count)
+	out := ids[n:]
+	if f.idw == 16 {
+		for i := range out {
+			id := int(le.Uint16(f.ids[2*i:]))
+			if id >= len(remap) {
+				return ids[:n], values, times, ErrBadFrame
+			}
+			out[i] = remap[id]
 		}
-		ids = append(ids, remap[id])
+	} else {
+		w, mask := uint(f.idw), byte(1<<f.idw-1)
+		for i := range out {
+			bit := uint(i) * w
+			id := f.ids[bit>>3] >> (bit & 7) & mask
+			if int(id) >= len(remap) {
+				return ids[:n], values, times, ErrBadFrame
+			}
+			out[i] = table[id]
+		}
 	}
 	values, times = values[:nv+f.Count], times[:nt+f.Count]
-	vs, ts, col, base := values[nv:], times[nt:], f.times, f.tbase
+	vs, ts, col, base, scale := values[nv:], times[nt:], f.times, f.tbase, f.scale
 	ts = ts[:len(vs)]
 	switch f.tw { // one loop per width: no per-record switch
 	case 0:
@@ -232,15 +297,15 @@ func (f *Frame) Decode(ids []int32, values []float64, times []int64, intern func
 	case 1:
 		col = col[:len(vs)]
 		for i := range vs {
-			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(col[i])
+			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(col[i])*scale
 		}
 	case 2:
 		for i := range vs {
-			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(le.Uint16(col[2*i:]))
+			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(le.Uint16(col[2*i:]))*scale
 		}
 	case 4:
 		for i := range vs {
-			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(le.Uint32(col[4*i:]))
+			vs[i], ts[i] = math.Float64frombits(le.Uint64(f.values[8*i:])), base+int64(le.Uint32(col[4*i:]))*scale
 		}
 	default:
 		for i := range vs {
@@ -251,12 +316,12 @@ func (f *Frame) Decode(ids []int32, values []float64, times []int64, intern func
 }
 
 // check is the part of validation parse leaves to it: the CRC and the
-// range of every id.
+// range of every id, where its width can reach past the dictionary.
 func (f *Frame) check() error {
 	if crc32.Checksum(f.Raw[frameHdrLen:], castagnoli) != le.Uint32(f.Raw[4:]) {
 		return ErrFrameCRC
 	}
-	for i := 0; i < f.Count; i++ {
+	for i := 0; f.ndict < 1<<f.idw && i < f.Count; i++ {
 		if f.id(i) >= f.ndict {
 			return ErrBadFrame
 		}
@@ -462,7 +527,8 @@ type partFrame struct {
 	values []byte
 	times  []int64
 	// tmin and tmax bound the open frame's times, so encode picks its
-	// time code without a scan.
+	// time code without a scan, and scans for texp only where scaling
+	// could narrow the column.
 	tmin, tmax int64
 }
 
@@ -510,43 +576,92 @@ func addKey[K string | []byte](pf *partFrame, key K) int32 {
 	return int32(pf.ndict)
 }
 
-// encode appends the open frame to dst, sealed with its length and CRC,
-// and opens an empty one. Its time code is the narrowest that holds the
-// frame's span, computed unsigned.
-func (pf *partFrame) encode(dst []byte) []byte {
-	tcode := 0
-	switch span := uint64(pf.tmax - pf.tmin); {
+// timeCode is the narrowest time code that holds span.
+func timeCode(span uint64) int {
+	switch {
 	case span == 0:
-		tcode = 1
+		return 1
 	case span <= math.MaxUint8:
-		tcode = 2
+		return 2
 	case span <= math.MaxUint16:
-		tcode = 3
+		return 3
 	case span <= math.MaxUint32:
-		tcode = 4
+		return 4
+	}
+	return 0
+}
+
+// texp returns the largest e < len(pow10) for which 10^e divides every
+// offset of the open frame's times from tmin.
+func (pf *partFrame) texp() int {
+	e := len(pow10) - 1
+	mask, inv, most := uint64(1)<<e-1, inv5[e], max5[e]
+	for _, t := range pf.times {
+		for off := uint64(t - pf.tmin); off&mask != 0 || (off>>e)*inv > most; {
+			if e--; e == 0 {
+				return 0
+			}
+			mask, inv, most = 1<<e-1, inv5[e], max5[e]
+		}
+	}
+	return e
+}
+
+// encode appends the open frame to dst, sealed with its length and CRC,
+// and opens an empty one. Its ids take the narrowest packing for its
+// dictionary, and its time column the fewest bytes: the narrowest time
+// code for its span, computed unsigned, or — when that is fewer bytes,
+// texp byte included — for its span scaled by texp.
+func (pf *partFrame) encode(dst []byte) []byte {
+	n, span := len(pf.ids), uint64(pf.tmax-pf.tmin)
+	tcode, e := timeCode(span), 0
+	if tcode == 0 || tcode > 2 { // a one-byte column has nothing to gain
+		colLen := 8 + n*timeWidth[tcode]
+		if tcode == 0 {
+			colLen = 8 * n
+		}
+		if x := pf.texp(); x > 0 {
+			if c := timeCode(span / pow10[x]); c != 0 && 9+n*timeWidth[c] < colLen {
+				tcode, e = c, x
+			}
+		}
+	}
+	idcode := idCode(pf.ndict)
+	word := uint32(n) | uint32(tcode)<<24 | uint32(idcode)<<27
+	if e > 0 {
+		word |= 1 << 30
 	}
 	at := len(dst)
-	dst = slices.Grow(dst, frameHdrLen+bodyFixedLen+len(pf.dict)+len(pf.ids)*(2+16)+8)
+	dst = slices.Grow(dst, frameHdrLen+bodyFixedLen+len(pf.dict)+n*(2+16)+9)
 	dst = append(dst, make([]byte, frameHdrLen)...)
-	dst = le.AppendUint32(dst, uint32(len(pf.ids))|uint32(tcode)<<24)
+	dst = le.AppendUint32(dst, word)
 	dst = le.AppendUint16(dst, uint16(pf.ndict))
 	dst = append(dst, pf.dict...)
-	if pf.ndict > 256 {
+	switch w := idBits[idcode]; {
+	case pf.ndict > 256:
 		for _, id := range pf.ids {
 			dst = le.AppendUint16(dst, id)
 		}
-	} else {
-		for _, id := range pf.ids {
-			dst = append(dst, byte(id))
+	case w > 0: // packed low bits first, within the capacity grown above
+		col := dst[len(dst) : len(dst)+(n*w+7)/8]
+		clear(col)
+		for i, id := range pf.ids {
+			bit := i * w
+			col[bit>>3] |= byte(id) << (bit & 7)
 		}
+		dst = dst[:len(dst)+len(col)]
 	}
 	dst = append(dst, pf.values...)
 	base := pf.tmin
 	if tcode > 0 {
 		dst = le.AppendUint64(dst, uint64(base))
 	}
-	// The toffs are written in place, within the capacity grown above.
-	col := dst[len(dst) : len(dst)+len(pf.times)*timeWidth[tcode]]
+	if e > 0 {
+		dst = append(dst, byte(e))
+	}
+	// The toffs are written in place, within the capacity grown above:
+	// each offset scaled by 10^e is (off >> e) × inv5[e], no division.
+	col, inv := dst[len(dst):len(dst)+n*timeWidth[tcode]], inv5[e]
 	switch tcode { // one loop per width: no per-record switch
 	case 0:
 		for i, t := range pf.times {
@@ -554,15 +669,15 @@ func (pf *partFrame) encode(dst []byte) []byte {
 		}
 	case 2:
 		for i, t := range pf.times {
-			col[i] = byte(t - base)
+			col[i] = byte((uint64(t-base) >> e) * inv)
 		}
 	case 3:
 		for i, t := range pf.times {
-			le.PutUint16(col[2*i:], uint16(t-base))
+			le.PutUint16(col[2*i:], uint16((uint64(t-base)>>e)*inv))
 		}
 	case 4:
 		for i, t := range pf.times {
-			le.PutUint32(col[4*i:], uint32(t-base))
+			le.PutUint32(col[4*i:], uint32((uint64(t-base)>>e)*inv))
 		}
 	}
 	dst = dst[:len(dst)+len(col)]

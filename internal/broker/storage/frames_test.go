@@ -112,18 +112,18 @@ func randomBatch(rng *rand.Rand, n, keys int) []Record {
 	return out
 }
 
-// timeShape is a times column of n ≥ 2 records and the time code the
-// builder must pick for it.
+// timeShape is a times column of n ≥ 2 records and the time code and
+// texp the builder must pick for it.
 type timeShape struct {
-	name  string
-	tcode int
-	times func(rng *rand.Rand, n int) []int64 // zeroTimeNanos is the zero time
+	name        string
+	tcode, texp int
+	times       func(rng *rand.Rand, n int) []int64 // zeroTimeNanos is the zero time
 }
 
 // spanShape draws times over [base, base+span], both ends included, at
 // random positions.
 func spanShape(span uint64, tcode int) timeShape {
-	return timeShape{fmt.Sprintf("span %d", span), tcode, func(rng *rand.Rand, n int) []int64 {
+	return timeShape{fmt.Sprintf("span %d", span), tcode, 0, func(rng *rand.Rand, n int) []int64 {
 		base := int64(1700000000000000000) + rng.Int63n(1e12)
 		out := make([]int64, n)
 		for i := range out {
@@ -136,22 +136,44 @@ func spanShape(span uint64, tcode int) timeShape {
 	}}
 }
 
+// scaledShape draws times base + k·10^e for k in [0, k], 0, 1 and k
+// each taken once at least, so the offsets share exactly 10^e.
+func scaledShape(e, k int, tcode, texp int) timeShape {
+	return timeShape{fmt.Sprintf("k ≤ %d × 10^%d", k, e), tcode, texp, func(rng *rand.Rand, n int) []int64 {
+		base, unit := int64(1700000000000000000)-rng.Int63n(1e12), int64(pow10[e])
+		if e == 18 {
+			base = math.MinInt64 + 1 + rng.Int63n(1e12)
+		}
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = base + rng.Int63n(int64(k)+1)*unit
+		}
+		at := rng.Perm(n)
+		out[at[0]], out[at[1]] = base, base+unit
+		if n > 2 {
+			out[at[2]] = base + int64(k)*unit
+		}
+		return out
+	}}
+}
+
 // timeShapes reach every time code and both sides of every width's
-// limit.
+// limit, and offsets sharing each power of ten, scaled where that
+// narrows the column.
 var timeShapes = []timeShape{
-	{"all equal", 1, func(_ *rand.Rand, n int) []int64 {
+	{"all equal", 1, 0, func(_ *rand.Rand, n int) []int64 {
 		return slices.Repeat([]int64{1700000000123456789}, n)
 	}},
-	{"all zero", 1, func(_ *rand.Rand, n int) []int64 { return slices.Repeat([]int64{zeroTimeNanos}, n) }},
+	{"all zero", 1, 0, func(_ *rand.Rand, n int) []int64 { return slices.Repeat([]int64{zeroTimeNanos}, n) }},
 	spanShape(1<<8-1, 2), spanShape(1<<8, 3),
 	spanShape(1<<16-1, 3), spanShape(1<<16, 4),
-	spanShape(1<<32-1, 4), spanShape(1<<32, 0),
-	{"zero time among real ones", 0, func(rng *rand.Rand, n int) []int64 {
+	spanShape(1<<32-1, 4), spanShape(1<<32, 0), spanShape(1<<40, 0),
+	{"zero time among real ones", 0, 0, func(rng *rand.Rand, n int) []int64 {
 		out := spanShape(3, 2).times(rng, n)
 		out[rng.Intn(n)] = zeroTimeNanos
 		return out
 	}},
-	{"MinInt64+1 with MaxInt64", 0, func(rng *rand.Rand, n int) []int64 {
+	{"MinInt64+1 with MaxInt64", 0, 0, func(rng *rand.Rand, n int) []int64 {
 		out := make([]int64, n)
 		for i := range out {
 			out[i] = rng.Int63() - rng.Int63()
@@ -159,13 +181,31 @@ var timeShapes = []timeShape{
 		out[0], out[n-1] = math.MaxInt64, math.MinInt64+1
 		return out
 	}},
-	{"pair-swapped", 3, func(_ *rand.Rand, n int) []int64 {
+	{"pair-swapped", 3, 0, func(_ *rand.Rand, n int) []int64 {
 		out := make([]int64, n)
 		for i := range out {
 			out[i] = 1700000000000000000 + int64(i*(1<<16-1)/(n-1))
 		}
 		for i := 0; i+1 < n; i += 2 {
 			out[i], out[i+1] = out[i+1], out[i]
+		}
+		return out
+	}},
+	// 10^0 scales nothing; 200 × 10^e needs two bytes from e = 1, four
+	// from e = 3 and eight from e = 8, one byte scaled.
+	scaledShape(0, 200, 2, 0), scaledShape(1, 200, 2, 1), scaledShape(2, 200, 2, 2), scaledShape(3, 200, 2, 3),
+	scaledShape(4, 200, 2, 4), scaledShape(5, 200, 2, 5), scaledShape(6, 200, 2, 6), scaledShape(7, 200, 2, 7),
+	scaledShape(8, 200, 2, 8), scaledShape(9, 60000, 3, 9), scaledShape(10, 200, 2, 10), scaledShape(11, 200, 2, 11),
+	scaledShape(12, 4000000, 4, 12), scaledShape(13, 200, 2, 13), scaledShape(14, 200, 2, 14), scaledShape(15, 200, 2, 15),
+	scaledShape(16, 200, 2, 16), scaledShape(17, 70, 2, 17), scaledShape(18, 18, 2, 18),
+	// A one-byte span has nothing to gain, and nor has a scaled span that
+	// still needs as many bytes.
+	scaledShape(1, 25, 2, 0), scaledShape(1, 100000, 4, 0),
+	{"zero time among whole seconds", 3, 9, func(rng *rand.Rand, n int) []int64 {
+		out := scaledShape(9, 60000, 3, 9).times(rng, n)
+		lo := slices.Min(out)
+		for i := range out {
+			out[i] += zeroTimeNanos - lo // the earliest is the zero time
 		}
 		return out
 	}},
@@ -183,52 +223,115 @@ func withTimes(recs []Record, nanos []int64) []Record {
 }
 
 // tcodeOf is the time code of the frame opening b.
-func tcodeOf(b []byte) int { return int(b[frameHdrLen+3]) }
+func tcodeOf(b []byte) int { return int(b[frameHdrLen+3] & 7) }
+
+// texpOf is the texp of the frame opening b.
+func texpOf(t testing.TB, b []byte) int {
+	var f Frame
+	if err := f.Parse(b); err != nil {
+		t.Fatal(err)
+	}
+	e := 0
+	for p := int64(1); p < f.scale; p *= 10 {
+		e++
+	}
+	return e
+}
 
 // TestFrameRoundTripProperty: records → frame → records is the identity
-// across the id-width switch (256 keys is the last one-byte dictionary)
-// and every time code, the builder picks the narrowest code for the
-// frame's span, and every frame built validates.
+// across every id width (1, 2, ≤ 4, ≤ 16, ≤ 256 and more keys, the
+// empty key among them) and every time shape, read whole (Decode) and
+// per record (id, time), cut (SliceFrames, never longer than its source)
+// and split (SplitFrames); the builder picks the narrowest ids and time
+// column; and every frame built validates.
 func TestFrameRoundTripProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, keys := range []int{1, 2, 3, 17, 256, 257, 700} {
-		for trial := 0; trial < 5*len(timeShapes); trial++ {
+	for _, keys := range []int{1, 2, 3, 4, 5, 16, 17, 256, 257, 300} {
+		for trial := 0; trial < 2*len(timeShapes); trial++ {
 			shape := timeShapes[trial%len(timeShapes)]
-			recs := randomBatch(rng, keys+1+rng.Intn(300), keys)
+			recs := randomBatch(rng, keys+2+rng.Intn(300), keys)
+			if keys < 3 && trial%2 == 1 {
+				for i := range recs {
+					if recs[i].Key == "key-0" {
+						recs[i].Key = "" // the empty key alone, or beside one other
+					}
+				}
+			}
 			recs = withTimes(recs, shape.times(rng, len(recs)))
+			what := fmt.Sprintf("%d keys, %s", keys, shape.name)
 			chunk := AppendRecordFrames([]byte("prefix"), recs)
 			if !bytes.HasPrefix(chunk, []byte("prefix")) {
 				t.Fatal("AppendRecordFrames must append")
 			}
 			chunk = chunk[len("prefix"):]
 			if n, err := ValidateFrames(chunk); err != nil || n != len(recs) {
-				t.Fatalf("%d keys: ValidateFrames = %d, %v; want %d", keys, n, err, len(recs))
+				t.Fatalf("%s: ValidateFrames = %d, %v; want %d", what, n, err, len(recs))
 			}
 			if _, err := frameSpans(nil, chunk, len(recs)); err != nil {
-				t.Fatalf("%d keys: frameSpans: %v", keys, err)
+				t.Fatalf("%s: frameSpans: %v", what, err)
 			}
-			idw := 1
+			idw := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 4, 16: 4, 17: 8, 256: 8}[keys]
 			if keys > 256 {
-				idw = 2
+				idw = 16
 			}
 			var f Frame
-			if err := f.Parse(chunk); err != nil || len(f.Raw) != len(chunk) || f.ndict != keys || len(f.ids) != f.Count*idw {
-				t.Fatalf("%d keys: one frame expected, got %v, ndict=%d of %d bytes", keys, err, f.ndict, len(chunk))
+			if err := f.Parse(chunk); err != nil || len(f.Raw) != len(chunk) || f.ndict != keys || f.idw != idw {
+				t.Fatalf("%s: one frame expected, got %v, ndict=%d, %d-bit ids", what, err, f.ndict, f.idw)
 			}
-			tw, tbase := timeWidth[shape.tcode], 8
-			if shape.tcode == 0 {
-				tbase = 0
+			tw, trailer := timeWidth[shape.tcode], 8
+			switch {
+			case shape.tcode == 0:
+				trailer = 0
+			case shape.texp > 0:
+				trailer = 9
 			}
-			if got := tcodeOf(chunk); got != shape.tcode || len(f.times) != f.Count*tw ||
-				len(chunk) != frameHdrLen+bodyFixedLen+len(f.dict)+f.Count*(idw+8+tw)+tbase {
-				t.Fatalf("%d keys, %s: time code %d with %d time bytes, want code %d", keys, shape.name, got, len(f.times), shape.tcode)
+			if tcode, texp := tcodeOf(chunk), texpOf(t, chunk); tcode != shape.tcode || texp != shape.texp ||
+				len(chunk) != frameHdrLen+bodyFixedLen+len(f.dict)+(f.Count*idw+7)/8+f.Count*(8+tw)+trailer {
+				t.Fatalf("%s: time code %d, texp %d in %d bytes; want code %d, texp %d", what, tcode, texp, len(chunk), shape.tcode, shape.texp)
 			}
-			sameRecords(t, fmt.Sprintf("%d keys, %s", keys, shape.name), decodeFrames(t, chunk), recs)
+			sameRecords(t, what, decodeFrames(t, chunk), recs)
+			for i := range recs {
+				if key := string(f.key(f.id(i))); key != recs[i].Key || f.time(i) != nanosOf(recs[i]) {
+					t.Fatalf("%s: record %d reads key %q at %d; want %+v", what, i, key, f.time(i), recs[i])
+				}
+			}
+			from := rng.Intn(len(recs))
+			to := from + 1 + rng.Intn(len(recs)-from)
+			cut, err := SliceFrames(nil, chunk, from, to)
+			if err != nil || len(cut) > len(chunk) {
+				t.Fatalf("%s: SliceFrames[%d:%d] = %d bytes of %d, %v", what, from, to, len(cut), len(chunk), err)
+			}
+			sameRecords(t, what+" cut", decodeFrames(t, cut), recs[from:to])
+			dst, counts := make([][]byte, 2), make([]int, 2)
+			route := func(key []byte) int { return len(key) % 2 }
+			if err := SplitFrames(chunk, route, dst, counts); err != nil {
+				t.Fatalf("%s: SplitFrames: %v", what, err)
+			}
+			for p := range dst {
+				var want []Record
+				for _, r := range recs {
+					if route([]byte(r.Key)) == p {
+						want = append(want, r)
+					}
+				}
+				if n, err := ValidateFrames(dst[p]); err != nil || n != counts[p] || len(dst[p]) > len(chunk) {
+					t.Fatalf("%s: partition %d holds %d records in %d bytes, %v", what, p, n, len(dst[p]), err)
+				}
+				sameRecords(t, fmt.Sprintf("%s partition %d", what, p), decodeFrames(t, dst[p]), want)
+			}
 		}
 	}
 	if got := AppendRecordFrames(nil, nil); len(got) != 0 {
 		t.Fatalf("no records must frame to nothing, got %x", got)
 	}
+}
+
+// nanosOf is r's time as a frame stores it.
+func nanosOf(r Record) int64 {
+	if r.Time.IsZero() {
+		return zeroTimeNanos
+	}
+	return r.Time.UnixNano()
 }
 
 // TestBuilderClosesFramesAtCapacity: a batch larger than one frame may
@@ -387,8 +490,8 @@ func TestCutsKeepTimesExact(t *testing.T) {
 	for _, shape := range timeShapes {
 		recs := withTimes(randomBatch(rng, n, 4), shape.times(rng, n))
 		frame := AppendRecordFrames(nil, recs)
-		if got := tcodeOf(frame); got != shape.tcode {
-			t.Fatalf("%s: time code %d, want %d", shape.name, got, shape.tcode)
+		if got, texp := tcodeOf(frame), texpOf(t, frame); got != shape.tcode || texp != shape.texp {
+			t.Fatalf("%s: time code %d, texp %d; want %d, %d", shape.name, got, texp, shape.tcode, shape.texp)
 		}
 		for from := 0; from < n; from++ {
 			for to := from + 1; to <= n; to++ {
@@ -459,9 +562,107 @@ func framePerCode() (frames [][]byte, code5 []byte) {
 		}
 	}
 	code5 = append([]byte(nil), frames[4]...)
-	code5[frameHdrLen+3] = 5
+	code5[frameHdrLen+3] = code5[frameHdrLen+3]&^7 | 5
 	le.PutUint32(code5[4:], crc32.Checksum(code5[frameHdrLen:], castagnoli))
 	return frames, code5
+}
+
+// reseal fixes frame's length and CRC after a mutation.
+func reseal(frame []byte) []byte {
+	le.PutUint32(frame, uint32(len(frame)-frameHdrLen))
+	le.PutUint32(frame[4:], crc32.Checksum(frame[frameHdrLen:], castagnoli))
+	return frame
+}
+
+// setID overwrites record i's id in frame, at the frame's id width, and
+// reseals it.
+func setID(t testing.TB, frame []byte, i, id int) []byte {
+	var f Frame
+	if err := f.Parse(frame); err != nil {
+		t.Fatal(err)
+	}
+	at := frameHdrLen + bodyFixedLen + len(f.dict)
+	switch f.idw {
+	case 16:
+		le.PutUint16(frame[at+2*i:], uint16(id))
+	default:
+		bit, mask := i*f.idw, byte(1<<f.idw-1)
+		frame[at+bit>>3] = frame[at+bit>>3]&^(mask<<(bit&7)) | byte(id)<<(bit&7)
+	}
+	return reseal(frame)
+}
+
+// layoutSeeds holds one frame of each id width this build writes (0-,
+// 1-, 2- and 4-bit ids, beside frames of 1, 2, 3 and 5 keys) and one
+// with scaled times; and, resealed so only the structure check can
+// refuse them, an unknown id code, an id code not this dictionary's, an
+// unknown texp, the unused top bit, and an id ≥ ndict in a 3-key, 2-bit
+// frame.
+func layoutSeeds(t testing.TB) (valid, bad [][]byte) {
+	rng := rand.New(rand.NewSource(29))
+	for _, keys := range []int{1, 2, 3, 5} {
+		valid = append(valid, AppendRecordFrames(nil, randomBatch(rng, keys+4, keys)))
+	}
+	scaled := AppendRecordFrames(nil, withTimes(randomBatch(rng, 6, 2), scaledShape(9, 60000, 3, 9).times(rng, 6)))
+	valid = append(valid, scaled)
+	code := func(frame []byte, mutate func(b byte) byte) []byte {
+		frame = slices.Clone(frame)
+		frame[frameHdrLen+3] = mutate(frame[frameHdrLen+3])
+		return reseal(frame)
+	}
+	bad = append(bad,
+		code(valid[1], func(b byte) byte { return b&^(7<<3) | 5<<3 }), // id code 5
+		code(valid[2], func(b byte) byte { return b&^(7<<3) | 4<<3 }), // 4-bit ids for 3 keys
+		code(valid[3], func(b byte) byte { return b | 1<<7 }),         // bit 31
+		code(scaled, func(b byte) byte { return b }),                  // texp 19, set below
+		setID(t, slices.Clone(valid[2]), 1, 3),                        // id 3 of 3 keys
+	)
+	texp := bad[3]
+	texp[len(texp)-6*2-1] = 19 // before six two-byte offsets
+	reseal(texp)
+	return valid, bad
+}
+
+// TestParseRefusesUnknownCodes: Parse takes every layout this build
+// writes and refuses a frame whose codes no build writes — an unknown id
+// or time code, an id code other than its dictionary's, an unknown texp,
+// the unused top bit — and ValidateFrames refuses an id past the
+// dictionary at every width that can hold one: 2 bits (3 keys), 4 (5),
+// 8 (17) and 16 (257).
+func TestParseRefusesUnknownCodes(t *testing.T) {
+	valid, bad := layoutSeeds(t)
+	for i, frame := range valid {
+		var f Frame
+		if err := f.Parse(frame); err != nil || i < 4 && f.idw != []int{0, 1, 2, 4}[i] {
+			t.Fatalf("layout %d: %d-bit ids, %v", i, f.idw, err)
+		}
+		if n, err := ValidateFrames(frame); err != nil || n != f.Count {
+			t.Fatalf("layout %d: ValidateFrames = %d, %v", i, n, err)
+		}
+	}
+	if got := texpOf(t, valid[4]); got != 9 {
+		t.Fatalf("scaled layout has texp %d, want 9", got)
+	}
+	_, code5 := framePerCode()
+	for i, frame := range append(bad[:4], code5) {
+		var f Frame
+		if err := f.Parse(frame); !errors.Is(err, ErrBadFrame) {
+			t.Errorf("unknown code %d: Parse = %v, want ErrBadFrame", i, err)
+		}
+	}
+	rng := rand.New(rand.NewSource(31))
+	for _, keys := range []int{3, 5, 17, 257} {
+		recs := randomBatch(rng, keys+10, keys)
+		for _, i := range []int{0, len(recs) / 2, len(recs) - 1} {
+			frame := setID(t, AppendRecordFrames(nil, recs), i, keys)
+			if n, err := ValidateFrames(frame); !errors.Is(err, ErrBadFrame) {
+				t.Errorf("%d keys, record %d's id %d: ValidateFrames = %d, %v; want ErrBadFrame", keys, i, keys, n, err)
+			}
+			if _, err := SliceFrames(nil, frame, 0, len(recs)-1); !errors.Is(err, ErrBadFrame) && i < len(recs)-1 {
+				t.Errorf("%d keys, record %d's id %d: a cut read = %v; want ErrBadFrame", keys, i, keys, err)
+			}
+		}
+	}
 }
 
 // corruptionChunk is three frames that between them use every layout
@@ -514,16 +715,16 @@ func TestValidateFramesRejectsCorruption(t *testing.T) {
 // TestValidateFramesRejectsBadStructure: shapes a CRC cannot catch,
 // because the checksum was computed over them.
 func TestValidateFramesRejectsBadStructure(t *testing.T) {
-	recs := []Record{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Value: 3}}
+	recs := []Record{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "c", Value: 3}}
 	reseal := func(mutate func(f []byte) []byte) []byte {
 		f := mutate(AppendRecordFrames(nil, recs))
 		le.PutUint32(f, uint32(len(f)-frameHdrLen))
 		le.PutUint32(f[4:], crc32.Checksum(f[frameHdrLen:], castagnoli))
 		return f
 	}
-	idsAt := frameHdrLen + bodyFixedLen + 2*(4+1)
+	idsAt := frameHdrLen + bodyFixedLen + 3*(4+1) // three 2-bit ids: 0, 1, 2
 	cases := map[string][]byte{
-		"id beyond the dictionary": reseal(func(f []byte) []byte { f[idsAt+1] = 2; return f }),
+		"id beyond the dictionary": reseal(func(f []byte) []byte { f[idsAt] |= 3 << 4; return f }),
 		"count above the columns":  reseal(func(f []byte) []byte { le.PutUint32(f[frameHdrLen:], 4); return f }),
 		"count below the columns":  reseal(func(f []byte) []byte { le.PutUint32(f[frameHdrLen:], 2); return f }),
 		"count zero":               reseal(func(f []byte) []byte { le.PutUint32(f[frameHdrLen:], 0); return f }),
@@ -573,6 +774,10 @@ func FuzzValidateFrames(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add(code5)
+	valid, bad := layoutSeeds(f)
+	for _, frame := range append(valid, bad...) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		n, err := ValidateFrames(b)
 		if err != nil {
@@ -635,6 +840,15 @@ func FuzzMemLogAppendFrames(f *testing.F) {
 		f.Add(frame, 6)
 	}
 	f.Add(code5, 6)
+	layouts, bad := layoutSeeds(f)
+	for _, frame := range append(layouts, bad...) {
+		var fr Frame
+		count := 6
+		if fr.Parse(frame) == nil {
+			count = fr.Count
+		}
+		f.Add(frame, count)
+	}
 	f.Fuzz(func(t *testing.T, frames []byte, count int) {
 		if count < 0 || count > 1<<16 {
 			return

@@ -9,7 +9,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -366,10 +365,10 @@ var parentV1Records = []Record{
 	{Key: "k1", Value: -0.5, Time: time.Unix(1700000001, 123456789).UTC()},
 }
 
-// TestFileLogOpensV1Segment: a version-1 segment opens with its header
-// bumped to version 2 in place — one write, the frames untouched — serves
-// the same records, takes narrow frames after them, and a second open
-// writes nothing.
+// TestFileLogOpensV1Segment: a version-1 segment is two formats back.
+// The open fails with an error naming the segment, its version, the
+// versions read and the last commit that upgrades it, and the file is as
+// it was.
 func TestFileLogOpensV1Segment(t *testing.T) {
 	dir := t.TempDir()
 	old, err := hex.DecodeString(parentV1Segment)
@@ -381,36 +380,74 @@ func TestFileLogOpensV1Segment(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := &countingFS{FS: OSFS}
-	l := openFileLog(t, dir, FileConfig{FS: fs})
+	l, err := OpenFileLog(dir, FileConfig{FS: fs})
+	if err == nil {
+		_ = l.Close()
+		t.Fatal("a version-1 segment opened")
+	}
+	for _, part := range []string{"segment " + seg, "version 1", "versions 2 and 3", "commit b79a451"} {
+		if !strings.Contains(err.Error(), part) {
+			t.Errorf("refusal %q does not name %q", err, part)
+		}
+	}
+	if after, _ := os.ReadFile(seg); fs.writes != 0 || !bytes.Equal(after, old) {
+		t.Fatalf("the refused open wrote %d times; the segment is %d bytes, was %d", fs.writes, len(after), len(old))
+	}
+}
+
+// TestFileLogOpensV2Segment: a version-2 segment — frames in every layout
+// the build before packing wrote (testdata/parent-frames.bin) — opens
+// with its header bumped to version 3 in place, one write, the frames
+// untouched; it serves the same records, takes compact frames after
+// them, and a second open writes nothing.
+func TestFileLogOpensV2Segment(t *testing.T) {
+	frames, err := os.ReadFile(filepath.Join("testdata", "parent-frames.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []Record
+	for _, batch := range parentLayoutBatches() {
+		recs = append(recs, batch...)
+	}
+	dir := t.TempDir()
+	hdr := appendSegHeader(nil, 0)
+	hdr[4] = 2
+	old := append(hdr, frames...)
+	seg := filepath.Join(dir, segName(0))
+	if err := os.WriteFile(seg, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := &countingFS{FS: OSFS}
+	l := openFileLog(t, dir, FileConfig{FS: fs, SegmentRecords: 1 << 20})
 	if fs.writes != 1 {
 		t.Fatalf("first open: %d writes; want the one header write", fs.writes)
 	}
 	upgraded, _ := os.ReadFile(seg)
-	if !bytes.Equal(upgraded[:segHdrLen], appendSegHeader(nil, 0)) || !bytes.Equal(upgraded[segHdrLen:], old[segHdrLen:]) {
-		t.Fatalf("after the first open the segment starts %x; want a version-2 header over the same frames", upgraded[:segHdrLen])
+	if !bytes.Equal(upgraded[:segHdrLen], appendSegHeader(nil, 0)) || !bytes.Equal(upgraded[segHdrLen:], frames) {
+		t.Fatalf("after the first open the segment starts %x; want a version-3 header over the same frames", upgraded[:segHdrLen])
 	}
-	got, n, err := l.ReadFrames(0, 10, nil)
-	if err != nil || n != len(parentV1Records) || !bytes.Equal(got, old[segHdrLen:]) {
+	got, n, err := l.ReadFrames(0, len(recs), nil)
+	if err != nil || n != len(recs) || !bytes.Equal(got, frames) {
 		t.Fatalf("ReadFrames = %d records, %v; want the stored frames verbatim", n, err)
 	}
-	sameRecords(t, "version 1", decodeFrames(t, got), parentV1Records)
-	mustAppend(t, l, 5, parentV1Records[2:])
+	sameRecords(t, "version 2", decodeFrames(t, got), recs)
+	mustAppend(t, l, int64(len(recs)), parentV1Records)
 	_ = l.Close()
 	appended, _ := os.ReadFile(seg)
 
 	fs.writes = 0
-	re := openFileLog(t, dir, FileConfig{FS: fs})
+	re := openFileLog(t, dir, FileConfig{FS: fs, SegmentRecords: 1 << 20})
 	if fs.writes != 0 {
 		t.Fatalf("second open: %d writes; want none", fs.writes)
 	}
 	if after, _ := os.ReadFile(seg); !bytes.Equal(after, appended) {
 		t.Fatal("second open changed the segment")
 	}
-	got, _, err = re.ReadFrames(0, 10, nil)
+	got, _, err = re.ReadFrames(0, len(recs)+10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameRecords(t, "reopened", decodeFrames(t, got), append(slices.Clone(parentV1Records), parentV1Records[2:]...))
+	sameRecords(t, "reopened", decodeFrames(t, got), append(recs, parentV1Records...))
 }
 
 // parentSegments are two segment files written by the FileLog of the
@@ -477,7 +514,7 @@ func TestFileLogRefusesHeaderlessSegments(t *testing.T) {
 		_ = l.Close()
 		t.Fatal("headerless segments opened")
 	}
-	for _, part := range []string{"segment " + filepath.Join(dir, segName(0)), "version 0 (headerless)", "versions 1 and 2", "commit 1338931"} {
+	for _, part := range []string{"segment " + filepath.Join(dir, segName(0)), "version 0 (headerless)", "versions 2 and 3", "commit 1338931"} {
 		if !strings.Contains(err.Error(), part) {
 			t.Errorf("refusal %q does not name %q", err, part)
 		}

@@ -299,7 +299,7 @@ func wireGateCases() []wireGateCase {
 	}
 	fb := getFrame()
 	defer putFrame(fb)
-	for _, ver := range []byte{1, 2, 6, wireVersion - 1, wireVersion + 1} {
+	for _, ver := range []byte{1, 2, 6, 7, wireVersion - 1, wireVersion + 1} {
 		encodeProducePartFwdReq(fb, 1, 0, "in", 0, 0, 0, storage.AppendRecordFrames(nil, recs("k", 3)), 3)
 		payload := append([]byte(nil), fb.b...)
 		payload[0] = ver
@@ -349,14 +349,14 @@ func TestWireGateRejectsRetiredDialects(t *testing.T) {
 }
 
 // TestDialRejectsWireVersionMismatch dials listeners whose hello answer
-// carries another wire version — two before this build's (frames
-// without time codes), the one before (control ops as JSON) and the one
-// after — and one that closes the connection at hello, as a version-7
-// broker does on a version byte it does not speak: each dial fails
-// promptly, naming this build's version and, when the peer answered,
-// the peer's.
+// carries another wire version — 6 (frames without time codes), 7
+// (control ops as JSON), the one before this build's (frames without
+// packed ids or scaled times) and the one after — and one that closes
+// the connection at hello, as a version-7 broker does on a version byte
+// it does not speak: each dial fails promptly, naming this build's
+// version and, when the peer answered, the peer's.
 func TestDialRejectsWireVersionMismatch(t *testing.T) {
-	for _, theirs := range []byte{6, wireVersion - 1, wireVersion + 1, 0} {
+	for _, theirs := range []byte{6, 7, wireVersion - 1, wireVersion + 1, 0} {
 		name := fmt.Sprintf("version %d", theirs)
 		if theirs == 0 {
 			name = "closed at hello"

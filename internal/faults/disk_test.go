@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -197,39 +198,37 @@ func legacySegment(recs []storage.Record) []byte {
 	return b
 }
 
-// versionOneSegment encodes records the way segments were written before
-// frames had time codes: a version-1 header, then one frame per batch,
-// each of tcode 0 (every batch holds a zero time among real ones).
-func versionOneSegment(t *testing.T, base int64, batches ...[]storage.Record) []byte {
-	b := binary.LittleEndian.AppendUint16(append([]byte(nil), "SASG"...), 1)
+// parentSegment encodes records the way segments of the version were
+// written before frames packed their ids or scaled their times: its
+// header, then one frame per batch, each with one-byte ids (every batch
+// holds more than 16 keys) and one-byte time offsets — a layout this
+// build still writes byte for byte.
+func parentSegment(t *testing.T, version uint16, base int64, recs []storage.Record) []byte {
+	b := binary.LittleEndian.AppendUint16(append([]byte(nil), "SASG"...), version)
 	b = binary.LittleEndian.AppendUint16(b, 1)
 	b = binary.LittleEndian.AppendUint64(b, uint64(base))
-	for _, recs := range batches {
-		frame := storage.AppendRecordFrames(nil, recs)
-		if frame[11] != 0 {
-			t.Fatalf("batch %v framed with time code %d, want 0", recs, frame[11])
-		}
-		b = append(b, frame...)
+	frame := storage.AppendRecordFrames(nil, recs)
+	if frame[11] != 2 {
+		t.Fatalf("batch framed with codes %#x, want one-byte offsets and one-byte ids (0x02)", frame[11])
 	}
-	return b
+	return append(b, frame...)
 }
 
 // TestSegmentUpgradeInterruptedAtEveryStep fails the one upgrade at open,
-// a version-1 segment's header bump, at each of its steps: the in-place
+// a version-2 segment's header bump, at each of its steps: the in-place
 // write of its version (torn at several lengths), its fsync. The open
-// fails and each segment is the old file or the old file with version 2,
+// fails and each segment is the old file or the old file with version 3,
 // nothing between. The next clean open finishes the job and serves every
-// record.
+// record. Version-1 segments, with the same fault armed, are refused
+// before any step it could hit, every file untouched.
 func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
 	at := time.Unix(1700000000, 0).UTC()
-	recs := []storage.Record{
-		{Key: "k1", Value: 1.5, Time: at}, {Key: "", Value: -2}, {Key: "鍵", Value: 3, Time: at.Add(2)}, {Key: "k2", Value: 4},
+	var recs []storage.Record
+	for i := 0; i < 40; i++ {
+		recs = append(recs, storage.Record{Key: fmt.Sprintf("k%d", i%20), Value: float64(i), Time: at.Add(time.Duration(i * 3))})
 	}
-	segs := map[string][]byte{
-		"00000000000000000000.seg": versionOneSegment(t, 0, recs[:2]),
-		"00000000000000000002.seg": versionOneSegment(t, 2, recs[2:]),
-	}
-	served := append(storage.AppendRecordFrames(nil, recs[:2]), storage.AppendRecordFrames(nil, recs[2:])...)
+	recs[1].Key, recs[25].Key = "", "鍵"
+	served := append(storage.AppendRecordFrames(nil, recs[:20]), storage.AppendRecordFrames(nil, recs[20:])...)
 	steps := map[string]DiskFaults{
 		"write refused":    {FailWrites: true},
 		"write torn at 1":  {FailWrites: true, TornBytes: 1},
@@ -238,47 +237,59 @@ func TestSegmentUpgradeInterruptedAtEveryStep(t *testing.T) {
 		"write torn at 40": {FailWrites: true, TornBytes: 40},
 		"fsync fails":      {SyncErr: errors.New("injected fsync failure")},
 	}
-	for name, f := range steps {
-		t.Run("version 1/"+name, func(t *testing.T) {
-			dir := t.TempDir()
-			for seg, data := range segs {
-				if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
-					t.Fatal(err)
+	for _, version := range []uint16{1, 2} {
+		segs := map[string][]byte{
+			"00000000000000000000.seg": parentSegment(t, version, 0, recs[:20]),
+			"00000000000000000020.seg": parentSegment(t, version, 20, recs[20:]),
+		}
+		for name, f := range steps {
+			t.Run(fmt.Sprintf("version %d/%s", version, name), func(t *testing.T) {
+				dir := t.TempDir()
+				for seg, data := range segs {
+					if err := os.WriteFile(filepath.Join(dir, seg), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				}
-			}
-			disk := NewDisk(nil)
-			disk.Set(f)
-			l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2, FS: disk})
-			if err == nil {
-				_ = l.Close()
-				t.Fatal("open succeeded through the fault")
-			}
-			for seg, data := range segs {
-				got, err := os.ReadFile(filepath.Join(dir, seg))
-				bumped := err == nil && len(got) == len(data) && got[4] == 2 &&
-					bytes.Equal(got[:4], data[:4]) && bytes.Equal(got[5:], data[5:])
-				if err != nil || !bytes.Equal(got, data) && !bumped {
-					t.Fatalf("%s after the interrupted upgrade: %v, %d bytes (was %d)", seg, err, len(got), len(data))
+				disk := NewDisk(nil)
+				disk.Set(f)
+				l, err := storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 20, FS: disk})
+				if err == nil {
+					_ = l.Close()
+					t.Fatal("open succeeded through the fault")
 				}
-			}
-			l, err = storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 2})
-			if err != nil {
-				t.Fatalf("clean open: %v", err)
-			}
-			defer l.Close()
-			got, n, err := l.ReadFrames(0, 10, nil)
-			if err != nil || n != len(recs) || !bytes.Equal(got, served) {
-				t.Fatalf("after the upgrade: %d records, %v", n, err)
-			}
-			if entries, _ := os.ReadDir(dir); len(entries) != len(segs) {
-				t.Fatalf("%d files left in the directory, want the %d segments", len(entries), len(segs))
-			}
-			for seg := range segs {
-				if data, _ := os.ReadFile(filepath.Join(dir, seg)); string(data[:4]) != "SASG" || data[4] != 2 {
-					t.Fatalf("%s after the upgrade starts %x, want a version-2 header", seg, data[:min(len(data), 16)])
+				for seg, data := range segs {
+					got, err := os.ReadFile(filepath.Join(dir, seg))
+					bumped := version == 2 && err == nil && len(got) == len(data) && got[4] == 3 &&
+						bytes.Equal(got[:4], data[:4]) && bytes.Equal(got[5:], data[5:])
+					if err != nil || !bytes.Equal(got, data) && !bumped {
+						t.Fatalf("%s after the interrupted upgrade: %v, %d bytes (was %d)", seg, err, len(got), len(data))
+					}
 				}
-			}
-		})
+				l, err = storage.OpenFileLog(dir, storage.FileConfig{SegmentRecords: 20})
+				if version == 1 {
+					if err == nil || !strings.Contains(err.Error(), "version 1") {
+						t.Fatalf("clean open of version-1 segments: %v, want their refusal", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatalf("clean open: %v", err)
+				}
+				defer l.Close()
+				got, n, err := l.ReadFrames(0, 100, nil)
+				if err != nil || n != len(recs) || !bytes.Equal(got, served) {
+					t.Fatalf("after the upgrade: %d records, %v", n, err)
+				}
+				if entries, _ := os.ReadDir(dir); len(entries) != len(segs) {
+					t.Fatalf("%d files left in the directory, want the %d segments", len(entries), len(segs))
+				}
+				for seg := range segs {
+					if data, _ := os.ReadFile(filepath.Join(dir, seg)); string(data[:4]) != "SASG" || data[4] != 3 {
+						t.Fatalf("%s after the upgrade starts %x, want a version-3 header", seg, data[:min(len(data), 16)])
+					}
+				}
+			})
+		}
 	}
 }
 

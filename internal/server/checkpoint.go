@@ -148,6 +148,9 @@ func (j *job) restore(cf *checkpointFile) error {
 			sh.alone(pane.NewSampler(j.spec.Slide, j.spec.Fraction, j.spec.seed(sh.idx)), 0)
 			continue
 		}
+		if sc.Offset < 0 { // the loop reads at a shard's offset as it is
+			return fmt.Errorf("shard %d offset %d is negative", sh.idx, sc.Offset)
+		}
 		ps, err := sh.restore(sc.Session)
 		if err != nil {
 			return fmt.Errorf("shard %d session: %w", sh.idx, err)

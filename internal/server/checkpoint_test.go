@@ -638,6 +638,34 @@ func refuseCheckpointDir(t *testing.T, fixture string, version int, commit strin
 	}
 }
 
+// TestRestoreRefusesNegativeOffset: a checkpoint whose shard stands at a
+// negative offset is refused at restart, naming the shard and offset,
+// rather than restored to a position no fetch can read.
+func TestRestoreRefusesNegativeOffset(t *testing.T) {
+	data, err := os.ReadFile("testdata/checkpoint_v4/q-0.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = bytes.Replace(data, []byte(`"partition":0,"offset":1820`), []byte(`"partition":0,"offset":-1`), 1)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "q-0.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := broker.New()
+	defer b.Close()
+	if err := b.CreateTopic("in", 2); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Cluster: b, Topic: "in", CheckpointDir: dir, CheckpointEvery: time.Hour})
+	if err == nil {
+		s.Close()
+		t.Fatal("a server restored a shard at offset -1")
+	}
+	if !strings.Contains(err.Error(), "shard 0 offset -1 is negative") {
+		t.Fatalf("refusal %q does not name the shard and its offset", err)
+	}
+}
+
 // testdata/checkpoint_v3_pending was written at commit 28e1c76, the last
 // whose shards fired windows and whose merger merged their results: seven
 // queries, one of each kind, checkpointed holding one window with three

@@ -231,7 +231,7 @@ func (ing *ingest) attach(sh *shard) {
 		pi.next = sh.group.offset
 		if !pi.stopped {
 			ing.wg.Add(1)
-			go pi.loop(pi.next)
+			go pi.loop()
 		}
 	}
 	pi.place(sh.group)
@@ -306,10 +306,10 @@ func (ing *ingest) closeConns() {
 	}
 }
 
-// loop is the partition's one reader: a broker.Consumer at the plane
-// offset (constructing it costs no broker call — an unreachable broker
-// shows up as a failed poll, which the loop retries), polled
-// synchronously. While a group stands behind the plane, each turn reads a
+// loop is the partition's one reader, polling synchronously at the plane
+// position pi.next, its whole state as a reader (an unreachable broker
+// shows up as a failed poll, which the loop retries at the same
+// position). While a group stands behind the plane, each turn reads a
 // round there instead (behind, catchUp), so the plane waits for the late
 // groups and only the loop ever moves it. A round that filled fetchMax is
 // followed by the next fetch at once, one that drained the partition by
@@ -317,9 +317,8 @@ func (ing *ingest) closeConns() {
 // record waits at most one back-off. With no group on the partition the
 // loop idles without advancing, so an attacher at the offset joins
 // seamlessly.
-func (pi *partIngest) loop(start int64) {
+func (pi *partIngest) loop() {
 	defer pi.ing.wg.Done()
-	cons := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, start)
 	back := backoff{done: pi.done, d: pi.ing.backoff}
 	var idleSince, hwmAt time.Time
 	hwm, haveHWM := int64(0), false
@@ -350,7 +349,7 @@ func (pi *partIngest) loop(start int64) {
 		pi.mu.Unlock()
 		if lo < hi {
 			idleSince = time.Time{}
-			b, err := broker.NewPartitionConsumer(pi.cluster, pi.ing.topic, pi.idx, lo).PollBatch(int(hi - lo))
+			b, err := pi.poll(lo, int(hi-lo))
 			fresh := readHWM()
 			if b != nil {
 				pi.catchUp(planeDelivery{batch: b, next: lo + int64(b.Len()), hwm: hwm, haveHWM: haveHWM})
@@ -378,10 +377,11 @@ func (pi *partIngest) loop(start int64) {
 		}
 		// The plane's mark as the poll starts: one read after an empty
 		// poll could count records committed after it, beside this
-		// partition's next ones.
+		// partition's next ones. lo is the plane position: no group
+		// stands behind it.
 		mark := pi.ing.mark.Load()
 		t0 := time.Now()
-		b, err := cons.PollBatch(fetchMax)
+		b, err := pi.poll(lo, fetchMax)
 		pi.decodeHist.Observe(time.Since(t0).Seconds())
 		if err != nil { // a stop's closed connection too: pause returns at once
 			idleSince = time.Time{}
@@ -409,6 +409,21 @@ func (pi *partIngest) loop(start int64) {
 			return
 		}
 	}
+}
+
+// poll fetches up to max records of the partition at offset as a pooled
+// batch in event-time order, nil when there are none; the caller owns the
+// batch and must Release it. The fetch happens now, never ahead of the
+// loop's own pacing.
+func (pi *partIngest) poll(offset int64, max int) (*stream.EventBatch, error) {
+	b := stream.GetEventBatch()
+	n, err := pi.cluster.FetchBatch(pi.ing.topic, pi.idx, offset, max, b)
+	if err != nil || n == 0 {
+		b.Release()
+		return nil, err
+	}
+	b.SortByTime() // a no-op scan on the common already-ordered round
+	return b, nil
 }
 
 // behind returns the next round behind the plane, [lo, hi): from the

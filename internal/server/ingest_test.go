@@ -866,3 +866,88 @@ func TestIdleMarkerKeepsRecordsQueuedBehindIt(t *testing.T) {
 		}
 	}
 }
+
+// TestPollReadsAtItsOffset: the loop's poll reads up to max records at
+// the offset it is given — a record offset, so a poll inside a produce
+// batch starts at exactly that record — as one batch based there in
+// event-time order, zero time first, and yields nothing at a drained
+// partition.
+func TestPollReadsAtItsOffset(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(47, 10)
+	events[2].Time, events[7].Time = events[7].Time, events[2].Time // unordered within both rounds below
+	events[5].Time = time.Time{}
+	if _, err := produceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	pi := &partIngest{cluster: bk, ing: &ingest{topic: "in"}}
+	for _, round := range []struct {
+		offset    int64
+		max, want int
+	}{{0, 8, 8}, {8, 100, 2}, {4, 3, 3}} {
+		b, err := pi.poll(round.offset, round.max)
+		if err != nil || b.Len() != round.want || b.Base != round.offset {
+			t.Fatalf("poll(%d, %d) = %d records at %d, %v; want %d at %d", round.offset, round.max, b.Len(), b.Base, err, round.want, round.offset)
+		}
+		if !b.TimeOrdered() {
+			t.Fatalf("poll(%d, %d) not in event-time order: %v", round.offset, round.max, b.Times)
+		}
+		if round.offset == 0 && b.Times[0] != stream.ZeroTimeNanos {
+			t.Fatalf("zero-time record not sorted first: %v", b.Times)
+		}
+		b.Release()
+	}
+	if b, err := pi.poll(10, 100); b != nil || err != nil {
+		t.Fatalf("poll of a drained partition = %v, %v; want nil, nil", b, err)
+	}
+}
+
+// flakyCluster fails every third FetchBatch with a transient error.
+type flakyCluster struct {
+	broker.Cluster
+	n, failed atomic.Int64
+}
+
+func (f *flakyCluster) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	if f.n.Add(1)%3 == 0 {
+		f.failed.Add(1)
+		return 0, fmt.Errorf("transient fetch failure")
+	}
+	return f.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
+// TestLoopRetriesFailedFetchAtItsPosition: a failed fetch leaves the
+// loop where it was, so the retry reads the round the failure would have
+// — every record reaches the query exactly once across the failures.
+func TestLoopRetriesFailedFetchAtItsPosition(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(53, 20000)
+	if _, err := produceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	fc := &flakyCluster{Cluster: bk}
+	s, err := New(Config{Cluster: fc, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id, err := s.Register(Spec{Kind: "count", Window: 2 * time.Second, Slide: time.Second, Fraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, _ := s.job(id)
+	waitJobRecords(t, j, int64(len(events)), 10*time.Second)
+	time.Sleep(20 * time.Millisecond) // a duplicate round would land by now
+	if n := jobRecords(j); n != int64(len(events)) {
+		t.Fatalf("query consumed %d records, want exactly %d", n, len(events))
+	}
+	if fc.failed.Load() == 0 {
+		t.Fatal("no fetch failed; the test exercised nothing")
+	}
+}

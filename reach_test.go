@@ -46,7 +46,6 @@ var brokerUnreachedAllowed = map[string]string{
 	"NodeInfo":            "a ClusterMeta field's element type, reached only through returned values",
 	"TopicInfo":           "a ClusterMeta field's element type, reached only through returned values",
 	"PartitionInfo":       "a TopicInfo field's element type, reached only through returned values",
-	"Consumer":            "NewPartitionConsumer's result type, reached only through the returned value",
 	"Nodes":               "a ClusterMeta field the routing client reads inside the package",
 	"Topics":              "a ClusterMeta field the routing client and the rejoin path read inside the package",
 	"Leader":              "a PartitionInfo field LeaderOf and the rejoin path read inside the package",

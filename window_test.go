@@ -49,7 +49,7 @@ func TestFormatWindow(t *testing.T) {
 	}{
 		{"session snapshot", pane.Version, decodeSnapshot, "commit bf6c4fd"},
 		{"query checkpoint", intConst(t, "internal/server/checkpoint.go", "checkpointVersion"), restartFromCheckpoint, "commit bf6c4fd"},
-		{"segment", intConst(t, "internal/broker/storage/filelog.go", "segVersion"), openSegment, "commit 1338931"},
+		{"segment", intConst(t, "internal/broker/storage/filelog.go", "segVersion"), openSegment, "commit b79a451"},
 	}
 	for _, k := range kinds {
 		for v := 0; v <= k.current+1; v++ {
