@@ -642,14 +642,29 @@ func (pf *partFrame) encode(dst []byte) []byte {
 		for _, id := range pf.ids {
 			dst = le.AppendUint16(dst, id)
 		}
-	case w > 0: // packed low bits first, within the capacity grown above
-		col := dst[len(dst) : len(dst)+(n*w+7)/8]
-		clear(col)
-		for i, id := range pf.ids {
-			bit := i * w
-			col[bit>>3] |= byte(id) << (bit & 7)
+	case w > 0: // packed low bits first, within the capacity grown above, one loop per width
+		pf.ids = append(pf.ids, 0, 0, 0, 0, 0, 0, 0) // zero ids pad the last byte; reset keeps them
+		switch col, ids := dst[len(dst):len(dst)+(n*w+7)/8], pf.ids; w {
+		case 1:
+			for k := range col {
+				g := ids[8*k : 8*k+8]
+				col[k] = byte(g[0] | g[1]<<1 | g[2]<<2 | g[3]<<3 | g[4]<<4 | g[5]<<5 | g[6]<<6 | g[7]<<7)
+			}
+		case 2:
+			for k := range col {
+				g := ids[4*k : 4*k+4]
+				col[k] = byte(g[0] | g[1]<<2 | g[2]<<4 | g[3]<<6)
+			}
+		case 4:
+			for k := range col {
+				col[k] = byte(ids[2*k] | ids[2*k+1]<<4)
+			}
+		case 8:
+			for k := range col {
+				col[k] = byte(ids[k])
+			}
 		}
-		dst = dst[:len(dst)+len(col)]
+		dst = dst[:len(dst)+(n*w+7)/8]
 	}
 	dst = append(dst, pf.values...)
 	base := pf.tmin

@@ -211,14 +211,12 @@ func (p *Sampler) SegmentOf(n int64) (seg int64, ok bool) {
 
 // SamePoint reports whether p and o stand at one point of the stream with
 // interchangeable samplers: the same slide and fraction, watermark,
-// segment, and this and the previous segment's arrival counts, as their
-// OASRS samplers hold them. From such a point, o's sample of what follows
-// is one p could have drawn.
+// segment, and this and the previous segment's arrival counts stratum by
+// stratum, as their OASRS samplers hold them (sampling.OASRS.SameArrivals).
+// From such a point, o's sample of what follows is one p could have drawn.
 func (p *Sampler) SamePoint(o *Sampler) bool {
-	pc, pl := p.arrivals()
-	oc, ol := o.arrivals()
 	return p.slide == o.slide && p.fraction == o.fraction && p.wm == o.wm &&
-		p.segStart == o.segStart && pc == oc && pl == ol
+		p.segStart == o.segStart && p.oasrs.SameArrivals(o.oasrs)
 }
 
 // Copy returns a Sampler in p's state, seed included, that samples on

@@ -146,12 +146,21 @@ func TestDerivedSeedInclusion(t *testing.T) {
 // batch of records at times, in nanoseconds after base, their values
 // their indexes, over three strata.
 func fedAt(slide time.Duration, fraction float64, seed uint64, times []int64) *Sampler {
+	return fedFirst(slide, fraction, seed, times, "a")
+}
+
+// fedFirst is fedAt with the first record in stratum first.
+func fedFirst(slide time.Duration, fraction float64, seed uint64, times []int64, first string) *Sampler {
 	p := NewSampler(slide, fraction, seed)
 	b := stream.GetEventBatch()
 	defer b.Release()
 	strata := []int32{b.Intern("a"), b.Intern("b"), b.Intern("c")}
 	for i, at := range times {
-		b.Append(strata[i%len(strata)], float64(i), base+at)
+		s := strata[i%len(strata)]
+		if i == 0 {
+			s = b.Intern(first)
+		}
+		b.Append(s, float64(i), base+at)
 	}
 	p.Push(b, 0, b.Len(), func(int64, *sampling.Sample, int64) {})
 	return p
@@ -161,8 +170,9 @@ func fedAt(slide time.Duration, fraction float64, seed uint64, times []int64) *S
 // gives a Sampler one of its own: two Samplers fed the same records stand
 // at one point of the stream whatever their seeds; one differing from
 // them in the slide, the fraction, the watermark, the segment, the
-// current or the previous segment's arrival count does not; and a Copy
-// cuts what its original cuts.
+// current or the previous segment's arrival count, or only in how the
+// previous segment's arrivals fall into strata, does not; and a Copy cuts
+// what its original cuts.
 func TestSamePointAndCopy(t *testing.T) {
 	ms := int64(time.Millisecond)
 	var times []int64 // 100 records in [500, 1000) ms, then 60 in [1000, 1300) ms
@@ -179,6 +189,7 @@ func TestSamePointAndCopy(t *testing.T) {
 		seed     uint64
 		times    []int64
 		tweak    func(*Sampler)
+		first    string // the first record's stratum, when not "a"
 	}{
 		{name: "another seed", same: true, seed: 2},
 		{name: "slide", slide: 500 * time.Millisecond}, // segments at 500 ms and 1 s too
@@ -187,6 +198,7 @@ func TestSamePointAndCopy(t *testing.T) {
 		{name: "segment", tweak: func(p *Sampler) { p.setSegment(p.segStart - p.slide) }},
 		{name: "current count", times: append(slices.Clone(times), last)},
 		{name: "previous count", times: slices.Insert(slices.Clone(times), 1, times[0])},
+		{name: "previous count of a stratum", first: "b"},
 	} {
 		slide, fraction, seed, at := time.Second, 0.3, uint64(1), times
 		if tc.slide != 0 {
@@ -202,6 +214,9 @@ func TestSamePointAndCopy(t *testing.T) {
 			at = tc.times
 		}
 		p := fedAt(slide, fraction, seed, at)
+		if tc.first != "" {
+			p = fedFirst(slide, fraction, seed, at, tc.first)
+		}
 		if tc.tweak != nil {
 			tc.tweak(p)
 		}

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
@@ -333,6 +334,26 @@ func (o *OASRS) Arrivals() (interval, previous int64) {
 		previous += c
 	}
 	return interval, previous
+}
+
+// SameArrivals reports whether o and p hold the same arrival counts,
+// stratum by stratum, in this interval and the previous one, in
+// reservoirs of the same sizes: what each plans and sizes the strata
+// still to come from, so from here each samples what follows as the other
+// would. A nil sampler has seen nothing.
+func (o *OASRS) SameArrivals(p *OASRS) bool {
+	if o == nil || p == nil {
+		return o == p
+	}
+	if o.budget != p.budget || len(o.reservoirs) != len(p.reservoirs) || !maps.Equal(o.prev, p.prev) {
+		return false
+	}
+	for key, res := range o.reservoirs {
+		if q, ok := p.reservoirs[key]; !ok || q.seen != res.seen || q.capacity != res.capacity {
+			return false
+		}
+	}
+	return true
 }
 
 // Finish returns the weighted sample for the interval and resets the

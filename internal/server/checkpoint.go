@@ -86,12 +86,7 @@ func (j *job) checkpoint() (*checkpointFile, error) {
 	}
 	for _, sh := range j.shards {
 		unlock := sh.lock()
-		snap, err := sh.snapshot()
-		// The counters are read in the hold that fixes the offset: a batch
-		// applied after it is replayed on restore, so counting it here
-		// would count it twice.
-		sc := shardCheckpoint{Partition: sh.idx, Offset: sh.group.offset, Records: sh.records.Load(),
-			Sampled: sh.sampled.Load(), Session: snap}
+		sc, err := sh.capture()
 		unlock()
 		if err != nil {
 			return nil, fmt.Errorf("shard %d snapshot: %w", sh.idx, err)
@@ -185,15 +180,21 @@ func (j *job) restore(cf *checkpointFile) error {
 	return nil
 }
 
-// snapshot is the shard's session snapshot, in the format
-// streamapprox.RestoreSession reads: the session the shard samples as,
-// with its group's sampler. Callers hold its partition lock.
-func (sh *shard) snapshot() ([]byte, error) {
+// capture is the shard's checkpoint at one instant, which its caller
+// fixes by holding the partition lock: its group's position, its counters
+// and its session snapshot, in the format streamapprox.RestoreSession
+// reads — the session the shard samples as, with its group's sampler. The
+// counters are read in the hold that fixes the offset: a batch applied
+// after it is replayed on restore, so counting it here would count it
+// twice.
+func (sh *shard) capture() (shardCheckpoint, error) {
 	st := sh.job.spec.session(sh.idx)
 	st.State = sh.group.ps.State()
 	st.Late += sh.lateOff
 	st.Panes = sh.panes
-	return json.Marshal(st)
+	snap, err := json.Marshal(st)
+	return shardCheckpoint{Partition: sh.idx, Offset: sh.group.offset, Records: sh.records.Load(),
+		Sampled: sh.sampled.Load(), Session: snap}, err
 }
 
 // restore rebuilds the shard's sampler, at the fraction it sampled at,

@@ -89,17 +89,17 @@ func driveShards(j *job, events []stream.Event, part func(string) int, from, to 
 	}
 }
 
-// push applies b to sh's sampling group at the group's offset, as the
-// plane delivers a batch; an empty b is an idle marker there carrying
+// push applies b to sh's sampling group at the group's offset, as a
+// round read there does; an empty b is an idle marker there carrying
 // mark.
 func push(sh *shard, b *stream.EventBatch, mark time.Time) {
 	defer sh.lock()()
-	b.Base = sh.group.offset
-	d := planeDelivery{next: b.Base, mark: stream.TimeToNanos(mark)}
-	if b.Len() > 0 {
-		d.batch, d.next = b, b.Base+int64(b.Len())
+	if b.Len() == 0 {
+		sh.group.advance(stream.TimeToNanos(mark))
+		return
 	}
-	sh.group.apply(d)
+	b.Base = sh.group.offset
+	sh.group.take(b)
 }
 
 // maxWatermark is the highest event-time watermark across j's shards:
@@ -121,7 +121,7 @@ func watermarkOf(sh *shard) time.Time {
 }
 
 // groupOf is sh's sampling group, read under its partition lock.
-func groupOf(sh *shard) *subQueue {
+func groupOf(sh *shard) *group {
 	defer sh.lock()()
 	return sh.group
 }
@@ -140,21 +140,22 @@ func servedFixture(t *testing.T, path string) map[string][]MergedWindow {
 	return served
 }
 
-// rig drives a server's sampling groups with no partition loop, as the
-// loop would: join puts a query's shards' groups on the plane, and apply
-// hands every group on a partition's plane one batch at the plane's
-// offset.
+// rig drives a server's partitions with no partition loop, stepping each
+// partition's value as the loop does, under the partition lock: join
+// attaches a query's shards' groups, apply hands a partition a round read
+// at its plane position, and idle an idle marker there.
 type rig struct {
-	t    testing.TB
-	srv  *Server
-	next []int64 // the plane's offset per partition
+	t   testing.TB
+	srv *Server
 }
 
 func newRig(t testing.TB, partitions int) *rig {
-	return &rig{t: t, srv: fixtureServer(t, partitions), next: make([]int64, partitions)}
+	return &rig{t: t, srv: fixtureServer(t, partitions)}
 }
 
-// query builds a query of spec on the rig's server and joins its shards.
+// query builds a query of spec on the rig's server and joins its shards;
+// a query from "latest" starts at the plane position, the records the rig
+// has applied.
 func (r *rig) query(id string, spec Spec) *job {
 	r.t.Helper()
 	if err := spec.normalize(); err != nil {
@@ -164,39 +165,43 @@ func (r *rig) query(id string, spec Spec) *job {
 	if err != nil {
 		r.t.Fatal(err)
 	}
+	if spec.From == "latest" {
+		for _, sh := range j.shards {
+			sh.group.offset = r.srv.ing.parts[sh.idx].p.next
+		}
+	}
 	r.join(j)
 	return j
 }
 
-// join puts every shard's group of j on its partition's plane, where it
-// folds into an older group at its point of the stream.
+// join attaches every shard's group of j to its partition, where it folds
+// into an older group at its point of the stream.
 func (r *rig) join(j *job) {
 	for _, sh := range j.shards {
-		pi := r.srv.ing.parts[sh.idx]
-		pi.mu.Lock()
-		pi.place(sh.group)
-		pi.mu.Unlock()
+		r.step(sh.idx, func(v *partition) { v.attach(sh.group) })
 	}
 }
 
-// apply hands b, based at partition p's plane offset, to every group on
-// p's plane.
+// apply hands partition p b as a round read at its plane position.
 func (r *rig) apply(p int, b *stream.EventBatch) {
-	b.Base = r.next[p]
-	r.next[p] += int64(b.Len())
-	r.deliver(p, planeDelivery{batch: b, next: r.next[p], hwm: r.next[p], haveHWM: true})
+	r.step(p, func(v *partition) {
+		b.Base = v.next
+		v.round(b)
+	})
 }
 
-// deliver hands d to every group on partition p's plane under the
-// partition lock, folding first, as the loop does before each delivery,
-// and then once more, so what stands at one point of the stream after d
-// has folded when deliver returns, as it has by the loop's next delivery.
-func (r *rig) deliver(p int, d planeDelivery) {
+// idle hands partition p an idle marker at its plane position carrying
+// mark.
+func (r *rig) idle(p int, mark time.Time) {
+	r.step(p, func(v *partition) { v.idle(stream.TimeToNanos(mark)) })
+}
+
+// step calls f on partition p's value under the partition lock, and
+// publishes its gauges, as the loop does.
+func (r *rig) step(p int, f func(*partition)) {
 	pi := r.srv.ing.parts[p]
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	for _, sub := range pi.settle() {
-		sub.apply(d)
-	}
-	pi.settle()
+	f(&pi.p)
+	pi.gauge()
 }

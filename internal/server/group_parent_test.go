@@ -114,7 +114,7 @@ func driveGroups(t *testing.T) groupedRun {
 			}
 			rg.join(jobs[4])
 		}
-		for p := range rg.next {
+		for p := range rg.srv.parts {
 			b := stream.BatchOf(rounds[r][p])
 			rg.apply(p, b)
 			b.Release()
@@ -131,8 +131,8 @@ func driveGroups(t *testing.T) groupedRun {
 					mark = maxWatermark(j)
 				}
 			}
-			for p := range rg.next {
-				rg.deliver(p, planeDelivery{next: rg.next[p], hwm: rg.next[p], haveHWM: true, mark: stream.TimeToNanos(mark)})
+			for p := range rg.srv.parts {
+				rg.idle(p, mark)
 			}
 		}
 		if r == checkpointAt {

@@ -3,7 +3,6 @@ package server
 import (
 	"io"
 	"log/slog"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -11,7 +10,6 @@ import (
 
 	"streamapprox/internal/broker"
 	"streamapprox/internal/metrics"
-	"streamapprox/internal/pane"
 	"streamapprox/internal/stream"
 )
 
@@ -20,11 +18,11 @@ import (
 // in-process broker has no wire and no-ops).
 type traceSetter interface{ SetTraceID(uint64) }
 
-// The shared ingest plane: exactly one consumer per (topic, partition)
-// regardless of how many queries are registered. Each partition loop
-// fetches a batch once, decodes it once into a columnar EventBatch, and
-// applies the (event-time sorted, read-only) batch itself to every
-// sampling group on the plane, one after another. Broker fetch work is
+// The shared ingest plane: exactly one reader per (topic, partition), the
+// partition's loop, regardless of how many queries are registered. Each
+// loop fetches a round once, decodes it once into a columnar EventBatch,
+// and applies the (event-time sorted, read-only) batch itself to every
+// sampling group it goes to, one after another. Broker fetch work is
 // O(partitions), not O(queries × partitions) — the property that lets one
 // middle tier serve thousands of concurrent queries over a single topic
 // read.
@@ -45,18 +43,19 @@ type traceSetter interface{ SetTraceID(uint64) }
 // A group BEHIND the plane — attaching at an offset the plane has passed:
 // a late registration, a restored checkpoint — stands at its position,
 // and the loop reads the log there once for all such groups before it
-// reads on at the plane, splicing each back whole at the plane position,
-// so no record is lost or duplicated. A group attaching ahead of the
-// plane (From "latest") goes on the plane, standing at its start until
-// the plane reaches it.
+// reads on at the plane, each round in one turn of the loop, until each
+// group stands at the plane position and goes on with the plane, so no
+// record is lost or duplicated. A group attaching ahead of the plane
+// (From "latest") is on the plane, standing at its start until the plane
+// reaches it.
 //
 // The plane keeps one event-time mark for the topic: the latest event
 // time any partition loop has read. A partition that polls empty — the
 // broker serves up to its committed high watermark, so an empty poll at
 // the plane position means it is drained — for idleAdvanceFloor applies a
-// marker to its groups: a delivery without a batch, carrying the mark,
-// which advances each group's sampler there, so windows a quiet
-// partition would hold back still merge.
+// marker to the groups at the plane position: a round without a batch,
+// carrying the mark, which advances each group's sampler there, so
+// windows a quiet partition would hold back still merge.
 
 // fetchMax bounds one fetch round's record count, on the plane and behind
 // it alike.
@@ -75,10 +74,9 @@ const fetchMax = 4096
 const idleAdvanceFloor = 250 * time.Millisecond
 
 // hwmEvery bounds how often a busy partition loop asks the broker for
-// the committed high watermark. Delivered batches carry it only to feed
-// the two lag gauges (ingest, query), which nobody reads at
-// batch rate — and one RPC per batch is a fifth of a saturated
-// pipeline's requests.
+// the committed high watermark. It feeds only the two lag gauges (ingest,
+// query), which nobody reads at batch rate — and one RPC per batch is a
+// fifth of a saturated pipeline's requests.
 const hwmEvery = 100 * time.Millisecond
 
 // ingest is one plane: a set of partition loops over one topic.
@@ -94,73 +92,32 @@ type ingest struct {
 	wg    sync.WaitGroup
 }
 
-// subQueue is one sampling group: its members, the pane sampler they
-// sample through and its position, to which the partition loop applies
-// each round it reads there. The group's sampler samples each batch once,
-// and every member summarises its panes. The partition lock guards it all,
-// and is held across each delivery's application, so shards fold and leave
-// between batches.
-type subQueue struct {
-	key     groupKey
-	members []*shard
-	ps      *pane.Sampler
-	summed  []*shard // cut's scratch: the members summarised so far
-	// offset is the group's position, the next offset its sampler needs:
-	// on the plane the plane position after its last delivery, ahead of
-	// the plane its start, and behind the plane where it stands. Only the
-	// loop moves it.
-	offset int64
-	behind bool // whether it stands behind the plane
-}
-
-// groupKey is what makes two shards' samplers interchangeable on a
-// partition: the slide and the fixed fraction of their sessions, or the
-// job whose controller moves an adaptive one.
-type groupKey struct {
-	slide    time.Duration
-	fraction float64
-	owner    *job
-}
-
-// planeDelivery is one fan-out unit: a shared columnar batch, ending at
-// offset next, or — batch nil — an idle marker at plane position next,
-// carrying the plane's mark as of the empty poll that found the partition
-// drained.
-type planeDelivery struct {
-	batch   *stream.EventBatch
-	next    int64
-	hwm     int64
-	haveHWM bool
-	mark    int64 // a marker's event time, in unix nanos
-}
-
-// partIngest is the plane for one partition: one consumer, one loop,
-// any number of sampling groups on the plane or behind it.
+// partIngest is the shell around one partition's value: the partition
+// lock, the one loop that reads the partition and steps the value, the
+// broker connection it reads over, and the partition's metrics.
 type partIngest struct {
 	ing     *ingest
 	idx     int
 	cluster broker.Cluster // dedicated connection when DialShard is set
 	conn    io.Closer      // nil when sharing the control connection
 
-	// mu is the partition lock: it guards groups, everything of theirs
-	// (see group.go), and next. The loop advances next and applies each
-	// round with mu held, and fetches, backs off and reads the high
-	// watermark outside it.
+	// mu is the partition lock: it guards p and everything of its groups
+	// (see group.go), and stopped. The loop calls p with mu held, and
+	// fetches, backs off and reads the high watermark outside it.
 	mu      sync.Mutex
-	groups  []*subQueue // on the plane and behind it, oldest first
-	fed     []*subQueue // the loop's scratch: the groups a delivery goes to
-	next    int64       // next offset the plane will deliver; set by the first attach
-	started bool
+	p       partition
 	stopped bool
 	done    chan struct{}
 
+	// The metrics count what the loop reads at the plane, once per
+	// record whatever the queries behind the plane read again.
 	recordsMetric *metrics.Counter
 	queriesGauge  *metrics.Gauge
 	samplersGauge *metrics.Gauge // one per sampling group
 	lagGauge      *metrics.Gauge
 	throughput    *metrics.Meter
-	batchHist     *metrics.Histogram // records per delivered columnar batch
-	decodeHist    *metrics.Histogram // seconds blocked fetching+decoding a round
+	batchHist     *metrics.Histogram // records per round read at the plane
+	decodeHist    *metrics.Histogram // seconds blocked fetching+decoding a round at the plane
 }
 
 // newIngest builds a plane with one (not yet started) partition loop
@@ -199,7 +156,7 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 			conn:    closer,
 			done:    make(chan struct{}),
 			recordsMetric: reg.Counter("saproxd_ingest_records_total",
-				"records fetched once and fanned out to all queries, per partition", l),
+				"records read at the plane, once for all queries, per partition", l),
 			queriesGauge: reg.Gauge("saproxd_ingest_queries",
 				"queries attached to the partition's shared plane", l),
 			samplersGauge: reg.Gauge("saproxd_ingest_samplers",
@@ -207,9 +164,9 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 			lagGauge: reg.Gauge("saproxd_ingest_lag_records",
 				"records between the plane position and the partition high watermark", l),
 			batchHist: reg.Histogram("saproxd_ingest_batch_records",
-				"records per columnar batch fanned out by the partition loop", l),
+				"records per round the partition loop read at the plane", l),
 			decodeHist: reg.Histogram("saproxd_ingest_decode_seconds",
-				"seconds the partition loop blocked on fetch+decode of one round", l),
+				"seconds the partition loop blocked on fetch+decode of one round at the plane", l),
 		}
 		pi.throughput = metrics.NewMeter(0, reg.Gauge("saproxd_ingest_throughput_items_per_s",
 			"smoothed per-partition ingest rate", l))
@@ -219,53 +176,27 @@ func newIngest(cluster broker.Cluster, dial func() (broker.Cluster, error),
 }
 
 // attach puts one query shard's group — a group of one — on a partition
-// at the group's position, starting the loop there on first use: behind
-// the plane the group stands there, for the loop to bring up to the
-// plane; at or ahead of the plane it goes on the plane at once.
+// at the group's position, where the loop reads for it (see partition),
+// starting the loop on first use.
 func (ing *ingest) attach(sh *shard) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	if !pi.started {
-		pi.started = true
-		pi.next = sh.group.offset
-		if !pi.stopped {
-			ing.wg.Add(1)
-			go pi.loop()
-		}
+	if !pi.p.placed && !pi.stopped {
+		ing.wg.Add(1)
+		go pi.loop()
 	}
-	pi.place(sh.group)
-}
-
-// place adds a group of one to the partition at its position (see
-// attach), folding it into an older group there. Callers hold pi.mu.
-func (pi *partIngest) place(sub *subQueue) {
-	pi.groups = append(pi.groups, sub)
-	sub.behind = sub.offset < pi.next
-	pi.fold(len(pi.groups) - 1)
+	pi.p.attach(sh.group)
 	pi.gauge()
 }
 
-// detach takes a shard off its partition into a group of its own, so no
-// delivery follows detach: with its group's sampler when it was the last
-// member, which takes the group off the partition, and with a copy of it
-// otherwise.
+// detach takes a shard off its partition into a group of its own (see
+// partition.detach).
 func (ing *ingest) detach(sh *shard) {
 	pi := ing.parts[sh.idx]
 	pi.mu.Lock()
 	defer pi.mu.Unlock()
-	sub := sh.group
-	i := slices.Index(pi.groups, sub)
-	if i < 0 {
-		return // never attached, or detached already
-	}
-	sub.members = slices.DeleteFunc(sub.members, func(m *shard) bool { return m == sh })
-	if len(sub.members) > 0 {
-		sh.alone(sub.ps.Copy(), sub.offset)
-	} else {
-		sh.alone(sub.ps, sub.offset)
-		pi.groups = slices.Delete(pi.groups, i, i+1)
-	}
+	pi.p.detach(sh)
 	pi.gauge()
 }
 
@@ -273,15 +204,15 @@ func (ing *ingest) detach(sh *shard) {
 // per sampling group. Callers hold pi.mu.
 func (pi *partIngest) gauge() {
 	n := 0
-	for _, sub := range pi.groups {
-		n += len(sub.members)
+	for _, g := range pi.p.groups {
+		n += len(g.members)
 	}
 	pi.queriesGauge.Set(float64(n))
-	pi.samplersGauge.Set(float64(len(pi.groups)))
+	pi.samplersGauge.Set(float64(len(pi.p.groups)))
 }
 
 // stop halts every partition loop and closes dedicated connections. No
-// delivery follows it; groups stay on the partitions until they detach.
+// round follows it; groups stay on the partitions until they detach.
 func (ing *ingest) stop() {
 	for _, pi := range ing.parts {
 		pi.mu.Lock()
@@ -306,27 +237,25 @@ func (ing *ingest) closeConns() {
 	}
 }
 
-// loop is the partition's one reader, polling synchronously at the plane
-// position pi.next, its whole state as a reader (an unreachable broker
-// shows up as a failed poll, which the loop retries at the same
-// position). While a group stands behind the plane, each turn reads a
-// round there instead (behind, catchUp), so the plane waits for the late
-// groups and only the loop ever moves it. A round that filled fetchMax is
-// followed by the next fetch at once, one that drained the partition by
-// exactly one back-off, and nothing is fetched ahead of a sleep, so a
-// record waits at most one back-off. With no group on the partition the
-// loop idles without advancing, so an attacher at the offset joins
-// seamlessly.
+// loop is the partition's one reader and the shell of its value: each
+// turn reads the one round the value asks for (partition.read) — behind
+// the plane while a group stands there, so the plane waits for the late
+// groups, and at the plane otherwise — and hands it to the value under
+// pi.mu. An unreachable broker shows up as a failed read, which the next
+// turn retries at the same position, so broker trouble never strands a
+// group behind the plane, where its merger waits on it. A round that read
+// less than it asked for — none, or the partition drained — is followed
+// by exactly one back-off, any other by the next read at once, and
+// nothing is read ahead of a sleep, so a record waits at most one
+// back-off. With no group on the partition the loop idles without
+// advancing, so an attacher at the offset joins seamlessly.
 func (pi *partIngest) loop() {
 	defer pi.ing.wg.Done()
 	back := backoff{done: pi.done, d: pi.ing.backoff}
 	var idleSince, hwmAt time.Time
-	hwm, haveHWM := int64(0), false
+	var hwm int64
 	// readHWM reads the high watermark for the lag gauges (best effort) at
-	// most every hwmEvery, and reports whether it read it now: a plane
-	// round's gauges take only a fresh read, a round behind the plane's the
-	// latest, the waiting plane's a fresh one, and an idle marker settles
-	// them.
+	// most every hwmEvery, and reports whether it read it now.
 	readHWM := func() bool {
 		if time.Since(hwmAt) < hwmEvery {
 			return false
@@ -334,7 +263,7 @@ func (pi *partIngest) loop() {
 		hwmAt = time.Now()
 		h, err := pi.cluster.HighWatermark(pi.ing.topic, pi.idx)
 		if err == nil {
-			hwm, haveHWM = h, true
+			hwm = h
 		}
 		return err == nil
 	}
@@ -345,29 +274,10 @@ func (pi *partIngest) loop() {
 		default:
 		}
 		pi.mu.Lock()
-		lo, hi, fed := pi.behind()
+		lo, hi := pi.p.read()
+		plane := lo == pi.p.next
 		pi.mu.Unlock()
-		if lo < hi {
-			idleSince = time.Time{}
-			b, err := pi.poll(lo, int(hi-lo))
-			fresh := readHWM()
-			if b != nil {
-				pi.catchUp(planeDelivery{batch: b, next: lo + int64(b.Len()), hwm: hwm, haveHWM: haveHWM})
-				b.Release()
-			} else if err != nil {
-				pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
-			}
-			if fresh {
-				pi.waitLag(hwm)
-			}
-			// Broker trouble must not strand the groups behind the plane,
-			// where their mergers wait on them: retry until they end.
-			if b == nil && !back.pause() {
-				return
-			}
-			continue
-		}
-		if !fed {
+		if lo == hi {
 			// Nobody listening: pause without advancing the plane.
 			idleSince = time.Time{}
 			if !back.pause() {
@@ -377,38 +287,69 @@ func (pi *partIngest) loop() {
 		}
 		// The plane's mark as the poll starts: one read after an empty
 		// poll could count records committed after it, beside this
-		// partition's next ones. lo is the plane position: no group
-		// stands behind it.
+		// partition's next ones.
 		mark := pi.ing.mark.Load()
 		t0 := time.Now()
-		b, err := pi.poll(lo, fetchMax)
-		pi.decodeHist.Observe(time.Since(t0).Seconds())
-		if err != nil { // a stop's closed connection too: pause returns at once
+		b, err := pi.poll(lo, int(hi-lo))
+		if plane {
+			pi.decodeHist.Observe(time.Since(t0).Seconds())
+		}
+		fresh := (b != nil || err != nil) && readHWM()
+		// An empty poll at the plane means the partition is drained: the
+		// broker serves up to its committed high watermark.
+		marker := false
+		switch drained := plane && b == nil && err == nil; {
+		case !drained:
 			idleSince = time.Time{}
-			if !back.pause() {
-				return
-			}
-			continue
+		case idleSince.IsZero():
+			idleSince = time.Now()
+		case time.Since(idleSince) >= idleAdvanceFloor:
+			idleSince, marker = time.Now(), true
 		}
-		if b == nil {
-			if now := time.Now(); idleSince.IsZero() {
-				idleSince = now
-			} else if now.Sub(idleSince) >= idleAdvanceFloor {
-				idleSince = now
-				pi.punctuate(mark)
-			}
-			if !back.pause() {
-				return
-			}
-			continue
+		if err != nil && !plane {
+			pi.ing.log.Warn("catch-up poll failed", "partition", pi.idx, "offset", lo, "err", err)
 		}
-		idleSince = time.Time{}
-		short, fresh := b.Len() < fetchMax, readHWM()
-		pi.deliverBatch(b, hwm, fresh)
+		if b != nil && plane {
+			pi.count(b)
+		}
+		pi.mu.Lock()
+		switch {
+		case b != nil:
+			pi.p.round(b)
+		case marker:
+			pi.p.idle(mark)
+			// The drained position stands for the high watermark.
+			hwm, fresh = pi.p.next, true
+		}
+		if fresh {
+			pi.p.lag(hwm)
+			pi.lagGauge.Set(float64(hwm - pi.p.next))
+		}
+		pi.gauge()
+		pi.mu.Unlock()
+		short := b == nil || int64(b.Len()) < hi-lo
+		if b != nil {
+			b.Release()
+		}
 		if short && !back.pause() {
 			return
 		}
 	}
+}
+
+// count counts a round read at the plane in the partition's metrics and
+// moves the plane's mark to its latest event time.
+func (pi *partIngest) count(b *stream.EventBatch) {
+	n := int64(b.Len())
+	last := b.Times[n-1] // the batch is in event-time order
+	for m := pi.ing.mark.Load(); last > m; m = pi.ing.mark.Load() {
+		if pi.ing.mark.CompareAndSwap(m, last) {
+			break
+		}
+	}
+	pi.recordsMetric.Add(float64(n))
+	pi.throughput.Mark(n)
+	pi.batchHist.Observe(float64(n))
 }
 
 // poll fetches up to max records of the partition at offset as a pooled
@@ -424,130 +365,4 @@ func (pi *partIngest) poll(offset int64, max int) (*stream.EventBatch, error) {
 	}
 	b.SortByTime() // a no-op scan on the common already-ordered round
 	return b, nil
-}
-
-// behind returns the next round behind the plane, [lo, hi): from the
-// lowest position a group stands at there, up to fetchMax records, the
-// next group's position or the plane, so a group ahead of a lower one
-// waits for it; lo == hi when none stands there. It also reports whether
-// a group is on the plane. Callers hold pi.mu.
-func (pi *partIngest) behind() (lo, hi int64, fed bool) {
-	lo, hi = pi.next, pi.next
-	for _, sub := range pi.groups {
-		switch {
-		case !sub.behind:
-			fed = true
-		case sub.offset < lo:
-			lo, hi = sub.offset, lo
-		case sub.offset > lo && sub.offset < hi:
-			hi = sub.offset
-		}
-	}
-	return lo, min(hi, lo+fetchMax), fed
-}
-
-// catchUp applies a round read behind the plane to every group standing
-// at its start, under pi.mu, and then settles: a group it brought to the
-// plane splices there, which cannot move meanwhile as only the loop moves
-// it, and one it brought to an older group's point folds.
-func (pi *partIngest) catchUp(d planeDelivery) {
-	pi.mu.Lock()
-	defer pi.mu.Unlock()
-	for _, sub := range pi.groups {
-		if sub.behind && sub.offset == d.batch.Base {
-			sub.apply(d)
-		}
-	}
-	pi.settle()
-}
-
-// waitLag sets the lag gauges of the partition and of every group on the
-// plane, which waits while the loop reads behind it, from a fresh high
-// watermark.
-func (pi *partIngest) waitLag(hwm int64) {
-	pi.mu.Lock()
-	defer pi.mu.Unlock()
-	for _, sub := range pi.settle() {
-		sub.setLag(hwm)
-	}
-	pi.lagGauge.Set(float64(hwm - pi.next))
-}
-
-// deliverBatch applies one pooled EventBatch to every group on the plane,
-// in order, advances the plane position, and releases the batch. The
-// position, the batch's Base and the groups are taken, and the batch
-// applied, in one hold of pi.mu, so a group attaching at the new position
-// misses it.
-func (pi *partIngest) deliverBatch(b *stream.EventBatch, hwm int64, haveHWM bool) {
-	n := int64(b.Len())
-	last := b.Times[n-1] // the batch is in event-time order
-	for m := pi.ing.mark.Load(); last > m; m = pi.ing.mark.Load() {
-		if pi.ing.mark.CompareAndSwap(m, last) {
-			break
-		}
-	}
-	pi.recordsMetric.Add(float64(n))
-	pi.throughput.Mark(n)
-	pi.batchHist.Observe(float64(n))
-	pi.mu.Lock()
-	b.Base = pi.next
-	pi.next += n
-	d := planeDelivery{batch: b, next: pi.next, hwm: hwm, haveHWM: haveHWM}
-	for _, sub := range pi.settle() {
-		sub.apply(d)
-	}
-	pi.mu.Unlock()
-	b.Release()
-	if haveHWM {
-		pi.lagGauge.Set(float64(hwm - d.next))
-	}
-}
-
-// punctuate applies an idle marker at the plane position to every
-// sampling group on the plane, carrying mark. The position stands for
-// the high watermark, as the poll that found the partition drained read
-// it, so the lag gauges settle at zero.
-func (pi *partIngest) punctuate(mark int64) {
-	pi.mu.Lock()
-	d := planeDelivery{next: pi.next, hwm: pi.next, haveHWM: true, mark: mark}
-	for _, sub := range pi.settle() {
-		sub.apply(d)
-	}
-	pi.mu.Unlock()
-	pi.lagGauge.Set(0)
-}
-
-// settle splices every group behind the plane that has reached it, folds
-// what can fold, and lists the groups on the plane in the loop's scratch,
-// which only the loop uses. Callers hold pi.mu.
-func (pi *partIngest) settle() []*subQueue {
-	pi.fed = pi.fed[:0]
-	for i := 0; i < len(pi.groups); i++ {
-		sub := pi.groups[i]
-		if sub.behind && sub.offset == pi.next {
-			sub.behind = false
-		}
-		switch {
-		case pi.fold(i):
-			i-- // deleted at i
-		case !sub.behind:
-			pi.fed = append(pi.fed, sub)
-		}
-	}
-	return pi.fed
-}
-
-// fold folds the group at i into the first older group of its key on its
-// side of the plane at its point of the stream (absorb), and takes it off
-// the partition. It reports whether it folded. Callers hold pi.mu.
-func (pi *partIngest) fold(i int) bool {
-	sub := pi.groups[i]
-	for _, into := range pi.groups[:i] {
-		if into.key == sub.key && into.behind == sub.behind && into.absorb(sub) {
-			pi.groups = slices.Delete(pi.groups, i, i+1)
-			pi.gauge()
-			return true
-		}
-	}
-	return false
 }

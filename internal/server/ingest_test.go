@@ -323,7 +323,7 @@ func TestShardWatermarkIsSortedBatchLast(t *testing.T) {
 			// The group stands ahead of the batch's first tc.skip records.
 			sub := sh.group
 			sub.offset = b.Base + int64(tc.skip)
-			sub.apply(planeDelivery{batch: b, next: b.Base + int64(b.Len())})
+			sub.take(b)
 			got, records := sub.watermark(), sh.records.Load()
 			if !got.Equal(want) || records != int64(b.Len()-tc.skip) {
 				t.Errorf("watermark %v after %d records, want %v after %d", got, records, want, b.Len()-tc.skip)
@@ -949,5 +949,67 @@ func TestLoopRetriesFailedFetchAtItsPosition(t *testing.T) {
 	}
 	if fc.failed.Load() == 0 {
 		t.Fatal("no fetch failed; the test exercised nothing")
+	}
+}
+
+// behindCounter counts the batch fetches below a plane position the test
+// sets, reads behind a plane that has read up to it, beside them all.
+type behindCounter struct {
+	broker.Cluster
+	plane           atomic.Int64
+	fetches, behind atomic.Int64
+}
+
+func (c *behindCounter) FetchBatch(topic string, partition int, offset int64, max int, b *stream.EventBatch) (int, error) {
+	c.fetches.Add(1)
+	if offset < c.plane.Load() {
+		c.behind.Add(1)
+	}
+	return c.Cluster.FetchBatch(topic, partition, offset, max, b)
+}
+
+// The partition's ingest series count what its loop reads at the plane,
+// once per record however many queries read it again behind the plane:
+// after a late query catches up on the whole log behind the plane,
+// saproxd_ingest_records_total and saproxd_ingest_batch_records still
+// count each record once, and saproxd_ingest_decode_seconds holds one
+// observation per read at the plane and none per read behind it — so
+// records, batches and decode time, which the bench and saprox status
+// divide by each other, keep one meaning.
+func TestIngestSeriesCountThePlaneOnly(t *testing.T) {
+	bk := broker.New()
+	if err := bk.CreateTopic("in", 1); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(61, 3*fetchMax+100)
+	if _, err := produceEvents(bk, "in", events); err != nil {
+		t.Fatal(err)
+	}
+	bc := &behindCounter{Cluster: bk}
+	s, err := New(Config{Cluster: bc, Topic: "in", PollBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Kind: "count", Window: 2 * time.Second, Slide: time.Second, Fraction: 0.5}
+	first := registerAll(t, s, []Spec{spec})[0]
+	waitJobRecords(t, first, int64(len(events)), 10*time.Second)
+	bc.plane.Store(int64(len(events)))
+	spec.Slide = 2 * time.Second // a group of its own
+	late := registerAll(t, s, []Spec{spec})[0]
+	waitJobRecords(t, late, int64(len(events)), 10*time.Second)
+	s.Close() // no read follows
+
+	l := map[string]string{"partition": "0"}
+	records := s.reg.Counter("saproxd_ingest_records_total", "", l).Value()
+	batches := s.reg.Histogram("saproxd_ingest_batch_records", "", l)
+	decode := s.reg.Histogram("saproxd_ingest_decode_seconds", "", l)
+	if want := float64(len(events)); records != want || batches.Sum() != want {
+		t.Errorf("records_total %v, batch_records sum %v after a catch-up behind the plane; want %v each", records, batches.Sum(), want)
+	}
+	if behind := bc.behind.Load(); behind < int64(len(events)/fetchMax) {
+		t.Fatalf("%d reads behind the plane, want the catch-up's %d at least", behind, len(events)/fetchMax)
+	}
+	if got, want := decode.Count(), uint64(bc.fetches.Load()-bc.behind.Load()); got != want {
+		t.Errorf("decode_seconds has %d observations, want one per read at the plane: %d", got, want)
 	}
 }

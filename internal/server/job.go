@@ -24,7 +24,7 @@ import (
 // delivers every partition batch to all queries from a single topic
 // read; each shard samples through its sampling group's sampler, which
 // on one partition queries with interchangeable samplers share (see
-// subQueue).
+// group).
 type job struct {
 	id   string
 	spec Spec
@@ -83,7 +83,7 @@ type shard struct {
 	// the group's sampler and position are. records/sampled/lag are
 	// atomic so the query's lag total and the progress counters need no
 	// lock.
-	group   *subQueue
+	group   *group
 	panes   []query.Pane // finished, not yet handed to the merger
 	lateOff int64        // late drops beyond the group sampler's count
 	records atomic.Int64

@@ -282,7 +282,9 @@ func TestSharedWindowsIgnoreWhenTheGroupFormed(t *testing.T) {
 	for i, events := range batches {
 		switch i {
 		case memberAt:
-			member = r.query("m", spec)
+			latest := spec
+			latest.From = "latest"
+			member = r.query("m", latest)
 		case catchUp:
 			// Q registers at the earliest offset, reads the log up to the
 			// plane privately, and joins the member's group there.
@@ -432,8 +434,8 @@ func TestUnlikeSpecsNeverShare(t *testing.T) {
 		r.query("q-0", base)
 		r.query("q-1", sp)
 		feed(r, batches)
-		if pi := r.srv.ing.parts[0]; len(pi.groups) != 2 || pi.samplersGauge.Value() != 2 {
-			t.Errorf("%s: %d groups, %v samplers", name, len(pi.groups), pi.samplersGauge.Value())
+		if pi := r.srv.ing.parts[0]; len(pi.p.groups) != 2 || pi.samplersGauge.Value() != 2 {
+			t.Errorf("%s: %d groups, %v samplers", name, len(pi.p.groups), pi.samplersGauge.Value())
 		}
 	}
 	r := newRig(t, 1)

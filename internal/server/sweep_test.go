@@ -489,7 +489,7 @@ func TestLateGroupsOfUnlikePointsNeverFold(t *testing.T) {
 	}
 	r := newRig(t, 1)
 	pi := r.srv.ing.parts[0]
-	pi.next = int64(len(events)) // a plane that has read the log; a rig runs no loop
+	pi.p.next, pi.p.placed = int64(len(events)), true // a plane that has read the log; a rig runs no loop
 	b := r.query("b", lateSpec(2, 0.5))
 	sub := b.shards[0].group
 	sub.offset = meet - 100
@@ -498,14 +498,13 @@ func TestLateGroupsOfUnlikePointsNeverFold(t *testing.T) {
 	tail.Release()
 	c := r.query("c", lateSpec(3, 0.5))
 	for {
-		pi.mu.Lock()
-		lo, hi, _ := pi.behind()
-		pi.mu.Unlock()
-		if lo == hi {
+		var lo, hi int64
+		r.step(0, func(v *partition) { lo, hi = v.read() })
+		if lo == pi.p.next { // nothing stands behind the plane
 			break
 		}
 		rb := batch(lo, hi)
-		pi.catchUp(planeDelivery{batch: rb, next: hi})
+		r.step(0, func(v *partition) { v.round(rb) })
 		rb.Release()
 		if c.shards[0].group == sub {
 			t.Fatalf("the group that caught up from the start folded at %d into one that took only the records from %d", hi, meet-100)
